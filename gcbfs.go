@@ -167,6 +167,25 @@
 // policy's cost model converges; it is off by default so fixed benchmark
 // cells stay reproducible in isolation.
 //
+// # What the BFS tree costs
+//
+// Config.CollectParents (per-query WithParents) returns the Graph500
+// predecessor array as the canonical min-id tree: every vertex's parent is
+// its smallest neighbor one level closer to the source — a pure function of
+// the hop distances, which is why Run, RunSweep and Repair return
+// bit-identical trees. On the paper's clock the tree is free: its single
+// exchange replays nn edges only (§VI-A3), is reported in Result.ParentPairs
+// and the pair byte counters, and is excluded from simulated BFS time. On the
+// host clock it is a post-BFS pass that is direction-optimised like the
+// traversal itself: per BFS level the delegate tier either looks up from the
+// child rows or down from the parent rows, whichever side holds fewer edges,
+// so it reads a tenth to a third of the dd edges instead of all of them, and
+// every rank writes its own share of the result arrays. At RMAT scale 18 on
+// 2×2×2 a query with levels and parents takes about twice the host time of
+// the traversal alone (it was three to four times before the resolution
+// learned directions); leave parents off, the default, when distances are
+// all you need.
+//
 // # Incremental graphs
 //
 // NewMutableService wraps the service in an epoch chain for mutating

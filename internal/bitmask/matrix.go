@@ -73,9 +73,14 @@ func (m *Matrix) Any() bool {
 
 // Row-level word folds. All operands must have equal length (the sweep's
 // rows all share one width); length mismatches panic via the bounds check.
+// Empty rows (a graph without delegates has a 0-word delegate matrix) fold
+// to nothing.
 
 // RowOr sets dst |= src.
 func RowOr(dst, src []uint64) {
+	if len(src) == 0 {
+		return
+	}
 	_ = dst[len(src)-1]
 	for i, w := range src {
 		dst[i] |= w
@@ -84,6 +89,9 @@ func RowOr(dst, src []uint64) {
 
 // RowAndNot sets dst &^= src.
 func RowAndNot(dst, src []uint64) {
+	if len(src) == 0 {
+		return
+	}
 	_ = dst[len(src)-1]
 	for i, w := range src {
 		dst[i] &^= w
@@ -92,6 +100,9 @@ func RowAndNot(dst, src []uint64) {
 
 // RowAndNotInto writes a &^ b into dst and reports whether any bit survived.
 func RowAndNotInto(dst, a, b []uint64) bool {
+	if len(a) == 0 {
+		return false
+	}
 	_ = dst[len(a)-1]
 	_ = b[len(a)-1]
 	var any uint64

@@ -113,12 +113,12 @@ type Options struct {
 	// CollectLevels gathers the global hop-distance array into the
 	// result (disable for large weak-scaling sweeps).
 	CollectLevels bool
-	// CollectParents additionally produces the Graph500 BFS tree. Parents
-	// of locally discovered vertices are recorded during traversal at no
-	// extra communication; delegates and remotely discovered nn
-	// destinations are resolved by one post-BFS exchange, the low-cost
-	// step the paper describes (§VI-A3). Parent resolution is excluded
-	// from simulated BFS time, matching the paper's reporting.
+	// CollectParents additionally produces the Graph500 BFS tree, resolved
+	// after the traversal as the canonical min-id tree of the hop distances
+	// (parents.go): a direction-optimised local pass over the delegate tier
+	// plus one exchange for remote nn destinations, the low-cost step the
+	// paper describes (§VI-A3). Parent resolution is excluded from
+	// simulated BFS time, matching the paper's reporting.
 	CollectParents bool
 	// ForceTWBForDD replaces the dd kernel's merge-path load balancing
 	// with thread-warp-block dynamic mapping — an ablation knob for the
@@ -477,14 +477,12 @@ type Session struct {
 	// scratch.go). Indexed by rank; touched only by the owning goroutine.
 	scratch []*rankScratch
 
-	// delegateParents holds the resolved BFS-tree parents of delegates
-	// (written by rank 0 during the post-BFS resolution; every rank
-	// computes the identical reduction result). qt is the plain-slice view
-	// of this session's traversal outcome that the canonical parent
-	// resolution operates on; both are allocated lazily by the first
-	// parent-collecting query and reused across pooled reuses.
-	delegateParents []int64
-	qt              queryTree
+	// qt is the plain-slice view of this session's traversal outcome that
+	// the canonical parent resolution and the gather operate on (parents.go);
+	// out is the in-flight query's global result arrays, allocated by the
+	// caller goroutine before the ranks start and filled by them.
+	qt  queryTree
+	out treeOut
 	// parentExchangePairs counts the post-BFS resolution traffic (pairs),
 	// reported but excluded from simulated BFS time. The byte counters
 	// account that exchange's fixed-width equivalent and what the codec
@@ -538,6 +536,11 @@ func (p *Plan) newSession() *Session {
 		amp:     p.base.WorkAmplification,
 	}
 	s.gpus = make([]*gpuState, s.p)
+	s.qt = queryTree{
+		levels:  make([][]int32, s.p),
+		dLevel:  make([][]int32, s.p),
+		parents: make([][]int64, s.p),
+	}
 	for i, pg := range p.sg.GPUs {
 		gs := &gpuState{
 			pg:            pg,
@@ -555,6 +558,8 @@ func (p *Plan) newSession() *Session {
 			gs.isNDSource[src] = true
 		}
 		s.gpus[i] = gs
+		s.qt.levels[i] = gs.levels
+		s.qt.dLevel[i] = gs.delegateLevel
 	}
 	prank := p.shape.Ranks()
 	s.scratch = make([]*rankScratch, prank)
@@ -571,23 +576,10 @@ func (s *Session) configure(opts Options) {
 	s.opts = opts
 	s.amp = opts.WorkAmplification
 	s.poisoned = false
-	for _, gs := range s.gpus {
+	for i, gs := range s.gpus {
 		gs.trackParents = opts.CollectParents
 		if opts.CollectParents && gs.parents == nil {
 			gs.parents = make([]int64, gs.pg.NumLocal)
-		}
-	}
-	if opts.CollectParents && s.qt.levels == nil {
-		s.delegateParents = make([]int64, s.d)
-		s.qt = queryTree{
-			levels:   make([][]int32, s.p),
-			dLevel:   make([][]int32, s.p),
-			parents:  make([][]int64, s.p),
-			dParents: s.delegateParents,
-		}
-		for i, gs := range s.gpus {
-			s.qt.levels[i] = gs.levels
-			s.qt.dLevel[i] = gs.delegateLevel
 			s.qt.parents[i] = gs.parents
 		}
 	}

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
+	"gcbfs/internal/partition"
 	"gcbfs/internal/wire"
 )
 
@@ -22,17 +24,40 @@ import (
 // direction schedule, and crucially the multi-source shared sweep) yields a
 // bit-identical tree.
 //
-//  1. Delegate parents: every GPU scans its local dd/dn adjacency of each
-//     visited delegate for neighbors exactly one level closer; the smallest
-//     candidate global id wins via an int64 min-allreduce, so all ranks
+// A direction-optimised traversal skips most edges (§IV-B), so the resolution
+// must not scan them all afterwards either. It applies the same idea to the
+// tree:
+//
+//  1. Level volumes: from the replicated delegate directory every rank sums
+//     DelegateOutDeg per BFS level, O(d + depth), no communication.
+//  2. Per-level direction: the tree edges between levels L−1 and L are found
+//     either by PULL (rows of level L look up for their smallest neighbor)
+//     or by PUSH (rows of level L−1 offer themselves to their neighbors one
+//     level down), whichever side has the smaller volume. Both give the same
+//     minimum because each GPU's dd subgraph is symmetric — partition.Route
+//     sends u→v and v→u to the same GPU (the lower-out-degree endpoint's
+//     owner) — and because dense delegate ids ascend with global ids
+//     (partition.Separate), so the smallest delegate id IS the smallest
+//     global id and dd candidates stay uint32 until the reduction.
+//  3. Fused dd pass: one visit per selected dd row serves its pull (up) and
+//     its push (down); rows neither pair needs are never read. Neighbor
+//     levels are looked up as one-byte tags (level mod 255): the hop
+//     distances across an edge differ by at most one, so the residues of
+//     l−1, l and l+1 cannot collide, and d bytes stay cache-resident where
+//     4·d do not.
+//  4. nd pass: each GPU's ND is the co-located transpose of its DN (Route
+//     sends both directions of a delegate–normal edge to the normal's
+//     owner), so one scan over NDSources yields both a normal's smallest
+//     delegate parent and a delegate's smallest local normal parent. The
+//     delegate candidates then meet in an int64 min-allreduce, so all ranks
 //     agree deterministically.
-//  2. Normal parents, local candidates: one forward scan per GPU folds dn
-//     edges (delegate one level up → local child) and same-GPU nn edges
-//     into a running min per local vertex.
-//  3. Normal parents, remote candidates: each GPU replays its outgoing nn
-//     edges once, sending (destLocal, senderLevel+1, senderGlobal) pairs;
-//     receivers fold the smallest valid candidate. Volume ≤ |Enn| pairs,
-//     run once — the paper's "low cost" claim.
+//  5. nn replay: each GPU replays its outgoing nn edges once, sending
+//     (destLocal, senderLevel+1, senderGlobal) pairs; receivers fold the
+//     smallest valid candidate. Volume ≤ |Enn| pairs, run once — the
+//     paper's "low cost" claim.
+//
+// Every rank then writes its own GPUs' slots and a stripe of the delegate
+// directory straight into the query's global output arrays (gatherRank).
 //
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
@@ -51,18 +76,44 @@ const parentLevelBits = 20
 // back-to-back resolutions never cross wires.
 const parentTagBase = 1 << 30
 
+// noLevel is a level no vertex holds (unvisited is -1); noDelegate and
+// noParent are the empty dd and reduced candidates.
+const (
+	noLevel    int32  = -2
+	noDelegate uint32 = math.MaxUint32
+	noParent   int64  = math.MaxInt64
+)
+
 // queryTree is one query's traversal outcome expressed as plain slices, all
 // indexed by global GPU index, so the single-query Session and the
-// multi-source sweep resolve and gather parents through the same code. Each
-// rank reads and writes only its own GPUs' rows (plus the replicated
-// delegate levels), exactly like the per-GPU state it views.
+// multi-source sweep resolve and gather through the same code. Each rank
+// reads and writes only its own GPUs' rows (plus the replicated delegate
+// levels), exactly like the per-GPU state it views.
 type queryTree struct {
 	levels  [][]int32 // local slot → hop distance, -1 unvisited
 	dLevel  [][]int32 // delegate id → hop distance (this GPU's replica)
-	parents [][]int64 // out: local slot → parent global id, pre-filled -1
-	// dParents is the caller-owned delegate-parent directory (len d); rank 0
-	// fills it during resolution.
-	dParents []int64
+	parents [][]int64 // local slot → parent global id, pre-filled -1
+}
+
+// treeOut is a query's gathered result: global-id-indexed arrays shared by
+// all rank goroutines, each of which writes a disjoint set of elements. A nil
+// array is not collected.
+type treeOut struct {
+	levels  []int32
+	parents []int64
+}
+
+// newTreeOut allocates the arrays the options collect for an n-vertex graph
+// (on the caller goroutine, before the ranks that fill them start).
+func newTreeOut(opts *Options, n int64) treeOut {
+	var out treeOut
+	if opts.CollectLevels {
+		out.levels = make([]int32, n)
+	}
+	if opts.CollectParents {
+		out.parents = make([]int64, n)
+	}
+	return out
 }
 
 // parentCounters routes the resolution's traffic accounting to the owning
@@ -71,105 +122,198 @@ type parentCounters struct {
 	pairs, rawBytes, wireBytes *int64
 }
 
-// parentScratch is the per-rank reusable state of one resolution pass.
+// parentScratch is the per-rank reusable state of one resolution pass; all of
+// it is O(d + depth) or sized by the replay's own traffic.
 type parentScratch struct {
-	cand []int64
-	bins *frontier.PairBins
+	vol  []int64  // level → Σ DelegateOutDeg of the delegates on it
+	push []bool   // level L → pair (L−1, L) is resolved by push
+	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
+	dd   []uint32 // delegate id → smallest dd parent (delegate id)
+	cand []int64  // delegate id → smallest parent global id; reduced
+	// ddEdges counts the dd row entries the last resolution read on this
+	// rank (BenchmarkResolveParents reports it against |Edd|).
+	ddEdges int64
+
+	bins     *frontier.PairBins
+	payloads [][]byte          // per destination rank, retained by the receiver until the gather barrier
+	arrivals [][]frontier.Pair // per local slot, decode target
 }
 
-// resolveQueryParents runs the canonical resolution for one query on this
-// rank. All ranks participate (collectives inside, Barrier at the end); rank
-// 0 publishes the delegate directory into q.dParents.
-func (pe *planEnv) resolveQueryParents(mode wire.Mode, rank int, comm *mpi.Comm, source int64, q *queryTree, tag int, ps *parentScratch, pc parentCounters) {
-	pe.resolveDelegateParents(rank, comm, source, q, ps)
-	pe.resolveNormalParents(mode, rank, comm, q, tag, ps, pc)
+// resolveAndGather finishes one query on this rank: the canonical parent
+// resolution when out.parents is collected, then the gather of this rank's
+// share of out. All ranks participate (collectives inside).
+func (pe *planEnv) resolveAndGather(mode wire.Mode, rank int, comm *mpi.Comm, source int64, q *queryTree, tag int, ps *parentScratch, pc parentCounters, out treeOut) {
+	if out.parents != nil {
+		if pe.d > 0 {
+			pe.resolveDelegateTier(rank, source, q, ps)
+			comm.AllreduceMin(ps.cand)
+		}
+		pe.replayNN(mode, rank, comm, q, tag, ps, pc)
+	}
+	pe.gatherRank(rank, comm, q, ps, out)
+}
 
-	// Every visited normal vertex below the root must now have a parent:
-	// whatever edge discovered it was covered by the dn scan, the same-GPU
-	// nn fold, or the remote nn replay.
-	pgpu := pe.shape.GPUsPerRank
-	for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
-		levels, parents := q.levels[g], q.parents[g]
-		pg := pe.sg.GPUs[g]
-		for slot := range levels {
-			if levels[slot] >= 1 && parents[slot] == -1 {
-				panic(fmt.Sprintf("core: vertex %d on GPU %d missing parent after resolution",
-					pe.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot), pg.GPU))
+// treeDirections computes the level volumes (and level tags) of one
+// delegate-level replica and from the volumes each level pair's direction:
+// push[L] reports that the tree edges into level L are found from the rows
+// of level L−1. Ties go to push
+// (equal edge volume, and the earlier level of a BFS is the one with fewer
+// rows). push has one entry past the deepest level, false, so the deepest
+// rows never push; push[0] is true so the root never pulls. Every rank
+// derives the identical answer from the replicated directory.
+func (ps *parentScratch) treeDirections(dLevel []int32, outDeg []int64) []bool {
+	vol := ps.vol[:0]
+	if cap(ps.tag) < len(dLevel) {
+		ps.tag = make([]uint8, len(dLevel))
+	}
+	tag := ps.tag[:len(dLevel)]
+	for di, l := range dLevel {
+		if l < 0 {
+			tag[di] = noTag
+			continue
+		}
+		tag[di] = levelTag(l)
+		for int(l) >= len(vol) {
+			vol = append(vol, 0)
+		}
+		vol[l] += outDeg[di]
+	}
+	ps.vol = vol
+	push := append(ps.push[:0], true)
+	for l := 1; l < len(vol); l++ {
+		push = append(push, vol[l-1] <= vol[l])
+	}
+	push = append(push, false)
+	ps.push = push
+	return push
+}
+
+// levelTag is a level's one-byte stand-in; noTag marks an unvisited delegate.
+const noTag = 255
+
+func levelTag(l int32) uint8 { return uint8(l % noTag) }
+
+// missMask is all ones unless a == b, so id|missMask(…) drops out of a min.
+func missMask(a, b uint8) uint32 { return uint32(int32(-uint32(a^b)) >> 31) }
+
+// ddPass folds one GPU's non-empty dd rows into cand (delegate id → smallest
+// delegate id one level up) and returns the row entries read. A row at level
+// l pulls for itself when pair (l−1, l) is a pull and offers itself to its
+// level-l+1 neighbors when pair (l, l+1) is a push. The pull's compare is
+// arithmetic: a neighbor's level is a coin flip to the branch predictor.
+func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, cand []uint32) int64 {
+	var scanned int64
+	offs, cols := pg.DD.RowOffsets, pg.DD.Cols
+	for wi, word := range pg.DDSourceMask.Words() {
+		for ; word != 0; word &= word - 1 {
+			di := wi*64 + bits.TrailingZeros64(word)
+			l := dLevel[di]
+			if l < 0 {
+				continue
+			}
+			pull, pushDown := !push[l], push[l+1]
+			if !pull && !pushDown {
+				continue
+			}
+			row := cols[offs[di]:offs[di+1]]
+			scanned += int64(len(row))
+			if pull {
+				best := cand[di]
+				up := levelTag(l - 1)
+				for _, dv := range row {
+					best = min(best, dv|missMask(tag[dv], up))
+				}
+				cand[di] = best
+			}
+			if pushDown {
+				self := uint32(di)
+				down := levelTag(l + 1)
+				for _, dv := range row {
+					cand[dv] = min(cand[dv], self|missMask(tag[dv], down))
+				}
 			}
 		}
 	}
+	return scanned
 }
 
-func (pe *planEnv) resolveDelegateParents(rank int, comm *mpi.Comm, source int64, q *queryTree, ps *parentScratch) {
-	if pe.d == 0 {
-		return
-	}
-	const unset = math.MaxInt64
-	if cap(ps.cand) < int(pe.d) {
-		ps.cand = make([]int64, pe.d)
-	}
-	cand := ps.cand[:pe.d]
-	for i := range cand {
-		cand[i] = unset
-	}
+// resolveDelegateTier fills ps.cand with this rank's smallest parent
+// candidate per delegate (noParent where it has none): the direction-
+// optimised dd pass, then the nd pass, which also seeds the local normal
+// vertices' delegate parents.
+func (pe *planEnv) resolveDelegateTier(rank int, source int64, q *queryTree, ps *parentScratch) {
 	sep := pe.sg.Sep
 	pgpu := pe.shape.GPUsPerRank
-	for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
-		pg := pe.sg.GPUs[g]
-		dLevel, levels := q.dLevel[g], q.levels[g]
-		for di := int64(0); di < pe.d; di++ {
-			lvl := dLevel[di]
-			switch {
-			case lvl < 0:
-				continue
-			case lvl == 0:
-				// Only the source sits at level 0.
-				cand[di] = source
-			default:
-				for _, dv := range pg.DD.Neighbors(di) {
-					if dLevel[dv] == lvl-1 {
-						if g := sep.DelegateGlobal[dv]; g < cand[di] {
-							cand[di] = g
-						}
-					}
-				}
-				for _, lv := range pg.DN.Neighbors(di) {
-					if levels[lv] == lvl-1 {
-						if g := pe.cfg.GlobalID(lv, pg.Rank, pg.Slot); g < cand[di] {
-							cand[di] = g
-						}
-					}
-				}
-			}
+	first := rank * pgpu
+	dLevel := q.dLevel[first] // one replica serves the rank: they are identical
+	push := ps.treeDirections(dLevel, pe.sg.DelegateOutDeg)
+
+	if cap(ps.dd) < int(pe.d) {
+		ps.dd = make([]uint32, pe.d)
+		ps.cand = make([]int64, pe.d)
+	}
+	dd, cand := ps.dd[:pe.d], ps.cand[:pe.d]
+	for i := range dd {
+		dd[i] = noDelegate
+	}
+	ps.ddEdges = 0
+	for g := first; g < first+pgpu; g++ {
+		ps.ddEdges += ddPass(pe.sg.GPUs[g], dLevel, ps.tag, push, dd)
+	}
+	for di, c := range dd {
+		cand[di] = noParent
+		if c != noDelegate {
+			cand[di] = sep.DelegateGlobal[c]
 		}
 	}
-	comm.AllreduceMin(cand)
-	if rank == 0 {
-		dl := q.dLevel[0]
-		for di := range cand {
-			v := cand[di]
-			if v == unset {
-				if dl[di] >= 0 {
-					panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
-				}
-				v = -1
+	if di := sep.DelegateID[source]; di >= 0 {
+		// Only the source sits at level 0: it is its own parent.
+		cand[di] = source
+	}
+
+	for g := first; g < first+pgpu; g++ {
+		pg := pe.sg.GPUs[g]
+		levels, parents := q.levels[g], q.parents[g]
+		for _, u := range pg.NDSources {
+			lu := levels[u]
+			if lu < 0 {
+				continue
 			}
-			q.dParents[di] = v
+			up := lu - 1
+			if lu == 0 {
+				up = noLevel // -1 is "unvisited", not a level
+			}
+			uGlobal := pe.cfg.GlobalID(u, pg.Rank, pg.Slot)
+			best := noDelegate
+			for _, dv := range pg.ND.Neighbors(int64(u)) {
+				ld := dLevel[dv]
+				if ld == up {
+					best = min(best, dv)
+				}
+				if ld == lu+1 && uGlobal < cand[dv] {
+					cand[dv] = uGlobal
+				}
+			}
+			if best != noDelegate {
+				parents[u] = sep.DelegateGlobal[best]
+			}
 		}
 	}
 }
 
-// resolveNormalParents folds the local candidate passes (source seed, dn
-// forward scan, same-GPU nn edges) and runs the remote nn replay exchange.
-func (pe *planEnv) resolveNormalParents(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTree, tag int, ps *parentScratch, pc parentCounters) {
+// replayNN folds the nn candidates into the local parent arrays: same-GPU
+// edges directly, everything else through the remote replay exchange. On
+// return this rank's parent rows are final.
+func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTree, tag int, ps *parentScratch, pc parentCounters) {
 	pgpu := pe.shape.GPUsPerRank
 	prank := pe.shape.Ranks()
 	p64 := int64(pe.p)
 	myStart := rank * pgpu
-	sep := pe.sg.Sep
 
 	if ps.bins == nil {
 		ps.bins = frontier.NewPairBins(pe.p)
+		ps.payloads = make([][]byte, prank)
+		ps.arrivals = make([][]frontier.Pair, pgpu)
 	} else {
 		ps.bins.Reset()
 	}
@@ -178,28 +322,10 @@ func (pe *planEnv) resolveNormalParents(mode wire.Mode, rank int, comm *mpi.Comm
 	for g := myStart; g < myStart+pgpu; g++ {
 		pg := pe.sg.GPUs[g]
 		levels, parents := q.levels[g], q.parents[g]
-		dLevel := q.dLevel[g]
 
-		// dn candidates: a delegate one level up is a candidate parent of
-		// each of its local dn children.
-		for di := int64(0); di < pe.d; di++ {
-			dl := dLevel[di]
-			if dl < 0 {
-				continue
-			}
-			dg := sep.DelegateGlobal[di]
-			for _, lv := range pg.DN.Neighbors(di) {
-				if levels[lv] == dl+1 {
-					if cur := parents[lv]; cur == -1 || dg < cur {
-						parents[lv] = dg
-					}
-				}
-			}
-		}
-
-		// nn candidates: replay outgoing nn edges once, claiming child level
-		// = my level + 1; same-GPU destinations fold directly, everything
-		// else (same-rank peers included) goes through the pair bins.
+		// Replay outgoing nn edges once, claiming child level = my level + 1;
+		// same-GPU destinations fold directly, everything else (same-rank
+		// peers included) goes through the pair bins.
 		for slot := int64(0); slot < pg.NumLocal; slot++ {
 			lvl := levels[slot]
 			if lvl == 0 {
@@ -253,28 +379,31 @@ func (pe *planEnv) resolveNormalParents(mode wire.Mode, rank int, comm *mpi.Comm
 	// same codec policy as the frontier exchange (raw 12-byte pairs when
 	// compression is off). The volume is reported in WireStats but, like
 	// the rest of the resolution round, excluded from simulated BFS time.
+	// Payload buffers are reused per destination: the receiver holds the
+	// slice only until it has decoded it, which is before gatherRank's
+	// barrier, and the next resolution on this scratch starts after it.
 	var rawBytes, wireBytes int64
 	for dst := 0; dst < prank; dst++ {
+		slots := bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
 		if dst == rank {
-			for s := 0; s < pgpu; s++ {
-				g := myStart + s
-				accept(q.levels[g], q.parents[g], bins.PerGPU[g])
+			for s, prs := range slots {
+				accept(q.levels[myStart+s], q.parents[myStart+s], prs)
 			}
 			continue
 		}
-		slots := pairSlotsForRank(bins, dst, pgpu)
-		var payload []byte
+		payload := ps.payloads[dst][:0]
 		if mode == wire.ModeOff {
-			payload = (&frontier.PairBins{PerGPU: slots}).PackRank(0, pgpu)
+			payload = frontier.AppendPairsRank(payload, slots)
 			idBytes := int64(len(payload)) - 4*int64(pgpu)
 			rawBytes += idBytes
 			wireBytes += idBytes
 		} else {
 			var st wire.Stats
-			payload, st = wire.EncodePairsRank(slots, mode)
+			payload, st = wire.AppendPairsRank(payload, slots, mode)
 			rawBytes += st.RawBytes
 			wireBytes += st.EncodedBytes
 		}
+		ps.payloads[dst] = payload
 		comm.Isend(dst, tag, payload)
 	}
 	atomic.AddInt64(pc.rawBytes, rawBytes)
@@ -284,70 +413,84 @@ func (pe *planEnv) resolveNormalParents(mode wire.Mode, rank int, comm *mpi.Comm
 			continue
 		}
 		buf := comm.Recv(src, tag)
-		var slots [][]frontier.Pair
 		var err error
 		if mode == wire.ModeOff {
-			slots, err = frontier.UnpackPairsRank(buf, pgpu)
+			err = frontier.UnpackPairsRankInto(buf, ps.arrivals)
 		} else {
-			slots, err = wire.DecodePairsRank(buf, pgpu)
+			err = wire.DecodePairsRankInto(buf, ps.arrivals)
 		}
 		if err != nil {
 			panic(corruptErr("core: corrupt parent payload", err))
 		}
-		for s, prs := range slots {
-			g := myStart + s
-			accept(q.levels[g], q.parents[g], prs)
+		for s, prs := range ps.arrivals {
+			accept(q.levels[myStart+s], q.parents[myStart+s], prs)
+		}
+	}
+}
+
+// gatherRank writes this rank's share of the query's global arrays: its own
+// GPUs' slots (every global id is exactly one (gpu, slot), so unvisited slots
+// write their -1 and no prefill is needed), then — after a barrier, because a
+// delegate's home slot holds -1 and belongs to another rank's pass — its
+// stripe of the replicated delegate directory. The barrier also closes the
+// resolution: past it every replay payload has been decoded.
+func (pe *planEnv) gatherRank(rank int, comm *mpi.Comm, q *queryTree, ps *parentScratch, out treeOut) {
+	pgpu := pe.shape.GPUsPerRank
+	p := pe.p
+	for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
+		pg := pe.sg.GPUs[g]
+		levels := q.levels[g]
+		v := int(pe.cfg.Residue(pg.Rank, pg.Slot))
+		if out.levels != nil {
+			for slot, lvl := range levels {
+				out.levels[v+slot*p] = lvl
+			}
+		}
+		if out.parents == nil {
+			continue
+		}
+		for slot, par := range q.parents[g] {
+			// Every visited normal vertex below the root must have a parent
+			// by now: whatever edge discovered it was covered by the nd
+			// pass, the same-GPU nn fold, or the remote nn replay.
+			if par == -1 && levels[slot] >= 1 {
+				panic(fmt.Sprintf("core: vertex %d on GPU %d missing parent after resolution", v+slot*p, pg.GPU))
+			}
+			out.parents[v+slot*p] = par
 		}
 	}
 	comm.Barrier()
-}
 
-// pairSlotsForRank extracts one destination rank's per-slot pair lists.
-func pairSlotsForRank(bins *frontier.PairBins, dst, gpusPerRank int) [][]frontier.Pair {
-	slots := make([][]frontier.Pair, gpusPerRank)
-	for s := 0; s < gpusPerRank; s++ {
-		slots[s] = bins.PerGPU[dst*gpusPerRank+s]
+	prank := int64(pe.shape.Ranks())
+	lo, hi := pe.d*int64(rank)/prank, pe.d*int64(rank+1)/prank
+	dLevel := q.dLevel[rank*pgpu]
+	for di := lo; di < hi; di++ {
+		v := pe.sg.Sep.DelegateGlobal[di]
+		lvl := dLevel[di]
+		if out.levels != nil {
+			out.levels[v] = lvl
+		}
+		if out.parents == nil {
+			continue
+		}
+		par := ps.cand[di]
+		if par == noParent {
+			if lvl >= 0 {
+				panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
+			}
+			par = -1
+		}
+		out.parents[v] = par
 	}
-	return slots
 }
 
-// resolveParents runs the canonical resolution for this Session's query.
-func (e *Session) resolveParents(rank int, comm *mpi.Comm, source int64) {
+// finishQuery resolves and gathers this Session's query on one rank.
+func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
 	pc := parentCounters{
 		pairs:     &e.parentExchangePairs,
 		rawBytes:  &e.parentPairRawBytes,
 		wireBytes: &e.parentPairWireBytes,
 	}
-	e.planEnv.resolveQueryParents(e.opts.Compression, rank, comm, source, &e.qt,
-		parentTagBase, &e.scratch[rank].parents, pc)
-}
-
-// gatherTreeParents assembles the global BFS tree from the owner GPUs' rows
-// and the resolved delegate directory.
-func (pe *planEnv) gatherTreeParents(q *queryTree) []int64 {
-	parents := make([]int64, pe.sg.N)
-	for i := range parents {
-		parents[i] = -1
-	}
-	for g, pg := range pe.sg.GPUs {
-		levels, gp := q.levels[g], q.parents[g]
-		for slot := int64(0); slot < pg.NumLocal; slot++ {
-			if levels[slot] >= 0 {
-				v := pe.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
-				parents[v] = gp[slot]
-			}
-		}
-	}
-	dl := q.dLevel[0]
-	for di, v := range pe.sg.Sep.DelegateGlobal {
-		if dl[di] >= 0 {
-			parents[v] = q.dParents[di]
-		}
-	}
-	return parents
-}
-
-// gatherParents assembles this Session's global BFS tree.
-func (e *Session) gatherParents() []int64 {
-	return e.planEnv.gatherTreeParents(&e.qt)
+	e.planEnv.resolveAndGather(e.opts.Compression, rank, comm, source, &e.qt,
+		parentTagBase, &e.scratch[rank].parents, pc, e.out)
 }

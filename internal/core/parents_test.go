@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 )
 
@@ -127,4 +130,51 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 			t.Fatal("strategy ablation changed distances")
 		}
 	}
+}
+
+// BenchmarkResolveParents times the post-BFS tree resolution and gather alone
+// (scale 16, 2×2×2, the default 4n/p threshold): one traversal leaves its
+// levels in the session, then every iteration re-resolves the whole tree on
+// the rank goroutines. It reports the cost per dd edge of the graph and the
+// share of dd row entries the direction-optimised pass actually read.
+func BenchmarkResolveParents(b *testing.B) {
+	el := rmat.Generate(rmat.DefaultParams(16))
+	shape := ClusterShape{2, 2, 2}
+	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+	opts := DefaultOptions()
+	opts.CollectParents = true
+	plan := buildEngine(b, el, shape, th, opts).Plan()
+	src := pickSources(el.OutDegrees(), 1, 5)[0]
+	s := plan.acquire(opts)
+	defer plan.release(s)
+	if _, err := s.run(context.Background(), src); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, gs := range s.gpus {
+			for slot := range gs.parents {
+				gs.parents[slot] = -1
+			}
+		}
+		s.out = newTreeOut(&s.opts, s.sg.N)
+		world := s.acquireWorld()
+		var wg sync.WaitGroup
+		for r := 0; r < shape.Ranks(); r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				s.finishQuery(rank, world.Rank(rank), src)
+			}(r)
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	var read int64
+	for _, sc := range s.scratch {
+		read += sc.parents.ddEdges
+	}
+	edd := float64(plan.Graph().CountDD)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edd, "ns/dd-edge")
+	b.ReportMetric(float64(read)/edd, "dd-read/|Edd|")
 }

@@ -126,6 +126,7 @@ func (p *Plan) RunRepair(ctx context.Context, source int64, prior []int32, inval
 // exclusive) session, mirroring Session.run's structure.
 func (e *Session) runRepair(ctx context.Context, source int64, prior []int32, invalid []bool, seeds []int64) (*metrics.RunResult, error) {
 	e.reset()
+	e.out = newTreeOut(&e.opts, e.sg.N)
 
 	prank := e.shape.Ranks()
 	world := e.acquireWorld()
@@ -154,31 +155,7 @@ func (e *Session) runRepair(ctx context.Context, source int64, prior []int32, in
 		return nil, context.Canceled
 	}
 
-	res := &metrics.RunResult{
-		Source:        source,
-		Epoch:         e.epoch,
-		Iterations:    len(rec.iterations),
-		SimSeconds:    rec.simSeconds,
-		TEPSEdges:     e.sg.M / 2,
-		EdgesScanned:  rec.edgesScanned,
-		DupsRemoved:   rec.dupsRemoved,
-		Parts:         rec.parts,
-		PerIteration:  rec.iterations,
-		DelegateComms: rec.delegateComms,
-		Wire:          rec.wire,
-		Exchange:      rec.exchange,
-	}
-	res.Wire.Enabled = e.opts.Compression != wire.ModeOff
-	res.Wire.PairRawBytes = e.parentPairRawBytes
-	res.Wire.PairWireBytes = e.parentPairWireBytes
-	if e.opts.CollectLevels {
-		res.Levels = e.gatherLevels()
-	}
-	if e.opts.CollectParents {
-		res.Parents = e.gatherParents()
-		res.ParentPairs = e.parentExchangePairs
-	}
-	return res, nil
+	return e.result(source, rec), nil
 }
 
 // repairPreload maps the prior outcome onto this epoch's layout: still-valid
@@ -442,8 +419,8 @@ func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, r
 	if lo > hi {
 		// No seeds anywhere: the prior levels already are the new epoch's
 		// exact outcome (invalidated vertices, if any, are unreachable now).
-		if e.opts.CollectParents {
-			e.resolveParents(rank, comm, source)
+		if e.collects() {
+			e.finishQuery(rank, comm, source)
 		}
 		return
 	}
@@ -800,8 +777,8 @@ func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, r
 		rec.exchange.WireRatioEWMA = fb.wireRatio
 	}
 
-	if e.opts.CollectParents && !cancelled {
-		e.resolveParents(rank, comm, source)
+	if e.collects() && !cancelled {
+		e.finishQuery(rank, comm, source)
 	}
 }
 

@@ -153,6 +153,7 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 		}
 	}
 
+	e.out = newTreeOut(&e.opts, e.sg.N)
 	prank := e.shape.Ranks()
 	world := e.acquireWorld()
 	rec := &recorder{}
@@ -180,6 +181,15 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 		return nil, context.Canceled
 	}
 
+	return e.result(source, rec), nil
+}
+
+// collects reports whether the ranks have a result to resolve or gather.
+func (e *Session) collects() bool { return e.opts.CollectLevels || e.opts.CollectParents }
+
+// result assembles a completed query's RunResult from rank 0's recorder and
+// the arrays the ranks gathered, which leave the pooled session with it.
+func (e *Session) result(source int64, rec *recorder) *metrics.RunResult {
 	res := &metrics.RunResult{
 		Source:        source,
 		Epoch:         e.epoch,
@@ -193,18 +203,15 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 		DelegateComms: rec.delegateComms,
 		Wire:          rec.wire,
 		Exchange:      rec.exchange,
+		Levels:        e.out.levels,
+		Parents:       e.out.parents,
+		ParentPairs:   e.parentExchangePairs,
 	}
 	res.Wire.Enabled = e.opts.Compression != wire.ModeOff
 	res.Wire.PairRawBytes = e.parentPairRawBytes
 	res.Wire.PairWireBytes = e.parentPairWireBytes
-	if e.opts.CollectLevels {
-		res.Levels = e.gatherLevels()
-	}
-	if e.opts.CollectParents {
-		res.Parents = e.gatherParents()
-		res.ParentPairs = e.parentExchangePairs
-	}
-	return res, nil
+	e.out = treeOut{}
+	return res
 }
 
 // runRank is the per-rank BSP loop ("the CPU thread that controls GPU0"
@@ -610,8 +617,8 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		rec.exchange.WireRatioEWMA = fb.wireRatio
 	}
 
-	if e.opts.CollectParents && !cancelled {
-		e.resolveParents(rank, comm, source)
+	if e.collects() && !cancelled {
+		e.finishQuery(rank, comm, source)
 	}
 }
 
@@ -631,27 +638,4 @@ func boolToBytes(ok bool, b int64) int64 {
 		return b
 	}
 	return 0
-}
-
-// gatherLevels assembles the global hop-distance array from the owning GPUs
-// (normal vertices) and the replicated delegate directory.
-func (e *Session) gatherLevels() []int32 {
-	levels := make([]int32, e.sg.N)
-	for i := range levels {
-		levels[i] = -1
-	}
-	for _, gs := range e.gpus {
-		for slot := int64(0); slot < gs.pg.NumLocal; slot++ {
-			if lvl := gs.levels[slot]; lvl >= 0 {
-				v := e.cfg.GlobalID(uint32(slot), gs.pg.Rank, gs.pg.Slot)
-				levels[v] = lvl
-			}
-		}
-	}
-	for di, v := range e.sg.Sep.DelegateGlobal {
-		if lvl := e.gpus[0].delegateLevel[di]; lvl >= 0 {
-			levels[v] = lvl
-		}
-	}
-	return levels
 }

@@ -116,6 +116,10 @@ type sweepScratch struct {
 
 	sel     *wire.RecordSelector
 	parents parentScratch
+	// deepest[q] is the deepest level this rank wrote for query q: levels
+	// are written at the current depth, which only grows, so the writers
+	// just store it.
+	deepest []int32
 	vec     []float64
 	sums    []int64
 	fbits   []int64
@@ -133,12 +137,13 @@ type sweepSession struct {
 	gpus    []*sweepGPU
 	scratch []*sweepScratch
 
-	// Shared parent-resolution buffers, reused sequentially per query:
-	// parents[g] is GPU g's local parent array, dParents the delegate
-	// directory, qts[k] the per-query tree view resolution operates on.
-	parents  [][]int64
-	dParents []int64
-	qts      []queryTree
+	// qts[k] is the per-query tree view resolution and gather operate on and
+	// outs[k] the global result arrays the ranks fill. parents[g] is GPU g's
+	// local parent array, shared by the queries and reused sequentially:
+	// each rank resets and reads only its own GPUs' rows.
+	parents [][]int64
+	qts     []queryTree
+	outs    []treeOut
 
 	// Per-query parent-resolution traffic counters (indexed by query).
 	pairCount, pairRaw, pairWire []int64
@@ -198,6 +203,7 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 			arrIDs:   make([][]uint32, pgpu),
 			arrMasks: make([][]uint64, pgpu),
 			sel:      wire.NewRecordSelectorSized(prank * pgpu),
+			deepest:  make([]int32, k),
 		}
 	}
 	if opts.CollectParents {
@@ -205,24 +211,26 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 		for i, pg := range p.sg.GPUs {
 			e.parents[i] = make([]int64, pg.NumLocal)
 		}
-		e.dParents = make([]int64, e.d)
+		e.pairCount = make([]int64, k)
+		e.pairRaw = make([]int64, k)
+		e.pairWire = make([]int64, k)
+	}
+	if opts.CollectLevels || opts.CollectParents {
 		e.qts = make([]queryTree, k)
+		e.outs = make([]treeOut, k)
 		for q := 0; q < k; q++ {
 			qt := queryTree{
-				levels:   make([][]int32, e.p),
-				dLevel:   make([][]int32, e.p),
-				parents:  e.parents,
-				dParents: e.dParents,
+				levels:  make([][]int32, e.p),
+				dLevel:  make([][]int32, e.p),
+				parents: e.parents,
 			}
 			for g, gs := range e.gpus {
 				qt.levels[g] = gs.lv[q]
 				qt.dLevel[g] = gs.dLev[q]
 			}
 			e.qts[q] = qt
+			e.outs[q] = newTreeOut(&opts, e.sg.N)
 		}
-		e.pairCount = make([]int64, k)
-		e.pairRaw = make([]int64, k)
-		e.pairWire = make([]int64, k)
 	}
 	return e
 }
@@ -278,7 +286,7 @@ func (e *sweepSession) discover(gs *sweepGPU, sc *sweepScratch, local uint32, ma
 		gs.outIDs = append(gs.outIDs, local)
 	}
 	bitmask.RowOr(nxtRow, add)
-	bitmask.RowForEach(add, func(q int) { gs.lv[q][local] = depth })
+	bitmask.RowForEach(add, func(q int) { gs.lv[q][local], sc.deepest[q] = depth, depth })
 }
 
 // runKernels executes one iteration's forward kernels on one GPU. Edge work
@@ -389,7 +397,7 @@ func (e *sweepSession) commitDelegates(gs *sweepGPU, sc *sweepScratch, iter int3
 		copy(frontRow, add)
 		committed += int64(bitmask.RowCount(add))
 		lv := gs.dLev
-		bitmask.RowForEach(add, func(q int) { lv[q][di] = iter + 1 })
+		bitmask.RowForEach(add, func(q int) { lv[q][di], sc.deepest[q] = iter+1, iter+1 })
 	}
 	return committed
 }
@@ -417,14 +425,13 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	world := mpi.NewWorld(prank)
 	armWorldAs(world, e.opts.Inject, faults.SiteSweep)
 	rec := &sweepRecorder{}
-	parentsOut := make([][]int64, e.k)
 	var wg sync.WaitGroup
 	for r := 0; r < prank; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer containRank(world, rank)
-			e.runRank(ctx, rank, world.Rank(rank), rec, parentsOut)
+			e.runRank(ctx, rank, world.Rank(rank), rec)
 		}(r)
 	}
 	wg.Wait()
@@ -476,11 +483,10 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 				MaxMessageBytes:    rec.maxMsg,
 			},
 		}
-		if e.opts.CollectLevels {
-			res.Levels = e.queryLevels(q)
+		if e.outs != nil {
+			res.Levels, res.Parents = e.outs[q].levels, e.outs[q].parents
 		}
 		if e.opts.CollectParents {
-			res.Parents = parentsOut[q]
 			res.ParentPairs = e.pairCount[q]
 			res.Wire.PairRawBytes = e.pairRaw[q]
 			res.Wire.PairWireBytes = e.pairWire[q]
@@ -495,71 +501,35 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 // nothing and terminates), which is exactly Plan.Run's loop count.
 func (e *sweepSession) queryIterations(q int) int {
 	var deepest int32
-	for _, gs := range e.gpus {
-		for _, lvl := range gs.lv[q] {
-			if lvl > deepest {
-				deepest = lvl
-			}
-		}
-	}
-	for _, lvl := range e.gpus[0].dLev[q] {
-		if lvl > deepest {
-			deepest = lvl
-		}
+	for _, sc := range e.scratch {
+		deepest = max(deepest, sc.deepest[q])
 	}
 	return int(deepest) + 1
 }
 
-// queryLevels assembles query q's global hop-distance array, mirroring
-// Session.gatherLevels.
-func (e *sweepSession) queryLevels(q int) []int32 {
-	levels := make([]int32, e.sg.N)
-	for i := range levels {
-		levels[i] = -1
-	}
-	for _, gs := range e.gpus {
-		lv := gs.lv[q]
-		for slot := int64(0); slot < gs.pg.NumLocal; slot++ {
-			if lvl := lv[slot]; lvl >= 0 {
-				v := e.cfg.GlobalID(uint32(slot), gs.pg.Rank, gs.pg.Slot)
-				levels[v] = lvl
-			}
-		}
-	}
-	for di, v := range e.sg.Sep.DelegateGlobal {
-		if lvl := e.gpus[0].dLev[q][di]; lvl >= 0 {
-			levels[v] = lvl
-		}
-	}
-	return levels
-}
-
-// resolveSweepParents runs the canonical per-query parent resolution
-// sequentially over the shared parent buffers: reset own GPUs' rows, resolve
-// query q (collectives inside), rank 0 gathers the global array, barrier,
-// next query. The per-query resolution is the exact single-query pass with a
-// per-query tag, so the trees are bit-identical to Run's.
-func (e *sweepSession) resolveSweepParents(rank int, comm *mpi.Comm, parentsOut [][]int64) {
+// finishSweep resolves and gathers the K queries back to back on this rank.
+// Each query is the exact single-query pass with its own tag, so the trees
+// are bit-identical to Run's. The shared parent rows need no hand-off
+// between queries: a rank resets, fills and gathers only its own.
+func (e *sweepSession) finishSweep(rank int, comm *mpi.Comm) {
 	pgpu := e.shape.GPUsPerRank
 	sc := e.scratch[rank]
 	for q := 0; q < e.k; q++ {
-		for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
-			buf := e.parents[g]
-			for i := range buf {
-				buf[i] = -1
+		var pc parentCounters
+		if e.opts.CollectParents {
+			for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
+				buf := e.parents[g]
+				for i := range buf {
+					buf[i] = -1
+				}
+			}
+			pc = parentCounters{
+				pairs:     &e.pairCount[q],
+				rawBytes:  &e.pairRaw[q],
+				wireBytes: &e.pairWire[q],
 			}
 		}
-		pc := parentCounters{
-			pairs:     &e.pairCount[q],
-			rawBytes:  &e.pairRaw[q],
-			wireBytes: &e.pairWire[q],
-		}
-		e.planEnv.resolveQueryParents(e.opts.Compression, rank, comm, e.sources[q],
-			&e.qts[q], parentTagBase+q, &sc.parents, pc)
-		if rank == 0 {
-			parentsOut[q] = e.planEnv.gatherTreeParents(&e.qts[q])
-		}
-		// The shared buffers are reset for q+1 only after rank 0's gather.
-		comm.Barrier()
+		e.planEnv.resolveAndGather(e.opts.Compression, rank, comm, e.sources[q],
+			&e.qts[q], parentTagBase+q, &sc.parents, pc, e.outs[q])
 	}
 }

@@ -205,7 +205,7 @@ func (e *sweepSession) exchangeRecords(comm *mpi.Comm, rank int, myGPUs []*sweep
 // runRank is the sweep's per-rank BSP loop — the record analogue of
 // Session.runRank, minus direction optimization (forward-only) and the
 // per-iteration exchange policy (all-pairs only).
-func (e *sweepSession) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *sweepRecorder, parentsOut [][]int64) {
+func (e *sweepSession) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *sweepRecorder) {
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
@@ -359,7 +359,7 @@ func (e *sweepSession) runRank(ctx context.Context, rank int, comm *mpi.Comm, re
 		}
 	}
 
-	if e.opts.CollectParents && !cancelled {
-		e.resolveSweepParents(rank, comm, parentsOut)
+	if e.outs != nil && !cancelled {
+		e.finishSweep(rank, comm)
 	}
 }

@@ -3,6 +3,7 @@ package frontier
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Pair carries a destination-local vertex id plus a 64-bit payload: the
@@ -55,48 +56,59 @@ func (b *PairBins) Bytes() int64 { return 12 * b.Count() }
 // PackRank serializes the pairs destined for one rank's GPUs: per slot a
 // uint32 count then count×(uint32 id, uint64 val).
 func (b *PairBins) PackRank(rank, gpusPerRank int) []byte {
-	var size int
-	for s := 0; s < gpusPerRank; s++ {
-		size += 4 + 12*len(b.PerGPU[rank*gpusPerRank+s])
+	return AppendPairsRank(nil, b.PerGPU[rank*gpusPerRank:(rank+1)*gpusPerRank])
+}
+
+// AppendPairsRank appends the PackRank layout of one rank's per-slot pair
+// lists to dst, so a caller can reuse its message buffer across queries.
+func AppendPairsRank(dst []byte, slots [][]Pair) []byte {
+	size := 0
+	for _, bin := range slots {
+		size += 4 + 12*len(bin)
 	}
-	buf := make([]byte, size)
-	off := 0
-	for s := 0; s < gpusPerRank; s++ {
-		bin := b.PerGPU[rank*gpusPerRank+s]
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(bin)))
-		off += 4
+	dst = slices.Grow(dst, size)
+	for _, bin := range slots {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(bin)))
 		for _, pr := range bin {
-			binary.LittleEndian.PutUint32(buf[off:], pr.ID)
-			binary.LittleEndian.PutUint64(buf[off+4:], pr.Val)
-			off += 12
+			dst = binary.LittleEndian.AppendUint32(dst, pr.ID)
+			dst = binary.LittleEndian.AppendUint64(dst, pr.Val)
 		}
 	}
-	return buf
+	return dst
 }
 
 // UnpackPairsRank parses a PairBins.PackRank payload into per-slot pairs.
 func UnpackPairsRank(buf []byte, gpusPerRank int) ([][]Pair, error) {
 	out := make([][]Pair, gpusPerRank)
+	if err := UnpackPairsRankInto(buf, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// UnpackPairsRankInto parses a PackRank payload of len(into) slots,
+// overwriting each into[s] in place (capacity reused).
+func UnpackPairsRankInto(buf []byte, into [][]Pair) error {
 	off := 0
-	for s := 0; s < gpusPerRank; s++ {
+	for s := range into {
 		if off+4 > len(buf) {
-			return nil, fmt.Errorf("frontier: truncated pair header for slot %d", s)
+			return fmt.Errorf("frontier: truncated pair header for slot %d", s)
 		}
 		count := binary.LittleEndian.Uint32(buf[off:])
 		off += 4
 		if off+12*int(count) > len(buf) {
-			return nil, fmt.Errorf("frontier: truncated pair payload for slot %d (%d pairs)", s, count)
+			return fmt.Errorf("frontier: truncated pair payload for slot %d (%d pairs)", s, count)
 		}
-		pairs := make([]Pair, count)
+		pairs := slices.Grow(into[s][:0], int(count))[:count]
 		for i := range pairs {
 			pairs[i].ID = binary.LittleEndian.Uint32(buf[off:])
 			pairs[i].Val = binary.LittleEndian.Uint64(buf[off+4:])
 			off += 12
 		}
-		out[s] = pairs
+		into[s] = pairs
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("frontier: %d trailing pair bytes", len(buf)-off)
+		return fmt.Errorf("frontier: %d trailing pair bytes", len(buf)-off)
 	}
-	return out, nil
+	return nil
 }

@@ -129,7 +129,8 @@ func FuzzDecodePairs(f *testing.F) {
 			}
 		}
 		for _, gpus := range []int{1, 2} {
-			slots, err := DecodePairsRank(data, gpus)
+			slots := make([][]frontier.Pair, gpus)
+			err := DecodePairsRankInto(data, slots)
 			checkErr(t, err)
 			if err != nil {
 				continue

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"gcbfs/internal/frontier"
@@ -109,6 +110,11 @@ func AppendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) 
 // decoded pairs, the bytes consumed, and the scheme. Corruption in any form
 // yields an error, never silently wrong pairs.
 func DecodePairs(buf []byte) ([]frontier.Pair, int, Scheme, error) {
+	return decodePairsInto(buf, nil)
+}
+
+// decodePairsInto is DecodePairs writing over dst's backing array.
+func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Scheme, error) {
 	if len(buf) < 1+1+crcLen {
 		return nil, 0, 0, corruptf("wire: pairs block truncated (%d bytes)", len(buf))
 	}
@@ -127,7 +133,7 @@ func DecodePairs(buf []byte) ([]frontier.Pair, int, Scheme, error) {
 		return nil, 0, 0, corruptf("wire: pairs block truncated before checksum")
 	}
 	n := int(count)
-	pairs := make([]frontier.Pair, 0, min(n, body))
+	pairs := slices.Grow(dst[:0], max(0, min(n, body)))
 
 	switch scheme {
 	case SchemeRaw:
@@ -181,36 +187,37 @@ func DecodePairs(buf []byte) ([]frontier.Pair, int, Scheme, error) {
 	return pairs, off + crcLen, scheme, nil
 }
 
-// EncodePairsRank encodes one pairs block per destination GPU slot into a
-// single rank-to-rank message. RawBytes counts the fixed-width 12-bytes-per-
-// pair equivalent.
-func EncodePairsRank(slots [][]frontier.Pair, mode Mode) ([]byte, Stats) {
+// AppendPairsRank encodes one pairs block per destination GPU slot into a
+// single rank-to-rank message appended to buf, so a caller can reuse its
+// message buffer across queries. Stats cover the appended message; RawBytes
+// counts the fixed-width 12-bytes-per-pair equivalent.
+func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode) ([]byte, Stats) {
 	var st Stats
-	var buf []byte
+	start := len(buf)
 	for _, pairs := range slots {
 		var scheme Scheme
 		buf, scheme = AppendPairs(buf, pairs, mode)
 		st.RawBytes += 12 * int64(len(pairs))
 		st.Selected[scheme]++
 	}
-	st.EncodedBytes = int64(len(buf))
+	st.EncodedBytes = int64(len(buf) - start)
 	return buf, st
 }
 
-// DecodePairsRank parses an EncodePairsRank message back into per-slot pairs.
-func DecodePairsRank(buf []byte, gpusPerRank int) ([][]frontier.Pair, error) {
-	out := make([][]frontier.Pair, gpusPerRank)
+// DecodePairsRankInto parses an AppendPairsRank message of len(into) slots,
+// overwriting each into[s] in place (capacity reused).
+func DecodePairsRankInto(buf []byte, into [][]frontier.Pair) error {
 	off := 0
-	for s := 0; s < gpusPerRank; s++ {
-		pairs, n, _, err := DecodePairs(buf[off:])
+	for s := range into {
+		pairs, n, _, err := decodePairsInto(buf[off:], into[s])
 		if err != nil {
-			return nil, fmt.Errorf("wire: pairs slot %d: %w", s, err)
+			return fmt.Errorf("wire: pairs slot %d: %w", s, err)
 		}
-		out[s] = pairs
+		into[s] = pairs
 		off += n
 	}
 	if off != len(buf) {
-		return nil, corruptf("wire: %d trailing bytes after %d pairs slots", len(buf)-off, gpusPerRank)
+		return corruptf("wire: %d trailing bytes after %d pairs slots", len(buf)-off, len(into))
 	}
-	return out, nil
+	return nil
 }

@@ -97,15 +97,15 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 func TestPairsRankRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	slots := [][]frontier.Pair{randPairs(rng, 20), nil, randPairs(rng, 3)}
-	buf, st := EncodePairsRank(slots, ModeAdaptive)
+	buf, st := AppendPairsRank(nil, slots, ModeAdaptive)
 	if st.RawBytes != 12*23 {
 		t.Fatalf("RawBytes %d, want %d", st.RawBytes, 12*23)
 	}
 	if st.EncodedBytes != int64(len(buf)) {
 		t.Fatalf("EncodedBytes %d, frame %d", st.EncodedBytes, len(buf))
 	}
-	got, err := DecodePairsRank(buf, 3)
-	if err != nil {
+	got := make([][]frontier.Pair, 3)
+	if err := DecodePairsRankInto(buf, got); err != nil {
 		t.Fatal(err)
 	}
 	for s := range slots {
@@ -113,10 +113,10 @@ func TestPairsRankRoundTrip(t *testing.T) {
 			t.Fatalf("slot %d multiset mismatch", s)
 		}
 	}
-	if _, err := DecodePairsRank(append(buf, 1), 3); err == nil {
+	if err := DecodePairsRankInto(append(buf, 1), got); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecodePairsRank(buf[:len(buf)-1], 3); err == nil {
+	if err := DecodePairsRankInto(buf[:len(buf)-1], got); err == nil {
 		t.Fatal("truncation accepted")
 	}
 }
