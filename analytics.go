@@ -4,7 +4,7 @@ package gcbfs
 // §VI-D generalization: delegates carry richer per-vertex state (float64
 // ranks, int64 labels) reduced globally, while normal vertices exchange
 // (id, value) pairs instead of bare ids. Like BFS queries, these run against
-// the Service's shared partition; the Solver methods delegate.
+// the Service's shared partition.
 
 import (
 	"gcbfs/internal/concomp"
@@ -58,11 +58,6 @@ func (s *Service) PageRank(opts PageRankOptions) (*PageRankResult, error) {
 	}, nil
 }
 
-// PageRank runs distributed PageRank over the solver's partitioned graph.
-func (s *Solver) PageRank(opts PageRankOptions) (*PageRankResult, error) {
-	return s.svc.PageRank(opts)
-}
-
 // ComponentsResult reports a connected-components run.
 type ComponentsResult struct {
 	// Labels maps every vertex to its component id — the smallest vertex
@@ -92,10 +87,4 @@ func (s *Service) Components(maxIterations int) (*ComponentsResult, error) {
 		Converged:  res.Converged,
 		SimSeconds: res.SimSeconds,
 	}, nil
-}
-
-// Components runs distributed connected components over the solver's
-// partitioned graph.
-func (s *Solver) Components(maxIterations int) (*ComponentsResult, error) {
-	return s.svc.Components(maxIterations)
 }

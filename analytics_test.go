@@ -7,11 +7,11 @@ import (
 
 func TestPageRankFacade(t *testing.T) {
 	g := RMAT(10)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := solver.PageRank(PageRankOptions{MaxIterations: 15})
+	pr, err := svc.PageRank(PageRankOptions{MaxIterations: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestPageRankFacade(t *testing.T) {
 
 func TestPageRankDefaults(t *testing.T) {
 	g := RMAT(9)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := solver.PageRank(PageRankOptions{})
+	pr, err := svc.PageRank(PageRankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestComponentsFacade(t *testing.T) {
 	g.AddUndirectedEdge(0, 1)
 	g.AddUndirectedEdge(1, 2)
 	g.AddUndirectedEdge(4, 5)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 1}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := solver.Components(0)
+	cc, err := svc.Components(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestComponentsBudget(t *testing.T) {
 	for v := int64(0); v+1 < 40; v++ {
 		g.AddUndirectedEdge(v, v+1)
 	}
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := solver.Components(3)
+	cc, err := svc.Components(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,6 @@
 // query without re-partitioning; knobs that change the partition or kernel
 // policies still require a new Service.
 //
-// The pre-service Solver API (NewSolver / Solver.Run / Solver.RunMany)
-// remains as a thin compatibility facade over Service; see CHANGES.md for
-// the migration path.
-//
 // # Frontier-exchange compression
 //
 // The Config.Compression knob routes the inter-rank normal-vertex payloads
@@ -1421,57 +1417,6 @@ func (s *Service) Memory() MemoryReport {
 		NNEdges:        s.sub.CountNN,
 	}
 }
-
-// Solver is the original one-shot facade, kept as a thin compatibility shim
-// over Service: every call delegates with a background context and no
-// per-query options.
-//
-// Deprecated: new code should use NewService, whose Run takes a context and
-// QueryOptions and whose RunBatch executes sources concurrently.
-type Solver struct {
-	svc *Service
-}
-
-// NewSolver partitions the graph for the configured cluster and prepares the
-// underlying query service. See the Solver deprecation note.
-func NewSolver(g *Graph, cfg Config) (*Solver, error) {
-	svc, err := NewService(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Solver{svc: svc}, nil
-}
-
-// Service returns the underlying query service (the migration path off
-// Solver).
-func (s *Solver) Service() *Service { return s.svc }
-
-// Threshold returns the degree threshold in effect (useful when auto-tuned).
-func (s *Solver) Threshold() int64 { return s.svc.Threshold() }
-
-// Delegates returns the number of delegate vertices.
-func (s *Solver) Delegates() int64 { return s.svc.Delegates() }
-
-// Run executes one BFS from source.
-func (s *Solver) Run(source int64) (*Result, error) {
-	return s.svc.Run(context.Background(), source)
-}
-
-// RunMany executes one BFS per source, serially and in order.
-func (s *Solver) RunMany(sources []int64) ([]*Result, error) {
-	br, err := s.svc.RunBatch(context.Background(), sources, BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return br.Results, nil
-}
-
-// Validate checks a result's hop distances against the Graph500-style rules
-// and against a serial reference BFS. The result must carry levels.
-func (s *Solver) Validate(r *Result) error { return s.svc.Validate(r) }
-
-// Memory returns the solver's storage accounting.
-func (s *Solver) Memory() MemoryReport { return s.svc.Memory() }
 
 // Sources picks up to count distinct vertices with at least one edge,
 // deterministically from seed — the paper's random-source methodology with

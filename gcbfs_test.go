@@ -1,25 +1,28 @@
 package gcbfs
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestQuickstartFlow(t *testing.T) {
 	g := RMAT(10)
 	if g.NumVertices() != 1024 || g.NumEdges() != 1024*32 {
 		t.Fatalf("graph sizes: %d/%d", g.NumVertices(), g.NumEdges())
 	}
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := Sources(g, 1, 7)[0]
-	res, err := solver.Run(src)
+	res, err := svc.Run(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.GTEPS <= 0 || res.Iterations <= 1 {
 		t.Fatalf("res = %+v", res)
 	}
-	if err := solver.Validate(res); err != nil {
+	if err := svc.Validate(res); err != nil {
 		t.Fatalf("validation: %v", err)
 	}
 }
@@ -33,11 +36,11 @@ func TestManualGraphConstruction(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.Run(0)
+	res, err := svc.Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,23 +50,23 @@ func TestManualGraphConstruction(t *testing.T) {
 			t.Fatalf("levels = %v, want %v", res.Levels, want)
 		}
 	}
-	if err := solver.Validate(res); err != nil {
+	if err := svc.Validate(res); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAutoThreshold(t *testing.T) {
 	g := RMAT(10)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solver.Threshold() <= 0 {
+	if svc.Threshold() <= 0 {
 		t.Fatal("auto threshold not set")
 	}
 	// The 4n/p rule must hold.
-	if max := 4 * g.NumVertices() / 16; solver.Delegates() > max {
-		t.Fatalf("delegates %d exceed 4n/p=%d", solver.Delegates(), max)
+	if max := 4 * g.NumVertices() / 16; svc.Delegates() > max {
+		t.Fatalf("delegates %d exceed 4n/p=%d", svc.Delegates(), max)
 	}
 }
 
@@ -71,22 +74,22 @@ func TestExplicitThresholdRespected(t *testing.T) {
 	g := RMAT(9)
 	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 2})
 	cfg.Threshold = 40
-	solver, err := NewSolver(g, cfg)
+	svc, err := NewService(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solver.Threshold() != 40 {
-		t.Fatalf("threshold = %d", solver.Threshold())
+	if svc.Threshold() != 40 {
+		t.Fatalf("threshold = %d", svc.Threshold())
 	}
 }
 
 func TestMemoryReport(t *testing.T) {
 	g := RMAT(12)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := solver.Memory()
+	m := svc.Memory()
 	if m.TotalBytes <= 0 || m.MaxGPUBytes <= 0 {
 		t.Fatalf("memory report: %+v", m)
 	}
@@ -101,18 +104,18 @@ func TestMemoryReport(t *testing.T) {
 
 func TestRunManyAndGeoMean(t *testing.T) {
 	g := RMAT(10)
-	solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := solver.RunMany(Sources(g, 4, 3))
+	batch, err := svc.RunBatch(context.Background(), Sources(g, 4, 3), BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
+	if len(batch.Results) != 4 {
+		t.Fatalf("got %d results", len(batch.Results))
 	}
-	if GeoMeanGTEPS(results) <= 0 {
+	if GeoMeanGTEPS(batch.Results) <= 0 {
 		t.Fatal("geomean not positive")
 	}
 }
@@ -121,15 +124,15 @@ func TestPlainBFSConfig(t *testing.T) {
 	g := RMAT(10)
 	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 4})
 	cfg.DirectionOptimized = false
-	solver, err := NewSolver(g, cfg)
+	svc, err := NewService(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.Run(Sources(g, 1, 5)[0])
+	res, err := svc.Run(context.Background(), Sources(g, 1, 5)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := solver.Validate(res); err != nil {
+	if err := svc.Validate(res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,15 +144,15 @@ func TestSyntheticDatasets(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		solver, err := NewSolver(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
+		svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.Run(Sources(g, 1, 2)[0])
+		res, err := svc.Run(context.Background(), Sources(g, 1, 2)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := solver.Validate(res); err != nil {
+		if err := svc.Validate(res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,24 +162,24 @@ func TestValidateRequiresLevels(t *testing.T) {
 	g := RMAT(9)
 	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 1})
 	cfg.CollectLevels = false
-	solver, err := NewSolver(g, cfg)
+	svc, err := NewService(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.Run(Sources(g, 1, 1)[0])
+	res, err := svc.Run(context.Background(), Sources(g, 1, 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Levels != nil {
 		t.Fatal("levels present despite CollectLevels=false")
 	}
-	if err := solver.Validate(res); err == nil {
+	if err := svc.Validate(res); err == nil {
 		t.Fatal("Validate accepted result without levels")
 	}
 }
 
 func TestBadClusterRejected(t *testing.T) {
-	if _, err := NewSolver(RMAT(8), DefaultConfig(Cluster{})); err == nil {
+	if _, err := NewService(RMAT(8), DefaultConfig(Cluster{})); err == nil {
 		t.Fatal("accepted zero cluster")
 	}
 }
@@ -210,15 +213,15 @@ func TestCompressionConfig(t *testing.T) {
 		cfg := DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1})
 		cfg.Threshold = 1 << 20 // all-normal graph: everything rides the exchange
 		cfg.Compression = comp
-		solver, err := NewSolver(g, cfg)
+		svc, err := NewService(g, cfg)
 		if err != nil {
 			t.Fatalf("compression %d: %v", comp, err)
 		}
-		res, err := solver.Run(src)
+		res, err := svc.Run(context.Background(), src)
 		if err != nil {
 			t.Fatalf("compression %d: %v", comp, err)
 		}
-		if err := solver.Validate(res); err != nil {
+		if err := svc.Validate(res); err != nil {
 			t.Fatalf("compression %d: validation: %v", comp, err)
 		}
 		if comp == CompressionOff {
@@ -240,7 +243,7 @@ func TestCompressionConfig(t *testing.T) {
 
 	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1})
 	cfg.Compression = Compression(7)
-	if _, err := NewSolver(g, cfg); err == nil {
-		t.Fatal("NewSolver accepted an out-of-range compression mode")
+	if _, err := NewService(g, cfg); err == nil {
+		t.Fatal("NewService accepted an out-of-range compression mode")
 	}
 }

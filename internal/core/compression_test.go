@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gcbfs/internal/metrics"
@@ -30,8 +31,8 @@ func TestCompressionAdaptiveScale16(t *testing.T) {
 	run := func(mode wire.Mode) *metrics.RunResult {
 		opts := base
 		opts.Compression = mode
-		e := buildEngine(t, el, shape, th, opts)
-		res, err := e.Run(1)
+		e := buildPlan(t, el, shape, th, opts)
+		res, err := e.Run(context.Background(), 1, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,9 +88,9 @@ func TestCompressionModesAgree(t *testing.T) {
 	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeRaw, wire.ModeDelta, wire.ModeBitmap} {
 		opts := DefaultOptions()
 		opts.Compression = mode
-		e := buildEngine(t, el, shape, th, opts)
+		e := buildPlan(t, el, shape, th, opts)
 		for _, src := range []int64{0, 7, 4093} {
-			res, err := e.Run(src)
+			res, err := e.Run(context.Background(), src, Overrides{})
 			if err != nil {
 				t.Fatalf("mode %v: %v", mode, err)
 			}
@@ -126,7 +127,7 @@ func TestCompressionUniquifyInteraction(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Uniquify = true
 	opts.Compression = wire.ModeAdaptive
-	e := buildEngine(t, el, shape, th, opts)
+	e := buildPlan(t, el, shape, th, opts)
 	checkAgainstSerial(t, el, e, 3)
 }
 
@@ -143,8 +144,8 @@ func TestParentPairsCompression(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Compression = mode
 		opts.CollectParents = true
-		e := buildEngine(t, el, shape, th, opts)
-		res, err := e.Run(2)
+		e := buildPlan(t, el, shape, th, opts)
+		res, err := e.Run(context.Background(), 2, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +195,8 @@ func TestDelegateMaskEncoding(t *testing.T) {
 	run := func(mode wire.Mode) *metrics.RunResult {
 		opts := DefaultOptions()
 		opts.Compression = mode
-		e := buildEngine(t, el, shape, 0, opts) // TH=0: all delegates
-		res, err := e.Run(1)
+		e := buildPlan(t, el, shape, 0, opts) // TH=0: all delegates
+		res, err := e.Run(context.Background(), 1, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestDelegateMaskEncoding(t *testing.T) {
 		w.MaskRawBytes, w.MaskWireBytes, 100*(1-float64(w.MaskWireBytes)/float64(w.MaskRawBytes)))
 }
 
-// TestCompressionRejectsBadMode covers the NewEngine validation.
+// TestCompressionRejectsBadMode covers the NewPlan validation.
 func TestCompressionRejectsBadMode(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}
@@ -246,7 +247,7 @@ func TestCompressionRejectsBadMode(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Compression = wire.Mode(99)
-	if _, err := NewEngine(sg, shape, opts); err == nil {
+	if _, err := NewPlan(sg, shape, opts); err == nil {
 		t.Fatal("engine accepted an invalid compression mode")
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
-// Fault containment: the boundary every per-rank goroutine runs under, and
-// the helpers that classify what it recovers.
+// Fault containment: the launcher every engine starts its per-rank
+// goroutines through, the boundary they run under, and the helpers that
+// classify what it recovers.
 //
 // A corrupt payload (organic or injected) surfaces as a panic deep in a rank
 // goroutine — the decode sits under several layers of exchange machinery with
@@ -21,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"gcbfs/internal/faults"
 	"gcbfs/internal/mpi"
@@ -43,20 +45,50 @@ func tagSite(tag int) (int, string) {
 	}
 }
 
-// armWorldAs is armWorld with the exchange-space site renamed — the sweep's
+// sweepTagSite is tagSite with the exchange-space site renamed — the sweep's
 // record exchange reuses the hop-tag space but is a distinct injection site.
-func armWorldAs(w *mpi.World, in *faults.Injector, exchangeSite string) {
+func sweepTagSite(tag int) (int, string) {
+	iter, site := tagSite(tag)
+	if site == faults.SiteExchange {
+		site = faults.SiteSweep
+	}
+	return iter, site
+}
+
+// armWorld installs (or clears) the fault injector's payload hook on a
+// communicator. The hook recovers (iteration, site) from the message tag so
+// injected payload faults key exactly like boundary faults.
+func armWorld(w *mpi.World, in *faults.Injector, site func(tag int) (int, string)) {
 	if in == nil {
 		w.SetSendHook(nil)
 		return
 	}
 	w.SetSendHook(func(src, dst, tag int, data []byte) []byte {
-		iter, site := tagSite(tag)
-		if site == faults.SiteExchange {
-			site = exchangeSite
-		}
-		return in.Payload(src, iter, site, data)
+		iter, s := site(tag)
+		return in.Payload(src, iter, s, data)
 	})
+}
+
+// RunRanks is the one rank launcher: every engine (BFS and repair, the
+// sweep, connected components, PageRank) starts its per-rank goroutines
+// here. It arms world with the injector — site maps a message tag to the
+// (iteration, injection site) its payload faults key on — runs body once per
+// rank under the containment boundary, waits for all of them, and returns
+// the typed fault that aborted the world, nil when every rank ran to the
+// end. After an error the state the ranks were mutating is undefined.
+func RunRanks(world *mpi.World, in *faults.Injector, site func(tag int) (int, string), body func(rank int, comm *mpi.Comm)) error {
+	armWorld(world, in, site)
+	var wg sync.WaitGroup
+	for r := 0; r < world.Size(); r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer containRank(world, rank)
+			body(rank, world.Rank(rank))
+		}(r)
+	}
+	wg.Wait()
+	return world.Aborted()
 }
 
 // corruptErr wraps a decoder error for the containment panic, guaranteeing
@@ -83,7 +115,7 @@ func faultError(v any) error {
 	return nil
 }
 
-// containRank is the recover boundary deferred by every per-rank goroutine.
+// containRank is the recover boundary RunRanks defers in every rank goroutine.
 // A contained fault poisons the world, aborting every sibling rank; the
 // secondary abort panics those siblings throw while unwinding are swallowed
 // (the first fault already carries the error); everything else re-panics.

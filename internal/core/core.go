@@ -24,12 +24,10 @@
 // Plan.Run executes one query with per-query Overrides (compression,
 // exchange topology, collection flags, work amplification) layered over the
 // base Options without re-partitioning; Plan.RunBatch executes many sources
-// with bounded parallelism and deterministic, source-ordered results. The
-// old single-query Engine remains as a thin compatibility wrapper.
+// with bounded parallelism and deterministic, source-ordered results.
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -483,6 +481,11 @@ type Session struct {
 	// caller goroutine before the ranks start and filled by them.
 	qt  queryTree
 	out treeOut
+	// rec is the in-flight query's statistics, written by rank 0 only; pol
+	// is its exchange policy, shared read-only by the rank goroutines. Both
+	// are set by traverse before the ranks start.
+	rec recorder
+	pol *exchangePolicy
 	// parentExchangePairs counts the post-BFS resolution traffic (pairs),
 	// reported but excluded from simulated BFS time. The byte counters
 	// account that exchange's fixed-width equivalent and what the codec
@@ -504,28 +507,14 @@ type Session struct {
 
 // acquireWorld returns the session's communicator, reset for a new query
 // (allocated on first use, recycled with the pooled session afterwards).
+// RunRanks arms it with the query's injector.
 func (e *Session) acquireWorld() *mpi.World {
 	if e.world == nil {
 		e.world = mpi.NewWorld(e.shape.Ranks())
 	} else {
 		e.world.Reset()
 	}
-	armWorld(e.world, e.opts.Inject)
 	return e.world
-}
-
-// armWorld installs (or clears) the fault injector's payload hook on a
-// communicator. The hook recovers (iteration, site) from the message tag so
-// injected payload faults key exactly like boundary faults.
-func armWorld(w *mpi.World, in *faults.Injector) {
-	if in == nil {
-		w.SetSendHook(nil)
-		return
-	}
-	w.SetSendHook(func(src, dst, tag int, data []byte) []byte {
-		iter, site := tagSite(tag)
-		return in.Payload(src, iter, site, data)
-	})
 }
 
 // newSession allocates the per-GPU state for one concurrent query.
@@ -633,8 +622,8 @@ type gpuState struct {
 	// repSeeds/repCursor are the repair traversal's per-GPU corrective seed
 	// schedule: still-valid local vertices sorted by (level, id), injected
 	// into the frontier when the level-synchronous wave reaches their level
-	// (repair.go). Empty outside RunRepair; capacity persists across pooled
-	// queries.
+	// (repair.go). reset empties it, so a cold run injects nothing; capacity
+	// persists across pooled queries.
 	repSeeds  []repairSeed
 	repCursor int
 
@@ -667,6 +656,7 @@ func (e *Session) reset() {
 		gs.inFront = gs.inFront[:0]
 		gs.outFront = gs.outFront[:0]
 		gs.bins.Reset()
+		gs.repSeeds, gs.repCursor = gs.repSeeds[:0], 0
 		gs.unvisitedNDSources = int64(len(gs.pg.NDSources))
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		gs.dev.ResetCounters()
@@ -680,54 +670,10 @@ func (e *Session) reset() {
 			}
 		}
 	}
+	for _, sc := range e.scratch {
+		sc.dSeeds, sc.dCursor = sc.dSeeds[:0], 0
+	}
 	e.parentExchangePairs = 0
 	e.parentPairRawBytes = 0
 	e.parentPairWireBytes = 0
 }
-
-// Engine is the original single-query facade over one partitioned graph,
-// kept for compatibility. It is a thin wrapper that routes every call
-// through a Plan with empty overrides and a background context.
-//
-// Deprecated: new code should build a Plan with NewPlan and use Plan.Run /
-// Plan.RunBatch, which add context cancellation, per-query overrides and
-// concurrent execution over pooled sessions.
-type Engine struct {
-	plan *Plan
-}
-
-// NewEngine validates that the partitioned graph matches the cluster shape
-// and prepares per-GPU state. See the Engine deprecation note.
-func NewEngine(sg *partition.Subgraphs, shape ClusterShape, opts Options) (*Engine, error) {
-	plan, err := NewPlan(sg, shape, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{plan: plan}, nil
-}
-
-// Plan returns the underlying query plan (the migration path off Engine).
-func (e *Engine) Plan() *Plan { return e.plan }
-
-// Run executes one BFS from source with the engine's base options.
-func (e *Engine) Run(source int64) (*metrics.RunResult, error) {
-	return e.plan.Run(context.Background(), source, Overrides{})
-}
-
-// RunMany executes one run per source, serially.
-func (e *Engine) RunMany(sources []int64) ([]*metrics.RunResult, error) {
-	return e.plan.RunBatch(context.Background(), sources, 1, Overrides{})
-}
-
-// Shape returns the engine's cluster shape.
-func (e *Engine) Shape() ClusterShape { return e.plan.Shape() }
-
-// Graph returns the distributed graph the engine runs on.
-func (e *Engine) Graph() *partition.Subgraphs { return e.plan.Graph() }
-
-// Options returns the engine's option set.
-func (e *Engine) Options() Options { return e.plan.Options() }
-
-// MemoryOK reports whether every simulated GPU's subgraph storage fits the
-// device memory model (§III-C's processing-scale bound).
-func (e *Engine) MemoryOK() bool { return e.plan.MemoryOK() }

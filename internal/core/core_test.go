@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,15 +13,15 @@ import (
 	"gcbfs/internal/rmat"
 )
 
-// buildEngine partitions el for the shape/threshold and returns the engine.
-func buildEngine(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int64, opts Options) *Engine {
+// buildPlan partitions el for the shape/threshold and returns the plan.
+func buildPlan(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int64, opts Options) *Plan {
 	t.Helper()
 	sep := partition.Separate(el, th)
 	sg, err := partition.Distribute(el, sep, shape.PartitionConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(sg, shape, opts)
+	e, err := NewPlan(sg, shape, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +30,9 @@ func buildEngine(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int64,
 
 // checkAgainstSerial runs the engine and the serial reference from the same
 // source and requires identical hop distances.
-func checkAgainstSerial(t *testing.T, el *graph.EdgeList, e *Engine, source int64) *metrics.RunResult {
+func checkAgainstSerial(t *testing.T, el *graph.EdgeList, e *Plan, source int64) *metrics.RunResult {
 	t.Helper()
-	res, err := e.Run(source)
+	res, err := e.Run(context.Background(), source, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,25 +69,25 @@ func TestEngineRejectsMismatchedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(sg, ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1}, DefaultOptions()); err == nil {
+	if _, err := NewPlan(sg, ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1}, DefaultOptions()); err == nil {
 		t.Fatal("accepted mismatched shape")
 	}
 }
 
 func TestRunRejectsBadSource(t *testing.T) {
 	el := gen.Path(8)
-	e := buildEngine(t, el, ClusterShape{1, 1, 1}, 100, DefaultOptions())
-	if _, err := e.Run(-1); err == nil {
+	e := buildPlan(t, el, ClusterShape{1, 1, 1}, 100, DefaultOptions())
+	if _, err := e.Run(context.Background(), -1, Overrides{}); err == nil {
 		t.Fatal("accepted negative source")
 	}
-	if _, err := e.Run(8); err == nil {
+	if _, err := e.Run(context.Background(), 8, Overrides{}); err == nil {
 		t.Fatal("accepted out-of-range source")
 	}
 }
 
 func TestPathSingleGPU(t *testing.T) {
 	el := gen.Path(33)
-	e := buildEngine(t, el, ClusterShape{1, 1, 1}, 100, DefaultOptions())
+	e := buildPlan(t, el, ClusterShape{1, 1, 1}, 100, DefaultOptions())
 	res := checkAgainstSerial(t, el, e, 0)
 	if res.Iterations != 33 {
 		t.Fatalf("path BFS iterations = %d, want 33", res.Iterations)
@@ -96,7 +97,7 @@ func TestPathSingleGPU(t *testing.T) {
 func TestPathDistributed(t *testing.T) {
 	el := gen.Path(50)
 	for _, shape := range []ClusterShape{{2, 1, 1}, {1, 2, 2}, {3, 1, 2}} {
-		e := buildEngine(t, el, shape, 100, DefaultOptions())
+		e := buildPlan(t, el, shape, 100, DefaultOptions())
 		checkAgainstSerial(t, el, e, 7)
 	}
 }
@@ -104,7 +105,7 @@ func TestPathDistributed(t *testing.T) {
 func TestStarDelegateSource(t *testing.T) {
 	el := gen.Star(40)
 	// Hub has degree 39 > TH=5 → delegate; search from the delegate.
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 5, DefaultOptions())
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 5, DefaultOptions())
 	res := checkAgainstSerial(t, el, e, 0)
 	if res.Iterations < 1 {
 		t.Fatal("no iterations executed")
@@ -115,12 +116,12 @@ func TestStarDelegateSource(t *testing.T) {
 
 func TestGridAndCycle(t *testing.T) {
 	grid := gen.Grid2D(9, 11)
-	e := buildEngine(t, grid, ClusterShape{2, 2, 1}, 3, DefaultOptions())
+	e := buildPlan(t, grid, ClusterShape{2, 2, 1}, 3, DefaultOptions())
 	checkAgainstSerial(t, grid, e, 0)
 	checkAgainstSerial(t, grid, e, 98)
 
 	cyc := gen.Cycle(37)
-	e2 := buildEngine(t, cyc, ClusterShape{1, 3, 1}, 1, DefaultOptions())
+	e2 := buildPlan(t, cyc, ClusterShape{1, 3, 1}, 1, DefaultOptions())
 	checkAgainstSerial(t, cyc, e2, 36)
 }
 
@@ -134,14 +135,14 @@ func TestDisconnectedAndIsolated(t *testing.T) {
 	el.Add(3, 4)
 	el.Add(4, 3)
 	// 5..9 isolated.
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 1, DefaultOptions())
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 1, DefaultOptions())
 	res := checkAgainstSerial(t, el, e, 2)
 	if res.Levels[0] != -1 || res.Levels[9] != -1 {
 		t.Fatal("unreachable vertices must stay -1")
 	}
 	// Isolated source: exactly one iteration, then the >1-iteration
 	// filter drops it (paper §VI-A3).
-	res2, err := e.Run(7)
+	res2, err := e.Run(context.Background(), 7, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestRMATAllShapesAndOptions(t *testing.T) {
 	sources := pickSources(deg, 3, 42)
 	for _, shape := range shapes {
 		for name, opts := range optsList {
-			e := buildEngine(t, el, shape, 8, opts)
+			e := buildPlan(t, el, shape, 8, opts)
 			for _, src := range sources {
 				res := checkAgainstSerial(t, el, e, src)
 				if res.Iterations <= 1 {
@@ -188,10 +189,10 @@ func TestThresholdExtremes(t *testing.T) {
 	deg := el.OutDegrees()
 	src := pickSources(deg, 1, 7)[0]
 	// TH=0: every non-isolated vertex is a delegate (all edges dd).
-	e0 := buildEngine(t, el, ClusterShape{2, 1, 2}, 0, DefaultOptions())
+	e0 := buildPlan(t, el, ClusterShape{2, 1, 2}, 0, DefaultOptions())
 	checkAgainstSerial(t, el, e0, src)
 	// TH=inf: no delegates (all edges nn).
-	eInf := buildEngine(t, el, ClusterShape{2, 1, 2}, 1<<40, DefaultOptions())
+	eInf := buildPlan(t, el, ClusterShape{2, 1, 2}, 1<<40, DefaultOptions())
 	checkAgainstSerial(t, el, eInf, src)
 }
 
@@ -199,13 +200,13 @@ func TestSocialAndWebGraphs(t *testing.T) {
 	soc := gen.SocialNetwork(gen.DefaultSocialParams(9))
 	deg := soc.OutDegrees()
 	src := pickSources(deg, 1, 3)[0]
-	e := buildEngine(t, soc, ClusterShape{1, 2, 2}, 16, DefaultOptions())
+	e := buildPlan(t, soc, ClusterShape{1, 2, 2}, 16, DefaultOptions())
 	checkAgainstSerial(t, soc, e, src)
 
 	web := gen.WebGraph(gen.WebParams{Scale: 8, EdgeFactor: 8, NumChains: 3, ChainLength: 40, Seed: 9})
 	deg2 := web.OutDegrees()
 	src2 := pickSources(deg2, 1, 4)[0]
-	e2 := buildEngine(t, web, ClusterShape{2, 1, 2}, 16, DefaultOptions())
+	e2 := buildPlan(t, web, ClusterShape{2, 1, 2}, 16, DefaultOptions())
 	res := checkAgainstSerial(t, web, e2, src2)
 	if res.Iterations < 30 {
 		t.Fatalf("web graph should be long-tail, got %d iterations", res.Iterations)
@@ -214,13 +215,13 @@ func TestSocialAndWebGraphs(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(8))
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 8, DefaultOptions())
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 8, DefaultOptions())
 	src := pickSources(el.OutDegrees(), 1, 11)[0]
-	a, err := e.Run(src)
+	a, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Run(src)
+	b, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +245,13 @@ func TestDOBFSReducesWorkOnRMAT(t *testing.T) {
 	doOpts.WorkAmplification = 1 << 15
 	plainOpts := PlainBFSOptions()
 	plainOpts.WorkAmplification = 1 << 15
-	eDO := buildEngine(t, el, ClusterShape{2, 1, 2}, 16, doOpts)
-	ePlain := buildEngine(t, el, ClusterShape{2, 1, 2}, 16, plainOpts)
-	rDO, err := eDO.Run(src)
+	eDO := buildPlan(t, el, ClusterShape{2, 1, 2}, 16, doOpts)
+	ePlain := buildPlan(t, el, ClusterShape{2, 1, 2}, 16, plainOpts)
+	rDO, err := eDO.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rPlain, err := ePlain.Run(src)
+	rPlain, err := ePlain.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +279,8 @@ func TestUniquifyRemovesDuplicatesOnly(t *testing.T) {
 	base := DefaultOptions()
 	uniq := DefaultOptions()
 	uniq.Uniquify = true
-	e1 := buildEngine(t, el, ClusterShape{2, 2, 1}, 8, base)
-	e2 := buildEngine(t, el, ClusterShape{2, 2, 1}, 8, uniq)
+	e1 := buildPlan(t, el, ClusterShape{2, 2, 1}, 8, base)
+	e2 := buildPlan(t, el, ClusterShape{2, 2, 1}, 8, uniq)
 	r1 := checkAgainstSerial(t, el, e1, src)
 	r2 := checkAgainstSerial(t, el, e2, src)
 	var b1, b2 int64
@@ -300,8 +301,8 @@ func TestUniquifyRemovesDuplicatesOnly(t *testing.T) {
 func TestDelegateCommsSkippedWhenQuiet(t *testing.T) {
 	// A path has no delegates at TH=100 → no delegate mask exchanges.
 	el := gen.Path(40)
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 100, DefaultOptions())
-	res, err := e.Run(0)
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 100, DefaultOptions())
+	res, err := e.Run(context.Background(), 0, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +312,9 @@ func TestDelegateCommsSkippedWhenQuiet(t *testing.T) {
 	// RMAT with delegates: exchanges happen, but on fewer iterations
 	// than the total (S' < S, §V-A).
 	rm := rmat.Generate(rmat.DefaultParams(10))
-	e2 := buildEngine(t, rm, ClusterShape{2, 1, 2}, 8, DefaultOptions())
+	e2 := buildPlan(t, rm, ClusterShape{2, 1, 2}, 8, DefaultOptions())
 	src := pickSources(rm.OutDegrees(), 1, 1)[0]
-	res2, err := e2.Run(src)
+	res2, err := e2.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +328,9 @@ func TestDelegateCommsSkippedWhenQuiet(t *testing.T) {
 
 func TestRunManyAndAggregate(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 8, DefaultOptions())
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 8, DefaultOptions())
 	sources := pickSources(el.OutDegrees(), 5, 21)
-	results, err := e.RunMany(sources)
+	results, err := e.RunBatch(context.Background(), sources, 1, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +347,9 @@ func TestBreakdownConsistency(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	shape := ClusterShape{4, 1, 2}
 	opts := DefaultOptions()
-	e := buildEngine(t, el, shape, 8, opts)
+	e := buildPlan(t, el, shape, 8, opts)
 	src := pickSources(el.OutDegrees(), 1, 2)[0]
-	res, err := e.Run(src)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +382,8 @@ func TestCollectLevelsOff(t *testing.T) {
 	el := gen.Path(10)
 	opts := DefaultOptions()
 	opts.CollectLevels = false
-	e := buildEngine(t, el, ClusterShape{1, 1, 2}, 100, opts)
-	res, err := e.Run(0)
+	e := buildPlan(t, el, ClusterShape{1, 1, 2}, 100, opts)
+	res, err := e.Run(context.Background(), 0, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,9 +13,9 @@ import (
 
 // runExchange executes one run with the given strategy and full result
 // collection.
-func runExchange(t *testing.T, e *Engine, src int64) *metrics.RunResult {
+func runExchange(t *testing.T, e *Plan, src int64) *metrics.RunResult {
 	t.Helper()
-	res, err := e.Run(src)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestExchangeEquivalence(t *testing.T) {
 					ap.Exchange = ExchangeAllPairs
 					bf := opts
 					bf.Exchange = ExchangeButterfly
-					ra := runExchange(t, buildEngine(t, el, shape, th, ap), src)
-					rb := runExchange(t, buildEngine(t, el, shape, th, bf), src)
+					ra := runExchange(t, buildPlan(t, el, shape, th, ap), src)
+					rb := runExchange(t, buildPlan(t, el, shape, th, bf), src)
 					requireIdentical(t, label, ra, rb)
 					if ra.Exchange.Strategy != "allpairs" || ra.Exchange.ButterflyIterations != 0 {
 						t.Fatalf("%s: all-pairs run reported %q with %d butterfly iterations", label,
@@ -135,8 +136,8 @@ func TestButterflyNonPowerOfTwo(t *testing.T) {
 				ap.Exchange = ExchangeAllPairs
 				bf := opts
 				bf.Exchange = ExchangeButterfly
-				ra := runExchange(t, buildEngine(t, el, shape, th, ap), src)
-				rb := runExchange(t, buildEngine(t, el, shape, th, bf), src)
+				ra := runExchange(t, buildPlan(t, el, shape, th, ap), src)
+				rb := runExchange(t, buildPlan(t, el, shape, th, bf), src)
 				requireIdentical(t, label, ra, rb)
 				if rb.Exchange.Strategy != "butterfly" || rb.Exchange.AllPairsIterations != 0 {
 					t.Fatalf("%s: expected pure butterfly, got %q with %d all-pairs iterations",
@@ -181,9 +182,9 @@ func TestHybridMixedSchedule(t *testing.T) {
 				ap.Exchange = ExchangeAllPairs
 				bf := opts
 				bf.Exchange = ExchangeButterfly
-				rh := runExchange(t, buildEngine(t, el, shape, th, hy), src)
-				requireIdentical(t, label+" vs allpairs", runExchange(t, buildEngine(t, el, shape, th, ap), src), rh)
-				requireIdentical(t, label+" vs butterfly", runExchange(t, buildEngine(t, el, shape, th, bf), src), rh)
+				rh := runExchange(t, buildPlan(t, el, shape, th, hy), src)
+				requireIdentical(t, label+" vs allpairs", runExchange(t, buildPlan(t, el, shape, th, ap), src), rh)
+				requireIdentical(t, label+" vs butterfly", runExchange(t, buildPlan(t, el, shape, th, bf), src), rh)
 				if rh.Exchange.Strategy != "hybrid" {
 					t.Fatalf("%s: strategy %q, want hybrid", label, rh.Exchange.Strategy)
 				}
@@ -232,7 +233,7 @@ func TestExchangeMessageCounts(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Exchange = x
 		opts.Compression = wire.ModeAdaptive
-		return runExchange(t, buildEngine(t, el, shape, th, opts), 1)
+		return runExchange(t, buildPlan(t, el, shape, th, opts), 1)
 	}
 
 	// Power-of-two: 8 ranks.
@@ -287,7 +288,7 @@ func TestExchangeSingleAndTwoRanks(t *testing.T) {
 	} {
 		opts := DefaultOptions()
 		opts.Exchange = ExchangeButterfly
-		e := buildEngine(t, el, shape, 64, opts)
+		e := buildPlan(t, el, shape, 64, opts)
 		checkAgainstSerial(t, el, e, 5)
 	}
 }
@@ -326,7 +327,7 @@ func TestEngineRejectsBadExchange(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Exchange = Exchange(7)
-	if _, err := NewEngine(sg, shape, opts); err == nil {
+	if _, err := NewPlan(sg, shape, opts); err == nil {
 		t.Fatal("engine accepted an invalid exchange strategy")
 	}
 }

@@ -52,8 +52,8 @@ func TestHierarchicalFlatEquivalence(t *testing.T) {
 					opts.WorkAmplification = 1 << 8
 					flat := opts
 					flat.FlatExchange = true
-					rh := runExchange(t, buildEngine(t, el, shape, th, opts), src)
-					rf := runExchange(t, buildEngine(t, el, shape, th, flat), src)
+					rh := runExchange(t, buildPlan(t, el, shape, th, opts), src)
+					rf := runExchange(t, buildPlan(t, el, shape, th, flat), src)
 					requireIdentical(t, label+" flat vs hier", rh, rf)
 
 					if cfg.strat != ExchangeHybrid {

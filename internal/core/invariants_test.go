@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -43,11 +44,11 @@ func TestQuickEngineInvariants(t *testing.T) {
 		}
 
 		sepTh := int64(thRaw % 12)
-		e := buildEngineQuiet(el, shape, sepTh, opts)
+		e := buildPlanQuiet(el, shape, sepTh, opts)
 		if e == nil {
 			return false
 		}
-		res, err := e.Run(src)
+		res, err := e.Run(context.Background(), src, Overrides{})
 		if err != nil {
 			return false
 		}
@@ -85,15 +86,15 @@ func TestQuickEngineInvariants(t *testing.T) {
 	}
 }
 
-// buildEngineQuiet is buildEngine without the testing.TB plumbing (for use
+// buildPlanQuiet is buildPlan without the testing.TB plumbing (for use
 // inside quick.Check closures).
-func buildEngineQuiet(el *graph.EdgeList, shape ClusterShape, th int64, opts Options) *Engine {
+func buildPlanQuiet(el *graph.EdgeList, shape ClusterShape, th int64, opts Options) *Plan {
 	sep := partition.Separate(el, th)
 	sg, err := partition.Distribute(el, sep, shape.PartitionConfig())
 	if err != nil {
 		return nil
 	}
-	e, err := NewEngine(sg, shape, opts)
+	e, err := NewPlan(sg, shape, opts)
 	if err != nil {
 		return nil
 	}
@@ -106,8 +107,8 @@ func TestIterationTimingInvariants(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	src := pickSources(el.OutDegrees(), 1, 6)[0]
 	for _, shape := range []ClusterShape{{1, 1, 4}, {4, 2, 2}} {
-		e := buildEngine(t, el, shape, 8, DefaultOptions())
-		res, err := e.Run(src)
+		e := buildPlan(t, el, shape, 8, DefaultOptions())
+		res, err := e.Run(context.Background(), src, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,13 +143,13 @@ func TestAmplificationScalesTimeOnly(t *testing.T) {
 	base := DefaultOptions()
 	big := DefaultOptions()
 	big.WorkAmplification = 1024
-	e1 := buildEngine(t, el, ClusterShape{2, 1, 2}, 8, base)
-	e2 := buildEngine(t, el, ClusterShape{2, 1, 2}, 8, big)
-	r1, err := e1.Run(src)
+	e1 := buildPlan(t, el, ClusterShape{2, 1, 2}, 8, base)
+	e2 := buildPlan(t, el, ClusterShape{2, 1, 2}, 8, big)
+	r1, err := e1.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.Run(src)
+	r2, err := e2.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,8 @@ func TestMessageBytesOptionMatters(t *testing.T) {
 		opts.MessageBytes = msg
 		opts.WorkAmplification = 1 << 14
 		// High TH → nn-heavy graph → remote exchange dominates.
-		e := buildEngine(t, el, ClusterShape{4, 2, 1}, 1<<40, opts)
-		r, err := e.Run(src)
+		e := buildPlan(t, el, ClusterShape{4, 2, 1}, 1<<40, opts)
+		r, err := e.Run(context.Background(), src, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +197,8 @@ func TestChannelExtremes(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	src := pickSources(el.OutDegrees(), 1, 12)[0]
 
-	allDel := buildEngine(t, el, ClusterShape{2, 1, 2}, 0, DefaultOptions())
-	rAll, err := allDel.Run(src)
+	allDel := buildPlan(t, el, ClusterShape{2, 1, 2}, 0, DefaultOptions())
+	rAll, err := allDel.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +214,8 @@ func TestChannelExtremes(t *testing.T) {
 		t.Fatal("TH=0 produced no delegate traffic")
 	}
 
-	noDel := buildEngine(t, el, ClusterShape{2, 1, 2}, 1<<40, DefaultOptions())
-	rNone, err := noDel.Run(src)
+	noDel := buildPlan(t, el, ClusterShape{2, 1, 2}, 1<<40, DefaultOptions())
+	rNone, err := noDel.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,9 +172,9 @@ func TestTreeDirections(t *testing.T) {
 	csr := graph.BuildCSR(el)
 	opts := DefaultOptions()
 	opts.CollectParents = true
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 0, opts)
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 0, opts)
 	for _, src := range []int64{0, 3} {
-		res, err := e.Run(src)
+		res, err := e.Run(context.Background(), src, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 )
@@ -18,8 +18,8 @@ func runWithParents(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int
 	t.Helper()
 	opts.CollectLevels = true
 	opts.CollectParents = true
-	e := buildEngine(t, el, shape, th, opts)
-	res, err := e.Run(src)
+	e := buildPlan(t, el, shape, th, opts)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestParentPairsReported(t *testing.T) {
 	src := pickSources(el.OutDegrees(), 1, 2)[0]
 	opts := DefaultOptions()
 	opts.CollectParents = true
-	e := buildEngine(t, el, ClusterShape{2, 1, 2}, 1<<40, opts)
-	res, err := e.Run(src)
+	e := buildPlan(t, el, ClusterShape{2, 1, 2}, 1<<40, opts)
+	res, err := e.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestParentPairsReported(t *testing.T) {
 
 func TestParentsOffByDefault(t *testing.T) {
 	el := gen.Path(8)
-	e := buildEngine(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
-	res, err := e.Run(0)
+	e := buildPlan(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
+	res, err := e.Run(context.Background(), 0, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 	base.WorkAmplification = 1 << 12
 	forced := base
 	forced.ForceTWBForDD = true
-	eBase := buildEngine(t, el, ClusterShape{2, 1, 2}, 4, base)
-	eForced := buildEngine(t, el, ClusterShape{2, 1, 2}, 4, forced)
-	rBase, err := eBase.Run(src)
+	eBase := buildPlan(t, el, ClusterShape{2, 1, 2}, 4, base)
+	eForced := buildPlan(t, el, ClusterShape{2, 1, 2}, 4, forced)
+	rBase, err := eBase.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rForced, err := eForced.Run(src)
+	rForced, err := eForced.Run(context.Background(), src, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func BenchmarkResolveParents(b *testing.B) {
 	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
 	opts := DefaultOptions()
 	opts.CollectParents = true
-	plan := buildEngine(b, el, shape, th, opts).Plan()
+	plan := buildPlan(b, el, shape, th, opts)
 	src := pickSources(el.OutDegrees(), 1, 5)[0]
 	s := plan.acquire(opts)
 	defer plan.release(s)
@@ -158,16 +158,12 @@ func BenchmarkResolveParents(b *testing.B) {
 			}
 		}
 		s.out = newTreeOut(&s.opts, s.sg.N)
-		world := s.acquireWorld()
-		var wg sync.WaitGroup
-		for r := 0; r < shape.Ranks(); r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				s.finishQuery(rank, world.Rank(rank), src)
-			}(r)
+		err := RunRanks(s.acquireWorld(), nil, tagSite, func(rank int, comm *mpi.Comm) {
+			s.finishQuery(rank, comm, src)
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
 	}
 	b.StopTimer()
 	var read int64

@@ -51,9 +51,9 @@ func TestPipelinedButterflyEquivalence(t *testing.T) {
 				pipe := opts
 				pipe.Exchange = ExchangeButterfly
 				pipe.PipelineHops = true
-				ra := runExchange(t, buildEngine(t, el, shape, th, ap), src)
-				rs := runExchange(t, buildEngine(t, el, shape, th, seq), src)
-				rp := runExchange(t, buildEngine(t, el, shape, th, pipe), src)
+				ra := runExchange(t, buildPlan(t, el, shape, th, ap), src)
+				rs := runExchange(t, buildPlan(t, el, shape, th, seq), src)
+				rp := runExchange(t, buildPlan(t, el, shape, th, pipe), src)
 				requireIdentical(t, label+" seq vs allpairs", ra, rs)
 				requireIdentical(t, label+" pipe vs seq", rs, rp)
 
@@ -114,8 +114,8 @@ func TestPipelineTimingInvariants(t *testing.T) {
 		opts.WorkAmplification = 1 << 8
 		seqOpts := opts
 		seqOpts.PipelineHops = false
-		rs := runExchange(t, buildEngine(t, el, shape, th, seqOpts), src)
-		rp := runExchange(t, buildEngine(t, el, shape, th, opts), src)
+		rs := runExchange(t, buildPlan(t, el, shape, th, seqOpts), src)
+		rp := runExchange(t, buildPlan(t, el, shape, th, opts), src)
 
 		hidden := rp.Exchange.HiddenCodecSeconds
 		if hidden <= 0 {

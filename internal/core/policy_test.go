@@ -14,9 +14,9 @@ import (
 func buildPolicy(t *testing.T, shape ClusterShape, opts Options) *exchangePolicy {
 	t.Helper()
 	el := rmat.Generate(rmat.DefaultParams(10))
-	e := buildEngine(t, el, shape, 16, opts)
-	s := e.plan.acquire(e.plan.base)
-	defer e.plan.release(s)
+	e := buildPlan(t, el, shape, 16, opts)
+	s := e.acquire(e.base)
+	defer e.release(s)
 	return s.newExchangePolicy()
 }
 

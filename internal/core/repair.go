@@ -19,15 +19,16 @@ package core
 //     the invalidated vertices' adjacency, with one packed exchange for
 //     remote nn probes and one mask allreduce for delegate seeds.
 //
-//   - Wave: a level-synchronous forward traversal through the existing tuned
-//     exchange stack (policy, wire codec, butterfly/all-pairs, radix apply).
-//     Iterations ascend from the minimum seed level; seeds inject when the
-//     wave reaches their level; the visit condition everywhere is strict
-//     improvement (level == -1 || level > iter+1), so inserts can lower
-//     still-valid vertices and invalidated ones re-derive at their exact new
-//     level. A vertex set at iteration ℓ holds its final level: all later
-//     offers are ≥ ℓ+2, so the monotone wave terminates and duplicates are
-//     structurally impossible.
+//   - Wave: the superstep loop itself (Session.runRank, run.go) — not a copy
+//     of it — entered through a wave value built from the schedule: it starts
+//     at the minimum seed level, injects each level's seeds when it gets
+//     there, stays alive through the deepest seeded level, runs the four
+//     forward repair kernels below and applies arrivals with repairApplyIDs.
+//     The visit condition everywhere is strict improvement (level == -1 ||
+//     level > iter+1), so inserts can lower still-valid vertices and
+//     invalidated ones re-derive at their exact new level. A vertex set at
+//     iteration ℓ holds its final level: all later offers are ≥ ℓ+2, so the
+//     monotone wave terminates and duplicates are structurally impossible.
 //
 // The repaired levels equal a full BFS on the new epoch bit-for-bit, and
 // because the canonical parent resolution (parents.go) is a pure function of
@@ -36,10 +37,10 @@ package core
 // strategies and insert/delete/mixed deltas.
 //
 // Timing: the probe charges its scan compute and one point-to-point round;
-// every wave iteration charges exactly like a plain BFS iteration (same vec
-// and sums layout as run.go), so repair-vs-recompute simulated seconds are
-// directly comparable. The post-wave parent resolution stays excluded from
-// simulated time, matching the paper's distance-only reporting.
+// a wave superstep is a BFS superstep, charged by the same code, so
+// repair-vs-recompute simulated seconds are directly comparable. The
+// post-wave parent resolution stays excluded from simulated time, matching
+// the paper's distance-only reporting.
 
 import (
 	"cmp"
@@ -47,15 +48,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"gcbfs/internal/bitmask"
-	"gcbfs/internal/faults"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/simgpu"
-	"gcbfs/internal/wire"
 )
 
 // repairSeed is one corrective-seed schedule entry: a still-valid vertex
@@ -119,43 +117,10 @@ func (p *Plan) RunRepair(ctx context.Context, source int64, prior []int32, inval
 	}
 	s := p.acquire(opts)
 	defer p.release(s)
-	return s.runRepair(ctx, source, prior, invalid, seeds)
-}
-
-// runRepair executes one corrective traversal on this (already configured and
-// exclusive) session, mirroring Session.run's structure.
-func (e *Session) runRepair(ctx context.Context, source int64, prior []int32, invalid []bool, seeds []int64) (*metrics.RunResult, error) {
-	e.reset()
-	e.out = newTreeOut(&e.opts, e.sg.N)
-
-	prank := e.shape.Ranks()
-	world := e.acquireWorld()
-	rec := &recorder{}
-	pol := e.newExchangePolicy()
-	rec.exchange.Strategy = e.opts.Exchange.String()
-	var wg sync.WaitGroup
-	for r := 0; r < prank; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer containRank(world, rank)
-			e.runRepairRank(ctx, rank, world.Rank(rank), rec, pol, source, prior, invalid, seeds)
-		}(r)
-	}
-	wg.Wait()
-
-	if err := world.Aborted(); err != nil {
-		e.poisoned = true
-		return nil, err
-	}
-	if rec.cancelled {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
-	}
-
-	return e.result(source, rec), nil
+	s.reset()
+	return s.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
+		s.repairRank(ctx, rank, comm, source, prior, invalid, seeds)
+	})
 }
 
 // repairPreload maps the prior outcome onto this epoch's layout: still-valid
@@ -324,26 +289,14 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 	return comp, bytes
 }
 
-// runRepairRank is the per-rank corrective-wave loop. It mirrors runRank's
-// BSP structure — policy decision, local kernels, delegate mask reduction,
-// normal exchange, timing and sums assembly all use the identical layout —
-// with three differences: the probe-and-seed prologue, the strict-improvement
-// visit condition (repair kernels, repairApplyIDs, the filtered delegate
-// commit), and the termination flag keeping the loop alive through pending
-// seed levels.
-func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, rec *recorder, pol *exchangePolicy, source int64, prior []int32, invalid []bool, seeds []int64) {
+// repairRank is one rank's corrective traversal: the repair-specific
+// prologue — preload, probe, seed schedules and their global level bounds
+// and counts, the probe's charge — and then the shared superstep loop.
+func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, source int64, prior []int32, invalid []bool, seeds []int64) {
 	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
 	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
 	sc := e.scratch[rank]
-	rankMask := sc.rankMask // fully overwritten by CopyFrom each iteration
-	maskBytes := rankMask.ByteSize()
-	rx := sc.rx.bind(e, rank, sc)
-	cancelled := false
 
-	for _, gs := range myGPUs {
-		gs.repSeeds, gs.repCursor = gs.repSeeds[:0], 0
-	}
 	e.repairPreload(myGPUs, prior, invalid)
 	probeComp, probeBytes := e.repairProbe(rank, comm, myGPUs, sc, prior, invalid, seeds)
 
@@ -354,7 +307,6 @@ func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, r
 		slices.SortFunc(gs.repSeeds, cmpRepairSeed)
 		gs.repSeeds = slices.Compact(gs.repSeeds)
 	}
-	sc.dSeeds, sc.dCursor = sc.dSeeds[:0], 0
 	dl := myGPUs[0].delegateLevel
 	sc.seedMask.ForEach(func(di int64) {
 		sc.dSeeds = append(sc.dSeeds, repairSeed{level: dl[di], id: uint32(di)})
@@ -412,8 +364,8 @@ func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, r
 			probeNet = e.opts.Net.PointToPoint(b, e.effMessageBytes(b))
 		}
 		parts := metrics.Breakdown{Computation: vec[0], RemoteNormal: probeNet}
-		rec.simSeconds += e.iterElapsed(parts)
-		rec.parts.Add(parts)
+		e.rec.simSeconds += e.iterElapsed(parts)
+		e.rec.parts.Add(parts)
 	}
 
 	if lo > hi {
@@ -425,360 +377,35 @@ func (e *Session) runRepairRank(ctx context.Context, rank int, comm *mpi.Comm, r
 		return
 	}
 
-	inputNormals, inputDelegates := nCounts[lo], dCounts[lo]
-	prevNormals, prevOriginated := int64(0), int64(0)
-	fb := newPolicyFeedback()
-	if e.opts.Warm != nil {
-		fb.seed(*e.opts.Warm)
+	e.runRank(ctx, rank, comm, source, wave{
+		first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts,
+		kernels: (*Session).repairKernels, apply: repairApplyIDs,
+	})
+}
+
+// injectSeeds moves the seeds scheduled at level iter into the frontier. The
+// guard (level still equals the stored level) drops seeds the wave already
+// improved past — those entered the frontier at their better level. Delegate
+// levels are replicated, so the guard decides identically on every GPU and
+// the frontier masks stay globally consistent.
+func (e *Session) injectSeeds(myGPUs []*gpuState, sc *rankScratch, iter int32) {
+	for sc.dCursor < len(sc.dSeeds) && sc.dSeeds[sc.dCursor].level == iter {
+		di := int64(sc.dSeeds[sc.dCursor].id)
+		for _, gs := range myGPUs {
+			if gs.delegateLevel[di] == iter {
+				gs.dFront.Set(di)
+			}
+		}
+		sc.dCursor++
 	}
-
-	for iter := int32(lo); ; iter++ {
-		// ---- Fault injection (chaos testing): see Session.runRank.
-		if in := e.opts.Inject; in != nil {
-			in.Crash(rank, int(iter), faults.SiteIter)
-		}
-		// ---- Seed injection: schedules advance with the wave; the guard
-		// (level still equals the stored level) drops seeds the wave already
-		// improved past — those entered the frontier at their better level.
-		// Delegate levels are replicated, so the guard decides identically on
-		// every GPU and the frontier masks stay globally consistent.
-		for sc.dCursor < len(sc.dSeeds) && sc.dSeeds[sc.dCursor].level == iter {
-			di := int64(sc.dSeeds[sc.dCursor].id)
-			for _, gs := range myGPUs {
-				if gs.delegateLevel[di] == iter {
-					gs.dFront.Set(di)
-				}
+	for _, gs := range myGPUs {
+		for gs.repCursor < len(gs.repSeeds) && gs.repSeeds[gs.repCursor].level == iter {
+			s := gs.repSeeds[gs.repCursor]
+			if gs.levels[s.id] == iter {
+				gs.inFront = append(gs.inFront, s.id)
 			}
-			sc.dCursor++
+			gs.repCursor++
 		}
-		for _, gs := range myGPUs {
-			for gs.repCursor < len(gs.repSeeds) && gs.repSeeds[gs.repCursor].level == iter {
-				s := gs.repSeeds[gs.repCursor]
-				if gs.levels[s.id] == iter {
-					gs.inFront = append(gs.inFront, s.id)
-				}
-				gs.repCursor++
-			}
-		}
-
-		// ---- Exchange policy (identical decision on every rank).
-		strategy, predicted := pol.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &sc.pol)
-		ex := rx.get(strategy)
-		// ---- Local computation: forward repair kernels (no direction
-		// optimization — the improvement wave has no backward variant).
-		for _, gs := range myGPUs {
-			gs.it = iterWork{}
-			e.repairRunKernels(gs, iter)
-		}
-		dir0 := myGPUs[0]
-
-		// ---- Delegate mask reduction, exactly as run.go; the commit filters
-		// the reduced candidate mask by strict improvement. Delegate levels
-		// are identical on every GPU, so the filtered frontier is too.
-		rankMask.CopyFrom(myGPUs[0].newMask)
-		for _, gs := range myGPUs[1:] {
-			rankMask.Or(gs.newMask)
-		}
-		anyGlobal := comm.AllreduceBoolOr(rankMask.Any())
-		maskExchanged := false
-		var newDelegates int64
-		if anyGlobal {
-			comm.AllreduceOr(rankMask.Words())
-			maskExchanged = true
-			for gi, gs := range myGPUs {
-				gs.dFront.Reset()
-				var improved int64
-				rankMask.ForEach(func(di int64) {
-					if l := gs.delegateLevel[di]; l == -1 || l > iter+1 {
-						gs.delegateLevel[di] = iter + 1
-						gs.dFront.Set(di)
-						improved++
-					}
-				})
-				gs.newMask.Reset()
-				if gi == 0 {
-					newDelegates = improved
-				}
-			}
-		} else {
-			for _, gs := range myGPUs {
-				gs.dFront.Reset()
-				gs.newMask.Reset()
-			}
-		}
-
-		// ---- Delegate-aware mask encoding (identical to run.go; the wire
-		// ships the candidate mask, improvement filtering is receiver-side).
-		effMaskBytes := maskBytes
-		var maskCodecRaw int64
-		if maskExchanged && e.opts.Compression != wire.ModeOff && e.d-1 <= int64(^uint32(0)) {
-			ids := sc.maskIDs[:0]
-			rankMask.ForEach(func(di int64) { ids = append(ids, uint32(di)) })
-			sc.maskIDs = ids
-			if enc := wire.EncodedMaskBytes(ids, e.opts.Compression); enc < maskBytes {
-				effMaskBytes = enc
-				maskCodecRaw = 4 * int64(len(ids))
-			}
-		}
-
-		// ---- Normal-vertex exchange (§V-B), shared with the plain BFS.
-		var dupsRemoved int64
-		if e.opts.Uniquify {
-			for _, gs := range myGPUs {
-				n := gs.bins.UniquifyAll()
-				gs.it.dupsRemoved += n
-				dupsRemoved += n
-				if c := gs.bins.Count(); c > 0 {
-					gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
-						Vertices: 2 * c, Strategy: simgpu.TWBDynamic,
-					})
-				}
-			}
-		}
-		counts := ex.exchange(comm, myGPUs, iter)
-		var intraBytes int64
-		for _, src := range myGPUs {
-			for s := 0; s < pgpu; s++ {
-				dstGPU := rank*pgpu + s
-				if dstGPU == src.pg.GPU {
-					continue
-				}
-				ids := src.bins.PerGPU[dstGPU]
-				intraBytes += 4 * int64(len(ids))
-				repairApplyIDs(e.gpus[dstGPU], ids, iter+1)
-			}
-		}
-		var applied int64
-		for s, ids := range counts.arrivals {
-			applied += int64(len(ids))
-			sc.applySortedWith(myGPUs[s], ids, iter+1, repairApplyIDs)
-		}
-		sentBytes, rawSentBytes := counts.sent, counts.sentRaw
-		if applied+intraBytes/4 > 0 {
-			myGPUs[0].it.normalStream += e.charge(myGPUs[0], simgpu.KernelCost{
-				Vertices: applied + intraBytes/4, Strategy: simgpu.TWBDynamic,
-			})
-		}
-		for _, gs := range myGPUs {
-			gs.bins.Reset()
-		}
-
-		// ---- Timing assembly (identical layout to run.go).
-		var comp float64
-		for _, gs := range myGPUs {
-			if c := streamCombine(gs.it.delegateStream, gs.it.normalStream); c > comp {
-				comp = c
-			}
-		}
-		// Injected stall: timing skew only, results stay bit-identical.
-		if in := e.opts.Inject; in != nil {
-			comp += in.Stall(rank, int(iter), faults.SiteIter)
-		}
-		aSent, aRecv, aIntra := e.ampBytes(sentBytes), e.ampBytes(counts.recv), e.ampBytes(intraBytes)
-		aMask := e.ampBytes(maskBytes)
-		aMaskWire := e.ampBytes(effMaskBytes)
-		hier := e.hierExchange()
-		var localComm float64
-		if maskExchanged {
-			localComm += e.opts.Net.LocalReduce(aMask, pgpu)
-			localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
-		}
-		if hier {
-			localComm += e.opts.Net.Staging(aIntra)
-		} else {
-			if e.opts.LocalAll2All && aSent > 0 && pgpu > 1 {
-				localComm += e.opts.Net.LocalExchange(aSent*int64(pgpu-1)/int64(pgpu), pgpu)
-			}
-			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv) + e.opts.Net.Staging(aIntra)
-		}
-		var remoteDelegate float64
-		if maskExchanged {
-			remoteDelegate = e.opts.Net.Allreduce(aMaskWire, prank, e.opts.BlockingReduce)
-		}
-		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(maskCodecRaw))
-		nh := len(counts.hopBytes)
-		vec := sc.vec[:0]
-		vec = append(vec, comp, localComm, remoteDelegate, maskCodecSecs)
-		for _, hb := range counts.hopBytes {
-			vec = append(vec, float64(e.ampBytes(hb)))
-		}
-		for _, cr := range counts.hopCodecRaw {
-			vec = append(vec, float64(e.ampBytes(cr)))
-		}
-		for _, rb := range counts.hopRecvBytes {
-			vec = append(vec, float64(e.ampBytes(rb)))
-		}
-		vec = append(vec, float64(e.ampBytes(counts.preCodecRaw)))
-		var aggBytes int64
-		if hier {
-			aggBytes = e.ampBytes(aggregationBytesFor(&e.opts, e.shape, counts.sentRaw-counts.forwarded))
-		}
-		vec = append(vec, float64(aggBytes))
-		vec = append(vec, float64(e.ampBytes(counts.sentRaw-counts.forwarded)))
-		sc.vec = vec
-		sc.fbits = maxFloatsAllreduce(comm, vec, sc.fbits)
-		redWire := grownInt64(sc.redWire, nh)
-		sc.redWire = redWire
-		redCodec := grownInt64(sc.redCodec, nh)
-		sc.redCodec = redCodec
-		redRecv := grownInt64(sc.redRecv, nh)
-		sc.redRecv = redRecv
-		for i := 0; i < nh; i++ {
-			redWire[i] = int64(vec[4+i])
-			redCodec[i] = int64(vec[4+nh+i])
-			redRecv[i] = int64(vec[4+2*nh+i])
-		}
-		redPre := int64(vec[4+3*nh])
-		redMaxOriginated := vec[6+3*nh]
-		var maskWire int64
-		if maskExchanged {
-			maskWire = aMaskWire
-		}
-		rt := ex.remoteTime(remoteVolumes{
-			hopBytes:    redWire,
-			hopCodecRaw: redCodec,
-			hopRecv:     redRecv,
-			preCodecRaw: redPre,
-			aggBytes:    int64(vec[5+3*nh]),
-			maskWire:    maskWire,
-			maskSecs:    vec[2],
-		})
-		remoteNormal := rt.seconds + vec[3]
-		maxMsg := rt.maxMsg
-		parts := metrics.Breakdown{
-			Computation:    vec[0],
-			LocalComm:      vec[1],
-			RemoteNormal:   remoteNormal,
-			RemoteDelegate: rt.maskSecs,
-		}
-		elapsed := e.iterElapsed(parts)
-
-		// ---- Global sums: work stats, termination flag (kept alive through
-		// pending seed levels) and the context observation.
-		var nextNormals, edges int64
-		for _, gs := range myGPUs {
-			nextNormals += int64(len(gs.outFront))
-			edges += gs.it.edgesScanned
-		}
-		flag := int64(0)
-		if nextNormals > 0 || newDelegates > 0 || int64(iter)+1 <= hi {
-			flag = 1
-		}
-		ctxDead := int64(0)
-		if ctx.Err() != nil {
-			ctxDead = 1
-		}
-		sums := append(sc.sums[:0], edges, sentBytes, nextNormals, dupsRemoved, flag,
-			rawSentBytes, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
-			counts.messages, counts.forwarded, counts.memoHits, counts.codecRaw+maskCodecRaw, ctxDead)
-		sc.sums = sums
-		comm.AllreduceSum(sums)
-
-		if rank == 0 {
-			rec.iterations = append(rec.iterations, metrics.IterationStats{
-				Iteration:         int(iter),
-				FrontierNormals:   inputNormals,
-				FrontierDelegates: inputDelegates,
-				DirDD:             dir0.dirDD,
-				DirDN:             dir0.dirDN,
-				DirND:             dir0.dirND,
-				Exchange:          strategy.String(),
-				EdgesScanned:      sums[0],
-				BytesNormal:       sums[1],
-				BytesNormalRaw:    sums[5],
-				BytesDelegate:     boolToBytes(maskExchanged, effMaskBytes),
-				Elapsed:           elapsed,
-				PredictedRemote:   predicted,
-				CodecHidden:       rt.hiddenCodec,
-				CodecExposed:      rt.codecSeconds - rt.hiddenCodec + vec[3],
-				NVLinkHidden:      rt.hiddenNVLink,
-				NVLinkExposed:     rt.nvlinkSeconds - rt.hiddenNVLink,
-				Parts:             parts,
-			})
-			rec.edgesScanned += sums[0]
-			rec.dupsRemoved += sums[3]
-			rec.simSeconds += elapsed
-			rec.parts.Add(parts)
-			rec.wire.CompressedBytes += sums[1]
-			rec.wire.RawBytes += sums[5]
-			rec.wire.SchemeRaw += sums[6]
-			rec.wire.SchemeDelta += sums[7]
-			rec.wire.SchemeBitmap += sums[8]
-			rec.exchange.Messages += sums[9]
-			rec.exchange.ForwardedBytes += sums[10]
-			rec.wire.MemoHits += sums[11]
-			rec.wire.CodecBytes += sums[12]
-			rec.wire.CodecSeconds += rt.codecSeconds + vec[3]
-			rec.exchange.HiddenCodecSeconds += rt.hiddenCodec
-			rec.exchange.PipelineStalls += rt.stalls
-			rec.exchange.NVLinkSeconds += rt.nvlinkSeconds
-			rec.exchange.HiddenNVLinkSeconds += rt.hiddenNVLink
-			rec.exchange.MaskFoldSavedSeconds += vec[2] - rt.maskSecs
-			if maskExchanged && e.opts.Compression != wire.ModeOff {
-				rec.wire.MaskRawBytes += maskBytes
-				rec.wire.MaskWireBytes += effMaskBytes
-			}
-			rec.exchange.PredictedSeconds += predicted
-			if strategy == ExchangeButterfly {
-				rec.exchange.ButterflyIterations++
-			} else {
-				rec.exchange.AllPairsIterations++
-			}
-			if hr := ex.rounds(); hr > rec.exchange.HopsPerIteration {
-				rec.exchange.HopsPerIteration = hr
-			}
-			if maxMsg > rec.exchange.MaxMessageBytes {
-				rec.exchange.MaxMessageBytes = maxMsg
-			}
-			if maskExchanged {
-				rec.delegateComms++
-			}
-		}
-		prevNormals, prevOriginated = inputNormals, sums[5]-sums[10]
-		inputNormals, inputDelegates = sums[2], newDelegates
-		// Seeds injecting at the next level are part of its known input
-		// frontier — fold their globally reduced counts into the policy's
-		// volume signal.
-		if next := int64(iter) + 1; next <= hi {
-			inputNormals += nCounts[next]
-			inputDelegates += dCounts[next]
-		}
-		skewMax, skewMean, wireRatio := 0.0, 0.0, 0.0
-		if originated := sums[5] - sums[10]; originated >= int64(prank)*skewGateRawBytes {
-			skewMax = redMaxOriginated
-			skewMean = float64(e.ampBytes(originated)) / float64(prank)
-			wireRatio = float64(sums[1]) / float64(sums[5])
-		}
-		fb.observe(strategy, predicted/fb.calib[strategy], rt.seconds, skewMax, skewMean, wireRatio)
-
-		for _, gs := range myGPUs {
-			gs.inFront, gs.outFront = gs.outFront, gs.inFront[:0]
-		}
-		if sums[13] > 0 {
-			cancelled = true
-			if rank == 0 {
-				rec.cancelled = true
-			}
-			break
-		}
-		if sums[4] == 0 {
-			break
-		}
-	}
-
-	if rank == 0 {
-		if rec.exchange.AllPairsIterations > 0 {
-			rec.exchange.CalibrationAllPairs = fb.calib[ExchangeAllPairs]
-		}
-		if rec.exchange.ButterflyIterations > 0 {
-			rec.exchange.CalibrationButterfly = fb.calib[ExchangeButterfly]
-		}
-		rec.exchange.SkewEWMA = fb.skew
-		rec.exchange.WireRatioEWMA = fb.wireRatio
-	}
-
-	if e.collects() && !cancelled {
-		e.finishQuery(rank, comm, source)
 	}
 }
 
@@ -802,21 +429,23 @@ func repairApplyIDs(gs *gpuState, ids []uint32, depth int32) {
 	}
 }
 
-// repairRunKernels executes one wave iteration's local computation: the
+// repairKernels is the repair's kernel set: on each of the rank's GPUs, the
 // shared previsit (queues and workloads from the frontier masks) followed by
 // the four forward repair kernels. No direction decision — the improvement
 // wave has no backward formulation, so the paper's DO machinery stays off.
-func (e *Session) repairRunKernels(gs *gpuState, iter int32) {
-	pv := e.previsit(gs)
-	e.repairKernelDD(gs, pv, iter)
-	e.repairKernelND(gs, pv, iter)
-	e.repairKernelDN(gs, pv, iter)
-	e.repairKernelNN(gs, pv)
+func (e *Session) repairKernels(myGPUs []*gpuState, iter int32) {
+	for _, gs := range myGPUs {
+		pv := e.previsit(gs)
+		e.repairKernelDD(gs, pv, iter)
+		e.repairKernelND(gs, pv, iter)
+		e.repairKernelDN(gs, pv, iter)
+		e.repairKernelNN(gs, pv)
+	}
 }
 
 // repairKernelDD: delegate→delegate edges propose improvements into the
-// candidate mask; the post-reduction commit applies the strict-improvement
-// filter against the replicated delegate levels.
+// candidate mask, testing the replicated delegate levels; the post-reduction
+// commit (run.go) takes every proposed bit.
 func (e *Session) repairKernelDD(gs *gpuState, pv previsitOut, iter int32) {
 	var edges int64
 	strategy := simgpu.MergePath

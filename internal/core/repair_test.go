@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gcbfs/internal/delta"
@@ -78,6 +79,50 @@ func checkRepair(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int64,
 		if rep.Parents[v] != full.Parents[v] {
 			t.Fatalf("shape %s: vertex %d repaired parent %d, recompute %d",
 				shape, v, rep.Parents[v], full.Parents[v])
+		}
+	}
+}
+
+// TestWholeGraphRepairIsForwardBFS pins the repair wave to the BFS superstep:
+// a prior that voids every vertex but the root leaves the probe one seed, the
+// root at level 0, so the wave is a forward BFS and must cost, superstep by
+// superstep, exactly what Plan.Run without direction optimization costs.
+func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(10))
+	source := repairSource(el)
+	ctx := context.Background()
+	for _, shape := range []ClusterShape{{2, 1, 1}, {2, 1, 2}, {3, 1, 4}} {
+		for _, ex := range []Exchange{ExchangeAllPairs, ExchangeButterfly} {
+			t.Run(shape.String()+"/"+ex.String(), func(t *testing.T) {
+				opts := PlainBFSOptions()
+				opts.Exchange = ex
+				p := buildPlan(t, el, shape, 32, opts)
+				full, err := p.Run(ctx, source, Overrides{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := p.Graph().N
+				prior, invalid := make([]int32, n), make([]bool, n)
+				for v := range prior {
+					prior[v], invalid[v] = -1, true
+				}
+				prior[source], invalid[source] = 0, false
+				rep, err := p.RunRepair(ctx, source, prior, invalid, nil, Overrides{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(rep.Levels, full.Levels) {
+					t.Fatal("whole-graph repair levels differ from the forward BFS")
+				}
+				if rep.Iterations != full.Iterations {
+					t.Fatalf("whole-graph repair ran %d supersteps, forward BFS %d", rep.Iterations, full.Iterations)
+				}
+				for i := range full.PerIteration {
+					if got, want := rep.PerIteration[i].Parts, full.PerIteration[i].Parts; got != want {
+						t.Errorf("superstep %d charged %+v, forward BFS %+v", i, got, want)
+					}
+				}
+			})
 		}
 	}
 }

@@ -14,13 +14,42 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// This file drives the BSP super-step loop (Figs. 3 and 4): per-rank
-// goroutines run the local kernels on their GPUs, reduce delegate masks
-// locally then globally, exchange binned normal vertices point-to-point,
-// and agree on termination — exactly the communication structure of §V.
+// This file is the BSP superstep loop (Figs. 3 and 4) of every single-source
+// traversal — a cold BFS and a delta repair alike. Session.traverse launches
+// one goroutine per rank; each runs Session.runRank, whose superstep is, in
+// order: seed injection → exchange-policy decision → local kernels on the
+// rank's GPUs → delegate-mask reduction (local OR, global allreduce) and
+// commit → normal-vertex exchange and canonical apply → timing assembly
+// (max-reduced across ranks) → the sum-reduce carrying work counters, the
+// terminate vote and the context observation — exactly the communication
+// structure of §V. What differs between a cold run and a repair is named by
+// a wave value chosen once before the loop; everything else is this one loop.
 
-// recorder collects per-iteration statistics; only rank 0 writes to it, and
-// the main goroutine reads it after all ranks join.
+// wave is what a traversal may vary about the superstep loop.
+type wave struct {
+	// first is the level of the first superstep; lastSeed the deepest level
+	// holding scheduled seeds, through which the loop stays alive even with
+	// an empty frontier.
+	first, lastSeed int32
+	// nSeeds and dSeeds are the global normal and delegate seed counts per
+	// level (indexed by level, through lastSeed): the part of a level's input
+	// frontier that is known before the wave reaches it, which the exchange
+	// policy's volume signal needs.
+	nSeeds, dSeeds []int64
+	// kernels runs one superstep's local computation on a rank's GPUs;
+	// apply is the per-id visit rule for ids that arrive over the exchange.
+	// A cold run has no prior levels: its kernels test the visited bitmask
+	// and may pull backwards, and arrivals claim unvisited vertices only. A
+	// repair's kernels test the preloaded levels for strict improvement.
+	kernels func(e *Session, myGPUs []*gpuState, iter int32)
+	apply   func(gs *gpuState, ids []uint32, depth int32)
+}
+
+// The cold run's seed schedule is its source alone, at level 0 (read-only).
+var oneSeed, noSeed = []int64{1}, []int64{0}
+
+// recorder collects per-iteration statistics (Session.rec); only rank 0
+// writes to it, and the main goroutine reads it after all ranks join.
 type recorder struct {
 	iterations    []metrics.IterationStats
 	delegateComms int
@@ -130,13 +159,14 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 	return results, nil
 }
 
-// run executes one BFS on this (already configured and exclusive) session.
+// run executes one cold BFS on this (already configured and exclusive)
+// session: the source enters the frontier at depth 0 and the loop runs the
+// direction-optimizing kernels.
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
 	e.reset()
-
-	// Seed the search at depth 0.
-	srcIsDelegate := e.sg.Sep.IsDelegate(source)
-	if srcIsDelegate {
+	w := wave{nSeeds: oneSeed, dSeeds: noSeed, kernels: (*Session).coldKernels, apply: applyIDs}
+	if e.sg.Sep.IsDelegate(source) {
+		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
 		for _, gs := range e.gpus {
 			gs.visited.Set(di)
@@ -152,36 +182,30 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 			gs.unvisitedNDSources--
 		}
 	}
+	return e.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
+		e.runRank(ctx, rank, comm, source, w)
+	})
+}
 
+// traverse launches one single-source traversal's rank goroutines on the
+// freshly reset session and assembles the result. A fault poisons the
+// session; a cancelled query returns the context's error.
+func (e *Session) traverse(ctx context.Context, source int64, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
 	e.out = newTreeOut(&e.opts, e.sg.N)
-	prank := e.shape.Ranks()
-	world := e.acquireWorld()
-	rec := &recorder{}
-	pol := e.newExchangePolicy()
-	rec.exchange.Strategy = e.opts.Exchange.String()
-	var wg sync.WaitGroup
-	for r := 0; r < prank; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer containRank(world, rank)
-			e.runRank(ctx, rank, world.Rank(rank), rec, pol, srcIsDelegate, source)
-		}(r)
-	}
-	wg.Wait()
-
-	if err := world.Aborted(); err != nil {
+	e.rec = recorder{}
+	e.rec.exchange.Strategy = e.opts.Exchange.String()
+	e.pol = e.newExchangePolicy()
+	if err := RunRanks(e.acquireWorld(), e.opts.Inject, tagSite, body); err != nil {
 		e.poisoned = true
 		return nil, err
 	}
-	if rec.cancelled {
+	if e.rec.cancelled {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return nil, context.Canceled
 	}
-
-	return e.result(source, rec), nil
+	return e.result(source), nil
 }
 
 // collects reports whether the ranks have a result to resolve or gather.
@@ -189,7 +213,8 @@ func (e *Session) collects() bool { return e.opts.CollectLevels || e.opts.Collec
 
 // result assembles a completed query's RunResult from rank 0's recorder and
 // the arrays the ranks gathered, which leave the pooled session with it.
-func (e *Session) result(source int64, rec *recorder) *metrics.RunResult {
+func (e *Session) result(source int64) *metrics.RunResult {
+	rec := &e.rec
 	res := &metrics.RunResult{
 		Source:        source,
 		Epoch:         e.epoch,
@@ -210,13 +235,15 @@ func (e *Session) result(source int64, rec *recorder) *metrics.RunResult {
 	res.Wire.Enabled = e.opts.Compression != wire.ModeOff
 	res.Wire.PairRawBytes = e.parentPairRawBytes
 	res.Wire.PairWireBytes = e.parentPairWireBytes
-	e.out = treeOut{}
+	e.out, e.rec = treeOut{}, recorder{}
 	return res
 }
 
 // runRank is the per-rank BSP loop ("the CPU thread that controls GPU0"
-// performs the global phases, §V-A).
-func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *recorder, pol *exchangePolicy, srcIsDelegate bool, source int64) {
+// performs the global phases, §V-A), entered with the frontier and any seed
+// schedule for w already in place.
+func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
+	rec, pol := &e.rec, e.pol
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
@@ -228,10 +255,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 
 	// Input frontier sizes of the upcoming iteration (globally known), plus
 	// the previous iteration's measured volume — the policy's feedback.
-	inputNormals, inputDelegates := int64(1), int64(0)
-	if srcIsDelegate {
-		inputNormals, inputDelegates = 0, 1
-	}
+	inputNormals, inputDelegates := w.nSeeds[w.first], w.dSeeds[w.first]
 	prevNormals, prevOriginated := int64(0), int64(0)
 	// Measured-feedback state (skew ratio + per-strategy calibration):
 	// every rank keeps its own copy, updated from globally reduced values
@@ -244,30 +268,36 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		fb.seed(*e.opts.Warm)
 	}
 
-	for iter := int32(0); ; iter++ {
+	for iter := w.first; ; iter++ {
 		// ---- Fault injection (chaos testing): an armed injector may crash
 		// this rank at the iteration boundary — a real panic the containment
 		// boundary must recover and turn into an all-rank abort.
 		if in := e.opts.Inject; in != nil {
 			in.Crash(rank, int(iter), faults.SiteIter)
 		}
+		// ---- Seed injection: a repair's schedules advance with the wave (a
+		// cold run's are empty — its source is already in the frontier).
+		e.injectSeeds(myGPUs, sc, iter)
 		// ---- Exchange policy: every rank derives the identical strategy
 		// decision for this iteration from globally known inputs, the way
 		// direction optimization derives push vs pull (policy.go).
 		strategy, predicted := pol.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &sc.pol)
 		ex := rx.get(strategy)
 		// ---- Local computation (all GPUs of this rank).
-		qD := myGPUs[0].dFront.Count() // globally consistent masks
-		sD := e.d - myGPUs[0].visited.Count()
 		for _, gs := range myGPUs {
 			gs.it = iterWork{}
-			e.runKernels(gs, iter, qD, sD)
 		}
+		w.kernels(e, myGPUs, iter)
 		dir0 := myGPUs[0]
 
 		// ---- Delegate mask reduction: local OR to "GPU0", then global
 		// allreduce across ranks, skipped entirely on iterations without
-		// updates anywhere (the S' < S saving of §V-A).
+		// updates anywhere (the S' < S saving of §V-A). The commit takes
+		// every reduced bit at level iter+1 without re-testing it, for a
+		// repair too: delegate levels are replicated and change only here, so
+		// a bit a repair kernel set because the level it saw was -1 or deeper
+		// than iter+1 still passes that test now, on every GPU. (visited is
+		// read by the cold kernels only; a repair just carries it.)
 		rankMask.CopyFrom(myGPUs[0].newMask)
 		for _, gs := range myGPUs[1:] {
 			rankMask.Or(gs.newMask)
@@ -340,7 +370,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 				}
 				ids := src.bins.PerGPU[dstGPU]
 				intraBytes += 4 * int64(len(ids))
-				applyIDs(e.gpus[dstGPU], ids, iter+1)
+				w.apply(e.gpus[dstGPU], ids, iter+1)
 			}
 		}
 		// Remote arrivals apply in canonical ascending order so every
@@ -353,7 +383,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		var applied int64
 		for s, ids := range counts.arrivals {
 			applied += int64(len(ids))
-			sc.applySorted(myGPUs[s], ids, iter+1)
+			sc.applySorted(myGPUs[s], ids, iter+1, w.apply)
 		}
 		sentBytes, rawSentBytes := counts.sent, counts.sentRaw
 		// Scatter cost of applying received ids on the destination GPUs.
@@ -486,16 +516,16 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		}
 		elapsed := e.iterElapsed(parts)
 
-		// ---- Global sums: work stats, termination flag and the context
-		// observation (any rank seeing a dead context aborts all ranks on
-		// the same iteration).
+		// ---- Global sums: work stats, termination flag (kept alive through
+		// pending seed levels) and the context observation (any rank seeing a
+		// dead context aborts all ranks on the same iteration).
 		var nextNormals, edges int64
 		for _, gs := range myGPUs {
 			nextNormals += int64(len(gs.outFront))
 			edges += gs.it.edgesScanned
 		}
 		flag := int64(0)
-		if nextNormals > 0 || newDelegates > 0 {
+		if nextNormals > 0 || newDelegates > 0 || iter < w.lastSeed {
 			flag = 1
 		}
 		ctxDead := int64(0)
@@ -574,6 +604,13 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 		// prediction.
 		prevNormals, prevOriginated = inputNormals, sums[5]-sums[10]
 		inputNormals, inputDelegates = sums[2], newDelegates
+		// Seeds injecting at the next level are part of its known input
+		// frontier — fold their globally reduced counts into the policy's
+		// volume signal.
+		if iter < w.lastSeed {
+			inputNormals += w.nSeeds[iter+1]
+			inputDelegates += w.dSeeds[iter+1]
+		}
 		// Measured feedback for the next decision: the reduced maximum
 		// per-rank originated volume over the mean (skew, gated on
 		// iterations that carried real payload — framing-dominated rounds
@@ -619,6 +656,17 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, rec *re
 
 	if e.collects() && !cancelled {
 		e.finishQuery(rank, comm, source)
+	}
+}
+
+// coldKernels is the cold run's kernel set: the direction-optimizing kernels
+// (kernels.go) on each of the rank's GPUs. qD/sD are the global newly-visited
+// and unvisited delegate counts the direction decision needs.
+func (e *Session) coldKernels(myGPUs []*gpuState, iter int32) {
+	qD := myGPUs[0].dFront.Count() // globally consistent masks
+	sD := e.d - myGPUs[0].visited.Count()
+	for _, gs := range myGPUs {
+		e.runKernels(gs, iter, qD, sD)
 	}
 }
 

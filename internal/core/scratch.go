@@ -80,8 +80,9 @@ type rankScratch struct {
 
 	// seedMask holds the repair traversal's merged delegate seed set (every
 	// rank keeps an identical copy of the AllreduceOr result); dSeeds/dCursor
-	// are its (level, delegate id)-sorted injection schedule. Allocated by
-	// the first RunRepair on this rank and reused across pooled queries.
+	// are its (level, delegate id)-sorted injection schedule, emptied by
+	// Session.reset. Allocated by the first RunRepair on this rank and reused
+	// across pooled queries.
 	seedMask *bitmask.Mask
 	dSeeds   []repairSeed
 	dCursor  int
@@ -161,22 +162,17 @@ func grownFloat64(s []float64, n int) []float64 {
 const radixMinLen = 128
 
 // applySorted applies remote arrivals to gs in canonical ascending order —
-// the order contract every exchange strategy's bit-identity rests on.
-func (sc *rankScratch) applySorted(gs *gpuState, ids []uint32, depth int32) {
-	sc.applySortedWith(gs, ids, depth, applyIDs)
-}
-
-// applySortedWith is applySorted parameterized over the per-id apply: the
-// plain BFS uses applyIDs (unvisited-only), the repair traversal uses
-// repairApplyIDs (improvement condition). Large arrival sets go through a
-// one-level MSB radix partition (256 buckets over the local id space) into
-// the reusable scatter buffer, each bucket sorted and applied in sequence;
-// the concatenation of sorted buckets in bucket order IS the fully ascending
-// sequence, so the result is exactly what slices.Sort over the whole set
-// would apply — with no per-iteration allocation and better locality on big
-// frontiers. Callers pass named top-level funcs, so the func value never
-// allocates.
-func (sc *rankScratch) applySortedWith(gs *gpuState, ids []uint32, depth int32, apply func(*gpuState, []uint32, int32)) {
+// the order contract every exchange strategy's bit-identity rests on —
+// through the wave's per-id apply: applyIDs (unvisited-only) for a cold run,
+// repairApplyIDs (strict improvement) for a repair. Large arrival sets go
+// through a one-level MSB radix partition (256 buckets over the local id
+// space) into the reusable scatter buffer, each bucket sorted and applied in
+// sequence; the concatenation of sorted buckets in bucket order IS the fully
+// ascending sequence, so the result is exactly what slices.Sort over the
+// whole set would apply — with no per-iteration allocation and better
+// locality on big frontiers. Callers pass named top-level funcs, so the func
+// value never allocates.
+func (sc *rankScratch) applySorted(gs *gpuState, ids []uint32, depth int32, apply func(*gpuState, []uint32, int32)) {
 	idBits := bits.Len64(uint64(gs.pg.NumLocal - 1))
 	if len(ids) < radixMinLen || idBits <= 8 {
 		slices.Sort(ids)

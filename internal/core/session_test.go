@@ -277,8 +277,9 @@ func TestCodecCostCharged(t *testing.T) {
 	}
 }
 
-// TestEngineShimDelegates keeps the deprecated Engine surface honest.
-func TestEngineShimDelegates(t *testing.T) {
+// TestPlanExposesItsState keeps the accessors callers outside the package
+// build on honest.
+func TestPlanExposesItsState(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(11))
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}
 	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
@@ -287,20 +288,11 @@ func TestEngineShimDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(sg, shape, DefaultOptions())
+	p, err := NewPlan(sg, shape, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Plan() == nil || e.Shape() != shape || e.Graph() != sg {
-		t.Fatal("engine shim does not expose its plan state")
+	if p.Shape() != shape || p.Graph() != sg || !p.MemoryOK() {
+		t.Fatal("plan does not expose the state it was built from")
 	}
-	viaEngine, err := e.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPlan, err := e.Plan().Run(context.Background(), 1, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRun(t, "engine vs plan", viaEngine, viaPlan)
 }

@@ -21,10 +21,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"gcbfs/internal/bitmask"
-	"gcbfs/internal/faults"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
@@ -421,22 +419,11 @@ type sweepRecorder struct {
 // per-query results.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	e.seed()
-	prank := e.shape.Ranks()
-	world := mpi.NewWorld(prank)
-	armWorldAs(world, e.opts.Inject, faults.SiteSweep)
 	rec := &sweepRecorder{}
-	var wg sync.WaitGroup
-	for r := 0; r < prank; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer containRank(world, rank)
-			e.runRank(ctx, rank, world.Rank(rank), rec)
-		}(r)
-	}
-	wg.Wait()
-
-	if err := world.Aborted(); err != nil {
+	err := RunRanks(mpi.NewWorld(e.shape.Ranks()), e.opts.Inject, sweepTagSite, func(rank int, comm *mpi.Comm) {
+		e.runRank(ctx, rank, comm, rec)
+	})
+	if err != nil {
 		return nil, err
 	}
 	if rec.cancelled {

@@ -14,7 +14,6 @@
 package pagerank
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -167,21 +166,9 @@ func (e *engine) build() {
 }
 
 func (e *engine) run() (*Result, error) {
-	prank := e.shape.Ranks()
-	world := mpi.NewWorld(prank)
-	armWorld(world, e.opts.Inject)
-	var wg sync.WaitGroup
-	for r := 0; r < prank; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer containRank(world, rank)
-			e.runRank(rank, world.Rank(rank))
-		}(r)
-	}
-	wg.Wait()
-
-	if err := world.Aborted(); err != nil {
+	// Message tags are plain iteration numbers here.
+	iterTag := func(tag int) (int, string) { return tag, faults.SiteExchange }
+	if err := core.RunRanks(mpi.NewWorld(e.shape.Ranks()), e.opts.Inject, iterTag, e.runRank); err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -440,35 +427,6 @@ func packForRank(myGPUs []*gpuState, dst, pgpu int) []byte {
 		}
 	}
 	return merged.PackRank(0, pgpu)
-}
-
-// armWorld installs the fault injector's payload hook on the communicator
-// (message tags are plain iteration numbers here).
-func armWorld(w *mpi.World, in *faults.Injector) {
-	if in == nil {
-		return
-	}
-	w.SetSendHook(func(src, dst, tag int, data []byte) []byte {
-		return in.Payload(src, tag, faults.SiteExchange, data)
-	})
-}
-
-// containRank is the per-rank recover boundary: contained faults (corrupt
-// payloads, injected crashes) poison the world so every sibling rank unwinds
-// and the typed error reaches the caller; genuine bugs re-panic.
-func containRank(world *mpi.World, rank int) {
-	v := recover()
-	if v == nil {
-		return
-	}
-	if _, ok := mpi.AbortError(v); ok {
-		return
-	}
-	if err, ok := v.(error); ok && (errors.Is(err, wire.ErrCorrupt) || errors.Is(err, faults.ErrInjected)) {
-		world.Abort(fmt.Errorf("pagerank: rank %d: %w", rank, err))
-		return
-	}
-	panic(v)
 }
 
 // gather assembles the global rank vector.

@@ -308,30 +308,3 @@ func TestSourcesShortGraph(t *testing.T) {
 		}
 	}
 }
-
-// TestSolverFacade: the deprecated Solver delegates to the Service and the
-// two produce identical results.
-func TestSolverFacade(t *testing.T) {
-	g := RMAT(10)
-	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1})
-	solver, err := NewSolver(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solver.Service() == nil {
-		t.Fatal("solver does not expose its service")
-	}
-	src := Sources(g, 1, 4)[0]
-	viaSolver, err := solver.Run(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaService, err := solver.Service().Run(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "solver vs service", viaSolver, viaService)
-	if err := solver.Validate(viaSolver); err != nil {
-		t.Fatal(err)
-	}
-}
