@@ -24,9 +24,17 @@ package gcbfs
 //	                   headers, flattened and pooled mpi.World, per-rank
 //	                   policy scratch)
 //
-// The ceiling below sits just above the latest measurement so a regression to
-// either earlier allocation regime fails the benchmark while leaving headroom
-// for noise (goroutine stacks, map growth and pool warmup vary run to run).
+//	append+radix (PR 15): unchanged on the cell above, which runs with
+//	                   levels and parents off and so never saw the two
+//	                   per-message allocations PR 15 removed: the default
+//	                   fixed-width packing built a fresh buffer per message
+//	                   (56 per superstep on 8 ranks) and the codec sorted a
+//	                   fresh copy of every unsorted block and pair bin. The
+//	                   two cells added with that PR run those paths.
+//
+// Each ceiling sits just above the latest measurement so a regression to an
+// earlier allocation regime fails the benchmark while leaving headroom for
+// noise (goroutine stacks, map growth and pool warmup vary run to run).
 
 import (
 	"context"
@@ -36,24 +44,49 @@ import (
 	"testing"
 )
 
-// allocCeilingPerQuery is the failure threshold for both benchmarks: well
-// below every earlier regime (~1500 pre-arena, ~572 pre-typed-collective,
-// ~443 pre-buffer-reuse; see the history note above), ~50% above the ~66
-// current count so scheduler noise cannot flake the build.
-const allocCeilingPerQuery = 100
+// allocCell is one guarded configuration: a cluster, the per-query options
+// layered over DefaultConfig, and the allocs/query ceiling it must stay under.
+type allocCell struct {
+	cluster Cluster
+	opts    []QueryOption
+	ceiling float64
+}
 
-func benchQueryAllocs(b *testing.B, parallelism int) {
+var (
+	// allocsHybridAdaptive is the original cell (history above): ceiling well
+	// below every earlier regime (~1500 pre-arena, ~572 pre-typed-collective,
+	// ~443 pre-buffer-reuse), ~50% above the ~66 current count.
+	allocsHybridAdaptive = allocCell{
+		cluster: Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2},
+		opts:    []QueryOption{WithCompression(CompressionAdaptive), WithExchange(ExchangeHybrid), WithLevels(false)},
+		ceiling: 100,
+	}
+	// allocsDefaultTree is DefaultConfig answering with levels and parents:
+	// fixed-width packing, all-pairs, the parent replay. ~21 now; packing
+	// into a fresh buffer per message put it at ~86.
+	allocsDefaultTree = allocCell{
+		cluster: Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2},
+		opts:    []QueryOption{WithParents(true)},
+		ceiling: 45,
+	}
+	// allocsButterflyTree is the codec's sort path end to end on 8 ranks:
+	// staged slots, relayed blocks and replay pair bins. ~97 now; a sorted
+	// copy per block put it at ~644.
+	allocsButterflyTree = allocCell{
+		cluster: Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2},
+		opts:    []QueryOption{WithCompression(CompressionAdaptive), WithExchange(ExchangeButterfly), WithParents(true)},
+		ceiling: 160,
+	}
+)
+
+func benchQueryAllocs(b *testing.B, cell allocCell, parallelism int) {
 	g := RMAT(12)
-	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}))
+	svc, err := NewService(g, DefaultConfig(cell.cluster))
 	if err != nil {
 		b.Fatal(err)
 	}
 	sources := Sources(g, 8, 7)
-	opts := []QueryOption{
-		WithCompression(CompressionAdaptive),
-		WithExchange(ExchangeHybrid),
-		WithLevels(false),
-	}
+	opts := cell.opts
 	ctx := context.Background()
 	warm := func() {
 		if _, err := svc.RunBatch(ctx, sources, BatchOptions{Parallelism: parallelism}, opts...); err != nil {
@@ -68,13 +101,12 @@ func benchQueryAllocs(b *testing.B, parallelism int) {
 	}
 	b.StopTimer()
 
-	// Assert the arena/radix changes hold: allocs per query strictly below
-	// the pre-change count. Measured outside the timed loop so the guard
-	// does not perturb the reported metric. The collector runs once, before
-	// a warm-up, and stays off until the measurement is taken: a collection
-	// in between can empty the session pool the warm-up filled. The minimum
-	// over a few batches drops the ones where sync.Pool missed anyway (a
-	// session parked on another P is a fresh ~150-alloc session).
+	// Assert the cell's ceiling holds. Measured outside the timed loop so the
+	// guard does not perturb the reported metric. The collector runs once,
+	// before a warm-up, and stays off until the measurement is taken: a
+	// collection in between can empty the session pool the warm-up filled.
+	// The minimum over a few batches drops the ones where sync.Pool missed
+	// anyway (a session parked on another P is a fresh ~150-alloc session).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	warm()
@@ -88,16 +120,24 @@ func benchQueryAllocs(b *testing.B, parallelism int) {
 	}
 	perQuery := float64(mallocs) / float64(len(sources))
 	b.ReportMetric(perQuery, "allocs/query")
-	if perQuery >= allocCeilingPerQuery {
-		b.Fatalf("allocs/query = %.0f, want < %d (pre-arena behaviour was ~1500; the Session arena or radix apply has regressed)",
-			perQuery, allocCeilingPerQuery)
+	if perQuery >= cell.ceiling {
+		b.Fatalf("allocs/query = %.0f, want < %.0f (a per-message or per-block allocation is back on the query path)",
+			perQuery, cell.ceiling)
 	}
 }
 
 // BenchmarkQueryAllocs measures heap allocations per BFS query on the
 // serial path (one pooled Session reused for every query).
-func BenchmarkQueryAllocs(b *testing.B) { benchQueryAllocs(b, 1) }
+func BenchmarkQueryAllocs(b *testing.B) { benchQueryAllocs(b, allocsHybridAdaptive, 1) }
 
 // BenchmarkQueryAllocsParallel8 measures the same metric with 8 queries in
 // flight — the pool high-water regime where per-query scratch dominates.
-func BenchmarkQueryAllocsParallel8(b *testing.B) { benchQueryAllocs(b, 8) }
+func BenchmarkQueryAllocsParallel8(b *testing.B) { benchQueryAllocs(b, allocsHybridAdaptive, 8) }
+
+// BenchmarkQueryAllocsDefaultTree guards the default configuration with the
+// BFS tree collected.
+func BenchmarkQueryAllocsDefaultTree(b *testing.B) { benchQueryAllocs(b, allocsDefaultTree, 1) }
+
+// BenchmarkQueryAllocsButterflyTree guards the codec sort path: butterfly,
+// adaptive codec and the parent replay on 8 ranks.
+func BenchmarkQueryAllocsButterflyTree(b *testing.B) { benchQueryAllocs(b, allocsButterflyTree, 1) }

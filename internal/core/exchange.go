@@ -311,20 +311,28 @@ func fragTag(iter int32, hop, slot int) int {
 
 // mergeForRank gathers all of this rank's bins destined for dst's GPUs into
 // one id list per destination slot (written into the caller's merged/sorted
-// headers, len pgpu each), merging every source GPU of this rank. When every
-// contributing bin is sorted (uniquify leaves them so), the lists are
-// merge-sorted instead of concatenated, which keeps the pre-sorted codec
-// hint alive through aggregation.
+// headers, len pgpu each), merging every source GPU of this rank.
 //
-// Allocation contract: a single-contributor slot references the bin
-// directly — zero copy. That is safe because the encoders only read the
-// slots, the butterfly's relaying appends write past the bin's length into
-// spare capacity the bin never reads, and bins.Reset() (run.go, after the
-// exchange) leaves contents untouched. Multi-contributor slots draw their
-// merged output from the per-iteration arena. Callers may retain and grow
-// the slot slices for the current iteration only.
+// This is where a block is born, and with a codec active it is where it is
+// sorted — once, in place: a single contributor's bin where it lies (the rank
+// owns its bins), several contributors' concatenation in the arena. From
+// here on the ids are only merged (at each butterfly relay) and encoded
+// presorted, never sorted again. With the codec off nothing needs the order
+// and the slot stays as the kernels left it. Bins Uniquify already sorted
+// merge instead, codec or not.
+//
+// Allocation contract: a single-contributor slot references the bin directly
+// — zero copy, and with a codec active sorted in that bin. That is safe
+// because the encoders only read the slots, the butterfly's relaying appends
+// write past the bin's length into spare capacity the bin never reads, the
+// intra-rank apply reads only this rank's own destination bins (never staged
+// here), and bins.Reset() (run.go, after the exchange) leaves contents
+// untouched. Multi-contributor slots draw their merged output from the
+// per-iteration arena. Callers may retain and grow the slot slices for the
+// current iteration only.
 func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, merged [][]uint32, sorted []bool) {
 	pgpu := e.shape.GPUsPerRank
+	codec := e.opts.Compression != wire.ModeOff
 	lists := sc.lists
 	for s := 0; s < pgpu; s++ {
 		dstGPU := dst*pgpu + s
@@ -340,11 +348,11 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 		switch {
 		case len(lists) == 0:
 			sorted[s] = true
+			continue
 		case len(lists) == 1:
-			merged[s], sorted[s] = lists[0], allSorted
+			merged[s] = lists[0]
 		case allSorted:
 			merged[s] = frontier.MergeSortedArena(&sc.arena, lists)
-			sorted[s] = true
 		default:
 			var total int
 			for _, l := range lists {
@@ -354,8 +362,13 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 			for _, l := range lists {
 				out = append(out, l...)
 			}
-			merged[s], sorted[s] = out, false
+			merged[s] = out
 		}
+		if codec && !allSorted {
+			frontier.SortIDs(merged[s], &sc.sortBuf)
+			allSorted = true
+		}
+		sorted[s] = allSorted
 	}
 	sc.lists = lists
 }
@@ -554,6 +567,9 @@ type butterflyExchange struct {
 	fragSecs []wire.Section
 	fragRows [][][]uint32
 	fragSort [][]bool
+	// onSend, set by tests only, sees every hop's outgoing sections (slots
+	// and Sorted flags) just before they are encoded.
+	onSend func(hop int, secs []wire.Section)
 }
 
 // rounds counts the sequential communication rounds per iteration: the
@@ -731,6 +747,9 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter in
 // the NIC.
 func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, secs []wire.Section, mode wire.Mode, c *exchangeCounts) int64 {
 	pgpu := x.e.shape.GPUsPerRank
+	if x.onSend != nil {
+		x.onSend(hop, secs)
+	}
 	if !x.e.opts.FlatExchange || pgpu <= 1 {
 		payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, pgpu, mode)
 		x.msgBufs[hop] = payload
@@ -837,8 +856,10 @@ func (x *butterflyExchange) receiveOne(comm *mpi.Comm, src, tag, hop int, mode w
 }
 
 // mergePending folds a relayed section into the pending payload for its
-// destination, merge-sorting slot lists when both sides are sorted so the
-// pre-sorted hint survives relaying.
+// destination. With a codec active both sides are always sorted — staged
+// slots by mergeForRank, decoded ones by construction or by the decoder's
+// check — so the lists merge and stay sorted for the next hop's encode; with
+// the codec off nothing is sorted and they concatenate.
 func (x *butterflyExchange) mergePending(sec wire.Section) {
 	dst := sec.Rank
 	if x.pending[dst] == nil {

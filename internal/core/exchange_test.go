@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
@@ -329,5 +332,77 @@ func TestEngineRejectsBadExchange(t *testing.T) {
 	opts.Exchange = Exchange(7)
 	if _, err := NewPlan(sg, shape, opts); err == nil {
 		t.Fatal("engine accepted an invalid exchange strategy")
+	}
+}
+
+// TestButterflySortedInvariant: with a codec active a block is sorted once,
+// where it is staged, and only merged afterwards — so at every hop of every
+// iteration, on a power-of-two and a cleanup-hop rank count, every outgoing
+// slot is ascending AND flagged so (the flag is what spares the encoder its
+// sort copy and lets the next relay merge). Forced-raw runs cover the blocks
+// whose flag the decoder has to verify rather than infer from the scheme.
+// Levels and parents stay bit-identical to all-pairs.
+func TestButterflySortedInvariant(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(13))
+	th := partition.SuggestThreshold(el.OutDegrees(), el.N/8)
+	src := pickSources(el.OutDegrees(), 1, 42)[0]
+	for _, shape := range []ClusterShape{
+		{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, // 6 ranks: cleanup hops
+		{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, // 8 ranks: plain hypercube
+	} {
+		for _, mode := range []wire.Mode{wire.ModeAdaptive, wire.ModeRaw} {
+			checkSortedInvariant(t, el, shape, th, src, mode)
+		}
+	}
+}
+
+func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int64, src int64, mode wire.Mode) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Compression = mode
+	opts.CollectParents = true
+	ap := opts
+	ap.Exchange = ExchangeAllPairs
+	want := runExchange(t, buildPlan(t, el, shape, th, ap), src)
+
+	opts.Exchange = ExchangeButterfly
+	plan := buildPlan(t, el, shape, th, opts)
+	s := plan.acquire(opts)
+	var blocks, relayed, unflagged, unsorted atomic.Int64
+	for rank, sc := range s.scratch {
+		bf := sc.rx.bind(s, rank, sc).get(ExchangeButterfly).(*butterflyExchange)
+		bf.onSend = func(hop int, secs []wire.Section) {
+			for _, sec := range secs {
+				for slot, ids := range sec.Slots {
+					if len(ids) < 2 {
+						continue
+					}
+					blocks.Add(1)
+					if hop > 0 {
+						relayed.Add(1)
+					}
+					if !sec.Sorted[slot] {
+						unflagged.Add(1)
+					}
+					if !slices.IsSorted(ids) {
+						unsorted.Add(1)
+					}
+				}
+			}
+		}
+	}
+	got, err := s.run(context.Background(), src)
+	plan.release(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := fmt.Sprintf("shape=%s mode=%v", shape, mode)
+	requireIdentical(t, label, want, got)
+	if blocks.Load() == 0 || relayed.Load() == 0 {
+		t.Fatalf("%s: saw %d blocks, %d past the first hop — nothing was checked", label, blocks.Load(), relayed.Load())
+	}
+	if unflagged.Load() != 0 || unsorted.Load() != 0 {
+		t.Fatalf("%s: of %d outgoing blocks %d lacked the sorted flag and %d were not ascending",
+			label, blocks.Load(), unflagged.Load(), unsorted.Load())
 	}
 }

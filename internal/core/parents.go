@@ -54,7 +54,10 @@ import (
 //  5. nn replay: each GPU replays its outgoing nn edges once, sending
 //     (destLocal, senderLevel+1, senderGlobal) pairs; receivers fold the
 //     smallest valid candidate. Volume ≤ |Enn| pairs, run once — the
-//     paper's "low cost" claim.
+//     paper's "low cost" claim. With a codec active the sender radix-sorts
+//     each outgoing pair bin in place into the codec's canonical (ID, Val)
+//     order — the bins are its own and are reset by the next replay — and
+//     encodes them presorted; with the codec off they ship as generated.
 //
 // Every rank then writes its own GPUs' slots and a stripe of the delegate
 // directory straight into the query's global output arrays (gatherRank).
@@ -135,6 +138,7 @@ type parentScratch struct {
 	ddEdges int64
 
 	bins     *frontier.PairBins
+	sortBuf  []frontier.Pair   // radix scatter buffer of the replay's in-place bin sort; grows to the largest bin
 	payloads [][]byte          // per destination rank, retained by the receiver until the gather barrier
 	arrivals [][]frontier.Pair // per local slot, decode target
 }
@@ -398,8 +402,11 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 			rawBytes += idBytes
 			wireBytes += idBytes
 		} else {
+			for _, prs := range slots {
+				frontier.SortPairs(prs, &ps.sortBuf)
+			}
 			var st wire.Stats
-			payload, st = wire.AppendPairsRank(payload, slots, mode)
+			payload, st = wire.AppendPairsRank(payload, slots, mode, true)
 			rawBytes += st.RawBytes
 			wireBytes += st.EncodedBytes
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"gcbfs/internal/faults"
+	"gcbfs/internal/frontier"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/simgpu"
@@ -346,7 +347,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		var dupsRemoved int64
 		if e.opts.Uniquify {
 			for _, gs := range myGPUs {
-				n := gs.bins.UniquifyAll()
+				n := gs.bins.UniquifyAll(&sc.sortBuf)
 				gs.it.dupsRemoved += n
 				dupsRemoved += n
 				// Uniquify is extra local work (sort + compact).
@@ -377,13 +378,12 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		// exchange strategy yields the identical output-frontier order (and
 		// hence identical parents downstream). On the real GPU the apply is
 		// an order-independent parallel scatter, so no extra time is
-		// charged for the canonicalization. The apply runs through the
-		// radix-bucketed path (scratch.go), which produces exactly the
-		// fully-sorted order a whole-set sort would.
+		// charged for the canonicalization.
 		var applied int64
 		for s, ids := range counts.arrivals {
 			applied += int64(len(ids))
-			sc.applySorted(myGPUs[s], ids, iter+1, w.apply)
+			frontier.SortIDs(ids, &sc.sortBuf)
+			w.apply(myGPUs[s], ids, iter+1)
 		}
 		sentBytes, rawSentBytes := counts.sent, counts.sentRaw
 		// Scatter cost of applying received ids on the destination GPUs.

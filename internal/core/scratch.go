@@ -6,17 +6,14 @@ package core
 // allocated its exchange scratch fresh — merge headers, arrival bins, codec
 // decode buffers, per-hop vectors. rankScratch owns all of that per rank
 // goroutine: slice headers are reused via [:0], id payloads come from a bump
-// arena reset at each iteration boundary, and the canonical arrival apply
-// runs through a radix-bucketed sort whose scatter buffer is reused too.
+// arena reset at each iteration boundary, and every id sort runs through one
+// radix sort whose scatter buffer is reused too.
 // None of this changes a single computed value — the scratch is overwritten
 // before every read, and the arena hands out zeroed-length slices exactly
 // like make() — so determinism and bit-identical results across exchange
 // strategies (cmp1–cmp4) are preserved by construction.
 
 import (
-	"math/bits"
-	"slices"
-
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/wire"
@@ -75,8 +72,11 @@ type rankScratch struct {
 	sums  []int64
 	fbits []int64
 
-	// radix is the scatter buffer of the radix-bucketed canonical apply.
-	radix []uint32
+	// sortBuf is the rank's radix-sort scatter buffer (frontier.SortIDs),
+	// shared by every id sort the rank runs in turn: staging's in-place bin
+	// sort, uniquify, and the canonical apply of remote arrivals. It grows
+	// to the largest single block sorted, not to the iteration's traffic.
+	sortBuf []uint32
 
 	// seedMask holds the repair traversal's merged delegate seed set (every
 	// rank keeps an identical copy of the AllreduceOr result); dSeeds/dCursor
@@ -155,55 +155,4 @@ func grownFloat64(s []float64, n int) []float64 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// radixMinLen gates the radix path: tiny arrival sets sort directly (the
-// bucket pass would dominate).
-const radixMinLen = 128
-
-// applySorted applies remote arrivals to gs in canonical ascending order —
-// the order contract every exchange strategy's bit-identity rests on —
-// through the wave's per-id apply: applyIDs (unvisited-only) for a cold run,
-// repairApplyIDs (strict improvement) for a repair. Large arrival sets go
-// through a one-level MSB radix partition (256 buckets over the local id
-// space) into the reusable scatter buffer, each bucket sorted and applied in
-// sequence; the concatenation of sorted buckets in bucket order IS the fully
-// ascending sequence, so the result is exactly what slices.Sort over the
-// whole set would apply — with no per-iteration allocation and better
-// locality on big frontiers. Callers pass named top-level funcs, so the func
-// value never allocates.
-func (sc *rankScratch) applySorted(gs *gpuState, ids []uint32, depth int32, apply func(*gpuState, []uint32, int32)) {
-	idBits := bits.Len64(uint64(gs.pg.NumLocal - 1))
-	if len(ids) < radixMinLen || idBits <= 8 {
-		slices.Sort(ids)
-		apply(gs, ids, depth)
-		return
-	}
-	shift := uint(idBits - 8)
-	// bounds[k+1] counts bucket k, then prefix-sums into segment bounds.
-	var bounds [257]int
-	for _, v := range ids {
-		bounds[(v>>shift)+1]++
-	}
-	for i := 1; i < len(bounds); i++ {
-		bounds[i] += bounds[i-1]
-	}
-	if cap(sc.radix) < len(ids) {
-		sc.radix = make([]uint32, len(ids))
-	}
-	buf := sc.radix[:len(ids)]
-	off := bounds // array copy: scatter cursors
-	for _, v := range ids {
-		k := v >> shift
-		buf[off[k]] = v
-		off[k]++
-	}
-	for k := 0; k < 256; k++ {
-		seg := buf[bounds[k]:bounds[k+1]]
-		if len(seg) == 0 {
-			continue
-		}
-		slices.Sort(seg)
-		apply(gs, seg, depth)
-	}
 }

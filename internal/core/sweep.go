@@ -101,10 +101,12 @@ type sweepScratch struct {
 	addRow []uint64 // w-word newly-discovered scratch row
 
 	// Sender-side merge scratch: concatenated records per destination slot,
-	// the sort permutation, and the merged output handed to the codec.
+	// their (id, record index) sort keys with the radix sort's scatter
+	// buffer, and the merged output handed to the codec.
 	mIDs     []uint32
 	mMasks   []uint64
-	perm     []int32
+	order    []frontier.Pair
+	orderBuf []frontier.Pair
 	outIDs   [][]uint32
 	outMasks [][]uint64
 

@@ -12,9 +12,7 @@ package core
 // dedup, and the source of the sweep's wire savings beyond amortization.
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/faults"
@@ -58,20 +56,17 @@ func (e *sweepSession) mergeSlot(sc *sweepScratch, myGPUs []*sweepGPU, dstGPU, s
 	sc.mIDs, sc.mMasks = mIDs, mMasks
 	out, outM := sc.outIDs[s][:0], sc.outMasks[s][:0]
 	if len(mIDs) > 0 {
-		perm := sc.perm[:0]
-		for i := range mIDs {
-			perm = append(perm, int32(i))
+		// Order the records by (id, index): the same stable by-id order a
+		// comparison sort of the indices gives, through the radix pair sort.
+		order := sc.order[:0]
+		for i, id := range mIDs {
+			order = append(order, frontier.Pair{ID: id, Val: uint64(i)})
 		}
-		sc.perm = perm
-		slices.SortFunc(perm, func(a, b int32) int {
-			if r := cmp.Compare(mIDs[a], mIDs[b]); r != 0 {
-				return r
-			}
-			return cmp.Compare(a, b)
-		})
-		for _, p := range perm {
-			id := mIDs[p]
-			mask := mMasks[int(p)*w : (int(p)+1)*w]
+		sc.order = order
+		frontier.SortPairs(order, &sc.orderBuf)
+		for _, rec := range order {
+			id, p := rec.ID, int(rec.Val)
+			mask := mMasks[p*w : (p+1)*w]
 			if n := len(out); n > 0 && out[n-1] == id {
 				bitmask.RowOr(outM[(n-1)*w:n*w], mask)
 				c.dupsMerged++

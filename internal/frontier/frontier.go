@@ -68,35 +68,42 @@ func (b *Bins) Count() int64 {
 // excluding per-slot headers — the paper's 4·|Enn| volume accounting.
 func (b *Bins) Bytes() int64 { return 4 * b.Count() }
 
-// Uniquify removes duplicate ids within gpu's bin (sort + compact, so the
-// result is deterministic) and returns how many duplicates were dropped —
-// the §V-B optimization whose payoff the paper found marginal because few
-// nn destinations repeat within one GPU's frontier.
-func (b *Bins) Uniquify(gpu int) int64 {
-	bin := b.PerGPU[gpu]
-	if len(bin) < 2 {
-		return 0
+// compactSorted drops repeated ids from a sorted list in place.
+func compactSorted(ids []uint32) []uint32 {
+	if len(ids) < 2 {
+		return ids
 	}
-	slices.Sort(bin)
-	out := bin[:1]
-	for _, v := range bin[1:] {
+	out := ids[:1]
+	for _, v := range ids[1:] {
 		if v != out[len(out)-1] {
 			out = append(out, v)
 		}
 	}
-	removed := int64(len(bin) - len(out))
-	b.PerGPU[gpu] = out
-	if b.sorted != nil {
-		b.sorted[gpu] = true
+	return out
+}
+
+// Uniquify removes duplicate ids within gpu's bin (sort + compact, so the
+// result is deterministic) and returns how many duplicates were dropped —
+// the §V-B optimization whose payoff the paper found marginal because few
+// nn destinations repeat within one GPU's frontier.
+func (b *Bins) Uniquify(gpu int, scratch *[]uint32) int64 {
+	bin := b.PerGPU[gpu]
+	if !b.IsSorted(gpu) {
+		SortIDs(bin, scratch)
+		if b.sorted != nil {
+			b.sorted[gpu] = true
+		}
 	}
-	return removed
+	out := compactSorted(bin)
+	b.PerGPU[gpu] = out
+	return int64(len(bin) - len(out))
 }
 
 // UniquifyAll runs Uniquify on every bin and returns the total removed.
-func (b *Bins) UniquifyAll() int64 {
+func (b *Bins) UniquifyAll(scratch *[]uint32) int64 {
 	var removed int64
 	for gpu := range b.PerGPU {
-		removed += b.Uniquify(gpu)
+		removed += b.Uniquify(gpu, scratch)
 	}
 	return removed
 }
@@ -106,22 +113,24 @@ func (b *Bins) UniquifyAll() int64 {
 // followed by count uint32 ids. gpuIndex(rank, slot) maps to the flat GPU
 // index used by the bins.
 func (b *Bins) PackRank(rank, gpusPerRank int) []byte {
-	var size int
-	for s := 0; s < gpusPerRank; s++ {
-		size += 4 + 4*len(b.PerGPU[rank*gpusPerRank+s])
+	return AppendRank(nil, b.PerGPU[rank*gpusPerRank:(rank+1)*gpusPerRank])
+}
+
+// AppendRank appends the PackRank layout of one rank's per-slot id lists to
+// dst, so a caller can reuse its message buffer across iterations.
+func AppendRank(dst []byte, slots [][]uint32) []byte {
+	size := 0
+	for _, bin := range slots {
+		size += 4 + 4*len(bin)
 	}
-	buf := make([]byte, size)
-	off := 0
-	for s := 0; s < gpusPerRank; s++ {
-		bin := b.PerGPU[rank*gpusPerRank+s]
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(bin)))
-		off += 4
+	dst = slices.Grow(dst, size)
+	for _, bin := range slots {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(bin)))
 		for _, v := range bin {
-			binary.LittleEndian.PutUint32(buf[off:], v)
-			off += 4
+			dst = binary.LittleEndian.AppendUint32(dst, v)
 		}
 	}
-	return buf
+	return dst
 }
 
 // UnpackRank parses a PackRank payload back into per-slot id lists.
@@ -256,15 +265,6 @@ func mergeTwo(a *Arena, x, y []uint32) []uint32 {
 // SortUnique sorts ids ascending and removes duplicates in place, returning
 // the compacted slice.
 func SortUnique(ids []uint32) []uint32 {
-	if len(ids) < 2 {
-		return ids
-	}
-	slices.Sort(ids)
-	out := ids[:1]
-	for _, v := range ids[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	SortIDs(ids, nil)
+	return compactSorted(ids)
 }

@@ -28,7 +28,7 @@ func TestUniquify(t *testing.T) {
 	for _, v := range []uint32{5, 3, 5, 5, 1, 3} {
 		b.Add(0, v)
 	}
-	removed := b.Uniquify(0)
+	removed := b.Uniquify(0, nil)
 	if removed != 3 {
 		t.Fatalf("removed = %d, want 3", removed)
 	}
@@ -42,7 +42,7 @@ func TestUniquify(t *testing.T) {
 			t.Fatalf("bin = %v, want %v", got, want)
 		}
 	}
-	if b.Uniquify(1) != 0 {
+	if b.Uniquify(1, nil) != 0 {
 		t.Fatal("empty bin uniquify should remove 0")
 	}
 }
@@ -54,7 +54,7 @@ func TestUniquifyAll(t *testing.T) {
 	b.Add(2, 7)
 	b.Add(2, 7)
 	b.Add(2, 8)
-	if got := b.UniquifyAll(); got != 2 {
+	if got := b.UniquifyAll(nil); got != 2 {
 		t.Fatalf("UniquifyAll = %d", got)
 	}
 }

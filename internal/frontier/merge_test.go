@@ -61,7 +61,7 @@ func TestBinsSortedTracking(t *testing.T) {
 	if b.IsSorted(0) {
 		t.Fatal("unsorted bin flagged sorted")
 	}
-	b.Uniquify(0)
+	b.Uniquify(0, nil)
 	if !b.IsSorted(0) {
 		t.Fatal("uniquified bin not flagged sorted")
 	}

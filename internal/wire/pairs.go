@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"gcbfs/internal/frontier"
 )
@@ -37,15 +36,13 @@ func pairsScheme(mode Mode) Scheme {
 }
 
 // sortedPairsCopy returns pairs ordered by (ID, Val) without mutating the
-// input.
+// input: an allocated copy, radix-sorted. This is the outside caller's path;
+// the engine sorts the pair bins it owns in place and encodes them presorted.
 func sortedPairsCopy(pairs []frontier.Pair) []frontier.Pair {
-	sorted := append(make([]frontier.Pair, 0, len(pairs)), pairs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].ID != sorted[j].ID {
-			return sorted[i].ID < sorted[j].ID
-		}
-		return sorted[i].Val < sorted[j].Val
-	})
+	work := make([]frontier.Pair, 2*len(pairs))
+	sorted, scratch := work[:len(pairs):len(pairs)], work[len(pairs):]
+	copy(sorted, pairs)
+	frontier.SortPairs(sorted, &scratch)
 	return sorted
 }
 
@@ -63,21 +60,27 @@ func deltaPairsPayloadLen(sorted []frontier.Pair) int {
 
 // AppendPairs encodes pairs as one block according to mode and appends it to
 // dst, returning the extended buffer and the scheme used. Mode must not be
-// ModeOff.
+// ModeOff. The input is never mutated.
 func AppendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
+	return AppendPairsSorted(dst, pairs, mode, false)
+}
+
+// AppendPairsSorted is AppendPairs with a pre-sorted hint: when presorted is
+// true the caller asserts pairs are already in (ID, Val) order
+// (frontier.SortPairs), so the delta path encodes the input directly instead
+// of a sorted copy. A true hint on unsorted input would corrupt the delta
+// stream.
+func AppendPairsSorted(dst []byte, pairs []frontier.Pair, mode Mode, presorted bool) ([]byte, Scheme) {
 	scheme := SchemeRaw
-	var sorted []frontier.Pair
-	switch mode {
-	case ModeAdaptive:
-		sorted = sortedPairsCopy(pairs)
-		if deltaPairsPayloadLen(sorted) < 12*len(pairs) {
-			scheme = SchemeDelta
-		}
-	default:
+	if mode != ModeAdaptive {
 		scheme = pairsScheme(mode)
-		if scheme == SchemeDelta {
-			sorted = sortedPairsCopy(pairs)
-		}
+	}
+	sorted := pairs
+	if !presorted && (mode == ModeAdaptive || scheme == SchemeDelta) {
+		sorted = sortedPairsCopy(pairs)
+	}
+	if mode == ModeAdaptive && deltaPairsPayloadLen(sorted) < 12*len(pairs) {
+		scheme = SchemeDelta
 	}
 
 	start := len(dst)
@@ -189,14 +192,15 @@ func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Sch
 
 // AppendPairsRank encodes one pairs block per destination GPU slot into a
 // single rank-to-rank message appended to buf, so a caller can reuse its
-// message buffer across queries. Stats cover the appended message; RawBytes
-// counts the fixed-width 12-bytes-per-pair equivalent.
-func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode) ([]byte, Stats) {
+// message buffer across queries; presorted asserts every slot is in
+// (ID, Val) order (see AppendPairsSorted). Stats cover the appended message;
+// RawBytes counts the fixed-width 12-bytes-per-pair equivalent.
+func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode, presorted bool) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
 	for _, pairs := range slots {
 		var scheme Scheme
-		buf, scheme = AppendPairs(buf, pairs, mode)
+		buf, scheme = AppendPairsSorted(buf, pairs, mode, presorted)
 		st.RawBytes += 12 * int64(len(pairs))
 		st.Selected[scheme]++
 	}

@@ -97,7 +97,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 func TestPairsRankRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	slots := [][]frontier.Pair{randPairs(rng, 20), nil, randPairs(rng, 3)}
-	buf, st := AppendPairsRank(nil, slots, ModeAdaptive)
+	buf, st := AppendPairsRank(nil, slots, ModeAdaptive, false)
 	if st.RawBytes != 12*23 {
 		t.Fatalf("RawBytes %d, want %d", st.RawBytes, 12*23)
 	}

@@ -20,6 +20,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gcbfs/internal/frontier"
 )
@@ -82,8 +83,8 @@ func (sel *Selector) AppendSections(buf []byte, secs []Section, gpusPerRank int,
 // destination-rank space (the framing varints sit outside the per-block
 // CRCs, so the bound is what turns a corrupted rank into an error instead
 // of an out-of-range index at the caller). Decoded Sorted flags report
-// which slots are known ascending (delta/bitmap blocks canonicalize; raw
-// blocks preserve sender order), so relays can keep merge-sorting.
+// which slots are ascending (delta/bitmap blocks canonicalize; raw blocks
+// preserve sender order and are checked), so relays can keep merge-sorting.
 func DecodeSections(buf []byte, gpusPerRank, ranks int, mode Mode) ([]Section, error) {
 	return DecodeSectionsArena(buf, gpusPerRank, ranks, mode, nil)
 }
@@ -216,19 +217,21 @@ func DecodeSectionsScratch(buf []byte, gpusPerRank, ranks int, mode Mode, arena 
 				return nil, corruptf("wire: section %d: %v", i, err)
 			}
 			sec.Slots = slots
+			for s := range sec.Sorted {
+				sec.Sorted[s] = len(slots[s]) < 2
+			}
 		} else {
 			slots, schemes, err := decodeRankSchemes(payload, gpusPerRank, arena, h)
 			if err != nil {
 				return nil, fmt.Errorf("wire: section %d: %w", i, err)
 			}
 			sec.Slots = slots
+			// Delta and bitmap blocks decode ascending by construction. A
+			// raw block is ascending when its sender staged it sorted (the
+			// engine always does); that is checked here, not trusted, so a
+			// relay can keep merging instead of re-sorting.
 			for s, sch := range schemes {
-				sec.Sorted[s] = sch != SchemeRaw
-			}
-		}
-		for s := range sec.Sorted {
-			if len(sec.Slots[s]) < 2 {
-				sec.Sorted[s] = true
+				sec.Sorted[s] = sch != SchemeRaw || slices.IsSorted(slots[s])
 			}
 		}
 		out = append(out, sec)

@@ -24,9 +24,10 @@ type blockMemo struct {
 // It is not safe for concurrent use; the engine keeps one per rank.
 type Selector struct {
 	memo map[blockKey]blockMemo
-	// sortBuf is the reusable sort scratch for unsorted blocks: the sorted
-	// view lives only for the duration of one Append, so one buffer per
-	// selector serves every block in turn.
+	// sortBuf is the reusable sort scratch for blocks that arrive without
+	// the presorted hint (the sorted copy plus the radix sort's scatter
+	// space): the sorted view lives only for the duration of one Append, so
+	// one buffer per selector serves every block in turn.
 	sortBuf []uint32
 	// secBuf is the reusable per-section payload buffer AppendSections
 	// encodes each section into before framing it (the framing copies the
@@ -140,16 +141,12 @@ func (sel *Selector) EncodeSlots(dst int, slots [][]uint32, sorted []bool, mode 
 // the reuse contract).
 func (sel *Selector) AppendSlots(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
 	if mode == ModeOff {
-		payload := (&frontier.Bins{PerGPU: slots}).PackRank(0, len(slots))
 		var st Stats
 		for _, ids := range slots {
 			st.RawBytes += 4 * int64(len(ids))
 		}
 		st.EncodedBytes = st.RawBytes
-		if buf == nil {
-			return payload, st
-		}
-		return append(buf, payload...), st
+		return frontier.AppendRank(buf, slots), st
 	}
 	return sel.AppendRank(buf, dst, slots, sorted, mode)
 }

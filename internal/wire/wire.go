@@ -33,6 +33,23 @@
 //
 // A rank-to-rank message (EncodeRank/DecodeRank) is gpusPerRank blocks
 // back to back, one per destination GPU slot.
+//
+// # Sort contract
+//
+// Ascending order is the codec's canonical form: delta and bitmap bytes are
+// a function of the id multiset alone, and a raw block's length is. Whoever
+// owns the ids sorts them, once, where the block is born, with
+// frontier.SortIDs / SortPairs and its own scatter scratch — the engine does
+// so in place in its send bins when it stages them — and passes the presorted
+// hint (AppendSorted, the sorted row of AppendRank and Section,
+// AppendPairsSorted); the encoders then only read. Decoders hand the order
+// back: delta and bitmap blocks decode ascending by construction, and
+// DecodeSections checks raw blocks rather than trusting the sender, so a
+// relay merges what it forwards and never sorts it again. Without the hint
+// an encoder never touches the caller's slice: it sorts a copy, in the
+// Selector's reusable scratch when there is one (one buffer per rank, sized
+// by its largest single block) and in a fresh allocation otherwise (Append,
+// AppendPairs — the outside caller's path).
 package wire
 
 import (
@@ -175,18 +192,23 @@ func uvarintLen(v uint64) int {
 }
 
 // sortedCopy returns ids sorted ascending (a copy; input is not mutated)
-// and whether the sorted sequence is duplicate-free. A non-nil buf supplies
-// the copy's storage (grown as needed and written back), so repeat callers
-// — a Selector encoding block after block — sort without allocating; the
-// sorted view must then not outlive the encode that requested it.
+// and whether the sorted sequence is duplicate-free. The copy and the radix
+// sort's scatter space are the two halves of one 2·len(ids) buffer: a non-nil
+// buf supplies it (grown as needed and written back), so repeat callers — a
+// Selector encoding block after block — sort without allocating; the sorted
+// view must then not outlive the encode that requested it.
 func sortedCopy(ids []uint32, buf *[]uint32) (sorted []uint32, unique bool) {
-	if buf != nil {
-		sorted = append((*buf)[:0], ids...)
-		*buf = sorted
-	} else {
-		sorted = append(make([]uint32, 0, len(ids)), ids...)
+	n := len(ids)
+	if buf == nil {
+		buf = new([]uint32)
 	}
-	slices.Sort(sorted)
+	if cap(*buf) < 2*n {
+		*buf = make([]uint32, 2*n)
+	}
+	work := (*buf)[:2*n]
+	sorted, scratch := work[:n:n], work[n:]
+	copy(sorted, ids)
+	frontier.SortIDs(sorted, &scratch)
 	return sorted, isUnique(sorted)
 }
 
@@ -201,9 +223,9 @@ func isUnique(sorted []uint32) bool {
 }
 
 // sortedView returns a sorted view of ids plus its uniqueness. With the
-// presorted hint (the caller asserts ids are already ascending — uniquified
-// frontier bins are) the input is used directly, skipping the sort copy that
-// dominates delta encoding; only the linear duplicate scan remains.
+// presorted hint (the caller asserts ids are already ascending — the engine
+// sorts every slot where it is staged and only merges afterwards) the input
+// is used directly; only the linear duplicate scan remains.
 func sortedView(ids []uint32, presorted bool, buf *[]uint32) ([]uint32, bool) {
 	if presorted {
 		return ids, isUnique(ids)
@@ -249,8 +271,9 @@ func Append(dst []byte, ids []uint32, mode Mode) ([]byte, Scheme) {
 // AppendSorted is Append with a pre-sorted hint: when presorted is true the
 // caller asserts ids are already sorted ascending (duplicates allowed), so
 // the delta/bitmap paths skip their sort copy and encode the input directly.
-// A false hint on unsorted input would corrupt the delta stream — callers
-// plumb the hint from frontier.Bins, which tracks it per bin.
+// A true hint on unsorted input would corrupt the delta stream — callers
+// plumb the hint from frontier.Bins, which tracks it per bin, or from a
+// decode that verified it (Section.Sorted).
 func AppendSorted(dst []byte, ids []uint32, mode Mode, presorted bool) ([]byte, Scheme) {
 	return appendSorted(dst, ids, mode, presorted, nil)
 }
