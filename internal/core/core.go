@@ -539,7 +539,6 @@ func (p *Plan) newSession() *Session {
 			visited:       bitmask.New(s.d),
 			dFront:        bitmask.New(s.d),
 			newMask:       bitmask.New(s.d),
-			scratch:       bitmask.New(s.d),
 			bins:          frontier.NewBins(s.p),
 			isNDSource:    make([]bool, pg.NumLocal),
 		}
@@ -597,11 +596,18 @@ type gpuState struct {
 	levels        []int32 // local slot → hop distance, -1 unvisited
 	delegateLevel []int32 // delegate id → hop distance, -1 unvisited
 
+	// The three delegate masks carry what makes an untouched mask free to
+	// skip: visited a generation (bumped by visitedForWrite, its only write
+	// path), dFront its bit count, newMask a dirty flag. A superstep that
+	// changed no delegate never copies, ORs, counts, iterates or clears them.
 	visited  *bitmask.Mask // delegates visited as of iteration start
+	visGen   uint64        // generation of visited; never repeats on a gpuState
 	dFront   *bitmask.Mask // delegate frontier (newly visited last iteration)
+	dFrontN  int64         // set bits in dFront (frontDelegate, the mask commit)
 	newMask  *bitmask.Mask // local delegate discoveries this iteration
-	scratch  *bitmask.Mask
-	inFront  []uint32 // local normal frontier
+	newDirty bool          // newMask has a bit set (propose)
+	back     backwardCache // what the backward kernels derive from visited
+	inFront  []uint32      // local normal frontier
 	outFront []uint32
 	bins     *frontier.Bins
 
@@ -633,12 +639,44 @@ type gpuState struct {
 	it iterWork
 }
 
+// visitedForWrite returns the visited mask for mutation and starts a new
+// generation of it. Every write to visited goes through here (the per-query
+// reset, a delegate source's seed, the superstep's mask commit), so whatever
+// is cached against visGen (backwardCache) can never describe a stale mask.
+func (gs *gpuState) visitedForWrite() *bitmask.Mask {
+	gs.visGen++
+	return gs.visited
+}
+
+// frontDelegate puts a delegate into the delegate frontier, keeping its count.
+func (gs *gpuState) frontDelegate(di int64) {
+	if !gs.dFront.Get(di) {
+		gs.dFront.Set(di)
+		gs.dFrontN++
+	}
+}
+
+// propose records a local delegate discovery for this superstep's reduction.
+func (gs *gpuState) propose(di int64) {
+	gs.newMask.Set(di)
+	gs.newDirty = true
+}
+
+// bin queues a discovery owned by another GPU for this superstep's exchange.
+// The count is what lets a superstep that binned nothing skip looking at its
+// bins (allPairsExchange.announce), so the superstep's kernels bin only here.
+func (gs *gpuState) bin(owner int, local uint32) {
+	gs.bins.Add(owner, local)
+	gs.it.binned++
+}
+
 // iterWork accumulates one iteration's counted work on one GPU.
 type iterWork struct {
 	delegateStream float64 // seconds: previsit + dd + nd kernels
 	normalStream   float64 // seconds: previsit + dn + nn kernels + binning
 	edgesScanned   int64
 	dupsRemoved    int64
+	binned         int64 // ids queued for other GPUs (gpuState.bin)
 }
 
 // reset prepares all per-GPU state for a fresh run.
@@ -650,9 +688,12 @@ func (e *Session) reset() {
 		for i := range gs.delegateLevel {
 			gs.delegateLevel[i] = -1
 		}
-		gs.visited.Reset()
+		gs.visitedForWrite().Reset()
 		gs.dFront.Reset()
+		gs.dFrontN = 0
 		gs.newMask.Reset()
+		gs.newDirty = false
+		gs.back.liveOK = false
 		gs.inFront = gs.inFront[:0]
 		gs.outFront = gs.outFront[:0]
 		gs.bins.Reset()

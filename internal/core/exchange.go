@@ -207,9 +207,14 @@ type remoteTiming struct {
 // (strategy, dst, slot) and per-iteration switching never poisons the other
 // strategy's memory.
 type exchanger interface {
+	// announce appends this rank's contribution to the presence matrix that
+	// rides the pre-exchange reduce (see presence): all-pairs appends the
+	// whole zeroed matrix with its own row filled in, the butterfly nothing.
+	announce(myGPUs []*gpuState, row []int64) []int64
 	// exchange encodes and sends this iteration's outgoing bins, receives
 	// the counterpart payloads, and returns the accounting plus arrivals.
-	exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32) exchangeCounts
+	// present is the reduced matrix announce contributed to.
+	exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, present []int64) exchangeCounts
 	// rounds is the number of sequential communication rounds per
 	// iteration — the length of every exchangeCounts.hopBytes.
 	rounds() int
@@ -375,11 +380,43 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 
 // ---- all-pairs ----
 
+// presence is the all-pairs exchange's delivery contract for one superstep:
+// a prank × prank bit matrix, row src's bit dst set when src holds at least
+// one id for dst's GPUs. Each rank fills its own row before the pre-exchange
+// reduce; the rows sit in disjoint words of the reduce's sum section, so the
+// sum is the whole matrix and every rank reads the same one. A pair whose bit
+// is clear exchanges nothing on the host — the sender skips the Isend, the
+// receiver the Recv and decode — while both still account the empty message
+// the modelled machine sends (see allPairsExchange.exchange). The butterfly
+// has no such contract: what a hop carries depends on earlier hops, and its
+// hops are synchronized pairwise exchanges that cannot be skipped
+// (simnet.ButterflyHop).
+type presence struct {
+	words []int64
+	w     int // words per row
+}
+
+func presenceWidth(prank int) int { return (prank + 63) / 64 }
+
+func (p presence) has(src, dst int) bool {
+	return p.words[src*p.w+dst/64]>>(uint(dst)%64)&1 != 0
+}
+
 type allPairsExchange struct {
 	e    *Session
 	rank int
 	sc   *rankScratch
 	sel  *wire.Selector
+	// emptyLen is the encoded size of a message carrying no ids under codec
+	// emptyMode (0 until first needed): what a receiver accounts for a source
+	// it does not hear from. An empty block has no payload to choose a scheme
+	// for, so the size depends on the mode and the slot count alone.
+	emptyLen  int64
+	emptyMode wire.Mode
+	// sendAll, set by tests only, announces every destination present, so
+	// every message — empty or not — is really delivered: the exchange
+	// without the presence contract, to hold its accounting against.
+	sendAll bool
 	// msgBufs is the per-destination reusable encode buffer: a message is
 	// always received (and its ids copied out) before the iteration's
 	// terminating collective, which every rank passes before this buffer's
@@ -395,11 +432,54 @@ type allPairsExchange struct {
 
 func (x *allPairsExchange) rounds() int { return 1 }
 
-func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32) exchangeCounts {
+func (x *allPairsExchange) announce(myGPUs []*gpuState, row []int64) []int64 {
+	pgpu := x.e.shape.GPUsPerRank
+	prank := x.e.shape.Ranks()
+	w := presenceWidth(prank)
+	base := len(row)
+	row = append(row, make([]int64, prank*w)...)
+	mine := row[base+x.rank*w:][:w]
+	if x.sendAll {
+		for dst := 0; dst < prank; dst++ {
+			mine[dst/64] |= 1 << (uint(dst) % 64)
+		}
+	}
+	for _, gs := range myGPUs {
+		if gs.it.binned == 0 {
+			continue
+		}
+		for g, bin := range gs.bins.PerGPU {
+			if len(bin) > 0 {
+				dst := g / pgpu
+				mine[dst/64] |= 1 << (uint(dst) % 64)
+			}
+		}
+	}
+	// Same-rank bins apply directly (run.go) and never ride the exchange.
+	mine[x.rank/64] &^= 1 << (uint(x.rank) % 64)
+	return row
+}
+
+// emptyMessageLen returns what one message without ids weighs on the wire in
+// the receiver's accounting (id bytes only with the codec off, the encoded
+// message otherwise).
+func (x *allPairsExchange) emptyMessageLen(mode wire.Mode, pgpu int) int64 {
+	if mode == wire.ModeOff {
+		return 0
+	}
+	if x.emptyLen == 0 || x.emptyMode != mode {
+		_, st := wire.EncodeRank(make([][]uint32, pgpu), mode)
+		x.emptyLen, x.emptyMode = st.EncodedBytes, mode
+	}
+	return x.emptyLen
+}
+
+func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, present []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
+	pres := presence{words: present, w: presenceWidth(prank)}
 	sc.arena.Reset()
 	var c exchangeCounts
 	c.arrivals = sc.resetArrivals()
@@ -414,6 +494,12 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 	// checksums and all — is what crosses the NIC and what the timing model
 	// sees. The merge headers are reused per destination: the encode
 	// consumes them before the next merge overwrites.
+	//
+	// A destination this rank holds nothing for (its presence bit is clear)
+	// still gets its empty message encoded and accounted — bytes, scheme
+	// counters, selector memory and the message count advance exactly as if
+	// it were sent, which is what the modelled machine does — but the Isend
+	// itself is skipped: the receiver reads the same matrix and does not wait.
 	frag := e.opts.FlatExchange && pgpu > 1
 	need := prank
 	if frag {
@@ -430,7 +516,13 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 		if dst == rank {
 			continue
 		}
-		e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apSorted)
+		if pres.has(rank, dst) {
+			e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apSorted)
+		} else {
+			for s := range sc.apSlots {
+				sc.apSlots[s], sc.apSorted[s] = nil, true
+			}
+		}
 		if !frag {
 			payload, st := x.sel.AppendSlots(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
 			x.msgBufs[dst] = payload
@@ -444,7 +536,9 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 			}
 			c.memoHits += st.MemoHits
 			c.messages++
-			comm.Isend(dst, hopTag(iter, 0), payload)
+			if pres.has(rank, dst) {
+				comm.Isend(dst, hopTag(iter, 0), payload)
+			}
 			continue
 		}
 		for s := 0; s < pgpu; s++ {
@@ -464,13 +558,16 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 			}
 			c.memoHits += st.MemoHits
 			c.messages++
-			comm.Isend(dst, fragTag(iter, 0, s), payload)
+			if pres.has(rank, dst) {
+				comm.Isend(dst, fragTag(iter, 0, s), payload)
+			}
 		}
 	}
 	// Receives, decoded zero-copy straight into the reusable arrival bins
 	// (each block's count header pre-sizes the grow). Flat mode receives the
 	// pgpu fragments per source in slot order, so the per-slot arrival order
-	// matches the merged message's exactly.
+	// matches the merged message's exactly. A source whose presence bit for
+	// this rank is clear sent nothing: account its empty messages and move on.
 	recvOne := func(src, tag int) {
 		buf := comm.Recv(src, tag)
 		var err error
@@ -487,8 +584,16 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 			panic(corruptErr("core: corrupt exchange payload", err))
 		}
 	}
+	msgsPerSrc := int64(1)
+	if frag {
+		msgsPerSrc = int64(pgpu)
+	}
 	for src := 0; src < prank; src++ {
 		if src == rank {
+			continue
+		}
+		if !pres.has(src, rank) {
+			c.recv += msgsPerSrc * x.emptyMessageLen(mode, pgpu)
 			continue
 		}
 		if !frag {
@@ -591,7 +696,11 @@ func (x *butterflyExchange) fold(dst int) int {
 	return dst
 }
 
-func (x *butterflyExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32) exchangeCounts {
+// announce contributes nothing: the butterfly has no presence contract (see
+// presence).
+func (x *butterflyExchange) announce(_ []*gpuState, row []int64) []int64 { return row }
+
+func (x *butterflyExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, _ []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gcbfs/internal/bitmask"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/simgpu"
 )
@@ -35,24 +36,25 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 	// and keep delegates with local dd or dn edges. The queues are rebuilt
 	// every super-step, so they draw on the GPU state's persistent buffers.
 	out.qDD, out.qDN = gs.qDDBuf[:0], gs.qDNBuf[:0]
-	frontierBits := int64(0)
-	gs.dFront.ForEach(func(di int64) {
-		frontierBits++
-		if ddDeg := gs.pg.DD.Degree(di); ddDeg > 0 {
-			out.qDD = append(out.qDD, di)
-			out.fvDD += ddDeg
-			if ddDeg > out.maxDD {
-				out.maxDD = ddDeg
+	frontierBits := gs.dFrontN
+	if frontierBits > 0 {
+		gs.dFront.ForEach(func(di int64) {
+			if ddDeg := gs.pg.DD.Degree(di); ddDeg > 0 {
+				out.qDD = append(out.qDD, di)
+				out.fvDD += ddDeg
+				if ddDeg > out.maxDD {
+					out.maxDD = ddDeg
+				}
 			}
-		}
-		if dnDeg := gs.pg.DN.Degree(di); dnDeg > 0 {
-			out.qDN = append(out.qDN, di)
-			out.fvDN += dnDeg
-			if dnDeg > out.maxDN {
-				out.maxDN = dnDeg
+			if dnDeg := gs.pg.DN.Degree(di); dnDeg > 0 {
+				out.qDN = append(out.qDN, di)
+				out.fvDN += dnDeg
+				if dnDeg > out.maxDN {
+					out.maxDN = dnDeg
+				}
 			}
-		}
-	})
+		})
+	}
 	gs.qDDBuf, gs.qDNBuf = out.qDD, out.qDN // retain grown capacity
 	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
 		Vertices: frontierBits + e.d/64, Strategy: simgpu.TWBDynamic,
@@ -108,17 +110,74 @@ func decide(cur metrics.Direction, f SwitchFactors, fv int64, bv float64) metric
 	return cur
 }
 
+// backwardCache is what the backward kernels derive from the visited mask,
+// kept per visited generation so that a superstep which visited no delegate
+// re-derives none of it: the sizes of the backward dd and nd kernels'
+// candidate sets (unvisited delegates with local dd / dn edges) and the
+// unvisited-delegate count, which every direction decision needs; the
+// candidate lists themselves, which only a kernel actually running backward
+// builds; and the backward dd kernel's last fruitless scan. liveND is per
+// query rather than per generation: the still-unvisited members of NDSources,
+// the backward dn kernel's candidates. The lists are uint32 and keep their
+// capacity across pooled queries.
+type backwardCache struct {
+	gen                 uint64 // visited generation the three counts describe
+	uDD, uND, unvisited int64
+
+	candDD, candDN candList
+
+	// Backward dd is a pure function of visited: a scan that proposed nothing
+	// leaves visited as it was, so while ddGen matches, the scan would count
+	// the same edges and vertices again and propose nothing again.
+	ddGen               uint64
+	ddEdges, ddVertices int64
+
+	liveND []uint32
+	liveOK bool // liveND holds this query's list (reset clears)
+}
+
+// candList is sources &^ visited as an ascending id list — what the backward
+// kernels used to rebuild with mask algebra every superstep — valid for one
+// visited generation.
+type candList struct {
+	gen uint64
+	ids []uint32
+}
+
+func (c *candList) at(gen uint64, sources, visited *bitmask.Mask) []uint32 {
+	if c.gen != gen {
+		c.ids = c.ids[:0]
+		sources.ForEachExcluding(func(u int64) { c.ids = append(c.ids, uint32(u)) }, visited)
+		c.gen = gen
+	}
+	return c.ids
+}
+
+// backward returns the GPU's backward-kernel cache with its counts brought up
+// to the current visited generation.
+func (gs *gpuState) backward() *backwardCache {
+	bc := &gs.back
+	if bc.gen != gs.visGen {
+		bc.uDD = gs.pg.DDSourceMask.CountExcluding(gs.visited)
+		bc.uND = gs.pg.DNSourceMask.CountExcluding(gs.visited)
+		bc.unvisited = gs.visited.Len() - gs.visited.Count()
+		bc.gen = gs.visGen
+	}
+	return bc
+}
+
 // decideDirections updates the per-subgraph directions for this iteration.
-// qD/sD are the global newly-visited and unvisited delegate counts (the
+// qD and sD are the global newly-visited and unvisited delegate counts (the
 // delegate masks are globally consistent, so no communication is needed).
-func (e *Session) decideDirections(gs *gpuState, pv previsitOut, qD, sD int64) {
+func (e *Session) decideDirections(gs *gpuState, pv previsitOut) {
 	if !e.opts.DirectionOptimized {
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		return
 	}
 	// Candidate-set sizes for the backward variants.
-	uDD := gs.pg.DDSourceMask.CountExcluding(gs.visited)
-	uND := gs.pg.DNSourceMask.CountExcluding(gs.visited)
+	bc := gs.backward()
+	qD, sD := gs.dFrontN, bc.unvisited
+	uDD, uND := bc.uDD, bc.uND
 	uDN := gs.unvisitedNDSources
 	qN := int64(len(gs.inFront))
 	sN := gs.unvisitedNDSources
@@ -160,27 +219,33 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
 				edges++
 				dvi := int64(dv)
 				if !gs.visited.Get(dvi) {
-					gs.newMask.Set(dvi)
+					gs.propose(dvi)
 				}
 			}
 		}
 		vertices = int64(len(pv.qDD))
+	} else if bc := &gs.back; bc.ddGen == gs.visGen {
+		// Nothing was visited since the last scan found nothing: replay it.
+		edges, vertices = bc.ddEdges, bc.ddVertices
 	} else {
 		// Backward pull: unvisited delegates with local dd edges check
 		// their local parents against the visited mask (depth ≤ iter).
-		gs.scratch.CopyFrom(gs.pg.DDSourceMask)
-		gs.scratch.AndNot(gs.visited)
-		gs.scratch.ForEach(func(u int64) {
+		found := false
+		for _, u := range bc.candDD.at(gs.visGen, gs.pg.DDSourceMask, gs.visited) {
 			vertices++
-			for _, dv := range gs.pg.DD.Neighbors(u) {
+			for _, dv := range gs.pg.DD.Neighbors(int64(u)) {
 				edges++
 				if gs.visited.Get(int64(dv)) {
-					gs.newMask.Set(u)
+					gs.propose(int64(u))
+					found = true
 					break
 				}
 			}
-		})
+		}
 		vertices += e.d / 64
+		if !found {
+			bc.ddGen, bc.ddEdges, bc.ddVertices = gs.visGen, edges, vertices
+		}
 	}
 	gs.it.edgesScanned += edges
 	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
@@ -199,7 +264,7 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 				edges++
 				dvi := int64(dv)
 				if !gs.visited.Get(dvi) {
-					gs.newMask.Set(dvi)
+					gs.propose(dvi)
 				}
 			}
 		}
@@ -209,19 +274,19 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 		// Backward: unvisited delegates with local dn edges look for a
 		// visited local normal parent (depth ≤ iter; this iteration's
 		// discoveries are iter+1 and must not count).
-		gs.scratch.CopyFrom(gs.pg.DNSourceMask)
-		gs.scratch.AndNot(gs.visited)
-		gs.scratch.AndNot(gs.newMask) // already found by dd this iteration
-		gs.scratch.ForEach(func(u int64) {
+		for _, u := range gs.back.candDN.at(gs.visGen, gs.pg.DNSourceMask, gs.visited) {
+			if gs.newDirty && gs.newMask.Get(int64(u)) {
+				continue // already found by dd this iteration
+			}
 			vertices++
-			for _, lv := range gs.pg.DN.Neighbors(u) {
+			for _, lv := range gs.pg.DN.Neighbors(int64(u)) {
 				edges++
 				if lvl := gs.levels[lv]; lvl >= 0 && lvl <= iter {
-					gs.newMask.Set(u)
+					gs.propose(int64(u))
 					break
 				}
 			}
-		})
+		}
 		vertices += e.d / 64
 	}
 	gs.it.edgesScanned += edges
@@ -248,20 +313,35 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 	} else {
 		// Backward: unvisited members of the nd source list (exactly the
 		// potential dn destinations, §IV-B) look for a visited delegate
-		// parent in the visited-as-of-iteration-start mask.
-		for _, v := range gs.pg.NDSources {
+		// parent in the visited-as-of-iteration-start mask. The walk runs
+		// over the query's live list — NDSources minus everything an earlier
+		// walk saw visited — and compacts it stably as it goes, so it visits
+		// the unvisited members in NDSources order, as a full scan would.
+		bc := &gs.back
+		if !bc.liveOK {
+			bc.liveND = append(bc.liveND[:0], gs.pg.NDSources...)
+			bc.liveOK = true
+		}
+		live := bc.liveND[:0]
+		for _, v := range bc.liveND {
 			if gs.levels[v] != -1 {
 				continue
 			}
 			vertices++
+			found := false
 			for _, dv := range gs.pg.ND.Neighbors(int64(v)) {
 				edges++
 				if gs.visited.Get(int64(dv)) {
 					gs.discover(v, iter+1)
+					found = true
 					break
 				}
 			}
+			if !found {
+				live = append(live, v)
+			}
 		}
+		bc.liveND = live
 	}
 	gs.it.edgesScanned += edges
 	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
@@ -273,7 +353,7 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 // immediately; remote ones are binned by destination GPU with the 64→32-bit
 // id conversion done sender-side (§V-B). nn never runs backward (§IV-B).
 func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
-	var edges, binned int64
+	var edges int64
 	p64 := int64(e.p)
 	self := gs.pg.GPU
 	for _, u := range gs.inFront {
@@ -286,8 +366,7 @@ func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 					gs.discover(local, iter+1)
 				}
 			} else {
-				gs.bins.Add(owner, local)
-				binned++
+				gs.bin(owner, local)
 			}
 		}
 	}
@@ -297,7 +376,7 @@ func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
 	// Binning + id conversion cost, O(|Enn|/p) across the whole run.
-	if binned > 0 {
+	if binned := gs.it.binned; binned > 0 {
 		gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
 			Vertices: binned, Strategy: simgpu.TWBDynamic,
 		})
@@ -315,9 +394,9 @@ func rowSkew(maxRow, total, rows int64) float64 {
 
 // runKernels executes one iteration's local computation on one GPU and
 // returns the previsit info (the run loop needs the workloads for stats).
-func (e *Session) runKernels(gs *gpuState, iter int32, qD, sD int64) previsitOut {
+func (e *Session) runKernels(gs *gpuState, iter int32) previsitOut {
 	pv := e.previsit(gs)
-	e.decideDirections(gs, pv, qD, sD)
+	e.decideDirections(gs, pv)
 	// Delegate stream: dd then nd (both write the delegate mask).
 	e.kernelDD(gs, pv)
 	e.kernelND(gs, pv, iter)

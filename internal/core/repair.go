@@ -393,7 +393,7 @@ func (e *Session) injectSeeds(myGPUs []*gpuState, sc *rankScratch, iter int32) {
 		di := int64(sc.dSeeds[sc.dCursor].id)
 		for _, gs := range myGPUs {
 			if gs.delegateLevel[di] == iter {
-				gs.dFront.Set(di)
+				gs.frontDelegate(di)
 			}
 		}
 		sc.dCursor++
@@ -456,7 +456,7 @@ func (e *Session) repairKernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		for _, dv := range gs.pg.DD.Neighbors(u) {
 			edges++
 			if l := gs.delegateLevel[dv]; l == -1 || l > iter+1 {
-				gs.newMask.Set(int64(dv))
+				gs.propose(int64(dv))
 			}
 		}
 	}
@@ -475,7 +475,7 @@ func (e *Session) repairKernelND(gs *gpuState, pv previsitOut, iter int32) {
 		for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
 			edges++
 			if l := gs.delegateLevel[dv]; l == -1 || l > iter+1 {
-				gs.newMask.Set(int64(dv))
+				gs.propose(int64(dv))
 			}
 		}
 	}
@@ -510,7 +510,7 @@ func (e *Session) repairKernelDN(gs *gpuState, pv previsitOut, iter int32) {
 // see remote levels, so the receiver applies the improvement condition
 // (repairApplyIDs).
 func (e *Session) repairKernelNN(gs *gpuState, pv previsitOut) {
-	var edges, binned int64
+	var edges int64
 	p64 := int64(e.p)
 	self := gs.pg.GPU
 	for _, u := range gs.inFront {
@@ -523,8 +523,7 @@ func (e *Session) repairKernelNN(gs *gpuState, pv previsitOut) {
 					gs.repairDiscover(local, gs.levels[u]+1)
 				}
 			} else {
-				gs.bins.Add(owner, local)
-				binned++
+				gs.bin(owner, local)
 			}
 		}
 	}
@@ -533,7 +532,7 @@ func (e *Session) repairKernelNN(gs *gpuState, pv previsitOut) {
 	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
-	if binned > 0 {
+	if binned := gs.it.binned; binned > 0 {
 		gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
 			Vertices: binned, Strategy: simgpu.TWBDynamic,
 		})

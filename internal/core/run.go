@@ -19,12 +19,29 @@ import (
 // traversal — a cold BFS and a delta repair alike. Session.traverse launches
 // one goroutine per rank; each runs Session.runRank, whose superstep is, in
 // order: seed injection → exchange-policy decision → local kernels on the
-// rank's GPUs → delegate-mask reduction (local OR, global allreduce) and
-// commit → normal-vertex exchange and canonical apply → timing assembly
-// (max-reduced across ranks) → the sum-reduce carrying work counters, the
-// terminate vote and the context observation — exactly the communication
-// structure of §V. What differs between a cold run and a repair is named by
-// a wave value chosen once before the loop; everything else is this one loop.
+// rank's GPUs → the pre-exchange rendezvous → delegate-mask commit →
+// normal-vertex exchange and canonical apply → timing assembly → the
+// post-exchange rendezvous — the communication structure of §V. What differs
+// between a cold run and a repair is named by a wave value chosen once before
+// the loop; everything else is this one loop.
+//
+// A superstep is exactly two rendezvous (mpi.AllreduceFused; a test counts
+// them), because on the host a rendezvous — parking and waking every rank
+// goroutine — costs more than anything a near-empty superstep computes:
+//
+//   - pre-exchange: the delegate-mask OR, contributed only by ranks whose
+//     GPUs proposed a delegate — "did anyone?" is the reduce's own result, no
+//     separate vote — plus, on an all-pairs iteration, every rank's row of
+//     the destination-presence matrix (sum section; each word has one
+//     writer), from which both ends of a (src, dst) pair agree whether that
+//     message is really delivered (exchange.go).
+//   - post-exchange: the timing vector's element-wise maxima (non-negative
+//     doubles as bit patterns, max section) and the sums — work counters,
+//     the terminate vote and the context observation.
+//
+// The modelled clock sees none of this: every charge, wire byte and message
+// count is computed as if each collective and each empty message were its
+// own, which is what the paper's machine would do.
 
 // wave is what a traversal may vary about the superstep loop.
 type wave struct {
@@ -161,17 +178,25 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 }
 
 // run executes one cold BFS on this (already configured and exclusive)
-// session: the source enters the frontier at depth 0 and the loop runs the
-// direction-optimizing kernels.
+// session.
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
+	w := e.coldWave(source)
+	return e.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
+		e.runRank(ctx, rank, comm, source, w)
+	})
+}
+
+// coldWave resets the session and seeds a cold BFS: the source enters the
+// frontier at depth 0 and the loop runs the direction-optimizing kernels.
+func (e *Session) coldWave(source int64) wave {
 	e.reset()
 	w := wave{nSeeds: oneSeed, dSeeds: noSeed, kernels: (*Session).coldKernels, apply: applyIDs}
 	if e.sg.Sep.IsDelegate(source) {
 		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
 		for _, gs := range e.gpus {
-			gs.visited.Set(di)
-			gs.dFront.Set(di)
+			gs.visitedForWrite().Set(di)
+			gs.frontDelegate(di)
 			gs.delegateLevel[di] = 0
 		}
 	} else {
@@ -183,9 +208,7 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 			gs.unvisitedNDSources--
 		}
 	}
-	return e.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
-		e.runRank(ctx, rank, comm, source, w)
-	})
+	return w
 }
 
 // traverse launches one single-source traversal's rank goroutines on the
@@ -291,35 +314,54 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		w.kernels(e, myGPUs, iter)
 		dir0 := myGPUs[0]
 
-		// ---- Delegate mask reduction: local OR to "GPU0", then global
-		// allreduce across ranks, skipped entirely on iterations without
-		// updates anywhere (the S' < S saving of §V-A). The commit takes
-		// every reduced bit at level iter+1 without re-testing it, for a
-		// repair too: delegate levels are replicated and change only here, so
-		// a bit a repair kernel set because the level it saw was -1 or deeper
-		// than iter+1 still passes that test now, on every GPU. (visited is
-		// read by the cold kernels only; a repair just carries it.)
-		rankMask.CopyFrom(myGPUs[0].newMask)
-		for _, gs := range myGPUs[1:] {
-			rankMask.Or(gs.newMask)
+		// ---- Pre-exchange rendezvous, the first of the superstep's two. It
+		// carries the delegate-mask reduction — local OR to "GPU0", then the
+		// global OR across ranks, skipped entirely on iterations without
+		// updates anywhere (the S' < S saving of §V-A) — and the all-pairs
+		// exchange's destination-presence rows (exchange.go). Only a rank
+		// whose GPUs proposed a delegate builds and contributes mask words;
+		// whether any rank did is the reduce's own result, so a superstep
+		// without delegate updates touches no mask at all.
+		//
+		// The commit takes every reduced bit at level iter+1 without
+		// re-testing it, for a repair too: delegate levels are replicated and
+		// change only here, so a bit a repair kernel set because the level it
+		// saw was -1 or deeper than iter+1 still passes that test now, on
+		// every GPU. (visited is read by the cold kernels only; a repair just
+		// carries it.)
+		hasBits := false
+		for _, gs := range myGPUs {
+			if !gs.newDirty {
+				continue
+			}
+			if hasBits {
+				rankMask.Or(gs.newMask)
+			} else {
+				rankMask.CopyFrom(gs.newMask)
+				hasBits = true
+			}
 		}
-		anyGlobal := comm.AllreduceBoolOr(rankMask.Any())
-		maskExchanged := false
+		sc.present = ex.announce(myGPUs, sc.present[:0])
+		maskExchanged := comm.AllreduceFused(rankMask.Words(), hasBits, nil, sc.present)
 		var newDelegates int64
-		if anyGlobal {
-			comm.AllreduceOr(rankMask.Words())
-			maskExchanged = true
+		if maskExchanged {
 			newDelegates = rankMask.Count()
 			for _, gs := range myGPUs {
 				rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
-				gs.visited.Or(rankMask)
+				gs.visitedForWrite().Or(rankMask)
 				gs.dFront.CopyFrom(rankMask)
-				gs.newMask.Reset()
+				gs.dFrontN = newDelegates
+				if gs.newDirty {
+					gs.newMask.Reset()
+					gs.newDirty = false
+				}
 			}
 		} else {
 			for _, gs := range myGPUs {
-				gs.dFront.Reset()
-				gs.newMask.Reset()
+				if gs.dFrontN > 0 {
+					gs.dFront.Reset()
+					gs.dFrontN = 0
+				}
 			}
 		}
 
@@ -360,7 +402,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		}
 		// Inter-rank exchange through this iteration's strategy (all-pairs
 		// sends, or the butterfly's log(p) hops — see exchange.go).
-		counts := ex.exchange(comm, myGPUs, iter)
+		counts := ex.exchange(comm, myGPUs, iter, sc.present)
 		// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
 		var intraBytes int64
 		for _, src := range myGPUs {
@@ -479,7 +521,33 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		// iterations).
 		vec = append(vec, float64(e.ampBytes(counts.sentRaw-counts.forwarded)))
 		sc.vec = vec
-		sc.fbits = maxFloatsAllreduce(comm, vec, sc.fbits)
+
+		// ---- Post-exchange rendezvous, the second and last: the timing
+		// vector's maxima (model time, as bit patterns) and the global sums —
+		// work stats, the termination flag (kept alive through pending seed
+		// levels) and the context observation (any rank seeing a dead context
+		// aborts all ranks on the same iteration).
+		var nextNormals, edges int64
+		for _, gs := range myGPUs {
+			nextNormals += int64(len(gs.outFront))
+			edges += gs.it.edgesScanned
+		}
+		flag := int64(0)
+		if nextNormals > 0 || newDelegates > 0 || iter < w.lastSeed {
+			flag = 1
+		}
+		ctxDead := int64(0)
+		if ctx.Err() != nil {
+			ctxDead = 1
+		}
+		sums := append(sc.sums[:0], edges, sentBytes, nextNormals, dupsRemoved, flag,
+			rawSentBytes, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
+			counts.messages, counts.forwarded, counts.memoHits, counts.codecRaw+maskCodecRaw, ctxDead)
+		sc.sums = sums
+		sc.fbits = floatBits(vec, sc.fbits)
+		comm.AllreduceFused(nil, false, sc.fbits, sums)
+		bitsToFloats(sc.fbits, vec)
+
 		redWire := grownInt64(sc.redWire, nh)
 		sc.redWire = redWire
 		redCodec := grownInt64(sc.redCodec, nh)
@@ -515,28 +583,6 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 			RemoteDelegate: rt.maskSecs,
 		}
 		elapsed := e.iterElapsed(parts)
-
-		// ---- Global sums: work stats, termination flag (kept alive through
-		// pending seed levels) and the context observation (any rank seeing a
-		// dead context aborts all ranks on the same iteration).
-		var nextNormals, edges int64
-		for _, gs := range myGPUs {
-			nextNormals += int64(len(gs.outFront))
-			edges += gs.it.edgesScanned
-		}
-		flag := int64(0)
-		if nextNormals > 0 || newDelegates > 0 || iter < w.lastSeed {
-			flag = 1
-		}
-		ctxDead := int64(0)
-		if ctx.Err() != nil {
-			ctxDead = 1
-		}
-		sums := append(sc.sums[:0], edges, sentBytes, nextNormals, dupsRemoved, flag,
-			rawSentBytes, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
-			counts.messages, counts.forwarded, counts.memoHits, counts.codecRaw+maskCodecRaw, ctxDead)
-		sc.sums = sums
-		comm.AllreduceSum(sums)
 
 		if rank == 0 {
 			rec.iterations = append(rec.iterations, metrics.IterationStats{
@@ -660,13 +706,10 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 }
 
 // coldKernels is the cold run's kernel set: the direction-optimizing kernels
-// (kernels.go) on each of the rank's GPUs. qD/sD are the global newly-visited
-// and unvisited delegate counts the direction decision needs.
+// (kernels.go) on each of the rank's GPUs.
 func (e *Session) coldKernels(myGPUs []*gpuState, iter int32) {
-	qD := myGPUs[0].dFront.Count() // globally consistent masks
-	sD := e.d - myGPUs[0].visited.Count()
 	for _, gs := range myGPUs {
-		e.runKernels(gs, iter, qD, sD)
+		e.runKernels(gs, iter)
 	}
 }
 

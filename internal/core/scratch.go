@@ -61,10 +61,16 @@ type rankScratch struct {
 	redCodec     []int64
 	redRecv      []int64
 
-	// rankMask is the delegate-mask reduction buffer (fully overwritten by
-	// CopyFrom before every read, so persisting it across queries is safe).
+	// rankMask is the delegate-mask reduction buffer. It is read only after a
+	// reduce that reported a contribution, which overwrote it in full, so
+	// persisting it across iterations and queries is safe.
 	rankMask *bitmask.Mask
 	maskIDs  []uint32
+
+	// present is the all-pairs exchange's destination-presence matrix: this
+	// rank's row going into the pre-exchange reduce, every rank's coming out
+	// (see presence in exchange.go). Empty on butterfly iterations.
+	present []int64
 
 	// vec and sums are the per-iteration allreduce payloads; fbits is the
 	// float-max reduction's bit-pattern view of vec.

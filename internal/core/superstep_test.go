@@ -1,0 +1,180 @@
+package core
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"gcbfs/internal/gen"
+	"gcbfs/internal/graph"
+	"gcbfs/internal/metrics"
+	"gcbfs/internal/mpi"
+	"gcbfs/internal/partition"
+	"gcbfs/internal/wire"
+)
+
+// webPlan builds the long-tail web graph on shape the way the facade does
+// (auto-tuned threshold, at most 4n/p delegates).
+func webPlan(t testing.TB, scale int, shape ClusterShape, opts Options) (*graph.EdgeList, *Plan) {
+	t.Helper()
+	el := gen.WebGraph(gen.DefaultWebParams(scale))
+	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+	return el, buildPlan(t, el, shape, th, opts)
+}
+
+// A superstep is two rendezvous whatever it carries: counted on the session's
+// communicator, not read off the code. Levels are not gathered, so the loop's
+// collectives are the query's only ones.
+func TestSuperstepIsTwoRendezvous(t *testing.T) {
+	for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+		for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+			opts := DefaultOptions()
+			opts.CollectLevels = false
+			opts.Exchange = x
+			opts.Compression = mode
+			_, p := webPlan(t, 9, ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, opts)
+			s := p.acquire(p.base)
+			for _, src := range delegateAndNormalSources(p.sg.Sep) {
+				var before uint64
+				if s.world != nil {
+					before = s.world.Rendezvous()
+				}
+				res, err := s.run(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations < 20 {
+					t.Fatalf("%s: only %d supersteps — not a long-tail query", x, res.Iterations)
+				}
+				if got, want := s.world.Rendezvous()-before, uint64(2*res.Iterations); got != want {
+					t.Errorf("%s/%s source %d: %d rendezvous over %d supersteps, want %d",
+						x, mode, src, got, res.Iterations, want)
+				}
+			}
+			p.release(s)
+		}
+	}
+}
+
+// runCounted is Session.traverse for a cold run with a send hook installed
+// (RunRanks owns the hook slot for fault injection, so the ranks are launched
+// here). The hook sees every payload the communicator really delivers.
+func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metrics.RunResult {
+	t.Helper()
+	w := s.coldWave(source)
+	s.out = newTreeOut(&s.opts, s.sg.N)
+	s.rec = recorder{}
+	s.rec.exchange.Strategy = s.opts.Exchange.String()
+	s.pol = s.newExchangePolicy()
+	world := s.acquireWorld()
+	world.SetSendHook(hook)
+	defer world.SetSendHook(nil)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for r := 0; r < world.Size(); r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			s.runRank(ctx, rank, world.Rank(rank), source, w)
+		}(r)
+	}
+	wg.Wait()
+	return s.result(source)
+}
+
+// The presence contract on the paper's all-pairs exchange: a message without
+// ids is accounted but never delivered, and the accounting cannot tell — it
+// equals, field for field, a run that delivers every message.
+func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
+	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeBitmap} {
+		for _, flat := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.CollectLevels = false
+			opts.Compression = mode
+			opts.FlatExchange = flat
+			_, p := webPlan(t, 10, shape, opts)
+			// What a message without ids looks like on the wire.
+			empty, _ := (*wire.Selector)(nil).EncodeSlots(0, make([][]uint32, shape.GPUsPerRank), nil, mode)
+			var delivered, emptyDelivered atomic.Int64
+			hook := func(_, _, _ int, data []byte) []byte {
+				delivered.Add(1)
+				if len(data) == len(empty) {
+					emptyDelivered.Add(1)
+				}
+				return data
+			}
+			src := delegateAndNormalSources(p.sg.Sep)[0]
+
+			s := p.acquire(p.base)
+			got := runCounted(t, s, src, hook)
+			prank := int64(shape.Ranks())
+			perPair := int64(1)
+			if flat {
+				perPair = int64(shape.GPUsPerRank)
+			}
+			if want := int64(got.Iterations) * prank * (prank - 1) * perPair; got.Exchange.Messages != want {
+				t.Fatalf("%s flat=%v: Exchange.Messages = %d, want iterations·p·(p−1) = %d", mode, flat, got.Exchange.Messages, want)
+			}
+			if d := delivered.Load(); d == 0 || d >= got.Exchange.Messages {
+				t.Fatalf("%s flat=%v: delivered %d of %d modelled messages — nothing was elided", mode, flat, d, got.Exchange.Messages)
+			}
+			// Presence is per destination rank: a flat-mode fragment for a
+			// present rank may itself be empty, a merged message may not.
+			if e := emptyDelivered.Load(); !flat && e != 0 {
+				t.Fatalf("%s: %d delivered messages carried no ids", mode, e)
+			}
+
+			// The same query with every destination announced present.
+			delivered.Store(0)
+			for rank, sc := range s.scratch {
+				sc.rx.bind(s, rank, sc).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
+			}
+			want := runCounted(t, s, src, hook)
+			for _, sc := range s.scratch {
+				sc.rx.ap.sendAll = false
+			}
+			p.release(s)
+			if d := delivered.Load(); d != want.Exchange.Messages {
+				t.Fatalf("%s flat=%v: send-all run delivered %d, modelled %d", mode, flat, d, want.Exchange.Messages)
+			}
+			if got.Wire != want.Wire || got.Exchange != want.Exchange || got.SimSeconds != want.SimSeconds {
+				t.Fatalf("%s flat=%v: accounting depends on delivery\n got %+v %+v\nwant %+v %+v",
+					mode, flat, got.Wire, got.Exchange, want.Wire, want.Exchange)
+			}
+			if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
+				t.Fatalf("%s flat=%v: per-iteration stats depend on delivery", mode, flat)
+			}
+		}
+	}
+}
+
+// BenchmarkTailSuperstep is the host cost of a superstep in the regime where
+// that is the whole bill: a web graph's long chains give a query hundreds of
+// supersteps that each scan a handful of edges (§VI-D), so ns/superstep here
+// is the loop's fixed cost — rendezvous, exchange framing, kernel set-up —
+// not traversal work. Levels are not gathered; the query is the loop alone.
+func BenchmarkTailSuperstep(b *testing.B) {
+	opts := DefaultOptions()
+	opts.CollectLevels = false
+	_, p := webPlan(b, 12, ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, opts)
+	ctx := context.Background()
+	warm, err := p.Run(ctx, 0, Overrides{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var supersteps int
+	for i := 0; i < b.N; i++ {
+		res, err := p.Run(ctx, 0, Overrides{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		supersteps += res.Iterations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(supersteps), "ns/superstep")
+	b.ReportMetric(float64(warm.Iterations), "supersteps/query")
+}

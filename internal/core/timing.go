@@ -140,19 +140,30 @@ func effPairsFor(opts *Options, shape ClusterShape) int64 {
 	return pairs
 }
 
-// maxFloatsAllreduce reduces a non-negative float vector to its element-wise
-// maximum across ranks. Non-negative IEEE-754 doubles order identically to
-// their bit patterns, so the int64 max-allreduce applies directly. The
-// caller-owned scratch holds the bit-pattern view; the grown slice is
-// returned for reuse.
-func maxFloatsAllreduce(comm *mpi.Comm, vals []float64, scratch []int64) []int64 {
+// floatBits returns the bit patterns of a non-negative float vector in the
+// caller-owned scratch (grown and returned for reuse). Non-negative IEEE-754
+// doubles order identically to their bit patterns, so an int64 max-reduce of
+// the result is the element-wise float maximum; bitsToFloats converts back.
+func floatBits(vals []float64, scratch []int64) []int64 {
 	bits := grownInt64(scratch, len(vals))
 	for i, v := range vals {
 		bits[i] = int64(math.Float64bits(v))
 	}
-	comm.AllreduceMax(bits)
+	return bits
+}
+
+func bitsToFloats(bits []int64, vals []float64) {
 	for i := range vals {
 		vals[i] = math.Float64frombits(uint64(bits[i]))
 	}
+}
+
+// maxFloatsAllreduce reduces a non-negative float vector to its element-wise
+// maximum across ranks in a rendezvous of its own (the superstep loop folds
+// the same reduction into its post-exchange rendezvous instead).
+func maxFloatsAllreduce(comm *mpi.Comm, vals []float64, scratch []int64) []int64 {
+	bits := floatBits(vals, scratch)
+	comm.AllreduceMax(bits)
+	bitsToFloats(bits, vals)
 	return bits
 }

@@ -7,6 +7,30 @@
 // The package is purely functional — data really moves between rank heaps
 // and collectives really fold — while *timing* is modeled separately by
 // internal/simnet from the byte volumes this package counts.
+//
+// # Rendezvous
+//
+// A collective is one rendezvous: every rank takes the collective's lock,
+// folds its contribution, and all but the last park until the last one
+// broadcasts. On the host that hand-off — not the fold — is what a collective
+// costs, so the unit of cost is the rendezvous, not the reduced value.
+// AllreduceFused carries three independently typed sections (an optional OR
+// section, a max section, a sum section) through a single rendezvous; the
+// one-section collectives (AllreduceOr/Sum/Max/Min/BoolOr) are wrappers over
+// the same reduce (Min folds the max section the other way). The BFS superstep (core/run.go) is two fused rendezvous: one before the
+// exchange carrying the delegate-mask words and the destination-presence
+// rows, one after it carrying the timing maxima and the work sums.
+//
+// # Presence contract
+//
+// Point-to-point delivery has no discovery: Recv blocks until a matching
+// message arrives. A sender may therefore skip an Isend only when the
+// receiver knows not to wait for it. The engine establishes that through the
+// pre-exchange rendezvous — each rank contributes which destinations it has
+// payload for, every rank reads the reduced matrix, and exactly the (src,
+// dst) pairs marked present are sent and received. The modelled message count
+// and bytes are accounted by the caller and do not change with elision;
+// BytesSent/MessagesSent count what was really delivered.
 package mpi
 
 import (
@@ -29,9 +53,6 @@ type World struct {
 	boxes []mailbox
 	comms []Comm
 	coll  *collective
-
-	bytesSent atomic.Int64
-	msgsSent  atomic.Int64
 
 	// hook, when set, intercepts every Isend payload (fault injection).
 	hook SendHook
@@ -135,11 +156,37 @@ func NewWorld(size int) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// BytesSent returns the total point-to-point payload bytes sent so far.
-func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
+// BytesSent returns the total point-to-point payload bytes sent so far. The
+// counters are plain per-rank fields (an Isend touches no shared cache line
+// for them), so read them only while no rank goroutine is sending — after the
+// ranks joined, as the tests do.
+func (w *World) BytesSent() int64 {
+	var n int64
+	for i := range w.comms {
+		n += w.comms[i].bytesSent
+	}
+	return n
+}
 
-// MessagesSent returns the total point-to-point message count so far.
-func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
+// MessagesSent returns the total point-to-point message count so far; the
+// same quiescence rule as BytesSent applies.
+func (w *World) MessagesSent() int64 {
+	var n int64
+	for i := range w.comms {
+		n += w.comms[i].msgsSent
+	}
+	return n
+}
+
+// Rendezvous returns how many collectives have completed on this World since
+// it was created — the host-side cost unit of a superstep (see the package
+// comment). Reset does not rewind it; callers diff two readings.
+func (w *World) Rendezvous() uint64 {
+	cl := w.coll
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.gen
+}
 
 // Rank returns the communicator handle for rank r.
 func (w *World) Rank(r int) *Comm {
@@ -163,8 +210,9 @@ func (w *World) Reset() {
 		mb.queue = mb.queue[:0]
 		mb.mu.Unlock()
 	}
-	w.bytesSent.Store(0)
-	w.msgsSent.Store(0)
+	for i := range w.comms {
+		w.comms[i].bytesSent, w.comms[i].msgsSent = 0, 0
+	}
 	// Clear abort poison and any half-folded collective state an aborted
 	// query left behind (ranks that unwound never arrived).
 	cl := w.coll
@@ -178,12 +226,17 @@ func (w *World) Reset() {
 	w.aborted.Store(false)
 }
 
-// Comm is one rank's endpoint. The b1 scratch makes the single-flag
-// allreduce boxing-free; a Comm is owned by exactly one rank goroutine.
+// Comm is one rank's endpoint. The b1 scratch is the single-flag allreduce's
+// one-word OR buffer; a Comm is owned by exactly one rank goroutine, which
+// is what lets its traffic counters be plain fields.
 type Comm struct {
 	w    *World
 	rank int
 	b1   [1]uint64
+
+	bytesSent int64
+	msgsSent  int64
+	_         [24]byte // pad to a cache line: Comms sit side by side in World.comms
 }
 
 // Rank returns this endpoint's rank.
@@ -215,8 +268,8 @@ func (c *Comm) Isend(dst, tag int, data []byte) {
 	if c.w.hook != nil {
 		data = c.w.hook(c.rank, dst, tag, data)
 	}
-	c.w.bytesSent.Add(int64(len(data)))
-	c.w.msgsSent.Add(1)
+	c.bytesSent += int64(len(data))
+	c.msgsSent++
 	mb := &c.w.boxes[dst]
 	mb.mu.Lock()
 	mb.queue = append(mb.queue, message{src: c.rank, tag: tag, data: data})
@@ -235,7 +288,13 @@ func (c *Comm) Recv(src, tag int) []byte {
 		c.w.checkAbort()
 		for i, m := range mb.queue {
 			if m.src == src && m.tag == tag {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+				// Zero the vacated tail slot: the shifted-down queue would
+				// otherwise keep a second reference to the last payload
+				// alive until a later send happens to overwrite it.
+				last := len(mb.queue) - 1
+				copy(mb.queue[i:], mb.queue[i+1:])
+				mb.queue[last] = message{}
+				mb.queue = mb.queue[:last]
 				return m.data
 			}
 		}
@@ -254,12 +313,11 @@ type collective struct {
 	arrived int
 	acc     any
 	result  any
-	// Reusable accumulators for the typed fast paths, double-buffered by
+	// Reusable accumulators for the typed fused reduce, double-buffered by
 	// generation parity: generation g+2 (the first reuse of g's buffer)
 	// cannot start until every rank finished g, because each rank copies
 	// the result out under the lock before it can arrive for g+1.
-	accI64 [2][]int64
-	accU64 [2][]uint64
+	acc3 [2]fusedAcc
 }
 
 func newCollective(size int) *collective {
@@ -298,67 +356,95 @@ func (cl *collective) run(contrib any, init func(any) any, combine func(acc, in 
 	return cl.result
 }
 
-// runI64 is the typed counterpart of run for the per-iteration int64
-// collectives: no interface boxing, and the accumulator is a reusable
-// generation-parity buffer, so the steady state allocates nothing. Each rank
-// copies the result into its own vals under the lock before returning.
-func (cl *collective) runI64(vals []int64, op func(acc, in []int64)) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.w.checkAbort()
-	gen := cl.gen
-	acc := &cl.accI64[gen%2]
-	if cl.arrived == 0 {
-		*acc = append((*acc)[:0], vals...)
-	} else {
-		if len(*acc) != len(vals) {
-			panic(fmt.Sprintf("mpi: collective length mismatch %d vs %d", len(*acc), len(vals)))
-		}
-		op(*acc, vals)
-	}
-	cl.arrived++
-	if cl.arrived == cl.size {
-		cl.arrived = 0
-		cl.gen++
-		cl.cond.Broadcast()
-		copy(vals, *acc)
-		return
-	}
-	for cl.gen == gen {
-		cl.cond.Wait()
-		cl.w.checkAbort()
-	}
-	copy(vals, cl.accI64[gen%2])
+// fusedAcc is one generation's accumulator of the typed fused reduce.
+type fusedAcc struct {
+	or    []uint64
+	hasOr bool // some rank contributed OR words this generation
+	ext   []int64
+	sum   []int64
 }
 
-// runU64 is runI64 for uint64 vectors (the delegate-mask OR reduction).
-func (cl *collective) runU64(vals []uint64, op func(acc, in []uint64)) {
+// extremum selects how the fused reduce's ext section folds.
+type extremum bool
+
+const (
+	extMax extremum = false
+	extMin extremum = true
+)
+
+// fused is the typed reduce behind every per-iteration collective: an
+// optional OR section, an extremum section (element-wise max, or min when
+// every rank says so) and a sum section folded in one rendezvous. No interface boxing, and the accumulator is a reusable
+// generation-parity buffer, so the steady state allocates nothing. Every rank
+// passes equal section lengths; a rank with contribute unset passes or as an
+// output buffer only. Each rank copies the result into its own slices under
+// the lock before returning; or is overwritten only when the returned flag
+// says some rank contributed.
+func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which extremum, sum []int64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
 	gen := cl.gen
-	acc := &cl.accU64[gen%2]
+	acc := &cl.acc3[gen%2]
 	if cl.arrived == 0 {
-		*acc = append((*acc)[:0], vals...)
+		acc.hasOr = false
+		acc.ext = append(acc.ext[:0], ext...)
+		acc.sum = append(acc.sum[:0], sum...)
 	} else {
-		if len(*acc) != len(vals) {
-			panic(fmt.Sprintf("mpi: collective length mismatch %d vs %d", len(*acc), len(vals)))
+		if len(acc.ext) != len(ext) || len(acc.sum) != len(sum) {
+			panic(fmt.Sprintf("mpi: collective length mismatch ext %d vs %d, sum %d vs %d",
+				len(acc.ext), len(ext), len(acc.sum), len(sum)))
 		}
-		op(*acc, vals)
+		if which == extMin {
+			for i, v := range ext {
+				if v < acc.ext[i] {
+					acc.ext[i] = v
+				}
+			}
+		} else {
+			for i, v := range ext {
+				if v > acc.ext[i] {
+					acc.ext[i] = v
+				}
+			}
+		}
+		for i, v := range sum {
+			acc.sum[i] += v
+		}
+	}
+	if contribute {
+		if !acc.hasOr {
+			acc.or = append(acc.or[:0], or...)
+			acc.hasOr = true
+		} else {
+			if len(acc.or) != len(or) {
+				panic(fmt.Sprintf("mpi: collective length mismatch or %d vs %d", len(acc.or), len(or)))
+			}
+			for i, w := range or {
+				acc.or[i] |= w
+			}
+		}
 	}
 	cl.arrived++
 	if cl.arrived == cl.size {
 		cl.arrived = 0
 		cl.gen++
 		cl.cond.Broadcast()
-		copy(vals, *acc)
-		return
+	} else {
+		for cl.gen == gen {
+			cl.cond.Wait()
+			cl.w.checkAbort()
+		}
 	}
-	for cl.gen == gen {
-		cl.cond.Wait()
-		cl.w.checkAbort()
+	copy(ext, acc.ext)
+	copy(sum, acc.sum)
+	if acc.hasOr {
+		if len(acc.or) != len(or) {
+			panic(fmt.Sprintf("mpi: collective length mismatch or %d vs %d", len(acc.or), len(or)))
+		}
+		copy(or, acc.or)
 	}
-	copy(vals, cl.accU64[gen%2])
+	return acc.hasOr
 }
 
 // Barrier blocks until every rank has entered it.
@@ -368,35 +454,36 @@ func (c *Comm) Barrier() {
 		func(any, any) {})
 }
 
+// AllreduceFused folds three independently typed sections in one rendezvous
+// (see the package comment) and stores each result in place in every rank's
+// slices. All ranks must pass equal lengths per section; nil sections are
+// empty.
+//
+// The OR section is optional per rank: a rank with contribute unset passes or
+// as an output buffer whose contents are ignored, so a rank with nothing to
+// add never has to zero or build its words. The result reports whether any
+// rank contributed; when none did, or is left untouched on every rank.
+//
+// max and sum fold element-wise as AllreduceMax and AllreduceSum do.
+func (c *Comm) AllreduceFused(or []uint64, contribute bool, max, sum []int64) bool {
+	return c.w.coll.fused(or, contribute, max, extMax, sum)
+}
+
 // AllreduceOr ORs the word slices of all ranks element-wise and stores the
 // result in-place in every rank's slice. All ranks must pass equal lengths.
 // This is the delegate-mask reduction primitive (§V-A).
 func (c *Comm) AllreduceOr(words []uint64) {
-	c.w.coll.runU64(words, func(a, b []uint64) {
-		for i, w := range b {
-			a[i] |= w
-		}
-	})
+	c.w.coll.fused(words, true, nil, extMax, nil)
 }
 
 // AllreduceSum sums int64 slices element-wise across ranks, in-place.
 func (c *Comm) AllreduceSum(vals []int64) {
-	c.w.coll.runI64(vals, func(a, b []int64) {
-		for i, w := range b {
-			a[i] += w
-		}
-	})
+	c.w.coll.fused(nil, false, nil, extMax, vals)
 }
 
 // AllreduceMax takes the element-wise max of int64 slices across ranks.
 func (c *Comm) AllreduceMax(vals []int64) {
-	c.w.coll.runI64(vals, func(a, b []int64) {
-		for i, w := range b {
-			if w > a[i] {
-				a[i] = w
-			}
-		}
-	})
+	c.w.coll.fused(nil, false, vals, extMax, nil)
 }
 
 // AllreduceMin takes the element-wise min of int64 slices across ranks —
@@ -404,13 +491,7 @@ func (c *Comm) AllreduceMax(vals []int64) {
 // resolution of the BFS-tree output (smallest candidate parent wins,
 // deterministically).
 func (c *Comm) AllreduceMin(vals []int64) {
-	c.w.coll.runI64(vals, func(a, b []int64) {
-		for i, w := range b {
-			if w < a[i] {
-				a[i] = w
-			}
-		}
-	})
+	c.w.coll.fused(nil, false, vals, extMin, nil)
 }
 
 // AllreduceSumFloat64 sums float64 slices element-wise across ranks — the
@@ -455,16 +536,11 @@ func (c *Comm) AllreduceSumFloat64(vals []float64) {
 }
 
 // AllreduceBoolOr returns the logical OR of every rank's flag — the global
-// "anyone still has work?" termination test. It rides the typed u64 path
-// through the Comm's one-word scratch, so the per-iteration termination
-// vote never boxes.
+// "anyone still has work?" termination test. It is the fused reduce's
+// contribution vote alone: a rank votes by contributing the Comm's one-word
+// scratch, so the vote never boxes.
 func (c *Comm) AllreduceBoolOr(flag bool) bool {
-	c.b1[0] = 0
-	if flag {
-		c.b1[0] = 1
-	}
-	c.w.coll.runU64(c.b1[:], func(a, b []uint64) { a[0] |= b[0] })
-	return c.b1[0] != 0
+	return c.w.coll.fused(c.b1[:], flag, nil, extMax, nil)
 }
 
 // Request is a handle for a non-blocking allreduce started with

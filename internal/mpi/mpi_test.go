@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -306,4 +307,193 @@ func TestAllToAllPattern(t *testing.T) {
 			}
 		}
 	})
+}
+
+// The fused reduce equals its three one-section reduces, on random vectors,
+// whether or not a rank contributes OR words, and with no contributor at all.
+func TestAllreduceFusedEqualsSeparateReduces(t *testing.T) {
+	const nOr, nMax, nSum, rounds = 5, 7, 9, 20
+	for _, size := range []int{1, 3, 8, 32} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		type contrib struct {
+			or       []uint64
+			has      bool
+			max, sum []int64
+		}
+		all := make([][]contrib, rounds)
+		for k := range all {
+			all[k] = make([]contrib, size)
+			for r := range all[k] {
+				c := contrib{or: make([]uint64, nOr), max: make([]int64, nMax), sum: make([]int64, nSum)}
+				// Round 0 has no OR contributor; later rounds a random subset.
+				c.has = k > 0 && rng.Intn(3) == 0
+				for i := range c.or {
+					c.or[i] = rng.Uint64() // garbage when !has: must be ignored
+				}
+				for i := range c.max {
+					c.max[i] = rng.Int63() - rng.Int63()
+				}
+				for i := range c.sum {
+					c.sum[i] = int64(rng.Uint64()) // wraps like the fold does
+				}
+				all[k][r] = c
+			}
+		}
+		spawn(t, size, func(c *Comm) {
+			for k := range all {
+				mine := all[k][c.Rank()]
+				or := append([]uint64(nil), mine.or...)
+				max := append([]int64(nil), mine.max...)
+				sum := append([]int64(nil), mine.sum...)
+				gotAny := c.AllreduceFused(or, mine.has, max, sum)
+
+				wantAny := c.AllreduceBoolOr(mine.has)
+				wantOr := make([]uint64, nOr)
+				if mine.has {
+					copy(wantOr, mine.or)
+				}
+				c.AllreduceOr(wantOr)
+				wantMax := append([]int64(nil), mine.max...)
+				c.AllreduceMax(wantMax)
+				wantSum := append([]int64(nil), mine.sum...)
+				c.AllreduceSum(wantSum)
+
+				if gotAny != wantAny {
+					t.Errorf("p=%d round %d rank %d: any = %v, want %v", size, k, c.Rank(), gotAny, wantAny)
+				}
+				if !gotAny {
+					wantOr = mine.or // no contributor: the buffer is left alone
+				}
+				for i := range or {
+					if or[i] != wantOr[i] {
+						t.Errorf("p=%d round %d rank %d: or[%d] = %x, want %x", size, k, c.Rank(), i, or[i], wantOr[i])
+					}
+				}
+				for i := range max {
+					if max[i] != wantMax[i] {
+						t.Errorf("p=%d round %d rank %d: max[%d] = %d, want %d", size, k, c.Rank(), i, max[i], wantMax[i])
+					}
+				}
+				for i := range sum {
+					if sum[i] != wantSum[i] {
+						t.Errorf("p=%d round %d rank %d: sum[%d] = %d, want %d", size, k, c.Rank(), i, sum[i], wantSum[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestAllreduceMinExtremes(t *testing.T) {
+	const lo, hi = -1 << 63, 1<<63 - 1
+	spawn(t, 3, func(c *Comm) {
+		vals := []int64{hi, hi, int64(c.Rank())}
+		if c.Rank() == 1 {
+			vals[0] = lo
+		}
+		c.AllreduceMin(vals)
+		if vals[0] != lo || vals[1] != hi || vals[2] != 0 {
+			t.Errorf("rank %d: min = %v", c.Rank(), vals)
+		}
+	})
+}
+
+// A rank that aborts the World instead of arriving strands nobody: every rank
+// parked in the rendezvous unwinds with the typed abort, and after Reset the
+// World folds again from a clean accumulator.
+func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
+	const size = 8
+	w := NewWorld(size)
+	cause := errors.New("rank 5 failed")
+	run := func(fn func(c *Comm)) (aborted int) {
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for r := 0; r < size; r++ {
+			wg.Add(1)
+			go func(c *Comm) {
+				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						err, ok := AbortError(v)
+						if !ok || !errors.Is(err, cause) {
+							panic(v)
+						}
+						mu.Lock()
+						aborted++
+						mu.Unlock()
+					}
+				}()
+				fn(c)
+			}(w.Rank(r))
+		}
+		wg.Wait() // returns only if no rank is stranded (the test times out otherwise)
+		return aborted
+	}
+	got := run(func(c *Comm) {
+		sum := []int64{1}
+		c.AllreduceFused(nil, false, nil, sum) // a full rendezvous first
+		if c.Rank() == 5 {
+			w.Abort(cause)
+			return
+		}
+		or := []uint64{1 << uint(c.Rank())}
+		c.AllreduceFused(or, true, []int64{int64(c.Rank())}, sum)
+		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
+	})
+	if got != size-1 {
+		t.Fatalf("%d ranks unwound with the abort, want %d", got, size-1)
+	}
+	if w.Aborted() == nil {
+		t.Fatal("World not marked aborted")
+	}
+	w.Reset()
+	if got := run(func(c *Comm) {
+		or := []uint64{0}
+		max, sum := []int64{int64(c.Rank())}, []int64{1}
+		if any := c.AllreduceFused(or, c.Rank() == 2, max, sum); !any || max[0] != size-1 || sum[0] != size {
+			t.Errorf("rank %d after Reset: any=%v max=%v sum=%v", c.Rank(), any, max, sum)
+		}
+	}); got != 0 {
+		t.Fatalf("%d ranks aborted after Reset", got)
+	}
+}
+
+// A received payload is unreachable from the mailbox: removing a message
+// must not leave its data pinned in the queue's vacated tail slot.
+func TestRecvReleasesPayload(t *testing.T) {
+	w := NewWorld(2)
+	c0, c1 := w.Rank(0), w.Rank(1)
+	for i := 0; i < 4; i++ {
+		c0.Isend(1, i, []byte{byte(i)})
+	}
+	// Out of queue order, so removals shift the tail down.
+	for _, tag := range []int{1, 0, 3, 2} {
+		if got := c1.Recv(0, tag); got[0] != byte(tag) {
+			t.Fatalf("tag %d: got %v", tag, got)
+		}
+		q := w.boxes[1].queue
+		for i, m := range q[:cap(q)] {
+			if i >= len(q) && m.data != nil {
+				t.Fatalf("after Recv(tag %d): vacated slot %d still holds a payload", tag, i)
+			}
+			if i < len(q) && m.tag == tag {
+				t.Fatalf("after Recv(tag %d): message still queued", tag)
+			}
+		}
+	}
+}
+
+func TestTrafficCountersPerRankAndReset(t *testing.T) {
+	w := spawn(t, 4, func(c *Comm) {
+		next := (c.Rank() + 1) % c.Size()
+		c.Isend(next, 0, make([]byte, 10*(c.Rank()+1)))
+		c.Recv((c.Rank()+c.Size()-1)%c.Size(), 0)
+	})
+	if w.BytesSent() != 100 || w.MessagesSent() != 4 {
+		t.Fatalf("BytesSent = %d, MessagesSent = %d, want 100 and 4", w.BytesSent(), w.MessagesSent())
+	}
+	w.Reset()
+	if w.BytesSent() != 0 || w.MessagesSent() != 0 {
+		t.Fatalf("after Reset: BytesSent = %d, MessagesSent = %d", w.BytesSent(), w.MessagesSent())
+	}
 }

@@ -55,6 +55,11 @@ func Ray() Spec {
 	}
 }
 
+// log2of3 normalises Efficiency's small-message rise to reach 1 at 2 MB
+// (log2(1+2) there). A package variable because math.Log2 is not a constant
+// expression, and Efficiency runs several times per rank per superstep.
+var log2of3 = math.Log2(3)
+
 // Efficiency returns the fraction of peak IB bandwidth achieved at a given
 // message size, reproducing the §VI-A1 sweep: a plateau below 2 MB, a ramp
 // to the 4 MB optimum, and a slight decline toward 16 MB.
@@ -71,7 +76,7 @@ func (s Spec) Efficiency(msgBytes int64) float64 {
 		return s.SmallMsgPlateau
 	case b <= small:
 		// Gentle rise within the cached-small-message regime.
-		f := math.Log2(1+b/float64(mb)) / math.Log2(3) // 0 → 1 over (0, 2MB]
+		f := math.Log2(1+b/float64(mb)) / log2of3 // 0 → 1 over (0, 2MB]
 		return s.SmallMsgPlateau + 0.08*f
 	case b <= opt:
 		// Ramp from the plateau edge to peak at 4 MB.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -133,5 +134,43 @@ func TestOptimalMessageSize(t *testing.T) {
 	}
 	if bestSize != 4<<20 {
 		t.Fatalf("optimal message size = %d, want 4MB", bestSize)
+	}
+}
+
+// Efficiency's hoisted log2(3) is the same double the inline math.Log2(3)
+// was: every size from 0 to 32 MiB maps to the identical bits.
+func TestEfficiencyBitEqualToInlineExpression(t *testing.T) {
+	inline := func(s Spec, msgBytes int64) float64 {
+		const mb = 1 << 20
+		b := float64(msgBytes)
+		switch {
+		case msgBytes <= 0:
+			return s.SmallMsgPlateau
+		case b <= 2*mb:
+			f := math.Log2(1+b/float64(mb)) / math.Log2(3)
+			return s.SmallMsgPlateau + 0.08*f
+		case b <= 4*mb:
+			f := (b - 2*mb) / (4*mb - 2*mb)
+			return (s.SmallMsgPlateau + 0.08) + (1.0-(s.SmallMsgPlateau+0.08))*f
+		case b <= 16*mb:
+			f := (b - 4*mb) / (16*mb - 4*mb)
+			return 1.0 - 0.08*f
+		default:
+			return 0.92
+		}
+	}
+	s := Ray()
+	sizes := []int64{-1, 0, 1, 2, 3, 7, 8, 63, 64, 1000, 4095, 4096}
+	for b := int64(1 << 13); b <= 32<<20; b += 1<<13 - 1 { // odd stride: hits no boundary twice
+		sizes = append(sizes, b)
+	}
+	for _, edge := range []int64{1 << 20, 2 << 20, 4 << 20, 16 << 20, 32 << 20} {
+		sizes = append(sizes, edge-1, edge, edge+1)
+	}
+	for _, b := range sizes {
+		got, want := s.Efficiency(b), inline(s, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Efficiency(%d) = %x, inline expression %x", b, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }
