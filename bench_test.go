@@ -5,7 +5,8 @@ package gcbfs
 // internal/experiments in quick mode and reports the headline metric so
 // `go test -bench=.` doubles as a figure-regeneration smoke run. The CLI
 // (cmd/bfsbench) runs the same experiments at full size and prints the
-// tables; EXPERIMENTS.md records paper-vs-measured values.
+// tables, whose notes carry the paper's values; BENCH_*.json (cmd/bfsbench
+// -json) record the measured ones from PR to PR.
 
 import (
 	"context"

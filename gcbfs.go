@@ -11,8 +11,10 @@
 // Runs are functionally exact (hop distances match a serial BFS and pass
 // Graph500-style validation) while time is simulated through calibrated
 // device and interconnect models, so the paper's scaling behaviour is
-// reproducible on any host. See DESIGN.md for the architecture and
-// EXPERIMENTS.md for paper-vs-measured comparisons.
+// reproducible on any host. The architecture is described in internal/core's
+// package comment; `bfsbench -exp <id>` (internal/experiments) regenerates
+// each of the paper's tables and figures with the paper's value in its notes,
+// and BENCH_*.json track the modelled numbers from PR to PR.
 //
 // # Query service
 //
@@ -154,14 +156,6 @@
 // an in-flight sweep coalescing into the next one. Coalesced sweeps run on a
 // background context — a caller's cancellation abandons its wait but never
 // aborts the shared traversal.
-//
-// Config.WarmStart carries hybrid-policy feedback across queries: each
-// completed query's final skew, wire-ratio and per-strategy calibration
-// EWMAs are merged — deterministically, in source order — into a service
-// snapshot that seeds subsequent queries' policy feedback. Warm starting
-// never changes levels or parents, only how quickly the hybrid exchange
-// policy's cost model converges; it is off by default so fixed benchmark
-// cells stay reproducible in isolation.
 //
 // # What the BFS tree costs
 //
@@ -354,7 +348,8 @@ type Config struct {
 	// for delegate masks.
 	BlockingReduce bool
 	// WorkAmplification scales the timing model into a larger-graph
-	// regime (see EXPERIMENTS.md); values ≤ 0 are treated as 1
+	// regime (see the scale mapping in internal/experiments' package
+	// comment); values ≤ 0 are treated as 1
 	// (no amplification). Overridable per query with
 	// WithWorkAmplification.
 	WorkAmplification float64
@@ -404,11 +399,6 @@ type Config struct {
 	// the package comment's multi-source section). Runs with per-query
 	// options bypass coalescing — option sets cannot share a traversal.
 	CoalesceQueries bool
-	// WarmStart seeds each query's hybrid-policy feedback from the merged
-	// snapshot of previously completed queries (deterministic source-order
-	// merge). Results are unaffected; only policy convergence and therefore
-	// simulated exchange timing change. Off by default.
-	WarmStart bool
 	// Inject arms deterministic fault injection for chaos testing (see the
 	// package comment's fault-tolerance section): payload faults fire on the
 	// simulated wire, boundary faults at BSP iteration boundaries, keyed by
@@ -669,11 +659,6 @@ type Service struct {
 	admitMu  sync.Mutex
 	pendingQ []*sweepReq
 	draining bool
-
-	// Merged warm-start snapshot (WarmStart) of completed queries' policy
-	// feedback.
-	warmMu sync.Mutex
-	warm   *core.PolicySnapshot
 
 	// Fault-tolerance counters (FaultStats accessor).
 	faultMu    sync.Mutex
@@ -962,7 +947,6 @@ func (s *Service) Run(ctx context.Context, source int64, opts ...QueryOption) (*
 	if err != nil {
 		return nil, err
 	}
-	s.warmOverride(&q)
 	var r *metrics.RunResult
 	attempts, degraded, err := s.withRetry(ctx, &q, func(ctx context.Context, ov core.Overrides) error {
 		var err error
@@ -972,7 +956,6 @@ func (s *Service) Run(ctx context.Context, source int64, opts ...QueryOption) (*
 	if err != nil {
 		return nil, err
 	}
-	s.recordWarm([]*metrics.RunResult{r})
 	res := convert(r)
 	res.Attempts, res.Degraded = attempts, degraded
 	return res, nil
@@ -1041,7 +1024,6 @@ func (s *Service) serveSweep(batch []*sweepReq) {
 		}
 	}
 	var q queryConfig
-	s.warmOverride(&q)
 	var rs []*metrics.RunResult
 	attempts, degraded, err := s.withRetry(context.Background(), &q, func(ctx context.Context, ov core.Overrides) error {
 		var err error
@@ -1055,7 +1037,6 @@ func (s *Service) serveSweep(batch []*sweepReq) {
 		}
 		return
 	}
-	s.recordWarm(rs)
 	used := make([]bool, len(uniq))
 	for _, req := range batch {
 		l := lane[req.source]
@@ -1067,49 +1048,6 @@ func (s *Service) serveSweep(batch []*sweepReq) {
 		}
 		req.res.Attempts, req.res.Degraded = attempts, degraded
 		close(req.done)
-	}
-}
-
-// warmOverride seeds an option-free query from the service's merged warm
-// snapshot when WarmStart is on (an explicit per-query snapshot wins).
-func (s *Service) warmOverride(q *queryConfig) {
-	if !s.cfg.WarmStart || q.ov.Warm != nil {
-		return
-	}
-	s.warmMu.Lock()
-	if s.warm != nil {
-		snap := *s.warm
-		q.ov.Warm = &snap
-	}
-	s.warmMu.Unlock()
-}
-
-// recordWarm folds completed queries' policy feedback into the service's
-// warm snapshot, in the given (source) order.
-func (s *Service) recordWarm(rs []*metrics.RunResult) {
-	if !s.cfg.WarmStart {
-		return
-	}
-	snaps := make([]core.PolicySnapshot, 0, len(rs)+1)
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	if s.warm != nil {
-		snaps = append(snaps, *s.warm)
-	}
-	for _, r := range rs {
-		sn := core.PolicySnapshot{
-			Skew:           r.Exchange.SkewEWMA,
-			WireRatio:      r.Exchange.WireRatioEWMA,
-			CalibAllPairs:  r.Exchange.CalibrationAllPairs,
-			CalibButterfly: r.Exchange.CalibrationButterfly,
-		}
-		if sn != (core.PolicySnapshot{}) {
-			snaps = append(snaps, sn)
-		}
-	}
-	if len(snaps) > 0 {
-		merged := core.MergeSnapshots(snaps)
-		s.warm = &merged
 	}
 }
 
@@ -1266,7 +1204,6 @@ func (s *Service) RunBatch(ctx context.Context, sources []int64, bo BatchOptions
 	if err != nil {
 		return nil, err
 	}
-	s.warmOverride(&q)
 	uniq, lane := dedupSources(sources)
 	poolBefore := s.plan.PoolStats()
 	var rs []*metrics.RunResult
@@ -1279,7 +1216,6 @@ func (s *Service) RunBatch(ctx context.Context, sources []int64, bo BatchOptions
 		return nil, err
 	}
 	poolAfter := s.plan.PoolStats()
-	s.recordWarm(rs)
 	br := &BatchResult{Results: make([]*Result, len(sources))}
 	br.Stats.PoolHits = poolAfter.Hits - poolBefore.Hits
 	br.Stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
@@ -1312,7 +1248,6 @@ func (s *Service) RunSweep(ctx context.Context, sources []int64, opts ...QueryOp
 	if len(sources) == 0 {
 		return &BatchResult{}, ctx.Err()
 	}
-	s.warmOverride(&q)
 	uniq, lane := dedupSources(sources)
 	width := s.cfg.sweepWidth()
 	rs := make([]*metrics.RunResult, 0, len(uniq))
@@ -1332,7 +1267,6 @@ func (s *Service) RunSweep(ctx context.Context, sources []int64, opts ...QueryOp
 		anyDegraded = anyDegraded || degraded
 		rs = append(rs, part...)
 	}
-	s.recordWarm(rs)
 	br := &BatchResult{Results: make([]*Result, len(sources))}
 	expandResults(br, rs, lane)
 	stampRetry(br.Results, maxAttempts, anyDegraded)

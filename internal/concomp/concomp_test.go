@@ -8,6 +8,7 @@ import (
 	"gcbfs/internal/core"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/metrics"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 )
@@ -185,5 +186,27 @@ func TestRejectsMismatchedShape(t *testing.T) {
 	sg := buildSub(t, el, core.ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 1}, 4)
 	if _, err := Run(sg, core.ClusterShape{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 4}, DefaultOptions()); err == nil {
 		t.Fatal("accepted mismatched shape")
+	}
+}
+
+// TestModelledCostPinned holds the shared dense loop to the statistics the
+// program's own loop reported before the two were merged (RMAT 10, 2×2×2).
+func TestModelledCostPinned(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(10))
+	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
+	res, err := Run(buildSub(t, el, shape, 16), shape, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParts := metrics.Breakdown{
+		Computation:    4.3290272727272725e-05,
+		LocalComm:      4.079600000000001e-05,
+		RemoteNormal:   1.5223989795863506e-05,
+		RemoteDelegate: 6.616723978058684e-05,
+	}
+	if !res.Converged || res.Iterations != 5 || res.SimSeconds != 0.0001503259068491776 ||
+		res.Parts != wantParts || res.BytesNormal != 8076 || res.BytesDelegate != 13880 {
+		t.Fatalf("converged %v after %d iterations, %v s, parts %+v, %d normal and %d delegate bytes",
+			res.Converged, res.Iterations, res.SimSeconds, res.Parts, res.BytesNormal, res.BytesDelegate)
 	}
 }

@@ -28,6 +28,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -169,14 +170,6 @@ type Options struct {
 	// bytes and simulated timing differ. No effect when GPUsPerRank is 1,
 	// where the two shapes coincide.
 	FlatExchange bool
-	// Warm seeds the hybrid exchange policy's measured feedback (skew,
-	// compression ratio, per-strategy calibration EWMAs) from an earlier
-	// query's PolicySnapshot instead of the neutral defaults, so a batch's
-	// later queries start with the crossover already calibrated. Zero fields
-	// keep their defaults; nil disables warm starting. Results are
-	// unaffected — only the per-iteration strategy choice (and hence
-	// simulated timing) can differ.
-	Warm *PolicySnapshot
 	// WorkAmplification scales all counted work and communication volume
 	// before the timing model (not the functional run or reported work
 	// stats). Setting it to 2^(paperScale-localScale) makes a scaled-down
@@ -367,8 +360,6 @@ type Overrides struct {
 	CollectLevels     *bool
 	CollectParents    *bool
 	WorkAmplification *float64
-	// Warm replaces (not merges with) the base Options.Warm snapshot.
-	Warm *PolicySnapshot
 }
 
 // effectiveOptions resolves base options plus overrides, validating the
@@ -404,9 +395,6 @@ func (p *Plan) effectiveOptions(ov Overrides) (Options, error) {
 		if o.WorkAmplification <= 0 {
 			o.WorkAmplification = 1
 		}
-	}
-	if ov.Warm != nil {
-		o.Warm = ov.Warm
 	}
 	return o, nil
 }
@@ -459,6 +447,46 @@ func (p *Plan) env() planEnv {
 	return planEnv{sg: p.sg, shape: p.shape, cfg: p.cfg, p: p.p, d: p.d, epoch: p.epoch}
 }
 
+// runEnv is what the superstep loop (run.go) and the modelled clock
+// (timing.go, policy.go) need of a traversal, whatever its lanes carry: the
+// plan's environment, the query's effective options, its statistics and its
+// exchange policy. Session and sweepSession each embed one, so every charge
+// and every timing rule exists once.
+type runEnv struct {
+	planEnv
+	opts Options
+	amp  float64 // work/volume amplification for the timing model
+	// rec is the in-flight query's statistics, written by rank 0 only; pol
+	// is its exchange policy, shared read-only by the rank goroutines. Both
+	// are set by begin before the ranks start.
+	rec recorder
+	pol *exchangePolicy
+}
+
+// runOn binds a plan's environment to one query's effective options.
+func (p *Plan) runOn(opts Options) runEnv {
+	return runEnv{planEnv: p.env(), opts: opts, amp: opts.WorkAmplification}
+}
+
+// begin clears the statistics and builds the policy of a new query.
+func (e *runEnv) begin() {
+	e.rec = recorder{}
+	e.rec.exchange.Strategy = e.opts.Exchange.String()
+	e.pol = e.newExchangePolicy()
+}
+
+// cancelErr is the error of a query whose ranks left the loop on a dead
+// context (rec.cancelled), nil for one that ran to its end.
+func (e *runEnv) cancelErr(ctx context.Context) error {
+	if !e.rec.cancelled {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return context.Canceled
+}
+
 // Session holds every mutable byte of one in-flight BFS query: per-GPU
 // frontiers, visited bitmasks, send bins, parent-resolution scratch and the
 // effective (base + overrides) options. Sessions are created and recycled by
@@ -466,9 +494,7 @@ func (p *Plan) env() planEnv {
 // Session needs no locking of its own — its per-GPU state is touched only by
 // the owning rank goroutine, exactly as on the real machine.
 type Session struct {
-	planEnv
-	opts Options
-	amp  float64 // work/volume amplification for the timing model
+	runEnv
 	gpus []*gpuState
 	// scratch holds each rank goroutine's reusable per-iteration state
 	// (merge headers, arrival bins, decode arena, radix buffers — see
@@ -481,11 +507,6 @@ type Session struct {
 	// caller goroutine before the ranks start and filled by them.
 	qt  queryTree
 	out treeOut
-	// rec is the in-flight query's statistics, written by rank 0 only; pol
-	// is its exchange policy, shared read-only by the rank goroutines. Both
-	// are set by traverse before the ranks start.
-	rec recorder
-	pol *exchangePolicy
 	// parentExchangePairs counts the post-BFS resolution traffic (pairs),
 	// reported but excluded from simulated BFS time. The byte counters
 	// account that exchange's fixed-width equivalent and what the codec
@@ -519,11 +540,7 @@ func (e *Session) acquireWorld() *mpi.World {
 
 // newSession allocates the per-GPU state for one concurrent query.
 func (p *Plan) newSession() *Session {
-	s := &Session{
-		planEnv: p.env(),
-		opts:    p.base,
-		amp:     p.base.WorkAmplification,
-	}
+	s := &Session{runEnv: p.runOn(p.base)}
 	s.gpus = make([]*gpuState, s.p)
 	s.qt = queryTree{
 		levels:  make([][]int32, s.p),
@@ -575,14 +592,14 @@ func (s *Session) configure(opts Options) {
 
 // charge runs the kernel cost through the device model with work
 // amplification applied (timing only; functional counters stay raw).
-func (e *Session) charge(gs *gpuState, c simgpu.KernelCost) float64 {
+func (e *runEnv) charge(dev *simgpu.Device, c simgpu.KernelCost) float64 {
 	c.Edges = int64(float64(c.Edges) * e.amp)
 	c.Vertices = int64(float64(c.Vertices) * e.amp)
-	return gs.dev.Charge(c)
+	return dev.Charge(c)
 }
 
 // ampBytes scales a communication volume for the timing model.
-func (e *Session) ampBytes(b int64) int64 {
+func (e *runEnv) ampBytes(b int64) int64 {
 	return int64(float64(b) * e.amp)
 }
 
@@ -675,7 +692,6 @@ type iterWork struct {
 	delegateStream float64 // seconds: previsit + dd + nd kernels
 	normalStream   float64 // seconds: previsit + dn + nn kernels + binning
 	edgesScanned   int64
-	dupsRemoved    int64
 	binned         int64 // ids queued for other GPUs (gpuState.bin)
 }
 

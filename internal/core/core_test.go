@@ -371,7 +371,8 @@ func TestBreakdownConsistency(t *testing.T) {
 	// Overlap hides time, it never creates it: elapsed minus the fixed
 	// per-iteration sync overhead (excluded from the parts by design)
 	// cannot exceed the sum of parts.
-	sync := syncOverheadFor(&opts, shape) * float64(len(res.PerIteration))
+	env := e.runOn(e.base)
+	sync := env.syncOverhead() * float64(len(res.PerIteration))
 	if res.SimSeconds-sync > res.Parts.Sum()*(1+1e-9) {
 		t.Fatalf("elapsed %g minus sync %g exceeds parts sum %g",
 			res.SimSeconds, sync, res.Parts.Sum())

@@ -1,7 +1,9 @@
 package core
 
 // This file implements the inter-rank normal-vertex exchange (§V-B) as a
-// strategy behind a small interface, keeping run.go's BSP loop thin.
+// strategy behind a small interface, keeping run.go's BSP loop thin. The
+// strategies here carry ids; the sweep's record exchanger (sweep_exchange.go)
+// satisfies the same interface for the one pattern it supports.
 //
 // AllPairs is the paper's pattern: every rank sends one message per
 // destination rank per iteration — p−1 sends whose size shrinks as ranks
@@ -140,8 +142,28 @@ type exchangeCounts struct {
 	// hopBytes.
 	hopRecvBytes []int64
 	// arrivals collects the remote ids received for each local GPU slot;
-	// run.go applies them in canonical sorted order.
+	// run.go applies them in canonical sorted order (a sweep applies its
+	// records as they arrive and leaves this nil).
 	arrivals [][]uint32
+	// intra is the fixed-width volume applied directly between the rank's own
+	// GPUs (NVLink, not NIC) and dups the duplicates removed before sending —
+	// both filled in by lanes.exchange around the strategy's own accounting.
+	intra, dups int64
+}
+
+// message accounts one encoded message this rank sends (or, presence-gated,
+// would send): its bytes, the codec's work on it and the schemes it picked.
+func (c *exchangeCounts) message(st wire.Stats, mode wire.Mode) {
+	c.sent += st.EncodedBytes
+	c.sentRaw += st.RawBytes
+	if mode != wire.ModeOff {
+		c.codecRaw += st.RawBytes
+	}
+	for i, n := range st.Selected {
+		c.scheme[i] += n
+	}
+	c.memoHits += st.MemoHits
+	c.messages++
 }
 
 // remoteVolumes carries one iteration's globally max-reduced, amplified
@@ -154,7 +176,7 @@ type remoteVolumes struct {
 	hopRecv     []int64 // per-hop received wire volume (NVLink staging input)
 	preCodecRaw int64   // first hop's encode, preceding all communication
 	// aggBytes is the hierarchical intra-rank aggregation's NVLink volume
-	// (aggregationBytesFor, amplified and max-reduced); zero when flat.
+	// (runEnv.aggregationBytes, amplified and max-reduced); zero when flat.
 	aggBytes int64
 	// maskWire/maskSecs describe the delegate-mask allreduce of the same
 	// iteration: its wire bytes (zero when no mask was exchanged) and its
@@ -210,11 +232,11 @@ type exchanger interface {
 	// announce appends this rank's contribution to the presence matrix that
 	// rides the pre-exchange reduce (see presence): all-pairs appends the
 	// whole zeroed matrix with its own row filled in, the butterfly nothing.
-	announce(myGPUs []*gpuState, row []int64) []int64
+	announce(row []int64) []int64
 	// exchange encodes and sends this iteration's outgoing bins, receives
 	// the counterpart payloads, and returns the accounting plus arrivals.
 	// present is the reduced matrix announce contributed to.
-	exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, present []int64) exchangeCounts
+	exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts
 	// rounds is the number of sequential communication rounds per
 	// iteration — the length of every exchangeCounts.hopBytes.
 	rounds() int
@@ -432,7 +454,7 @@ type allPairsExchange struct {
 
 func (x *allPairsExchange) rounds() int { return 1 }
 
-func (x *allPairsExchange) announce(myGPUs []*gpuState, row []int64) []int64 {
+func (x *allPairsExchange) announce(row []int64) []int64 {
 	pgpu := x.e.shape.GPUsPerRank
 	prank := x.e.shape.Ranks()
 	w := presenceWidth(prank)
@@ -444,7 +466,7 @@ func (x *allPairsExchange) announce(myGPUs []*gpuState, row []int64) []int64 {
 			mine[dst/64] |= 1 << (uint(dst) % 64)
 		}
 	}
-	for _, gs := range myGPUs {
+	for _, gs := range x.e.rankGPUs(x.rank) {
 		if gs.it.binned == 0 {
 			continue
 		}
@@ -474,8 +496,9 @@ func (x *allPairsExchange) emptyMessageLen(mode wire.Mode, pgpu int) int64 {
 	return x.emptyLen
 }
 
-func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, present []int64) exchangeCounts {
+func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
+	myGPUs := e.rankGPUs(rank)
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
@@ -526,16 +549,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 		if !frag {
 			payload, st := x.sel.AppendSlots(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
 			x.msgBufs[dst] = payload
-			c.sent += st.EncodedBytes
-			c.sentRaw += st.RawBytes
-			if mode != wire.ModeOff {
-				c.codecRaw += st.RawBytes
-			}
-			for i, n := range st.Selected {
-				c.scheme[i] += n
-			}
-			c.memoHits += st.MemoHits
-			c.messages++
+			c.message(st, mode)
 			if pres.has(rank, dst) {
 				comm.Isend(dst, hopTag(iter, 0), payload)
 			}
@@ -548,16 +562,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 			x.fragSlots[s], x.fragSorted[s] = sc.apSlots[s], sc.apSorted[s]
 			payload, st := x.sel.AppendSlots(x.msgBufs[dst*pgpu+s][:0], dst, x.fragSlots, x.fragSorted, mode)
 			x.msgBufs[dst*pgpu+s] = payload
-			c.sent += st.EncodedBytes
-			c.sentRaw += st.RawBytes
-			if mode != wire.ModeOff {
-				c.codecRaw += st.RawBytes
-			}
-			for i, n := range st.Selected {
-				c.scheme[i] += n
-			}
-			c.memoHits += st.MemoHits
-			c.messages++
+			c.message(st, mode)
 			if pres.has(rank, dst) {
 				comm.Isend(dst, fragTag(iter, 0, s), payload)
 			}
@@ -616,11 +621,17 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int
 }
 
 func (x *allPairsExchange) remoteTime(in remoteVolumes) remoteTiming {
+	return x.e.allPairsRemoteTime(in)
+}
+
+// allPairsRemoteTime charges one all-pairs round, whatever its payload (ids
+// here, records in sweep_exchange.go).
+func (e *runEnv) allPairsRemoteTime(in remoteVolumes) remoteTiming {
 	b := in.hopBytes[0]
-	msg := x.e.effMessageBytes(b)
-	codec := x.e.opts.GPU.CodecTime(in.hopCodecRaw[0] + in.preCodecRaw)
+	msg := e.effMessageBytes(b)
+	codec := e.opts.GPU.CodecTime(in.hopCodecRaw[0] + in.preCodecRaw)
 	rt := remoteTiming{
-		seconds:      x.e.opts.Net.PointToPoint(b, msg) + codec,
+		seconds:      e.opts.Net.PointToPoint(b, msg) + codec,
 		maxMsg:       msg,
 		codecSeconds: codec,
 		maskSecs:     in.maskSecs,
@@ -630,9 +641,9 @@ func (x *allPairsExchange) remoteTime(in remoteVolumes) remoteTiming {
 	// hides it — the whole tier is exposed, and run.go charges it to
 	// LocalComm (where the flat mode's staging lives), keeping seconds the
 	// wire+codec remote-normal; only the butterfly's hop pipeline can hide.
-	if x.e.hierExchange() {
-		net := x.e.opts.Net
-		nvl := net.LocalExchange(in.aggBytes, x.e.shape.GPUsPerRank) +
+	if e.hierExchange() {
+		net := e.opts.Net
+		nvl := net.LocalExchange(in.aggBytes, e.shape.GPUsPerRank) +
 			net.Staging(b) + net.Staging(in.hopRecv[0])
 		rt.nvlinkSeconds = nvl
 		rt.nvlinkExposed = nvl
@@ -698,10 +709,11 @@ func (x *butterflyExchange) fold(dst int) int {
 
 // announce contributes nothing: the butterfly has no presence contract (see
 // presence).
-func (x *butterflyExchange) announce(_ []*gpuState, row []int64) []int64 { return row }
+func (x *butterflyExchange) announce(row []int64) []int64 { return row }
 
-func (x *butterflyExchange) exchange(comm *mpi.Comm, myGPUs []*gpuState, iter int32, _ []int64) exchangeCounts {
+func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
+	myGPUs := e.rankGPUs(rank)
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
@@ -862,17 +874,10 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 	if !x.e.opts.FlatExchange || pgpu <= 1 {
 		payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, pgpu, mode)
 		x.msgBufs[hop] = payload
-		c.sent += st.EncodedBytes
-		c.sentRaw += st.RawBytes
+		c.message(st, mode)
 		if mode != wire.ModeOff {
-			c.codecRaw += st.RawBytes
 			x.encRaw[hop] += st.RawBytes
 		}
-		for i, n := range st.Selected {
-			c.scheme[i] += n
-		}
-		c.memoHits += st.MemoHits
-		c.messages++
 		comm.Isend(dst, hopTag(iter, hop), payload)
 		return st.EncodedBytes
 	}
@@ -899,18 +904,11 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 		}
 		payload, st := x.sel.AppendSections(x.msgBufs[hop*pgpu+s][:0], fsecs, pgpu, mode)
 		x.msgBufs[hop*pgpu+s] = payload
-		c.sent += st.EncodedBytes
+		c.message(st, mode)
 		sent += st.EncodedBytes
-		c.sentRaw += st.RawBytes
 		if mode != wire.ModeOff {
-			c.codecRaw += st.RawBytes
 			x.encRaw[hop] += st.RawBytes
 		}
-		for i, n := range st.Selected {
-			c.scheme[i] += n
-		}
-		c.memoHits += st.MemoHits
-		c.messages++
 		comm.Isend(dst, fragTag(iter, hop, s), payload)
 	}
 	return sent

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"gcbfs/internal/delta"
+	"gcbfs/internal/metrics"
+	"gcbfs/internal/partition"
+	"gcbfs/internal/rmat"
+	"gcbfs/internal/wire"
+)
+
+// resultDigest hashes everything a RunResult reports except the level and
+// parent arrays (the bit-identity suites own those): every Wire, Exchange,
+// Parts and PerIteration field and the scalar counters. %+v prints a float64
+// in its shortest round-tripping form, so the digest moves whenever a single
+// bit of the modelled clock does.
+func resultDigest(results ...*metrics.RunResult) string {
+	h := sha256.New()
+	for _, r := range results {
+		c := *r
+		c.Levels, c.Parents = nil, nil
+		fmt.Fprintf(h, "%+v\n", c)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// goldenResults were generated on the commit before the sweep moved onto
+// runRank (PR 16) and pin the statistics no other test or BENCH cell reads —
+// Wire.MaskRawBytes/MaskWireBytes, the per-iteration codec/NVLink split, the
+// calibration EWMAs — across every traversal the superstep loop serves.
+var goldenResults = map[string]string{
+	"run/allpairs/off/1":       "a2f7c1a86c8ac785",
+	"run/allpairs/off/2":       "dc772ed545039eea",
+	"run/allpairs/adaptive/1":  "506b22eacc288ca4",
+	"run/allpairs/adaptive/2":  "7170c9480782617c",
+	"run/butterfly/off/1":      "269dfd6507006cb9",
+	"run/butterfly/off/2":      "6ee5274616b29c73",
+	"run/butterfly/adaptive/1": "19f4ea5cab087c26",
+	"run/butterfly/adaptive/2": "a50fcbb1ad0c5569",
+	"run/hybrid/off/1":         "2dc5d2452ad3db4b",
+	"run/hybrid/off/2":         "d617f5df1482774f",
+	"run/hybrid/adaptive/1":    "8c698e98a605aef8",
+	"run/hybrid/adaptive/2":    "ce3b7c71636c10d7",
+	"sweep/1":                  "17eb9ede17aec03f",
+	"sweep/8":                  "104c67ac70b7e13a",
+	"sweep/65":                 "2ad29038b2636e40",
+	"repair":                   "dd68fbdd26513bb7",
+}
+
+func TestGoldenRunResults(t *testing.T) {
+	ctx := context.Background()
+	el := rmat.Generate(rmat.DefaultParams(10))
+	check := func(name string, results ...*metrics.RunResult) {
+		t.Helper()
+		if got, want := resultDigest(results...), goldenResults[name]; got != want {
+			t.Errorf("%s: digest %s, golden %s", name, got, want)
+		}
+	}
+
+	for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+		for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+			for _, pgpu := range []int{1, 2} {
+				opts := DefaultOptions()
+				opts.CollectParents = true
+				opts.Exchange = x
+				opts.Compression = mode
+				p := buildPlan(t, el, ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: pgpu}, 16, opts)
+				var results []*metrics.RunResult
+				for _, src := range delegateAndNormalSources(p.sg.Sep) {
+					res, err := p.Run(ctx, src, Overrides{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					results = append(results, res)
+				}
+				check(fmt.Sprintf("run/%s/%s/%d", x, mode, pgpu), results...)
+			}
+		}
+	}
+
+	// A sweep reports no mask-codec bytes, no per-iteration rows, and the
+	// strategy "sweep", whatever the loop underneath records.
+	sweepOpts := DefaultOptions()
+	sweepOpts.CollectParents = true
+	sweepOpts.Compression = wire.ModeAdaptive
+	sp := buildPlan(t, el, ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}, 16, sweepOpts)
+	for _, k := range []int{1, 8, 65} {
+		results, err := sp.RunSweep(ctx, pickSources(el.OutDegrees(), k, 11), Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Wire.MaskRawBytes != 0 || r.Wire.MaskWireBytes != 0 || r.PerIteration != nil || r.Exchange.Strategy != "sweep" {
+				t.Fatalf("sweep/%d: mask bytes %d/%d, %d per-iteration rows, strategy %q",
+					k, r.Wire.MaskRawBytes, r.Wire.MaskWireBytes, len(r.PerIteration), r.Exchange.Strategy)
+			}
+		}
+		check(fmt.Sprintf("sweep/%d", k), results...)
+	}
+
+	// One repair, on the epoch a mixed delta produced.
+	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}
+	opts := repairOptions()
+	opts.Exchange = ExchangeHybrid
+	opts.Compression = wire.ModeAdaptive
+	source := repairSource(el)
+	p1 := buildPlan(t, el, shape, 32, opts)
+	prior, err := p1.Run(ctx, source, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := delta.Synthesize(el, 0.02, delta.KindMixed, 42)
+	el2, err := delta.Apply(el, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg2, _, err := partition.DistributeIncremental(el2, partition.Separate(el2, 32), shape.PartitionConfig(), p1.sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := NewPlanEpoch(sg2, shape, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+	rep, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("repair", rep)
+}

@@ -56,7 +56,7 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 		})
 	}
 	gs.qDDBuf, gs.qDNBuf = out.qDD, out.qDN // retain grown capacity
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Vertices: frontierBits + e.d/64, Strategy: simgpu.TWBDynamic,
 	})
 
@@ -78,7 +78,7 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 			}
 		}
 	}
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Vertices: 2 * int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic,
 	})
 	return out
@@ -248,7 +248,7 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: strategy,
 		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
 	})
@@ -290,7 +290,7 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 		vertices += e.d / 64
 	}
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
 }
@@ -344,7 +344,7 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 		bc.liveND = live
 	}
 	gs.it.edgesScanned += edges
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
 }
@@ -372,12 +372,12 @@ func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 	}
 	gs.it.edgesScanned += edges
 	skew := rowSkew(pv.maxNN, pv.fvNN, int64(len(gs.inFront)))
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
 	// Binning + id conversion cost, O(|Enn|/p) across the whole run.
 	if binned := gs.it.binned; binned > 0 {
-		gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+		gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 			Vertices: binned, Strategy: simgpu.TWBDynamic,
 		})
 	}

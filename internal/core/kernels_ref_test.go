@@ -86,7 +86,7 @@ func refBackwardDD(e *Session, gs *gpuState, pv previsitOut) {
 	})
 	vertices += e.d / 64
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: strategy,
 		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
 	})
@@ -110,7 +110,7 @@ func refBackwardND(e *Session, gs *gpuState, iter int32) {
 	})
 	vertices += e.d / 64
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic,
 	})
 }
@@ -131,7 +131,7 @@ func refBackwardDN(e *Session, gs *gpuState, iter int32) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic,
 	})
 }
@@ -145,7 +145,7 @@ func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*
 	w.kernels = kernels
 	ctx := context.Background()
 	res, err := s.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
-		s.runRank(ctx, rank, comm, source, w)
+		s.runWave(ctx, rank, comm, source, w)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,79 +68,6 @@ func newPolicyFeedback() policyFeedback {
 	return policyFeedback{skew: 1, wireRatio: 1, calib: [2]float64{1, 1}}
 }
 
-// PolicySnapshot exports one query's final measured-feedback state so later
-// queries on the same graph can warm-start their exchange policy instead of
-// re-learning the crossover from neutral defaults (Options.Warm). Partition
-// skew is a property of the graph, and the codec ratio and model bias are
-// stable across sources, so the first volume-carrying iterations of a
-// warm-started query decide with a calibrated cost model. A zero field means
-// "no information" and leaves the corresponding default untouched on seed.
-type PolicySnapshot struct {
-	// Skew is the final reduced-max over mean per-rank volume EWMA (≥ 1).
-	Skew float64
-	// WireRatio is the final measured wire-over-raw byte ratio.
-	WireRatio float64
-	// CalibAllPairs/CalibButterfly are the final actual-over-predicted
-	// remote-time EWMAs per strategy (0 when the strategy never ran).
-	CalibAllPairs  float64
-	CalibButterfly float64
-}
-
-// snapshot exports the feedback state. Calibrations are reported only for
-// strategies that executed at least one iteration (the callers gate on the
-// per-strategy iteration counts), so a neutral 1.0 that never saw a
-// measurement is still exported — seeding with it is a no-op by value.
-func (fb policyFeedback) snapshot() PolicySnapshot {
-	return PolicySnapshot{
-		Skew:           fb.skew,
-		WireRatio:      fb.wireRatio,
-		CalibAllPairs:  fb.calib[ExchangeAllPairs],
-		CalibButterfly: fb.calib[ExchangeButterfly],
-	}
-}
-
-// seed warm-starts the feedback from a snapshot, applying the same clamps
-// observe enforces so a hand-built snapshot cannot poison the session. Zero
-// fields keep the neutral defaults.
-func (fb *policyFeedback) seed(s PolicySnapshot) {
-	if s.Skew > 0 {
-		fb.skew = min(max(s.Skew, 1), skewMax)
-	}
-	if s.WireRatio > 0 {
-		fb.wireRatio = min(max(s.WireRatio, wireRatioMin), wireRatioMax)
-	}
-	if s.CalibAllPairs > 0 {
-		fb.calib[ExchangeAllPairs] = min(max(s.CalibAllPairs, calibMin), calibMax)
-	}
-	if s.CalibButterfly > 0 {
-		fb.calib[ExchangeButterfly] = min(max(s.CalibButterfly, calibMin), calibMax)
-	}
-}
-
-// MergeSnapshots deterministically folds per-query snapshots into one
-// warm-start state: each field is the running mean of the nonzero
-// contributions, folded in slice order. Callers pass snapshots in source
-// order, so the merged state is a pure function of the query results and
-// never depends on completion timing.
-func MergeSnapshots(snaps []PolicySnapshot) PolicySnapshot {
-	var out PolicySnapshot
-	var nSkew, nWire, nAP, nBF float64
-	fold := func(acc *float64, n *float64, v float64) {
-		if v <= 0 {
-			return
-		}
-		*n++
-		*acc += (v - *acc) / *n
-	}
-	for _, s := range snaps {
-		fold(&out.Skew, &nSkew, s.Skew)
-		fold(&out.WireRatio, &nWire, s.WireRatio)
-		fold(&out.CalibAllPairs, &nAP, s.CalibAllPairs)
-		fold(&out.CalibButterfly, &nBF, s.CalibButterfly)
-	}
-	return out
-}
-
 const (
 	// calibEWMA is the feedback smoothing factor: small enough that one
 	// outlier iteration cannot swing the next decision, large enough to
@@ -214,7 +141,7 @@ func (fb *policyFeedback) observe(strategy Exchange, rawPredicted, actual float6
 // mutable feedback lives in each rank's policyFeedback copy.
 type exchangePolicy struct {
 	configured Exchange // the run's configured strategy (hybrid ⇒ decide per iteration)
-	e          *Session
+	e          *runEnv
 	prank      int
 	// expansion estimates bytes entering the normal exchange per input
 	// frontier vertex on the first iteration (before measured feedback
@@ -225,7 +152,7 @@ type exchangePolicy struct {
 	q, rem, nhops int
 }
 
-func (e *Session) newExchangePolicy() *exchangePolicy {
+func (e *runEnv) newExchangePolicy() *exchangePolicy {
 	prank := e.shape.Ranks()
 	q, rem, nhops := hypercubeGeometry(prank)
 	var expansion float64
@@ -321,7 +248,7 @@ func (p *exchangePolicy) allPairsCost(vol int64, wireRatio float64) (sec, nv flo
 	// ceil-split message count collapses under the pair count and the
 	// prediction drops floors the measured side always charges; clamping
 	// there costs only a few bytes of phantom bandwidth.
-	if pairs := effPairsFor(&p.e.opts, p.e.shape); w > 0 && w < pairs*pairs {
+	if pairs := p.e.effPairs(); w > 0 && w < pairs*pairs {
 		w = pairs * pairs
 	}
 	net := p.e.opts.Net
@@ -329,8 +256,8 @@ func (p *exchangePolicy) allPairsCost(vol int64, wireRatio float64) (sec, nv flo
 	if p.codecOn() {
 		t += p.e.opts.GPU.CodecTime(2 * vol)
 	}
-	if hierExchangeFor(&p.e.opts, p.e.shape) {
-		agg := aggregationBytesFor(&p.e.opts, p.e.shape, vol)
+	if p.e.hierExchange() {
+		agg := p.e.aggregationBytes(vol)
 		nv = net.LocalExchange(agg, p.e.shape.GPUsPerRank) + 2*net.Staging(w)
 	}
 	return t, nv
@@ -439,7 +366,7 @@ func (p *exchangePolicy) butterflyCostS(vol int64, wireRatio float64, ps *policy
 	net := p.e.opts.Net
 	var nv []float64
 	var preNV, nvTotal float64
-	if hierExchangeFor(&p.e.opts, p.e.shape) {
+	if p.e.hierExchange() {
 		var sendTot int64
 		for _, h := range wireHops {
 			sendTot += h
@@ -455,7 +382,7 @@ func (p *exchangePolicy) butterflyCostS(vol int64, wireRatio float64, ps *policy
 			nv[k] = t
 			nvTotal += t
 		}
-		preNV = net.LocalExchange(aggregationBytesFor(&p.e.opts, p.e.shape, vol), p.e.shape.GPUsPerRank)
+		preNV = net.LocalExchange(p.e.aggregationBytes(vol), p.e.shape.GPUsPerRank)
 		if len(wireHops) > 0 {
 			preNV += stagingShare(sendSecs, wireHops[0], sendTot)
 		}

@@ -19,7 +19,7 @@ package core
 //     the invalidated vertices' adjacency, with one packed exchange for
 //     remote nn probes and one mask allreduce for delegate seeds.
 //
-//   - Wave: the superstep loop itself (Session.runRank, run.go) — not a copy
+//   - Wave: the superstep loop itself (runEnv.runRank, run.go) — not a copy
 //     of it — entered through a wave value built from the schedule: it starts
 //     at the minimum seed level, injects each level's seeds when it gets
 //     there, stays alive through the deepest seeded level, runs the four
@@ -216,7 +216,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 		}
 		if edges+rows > 0 {
-			if c := e.charge(gs, simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
+			if c := e.charge(gs.dev, simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
 				comp = c
 			}
 		}
@@ -293,8 +293,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 // prologue — preload, probe, seed schedules and their global level bounds
 // and counts, the probe's charge — and then the shared superstep loop.
 func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, source int64, prior []int32, invalid []bool, seeds []int64) {
-	pgpu := e.shape.GPUsPerRank
-	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
+	myGPUs := e.rankGPUs(rank)
 	sc := e.scratch[rank]
 
 	e.repairPreload(myGPUs, prior, invalid)
@@ -377,9 +376,9 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, sour
 		return
 	}
 
-	e.runRank(ctx, rank, comm, source, wave{
-		first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts,
-		kernels: (*Session).repairKernels, apply: repairApplyIDs,
+	e.runWave(ctx, rank, comm, source, wave{
+		schedule: schedule{first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts},
+		kernels:  (*Session).repairKernels, apply: repairApplyIDs,
 	})
 }
 
@@ -461,7 +460,7 @@ func (e *Session) repairKernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(pv.qDD)), Strategy: strategy,
 		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
 	})
@@ -480,7 +479,7 @@ func (e *Session) repairKernelND(gs *gpuState, pv previsitOut, iter int32) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic,
 		Skew: rowSkew(pv.maxND, pv.fvND, int64(len(gs.inFront))),
 	})
@@ -499,7 +498,7 @@ func (e *Session) repairKernelDN(gs *gpuState, pv previsitOut, iter int32) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(pv.qDN)), Strategy: simgpu.TWBDynamic,
 		Skew: rowSkew(pv.maxDN, pv.fvDN, int64(len(pv.qDN))),
 	})
@@ -529,11 +528,11 @@ func (e *Session) repairKernelNN(gs *gpuState, pv previsitOut) {
 	}
 	gs.it.edgesScanned += edges
 	skew := rowSkew(pv.maxNN, pv.fvNN, int64(len(gs.inFront)))
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic, Skew: skew,
 	})
 	if binned := gs.it.binned; binned > 0 {
-		gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+		gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 			Vertices: binned, Strategy: simgpu.TWBDynamic,
 		})
 	}

@@ -15,24 +15,25 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// This file is the BSP superstep loop (Figs. 3 and 4) of every single-source
-// traversal — a cold BFS and a delta repair alike. Session.traverse launches
-// one goroutine per rank; each runs Session.runRank, whose superstep is, in
-// order: seed injection → exchange-policy decision → local kernels on the
-// rank's GPUs → the pre-exchange rendezvous → delegate-mask commit →
-// normal-vertex exchange and canonical apply → timing assembly → the
-// post-exchange rendezvous — the communication structure of §V. What differs
-// between a cold run and a repair is named by a wave value chosen once before
-// the loop; everything else is this one loop.
+// This file is the BSP superstep loop (Figs. 3 and 4) of every BFS-family
+// traversal: a cold BFS, a delta repair and a K-source sweep all run
+// runEnv.runRank, one goroutine per rank. Its superstep is, in order:
+// exchange-policy decision → local kernels on the rank's GPUs (scheduled seeds
+// first) → the pre-exchange rendezvous → delegate commit → frontier exchange
+// and apply → timing assembly → the post-exchange rendezvous — the
+// communication structure of §V. Everything a traversal may vary sits behind
+// the lanes interface below; fault injection sites, the modelled clock's
+// assembly, the statistics and the terminate/cancel protocol are this one
+// loop's and nobody else's.
 //
 // A superstep is exactly two rendezvous (mpi.AllreduceFused; a test counts
 // them), because on the host a rendezvous — parking and waking every rank
 // goroutine — costs more than anything a near-empty superstep computes:
 //
-//   - pre-exchange: the delegate-mask OR, contributed only by ranks whose
-//     GPUs proposed a delegate — "did anyone?" is the reduce's own result, no
-//     separate vote — plus, on an all-pairs iteration, every rank's row of
-//     the destination-presence matrix (sum section; each word has one
+//   - pre-exchange: the delegate proposal's OR, contributed only by ranks
+//     whose GPUs proposed a delegate — "did anyone?" is the reduce's own
+//     result, no separate vote — plus, on an all-pairs iteration, every rank's
+//     row of the destination-presence matrix (sum section; each word has one
 //     writer), from which both ends of a (src, dst) pair agree whether that
 //     message is really delivered (exchange.go).
 //   - post-exchange: the timing vector's element-wise maxima (non-negative
@@ -42,18 +43,100 @@ import (
 // The modelled clock sees none of this: every charge, wire byte and message
 // count is computed as if each collective and each empty message were its
 // own, which is what the paper's machine would do.
+//
+// The dense analytics (internal/concomp, internal/pagerank) are not lanes:
+// they have no frontier, their delegate reduction is a min or a float sum the
+// OR section cannot carry, and they have no exchange policy; their one loop
+// is internal/dense.
 
-// wave is what a traversal may vary about the superstep loop.
-type wave struct {
+// lanes is one rank's side of a traversal: its GPUs' state and what a
+// superstep does to it. An implementation may vary what a delegate proposal
+// and a frontier payload are (a d-bit mask and ids for one source; a d×K
+// matrix and (id, query-set) records for a sweep), which kernels run, the
+// visit rule for arrivals, and how the finished traversal becomes a result.
+// It may not vary the order of the steps, how they are charged, or when the
+// traversal ends. The value lives in the rank's scratch, so a query allocates
+// none.
+type lanes interface {
+	// kernels runs superstep iter's local computation on the rank's GPUs,
+	// seeds scheduled at level iter injected first.
+	kernels(iter int32)
+	// proposal returns the words this rank offers the delegate reduction and
+	// whether any bit of them is set; the reduce overwrites them with the
+	// global OR when some rank contributed.
+	proposal() (words []uint64, proposed bool)
+	// commit folds the reduced proposal into the replicated delegate state
+	// at level iter+1, or — nothing reduced — retires the delegate frontier.
+	commit(reduced bool, iter int32) delegateCommit
+	// exchanger returns the rank's instance of the strategy the policy chose.
+	exchanger(strategy Exchange) exchanger
+	// exchange moves the superstep's frontier payload through ex and applies
+	// everything that arrives — over the wire or from a sibling GPU — at
+	// level iter+1; present is the reduced matrix ex.announce contributed to.
+	exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts
+	// tally reads the finished superstep's work off the GPUs.
+	tally() superstepWork
+	// rotate makes the output frontier the next superstep's input.
+	rotate()
+	// finish resolves and gathers what the traversal collects.
+	finish(comm *mpi.Comm)
+}
+
+// schedule is the part of a traversal's frontier known before its loop
+// starts.
+type schedule struct {
 	// first is the level of the first superstep; lastSeed the deepest level
 	// holding scheduled seeds, through which the loop stays alive even with
 	// an empty frontier.
 	first, lastSeed int32
 	// nSeeds and dSeeds are the global normal and delegate seed counts per
 	// level (indexed by level, through lastSeed): the part of a level's input
-	// frontier that is known before the wave reaches it, which the exchange
+	// frontier that is known before the loop reaches it, which the exchange
 	// policy's volume signal needs.
 	nSeeds, dSeeds []int64
+}
+
+// delegateCommit is what one superstep's delegate reduction committed: the
+// new delegate visits, and the reduced proposal's size in its native form
+// (what NVLink moves), as the inter-rank allreduce ships it, and the
+// fixed-width bytes pushed through the codec to get there. All zero when
+// nothing was reduced.
+type delegateCommit struct {
+	visits                 int64
+	native, wire, codecRaw int64
+}
+
+// superstepWork is one rank's tally of a finished superstep: the slowest
+// GPU's combined stream seconds, the output frontier's size, the edges
+// scanned and GPU0's kernel directions.
+type superstepWork struct {
+	comp                float64
+	nextNormals, edges  int64
+	dirDD, dirDN, dirND metrics.Direction
+}
+
+// loopScratch is the loop's own per-rank reusable state, embedded in each
+// traversal's rank scratch.
+type loopScratch struct {
+	// present is the all-pairs exchange's destination-presence matrix: this
+	// rank's row going into the pre-exchange reduce, every rank's coming out
+	// (see presence in exchange.go). Empty on butterfly iterations.
+	present []int64
+	// vec and sums are the post-exchange reduce's payloads; fbits is the
+	// float-max section's bit-pattern view of vec, and red the reduced
+	// per-hop vectors read back out of it.
+	vec              []float64
+	sums, fbits, red []int64
+	// pol backs the exchange policy's per-iteration butterfly cost
+	// evaluation (hop profile, wire-byte equivalent, codec stages). The
+	// policy object is shared read-only across rank goroutines; this is
+	// its per-rank mutable half.
+	pol policyScratch
+}
+
+// wave is what a single-source traversal may vary about its lanes.
+type wave struct {
+	schedule
 	// kernels runs one superstep's local computation on a rank's GPUs;
 	// apply is the per-id visit rule for ids that arrive over the exchange.
 	// A cold run has no prior levels: its kernels test the visited bitmask
@@ -66,7 +149,7 @@ type wave struct {
 // The cold run's seed schedule is its source alone, at level 0 (read-only).
 var oneSeed, noSeed = []int64{1}, []int64{0}
 
-// recorder collects per-iteration statistics (Session.rec); only rank 0
+// recorder collects per-iteration statistics (runEnv.rec); only rank 0
 // writes to it, and the main goroutine reads it after all ranks join.
 type recorder struct {
 	iterations    []metrics.IterationStats
@@ -182,7 +265,7 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
 	w := e.coldWave(source)
 	return e.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
-		e.runRank(ctx, rank, comm, source, w)
+		e.runWave(ctx, rank, comm, source, w)
 	})
 }
 
@@ -190,7 +273,7 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 // frontier at depth 0 and the loop runs the direction-optimizing kernels.
 func (e *Session) coldWave(source int64) wave {
 	e.reset()
-	w := wave{nSeeds: oneSeed, dSeeds: noSeed, kernels: (*Session).coldKernels, apply: applyIDs}
+	w := wave{schedule{nSeeds: oneSeed, dSeeds: noSeed}, (*Session).coldKernels, applyIDs}
 	if e.sg.Sep.IsDelegate(source) {
 		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
@@ -216,18 +299,13 @@ func (e *Session) coldWave(source int64) wave {
 // session; a cancelled query returns the context's error.
 func (e *Session) traverse(ctx context.Context, source int64, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
 	e.out = newTreeOut(&e.opts, e.sg.N)
-	e.rec = recorder{}
-	e.rec.exchange.Strategy = e.opts.Exchange.String()
-	e.pol = e.newExchangePolicy()
+	e.begin()
 	if err := RunRanks(e.acquireWorld(), e.opts.Inject, tagSite, body); err != nil {
 		e.poisoned = true
 		return nil, err
 	}
-	if e.rec.cancelled {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
+	if err := e.cancelErr(ctx); err != nil {
+		return nil, err
 	}
 	return e.result(source), nil
 }
@@ -264,187 +342,57 @@ func (e *Session) result(source int64) *metrics.RunResult {
 }
 
 // runRank is the per-rank BSP loop ("the CPU thread that controls GPU0"
-// performs the global phases, §V-A), entered with the frontier and any seed
-// schedule for w already in place.
-func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
+// performs the global phases, §V-A), entered with l's frontier and any seeds
+// sch schedules already in place.
+func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes, ls *loopScratch, sch schedule) {
 	rec, pol := &e.rec, e.pol
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
-	myGPUs := e.gpus[rank*pgpu : (rank+1)*pgpu]
-	sc := e.scratch[rank]
-	rankMask := sc.rankMask // fully overwritten by CopyFrom each iteration
-	maskBytes := rankMask.ByteSize()
-	rx := sc.rx.bind(e, rank, sc)
 	cancelled := false
 
 	// Input frontier sizes of the upcoming iteration (globally known), plus
 	// the previous iteration's measured volume — the policy's feedback.
-	inputNormals, inputDelegates := w.nSeeds[w.first], w.dSeeds[w.first]
+	inputNormals, inputDelegates := sch.nSeeds[sch.first], sch.dSeeds[sch.first]
 	prevNormals, prevOriginated := int64(0), int64(0)
 	// Measured-feedback state (skew ratio + per-strategy calibration):
 	// every rank keeps its own copy, updated from globally reduced values
 	// only, so the copies stay bit-identical and decisions need no extra
 	// collective.
 	fb := newPolicyFeedback()
-	if e.opts.Warm != nil {
-		// Warm start: every rank seeds from the same snapshot, so the copies
-		// stay bit-identical exactly as with the neutral defaults.
-		fb.seed(*e.opts.Warm)
-	}
 
-	for iter := w.first; ; iter++ {
+	for iter := sch.first; ; iter++ {
 		// ---- Fault injection (chaos testing): an armed injector may crash
 		// this rank at the iteration boundary — a real panic the containment
 		// boundary must recover and turn into an all-rank abort.
 		if in := e.opts.Inject; in != nil {
 			in.Crash(rank, int(iter), faults.SiteIter)
 		}
-		// ---- Seed injection: a repair's schedules advance with the wave (a
-		// cold run's are empty — its source is already in the frontier).
-		e.injectSeeds(myGPUs, sc, iter)
 		// ---- Exchange policy: every rank derives the identical strategy
 		// decision for this iteration from globally known inputs, the way
 		// direction optimization derives push vs pull (policy.go).
-		strategy, predicted := pol.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &sc.pol)
-		ex := rx.get(strategy)
+		strategy, predicted := pol.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &ls.pol)
+		ex := l.exchanger(strategy)
 		// ---- Local computation (all GPUs of this rank).
-		for _, gs := range myGPUs {
-			gs.it = iterWork{}
-		}
-		w.kernels(e, myGPUs, iter)
-		dir0 := myGPUs[0]
+		l.kernels(iter)
 
 		// ---- Pre-exchange rendezvous, the first of the superstep's two. It
-		// carries the delegate-mask reduction — local OR to "GPU0", then the
+		// carries the delegate reduction — local OR to "GPU0", then the
 		// global OR across ranks, skipped entirely on iterations without
 		// updates anywhere (the S' < S saving of §V-A) — and the all-pairs
-		// exchange's destination-presence rows (exchange.go). Only a rank
-		// whose GPUs proposed a delegate builds and contributes mask words;
-		// whether any rank did is the reduce's own result, so a superstep
-		// without delegate updates touches no mask at all.
-		//
-		// The commit takes every reduced bit at level iter+1 without
-		// re-testing it, for a repair too: delegate levels are replicated and
-		// change only here, so a bit a repair kernel set because the level it
-		// saw was -1 or deeper than iter+1 still passes that test now, on
-		// every GPU. (visited is read by the cold kernels only; a repair just
-		// carries it.)
-		hasBits := false
-		for _, gs := range myGPUs {
-			if !gs.newDirty {
-				continue
-			}
-			if hasBits {
-				rankMask.Or(gs.newMask)
-			} else {
-				rankMask.CopyFrom(gs.newMask)
-				hasBits = true
-			}
-		}
-		sc.present = ex.announce(myGPUs, sc.present[:0])
-		maskExchanged := comm.AllreduceFused(rankMask.Words(), hasBits, nil, sc.present)
-		var newDelegates int64
-		if maskExchanged {
-			newDelegates = rankMask.Count()
-			for _, gs := range myGPUs {
-				rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
-				gs.visitedForWrite().Or(rankMask)
-				gs.dFront.CopyFrom(rankMask)
-				gs.dFrontN = newDelegates
-				if gs.newDirty {
-					gs.newMask.Reset()
-					gs.newDirty = false
-				}
-			}
-		} else {
-			for _, gs := range myGPUs {
-				if gs.dFrontN > 0 {
-					gs.dFront.Reset()
-					gs.dFrontN = 0
-				}
-			}
-		}
+		// exchange's destination-presence rows (exchange.go). Whether any rank
+		// proposed is the reduce's own result, so a superstep without delegate
+		// updates touches no proposal at all.
+		words, proposed := l.proposal()
+		ls.present = ex.announce(ls.present[:0])
+		reduced := comm.AllreduceFused(words, proposed, nil, ls.present)
+		dc := l.commit(reduced, iter)
 
-		// ---- Delegate-aware mask encoding: with a codec active, the
-		// reduced delegate mask rides the same adaptive raw/delta/bitmap
-		// selection as the normal payloads. Dense early-BFS masks stay in
-		// their native bitmap form (the encoder can't beat d/8 bytes), but
-		// the sparse late-iteration masks shrink to delta streams. Every
-		// rank encodes the identical reduced mask, so the effective size —
-		// what the timing model charges the global allreduce — is
-		// deterministic across ranks.
-		effMaskBytes := maskBytes
-		var maskCodecRaw int64
-		if maskExchanged && e.opts.Compression != wire.ModeOff && e.d-1 <= int64(^uint32(0)) {
-			ids := sc.maskIDs[:0]
-			rankMask.ForEach(func(di int64) { ids = append(ids, uint32(di)) })
-			sc.maskIDs = ids
-			if enc := wire.EncodedMaskBytes(ids, e.opts.Compression); enc < maskBytes {
-				effMaskBytes = enc
-				maskCodecRaw = 4 * int64(len(ids))
-			}
-		}
-
-		// ---- Normal-vertex exchange (§V-B).
-		var dupsRemoved int64
-		if e.opts.Uniquify {
-			for _, gs := range myGPUs {
-				n := gs.bins.UniquifyAll(&sc.sortBuf)
-				gs.it.dupsRemoved += n
-				dupsRemoved += n
-				// Uniquify is extra local work (sort + compact).
-				if c := gs.bins.Count(); c > 0 {
-					gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
-						Vertices: 2 * c, Strategy: simgpu.TWBDynamic,
-					})
-				}
-			}
-		}
-		// Inter-rank exchange through this iteration's strategy (all-pairs
-		// sends, or the butterfly's log(p) hops — see exchange.go).
-		counts := ex.exchange(comm, myGPUs, iter, sc.present)
-		// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
-		var intraBytes int64
-		for _, src := range myGPUs {
-			for s := 0; s < pgpu; s++ {
-				dstGPU := rank*pgpu + s
-				if dstGPU == src.pg.GPU {
-					continue
-				}
-				ids := src.bins.PerGPU[dstGPU]
-				intraBytes += 4 * int64(len(ids))
-				w.apply(e.gpus[dstGPU], ids, iter+1)
-			}
-		}
-		// Remote arrivals apply in canonical ascending order so every
-		// exchange strategy yields the identical output-frontier order (and
-		// hence identical parents downstream). On the real GPU the apply is
-		// an order-independent parallel scatter, so no extra time is
-		// charged for the canonicalization.
-		var applied int64
-		for s, ids := range counts.arrivals {
-			applied += int64(len(ids))
-			frontier.SortIDs(ids, &sc.sortBuf)
-			w.apply(myGPUs[s], ids, iter+1)
-		}
-		sentBytes, rawSentBytes := counts.sent, counts.sentRaw
-		// Scatter cost of applying received ids on the destination GPUs.
-		if applied+intraBytes/4 > 0 {
-			myGPUs[0].it.normalStream += e.charge(myGPUs[0], simgpu.KernelCost{
-				Vertices: applied + intraBytes/4, Strategy: simgpu.TWBDynamic,
-			})
-		}
-		for _, gs := range myGPUs {
-			gs.bins.Reset()
-		}
+		// ---- Frontier exchange (§V-B) and apply.
+		counts := l.exchange(comm, ex, iter, ls.present)
+		work := l.tally()
 
 		// ---- Timing assembly (model time, reduced across ranks).
-		var comp float64
-		for _, gs := range myGPUs {
-			if c := streamCombine(gs.it.delegateStream, gs.it.normalStream); c > comp {
-				comp = c
-			}
-		}
+		comp := work.comp
 		// An injected stall charges this rank extra simulated seconds; the
 		// max-reduce below propagates the skew exactly like a slow kernel.
 		// Timing only — levels and parents stay bit-identical.
@@ -452,14 +400,14 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 			comp += in.Stall(rank, int(iter), faults.SiteIter)
 		}
 		// Timing uses amplified volumes (scale-model, see Options).
-		aSent, aRecv, aIntra := e.ampBytes(sentBytes), e.ampBytes(counts.recv), e.ampBytes(intraBytes)
-		// Local NVLink moves the mask in its native bitmap form; only the
+		aSent, aRecv, aIntra := e.ampBytes(counts.sent), e.ampBytes(counts.recv), e.ampBytes(counts.intra)
+		// Local NVLink moves the proposal in its native form; only the
 		// inter-rank allreduce ships the codec-encoded size.
-		aMask := e.ampBytes(maskBytes)
-		aMaskWire := e.ampBytes(effMaskBytes)
+		aMask := e.ampBytes(dc.native)
+		aMaskWire := e.ampBytes(dc.wire)
 		hier := e.hierExchange()
 		var localComm float64
-		if maskExchanged {
+		if reduced {
 			localComm += e.opts.Net.LocalReduce(aMask, pgpu)
 			localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
 		}
@@ -481,21 +429,21 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv) + e.opts.Net.Staging(aIntra)
 		}
 		var remoteDelegate float64
-		if maskExchanged {
+		if reduced {
 			remoteDelegate = e.opts.Net.Allreduce(aMaskWire, prank, e.opts.BlockingReduce)
 		}
 		// Delegate-mask codec compute is charged exposed (the mask allreduce
 		// serializes with its encode); the exchange's own codec work rides
 		// the per-hop vectors below, so the pipelined butterfly can hide it
 		// under hop transfers.
-		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(maskCodecRaw))
+		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(dc.codecRaw))
 		// The per-hop wire volumes and codec stages ride along the reduced
 		// vector (amplified) so every rank derives the identical
 		// remote-normal time from the global per-hop maxima — the hops are
 		// synchronized pairwise exchanges, so the slowest rank paces each
 		// transfer and each codec stage.
 		nh := len(counts.hopBytes)
-		vec := sc.vec[:0]
+		vec := ls.vec[:0]
 		vec = append(vec, comp, localComm, remoteDelegate, maskCodecSecs)
 		for _, hb := range counts.hopBytes {
 			vec = append(vec, float64(e.ampBytes(hb)))
@@ -511,7 +459,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		// the slowest rank paces the pre stage like everything else.
 		var aggBytes int64
 		if hier {
-			aggBytes = e.ampBytes(aggregationBytesFor(&e.opts, e.shape, counts.sentRaw-counts.forwarded))
+			aggBytes = e.ampBytes(e.aggregationBytes(counts.sentRaw - counts.forwarded))
 		}
 		vec = append(vec, float64(aggBytes))
 		// The last entry is this rank's originated fixed-width volume
@@ -520,66 +468,50 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		// back (relays would inflate a wire-byte measure on butterfly
 		// iterations).
 		vec = append(vec, float64(e.ampBytes(counts.sentRaw-counts.forwarded)))
-		sc.vec = vec
+		ls.vec = vec
 
 		// ---- Post-exchange rendezvous, the second and last: the timing
 		// vector's maxima (model time, as bit patterns) and the global sums —
 		// work stats, the termination flag (kept alive through pending seed
 		// levels) and the context observation (any rank seeing a dead context
 		// aborts all ranks on the same iteration).
-		var nextNormals, edges int64
-		for _, gs := range myGPUs {
-			nextNormals += int64(len(gs.outFront))
-			edges += gs.it.edgesScanned
-		}
 		flag := int64(0)
-		if nextNormals > 0 || newDelegates > 0 || iter < w.lastSeed {
+		if work.nextNormals > 0 || dc.visits > 0 || iter < sch.lastSeed {
 			flag = 1
 		}
 		ctxDead := int64(0)
 		if ctx.Err() != nil {
 			ctxDead = 1
 		}
-		sums := append(sc.sums[:0], edges, sentBytes, nextNormals, dupsRemoved, flag,
-			rawSentBytes, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
-			counts.messages, counts.forwarded, counts.memoHits, counts.codecRaw+maskCodecRaw, ctxDead)
-		sc.sums = sums
-		sc.fbits = floatBits(vec, sc.fbits)
-		comm.AllreduceFused(nil, false, sc.fbits, sums)
-		bitsToFloats(sc.fbits, vec)
+		sums := append(ls.sums[:0], work.edges, counts.sent, work.nextNormals, counts.dups, flag,
+			counts.sentRaw, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
+			counts.messages, counts.forwarded, counts.memoHits, counts.codecRaw+dc.codecRaw, ctxDead)
+		ls.sums = sums
+		ls.fbits = floatBits(vec, ls.fbits)
+		comm.AllreduceFused(nil, false, ls.fbits, sums)
+		bitsToFloats(ls.fbits, vec)
 
-		redWire := grownInt64(sc.redWire, nh)
-		sc.redWire = redWire
-		redCodec := grownInt64(sc.redCodec, nh)
-		sc.redCodec = redCodec
-		redRecv := grownInt64(sc.redRecv, nh)
-		sc.redRecv = redRecv
-		for i := 0; i < nh; i++ {
-			redWire[i] = int64(vec[4+i])
-			redCodec[i] = int64(vec[4+nh+i])
-			redRecv[i] = int64(vec[4+2*nh+i])
+		// The three reduced per-hop vectors sit back to back behind the four
+		// scalars, in the order they were appended.
+		red := grownInt64(ls.red, 3*nh)
+		ls.red = red
+		for i := range red {
+			red[i] = int64(vec[4+i])
 		}
-		redPre := int64(vec[4+3*nh])
 		redMaxOriginated := vec[6+3*nh]
-		var maskWire int64
-		if maskExchanged {
-			maskWire = aMaskWire
-		}
 		rt := ex.remoteTime(remoteVolumes{
-			hopBytes:    redWire,
-			hopCodecRaw: redCodec,
-			hopRecv:     redRecv,
-			preCodecRaw: redPre,
+			hopBytes:    red[:nh],
+			hopCodecRaw: red[nh : 2*nh],
+			hopRecv:     red[2*nh:],
+			preCodecRaw: int64(vec[4+3*nh]),
 			aggBytes:    int64(vec[5+3*nh]),
-			maskWire:    maskWire,
+			maskWire:    aMaskWire,
 			maskSecs:    vec[2],
 		})
-		remoteNormal := rt.seconds + vec[3]
-		maxMsg := rt.maxMsg
 		parts := metrics.Breakdown{
 			Computation:    vec[0],
 			LocalComm:      vec[1] + rt.nvlinkExposed,
-			RemoteNormal:   remoteNormal,
+			RemoteNormal:   rt.seconds + vec[3],
 			RemoteDelegate: rt.maskSecs,
 		}
 		elapsed := e.iterElapsed(parts)
@@ -589,14 +521,14 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 				Iteration:         int(iter),
 				FrontierNormals:   inputNormals,
 				FrontierDelegates: inputDelegates,
-				DirDD:             dir0.dirDD,
-				DirDN:             dir0.dirDN,
-				DirND:             dir0.dirND,
+				DirDD:             work.dirDD,
+				DirDN:             work.dirDN,
+				DirND:             work.dirND,
 				Exchange:          strategy.String(),
 				EdgesScanned:      sums[0],
 				BytesNormal:       sums[1],
 				BytesNormalRaw:    sums[5],
-				BytesDelegate:     boolToBytes(maskExchanged, effMaskBytes),
+				BytesDelegate:     dc.wire,
 				Elapsed:           elapsed,
 				PredictedRemote:   predicted,
 				CodecHidden:       rt.hiddenCodec,
@@ -624,9 +556,9 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 			rec.exchange.NVLinkSeconds += rt.nvlinkSeconds
 			rec.exchange.HiddenNVLinkSeconds += rt.hiddenNVLink
 			rec.exchange.MaskFoldSavedSeconds += vec[2] - rt.maskSecs
-			if maskExchanged && e.opts.Compression != wire.ModeOff {
-				rec.wire.MaskRawBytes += maskBytes
-				rec.wire.MaskWireBytes += effMaskBytes
+			if reduced && e.opts.Compression != wire.ModeOff {
+				rec.wire.MaskRawBytes += dc.native
+				rec.wire.MaskWireBytes += dc.wire
 			}
 			rec.exchange.PredictedSeconds += predicted
 			if strategy == ExchangeButterfly {
@@ -637,10 +569,10 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 			if hr := ex.rounds(); hr > rec.exchange.HopsPerIteration {
 				rec.exchange.HopsPerIteration = hr
 			}
-			if maxMsg > rec.exchange.MaxMessageBytes {
-				rec.exchange.MaxMessageBytes = maxMsg
+			if rt.maxMsg > rec.exchange.MaxMessageBytes {
+				rec.exchange.MaxMessageBytes = rt.maxMsg
 			}
-			if maskExchanged {
+			if reduced {
 				rec.delegateComms++
 			}
 		}
@@ -649,13 +581,13 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		// butterfly iteration's relayed volume never inflates the next
 		// prediction.
 		prevNormals, prevOriginated = inputNormals, sums[5]-sums[10]
-		inputNormals, inputDelegates = sums[2], newDelegates
+		inputNormals, inputDelegates = sums[2], dc.visits
 		// Seeds injecting at the next level are part of its known input
 		// frontier — fold their globally reduced counts into the policy's
 		// volume signal.
-		if iter < w.lastSeed {
-			inputNormals += w.nSeeds[iter+1]
-			inputDelegates += w.dSeeds[iter+1]
+		if iter < sch.lastSeed {
+			inputNormals += sch.nSeeds[iter+1]
+			inputDelegates += sch.dSeeds[iter+1]
 		}
 		// Measured feedback for the next decision: the reduced maximum
 		// per-rank originated volume over the mean (skew, gated on
@@ -671,10 +603,7 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		}
 		fb.observe(strategy, predicted/fb.calib[strategy], rt.seconds, skewMax, skewMean, wireRatio)
 
-		// Rotate frontiers for the next iteration.
-		for _, gs := range myGPUs {
-			gs.inFront, gs.outFront = gs.outFront, gs.inFront[:0]
-		}
+		l.rotate()
 		if sums[13] > 0 {
 			cancelled = true
 			if rank == 0 {
@@ -700,8 +629,194 @@ func (e *Session) runRank(ctx context.Context, rank int, comm *mpi.Comm, source 
 		rec.exchange.WireRatioEWMA = fb.wireRatio
 	}
 
-	if e.collects() && !cancelled {
-		e.finishQuery(rank, comm, source)
+	if !cancelled {
+		l.finish(comm)
+	}
+}
+
+// sourceLanes is the single-source traversal's side of the loop: a rank's
+// gpuStates under a wave, a d-bit delegate mask for a proposal and local ids
+// for a payload.
+type sourceLanes struct {
+	e      *Session
+	rank   int
+	gpus   []*gpuState
+	sc     *rankScratch
+	source int64
+	w      wave
+}
+
+// rankGPUs returns the per-GPU states rank owns.
+func (e *Session) rankGPUs(rank int) []*gpuState {
+	pgpu := e.shape.GPUsPerRank
+	return e.gpus[rank*pgpu : (rank+1)*pgpu]
+}
+
+// runWave runs the superstep loop for one rank of a single-source traversal,
+// entered with the frontier and any seed schedule for w already in place.
+func (e *Session) runWave(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
+	sc := e.scratch[rank]
+	sc.rx.bind(e, rank, sc)
+	sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
+	e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, w.schedule)
+}
+
+// kernels advances a repair's seed schedules with the wave (a cold run's are
+// empty — its source is already in the frontier) and runs the wave's kernels.
+func (l *sourceLanes) kernels(iter int32) {
+	l.e.injectSeeds(l.gpus, l.sc, iter)
+	for _, gs := range l.gpus {
+		gs.it = iterWork{}
+	}
+	l.w.kernels(l.e, l.gpus, iter)
+}
+
+// proposal ORs the GPUs' new-delegate masks into the rank's. Only a rank whose
+// GPUs proposed a delegate builds any words.
+func (l *sourceLanes) proposal() ([]uint64, bool) {
+	rankMask := l.sc.rankMask // fully overwritten by CopyFrom
+	proposed := false
+	for _, gs := range l.gpus {
+		if !gs.newDirty {
+			continue
+		}
+		if proposed {
+			rankMask.Or(gs.newMask)
+		} else {
+			rankMask.CopyFrom(gs.newMask)
+			proposed = true
+		}
+	}
+	return rankMask.Words(), proposed
+}
+
+// commit takes every reduced bit at level iter+1 without re-testing it, for
+// a repair too: delegate levels are replicated and change only here, so a
+// bit a repair kernel set because the level it saw was -1 or deeper than
+// iter+1 still passes that test now, on every GPU. (visited is read by the
+// cold kernels only; a repair just carries it.)
+func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
+	e, sc := l.e, l.sc
+	if !reduced {
+		for _, gs := range l.gpus {
+			if gs.dFrontN > 0 {
+				gs.dFront.Reset()
+				gs.dFrontN = 0
+			}
+		}
+		return dc
+	}
+	rankMask := sc.rankMask
+	dc.visits = rankMask.Count()
+	for _, gs := range l.gpus {
+		rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
+		gs.visitedForWrite().Or(rankMask)
+		gs.dFront.CopyFrom(rankMask)
+		gs.dFrontN = dc.visits
+		if gs.newDirty {
+			gs.newMask.Reset()
+			gs.newDirty = false
+		}
+	}
+	// Delegate-aware mask encoding: with a codec active, the reduced
+	// delegate mask rides the same adaptive raw/delta/bitmap selection as
+	// the normal payloads. Dense early-BFS masks stay in their native bitmap
+	// form (the encoder can't beat d/8 bytes), but the sparse late-iteration
+	// masks shrink to delta streams. Every rank encodes the identical
+	// reduced mask, so the effective size — what the timing model charges
+	// the global allreduce — is deterministic across ranks.
+	dc.native = rankMask.ByteSize()
+	dc.wire = dc.native
+	if e.opts.Compression != wire.ModeOff && e.d-1 <= int64(^uint32(0)) {
+		ids := sc.maskIDs[:0]
+		rankMask.ForEach(func(di int64) { ids = append(ids, uint32(di)) })
+		sc.maskIDs = ids
+		if enc := wire.EncodedMaskBytes(ids, e.opts.Compression); enc < dc.native {
+			dc.wire = enc
+			dc.codecRaw = 4 * int64(len(ids))
+		}
+	}
+	return dc
+}
+
+func (l *sourceLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.get(strategy) }
+
+// exchange is the normal-vertex exchange (§V-B): uniquify, the inter-rank
+// strategy, and the apply of everything that arrives.
+func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
+	e, sc, myGPUs := l.e, l.sc, l.gpus
+	pgpu := e.shape.GPUsPerRank
+	var dups int64
+	if e.opts.Uniquify {
+		for _, gs := range myGPUs {
+			dups += gs.bins.UniquifyAll(&sc.sortBuf)
+			// Uniquify is extra local work (sort + compact).
+			if c := gs.bins.Count(); c > 0 {
+				gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+					Vertices: 2 * c, Strategy: simgpu.TWBDynamic,
+				})
+			}
+		}
+	}
+	// Inter-rank exchange through this iteration's strategy (all-pairs
+	// sends, or the butterfly's log(p) hops — see exchange.go).
+	counts := ex.exchange(comm, iter, present)
+	counts.dups = dups
+	// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
+	for _, src := range myGPUs {
+		for s := 0; s < pgpu; s++ {
+			dstGPU := l.rank*pgpu + s
+			if dstGPU == src.pg.GPU {
+				continue
+			}
+			ids := src.bins.PerGPU[dstGPU]
+			counts.intra += 4 * int64(len(ids))
+			l.w.apply(e.gpus[dstGPU], ids, iter+1)
+		}
+	}
+	// Remote arrivals apply in canonical ascending order so every
+	// exchange strategy yields the identical output-frontier order (and
+	// hence identical parents downstream). On the real GPU the apply is
+	// an order-independent parallel scatter, so no extra time is
+	// charged for the canonicalization.
+	var applied int64
+	for s, ids := range counts.arrivals {
+		applied += int64(len(ids))
+		frontier.SortIDs(ids, &sc.sortBuf)
+		l.w.apply(myGPUs[s], ids, iter+1)
+	}
+	// Scatter cost of applying received ids on the destination GPUs.
+	if applied+counts.intra/4 > 0 {
+		myGPUs[0].it.normalStream += e.charge(myGPUs[0].dev, simgpu.KernelCost{
+			Vertices: applied + counts.intra/4, Strategy: simgpu.TWBDynamic,
+		})
+	}
+	for _, gs := range myGPUs {
+		gs.bins.Reset()
+	}
+	return counts
+}
+
+func (l *sourceLanes) tally() (w superstepWork) {
+	for _, gs := range l.gpus {
+		w.comp = max(w.comp, streamCombine(gs.it.delegateStream, gs.it.normalStream))
+		w.nextNormals += int64(len(gs.outFront))
+		w.edges += gs.it.edgesScanned
+	}
+	dir0 := l.gpus[0]
+	w.dirDD, w.dirDN, w.dirND = dir0.dirDD, dir0.dirDN, dir0.dirND
+	return w
+}
+
+func (l *sourceLanes) rotate() {
+	for _, gs := range l.gpus {
+		gs.inFront, gs.outFront = gs.outFront, gs.inFront[:0]
+	}
+}
+
+func (l *sourceLanes) finish(comm *mpi.Comm) {
+	if l.e.collects() {
+		l.e.finishQuery(l.rank, comm, l.source)
 	}
 }
 
@@ -722,11 +837,4 @@ func applyIDs(gs *gpuState, ids []uint32, depth int32) {
 			gs.discover(id, depth)
 		}
 	}
-}
-
-func boolToBytes(ok bool, b int64) int64 {
-	if ok {
-		return b
-	}
-	return 0
 }

@@ -52,14 +52,10 @@ type rankScratch struct {
 	// secs is the butterfly's per-hop section list.
 	secs []wire.Section
 
-	// hopBytes/hopCodecRaw/hopRecvBytes back the exchangeCounts vectors;
-	// redWire/redCodec/redRecv are run.go's reduced copies.
+	// hopBytes/hopCodecRaw/hopRecvBytes back the exchangeCounts vectors.
 	hopBytes     []int64
 	hopCodecRaw  []int64
 	hopRecvBytes []int64
-	redWire      []int64
-	redCodec     []int64
-	redRecv      []int64
 
 	// rankMask is the delegate-mask reduction buffer. It is read only after a
 	// reduce that reported a contribution, which overwrote it in full, so
@@ -67,16 +63,11 @@ type rankScratch struct {
 	rankMask *bitmask.Mask
 	maskIDs  []uint32
 
-	// present is the all-pairs exchange's destination-presence matrix: this
-	// rank's row going into the pre-exchange reduce, every rank's coming out
-	// (see presence in exchange.go). Empty on butterfly iterations.
-	present []int64
-
-	// vec and sums are the per-iteration allreduce payloads; fbits is the
-	// float-max reduction's bit-pattern view of vec.
-	vec   []float64
-	sums  []int64
-	fbits []int64
+	// lanes is the rank's side of the in-flight traversal, rebuilt per query
+	// by Session.runWave; loopScratch the superstep loop's own buffers (the
+	// repair prologue borrows vec, sums and fbits for its collectives).
+	lanes sourceLanes
+	loopScratch
 
 	// sortBuf is the rank's radix-sort scatter buffer (frontier.SortIDs),
 	// shared by every id sort the rank runs in turn: staging's in-place bin
@@ -101,12 +92,6 @@ type rankScratch struct {
 	// wire.Selector scheme memories) across pooled queries; rebound and
 	// reset per query by rankExchangers.bind.
 	rx rankExchangers
-
-	// pol backs the exchange policy's per-iteration butterfly cost
-	// evaluation (hop profile, wire-byte equivalent, codec stages). The
-	// policy object is shared read-only across rank goroutines; this is
-	// its per-rank mutable half.
-	pol policyScratch
 
 	// rtStages/nvStages are the butterfly remoteTime's per-hop codec and
 	// NVLink stage buffers; maskExtra holds the chunked delegate-mask wire

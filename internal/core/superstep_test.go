@@ -56,6 +56,28 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 			p.release(s)
 		}
 	}
+
+	// A sweep is a payload of the same loop, so its superstep is the same two
+	// rendezvous (four while the sweep had a loop of its own), counted on the
+	// sweep's own communicator.
+	opts := DefaultOptions()
+	opts.CollectLevels = false
+	el, p := webPlan(t, 9, ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, opts)
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+		opts.Compression = mode
+		e := p.newSweepSession(opts, pickSources(el.OutDegrees(), 8, 3))
+		res, err := e.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		supersteps := res[0].Exchange.AllPairsIterations
+		if supersteps < 20 {
+			t.Fatalf("sweep: only %d supersteps — not a long-tail traversal", supersteps)
+		}
+		if got, want := e.world.Rendezvous(), uint64(2*supersteps); got != want {
+			t.Errorf("sweep/%s: %d rendezvous over %d supersteps, want %d", mode, got, supersteps, want)
+		}
+	}
 }
 
 // runCounted is Session.traverse for a cold run with a send hook installed
@@ -65,9 +87,7 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 	t.Helper()
 	w := s.coldWave(source)
 	s.out = newTreeOut(&s.opts, s.sg.N)
-	s.rec = recorder{}
-	s.rec.exchange.Strategy = s.opts.Exchange.String()
-	s.pol = s.newExchangePolicy()
+	s.begin()
 	world := s.acquireWorld()
 	world.SetSendHook(hook)
 	defer world.SetSendHook(nil)
@@ -77,7 +97,7 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			s.runRank(ctx, rank, world.Rank(rank), source, w)
+			s.runWave(ctx, rank, world.Rank(rank), source, w)
 		}(r)
 	}
 	wg.Wait()

@@ -12,6 +12,12 @@ package core
 // many queries in one iteration scans its adjacency once, and records
 // destined for the same vertex merge into one wire record with OR-ed masks.
 //
+// A sweep is a payload of the superstep loop, not a loop of its own: this
+// file is its per-GPU state, its kernels and its lanes implementation
+// (sweepLanes); runEnv.runRank (run.go) runs it, so the sweep's supersteps,
+// fault sites, timing assembly and cancellation are the single-source
+// traversal's, line for line.
+//
 // The simulated cost model charges the widened work honestly: kernels pay
 // edges×w word operations, the delegate allreduce moves d×w×8 bytes, and
 // the exchange ships the record payloads. Per-query figures are the sweep
@@ -91,7 +97,6 @@ type sweepGPU struct {
 type sweepIterWork struct {
 	delegateStream float64
 	normalStream   float64
-	edges          int64 // structural edges scanned (adjacency reads)
 	logical        int64 // per-query logical edges: Σ popcount(row)·degree
 }
 
@@ -113,6 +118,8 @@ type sweepScratch struct {
 	// Arrival bins (per local slot of this rank).
 	arrIDs   [][]uint32
 	arrMasks [][]uint64
+	// hops backs the exchange's one-entry per-hop vectors (sent, codec, recv).
+	hops [3]int64
 
 	sel     *wire.RecordSelector
 	parents parentScratch
@@ -120,22 +127,23 @@ type sweepScratch struct {
 	// are written at the current depth, which only grows, so the writers
 	// just store it.
 	deepest []int32
-	vec     []float64
-	sums    []int64
-	fbits   []int64
+
+	// lanes is the rank's side of the sweep; loopScratch the superstep
+	// loop's own buffers.
+	lanes sweepLanes
+	loopScratch
 }
 
 // sweepSession is the mutable state of one in-flight sweep. Sweeps are built
 // fresh per RunSweep — the allocation amortizes over K queries, so pooling
 // buys nothing here.
 type sweepSession struct {
-	planEnv
-	opts    Options
-	amp     float64
+	runEnv
 	k, w    int
 	sources []int64
 	gpus    []*sweepGPU
 	scratch []*sweepScratch
+	world   *mpi.World
 
 	// qts[k] is the per-query tree view resolution and gather operate on and
 	// outs[k] the global result arrays the ranks fill. parents[g] is GPU g's
@@ -150,19 +158,20 @@ type sweepSession struct {
 }
 
 func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
-	// The sweep's record exchange still charges flat: its staging stays in
-	// LocalComm and its message sizing must match (hierarchical sweep
-	// charging is a follow-on; results are identical either way).
+	// The sweep's record exchange is all-pairs and charges flat, whatever the
+	// plan says: its staging stays in LocalComm and its message sizing must
+	// match (a payload-generic exchanger, and with it butterfly, hybrid and
+	// hierarchical sweeps, is a follow-on; results are identical either way).
 	opts.FlatExchange = true
+	opts.Exchange = ExchangeAllPairs
 	k := len(sources)
 	w := (k + 63) / 64
 	e := &sweepSession{
-		planEnv: p.env(),
-		opts:    opts,
-		amp:     opts.WorkAmplification,
+		runEnv:  p.runOn(opts),
 		k:       k,
 		w:       w,
 		sources: sources,
+		world:   mpi.NewWorld(p.shape.Ranks()),
 	}
 	e.gpus = make([]*sweepGPU, e.p)
 	for i, pg := range p.sg.GPUs {
@@ -205,6 +214,7 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 			sel:      wire.NewRecordSelectorSized(prank * pgpu),
 			deepest:  make([]int32, k),
 		}
+		e.scratch[r].lanes = sweepLanes{e: e, rank: r, gpus: e.gpus[r*pgpu : (r+1)*pgpu], sc: e.scratch[r]}
 	}
 	if opts.CollectParents {
 		e.parents = make([][]int64, e.p)
@@ -235,20 +245,13 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 	return e
 }
 
-func (e *sweepSession) charge(gs *sweepGPU, c simgpu.KernelCost) float64 {
-	c.Edges = int64(float64(c.Edges) * e.amp)
-	c.Vertices = int64(float64(c.Vertices) * e.amp)
-	return gs.dev.Charge(c)
-}
-
-func (e *sweepSession) ampBytes(b int64) int64 {
-	return int64(float64(b) * e.amp)
-}
-
-// seed plants each query's source at depth 0 in its lane.
-func (e *sweepSession) seed() {
+// seed plants each query's source at depth 0 in its lane and returns the
+// sweep's seed schedule: its sources, all at level 0.
+func (e *sweepSession) seed() schedule {
+	sch := schedule{nSeeds: []int64{0}, dSeeds: []int64{0}}
 	for q, src := range e.sources {
 		if e.sg.Sep.IsDelegate(src) {
+			sch.dSeeds[0]++
 			di := int64(e.sg.Sep.DelegateID[src])
 			for _, gs := range e.gpus {
 				gs.visD.Set(di, q)
@@ -257,6 +260,7 @@ func (e *sweepSession) seed() {
 			}
 			continue
 		}
+		sch.nSeeds[0]++
 		gs := e.gpus[e.cfg.OwnerGPU(src)]
 		local := int64(e.cfg.LocalID(src))
 		if !bitmask.RowAny(gs.front.Row(local)) {
@@ -266,6 +270,7 @@ func (e *sweepSession) seed() {
 		gs.front.Set(local, q)
 		gs.lv[q][local] = 0
 	}
+	return sch
 }
 
 // discover folds newly reached query bits into a local vertex: bits not yet
@@ -322,13 +327,13 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 			gs.it.logical += deg * pop
 		}
 	}
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Vertices: dVerts + e.d/64*w64, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: ddEdges * w64, Vertices: dVerts, Strategy: simgpu.MergePath,
 	})
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: dnEdges * w64, Vertices: dVerts, Strategy: simgpu.TWBDynamic,
 	})
 
@@ -360,22 +365,21 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 			gs.it.logical += deg * pop
 		}
 	}
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Vertices: 2 * nVerts, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.delegateStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: ndEdges * w64, Vertices: nVerts, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Edges: nnEdges * w64, Vertices: nVerts, Strategy: simgpu.TWBDynamic,
 	})
 	if binned > 0 {
 		// Binning + id conversion + the w-word mask copy per record.
-		gs.it.normalStream += e.charge(gs, simgpu.KernelCost{
+		gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 			Vertices: binned * w64, Strategy: simgpu.TWBDynamic,
 		})
 	}
-	gs.it.edges += ddEdges + dnEdges + ndEdges + nnEdges
 }
 
 // commitDelegates folds the globally reduced new-delegate matrix into one
@@ -402,39 +406,102 @@ func (e *sweepSession) commitDelegates(gs *sweepGPU, sc *sweepScratch, iter int3
 	return committed
 }
 
-// sweepRecorder collects sweep-wide statistics; only rank 0 writes to it.
-type sweepRecorder struct {
-	iterations int
-	edges      int64 // structural
-	logical    int64 // per-query logical edges, summed over queries
-	dupsMerged int64
-	simSeconds float64
-	parts      metrics.Breakdown
-	wire       metrics.WireStats
-	messages   int64
-	maxMsg     int64
-	maskComms  int
-	cancelled  bool
+// sweepLanes is the sweep's side of the superstep loop (lanes, run.go): a
+// rank's sweepGPUs, a d×K matrix for a delegate proposal and (id, query-set)
+// records for a payload. Forward-only, so no direction decision.
+type sweepLanes struct {
+	e    *sweepSession
+	rank int
+	gpus []*sweepGPU
+	sc   *sweepScratch
+}
+
+func (l *sweepLanes) kernels(iter int32) {
+	for _, gs := range l.gpus {
+		gs.it = sweepIterWork{}
+		l.e.runKernels(gs, l.sc, iter)
+	}
+}
+
+// proposal is the local OR to "GPU0" of the GPUs' new-delegate matrices.
+func (l *sweepLanes) proposal() ([]uint64, bool) {
+	rankD := l.sc.rankD
+	copy(rankD, l.gpus[0].newD.Words())
+	for _, gs := range l.gpus[1:] {
+		bitmask.RowOr(rankD, gs.newD.Words())
+	}
+	return rankD, bitmask.RowAny(rankD)
+}
+
+// commit folds the reduced matrix into every GPU's replica. The matrix
+// ships in its native form — there is no mask codec for d×K bits.
+func (l *sweepLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
+	for _, gs := range l.gpus {
+		if reduced {
+			dc.visits = l.e.commitDelegates(gs, l.sc, iter)
+		} else {
+			gs.frontD.Reset()
+		}
+		gs.newD.Reset()
+	}
+	if reduced {
+		dc.native = l.e.d * int64(l.e.w) * 8
+		dc.wire = dc.native
+	}
+	return dc
+}
+
+func (l *sweepLanes) exchanger(Exchange) exchanger { return recordExchange{l} }
+
+func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
+	return ex.exchange(comm, iter, present)
+}
+
+// tally reports the per-query logical edges as the sweep's scanned work.
+func (l *sweepLanes) tally() (w superstepWork) {
+	for _, gs := range l.gpus {
+		w.comp = max(w.comp, streamCombine(gs.it.delegateStream, gs.it.normalStream))
+		w.nextNormals += int64(len(gs.outIDs))
+		w.edges += gs.it.logical
+	}
+	return w
+}
+
+// rotate clears the old front rows (only set rows need touching), then swaps
+// the matrices and the active-slot lists.
+func (l *sweepLanes) rotate() {
+	for _, gs := range l.gpus {
+		for _, u := range gs.inIDs {
+			clear(gs.front.Row(int64(u)))
+		}
+		gs.front, gs.nxt = gs.nxt, gs.front
+		gs.inIDs, gs.outIDs = gs.outIDs, gs.inIDs[:0]
+	}
+}
+
+func (l *sweepLanes) finish(comm *mpi.Comm) {
+	if l.e.outs != nil {
+		l.e.finishSweep(l.rank, comm)
+	}
 }
 
 // run executes the sweep's BSP loop across rank goroutines and assembles the
-// per-query results.
+// per-query results from the loop's sweep-wide statistics.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
-	e.seed()
-	rec := &sweepRecorder{}
-	err := RunRanks(mpi.NewWorld(e.shape.Ranks()), e.opts.Inject, sweepTagSite, func(rank int, comm *mpi.Comm) {
-		e.runRank(ctx, rank, comm, rec)
+	sch := e.seed()
+	e.begin()
+	err := RunRanks(e.world, e.opts.Inject, sweepTagSite, func(rank int, comm *mpi.Comm) {
+		sc := e.scratch[rank]
+		e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, sch)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if rec.cancelled {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
+	if err := e.cancelErr(ctx); err != nil {
+		return nil, err
 	}
 
+	rec := &e.rec
 	k64 := int64(e.k)
 	kf := float64(e.k)
 	results := make([]*metrics.RunResult, e.k)
@@ -445,9 +512,9 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 			Iterations:    e.queryIterations(q),
 			SimSeconds:    rec.simSeconds / kf,
 			TEPSEdges:     e.sg.M / 2,
-			EdgesScanned:  rec.logical / k64,
-			DupsRemoved:   rec.dupsMerged / k64,
-			DelegateComms: rec.maskComms,
+			EdgesScanned:  rec.edgesScanned / k64,
+			DupsRemoved:   rec.dupsRemoved / k64,
+			DelegateComms: rec.delegateComms,
 			Parts: metrics.Breakdown{
 				Computation:    rec.parts.Computation / kf,
 				LocalComm:      rec.parts.LocalComm / kf,
@@ -467,9 +534,9 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 			},
 			Exchange: metrics.ExchangeStats{
 				Strategy:           "sweep",
-				AllPairsIterations: int64(rec.iterations),
-				Messages:           rec.messages / k64,
-				MaxMessageBytes:    rec.maxMsg,
+				AllPairsIterations: rec.exchange.AllPairsIterations,
+				Messages:           rec.exchange.Messages / k64,
+				MaxMessageBytes:    rec.exchange.MaxMessageBytes,
 			},
 		}
 		if e.outs != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gcbfs/internal/gen"
@@ -85,6 +86,67 @@ func TestSweepBitIdenticalToRuns(t *testing.T) {
 			t.Run(shape.String()+"/"+name, func(t *testing.T) {
 				requireSweepMatchesRuns(t, p, sources, Overrides{})
 			})
+		}
+	}
+}
+
+// The corners of the sweep's table: one lane, an odd rank count, four GPUs
+// per rank, every vertex a delegate and none.
+func TestSweepCornerShapes(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(9))
+	sources := pickSources(el.OutDegrees(), 5, 29)
+	for _, tc := range []struct {
+		name    string
+		shape   ClusterShape
+		th      int64
+		sources []int64
+	}{
+		{"K=1", ClusterShape{2, 1, 2}, 8, sources[:1]},
+		{"3x1", ClusterShape{3, 1, 1}, 8, sources},
+		{"pgpu=4", ClusterShape{1, 2, 4}, 8, sources},
+		{"all-delegate", ClusterShape{2, 1, 2}, 0, sources},
+		{"zero-delegate", ClusterShape{2, 1, 2}, 1 << 40, sources},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.CollectParents = true
+			opts.Compression = wire.ModeAdaptive
+			requireSweepMatchesRuns(t, buildTestPlan(t, el, tc.shape, tc.th, opts), tc.sources, Overrides{})
+		})
+	}
+}
+
+// A sweep is all-pairs and flat whatever its plan says: on a plan whose base
+// options ask for the hybrid policy over the hierarchical exchange it gives
+// the all-pairs plan's answers and its modelled clock, bit for bit.
+func TestSweepPinsAllPairsFlat(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(9))
+	sources := pickSources(el.OutDegrees(), 8, 41)
+	shape := ClusterShape{2, 2, 2}
+	ctx := context.Background()
+	base := DefaultOptions()
+	base.CollectParents = true
+	base.Compression = wire.ModeAdaptive
+	base.FlatExchange = true
+	want, err := buildTestPlan(t, el, shape, 8, base).RunSweep(ctx, sources, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := base
+	hybrid.Exchange, hybrid.FlatExchange = ExchangeHybrid, false
+	hp := buildTestPlan(t, el, shape, 8, hybrid)
+	requireSweepMatchesRuns(t, hp, sources, Overrides{})
+	got, err := hp.RunSweep(ctx, sources, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range want {
+		if !slices.Equal(got[q].Levels, want[q].Levels) || !slices.Equal(got[q].Parents, want[q].Parents) {
+			t.Fatalf("query %d: tree differs from the all-pairs plan's sweep", q)
+		}
+		if got[q].SimSeconds != want[q].SimSeconds || got[q].Parts != want[q].Parts {
+			t.Fatalf("query %d: %g s %+v on the hybrid plan, %g s %+v on the all-pairs plan",
+				q, got[q].SimSeconds, got[q].Parts, want[q].SimSeconds, want[q].Parts)
 		}
 	}
 }

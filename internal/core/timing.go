@@ -28,63 +28,53 @@ func streamCombine(a, b float64) float64 {
 // non-blocking reduction (IR) hides much more of the delegate phase, which
 // is its entire point (§VI-B) — it pays for that with the Iallreduce
 // bandwidth penalty charged in simnet.
-func (e *Session) iterElapsed(parts metrics.Breakdown) float64 {
-	return iterElapsedFor(&e.opts, e.shape, parts)
-}
-
-// iterElapsedFor is the shared overlap model, parameterized so the
-// single-query Session and the multi-source sweepSession charge identically.
-func iterElapsedFor(opts *Options, shape ClusterShape, parts metrics.Breakdown) float64 {
-	f := opts.OverlapFactor
+func (e *runEnv) iterElapsed(parts metrics.Breakdown) float64 {
+	f := e.opts.OverlapFactor
 	hidN := f * math.Min(parts.Computation, parts.RemoteNormal)
 	remaining := parts.Computation - hidN
 	fD := f
-	if !opts.BlockingReduce {
+	if !e.opts.BlockingReduce {
 		fD = 0.85
 	}
 	hidD := fD * math.Min(remaining, parts.RemoteDelegate)
-	return parts.Sum() - hidN - hidD + syncOverheadFor(opts, shape)
+	return parts.Sum() - hidN - hidD + e.syncOverhead()
 }
 
-// syncOverheadFor charges the per-iteration control collectives (termination
+// syncOverhead charges the per-iteration control collectives (termination
 // flag, workload sums) as small tree-latency messages. This fixed cost is
 // what dominates long-tail graphs (§VI-D: per-iteration time "not much more
 // than the per-iteration overhead").
-func syncOverheadFor(opts *Options, shape ClusterShape) float64 {
-	ranks := shape.Ranks()
+func (e *runEnv) syncOverhead() float64 {
+	ranks := e.shape.Ranks()
 	if ranks <= 1 {
 		return 0
 	}
 	stages := 2 * math.Ceil(math.Log2(float64(ranks)))
-	return 2 * stages * opts.Net.IB.Latency
+	return 2 * stages * e.opts.Net.IB.Latency
 }
 
-// hierExchangeFor reports whether the two-level hierarchical exchange is in
+// hierExchange reports whether the two-level hierarchical exchange is in
 // effect: the rank's GPUs aggregate their bins over NVLink into one merged
 // message per destination rank, and the NVLink copies ride the exchange
 // schedule instead of LocalComm. At GPUsPerRank 1 the flat and hierarchical
 // shapes coincide, so the flat (legacy) charging applies.
-func hierExchangeFor(opts *Options, shape ClusterShape) bool {
-	return !opts.FlatExchange && shape.GPUsPerRank > 1
+func (e *runEnv) hierExchange() bool {
+	return !e.opts.FlatExchange && e.shape.GPUsPerRank > 1
 }
 
-func (e *Session) hierExchange() bool {
-	return hierExchangeFor(&e.opts, e.shape)
-}
-
-// aggregationBytesFor is the NVLink volume of the hierarchical intra-rank
+// aggregationBytes is the NVLink volume of the hierarchical intra-rank
 // aggregation for ownRaw originated fixed-width bytes: each GPU's share
 // bound for the rank's merge lanes crosses NVLink once — (pgpu−1)/pgpu of
 // the originated volume — and twice when Local-All2All is off, where the
 // copies bounce through CPU staging buffers instead of peer-to-peer (the
 // L option keeps its meaning under the hierarchy).
-func aggregationBytesFor(opts *Options, shape ClusterShape, ownRaw int64) int64 {
-	pgpu := int64(shape.GPUsPerRank)
+func (e *runEnv) aggregationBytes(ownRaw int64) int64 {
+	pgpu := int64(e.shape.GPUsPerRank)
 	if pgpu <= 1 || ownRaw <= 0 {
 		return 0
 	}
 	agg := ownRaw * (pgpu - 1) / pgpu
-	if !opts.LocalAll2All {
+	if !e.opts.LocalAll2All {
 		agg *= 2
 	}
 	return agg
@@ -97,16 +87,11 @@ func aggregationBytesFor(opts *Options, shape ClusterShape, ownRaw int64) int64 
 // messages bigger and the NIC more efficient (§V-B). The hierarchical
 // exchange goes further: one merged message per destination rank, so pairs
 // fall to p_rank−1 regardless of GPU count.
-func (e *Session) effMessageBytes(totalBytes int64) int64 {
-	return effMessageBytesFor(&e.opts, e.shape, totalBytes)
-}
-
-// effMessageBytesFor is the shared per-message payload estimate.
-func effMessageBytesFor(opts *Options, shape ClusterShape, totalBytes int64) int64 {
+func (e *runEnv) effMessageBytes(totalBytes int64) int64 {
 	if totalBytes <= 0 {
 		return 0
 	}
-	pairs := effPairsFor(opts, shape)
+	pairs := e.effPairs()
 	// Ceiling split: the volume divides across exactly `pairs` messages, so
 	// the implied message count (ceil(total/msg) inside PointToPoint) is the
 	// pair count itself — a floor here would under-size the message and
@@ -117,21 +102,21 @@ func effMessageBytesFor(opts *Options, shape ClusterShape, totalBytes int64) int
 	if msg < 1 {
 		msg = 1
 	}
-	if msg > opts.MessageBytes {
-		msg = opts.MessageBytes
+	if msg > e.opts.MessageBytes {
+		msg = e.opts.MessageBytes
 	}
 	return msg
 }
 
-// effPairsFor counts the communicating pairs per rank behind the normal
-// exchange's message split — the denominator of effMessageBytesFor.
-func effPairsFor(opts *Options, shape ClusterShape) int64 {
-	pgpu := int64(shape.GPUsPerRank)
-	prank := int64(shape.Ranks())
+// effPairs counts the communicating pairs per rank behind the normal
+// exchange's message split — the denominator of effMessageBytes.
+func (e *runEnv) effPairs() int64 {
+	pgpu := int64(e.shape.GPUsPerRank)
+	prank := int64(e.shape.Ranks())
 	pairs := pgpu * (prank - 1)
-	if hierExchangeFor(opts, shape) {
+	if e.hierExchange() {
 		pairs = prank - 1
-	} else if !opts.LocalAll2All {
+	} else if !e.opts.LocalAll2All {
 		pairs *= pgpu
 	}
 	if pairs <= 0 {

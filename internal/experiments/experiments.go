@@ -2,7 +2,9 @@
 // evaluation (§VI) on the simulated cluster. Each experiment has an ID
 // (fig5..fig13, tab1, tab2, net1, wdc1, do1, abl1, fig1), a Runner that
 // produces a rendered table, and notes recording the paper→local scale
-// substitutions. EXPERIMENTS.md tracks paper-reported vs measured values.
+// substitutions and the paper-reported values the measured ones stand
+// against; `bfsbench -exp <id>` prints it, and BENCH_*.json (bfsbench -json)
+// track the pinned cells from PR to PR.
 //
 // Scale mapping: the paper runs RMAT scales 24–33 on P100s; locally we run
 // scales ~11–20 and set the engine's WorkAmplification to

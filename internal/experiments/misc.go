@@ -181,7 +181,7 @@ func Figure1(p Params) (*Table, error) {
 		"[sim]", "this reproduction (simulated)", "GPU Cluster",
 		i64(int64(scale + 13)), i64(int64(gpus)), f1(sim), f2(sim / float64(gpus)),
 	})
-	t.Notes = append(t.Notes, "[sim] row: local run amplified to the paper's per-GPU regime; see EXPERIMENTS.md")
+	t.Notes = append(t.Notes, "[sim] row: local run amplified to the paper's per-GPU regime (scale mapping: internal/experiments package doc)")
 	return t, nil
 }
 

@@ -214,9 +214,8 @@ type ExchangeStats struct {
 	// by them, tightening hybrid decisions near the crossover.
 	CalibrationAllPairs, CalibrationButterfly float64
 	// SkewEWMA/WireRatioEWMA are the session's final partition-skew and
-	// wire-over-raw ratio feedback (policy.go). Together with the
-	// calibration factors they form the core.PolicySnapshot a later query
-	// can warm-start from (0 means the run recorded no feedback).
+	// wire-over-raw ratio feedback (policy.go; 0 means the run recorded no
+	// feedback).
 	SkewEWMA, WireRatioEWMA float64
 }
 

@@ -16,7 +16,7 @@
 // costs, so the unit of cost is the rendezvous, not the reduced value.
 // AllreduceFused carries three independently typed sections (an optional OR
 // section, a max section, a sum section) through a single rendezvous; the
-// one-section collectives (AllreduceOr/Sum/Max/Min/BoolOr) are wrappers over
+// one-section collectives (AllreduceOr/Sum/Max/Min) are wrappers over
 // the same reduce (Min folds the max section the other way). The BFS superstep (core/run.go) is two fused rendezvous: one before the
 // exchange carrying the delegate-mask words and the destination-presence
 // rows, one after it carrying the timing maxima and the work sums.
@@ -226,17 +226,15 @@ func (w *World) Reset() {
 	w.aborted.Store(false)
 }
 
-// Comm is one rank's endpoint. The b1 scratch is the single-flag allreduce's
-// one-word OR buffer; a Comm is owned by exactly one rank goroutine, which
-// is what lets its traffic counters be plain fields.
+// Comm is one rank's endpoint. It is owned by exactly one rank goroutine,
+// which is what lets its traffic counters be plain fields.
 type Comm struct {
 	w    *World
 	rank int
-	b1   [1]uint64
 
 	bytesSent int64
 	msgsSent  int64
-	_         [24]byte // pad to a cache line: Comms sit side by side in World.comms
+	_         [32]byte // pad to a cache line: Comms sit side by side in World.comms
 }
 
 // Rank returns this endpoint's rank.
@@ -533,14 +531,6 @@ func (c *Comm) AllreduceSumFloat64(vals []float64) {
 			vals[i] += w
 		}
 	}
-}
-
-// AllreduceBoolOr returns the logical OR of every rank's flag — the global
-// "anyone still has work?" termination test. It is the fused reduce's
-// contribution vote alone: a rank votes by contributing the Comm's one-word
-// scratch, so the vote never boxes.
-func (c *Comm) AllreduceBoolOr(flag bool) bool {
-	return c.w.coll.fused(c.b1[:], flag, nil, extMax, nil)
 }
 
 // Request is a handle for a non-blocking allreduce started with

@@ -203,19 +203,6 @@ func TestAllreduceSumFloat64(t *testing.T) {
 	})
 }
 
-func TestAllreduceBoolOr(t *testing.T) {
-	spawn(t, 4, func(c *Comm) {
-		if got := c.AllreduceBoolOr(c.Rank() == 2); !got {
-			t.Errorf("rank %d: OR = false", c.Rank())
-		}
-	})
-	spawn(t, 4, func(c *Comm) {
-		if got := c.AllreduceBoolOr(false); got {
-			t.Errorf("rank %d: OR = true with all false", c.Rank())
-		}
-	})
-}
-
 func TestRepeatedCollectives(t *testing.T) {
 	// Generations must not bleed into each other across iterations.
 	const size, iters = 4, 50
@@ -347,7 +334,12 @@ func TestAllreduceFusedEqualsSeparateReduces(t *testing.T) {
 				sum := append([]int64(nil), mine.sum...)
 				gotAny := c.AllreduceFused(or, mine.has, max, sum)
 
-				wantAny := c.AllreduceBoolOr(mine.has)
+				anyWord := []uint64{0}
+				if mine.has {
+					anyWord[0] = 1
+				}
+				c.AllreduceOr(anyWord)
+				wantAny := anyWord[0] != 0
 				wantOr := make([]uint64, nOr)
 				if mine.has {
 					copy(wantOr, mine.or)

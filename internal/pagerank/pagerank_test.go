@@ -7,6 +7,7 @@ import (
 	"gcbfs/internal/core"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/metrics"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 )
@@ -180,5 +181,46 @@ func TestRejectsMismatchedShape(t *testing.T) {
 	sg := buildSub(t, el, core.ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 1}, 4)
 	if _, err := Run(sg, core.ClusterShape{Nodes: 1, RanksPerNode: 1, GPUsPerRank: 4}, DefaultOptions()); err == nil {
 		t.Fatal("accepted mismatched shape")
+	}
+}
+
+// TestModelledCostPinned holds the shared dense loop to the statistics the
+// program's own loop reported before the two were merged (RMAT 10, 2×2×2),
+// for a full-budget run and for one a tolerance ends early.
+func TestModelledCostPinned(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(10))
+	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
+	sg := buildSub(t, el, shape, 16)
+	for _, want := range []struct {
+		tolerance     float64
+		iterations    int
+		simSeconds    float64
+		parts         metrics.Breakdown
+		normal, deleg int64
+	}{
+		{0, 20, 0.000606626321262175, metrics.Breakdown{
+			Computation:    0.00018079808080808074,
+			LocalComm:      0.000163292,
+			RemoteNormal:   6.114660961457514e-05,
+			RemoteDelegate: 0.00026466895912234743,
+		}, 41280, 55520},
+		{1e-4, 9, 0.00027298184456797875, metrics.Breakdown{
+			Computation:    8.135913636363636e-05,
+			LocalComm:      7.34814e-05,
+			RemoteNormal:   2.751597432655883e-05,
+			RemoteDelegate: 0.0001191010316050563,
+		}, 18576, 24984},
+	} {
+		opts := DefaultOptions()
+		opts.Tolerance = want.tolerance
+		res, err := Run(sg, shape, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != want.iterations || res.SimSeconds != want.simSeconds || res.Parts != want.parts ||
+			res.BytesNormal != want.normal || res.BytesDelegate != want.deleg {
+			t.Fatalf("tolerance %g: %d iterations, %v s, parts %+v, %d normal and %d delegate bytes",
+				want.tolerance, res.Iterations, res.SimSeconds, res.Parts, res.BytesNormal, res.BytesDelegate)
+		}
 	}
 }

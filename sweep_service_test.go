@@ -228,43 +228,3 @@ func TestCoalescedRunsBitIdentical(t *testing.T) {
 		sameTraversal(t, fmt.Sprintf("coalesced query %d", i), serial[src], results[i])
 	}
 }
-
-// TestWarmStartConsistent: WarmStart seeds later queries' hybrid policy from
-// earlier feedback — traversal output must stay bit-identical to a cold
-// service even as the policy warm-starts.
-func TestWarmStartConsistent(t *testing.T) {
-	g := RMAT(11)
-	cl := Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1}
-	cold, err := NewService(g, DefaultConfig(cl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(cl)
-	cfg.WarmStart = true
-	warm, err := NewService(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	sources := Sources(g, 6, 17)
-	// Prime the snapshot with a hybrid batch, then check subsequent runs.
-	if _, err := warm.RunBatch(ctx, sources, BatchOptions{Parallelism: 2},
-		WithExchange(ExchangeHybrid), WithParents(true)); err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range sources {
-		want, err := cold.Run(ctx, src, WithExchange(ExchangeHybrid), WithParents(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.Run(ctx, src, WithExchange(ExchangeHybrid), WithParents(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTraversal(t, fmt.Sprintf("warm src=%d", src), want, got)
-	}
-	// The sweep path records and consumes the snapshot too.
-	if _, err := warm.RunSweep(ctx, sources, WithExchange(ExchangeHybrid)); err != nil {
-		t.Fatal(err)
-	}
-}
