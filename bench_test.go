@@ -237,30 +237,10 @@ func BenchmarkCmp2Exchange(b *testing.B) {
 	}
 }
 
-// BenchmarkCmp4Pipeline regenerates the pipelined-butterfly ablation and
-// reports the pipeline's elapsed-time win over sequential hops at the
-// largest rank count (the experiment itself asserts bit-identical results
-// and pipelined ≤ sequential on every cell).
-func BenchmarkCmp4Pipeline(b *testing.B) {
-	tab := runBench(b, "cmp4")
-	elapsed := map[string]float64{}
-	maxRanks := 0
-	for i, row := range tab.Rows {
-		elapsed[row[1]+"/"+row[2]] = cell(tab, i, 8)
-		if r, err := strconv.Atoi(row[1]); err == nil && r > maxRanks {
-			maxRanks = r
-		}
-	}
-	key := strconv.Itoa(maxRanks)
-	if pipe := elapsed[key+"/bf-pipe"]; pipe > 0 {
-		b.ReportMetric(elapsed[key+"/bf-seq"]/pipe, "pipeline-speedup")
-	}
-}
-
 // BenchmarkButterflyExchange is the exchange microbenchmark: one BFS query
-// per iteration through a shared service on 8 ranks with the adaptive
-// codec, sequential vs pipelined hops. The pipelined variant's remote-normal
-// time must carry less exposed codec work; hidden-µs is the reclaimed time.
+// per iteration through a shared service on 8 ranks with the adaptive codec
+// over the butterfly. hidden-µs is the codec time its pipelined hops reclaim
+// from remote-normal.
 func BenchmarkButterflyExchange(b *testing.B) {
 	g := RMAT(13)
 	svc, err := NewService(g, DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}))
@@ -268,27 +248,19 @@ func BenchmarkButterflyExchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := Sources(g, 1, 9)[0]
-	for _, bench := range []struct {
-		name string
-		pipe bool
-	}{{"sequential", false}, {"pipelined", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			var remote, hidden float64
-			for i := 0; i < b.N; i++ {
-				r, err := svc.Run(context.Background(), src,
-					WithExchange(ExchangeButterfly),
-					WithCompression(CompressionAdaptive),
-					WithPipeline(bench.pipe))
-				if err != nil {
-					b.Fatal(err)
-				}
-				remote = r.RemoteNormal
-				hidden = r.HiddenCodecSeconds
-			}
-			b.ReportMetric(remote*1e6, "remote-normal-µs")
-			b.ReportMetric(hidden*1e6, "hidden-codec-µs")
-		})
+	var remote, hidden float64
+	for i := 0; i < b.N; i++ {
+		r, err := svc.Run(context.Background(), src,
+			WithExchange(ExchangeButterfly),
+			WithCompression(CompressionAdaptive))
+		if err != nil {
+			b.Fatal(err)
+		}
+		remote = r.RemoteNormal
+		hidden = r.HiddenCodecSeconds
 	}
+	b.ReportMetric(remote*1e6, "remote-normal-µs")
+	b.ReportMetric(hidden*1e6, "hidden-codec-µs")
 }
 
 // BenchmarkAbl2LoadBalance regenerates the §IV-A strategy ablation

@@ -81,8 +81,6 @@ func main() {
 		ir        = flag.Bool("iallreduce", false, "use non-blocking delegate reduction (IR instead of BR)")
 		compress  = flag.String("compress", "off", "frontier-exchange codec: off, adaptive, raw, delta or bitmap")
 		exchange  = flag.String("exchange", "allpairs", "normal-vertex exchange policy: allpairs, butterfly or hybrid")
-		pipeline  = flag.Bool("pipeline", true, "software-pipeline butterfly hops (overlap transfers with per-hop codec compute)")
-		flat      = flag.Bool("flat", false, "flat exchange: per-GPU fragments instead of the hierarchical per-rank aggregation (ablation baseline; no effect at -gpus 1)")
 		amp       = flag.Float64("amp", 1, "work amplification for the timing model (2^(paperScale-localScale))")
 		sweep     = flag.Bool("sweep", false, "answer all sources in one shared multi-source sweep (MS-BFS) instead of independent queries")
 		validate  = flag.Bool("validate", false, "validate distances against serial BFS + Graph500 rules")
@@ -143,8 +141,6 @@ func main() {
 	opts.BlockingReduce = !*ir
 	opts.Compression = mode
 	opts.Exchange = strat
-	opts.PipelineHops = *pipeline
-	opts.FlatExchange = *flat
 	opts.WorkAmplification = *amp
 	opts.CollectLevels = *validate
 	plan, err := core.NewPlan(sg, shape, opts)
@@ -255,7 +251,7 @@ func main() {
 	fmt.Printf("exchange (%s): iters allpairs=%d butterfly=%d hops/iter≤%d msgs=%d forwarded=%.1f kB max-msg=%.2f MB\n",
 		xs.Strategy, xs.AllPairsIterations, xs.ButterflyIterations, xs.HopsPerIteration,
 		xs.Messages, float64(xs.ForwardedBytes)/1024, float64(xs.MaxMessageBytes)/(1<<20))
-	if *pipeline && xs.ButterflyIterations > 0 {
+	if xs.ButterflyIterations > 0 {
 		fmt.Printf("pipeline: %.2f µs codec hidden under hop transfers, %d stalls (codec outlasted the wire)\n",
 			xs.HiddenCodecSeconds*1e6, xs.PipelineStalls)
 	}

@@ -3,9 +3,8 @@
 // blocking vs non-blocking delegate reduction (BR/IR) — change the runtime
 // composition on a multi-node cluster, plus a mini weak-scaling sweep, an
 // exchange-policy comparison (all-pairs vs butterfly vs the per-iteration
-// hybrid), and the butterfly hop pipeline on vs off with its hidden-time
-// metrics. Each variant stands up a query service and answers its sources
-// as one concurrent batch.
+// hybrid) and a multi-source sweep-width comparison. Each variant stands up a
+// query service and answers its sources as one concurrent batch.
 package main
 
 import (
@@ -100,76 +99,6 @@ func main() {
 			batch.Stats.Messages, remote/n*1e3, elapsed/n*1e3)
 	}
 
-	// Pipelined hops (-pipeline in bfsrun, WithPipeline here): the
-	// butterfly's per-hop decode/merge/re-encode compute hides under the
-	// next hop's transfer, so with a codec active some of the log(p)× codec
-	// work disappears from remote-normal time. HiddenCodecSeconds is the
-	// reclaimed time; stalls count steps where compute outlasted the wire.
-	// Levels and parents are bit-identical on and off. Work amplification
-	// lifts the queries into the paper's per-GPU regime, where the codec
-	// stages are big enough to be worth hiding.
-	fmt.Println("\nbutterfly hop pipeline on 6 ranks (adaptive codec, amplified, per-query override):")
-	fmt.Println("  pipeline  codec(ms)  hidden(ms)  stalls  remote-normal  elapsed   (ms)")
-	for _, pipe := range []bool{false, true} {
-		batch, err := xsvc.RunBatch(ctx, sources, gcbfs.BatchOptions{Parallelism: 2},
-			gcbfs.WithExchange(gcbfs.ExchangeButterfly),
-			gcbfs.WithCompression(gcbfs.CompressionAdaptive),
-			gcbfs.WithWorkAmplification(256),
-			gcbfs.WithPipeline(pipe))
-		if err != nil {
-			log.Fatal(err)
-		}
-		var codec, remote, elapsed float64
-		for _, r := range batch.Results {
-			codec += r.CodecSeconds
-			remote += r.RemoteNormal
-			elapsed += r.SimSeconds
-		}
-		n := float64(len(batch.Results))
-		fmt.Printf("  %-8v  %9.4f  %10.4f  %6d  %13.3f  %7.3f\n",
-			pipe, codec/n*1e3, batch.Stats.HiddenCodecSeconds/n*1e3,
-			batch.Stats.PipelineStalls, remote/n*1e3, elapsed/n*1e3)
-	}
-
-	// Hierarchical exchange (Config.FlatExchange / WithFlatExchange): with 4
-	// GPUs per rank, the default two-level exchange merges each rank's four
-	// per-destination bins over NVLink into ONE message per destination —
-	// flat mode ships each GPU's fragment separately, exactly 4× the message
-	// count. The NVLink aggregation time rides the butterfly pipeline as a
-	// third resource, so most of it hides under hop transfers
-	// (NVLinkSeconds vs HiddenNVLinkSeconds below). Levels and parents are
-	// bit-identical in both modes.
-	fmt.Println("\nflat vs hierarchical exchange at 4 GPUs/rank (hybrid policy, adaptive codec, amplified):")
-	fmt.Println("  mode  messages  nvlink(ms)  hidden(ms)  remote-normal  elapsed   (ms)")
-	hcluster := gcbfs.Cluster{Nodes: 4, RanksPerNode: 1, GPUsPerRank: 4}
-	hsvc, err := gcbfs.NewService(g, gcbfs.DefaultConfig(hcluster))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, flat := range []bool{true, false} {
-		batch, err := hsvc.RunBatch(ctx, sources, gcbfs.BatchOptions{Parallelism: 2},
-			gcbfs.WithExchange(gcbfs.ExchangeHybrid),
-			gcbfs.WithCompression(gcbfs.CompressionAdaptive),
-			gcbfs.WithWorkAmplification(256),
-			gcbfs.WithFlatExchange(flat))
-		if err != nil {
-			log.Fatal(err)
-		}
-		var remote, elapsed float64
-		for _, r := range batch.Results {
-			remote += r.RemoteNormal
-			elapsed += r.SimSeconds
-		}
-		n := float64(len(batch.Results))
-		mode := "hier"
-		if flat {
-			mode = "flat"
-		}
-		fmt.Printf("  %-4s  %8d  %10.4f  %10.4f  %13.3f  %7.3f\n",
-			mode, batch.Stats.Messages, batch.Stats.NVLinkSeconds/n*1e3,
-			batch.Stats.HiddenNVLinkSeconds/n*1e3, remote/n*1e3, elapsed/n*1e3)
-	}
-
 	// Multi-source shared sweep (MS-BFS, RunSweep): K queries answered by
 	// ONE BSP traversal — per-vertex visited state widens to a K-query
 	// bitmask riding the record codec — so the graph is scanned once per
@@ -259,7 +188,7 @@ func main() {
 	// Fault tolerance: arm the deterministic chaos injector (corrupt bit
 	// flips on the simulated wire, caught by the adaptive codec's CRC) and
 	// let the retry policy re-execute contained failures — degrading to the
-	// flat all-pairs profile after two failed attempts. Every recovery is
+	// all-pairs exchange after two failed attempts. Every recovery is
 	// bit-identical to the fault-free run; an exhausted budget surfaces as a
 	// typed error, never a silently wrong result. The full ablation is
 	// cmp8: go run ./cmd/bfsbench -exp cmp8.

@@ -89,8 +89,7 @@
 //
 // # Pipelined hops
 //
-// The butterfly's hops are software-pipelined by default (Config.Pipeline,
-// set by DefaultConfig; per-query WithPipeline): hop k's transfer runs
+// The butterfly's hops are software-pipelined: hop k's transfer runs
 // concurrently with hop k−1's decode/merge/re-encode compute, so each
 // pipeline step costs max(wire, codec) instead of their sum — the paper's
 // §VI-B compute/communication overlap applied inside the exchange, which
@@ -99,39 +98,33 @@
 // and Result.PipelineStalls the steps where compute outlasted the wire;
 // per-iteration Result breakdowns carry the exposed remainder inside
 // RemoteNormal. The hybrid policy prices the overlap into its butterfly
-// cost estimate, so the all-pairs/butterfly crossover moves up when
-// pipelining is on. Two measured feedback signals tighten its decisions
-// per query: a skew ratio (the max-reduced per-rank volume over the mean,
+// cost estimate. Two measured feedback signals tighten its decisions per
+// query: a skew ratio (the max-reduced per-rank volume over the mean,
 // pricing partition skew) and a per-strategy calibration EWMA of
 // predicted-vs-actual exchange time (Result.CalibrationAllPairs /
-// CalibrationButterfly). Pipelining never changes levels or parents —
-// overlap hides time, it never reorders the traversal.
+// CalibrationButterfly). Overlap hides time, it never reorders the
+// traversal.
 //
 // # Hierarchical exchange
 //
-// On clusters with more than one GPU per rank, the exchange is two-level by
-// default: the GPUs of a rank first combine their per-destination bins over
-// simulated NVLink into one merged message per destination rank, then the
-// inter-rank topology (all-pairs or butterfly) ships the aggregates —
-// message count per rank per iteration drops by a factor of GPUsPerRank,
-// and per-message size grows into the network's high-efficiency regime.
-// Under the pipelined butterfly the intra-rank NVLink staging becomes a
-// third pipeline resource next to the wire and the codec: each step costs
-// max(wire, codec, nvlink), so most NVLink time hides under hop transfers
-// (Result.NVLinkSeconds / HiddenNVLinkSeconds report the split). The
-// exposed remainder is charged to the LocalComm breakdown component — the
-// pre-hierarchy home of staging time — never RemoteNormal, which stays the
-// wire+codec schedule and therefore comparable across flat and
-// hierarchical runs. The delegate-mask allreduce is chunked across the hop
-// steps whenever folding it under the butterfly's wire is cheaper than the
-// standalone reduction.
-// Config.FlatExchange (per-query WithFlatExchange) restores the flat
-// baseline — every GPU's fragment as its own inter-rank message, exactly
-// GPUsPerRank× the hierarchical message count — for the cmp7 ablation.
-// Levels and parents are bit-identical flat vs hierarchical across every
-// strategy and cluster shape; only message pattern and simulated time
-// change. The hybrid policy prices the NVLink stages into both strategy
-// estimates, so its crossover tracks the hierarchy.
+// On clusters with more than one GPU per rank, the exchange is two-level:
+// the GPUs of a rank first combine their per-destination bins over
+// simulated NVLink into one merged message per destination rank — the
+// paper's §V-B packed sends with its intra-rank staging (the L option) in
+// front — then the inter-rank topology (all-pairs or butterfly) ships the
+// aggregates, so a rank sends p_rank−1 messages per all-pairs round
+// whatever its GPU count. Under the butterfly the intra-rank NVLink staging
+// is a third pipeline resource next to the wire and the codec: each step
+// costs max(wire, codec, nvlink), so most NVLink time hides under hop
+// transfers (Result.NVLinkSeconds / HiddenNVLinkSeconds report the split).
+// The exposed remainder is charged to the LocalComm breakdown component,
+// where intra-rank staging time lives, never RemoteNormal, which stays the
+// wire+codec schedule and therefore comparable across GPU counts. The
+// delegate-mask allreduce is chunked across the hop steps whenever folding
+// it under the butterfly's wire is cheaper than the standalone reduction.
+// The hybrid policy prices the NVLink stages into both strategy estimates,
+// so its crossover tracks the hierarchy. A multi-source sweep's record
+// exchange has the same shape and is charged by the same all-pairs rule.
 //
 // # Multi-source sweeps
 //
@@ -207,8 +200,8 @@
 //
 // Config.Retry layers recovery on top: queries failing with a contained
 // fault re-execute up to RetryPolicy.MaxAttempts times with exponential
-// backoff, optionally switching to a degraded execution profile (flat
-// all-pairs exchange, pipelining off) after DegradeAfter failures.
+// backoff, optionally falling back to the all-pairs exchange (the degraded
+// execution profile) after DegradeAfter failures.
 // Result.Attempts and Result.Degraded report the outcome per query;
 // Service.FaultStats aggregates retries, degraded runs, exhausted budgets
 // and deadline expiries. A recovered query's levels and parents are
@@ -372,23 +365,6 @@ type Config struct {
 	// Traversal results are identical under every policy. Overridable per
 	// query with WithExchange.
 	Exchange Exchange
-	// Pipeline software-pipelines the butterfly's hops: each hop's transfer
-	// overlaps the previous hop's decode/merge/re-encode compute, hiding
-	// codec time under communication (see the package comment). Enabled by
-	// DefaultConfig; disable for the sequential-hop baseline. Results are
-	// bit-identical either way. Overridable per query with WithPipeline.
-	Pipeline bool
-	// FlatExchange disables the two-level hierarchical exchange on clusters
-	// with more than one GPU per rank: instead of the GPUs of a rank
-	// combining their per-destination bins over NVLink into one merged
-	// message per destination rank (the default, which cuts message count
-	// by a factor of GPUsPerRank and prices the intra-rank staging as a
-	// third pipeline resource), every GPU's fragment travels as its own
-	// inter-rank message — the flat baseline the cmp7 ablation compares
-	// against. Results are bit-identical either way; only message pattern
-	// and simulated time change. No effect when GPUsPerRank is 1.
-	// Overridable per query with WithFlatExchange.
-	FlatExchange bool
 	// SweepWidth caps how many queries one multi-source sweep carries
 	// (RunSweep batches and CoalesceQueries admission both split wider
 	// batches into successive sweeps). 0 selects DefaultSweepWidth; the hard
@@ -432,12 +408,12 @@ type RetryPolicy struct {
 	// (Config.QueryTimeout / WithDeadline) has not passed. 0: no
 	// per-attempt bound.
 	AttemptTimeout time.Duration
-	// DegradeAfter switches retries to the degraded execution profile —
-	// flat all-pairs exchange, hop pipelining off — once this many attempts
-	// have failed (0: never degrade). The degraded profile trades simulated
-	// speed for the simplest communication pattern, maximizing the chance a
-	// transient exchange fault does not recur; levels and parents stay
-	// bit-identical to the fast path.
+	// DegradeAfter switches retries to the degraded execution profile — the
+	// all-pairs exchange, whatever policy the query asked for — once this
+	// many attempts have failed (0: never degrade). The degraded profile
+	// trades simulated speed for the simplest communication pattern, one
+	// round with no relays, maximizing the chance a transient exchange fault
+	// does not recur; levels and parents stay bit-identical to the fast path.
 	DegradeAfter int
 }
 
@@ -532,7 +508,6 @@ func DefaultConfig(c Cluster) Config {
 		DirectionOptimized: true,
 		BlockingReduce:     true,
 		CollectLevels:      true,
-		Pipeline:           true,
 	}
 }
 
@@ -547,8 +522,6 @@ func (cfg Config) engineOptions() core.Options {
 	o.CollectParents = cfg.CollectParents
 	o.Compression = cfg.Compression.mode()
 	o.Exchange = cfg.Exchange.strategy()
-	o.PipelineHops = cfg.Pipeline
-	o.FlatExchange = cfg.FlatExchange
 	o.Inject = cfg.Inject
 	return o
 }
@@ -611,8 +584,7 @@ type Result struct {
 	// under concurrent hop transfers (never more than CodecSeconds — the
 	// pipeline hides time, it cannot create it); PipelineStalls counts
 	// pipeline steps where the codec stage outlasted the transfer it
-	// overlapped. Both zero with pipelining off and for all-pairs
-	// iterations.
+	// overlapped. Both zero for all-pairs iterations.
 	HiddenCodecSeconds float64
 	PipelineStalls     int64
 	// NVLinkSeconds is the simulated intra-rank NVLink time the hierarchical
@@ -620,8 +592,8 @@ type Result struct {
 	// HiddenNVLinkSeconds is the share of it the pipelined butterfly hid
 	// under concurrent hop transfers and codec stages (never more than
 	// NVLinkSeconds). The exposed remainder lands in the LocalComm
-	// breakdown component, never RemoteNormal. Both zero on flat exchanges
-	// and single-GPU ranks.
+	// breakdown component, never RemoteNormal. Both zero on single-GPU
+	// ranks.
 	NVLinkSeconds, HiddenNVLinkSeconds float64
 	// CalibrationAllPairs/CalibrationButterfly are the query's final
 	// predicted-vs-actual calibration factors per strategy (1 ≈ the cost
@@ -630,9 +602,9 @@ type Result struct {
 	CalibrationAllPairs, CalibrationButterfly float64
 	// Attempts is how many executions the retry policy spent on this query
 	// (1 on the fault-free fast path); Degraded reports whether the
-	// successful attempt ran the degraded profile (flat all-pairs exchange,
-	// pipelining off). Batch-level calls retry the batch as a unit, so every
-	// result of one call reports the same pair.
+	// successful attempt ran the degraded profile (all-pairs exchange).
+	// Batch-level calls retry the batch as a unit, so every result of one
+	// call reports the same pair.
 	Attempts int
 	Degraded bool
 }
@@ -769,22 +741,6 @@ func WithExchange(x Exchange) QueryOption {
 	}
 }
 
-// WithPipeline toggles butterfly hop pipelining for this query: on, hop
-// transfers overlap the previous hop's codec compute; off, every hop and
-// codec stage is charged end-to-end (the sequential baseline).
-func WithPipeline(on bool) QueryOption {
-	return func(q *queryConfig) { q.ov.PipelineHops = &on }
-}
-
-// WithFlatExchange toggles the flat (per-GPU fragment) inter-rank exchange
-// for this query: on, each GPU's per-destination bins travel as separate
-// messages; off (the default), GPUs of a rank merge their bins over NVLink
-// into one message per destination rank. Results are bit-identical either
-// way; no effect when GPUsPerRank is 1.
-func WithFlatExchange(on bool) QueryOption {
-	return func(q *queryConfig) { q.ov.FlatExchange = &on }
-}
-
 // WithLevels toggles hop-distance collection for this query.
 func WithLevels(on bool) QueryOption {
 	return func(q *queryConfig) { q.ov.CollectLevels = &on }
@@ -829,15 +785,11 @@ func retryable(err error) bool {
 }
 
 // degradedOverrides applies the degraded execution profile on top of the
-// query's overrides: flat all-pairs exchange, hop pipelining off — the
-// simplest communication pattern the engine has. Levels and parents are
-// bit-identical to the fast path; only message pattern and simulated time
-// change.
+// query's overrides: the all-pairs exchange — the simplest communication
+// pattern the engine has. Levels and parents are bit-identical to the fast
+// path; only message pattern and simulated time change.
 func degradedOverrides(ov core.Overrides) core.Overrides {
-	flat, pipeline := true, false
 	allPairs := core.ExchangeAllPairs
-	ov.FlatExchange = &flat
-	ov.PipelineHops = &pipeline
 	ov.Exchange = &allPairs
 	return ov
 }
@@ -1097,7 +1049,7 @@ type BatchStats struct {
 	PipelineStalls                            int64
 	// NVLink totals across the batch: intra-rank time the hierarchical
 	// exchange spent, and the share the pipelined butterfly hid under hop
-	// transfers. Zero on flat exchanges and single-GPU ranks.
+	// transfers. Zero on single-GPU ranks.
 	NVLinkSeconds, HiddenNVLinkSeconds float64
 	// Session-pool observability: PoolHits counts this batch's queries that
 	// reused a recycled session, PoolMisses those that allocated a fresh

@@ -247,3 +247,40 @@ func TestCompressionConfig(t *testing.T) {
 		t.Fatal("NewService accepted an out-of-range compression mode")
 	}
 }
+
+// A Config literal that skips DefaultConfig selects no different exchange
+// machinery: with the paper's options spelled out it runs the same butterfly
+// — pipelined hops hiding codec time — on the same modelled clock as the
+// DefaultConfig-derived config.
+func TestConfigLiteralRunsTheDefaultExchange(t *testing.T) {
+	g := RMAT(12)
+	cluster := Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
+	literal := Config{
+		Cluster:            cluster,
+		DirectionOptimized: true,
+		BlockingReduce:     true,
+		CollectLevels:      true,
+		Exchange:           ExchangeButterfly,
+		Compression:        CompressionAdaptive,
+	}
+	derived := DefaultConfig(cluster)
+	derived.Exchange, derived.Compression = ExchangeButterfly, CompressionAdaptive
+	src := Sources(g, 1, 7)[0]
+	var results [2]*Result
+	for i, cfg := range []Config{literal, derived} {
+		svc, err := NewService(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = svc.Run(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lit, def := results[0], results[1]
+	if lit.HiddenCodecSeconds <= 0 {
+		t.Fatalf("literal config hid %g s of codec time — its butterfly is not the pipelined one", lit.HiddenCodecSeconds)
+	}
+	if lit.SimSeconds != def.SimSeconds {
+		t.Fatalf("literal config %g s, DefaultConfig-derived %g s", lit.SimSeconds, def.SimSeconds)
+	}
+}

@@ -49,16 +49,15 @@ const allocSources = 8
 // after a warm-up); over 20 the floor repeats exactly run to run.
 const allocBatches = 20
 
-// exchangeConfigs is the pinned strategy grid — the cmp4 ablation's axes.
+// exchangeConfigs is the pinned strategy grid — the cmp3 ablation's axes.
+// The names are cell keys shared with every committed BENCH_*.json.
 var exchangeConfigs = []struct {
 	name     string
 	exchange core.Exchange
-	pipeline bool
 }{
-	{"allpairs", core.ExchangeAllPairs, true},
-	{"butterfly-seq", core.ExchangeButterfly, false},
-	{"butterfly-pipe", core.ExchangeButterfly, true},
-	{"hybrid", core.ExchangeHybrid, true},
+	{"allpairs", core.ExchangeAllPairs},
+	{"butterfly-pipe", core.ExchangeButterfly},
+	{"hybrid", core.ExchangeHybrid},
 }
 
 // Run executes the pinned suite and returns the report.
@@ -81,8 +80,8 @@ func Run(p Params) (*Report, error) {
 				return nil, fmt.Errorf("bench: scale %d ranks %d: %w", scale, ranks, err)
 			}
 			for _, cfg := range exchangeConfigs {
-				ex, pipe := cfg.exchange, cfg.pipeline
-				ov := core.Overrides{Exchange: &ex, PipelineHops: &pipe}
+				ex := cfg.exchange
+				ov := core.Overrides{Exchange: &ex}
 				results, err := pl.RunBatch(context.Background(), sources, 4, ov)
 				if err != nil {
 					return nil, fmt.Errorf("bench: scale %d ranks %d %s: %w", scale, ranks, cfg.name, err)
@@ -193,13 +192,10 @@ func dynamicCells(rep *Report) error {
 var hierarchyGPUs = []int{2, 4}
 
 // hierarchyCells pins the two-level exchange trajectory: at 4 ranks ×
-// GPUs-per-rank {2, 4}, the flat per-GPU-fragment baseline against the
-// hierarchical per-rank aggregation, under all-pairs (where the per-message
-// efficiency win shows up directly in remote-normal) and the pipelined
-// butterfly (where the NVLink staging hides under hop transfers —
-// nvlink_hidden_ratio guards the overlap). The suite asserts the headline
-// property right here: hierarchical all-pairs remote-normal below flat at
-// every GPUs-per-rank ≥ 2, so a regression cannot post a baseline.
+// GPUs-per-rank {2, 4}, the per-rank aggregation under all-pairs (where the
+// per-message size shows up directly in remote-normal) and the butterfly
+// (where the NVLink staging hides under hop transfers — nvlink_hidden_ratio
+// guards the overlap).
 func hierarchyCells(rep *Report) error {
 	el := experiments.BenchGraph(12)
 	sources := experiments.BenchSources(el, sourcesPerCell, rep.Seed)
@@ -220,53 +216,38 @@ func hierarchyCells(rep *Report) error {
 			return fmt.Errorf("bench: hierarchy cells pgpu=%d: %w", pgpu, err)
 		}
 		for _, cfg := range configs {
-			remoteBy := map[bool]float64{}
-			for _, flat := range []bool{true, false} {
-				ex, fl := cfg.exchange, flat
-				results, err := pl.RunBatch(context.Background(), sources, 4,
-					core.Overrides{Exchange: &ex, FlatExchange: &fl})
-				if err != nil {
-					return fmt.Errorf("bench: hierarchy pgpu=%d %s flat=%v: %w", pgpu, cfg.name, flat, err)
-				}
-				agg := metrics.AggregateRuns(results)
-				var wireBytes, msgs int64
-				var remote, nvlink, hiddenNV float64
-				for _, r := range results {
-					wireBytes += r.Wire.CompressedBytes
-					msgs += r.Exchange.Messages
-					remote += r.Parts.RemoteNormal
-					nvlink += r.Exchange.NVLinkSeconds
-					hiddenNV += r.Exchange.HiddenNVLinkSeconds
-				}
-				remoteBy[flat] = remote
-				mode := "hier"
-				if flat {
-					mode = "flat"
-				}
-				mk := func(metric string, v float64, unit string) Cell {
-					return Cell{Experiment: "hierarchy", Scale: 12, Ranks: 4,
-						Config: fmt.Sprintf("%s-%s-g%d", cfg.name, mode, pgpu),
-						Metric: metric, Value: v, Unit: unit}
-				}
-				cells := []Cell{
-					mk("gteps", agg.GTEPS, "GTEPS"),
-					mk("wire_bytes", float64(wireBytes), "B"),
-					mk("remote_normal_us", remote*1e6, "µs"),  // informational: compared across modes below
-					mk("messages", float64(msgs), "messages"), // informational: identity asserted in cmp7
-				}
-				if !flat && cfg.exchange == core.ExchangeButterfly {
-					ratio := 0.0
-					if nvlink > 0 {
-						ratio = hiddenNV / nvlink
-					}
-					cells = append(cells, mk("nvlink_hidden_ratio", ratio, ""))
-				}
-				rep.Cells = append(rep.Cells, cells...)
+			ex := cfg.exchange
+			results, err := pl.RunBatch(context.Background(), sources, 4, core.Overrides{Exchange: &ex})
+			if err != nil {
+				return fmt.Errorf("bench: hierarchy pgpu=%d %s: %w", pgpu, cfg.name, err)
 			}
-			if cfg.exchange == core.ExchangeAllPairs && remoteBy[false] >= remoteBy[true] {
-				return fmt.Errorf(
-					"bench: hierarchy pgpu=%d %s: hierarchical remote-normal %.3g s not below flat %.3g s",
-					pgpu, cfg.name, remoteBy[false], remoteBy[true])
+			agg := metrics.AggregateRuns(results)
+			var wireBytes, msgs int64
+			var remote, nvlink, hiddenNV float64
+			for _, r := range results {
+				wireBytes += r.Wire.CompressedBytes
+				msgs += r.Exchange.Messages
+				remote += r.Parts.RemoteNormal
+				nvlink += r.Exchange.NVLinkSeconds
+				hiddenNV += r.Exchange.HiddenNVLinkSeconds
+			}
+			mk := func(metric string, v float64, unit string) Cell {
+				return Cell{Experiment: "hierarchy", Scale: 12, Ranks: 4,
+					Config: fmt.Sprintf("%s-hier-g%d", cfg.name, pgpu),
+					Metric: metric, Value: v, Unit: unit}
+			}
+			rep.Cells = append(rep.Cells,
+				mk("gteps", agg.GTEPS, "GTEPS"),
+				mk("wire_bytes", float64(wireBytes), "B"),
+				mk("remote_normal_us", remote*1e6, "µs"),  // informational
+				mk("messages", float64(msgs), "messages"), // informational: the count is asserted in cmp7
+			)
+			if cfg.exchange == core.ExchangeButterfly {
+				ratio := 0.0
+				if nvlink > 0 {
+					ratio = hiddenNV / nvlink
+				}
+				rep.Cells = append(rep.Cells, mk("nvlink_hidden_ratio", ratio, ""))
 			}
 		}
 	}

@@ -33,7 +33,7 @@ import (
 // payload faults key on the same coordinates as boundary faults. The tag
 // spaces are disjoint by construction: parent resolution at parentTagBase
 // (1<<30) and above, repair probes at probeTag (1<<29), and everything below
-// is the iteration-keyed hop/fragment space (hopTag, fragTag).
+// is the iteration-keyed hop space (hopTag).
 func tagSite(tag int) (int, string) {
 	switch {
 	case tag >= parentTagBase:

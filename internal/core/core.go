@@ -91,8 +91,10 @@ type Options struct {
 	// DirectionOptimized enables per-subgraph direction switching for the
 	// dd, dn and nd kernels (nn never uses DO, §IV-B).
 	DirectionOptimized bool
-	// LocalAll2All stages outgoing normal vertices through peer GPUs in
-	// the same rank so remote pairs shrink from p² to p²/p_gpu (§V-B).
+	// LocalAll2All runs the intra-rank aggregation of outgoing normal
+	// vertices peer-to-peer between the rank's GPUs (§V-B); without it the
+	// copies bounce through CPU staging buffers and cross NVLink twice
+	// (aggregationBytes).
 	LocalAll2All bool
 	// Uniquify removes duplicate destinations within a send bin (§V-B).
 	Uniquify bool
@@ -146,30 +148,6 @@ type Options struct {
 	// traversal results are bit-identical; only message pattern and timing
 	// change.
 	Exchange Exchange
-	// PipelineHops software-pipelines the butterfly exchange: each hop's
-	// transfer overlaps the previous hop's decode/merge/re-encode compute,
-	// so a pipeline step costs max(wire, codec) instead of their sum — the
-	// paper's compute/communication overlap (§VI-B) applied inside the
-	// exchange. Results are bit-identical either way; only the simulated
-	// remote-normal time (and the policy cost model's butterfly estimate)
-	// changes. DefaultOptions enables it; disable for the sequential-hop
-	// ablation baseline. No effect on all-pairs iterations, which have a
-	// single communication round.
-	PipelineHops bool
-	// FlatExchange disables the two-level hierarchical exchange: with it
-	// set, each GPU's per-destination bins ride the inter-rank wire as their
-	// own fragment messages (GPUsPerRank fragments per destination per
-	// round) and the NVLink staging copies are charged serially in
-	// LocalComm — the paper's flat §V-B shape, kept as the ablation
-	// baseline. The default (false) aggregates the rank's GPUs' bins over
-	// NVLink into one merged message per destination, so messages per rank
-	// per iteration drop by GPUsPerRank× and the aggregation + staging
-	// copies ride the exchange schedule as a third overlappable pipeline
-	// resource (simnet.PipelinedExchange). Levels, parents and every work
-	// counter are bit-identical either way — only message pattern, framing
-	// bytes and simulated timing differ. No effect when GPUsPerRank is 1,
-	// where the two shapes coincide.
-	FlatExchange bool
 	// WorkAmplification scales all counted work and communication volume
 	// before the timing model (not the functional run or reported work
 	// stats). Setting it to 2^(paperScale-localScale) makes a scaled-down
@@ -202,7 +180,6 @@ func DefaultOptions() Options {
 		FactorsND:          SwitchFactors{Fwd2Bwd: 1e-7},
 		MessageBytes:       4 << 20,
 		OverlapFactor:      0.35,
-		PipelineHops:       true,
 		CollectLevels:      true,
 		GPU:                simgpu.TeslaP100(),
 		Net:                simnet.Ray(),
@@ -355,8 +332,6 @@ func (p *Plan) MemoryOK() bool {
 type Overrides struct {
 	Compression       *wire.Mode
 	Exchange          *Exchange
-	PipelineHops      *bool
-	FlatExchange      *bool
 	CollectLevels     *bool
 	CollectParents    *bool
 	WorkAmplification *float64
@@ -377,12 +352,6 @@ func (p *Plan) effectiveOptions(ov Overrides) (Options, error) {
 			return o, fmt.Errorf("core: invalid exchange override %d", *ov.Exchange)
 		}
 		o.Exchange = *ov.Exchange
-	}
-	if ov.PipelineHops != nil {
-		o.PipelineHops = *ov.PipelineHops
-	}
-	if ov.FlatExchange != nil {
-		o.FlatExchange = *ov.FlatExchange
 	}
 	if ov.CollectLevels != nil {
 		o.CollectLevels = *ov.CollectLevels

@@ -29,29 +29,29 @@ package core
 // x+q. Sections carry the true destination rank throughout, so folding two
 // destinations onto one hypercube coordinate never mixes their payloads.
 //
-// Both strategies are two-level (hierarchical) by default when a rank holds
-// more than one GPU: the rank's GPUs aggregate their per-destination bins
-// over NVLink (mergeForRank — the paper's L staging generalized) into ONE
-// merged message per destination, and the NVLink copies (aggregation, send/
-// recv staging) ride the exchange schedule as a third pipeline resource
-// next to the wire and the codec (simnet.PipelinedExchange). The NVLink
-// tier never enters remote-normal time: remote-normal stays the wire+codec
-// schedule (comparable across flat, hierarchical and the PR trajectory),
-// and the tier's critical-path marginal — whatever the hop pipeline could
-// not hide — is charged to LocalComm, where intra-rank staging has always
-// lived. The opt-in flat mode (Options.FlatExchange) is the ablation
-// baseline: the same merged per-slot payloads leave as GPUsPerRank per-slot
-// fragment messages — message count grows by exactly the aggregation factor
-// — and the NVLink staging is charged serially in LocalComm, the
-// pre-hierarchy model.
+// Both strategies are two-level when a rank holds more than one GPU: the
+// rank's GPUs aggregate their per-destination bins over NVLink (mergeForRank
+// — the paper's L staging generalized) into ONE merged message per
+// destination, and the NVLink copies (aggregation, send/recv staging) ride
+// the exchange schedule as a third pipeline resource next to the wire and
+// the codec (simnet.PipelinedExchange). The NVLink tier never enters
+// remote-normal time: remote-normal stays the wire+codec schedule
+// (comparable across GPU counts and the PR trajectory), and the tier's
+// critical-path marginal — whatever the hop pipeline could not hide — is
+// charged to LocalComm, where intra-rank staging has always lived. With one
+// GPU per rank there is nothing to aggregate and no tier: the send and
+// receive staging copies are charged serially in LocalComm by run.go.
 //
-// All strategies and both shapes deliver the identical per-slot id multiset
-// each iteration, and run.go applies remote arrivals in canonical ascending
-// order, so levels, parents and every work counter are bit-identical across
-// strategies — and across any per-iteration mix of them (the hybrid
-// policy, see policy.go) — and across flat vs hierarchical, by
-// construction. Only message pattern, byte volume and the simulated
-// remote-normal time differ.
+// The butterfly's hops are software-pipelined: hop k's transfer runs under
+// hop k−1's decode/merge/re-encode and NVLink stages, so a step costs the
+// maximum of the three, not their sum (butterflyExchange.remoteTime).
+//
+// Both strategies deliver the identical per-slot id multiset each iteration,
+// and run.go applies remote arrivals in canonical ascending order, so
+// levels, parents and every work counter are bit-identical across strategies
+// — and across any per-iteration mix of them (the hybrid policy, see
+// policy.go) — by construction. Only message pattern, byte volume and the
+// simulated remote-normal time differ.
 
 import (
 	"fmt"
@@ -176,12 +176,13 @@ type remoteVolumes struct {
 	hopRecv     []int64 // per-hop received wire volume (NVLink staging input)
 	preCodecRaw int64   // first hop's encode, preceding all communication
 	// aggBytes is the hierarchical intra-rank aggregation's NVLink volume
-	// (runEnv.aggregationBytes, amplified and max-reduced); zero when flat.
+	// (runEnv.aggregationBytes, amplified and max-reduced); zero at one GPU
+	// per rank.
 	aggBytes int64
 	// maskWire/maskSecs describe the delegate-mask allreduce of the same
 	// iteration: its wire bytes (zero when no mask was exchanged) and its
-	// serial seconds (vec[2]). The pipelined hierarchical butterfly may fold
-	// the chunked reduction into its hop schedule for less.
+	// serial seconds (vec[2]). The hierarchical butterfly may fold the
+	// chunked reduction into its hop schedule for less.
 	maskWire int64
 	maskSecs float64
 }
@@ -191,9 +192,9 @@ type remoteVolumes struct {
 // ranks compute the identical values from the identical reduced inputs.
 type remoteTiming struct {
 	// seconds is the remote-normal time: the wire rounds plus the exchange
-	// codec compute that stayed exposed (all of it for all-pairs and the
-	// sequential butterfly; only the unhidden remainder when hops are
-	// pipelined). The delegate-mask codec is charged separately by run.go.
+	// codec compute that stayed exposed (all of it for all-pairs; only the
+	// unhidden remainder for the butterfly's pipelined hops). The
+	// delegate-mask codec is charged separately by run.go.
 	seconds float64
 	// maxMsg is the largest per-message size the timing model saw.
 	maxMsg int64
@@ -201,24 +202,25 @@ type remoteTiming struct {
 	codecSeconds float64
 	// hiddenCodec is the codec compute the hop pipeline hid under concurrent
 	// transfers; stalls counts pipeline steps where a compute or NVLink stage
-	// outlasted the transfer it overlapped. Both zero unless hops are
-	// pipelined.
+	// outlasted the transfer it overlapped. Both zero for all-pairs' single
+	// round.
 	hiddenCodec float64
 	stalls      int64
 	// nvlinkSeconds is the hierarchical exchange's NVLink tier (aggregation
 	// plus staging copies), hidden or not; nvlinkExposed is the tier's
 	// critical-path marginal — how much longer the schedule ran for carrying
-	// it — which run.go charges to LocalComm (the pre-hierarchy home of all
-	// staging time), keeping seconds a pure wire+codec quantity; hiddenNVLink
-	// is the remainder the pipeline absorbed. All three zero when flat — the
-	// staging is then charged serially in LocalComm by run.go directly.
+	// it — which run.go charges to LocalComm (where all staging time lives),
+	// keeping seconds a pure wire+codec quantity; hiddenNVLink
+	// is the remainder the pipeline absorbed. All three zero at one GPU per
+	// rank — the staging is then charged serially in LocalComm by run.go
+	// directly.
 	nvlinkSeconds float64
 	nvlinkExposed float64
 	hiddenNVLink  float64
 	// maskSecs is the effective delegate-mask allreduce time: the serial
-	// remoteVolumes.maskSecs unless the pipelined hierarchical butterfly
-	// folded the chunked reduction into its hop schedule for less (never
-	// more — the fold only applies when it wins).
+	// remoteVolumes.maskSecs unless the hierarchical butterfly folded the
+	// chunked reduction into its hop schedule for less (never more — the fold
+	// only applies when it wins).
 	maskSecs float64
 }
 
@@ -329,13 +331,6 @@ func hopTag(iter int32, hop int) int {
 	return int(iter)*64 + hop
 }
 
-// fragTag derives a distinct MPI tag per (iteration, hop, slot) for the flat
-// exchange's per-slot fragment messages; slot counts are far below 64, so
-// fragment tags never collide with each other or with merged hop tags.
-func fragTag(iter int32, hop, slot int) int {
-	return hopTag(iter, hop)*64 + slot
-}
-
 // mergeForRank gathers all of this rank's bins destined for dst's GPUs into
 // one id list per destination slot (written into the caller's merged/sorted
 // headers, len pgpu each), merging every source GPU of this rank.
@@ -442,14 +437,8 @@ type allPairsExchange struct {
 	// msgBufs is the per-destination reusable encode buffer: a message is
 	// always received (and its ids copied out) before the iteration's
 	// terminating collective, which every rank passes before this buffer's
-	// next rewrite. The flat mode indexes it dst·pgpu+slot, one buffer per
-	// fragment.
+	// next rewrite.
 	msgBufs [][]byte
-	// fragSlots/fragSorted are the flat mode's per-fragment slot view: the
-	// merged pgpu-row with every slot but one blanked, so fragment s carries
-	// exactly slot s's payload under the unchanged rank-message framing.
-	fragSlots  [][]uint32
-	fragSorted []bool
 }
 
 func (x *allPairsExchange) rounds() int { return 1 }
@@ -508,32 +497,21 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	c.arrivals = sc.resetArrivals()
 
 	// Remote sends: one packed message per destination rank carrying every
-	// source GPU's bins for that rank's slots (the hierarchical default and
-	// the only shape at one GPU per rank), or — flat mode — pgpu per-slot
-	// fragment messages per destination carrying the same payloads.
-	// EncodeSlots applies the shared accounting convention: with compression
-	// off, id bytes only (the paper's 4·|Enn|; the per-slot count headers
-	// are wire framing); with a codec active, the encoded message — framing,
-	// checksums and all — is what crosses the NIC and what the timing model
-	// sees. The merge headers are reused per destination: the encode
-	// consumes them before the next merge overwrites.
+	// source GPU's bins for that rank's slots. EncodeSlots applies the shared
+	// accounting convention: with compression off, id bytes only (the paper's
+	// 4·|Enn|; the per-slot count headers are wire framing); with a codec
+	// active, the encoded message — framing, checksums and all — is what
+	// crosses the NIC and what the timing model sees. The merge headers are
+	// reused per destination: the encode consumes them before the next merge
+	// overwrites.
 	//
 	// A destination this rank holds nothing for (its presence bit is clear)
 	// still gets its empty message encoded and accounted — bytes, scheme
 	// counters, selector memory and the message count advance exactly as if
 	// it were sent, which is what the modelled machine does — but the Isend
 	// itself is skipped: the receiver reads the same matrix and does not wait.
-	frag := e.opts.FlatExchange && pgpu > 1
-	need := prank
-	if frag {
-		need = prank * pgpu
-		if len(x.fragSlots) < pgpu {
-			x.fragSlots = make([][]uint32, pgpu)
-			x.fragSorted = make([]bool, pgpu)
-		}
-	}
-	if len(x.msgBufs) < need {
-		x.msgBufs = append(x.msgBufs, make([][]byte, need-len(x.msgBufs))...)
+	if len(x.msgBufs) < prank {
+		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
 	}
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
@@ -546,35 +524,26 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 				sc.apSlots[s], sc.apSorted[s] = nil, true
 			}
 		}
-		if !frag {
-			payload, st := x.sel.AppendSlots(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
-			x.msgBufs[dst] = payload
-			c.message(st, mode)
-			if pres.has(rank, dst) {
-				comm.Isend(dst, hopTag(iter, 0), payload)
-			}
-			continue
-		}
-		for s := 0; s < pgpu; s++ {
-			for j := range x.fragSlots {
-				x.fragSlots[j], x.fragSorted[j] = nil, true
-			}
-			x.fragSlots[s], x.fragSorted[s] = sc.apSlots[s], sc.apSorted[s]
-			payload, st := x.sel.AppendSlots(x.msgBufs[dst*pgpu+s][:0], dst, x.fragSlots, x.fragSorted, mode)
-			x.msgBufs[dst*pgpu+s] = payload
-			c.message(st, mode)
-			if pres.has(rank, dst) {
-				comm.Isend(dst, fragTag(iter, 0, s), payload)
-			}
+		payload, st := x.sel.AppendSlots(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
+		x.msgBufs[dst] = payload
+		c.message(st, mode)
+		if pres.has(rank, dst) {
+			comm.Isend(dst, hopTag(iter, 0), payload)
 		}
 	}
 	// Receives, decoded zero-copy straight into the reusable arrival bins
-	// (each block's count header pre-sizes the grow). Flat mode receives the
-	// pgpu fragments per source in slot order, so the per-slot arrival order
-	// matches the merged message's exactly. A source whose presence bit for
-	// this rank is clear sent nothing: account its empty messages and move on.
-	recvOne := func(src, tag int) {
-		buf := comm.Recv(src, tag)
+	// (each block's count header pre-sizes the grow). A source whose presence
+	// bit for this rank is clear sent nothing: account its empty message and
+	// move on.
+	for src := 0; src < prank; src++ {
+		if src == rank {
+			continue
+		}
+		if !pres.has(src, rank) {
+			c.recv += x.emptyMessageLen(mode, pgpu)
+			continue
+		}
+		buf := comm.Recv(src, hopTag(iter, 0))
 		var err error
 		if mode == wire.ModeOff {
 			c.recv += int64(len(buf)) - 4*int64(pgpu)
@@ -587,26 +556,6 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 		}
 		if err != nil {
 			panic(corruptErr("core: corrupt exchange payload", err))
-		}
-	}
-	msgsPerSrc := int64(1)
-	if frag {
-		msgsPerSrc = int64(pgpu)
-	}
-	for src := 0; src < prank; src++ {
-		if src == rank {
-			continue
-		}
-		if !pres.has(src, rank) {
-			c.recv += msgsPerSrc * x.emptyMessageLen(mode, pgpu)
-			continue
-		}
-		if !frag {
-			recvOne(src, hopTag(iter, 0))
-			continue
-		}
-		for s := 0; s < pgpu; s++ {
-			recvOne(src, fragTag(iter, 0, s))
 		}
 	}
 	c.hopBytes = append(sc.hopBytes[:0], c.sent)
@@ -639,8 +588,8 @@ func (e *runEnv) allPairsRemoteTime(in remoteVolumes) remoteTiming {
 	// Hierarchical: the intra-rank aggregation joins the send/recv staging
 	// copies as the NVLink tier. All-pairs is a single round, so nothing
 	// hides it — the whole tier is exposed, and run.go charges it to
-	// LocalComm (where the flat mode's staging lives), keeping seconds the
-	// wire+codec remote-normal; only the butterfly's hop pipeline can hide.
+	// LocalComm, keeping seconds the wire+codec remote-normal; only the
+	// butterfly's hop pipeline can hide.
 	if e.hierExchange() {
 		net := e.opts.Net
 		nvl := net.LocalExchange(in.aggBytes, e.shape.GPUsPerRank) +
@@ -673,16 +622,8 @@ type butterflyExchange struct {
 	// msgBufs is the per-hop reusable encode buffer: a hop message is
 	// always received (and its ids arena-copied) within the same
 	// iteration, before the terminating collective that every rank passes
-	// before the buffer's next rewrite. The flat mode indexes it
-	// hop·pgpu+slot, one buffer per fragment.
+	// before the buffer's next rewrite.
 	msgBufs [][]byte
-	// fragSecs/fragRows are the flat mode's per-fragment section views: for
-	// fragment s, every outgoing section is re-expressed with all slots but
-	// s blanked (one pgpu-row per section drawn from fragRows), so a hop
-	// leaves as pgpu per-slot messages carrying the identical id multiset.
-	fragSecs []wire.Section
-	fragRows [][][]uint32
-	fragSort [][]bool
 	// onSend, set by tests only, sees every hop's outgoing sections (slots
 	// and Sorted flags) just before they are encoded.
 	onSend func(hop int, secs []wire.Section)
@@ -727,17 +668,13 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	sc.hopRecvBytes = c.hopRecvBytes
 	x.encRaw = grownInt64(x.encRaw, x.rounds())
 	x.decRaw = grownInt64(x.decRaw, x.rounds())
-	bufs := x.rounds()
-	if e.opts.FlatExchange {
-		bufs *= pgpu
-	}
-	if len(x.msgBufs) < bufs {
-		x.msgBufs = append(x.msgBufs, make([][]byte, bufs-len(x.msgBufs))...)
+	if n := x.rounds(); len(x.msgBufs) < n {
+		x.msgBufs = append(x.msgBufs, make([][]byte, n-len(x.msgBufs))...)
 	}
 
 	// Stage this iteration's own bins. ownRaw is the fixed-width equivalent
 	// of originated traffic; everything sent beyond it was forwarded. Each
-	// destination keeps its own pgpu-row of the flat staging headers — the
+	// destination keeps its own pgpu-row of the staging headers — the
 	// butterfly retains every destination's slots across its hops, so the
 	// rows cannot be shared the way all-pairs reuses one.
 	var ownRaw int64
@@ -845,7 +782,7 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	// Assemble the pipeline's compute stages from the per-hop codec scratch:
 	// hop k's stage is its decode plus the re-encode feeding hop k+1, and
 	// the first hop's encode precedes all communication. The stages sum to
-	// codecRaw exactly, so sequential charging is unchanged in total.
+	// codecRaw exactly.
 	rounds := x.rounds()
 	c.hopCodecRaw = grownInt64(sc.hopCodecRaw, rounds)
 	sc.hopCodecRaw = c.hopCodecRaw
@@ -861,77 +798,29 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	return c
 }
 
-// send encodes sections into one hop message for dst (or, flat mode, pgpu
-// per-slot fragment messages carrying the identical id multiset), accounts
-// it, and returns the hop's sent bytes. Empty hops still send (the
-// partner's Recv is unconditional) and still count as messages — they cross
-// the NIC.
+// send encodes sections into one hop message for dst, accounts it, and
+// returns the hop's sent bytes. Empty hops still send (the partner's Recv is
+// unconditional) and still count as messages — they cross the NIC.
 func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, secs []wire.Section, mode wire.Mode, c *exchangeCounts) int64 {
-	pgpu := x.e.shape.GPUsPerRank
 	if x.onSend != nil {
 		x.onSend(hop, secs)
 	}
-	if !x.e.opts.FlatExchange || pgpu <= 1 {
-		payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, pgpu, mode)
-		x.msgBufs[hop] = payload
-		c.message(st, mode)
-		if mode != wire.ModeOff {
-			x.encRaw[hop] += st.RawBytes
-		}
-		comm.Isend(dst, hopTag(iter, hop), payload)
-		return st.EncodedBytes
+	payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, x.e.shape.GPUsPerRank, mode)
+	x.msgBufs[hop] = payload
+	c.message(st, mode)
+	if mode != wire.ModeOff {
+		x.encRaw[hop] += st.RawBytes
 	}
-	// Flat: re-express the hop as pgpu per-slot fragment messages. The
-	// fragment rows are rebuilt per slot — AppendSections copies the payload
-	// before returning, so one row set serves all fragments.
-	for len(x.fragRows) < len(secs) {
-		x.fragRows = append(x.fragRows, make([][]uint32, pgpu))
-		x.fragSort = append(x.fragSort, make([]bool, pgpu))
-	}
-	if cap(x.fragSecs) < len(secs) {
-		x.fragSecs = make([]wire.Section, len(secs))
-	}
-	var sent int64
-	for s := 0; s < pgpu; s++ {
-		fsecs := x.fragSecs[:len(secs)]
-		for i, sec := range secs {
-			row, srow := x.fragRows[i], x.fragSort[i]
-			for j := 0; j < pgpu; j++ {
-				row[j], srow[j] = nil, true
-			}
-			row[s], srow[s] = sec.Slots[s], sec.Sorted[s]
-			fsecs[i] = wire.Section{Rank: sec.Rank, Slots: row, Sorted: srow}
-		}
-		payload, st := x.sel.AppendSections(x.msgBufs[hop*pgpu+s][:0], fsecs, pgpu, mode)
-		x.msgBufs[hop*pgpu+s] = payload
-		c.message(st, mode)
-		sent += st.EncodedBytes
-		if mode != wire.ModeOff {
-			x.encRaw[hop] += st.RawBytes
-		}
-		comm.Isend(dst, fragTag(iter, hop, s), payload)
-	}
-	return sent
+	comm.Isend(dst, hopTag(iter, hop), payload)
+	return st.EncodedBytes
 }
 
-// receive decodes one hop's arrival from src — one merged message, or pgpu
-// fragments in slot order under the flat mode — delivering sections
-// addressed to this rank as arrivals and folding the rest into pending.
+// receive decodes one hop's arrival from src, delivering sections addressed
+// to this rank as arrivals and folding the rest into pending.
 func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int, mode wire.Mode, c *exchangeCounts) {
 	pgpu := x.e.shape.GPUsPerRank
-	if x.e.opts.FlatExchange && pgpu > 1 {
-		for s := 0; s < pgpu; s++ {
-			x.receiveOne(comm, src, fragTag(iter, hop, s), hop, mode, c)
-		}
-		return
-	}
-	x.receiveOne(comm, src, hopTag(iter, hop), hop, mode, c)
-}
-
-func (x *butterflyExchange) receiveOne(comm *mpi.Comm, src, tag, hop int, mode wire.Mode, c *exchangeCounts) {
-	pgpu := x.e.shape.GPUsPerRank
 	prank := x.e.shape.Ranks()
-	buf := comm.Recv(src, tag)
+	buf := comm.Recv(src, hopTag(iter, hop))
 	secsIn, err := wire.DecodeSectionsScratch(buf, pgpu, prank, mode, &x.sc.arena, &x.sc.wireSecs)
 	if err != nil {
 		panic(corruptErr(fmt.Sprintf("core: corrupt butterfly payload (hop %d)", hop), err))
@@ -991,16 +880,14 @@ func (x *butterflyExchange) mergePending(sec wire.Section) {
 	}
 }
 
-// remoteTime charges the butterfly's hops. With Options.PipelineHops set
-// (the default) the per-hop codec stages overlap the transfers through the
-// simnet pipeline model — hop k's send hides hop k−1's decode/merge/
-// re-encode, cleanup hops included; otherwise every hop and every codec
-// stage is charged end-to-end, the pre-pipelining behaviour. Under the
-// hierarchical exchange the NVLink tier joins the schedule as a third
-// resource: hop k's transfer also hides hop k−1's staging copies, and the
-// pre stage grows by the intra-rank aggregation; the pipelined form may
-// additionally fold the delegate-mask allreduce into the hop steps as
-// chunked wire extras when that beats the serial reduction.
+// remoteTime charges the butterfly's hops through the simnet pipeline model:
+// the per-hop codec stages overlap the transfers — hop k's send hides hop
+// k−1's decode/merge/re-encode, cleanup hops included. Under the hierarchical
+// exchange the NVLink tier joins the schedule as a third resource: hop k's
+// transfer also hides hop k−1's staging copies, and the pre stage grows by
+// the intra-rank aggregation; the delegate-mask allreduce may additionally
+// be folded into the hop steps as chunked wire extras when that beats the
+// serial reduction.
 func (x *butterflyExchange) remoteTime(in remoteVolumes) remoteTiming {
 	hopBytes := in.hopBytes
 	var maxMsg int64
@@ -1017,22 +904,19 @@ func (x *butterflyExchange) remoteTime(in remoteVolumes) remoteTiming {
 	gpu := x.e.opts.GPU
 	stages := grownFloat64(x.sc.rtStages, len(in.hopCodecRaw))
 	x.sc.rtStages = stages
-	var codecTotal float64
 	for i, raw := range in.hopCodecRaw {
 		stages[i] = gpu.CodecTime(raw)
-		codecTotal += stages[i]
 	}
 	pre := gpu.CodecTime(in.preCodecRaw)
-	codecTotal += pre
 	net := x.e.opts.Net
 	// NVLink stages: staging is charged per direction per iteration — one
 	// engine-setup latency for all sends and one for all receives
-	// (simnet.Staging over the direction's total, exactly the flat mode's
-	// LocalComm charge) — and the copy time is spread over the hops in
-	// proportion to their volume, so the pipeline hides each hop's share
-	// under the neighbouring transfers: hop k's stage is its arrival share
-	// plus hop k+1's send share, the pre stage the intra-rank aggregation
-	// plus the first send's share.
+	// (simnet.Staging over the direction's total, exactly the LocalComm
+	// charge at one GPU per rank) — and the copy time is spread over the
+	// hops in proportion to their volume, so the pipeline hides each hop's
+	// share under the neighbouring transfers: hop k's stage is its arrival
+	// share plus hop k+1's send share, the pre stage the intra-rank
+	// aggregation plus the first send's share.
 	var nv []float64
 	var preNV, nvTotal float64
 	if x.e.hierExchange() {
@@ -1058,19 +942,6 @@ func (x *butterflyExchange) remoteTime(in remoteVolumes) remoteTiming {
 		}
 		nvTotal += preNV
 	}
-	if !x.e.opts.PipelineHops {
-		// Sequential hops hide nothing: the whole NVLink tier is exposed
-		// (run.go charges it to LocalComm) and remote-normal is the plain
-		// wire+codec sum.
-		return remoteTiming{
-			seconds:       net.Butterfly(hopBytes, msgCap) + codecTotal,
-			maxMsg:        maxMsg,
-			codecSeconds:  codecTotal,
-			nvlinkSeconds: nvTotal,
-			nvlinkExposed: nvTotal,
-			maskSecs:      in.maskSecs,
-		}
-	}
 	sched := simnet.ExchangeSchedule{
 		HopBytes:  hopBytes,
 		HopCodec:  stages,
@@ -1085,9 +956,9 @@ func (x *butterflyExchange) remoteTime(in remoteVolumes) remoteTiming {
 	// difference between the three- and two-resource schedules — which
 	// run.go charges to LocalComm. The remainder of the tier hid under the
 	// schedule's transfers and compute.
-	flatSched := sched
-	flatSched.HopNVLink, flatSched.PreNVLink = nil, 0
-	wc := net.PipelinedExchange(flatSched)
+	wcSched := sched
+	wcSched.HopNVLink, wcSched.PreNVLink = nil, 0
+	wc := net.PipelinedExchange(wcSched)
 	exposedNV := base.Total - wc.Total
 	rt := remoteTiming{
 		seconds:       wc.Total,

@@ -22,7 +22,6 @@ import (
 func chaosOptions(in *faults.Injector, x Exchange) Options {
 	o := DefaultOptions()
 	o.Exchange = x
-	o.PipelineHops = true
 	o.CollectLevels = true
 	o.CollectParents = true
 	o.Compression = wire.ModeAdaptive

@@ -45,9 +45,9 @@ var goldenResults = map[string]string{
 	"run/hybrid/off/2":         "d617f5df1482774f",
 	"run/hybrid/adaptive/1":    "8c698e98a605aef8",
 	"run/hybrid/adaptive/2":    "ce3b7c71636c10d7",
-	"sweep/1":                  "17eb9ede17aec03f",
-	"sweep/8":                  "104c67ac70b7e13a",
-	"sweep/65":                 "2ad29038b2636e40",
+	"sweep/1":                  "883dd3f83bfd9813",
+	"sweep/8":                  "43b9cb1daccfd92d",
+	"sweep/65":                 "8f712de2493fc298",
 	"repair":                   "dd68fbdd26513bb7",
 }
 

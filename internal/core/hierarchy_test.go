@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"context"
 	"testing"
 
 	"gcbfs/internal/partition"
@@ -9,101 +9,51 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// TestHierarchicalFlatEquivalence is the property test of the two-level
-// exchange: across GPUs-per-rank {1,2,3,4} × rank counts {3,4,6,8} ×
-// strategies × pipelining, the hierarchical default (one merged message per
-// destination rank) and the flat ablation (one fragment per source GPU) are
-// bit-identical on levels and parents, ship the same raw id volume, and obey
-// the message-count identity flat = GPUsPerRank × hierarchical for the fixed
-// strategies (the hybrid policy may pick different strategies per iteration
-// under the two timing models, so only bit-identity binds it).
-func TestHierarchicalFlatEquivalence(t *testing.T) {
-	scales := []int{10}
-	if !testing.Short() {
-		scales = append(scales, 12)
-	}
-	rankCounts := []int{3, 4, 6, 8}
-	gpusPerRank := []int{1, 2, 3, 4}
-	configs := []struct {
-		name  string
-		strat Exchange
-		pipe  bool
-	}{
-		{"allpairs", ExchangeAllPairs, false},
-		{"butterfly-seq", ExchangeButterfly, false},
-		{"butterfly-pipe", ExchangeButterfly, true},
-		{"hybrid-pipe", ExchangeHybrid, true},
-	}
+// The pair count the model sizes messages by is the count the exchange sends:
+// an all-pairs run and a sweep alike put effPairs() messages per rank per
+// superstep on the wire, whatever the GPU count — and the NVLink tier that
+// merges a rank's GPUs into those messages is charged exactly when there is
+// more than one GPU to merge.
+func TestExchangeSendsTheModelledPairs(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(10))
+	th := partition.SuggestThreshold(el.OutDegrees(), el.N/8)
+	sources := pickSources(el.OutDegrees(), 8, 7)
+	ctx := context.Background()
+	for _, pgpu := range []int{1, 2, 4} {
+		shape := ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: pgpu}
+		opts := DefaultOptions()
+		opts.Compression = wire.ModeAdaptive
+		p := buildPlan(t, el, shape, th, opts)
+		prank := int64(shape.Ranks())
 
-	for _, scale := range scales {
-		el := rmat.Generate(rmat.DefaultParams(scale))
-		th := partition.SuggestThreshold(el.OutDegrees(), el.N/8)
-		src := pickSources(el.OutDegrees(), 1, 7)[0]
-		for _, ranks := range rankCounts {
-			for _, pgpu := range gpusPerRank {
-				shape := ClusterShape{Nodes: ranks, RanksPerNode: 1, GPUsPerRank: pgpu}
-				for _, cfg := range configs {
-					label := fmt.Sprintf("scale=%d shape=%s %s", scale, shape, cfg.name)
-					opts := DefaultOptions()
-					opts.Compression = wire.ModeAdaptive
-					opts.CollectParents = true
-					opts.Exchange = cfg.strat
-					opts.PipelineHops = cfg.pipe
-					opts.WorkAmplification = 1 << 8
-					flat := opts
-					flat.FlatExchange = true
-					rh := runExchange(t, buildPlan(t, el, shape, th, opts), src)
-					rf := runExchange(t, buildPlan(t, el, shape, th, flat), src)
-					requireIdentical(t, label+" flat vs hier", rh, rf)
+		run := p.acquire(p.base)
+		pairs := run.effPairs()
+		p.release(run)
+		res := runExchange(t, p, sources[0])
+		if want := int64(res.Iterations) * prank * pairs; res.Exchange.Messages != want {
+			t.Fatalf("%s run: %d messages, want iterations·p·effPairs = %d·%d·%d = %d",
+				shape, res.Exchange.Messages, res.Iterations, prank, pairs, want)
+		}
+		if charged := res.Exchange.NVLinkSeconds > 0; charged != (pgpu > 1) {
+			t.Fatalf("%s run: NVLink tier %g s", shape, res.Exchange.NVLinkSeconds)
+		}
+		// A single round has no earlier transfer to hide anything under.
+		if x := res.Exchange; x.HiddenCodecSeconds != 0 || x.HiddenNVLinkSeconds != 0 || x.PipelineStalls != 0 {
+			t.Fatalf("%s run: all-pairs hid %g s codec, %g s NVLink with %d stalls",
+				shape, x.HiddenCodecSeconds, x.HiddenNVLinkSeconds, x.PipelineStalls)
+		}
 
-					if cfg.strat != ExchangeHybrid {
-						// Hybrid may pick different strategies per iteration
-						// under the two timing models (butterfly relays change
-						// raw volume), so these identities bind fixed
-						// strategies only.
-						if rh.Wire.RawBytes != rf.Wire.RawBytes {
-							t.Fatalf("%s: raw id volume diverged: hier %d vs flat %d bytes",
-								label, rh.Wire.RawBytes, rf.Wire.RawBytes)
-						}
-						want := rh.Exchange.Messages * int64(pgpu)
-						if pgpu == 1 {
-							want = rh.Exchange.Messages
-						}
-						if rf.Exchange.Messages != want {
-							t.Fatalf("%s: flat sent %d messages, want %d (= %d× hier's %d)",
-								label, rf.Exchange.Messages, want, pgpu, rh.Exchange.Messages)
-						}
-					}
-					if pgpu == 1 {
-						// Single-GPU ranks have no hierarchy: flat and hier
-						// are the same schedule to the last bit.
-						if rh.SimSeconds != rf.SimSeconds {
-							t.Fatalf("%s: pgpu=1 timing diverged: %g vs %g s",
-								label, rh.SimSeconds, rf.SimSeconds)
-						}
-						if rh.Exchange.NVLinkSeconds != 0 || rf.Exchange.NVLinkSeconds != 0 {
-							t.Fatalf("%s: pgpu=1 charged NVLink time (%g / %g s)",
-								label, rh.Exchange.NVLinkSeconds, rf.Exchange.NVLinkSeconds)
-						}
-					} else {
-						if rh.Exchange.NVLinkSeconds <= 0 {
-							t.Fatalf("%s: hierarchical run charged no NVLink time", label)
-						}
-						if rf.Exchange.NVLinkSeconds != 0 || rf.Exchange.HiddenNVLinkSeconds != 0 {
-							t.Fatalf("%s: flat run charged NVLink time (%g s, %g s hidden)",
-								label, rf.Exchange.NVLinkSeconds, rf.Exchange.HiddenNVLinkSeconds)
-						}
-					}
-					if h := rh.Exchange.HiddenNVLinkSeconds; h < 0 || h > rh.Exchange.NVLinkSeconds+1e-12 {
-						t.Fatalf("%s: hidden NVLink %g s outside [0, %g]",
-							label, h, rh.Exchange.NVLinkSeconds)
-					}
-					if !cfg.pipe && rh.Exchange.HiddenNVLinkSeconds != 0 {
-						t.Fatalf("%s: sequential hops hid %g s of NVLink",
-							label, rh.Exchange.HiddenNVLinkSeconds)
-					}
-				}
-			}
+		sweep := p.newSweepSession(p.base, sources)
+		pairs = sweep.effPairs()
+		swept, err := sweep.run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int64(len(sources))
+		iters := swept[0].Exchange.AllPairsIterations
+		if want := iters * prank * pairs / k; swept[0].Exchange.Messages != want {
+			t.Fatalf("%s sweep: %d messages per query, want iterations·p·effPairs/K = %d·%d·%d/%d = %d",
+				shape, swept[0].Exchange.Messages, iters, prank, pairs, k, want)
 		}
 	}
 }

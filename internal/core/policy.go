@@ -17,13 +17,10 @@ package core
 //	butterfly:  ≈ hops·α + relay·V·β(msg') + codec   (log2(q) hops + cleanup)
 //
 // realized by running the predicted per-rank volume V through the exact
-// simnet curves the timing model charges (PointToPoint, and Butterfly or
-// ButterflyPipelined depending on Options.PipelineHops), with the codec
-// compute each side would pay at simgpu CodecRate. With pipelined hops the
-// butterfly's predicted codec stages overlap its predicted transfers
-// exactly as the timing model overlaps the measured ones, so the hybrid
-// keeps choosing correctly now that the butterfly got cheaper — the
-// crossover volume moves up.
+// simnet curves the timing model charges (PointToPoint and
+// PipelinedExchange), with the codec compute each side would pay at simgpu
+// CodecRate. The butterfly's predicted codec stages overlap its predicted
+// transfers exactly as the timing model overlaps the measured ones.
 //
 // Two feedback signals, both derived from globally reduced quantities so
 // every rank sees identical values, tighten the estimate per session:
@@ -333,9 +330,8 @@ func (p *exchangePolicy) appendButterflyCodec(buf []float64, hops []int64) (stag
 // butterflyCost predicts a butterfly exchange originating vol fixed-width
 // bytes per rank — butterflyExchange.remoteTime applied to the predicted
 // profiles: codec stages over the raw hop volumes, transfers over their
-// wire-byte equivalents, combined by the pipelined schedule when
-// Options.PipelineHops is set or the sequential hop+codec sum otherwise.
-// sec is the remote-normal (wire+codec) prediction; nv the NVLink tier's
+// wire-byte equivalents, combined by the pipelined schedule. sec is the
+// remote-normal (wire+codec) prediction; nv the NVLink tier's
 // predicted exposure, charged to LocalComm by the timing model.
 func (p *exchangePolicy) butterflyCost(vol int64, wireRatio float64) (sec, nv float64) {
 	return p.butterflyCostS(vol, wireRatio, &policyScratch{})
@@ -348,7 +344,7 @@ func (p *exchangePolicy) butterflyCost(vol int64, wireRatio float64) (sec, nv fl
 // (received ≈ sent per hop — the hops are pairwise exchanges), the pre
 // stage the intra-rank aggregation plus the first send's share. The
 // predicted exposure is then the tier's marginal on the pipelined schedule
-// (three- minus two-resource total), or the whole tier when sequential.
+// (three- minus two-resource total).
 func (p *exchangePolicy) butterflyCostS(vol int64, wireRatio float64, ps *policyScratch) (sec, nvOut float64) {
 	ps.hops = p.appendButterflyHops(ps.hops, vol)
 	hops := ps.hops
@@ -364,49 +360,35 @@ func (p *exchangePolicy) butterflyCostS(vol int64, wireRatio float64, ps *policy
 		}
 	}
 	net := p.e.opts.Net
-	var nv []float64
-	var preNV, nvTotal float64
-	if p.e.hierExchange() {
-		var sendTot int64
-		for _, h := range wireHops {
-			sendTot += h
-		}
-		sendSecs := net.Staging(sendTot)
-		nv = grownFloat64(ps.nvStages, len(wireHops))
-		ps.nvStages = nv
-		for k := range wireHops {
-			t := stagingShare(sendSecs, wireHops[k], sendTot)
-			if k+1 < len(wireHops) {
-				t += stagingShare(sendSecs, wireHops[k+1], sendTot)
-			}
-			nv[k] = t
-			nvTotal += t
-		}
-		preNV = net.LocalExchange(p.e.aggregationBytes(vol), p.e.shape.GPUsPerRank)
-		if len(wireHops) > 0 {
-			preNV += stagingShare(sendSecs, wireHops[0], sendTot)
-		}
-		nvTotal += preNV
+	sched := simnet.ExchangeSchedule{
+		HopBytes: wireHops,
+		HopCodec: stages,
+		PreCodec: pre,
+		MsgCap:   p.e.opts.MessageBytes,
 	}
-	if p.e.opts.PipelineHops {
-		sched := simnet.ExchangeSchedule{
-			HopBytes: wireHops,
-			HopCodec: stages,
-			PreCodec: pre,
-			MsgCap:   p.e.opts.MessageBytes,
-		}
-		wc := net.PipelinedExchange(sched).Total
-		if nvTotal == 0 {
-			return wc, 0
-		}
-		sched.HopNVLink, sched.PreNVLink = nv, preNV
-		return wc, net.PipelinedExchange(sched).Total - wc
+	wc := net.PipelinedExchange(sched).Total
+	if !p.e.hierExchange() {
+		return wc, 0
 	}
-	t := net.Butterfly(wireHops, p.e.opts.MessageBytes) + pre
-	for _, c := range stages {
-		t += c
+	var sendTot int64
+	for _, h := range wireHops {
+		sendTot += h
 	}
-	return t, nvTotal
+	sendSecs := net.Staging(sendTot)
+	nv := grownFloat64(ps.nvStages, len(wireHops))
+	ps.nvStages = nv
+	for k := range wireHops {
+		nv[k] = stagingShare(sendSecs, wireHops[k], sendTot)
+		if k+1 < len(wireHops) {
+			nv[k] += stagingShare(sendSecs, wireHops[k+1], sendTot)
+		}
+	}
+	preNV := net.LocalExchange(p.e.aggregationBytes(vol), p.e.shape.GPUsPerRank)
+	if len(wireHops) > 0 {
+		preNV += stagingShare(sendSecs, wireHops[0], sendTot)
+	}
+	sched.HopNVLink, sched.PreNVLink = nv, preNV
+	return wc, net.PipelinedExchange(sched).Total - wc
 }
 
 // choose returns the strategy for the upcoming iteration plus its predicted

@@ -33,11 +33,21 @@ func bfCost(pol *exchangePolicy, vol int64) float64 {
 	return s
 }
 
+// hopSum is the sequential-hop reference: every hop charged end to end.
+func hopSum(spec simnet.Spec, hops []int64, msgCap int64) float64 {
+	var t float64
+	for _, b := range hops {
+		t += spec.ButterflyHop(b, msgCap)
+	}
+	return t
+}
+
 // TestPolicyCostMatchesSimnet: the cost model must be the α/β form realized
 // by the exact simnet curves the timing model charges — all-pairs cost is
-// PointToPoint over the effective message size, butterfly cost is the
-// Butterfly hop-sum over the predicted hop profile (cleanup hops included
-// on non-power-of-two rank counts).
+// PointToPoint over the effective message size, butterfly cost is the sum of
+// ButterflyHop over the predicted hop profile (cleanup hops included on
+// non-power-of-two rank counts) — with the codec off and one GPU per rank the
+// pipeline has nothing to overlap.
 func TestPolicyCostMatchesSimnet(t *testing.T) {
 	spec := simnet.Ray()
 	for _, tc := range []struct {
@@ -53,7 +63,7 @@ func TestPolicyCostMatchesSimnet(t *testing.T) {
 			if len(hops) != tc.hops {
 				t.Fatalf("shape %s: %d predicted hops, want %d", tc.shape, len(hops), tc.hops)
 			}
-			wantBF := spec.Butterfly(hops, pol.e.opts.MessageBytes)
+			wantBF := hopSum(spec, hops, pol.e.opts.MessageBytes)
 			if got := bfCost(pol, vol); math.Abs(got-wantBF) > 1e-12 {
 				t.Fatalf("shape %s vol %d: butterfly cost %g, want simnet %g", tc.shape, vol, got, wantBF)
 			}
@@ -123,68 +133,67 @@ func TestPolicyFixedConfigurations(t *testing.T) {
 
 // TestPolicyOverlapCostMatchesSimnet: with a codec active, the butterfly
 // cost must be exactly the simnet pipeline model applied to the predicted
-// hop and codec-stage profiles (PipelineHops on) or the sequential hop sum
-// plus every codec stage (PipelineHops off); the all-pairs cost adds the
-// single-round encode+decode compute to the point-to-point curve. This
-// mirrors TestPolicyCostMatchesSimnet for the overlap-aware model.
+// hop and codec-stage profiles; the all-pairs cost adds the single-round
+// encode+decode compute to the point-to-point curve. This mirrors
+// TestPolicyCostMatchesSimnet for the overlap-aware model.
 func TestPolicyOverlapCostMatchesSimnet(t *testing.T) {
 	spec := simnet.Ray()
 	for _, shape := range []ClusterShape{
 		{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, // p=8
 		{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, // p=6: cleanup hops
 	} {
-		for _, pipelined := range []bool{true, false} {
-			opts := DefaultOptions()
-			opts.Compression = wire.ModeAdaptive
-			opts.PipelineHops = pipelined
-			pol := buildPolicy(t, shape, opts)
-			gpu := pol.e.opts.GPU
-			for _, vol := range []int64{512, 64 << 10, 8 << 20} {
-				hops := pol.butterflyHops(vol)
-				stages, pre := pol.butterflyCodec(hops)
-				want := spec.Butterfly(hops, pol.e.opts.MessageBytes) + pre
-				for _, c := range stages {
-					want += c
-				}
-				if pipelined {
-					want = spec.ButterflyPipelined(hops, stages, pre, pol.e.opts.MessageBytes).Total
-				}
-				if got := bfCost(pol, vol); math.Abs(got-want) > 1e-12 {
-					t.Fatalf("shape %s vol %d pipelined=%v: butterfly cost %g, want %g",
-						shape, vol, pipelined, got, want)
-				}
-				wantAP := spec.PointToPoint(vol, pol.e.effMessageBytes(vol)) + gpu.CodecTime(2*vol)
-				if got := apCost(pol, vol); math.Abs(got-wantAP) > 1e-12 {
-					t.Fatalf("shape %s vol %d: all-pairs cost %g, want %g", shape, vol, got, wantAP)
-				}
+		opts := DefaultOptions()
+		opts.Compression = wire.ModeAdaptive
+		pol := buildPolicy(t, shape, opts)
+		gpu := pol.e.opts.GPU
+		for _, vol := range []int64{512, 64 << 10, 8 << 20} {
+			hops := pol.butterflyHops(vol)
+			stages, pre := pol.butterflyCodec(hops)
+			want := spec.PipelinedExchange(simnet.ExchangeSchedule{
+				HopBytes: hops, HopCodec: stages, PreCodec: pre, MsgCap: pol.e.opts.MessageBytes,
+			}).Total
+			if got := bfCost(pol, vol); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("shape %s vol %d: butterfly cost %g, want %g", shape, vol, got, want)
+			}
+			wantAP := spec.PointToPoint(vol, pol.e.effMessageBytes(vol)) + gpu.CodecTime(2*vol)
+			if got := apCost(pol, vol); math.Abs(got-wantAP) > 1e-12 {
+				t.Fatalf("shape %s vol %d: all-pairs cost %g, want %g", shape, vol, got, wantAP)
 			}
 		}
 	}
 }
 
-// TestPolicyPipelineMovesCrossover: pipelining makes the butterfly cheaper
-// wherever codec stages exist, never dearer, so the all-pairs/butterfly
-// crossover volume can only move up — the butterfly stays preferred longer.
+// TestPolicyPipelineMovesCrossover: against the sequential reference — every
+// hop and every codec stage charged end to end — the pipelined butterfly cost
+// is cheaper wherever codec stages exist, never dearer, so the
+// all-pairs/butterfly crossover volume sits at or above the sequential one:
+// the butterfly stays preferred longer.
 func TestPolicyPipelineMovesCrossover(t *testing.T) {
 	shape := ClusterShape{Nodes: 16, RanksPerNode: 2, GPUsPerRank: 1} // 32 ranks
-	mk := func(pipelined bool) *exchangePolicy {
-		opts := DefaultOptions()
-		opts.Compression = wire.ModeAdaptive
-		opts.Exchange = ExchangeHybrid
-		opts.PipelineHops = pipelined
-		return buildPolicy(t, shape, opts)
+	opts := DefaultOptions()
+	opts.Compression = wire.ModeAdaptive
+	opts.Exchange = ExchangeHybrid
+	pol := buildPolicy(t, shape, opts)
+	seqCost := func(vol int64) float64 {
+		hops := pol.butterflyHops(vol)
+		stages, pre := pol.butterflyCodec(hops)
+		c := hopSum(pol.e.opts.Net, hops, pol.e.opts.MessageBytes) + pre
+		for _, st := range stages {
+			c += st
+		}
+		return c
 	}
-	pipe, seq := mk(true), mk(false)
-	crossover := func(pol *exchangePolicy) int64 {
+	crossover := func(bf func(int64) float64) int64 {
 		for vol := int64(4 << 10); vol <= 64<<20; vol *= 2 {
-			if apCost(pol, vol) < bfCost(pol, vol) {
+			if apCost(pol, vol) < bf(vol) {
 				return vol
 			}
 		}
 		return 64 << 20
 	}
+	pipeCost := func(vol int64) float64 { return bfCost(pol, vol) }
 	for vol := int64(4 << 10); vol <= 64<<20; vol *= 2 {
-		p, s := bfCost(pipe, vol), bfCost(seq, vol)
+		p, s := pipeCost(vol), seqCost(vol)
 		if p > s {
 			t.Fatalf("vol %d: pipelined butterfly cost %g above sequential %g", vol, p, s)
 		}
@@ -193,7 +202,7 @@ func TestPolicyPipelineMovesCrossover(t *testing.T) {
 				"(codec stages are nonzero here)", vol, p, s)
 		}
 	}
-	if cp, cs := crossover(pipe), crossover(seq); cp < cs {
+	if cp, cs := crossover(pipeCost), crossover(seqCost); cp < cs {
 		t.Fatalf("pipelining moved the crossover down: %d vs %d", cp, cs)
 	}
 }

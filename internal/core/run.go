@@ -412,21 +412,17 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 			localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
 		}
 		if hier {
-			// Hierarchical exchange: the intra-rank aggregation and the
-			// send/recv staging copies ride the exchange schedule
-			// (remoteTime) as NVLink stages; only the intra-rank direct
-			// applies stay here. The tier's exposed remainder — whatever
-			// the hop pipeline could not hide — is folded back into
-			// LocalComm after the reduce (rt.nvlinkExposed below), so
-			// remote-normal stays a pure wire+codec quantity in both modes.
+			// The intra-rank aggregation and the send/recv staging copies
+			// ride the exchange schedule (remoteTime) as NVLink stages; only
+			// the intra-rank direct applies stay here. The tier's exposed
+			// remainder — whatever the hop pipeline could not hide — is
+			// folded back into LocalComm after the reduce (rt.nvlinkExposed
+			// below), so remote-normal stays a pure wire+codec quantity.
 			localComm += e.opts.Net.Staging(aIntra)
 		} else {
-			if e.opts.LocalAll2All && aSent > 0 && pgpu > 1 {
-				// Staging bins through peer GPUs: (pgpu-1)/pgpu of the
-				// outgoing volume crosses NVLink first.
-				localComm += e.opts.Net.LocalExchange(aSent*int64(pgpu-1)/int64(pgpu), pgpu)
-			}
-			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv) + e.opts.Net.Staging(aIntra)
+			// One GPU per rank: no sibling to aggregate with or apply to, and
+			// the staging copies are charged serially.
+			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv)
 		}
 		var remoteDelegate float64
 		if reduced {
@@ -434,8 +430,8 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		}
 		// Delegate-mask codec compute is charged exposed (the mask allreduce
 		// serializes with its encode); the exchange's own codec work rides
-		// the per-hop vectors below, so the pipelined butterfly can hide it
-		// under hop transfers.
+		// the per-hop vectors below, so the butterfly can hide it under hop
+		// transfers.
 		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(dc.codecRaw))
 		// The per-hop wire volumes and codec stages ride along the reduced
 		// vector (amplified) so every rank derives the identical

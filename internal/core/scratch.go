@@ -11,7 +11,7 @@ package core
 // None of this changes a single computed value — the scratch is overwritten
 // before every read, and the arena hands out zeroed-length slices exactly
 // like make() — so determinism and bit-identical results across exchange
-// strategies (cmp1–cmp4) are preserved by construction.
+// strategies (cmp1–cmp3) are preserved by construction.
 
 import (
 	"gcbfs/internal/bitmask"

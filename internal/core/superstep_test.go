@@ -110,63 +110,54 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
 	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeBitmap} {
-		for _, flat := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.CollectLevels = false
-			opts.Compression = mode
-			opts.FlatExchange = flat
-			_, p := webPlan(t, 10, shape, opts)
-			// What a message without ids looks like on the wire.
-			empty, _ := (*wire.Selector)(nil).EncodeSlots(0, make([][]uint32, shape.GPUsPerRank), nil, mode)
-			var delivered, emptyDelivered atomic.Int64
-			hook := func(_, _, _ int, data []byte) []byte {
-				delivered.Add(1)
-				if len(data) == len(empty) {
-					emptyDelivered.Add(1)
-				}
-				return data
+		opts := DefaultOptions()
+		opts.CollectLevels = false
+		opts.Compression = mode
+		_, p := webPlan(t, 10, shape, opts)
+		// What a message without ids looks like on the wire.
+		empty, _ := (*wire.Selector)(nil).EncodeSlots(0, make([][]uint32, shape.GPUsPerRank), nil, mode)
+		var delivered, emptyDelivered atomic.Int64
+		hook := func(_, _, _ int, data []byte) []byte {
+			delivered.Add(1)
+			if len(data) == len(empty) {
+				emptyDelivered.Add(1)
 			}
-			src := delegateAndNormalSources(p.sg.Sep)[0]
+			return data
+		}
+		src := delegateAndNormalSources(p.sg.Sep)[0]
 
-			s := p.acquire(p.base)
-			got := runCounted(t, s, src, hook)
-			prank := int64(shape.Ranks())
-			perPair := int64(1)
-			if flat {
-				perPair = int64(shape.GPUsPerRank)
-			}
-			if want := int64(got.Iterations) * prank * (prank - 1) * perPair; got.Exchange.Messages != want {
-				t.Fatalf("%s flat=%v: Exchange.Messages = %d, want iterations·p·(p−1) = %d", mode, flat, got.Exchange.Messages, want)
-			}
-			if d := delivered.Load(); d == 0 || d >= got.Exchange.Messages {
-				t.Fatalf("%s flat=%v: delivered %d of %d modelled messages — nothing was elided", mode, flat, d, got.Exchange.Messages)
-			}
-			// Presence is per destination rank: a flat-mode fragment for a
-			// present rank may itself be empty, a merged message may not.
-			if e := emptyDelivered.Load(); !flat && e != 0 {
-				t.Fatalf("%s: %d delivered messages carried no ids", mode, e)
-			}
+		s := p.acquire(p.base)
+		got := runCounted(t, s, src, hook)
+		prank := int64(shape.Ranks())
+		if want := int64(got.Iterations) * prank * (prank - 1); got.Exchange.Messages != want {
+			t.Fatalf("%s: Exchange.Messages = %d, want iterations·p·(p−1) = %d", mode, got.Exchange.Messages, want)
+		}
+		if d := delivered.Load(); d == 0 || d >= got.Exchange.Messages {
+			t.Fatalf("%s: delivered %d of %d modelled messages — nothing was elided", mode, d, got.Exchange.Messages)
+		}
+		if e := emptyDelivered.Load(); e != 0 {
+			t.Fatalf("%s: %d delivered messages carried no ids", mode, e)
+		}
 
-			// The same query with every destination announced present.
-			delivered.Store(0)
-			for rank, sc := range s.scratch {
-				sc.rx.bind(s, rank, sc).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
-			}
-			want := runCounted(t, s, src, hook)
-			for _, sc := range s.scratch {
-				sc.rx.ap.sendAll = false
-			}
-			p.release(s)
-			if d := delivered.Load(); d != want.Exchange.Messages {
-				t.Fatalf("%s flat=%v: send-all run delivered %d, modelled %d", mode, flat, d, want.Exchange.Messages)
-			}
-			if got.Wire != want.Wire || got.Exchange != want.Exchange || got.SimSeconds != want.SimSeconds {
-				t.Fatalf("%s flat=%v: accounting depends on delivery\n got %+v %+v\nwant %+v %+v",
-					mode, flat, got.Wire, got.Exchange, want.Wire, want.Exchange)
-			}
-			if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
-				t.Fatalf("%s flat=%v: per-iteration stats depend on delivery", mode, flat)
-			}
+		// The same query with every destination announced present.
+		delivered.Store(0)
+		for rank, sc := range s.scratch {
+			sc.rx.bind(s, rank, sc).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
+		}
+		want := runCounted(t, s, src, hook)
+		for _, sc := range s.scratch {
+			sc.rx.ap.sendAll = false
+		}
+		p.release(s)
+		if d := delivered.Load(); d != want.Exchange.Messages {
+			t.Fatalf("%s: send-all run delivered %d, modelled %d", mode, d, want.Exchange.Messages)
+		}
+		if got.Wire != want.Wire || got.Exchange != want.Exchange || got.SimSeconds != want.SimSeconds {
+			t.Fatalf("%s: accounting depends on delivery\n got %+v %+v\nwant %+v %+v",
+				mode, got.Wire, got.Exchange, want.Wire, want.Exchange)
+		}
+		if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
+			t.Fatalf("%s: per-iteration stats depend on delivery", mode)
 		}
 	}
 }

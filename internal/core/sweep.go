@@ -20,7 +20,8 @@ package core
 //
 // The simulated cost model charges the widened work honestly: kernels pay
 // edges×w word operations, the delegate allreduce moves d×w×8 bytes, and
-// the exchange ships the record payloads. Per-query figures are the sweep
+// the exchange ships the record payloads under the single-source run's
+// all-pairs charging rule (sweep_exchange.go). Per-query figures are the sweep
 // totals divided by K — GTEPS becomes the amortized per-query rate the cmp5
 // ablation compares against independent RunBatch.
 
@@ -158,11 +159,9 @@ type sweepSession struct {
 }
 
 func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
-	// The sweep's record exchange is all-pairs and charges flat, whatever the
-	// plan says: its staging stays in LocalComm and its message sizing must
-	// match (a payload-generic exchanger, and with it butterfly, hybrid and
-	// hierarchical sweeps, is a follow-on; results are identical either way).
-	opts.FlatExchange = true
+	// The sweep's record exchange is all-pairs, whatever the plan says (a
+	// payload-generic exchanger, and with it butterfly and hybrid sweeps, is a
+	// follow-on; results are identical either way).
 	opts.Exchange = ExchangeAllPairs
 	k := len(sources)
 	w := (k + 63) / 64

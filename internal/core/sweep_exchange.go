@@ -6,10 +6,13 @@ package core
 // multiplies with w and its regime shrinks to irrelevance at the widths the
 // sweep targets (the cmp5 ablation runs the sweep against both single-query
 // strategies) — and it is ungated: every record message, empty or not, is
-// delivered. It shares the loop's accounting (exchangeCounts) and the
-// all-pairs charging (allPairsRemoteTime) with the id exchange; making
-// exchange.go's strategies payload-generic, so a sweep can ride the
-// butterfly and the presence contract too, is ROADMAP item 2's remainder.
+// delivered. Like the id exchange it sends ONE message per destination rank,
+// every local GPU's records for that rank's slots merged into it, and it is
+// charged as the id exchange is: the loop's accounting (exchangeCounts) and
+// the all-pairs rule (allPairsRemoteTime), the NVLink aggregation tier
+// included when a rank holds more than one GPU. Making exchange.go's
+// strategies payload-generic, so a sweep can ride the butterfly and the
+// presence contract too, is ROADMAP item 2's remainder.
 //
 // Sender-side merging is the sweep's uniquify: all of a rank's bins for one
 // destination slot are sorted and duplicate vertex ids collapse into one

@@ -116,9 +116,9 @@ func TestSweepCornerShapes(t *testing.T) {
 	}
 }
 
-// A sweep is all-pairs and flat whatever its plan says: on a plan whose base
-// options ask for the hybrid policy over the hierarchical exchange it gives
-// the all-pairs plan's answers and its modelled clock, bit for bit.
+// A sweep is all-pairs whatever its plan says: on a plan whose base options
+// ask for the hybrid policy it gives the all-pairs plan's answers and its
+// modelled clock, bit for bit.
 func TestSweepPinsAllPairsFlat(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	sources := pickSources(el.OutDegrees(), 8, 41)
@@ -127,13 +127,12 @@ func TestSweepPinsAllPairsFlat(t *testing.T) {
 	base := DefaultOptions()
 	base.CollectParents = true
 	base.Compression = wire.ModeAdaptive
-	base.FlatExchange = true
 	want, err := buildTestPlan(t, el, shape, 8, base).RunSweep(ctx, sources, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hybrid := base
-	hybrid.Exchange, hybrid.FlatExchange = ExchangeHybrid, false
+	hybrid.Exchange = ExchangeHybrid
 	hp := buildTestPlan(t, el, shape, 8, hybrid)
 	requireSweepMatchesRuns(t, hp, sources, Overrides{})
 	got, err := hp.RunSweep(ctx, sources, Overrides{})

@@ -53,13 +53,14 @@ func (e *runEnv) syncOverhead() float64 {
 	return 2 * stages * e.opts.Net.IB.Latency
 }
 
-// hierExchange reports whether the two-level hierarchical exchange is in
-// effect: the rank's GPUs aggregate their bins over NVLink into one merged
-// message per destination rank, and the NVLink copies ride the exchange
-// schedule instead of LocalComm. At GPUsPerRank 1 the flat and hierarchical
-// shapes coincide, so the flat (legacy) charging applies.
+// hierExchange reports whether the exchange has its intra-rank tier: with
+// more than one GPU per rank, the rank's GPUs aggregate their bins over
+// NVLink into one merged message per destination rank, and the NVLink copies
+// ride the exchange schedule instead of LocalComm. With one GPU per rank
+// there is nothing to aggregate, and the staging copies are charged serially
+// in LocalComm.
 func (e *runEnv) hierExchange() bool {
-	return !e.opts.FlatExchange && e.shape.GPUsPerRank > 1
+	return e.shape.GPUsPerRank > 1
 }
 
 // aggregationBytes is the NVLink volume of the hierarchical intra-rank
@@ -81,12 +82,10 @@ func (e *runEnv) aggregationBytes(ownRaw int64) int64 {
 }
 
 // effMessageBytes estimates the per-message payload of the normal exchange:
-// total volume divided by the number of communicating GPU pairs, capped at
-// the configured packing size. Local-All2All's benefit appears here — it
-// cuts pairs from p_gpu²·(p_rank-1) to p_gpu·(p_rank-1) per rank, making
-// messages bigger and the NIC more efficient (§V-B). The hierarchical
-// exchange goes further: one merged message per destination rank, so pairs
-// fall to p_rank−1 regardless of GPU count.
+// total volume divided by the number of messages a rank sends — one merged
+// message per destination rank, whatever the GPU count (§V-B's packed sends
+// with the intra-rank aggregation in front) — capped at the configured
+// packing size.
 func (e *runEnv) effMessageBytes(totalBytes int64) int64 {
 	if totalBytes <= 0 {
 		return 0
@@ -96,8 +95,7 @@ func (e *runEnv) effMessageBytes(totalBytes int64) int64 {
 	// the implied message count (ceil(total/msg) inside PointToPoint) is the
 	// pair count itself — a floor here would under-size the message and
 	// charge a spurious extra latency floor whenever the volume does not
-	// divide evenly, pure quantization noise once the hierarchical exchange
-	// cuts the pair count to p_rank−1.
+	// divide evenly, pure quantization noise at a pair count of p_rank−1.
 	msg := (totalBytes + pairs - 1) / pairs
 	if msg < 1 {
 		msg = 1
@@ -108,21 +106,10 @@ func (e *runEnv) effMessageBytes(totalBytes int64) int64 {
 	return msg
 }
 
-// effPairs counts the communicating pairs per rank behind the normal
-// exchange's message split — the denominator of effMessageBytes.
+// effPairs counts the messages a rank sends per all-pairs round — one per
+// other rank — the denominator of effMessageBytes.
 func (e *runEnv) effPairs() int64 {
-	pgpu := int64(e.shape.GPUsPerRank)
-	prank := int64(e.shape.Ranks())
-	pairs := pgpu * (prank - 1)
-	if e.hierExchange() {
-		pairs = prank - 1
-	} else if !e.opts.LocalAll2All {
-		pairs *= pgpu
-	}
-	if pairs <= 0 {
-		pairs = 1
-	}
-	return pairs
+	return max(int64(e.shape.Ranks())-1, 1)
 }
 
 // floatBits returns the bit patterns of a non-negative float vector in the

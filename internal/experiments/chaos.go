@@ -14,8 +14,8 @@ import (
 
 // chaosRetry mirrors the service-level retry policy at the core layer (the
 // experiments package cannot import the root package): contained faults
-// re-execute with a re-keyed injector, switching to the degraded profile —
-// flat all-pairs, pipelining off — after degradeAfter failures. Any error
+// re-execute with a re-keyed injector, falling back to the all-pairs
+// exchange — the degraded profile — after degradeAfter failures. Any error
 // that is not a typed fault chain is a containment bug and fails the cell.
 func chaosRetry(pl *core.Plan, src int64, inj *faults.Injector, maxAttempts, degradeAfter int) (r *metrics.RunResult, attempts int, degraded bool, err error) {
 	var ov core.Overrides
@@ -33,9 +33,8 @@ func chaosRetry(pl *core.Plan, src int64, inj *faults.Injector, maxAttempts, deg
 		inj.NextAttempt()
 		if attempts >= degradeAfter {
 			degraded = true
-			flat, pipeline := true, false
 			allPairs := core.ExchangeAllPairs
-			ov = core.Overrides{FlatExchange: &flat, PipelineHops: &pipeline, Exchange: &allPairs}
+			ov = core.Overrides{Exchange: &allPairs}
 		}
 	}
 }
@@ -71,7 +70,6 @@ func Cmp8Chaos(p Params) (*Table, error) {
 	baseOpts := func(x core.Exchange) core.Options {
 		o := core.DefaultOptions()
 		o.Exchange = x
-		o.PipelineHops = true
 		o.CollectLevels = true
 		o.CollectParents = true
 		// The checksummed codec covers every inter-rank payload; the plain
@@ -92,7 +90,7 @@ func Cmp8Chaos(p Params) (*Table, error) {
 			"every recovered cell asserted bit-identical in levels AND parents to the fault-free reference",
 			"stall cells asserted fault-free results with simulated time no less than the reference",
 			"untyped errors, bare panics, or partial results fail the experiment",
-			fmt.Sprintf("retry mirrors the service policy: %d attempts, degraded profile (flat all-pairs, pipelining off) after %d failures", maxAttempts, degradeAfter),
+			fmt.Sprintf("retry mirrors the service policy: %d attempts, degraded profile (all-pairs exchange) after %d failures", maxAttempts, degradeAfter),
 		},
 	}
 

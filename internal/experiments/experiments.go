@@ -135,10 +135,9 @@ var registry = []struct {
 	{"cmp1", Cmp1Compression, "frontier-exchange compression ablation (internal/wire)"},
 	{"cmp2", Cmp2Exchange, "exchange-topology ablation: all-pairs vs butterfly (internal/core/exchange.go)"},
 	{"cmp3", Cmp3Hybrid, "exchange-policy ablation: fixed strategies vs per-iteration hybrid (internal/core/policy.go)"},
-	{"cmp4", Cmp4Pipeline, "pipelined-butterfly ablation: sequential vs pipelined hops vs overlap-aware hybrid (simnet.ButterflyPipelined)"},
 	{"cmp5", Cmp5MultiSource, "multi-source sweep ablation: MS-BFS shared traversal vs independent batch queries (internal/core/sweep.go)"},
 	{"cmp6", Cmp6Dynamic, "dynamic-graph ablation: delta BFS repair vs full recompute across edge-delta sizes (internal/delta, internal/core/repair.go)"},
-	{"cmp7", Cmp7Hierarchy, "hierarchical-exchange ablation: flat per-GPU fragments vs intra-rank NVLink aggregation (internal/core/exchange.go)"},
+	{"cmp7", Cmp7Hierarchy, "hierarchical exchange: intra-rank NVLink aggregation across policies and GPUs per rank (internal/core/exchange.go)"},
 	{"cmp8", Cmp8Chaos, "chaos ablation: fault kind × rate × strategy under contain/retry/degrade (internal/faults, internal/core containment)"},
 	{"app1", App1BeyondBFS, "§VI-D beyond-BFS: PageRank and components"},
 	{"mem1", Mem1Capacity, "§VI-C device-memory capacity per representation"},

@@ -7,19 +7,16 @@ import (
 	"gcbfs/internal/metrics"
 )
 
-// Cmp7Hierarchy ablates the two-level NVLink-aware exchange (internal/core/
-// exchange.go): the flat baseline — every GPU's per-destination fragment as
-// its own inter-rank message — against the hierarchical default, where the
-// GPUs of a rank combine their bins over NVLink into one merged message per
-// destination rank, across {all-pairs, pipelined butterfly, hybrid} and
-// GPUs-per-rank counts. The hierarchy cuts messages per rank per iteration
-// by exactly GPUsPerRank× and grows per-message size into the network's
-// high-efficiency regime, paying simulated NVLink aggregation time that the
-// pipelined butterfly mostly hides as a third pipeline resource. The runner
-// asserts on every cell: levels bit-identical across every mode × policy,
-// the flat = GPUsPerRank × hierarchical message identity for the fixed
-// policies, and hybrid elapsed no worse than 1.05× the best fixed policy
-// within its mode.
+// Cmp7Hierarchy measures the two-level NVLink-aware exchange (internal/core/
+// exchange.go) — the GPUs of a rank combine their bins over NVLink into one
+// merged message per destination rank — across {all-pairs, butterfly, hybrid}
+// and GPUs-per-rank counts. A rank sends ranks−1 messages per all-pairs round
+// whatever its GPU count, sized into the network's high-efficiency regime,
+// and pays simulated NVLink aggregation time that the butterfly mostly hides
+// as a third pipeline resource. The runner asserts on every cell: levels
+// bit-identical across every policy, the all-pairs message count exactly
+// iterations × ranks × (ranks−1), and hybrid elapsed no worse than 1.05× the
+// best fixed policy.
 func Cmp7Hierarchy(p Params) (*Table, error) {
 	scales := []int{12, 14}
 	rankCounts := []int{4, 6}
@@ -30,16 +27,16 @@ func Cmp7Hierarchy(p Params) (*Table, error) {
 	gpusPerRank := []int{2, 4}
 	t := &Table{
 		ID:    "cmp7",
-		Title: "hierarchical-exchange ablation: flat per-GPU fragments vs intra-rank NVLink aggregation",
+		Title: "hierarchical exchange: intra-rank NVLink aggregation across policies and GPUs per rank",
 		Paper: "beyond the paper — the Local-All2All idea promoted into a two-level inter-rank exchange",
-		Headers: []string{"scale", "ranks", "gpus/rank", "policy", "mode", "msg/rank/iter",
+		Headers: []string{"scale", "ranks", "gpus/rank", "policy", "msg/rank/iter",
 			"nvlink µs", "hidden µs", "remote-normal ms", "elapsed ms"},
 		Notes: []string{
-			"levels asserted bit-identical across every mode × policy on every cell",
-			"messages asserted exactly flat = gpus/rank × hierarchical for the fixed policies",
-			"hybrid asserted ≤ 1.05× the best fixed policy's elapsed time within its mode",
-			"nvlink µs is the simulated intra-rank aggregation/staging time; hidden µs the share the pipelined butterfly ran under hop transfers",
-			"both modes charge staging/NVLink time inside local-comm, so remote-normal is the pure wire+codec schedule and directly comparable",
+			"levels asserted bit-identical across every policy on every cell",
+			"all-pairs messages asserted exactly iterations × ranks × (ranks−1), whatever the GPUs per rank",
+			"hybrid asserted ≤ 1.05× the best fixed policy's elapsed time",
+			"nvlink µs is the simulated intra-rank aggregation/staging time; hidden µs the share the butterfly ran under hop transfers",
+			"staging/NVLink time is charged inside local-comm, so remote-normal is the pure wire+codec schedule and directly comparable across GPU counts",
 		},
 	}
 
@@ -53,82 +50,63 @@ func Cmp7Hierarchy(p Params) (*Table, error) {
 			for _, pgpu := range gpusPerRank {
 				shape := core.ClusterShape{Nodes: ranks, RanksPerNode: 1, GPUsPerRank: pgpu}
 				var refLevels [][]int32
-				msgsBy := map[[2]interface{}]int64{}
-				elapsedBy := map[bool]map[core.Exchange]float64{true: {}, false: {}}
-				for _, flat := range []bool{true, false} {
-					for _, policy := range policies {
-						opts := core.DefaultOptions()
-						opts.Exchange = policy
-						opts.PipelineHops = true
-						opts.FlatExchange = flat
-						opts.WorkAmplification = amp
-						opts.CollectLevels = true
-						e, _, err := buildPlan(el, shape, th, opts)
-						if err != nil {
-							return nil, err
+				elapsedBy := map[core.Exchange]float64{}
+				for _, policy := range policies {
+					opts := core.DefaultOptions()
+					opts.Exchange = policy
+					opts.WorkAmplification = amp
+					opts.CollectLevels = true
+					e, _, err := buildPlan(el, shape, th, opts)
+					if err != nil {
+						return nil, err
+					}
+					results, err := runAll(e, sources)
+					if err != nil {
+						return nil, err
+					}
+					if refLevels == nil {
+						for _, r := range results {
+							refLevels = append(refLevels, r.Levels)
 						}
-						results, err := runAll(e, sources)
-						if err != nil {
-							return nil, err
-						}
-						if refLevels == nil {
-							for _, r := range results {
-								refLevels = append(refLevels, r.Levels)
-							}
-						} else {
-							for i, r := range results {
-								for v := range r.Levels {
-									if r.Levels[v] != refLevels[i][v] {
-										return nil, fmt.Errorf(
-											"cmp7: scale=%d ranks=%d pgpu=%d policy=%s flat=%v: vertex %d level %d vs %d",
-											scale, ranks, pgpu, policy, flat, v, r.Levels[v], refLevels[i][v])
-									}
+					} else {
+						for i, r := range results {
+							for v := range r.Levels {
+								if r.Levels[v] != refLevels[i][v] {
+									return nil, fmt.Errorf(
+										"cmp7: scale=%d ranks=%d pgpu=%d policy=%s: vertex %d level %d vs %d",
+										scale, ranks, pgpu, policy, v, r.Levels[v], refLevels[i][v])
 								}
 							}
 						}
-						var xs metrics.ExchangeStats
-						var iters int64
-						var remoteNormal, elapsed float64
-						for _, r := range results {
-							xs.Accumulate(r.Exchange)
-							iters += int64(r.Iterations)
-							remoteNormal += r.Parts.RemoteNormal
-							elapsed += r.SimSeconds
-						}
-						n := float64(len(results))
-						mode := "hier"
-						if flat {
-							mode = "flat"
-						}
-						msgsBy[[2]interface{}{flat, policy}] = xs.Messages
-						elapsedBy[flat][policy] = elapsed
-						t.Rows = append(t.Rows, []string{
-							i64(int64(scale)), i64(int64(ranks)), i64(int64(pgpu)), xs.Strategy, mode,
-							f1(float64(xs.Messages) / float64(iters*int64(ranks))),
-							f1(xs.NVLinkSeconds / n * 1e6), f1(xs.HiddenNVLinkSeconds / n * 1e6),
-							ms(remoteNormal / n), ms(elapsed / n),
-						})
 					}
-				}
-				for _, policy := range []core.Exchange{core.ExchangeAllPairs, core.ExchangeButterfly} {
-					fm := msgsBy[[2]interface{}{true, policy}]
-					hm := msgsBy[[2]interface{}{false, policy}]
-					if fm != hm*int64(pgpu) {
+					var xs metrics.ExchangeStats
+					var iters int64
+					var remoteNormal, elapsed float64
+					for _, r := range results {
+						xs.Accumulate(r.Exchange)
+						iters += int64(r.Iterations)
+						remoteNormal += r.Parts.RemoteNormal
+						elapsed += r.SimSeconds
+					}
+					if want := iters * int64(ranks) * int64(ranks-1); policy == core.ExchangeAllPairs && xs.Messages != want {
 						return nil, fmt.Errorf(
-							"cmp7: scale=%d ranks=%d pgpu=%d policy=%v: flat %d messages, want %d (= %d× hier's %d)",
-							scale, ranks, pgpu, policy, fm, hm*int64(pgpu), pgpu, hm)
+							"cmp7: scale=%d ranks=%d pgpu=%d: all-pairs sent %d messages, want iterations·p·(p−1) = %d",
+							scale, ranks, pgpu, xs.Messages, want)
 					}
+					n := float64(len(results))
+					elapsedBy[policy] = elapsed
+					t.Rows = append(t.Rows, []string{
+						i64(int64(scale)), i64(int64(ranks)), i64(int64(pgpu)), xs.Strategy,
+						f1(float64(xs.Messages) / float64(iters*int64(ranks))),
+						f1(xs.NVLinkSeconds / n * 1e6), f1(xs.HiddenNVLinkSeconds / n * 1e6),
+						ms(remoteNormal / n), ms(elapsed / n),
+					})
 				}
-				for flat, by := range elapsedBy {
-					best := by[core.ExchangeAllPairs]
-					if b := by[core.ExchangeButterfly]; b < best {
-						best = b
-					}
-					if hy := by[core.ExchangeHybrid]; hy > best*1.05 {
-						return nil, fmt.Errorf(
-							"cmp7: scale=%d ranks=%d pgpu=%d flat=%v: hybrid elapsed %.3f ms above best fixed %.3f ms (+%.1f%%)",
-							scale, ranks, pgpu, flat, hy*1e3, best*1e3, 100*(hy/best-1))
-					}
+				best := min(elapsedBy[core.ExchangeAllPairs], elapsedBy[core.ExchangeButterfly])
+				if hy := elapsedBy[core.ExchangeHybrid]; hy > best*1.05 {
+					return nil, fmt.Errorf(
+						"cmp7: scale=%d ranks=%d pgpu=%d: hybrid elapsed %.3f ms above best fixed %.3f ms (+%.1f%%)",
+						scale, ranks, pgpu, hy*1e3, best*1e3, 100*(hy/best-1))
 				}
 			}
 		}

@@ -71,16 +71,15 @@ type IterationStats struct {
 	// part the pipelined butterfly hid under concurrent hop transfers, and
 	// the part that stayed on the critical path (and therefore sits inside
 	// Parts.RemoteNormal). Their sum is the iteration's total codec work;
-	// CodecHidden is zero for all-pairs iterations and with PipelineHops
-	// off.
+	// CodecHidden is zero for all-pairs iterations.
 	CodecHidden, CodecExposed float64
 	// NVLinkHidden/NVLinkExposed split the hierarchical exchange's NVLink
 	// tier (intra-rank aggregation plus send/recv staging) the same way:
 	// hidden under concurrent hop transfers and codec stages vs exposed as
 	// the tier's critical-path marginal. The exposed part is charged to
-	// Parts.LocalComm — the pre-hierarchy home of staging time — so
-	// Parts.RemoteNormal stays a pure wire+codec quantity in both modes.
-	// Both zero with the flat exchange or at one GPU per rank.
+	// Parts.LocalComm, where intra-rank staging time lives, so
+	// Parts.RemoteNormal stays a pure wire+codec quantity. Both zero at one
+	// GPU per rank.
 	NVLinkHidden, NVLinkExposed float64
 	Parts                       Breakdown
 }
@@ -183,8 +182,7 @@ type ExchangeStats struct {
 	// simulated network.
 	PredictedSeconds float64
 	// HiddenCodecSeconds is the codec compute the pipelined butterfly hid
-	// under concurrent hop transfers across the run — time that would
-	// appear in RemoteNormal with PipelineHops off. Always at most the
+	// under concurrent hop transfers across the run. Always at most the
 	// run's total codec seconds: overlap hides time, never creates it.
 	HiddenCodecSeconds float64
 	// PipelineStalls counts pipeline steps where a hop's codec or NVLink
@@ -198,9 +196,9 @@ type ExchangeStats struct {
 	// HiddenNVLinkSeconds is the part the pipelined butterfly absorbed
 	// under concurrent hop transfers and codec stages (mirroring
 	// HiddenCodecSeconds; at most NVLinkSeconds); the exposed remainder is
-	// charged to the run's LocalComm breakdown component — the
-	// pre-hierarchy home of staging time — never RemoteNormal. Both zero
-	// with Options.FlatExchange or at one GPU per rank.
+	// charged to the run's LocalComm breakdown component, where intra-rank
+	// staging time lives, never RemoteNormal. Both zero at one GPU per
+	// rank.
 	NVLinkSeconds, HiddenNVLinkSeconds float64
 	// MaskFoldSavedSeconds is the delegate-mask allreduce time saved by
 	// folding its chunked reduction into the pipelined butterfly's hop
@@ -269,7 +267,7 @@ type FaultStats struct {
 	// are not retries: a query that succeeds immediately contributes 0).
 	Retries int64
 	// Degraded counts attempts re-run with the degraded configuration
-	// (flat all-pairs exchange, pipelining off).
+	// (all-pairs exchange).
 	Degraded int64
 	// Exhausted counts queries that spent every attempt and returned the
 	// typed error to the caller.

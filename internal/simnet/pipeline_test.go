@@ -8,7 +8,7 @@ import (
 // seqTime is the non-pipelined reference: every hop transfer and every codec
 // stage charged end-to-end.
 func seqTime(s Spec, hopBytes []int64, hopCodec []float64, preCodec float64, msgCap int64) float64 {
-	t := s.Butterfly(hopBytes, msgCap) + preCodec
+	t := s.butterfly(hopBytes, msgCap) + preCodec
 	for _, c := range hopCodec {
 		t += c
 	}
@@ -35,7 +35,7 @@ func TestPipelinedInvariants(t *testing.T) {
 		{"cleanup-shape", []int64{2 << 20, 1 << 20, 1 << 20, 2 << 20}, []float64{1e-4, 5e-5, 5e-5, 1e-4}, 2e-5},
 	}
 	for _, tc := range cases {
-		pt := s.ButterflyPipelined(tc.bytes, tc.codec, tc.pre, msgCap)
+		pt := s.PipelinedExchange(ExchangeSchedule{HopBytes: tc.bytes, HopCodec: tc.codec, PreCodec: tc.pre, MsgCap: msgCap})
 		if got, want := pt.Total, pt.WireSeconds+pt.CodecSeconds-pt.HiddenCodec; math.Abs(got-want) > 1e-15 {
 			t.Fatalf("%s: Total %g != wire %g + codec %g - hidden %g", tc.name, got, pt.WireSeconds, pt.CodecSeconds, pt.HiddenCodec)
 		}
@@ -57,9 +57,9 @@ func TestPipelinedInvariants(t *testing.T) {
 func TestPipelinedZeroCodecMatchesButterfly(t *testing.T) {
 	s := Ray()
 	hops := []int64{1 << 20, 0, 3 << 20, 256 << 10}
-	pt := s.ButterflyPipelined(hops, make([]float64, len(hops)), 0, 4<<20)
-	if want := s.Butterfly(hops, 4<<20); math.Abs(pt.Total-want) > 1e-15 {
-		t.Fatalf("zero-codec pipeline = %g, want Butterfly %g", pt.Total, want)
+	pt := s.PipelinedExchange(ExchangeSchedule{HopBytes: hops, HopCodec: make([]float64, len(hops)), MsgCap: 4 << 20})
+	if want := s.butterfly(hops, 4<<20); math.Abs(pt.Total-want) > 1e-15 {
+		t.Fatalf("zero-codec pipeline = %g, want sequential %g", pt.Total, want)
 	}
 	if pt.HiddenCodec != 0 || pt.Stalls != 0 {
 		t.Fatalf("zero-codec pipeline hid %g s with %d stalls", pt.HiddenCodec, pt.Stalls)
@@ -79,7 +79,7 @@ func TestPipelinedExactSchedule(t *testing.T) {
 	}
 	codec := []float64{w[1] / 2, 2 * w[2], 1e-4} // hop0's stage half-hides, hop1's stalls
 	const pre = 3e-5
-	pt := s.ButterflyPipelined(hops, codec, pre, msgCap)
+	pt := s.PipelinedExchange(ExchangeSchedule{HopBytes: hops, HopCodec: codec, PreCodec: pre, MsgCap: msgCap})
 	wantTotal := pre + w[0] + math.Max(w[1], codec[0]) + math.Max(w[2], codec[1]) + codec[2]
 	if math.Abs(pt.Total-wantTotal) > 1e-15 {
 		t.Fatalf("Total = %g, want %g", pt.Total, wantTotal)

@@ -82,19 +82,22 @@ func TestScheduleConservation(t *testing.T) {
 	}
 }
 
-// TestScheduleZeroNVLinkMatchesButterflyPipelined: with no NVLink stages the
-// three-resource scheduler degenerates bit-exactly to the two-resource
-// pipelined butterfly.
-func TestScheduleZeroNVLinkMatchesButterflyPipelined(t *testing.T) {
+// TestScheduleZeroNVLinkIsTwoResource: with no NVLink stages the scheduler is
+// the two-resource (wire+codec) pipeline — each step after the first costs
+// max(wire_k, codec_{k−1}), the pre encode and the last codec stage exposed.
+func TestScheduleZeroNVLinkIsTwoResource(t *testing.T) {
 	s := Ray()
 	const msgCap = 4 << 20
 	hops := []int64{1 << 20, 0, 3 << 20, 256 << 10}
 	codec := []float64{1e-4, 3e-4, 0, 5e-5}
 	const pre = 2e-5
 	a := s.PipelinedExchange(ExchangeSchedule{HopBytes: hops, HopCodec: codec, PreCodec: pre, MsgCap: msgCap})
-	b := s.ButterflyPipelined(hops, codec, pre, msgCap)
-	if a != b {
-		t.Fatalf("zero-NVLink schedule diverged from ButterflyPipelined:\n%+v\n%+v", a, b)
+	want := pre + s.ButterflyHop(hops[0], msgCap) + codec[len(codec)-1]
+	for k := 1; k < len(hops); k++ {
+		want += math.Max(s.ButterflyHop(hops[k], msgCap), codec[k-1])
+	}
+	if math.Abs(a.Total-want) > 1e-15 {
+		t.Fatalf("zero-NVLink schedule = %g, want the two-resource recurrence %g", a.Total, want)
 	}
 	if a.NVLinkSeconds != 0 || a.HiddenNVLink != 0 {
 		t.Fatalf("zero-NVLink schedule charged NVLink time: %+v", a)

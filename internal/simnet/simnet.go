@@ -123,22 +123,6 @@ func (s Spec) ButterflyHop(hopBytes, msgCap int64) float64 {
 	return s.PointToPoint(hopBytes, msgCap)
 }
 
-// Butterfly returns the total time of one iteration's butterfly exchange:
-// the sum of its sequential hops (each hop must complete before the next
-// forwards what it received). The hop vector is the caller's profile — for
-// a power-of-two rank count the log2(p) hypercube hops, and for the
-// generalized Bruck-style form a pre cleanup hop (remainder ranks fold
-// into their proxies), the log2(q) hypercube hops, and a post cleanup hop
-// (proxies deliver to their remainder partners); cleanup hops follow the
-// same per-hop accounting.
-func (s Spec) Butterfly(hopBytes []int64, msgCap int64) float64 {
-	var t float64
-	for _, b := range hopBytes {
-		t += s.ButterflyHop(b, msgCap)
-	}
-	return t
-}
-
 // PipelineTiming breaks one pipelined butterfly exchange into its parts.
 // The invariant Total = WireSeconds + CodecSeconds + NVLinkSeconds −
 // HiddenCodec − HiddenNVLink holds by construction: overlap can hide time,
@@ -159,7 +143,7 @@ type PipelineTiming struct {
 	HiddenCodec float64
 	// NVLinkSeconds is the total NVLink stage time (the hierarchical
 	// exchange's aggregation and per-hop staging copies), hidden or not.
-	// Zero for the flat two-resource schedule.
+	// Zero for a two-resource (wire+codec) schedule.
 	NVLinkSeconds float64
 	// HiddenNVLink is the NVLink stage time that ran under a concurrent hop
 	// transfer or codec stage and therefore does not appear in Total.
@@ -173,8 +157,11 @@ type PipelineTiming struct {
 // (PipelinedExchange): per-hop wire volumes plus the codec and NVLink
 // stages each hop's arrival triggers.
 type ExchangeSchedule struct {
-	// HopBytes is the per-hop wire profile (cleanup hops included, exactly
-	// as Butterfly takes it).
+	// HopBytes is the per-hop wire profile: for a power-of-two rank count the
+	// log2(p) hypercube hops, and for the generalized Bruck-style form a pre
+	// cleanup hop (remainder ranks fold into their proxies), the log2(q)
+	// hypercube hops, and a post cleanup hop (proxies deliver to their
+	// remainder partners); cleanup hops follow the same per-hop accounting.
 	HopBytes []int64
 	// HopCodec[k] is the codec compute triggered by hop k's arrival — its
 	// decode plus the re-encode feeding hop k+1. May be shorter than
@@ -259,28 +246,6 @@ func (s Spec) PipelinedExchange(sched ExchangeSchedule) PipelineTiming {
 		pt.HiddenCodec += prevC
 	}
 	return pt
-}
-
-// ButterflyPipelined returns the timing of one iteration's butterfly
-// exchange with hop communication overlapped against per-hop codec compute
-// (the paper's §VI-B compute/communication overlap applied inside the
-// exchange): hop k's transfer runs concurrently with hop k−1's
-// decode/merge/re-encode stage, so each pipeline step costs
-// max(wire_k, codec_{k−1}) instead of their sum. hopBytes is the per-hop
-// wire profile (cleanup hops included, exactly as Butterfly takes it);
-// hopCodec[k] is the codec compute triggered by hop k's arrival — its
-// decode plus the re-encode feeding hop k+1 — and preCodec is the encode of
-// the first hop's payload, which precedes all communication and cannot be
-// hidden. The last hop's codec stage has nothing left to hide under, so it
-// is charged in full after the final transfer. Exactly PipelinedExchange
-// with empty NVLink stages.
-func (s Spec) ButterflyPipelined(hopBytes []int64, hopCodec []float64, preCodec float64, msgCap int64) PipelineTiming {
-	return s.PipelinedExchange(ExchangeSchedule{
-		HopBytes: hopBytes,
-		HopCodec: hopCodec,
-		PreCodec: preCodec,
-		MsgCap:   msgCap,
-	})
 }
 
 // Staging returns the NVLink copy time for moving bytes between GPU and CPU

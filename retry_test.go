@@ -109,7 +109,9 @@ func TestRetryExhaustionSurfacesTypedError(t *testing.T) {
 }
 
 // TestRetryDegradation: with DegradeAfter 1 every recovery beyond the first
-// attempt must have run the degraded profile and still match bit-identically.
+// attempt must have run the degraded profile — all-pairs on every iteration,
+// though the service is configured for the butterfly — and still match
+// bit-identically.
 func TestRetryDegradation(t *testing.T) {
 	g := RMAT(10)
 	cluster := Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
@@ -140,6 +142,10 @@ func TestRetryDegradation(t *testing.T) {
 		}
 		if st := svc.FaultStats(); st.Degraded == 0 {
 			t.Fatalf("seed %d: degraded recovery but stats %+v", seed, st)
+		}
+		if r.ButterflyIterations != 0 || r.AllPairsIterations != int64(r.Iterations) {
+			t.Fatalf("seed %d: degraded recovery ran %d butterfly / %d all-pairs of %d iterations — the profile is all-pairs",
+				seed, r.ButterflyIterations, r.AllPairsIterations, r.Iterations)
 		}
 		degradedRecoveries++
 		for v := range ref.Levels {
