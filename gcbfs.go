@@ -46,10 +46,10 @@
 //
 // Run honors its context at iteration boundaries: a cancelled or expired
 // context aborts the query within one BFS iteration and returns ctx.Err().
-// Per-query options (WithCompression, WithExchange, WithLevels, WithParents,
-// WithWorkAmplification) override the construction-time Config for a single
-// query without re-partitioning; knobs that change the partition or kernel
-// policies still require a new Service.
+// Per-query options (WithCompression, WithExchange, WithLevels, WithParents)
+// override the construction-time Config for a single query without
+// re-partitioning; knobs that change the partition or kernel policies still
+// require a new Service.
 //
 // # Frontier-exchange compression
 //
@@ -58,7 +58,9 @@
 // message as the smallest of a raw uint32 list, a sorted varint delta
 // stream, or a dense bitmap (checksummed, with a 1-byte scheme header);
 // CompressionRaw/Delta/Bitmap force one scheme for ablations, and
-// CompressionOff (the default) keeps the paper's fixed-width packing.
+// CompressionOff (the default) is the paper's fixed-width packing: the same
+// checksummed raw blocks, charged as the paper charges them — 4 bytes per
+// id, no framing, no codec kernel.
 // Compression never changes levels or parents — only bytes on the wire, the
 // simulated remote-normal communication time, and the codec pack/unpack
 // compute now charged through the device model (Result.CodecSeconds).
@@ -190,9 +192,12 @@
 //
 // # Fault tolerance
 //
-// The execution stack is fault-contained: every wire payload is checksummed
-// (wire.ErrCorrupt typed errors, never panics, on any decode failure), every
-// per-rank goroutine runs behind a recover boundary, and a fault on any rank
+// The execution stack is fault-contained: every message a rank receives is
+// checksummed (wire.ErrCorrupt typed errors, never panics and never silently
+// wrong ids, on any decode failure) — in DefaultConfig as much as with a
+// codec on, for Repair's probes and for the PageRank and Components pair
+// exchanges as for a BFS — every per-rank goroutine runs behind a recover
+// boundary, and a fault on any rank
 // poisons the whole communicator so all ranks unwind within one BSP
 // iteration — the caller always sees an error or a complete, validated
 // result, never a partial one. Sessions that absorbed a fault are discarded,
@@ -343,8 +348,7 @@ type Config struct {
 	// WorkAmplification scales the timing model into a larger-graph
 	// regime (see the scale mapping in internal/experiments' package
 	// comment); values ≤ 0 are treated as 1
-	// (no amplification). Overridable per query with
-	// WithWorkAmplification.
+	// (no amplification).
 	WorkAmplification float64
 	// CollectLevels gathers hop distances into results. Overridable per
 	// query with WithLevels.
@@ -444,8 +448,8 @@ func (cfg Config) sweepWidth() int {
 type Compression int
 
 const (
-	// CompressionOff keeps the fixed-width packing (4 bytes per id plus
-	// per-slot count headers) the paper assumes.
+	// CompressionOff is the fixed-width packing the paper assumes: raw
+	// checksummed blocks, charged 4 bytes per id with no codec compute.
 	CompressionOff Compression = iota
 	// CompressionAdaptive picks the smallest of the raw, delta and bitmap
 	// schemes per block (with a per-destination scheme memory that reuses
@@ -751,12 +755,6 @@ func WithParents(on bool) QueryOption {
 	return func(q *queryConfig) { q.ov.CollectParents = &on }
 }
 
-// WithWorkAmplification overrides the timing-model amplification for this
-// query; values ≤ 0 disable amplification.
-func WithWorkAmplification(f float64) QueryOption {
-	return func(q *queryConfig) { q.ov.WorkAmplification = &f }
-}
-
 // WithDeadline bounds this query's total execution — every retry attempt
 // included — overriding Config.QueryTimeout. Expiry aborts the query within
 // one BFS iteration and surfaces as context.DeadlineExceeded, which the
@@ -827,6 +825,14 @@ func (s *Service) withRetry(ctx context.Context, q *queryConfig, run func(ctx co
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
+	// The query-level deadline (or the caller's cancellation) is final,
+	// whether it lands in an attempt or in the backoff between two.
+	ended := func() error {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			s.countFault(func(f *metrics.FaultStats) { f.Timeouts++ })
+		}
+		return ctx.Err()
+	}
 	pol := s.cfg.Retry
 	backoff := pol.Backoff
 	for attempts = 1; ; attempts++ {
@@ -844,12 +850,8 @@ func (s *Service) withRetry(ctx context.Context, q *queryConfig, run func(ctx co
 		if err == nil {
 			return attempts, degraded, nil
 		}
-		// The query-level deadline (or the caller's cancellation) is final.
 		if ctx.Err() != nil {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.countFault(func(f *metrics.FaultStats) { f.Timeouts++ })
-			}
-			return attempts, degraded, ctx.Err()
+			return attempts, degraded, ended()
 		}
 		// An expired attempt counts as a transient fault; anything else
 		// non-fault-typed is final.
@@ -875,7 +877,7 @@ func (s *Service) withRetry(ctx context.Context, q *queryConfig, run func(ctx co
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return attempts, degraded, ctx.Err()
+				return attempts, degraded, ended()
 			case <-t.C:
 			}
 			backoff *= 2

@@ -17,22 +17,25 @@ func TestPayloadFaultSurfacesTypedError(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
 	sg := buildSub(t, el, shape, 8)
-	for _, kind := range []faults.Kind{faults.KindTruncate, faults.KindDrop} {
-		opts := DefaultOptions()
-		in := faults.New(1, kind, 1)
-		opts.Inject = in
-		res, err := Run(sg, shape, opts)
-		if err == nil {
-			t.Fatalf("rate-1 %v did not fail the run", kind)
-		}
-		if res != nil {
-			t.Fatalf("%v: partial result escaped alongside the error", kind)
-		}
-		if !errors.Is(err, wire.ErrCorrupt) {
-			t.Fatalf("%v: error not wire.ErrCorrupt-typed: %v", kind, err)
-		}
-		if in.Injected() == 0 {
-			t.Fatalf("%v: run failed but the injector fired nothing", kind)
+	for _, kind := range []faults.Kind{faults.KindCorrupt, faults.KindTruncate, faults.KindDrop} {
+		// Every seed mangles different bytes of every message.
+		for seed := uint64(1); seed <= 16; seed++ {
+			opts := DefaultOptions()
+			in := faults.New(seed, kind, 1)
+			opts.Inject = in
+			res, err := Run(sg, shape, opts)
+			if err == nil {
+				t.Fatalf("rate-1 %v (seed %d) did not fail the run", kind, seed)
+			}
+			if res != nil {
+				t.Fatalf("%v: partial result escaped alongside the error", kind)
+			}
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%v: error not wire.ErrCorrupt-typed: %v", kind, err)
+			}
+			if in.Injected() == 0 {
+				t.Fatalf("%v: run failed but the injector fired nothing", kind)
+			}
 		}
 	}
 }

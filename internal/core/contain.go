@@ -91,16 +91,6 @@ func RunRanks(world *mpi.World, in *faults.Injector, site func(tag int) (int, st
 	return world.Aborted()
 }
 
-// corruptErr wraps a decoder error for the containment panic, guaranteeing
-// wire.ErrCorrupt is in the chain even when the error came from a plain
-// (non-codec) unpack path.
-func corruptErr(context string, err error) error {
-	if errors.Is(err, wire.ErrCorrupt) {
-		return fmt.Errorf("%s: %w", context, err)
-	}
-	return fmt.Errorf("%s: %v: %w", context, err, wire.ErrCorrupt)
-}
-
 // faultError classifies a recovered panic value: it returns the error when
 // the value is a contained fault (corrupt payload or injected failure), nil
 // for anything else.

@@ -127,8 +127,9 @@ type Options struct {
 	// exactly where TWB pays its skew penalty).
 	ForceTWBForDD bool
 	// Compression selects the frontier-exchange codec (internal/wire) for
-	// the inter-rank normal-vertex payloads: wire.ModeOff keeps the seed's
-	// fixed-width packing, wire.ModeAdaptive picks the smallest of raw /
+	// the inter-rank normal-vertex payloads: wire.ModeOff is the paper's
+	// fixed-width packing (raw blocks charged 4 bytes per id and no codec
+	// compute — a charging rule, not a second format), wire.ModeAdaptive picks the smallest of raw /
 	// varint-delta / bitmap per message (reusing the previous iteration's
 	// winner per destination while block sizes are stable — see
 	// wire.Selector), and the forced modes pin one scheme for ablations.
@@ -330,11 +331,10 @@ func (p *Plan) MemoryOK() bool {
 // untouched are overridable — changing the cluster shape, threshold or
 // kernel policies needs a new Plan. A nil field keeps the base value.
 type Overrides struct {
-	Compression       *wire.Mode
-	Exchange          *Exchange
-	CollectLevels     *bool
-	CollectParents    *bool
-	WorkAmplification *float64
+	Compression    *wire.Mode
+	Exchange       *Exchange
+	CollectLevels  *bool
+	CollectParents *bool
 }
 
 // effectiveOptions resolves base options plus overrides, validating the
@@ -358,12 +358,6 @@ func (p *Plan) effectiveOptions(ov Overrides) (Options, error) {
 	}
 	if ov.CollectParents != nil {
 		o.CollectParents = *ov.CollectParents
-	}
-	if ov.WorkAmplification != nil {
-		o.WorkAmplification = *ov.WorkAmplification
-		if o.WorkAmplification <= 0 {
-			o.WorkAmplification = 1
-		}
 	}
 	return o, nil
 }

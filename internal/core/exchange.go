@@ -21,6 +21,11 @@ package core
 // message: fewer, larger messages, re-encoded through the wire codec per
 // hop so the adaptive selector sees the denser aggregated blocks.
 //
+// Every message of either strategy is wire blocks, encoded and decoded by the
+// same calls whatever Options.Compression says; wire.ModeOff, the default, is
+// raw blocks under the paper's charging rule — id bytes only, no codec kernel
+// (codecWork, exchangeCounts.message/received) — not a second format.
+//
 // When r > 0, two cleanup hops fold the remainder ranks into the hypercube:
 // a pre hop where each remainder rank i (q ≤ i < p) ships everything it
 // holds to its proxy rank i−q, then the log2(q) hypercube among ranks
@@ -151,19 +156,43 @@ type exchangeCounts struct {
 	intra, dups int64
 }
 
+// codecWork is what the codec kernels are charged for moving raw fixed-width
+// bytes through an encode or a decode: all of them with a codec active,
+// nothing with it off — the paper's fixed-width packing is a plain copy,
+// already charged as staging.
+func codecWork(mode wire.Mode, raw int64) int64 {
+	if mode == wire.ModeOff {
+		return 0
+	}
+	return raw
+}
+
 // message accounts one encoded message this rank sends (or, presence-gated,
 // would send): its bytes, the codec's work on it and the schemes it picked.
 func (c *exchangeCounts) message(st wire.Stats, mode wire.Mode) {
 	c.sent += st.EncodedBytes
 	c.sentRaw += st.RawBytes
-	if mode != wire.ModeOff {
-		c.codecRaw += st.RawBytes
-	}
+	c.codecRaw += codecWork(mode, st.RawBytes)
 	for i, n := range st.Selected {
 		c.scheme[i] += n
 	}
 	c.memoHits += st.MemoHits
 	c.messages++
+}
+
+// received accounts one decoded message of encoded bytes on the wire that
+// decoded to raw fixed-width bytes, the receiving mirror of message: with a
+// codec active the encoded message and the decode kernel's work on it; with
+// the codec off the fixed-width payload alone, the block framing uncharged.
+// It returns the bytes charged as received.
+func (c *exchangeCounts) received(mode wire.Mode, encoded int, raw int64) int64 {
+	if mode == wire.ModeOff {
+		c.recv += raw
+		return raw
+	}
+	c.recv += int64(encoded)
+	c.codecRaw += raw
+	return int64(encoded)
 }
 
 // remoteVolumes carries one iteration's globally max-reduced, amplified
@@ -340,8 +369,8 @@ func hopTag(iter int32, hop int) int {
 // owns its bins), several contributors' concatenation in the arena. From
 // here on the ids are only merged (at each butterfly relay) and encoded
 // presorted, never sorted again. With the codec off nothing needs the order
-// and the slot stays as the kernels left it. Bins Uniquify already sorted
-// merge instead, codec or not.
+// — raw blocks carry any — and the slot stays as the kernels left it. Bins
+// Uniquify already sorted merge instead, codec or not.
 //
 // Allocation contract: a single-contributor slot references the bin directly
 // — zero copy, and with a codec active sorted in that bin. That is safe
@@ -424,10 +453,11 @@ type allPairsExchange struct {
 	rank int
 	sc   *rankScratch
 	sel  *wire.Selector
-	// emptyLen is the encoded size of a message carrying no ids under codec
-	// emptyMode (0 until first needed): what a receiver accounts for a source
-	// it does not hear from. An empty block has no payload to choose a scheme
-	// for, so the size depends on the mode and the slot count alone.
+	// emptyLen is what a message carrying no ids is charged under emptyMode:
+	// what a receiver accounts for a source it does not hear from. An empty
+	// block has no payload to choose a scheme for, so the charge depends on
+	// the mode and the slot count alone. The zero value is already right —
+	// ModeOff charges id bytes only, and there are none.
 	emptyLen  int64
 	emptyMode wire.Mode
 	// sendAll, set by tests only, announces every destination present, so
@@ -472,13 +502,9 @@ func (x *allPairsExchange) announce(row []int64) []int64 {
 }
 
 // emptyMessageLen returns what one message without ids weighs on the wire in
-// the receiver's accounting (id bytes only with the codec off, the encoded
-// message otherwise).
+// the receiver's accounting.
 func (x *allPairsExchange) emptyMessageLen(mode wire.Mode, pgpu int) int64 {
-	if mode == wire.ModeOff {
-		return 0
-	}
-	if x.emptyLen == 0 || x.emptyMode != mode {
+	if x.emptyMode != mode {
 		_, st := wire.EncodeRank(make([][]uint32, pgpu), mode)
 		x.emptyLen, x.emptyMode = st.EncodedBytes, mode
 	}
@@ -496,10 +522,10 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	var c exchangeCounts
 	c.arrivals = sc.resetArrivals()
 
-	// Remote sends: one packed message per destination rank carrying every
-	// source GPU's bins for that rank's slots. EncodeSlots applies the shared
-	// accounting convention: with compression off, id bytes only (the paper's
-	// 4·|Enn|; the per-slot count headers are wire framing); with a codec
+	// Remote sends: one message per destination rank carrying every source
+	// GPU's bins for that rank's slots, one wire block per slot. AppendRank
+	// applies the mode's charging rule: with compression off, id bytes only
+	// (the paper's 4·|Enn|; the block framing is not traffic); with a codec
 	// active, the encoded message — framing, checksums and all — is what
 	// crosses the NIC and what the timing model sees. The merge headers are
 	// reused per destination: the encode consumes them before the next merge
@@ -510,6 +536,9 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	// counters, selector memory and the message count advance exactly as if
 	// it were sent, which is what the modelled machine does — but the Isend
 	// itself is skipped: the receiver reads the same matrix and does not wait.
+	// With the codec off an empty message is charged no bytes, tallies no
+	// scheme and has no selector memory to advance, so the count is all of
+	// its accounting and it is not built at all.
 	if len(x.msgBufs) < prank {
 		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
 	}
@@ -519,12 +548,15 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 		}
 		if pres.has(rank, dst) {
 			e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apSorted)
+		} else if mode == wire.ModeOff {
+			c.messages++
+			continue
 		} else {
 			for s := range sc.apSlots {
 				sc.apSlots[s], sc.apSorted[s] = nil, true
 			}
 		}
-		payload, st := x.sel.AppendSlots(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
+		payload, st := x.sel.AppendRank(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
 		x.msgBufs[dst] = payload
 		c.message(st, mode)
 		if pres.has(rank, dst) {
@@ -544,19 +576,11 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 			continue
 		}
 		buf := comm.Recv(src, hopTag(iter, 0))
-		var err error
-		if mode == wire.ModeOff {
-			c.recv += int64(len(buf)) - 4*int64(pgpu)
-			err = frontier.UnpackRankInto(buf, c.arrivals)
-		} else {
-			c.recv += int64(len(buf))
-			before := countIDs(c.arrivals)
-			err = wire.DecodeRankInto(buf, c.arrivals)
-			c.codecRaw += 4 * (countIDs(c.arrivals) - before)
+		before := countIDs(c.arrivals)
+		if err := wire.DecodeRankInto(buf, c.arrivals); err != nil {
+			panic(fmt.Errorf("core: corrupt exchange payload: %w", err))
 		}
-		if err != nil {
-			panic(corruptErr("core: corrupt exchange payload", err))
-		}
+		c.received(mode, len(buf), 4*(countIDs(c.arrivals)-before))
 	}
 	c.hopBytes = append(sc.hopBytes[:0], c.sent)
 	sc.hopBytes = c.hopBytes
@@ -808,9 +832,7 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 	payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, x.e.shape.GPUsPerRank, mode)
 	x.msgBufs[hop] = payload
 	c.message(st, mode)
-	if mode != wire.ModeOff {
-		x.encRaw[hop] += st.RawBytes
-	}
+	x.encRaw[hop] += codecWork(mode, st.RawBytes)
 	comm.Isend(dst, hopTag(iter, hop), payload)
 	return st.EncodedBytes
 }
@@ -821,25 +843,16 @@ func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int
 	pgpu := x.e.shape.GPUsPerRank
 	prank := x.e.shape.Ranks()
 	buf := comm.Recv(src, hopTag(iter, hop))
-	secsIn, err := wire.DecodeSectionsScratch(buf, pgpu, prank, mode, &x.sc.arena, &x.sc.wireSecs)
+	secsIn, err := wire.DecodeSectionsScratch(buf, pgpu, prank, &x.sc.arena, &x.sc.wireSecs)
 	if err != nil {
-		panic(corruptErr(fmt.Sprintf("core: corrupt butterfly payload (hop %d)", hop), err))
+		panic(fmt.Errorf("core: corrupt butterfly payload (hop %d): %w", hop, err))
 	}
-	if mode == wire.ModeOff {
-		for _, sec := range secsIn {
-			raw := 4 * countIDs(sec.Slots)
-			c.recv += raw
-			c.hopRecvBytes[hop] += raw
-		}
-	} else {
-		c.recv += int64(len(buf))
-		c.hopRecvBytes[hop] += int64(len(buf))
-		for _, sec := range secsIn {
-			raw := 4 * countIDs(sec.Slots)
-			c.codecRaw += raw
-			x.decRaw[hop] += raw
-		}
+	var raw int64
+	for _, sec := range secsIn {
+		raw += 4 * countIDs(sec.Slots)
 	}
+	c.hopRecvBytes[hop] += c.received(mode, len(buf), raw)
+	x.decRaw[hop] += codecWork(mode, raw)
 	for _, sec := range secsIn {
 		if sec.Rank == x.rank {
 			for s, ids := range sec.Slots {
@@ -855,7 +868,8 @@ func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int
 // destination. With a codec active both sides are always sorted — staged
 // slots by mergeForRank, decoded ones by construction or by the decoder's
 // check — so the lists merge and stay sorted for the next hop's encode; with
-// the codec off nothing is sorted and they concatenate.
+// the codec off nothing was sorted and, but for a slot that happens to be
+// ascending, they concatenate.
 func (x *butterflyExchange) mergePending(sec wire.Section) {
 	dst := sec.Rank
 	if x.pending[dst] == nil {

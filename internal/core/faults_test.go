@@ -16,20 +16,28 @@ import (
 )
 
 // chaosOptions is the standard configuration for injection tests: the
-// checksummed codec (the fixed-width packing has no CRC, so an in-range bit
-// flip there decodes cleanly), parents collected so the parent-resolution
-// payloads flow, and the injector armed.
+// default compression (off — raw blocks are checksummed like any other),
+// parents collected so the parent-resolution payloads flow, and the injector
+// armed.
 func chaosOptions(in *faults.Injector, x Exchange) Options {
 	o := DefaultOptions()
 	o.Exchange = x
 	o.CollectLevels = true
 	o.CollectParents = true
-	o.Compression = wire.ModeAdaptive
 	o.Inject = in
 	return o
 }
 
-func chaosPlan(t testing.TB, in *faults.Injector, x Exchange) *Plan {
+// chaosModes is the compression axis of the payload-fault tables: the default
+// fixed-width packing and the adaptive codec.
+var chaosModes = []wire.Mode{wire.ModeOff, wire.ModeAdaptive}
+
+// chaosSeeds is how many injector seeds a corruption case sweeps: each seed
+// flips a different bit of every message, so no case rests on where one flip
+// happened to land.
+const chaosSeeds = 16
+
+func chaosGraph(t testing.TB) *partition.Subgraphs {
 	t.Helper()
 	el := rmat.Generate(rmat.DefaultParams(9))
 	sep := partition.Separate(el, 8)
@@ -37,16 +45,40 @@ func chaosPlan(t testing.TB, in *faults.Injector, x Exchange) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(sg, ClusterShape{2, 2, 2}, chaosOptions(in, x))
+	return sg
+}
+
+func chaosPlan(t testing.TB, in *faults.Injector, x Exchange) *Plan {
+	t.Helper()
+	p, err := NewPlan(chaosGraph(t), ClusterShape{2, 2, 2}, chaosOptions(in, x))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
+// wantCorrupt requires a contained payload fault: no result, an error chain
+// carrying wire.ErrCorrupt, and the panic site's name in the message.
+func wantCorrupt(t *testing.T, gotResult bool, err error, wantMsg string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("rate-1 payload fault did not fail the run")
+	}
+	if gotResult {
+		t.Fatal("partial result escaped alongside the error")
+	}
+	if !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("error not wire.ErrCorrupt-typed: %v", err)
+	}
+	if !strings.Contains(err.Error(), wantMsg) {
+		t.Fatalf("error %q does not name the %q panic site", err, wantMsg)
+	}
+}
+
 // TestPayloadFaultsSurfaceTypedErrors drives every payload panic site with a
-// site-targeted injector and requires the contained error to carry
-// wire.ErrCorrupt — never a bare panic, never a partial result. The site
+// site-targeted injector, under the default fixed-width packing and under the
+// codec, and requires the contained error to carry wire.ErrCorrupt — never a
+// bare panic, never a partial result — on every injector seed. The site
 // substring in the error message proves the intended panic site fired.
 func TestPayloadFaultsSurfaceTypedErrors(t *testing.T) {
 	cases := []struct {
@@ -63,51 +95,56 @@ func TestPayloadFaultsSurfaceTypedErrors(t *testing.T) {
 		{"truncate/butterfly-hop", ExchangeButterfly, faults.KindTruncate, faults.SiteExchange, "butterfly payload"},
 		{"corrupt/parents", ExchangeAllPairs, faults.KindCorrupt, faults.SiteParents, "parent payload"},
 	}
+	sg := chaosGraph(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in := faults.New(1, tc.kind, 1).WithSites(tc.site)
-			p := chaosPlan(t, in, tc.exchange)
-			r, err := p.Run(context.Background(), 0, Overrides{})
-			if err == nil {
-				t.Fatalf("rate-1 %v at site %q did not fail the run", tc.kind, tc.site)
-			}
-			if r != nil {
-				t.Fatal("partial result escaped alongside the error")
-			}
-			if !errors.Is(err, wire.ErrCorrupt) {
-				t.Fatalf("error not wire.ErrCorrupt-typed: %v", err)
-			}
-			if !strings.Contains(err.Error(), tc.wantMsg) {
-				t.Fatalf("error %q does not name the %q panic site", err, tc.wantMsg)
-			}
-			if in.Injected() == 0 {
-				t.Fatal("run failed but the injector fired nothing")
+			for _, mode := range chaosModes {
+				t.Run(mode.String(), func(t *testing.T) {
+					for seed := uint64(1); seed <= chaosSeeds; seed++ {
+						in := faults.New(seed, tc.kind, 1).WithSites(tc.site)
+						opts := chaosOptions(in, tc.exchange)
+						opts.Compression = mode
+						p, err := NewPlan(sg, ClusterShape{2, 2, 2}, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r, err := p.Run(context.Background(), 0, Overrides{})
+						wantCorrupt(t, r != nil, err, tc.wantMsg)
+						if in.Injected() == 0 {
+							t.Fatal("run failed but the injector fired nothing")
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestSweepFaultSurfacesTypedError(t *testing.T) {
-	in := faults.New(2, faults.KindCorrupt, 1).WithSites(faults.SiteSweep)
-	p := chaosPlan(t, in, ExchangeAllPairs)
-	rs, err := p.RunSweep(context.Background(), []int64{0, 1, 2}, Overrides{})
-	if err == nil {
-		t.Fatal("rate-1 sweep corruption did not fail the sweep")
-	}
-	if rs != nil {
-		t.Fatal("partial sweep results escaped alongside the error")
-	}
-	if !errors.Is(err, wire.ErrCorrupt) {
-		t.Fatalf("error not wire.ErrCorrupt-typed: %v", err)
-	}
-	if !strings.Contains(err.Error(), "sweep payload") {
-		t.Fatalf("error %q does not name the sweep panic site", err)
+	sg := chaosGraph(t)
+	for _, mode := range chaosModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			for seed := uint64(1); seed <= chaosSeeds; seed++ {
+				in := faults.New(seed, faults.KindCorrupt, 1).WithSites(faults.SiteSweep)
+				opts := chaosOptions(in, ExchangeAllPairs)
+				opts.Compression = mode
+				p, err := NewPlan(sg, ClusterShape{2, 2, 2}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := p.RunSweep(context.Background(), []int64{0, 1, 2}, Overrides{})
+				wantCorrupt(t, rs != nil, err, "sweep payload")
+			}
+		})
 	}
 }
 
 // TestRepairFaultsSurfaceTypedErrors targets the two repair-only payload
 // sites — invalidation probes and the repair's parent resolution — on a real
-// incremental plan with a synthesized delta.
+// incremental plan with a synthesized delta, in the default configuration.
+// The probe ships fixed-width ids whatever the compression, so every flip of
+// a probe id that used to decode cleanly (and silently drop a corrective
+// seed) must now be caught: the cases sweep the injector seed.
 func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	shape := ClusterShape{2, 2, 2}
@@ -144,23 +181,14 @@ func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 		{"parents", faults.SiteParents, "parent payload"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := faults.New(3, faults.KindCorrupt, 1).WithSites(tc.site)
-			p2, err := NewPlanEpoch(sg2, shape, chaosOptions(in, ExchangeAllPairs), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := p2.RunRepair(context.Background(), 0, prior.Levels, invalid, seeds, Overrides{})
-			if err == nil {
-				t.Fatalf("rate-1 corruption at site %q did not fail the repair", tc.site)
-			}
-			if r != nil {
-				t.Fatal("partial repair result escaped alongside the error")
-			}
-			if !errors.Is(err, wire.ErrCorrupt) {
-				t.Fatalf("error not wire.ErrCorrupt-typed: %v", err)
-			}
-			if !strings.Contains(err.Error(), tc.wantMsg) {
-				t.Fatalf("error %q does not name the %q panic site", err, tc.wantMsg)
+			for seed := uint64(1); seed <= chaosSeeds; seed++ {
+				in := faults.New(seed, faults.KindCorrupt, 1).WithSites(tc.site)
+				p2, err := NewPlanEpoch(sg2, shape, chaosOptions(in, ExchangeAllPairs), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := p2.RunRepair(context.Background(), 0, prior.Levels, invalid, seeds, Overrides{})
+				wantCorrupt(t, r != nil, err, tc.wantMsg)
 			}
 		})
 	}

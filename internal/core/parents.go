@@ -57,7 +57,9 @@ import (
 //     paper's "low cost" claim. With a codec active the sender radix-sorts
 //     each outgoing pair bin in place into the codec's canonical (ID, Val)
 //     order — the bins are its own and are reset by the next replay — and
-//     encodes them presorted; with the codec off they ship as generated.
+//     encodes them presorted; with the codec off they ship as generated,
+//     in raw pair blocks charged 12 bytes per pair — one wire format and
+//     one decoder whatever the mode.
 //
 // Every rank then writes its own GPUs' slots and a stripe of the delegate
 // directory straight into the query's global output arrays (gatherRank).
@@ -380,13 +382,15 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 	}
 
 	// Intra-rank pairs apply directly; inter-rank pairs route through the
-	// same codec policy as the frontier exchange (raw 12-byte pairs when
-	// compression is off). The volume is reported in WireStats but, like
-	// the rest of the resolution round, excluded from simulated BFS time.
+	// same codec policy as the frontier exchange: sorted where they are born
+	// when a codec is active, raw blocks in bin order charged 12 bytes per
+	// pair when compression is off. The volume is reported in WireStats but,
+	// like the rest of the resolution round, excluded from simulated BFS time.
 	// Payload buffers are reused per destination: the receiver holds the
 	// slice only until it has decoded it, which is before gatherRank's
 	// barrier, and the next resolution on this scratch starts after it.
 	var rawBytes, wireBytes int64
+	codec := mode != wire.ModeOff
 	for dst := 0; dst < prank; dst++ {
 		slots := bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
 		if dst == rank {
@@ -395,21 +399,14 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 			}
 			continue
 		}
-		payload := ps.payloads[dst][:0]
-		if mode == wire.ModeOff {
-			payload = frontier.AppendPairsRank(payload, slots)
-			idBytes := int64(len(payload)) - 4*int64(pgpu)
-			rawBytes += idBytes
-			wireBytes += idBytes
-		} else {
+		if codec {
 			for _, prs := range slots {
 				frontier.SortPairs(prs, &ps.sortBuf)
 			}
-			var st wire.Stats
-			payload, st = wire.AppendPairsRank(payload, slots, mode, true)
-			rawBytes += st.RawBytes
-			wireBytes += st.EncodedBytes
 		}
+		payload, st := wire.AppendPairsRank(ps.payloads[dst][:0], slots, mode, codec)
+		rawBytes += st.RawBytes
+		wireBytes += st.EncodedBytes
 		ps.payloads[dst] = payload
 		comm.Isend(dst, tag, payload)
 	}
@@ -420,14 +417,8 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 			continue
 		}
 		buf := comm.Recv(src, tag)
-		var err error
-		if mode == wire.ModeOff {
-			err = frontier.UnpackPairsRankInto(buf, ps.arrivals)
-		} else {
-			err = wire.DecodePairsRankInto(buf, ps.arrivals)
-		}
-		if err != nil {
-			panic(corruptErr("core: corrupt parent payload", err))
+		if err := wire.DecodePairsRankInto(buf, ps.arrivals); err != nil {
+			panic(fmt.Errorf("core: corrupt parent payload: %w", err))
 		}
 		for s, prs := range ps.arrivals {
 			accept(q.levels[myStart+s], q.parents[myStart+s], prs)

@@ -16,8 +16,8 @@ package core
 //     still-valid neighbors of invalidated vertices, which re-derive the
 //     invalidated region at its correct new levels. (a) comes from the caller
 //     (delta.Affected); (b) is discovered here by a distributed probe over
-//     the invalidated vertices' adjacency, with one packed exchange for
-//     remote nn probes and one mask allreduce for delegate seeds.
+//     the invalidated vertices' adjacency, with one exchange of raw wire
+//     blocks for remote nn probes and one mask allreduce for delegate seeds.
 //
 //   - Wave: the superstep loop itself (runEnv.runRank, run.go) — not a copy
 //     of it — entered through a wave value built from the schedule: it starts
@@ -50,10 +50,10 @@ import (
 	"slices"
 
 	"gcbfs/internal/bitmask"
-	"gcbfs/internal/frontier"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/simgpu"
+	"gcbfs/internal/wire"
 )
 
 // repairSeed is one corrective-seed schedule entry: a still-valid vertex
@@ -234,16 +234,19 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 		}
 	}
 
-	// One packed exchange resolves the remote nn probes: the owner checks its
-	// preloaded levels and keeps the still-valid targets as seeds.
+	// One exchange resolves the remote nn probes: the owner checks its
+	// preloaded levels and keeps the still-valid targets as seeds. The probe
+	// ids go fixed-width whatever the query's compression — raw wire blocks
+	// charged 4 bytes per id — so they are checksummed like every other
+	// message.
 	arrivals := sc.resetArrivals()
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
 			continue
 		}
 		for k, gs := range myGPUs {
-			payload := gs.bins.PackRank(dst, pgpu)
-			bytes += int64(len(payload)) - 4*int64(pgpu)
+			payload, st := wire.EncodeRank(gs.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], wire.ModeOff)
+			bytes += st.EncodedBytes
 			comm.Isend(dst, probeTag+k, payload)
 		}
 	}
@@ -263,8 +266,8 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 		}
 		for k := 0; k < pgpu; k++ {
 			buf := comm.Recv(src, probeTag+k)
-			if err := frontier.UnpackRankInto(buf, arrivals); err != nil {
-				panic(corruptErr("core: corrupt probe payload", err))
+			if err := wire.DecodeRankInto(buf, arrivals); err != nil {
+				panic(fmt.Errorf("core: corrupt probe payload: %w", err))
 			}
 		}
 	}

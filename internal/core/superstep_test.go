@@ -115,7 +115,7 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 		opts.Compression = mode
 		_, p := webPlan(t, 10, shape, opts)
 		// What a message without ids looks like on the wire.
-		empty, _ := (*wire.Selector)(nil).EncodeSlots(0, make([][]uint32, shape.GPUsPerRank), nil, mode)
+		empty, _ := wire.EncodeRank(make([][]uint32, shape.GPUsPerRank), mode)
 		var delivered, emptyDelivered atomic.Int64
 		hook := func(_, _, _ int, data []byte) []byte {
 			delivered.Add(1)

@@ -14,12 +14,17 @@ package core
 // strategies payload-generic, so a sweep can ride the butterfly and the
 // presence contract too, is ROADMAP item 2's remainder.
 //
+// Record messages are wire record blocks in every compression mode; with the
+// codec off they are raw blocks charged 4+8w bytes per record.
+//
 // Sender-side merging is the sweep's uniquify: all of a rank's bins for one
 // destination slot are sorted and duplicate vertex ids collapse into one
 // record with OR-ed query masks — the record analogue of the single-query
 // dedup, and the source of the sweep's wire savings beyond amortization.
 
 import (
+	"fmt"
+
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
@@ -105,15 +110,7 @@ func (e *sweepSession) exchangeRecords(comm *mpi.Comm, rank int, myGPUs []*sweep
 		for s := 0; s < pgpu; s++ {
 			mergedRecords += e.mergeSlot(sc, myGPUs, dst*pgpu+s, s, &c)
 		}
-		var payload []byte
-		var st wire.Stats
-		if mode == wire.ModeOff {
-			payload = frontier.PackRecordsRank(sc.outIDs, sc.outMasks, w)
-			st.RawBytes = recBytes * countIDs(sc.outIDs)
-			st.EncodedBytes = st.RawBytes
-		} else {
-			payload, st = sc.sel.EncodeSlots(dst, sc.outIDs, sc.outMasks, w, mode)
-		}
+		payload, st := sc.sel.EncodeSlots(dst, sc.outIDs, sc.outMasks, w, mode)
 		c.message(st, mode)
 		comm.Isend(dst, hopTag(iter, 0), payload)
 	}
@@ -156,27 +153,16 @@ func (e *sweepSession) exchangeRecords(comm *mpi.Comm, rank int, myGPUs []*sweep
 			sc.arrIDs[s] = sc.arrIDs[s][:0]
 			sc.arrMasks[s] = sc.arrMasks[s][:0]
 		}
-		var err error
-		if mode == wire.ModeOff {
-			c.recv += int64(len(buf)) - 4*int64(pgpu)
-			err = frontier.UnpackRecordsRankInto(buf, w, sc.arrIDs, sc.arrMasks)
-		} else {
-			c.recv += int64(len(buf))
-			err = wire.DecodeRecordsRank(buf, w, sc.arrIDs, sc.arrMasks)
+		if err := wire.DecodeRecordsRank(buf, w, sc.arrIDs, sc.arrMasks); err != nil {
+			panic(fmt.Errorf("core: corrupt sweep payload: %w", err))
 		}
-		if err != nil {
-			panic(corruptErr("core: corrupt sweep payload", err))
-		}
+		n := countIDs(sc.arrIDs)
+		c.received(mode, len(buf), recBytes*n)
+		applied += n
 		for s := 0; s < pgpu; s++ {
 			gs := myGPUs[s]
-			ids := sc.arrIDs[s]
-			for i, id := range ids {
+			for i, id := range sc.arrIDs[s] {
 				e.discover(gs, sc, id, sc.arrMasks[s][i*w:(i+1)*w], iter+1)
-			}
-			n := int64(len(ids))
-			applied += n
-			if mode != wire.ModeOff {
-				c.codecRaw += recBytes * n
 			}
 		}
 	}

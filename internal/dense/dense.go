@@ -5,11 +5,12 @@
 // as (id, value) pairs over the nn edges.
 //
 // The loop owns everything the programs share: option defaults, the fault
-// injection sites, the all-pairs pair exchange, the timing model and its
-// cross-rank reduction, and the statistics. A program supplies the rest
-// through Rank: its push kernels, its delegate reduction (a min over labels,
-// a rank-ordered sum over scores), how an arriving pair folds in, and its
-// update/convergence step.
+// injection sites, the all-pairs pair exchange (raw wire pair blocks, so a
+// corrupted message is a typed wire.ErrCorrupt, never a wrong score or
+// label), the timing model and its cross-rank reduction, and the statistics.
+// A program supplies the rest through Rank: its push kernels, its delegate
+// reduction (a min over labels, a rank-ordered sum over scores), how an
+// arriving pair folds in, and its update/convergence step.
 //
 // This is deliberately not core's superstep loop: a dense program has no
 // frontier, no OR-able delegate proposal and no exchange policy, and its
@@ -124,6 +125,17 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 	// stats and done are written by rank 0 only and read after the ranks join.
 	err = core.RunRanks(mpi.NewWorld(prank), opts.Inject, iterTag, func(rank int, comm *mpi.Comm) {
 		r := ranks[rank]
+		arrivals := make([][]frontier.Pair, pgpu)
+		// A message is charged as the fixed-width layout the model prices —
+		// 12 bytes per pair plus a 4-byte count per slot — whatever the
+		// blocks' framing weighs on the host.
+		msgBytes := func(slots [][]frontier.Pair) int64 {
+			n := 4 * int64(pgpu)
+			for _, prs := range slots {
+				n += 12 * int64(len(prs))
+			}
+			return n
+		}
 		for iter := 0; iter < opts.MaxIterations; iter++ {
 			// ---- Fault injection (chaos testing): see core's runRank.
 			if in := opts.Inject; in != nil {
@@ -132,7 +144,8 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 			comp := r.Push()
 			r.ReduceDelegates(comm)
 
-			// ---- Normal pair exchange.
+			// ---- Normal pair exchange: one message of raw pair blocks per
+			// destination rank.
 			var sentBytes, recvBytes, intraPairs int64
 			for dst := 0; dst < prank; dst++ {
 				if dst == rank {
@@ -145,8 +158,9 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 					}
 					continue
 				}
-				payload := packForRank(r, dst, pgpu)
-				sentBytes += int64(len(payload))
+				slots := mergeForRank(r, dst, pgpu)
+				sentBytes += msgBytes(slots)
+				payload, _ := wire.AppendPairsRank(nil, slots, wire.ModeOff, false)
 				comm.Isend(dst, iter, payload)
 			}
 			for src := 0; src < prank; src++ {
@@ -154,12 +168,11 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 					continue
 				}
 				buf := comm.Recv(src, iter)
-				recvBytes += int64(len(buf))
-				slots, uerr := frontier.UnpackPairsRank(buf, pgpu)
-				if uerr != nil {
-					panic(fmt.Errorf("%s: corrupt payload: %v: %w", program, uerr, wire.ErrCorrupt))
+				if err := wire.DecodePairsRankInto(buf, arrivals); err != nil {
+					panic(fmt.Errorf("%s: corrupt payload: %w", program, err))
 				}
-				for s, prs := range slots {
+				recvBytes += msgBytes(arrivals)
+				for s, prs := range arrivals {
 					r.Apply(s, prs)
 				}
 			}
@@ -209,16 +222,16 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 	return stats, done, err
 }
 
-// packForRank merges every local GPU's pairs bound for dst's GPUs into one
-// packed message.
-func packForRank(r Rank, dst, pgpu int) []byte {
-	merged := frontier.NewPairBins(pgpu)
-	for s := 0; s < pgpu; s++ {
+// mergeForRank gathers every local GPU's pairs bound for dst's GPUs into one
+// list per destination slot.
+func mergeForRank(r Rank, dst, pgpu int) [][]frontier.Pair {
+	slots := make([][]frontier.Pair, pgpu)
+	for s := range slots {
 		for src := 0; src < pgpu; src++ {
-			merged.PerGPU[s] = append(merged.PerGPU[s], r.Bins(src).PerGPU[dst*pgpu+s]...)
+			slots[s] = append(slots[s], r.Bins(src).PerGPU[dst*pgpu+s]...)
 		}
 	}
-	return merged.PackRank(0, pgpu)
+	return slots
 }
 
 // Gather assembles a global per-vertex array from each GPU's local slots

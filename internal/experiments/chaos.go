@@ -40,7 +40,8 @@ func chaosRetry(pl *core.Plan, src int64, inj *faults.Injector, maxAttempts, deg
 }
 
 // Cmp8Chaos is the chaos ablation: deterministic fault injection
-// (internal/faults) swept over fault kind × rate × exchange strategy, with
+// (internal/faults) swept over fault kind × rate × exchange strategy ×
+// compression (the default fixed-width packing and the adaptive codec), with
 // the containment + retry + degradation stack recovering each cell. Every
 // cell asserts the fault-tolerance contract: an injected fault either
 // surfaces as a typed error (wire.ErrCorrupt / faults.ErrInjected chains —
@@ -56,7 +57,16 @@ func Cmp8Chaos(p Params) (*Table, error) {
 		rates = []float64{0.05, 0.3, 1}
 	}
 	const degradeAfter = 2
-	strategies := []core.Exchange{core.ExchangeAllPairs, core.ExchangeButterfly}
+	// Both strategies, each under the default fixed-width packing and under
+	// the adaptive codec: every message is checksummed either way.
+	type config struct {
+		x    core.Exchange
+		mode wire.Mode
+	}
+	configs := []config{
+		{core.ExchangeAllPairs, wire.ModeOff}, {core.ExchangeAllPairs, wire.ModeAdaptive},
+		{core.ExchangeButterfly, wire.ModeOff}, {core.ExchangeButterfly, wire.ModeAdaptive},
+	}
 	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
 
 	el := rmatGraph(scale)
@@ -67,23 +77,20 @@ func Cmp8Chaos(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseOpts := func(x core.Exchange) core.Options {
+	baseOpts := func(x core.Exchange, mode wire.Mode) core.Options {
 		o := core.DefaultOptions()
 		o.Exchange = x
 		o.CollectLevels = true
 		o.CollectParents = true
-		// The checksummed codec covers every inter-rank payload; the plain
-		// fixed-width packing has no CRC, so an in-range bit flip there would
-		// decode cleanly and the corrupt cells could not assert detection.
-		o.Compression = wire.ModeAdaptive
+		o.Compression = mode
 		return o
 	}
 
 	t := &Table{
 		ID:    "cmp8",
-		Title: "chaos ablation: fault kind × rate × strategy under contain/retry/degrade",
+		Title: "chaos ablation: fault kind × rate × strategy × compression under contain/retry/degrade",
 		Paper: "beyond the paper — fault-tolerant execution of the §V exchange stack",
-		Headers: []string{"kind", "rate", "strategy", "injected", "attempts",
+		Headers: []string{"kind", "rate", "strategy", "compression", "injected", "attempts",
 			"degraded", "outcome", "identical"},
 		Notes: []string{
 			"outcome recovered: the retried query succeeded; typed-error: the attempt budget ran out and the caller saw a wire.ErrCorrupt/faults.ErrInjected chain",
@@ -94,35 +101,35 @@ func Cmp8Chaos(p Params) (*Table, error) {
 		},
 	}
 
-	// Fault-free references, one per strategy.
-	refs := map[core.Exchange]*metrics.RunResult{}
-	for _, x := range strategies {
-		pl, err := core.NewPlan(sub, shape, baseOpts(x))
+	// Fault-free references, one per configuration.
+	refs := map[config]*metrics.RunResult{}
+	for _, cfg := range configs {
+		pl, err := core.NewPlan(sub, shape, baseOpts(cfg.x, cfg.mode))
 		if err != nil {
 			return nil, err
 		}
 		r, err := pl.Run(context.Background(), src, core.Overrides{})
 		if err != nil {
-			return nil, fmt.Errorf("cmp8: fault-free reference (%v): %w", x, err)
+			return nil, fmt.Errorf("cmp8: fault-free reference (%v, %v): %w", cfg.x, cfg.mode, err)
 		}
-		refs[x] = r
+		refs[cfg] = r
 	}
 
 	seed := uint64(p.seed())
 	recoveredAfterRetry := 0
 	for _, kind := range faults.Kinds() {
 		for _, rate := range rates {
-			for _, x := range strategies {
-				ref := refs[x]
+			for _, cfg := range configs {
+				ref := refs[cfg]
 				inj := faults.New(seed, kind, rate)
-				opts := baseOpts(x)
+				opts := baseOpts(cfg.x, cfg.mode)
 				opts.Inject = inj
 				pl, err := core.NewPlan(sub, shape, opts)
 				if err != nil {
 					return nil, err
 				}
 				r, attempts, degraded, err := chaosRetry(pl, src, inj, maxAttempts, degradeAfter)
-				cell := fmt.Sprintf("kind=%s rate=%g strategy=%v", kind, rate, x)
+				cell := fmt.Sprintf("kind=%s rate=%g strategy=%v compression=%v", kind, rate, cfg.x, cfg.mode)
 				outcome, identical := "recovered", "-"
 				switch {
 				case err != nil && (errors.Is(err, wire.ErrCorrupt) || errors.Is(err, faults.ErrInjected)):
@@ -164,7 +171,7 @@ func Cmp8Chaos(p Params) (*Table, error) {
 					return nil, fmt.Errorf("cmp8: %s: fault fired on the only attempt yet the run succeeded undetected", cell)
 				}
 				t.Rows = append(t.Rows, []string{
-					kind.String(), fmt.Sprintf("%g", rate), x.String(),
+					kind.String(), fmt.Sprintf("%g", rate), cfg.x.String(), cfg.mode.String(),
 					i64(inj.Injected()), i64(int64(attempts)),
 					fmt.Sprintf("%v", degraded), outcome, identical,
 				})

@@ -1,8 +1,13 @@
 // Package frontier provides the queue and binning machinery around the BFS
 // visit kernels (§V-B): per-destination-GPU bins for the normal-vertex
-// exchange, the 64→32-bit vertex-number conversion performed before sending,
-// uniquification (duplicate removal within a bin), and the wire packing used
-// by the rank-to-rank exchange.
+// exchange (ids, (id, query-set) records and (id, value) pairs), the
+// 64→32-bit vertex-number conversion performed before sending,
+// uniquification (duplicate removal within a bin), the radix sorts and
+// merges that keep the exchange in canonical order, and the per-iteration
+// arena. How bins become bytes is package wire's business alone; the one
+// fixed-width layout left here (PackRank/UnpackRankInto) is unframed and
+// unchecksummed, and nothing in the library sends it — the host benchmark's
+// pack/unpack probes still time it.
 package frontier
 
 import (
@@ -108,16 +113,16 @@ func (b *Bins) UniquifyAll(scratch *[]uint32) int64 {
 	return removed
 }
 
-// PackRank serializes the bins destined for the GPUs of one rank into a
-// single message: for each slot s in [0, gpusPerRank), a uint32 count
-// followed by count uint32 ids. gpuIndex(rank, slot) maps to the flat GPU
-// index used by the bins.
+// PackRank serializes the bins destined for the GPUs of one rank in the
+// unframed fixed-width layout: for each slot s in [0, gpusPerRank), a uint32
+// count followed by count uint32 ids. The library's messages are wire blocks
+// (wire.EncodeRank); see the package comment.
 func (b *Bins) PackRank(rank, gpusPerRank int) []byte {
 	return AppendRank(nil, b.PerGPU[rank*gpusPerRank:(rank+1)*gpusPerRank])
 }
 
 // AppendRank appends the PackRank layout of one rank's per-slot id lists to
-// dst, so a caller can reuse its message buffer across iterations.
+// dst.
 func AppendRank(dst []byte, slots [][]uint32) []byte {
 	size := 0
 	for _, bin := range slots {
@@ -133,20 +138,9 @@ func AppendRank(dst []byte, slots [][]uint32) []byte {
 	return dst
 }
 
-// UnpackRank parses a PackRank payload back into per-slot id lists.
-func UnpackRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
-	out := make([][]uint32, gpusPerRank)
-	if err := UnpackRankInto(buf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // UnpackRankInto parses a PackRank payload, appending each slot's ids to the
-// corresponding entry of into (len(into) is the slot count). This is the
-// zero-copy arrival path: the receiver hands its reusable per-slot arrival
-// bins and each slot's count header pre-sizes the grow, so a steady-state
-// exchange decodes without allocating.
+// corresponding entry of into (len(into) is the slot count); each slot's
+// count header pre-sizes the grow.
 func UnpackRankInto(buf []byte, into [][]uint32) error {
 	off := 0
 	for s := range into {

@@ -59,6 +59,12 @@ func TestUniquifyAll(t *testing.T) {
 	}
 }
 
+// unpackRank is UnpackRankInto into fresh slots.
+func unpackRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
+	out := make([][]uint32, gpusPerRank)
+	return out, UnpackRankInto(buf, out)
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	const gpusPerRank = 3
 	b := NewBins(2 * gpusPerRank)
@@ -69,7 +75,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	// Rank 0's bins must not leak into rank 1's payload.
 	b.Add(0, 999)
 	buf := b.PackRank(1, gpusPerRank)
-	slots, err := UnpackRank(buf, gpusPerRank)
+	slots, err := unpackRank(buf, gpusPerRank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +91,17 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestUnpackErrors(t *testing.T) {
-	if _, err := UnpackRank([]byte{1, 2}, 1); err == nil {
+	if _, err := unpackRank([]byte{1, 2}, 1); err == nil {
 		t.Fatal("accepted truncated header")
 	}
 	// Header claims 2 ids but payload has none.
-	if _, err := UnpackRank([]byte{2, 0, 0, 0}, 1); err == nil {
+	if _, err := unpackRank([]byte{2, 0, 0, 0}, 1); err == nil {
 		t.Fatal("accepted truncated payload")
 	}
 	// Trailing garbage.
 	buf := NewBins(1).PackRank(0, 1)
 	buf = append(buf, 0xff)
-	if _, err := UnpackRank(buf, 1); err == nil {
+	if _, err := unpackRank(buf, 1); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
 }
@@ -113,7 +119,7 @@ func TestQuickPackUnpack(t *testing.T) {
 				want[g] = append(want[g], v)
 			}
 		}
-		slots, err := UnpackRank(b.PackRank(0, gpus), gpus)
+		slots, err := unpackRank(b.PackRank(0, gpus), gpus)
 		if err != nil {
 			return false
 		}

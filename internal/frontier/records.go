@@ -5,12 +5,6 @@ package frontier
 // queries discovered the vertex. Masks are stored flat (w words per id, in
 // queue order) so binning stays a bump append with no per-record allocation.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"slices"
-)
-
 // RecordBins accumulates outgoing (local id, query mask) records grouped by
 // destination GPU. Ids are destination-local 32-bit ids, converted
 // sender-side exactly as in Bins.
@@ -61,59 +55,3 @@ func (b *RecordBins) Count() int64 {
 // record, excluding per-slot headers — the record extension of the paper's
 // 4·|Enn| convention.
 func (b *RecordBins) Bytes() int64 { return (4 + 8*int64(b.w)) * b.Count() }
-
-// PackRecordsRank serializes per-slot record lists into a single fixed-width
-// message: for each slot, a uint32 count, count uint32 ids, then count·w
-// uint64 mask words in id order. The ModeOff wire format of the sweep
-// exchange.
-func PackRecordsRank(slotIDs [][]uint32, slotMasks [][]uint64, w int) []byte {
-	var size int
-	for s := range slotIDs {
-		size += 4 + (4+8*w)*len(slotIDs[s])
-	}
-	buf := make([]byte, 0, size)
-	for s := range slotIDs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(slotIDs[s])))
-		for _, v := range slotIDs[s] {
-			buf = binary.LittleEndian.AppendUint32(buf, v)
-		}
-		for _, word := range slotMasks[s][:len(slotIDs[s])*w] {
-			buf = binary.LittleEndian.AppendUint64(buf, word)
-		}
-	}
-	return buf
-}
-
-// UnpackRecordsRankInto parses a PackRecordsRank payload, appending each
-// slot's ids and mask words to the corresponding entries of idsInto and
-// masksInto (len(idsInto) is the slot count). The zero-copy arrival path:
-// each slot's count header pre-sizes the grows.
-func UnpackRecordsRankInto(buf []byte, w int, idsInto [][]uint32, masksInto [][]uint64) error {
-	off := 0
-	for s := range idsInto {
-		if off+4 > len(buf) {
-			return fmt.Errorf("frontier: truncated record header for slot %d", s)
-		}
-		count := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if off+(4+8*w)*count > len(buf) {
-			return fmt.Errorf("frontier: truncated record payload for slot %d (%d records)", s, count)
-		}
-		ids := slices.Grow(idsInto[s], count)
-		for i := 0; i < count; i++ {
-			ids = append(ids, binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-		}
-		idsInto[s] = ids
-		masks := slices.Grow(masksInto[s], count*w)
-		for i := 0; i < count*w; i++ {
-			masks = append(masks, binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		masksInto[s] = masks
-	}
-	if off != len(buf) {
-		return fmt.Errorf("frontier: %d trailing record bytes", len(buf)-off)
-	}
-	return nil
-}

@@ -532,43 +532,3 @@ func (c *Comm) AllreduceSumFloat64(vals []float64) {
 		}
 	}
 }
-
-// Request is a handle for a non-blocking allreduce started with
-// IallreduceOr; Wait blocks until completion. Functionally the reduction
-// completes eagerly on a helper goroutine — the blocking/non-blocking
-// distinction matters only to the timing model (§VI-B's BR vs IR options).
-type Request struct {
-	done chan struct{}
-	err  error
-}
-
-// Wait blocks until the operation completes. If the World was aborted while
-// the reduction was in flight, Wait re-throws the typed abort panic on the
-// caller's goroutine — the rank's containment boundary, not the helper
-// goroutine, owns the unwind.
-func (r *Request) Wait() {
-	<-r.done
-	if r.err != nil {
-		panic(abortPanic{r.err})
-	}
-}
-
-// IallreduceOr starts a non-blocking OR-allreduce on words; the slice is
-// updated in place by the time Wait returns.
-func (c *Comm) IallreduceOr(words []uint64) *Request {
-	req := &Request{done: make(chan struct{})}
-	go func() {
-		defer close(req.done)
-		defer func() {
-			if v := recover(); v != nil {
-				if err, ok := AbortError(v); ok {
-					req.err = err
-					return
-				}
-				panic(v)
-			}
-		}()
-		c.AllreduceOr(words)
-	}()
-	return req
-}

@@ -219,17 +219,6 @@ func TestRepeatedCollectives(t *testing.T) {
 	})
 }
 
-func TestIallreduceOr(t *testing.T) {
-	spawn(t, 3, func(c *Comm) {
-		words := []uint64{1 << uint(c.Rank())}
-		req := c.IallreduceOr(words)
-		req.Wait()
-		if words[0] != 0b111 {
-			t.Errorf("rank %d: %b", c.Rank(), words[0])
-		}
-	})
-}
-
 // Property: OR-allreduce equals the serial fold for random contributions.
 func TestQuickAllreduceOrEqualsFold(t *testing.T) {
 	f := func(seed int64, sizeRaw uint8) bool {

@@ -105,7 +105,7 @@ func TestDecodeSectionsRawSortedFlag(t *testing.T) {
 		Sorted: []bool{true, false, true, true},
 	}}
 	msg, _ := (*Selector)(nil).EncodeSections(secs, 4, ModeRaw)
-	got, err := DecodeSections(msg, 4, 2, ModeRaw)
+	got, err := DecodeSections(msg, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -30,6 +31,8 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		}
 	}
 
+	// ModeOff messages come last in every corpus, after the entries that
+	// predate them, so those keep their file names.
 	blockSeeds := func(encode func(ids []uint32, mode Mode) []byte) [][]byte {
 		idSets := [][]uint32{
 			{},
@@ -38,19 +41,25 @@ func TestGenerateSeedCorpus(t *testing.T) {
 			{5, 5, 5, 9},
 		}
 		var out [][]byte
+		add := func(ids []uint32, mode Mode) {
+			b := encode(ids, mode)
+			out = append(out, b)
+			if len(b) > 2 {
+				out = append(out, b[:len(b)/2])
+				flipped := append([]byte(nil), b...)
+				flipped[len(flipped)/2] ^= 0x10
+				out = append(out, flipped)
+			}
+		}
 		for _, ids := range idSets {
 			for _, mode := range []Mode{ModeRaw, ModeDelta, ModeBitmap, ModeAdaptive} {
-				b := encode(ids, mode)
-				out = append(out, b)
-				if len(b) > 2 {
-					out = append(out, b[:len(b)/2])
-					flipped := append([]byte(nil), b...)
-					flipped[len(flipped)/2] ^= 0x10
-					out = append(out, flipped)
-				}
+				add(ids, mode)
 			}
 		}
 		out = append(out, []byte{}, []byte{0xff})
+		for _, ids := range idSets {
+			add(ids, ModeOff)
+		}
 		return out
 	}
 
@@ -63,38 +72,45 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		return b
 	}))
 
-	var pairSeeds [][]byte
-	for _, pairs := range [][]frontier.Pair{
+	pairSets := [][]frontier.Pair{
 		{},
 		{{ID: 1, Val: 10}, {ID: 2, Val: 20}},
 		{{ID: 1 << 30, Val: 1 << 60}, {ID: 1<<32 - 1, Val: 0}},
-	} {
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeAdaptive} {
-			b, _ := AppendPairs(nil, pairs, mode)
-			pairSeeds = append(pairSeeds, b)
-			if len(b) > 2 {
-				pairSeeds = append(pairSeeds, b[:len(b)-2])
+	}
+	pairSeeds := func(modes ...Mode) [][]byte {
+		var out [][]byte
+		for _, pairs := range pairSets {
+			for _, mode := range modes {
+				b, _ := AppendPairs(nil, pairs, mode)
+				out = append(out, b)
+				if len(b) > 2 {
+					out = append(out, b[:len(b)-2])
+				}
 			}
 		}
+		return out
 	}
-	write("FuzzDecodePairs", append(pairSeeds, []byte{}))
+	write("FuzzDecodePairs", slices.Concat(pairSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}}, pairSeeds(ModeOff)))
 
-	var recSeeds [][]byte
-	for _, w := range []int{1, 2} {
-		ids := []uint32{3, 9, 300}
-		masks := make([]uint64, len(ids)*w)
-		for i := range masks {
-			masks[i] = uint64(i + 1)
-		}
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeAdaptive} {
-			b, _, _ := AppendRecords(nil, ids, masks, w, mode)
-			recSeeds = append(recSeeds, b)
-			if len(b) > 2 {
-				recSeeds = append(recSeeds, b[:len(b)-2])
+	recSeeds := func(modes ...Mode) [][]byte {
+		var out [][]byte
+		for _, w := range []int{1, 2} {
+			ids := []uint32{3, 9, 300}
+			masks := make([]uint64, len(ids)*w)
+			for i := range masks {
+				masks[i] = uint64(i + 1)
+			}
+			for _, mode := range modes {
+				b, _, _ := AppendRecords(nil, ids, masks, w, mode)
+				out = append(out, b)
+				if len(b) > 2 {
+					out = append(out, b[:len(b)-2])
+				}
 			}
 		}
+		return out
 	}
-	write("FuzzDecodeRecords", append(recSeeds, []byte{}, []byte{0x01, 0x00}))
+	write("FuzzDecodeRecords", slices.Concat(recSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}, {0x01, 0x00}}, recSeeds(ModeOff)))
 
 	secs := []Section{
 		{Rank: 0, Slots: [][]uint32{{1, 2}, {3}}},

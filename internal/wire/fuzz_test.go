@@ -199,22 +199,20 @@ func FuzzDecodeSections(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, mode := range []Mode{ModeOff, ModeAdaptive} {
-			for _, gpus := range []int{1, 2} {
-				out, err := DecodeSections(data, gpus, 4, mode)
-				checkErr(t, err)
-				if err != nil {
-					continue
+		for _, gpus := range []int{1, 2} {
+			out, err := DecodeSections(data, gpus, 4)
+			checkErr(t, err)
+			if err != nil {
+				continue
+			}
+			total := 0
+			for _, sec := range out {
+				for _, slot := range sec.Slots {
+					total += len(slot)
 				}
-				total := 0
-				for _, sec := range out {
-					for _, slot := range sec.Slots {
-						total += len(slot)
-					}
-				}
-				if total > idBound(len(data)) {
-					t.Fatalf("decoded %d ids from %d bytes — over-allocation", total, len(data))
-				}
+			}
+			if total > idBound(len(data)) {
+				t.Fatalf("decoded %d ids from %d bytes — over-allocation", total, len(data))
 			}
 		}
 	})

@@ -1,0 +1,147 @@
+package wire
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"gcbfs/internal/frontier"
+)
+
+// TestModeOffMessagesAreChecksummed: the default fixed-width packing is raw
+// blocks under a charging rule, not a second format. For one ModeOff message
+// of each kind — rank slots, butterfly sections, records, pairs — the
+// accounting is the paper's (fixed-width payload only, no scheme tallied),
+// the decode returns the input in input order, and every single-bit flip and
+// every truncation is an ErrCorrupt-typed error, never ids.
+func TestModeOffMessagesAreChecksummed(t *testing.T) {
+	// Unsorted, with a duplicate: ModeOff must keep order and multiplicity.
+	slots := [][]uint32{{40, 3, 9, 9, 1 << 31}, nil, {7}}
+	pairs := [][]frontier.Pair{{{ID: 9, Val: 1 << 40}, {ID: 2, Val: 0}, {ID: 9, Val: 5}}, nil}
+	recordIDs := [][]uint32{{3, 9, 300}, {12}}
+	sel := NewSelector()
+
+	type message struct {
+		name   string
+		buf    []byte
+		st     Stats
+		raw    int64                                // the fixed-width payload the paper charges
+		decode func(buf []byte) error               // must fail on anything but buf itself
+		same   func(t *testing.T, buf []byte) error // decodes and compares with the input
+	}
+	var msgs []message
+
+	buf, st := sel.EncodeRank(1, slots, nil, ModeOff)
+	msgs = append(msgs, message{
+		name: "rank", buf: buf, st: st, raw: 4 * 6,
+		decode: func(b []byte) error { return DecodeRankInto(b, make([][]uint32, len(slots))) },
+		same: func(t *testing.T, buf []byte) error {
+			got, err := DecodeRank(buf, len(slots))
+			for s := range slots {
+				if err == nil && !slices.Equal(got[s], slots[s]) {
+					t.Fatalf("rank slot %d: got %v, want %v", s, got[s], slots[s])
+				}
+			}
+			return err
+		},
+	})
+
+	secs := []Section{{Rank: 2, Slots: slots}, {Rank: 5, Slots: [][]uint32{nil, {8, 1}, nil}}}
+	buf, st = sel.EncodeSections(secs, len(slots), ModeOff)
+	msgs = append(msgs, message{
+		name: "sections", buf: buf, st: st, raw: 4 * 8,
+		decode: func(b []byte) error {
+			_, err := DecodeSections(b, len(slots), 8)
+			return err
+		},
+		same: func(t *testing.T, buf []byte) error {
+			got, err := DecodeSections(buf, len(slots), 8)
+			for i := range secs {
+				if err != nil {
+					break
+				}
+				if got[i].Rank != secs[i].Rank {
+					t.Fatalf("section %d rank %d, want %d", i, got[i].Rank, secs[i].Rank)
+				}
+				for s := range secs[i].Slots {
+					if !slices.Equal(got[i].Slots[s], secs[i].Slots[s]) {
+						t.Fatalf("section %d slot %d: got %v, want %v", i, s, got[i].Slots[s], secs[i].Slots[s])
+					}
+				}
+			}
+			return err
+		},
+	})
+
+	for _, w := range []int{1, 3} {
+		masks := make([][]uint64, len(recordIDs))
+		for s, ids := range recordIDs {
+			for i := 0; i < len(ids)*w; i++ {
+				masks[s] = append(masks[s], uint64(s+1)<<(7*i))
+			}
+		}
+		buf, st := NewRecordSelector().EncodeSlots(1, recordIDs, masks, w, ModeOff)
+		decode := func(b []byte) ([][]uint32, [][]uint64, error) {
+			ids, ms := make([][]uint32, len(recordIDs)), make([][]uint64, len(recordIDs))
+			return ids, ms, DecodeRecordsRank(b, w, ids, ms)
+		}
+		msgs = append(msgs, message{
+			name: fmt.Sprintf("records/w=%d", w), buf: buf, st: st, raw: 4 * int64(4+8*w),
+			decode: func(b []byte) error { _, _, err := decode(b); return err },
+			same: func(t *testing.T, buf []byte) error {
+				ids, ms, err := decode(buf)
+				for s := range recordIDs {
+					if err == nil && (!slices.Equal(ids[s], recordIDs[s]) || !slices.Equal(ms[s], masks[s])) {
+						t.Fatalf("records w=%d slot %d: got %v %v, want %v %v", w, s, ids[s], ms[s], recordIDs[s], masks[s])
+					}
+				}
+				return err
+			},
+		})
+	}
+
+	buf, st = AppendPairsRank(nil, pairs, ModeOff, false)
+	msgs = append(msgs, message{
+		name: "pairs", buf: buf, st: st, raw: 12 * 3,
+		decode: func(b []byte) error { return DecodePairsRankInto(b, make([][]frontier.Pair, len(pairs))) },
+		same: func(t *testing.T, buf []byte) error {
+			got := make([][]frontier.Pair, len(pairs))
+			err := DecodePairsRankInto(buf, got)
+			for s := range pairs {
+				if err == nil && !slices.Equal(got[s], pairs[s]) {
+					t.Fatalf("pairs slot %d: got %v, want %v", s, got[s], pairs[s])
+				}
+			}
+			return err
+		},
+	})
+
+	if len(sel.memo) != 0 {
+		t.Fatalf("ModeOff touched the scheme memory: %v", sel.memo)
+	}
+	for _, m := range msgs {
+		t.Run(m.name, func(t *testing.T) {
+			if want := (Stats{RawBytes: m.raw, EncodedBytes: m.raw}); m.st != want {
+				t.Fatalf("stats %+v, want the paper's accounting %+v", m.st, want)
+			}
+			if err := m.same(t, m.buf); err != nil {
+				t.Fatalf("intact message rejected: %v", err)
+			}
+			for i := range m.buf {
+				for bit := 0; bit < 8; bit++ {
+					bad := append([]byte(nil), m.buf...)
+					bad[i] ^= 1 << bit
+					if err := m.decode(bad); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("flipping byte %d bit %d of %d bytes: err = %v, want ErrCorrupt", i, bit, len(m.buf), err)
+					}
+				}
+			}
+			for n := 0; n < len(m.buf); n++ {
+				if err := m.decode(m.buf[:n]); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("truncating to %d of %d bytes: err = %v, want ErrCorrupt", n, len(m.buf), err)
+				}
+			}
+		})
+	}
+}

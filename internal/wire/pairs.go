@@ -11,7 +11,8 @@ package wire
 //
 // Values are uvarint-encoded, so callers that pack their payload into the
 // low bits (parents.go packs parent<<20|level) compress well; bitmap has no
-// pairs analogue. The adaptive mode picks the smaller of the two per block.
+// pairs analogue. The adaptive mode picks the smaller of the two per block;
+// ModeOff writes raw blocks and charges 12 bytes per pair (see wire.go).
 
 import (
 	"encoding/binary"
@@ -25,7 +26,7 @@ import (
 // pairsScheme maps a mode to the scheme a pairs block uses for it.
 func pairsScheme(mode Mode) Scheme {
 	switch mode {
-	case ModeRaw:
+	case ModeOff, ModeRaw:
 		return SchemeRaw
 	case ModeDelta, ModeBitmap:
 		// No pairs bitmap; forced-bitmap ablations degrade to delta, the
@@ -59,8 +60,8 @@ func deltaPairsPayloadLen(sorted []frontier.Pair) int {
 }
 
 // AppendPairs encodes pairs as one block according to mode and appends it to
-// dst, returning the extended buffer and the scheme used. Mode must not be
-// ModeOff. The input is never mutated.
+// dst, returning the extended buffer and the scheme used (raw under ModeOff).
+// The input is never mutated.
 func AppendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
 	return AppendPairsSorted(dst, pairs, mode, false)
 }
@@ -88,6 +89,7 @@ func AppendPairsSorted(dst []byte, pairs []frontier.Pair, mode Mode, presorted b
 	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
 	switch scheme {
 	case SchemeRaw:
+		dst = slices.Grow(dst, 12*len(pairs)+crcLen)
 		for _, pr := range pairs {
 			dst = binary.LittleEndian.AppendUint32(dst, pr.ID)
 			dst = binary.LittleEndian.AppendUint64(dst, pr.Val)
@@ -193,8 +195,9 @@ func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Sch
 // AppendPairsRank encodes one pairs block per destination GPU slot into a
 // single rank-to-rank message appended to buf, so a caller can reuse its
 // message buffer across queries; presorted asserts every slot is in
-// (ID, Val) order (see AppendPairsSorted). Stats cover the appended message;
-// RawBytes counts the fixed-width 12-bytes-per-pair equivalent.
+// (ID, Val) order (see AppendPairsSorted). Stats cover the appended message
+// under mode's charging rule; RawBytes counts the fixed-width
+// 12-bytes-per-pair equivalent.
 func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode, presorted bool) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
@@ -205,7 +208,7 @@ func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode, presorted b
 		st.Selected[scheme]++
 	}
 	st.EncodedBytes = int64(len(buf) - start)
-	return buf, st
+	return buf, st.charged(mode)
 }
 
 // DecodePairsRankInto parses an AppendPairsRank message of len(into) slots,

@@ -31,7 +31,8 @@ import (
 //	            sweeps (large w) whose raw rows are mostly zero words.
 //
 // The fixed-width equivalent charged to Stats.RawBytes is n·(4 + 8w) — the
-// id convention of the single-query codec extended by the raw mask row.
+// id convention of the single-query codec extended by the raw mask row — and
+// what ModeOff's raw id block plus MaskRaw section is charged in all.
 type MaskScheme uint8
 
 const (
@@ -74,10 +75,10 @@ func maskSparsePayloadLen(masks []uint64, n, w int) int {
 	return size
 }
 
-// chooseMaskScheme picks the smaller mask encoding (ModeRaw forces MaskRaw,
-// matching the forced-raw id ablation).
+// chooseMaskScheme picks the smaller mask encoding (ModeRaw and ModeOff force
+// MaskRaw, matching their raw id blocks).
 func chooseMaskScheme(masks []uint64, n, w int, mode Mode) MaskScheme {
-	if mode == ModeRaw {
+	if mode == ModeRaw || mode == ModeOff {
 		return MaskRaw
 	}
 	if maskSparsePayloadLen(masks, n, w) < 8*n*w {
@@ -93,6 +94,7 @@ func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme) []by
 	dst = append(dst, byte(ms))
 	switch ms {
 	case MaskRaw:
+		dst = slices.Grow(dst, 8*n*w+crcLen)
 		for i := 0; i < n*w; i++ {
 			dst = binary.LittleEndian.AppendUint64(dst, masks[i])
 		}
@@ -121,7 +123,7 @@ func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme) []by
 // dst, returning the extended buffer and the schemes used for the id block
 // and the mask section. ids must be sorted ascending and duplicate-free (the
 // sweep's sender-side merge guarantees it); masks holds w words per id, in id
-// order. Mode must not be ModeOff.
+// order.
 func AppendRecords(dst []byte, ids []uint32, masks []uint64, w int, mode Mode) ([]byte, Scheme, MaskScheme) {
 	var idScheme Scheme
 	dst, idScheme = AppendSorted(dst, ids, mode, true)
@@ -270,9 +272,6 @@ func (rs *RecordSelector) Reset() {
 // remembered size the remembered scheme is reused without the sparse-size
 // scan; a ratio change re-probes immediately.
 func (rs *RecordSelector) chooseMask(masks []uint64, n, w int, mode Mode, dst, slot int, raw int64) (MaskScheme, bool) {
-	if mode == ModeRaw {
-		return MaskRaw, false
-	}
 	if rs == nil || rs.memo == nil || mode != ModeAdaptive {
 		return chooseMaskScheme(masks, n, w, mode), false
 	}
@@ -291,11 +290,18 @@ func (rs *RecordSelector) chooseMask(masks []uint64, n, w int, mode Mode, dst, s
 // single message payload: one record block per slot, id schemes and mask
 // schemes both consulting their per-(dst, slot) memories. Stats counts the
 // fixed-width equivalent n·(4+8w) as raw bytes, the id scheme per block, and
-// a memo hit only when both sub-blocks encoded straight from memory. Mode
-// must not be ModeOff (fixed-width packing is frontier.PackRecordsRank).
+// a memo hit only when both sub-blocks encoded straight from memory — under
+// mode's charging rule, so ModeOff is charged the fixed-width equivalent
+// alone.
 func (rs *RecordSelector) EncodeSlots(dst int, slotIDs [][]uint32, slotMasks [][]uint64, w int, mode Mode) ([]byte, Stats) {
 	var st Stats
-	var buf []byte
+	// Sized for raw id blocks and raw mask sections: exact for those, an
+	// upper bound for whatever the adaptive mode picks instead.
+	size := 0
+	for _, ids := range slotIDs {
+		size += blockLen(len(ids), 4*len(ids)) + 1 + 8*w*len(ids) + crcLen
+	}
+	buf := make([]byte, 0, size)
 	for s := range slotIDs {
 		ids := slotIDs[s]
 		n := len(ids)
@@ -312,5 +318,5 @@ func (rs *RecordSelector) EncodeSlots(dst int, slotIDs [][]uint32, slotMasks [][
 		}
 	}
 	st.EncodedBytes = int64(len(buf))
-	return buf, st
+	return buf, st.charged(mode)
 }

@@ -10,8 +10,13 @@ package wire
 //	per section:
 //	  uvarint destination rank
 //	  uvarint payload length
-//	  payload: EncodeRank blocks (codec modes) or the fixed-width
-//	           frontier.PackRank layout (ModeOff)
+//	  payload: EncodeRank blocks, each checksum seeded with the
+//	           destination rank (sectionSeed)
+//
+// The framing varints sit outside the blocks' CRCs. A corrupted count or
+// length misaligns the blocks behind it and fails their checksums; a
+// corrupted destination rank would still parse — and misroute a whole
+// section — which is why the blocks' checksums start from it.
 //
 // Re-encoding happens per hop: a relaying rank decodes, merges with its own
 // pending ids, and encodes afresh, so the adaptive selector always sees the
@@ -25,6 +30,11 @@ import (
 	"gcbfs/internal/frontier"
 )
 
+// sectionSeed is the running CRC every block of a section destined for rank
+// starts its checksum from, binding the section's payload to its header. Rank
+// 0's seed is the plain checksum's.
+func sectionSeed(rank int) uint32 { return uint32(rank) }
+
 // Section is one destination rank's share of a butterfly hop message.
 type Section struct {
 	Rank   int
@@ -33,10 +43,10 @@ type Section struct {
 }
 
 // EncodeSections frames sections into one hop message. The selector may be
-// nil (no scheme memory). Stats follow the engine's accounting conventions:
-// with a codec active, EncodedBytes is the full message (framing included);
-// with ModeOff it is the 4-bytes-per-id equivalent, matching the paper's
-// 4·|Enn| convention for uncompressed traffic.
+// nil (no scheme memory). Stats follow mode's charging rule: with a codec
+// active, EncodedBytes is the full message (framing included); with ModeOff
+// it is the 4-bytes-per-id equivalent, matching the paper's 4·|Enn|
+// convention for uncompressed traffic.
 func (sel *Selector) EncodeSections(secs []Section, gpusPerRank int, mode Mode) ([]byte, Stats) {
 	return sel.AppendSections(nil, secs, gpusPerRank, mode)
 }
@@ -54,39 +64,29 @@ func (sel *Selector) AppendSections(buf []byte, secs []Section, gpusPerRank int,
 	start := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(secs)))
 	for _, sec := range secs {
-		var payload []byte
-		var pst Stats
+		var scratch []byte
 		if sel != nil {
-			payload, pst = sel.AppendSlots(sel.secBuf[:0], sec.Rank, sec.Slots, sec.Sorted, mode)
+			scratch = sel.secBuf[:0]
+		}
+		payload, pst := sel.appendRank(scratch, sec.Rank, sec.Slots, sec.Sorted, mode, sectionSeed(sec.Rank))
+		if sel != nil {
 			sel.secBuf = payload[:0]
-		} else {
-			payload, pst = sel.EncodeSlots(sec.Rank, sec.Slots, sec.Sorted, mode)
 		}
-		st.RawBytes += pst.RawBytes
-		for i, c := range pst.Selected {
-			st.Selected[i] += c
-		}
-		st.MemoHits += pst.MemoHits
+		st.Add(pst)
 		buf = binary.AppendUvarint(buf, uint64(sec.Rank))
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
-	if mode == ModeOff {
-		st.EncodedBytes = st.RawBytes
-	} else {
-		st.EncodedBytes = int64(len(buf) - start)
-	}
-	return buf, st
+	st.EncodedBytes = int64(len(buf) - start)
+	return buf, st.charged(mode)
 }
 
-// DecodeSections parses an EncodeSections message; ranks bounds the valid
-// destination-rank space (the framing varints sit outside the per-block
-// CRCs, so the bound is what turns a corrupted rank into an error instead
-// of an out-of-range index at the caller). Decoded Sorted flags report
+// DecodeSections parses an EncodeSections message, whatever mode encoded it;
+// ranks bounds the valid destination-rank space. Decoded Sorted flags report
 // which slots are ascending (delta/bitmap blocks canonicalize; raw blocks
 // preserve sender order and are checked), so relays can keep merge-sorting.
-func DecodeSections(buf []byte, gpusPerRank, ranks int, mode Mode) ([]Section, error) {
-	return DecodeSectionsArena(buf, gpusPerRank, ranks, mode, nil)
+func DecodeSections(buf []byte, gpusPerRank, ranks int) ([]Section, error) {
+	return DecodeSectionsScratch(buf, gpusPerRank, ranks, nil, nil)
 }
 
 // SectionScratch recycles the per-hop decode headers — Section structs,
@@ -155,19 +155,11 @@ func (h *SectionScratch) schemeRow(n int) []Scheme {
 	return h.schemes[:n]
 }
 
-// DecodeSectionsArena is DecodeSections with every decoded id slice drawn
-// from the arena (per-iteration lifetime); a nil arena falls back to plain
-// allocation. Section headers and Sorted flags still come from the heap —
-// they are small and bounded by the hop fan-in, not the frontier size.
-func DecodeSectionsArena(buf []byte, gpusPerRank, ranks int, mode Mode, arena *frontier.Arena) ([]Section, error) {
-	return DecodeSectionsScratch(buf, gpusPerRank, ranks, mode, arena, nil)
-}
-
-// DecodeSectionsScratch is DecodeSectionsArena with the section headers
-// drawn from the scratch as well (a nil scratch falls back to plain
-// allocation), leaving the steady-state decode of a hop message fully
-// allocation-free.
-func DecodeSectionsScratch(buf []byte, gpusPerRank, ranks int, mode Mode, arena *frontier.Arena, h *SectionScratch) ([]Section, error) {
+// DecodeSectionsScratch is DecodeSections with every decoded id slice drawn
+// from the arena (per-iteration lifetime) and the section headers from the
+// scratch; nil for either falls back to plain allocation. With both, the
+// steady-state decode of a hop message is allocation-free.
+func DecodeSectionsScratch(buf []byte, gpusPerRank, ranks int, arena *frontier.Arena, h *SectionScratch) ([]Section, error) {
 	off := 0
 	count, k := binary.Uvarint(buf)
 	if k <= 0 {
@@ -209,30 +201,17 @@ func DecodeSectionsScratch(buf []byte, gpusPerRank, ranks int, mode Mode, arena 
 		} else {
 			sec.Sorted = make([]bool, gpusPerRank)
 		}
-		if mode == ModeOff {
-			slots, err := frontier.UnpackRank(payload, gpusPerRank)
-			if err != nil {
-				// frontier cannot import wire, so its errors carry no
-				// ErrCorrupt — retype them at the boundary.
-				return nil, corruptf("wire: section %d: %v", i, err)
-			}
-			sec.Slots = slots
-			for s := range sec.Sorted {
-				sec.Sorted[s] = len(slots[s]) < 2
-			}
-		} else {
-			slots, schemes, err := decodeRankSchemes(payload, gpusPerRank, arena, h)
-			if err != nil {
-				return nil, fmt.Errorf("wire: section %d: %w", i, err)
-			}
-			sec.Slots = slots
-			// Delta and bitmap blocks decode ascending by construction. A
-			// raw block is ascending when its sender staged it sorted (the
-			// engine always does); that is checked here, not trusted, so a
-			// relay can keep merging instead of re-sorting.
-			for s, sch := range schemes {
-				sec.Sorted[s] = sch != SchemeRaw || slices.IsSorted(slots[s])
-			}
+		slots, schemes, err := decodeRankSchemes(payload, gpusPerRank, arena, h, sectionSeed(sec.Rank))
+		if err != nil {
+			return nil, fmt.Errorf("wire: section %d: %w", i, err)
+		}
+		sec.Slots = slots
+		// Delta and bitmap blocks decode ascending by construction. A raw
+		// block is ascending when its sender staged it sorted (with a codec
+		// active the engine always does); that is checked here, not trusted,
+		// so a relay can keep merging instead of re-sorting.
+		for s, sch := range schemes {
+			sec.Sorted[s] = sch != SchemeRaw || slices.IsSorted(slots[s])
 		}
 		out = append(out, sec)
 	}

@@ -40,7 +40,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 			pgpu := 1 + rng.Intn(3)
 			secs := randSections(rng, pgpu)
 			buf, st := (*Selector)(nil).EncodeSections(secs, pgpu, mode)
-			got, err := DecodeSections(buf, pgpu, 64, mode)
+			got, err := DecodeSections(buf, pgpu, 64)
 			if err != nil {
 				t.Fatalf("mode %v trial %d: %v", mode, trial, err)
 			}
@@ -84,7 +84,7 @@ func TestSectionsEmptyMessage(t *testing.T) {
 	if st.RawBytes != 0 {
 		t.Fatalf("empty message RawBytes = %d", st.RawBytes)
 	}
-	got, err := DecodeSections(buf, 2, 8, ModeAdaptive)
+	got, err := DecodeSections(buf, 2, 8)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v, %d sections", err, len(got))
 	}
@@ -96,23 +96,23 @@ func TestSectionsRejectCorruption(t *testing.T) {
 	secs := []Section{{Rank: 3, Slots: [][]uint32{{1, 2, 3}, {9}}}}
 	for _, mode := range []Mode{ModeOff, ModeAdaptive} {
 		buf, _ := (*Selector)(nil).EncodeSections(secs, 2, mode)
-		if _, err := DecodeSections(append(append([]byte(nil), buf...), 0xff), 2, 8, mode); err == nil {
+		if _, err := DecodeSections(append(append([]byte(nil), buf...), 0xff), 2, 8); err == nil {
 			t.Fatalf("mode %v: trailing byte accepted", mode)
 		}
-		if _, err := DecodeSections(buf[:len(buf)-2], 2, 8, mode); err == nil {
+		if _, err := DecodeSections(buf[:len(buf)-2], 2, 8); err == nil {
 			t.Fatalf("mode %v: truncation accepted", mode)
 		}
 		if len(buf) > 1 {
 			// Corrupt the section count.
 			bad := append([]byte(nil), buf...)
 			bad[0] = 0xde
-			if _, err := DecodeSections(bad, 2, 8, mode); err == nil {
+			if _, err := DecodeSections(bad, 2, 8); err == nil {
 				t.Fatalf("mode %v: corrupt section count accepted", mode)
 			}
 		}
 		// A destination rank outside the world (the framing varints sit
 		// outside any CRC) must be an error, not a caller panic.
-		if _, err := DecodeSections(buf, 2, 3, mode); err == nil {
+		if _, err := DecodeSections(buf, 2, 3); err == nil {
 			t.Fatalf("mode %v: out-of-range section rank accepted", mode)
 		}
 	}

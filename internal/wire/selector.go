@@ -1,7 +1,5 @@
 package wire
 
-import "gcbfs/internal/frontier"
-
 // This file implements per-destination scheme memory for the adaptive codec.
 // Frontier shape is stable across consecutive BFS iterations: the block that
 // delta-encoded best for (dst, slot) last iteration almost always does again.
@@ -75,29 +73,37 @@ func forcedMode(s Scheme) Mode {
 // stays stable — and bitmap sizing needs the sorted view anyway, so the
 // full probe costs nothing extra for those blocks.
 func (sel *Selector) Append(buf []byte, ids []uint32, mode Mode, dst, slot int, presorted bool) ([]byte, Scheme, bool) {
+	return sel.append(buf, ids, mode, dst, slot, presorted, 0)
+}
+
+// append is Append with the block's checksum seed (see appendSorted).
+func (sel *Selector) append(buf []byte, ids []uint32, mode Mode, dst, slot int, presorted bool, seed uint32) ([]byte, Scheme, bool) {
 	if sel == nil || sel.memo == nil || mode != ModeAdaptive {
 		var sortBuf *[]uint32
 		if sel != nil {
 			sortBuf = &sel.sortBuf
 		}
-		out, scheme := appendSorted(buf, ids, mode, presorted, sortBuf)
+		out, scheme := appendSorted(buf, ids, mode, presorted, sortBuf, seed)
 		return out, scheme, false
 	}
 	key := blockKey{dst: dst, slot: slot}
 	raw := 4 * int64(len(ids))
 	if m, ok := sel.memo[key]; ok && m.scheme != SchemeBitmap && m.rawBytes > 0 && raw > 0 &&
 		raw >= m.rawBytes/2 && raw <= 2*m.rawBytes {
-		out, scheme := appendSorted(buf, ids, forcedMode(m.scheme), presorted, &sel.sortBuf)
+		out, scheme := appendSorted(buf, ids, forcedMode(m.scheme), presorted, &sel.sortBuf, seed)
 		sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
 		return out, scheme, true
 	}
-	out, scheme := appendSorted(buf, ids, ModeAdaptive, presorted, &sel.sortBuf)
+	out, scheme := appendSorted(buf, ids, ModeAdaptive, presorted, &sel.sortBuf, seed)
 	sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
 	return out, scheme, false
 }
 
-// EncodeRank encodes one block per destination GPU slot through the scheme
-// memory, keyed by the destination rank.
+// EncodeRank encodes one destination rank's per-slot id lists as a single
+// message — one block per destination GPU slot, through the scheme memory
+// keyed by the destination rank — under mode's charging rule: with a codec
+// active Stats count the encoded message, framing, checksums and all; with
+// ModeOff the id bytes only (the paper's 4·|Enn| convention).
 func (sel *Selector) EncodeRank(dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
 	return sel.AppendRank(nil, dst, slots, sorted, mode)
 }
@@ -110,12 +116,18 @@ func (sel *Selector) EncodeRank(dst int, slots [][]uint32, sorted []bool, mode M
 // buffer is never rewritten before the simulated barrier that guarantees
 // its receipt.
 func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
+	return sel.appendRank(buf, dst, slots, sorted, mode, 0)
+}
+
+// appendRank is AppendRank with every block's checksum seed (see
+// appendSorted).
+func (sel *Selector) appendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode, seed uint32) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
 	for s, ids := range slots {
 		var scheme Scheme
 		var hit bool
-		buf, scheme, hit = sel.Append(buf, ids, mode, dst, s, sorted != nil && sorted[s])
+		buf, scheme, hit = sel.append(buf, ids, mode, dst, s, sorted != nil && sorted[s], seed)
 		st.RawBytes += 4 * int64(len(ids))
 		st.Selected[scheme]++
 		if hit {
@@ -123,30 +135,5 @@ func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []
 		}
 	}
 	st.EncodedBytes = int64(len(buf) - start)
-	return buf, st
-}
-
-// EncodeSlots encodes one destination rank's per-slot id lists as a single
-// message payload under the engine's accounting conventions, shared by the
-// all-pairs sender and the butterfly's per-section encoder: with ModeOff the
-// fixed-width PackRank layout whose Stats count id bytes only (the paper's
-// 4·|Enn| convention — the per-slot headers are wire framing); otherwise
-// EncodeRank blocks through the scheme memory, with Stats counting the full
-// encoded payload.
-func (sel *Selector) EncodeSlots(dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
-	return sel.AppendSlots(nil, dst, slots, sorted, mode)
-}
-
-// AppendSlots is EncodeSlots into a caller-owned buffer (see AppendRank for
-// the reuse contract).
-func (sel *Selector) AppendSlots(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
-	if mode == ModeOff {
-		var st Stats
-		for _, ids := range slots {
-			st.RawBytes += 4 * int64(len(ids))
-		}
-		st.EncodedBytes = st.RawBytes
-		return frontier.AppendRank(buf, slots), st
-	}
-	return sel.AppendRank(buf, dst, slots, sorted, mode)
+	return buf, st.charged(mode)
 }

@@ -9,7 +9,10 @@
 //
 // # Wire format
 //
-// One encoded block carries the ids destined for one GPU slot:
+// Every rank message — ids, (id, query-set) records, (id, value) pairs, in
+// every Mode — is made of these blocks and nothing else, so every byte a rank
+// receives sits under a checksum and every decode error is born wrapping
+// ErrCorrupt. One encoded block carries the ids destined for one GPU slot:
 //
 //	offset  size      field
 //	0       1         scheme byte: 0 = raw, 1 = delta, 2 = bitmap
@@ -34,6 +37,15 @@
 // A rank-to-rank message (EncodeRank/DecodeRank) is gpusPerRank blocks
 // back to back, one per destination GPU slot.
 //
+// ModeOff — the paper's §V-B fixed-width packing, the default — is not a
+// second format: it writes raw blocks (input order kept, nothing sorted, no
+// scheme memory touched) and differs from ModeRaw only in what Stats charge
+// for them. The paper counts 4·|Enn| bytes and no codec kernel, so under
+// ModeOff RawBytes == EncodedBytes == the fixed-width payload (4 B per id,
+// 4+8w B per record, 12 B per pair), the block framing uncharged, and
+// Selected and MemoHits stay zero. Receivers call the one decoder whatever
+// the mode and account a ModeOff arrival as the ids it decoded to.
+//
 // # Sort contract
 //
 // Ascending order is the codec's canonical form: delta and bitmap bytes are
@@ -42,7 +54,9 @@
 // frontier.SortIDs / SortPairs and its own scatter scratch — the engine does
 // so in place in its send bins when it stages them — and passes the presorted
 // hint (AppendSorted, the sorted row of AppendRank and Section,
-// AppendPairsSorted); the encoders then only read. Decoders hand the order
+// AppendPairsSorted); the encoders then only read. With the codec off
+// (ModeOff) nothing needs the order: senders skip the sort and raw blocks
+// carry the ids as the kernels left them. Decoders hand the order
 // back: delta and bitmap blocks decode ascending by construction, and
 // DecodeSections checks raw blocks rather than trusting the sender, so a
 // relay merges what it forwards and never sorts it again. Without the hint
@@ -104,8 +118,8 @@ func (s Scheme) String() string {
 type Mode int
 
 const (
-	// ModeOff disables the codec entirely; callers keep their legacy
-	// fixed-width packing.
+	// ModeOff is the paper's fixed-width packing: raw blocks, charged as the
+	// fixed-width payload alone with no codec kernel (see "Wire format").
 	ModeOff Mode = iota
 	// ModeAdaptive picks the smallest of the three schemes per block. A
 	// Selector adds per-destination scheme memory on top: on memo hits the
@@ -161,7 +175,8 @@ func ParseMode(s string) (Mode, error) {
 // (4 bytes per id, the paper's 4·|Enn| convention; 12 bytes per pair for the
 // pairs codec), the bytes actually produced (headers and checksums included),
 // per-scheme block counts, and how many blocks a Selector encoded straight
-// from its per-destination scheme memory.
+// from its per-destination scheme memory. Under ModeOff the fixed-width
+// equivalent is all that is charged (see charged).
 type Stats struct {
 	RawBytes     int64
 	EncodedBytes int64
@@ -177,6 +192,17 @@ func (s *Stats) Add(other Stats) {
 		s.Selected[i] += other.Selected[i]
 	}
 	s.MemoHits += other.MemoHits
+}
+
+// charged applies mode's charging rule to the accounting of a message just
+// encoded: a codec mode is charged what it produced, ModeOff the fixed-width
+// payload alone — the paper's convention, under which the block framing is
+// not traffic and no scheme was chosen because no codec kernel ran.
+func (s Stats) charged(mode Mode) Stats {
+	if mode == ModeOff {
+		return Stats{RawBytes: s.RawBytes, EncodedBytes: s.RawBytes}
+	}
+	return s
 }
 
 const crcLen = 4
@@ -262,8 +288,8 @@ func blockLen(n int, payload int) int {
 }
 
 // Append encodes ids as one block according to mode and appends it to dst,
-// returning the extended buffer and the scheme actually used. Mode must not
-// be ModeOff. See the package comment for per-scheme round-trip semantics.
+// returning the extended buffer and the scheme actually used (raw under
+// ModeOff). See the package comment for per-scheme round-trip semantics.
 func Append(dst []byte, ids []uint32, mode Mode) ([]byte, Scheme) {
 	return AppendSorted(dst, ids, mode, false)
 }
@@ -275,18 +301,21 @@ func Append(dst []byte, ids []uint32, mode Mode) ([]byte, Scheme) {
 // plumb the hint from frontier.Bins, which tracks it per bin, or from a
 // decode that verified it (Section.Sorted).
 func AppendSorted(dst []byte, ids []uint32, mode Mode, presorted bool) ([]byte, Scheme) {
-	return appendSorted(dst, ids, mode, presorted, nil)
+	return appendSorted(dst, ids, mode, presorted, nil, 0)
 }
 
 // appendSorted is AppendSorted with an optional sort scratch (see
-// sortedCopy); the Selector threads its per-rank buffer through here so
-// unsorted blocks stop allocating their canonical view.
-func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *[]uint32) ([]byte, Scheme) {
+// sortedCopy) — the Selector threads its per-rank buffer through here so
+// unsorted blocks stop allocating their canonical view — and the running CRC
+// the block's checksum starts from: zero for a block that stands alone, the
+// destination rank for a block inside a butterfly section (sectionSeed).
+func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *[]uint32, seed uint32) ([]byte, Scheme) {
 	scheme := SchemeRaw
 	var sorted []uint32
 	switch mode {
-	case ModeRaw:
-		// No canonicalization needed.
+	case ModeOff, ModeRaw:
+		// No canonicalization needed; the size is known up front.
+		dst = slices.Grow(dst, blockLen(len(ids), 4*len(ids)))
 	case ModeDelta:
 		scheme = SchemeDelta
 		sorted, _ = sortedView(ids, presorted, sortBuf)
@@ -345,7 +374,7 @@ func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *
 			binary.LittleEndian.PutUint64(dst[off:], w|1<<(v%64))
 		}
 	}
-	sum := crc32.Checksum(dst[start:], crcTable)
+	sum := crc32.Update(seed, crcTable, dst[start:])
 	dst = binary.LittleEndian.AppendUint32(dst, sum)
 	return dst, scheme
 }
@@ -365,7 +394,7 @@ func Decode(buf []byte) ([]uint32, int, Scheme, error) {
 // steady-state exchange decodes without allocating. On error the contents of
 // dst are unspecified and the returned slice must be discarded.
 func DecodeAppend(buf []byte, dst []uint32) ([]uint32, int, Scheme, error) {
-	return decodeBlock(buf, func(n int) []uint32 { return slices.Grow(dst, n) })
+	return decodeBlock(buf, func(n int) []uint32 { return slices.Grow(dst, n) }, 0)
 }
 
 // decodeBlock parses one block, drawing the id buffer from grow(n) — a
@@ -373,8 +402,9 @@ func DecodeAppend(buf []byte, dst []uint32) ([]uint32, int, Scheme, error) {
 // n more ids. Per-scheme count bounds run BEFORE grow is called, so a
 // corrupt count field can never trigger a huge allocation: raw ids take 4
 // bytes each, delta ids at least 1 byte each, bitmap ids at most 64 per
-// 8-byte word.
-func decodeBlock(buf []byte, grow func(n int) []uint32) ([]uint32, int, Scheme, error) {
+// 8-byte word. seed is the running CRC the sender's checksum started from
+// (see appendSorted).
+func decodeBlock(buf []byte, grow func(n int) []uint32, seed uint32) ([]uint32, int, Scheme, error) {
 	if len(buf) < 1+1+crcLen {
 		return nil, 0, 0, corruptf("wire: block truncated (%d bytes)", len(buf))
 	}
@@ -464,7 +494,7 @@ func decodeBlock(buf []byte, grow func(n int) []uint32) ([]uint32, int, Scheme, 
 		return nil, 0, 0, corruptf("wire: block truncated before checksum")
 	}
 	want := binary.LittleEndian.Uint32(buf[off:])
-	if got := crc32.Checksum(buf[:off], crcTable); got != want {
+	if got := crc32.Update(seed, crcTable, buf[:off]); got != want {
 		return nil, 0, 0, corruptf("wire: checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	return ids, off + crcLen, scheme, nil
@@ -482,7 +512,7 @@ func EncodeRank(slots [][]uint32, mode Mode) ([]byte, Stats) {
 // Trailing bytes after the last block are rejected, as are all per-block
 // corruption forms Decode detects.
 func DecodeRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
-	out, _, err := decodeRankSchemes(buf, gpusPerRank, nil, nil)
+	out, _, err := decodeRankSchemes(buf, gpusPerRank, nil, nil, 0)
 	return out, err
 }
 
@@ -513,8 +543,9 @@ func DecodeRankInto(buf []byte, into [][]uint32) error {
 // bitmap canonicalize to ascending order; raw preserves sender order). A
 // non-nil arena supplies the id buffers (per-iteration lifetime); a non-nil
 // scratch supplies the slot row (bump, per-iteration) and the scheme row
-// (reused per call — the caller consumes it before the next decode).
-func decodeRankSchemes(buf []byte, gpusPerRank int, arena *frontier.Arena, h *SectionScratch) ([][]uint32, []Scheme, error) {
+// (reused per call — the caller consumes it before the next decode). seed is
+// every block's checksum seed (see appendSorted).
+func decodeRankSchemes(buf []byte, gpusPerRank int, arena *frontier.Arena, h *SectionScratch, seed uint32) ([][]uint32, []Scheme, error) {
 	var out [][]uint32
 	var schemes []Scheme
 	if h != nil {
@@ -525,17 +556,13 @@ func decodeRankSchemes(buf []byte, gpusPerRank int, arena *frontier.Arena, h *Se
 		out = make([][]uint32, gpusPerRank)
 		schemes = make([]Scheme, gpusPerRank)
 	}
+	grow := func(n int) []uint32 { return make([]uint32, 0, n) }
+	if arena != nil {
+		grow = arena.Alloc
+	}
 	off := 0
 	for s := 0; s < gpusPerRank; s++ {
-		var ids []uint32
-		var n int
-		var scheme Scheme
-		var err error
-		if arena != nil {
-			ids, n, scheme, err = decodeBlock(buf[off:], arena.Alloc)
-		} else {
-			ids, n, scheme, err = Decode(buf[off:])
-		}
+		ids, n, scheme, err := decodeBlock(buf[off:], grow, seed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wire: slot %d: %w", s, err)
 		}

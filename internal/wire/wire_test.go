@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -211,17 +212,20 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // TestDecodeRejectsCorruption flips every bit of valid blocks; decode must
 // either error or (never) silently return the original ids from a mutated
 // buffer whose checksum still matched.
+// Every decode error on a block is born wrapping ErrCorrupt — no boundary
+// re-types it — whatever mode encoded the block, ModeOff's raw blocks
+// included.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	inputs := [][]uint32{{3}, seq(50, 100), {1, 1000, 1 << 25}}
 	for _, ids := range inputs {
-		for _, mode := range encodeModes {
+		for _, mode := range append([]Mode{ModeOff}, encodeModes...) {
 			buf, scheme := Append(nil, ids, mode)
 			for i := 0; i < len(buf); i++ {
 				for bit := 0; bit < 8; bit++ {
 					corrupt := append([]byte(nil), buf...)
 					corrupt[i] ^= 1 << bit
-					if _, _, _, err := Decode(corrupt); err == nil {
-						t.Fatalf("scheme %v: flipping byte %d bit %d went undetected", scheme, i, bit)
+					if _, _, _, err := Decode(corrupt); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("mode %v scheme %v: flipping byte %d bit %d: err = %v, want ErrCorrupt", mode, scheme, i, bit, err)
 					}
 				}
 			}

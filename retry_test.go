@@ -7,16 +7,15 @@ import (
 	"time"
 
 	"gcbfs/internal/faults"
+	"gcbfs/internal/metrics"
 	"gcbfs/internal/wire"
 )
 
 // chaosConfig is the standard fault-tolerance test configuration: the
-// checksummed adaptive codec (corrupt bit flips in the fixed-width packing
-// have no CRC to catch them), parents collected so recovery can assert full
-// bit-identity.
+// default config (compression off — every message is checksummed whatever the
+// mode) with parents collected so recovery can assert full bit-identity.
 func chaosConfig(c Cluster) Config {
 	cfg := DefaultConfig(c)
-	cfg.Compression = CompressionAdaptive
 	cfg.CollectParents = true
 	return cfg
 }
@@ -115,47 +114,53 @@ func TestRetryExhaustionSurfacesTypedError(t *testing.T) {
 func TestRetryDegradation(t *testing.T) {
 	g := RMAT(10)
 	cluster := Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
-	clean, err := NewService(g, chaosConfig(cluster))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := clean.Run(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degradedRecoveries := 0
-	for seed := uint64(1); seed <= 24; seed++ {
-		cfg := chaosConfig(cluster)
-		cfg.Exchange = ExchangeButterfly
-		cfg.Inject = faults.New(seed, faults.KindCorrupt, 0.3)
-		cfg.Retry = RetryPolicy{MaxAttempts: 8, DegradeAfter: 1}
-		svc, err := NewService(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := svc.Run(context.Background(), 0)
-		if err != nil || r.Attempts == 1 {
-			continue
-		}
-		if !r.Degraded {
-			t.Fatalf("seed %d: recovery on attempt %d with DegradeAfter 1 did not degrade", seed, r.Attempts)
-		}
-		if st := svc.FaultStats(); st.Degraded == 0 {
-			t.Fatalf("seed %d: degraded recovery but stats %+v", seed, st)
-		}
-		if r.ButterflyIterations != 0 || r.AllPairsIterations != int64(r.Iterations) {
-			t.Fatalf("seed %d: degraded recovery ran %d butterfly / %d all-pairs of %d iterations — the profile is all-pairs",
-				seed, r.ButterflyIterations, r.AllPairsIterations, r.Iterations)
-		}
-		degradedRecoveries++
-		for v := range ref.Levels {
-			if r.Levels[v] != ref.Levels[v] || r.Parents[v] != ref.Parents[v] {
-				t.Fatalf("seed %d: degraded recovery diverged at vertex %d", seed, v)
+	for _, compression := range []Compression{CompressionOff, CompressionAdaptive} {
+		t.Run(compression.mode().String(), func(t *testing.T) {
+			base := chaosConfig(cluster)
+			base.Compression = compression
+			clean, err := NewService(g, base)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if degradedRecoveries == 0 {
-		t.Fatal("no seed recovered on the degraded profile")
+			ref, err := clean.Run(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			degradedRecoveries := 0
+			for seed := uint64(1); seed <= 24; seed++ {
+				cfg := base
+				cfg.Exchange = ExchangeButterfly
+				cfg.Inject = faults.New(seed, faults.KindCorrupt, 0.3)
+				cfg.Retry = RetryPolicy{MaxAttempts: 8, DegradeAfter: 1}
+				svc, err := NewService(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := svc.Run(context.Background(), 0)
+				if err != nil || r.Attempts == 1 {
+					continue
+				}
+				if !r.Degraded {
+					t.Fatalf("seed %d: recovery on attempt %d with DegradeAfter 1 did not degrade", seed, r.Attempts)
+				}
+				if st := svc.FaultStats(); st.Degraded == 0 {
+					t.Fatalf("seed %d: degraded recovery but stats %+v", seed, st)
+				}
+				if r.ButterflyIterations != 0 || r.AllPairsIterations != int64(r.Iterations) {
+					t.Fatalf("seed %d: degraded recovery ran %d butterfly / %d all-pairs of %d iterations — the profile is all-pairs",
+						seed, r.ButterflyIterations, r.AllPairsIterations, r.Iterations)
+				}
+				degradedRecoveries++
+				for v := range ref.Levels {
+					if r.Levels[v] != ref.Levels[v] || r.Parents[v] != ref.Parents[v] {
+						t.Fatalf("seed %d: degraded recovery diverged at vertex %d", seed, v)
+					}
+				}
+			}
+			if degradedRecoveries == 0 {
+				t.Fatal("no seed recovered on the degraded profile")
+			}
+		})
 	}
 }
 
@@ -202,6 +207,41 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	if st.Retries != 0 {
 		t.Fatalf("query-level deadline was retried: %+v", st)
+	}
+}
+
+// TestAttemptTimeout: RetryPolicy.AttemptTimeout bounds one attempt, not the
+// query — an expired attempt is retried like a contained fault until the
+// budget runs out — while the query-level deadline stays final and is the
+// only thing FaultStats.Timeouts counts, even when it lands in a backoff.
+func TestAttemptTimeout(t *testing.T) {
+	g := RMAT(10)
+	for _, tc := range []struct {
+		name         string
+		retry        RetryPolicy
+		queryTimeout time.Duration
+		want         metrics.FaultStats
+	}{
+		{"expired attempts are retried", RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Nanosecond}, 0,
+			metrics.FaultStats{Retries: 2, Exhausted: 1}},
+		{"query deadline is final", RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Nanosecond, Backoff: time.Hour}, 50 * time.Millisecond,
+			metrics.FaultStats{Retries: 1, Timeouts: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2})
+			cfg.Retry = tc.retry
+			cfg.QueryTimeout = tc.queryTimeout
+			svc, err := NewService(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Run(context.Background(), 0); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			if st := svc.FaultStats(); st != tc.want {
+				t.Fatalf("stats %+v, want %+v", st, tc.want)
+			}
+		})
 	}
 }
 
