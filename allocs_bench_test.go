@@ -42,6 +42,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"gcbfs/internal/delta"
+	"gcbfs/internal/partition"
 )
 
 // allocCell is one guarded configuration: a cluster, the per-query options
@@ -141,3 +144,70 @@ func BenchmarkQueryAllocsDefaultTree(b *testing.B) { benchQueryAllocs(b, allocsD
 // BenchmarkQueryAllocsButterflyTree guards the codec sort path: butterfly,
 // adaptive codec and the parent replay on 8 ranks.
 func BenchmarkQueryAllocsButterflyTree(b *testing.B) { benchQueryAllocs(b, allocsButterflyTree, 1) }
+
+// BenchmarkEpochBuild is what a MutableService pays to publish an epoch, on
+// the shape of the rmat16-mutable host workload (RMAT scale 16, 4×2×2, a
+// 0.1 % mixed delta): "service" is one ApplyDelta per iteration, each on the
+// graph the previous one left (synthesizing the delta is off the clock);
+// "apply" and "distribute" time its two expensive layers alone —
+// delta.Apply and partition.DistributeIncremental against the previous
+// epoch's subgraphs. Run with -benchmem: the build's transient buckets show
+// up as B/op, not in any live-heap figure.
+func BenchmarkEpochBuild(b *testing.B) {
+	g := RMAT(16)
+	cfg := DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2})
+	pcfg := cfg.Cluster.shape().PartitionConfig()
+	d, err := SynthesizeDelta(g, 0.001, "mixed", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	th := cfg.threshold(g)
+	prev, err := partition.Distribute(g.el, partition.Separate(g.el, th), pcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next, err := delta.Apply(g.el, d.batch())
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("service", func(b *testing.B) {
+		m, err := NewMutableService(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d, err := SynthesizeDelta(m.Graph(), 0.001, "mixed", uint64(i)+1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := m.ApplyDelta(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		batch := d.batch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := delta.Apply(g.el, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("distribute", func(b *testing.B) {
+		sep := partition.Separate(next, th)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := partition.DistributeIncremental(next, sep, pcfg, prev); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -669,9 +669,13 @@ func (cfg Config) threshold(g *Graph) int64 {
 }
 
 // NewService partitions the graph (degree separation + Algorithm 1) for the
-// configured cluster and prepares the query plan.
+// configured cluster and prepares the query plan. An edge with an endpoint
+// outside [0, n) is an error.
 func NewService(g *Graph, cfg Config) (*Service, error) {
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := g.el.Validate(); err != nil {
 		return nil, err
 	}
 	svc, _, err := newEpochService(g, cfg, cfg.threshold(g), 0, nil)

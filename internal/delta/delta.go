@@ -83,39 +83,80 @@ func (b *Batch) Validate(n int64) error {
 // deleted undirected pair is removed (parallel copies included), then both
 // orientations of each insert are appended. The compaction is stable —
 // surviving directed edges keep their relative order — which is what lets
-// the incremental distributor rebuild only the GPUs whose routed edge
-// sequence actually changed. The input edge list is never modified. Deleting
-// a pair the graph does not contain is an error.
+// the incremental distributor share the GPUs whose routed edge sequence did
+// not change. The input edge list is never modified. Deleting a pair the
+// graph does not contain is an error.
+//
+// A surviving edge costs two byte loads, not a map probe: the delete map is
+// consulted only for an edge whose endpoints are both endpoints of some
+// delete. The scan and the copy each run on graph.BuildWorkers() chunks of
+// the list; the output does not depend on how it is cut.
 func Apply(el *graph.EdgeList, b *Batch) (*graph.EdgeList, error) {
+	return apply(el, b, graph.BuildWorkers())
+}
+
+func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
 	if err := b.Validate(el.N); err != nil {
 		return nil, err
 	}
 	if b.Empty() {
 		return &graph.EdgeList{N: el.N, Edges: append([]graph.Edge(nil), el.Edges...)}, nil
 	}
-	del := make(map[graph.Edge]bool, 2*len(b.Deletes))
-	for _, e := range b.Deletes {
-		del[graph.Edge{U: e.U, V: e.V}] = false
-		del[graph.Edge{U: e.V, V: e.U}] = false
+	// del maps both directed copies of a deleted pair to its index in
+	// b.Deletes; marked holds the endpoints.
+	del := make(map[graph.Edge]int, 2*len(b.Deletes))
+	marked := make([]bool, el.N)
+	for i, e := range b.Deletes {
+		del[e] = i
+		del[graph.Edge{U: e.V, V: e.U}] = i
+		marked[e.U], marked[e.V] = true, true
 	}
-	out := &graph.EdgeList{
-		N:     el.N,
-		Edges: make([]graph.Edge, 0, len(el.Edges)+2*len(b.Inserts)),
-	}
-	for _, e := range el.Edges {
-		if _, drop := del[e]; drop {
-			del[e] = true
-			continue
+
+	// Scan: each worker lists the edges of its chunk that go.
+	drops := make([][]int, workers)
+	n := uint64(el.N)
+	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := el.Edges[i]
+			if uint64(e.U) < n && uint64(e.V) < n && marked[e.U] && marked[e.V] {
+				if _, drop := del[e]; drop {
+					drops[w] = append(drops[w], i)
+				}
+			}
 		}
-		out.Edges = append(out.Edges, e)
-	}
-	for _, e := range b.Deletes {
-		if !del[graph.Edge{U: e.U, V: e.V}] && !del[graph.Edge{U: e.V, V: e.U}] {
-			return nil, fmt.Errorf("delta: delete {%d,%d} not present in graph", e.U, e.V)
+	})
+	dropped := 0
+	found := make([]bool, len(b.Deletes))
+	for _, ds := range drops {
+		dropped += len(ds)
+		for _, i := range ds {
+			found[del[el.Edges[i]]] = true
 		}
 	}
-	for _, e := range b.Inserts {
-		out.Edges = append(out.Edges, graph.Edge{U: e.U, V: e.V}, graph.Edge{U: e.V, V: e.U})
+	for i, ok := range found {
+		if !ok {
+			return nil, fmt.Errorf("delta: delete {%d,%d} not present in graph", b.Deletes[i].U, b.Deletes[i].V)
+		}
+	}
+
+	// Copy: the runs between dropped edges, each chunk to where the drops
+	// of the chunks before it put it.
+	kept := len(el.Edges) - dropped
+	out := &graph.EdgeList{N: el.N, Edges: make([]graph.Edge, kept+2*len(b.Inserts))}
+	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
+		dst := lo
+		for _, ds := range drops[:w] {
+			dst -= len(ds)
+		}
+		for _, i := range drops[w] {
+			dst += copy(out.Edges[dst:], el.Edges[lo:i])
+			lo = i + 1
+		}
+		copy(out.Edges[dst:], el.Edges[lo:hi])
+	})
+	for i, e := range b.Inserts {
+		out.Edges[kept+2*i] = e
+		out.Edges[kept+2*i+1] = graph.Edge{U: e.V, V: e.U}
 	}
 	return out, nil
 }

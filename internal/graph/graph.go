@@ -11,7 +11,9 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Edge is one directed edge u → v in global vertex numbering.
@@ -39,6 +41,27 @@ func (el *EdgeList) M() int64 { return int64(len(el.Edges)) }
 // Add appends the directed edge u → v.
 func (el *EdgeList) Add(u, v int64) {
 	el.Edges = append(el.Edges, Edge{u, v})
+}
+
+// BuildWorkers is the goroutine count of the data-parallel passes over an
+// edge list (generation, distribution, delta compaction): one per CPU, at
+// most 8 — the passes are memory-bound well before that.
+func BuildWorkers() int {
+	return min(runtime.GOMAXPROCS(0), 8)
+}
+
+// ForChunks cuts [0, n) into workers contiguous chunks, runs fn(w, lo, hi)
+// for chunk w on a goroutine of its own, and returns when all have.
+func ForChunks(n, workers int, fn func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, n*w/workers, n*(w+1)/workers)
+		}()
+	}
+	wg.Wait()
 }
 
 // Validate checks that every endpoint lies in [0, N).

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/graph"
@@ -67,13 +68,6 @@ type GPUGraph struct {
 	Rank, Slot int
 	NumLocal   int64 // local vertex slots (≈ n/p)
 
-	// Fingerprint hashes this GPU's routed (category, u, v) edge stream in
-	// edge-list order plus its per-category edge counts. Because the CSR fill
-	// pass consumes edges in exactly that order, an unchanged fingerprint
-	// under an unchanged delegate set means the rebuilt GPUGraph would be
-	// byte-identical — DistributeIncremental shares the old one instead.
-	Fingerprint uint64
-
 	NN *SubCSR64 // local normal → global normal
 	ND *SubCSR32 // local normal → delegate id
 	DN *SubCSR32 // delegate id → local normal
@@ -121,22 +115,10 @@ type Subgraphs struct {
 // D returns the delegate count.
 func (sg *Subgraphs) D() int64 { return sg.Sep.D() }
 
-// fnv-1a style 64-bit word folding for the per-GPU edge-stream fingerprints.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fpMix(h, x uint64) uint64 {
-	h ^= x
-	h *= fnvPrime64
-	return h
-}
-
 // SameDelegates reports whether two separations induce the same delegate set
 // (and therefore the same dense delegate-id mapping). Out-degrees may still
 // differ — that only moves dd edges between owners, which the per-GPU
-// fingerprints catch.
+// comparison against the previous epoch catches.
 func SameDelegates(a, b *Separation) bool {
 	if a.N != b.N || len(a.DelegateGlobal) != len(b.DelegateGlobal) {
 		return false
@@ -154,30 +136,240 @@ func SameDelegates(a, b *Separation) bool {
 // v→u) for the dn/nd/dd subgraph symmetry the engine relies on; Distribute
 // does not verify that (generators guarantee it; tests cover it).
 func Distribute(el *graph.EdgeList, sep *Separation, cfg Config) (*Subgraphs, error) {
-	sg, _, err := distribute(el, sep, cfg, nil)
+	sg, _, err := distribute(el, sep, cfg, nil, graph.BuildWorkers())
 	return sg, err
 }
 
 // DistributeIncremental is Distribute for the next epoch of a mutated graph:
-// it routes the new edge list once, fingerprints every GPU's routed edge
-// stream, and rebuilds only the GPUs whose stream changed — every clean GPU
-// shares its immutable *GPUGraph with prev. A changed delegate set (the
-// dense delegate-id mapping shifts on every GPU) falls back to a full
-// rebuild. Returns the number of GPUs shared (reused from prev; the rest
-// were rebuilt).
+// it routes the new edge list once and, GPU by GPU, compares what that GPU
+// would now hold against prev — a GPU whose four subgraphs come out
+// unchanged shares its immutable *GPUGraph with prev instead of allocating
+// a copy. A changed delegate set shifts the dense delegate-id mapping on
+// every GPU, so nothing can be shared and every GPU is rebuilt. Returns the
+// number of GPUs shared (reused from prev; the rest were rebuilt).
 func DistributeIncremental(el *graph.EdgeList, sep *Separation, cfg Config, prev *Subgraphs) (*Subgraphs, int, error) {
-	if prev == nil || prev.Cfg != cfg || prev.N != el.N || !SameDelegates(sep, prev.Sep) {
-		return distribute(el, sep, cfg, nil)
+	if prev != nil && (prev.Cfg != cfg || prev.N != el.N || !SameDelegates(sep, prev.Sep)) {
+		prev = nil
 	}
-	return distribute(el, sep, cfg, prev)
+	return distribute(el, sep, cfg, prev, graph.BuildWorkers())
 }
 
-// distribute implements Distribute; when prev is non-nil (same cfg, vertex
-// count and delegate set) it reuses prev's GPUGraphs wherever the routed
-// edge stream fingerprint is unchanged. Because both the counting and the
-// fill pass consume edges in edge-list order, an unchanged per-GPU stream
-// rebuilds byte-identically — sharing the pointer is exact, not approximate.
-func distribute(el *graph.EdgeList, sep *Separation, cfg Config, prev *Subgraphs) (*Subgraphs, int, error) {
+// The distributor is a two-level stable counting sort. The first level
+// (route) sorts edges by destination GPU, the second (build) sorts one GPU's
+// edges by CSR row. The one-level form — count rows and fill columns of
+// every GPU in passes over the whole edge list — scatters each edge into
+// row counters and column arrays spread over all p GPUs, megabytes that no
+// cache holds; sorting by GPU first keeps the second level's scatter inside
+// one GPU's arrays, and makes both levels parallel: the edge list splits
+// into chunks for the first, the GPUs split among workers for the second.
+//
+// Both levels are stable, so a CSR row lists its columns in edge-list
+// order. That order is the contract: it is what the three-pass build this
+// replaced produced (referenceDistribute in the tests), every digest in
+// core's golden_test.go depends on it, and it is why the result cannot
+// depend on the worker count — chunks are contiguous and each GPU reads its
+// buckets in chunk order, so however the list is cut, a GPU sees the same
+// subsequence of it.
+
+// routed is one edge after Algorithm 1: the CSR row and column it occupies
+// on its destination GPU. nn columns are global vertex ids (C = int64); nd,
+// dn and dd columns are delegate ids or local slots (C = uint32).
+type routed[C uint32 | int64] struct {
+	row uint32
+	col C
+}
+
+// stream is the edges one route worker sent to one GPU in one category, in
+// edge-list order: a list of blocks of fixed capacity, the last one open. It
+// grows by whole blocks, so no record is ever copied and a build allocates
+// what it buckets exactly once.
+type stream[C uint32 | int64] [][]routed[C]
+
+func (s *stream[C]) add(r routed[C], blockLen int) {
+	last := len(*s) - 1
+	if last < 0 || len((*s)[last]) == blockLen {
+		*s = append(*s, make([]routed[C], 0, blockLen))
+		last++
+	}
+	(*s)[last] = append((*s)[last], r)
+}
+
+// bucket is what one route worker sent to one GPU, a stream per category.
+type bucket struct {
+	nn         stream[int64]
+	nd, dn, dd stream[uint32]
+}
+
+// endpoint is everything Algorithm 1 asks about a vertex, in one 8-byte
+// load: its owner GPU, and the index it is known by there — the local slot
+// of a normal vertex, the dense delegate id of a delegate.
+type endpoint struct {
+	id  uint32
+	gpu int32 // owner GPU of a normal vertex; ^(owner GPU) marks a delegate
+}
+
+// endpoints tabulates every vertex once, so the per-edge path of the route
+// level has no division in it.
+func endpoints(cfg Config, sep *Separation) []endpoint {
+	p := cfg.P()
+	owner := make([]int32, min(int64(p), sep.N)) // by residue v mod p
+	for res := range owner {
+		owner[res] = int32(cfg.OwnerGPU(int64(res)))
+	}
+	ends := make([]endpoint, sep.N)
+	res, slot := 0, uint32(0)
+	for v := range ends {
+		if d := sep.DelegateID[v]; d >= 0 {
+			ends[v] = endpoint{id: uint32(d), gpu: ^owner[res]}
+		} else {
+			ends[v] = endpoint{id: slot, gpu: owner[res]}
+		}
+		if res++; res == p {
+			res, slot = 0, slot+1
+		}
+	}
+	return ends
+}
+
+// routeChunk is the first level for one chunk of the edge list (base is the
+// chunk's offset in it): Algorithm 1 per edge, exactly as Route decides it,
+// appended to the destination GPU's bucket.
+func routeChunk(edges []graph.Edge, base int, ends []endpoint, delegateOutDeg []int64, p int) ([]bucket, error) {
+	out := make([]bucket, p)
+	// A stream holds about len(edges)/4p records; blocks a quarter of that
+	// keep the unfilled tails of all 4p streams near a tenth of the total.
+	blockLen := min(max(len(edges)/(16*p), 16), 1024)
+	n := uint64(len(ends))
+	for i, e := range edges {
+		if uint64(e.U) >= n || uint64(e.V) >= n {
+			return nil, fmt.Errorf("partition: edge %d (%d→%d) out of range [0,%d)", base+i, e.U, e.V, n)
+		}
+		u, v := ends[e.U], ends[e.V]
+		switch {
+		case u.gpu >= 0 && v.gpu >= 0:
+			out[u.gpu].nn.add(routed[int64]{u.id, e.V}, blockLen)
+		case u.gpu >= 0:
+			out[u.gpu].nd.add(routed[uint32]{u.id, v.id}, blockLen)
+		case v.gpu >= 0:
+			out[v.gpu].dn.add(routed[uint32]{u.id, v.id}, blockLen)
+		default:
+			// Lower out-degree endpoint's owner; ties to the lower vertex,
+			// which is the lower delegate id (ids ascend with the vertex).
+			own := u
+			if du, dv := delegateOutDeg[u.id], delegateOutDeg[v.id]; dv < du || (dv == du && v.id < u.id) {
+				own = v
+			}
+			out[^own.gpu].dd.add(routed[uint32]{u.id, v.id}, blockLen)
+		}
+	}
+	return out, nil
+}
+
+// rowOffsets counts the rows of one GPU's edges in one category (blocks is
+// every route worker's stream for it, in worker order) and prefix-sums the
+// counts into CSR row offsets.
+func rowOffsets[C uint32 | int64](numRows int64, blocks [][]routed[C]) []uint32 {
+	off := make([]uint32, numRows+1)
+	for _, b := range blocks {
+		for _, r := range b {
+			off[r.row+1]++
+		}
+	}
+	for i := int64(1); i <= numRows; i++ {
+		off[i] += off[i-1]
+	}
+	return off
+}
+
+// fillCols scatters the blocks' columns to their rows, block after block:
+// the stable second level. cursor is scratch of at least len(off)-1 entries.
+func fillCols[C uint32 | int64](off, cursor []uint32, blocks [][]routed[C]) []C {
+	cols := make([]C, off[len(off)-1])
+	copy(cursor, off[:len(off)-1])
+	for _, b := range blocks {
+		for _, r := range b {
+			cols[cursor[r.row]] = r.col
+			cursor[r.row]++
+		}
+	}
+	return cols
+}
+
+// sameCols reports whether fillCols would reproduce prev, stopping at the
+// first column that differs. The caller has checked that off equals prev's
+// row offsets.
+func sameCols[C uint32 | int64](off, cursor []uint32, blocks [][]routed[C], prev []C) bool {
+	copy(cursor, off[:len(off)-1])
+	for _, b := range blocks {
+		for _, r := range b {
+			if prev[cursor[r.row]] != r.col {
+				return false
+			}
+			cursor[r.row]++
+		}
+	}
+	return true
+}
+
+// sourceMask marks the rows of a delegate-sourced subgraph that have edges.
+func sourceMask(off []uint32) *bitmask.Mask {
+	m := bitmask.New(int64(len(off) - 1))
+	for row := range off[1:] {
+		if off[row+1] > off[row] {
+			m.Set(int64(row))
+		}
+	}
+	return m
+}
+
+// buildGPU is the second level for GPU i: row offsets, columns and the
+// direction-optimization side structures of its four subgraphs, from its
+// buckets in worker order. With a prev of the same shape and delegate set it
+// first decides, exactly, whether the build would reproduce prev — equal row
+// offsets, then equal columns — and returns prev itself if so.
+func buildGPU(i int, cfg Config, n, d int64, buckets [][]bucket, prev *GPUGraph, cursor []uint32) *GPUGraph {
+	var nn [][]routed[int64]
+	var nd, dn, dd [][]routed[uint32]
+	for w := range buckets {
+		b := &buckets[w][i]
+		nn, nd, dn, dd = append(nn, b.nn...), append(nd, b.nd...), append(dn, b.dn...), append(dd, b.dd...)
+	}
+	rank, slot := i/cfg.GPUsPerRank, i%cfg.GPUsPerRank
+	nLocal := cfg.LocalCount(n, rank, slot)
+	nnOff, ndOff := rowOffsets(nLocal, nn), rowOffsets(nLocal, nd)
+	dnOff, ddOff := rowOffsets(d, dn), rowOffsets(d, dd)
+
+	if prev != nil &&
+		slices.Equal(nnOff, prev.NN.RowOffsets) && slices.Equal(ndOff, prev.ND.RowOffsets) &&
+		slices.Equal(dnOff, prev.DN.RowOffsets) && slices.Equal(ddOff, prev.DD.RowOffsets) &&
+		sameCols(nnOff, cursor, nn, prev.NN.Cols) && sameCols(ndOff, cursor, nd, prev.ND.Cols) &&
+		sameCols(dnOff, cursor, dn, prev.DN.Cols) && sameCols(ddOff, cursor, dd, prev.DD.Cols) {
+		return prev
+	}
+
+	g := &GPUGraph{
+		GPU: i, Rank: rank, Slot: slot, NumLocal: nLocal,
+		NN:           &SubCSR64{NumRows: nLocal, RowOffsets: nnOff, Cols: fillCols(nnOff, cursor, nn)},
+		ND:           &SubCSR32{NumRows: nLocal, RowOffsets: ndOff, Cols: fillCols(ndOff, cursor, nd)},
+		DN:           &SubCSR32{NumRows: d, RowOffsets: dnOff, Cols: fillCols(dnOff, cursor, dn)},
+		DD:           &SubCSR32{NumRows: d, RowOffsets: ddOff, Cols: fillCols(ddOff, cursor, dd)},
+		DDSourceMask: sourceMask(ddOff),
+		DNSourceMask: sourceMask(dnOff),
+	}
+	for row := int64(0); row < nLocal; row++ {
+		if g.ND.Degree(row) > 0 {
+			g.NDSources = append(g.NDSources, uint32(row))
+		}
+	}
+	return g
+}
+
+// distribute implements Distribute and DistributeIncremental — the two
+// levels described above routed — on the given number of workers; the
+// result does not depend on it. A non-nil prev must have el's vertex count,
+// cfg and sep's delegate set: its GPUGraphs are shared wherever the build
+// would reproduce them.
+func distribute(el *graph.EdgeList, sep *Separation, cfg Config, prev *Subgraphs, workers int) (*Subgraphs, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -186,178 +378,52 @@ func distribute(el *graph.EdgeList, sep *Separation, cfg Config, prev *Subgraphs
 	}
 	p := cfg.P()
 	d := sep.D()
-	sg := &Subgraphs{Cfg: cfg, Sep: sep, N: el.N, M: el.M()}
-
-	// Pass 1: route every edge once (cached for the later passes), fold the
-	// per-GPU stream fingerprints, and tally global category counts.
-	route := make([]uint8, len(el.Edges)) // cache gpu*4+cat per edge? gpu may exceed 63 → store separately
-	gpus := make([]int32, len(el.Edges))
-	fp := make([]uint64, p)
-	var perCat [4][]int64
-	for c := range perCat {
-		perCat[c] = make([]int64, p)
+	sg := &Subgraphs{
+		Cfg: cfg, Sep: sep, N: el.N, M: el.M(),
+		GPUs:           make([]*GPUGraph, p),
+		DelegateOutDeg: make([]int64, d),
 	}
-	for i := range fp {
-		fp[i] = fnvOffset64
-	}
-	for i, e := range el.Edges {
-		gpu, cat := Route(cfg, sep, e.U, e.V)
-		route[i] = uint8(cat)
-		gpus[i] = int32(gpu)
-		fp[gpu] = fpMix(fpMix(fpMix(fp[gpu], uint64(cat)), uint64(e.U)), uint64(e.V))
-		perCat[cat][gpu]++
-		switch cat {
-		case NN:
-			sg.CountNN++
-		case ND:
-			sg.CountND++
-		case DN:
-			sg.CountDN++
-		case DD:
-			sg.CountDD++
-		}
-	}
-	for i := 0; i < p; i++ {
-		for c := 0; c < 4; c++ {
-			fp[i] = fpMix(fp[i], uint64(perCat[c][i]))
-		}
-	}
-
-	// Decide which GPUs need a rebuild; share the rest.
-	sg.GPUs = make([]*GPUGraph, p)
-	dirty := make([]bool, p)
-	rebuilt := 0
-	for i := 0; i < p; i++ {
-		if prev != nil && prev.GPUs[i].Fingerprint == fp[i] {
-			sg.GPUs[i] = prev.GPUs[i]
-			continue
-		}
-		dirty[i] = true
-		rebuilt++
-	}
-
-	// Pass 2: count rows per (dirty gpu, category) to size the CSR arrays.
-	type counts struct {
-		nn, nd, dn, dd []uint32 // per-row edge counts
-	}
-	per := make([]counts, p)
-	for i := range per {
-		if !dirty[i] {
-			continue
-		}
-		rank, slot := i/cfg.GPUsPerRank, i%cfg.GPUsPerRank
-		nLocal := cfg.LocalCount(el.N, rank, slot)
-		per[i].nn = make([]uint32, nLocal+1)
-		per[i].nd = make([]uint32, nLocal+1)
-		per[i].dn = make([]uint32, d+1)
-		per[i].dd = make([]uint32, d+1)
-	}
-	for i, e := range el.Edges {
-		gpu := int(gpus[i])
-		if !dirty[gpu] {
-			continue
-		}
-		pc := &per[gpu]
-		switch EdgeCategory(route[i]) {
-		case NN:
-			pc.nn[cfg.LocalID(e.U)+1]++
-		case ND:
-			pc.nd[cfg.LocalID(e.U)+1]++
-		case DN:
-			pc.dn[sep.DelegateID[e.U]+1]++
-		case DD:
-			pc.dd[sep.DelegateID[e.U]+1]++
-		}
-	}
-
-	// Prefix sums → row offsets; allocate column arrays.
-	for i := 0; i < p; i++ {
-		if !dirty[i] {
-			continue
-		}
-		rank, slot := i/cfg.GPUsPerRank, i%cfg.GPUsPerRank
-		nLocal := cfg.LocalCount(el.N, rank, slot)
-		pc := &per[i]
-		prefix := func(a []uint32) {
-			for j := 1; j < len(a); j++ {
-				a[j] += a[j-1]
-			}
-		}
-		prefix(pc.nn)
-		prefix(pc.nd)
-		prefix(pc.dn)
-		prefix(pc.dd)
-		g := &GPUGraph{
-			GPU: i, Rank: rank, Slot: slot, NumLocal: nLocal, Fingerprint: fp[i],
-			NN:           &SubCSR64{NumRows: nLocal, RowOffsets: pc.nn, Cols: make([]int64, pc.nn[nLocal])},
-			ND:           &SubCSR32{NumRows: nLocal, RowOffsets: pc.nd, Cols: make([]uint32, pc.nd[nLocal])},
-			DN:           &SubCSR32{NumRows: d, RowOffsets: pc.dn, Cols: make([]uint32, pc.dn[d])},
-			DD:           &SubCSR32{NumRows: d, RowOffsets: pc.dd, Cols: make([]uint32, pc.dd[d])},
-			DDSourceMask: bitmask.New(d),
-			DNSourceMask: bitmask.New(d),
-		}
-		sg.GPUs[i] = g
-	}
-
-	// Pass 3: fill columns. Cursor arrays track the next free slot per row.
-	cursors := make([]counts, p)
-	for i := range cursors {
-		if !dirty[i] {
-			continue
-		}
-		g := sg.GPUs[i]
-		cursors[i].nn = make([]uint32, g.NumLocal)
-		cursors[i].nd = make([]uint32, g.NumLocal)
-		cursors[i].dn = make([]uint32, d)
-		cursors[i].dd = make([]uint32, d)
-	}
-	for i, e := range el.Edges {
-		gpu := int(gpus[i])
-		if !dirty[gpu] {
-			continue
-		}
-		g := sg.GPUs[gpu]
-		cur := &cursors[gpu]
-		switch EdgeCategory(route[i]) {
-		case NN:
-			row := int64(cfg.LocalID(e.U))
-			g.NN.Cols[g.NN.RowOffsets[row]+cur.nn[row]] = e.V
-			cur.nn[row]++
-		case ND:
-			row := int64(cfg.LocalID(e.U))
-			g.ND.Cols[g.ND.RowOffsets[row]+cur.nd[row]] = uint32(sep.DelegateID[e.V])
-			cur.nd[row]++
-		case DN:
-			row := int64(sep.DelegateID[e.U])
-			g.DN.Cols[g.DN.RowOffsets[row]+cur.dn[row]] = cfg.LocalID(e.V)
-			cur.dn[row]++
-			g.DNSourceMask.Set(row)
-		case DD:
-			row := int64(sep.DelegateID[e.U])
-			g.DD.Cols[g.DD.RowOffsets[row]+cur.dd[row]] = uint32(sep.DelegateID[e.V])
-			cur.dd[row]++
-			g.DDSourceMask.Set(row)
-		}
-	}
-
-	// Side structures: nd source lists (rebuilt GPUs only; shared GPUs keep
-	// theirs).
-	for i, g := range sg.GPUs {
-		if !dirty[i] {
-			continue
-		}
-		for row := int64(0); row < g.NumLocal; row++ {
-			if g.ND.Degree(row) > 0 {
-				g.NDSources = append(g.NDSources, uint32(row))
-			}
-		}
-	}
-
 	// Replicated delegate directory (out-degrees can change without any
-	// subgraph changing hands, so this is always rebuilt).
-	sg.DelegateOutDeg = make([]int64, d)
+	// subgraph changing hands, so this is never shared).
 	for di, v := range sep.DelegateGlobal {
 		sg.DelegateOutDeg[di] = sep.OutDeg[v]
 	}
-	return sg, p - rebuilt, nil
+	ends := endpoints(cfg, sep)
+
+	// Route: worker w buckets the w-th contiguous chunk of the edge list.
+	buckets := make([][]bucket, workers)
+	errs := make([]error, workers)
+	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
+		buckets[w], errs[w] = routeChunk(el.Edges[lo:hi], lo, ends, sg.DelegateOutDeg, p)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+
+	// Build: the GPUs are dealt out to the workers the same way.
+	maxLocal := cfg.LocalCount(el.N, 0, 0) // residue 0 owns the most vertices
+	graph.ForChunks(p, workers, func(_, lo, hi int) {
+		cursor := make([]uint32, max(maxLocal, d))
+		for i := lo; i < hi; i++ {
+			var prevGPU *GPUGraph
+			if prev != nil {
+				prevGPU = prev.GPUs[i]
+			}
+			sg.GPUs[i] = buildGPU(i, cfg, el.N, d, buckets, prevGPU, cursor)
+		}
+	})
+
+	shared := 0
+	for i, g := range sg.GPUs {
+		if prev != nil && g == prev.GPUs[i] {
+			shared++
+		}
+		sg.CountNN += g.NN.M()
+		sg.CountND += g.ND.M()
+		sg.CountDN += g.DN.M()
+		sg.CountDD += g.DD.M()
+	}
+	return sg, shared, nil
 }

@@ -11,9 +11,6 @@
 package rmat
 
 import (
-	"runtime"
-	"sync"
-
 	"gcbfs/internal/graph"
 )
 
@@ -120,42 +117,23 @@ func Generate(p Params) *graph.EdgeList {
 	}
 	edges := make([]graph.Edge, total)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	chunk := (m + int64(workers) - 1) / int64(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
+	graph.ForChunks(int(m), graph.BuildWorkers(), func(_, lo, hi int) {
+		var perm *graph.Permutation
+		if p.Permute {
+			perm = graph.NewPermutation(n, p.Seed^0xa5a5a5a5)
 		}
-		if lo >= hi {
-			continue
+		for i := int64(lo); i < int64(hi); i++ {
+			e := GenerateEdge(p, i)
+			if perm != nil {
+				e.U = perm.Map(e.U)
+				e.V = perm.Map(e.V)
+			}
+			edges[i] = e
+			if p.Symmetric {
+				edges[m+i] = graph.Edge{U: e.V, V: e.U}
+			}
 		}
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			var perm *graph.Permutation
-			if p.Permute {
-				perm = graph.NewPermutation(n, p.Seed^0xa5a5a5a5)
-			}
-			for i := lo; i < hi; i++ {
-				e := GenerateEdge(p, i)
-				if perm != nil {
-					e.U = perm.Map(e.U)
-					e.V = perm.Map(e.V)
-				}
-				edges[i] = e
-				if p.Symmetric {
-					edges[m+i] = graph.Edge{U: e.V, V: e.U}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return &graph.EdgeList{N: n, Edges: edges}
 }
 

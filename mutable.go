@@ -7,7 +7,12 @@ package gcbfs
 // reusing the fixed degree threshold, the modular partition assignment, and
 // (through partition.DistributeIncremental) the per-GPU subgraph state of
 // every GPU whose routed edge sequence did not change — then publishes it
-// with one atomic pointer swap. Queries admit themselves with a single
+// with one atomic pointer swap. Sharing saves memory on a localised delta;
+// it is not what makes an epoch cheap. A delta spread over the graph (the
+// 0.1 % random deltas of the host benchmark touch every GPU, and move a
+// vertex across the threshold every time) shares nothing, so the build is
+// made fast outright: delta.Apply and the distributor are parallel,
+// cache-sized passes, and an epoch costs about what a cold NewService does. Queries admit themselves with a single
 // atomic load, so a query in flight across a swap finishes entirely on its
 // admission epoch (the old plan, subgraphs and pooled sessions stay valid
 // and untouched), while every call after the swap lands on the new epoch.
@@ -226,6 +231,9 @@ func NewMutableService(g *Graph, cfg Config) (*MutableService, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if err := g.el.Validate(); err != nil {
+		return nil, err
+	}
 	th := cfg.threshold(g)
 	svc, _, err := newEpochService(g, cfg, th, 1, nil)
 	if err != nil {
@@ -242,9 +250,13 @@ func NewMutableService(g *Graph, cfg Config) (*MutableService, error) {
 type EpochUpdate struct {
 	// Epoch is the new live epoch number.
 	Epoch uint64
-	// SharedGPUs counts per-GPU subgraphs reused byte-identically from the
-	// previous epoch (out of Cluster.GPUs()); GPUs whose routed edge
-	// sequence changed were rebuilt.
+	// SharedGPUs counts per-GPU subgraphs reused from the previous epoch
+	// (out of Cluster.GPUs()): the same *GPUGraph, decided by exact
+	// comparison, for every GPU whose routed edge sequence did not change.
+	// It is 0 whenever the delta moves any vertex across the degree
+	// threshold (the delegate numbering shifts on every GPU) and for any
+	// delta that reaches every GPU — expect non-zero only for localised
+	// deltas on graphs with few delegates.
 	SharedGPUs int
 	// BuildSeconds is the wall-clock time the next-epoch build took —
 	// overlap it mentally with the queries the old epoch answered meanwhile.

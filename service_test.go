@@ -308,3 +308,20 @@ func TestSourcesShortGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestNewServiceRejectsOutOfRangeEdge: an endpoint outside [0, n) is the
+// caller's input and comes back as an error from both constructors — it used
+// to die in EdgeList.OutDegrees with an index panic, and the build now runs
+// on worker goroutines, where a panic is beyond the caller's recover.
+func TestNewServiceRejectsOutOfRangeEdge(t *testing.T) {
+	g := NewGraph(8)
+	g.AddUndirectedEdge(0, 1)
+	g.AddUndirectedEdge(3, 99)
+	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2})
+	if _, err := NewService(g, cfg); err == nil {
+		t.Error("NewService accepted an edge to vertex 99 of 8")
+	}
+	if _, err := NewMutableService(g, cfg); err == nil {
+		t.Error("NewMutableService accepted an edge to vertex 99 of 8")
+	}
+}
