@@ -145,6 +145,52 @@ func BenchmarkQueryAllocsDefaultTree(b *testing.B) { benchQueryAllocs(b, allocsD
 // adaptive codec and the parent replay on 8 ranks.
 func BenchmarkQueryAllocsButterflyTree(b *testing.B) { benchQueryAllocs(b, allocsButterflyTree, 1) }
 
+// BenchmarkSweepAllocBytes guards what one 64-lane sweep allocates on the
+// shape of the rmat16-sweep host workload (RMAT scale 16, 4×2×2, adaptive
+// codec, levels and parents). A sweep's state is garbage after the call, not
+// pooled, so its bytes are the bill: 124.5 MiB now — 48 the 64 results, 44 the
+// tree resolution's (vertex, lane) candidates on all ranks — where 64 per-lane
+// level arrays on every GPU, filled with -1 and resolved one lane at a time,
+// made it 140 MiB and a third of the call. The ceiling sits between the two.
+func BenchmarkSweepAllocBytes(b *testing.B) {
+	g := RMAT(16)
+	cfg := DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2})
+	cfg.Compression = CompressionAdaptive
+	cfg.CollectParents = true
+	svc, err := NewService(g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sources := Sources(g, 64, 7)
+	ctx := context.Background()
+	sweep := func() {
+		if _, err := svc.RunSweep(ctx, sources); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+
+	bytes := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sweep()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	b.ReportMetric(float64(bytes)/(1<<20), "MiB/sweep")
+	const ceiling = 132 << 20
+	if bytes >= ceiling {
+		b.Fatalf("a 64-lane sweep allocated %d MiB, want < %d (per-lane state is back, or a buffer grows from nothing)",
+			bytes>>20, ceiling>>20)
+	}
+}
+
 // BenchmarkEpochBuild is what a MutableService pays to publish an epoch, on
 // the shape of the rmat16-mutable host workload (RMAT scale 16, 4×2×2, a
 // 0.1 % mixed delta): "service" is one ApplyDelta per iteration, each on the

@@ -464,11 +464,9 @@ type Session struct {
 	// scratch.go). Indexed by rank; touched only by the owning goroutine.
 	scratch []*rankScratch
 
-	// qt is the plain-slice view of this session's traversal outcome that
-	// the canonical parent resolution and the gather operate on (parents.go);
 	// out is the in-flight query's global result arrays, allocated by the
-	// caller goroutine before the ranks start and filled by them.
-	qt  queryTree
+	// caller goroutine before the ranks start and filled by them
+	// (parents.go).
 	out treeOut
 	// parentExchangePairs counts the post-BFS resolution traffic (pairs),
 	// reported but excluded from simulated BFS time. The byte counters
@@ -505,11 +503,6 @@ func (e *Session) acquireWorld() *mpi.World {
 func (p *Plan) newSession() *Session {
 	s := &Session{runEnv: p.runOn(p.base)}
 	s.gpus = make([]*gpuState, s.p)
-	s.qt = queryTree{
-		levels:  make([][]int32, s.p),
-		dLevel:  make([][]int32, s.p),
-		parents: make([][]int64, s.p),
-	}
 	for i, pg := range p.sg.GPUs {
 		gs := &gpuState{
 			pg:            pg,
@@ -526,8 +519,6 @@ func (p *Plan) newSession() *Session {
 			gs.isNDSource[src] = true
 		}
 		s.gpus[i] = gs
-		s.qt.levels[i] = gs.levels
-		s.qt.dLevel[i] = gs.delegateLevel
 	}
 	prank := p.shape.Ranks()
 	s.scratch = make([]*rankScratch, prank)
@@ -544,11 +535,10 @@ func (s *Session) configure(opts Options) {
 	s.opts = opts
 	s.amp = opts.WorkAmplification
 	s.poisoned = false
-	for i, gs := range s.gpus {
+	for _, gs := range s.gpus {
 		gs.trackParents = opts.CollectParents
 		if opts.CollectParents && gs.parents == nil {
 			gs.parents = make([]int64, gs.pg.NumLocal)
-			s.qt.parents[i] = gs.parents
 		}
 	}
 }

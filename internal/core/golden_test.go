@@ -45,9 +45,9 @@ var goldenResults = map[string]string{
 	"run/hybrid/off/2":         "d617f5df1482774f",
 	"run/hybrid/adaptive/1":    "8c698e98a605aef8",
 	"run/hybrid/adaptive/2":    "ce3b7c71636c10d7",
-	"sweep/1":                  "883dd3f83bfd9813",
-	"sweep/8":                  "43b9cb1daccfd92d",
-	"sweep/65":                 "8f712de2493fc298",
+	"sweep/1":                  "5a8569b23a43a711",
+	"sweep/8":                  "0bab67222146fb10",
+	"sweep/65":                 "b64907b3c494721b",
 	"repair":                   "dd68fbdd26513bb7",
 }
 

@@ -64,6 +64,18 @@ import (
 // Every rank then writes its own GPUs' slots and a stripe of the delegate
 // directory straight into the query's global output arrays (gatherRank).
 //
+// Steps 1–5 are one tree's, from the level arrays a single-source traversal
+// leaves behind (Run, RunRepair). A K-source sweep keeps no level arrays, only
+// its frontier history — per level, which lanes first reached which vertex —
+// and resolves its K trees from that at once (sweep_tree.go), the tree edges
+// between two levels being word operations on lane sets, not per-lane
+// compares, and its dd pass needing neither a direction nor a comparison: it
+// walks a level's delegates in ascending id, and since dense ids ascend with
+// global ids (2 above) the FIRST delegate to reach a (neighbor, lane) is the
+// smallest. The two resolvers share the contract and what enforces it — the
+// replay pair's packing, the delegate stripes, the missing-parent panics — and
+// the replay's wire format, whose pairs carry a lane set in a sweep.
+//
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
 
@@ -77,9 +89,40 @@ import (
 const parentLevelBits = 20
 
 // parentTagBase is the message tag of the resolution exchange, outside the
-// iteration tag space. Sweep queries offset it by their query index so K
-// back-to-back resolutions never cross wires.
+// iteration tag space. A traversal has one such exchange — a sweep's replay
+// carries all K lanes in it — so the tag needs no offset.
 const parentTagBase = 1 << 30
+
+// parentPairVal packs a replay pair's value: sender uGlobal claiming the
+// child level childLevel.
+func parentPairVal(uGlobal int64, childLevel int32) uint64 {
+	if childLevel >= 1<<parentLevelBits {
+		panic(fmt.Sprintf("core: BFS level %d exceeds the pairs-codec ceiling", childLevel-1))
+	}
+	if uGlobal >= 1<<(64-parentLevelBits) {
+		panic(fmt.Sprintf("core: vertex id %d exceeds the pairs-codec ceiling", uGlobal))
+	}
+	return uint64(uGlobal)<<parentLevelBits | uint64(childLevel)
+}
+
+// delegateStripe is the range of the replicated delegate directory whose
+// results rank writes.
+func (pe *planEnv) delegateStripe(rank int) (lo, hi int64) {
+	prank := int64(pe.shape.Ranks())
+	return pe.d * int64(rank) / prank, pe.d * int64(rank+1) / prank
+}
+
+// The resolution's invariants: every visited normal vertex below the root
+// has a parent once the nd pass, the same-GPU nn fold and the remote nn
+// replay have run — whatever edge discovered it was covered by one of them —
+// and every visited delegate a candidate once the dd and nd passes have.
+func panicMissingParent(v int64, gpu int) {
+	panic(fmt.Sprintf("core: vertex %d on GPU %d missing parent after resolution", v, gpu))
+}
+
+func panicNoCandidate(di int64) {
+	panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
+}
 
 // noLevel is a level no vertex holds (unvisited is -1); noDelegate and
 // noParent are the empty dd and reduced candidates.
@@ -88,17 +131,6 @@ const (
 	noDelegate uint32 = math.MaxUint32
 	noParent   int64  = math.MaxInt64
 )
-
-// queryTree is one query's traversal outcome expressed as plain slices, all
-// indexed by global GPU index, so the single-query Session and the
-// multi-source sweep resolve and gather through the same code. Each rank
-// reads and writes only its own GPUs' rows (plus the replicated delegate
-// levels), exactly like the per-GPU state it views.
-type queryTree struct {
-	levels  [][]int32 // local slot → hop distance, -1 unvisited
-	dLevel  [][]int32 // delegate id → hop distance (this GPU's replica)
-	parents [][]int64 // local slot → parent global id, pre-filled -1
-}
 
 // treeOut is a query's gathered result: global-id-indexed arrays shared by
 // all rank goroutines, each of which writes a disjoint set of elements. A nil
@@ -121,12 +153,6 @@ func newTreeOut(opts *Options, n int64) treeOut {
 	return out
 }
 
-// parentCounters routes the resolution's traffic accounting to the owning
-// session's atomics.
-type parentCounters struct {
-	pairs, rawBytes, wireBytes *int64
-}
-
 // parentScratch is the per-rank reusable state of one resolution pass; all of
 // it is O(d + depth) or sized by the replay's own traffic.
 type parentScratch struct {
@@ -145,18 +171,19 @@ type parentScratch struct {
 	arrivals [][]frontier.Pair // per local slot, decode target
 }
 
-// resolveAndGather finishes one query on this rank: the canonical parent
-// resolution when out.parents is collected, then the gather of this rank's
-// share of out. All ranks participate (collectives inside).
-func (pe *planEnv) resolveAndGather(mode wire.Mode, rank int, comm *mpi.Comm, source int64, q *queryTree, tag int, ps *parentScratch, pc parentCounters, out treeOut) {
-	if out.parents != nil {
-		if pe.d > 0 {
-			pe.resolveDelegateTier(rank, source, q, ps)
+// finishQuery finishes this Session's query on one rank: the canonical parent
+// resolution when parents are collected, then the gather of this rank's share
+// of the result. All ranks participate (collectives inside).
+func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
+	ps := &e.scratch[rank].parents
+	if e.out.parents != nil {
+		if e.d > 0 {
+			e.resolveDelegateTier(rank, source, ps)
 			comm.AllreduceMin(ps.cand)
 		}
-		pe.replayNN(mode, rank, comm, q, tag, ps, pc)
+		e.replayNN(rank, comm, ps)
 	}
-	pe.gatherRank(rank, comm, q, ps, out)
+	e.gatherRank(rank, comm, ps)
 }
 
 // treeDirections computes the level volumes (and level tags) of one
@@ -247,24 +274,23 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, ca
 // candidate per delegate (noParent where it has none): the direction-
 // optimised dd pass, then the nd pass, which also seeds the local normal
 // vertices' delegate parents.
-func (pe *planEnv) resolveDelegateTier(rank int, source int64, q *queryTree, ps *parentScratch) {
-	sep := pe.sg.Sep
-	pgpu := pe.shape.GPUsPerRank
-	first := rank * pgpu
-	dLevel := q.dLevel[first] // one replica serves the rank: they are identical
-	push := ps.treeDirections(dLevel, pe.sg.DelegateOutDeg)
+func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch) {
+	sep := e.sg.Sep
+	gpus := e.rankGPUs(rank)
+	dLevel := gpus[0].delegateLevel // one replica serves the rank: they are identical
+	push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
 
-	if cap(ps.dd) < int(pe.d) {
-		ps.dd = make([]uint32, pe.d)
-		ps.cand = make([]int64, pe.d)
+	if cap(ps.dd) < int(e.d) {
+		ps.dd = make([]uint32, e.d)
+		ps.cand = make([]int64, e.d)
 	}
-	dd, cand := ps.dd[:pe.d], ps.cand[:pe.d]
+	dd, cand := ps.dd[:e.d], ps.cand[:e.d]
 	for i := range dd {
 		dd[i] = noDelegate
 	}
 	ps.ddEdges = 0
-	for g := first; g < first+pgpu; g++ {
-		ps.ddEdges += ddPass(pe.sg.GPUs[g], dLevel, ps.tag, push, dd)
+	for _, gs := range gpus {
+		ps.ddEdges += ddPass(gs.pg, dLevel, ps.tag, push, dd)
 	}
 	for di, c := range dd {
 		cand[di] = noParent
@@ -277,9 +303,8 @@ func (pe *planEnv) resolveDelegateTier(rank int, source int64, q *queryTree, ps 
 		cand[di] = source
 	}
 
-	for g := first; g < first+pgpu; g++ {
-		pg := pe.sg.GPUs[g]
-		levels, parents := q.levels[g], q.parents[g]
+	for _, gs := range gpus {
+		pg, levels, parents := gs.pg, gs.levels, gs.parents
 		for _, u := range pg.NDSources {
 			lu := levels[u]
 			if lu < 0 {
@@ -289,7 +314,7 @@ func (pe *planEnv) resolveDelegateTier(rank int, source int64, q *queryTree, ps 
 			if lu == 0 {
 				up = noLevel // -1 is "unvisited", not a level
 			}
-			uGlobal := pe.cfg.GlobalID(u, pg.Rank, pg.Slot)
+			uGlobal := e.cfg.GlobalID(u, pg.Rank, pg.Slot)
 			best := noDelegate
 			for _, dv := range pg.ND.Neighbors(int64(u)) {
 				ld := dLevel[dv]
@@ -310,14 +335,15 @@ func (pe *planEnv) resolveDelegateTier(rank int, source int64, q *queryTree, ps 
 // replayNN folds the nn candidates into the local parent arrays: same-GPU
 // edges directly, everything else through the remote replay exchange. On
 // return this rank's parent rows are final.
-func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTree, tag int, ps *parentScratch, pc parentCounters) {
-	pgpu := pe.shape.GPUsPerRank
-	prank := pe.shape.Ranks()
-	p64 := int64(pe.p)
-	myStart := rank * pgpu
+func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
+	pgpu := e.shape.GPUsPerRank
+	prank := e.shape.Ranks()
+	p64 := int64(e.p)
+	mode := e.opts.Compression
+	gpus := e.rankGPUs(rank)
 
 	if ps.bins == nil {
-		ps.bins = frontier.NewPairBins(pe.p)
+		ps.bins = frontier.NewPairBins(e.p)
 		ps.payloads = make([][]byte, prank)
 		ps.arrivals = make([][]frontier.Pair, pgpu)
 	} else {
@@ -325,9 +351,8 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 	}
 	bins := ps.bins
 	var pairs int64
-	for g := myStart; g < myStart+pgpu; g++ {
-		pg := pe.sg.GPUs[g]
-		levels, parents := q.levels[g], q.parents[g]
+	for _, gs := range gpus {
+		pg, levels, parents := gs.pg, gs.levels, gs.parents
 
 		// Replay outgoing nn edges once, claiming child level = my level + 1;
 		// same-GPU destinations fold directly, everything else (same-rank
@@ -336,23 +361,17 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 			lvl := levels[slot]
 			if lvl == 0 {
 				// The root: a normal source is its own parent.
-				parents[slot] = pe.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
+				parents[slot] = e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
 			}
 			if lvl < 0 || pg.NN.Degree(slot) == 0 {
 				continue
 			}
-			if lvl+1 >= 1<<parentLevelBits {
-				panic(fmt.Sprintf("core: BFS level %d exceeds the pairs-codec ceiling", lvl))
-			}
-			uGlobal := pe.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
-			if uGlobal >= 1<<(64-parentLevelBits) {
-				panic(fmt.Sprintf("core: vertex id %d exceeds the pairs-codec ceiling", uGlobal))
-			}
-			val := uint64(uGlobal)<<parentLevelBits | uint64(lvl+1)
+			uGlobal := e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
 			childLevel := lvl + 1
+			val := parentPairVal(uGlobal, childLevel)
 			for _, v := range pg.NN.Neighbors(slot) {
-				owner := pe.cfg.OwnerGPU(v)
-				if owner == g {
+				owner := e.cfg.OwnerGPU(v)
+				if owner == pg.GPU {
 					lv := uint32(v / p64)
 					if levels[lv] == childLevel {
 						if cur := parents[lv]; cur == -1 || uGlobal < cur {
@@ -366,7 +385,7 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 			}
 		}
 	}
-	atomic.AddInt64(pc.pairs, pairs)
+	atomic.AddInt64(&e.parentExchangePairs, pairs)
 
 	accept := func(levels []int32, parents []int64, prs []frontier.Pair) {
 		for _, pr := range prs {
@@ -395,7 +414,7 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 		slots := bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
 		if dst == rank {
 			for s, prs := range slots {
-				accept(q.levels[myStart+s], q.parents[myStart+s], prs)
+				accept(gpus[s].levels, gpus[s].parents, prs)
 			}
 			continue
 		}
@@ -404,24 +423,24 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 				frontier.SortPairs(prs, &ps.sortBuf)
 			}
 		}
-		payload, st := wire.AppendPairsRank(ps.payloads[dst][:0], slots, mode, codec)
+		payload, st := wire.AppendPairsRank(ps.payloads[dst][:0], slots, nil, 0, mode, codec)
 		rawBytes += st.RawBytes
 		wireBytes += st.EncodedBytes
 		ps.payloads[dst] = payload
-		comm.Isend(dst, tag, payload)
+		comm.Isend(dst, parentTagBase, payload)
 	}
-	atomic.AddInt64(pc.rawBytes, rawBytes)
-	atomic.AddInt64(pc.wireBytes, wireBytes)
+	atomic.AddInt64(&e.parentPairRawBytes, rawBytes)
+	atomic.AddInt64(&e.parentPairWireBytes, wireBytes)
 	for src := 0; src < prank; src++ {
 		if src == rank {
 			continue
 		}
-		buf := comm.Recv(src, tag)
-		if err := wire.DecodePairsRankInto(buf, ps.arrivals); err != nil {
+		buf := comm.Recv(src, parentTagBase)
+		if err := wire.DecodePairsRankInto(buf, ps.arrivals, nil, 0); err != nil {
 			panic(fmt.Errorf("core: corrupt parent payload: %w", err))
 		}
 		for s, prs := range ps.arrivals {
-			accept(q.levels[myStart+s], q.parents[myStart+s], prs)
+			accept(gpus[s].levels, gpus[s].parents, prs)
 		}
 	}
 }
@@ -432,13 +451,12 @@ func (pe *planEnv) replayNN(mode wire.Mode, rank int, comm *mpi.Comm, q *queryTr
 // delegate's home slot holds -1 and belongs to another rank's pass — its
 // stripe of the replicated delegate directory. The barrier also closes the
 // resolution: past it every replay payload has been decoded.
-func (pe *planEnv) gatherRank(rank int, comm *mpi.Comm, q *queryTree, ps *parentScratch, out treeOut) {
-	pgpu := pe.shape.GPUsPerRank
-	p := pe.p
-	for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
-		pg := pe.sg.GPUs[g]
-		levels := q.levels[g]
-		v := int(pe.cfg.Residue(pg.Rank, pg.Slot))
+func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
+	p, out := e.p, e.out
+	gpus := e.rankGPUs(rank)
+	for _, gs := range gpus {
+		pg, levels := gs.pg, gs.levels
+		v := int(e.cfg.Residue(pg.Rank, pg.Slot))
 		if out.levels != nil {
 			for slot, lvl := range levels {
 				out.levels[v+slot*p] = lvl
@@ -447,23 +465,19 @@ func (pe *planEnv) gatherRank(rank int, comm *mpi.Comm, q *queryTree, ps *parent
 		if out.parents == nil {
 			continue
 		}
-		for slot, par := range q.parents[g] {
-			// Every visited normal vertex below the root must have a parent
-			// by now: whatever edge discovered it was covered by the nd
-			// pass, the same-GPU nn fold, or the remote nn replay.
+		for slot, par := range gs.parents {
 			if par == -1 && levels[slot] >= 1 {
-				panic(fmt.Sprintf("core: vertex %d on GPU %d missing parent after resolution", v+slot*p, pg.GPU))
+				panicMissingParent(int64(v+slot*p), pg.GPU)
 			}
 			out.parents[v+slot*p] = par
 		}
 	}
 	comm.Barrier()
 
-	prank := int64(pe.shape.Ranks())
-	lo, hi := pe.d*int64(rank)/prank, pe.d*int64(rank+1)/prank
-	dLevel := q.dLevel[rank*pgpu]
+	lo, hi := e.delegateStripe(rank)
+	dLevel := gpus[0].delegateLevel
 	for di := lo; di < hi; di++ {
-		v := pe.sg.Sep.DelegateGlobal[di]
+		v := e.sg.Sep.DelegateGlobal[di]
 		lvl := dLevel[di]
 		if out.levels != nil {
 			out.levels[v] = lvl
@@ -480,15 +494,4 @@ func (pe *planEnv) gatherRank(rank int, comm *mpi.Comm, q *queryTree, ps *parent
 		}
 		out.parents[v] = par
 	}
-}
-
-// finishQuery resolves and gathers this Session's query on one rank.
-func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
-	pc := parentCounters{
-		pairs:     &e.parentExchangePairs,
-		rawBytes:  &e.parentPairRawBytes,
-		wireBytes: &e.parentPairWireBytes,
-	}
-	e.planEnv.resolveAndGather(e.opts.Compression, rank, comm, source, &e.qt,
-		parentTagBase, &e.scratch[rank].parents, pc, e.out)
 }

@@ -18,6 +18,13 @@ package core
 // fault sites, timing assembly and cancellation are the single-source
 // traversal's, line for line.
 //
+// The traversal's frontier is a history, not a pair of buffers: every level's
+// (vertex, query-set) rows are appended to a laneHist and stay there. The
+// newest level is the superstep's input frontier; the whole of it, once the
+// loop ends, is all K queries' levels — no per-query level array is ever
+// written — and sweep_tree.go resolves the K trees from it in one pass, where
+// a loop over the single-tree resolver (parents.go) used to run K times.
+//
 // The simulated cost model charges the widened work honestly: kernels pay
 // edges×w word operations, the delegate allreduce moves d×w×8 bytes, and
 // the exchange ships the record payloads under the single-source run's
@@ -28,6 +35,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
@@ -47,8 +56,12 @@ const MaxSweepWidth = 1024
 // per-query levels and parents are bit-identical to Run on the same source;
 // the per-query counters and simulated timing are the sweep totals divided
 // evenly by the query count (integer division for byte/edge counters — the
-// deterministic convention). Duplicate sources are allowed and simply occupy
-// two query lanes; Service-level admission dedups them beforehand.
+// deterministic convention). The tree resolution's replay is accounted the
+// same way: ParentPairs and Wire.PairRawBytes are each lane's own — exactly
+// what Run reports for that source — and Wire.PairWireBytes is the one shared
+// replay's encoded bytes over the query count. Duplicate sources are allowed
+// and simply occupy two query lanes; Service-level admission dedups them
+// beforehand.
 //
 // ctx is honored at iteration boundaries exactly as in Run: all ranks fold
 // the context observation into the termination reduction and abort on the
@@ -69,6 +82,11 @@ func (p *Plan) RunSweep(ctx context.Context, sources []int64, ov Overrides) ([]*
 			return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, p.sg.N)
 		}
 	}
+	if opts.CollectParents && p.sg.N > math.MaxUint32 {
+		// The resolution holds its d·K delegate candidates as uint32 ids
+		// (sweep_tree.go); MaxUint32 itself is its "none".
+		return nil, fmt.Errorf("core: a sweep with parents needs vertex ids below 2^32-1, graph has %d vertices", p.sg.N)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -76,20 +94,22 @@ func (p *Plan) RunSweep(ctx context.Context, sources []int64, ov Overrides) ([]*
 	return e.run(ctx)
 }
 
-// sweepGPU is one GPU's state for a sweep: per-query hop distances plus the
-// mask-matrix analogues of gpuState's frontier and visited structures.
+// sweepGPU is one GPU's state for a sweep: the mask-matrix analogues of
+// gpuState's visited and output-frontier structures, and the frontier history
+// that stands in for everything else — the input frontier of iteration L is
+// the history's level L, and the per-query hop distances are never written
+// down during the traversal at all: "lane q holds vertex v at level L" is the
+// bit the history already keeps (sweep_tree.go turns it into results).
 type sweepGPU struct {
 	pg  *partition.GPUGraph
 	dev *simgpu.Device
 
-	lv   [][]int32 // [k][slot] hop distance, -1 unvisited
-	dLev [][]int32 // [k][delegate] hop distance (this GPU's replica)
+	vis, nxt *bitmask.Matrix // NumLocal × K: visited, and this iteration's discoveries
+	newD     *bitmask.Matrix // d × K delegate proposal
+	hist     laneHist        // normal frontier history, one level per iteration
 
-	vis, front, nxt    *bitmask.Matrix // NumLocal × K
-	visD, frontD, newD *bitmask.Matrix // d × K
-
-	inIDs, outIDs []uint32 // active normal frontier slots (set rows of front/nxt)
-	bins          *frontier.RecordBins
+	outIDs []uint32 // slots discovered this iteration (set rows of nxt)
+	bins   *frontier.RecordBins
 
 	it sweepIterWork
 }
@@ -101,10 +121,14 @@ type sweepIterWork struct {
 	logical        int64 // per-query logical edges: Σ popcount(row)·degree
 }
 
-// sweepScratch is one rank goroutine's reusable sweep state.
+// sweepScratch is one rank goroutine's sweep state: the delegate tier, which
+// is replicated per rank (its GPUs read one copy), and the rank's reusable
+// buffers.
 type sweepScratch struct {
-	rankD  []uint64 // d×w delegate-mask reduce buffer
-	addRow []uint64 // w-word newly-discovered scratch row
+	visD   *bitmask.Matrix // d × K visited delegates
+	histD  laneHist        // delegate frontier history, identical on every rank
+	rankD  []uint64        // d×w delegate-mask reduce buffer
+	addRow []uint64        // w-word newly-discovered scratch row
 
 	// Sender-side merge scratch: concatenated records per destination slot,
 	// their (id, record index) sort keys with the radix sort's scatter
@@ -122,12 +146,8 @@ type sweepScratch struct {
 	// hops backs the exchange's one-entry per-hop vectors (sent, codec, recv).
 	hops [3]int64
 
-	sel     *wire.RecordSelector
-	parents parentScratch
-	// deepest[q] is the deepest level this rank wrote for query q: levels
-	// are written at the current depth, which only grows, so the writers
-	// just store it.
-	deepest []int32
+	sel  *wire.RecordSelector
+	tree treeScratch
 
 	// lanes is the rank's side of the sweep; loopScratch the superstep
 	// loop's own buffers.
@@ -136,8 +156,15 @@ type sweepScratch struct {
 }
 
 // sweepSession is the mutable state of one in-flight sweep. Sweeps are built
-// fresh per RunSweep — the allocation amortizes over K queries, so pooling
-// buys nothing here.
+// fresh per RunSweep and left to the collector, not pooled like Sessions: a
+// retained 64-lane session would hold tens of MB against a live heap of
+// ~12 MiB (the benchmark's heap_mb). What makes that affordable is that
+// everything here, and everything the resolution adds, is valid as zeroed —
+// no array is filled before use, where the K×n and K×d level arrays this
+// design replaced were 76 MB of -1. A K = 64 sweep of RMAT 16 on 16 GPUs
+// allocates ~130 MB (147 MB before; BenchmarkSweepResolve reports it): 50 MB
+// are the K results, 46 MB the resolution's (vertex, lane) candidates on all
+// ranks, and the traversal itself — matrices and histories — about 15 MB.
 type sweepSession struct {
 	runEnv
 	k, w    int
@@ -146,16 +173,15 @@ type sweepSession struct {
 	scratch []*sweepScratch
 	world   *mpi.World
 
-	// qts[k] is the per-query tree view resolution and gather operate on and
-	// outs[k] the global result arrays the ranks fill. parents[g] is GPU g's
-	// local parent array, shared by the queries and reused sequentially:
-	// each rank resets and reads only its own GPUs' rows.
-	parents [][]int64
-	qts     []queryTree
-	outs    []treeOut
+	// outs[k] are the global result arrays (nil when nothing is collected).
+	// They come zeroed and the gather writes every entry of them exactly once,
+	// each rank its own GPUs' vertices and its stripe of the delegates.
+	outs []treeOut
 
-	// Per-query parent-resolution traffic counters (indexed by query).
-	pairCount, pairRaw, pairWire []int64
+	// Per-query parent-resolution traffic: pairs replayed to another GPU and,
+	// of those, to another rank; and the shared replay's encoded bytes.
+	pairCount, pairRemote []atomic.Int64
+	pairWire              atomic.Int64
 }
 
 func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
@@ -174,36 +200,23 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 	}
 	e.gpus = make([]*sweepGPU, e.p)
 	for i, pg := range p.sg.GPUs {
-		gs := &sweepGPU{
-			pg:     pg,
-			dev:    simgpu.NewDevice(opts.GPU, i),
-			lv:     make([][]int32, k),
-			dLev:   make([][]int32, k),
-			vis:    bitmask.NewMatrix(pg.NumLocal, k),
-			front:  bitmask.NewMatrix(pg.NumLocal, k),
-			nxt:    bitmask.NewMatrix(pg.NumLocal, k),
-			visD:   bitmask.NewMatrix(e.d, k),
-			frontD: bitmask.NewMatrix(e.d, k),
-			newD:   bitmask.NewMatrix(e.d, k),
-			bins:   frontier.NewRecordBins(e.p, w),
+		e.gpus[i] = &sweepGPU{
+			pg:   pg,
+			dev:  simgpu.NewDevice(opts.GPU, i),
+			vis:  bitmask.NewMatrix(pg.NumLocal, k),
+			nxt:  bitmask.NewMatrix(pg.NumLocal, k),
+			newD: bitmask.NewMatrix(e.d, k),
+			hist: newLaneHist(w, pg.NumLocal),
+			bins: frontier.NewRecordBins(e.p, w),
 		}
-		for q := 0; q < k; q++ {
-			gs.lv[q] = make([]int32, pg.NumLocal)
-			for s := range gs.lv[q] {
-				gs.lv[q][s] = -1
-			}
-			gs.dLev[q] = make([]int32, e.d)
-			for s := range gs.dLev[q] {
-				gs.dLev[q][s] = -1
-			}
-		}
-		e.gpus[i] = gs
 	}
 	prank := p.shape.Ranks()
 	pgpu := p.shape.GPUsPerRank
 	e.scratch = make([]*sweepScratch, prank)
 	for r := range e.scratch {
 		e.scratch[r] = &sweepScratch{
+			visD:     bitmask.NewMatrix(e.d, k),
+			histD:    newLaneHist(w, e.d),
 			rankD:    make([]uint64, e.d*int64(w)),
 			addRow:   make([]uint64, w),
 			outIDs:   make([][]uint32, pgpu),
@@ -211,74 +224,69 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 			arrIDs:   make([][]uint32, pgpu),
 			arrMasks: make([][]uint64, pgpu),
 			sel:      wire.NewRecordSelectorSized(prank * pgpu),
-			deepest:  make([]int32, k),
 		}
 		e.scratch[r].lanes = sweepLanes{e: e, rank: r, gpus: e.gpus[r*pgpu : (r+1)*pgpu], sc: e.scratch[r]}
 	}
 	if opts.CollectParents {
-		e.parents = make([][]int64, e.p)
-		for i, pg := range p.sg.GPUs {
-			e.parents[i] = make([]int64, pg.NumLocal)
-		}
-		e.pairCount = make([]int64, k)
-		e.pairRaw = make([]int64, k)
-		e.pairWire = make([]int64, k)
+		e.pairCount = make([]atomic.Int64, k)
+		e.pairRemote = make([]atomic.Int64, k)
 	}
 	if opts.CollectLevels || opts.CollectParents {
-		e.qts = make([]queryTree, k)
-		e.outs = make([]treeOut, k)
-		for q := 0; q < k; q++ {
-			qt := queryTree{
-				levels:  make([][]int32, e.p),
-				dLevel:  make([][]int32, e.p),
-				parents: e.parents,
-			}
-			for g, gs := range e.gpus {
-				qt.levels[g] = gs.lv[q]
-				qt.dLevel[g] = gs.dLev[q]
-			}
-			e.qts[q] = qt
-			e.outs[q] = newTreeOut(&opts, e.sg.N)
-		}
+		e.outs = e.newOuts()
 	}
 	return e
 }
 
-// seed plants each query's source at depth 0 in its lane and returns the
-// sweep's seed schedule: its sources, all at level 0.
+// newOuts allocates the K result arrays; the gather writes every entry.
+func (e *sweepSession) newOuts() []treeOut {
+	outs := make([]treeOut, e.k)
+	for q := range outs {
+		outs[q] = newTreeOut(&e.opts, e.sg.N)
+	}
+	return outs
+}
+
+// seed plants each query's source in its lane as level 0 of the frontier
+// history — through the traversal's own commit and rotate, so two lanes that
+// share a source share one history row — and returns the sweep's seed
+// schedule: its sources, all at level 0.
 func (e *sweepSession) seed() schedule {
 	sch := schedule{nSeeds: []int64{0}, dSeeds: []int64{0}}
 	for q, src := range e.sources {
 		if e.sg.Sep.IsDelegate(src) {
 			sch.dSeeds[0]++
-			di := int64(e.sg.Sep.DelegateID[src])
-			for _, gs := range e.gpus {
-				gs.visD.Set(di, q)
-				gs.frontD.Set(di, q)
-				gs.dLev[q][di] = 0
+			bit := int64(e.sg.Sep.DelegateID[src])*int64(e.w)*64 + int64(q)
+			for _, sc := range e.scratch {
+				sc.rankD[bit/64] |= 1 << (bit % 64)
 			}
 			continue
 		}
 		sch.nSeeds[0]++
 		gs := e.gpus[e.cfg.OwnerGPU(src)]
 		local := int64(e.cfg.LocalID(src))
-		if !bitmask.RowAny(gs.front.Row(local)) {
-			gs.inIDs = append(gs.inIDs, uint32(local))
+		if !bitmask.RowAny(gs.nxt.Row(local)) {
+			gs.outIDs = append(gs.outIDs, uint32(local))
 		}
 		gs.vis.Set(local, q)
-		gs.front.Set(local, q)
-		gs.lv[q][local] = 0
+		gs.nxt.Set(local, q)
+	}
+	for _, sc := range e.scratch {
+		if sch.dSeeds[0] > 0 {
+			e.commitDelegates(sc)
+		}
+		sc.histD.closeLevel()
+		sc.lanes.rotate()
 	}
 	return sch
 }
 
 // discover folds newly reached query bits into a local vertex: bits not yet
-// visited mark the per-query level, join the visited row and the output
-// frontier row. The fold is order-independent across arrival sources — a
-// query bit's level is written exactly once, on the iteration it first
-// appears — which is what makes the sweep deterministic without the
-// single-query engine's canonical arrival ordering.
-func (e *sweepSession) discover(gs *sweepGPU, sc *sweepScratch, local uint32, mask []uint64, depth int32) {
+// visited join the visited row and the output frontier row. The fold is
+// order-independent across arrival sources — a query bit enters the output
+// frontier exactly once, on the iteration it first appears, and that
+// iteration is its level — which is what makes the sweep deterministic
+// without the single-query engine's canonical arrival ordering.
+func (e *sweepSession) discover(gs *sweepGPU, sc *sweepScratch, local uint32, mask []uint64) {
 	visRow := gs.vis.Row(int64(local))
 	add := sc.addRow
 	if !bitmask.RowAndNotInto(add, mask, visRow) {
@@ -290,26 +298,27 @@ func (e *sweepSession) discover(gs *sweepGPU, sc *sweepScratch, local uint32, ma
 		gs.outIDs = append(gs.outIDs, local)
 	}
 	bitmask.RowOr(nxtRow, add)
-	bitmask.RowForEach(add, func(q int) { gs.lv[q][local], sc.deepest[q] = depth, depth })
 }
 
 // runKernels executes one iteration's forward kernels on one GPU. Edge work
 // is charged at w word-operations per structural edge — the widened mask is
 // what the SIMD lanes actually move.
 func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
-	w64 := int64(e.w)
+	w := e.w
+	w64 := int64(w)
 	p64 := int64(e.p)
 	self := gs.pg.GPU
 
-	// Delegate previsit + dd/dn kernels: scan the frontier matrix rows (the
-	// d×w/64-word sweep is the previsit analogue of the delegate mask scan).
-	var ddEdges, dnEdges, dVerts int64
-	for di := int64(0); di < e.d; di++ {
-		row := gs.frontD.Row(di)
-		if !bitmask.RowAny(row) {
-			continue
-		}
-		dVerts++
+	// Delegate previsit + dd/dn kernels over the delegate frontier, level iter
+	// of the rank's history in ascending id (charged as the scan of the d×K
+	// frontier matrix the device would make, the previsit analogue of the
+	// delegate mask scan).
+	var ddEdges, dnEdges int64
+	dIDs, dRows := sc.histD.level(iter)
+	dVerts := int64(len(dIDs))
+	for i, id := range dIDs {
+		di := int64(id)
+		row := dRows[i*w : (i+1)*w]
 		pop := int64(bitmask.RowCount(row))
 		if deg := gs.pg.DD.Degree(di); deg > 0 {
 			for _, dv := range gs.pg.DD.Neighbors(di) {
@@ -320,7 +329,7 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 		}
 		if deg := gs.pg.DN.Degree(di); deg > 0 {
 			for _, lv := range gs.pg.DN.Neighbors(di) {
-				e.discover(gs, sc, lv, row, iter+1)
+				e.discover(gs, sc, lv, row)
 			}
 			dnEdges += deg
 			gs.it.logical += deg * pop
@@ -336,11 +345,13 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 		Edges: dnEdges * w64, Vertices: dVerts, Strategy: simgpu.TWBDynamic,
 	})
 
-	// Normal previsit + nd/nn kernels over the active slot list.
+	// Normal previsit + nd/nn kernels over the normal frontier, level iter of
+	// the GPU's history.
 	var ndEdges, nnEdges, binned int64
-	nVerts := int64(len(gs.inIDs))
-	for _, u := range gs.inIDs {
-		row := gs.front.Row(int64(u))
+	nIDs, nRows := gs.hist.level(iter)
+	nVerts := int64(len(nIDs))
+	for i, u := range nIDs {
+		row := nRows[i*w : (i+1)*w]
 		pop := int64(bitmask.RowCount(row))
 		if deg := gs.pg.ND.Degree(int64(u)); deg > 0 {
 			for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
@@ -354,7 +365,7 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 				owner := e.cfg.OwnerGPU(v)
 				local := uint32(v / p64)
 				if owner == self {
-					e.discover(gs, sc, local, row, iter+1)
+					e.discover(gs, sc, local, row)
 				} else {
 					gs.bins.Add(owner, local, row)
 					binned++
@@ -381,26 +392,22 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 	}
 }
 
-// commitDelegates folds the globally reduced new-delegate matrix into one
-// GPU's replicated delegate state and returns the number of newly visited
-// (delegate, query) pairs.
-func (e *sweepSession) commitDelegates(gs *sweepGPU, sc *sweepScratch, iter int32) int64 {
-	w := e.w
+// commitDelegates folds the reduced new-delegate matrix in sc.rankD into the
+// rank's delegate state — the newly visited (delegate, query) bits become the
+// open level of the delegate history, in ascending delegate id — and returns
+// their number.
+func (e *sweepSession) commitDelegates(sc *sweepScratch) int64 {
+	w := int64(e.w)
 	var committed int64
+	add := sc.addRow
 	for di := int64(0); di < e.d; di++ {
-		red := sc.rankD[di*int64(w) : (di+1)*int64(w)]
-		visRow := gs.visD.Row(di)
-		frontRow := gs.frontD.Row(di)
-		add := sc.addRow
-		if !bitmask.RowAndNotInto(add, red, visRow) {
-			clear(frontRow)
+		visRow := sc.visD.Row(di)
+		if !bitmask.RowAndNotInto(add, sc.rankD[di*w:(di+1)*w], visRow) {
 			continue
 		}
 		bitmask.RowOr(visRow, add)
-		copy(frontRow, add)
-		committed += int64(bitmask.RowCount(add))
-		lv := gs.dLev
-		bitmask.RowForEach(add, func(q int) { lv[q][di], sc.deepest[q] = iter+1, iter+1 })
+		sc.histD.add(uint32(di), add)
+		committed += bitmask.RowCount(add)
 	}
 	return committed
 }
@@ -432,20 +439,18 @@ func (l *sweepLanes) proposal() ([]uint64, bool) {
 	return rankD, bitmask.RowAny(rankD)
 }
 
-// commit folds the reduced matrix into every GPU's replica. The matrix
-// ships in its native form — there is no mask codec for d×K bits.
-func (l *sweepLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
-	for _, gs := range l.gpus {
-		if reduced {
-			dc.visits = l.e.commitDelegates(gs, l.sc, iter)
-		} else {
-			gs.frontD.Reset()
-		}
-		gs.newD.Reset()
-	}
+// commit folds the reduced matrix into the rank's delegate state as level
+// iter+1 of its history (empty when nothing was reduced). The matrix ships in
+// its native form — there is no mask codec for d×K bits.
+func (l *sweepLanes) commit(reduced bool, _ int32) (dc delegateCommit) {
 	if reduced {
+		dc.visits = l.e.commitDelegates(l.sc)
 		dc.native = l.e.d * int64(l.e.w) * 8
 		dc.wire = dc.native
+	}
+	l.sc.histD.closeLevel()
+	for _, gs := range l.gpus {
+		gs.newD.Reset()
 	}
 	return dc
 }
@@ -466,21 +471,24 @@ func (l *sweepLanes) tally() (w superstepWork) {
 	return w
 }
 
-// rotate clears the old front rows (only set rows need touching), then swaps
-// the matrices and the active-slot lists.
+// rotate moves the iteration's discoveries out of the nxt matrix (only set
+// rows need touching) into the next level of each GPU's history, which is the
+// next superstep's input frontier.
 func (l *sweepLanes) rotate() {
 	for _, gs := range l.gpus {
-		for _, u := range gs.inIDs {
-			clear(gs.front.Row(int64(u)))
+		for _, u := range gs.outIDs {
+			row := gs.nxt.Row(int64(u))
+			gs.hist.add(u, row)
+			clear(row)
 		}
-		gs.front, gs.nxt = gs.nxt, gs.front
-		gs.inIDs, gs.outIDs = gs.outIDs, gs.inIDs[:0]
+		gs.hist.closeLevel()
+		gs.outIDs = gs.outIDs[:0]
 	}
 }
 
 func (l *sweepLanes) finish(comm *mpi.Comm) {
 	if l.e.outs != nil {
-		l.e.finishSweep(l.rank, comm)
+		l.e.finishSweep(l.rank, comm, l.gpus, l.sc)
 	}
 }
 
@@ -503,12 +511,13 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	rec := &e.rec
 	k64 := int64(e.k)
 	kf := float64(e.k)
+	deepest := e.deepestLevels()
 	results := make([]*metrics.RunResult, e.k)
 	for q := range results {
 		res := &metrics.RunResult{
 			Source:        e.sources[q],
 			Epoch:         e.epoch,
-			Iterations:    e.queryIterations(q),
+			Iterations:    int(deepest[q]) + 1,
 			SimSeconds:    rec.simSeconds / kf,
 			TEPSEdges:     e.sg.M / 2,
 			EdgesScanned:  rec.edgesScanned / k64,
@@ -542,49 +551,24 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 			res.Levels, res.Parents = e.outs[q].levels, e.outs[q].parents
 		}
 		if e.opts.CollectParents {
-			res.ParentPairs = e.pairCount[q]
-			res.Wire.PairRawBytes = e.pairRaw[q]
-			res.Wire.PairWireBytes = e.pairWire[q]
+			res.ParentPairs = e.pairCount[q].Load()
+			res.Wire.PairRawBytes = 12 * e.pairRemote[q].Load()
+			res.Wire.PairWireBytes = e.pairWire.Load() / k64
 		}
 		results[q] = res
 	}
 	return results, nil
 }
 
-// queryIterations reconstructs the BSP iteration count query q would have
-// run standalone: its deepest level plus one (the final iteration discovers
-// nothing and terminates), which is exactly Plan.Run's loop count.
-func (e *sweepSession) queryIterations(q int) int {
-	var deepest int32
-	for _, sc := range e.scratch {
-		deepest = max(deepest, sc.deepest[q])
+// deepestLevels reads each query's deepest level off the histories. A query's
+// deepest level plus one is the BSP iteration count it would have run
+// standalone (the final iteration discovers nothing and terminates), which is
+// exactly Plan.Run's loop count.
+func (e *sweepSession) deepestLevels() []int32 {
+	deepest := make([]int32, e.k)
+	e.scratch[0].histD.deepest(deepest)
+	for _, gs := range e.gpus {
+		gs.hist.deepest(deepest)
 	}
-	return int(deepest) + 1
-}
-
-// finishSweep resolves and gathers the K queries back to back on this rank.
-// Each query is the exact single-query pass with its own tag, so the trees
-// are bit-identical to Run's. The shared parent rows need no hand-off
-// between queries: a rank resets, fills and gathers only its own.
-func (e *sweepSession) finishSweep(rank int, comm *mpi.Comm) {
-	pgpu := e.shape.GPUsPerRank
-	sc := e.scratch[rank]
-	for q := 0; q < e.k; q++ {
-		var pc parentCounters
-		if e.opts.CollectParents {
-			for g := rank * pgpu; g < (rank+1)*pgpu; g++ {
-				buf := e.parents[g]
-				for i := range buf {
-					buf[i] = -1
-				}
-			}
-			pc = parentCounters{
-				pairs:     &e.pairCount[q],
-				rawBytes:  &e.pairRaw[q],
-				wireBytes: &e.pairWire[q],
-			}
-		}
-		e.planEnv.resolveAndGather(e.opts.Compression, rank, comm, e.sources[q],
-			&e.qts[q], parentTagBase+q, &sc.parents, pc, e.outs[q])
-	}
+	return deepest
 }

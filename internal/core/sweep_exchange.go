@@ -12,7 +12,7 @@ package core
 // the all-pairs rule (allPairsRemoteTime), the NVLink aggregation tier
 // included when a rank holds more than one GPU. Making exchange.go's
 // strategies payload-generic, so a sweep can ride the butterfly and the
-// presence contract too, is ROADMAP item 2's remainder.
+// presence contract too, is ROADMAP item 3.
 //
 // Record messages are wire record blocks in every compression mode; with the
 // codec off they are raw blocks charged 4+8w bytes per record.
@@ -132,7 +132,7 @@ func (e *sweepSession) exchangeRecords(comm *mpi.Comm, rank int, myGPUs []*sweep
 			}
 			ids := src.bins.IDs[dstGPU]
 			for i, id := range ids {
-				e.discover(e.gpus[dstGPU], sc, id, src.bins.Mask(dstGPU, i), iter+1)
+				e.discover(e.gpus[dstGPU], sc, id, src.bins.Mask(dstGPU, i))
 			}
 			intraRecords += int64(len(ids))
 		}
@@ -162,7 +162,7 @@ func (e *sweepSession) exchangeRecords(comm *mpi.Comm, rank int, myGPUs []*sweep
 		for s := 0; s < pgpu; s++ {
 			gs := myGPUs[s]
 			for i, id := range sc.arrIDs[s] {
-				e.discover(gs, sc, id, sc.arrMasks[s][i*w:(i+1)*w], iter+1)
+				e.discover(gs, sc, id, sc.arrMasks[s][i*w:(i+1)*w])
 			}
 		}
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -28,8 +30,8 @@ func buildTestPlan(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int6
 }
 
 // requireSweepMatchesRuns asserts the tentpole's contract: RunSweep's
-// per-query levels, parents and iteration counts are bit-identical to K
-// independent Plan.Run calls.
+// per-query levels, parents, iteration counts and replay-pair accounting are
+// bit-identical to K independent Plan.Run calls.
 func requireSweepMatchesRuns(t *testing.T, p *Plan, sources []int64, ov Overrides) {
 	t.Helper()
 	ctx := context.Background()
@@ -69,6 +71,12 @@ func requireSweepMatchesRuns(t *testing.T, p *Plan, sources []int64, ov Override
 				t.Fatalf("query %d (src %d): vertex %d parent %d, want %d",
 					q, src, v, got.Parents[v], single.Parents[v])
 			}
+		}
+		// The shared replay is accounted per lane as the lane's own replay
+		// would be: the pairs Run reports, at 12 bytes each between ranks.
+		if got.ParentPairs != single.ParentPairs || got.Wire.PairRawBytes != single.Wire.PairRawBytes {
+			t.Fatalf("query %d (src %d): %d parent pairs / %d raw bytes, Run reports %d / %d",
+				q, src, got.ParentPairs, got.Wire.PairRawBytes, single.ParentPairs, single.Wire.PairRawBytes)
 		}
 	}
 }
@@ -299,4 +307,62 @@ func TestSweepAmortizesWork(t *testing.T) {
 		t.Fatalf("sweep did not amortize: %g s vs %g s for %d queries",
 			sweepTime, singleTime, len(sources))
 	}
+}
+
+// BenchmarkSweepResolve times the sweep's tree resolution and gather alone, on
+// the rmat16-sweep workload's shape (RMAT 16, 4×2×2, the default 4n/p
+// threshold, adaptive codec, K = 64): one traversal leaves its frontier
+// history in the session, then every iteration re-resolves all 64 trees on the
+// rank goroutines. It reports the host cost per (visited vertex, lane), the
+// share of dd row entries the pass read (a lane-at-a-time resolver reads ~15
+// |Edd|), and what one whole RunSweep allocates.
+func BenchmarkSweepResolve(b *testing.B) {
+	el := rmat.Generate(rmat.DefaultParams(16))
+	shape := ClusterShape{4, 2, 2}
+	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+	opts := DefaultOptions()
+	opts.CollectParents = true
+	opts.Compression = wire.ModeAdaptive
+	plan := buildTestPlan(b, el, shape, th, opts)
+	sources := pickSources(el.OutDegrees(), 64, 5)
+	ctx := context.Background()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := plan.RunSweep(ctx, sources, Overrides{}); err != nil {
+		b.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	e := plan.newSweepSession(opts, sources)
+	e.outs = nil // traverse only
+	if _, err := e.run(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.outs = e.newOuts()
+		err := RunRanks(mpi.NewWorld(shape.Ranks()), nil, sweepTagSite, func(rank int, comm *mpi.Comm) {
+			sc := e.scratch[rank]
+			e.finishSweep(rank, comm, sc.lanes.gpus, sc)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var read, visited int64
+	for _, sc := range e.scratch {
+		read += sc.tree.ddEdges
+	}
+	for _, out := range e.outs {
+		for _, l := range out.levels {
+			if l >= 0 {
+				visited++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(visited), "ns/vertex-lane")
+	b.ReportMetric(float64(read)/float64(plan.Graph().CountDD), "dd-read/|Edd|")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc), "B/sweep")
 }

@@ -160,7 +160,7 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 				}
 				slots := mergeForRank(r, dst, pgpu)
 				sentBytes += msgBytes(slots)
-				payload, _ := wire.AppendPairsRank(nil, slots, wire.ModeOff, false)
+				payload, _ := wire.AppendPairsRank(nil, slots, nil, 0, wire.ModeOff, false)
 				comm.Isend(dst, iter, payload)
 			}
 			for src := 0; src < prank; src++ {
@@ -168,7 +168,7 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 					continue
 				}
 				buf := comm.Recv(src, iter)
-				if err := wire.DecodePairsRankInto(buf, arrivals); err != nil {
+				if err := wire.DecodePairsRankInto(buf, arrivals, nil, 0); err != nil {
 					panic(fmt.Errorf("%s: corrupt payload: %w", program, err))
 				}
 				recvBytes += msgBytes(arrivals)

@@ -90,7 +90,8 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		}
 		return out
 	}
-	write("FuzzDecodePairs", slices.Concat(pairSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}}, pairSeeds(ModeOff)))
+	write("FuzzDecodePairs", slices.Concat(pairSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}}, pairSeeds(ModeOff),
+		lanePairSeeds(ModeOff, ModeRaw, ModeDelta, ModeAdaptive)))
 
 	recSeeds := func(modes ...Mode) [][]byte {
 		var out [][]byte

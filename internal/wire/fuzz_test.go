@@ -117,6 +117,9 @@ func FuzzDecodePairs(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	for _, b := range lanePairSeeds(ModeOff, ModeRaw, ModeDelta, ModeAdaptive) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pairs, n, _, err := DecodePairs(data)
 		checkErr(t, err)
@@ -130,7 +133,7 @@ func FuzzDecodePairs(f *testing.F) {
 		}
 		for _, gpus := range []int{1, 2} {
 			slots := make([][]frontier.Pair, gpus)
-			err := DecodePairsRankInto(data, slots)
+			err := DecodePairsRankInto(data, slots, nil, 0)
 			checkErr(t, err)
 			if err != nil {
 				continue
@@ -143,7 +146,40 @@ func FuzzDecodePairs(f *testing.F) {
 				t.Fatalf("decoded %d pairs from %d bytes (%d slots) — over-allocation", total, len(data), gpus)
 			}
 		}
+		// The same bytes as a lane-carrying message: every pairs block followed
+		// by a mask section of w words per pair.
+		for _, w := range []int{1, 2} {
+			slots, lanes := make([][]frontier.Pair, 2), make([][]uint64, 2)
+			err := DecodePairsRankInto(data, slots, lanes, w)
+			checkErr(t, err)
+			for s := range slots {
+				if err == nil && len(lanes[s]) != w*len(slots[s]) {
+					t.Fatalf("slot %d: %d lane words for %d pairs of %d words", s, len(lanes[s]), len(slots[s]), w)
+				}
+			}
+		}
 	})
+}
+
+// lanePairSeeds returns two-slot lane-carrying pairs messages (w = 1 and 2),
+// each whole and truncated. The pairs are in ascending id, as a sorting codec
+// needs them.
+func lanePairSeeds(modes ...Mode) [][]byte {
+	slots := [][]frontier.Pair{{{ID: 3, Val: 7<<20 | 2}, {ID: 3, Val: 5<<20 | 2}, {ID: 900, Val: 1 << 40}}, {{ID: 1<<32 - 1, Val: 0}}}
+	var out [][]byte
+	for _, w := range []int{1, 2} {
+		lanes := make([][]uint64, len(slots))
+		for s, prs := range slots {
+			for i := 0; i < len(prs)*w; i++ {
+				lanes[s] = append(lanes[s], uint64(3*i+s+1)<<(9*i))
+			}
+		}
+		for _, mode := range modes {
+			b, _ := AppendPairsRank(nil, slots, lanes, w, mode, true)
+			out = append(out, b, b[:len(b)-2])
+		}
+	}
+	return out
 }
 
 func FuzzDecodeRecords(f *testing.F) {

@@ -11,7 +11,8 @@ import (
 
 // TestModeOffMessagesAreChecksummed: the default fixed-width packing is raw
 // blocks under a charging rule, not a second format. For one ModeOff message
-// of each kind — rank slots, butterfly sections, records, pairs — the
+// of each kind — rank slots, butterfly sections, records, pairs, pairs with
+// lane sets — the
 // accounting is the paper's (fixed-width payload only, no scheme tallied),
 // the decode returns the input in input order, and every single-bit flip and
 // every truncation is an ErrCorrupt-typed error, never ids.
@@ -101,13 +102,13 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 		})
 	}
 
-	buf, st = AppendPairsRank(nil, pairs, ModeOff, false)
+	buf, st = AppendPairsRank(nil, pairs, nil, 0, ModeOff, false)
 	msgs = append(msgs, message{
 		name: "pairs", buf: buf, st: st, raw: 12 * 3,
-		decode: func(b []byte) error { return DecodePairsRankInto(b, make([][]frontier.Pair, len(pairs))) },
+		decode: func(b []byte) error { return DecodePairsRankInto(b, make([][]frontier.Pair, len(pairs)), nil, 0) },
 		same: func(t *testing.T, buf []byte) error {
 			got := make([][]frontier.Pair, len(pairs))
-			err := DecodePairsRankInto(buf, got)
+			err := DecodePairsRankInto(buf, got, nil, 0)
 			for s := range pairs {
 				if err == nil && !slices.Equal(got[s], pairs[s]) {
 					t.Fatalf("pairs slot %d: got %v, want %v", s, got[s], pairs[s])
@@ -116,6 +117,35 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 			return err
 		},
 	})
+
+	// The sweep's replay: every pair carries a w-word lane set, a mask section
+	// behind each pairs block.
+	for _, w := range []int{1, 3} {
+		lanes := make([][]uint64, len(pairs))
+		for s, prs := range pairs {
+			for i := 0; i < len(prs)*w; i++ {
+				lanes[s] = append(lanes[s], uint64(s+5)<<(11*i))
+			}
+		}
+		buf, st := AppendPairsRank(nil, pairs, lanes, w, ModeOff, false)
+		decode := func(b []byte) ([][]frontier.Pair, [][]uint64, error) {
+			prs, ls := make([][]frontier.Pair, len(pairs)), make([][]uint64, len(pairs))
+			return prs, ls, DecodePairsRankInto(b, prs, ls, w)
+		}
+		msgs = append(msgs, message{
+			name: fmt.Sprintf("pairs/lanes=%d", w), buf: buf, st: st, raw: 3 * int64(12+8*w),
+			decode: func(b []byte) error { _, _, err := decode(b); return err },
+			same: func(t *testing.T, buf []byte) error {
+				prs, ls, err := decode(buf)
+				for s := range pairs {
+					if err == nil && (!slices.Equal(prs[s], pairs[s]) || !slices.Equal(ls[s], lanes[s])) {
+						t.Fatalf("pairs w=%d slot %d: got %v %v, want %v %v", w, s, prs[s], ls[s], pairs[s], lanes[s])
+					}
+				}
+				return err
+			},
+		})
+	}
 
 	if len(sel.memo) != 0 {
 		t.Fatalf("ModeOff touched the scheme memory: %v", sel.memo)

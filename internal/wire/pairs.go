@@ -195,25 +195,37 @@ func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Sch
 // AppendPairsRank encodes one pairs block per destination GPU slot into a
 // single rank-to-rank message appended to buf, so a caller can reuse its
 // message buffer across queries; presorted asserts every slot is in
-// (ID, Val) order (see AppendPairsSorted). Stats cover the appended message
-// under mode's charging rule; RawBytes counts the fixed-width
-// 12-bytes-per-pair equivalent.
-func AppendPairsRank(buf []byte, slots [][]frontier.Pair, mode Mode, presorted bool) ([]byte, Stats) {
+// ascending ID order (see AppendPairsSorted; the delta stream needs no more,
+// (ID, Val) order is merely canonical). With w > 0 each pair carries a w-word
+// lane set — the sweep's "in which of my K trees": lanes[s] holds slot s's
+// sets in pair order, and every pairs block is followed by the record codec's
+// mask section over them, so the pairs must already be in the order they are
+// sent in. w = 0 is the single-tree message and takes no lanes. Stats cover
+// the appended message under mode's charging rule; RawBytes counts the
+// fixed-width 12+8w bytes per pair.
+func AppendPairsRank(buf []byte, slots [][]frontier.Pair, lanes [][]uint64, w int, mode Mode, presorted bool) ([]byte, Stats) {
+	if w > 0 && !presorted && mode != ModeOff && mode != ModeRaw {
+		panic("wire: a sorting codec would reorder the pairs away from their lane sets")
+	}
 	var st Stats
 	start := len(buf)
-	for _, pairs := range slots {
+	for s, pairs := range slots {
 		var scheme Scheme
 		buf, scheme = AppendPairsSorted(buf, pairs, mode, presorted)
-		st.RawBytes += 12 * int64(len(pairs))
+		if w > 0 {
+			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode))
+		}
+		st.RawBytes += int64(12+8*w) * int64(len(pairs))
 		st.Selected[scheme]++
 	}
 	st.EncodedBytes = int64(len(buf) - start)
 	return buf, st.charged(mode)
 }
 
-// DecodePairsRankInto parses an AppendPairsRank message of len(into) slots,
-// overwriting each into[s] in place (capacity reused).
-func DecodePairsRankInto(buf []byte, into [][]frontier.Pair) error {
+// DecodePairsRankInto parses an AppendPairsRank message of len(into) slots of
+// w-word lane sets, overwriting each into[s] — and lanesInto[s], when w > 0 —
+// in place (capacity reused).
+func DecodePairsRankInto(buf []byte, into [][]frontier.Pair, lanesInto [][]uint64, w int) error {
 	off := 0
 	for s := range into {
 		pairs, n, _, err := decodePairsInto(buf[off:], into[s])
@@ -221,6 +233,15 @@ func DecodePairsRankInto(buf []byte, into [][]frontier.Pair) error {
 			return fmt.Errorf("wire: pairs slot %d: %w", s, err)
 		}
 		into[s] = pairs
+		off += n
+		if w == 0 {
+			continue
+		}
+		lanes, n, err := decodeMaskSection(buf[off:], len(pairs), w, lanesInto[s][:0])
+		if err != nil {
+			return fmt.Errorf("wire: pairs slot %d lanes: %w", s, err)
+		}
+		lanesInto[s] = lanes
 		off += n
 	}
 	if off != len(buf) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 func TestPairsRankRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	slots := [][]frontier.Pair{randPairs(rng, 20), nil, randPairs(rng, 3)}
-	buf, st := AppendPairsRank(nil, slots, ModeAdaptive, false)
+	buf, st := AppendPairsRank(nil, slots, nil, 0, ModeAdaptive, false)
 	if st.RawBytes != 12*23 {
 		t.Fatalf("RawBytes %d, want %d", st.RawBytes, 12*23)
 	}
@@ -105,7 +106,7 @@ func TestPairsRankRoundTrip(t *testing.T) {
 		t.Fatalf("EncodedBytes %d, frame %d", st.EncodedBytes, len(buf))
 	}
 	got := make([][]frontier.Pair, 3)
-	if err := DecodePairsRankInto(buf, got); err != nil {
+	if err := DecodePairsRankInto(buf, got, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for s := range slots {
@@ -113,12 +114,57 @@ func TestPairsRankRoundTrip(t *testing.T) {
 			t.Fatalf("slot %d multiset mismatch", s)
 		}
 	}
-	if err := DecodePairsRankInto(append(buf, 1), got); err == nil {
+	if err := DecodePairsRankInto(append(buf, 1), got, nil, 0); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if err := DecodePairsRankInto(buf[:len(buf)-1], got); err == nil {
+	if err := DecodePairsRankInto(buf[:len(buf)-1], got, nil, 0); err == nil {
 		t.Fatal("truncation accepted")
 	}
+}
+
+// TestPairsRankCarriesLanes: with w > 0 every pair travels with its lane set,
+// in the caller's order, under every mode; and a sorting codec refuses pairs it
+// would have to reorder away from their sets.
+func TestPairsRankCarriesLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range []int{1, 2, 16} {
+		slots := [][]frontier.Pair{randPairs(rng, 40), nil, randPairs(rng, 5)}
+		lanes := make([][]uint64, len(slots))
+		for s := range slots {
+			frontier.SortPairs(slots[s], new([]frontier.Pair))
+			for i := 0; i < len(slots[s])*w; i++ {
+				word := rng.Uint64()
+				if i%3 != 0 {
+					word &= 1 << (i % 64) // sparse rows, so both mask schemes get picked
+				}
+				lanes[s] = append(lanes[s], word)
+			}
+		}
+		for _, mode := range []Mode{ModeOff, ModeRaw, ModeDelta, ModeAdaptive} {
+			buf, st := AppendPairsRank(nil, slots, lanes, w, mode, true)
+			if want := int64(45 * (12 + 8*w)); st.RawBytes != want {
+				t.Fatalf("w=%d %v: RawBytes %d, want %d", w, mode, st.RawBytes, want)
+			}
+			gotP, gotL := make([][]frontier.Pair, 3), make([][]uint64, 3)
+			if err := DecodePairsRankInto(buf, gotP, gotL, w); err != nil {
+				t.Fatalf("w=%d %v: %v", w, mode, err)
+			}
+			for s := range slots {
+				if !slices.Equal(gotP[s], slots[s]) || !slices.Equal(gotL[s], lanes[s]) {
+					t.Fatalf("w=%d %v slot %d: pairs or lanes differ after the round trip", w, mode, s)
+				}
+			}
+			if err := DecodePairsRankInto(buf, gotP, nil, 0); err == nil {
+				t.Fatalf("w=%d %v: decoded as a message without lanes", w, mode)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adaptive mode accepted unsorted lane-carrying pairs")
+		}
+	}()
+	AppendPairsRank(nil, [][]frontier.Pair{{{ID: 2}, {ID: 1}}}, [][]uint64{{1, 2}}, 1, ModeAdaptive, false)
 }
 
 // TestPairsRejectCorruption flips every byte of an encoded block and expects

@@ -144,15 +144,24 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	n := len(ids) - base
-	if off+1+crcLen > len(buf) {
-		return nil, nil, 0, corruptf("wire: mask section truncated (%d bytes left)", len(buf)-off)
+	maskDst, n, err := decodeMaskSection(buf[off:], len(ids)-base, w, maskDst)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	start := off
-	ms := MaskScheme(buf[off])
-	off++
+	return ids, maskDst, off + n, nil
+}
+
+// decodeMaskSection parses the mask section (scheme byte, payload, CRC) of n
+// records of w words each at the start of buf, appending the masks
+// (zero-initialized) to maskDst, and returns the bytes consumed.
+func decodeMaskSection(buf []byte, n, w int, maskDst []uint64) ([]uint64, int, error) {
+	if 1+crcLen > len(buf) {
+		return nil, 0, corruptf("wire: mask section truncated (%d bytes left)", len(buf))
+	}
+	ms := MaskScheme(buf[0])
+	off := 1
 	if ms >= NumMaskSchemes {
-		return nil, nil, 0, corruptf("wire: unknown mask scheme byte %d", buf[off-1])
+		return nil, 0, corruptf("wire: unknown mask scheme byte %d", buf[0])
 	}
 	mbase := len(maskDst)
 	maskDst = slices.Grow(maskDst, n*w)
@@ -161,7 +170,7 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 	switch ms {
 	case MaskRaw:
 		if off+8*n*w+crcLen > len(buf) {
-			return nil, nil, 0, corruptf("wire: raw mask section truncated (%d records × %d words)", n, w)
+			return nil, 0, corruptf("wire: raw mask section truncated (%d records × %d words)", n, w)
 		}
 		for i := 0; i < n*w; i++ {
 			maskDst[mbase+i] = binary.LittleEndian.Uint64(buf[off:])
@@ -171,22 +180,22 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 		for i := 0; i < n; i++ {
 			c, k := binary.Uvarint(buf[off:])
 			if k <= 0 || off+k+crcLen > len(buf) {
-				return nil, nil, 0, corruptf("wire: sparse mask truncated at record %d/%d", i, n)
+				return nil, 0, corruptf("wire: sparse mask truncated at record %d/%d", i, n)
 			}
 			off += k
 			if c > uint64(64*w) {
-				return nil, nil, 0, corruptf("wire: sparse mask popcount %d exceeds %d bits", c, 64*w)
+				return nil, 0, corruptf("wire: sparse mask popcount %d exceeds %d bits", c, 64*w)
 			}
 			row := maskDst[mbase+i*w : mbase+(i+1)*w]
 			prev := -1
 			for j := uint64(0); j < c; j++ {
 				pos, k := binary.Uvarint(buf[off:])
 				if k <= 0 || off+k+crcLen > len(buf) {
-					return nil, nil, 0, corruptf("wire: sparse mask truncated at record %d bit %d", i, j)
+					return nil, 0, corruptf("wire: sparse mask truncated at record %d bit %d", i, j)
 				}
 				off += k
 				if pos >= uint64(64*w) || int(pos) <= prev {
-					return nil, nil, 0, corruptf("wire: sparse mask bit %d out of order or range", pos)
+					return nil, 0, corruptf("wire: sparse mask bit %d out of order or range", pos)
 				}
 				prev = int(pos)
 				row[pos/64] |= 1 << (pos % 64)
@@ -194,13 +203,13 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 		}
 	}
 	if off+crcLen > len(buf) {
-		return nil, nil, 0, corruptf("wire: mask section truncated before checksum")
+		return nil, 0, corruptf("wire: mask section truncated before checksum")
 	}
 	want := binary.LittleEndian.Uint32(buf[off:])
-	if got := crc32.Checksum(buf[start:off], crcTable); got != want {
-		return nil, nil, 0, corruptf("wire: mask checksum mismatch (got %08x, want %08x)", got, want)
+	if got := crc32.Checksum(buf[:off], crcTable); got != want {
+		return nil, 0, corruptf("wire: mask checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	return ids, maskDst, off + crcLen, nil
+	return maskDst, off + crcLen, nil
 }
 
 // DecodeRecordsRank parses a record message of one block per destination GPU
