@@ -269,7 +269,9 @@ func main() {
 
 // runUpdates replays n synthetic delta batches: each advances the graph one
 // epoch (incremental distribution beside the live partition) and repairs the
-// running BFS result through the corrective traversal. With validate, every
+// running BFS result through the corrective traversal, each repaired result
+// the next repair's prior; the per-epoch line shows what the tree's patch sent
+// (pairs and wire bytes) beside a from-scratch resolution's. With validate, every
 // repaired result is compared bit-identically against a full recompute on
 // the new epoch and checked against the serial/Graph500 rules.
 func runUpdates(ctx context.Context, el *graph.EdgeList, sg *partition.Subgraphs, shape core.ClusterShape,
@@ -311,19 +313,20 @@ func runUpdates(ctx context.Context, el *graph.EdgeList, sg *partition.Subgraphs
 		if err != nil {
 			return err
 		}
-		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+		invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
 		nInvalid := 0
 		for _, iv := range invalid {
 			if iv {
 				nInvalid++
 			}
 		}
-		rep, err := plan2.RunRepair(ctx, source, prior.Levels, invalid, seeds, core.Overrides{})
+		rep, err := plan2.Repair(ctx, core.Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents},
+			invalid, b.Inserts, core.Overrides{})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("epoch %d: Δ%d edges, %d invalidated, %d/%d GPU subgraphs shared | repair %8.3f ms (%d iters)",
-			epoch, b.Size(), nInvalid, shared, shape.P(), rep.SimSeconds*1e3, rep.Iterations)
+		fmt.Printf("epoch %d: Δ%d edges, %d invalidated, %d/%d GPU subgraphs shared | repair %8.3f ms (%d iters, tree %d pairs / %d B)",
+			epoch, b.Size(), nInvalid, shared, shape.P(), rep.SimSeconds*1e3, rep.Iterations, rep.ParentPairs, rep.Wire.PairWireBytes)
 		if validate {
 			full, err := plan2.Run(ctx, source, core.Overrides{})
 			if err != nil {
@@ -348,8 +351,8 @@ func runUpdates(ctx context.Context, el *graph.EdgeList, sg *partition.Subgraphs
 			if err := g500.CompareLevels(rep.Levels, want); err != nil {
 				return fmt.Errorf("epoch %d: %w", epoch, err)
 			}
-			fmt.Printf(" vs recompute %8.3f ms (%.2f×) — bit-identical, serial-validated",
-				full.SimSeconds*1e3, full.SimSeconds/rep.SimSeconds)
+			fmt.Printf(" vs recompute %8.3f ms (%.2f×, tree %d pairs / %d B) — bit-identical, serial-validated",
+				full.SimSeconds*1e3, full.SimSeconds/rep.SimSeconds, full.ParentPairs, full.Wire.PairWireBytes)
 		}
 		fmt.Println()
 		el, sg, prior = el2, sg2, rep

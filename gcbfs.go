@@ -181,6 +181,21 @@
 // to ask many questions of one graph. A sweep that collects parents needs
 // vertex ids below 2^32−1 and is refused otherwise.
 //
+// A Repair does not resolve its tree again at all where it can help it: the
+// result starts as a copy of the prior result's arrays, and only the vertices
+// the delta could have re-parented — the ones it invalidated, the ones the
+// corrective wave re-levelled, the endpoints of its inserts — look for their
+// smallest parent again, offering themselves to their neighbors as they do.
+// That is exact, not approximate (any other vertex's candidates changed only
+// by those vertices arriving at or leaving the level above it), and small: on
+// the host benchmark's mutable workload (RMAT scale 16 on 4×2×2, 0.1 % mixed
+// deltas) a repair changes ~200 levels and ~300 parents of 65 536, re-reads
+// 1.5 % of the edges where the full resolution reads a quarter of them, and
+// the tree went from three fifths of a Repair call to under a third. When the delta
+// is large enough that re-reading those rows would cost more than resolving
+// everything, Repair resolves everything; the answer is the same either way,
+// and Result.ParentPairs says which happened.
+//
 // # Incremental graphs
 //
 // NewMutableService wraps the service in an epoch chain for mutating

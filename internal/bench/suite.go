@@ -165,8 +165,8 @@ func dynamicCells(rep *Report) error {
 	if err != nil {
 		return fmt.Errorf("bench: dynamic cells: %w", err)
 	}
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
-	rp, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, core.Overrides{})
+	invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+	rp, err := p2.Repair(ctx, core.Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, core.Overrides{})
 	if err != nil {
 		return fmt.Errorf("bench: dynamic cells: %w", err)
 	}

@@ -266,7 +266,7 @@ func NewPlan(sg *partition.Subgraphs, shape ClusterShape, opts Options) (*Plan, 
 }
 
 // NewPlanEpoch builds a Plan stamped with a graph-version epoch. Every query
-// result produced by the plan (Run, RunRepair, RunSweep) reports the epoch,
+// result produced by the plan (Run, Repair, RunSweep) reports the epoch,
 // which is how an epoch-versioned service proves a query ran entirely on its
 // admission version across an atomic swap.
 func NewPlanEpoch(sg *partition.Subgraphs, shape ClusterShape, opts Options, epoch uint64) (*Plan, error) {
@@ -596,12 +596,20 @@ type gpuState struct {
 	unvisitedNDSources int64
 
 	// repSeeds/repCursor are the repair traversal's per-GPU corrective seed
-	// schedule: still-valid local vertices sorted by (level, id), injected
-	// into the frontier when the level-synchronous wave reaches their level
-	// (repair.go). reset empties it, so a cold run injects nothing; capacity
-	// persists across pooled queries.
-	repSeeds  []repairSeed
+	// schedule: still-valid local vertices as (level, id) keys in ascending
+	// order, injected into the frontier when the level-synchronous wave
+	// reaches their level (repair.go). reset empties it, so a cold run
+	// injects nothing; capacity persists across pooled queries.
+	repSeeds  []uint64
 	repCursor int
+	// rep lists the local vertices whose tree entry a repair must look at
+	// again (repair_tree.go): the re-pull set — every vertex the delta
+	// invalidated, the wave re-levelled or an inserted edge touches, sorted
+	// and deduplicated into rep[:repMembers] when the wave is over — and past
+	// it, in any order and with repeats, every vertex a member's row offered
+	// a parent. reset empties it.
+	rep        []uint32
+	repMembers int
 
 	dirDD, dirDN, dirND metrics.Direction
 
@@ -650,6 +658,7 @@ type iterWork struct {
 
 // reset prepares all per-GPU state for a fresh run.
 func (e *Session) reset() {
+	e.resetTraversal()
 	for _, gs := range e.gpus {
 		for i := range gs.levels {
 			gs.levels[i] = -1
@@ -657,6 +666,22 @@ func (e *Session) reset() {
 		for i := range gs.delegateLevel {
 			gs.delegateLevel[i] = -1
 		}
+		// The BFS-tree buffers stay allocated across pooled reuses but are
+		// only read by parent-tracking queries, so skip the O(NumLocal)
+		// clears when this query does not track them.
+		if gs.trackParents {
+			for i := range gs.parents {
+				gs.parents[i] = -1
+			}
+		}
+	}
+}
+
+// resetTraversal is reset without the O(n) part: everything but the level and
+// parent arrays, which a repair's ranks fill from the prior outcome in the one
+// pass they make over them anyway (repairPreload).
+func (e *Session) resetTraversal() {
+	for _, gs := range e.gpus {
 		gs.visitedForWrite().Reset()
 		gs.dFront.Reset()
 		gs.dFrontN = 0
@@ -666,19 +691,11 @@ func (e *Session) reset() {
 		gs.inFront = gs.inFront[:0]
 		gs.outFront = gs.outFront[:0]
 		gs.bins.Reset()
-		gs.repSeeds, gs.repCursor = gs.repSeeds[:0], 0
+		gs.repSeeds, gs.repCursor, gs.rep = gs.repSeeds[:0], 0, gs.rep[:0]
 		gs.unvisitedNDSources = int64(len(gs.pg.NDSources))
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		gs.dev.ResetCounters()
 		gs.it = iterWork{}
-		// The BFS-tree buffers stay allocated across pooled reuses but are
-		// only read by parent-tracking queries, so skip the O(NumLocal)
-		// clears when this query does not track them.
-		if gs.trackParents {
-			for i := range gs.parents {
-				gs.parents[i] = -1
-			}
-		}
 	}
 	for _, sc := range e.scratch {
 		sc.dSeeds, sc.dCursor = sc.dSeeds[:0], 0

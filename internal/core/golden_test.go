@@ -48,7 +48,12 @@ var goldenResults = map[string]string{
 	"sweep/1":                  "5a8569b23a43a711",
 	"sweep/8":                  "0bab67222146fb10",
 	"sweep/65":                 "b64907b3c494721b",
-	"repair":                   "dd68fbdd26513bb7",
+	// The repair through Plan.Repair, which patches the prior tree, and through
+	// the frozen RunRepair, which resolves it from nothing: the same wave, so
+	// the two rows differ in ParentPairs and Wire.Pair*Bytes only (the test
+	// checks that too).
+	"repair":           "48e97ae24b3d022c",
+	"repair/RunRepair": "dd68fbdd26513bb7",
 }
 
 func TestGoldenRunResults(t *testing.T) {
@@ -127,9 +132,24 @@ func TestGoldenRunResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
-	rep, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
+	rep, err := p2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("repair", rep)
+	wrapped, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("repair/RunRepair", wrapped)
+	if rep.ParentPairs >= wrapped.ParentPairs {
+		t.Errorf("the patch sent %d pairs, the full resolution %d: nothing was patched", rep.ParentPairs, wrapped.ParentPairs)
+	}
+	same := *rep
+	same.ParentPairs, same.Wire.PairRawBytes, same.Wire.PairWireBytes = wrapped.ParentPairs, wrapped.Wire.PairRawBytes, wrapped.Wire.PairWireBytes
+	if resultDigest(&same) != resultDigest(wrapped) {
+		t.Errorf("Repair and RunRepair differ beyond the resolution's traffic:\n%+v\n%+v", *rep, *wrapped)
+	}
+	t.Logf("repair: ParentPairs %d (RunRepair %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)",
+		rep.ParentPairs, wrapped.ParentPairs, rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/simgpu"
@@ -33,27 +35,22 @@ type previsitOut struct {
 func (e *Session) previsit(gs *gpuState) previsitOut {
 	var out previsitOut
 	// Delegate previsit: scan the (globally consistent) delegate frontier
-	// and keep delegates with local dd or dn edges. The queues are rebuilt
-	// every super-step, so they draw on the GPU state's persistent buffers.
+	// and keep delegates with local dd or dn edges — the frontier's words
+	// ANDed with the subgraphs' source masks, so a row offset is read only
+	// for a delegate that has the row. The queues are rebuilt every
+	// super-step, so they draw on the GPU state's persistent buffers.
 	out.qDD, out.qDN = gs.qDDBuf[:0], gs.qDNBuf[:0]
 	frontierBits := gs.dFrontN
 	if frontierBits > 0 {
-		gs.dFront.ForEach(func(di int64) {
-			if ddDeg := gs.pg.DD.Degree(di); ddDeg > 0 {
-				out.qDD = append(out.qDD, di)
-				out.fvDD += ddDeg
-				if ddDeg > out.maxDD {
-					out.maxDD = ddDeg
-				}
+		pg := gs.pg
+		ddSrc, dnSrc := pg.DDSourceMask.Words(), pg.DNSourceMask.Words()
+		for wi, front := range gs.dFront.Words() {
+			if front == 0 {
+				continue
 			}
-			if dnDeg := gs.pg.DN.Degree(di); dnDeg > 0 {
-				out.qDN = append(out.qDN, di)
-				out.fvDN += dnDeg
-				if dnDeg > out.maxDN {
-					out.maxDN = dnDeg
-				}
-			}
-		})
+			out.qDD, out.fvDD, out.maxDD = queueRows(out.qDD, out.fvDD, out.maxDD, wi, front&ddSrc[wi], pg.DD.RowOffsets)
+			out.qDN, out.fvDN, out.maxDN = queueRows(out.qDN, out.fvDN, out.maxDN, wi, front&dnSrc[wi], pg.DN.RowOffsets)
+		}
 	}
 	gs.qDDBuf, gs.qDNBuf = out.qDD, out.qDN // retain grown capacity
 	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
@@ -82,6 +79,19 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 		Vertices: 2 * int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic,
 	})
 	return out
+}
+
+// queueRows appends the delegates of word wi's set bits to q, ascending, and
+// folds their row lengths into the forward workload fv and the longest row.
+func queueRows(q []int64, fv, longest int64, wi int, word uint64, offs []uint32) ([]int64, int64, int64) {
+	for ; word != 0; word &= word - 1 {
+		di := wi*64 + bits.TrailingZeros64(word)
+		deg := int64(offs[di+1] - offs[di])
+		q = append(q, int64(di))
+		fv += deg
+		longest = max(longest, deg)
+	}
+	return q, fv, longest
 }
 
 // backwardWorkload evaluates the paper's BV estimate: |U|·(q+s)/q, the

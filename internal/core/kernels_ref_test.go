@@ -142,9 +142,11 @@ func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*
 	s := p.acquire(p.base)
 	defer p.release(s)
 	w := s.coldWave(source)
-	w.kernels = kernels
+	steps := *w.waveSteps
+	steps.kernels = kernels
+	w.waveSteps = &steps
 	ctx := context.Background()
-	res, err := s.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
+	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {
 		s.runWave(ctx, rank, comm, source, w)
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ func requireMinParents(t *testing.T, label string, csr *graph.CSR, source int64,
 }
 
 // TestParentsEqualMinIDOracle pins the tree itself, not just its validity:
-// Run, RunSweep and RunRepair must each return exactly the min-id tree of
+// Run, RunSweep and Repair must each return exactly the min-id tree of
 // their levels on every shape and threshold, including a graph deeper than
 // one sweep word.
 func TestParentsEqualMinIDOracle(t *testing.T) {
@@ -125,8 +125,8 @@ func TestParentsEqualMinIDOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				invalid, seeds := delta.Affected(prior, priorParents, b)
-				rep, err := plan2.RunRepair(ctx, sources[0], prior, invalid, seeds, Overrides{})
+				invalid := delta.Invalidated(prior, priorParents, b)
+				rep, err := plan2.Repair(ctx, Prior{Source: sources[0], Levels: prior, Parents: priorParents}, invalid, b.Inserts, Overrides{})
 				if err != nil {
 					t.Fatal(err)
 				}

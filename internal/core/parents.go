@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
@@ -72,9 +73,46 @@ import (
 // compares, and its dd pass needing neither a direction nor a comparison: it
 // walks a level's delegates in ascending id, and since dense ids ascend with
 // global ids (2 above) the FIRST delegate to reach a (neighbor, lane) is the
-// smallest. The two resolvers share the contract and what enforces it — the
-// replay pair's packing, the delegate stripes, the missing-parent panics — and
-// the replay's wire format, whose pairs carry a lane set in a sweep.
+// smallest.
+//
+// A repair (Repair) has a third shape, because it starts with more than
+// levels: the prior epoch's tree π, exact under this same contract, of which a
+// small delta leaves all but half a per cent standing. Its finisher
+// (repair_tree.go) copies π and resolves again only the re-pull set
+//
+//	R = C ∪ invalid ∪ (still-valid endpoints of inserted edges) − {source}
+//
+// where C is every vertex whose level the wave changed and invalid what
+// delta.Invalidated voided (re-derived or left unreached). R's members pull
+// over their own rows, from nothing, and in the same visit offer themselves to
+// their neighbors one level down; nobody else reads a row. That is exact:
+//
+//   - A vertex v ∉ R has its prior level and its prior rows (it is no insert
+//     endpoint; a deleted edge at v that mattered was its tree edge and put v
+//     in invalid). So its candidate set — neighbors at level ℓ(v)−1 — changed
+//     only by members of C entering or leaving that level, or by a neighbor
+//     lost to a deleted non-tree edge, which was not the minimum.
+//   - π(v) is still a candidate: the edge survives, and π(v) ∉ C — a parent
+//     whose level dropped takes the child along the surviving edge (ℓ′(v) ≤
+//     ℓ′(π(v))+1 < ℓ(v), so v ∈ C), and a parent whose level rose or vanished
+//     was invalid, and with it its whole subtree, v included.
+//   - Hence π′(v) = min(π(v), the members of C now at ℓ(v)−1 adjacent to v),
+//     and every such member offers itself to v when it visits its own row —
+//     the graph is symmetric, v is in it.
+//   - A member's pull sees its whole row, so it needs nobody's offer; offers
+//     between members are redundant, not wrong.
+//
+// π(v) for v ∉ R is read where the result is written, on the rank that owns
+// v, and only for a v some offer reached; every other entry of the copy is
+// never touched. Both ways of finishing a repair give the same tree; which is
+// less work depends on |R| (finishRepair decides, from row counts).
+//
+// The three resolvers share the contract and what enforces it — the replay
+// pair's packing, the fold that keeps the smallest offer (foldParent), the
+// dd and nd row loops (ddPass, ndPass: the repair runs them over R's rows),
+// the pair exchange (exchangePairs), the delegate stripes, the missing-parent
+// panics — and the replay's wire format, whose pairs carry a lane set in a
+// sweep.
 //
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
@@ -88,9 +126,10 @@ import (
 // iterations).
 const parentLevelBits = 20
 
-// parentTagBase is the message tag of the resolution exchange, outside the
-// iteration tag space. A traversal has one such exchange — a sweep's replay
-// carries all K lanes in it — so the tag needs no offset.
+// parentTagBase is the message tag of the resolution's first pair exchange,
+// outside the iteration tag space; round r of a resolution sends at
+// parentTagBase+r. A cold run and a sweep have one round (a sweep's replay
+// carries all K lanes in it), a repair's patch two.
 const parentTagBase = 1 << 30
 
 // parentPairVal packs a replay pair's value: sender uGlobal claiming the
@@ -161,14 +200,27 @@ type parentScratch struct {
 	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
 	dd   []uint32 // delegate id → smallest dd parent (delegate id)
 	cand []int64  // delegate id → smallest parent global id; reduced
-	// ddEdges counts the dd row entries the last resolution read on this
-	// rank (BenchmarkResolveParents reports it against |Edd|).
-	ddEdges int64
+	// ddEdges counts the dd row entries the last full resolution read on this
+	// rank (BenchmarkResolveParents reports it against |Edd|), patchReads the
+	// row entries of all four subgraphs the last repair patch read
+	// (BenchmarkRepairResolve, against the graph's edges).
+	ddEdges, patchReads int64
 
-	bins     *frontier.PairBins
-	sortBuf  []frontier.Pair   // radix scatter buffer of the replay's in-place bin sort; grows to the largest bin
-	payloads [][]byte          // per destination rank, retained by the receiver until the gather barrier
+	// rounds are the resolution's pair exchanges: a full resolution has one
+	// (the nn replay), a repair's patch two (offers out, answers back), each
+	// with bins and message buffers of its own, because a rank fills round
+	// 1's while a peer may still be decoding what it sent in round 0.
+	rounds   []pairRound
+	sortBuf  []frontier.Pair   // radix scatter buffer of the in-place bin sort; grows to the largest bin
 	arrivals [][]frontier.Pair // per local slot, decode target
+}
+
+// pairRound is one pair exchange's outgoing state: a bin per destination GPU
+// and a message buffer per destination rank, which the receiver retains until
+// it has decoded it.
+type pairRound struct {
+	bins     *frontier.PairBins
+	payloads [][]byte
 }
 
 // finishQuery finishes this Session's query on one rank: the canonical parent
@@ -224,7 +276,12 @@ func (ps *parentScratch) treeDirections(dLevel []int32, outDeg []int64) []bool {
 // levelTag is a level's one-byte stand-in; noTag marks an unvisited delegate.
 const noTag = 255
 
-func levelTag(l int32) uint8 { return uint8(l % noTag) }
+func levelTag(l int32) uint8 {
+	if uint32(l) < noTag {
+		return uint8(l) // nearly every level; spares the division
+	}
+	return uint8(l % noTag)
+}
 
 // missMask is all ones unless a == b, so id|missMask(…) drops out of a min.
 func missMask(a, b uint8) uint32 { return uint32(int32(-uint32(a^b)) >> 31) }
@@ -233,18 +290,27 @@ func missMask(a, b uint8) uint32 { return uint32(int32(-uint32(a^b)) >> 31) }
 // delegate id one level up) and returns the row entries read. A row at level
 // l pulls for itself when pair (l−1, l) is a pull and offers itself to its
 // level-l+1 neighbors when pair (l, l+1) is a push. The pull's compare is
-// arithmetic: a neighbor's level is a coin flip to the branch predictor.
-func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, cand []uint32) int64 {
+// arithmetic: a neighbor's level is a coin flip to the branch predictor. With
+// only set (a d-bit mask's words) the pass reads just those rows and resolves
+// each both ways whatever push says — the repair's patch, whose rows' neighbors
+// will not be visited themselves.
+func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, only []uint64, cand []uint32) int64 {
 	var scanned int64
 	offs, cols := pg.DD.RowOffsets, pg.DD.Cols
 	for wi, word := range pg.DDSourceMask.Words() {
+		if only != nil {
+			word &= only[wi]
+		}
 		for ; word != 0; word &= word - 1 {
 			di := wi*64 + bits.TrailingZeros64(word)
 			l := dLevel[di]
 			if l < 0 {
 				continue
 			}
-			pull, pushDown := !push[l], push[l+1]
+			pull, pushDown := true, true
+			if only == nil {
+				pull, pushDown = !push[l], push[l+1]
+			}
 			if !pull && !pushDown {
 				continue
 			}
@@ -280,17 +346,10 @@ func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch)
 	dLevel := gpus[0].delegateLevel // one replica serves the rank: they are identical
 	push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
 
-	if cap(ps.dd) < int(e.d) {
-		ps.dd = make([]uint32, e.d)
-		ps.cand = make([]int64, e.d)
-	}
-	dd, cand := ps.dd[:e.d], ps.cand[:e.d]
-	for i := range dd {
-		dd[i] = noDelegate
-	}
+	dd, cand := ps.candidates(e.d)
 	ps.ddEdges = 0
 	for _, gs := range gpus {
-		ps.ddEdges += ddPass(gs.pg, dLevel, ps.tag, push, dd)
+		ps.ddEdges += ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
 	}
 	for di, c := range dd {
 		cand[di] = noParent
@@ -302,33 +361,79 @@ func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch)
 		// Only the source sits at level 0: it is its own parent.
 		cand[di] = source
 	}
-
 	for _, gs := range gpus {
-		pg, levels, parents := gs.pg, gs.levels, gs.parents
-		for _, u := range pg.NDSources {
-			lu := levels[u]
-			if lu < 0 {
-				continue
+		e.ndPass(gs, gs.pg.NDSources, dLevel, cand)
+	}
+}
+
+// candidates returns the dd and reduced candidate arrays of a d-delegate
+// resolution, dd emptied.
+func (ps *parentScratch) candidates(d int64) (dd []uint32, cand []int64) {
+	if cap(ps.dd) < int(d) {
+		ps.dd = make([]uint32, d)
+		ps.cand = make([]int64, d)
+	}
+	dd, cand = ps.dd[:d], ps.cand[:d]
+	for i := range dd {
+		dd[i] = noDelegate
+	}
+	return dd, cand
+}
+
+// ndPass resolves the nd edges of the listed local rows in both directions —
+// a row's smallest delegate one level up becomes its parent (the first
+// candidate a normal vertex gets, hence an assignment), and the row offers
+// itself to its delegates one level down — and returns the entries read.
+func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []int64) (scanned int64) {
+	sep := e.sg.Sep
+	pg, levels, parents := gs.pg, gs.levels, gs.parents
+	for _, u := range rows {
+		lu := levels[u]
+		if lu < 0 {
+			continue
+		}
+		up := lu - 1
+		if lu == 0 {
+			up = noLevel // -1 is "unvisited", not a level
+		}
+		uGlobal := e.cfg.GlobalID(u, pg.Rank, pg.Slot)
+		best := noDelegate
+		row := pg.ND.Neighbors(int64(u))
+		scanned += int64(len(row))
+		for _, dv := range row {
+			ld := dLevel[dv]
+			if ld == up {
+				best = min(best, dv)
 			}
-			up := lu - 1
-			if lu == 0 {
-				up = noLevel // -1 is "unvisited", not a level
-			}
-			uGlobal := e.cfg.GlobalID(u, pg.Rank, pg.Slot)
-			best := noDelegate
-			for _, dv := range pg.ND.Neighbors(int64(u)) {
-				ld := dLevel[dv]
-				if ld == up {
-					best = min(best, dv)
-				}
-				if ld == lu+1 && uGlobal < cand[dv] {
-					cand[dv] = uGlobal
-				}
-			}
-			if best != noDelegate {
-				parents[u] = sep.DelegateGlobal[best]
+			if ld == lu+1 && uGlobal < cand[dv] {
+				cand[dv] = uGlobal
 			}
 		}
+		if best != noDelegate {
+			parents[u] = sep.DelegateGlobal[best]
+		}
+	}
+	return scanned
+}
+
+// foldParent offers parent to local vertex id as a neighbor claiming it as a
+// child at childLevel, and reports whether it is the smallest offer so far.
+func foldParent(levels []int32, parents []int64, id uint32, childLevel int32, parent int64) bool {
+	if levels[id] != childLevel {
+		return false
+	}
+	if cur := parents[id]; cur != -1 && cur <= parent {
+		return false
+	}
+	parents[id] = parent
+	return true
+}
+
+// accept folds a block of replay pairs into one GPU's parent array.
+func accept(gs *gpuState, prs []frontier.Pair) {
+	levels, parents := gs.levels, gs.parents
+	for _, pr := range prs {
+		foldParent(levels, parents, pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), int64(pr.Val>>parentLevelBits))
 	}
 }
 
@@ -336,22 +441,9 @@ func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch)
 // edges directly, everything else through the remote replay exchange. On
 // return this rank's parent rows are final.
 func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
-	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
 	p64 := int64(e.p)
-	mode := e.opts.Compression
-	gpus := e.rankGPUs(rank)
-
-	if ps.bins == nil {
-		ps.bins = frontier.NewPairBins(e.p)
-		ps.payloads = make([][]byte, prank)
-		ps.arrivals = make([][]frontier.Pair, pgpu)
-	} else {
-		ps.bins.Reset()
-	}
-	bins := ps.bins
-	var pairs int64
-	for _, gs := range gpus {
+	bins := ps.pairBins(e, 0)
+	for _, gs := range e.rankGPUs(rank) {
 		pg, levels, parents := gs.pg, gs.levels, gs.parents
 
 		// Replay outgoing nn edges once, claiming child level = my level + 1;
@@ -372,49 +464,58 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 			for _, v := range pg.NN.Neighbors(slot) {
 				owner := e.cfg.OwnerGPU(v)
 				if owner == pg.GPU {
-					lv := uint32(v / p64)
-					if levels[lv] == childLevel {
-						if cur := parents[lv]; cur == -1 || uGlobal < cur {
-							parents[lv] = uGlobal
-						}
-					}
+					foldParent(levels, parents, uint32(v/p64), childLevel, uGlobal)
 					continue
 				}
 				bins.Add(owner, uint32(v/p64), val)
-				pairs++
 			}
 		}
 	}
-	atomic.AddInt64(&e.parentExchangePairs, pairs)
+	e.exchangePairs(rank, comm, ps, 0, accept)
+}
 
-	accept := func(levels []int32, parents []int64, prs []frontier.Pair) {
-		for _, pr := range prs {
-			childLevel := int32(pr.Val & (1<<parentLevelBits - 1))
-			if levels[pr.ID] != childLevel {
-				continue
-			}
-			parent := int64(pr.Val >> parentLevelBits)
-			if cur := parents[pr.ID]; cur == -1 || parent < cur {
-				parents[pr.ID] = parent
-			}
-		}
+// pairBins returns the emptied pair bins of resolution round r, allocated with
+// the round's message buffers on first use.
+func (ps *parentScratch) pairBins(e *Session, r int) *frontier.PairBins {
+	for len(ps.rounds) <= r {
+		ps.rounds = append(ps.rounds, pairRound{
+			bins:     frontier.NewPairBins(e.p),
+			payloads: make([][]byte, e.shape.Ranks()),
+		})
 	}
+	if ps.arrivals == nil {
+		ps.arrivals = make([][]frontier.Pair, e.shape.GPUsPerRank)
+	}
+	bins := ps.rounds[r].bins
+	bins.Reset()
+	return bins
+}
 
-	// Intra-rank pairs apply directly; inter-rank pairs route through the
-	// same codec policy as the frontier exchange: sorted where they are born
-	// when a codec is active, raw blocks in bin order charged 12 bytes per
-	// pair when compression is off. The volume is reported in WireStats but,
-	// like the rest of the resolution round, excluded from simulated BFS time.
-	// Payload buffers are reused per destination: the receiver holds the
-	// slice only until it has decoded it, which is before gatherRank's
-	// barrier, and the next resolution on this scratch starts after it.
+// exchangePairs delivers round r's pair bins — one bin per destination GPU —
+// and applies every block that lands on one of this rank's GPUs: intra-rank
+// bins directly; inter-rank ones through the same codec policy as the
+// frontier exchange, sorted where they are born when a codec is active, raw
+// blocks in bin order charged 12 bytes per pair when compression is off. The
+// volume is reported in WireStats but, like the rest of the resolution,
+// excluded from simulated BFS time. Payload buffers are reused per round and
+// destination: the receiver holds the slice only until it has decoded it,
+// which is before it finishes the traversal, and the next resolution on this
+// scratch starts after every rank has.
+func (e *Session) exchangePairs(rank int, comm *mpi.Comm, ps *parentScratch, r int, apply func(gs *gpuState, prs []frontier.Pair)) {
+	pgpu := e.shape.GPUsPerRank
+	prank := e.shape.Ranks()
+	mode := e.opts.Compression
+	gpus := e.rankGPUs(rank)
+	round := &ps.rounds[r]
+	atomic.AddInt64(&e.parentExchangePairs, round.bins.Count())
+
 	var rawBytes, wireBytes int64
 	codec := mode != wire.ModeOff
 	for dst := 0; dst < prank; dst++ {
-		slots := bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
+		slots := round.bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
 		if dst == rank {
 			for s, prs := range slots {
-				accept(gpus[s].levels, gpus[s].parents, prs)
+				apply(gpus[s], prs)
 			}
 			continue
 		}
@@ -423,11 +524,11 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 				frontier.SortPairs(prs, &ps.sortBuf)
 			}
 		}
-		payload, st := wire.AppendPairsRank(ps.payloads[dst][:0], slots, nil, 0, mode, codec)
+		payload, st := wire.AppendPairsRank(round.payloads[dst][:0], slots, nil, 0, mode, codec)
 		rawBytes += st.RawBytes
 		wireBytes += st.EncodedBytes
-		ps.payloads[dst] = payload
-		comm.Isend(dst, parentTagBase, payload)
+		round.payloads[dst] = payload
+		comm.Isend(dst, parentTagBase+r, payload)
 	}
 	atomic.AddInt64(&e.parentPairRawBytes, rawBytes)
 	atomic.AddInt64(&e.parentPairWireBytes, wireBytes)
@@ -435,12 +536,12 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 		if src == rank {
 			continue
 		}
-		buf := comm.Recv(src, parentTagBase)
+		buf := comm.Recv(src, parentTagBase+r)
 		if err := wire.DecodePairsRankInto(buf, ps.arrivals, nil, 0); err != nil {
 			panic(fmt.Errorf("core: corrupt parent payload: %w", err))
 		}
 		for s, prs := range ps.arrivals {
-			accept(gpus[s].levels, gpus[s].parents, prs)
+			apply(gpus[s], prs)
 		}
 	}
 }
@@ -453,8 +554,7 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 // resolution: past it every replay payload has been decoded.
 func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 	p, out := e.p, e.out
-	gpus := e.rankGPUs(rank)
-	for _, gs := range gpus {
+	for _, gs := range e.rankGPUs(rank) {
 		pg, levels := gs.pg, gs.levels
 		v := int(e.cfg.Residue(pg.Rank, pg.Slot))
 		if out.levels != nil {
@@ -473,10 +573,21 @@ func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 		}
 	}
 	comm.Barrier()
+	e.gatherStripe(rank, ps, nil)
+}
 
+// gatherStripe writes this rank's stripe of the replicated delegate directory
+// from the delegate levels and the reduced candidates — all of it, or with
+// only set just the delegates it marks, the rest of the result being right
+// already (a repair's patch).
+func (e *Session) gatherStripe(rank int, ps *parentScratch, only *bitmask.Mask) {
+	out := e.out
 	lo, hi := e.delegateStripe(rank)
-	dLevel := gpus[0].delegateLevel
+	dLevel := e.rankGPUs(rank)[0].delegateLevel
 	for di := lo; di < hi; di++ {
+		if only != nil && !only.Get(di) {
+			continue
+		}
 		v := e.sg.Sep.DelegateGlobal[di]
 		lvl := dLevel[di]
 		if out.levels != nil {
@@ -488,7 +599,7 @@ func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 		par := ps.cand[di]
 		if par == noParent {
 			if lvl >= 0 {
-				panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
+				panicNoCandidate(di)
 			}
 			par = -1
 		}

@@ -134,9 +134,19 @@ type loopScratch struct {
 	pol policyScratch
 }
 
-// wave is what a single-source traversal may vary about its lanes.
+// wave is what a single-source traversal may vary about its lanes: the part of
+// its frontier known beforehand, its steps, and — a repair — its input, from
+// which its finisher starts and for which the delegate commit lists what it
+// re-levels. (Three words beside the schedule, as before the finisher: Run's
+// rank closure captures a wave, and a query's allocated bytes are pinned.)
 type wave struct {
 	schedule
+	*waveSteps
+	repair *repairIn
+}
+
+// waveSteps are the steps a cold run and a repair take differently.
+type waveSteps struct {
 	// kernels runs one superstep's local computation on a rank's GPUs;
 	// apply is the per-id visit rule for ids that arrive over the exchange.
 	// A cold run has no prior levels: its kernels test the visited bitmask
@@ -144,6 +154,15 @@ type wave struct {
 	// repair's kernels test the preloaded levels for strict improvement.
 	kernels func(e *Session, myGPUs []*gpuState, iter int32)
 	apply   func(gs *gpuState, ids []uint32, depth int32)
+	// finish resolves and gathers one rank's share of the result, when the
+	// query collects one: a cold run from nothing (finishQuery), a repair by
+	// patching the prior tree where that is less work (finishRepair).
+	finish func(l *sourceLanes, comm *mpi.Comm)
+}
+
+var coldSteps = waveSteps{
+	kernels: (*Session).coldKernels, apply: applyIDs,
+	finish: func(l *sourceLanes, comm *mpi.Comm) { l.e.finishQuery(l.rank, comm, l.source) },
 }
 
 // The cold run's seed schedule is its source alone, at level 0 (read-only).
@@ -264,7 +283,7 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 // session.
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
 	w := e.coldWave(source)
-	return e.traverse(ctx, source, func(rank int, comm *mpi.Comm) {
+	return e.traverse(ctx, source, newTreeOut(&e.opts, e.sg.N), func(rank int, comm *mpi.Comm) {
 		e.runWave(ctx, rank, comm, source, w)
 	})
 }
@@ -273,7 +292,7 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 // frontier at depth 0 and the loop runs the direction-optimizing kernels.
 func (e *Session) coldWave(source int64) wave {
 	e.reset()
-	w := wave{schedule{nSeeds: oneSeed, dSeeds: noSeed}, (*Session).coldKernels, applyIDs}
+	w := wave{schedule: schedule{nSeeds: oneSeed, dSeeds: noSeed}, waveSteps: &coldSteps}
 	if e.sg.Sep.IsDelegate(source) {
 		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
@@ -295,10 +314,10 @@ func (e *Session) coldWave(source int64) wave {
 }
 
 // traverse launches one single-source traversal's rank goroutines on the
-// freshly reset session and assembles the result. A fault poisons the
-// session; a cancelled query returns the context's error.
-func (e *Session) traverse(ctx context.Context, source int64, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
-	e.out = newTreeOut(&e.opts, e.sg.N)
+// freshly reset session, to fill out, and assembles the result. A fault
+// poisons the session; a cancelled query returns the context's error.
+func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
+	e.out = out
 	e.begin()
 	if err := RunRanks(e.acquireWorld(), e.opts.Inject, tagSite, body); err != nil {
 		e.poisoned = true
@@ -704,6 +723,9 @@ func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
 	}
 	rankMask := sc.rankMask
 	dc.visits = rankMask.Count()
+	if l.w.repair != nil {
+		sc.members.Or(rankMask)
+	}
 	for _, gs := range l.gpus {
 		rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
 		gs.visitedForWrite().Or(rankMask)
@@ -812,7 +834,7 @@ func (l *sourceLanes) rotate() {
 
 func (l *sourceLanes) finish(comm *mpi.Comm) {
 	if l.e.collects() {
-		l.e.finishQuery(l.rank, comm, l.source)
+		l.w.finish(l, comm)
 	}
 }
 

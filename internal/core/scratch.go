@@ -77,12 +77,17 @@ type rankScratch struct {
 
 	// seedMask holds the repair traversal's merged delegate seed set (every
 	// rank keeps an identical copy of the AllreduceOr result); dSeeds/dCursor
-	// are its (level, delegate id)-sorted injection schedule, emptied by
-	// Session.reset. Allocated by the first RunRepair on this rank and reused
-	// across pooled queries.
+	// are its injection schedule, (level, delegate id) keys in ascending
+	// order, emptied by Session.reset. Allocated by the first repair on this
+	// rank and reused across pooled queries.
 	seedMask *bitmask.Mask
-	dSeeds   []repairSeed
+	dSeeds   []uint64
 	dCursor  int
+	// members marks the delegates of a repair's re-pull set (repair_tree.go):
+	// the invalidated, the inserted edges' still-valid endpoints, and every
+	// one the wave commits a new level to. Derived from replicated data, so
+	// identical on every rank; allocated and emptied by repairPreload.
+	members *bitmask.Mask
 
 	// parents is the post-BFS canonical parent resolution's reusable state
 	// (candidate directory + replay pair bins, see parents.go).

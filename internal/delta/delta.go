@@ -3,9 +3,9 @@
 // undirected edge inserts and deletes; Apply produces the next epoch's edge
 // list by stable compaction (surviving directed edges keep their relative
 // order, so per-GPU CSRs of untouched partitions rebuild byte-identically —
-// see partition.DistributeIncremental); Affected derives, from a prior
-// canonical BFS result, exactly which vertices a delta can move — the inputs
-// of core.Plan.RunRepair's corrective traversal.
+// see partition.DistributeIncremental); Invalidated derives, from a prior
+// canonical BFS result, which vertices a delta's deletes void — the input of
+// core.Plan.Repair's corrective traversal.
 //
 // The package sits below core: it knows edge lists and BFS trees, nothing
 // about partitions, sessions or epochs.
@@ -161,29 +161,23 @@ func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
 	return out, nil
 }
 
-// Affected derives the repair inputs from a prior canonical BFS outcome
-// (levels and the canonical min-parent tree, both over the OLD epoch) and
-// the batch that advances it:
+// Invalidated marks, from a prior canonical BFS outcome (levels and the
+// canonical min-parent tree, both over the OLD epoch) and the batch that
+// advances it, every vertex whose prior level can no longer be trusted. A
+// deleted edge {u,v} orphans v exactly when u is v's canonical tree parent
+// (and vice versa); the orphan's entire tree subtree is invalidated. Every
+// valid vertex keeps its whole parent chain — each chain edge survived and
+// every ancestor is valid — so a path of its old length still exists and
+// deletions cannot increase its distance. Invalidation may overshoot (a
+// subtree vertex can have a surviving shortest path through a non-tree
+// neighbor); the corrective traversal re-derives those at their unchanged
+// level.
 //
-//   - invalid marks every vertex whose prior level can no longer be trusted.
-//     A deleted edge {u,v} orphans v exactly when u is v's canonical tree
-//     parent (and vice versa); the orphan's entire tree subtree is
-//     invalidated. Every valid vertex keeps its whole parent chain — each
-//     chain edge survived and every ancestor is valid — so a path of its old
-//     length still exists and deletions cannot increase its distance.
-//     Invalidation may overshoot (a subtree vertex can have a surviving
-//     shortest path through a non-tree neighbor); the corrective traversal
-//     re-derives those at their unchanged level.
-//
-//   - insertSeeds are the still-valid endpooints of inserted edges: the only
-//     valid vertices whose adjacency gained an edge, hence the only places a
-//     level decrease can originate. Invalid endpoints need no seed — the
-//     corrective wave re-reaches them through the seeded valid boundary.
-//
-// The valid in-neighbors of invalidated vertices — the rest of the repair
-// seed set — depend on the NEW epoch's adjacency and are discovered by the
-// distributed probe inside core.Plan.RunRepair.
-func Affected(levels []int32, parents []int64, b *Batch) (invalid []bool, insertSeeds []int64) {
+// The rest of a repair's seed set — the still-valid endpoints of inserted
+// edges, which core.Plan.Repair reads off the batch itself, and the valid
+// in-neighbors of invalidated vertices, which depend on the NEW epoch's
+// adjacency and are discovered by its distributed probe — is not derived here.
+func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 	n := len(levels)
 	invalid = make([]bool, n)
 
@@ -199,41 +193,51 @@ func Affected(levels []int32, parents []int64, b *Batch) (invalid []bool, insert
 		orphan(e.V, e.U)
 		orphan(e.U, e.V)
 	}
+	if len(roots) == 0 {
+		return invalid
+	}
 
-	if len(roots) > 0 {
-		// Child index over the canonical tree: two-pass counting sort keyed
-		// by parent, covering reachable non-root vertices only.
-		count := make([]int32, n+1)
-		for v := 0; v < n; v++ {
-			if p := parents[v]; p >= 0 && p != int64(v) {
-				count[p+1]++
-			}
+	// Child index over the canonical tree: two-pass counting sort keyed
+	// by parent, covering reachable non-root vertices only.
+	count := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		if p := parents[v]; p >= 0 && p != int64(v) {
+			count[p+1]++
 		}
-		for i := 1; i <= n; i++ {
-			count[i] += count[i-1]
+	}
+	for i := 1; i <= n; i++ {
+		count[i] += count[i-1]
+	}
+	children := make([]int64, count[n])
+	cursor := make([]int32, n)
+	copy(cursor, count[:n])
+	for v := 0; v < n; v++ {
+		if p := parents[v]; p >= 0 && p != int64(v) {
+			children[cursor[p]] = int64(v)
+			cursor[p]++
 		}
-		children := make([]int64, count[n])
-		cursor := make([]int32, n)
-		copy(cursor, count[:n])
-		for v := 0; v < n; v++ {
-			if p := parents[v]; p >= 0 && p != int64(v) {
-				children[cursor[p]] = int64(v)
-				cursor[p]++
-			}
-		}
-		// Subtree propagation.
-		for len(roots) > 0 {
-			v := roots[len(roots)-1]
-			roots = roots[:len(roots)-1]
-			for _, w := range children[count[v]:count[v+1]] {
-				if !invalid[w] {
-					invalid[w] = true
-					roots = append(roots, w)
-				}
+	}
+	// Subtree propagation.
+	for len(roots) > 0 {
+		v := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		for _, w := range children[count[v]:count[v+1]] {
+			if !invalid[w] {
+				invalid[w] = true
+				roots = append(roots, w)
 			}
 		}
 	}
+	return invalid
+}
 
+// Affected derives the inputs of core.Plan.RunRepair: Invalidated's mask, and
+// insertSeeds, the still-valid endpoints of inserted edges in ascending order —
+// the only valid vertices whose adjacency gained an edge, hence the only
+// places a level decrease can originate. Invalid endpoints need no seed — the
+// corrective wave re-reaches them through the seeded valid boundary.
+func Affected(levels []int32, parents []int64, b *Batch) (invalid []bool, insertSeeds []int64) {
+	invalid = Invalidated(levels, parents, b)
 	seedSet := make(map[int64]struct{}, 2*len(b.Inserts))
 	for _, e := range b.Inserts {
 		for _, v := range [2]int64{e.U, e.V} {

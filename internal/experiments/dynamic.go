@@ -11,7 +11,7 @@ import (
 )
 
 // Cmp6Dynamic ablates the incremental-graph machinery (internal/delta,
-// partition.DistributeIncremental, core.Plan.RunRepair) against full
+// partition.DistributeIncremental, core.Plan.Repair) against full
 // recomputation across delta sizes and kinds: for each cell a synthetic
 // batch of edge mutations advances the base graph one epoch, the next
 // epoch's plan is built incrementally beside the old one, and the prior
@@ -101,7 +101,7 @@ func Cmp6Dynamic(p Params) (*Table, error) {
 				return nil, err
 			}
 			invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
-			rep, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, core.Overrides{})
+			rep, err := p2.Repair(ctx, core.Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, core.Overrides{})
 			if err != nil {
 				return nil, err
 			}

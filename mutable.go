@@ -20,10 +20,12 @@ package gcbfs
 //
 // Repair is the dynamic-BFS half: given a prior result (levels AND parents)
 // from the immediately preceding epoch and the Delta that advanced it, the
-// service derives the affected set (delta.Affected) and runs the corrective
-// traversal (core.Plan.RunRepair) on the new epoch — bit-identical in levels
-// and parents to a full recompute, usually in far fewer simulated seconds
-// when the delta is small.
+// service derives the invalidated set (delta.Invalidated) and runs the
+// corrective traversal (core.Plan.Repair) on the new epoch — bit-identical in
+// levels and parents to a full recompute, usually in far fewer simulated
+// seconds when the delta is small, and in far fewer of the host's: the
+// returned tree is a copy of the prior's, re-resolved only where the delta
+// could have changed it.
 
 import (
 	"context"
@@ -339,8 +341,14 @@ func (m *MutableService) RunSweep(ctx context.Context, sources []int64, opts ...
 // corrective traversal seeds from the vertices the delta can
 // move (orphaned subtrees of deleted tree edges, still-valid endpoints of
 // inserts, and the probed valid boundary) and runs through the same tuned
-// exchange stack as a full query; its levels and parents are bit-identical
-// to recomputing from scratch on the new epoch.
+// exchange stack as a full query. The tree is then not resolved again from
+// nothing: the result starts as a copy of prior's arrays (prior itself is only
+// read, so a retried Repair sees the same input), and only the vertices the
+// wave re-levelled, the delta invalidated or an inserted edge touches look
+// for their smallest parent again, offering themselves to their neighbors as
+// they do — unless that set has grown so large that resolving every vertex
+// reads less. Either way the levels and parents are bit-identical to
+// recomputing from scratch on the new epoch.
 func (m *MutableService) Repair(ctx context.Context, prior *Result, d *Delta, opts ...QueryOption) (*Result, error) {
 	cur := m.cur.Load()
 	if prior == nil || prior.Levels == nil || prior.Parents == nil {
@@ -357,11 +365,13 @@ func (m *MutableService) Repair(ctx context.Context, prior *Result, d *Delta, op
 	if err != nil {
 		return nil, err
 	}
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, d.batch())
+	b := d.batch()
+	invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+	pt := core.Prior{Source: prior.Source, Levels: prior.Levels, Parents: prior.Parents}
 	var r *metrics.RunResult
 	attempts, degraded, err := cur.withRetry(ctx, &q, func(ctx context.Context, ov core.Overrides) error {
 		var err error
-		r, err = cur.plan.RunRepair(ctx, prior.Source, prior.Levels, invalid, seeds, ov)
+		r, err = cur.plan.Repair(ctx, pt, invalid, b.Inserts, ov)
 		return err
 	})
 	if err != nil {

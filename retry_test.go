@@ -3,6 +3,7 @@ package gcbfs
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -310,4 +311,74 @@ func TestSweepRetry(t *testing.T) {
 		}
 	}
 	t.Fatal("no sweep recovered after a retry across 24 seeds")
+}
+
+// TestRepairRetry: a Repair whose patch rounds are corrupted is retried from
+// the same prior — which a repair only reads, and copies afresh per attempt —
+// and every recovery is bit-identical to the fault-free repair, every failure
+// fault-typed.
+func TestRepairRetry(t *testing.T) {
+	g := RMAT(10)
+	cluster := Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
+	ctx := context.Background()
+	d, err := SynthesizeDelta(g, 0.01, "mixed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// repair runs the source's prior fault-free on epoch 1, arms the injector
+	// (nil: never) and repairs across d on epoch 2.
+	repair := func(in *faults.Injector) (*Result, error) {
+		cfg := chaosConfig(cluster)
+		cfg.Threshold = 16
+		cfg.Retry = RetryPolicy{MaxAttempts: 8}
+		clean, err := NewMutableService(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior, err := clean.Run(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Inject = in
+		m, err := NewMutableService(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		levels, parents := slices.Clone(prior.Levels), slices.Clone(prior.Parents)
+		r, err := m.Repair(ctx, prior, d)
+		if !slices.Equal(prior.Levels, levels) || !slices.Equal(prior.Parents, parents) {
+			t.Fatal("Repair wrote into its prior result")
+		}
+		return r, err
+	}
+	ref, err := repair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := 0
+	for seed := uint64(1); seed <= 24; seed++ {
+		r, err := repair(faults.New(seed, faults.KindCorrupt, 0.3).WithSites(faults.SiteParents))
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("seed %d: untyped failure escaped containment: %v", seed, err)
+			}
+			continue
+		}
+		if r.Attempts > 1 {
+			recovered++
+		}
+		for v := range ref.Levels {
+			if r.Levels[v] != ref.Levels[v] || r.Parents[v] != ref.Parents[v] {
+				t.Fatalf("seed %d: vertex %d is (%d, %d) after %d attempts, fault-free (%d, %d)",
+					seed, v, r.Levels[v], r.Parents[v], r.Attempts, ref.Levels[v], ref.Parents[v])
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("no seed recovered after a retry — the patch rounds were never retried")
+	}
 }
