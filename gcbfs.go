@@ -159,17 +159,21 @@
 // its smallest neighbor one level closer to the source — a pure function of
 // the hop distances, which is why Run, RunSweep and Repair return
 // bit-identical trees. On the paper's clock the tree is free: its single
-// exchange replays nn edges only (§VI-A3), is reported in Result.ParentPairs
-// and the pair byte counters, and is excluded from simulated BFS time. On the
-// host clock it is a post-BFS pass that is direction-optimised like the
-// traversal itself: per BFS level the delegate tier either looks up from the
-// child rows or down from the parent rows, whichever side holds fewer edges,
-// so it reads a tenth to a third of the dd edges instead of all of them, and
-// every rank writes its own share of the result arrays. At RMAT scale 18 on
-// 2×2×2 a query with levels and parents takes about twice the host time of
-// the traversal alone (it was three to four times before the resolution
-// learned directions); leave parents off, the default, when distances are
-// all you need.
+// exchange replays nn edges only (§VI-A3) — in a Run, only those of the
+// vertices the traversal itself saw pushed back by a neighbor one level down,
+// whose offers are the only ones a child can accept: about half the pairs on
+// RMAT — is reported in Result.ParentPairs and the pair byte counters, and is
+// excluded from simulated BFS time. On the host clock it is a post-BFS pass
+// that is direction-optimised like the traversal itself: per BFS level the
+// delegate tier either looks up from the child rows or down from the parent
+// rows, whichever side holds fewer edges, so it reads a tenth to a third of
+// the dd edges instead of all of them, and the ranks then write the result
+// arrays between them, each one contiguous range of vertex ids. At RMAT scale
+// 18 on 2×2×2 a query with levels and parents takes about two and a half
+// times the host time of the traversal alone (28 ms against 11 ms on the
+// reference host; it was three to four times before the resolution learned
+// directions); leave parents off, the default, when distances are all you
+// need.
 //
 // A sweep resolves the trees of all its lanes in one pass, not lane by lane:
 // its traversal leaves behind which lanes first reached which vertex at which

@@ -464,6 +464,13 @@ type Session struct {
 	// scratch.go). Indexed by rank; touched only by the owning goroutine.
 	scratch []*rankScratch
 
+	// childKnown reports that the GPUs' hasChild bits describe this query's
+	// levels: reset sets it for a traversal from nothing, resetTraversal clears
+	// it for a repair wave, whose levels are preloaded, not traversed. While it
+	// is clear the replay offers from every visited vertex (tests clear it on
+	// a cold run to diff the two replays).
+	childKnown bool
+
 	// out is the in-flight query's global result arrays, allocated by the
 	// caller goroutine before the ranks start and filled by them
 	// (parents.go).
@@ -508,6 +515,7 @@ func (p *Plan) newSession() *Session {
 			pg:            pg,
 			dev:           simgpu.NewDevice(p.base.GPU, i),
 			levels:        make([]int32, pg.NumLocal),
+			hasChild:      bitmask.New(pg.NumLocal),
 			delegateLevel: make([]int32, s.d),
 			visited:       bitmask.New(s.d),
 			dFront:        bitmask.New(s.d),
@@ -565,6 +573,13 @@ type gpuState struct {
 
 	levels        []int32 // local slot → hop distance, -1 unvisited
 	delegateLevel []int32 // delegate id → hop distance, -1 unvisited
+	// hasChild marks the local slots with an nn neighbor exactly one level
+	// down, the only ones whose replay offers can be accepted (parents.go). A
+	// cold traversal delivers the bit for nothing: such a neighbor, in its own
+	// superstep's frontier, pushes the vertex back over the symmetric edge, and
+	// the arrival finds it two levels above the depth it claims (applyIDs,
+	// kernelNN). Meaningful only while Session.childKnown.
+	hasChild *bitmask.Mask
 
 	// The three delegate masks carry what makes an untouched mask free to
 	// skip: visited a generation (bumped by visitedForWrite, its only write
@@ -659,7 +674,9 @@ type iterWork struct {
 // reset prepares all per-GPU state for a fresh run.
 func (e *Session) reset() {
 	e.resetTraversal()
+	e.childKnown = true
 	for _, gs := range e.gpus {
+		gs.hasChild.Reset()
 		for i := range gs.levels {
 			gs.levels[i] = -1
 		}
@@ -679,8 +696,10 @@ func (e *Session) reset() {
 
 // resetTraversal is reset without the O(n) part: everything but the level and
 // parent arrays, which a repair's ranks fill from the prior outcome in the one
-// pass they make over them anyway (repairPreload).
+// pass they make over them anyway (repairPreload), and the hasChild bits, which
+// it marks unknown.
 func (e *Session) resetTraversal() {
+	e.childKnown = false
 	for _, gs := range e.gpus {
 		gs.visitedForWrite().Reset()
 		gs.dFront.Reset()

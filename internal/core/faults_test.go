@@ -238,6 +238,8 @@ func TestStallIsHarmless(t *testing.T) {
 
 // TestPoisonedSessionNeverRecycled: a clean plan recycles its session (hit on
 // the second acquire); a crashing plan poisons it, so every acquire is a miss.
+// Under the race detector sync.Pool.Put drops items at random, so there the
+// clean plan's second acquire may miss too; the poisoned half is exact always.
 func TestPoisonedSessionNeverRecycled(t *testing.T) {
 	clean := chaosPlan(t, nil, ExchangeAllPairs)
 	for i := 0; i < 2; i++ {
@@ -245,7 +247,7 @@ func TestPoisonedSessionNeverRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := clean.PoolStats(); st.Misses != 1 || st.Hits != 1 {
+	if st := clean.PoolStats(); st.Hits+st.Misses != 2 || st.Misses < 1 || (!raceDetector && st.Misses != 1) {
 		t.Fatalf("clean plan pool stats %+v, want 1 miss then 1 hit", st)
 	}
 

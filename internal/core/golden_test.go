@@ -29,25 +29,43 @@ func resultDigest(results ...*metrics.RunResult) string {
 }
 
 // goldenResults were generated on the commit before the sweep moved onto
-// runRank (PR 16) and pin the statistics no other test or BENCH cell reads —
-// Wire.MaskRawBytes/MaskWireBytes, the per-iteration codec/NVLink split, the
-// calibration EWMAs — across every traversal the superstep loop serves.
+// runRank (PR 16) — the filtered run rows on PR 23 — and pin the statistics no
+// other test or BENCH cell reads — Wire.MaskRawBytes/MaskWireBytes, the
+// per-iteration codec/NVLink split, the calibration EWMAs — across every
+// traversal the superstep loop serves.
 var goldenResults = map[string]string{
-	"run/allpairs/off/1":       "a2f7c1a86c8ac785",
-	"run/allpairs/off/2":       "dc772ed545039eea",
-	"run/allpairs/adaptive/1":  "506b22eacc288ca4",
-	"run/allpairs/adaptive/2":  "7170c9480782617c",
-	"run/butterfly/off/1":      "269dfd6507006cb9",
-	"run/butterfly/off/2":      "6ee5274616b29c73",
-	"run/butterfly/adaptive/1": "19f4ea5cab087c26",
-	"run/butterfly/adaptive/2": "a50fcbb1ad0c5569",
-	"run/hybrid/off/1":         "2dc5d2452ad3db4b",
-	"run/hybrid/off/2":         "d617f5df1482774f",
-	"run/hybrid/adaptive/1":    "8c698e98a605aef8",
-	"run/hybrid/adaptive/2":    "ce3b7c71636c10d7",
-	"sweep/1":                  "5a8569b23a43a711",
-	"sweep/8":                  "0bab67222146fb10",
-	"sweep/65":                 "b64907b3c494721b",
+	// A run's replay offers only from vertices the traversal proved have a
+	// child level (PR 23): against the rows pinned before it, which the same
+	// query with the filter forced off still gives bit for bit (/unfiltered),
+	// a run row differs in ParentPairs and Wire.Pair*Bytes only (the test
+	// checks that too).
+	"run/allpairs/off/1":                  "f1b1fc00b969f0a3",
+	"run/allpairs/off/1/unfiltered":       "a2f7c1a86c8ac785",
+	"run/allpairs/off/2":                  "e5fec2a36c7b5f3c",
+	"run/allpairs/off/2/unfiltered":       "dc772ed545039eea",
+	"run/allpairs/adaptive/1":             "51b2262567d05c1d",
+	"run/allpairs/adaptive/1/unfiltered":  "506b22eacc288ca4",
+	"run/allpairs/adaptive/2":             "8fd9e006904cf027",
+	"run/allpairs/adaptive/2/unfiltered":  "7170c9480782617c",
+	"run/butterfly/off/1":                 "447a09ba0961267f",
+	"run/butterfly/off/1/unfiltered":      "269dfd6507006cb9",
+	"run/butterfly/off/2":                 "e7736a2d51865ec7",
+	"run/butterfly/off/2/unfiltered":      "6ee5274616b29c73",
+	"run/butterfly/adaptive/1":            "7009de8cd204a6b9",
+	"run/butterfly/adaptive/1/unfiltered": "19f4ea5cab087c26",
+	"run/butterfly/adaptive/2":            "5b823e082b637497",
+	"run/butterfly/adaptive/2/unfiltered": "a50fcbb1ad0c5569",
+	"run/hybrid/off/1":                    "d81f30d643447e1e",
+	"run/hybrid/off/1/unfiltered":         "2dc5d2452ad3db4b",
+	"run/hybrid/off/2":                    "236f8af86f579aa7",
+	"run/hybrid/off/2/unfiltered":         "d617f5df1482774f",
+	"run/hybrid/adaptive/1":               "32e0064973e2270c",
+	"run/hybrid/adaptive/1/unfiltered":    "8c698e98a605aef8",
+	"run/hybrid/adaptive/2":               "0bdd78b602a9e2d7",
+	"run/hybrid/adaptive/2/unfiltered":    "ce3b7c71636c10d7",
+	"sweep/1":                             "5a8569b23a43a711",
+	"sweep/8":                             "0bab67222146fb10",
+	"sweep/65":                            "b64907b3c494721b",
 	// The repair through Plan.Repair, which patches the prior tree, and through
 	// the frozen RunRepair, which resolves it from nothing: the same wave, so
 	// the two rows differ in ParentPairs and Wire.Pair*Bytes only (the test
@@ -74,15 +92,22 @@ func TestGoldenRunResults(t *testing.T) {
 				opts.Exchange = x
 				opts.Compression = mode
 				p := buildPlan(t, el, ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: pgpu}, 16, opts)
-				var results []*metrics.RunResult
+				name := fmt.Sprintf("run/%s/%s/%d", x, mode, pgpu)
+				var results, unfiltered []*metrics.RunResult
 				for _, src := range delegateAndNormalSources(p.sg.Sep) {
 					res, err := p.Run(ctx, src, Overrides{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					results = append(results, res)
+					all := runUnfiltered(t, p, src, Overrides{})
+					unfiltered = append(unfiltered, all)
+					requireSameButPairs(t, name, res, all)
+					t.Logf("%s src %d: ParentPairs %d (unfiltered %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)", name, src,
+						res.ParentPairs, all.ParentPairs, res.Wire.PairRawBytes, all.Wire.PairRawBytes, res.Wire.PairWireBytes, all.Wire.PairWireBytes)
 				}
-				check(fmt.Sprintf("run/%s/%s/%d", x, mode, pgpu), results...)
+				check(name, results...)
+				check(name+"/unfiltered", unfiltered...)
 			}
 		}
 	}
@@ -145,11 +170,7 @@ func TestGoldenRunResults(t *testing.T) {
 	if rep.ParentPairs >= wrapped.ParentPairs {
 		t.Errorf("the patch sent %d pairs, the full resolution %d: nothing was patched", rep.ParentPairs, wrapped.ParentPairs)
 	}
-	same := *rep
-	same.ParentPairs, same.Wire.PairRawBytes, same.Wire.PairWireBytes = wrapped.ParentPairs, wrapped.Wire.PairRawBytes, wrapped.Wire.PairWireBytes
-	if resultDigest(&same) != resultDigest(wrapped) {
-		t.Errorf("Repair and RunRepair differ beyond the resolution's traffic:\n%+v\n%+v", *rep, *wrapped)
-	}
+	requireSameButPairs(t, "Repair and RunRepair", rep, wrapped)
 	t.Logf("repair: ParentPairs %d (RunRepair %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)",
 		rep.ParentPairs, wrapped.ParentPairs, rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
 }

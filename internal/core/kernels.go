@@ -361,7 +361,10 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 
 // kernelNN processes normal→normal edges: local destinations are applied
 // immediately; remote ones are binned by destination GPU with the 64→32-bit
-// id conversion done sender-side (§V-B). nn never runs backward (§IV-B).
+// id conversion done sender-side (§V-B). nn never runs backward (§IV-B), so
+// every frontier vertex pushes every nn neighbor, its parents' level included:
+// a same-GPU destination one level up is thereby known to have a child level
+// (gpuState.hasChild); applyIDs marks the remote ones.
 func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 	var edges int64
 	p64 := int64(e.p)
@@ -372,8 +375,10 @@ func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 			owner := e.cfg.OwnerGPU(v)
 			local := uint32(v / p64)
 			if owner == self {
-				if gs.levels[local] == -1 {
+				if lvl := gs.levels[local]; lvl == -1 {
 					gs.discover(local, iter+1)
+				} else if lvl == iter-1 {
+					gs.hasChild.Set(int64(local))
 				}
 			} else {
 				gs.bin(owner, local)

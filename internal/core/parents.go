@@ -52,18 +52,34 @@ import (
 //     delegate parent and a delegate's smallest local normal parent. The
 //     delegate candidates then meet in an int64 min-allreduce, so all ranks
 //     agree deterministically.
-//  5. nn replay: each GPU replays its outgoing nn edges once, sending
+//  5. nn replay: each GPU replays outgoing nn edges once, sending
 //     (destLocal, senderLevel+1, senderGlobal) pairs; receivers fold the
-//     smallest valid candidate. Volume ≤ |Enn| pairs, run once — the
-//     paper's "low cost" claim. With a codec active the sender radix-sorts
-//     each outgoing pair bin in place into the codec's canonical (ID, Val)
-//     order — the bins are its own and are reset by the next replay — and
-//     encodes them presorted; with the codec off they ship as generated,
-//     in raw pair blocks charged 12 bytes per pair — one wire format and
-//     one decoder whatever the mode.
+//     smallest valid candidate. Only a vertex with an nn neighbor exactly
+//     one level down replays its row: a fold accepts an offer at the claimed
+//     level and nowhere else, so every other row's offers are rejected to
+//     the last. Who has such a neighbor the traversal has already found out,
+//     for nothing: nn never runs backward (§IV-B), so a vertex v in the
+//     frontier of superstep ℓ+1 pushes every nn neighbor, its level-ℓ
+//     neighbor u included; uniquify, the butterfly's merges and the codecs
+//     drop duplicates but never an id's last copy; so u's id reaches u's GPU
+//     claiming depth ℓ+2 while levels[u] = ℓ, which applyIDs and kernelNN's
+//     same-GPU branch — holding levels[u] for the unvisited test anyway —
+//     note in one bit per slot (gpuState.hasChild). The deepest level's
+//     frontier still runs its kernels, so the bit is exact, not a superset
+//     (TestReplayFilterOracle), and the pairs sent are the flagged rows'
+//     cross-GPU entries — about half the visited rows' on RMAT, which moves
+//     the paper's "low cost" claim toward true. A repair wave preloads its
+//     levels instead of traversing to them, so it has no bits and replays
+//     every visited row (Session.childKnown), as RunRepair always does.
+//     With a codec active the sender radix-sorts each outgoing pair bin in
+//     place into the codec's canonical (ID, Val) order — the bins are its
+//     own and are reset by the next replay — and encodes them presorted;
+//     with the codec off they ship as generated, in raw pair blocks charged
+//     12 bytes per pair — one wire format and one decoder whatever the mode.
 //
-// Every rank then writes its own GPUs' slots and a stripe of the delegate
-// directory straight into the query's global output arrays (gatherRank).
+// Past a barrier, every rank then writes one contiguous range of global ids
+// straight into the query's output arrays, reading all p GPUs' rows and, for a
+// delegate, the replicated levels and reduced candidates (gatherRank).
 //
 // Steps 1–5 are one tree's, from the level arrays a single-source traversal
 // leaves behind (Run, RunRepair). A K-source sweep keeps no level arrays, only
@@ -172,8 +188,8 @@ const (
 )
 
 // treeOut is a query's gathered result: global-id-indexed arrays shared by
-// all rank goroutines, each of which writes a disjoint set of elements. A nil
-// array is not collected.
+// all rank goroutines, each of which writes a disjoint set of elements — a
+// contiguous range of them in the full gather. A nil array is not collected.
 type treeOut struct {
 	levels  []int32
 	parents []int64
@@ -225,7 +241,8 @@ type pairRound struct {
 
 // finishQuery finishes this Session's query on one rank: the canonical parent
 // resolution when parents are collected, then the gather of this rank's share
-// of the result. All ranks participate (collectives inside).
+// of the result. All ranks participate: one min-allreduce when there are
+// delegates, the replay's exchange, the gather's barrier.
 func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
 	ps := &e.scratch[rank].parents
 	if e.out.parents != nil {
@@ -438,8 +455,11 @@ func accept(gs *gpuState, prs []frontier.Pair) {
 }
 
 // replayNN folds the nn candidates into the local parent arrays: same-GPU
-// edges directly, everything else through the remote replay exchange. On
-// return this rank's parent rows are final.
+// edges directly, everything else through the remote replay exchange. Only a
+// vertex with an nn neighbor one level down replays its row — foldParent
+// accepts an offer nowhere else — which a cold traversal has already worked
+// out (gpuState.hasChild); a repair wave has not, and replays every visited
+// row. On return this rank's parent rows are final.
 func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 	p64 := int64(e.p)
 	bins := ps.pairBins(e, 0)
@@ -456,6 +476,9 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 				parents[slot] = e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
 			}
 			if lvl < 0 || pg.NN.Degree(slot) == 0 {
+				continue
+			}
+			if e.childKnown && !gs.hasChild.Get(slot) {
 				continue
 			}
 			uGlobal := e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
@@ -546,55 +569,82 @@ func (e *Session) exchangePairs(rank int, comm *mpi.Comm, ps *parentScratch, r i
 	}
 }
 
-// gatherRank writes this rank's share of the query's global arrays: its own
-// GPUs' slots (every global id is exactly one (gpu, slot), so unvisited slots
-// write their -1 and no prefill is needed), then — after a barrier, because a
-// delegate's home slot holds -1 and belongs to another rank's pass — its
-// stripe of the replicated delegate directory. The barrier also closes the
-// resolution: past it every replay payload has been decoded.
+// gatherSlots is the number of slots the gather takes from one GPU before it
+// moves to the next: long enough to read each owner's arrays as a stream,
+// short enough that the p interleaved runs it fills stay in cache. Nothing
+// between 8 and 512 measures differently on RMAT 16 and 18 (8 and 64 GPUs).
+const gatherSlots = 64
+
+// gatherRank writes this rank's share of the query's global arrays: after a
+// barrier — past it every rank's parent rows are final and every replay payload
+// has been decoded — the contiguous range of global ids that is its share of
+// the local slots, every GPU's. Consecutive ids belong to consecutive residue
+// classes, so the p owners' arrays are read as p sequential streams, a few
+// slots of each at a time, and each result entry is written once, into a
+// window that stays in cache; only the line at either end of a range is
+// shared with another rank. A delegate's home slot holds -1; its entry comes
+// from the replicated delegate levels and the reduced candidates, which every
+// rank holds. Unvisited vertices write their -1, so no prefill is needed. The
+// ranks read each other's rows here and nothing orders those reads behind the
+// gather: RunRanks joins all ranks before the session is reset or released.
 func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
-	p, out := e.p, e.out
-	for _, gs := range e.rankGPUs(rank) {
-		pg, levels := gs.pg, gs.levels
-		v := int(e.cfg.Residue(pg.Rank, pg.Slot))
-		if out.levels != nil {
-			for slot, lvl := range levels {
-				out.levels[v+slot*p] = lvl
+	comm.Barrier()
+	out, sep := e.out, e.sg.Sep
+	dLevel := e.rankGPUs(rank)[0].delegateLevel
+	p64, prank := int64(e.p), int64(e.shape.Ranks())
+	rows := (e.sg.N + p64 - 1) / p64
+	lo, hi := rows*int64(rank)/prank, rows*int64(rank+1)/prank
+	for s0 := lo; s0 < hi; s0 += gatherSlots {
+		for res := int64(0); res < p64; res++ {
+			gs := e.gpus[e.cfg.OwnerGPU(res)]
+			s1 := min(s0+gatherSlots, hi, gs.pg.NumLocal)
+			if s0 >= s1 {
+				continue
 			}
-		}
-		if out.parents == nil {
-			continue
-		}
-		for slot, par := range gs.parents {
-			if par == -1 && levels[slot] >= 1 {
-				panicMissingParent(int64(v+slot*p), pg.GPU)
+			v := s0*p64 + res
+			for slot, lvl := range gs.levels[s0:s1] {
+				par := int64(-1)
+				if lvl >= 0 {
+					if out.parents != nil {
+						if par = gs.parents[s0+int64(slot)]; par == -1 && lvl >= 1 {
+							panicMissingParent(v, gs.pg.GPU)
+						}
+					}
+				} else if di := sep.DelegateID[v]; di >= 0 {
+					if lvl = dLevel[di]; lvl >= 0 && out.parents != nil {
+						if par = ps.cand[di]; par == noParent {
+							panicNoCandidate(int64(di))
+						}
+					}
+				}
+				if out.levels != nil {
+					out.levels[v] = lvl
+				}
+				if out.parents != nil {
+					out.parents[v] = par
+				}
+				v += p64
 			}
-			out.parents[v+slot*p] = par
 		}
 	}
-	comm.Barrier()
-	e.gatherStripe(rank, ps, nil)
 }
 
-// gatherStripe writes this rank's stripe of the replicated delegate directory
-// from the delegate levels and the reduced candidates — all of it, or with
-// only set just the delegates it marks, the rest of the result being right
-// already (a repair's patch).
+// gatherStripe writes the delegates only marks in this rank's stripe of the
+// replicated delegate directory, from the delegate levels and the candidates
+// this rank has reduced — a repair's patch, the rest of whose result is right
+// already.
 func (e *Session) gatherStripe(rank int, ps *parentScratch, only *bitmask.Mask) {
 	out := e.out
 	lo, hi := e.delegateStripe(rank)
 	dLevel := e.rankGPUs(rank)[0].delegateLevel
 	for di := lo; di < hi; di++ {
-		if only != nil && !only.Get(di) {
+		if !only.Get(di) {
 			continue
 		}
 		v := e.sg.Sep.DelegateGlobal[di]
 		lvl := dLevel[di]
 		if out.levels != nil {
 			out.levels[v] = lvl
-		}
-		if out.parents == nil {
-			continue
 		}
 		par := ps.cand[di]
 		if par == noParent {

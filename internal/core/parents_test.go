@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
@@ -10,6 +11,7 @@ import (
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
+	"gcbfs/internal/wire"
 )
 
 // runWithParents executes a run with tree collection and validates the tree
@@ -133,44 +135,101 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 }
 
 // BenchmarkResolveParents times the post-BFS tree resolution and gather alone
-// (scale 16, 2×2×2, the default 4n/p threshold): one traversal leaves its
-// levels in the session, then every iteration re-resolves the whole tree on
-// the rank goroutines. It reports the cost per dd edge of the graph and the
-// share of dd row entries the direction-optimised pass actually read.
+// (scale 16, the default 4n/p threshold) on the shapes of the two host
+// workloads that run it — rmat18-compute's 2×2×2 with the default options and
+// rmat16-exchange's 16×2×2 with butterfly and the adaptive codec: one
+// traversal leaves its levels and child-level bits in the session, then every
+// iteration re-resolves the whole tree on the rank goroutines. Beside the cost
+// per dd edge of the graph and the share of dd row entries the
+// direction-optimised pass actually read, it reports what the nn replay sent:
+// the pairs, the share of them whose target sits at the claimed level (all a
+// fold can accept), the share of the visited vertices with nn rows that
+// replayed theirs — and the gather's cost per vertex, timed on its own.
 func BenchmarkResolveParents(b *testing.B) {
 	el := rmat.Generate(rmat.DefaultParams(16))
-	shape := ClusterShape{2, 2, 2}
-	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
-	opts := DefaultOptions()
-	opts.CollectParents = true
-	plan := buildPlan(b, el, shape, th, opts)
 	src := pickSources(el.OutDegrees(), 1, 5)[0]
-	s := plan.acquire(opts)
-	defer plan.release(s)
-	if _, err := s.run(context.Background(), src); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, gs := range s.gpus {
-			for slot := range gs.parents {
-				gs.parents[slot] = -1
+	exchange := DefaultOptions()
+	exchange.Exchange = ExchangeButterfly
+	exchange.Compression = wire.ModeAdaptive
+	for _, tc := range []struct {
+		name  string
+		shape ClusterShape
+		opts  Options
+	}{
+		{"2x2x2", ClusterShape{2, 2, 2}, DefaultOptions()},
+		{"16x2x2-butterfly-adaptive", ClusterShape{16, 2, 2}, exchange},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(tc.shape.P()))
+			opts := tc.opts
+			opts.CollectParents = true
+			plan := buildPlan(b, el, tc.shape, th, opts)
+			s := plan.acquire(opts)
+			defer plan.release(s)
+			if _, err := s.run(context.Background(), src); err != nil {
+				b.Fatal(err)
 			}
-		}
-		s.out = newTreeOut(&s.opts, s.sg.N)
-		err := RunRanks(s.acquireWorld(), nil, tagSite, func(rank int, comm *mpi.Comm) {
-			s.finishQuery(rank, comm, src)
+			finish := func(body func(rank int, comm *mpi.Comm)) {
+				if err := RunRanks(s.acquireWorld(), nil, tagSite, body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, gs := range s.gpus {
+					for slot := range gs.parents {
+						gs.parents[slot] = -1
+					}
+				}
+				s.parentExchangePairs = 0
+				s.out = newTreeOut(&s.opts, s.sg.N)
+				finish(func(rank int, comm *mpi.Comm) { s.finishQuery(rank, comm, src) })
+			}
+			b.StopTimer()
+			resolve := b.Elapsed()
+			var read int64
+			for _, sc := range s.scratch {
+				read += sc.parents.ddEdges
+			}
+			edd := float64(plan.Graph().CountDD)
+			b.ReportMetric(float64(resolve.Nanoseconds())/float64(b.N)/edd, "ns/dd-edge")
+			b.ReportMetric(float64(read)/edd, "dd-read/|Edd|")
+
+			var senders, flagged, sent, accepted int64
+			for _, gs := range s.gpus {
+				for slot := int64(0); slot < gs.pg.NumLocal; slot++ {
+					lvl := gs.levels[slot]
+					if lvl < 0 || gs.pg.NN.Degree(slot) == 0 {
+						continue
+					}
+					senders++
+					if !gs.hasChild.Get(slot) {
+						continue
+					}
+					flagged++
+					for _, v := range gs.pg.NN.Neighbors(slot) {
+						if owner := s.cfg.OwnerGPU(v); owner != gs.pg.GPU {
+							sent++
+							if s.gpus[owner].levels[s.cfg.LocalID(v)] == lvl+1 {
+								accepted++
+							}
+						}
+					}
+				}
+			}
+			if sent != s.parentExchangePairs {
+				b.Fatalf("the replay sent %d pairs, the flagged rows hold %d", s.parentExchangePairs, sent)
+			}
+			b.ReportMetric(float64(sent), "pairs")
+			b.ReportMetric(float64(accepted)/float64(max(sent, 1)), "accepted/pair")
+			b.ReportMetric(float64(flagged)/float64(max(senders, 1)), "flagged/sender")
+
+			// The gather alone, over the rows the last resolution left final.
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				finish(func(rank int, comm *mpi.Comm) { s.gatherRank(rank, comm, &s.scratch[rank].parents) })
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(s.sg.N), "gather-ns/vertex")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.StopTimer()
-	var read int64
-	for _, sc := range s.scratch {
-		read += sc.parents.ddEdges
-	}
-	edd := float64(plan.Graph().CountDD)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edd, "ns/dd-edge")
-	b.ReportMetric(float64(read)/edd, "dd-read/|Edd|")
 }

@@ -848,11 +848,15 @@ func (e *Session) coldKernels(myGPUs []*gpuState, iter int32) {
 
 // applyIDs marks received local ids visited at the given depth (duplicates
 // and already-visited ids are ignored, as on the receiving GPU). Parents are
-// resolved canonically after the traversal (parents.go).
+// resolved canonically after the traversal (parents.go), which wants one thing
+// of an ignored id: a vertex two levels above depth was pushed by an nn
+// neighbor one level below it (gpuState.hasChild).
 func applyIDs(gs *gpuState, ids []uint32, depth int32) {
 	for _, id := range ids {
-		if gs.levels[id] == -1 {
+		if lvl := gs.levels[id]; lvl == -1 {
 			gs.discover(id, depth)
+		} else if lvl == depth-2 {
+			gs.hasChild.Set(int64(id))
 		}
 	}
 }

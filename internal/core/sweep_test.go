@@ -30,8 +30,9 @@ func buildTestPlan(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int6
 }
 
 // requireSweepMatchesRuns asserts the tentpole's contract: RunSweep's
-// per-query levels, parents, iteration counts and replay-pair accounting are
-// bit-identical to K independent Plan.Run calls.
+// per-query levels, parents and iteration counts are bit-identical to K
+// independent Plan.Run calls, and its replay-pair accounting to theirs with
+// the child-level filter off — a lane replays every visited row.
 func requireSweepMatchesRuns(t *testing.T, p *Plan, sources []int64, ov Overrides) {
 	t.Helper()
 	ctx := context.Background()
@@ -73,10 +74,16 @@ func requireSweepMatchesRuns(t *testing.T, p *Plan, sources []int64, ov Override
 			}
 		}
 		// The shared replay is accounted per lane as the lane's own replay
-		// would be: the pairs Run reports, at 12 bytes each between ranks.
-		if got.ParentPairs != single.ParentPairs || got.Wire.PairRawBytes != single.Wire.PairRawBytes {
-			t.Fatalf("query %d (src %d): %d parent pairs / %d raw bytes, Run reports %d / %d",
-				q, src, got.ParentPairs, got.Wire.PairRawBytes, single.ParentPairs, single.Wire.PairRawBytes)
+		// would be: the pairs an unfiltered Run reports, at 12 bytes each
+		// between ranks. Run itself sends the subset its child-level bits pass.
+		all := runUnfiltered(t, p, src, ov)
+		if got.ParentPairs != all.ParentPairs || got.Wire.PairRawBytes != all.Wire.PairRawBytes {
+			t.Fatalf("query %d (src %d): %d parent pairs / %d raw bytes, the unfiltered Run reports %d / %d",
+				q, src, got.ParentPairs, got.Wire.PairRawBytes, all.ParentPairs, all.Wire.PairRawBytes)
+		}
+		if single.ParentPairs > all.ParentPairs || single.Wire.PairRawBytes > all.Wire.PairRawBytes {
+			t.Fatalf("query %d (src %d): Run sent %d parent pairs / %d raw bytes, more than the %d / %d of an unfiltered replay",
+				q, src, single.ParentPairs, single.Wire.PairRawBytes, all.ParentPairs, all.Wire.PairRawBytes)
 		}
 	}
 }
