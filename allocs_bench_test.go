@@ -207,7 +207,7 @@ func BenchmarkEpochBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	th := cfg.threshold(g)
+	th := cfg.threshold(g.el.OutDegrees())
 	prev, err := partition.Distribute(g.el, partition.Separate(g.el, th), pcfg)
 	if err != nil {
 		b.Fatal(err)

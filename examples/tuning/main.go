@@ -62,6 +62,40 @@ func main() {
 			v.name, comp/n*1e3, local/n*1e3, normal/n*1e3, delegate/n*1e3, elapsed/n*1e3)
 	}
 
+	// U and the codec. With compression off the exchange ships what the
+	// kernels binned and U is what removes the repeats, for the price of its
+	// kernel. With a codec active the exchange carries sets anyway — the
+	// staging sort exposes the repeats and they are dropped there, at every
+	// butterfly relay and on arrival — so U moves where a duplicate is
+	// dropped, not what is sent: same wire bytes, only its kernel's time on
+	// top.
+	fmt.Println("\nuniquify × codec (same cluster, wire kB per query):")
+	fmt.Println("  compression  U    raw kB  wire kB  compute ms")
+	for _, codec := range []struct {
+		name string
+		mode gcbfs.Compression
+	}{{"off", gcbfs.CompressionOff}, {"adaptive", gcbfs.CompressionAdaptive}} {
+		for _, u := range []bool{false, true} {
+			cfg := gcbfs.DefaultConfig(cluster)
+			cfg.Compression, cfg.Uniquify = codec.mode, u
+			svc, err := gcbfs.NewService(g, cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			batch, err := svc.RunBatch(ctx, sources, gcbfs.BatchOptions{Parallelism: 2})
+			if err != nil {
+				log.Fatal(err)
+			}
+			var comp float64
+			for _, r := range batch.Results {
+				comp += r.Computation
+			}
+			n := float64(len(batch.Results))
+			fmt.Printf("  %-11s  %-3s  %6.1f  %7.1f  %10.3f\n", codec.name, onOff(u),
+				float64(batch.Stats.WireRawBytes)/n/1e3, float64(batch.Stats.WireBytes)/n/1e3, comp/n*1e3)
+		}
+	}
+
 	// Exchange policy: all-pairs sends p−1 messages per rank per iteration,
 	// the butterfly ~log2(p) aggregated hops (any rank count — 6 ranks here
 	// exercises the cleanup hops), and the hybrid picks per iteration from
@@ -261,6 +295,13 @@ func main() {
 	}
 
 	fmt.Println("\n(the paper's full sweeps: go run ./cmd/bfsbench -exp all)")
+}
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
 }
 
 // latestBenchReport finds the highest-numbered committed BENCH_<n>.json,

@@ -369,7 +369,16 @@ type Config struct {
 	DirectionOptimized bool
 	// LocalAll2All enables the intra-rank staging optimization (L).
 	LocalAll2All bool
-	// Uniquify removes duplicate destinations from send bins (U).
+	// Uniquify removes duplicate destinations from send bins (U): each GPU
+	// sorts and compacts every bin before the exchange, a kernel of its own on
+	// the modelled clock. It is the paper's ablation and matters where the
+	// paper ran it, with Compression off: there the exchange ships what the
+	// kernels binned, repeats and all, and U is the only thing that drops
+	// them. With a codec active the exchange carries sets whatever U says —
+	// the codec's staging sort puts the repeats side by side and they are
+	// dropped there, at every butterfly relay and on arrival — so U only
+	// moves where a duplicate is dropped: the bytes on the wire are identical
+	// with it on or off, and its kernel is pure cost.
 	Uniquify bool
 	// BlockingReduce selects MPI_Allreduce (BR) over MPI_Iallreduce (IR)
 	// for delegate masks.
@@ -688,13 +697,25 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// threshold resolves the degree-separation threshold for a graph: the
-// configured value, or the paper's d ≤ 4n/p rule when unset.
-func (cfg Config) threshold(g *Graph) int64 {
+// threshold resolves the degree-separation threshold for a graph with the
+// given out-degrees: the configured value, or the paper's d ≤ 4n/p rule when
+// unset.
+func (cfg Config) threshold(deg []int64) int64 {
 	if cfg.Threshold > 0 {
 		return cfg.Threshold
 	}
-	return partition.SuggestThreshold(g.el.OutDegrees(), 4*g.el.N/int64(cfg.Cluster.shape().P()))
+	return partition.SuggestThreshold(deg, 4*int64(len(deg))/int64(cfg.Cluster.shape().P()))
+}
+
+// separate checks the graph's edges and splits its vertices at cfg's
+// threshold over one count of the out-degrees: the range check, the threshold
+// rule and the separation each used to walk the edge list for themselves.
+func (cfg Config) separate(g *Graph) (*partition.Separation, error) {
+	deg, err := g.el.CheckedOutDegrees()
+	if err != nil {
+		return nil, err
+	}
+	return partition.SeparateDegrees(deg, cfg.threshold(deg)), nil
 }
 
 // NewService partitions the graph (degree separation + Algorithm 1) for the
@@ -704,20 +725,20 @@ func NewService(g *Graph, cfg Config) (*Service, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := g.el.Validate(); err != nil {
+	sep, err := cfg.separate(g)
+	if err != nil {
 		return nil, err
 	}
-	svc, _, err := newEpochService(g, cfg, cfg.threshold(g), 0, nil)
+	svc, _, err := newEpochService(g, cfg, sep, 0, nil)
 	return svc, err
 }
 
-// newEpochService builds one epoch's immutable Service: separation at the
-// fixed threshold, distribution (incrementally against prev when given, so
-// untouched per-GPU subgraphs are shared byte-identically), and a plan
-// stamped with the epoch. shared reports how many GPU subgraphs were reused.
-func newEpochService(g *Graph, cfg Config, th int64, epoch uint64, prev *partition.Subgraphs) (svc *Service, shared int, err error) {
+// newEpochService builds one epoch's immutable Service from the graph and its
+// separation: distribution (incrementally against prev when given, so
+// untouched per-GPU subgraphs are shared byte-identically) and a plan stamped
+// with the epoch. shared reports how many GPU subgraphs were reused.
+func newEpochService(g *Graph, cfg Config, sep *partition.Separation, epoch uint64, prev *partition.Subgraphs) (svc *Service, shared int, err error) {
 	shape := cfg.Cluster.shape()
-	sep := partition.Separate(g.el, th)
 	var sub *partition.Subgraphs
 	if prev == nil {
 		sub, err = partition.Distribute(g.el, sep, shape.PartitionConfig())

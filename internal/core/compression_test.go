@@ -10,10 +10,13 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// TestCompressionAdaptiveScale16 is the PR's acceptance check: on an R-MAT
+// TestCompressionAdaptiveScale16 is the codec's acceptance check: on an R-MAT
 // scale-16 run with Compression: adaptive, the result must report fewer
 // compressed than raw bytes while levels and parents stay identical to the
-// uncompressed run.
+// uncompressed run. The raw bytes themselves differ by exactly the repeats:
+// the codec-active exchange stages sets, the uncompressed one ships what the
+// kernels binned, and uniquifying the latter (a single GPU per rank, so U sees
+// the whole slot) closes the gap to the byte.
 func TestCompressionAdaptiveScale16(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-16 graph generation in -short mode")
@@ -28,9 +31,10 @@ func TestCompressionAdaptiveScale16(t *testing.T) {
 
 	base := DefaultOptions()
 	base.CollectParents = true
-	run := func(mode wire.Mode) *metrics.RunResult {
+	runOn := func(shape ClusterShape, mode wire.Mode, uniq bool) *metrics.RunResult {
 		opts := base
 		opts.Compression = mode
+		opts.Uniquify = uniq
 		e := buildPlan(t, el, shape, th, opts)
 		res, err := e.Run(context.Background(), 1, Overrides{})
 		if err != nil {
@@ -39,8 +43,8 @@ func TestCompressionAdaptiveScale16(t *testing.T) {
 		return res
 	}
 
-	off := run(wire.ModeOff)
-	adaptive := run(wire.ModeAdaptive)
+	off := runOn(shape, wire.ModeOff, false)
+	adaptive := runOn(shape, wire.ModeAdaptive, false)
 
 	for v := range off.Levels {
 		if off.Levels[v] != adaptive.Levels[v] {
@@ -68,9 +72,18 @@ func TestCompressionAdaptiveScale16(t *testing.T) {
 	if w.SchemeRaw+w.SchemeDelta+w.SchemeBitmap == 0 {
 		t.Fatal("adaptive run recorded no scheme selections")
 	}
-	if off.Wire.RawBytes != w.RawBytes {
-		t.Fatalf("raw-byte accounting differs: %d off vs %d adaptive",
-			off.Wire.RawBytes, w.RawBytes)
+	if w.RawBytes >= off.Wire.RawBytes {
+		t.Fatalf("the set exchange shipped %d raw bytes, the multiset one %d: no duplicate was dropped",
+			w.RawBytes, off.Wire.RawBytes)
+	}
+	flat := ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1}
+	offU, adaptiveFlat := runOn(flat, wire.ModeOff, true), runOn(flat, wire.ModeAdaptive, false)
+	if offU.Wire.RawBytes != adaptiveFlat.Wire.RawBytes {
+		t.Fatalf("raw-byte accounting differs beyond the duplicates: %d off with U vs %d adaptive",
+			offU.Wire.RawBytes, adaptiveFlat.Wire.RawBytes)
+	}
+	if plain := runOn(flat, wire.ModeOff, false); offU.Wire.RawBytes+4*offU.DupsRemoved != plain.Wire.RawBytes {
+		t.Fatalf("off: %d raw bytes with U + %d duplicates ≠ %d without", offU.Wire.RawBytes, offU.DupsRemoved, plain.Wire.RawBytes)
 	}
 	t.Logf("scale 16 %s: raw %d B → wire %d B (%.1f%% saved; schemes raw=%d delta=%d bitmap=%d)",
 		shape, w.RawBytes, w.CompressedBytes, 100*w.Savings(),

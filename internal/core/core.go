@@ -96,7 +96,11 @@ type Options struct {
 	// copies bounce through CPU staging buffers and cross NVLink twice
 	// (aggregationBytes).
 	LocalAll2All bool
-	// Uniquify removes duplicate destinations within a send bin (§V-B).
+	// Uniquify removes duplicate destinations within a send bin (§V-B), at
+	// the price of its own sort-and-compact kernel. The uncompressed exchange
+	// ships multisets, so there it is the only thing that drops a repeat;
+	// with a codec active the stage drops them anyway (mergeForRank) and U
+	// changes no byte on the wire.
 	Uniquify bool
 	// BlockingReduce selects MPI_Allreduce (true, "BR") over
 	// MPI_Iallreduce ("IR") for the delegate masks (§VI-B).

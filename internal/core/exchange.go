@@ -21,6 +21,17 @@ package core
 // message: fewer, larger messages, re-encoded through the wire codec per
 // hop so the adaptive selector sees the denser aggregated blocks.
 //
+// With a codec active the exchange carries frontier SETS, not multisets: the
+// codec sorts every slot where it is staged, the sort puts the duplicates
+// side by side, and each place that already walks the sorted ids drops them —
+// the stage compacts (mergeForRank), every butterfly relay forwards the union
+// of what it holds and what arrived (mergePending), and the destination
+// applies the union of its hops' sections. An id that many GPUs discovered in
+// one superstep crosses each link once. wire.ModeOff is the paper's
+// fixed-width packing and ships what the kernels binned, repeats and all;
+// there the paper's U option (Options.Uniquify) is the ablation that removes
+// them, per bin, at the price of its own sort.
+//
 // Every message of either strategy is wire blocks, encoded and decoded by the
 // same calls whatever Options.Compression says; wire.ModeOff, the default, is
 // raw blocks under the paper's charging rule — id bytes only, no codec kernel
@@ -51,8 +62,9 @@ package core
 // hop k−1's decode/merge/re-encode and NVLink stages, so a step costs the
 // maximum of the three, not their sum (butterflyExchange.remoteTime).
 //
-// Both strategies deliver the identical per-slot id multiset each iteration,
-// and run.go applies remote arrivals in canonical ascending order, so
+// Both strategies deliver the identical per-slot id set each iteration (how
+// often an id repeats depends on the strategy and the codec, and no visit rule
+// cares), and run.go applies remote arrivals in canonical ascending order, so
 // levels, parents and every work counter are bit-identical across strategies
 // — and across any per-iteration mix of them (the hybrid policy, see
 // policy.go) — by construction. Only message pattern, byte volume and the
@@ -113,10 +125,15 @@ func ParseExchange(s string) (Exchange, error) {
 
 // exchangeCounts is one rank's accounting for one iteration's exchange.
 type exchangeCounts struct {
-	sent      int64 // bytes counted as sent (codec framing included when active)
-	sentRaw   int64 // fixed-width 4·id equivalent of every id sent (forwards included)
-	recv      int64 // bytes counted as received (for the staging model)
-	forwarded int64 // fixed-width equivalent of ids relayed for other ranks
+	sent    int64 // bytes counted as sent (codec framing included when active)
+	sentRaw int64 // fixed-width 4·id equivalent of every id sent (forwards included)
+	recv    int64 // bytes counted as received (for the staging model)
+	// forwarded is the fixed-width equivalent of what this rank sent beyond
+	// what it originated: sentRaw − forwarded is the originated volume — the
+	// ids staged for other ranks, after the stage's union — identical whatever
+	// the strategy. Never negative: an originated id leaves its rank exactly
+	// once, alone or absorbed into a relay's union with an equal id.
+	forwarded int64
 	messages  int64 // point-to-point messages sent by this rank
 	memoHits  int64
 	// codecRaw is the fixed-width equivalent of every id this rank pushed
@@ -124,7 +141,10 @@ type exchangeCounts struct {
 	// codec off — the paper's fixed-width packing is a plain copy already
 	// charged as staging). The butterfly re-encodes per hop, so relayed ids
 	// count once per hop on each relaying rank — exactly the log(p)× codec
-	// work the timing model must see.
+	// work the timing model must see. A union is charged for what it reads:
+	// the stage's sort-and-compact for every id binned (stagedDups on top of
+	// the message it produced), a relay's for the message it decoded and the
+	// one it encoded.
 	codecRaw int64
 	scheme   [wire.NumSchemes]int64
 	// hopBytes feeds the timing model: per-hop sent volume (one entry for
@@ -148,8 +168,13 @@ type exchangeCounts struct {
 	hopRecvBytes []int64
 	// arrivals collects the remote ids received for each local GPU slot;
 	// run.go applies them in canonical sorted order (a sweep applies its
-	// records as they arrive and leaves this nil).
-	arrivals [][]uint32
+	// records as they arrive and leaves this nil). arrivalHints says which
+	// slots already are — the butterfly's, with a codec active, are the union
+	// of its hops' sections — and nil that none is known to be. arrived is how
+	// many ids came in for them, before any union: what the apply reads.
+	arrivals     [][]uint32
+	arrivalHints []wire.Hint
+	arrived      int64
 	// intra is the fixed-width volume applied directly between the rank's own
 	// GPUs (NVLink, not NIC) and dups the duplicates removed before sending —
 	// both filled in by lanes.exchange around the strategy's own accounting.
@@ -165,6 +190,16 @@ func codecWork(mode wire.Mode, raw int64) int64 {
 		return 0
 	}
 	return raw
+}
+
+// stagedDups accounts the duplicates a codec-active stage dropped from what
+// its GPUs binned (never any with the codec off): the sort-and-compact kernel
+// read them, so the encode they precede is charged for them. It returns the
+// charge.
+func (c *exchangeCounts) stagedDups(mode wire.Mode, ids int64) int64 {
+	work := codecWork(mode, 4*ids)
+	c.codecRaw += work
+	return work
 }
 
 // message accounts one encoded message this rank sends (or, presence-gated,
@@ -304,7 +339,7 @@ func (rx *rankExchangers) bind(e *Session, rank int, sc *rankScratch) *rankExcha
 		rx.bf.sel.Reset()
 		for i := range rx.bf.pending {
 			rx.bf.pending[i] = rx.bf.pending[i][:0]
-			rx.bf.pendingSorted[i] = rx.bf.pendingSorted[i][:0]
+			rx.bf.pendingHints[i] = rx.bf.pendingHints[i][:0]
 		}
 	}
 	return rx
@@ -317,15 +352,15 @@ func (rx *rankExchangers) get(strategy Exchange) exchanger {
 			prank := rx.e.shape.Ranks()
 			q, rem, nhops := hypercubeGeometry(prank)
 			rx.bf = &butterflyExchange{
-				e:             rx.e,
-				rank:          rx.rank,
-				sc:            rx.sc,
-				q:             q,
-				rem:           rem,
-				nhops:         nhops,
-				sel:           wire.NewSelectorSized(prank * rx.e.shape.GPUsPerRank),
-				pending:       make([][][]uint32, prank),
-				pendingSorted: make([][]bool, prank),
+				e:            rx.e,
+				rank:         rx.rank,
+				sc:           rx.sc,
+				q:            q,
+				rem:          rem,
+				nhops:        nhops,
+				sel:          wire.NewSelectorSized(prank * rx.e.shape.GPUsPerRank),
+				pending:      make([][][]uint32, prank),
+				pendingHints: make([][]wire.Hint, prank),
 			}
 		}
 		return rx.bf
@@ -361,67 +396,71 @@ func hopTag(iter int32, hop int) int {
 }
 
 // mergeForRank gathers all of this rank's bins destined for dst's GPUs into
-// one id list per destination slot (written into the caller's merged/sorted
-// headers, len pgpu each), merging every source GPU of this rank.
+// one id list per destination slot (written into the caller's merged/hints
+// headers, len pgpu each), merging every source GPU of this rank, and returns
+// how many ids the bins held.
 //
-// This is where a block is born, and with a codec active it is where it is
+// This is where a block is born, and with a codec active it is born a set:
 // sorted — once, in place: a single contributor's bin where it lies (the rank
-// owns its bins), several contributors' concatenation in the arena. From
-// here on the ids are only merged (at each butterfly relay) and encoded
-// presorted, never sorted again. With the codec off nothing needs the order
-// — raw blocks carry any — and the slot stays as the kernels left it. Bins
-// Uniquify already sorted merge instead, codec or not.
+// owns its bins), several contributors' concatenation in the arena — and
+// compacted in the same breath, the duplicate test one compare per id on data
+// the sort just touched. From here on the ids are only unioned (at each
+// butterfly relay and on arrival) and encoded as the set they are
+// (wire.HintSet), never sorted nor scanned for repeats again. Bins Uniquify
+// already turned into sets union instead: U only moves where a duplicate is
+// dropped, so the slot — and every byte on the wire — is the same with it on
+// or off. With the codec off nothing needs the order and nothing is dropped:
+// raw blocks carry the slot as the kernels left it, contributors
+// concatenated, and a slot that happens to be ascending is still a multiset.
 //
 // Allocation contract: a single-contributor slot references the bin directly
-// — zero copy, and with a codec active sorted in that bin. That is safe
-// because the encoders only read the slots, the butterfly's relaying appends
-// write past the bin's length into spare capacity the bin never reads, the
-// intra-rank apply reads only this rank's own destination bins (never staged
-// here), and bins.Reset() (run.go, after the exchange) leaves contents
-// untouched. Multi-contributor slots draw their merged output from the
-// per-iteration arena. Callers may retain and grow the slot slices for the
+// — zero copy, and with a codec active sorted and compacted in that bin, whose
+// tail past the slot is then stale. That is safe because the encoders only
+// read the slots, the intra-rank apply reads only this rank's own destination
+// bins (never staged here), and bins.Reset() (run.go, after the exchange)
+// drops the contents unread. Multi-contributor slots draw their merged output
+// from the per-iteration arena. Callers may retain the slot slices for the
 // current iteration only.
-func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, merged [][]uint32, sorted []bool) {
+func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, merged [][]uint32, hints []wire.Hint) (binned int64) {
 	pgpu := e.shape.GPUsPerRank
 	codec := e.opts.Compression != wire.ModeOff
 	lists := sc.lists
 	for s := 0; s < pgpu; s++ {
 		dstGPU := dst*pgpu + s
 		lists = lists[:0]
-		allSorted := true
+		total, allSets := 0, true
 		for _, gs := range myGPUs {
 			if bin := gs.bins.PerGPU[dstGPU]; len(bin) > 0 {
 				lists = append(lists, bin)
-				allSorted = allSorted && gs.bins.IsSorted(dstGPU)
+				total += len(bin)
+				allSets = allSets && gs.bins.IsSorted(dstGPU)
 			}
 		}
-		merged[s] = nil
+		binned += int64(total)
+		merged[s], hints[s] = nil, wire.HintNone
+		if codec {
+			hints[s] = wire.HintSet
+		}
 		switch {
 		case len(lists) == 0:
-			sorted[s] = true
 			continue
 		case len(lists) == 1:
 			merged[s] = lists[0]
-		case allSorted:
+		case codec && allSets:
 			merged[s] = frontier.MergeSortedArena(&sc.arena, lists)
 		default:
-			var total int
-			for _, l := range lists {
-				total += len(l)
-			}
 			out := sc.arena.Alloc(total)
 			for _, l := range lists {
 				out = append(out, l...)
 			}
 			merged[s] = out
 		}
-		if codec && !allSorted {
-			frontier.SortIDs(merged[s], &sc.sortBuf)
-			allSorted = true
+		if codec && !allSets {
+			merged[s] = frontier.SortSet(merged[s], &sc.sortBuf)
 		}
-		sorted[s] = allSorted
 	}
 	sc.lists = lists
+	return binned
 }
 
 // ---- all-pairs ----
@@ -523,13 +562,13 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	c.arrivals = sc.resetArrivals()
 
 	// Remote sends: one message per destination rank carrying every source
-	// GPU's bins for that rank's slots, one wire block per slot. AppendRank
-	// applies the mode's charging rule: with compression off, id bytes only
-	// (the paper's 4·|Enn|; the block framing is not traffic); with a codec
-	// active, the encoded message — framing, checksums and all — is what
-	// crosses the NIC and what the timing model sees. The merge headers are
-	// reused per destination: the encode consumes them before the next merge
-	// overwrites.
+	// GPU's bins for that rank's slots, one wire block per slot.
+	// AppendRankHinted applies the mode's charging rule: with compression
+	// off, id bytes only (the paper's 4·|Enn|; the block framing is not
+	// traffic); with a codec active, the encoded message — framing, checksums
+	// and all — is what crosses the NIC and what the timing model sees. The
+	// merge headers are reused per destination: the encode consumes them
+	// before the next merge overwrites.
 	//
 	// A destination this rank holds nothing for (its presence bit is clear)
 	// still gets its empty message encoded and accounted — bytes, scheme
@@ -542,27 +581,31 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	if len(x.msgBufs) < prank {
 		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
 	}
+	var binned int64
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
 			continue
 		}
 		if pres.has(rank, dst) {
-			e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apSorted)
+			binned += e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apHints)
 		} else if mode == wire.ModeOff {
 			c.messages++
 			continue
 		} else {
 			for s := range sc.apSlots {
-				sc.apSlots[s], sc.apSorted[s] = nil, true
+				sc.apSlots[s], sc.apHints[s] = nil, wire.HintSet
 			}
 		}
-		payload, st := x.sel.AppendRank(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apSorted, mode)
+		payload, st := x.sel.AppendRankHinted(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apHints, mode)
 		x.msgBufs[dst] = payload
 		c.message(st, mode)
 		if pres.has(rank, dst) {
 			comm.Isend(dst, hopTag(iter, 0), payload)
 		}
 	}
+	// Everything sent was originated here, and the encode is charged for the
+	// ids as the GPUs binned them, before the stage's union.
+	c.stagedDups(mode, binned-c.sentRaw/4)
 	// Receives, decoded zero-copy straight into the reusable arrival bins
 	// (each block's count header pre-sizes the grow). A source whose presence
 	// bit for this rank is clear sent nothing: account its empty message and
@@ -576,11 +619,12 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 			continue
 		}
 		buf := comm.Recv(src, hopTag(iter, 0))
-		before := countIDs(c.arrivals)
 		if err := wire.DecodeRankInto(buf, c.arrivals); err != nil {
 			panic(fmt.Errorf("core: corrupt exchange payload: %w", err))
 		}
-		c.received(mode, len(buf), 4*(countIDs(c.arrivals)-before))
+		n := countIDs(c.arrivals)
+		c.received(mode, len(buf), 4*(n-c.arrived))
+		c.arrived = n
 	}
 	c.hopBytes = append(sc.hopBytes[:0], c.sent)
 	sc.hopBytes = c.hopBytes
@@ -635,10 +679,11 @@ type butterflyExchange struct {
 	nhops int // log2(q) hypercube hops
 	sel   *wire.Selector
 	// pending holds, per final destination rank, the per-slot ids this rank
-	// currently carries for it (own bins plus relayed payloads); nil when
-	// nothing is pending.
-	pending       [][][]uint32
-	pendingSorted [][]bool
+	// currently carries for it (own bins plus relayed payloads) and what is
+	// known of each slot's order; nil when nothing is pending. The rank's own
+	// entry collects what has arrived for it.
+	pending      [][][]uint32
+	pendingHints [][]wire.Hint
 	// encRaw/decRaw are per-iteration scratch: fixed-width bytes pushed
 	// through the codec's encode (resp. decode) kernels at each hop, from
 	// which exchange() assembles the pipeline's compute stages.
@@ -649,7 +694,7 @@ type butterflyExchange struct {
 	// before the buffer's next rewrite.
 	msgBufs [][]byte
 	// onSend, set by tests only, sees every hop's outgoing sections (slots
-	// and Sorted flags) just before they are encoded.
+	// and hints) just before they are encoded.
 	onSend func(hop int, secs []wire.Section)
 }
 
@@ -685,7 +730,6 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	sc.arena.Reset()
 	sc.wireSecs.Reset()
 	var c exchangeCounts
-	c.arrivals = sc.resetArrivals()
 	c.hopBytes = grownInt64(sc.hopBytes, x.rounds())
 	sc.hopBytes = c.hopBytes
 	c.hopRecvBytes = grownInt64(sc.hopRecvBytes, x.rounds())
@@ -697,25 +741,32 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	}
 
 	// Stage this iteration's own bins. ownRaw is the fixed-width equivalent
-	// of originated traffic; everything sent beyond it was forwarded. Each
-	// destination keeps its own pgpu-row of the staging headers — the
-	// butterfly retains every destination's slots across its hops, so the
-	// rows cannot be shared the way all-pairs reuses one.
-	var ownRaw int64
+	// of originated traffic — the staged slots, sets with a codec active —
+	// and everything sent beyond it was forwarded. Each destination keeps its
+	// own pgpu-row of the staging headers — the butterfly retains every
+	// destination's slots across its hops, so the rows cannot be shared the
+	// way all-pairs reuses one.
+	var ownRaw, binned int64
 	for dst := 0; dst < prank; dst++ {
-		x.pending[dst], x.pendingSorted[dst] = nil, nil
+		x.pending[dst], x.pendingHints[dst] = nil, nil
 		if dst == rank {
 			continue
 		}
 		slots := sc.stageSlots[dst*pgpu : (dst+1)*pgpu]
-		sorted := sc.stageSorted[dst*pgpu : (dst+1)*pgpu]
-		e.mergeForRank(myGPUs, dst, sc, slots, sorted)
+		hints := sc.stageHints[dst*pgpu : (dst+1)*pgpu]
+		binned += e.mergeForRank(myGPUs, dst, sc, slots, hints)
 		n := countIDs(slots)
 		if n == 0 {
 			continue
 		}
-		x.pending[dst], x.pendingSorted[dst] = slots, sorted
+		x.pending[dst], x.pendingHints[dst] = slots, hints
 		ownRaw += 4 * n
+	}
+	// The stage runs before any hop, so the duplicates it read and dropped
+	// are charged to the first hop's encode, whichever hop their slot leaves
+	// on. (No hops, no other ranks, nothing staged.)
+	if x.rounds() > 0 {
+		x.encRaw[0] = c.stagedDups(mode, binned-ownRaw/4)
 	}
 
 	hop := 0
@@ -731,11 +782,11 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 					continue
 				}
 				secs = append(secs, wire.Section{
-					Rank:   dst,
-					Slots:  x.pending[dst],
-					Sorted: x.pendingSorted[dst],
+					Rank:  dst,
+					Slots: x.pending[dst],
+					Hints: x.pendingHints[dst],
 				})
-				x.pending[dst], x.pendingSorted[dst] = nil, nil
+				x.pending[dst], x.pendingHints[dst] = nil, nil
 			}
 			sc.secs = secs
 			c.hopBytes[hop] = x.send(comm, rank-x.q, iter, hop, secs, mode, &c)
@@ -761,11 +812,11 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 				continue
 			}
 			secs = append(secs, wire.Section{
-				Rank:   dst,
-				Slots:  x.pending[dst],
-				Sorted: x.pendingSorted[dst],
+				Rank:  dst,
+				Slots: x.pending[dst],
+				Hints: x.pendingHints[dst],
 			})
-			x.pending[dst], x.pendingSorted[dst] = nil, nil
+			x.pending[dst], x.pendingHints[dst] = nil, nil
 		}
 		sc.secs = secs
 		c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
@@ -781,11 +832,11 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 			secs := sc.secs[:0]
 			if x.pending[partner] != nil {
 				secs = append(secs, wire.Section{
-					Rank:   partner,
-					Slots:  x.pending[partner],
-					Sorted: x.pendingSorted[partner],
+					Rank:  partner,
+					Slots: x.pending[partner],
+					Hints: x.pendingHints[partner],
 				})
-				x.pending[partner], x.pendingSorted[partner] = nil, nil
+				x.pending[partner], x.pendingHints[partner] = nil, nil
 			}
 			sc.secs = secs
 			c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
@@ -794,12 +845,14 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 		}
 	}
 
-	// Every relayed id must have reached its destination by the last hop.
+	// Every relayed id must have reached its destination by the last hop;
+	// what is pending for this rank is what arrived.
+	c.arrivals, c.arrivalHints = x.pending[rank], x.pendingHints[rank]
 	for dst, p := range x.pending {
 		if dst != rank && p != nil && countIDs(p) > 0 {
 			panic(fmt.Sprintf("core: butterfly left %d ids undelivered for rank %d", countIDs(p), dst))
 		}
-		x.pending[dst], x.pendingSorted[dst] = nil, nil
+		x.pending[dst], x.pendingHints[dst] = nil, nil
 	}
 	c.forwarded = c.sentRaw - ownRaw
 
@@ -837,8 +890,9 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 	return st.EncodedBytes
 }
 
-// receive decodes one hop's arrival from src, delivering sections addressed
-// to this rank as arrivals and folding the rest into pending.
+// receive decodes one hop's arrival from src and folds its sections into
+// pending: the ones addressed to other ranks to be relayed, the one addressed
+// to this rank to be applied.
 func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int, mode wire.Mode, c *exchangeCounts) {
 	pgpu := x.e.shape.GPUsPerRank
 	prank := x.e.shape.Ranks()
@@ -849,47 +903,47 @@ func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int
 	}
 	var raw int64
 	for _, sec := range secsIn {
-		raw += 4 * countIDs(sec.Slots)
+		n := countIDs(sec.Slots)
+		raw += 4 * n
+		if sec.Rank == x.rank {
+			c.arrived += n
+		}
+		x.mergePending(sec, mode != wire.ModeOff)
 	}
 	c.hopRecvBytes[hop] += c.received(mode, len(buf), raw)
 	x.decRaw[hop] += codecWork(mode, raw)
-	for _, sec := range secsIn {
-		if sec.Rank == x.rank {
-			for s, ids := range sec.Slots {
-				c.arrivals[s] = append(c.arrivals[s], ids...)
-			}
-			continue
-		}
-		x.mergePending(sec)
-	}
 }
 
-// mergePending folds a relayed section into the pending payload for its
-// destination. With a codec active both sides are always sorted — staged
-// slots by mergeForRank, decoded ones by construction or by the decoder's
-// check — so the lists merge and stay sorted for the next hop's encode; with
-// the codec off nothing was sorted and, but for a slot that happens to be
-// ascending, they concatenate.
-func (x *butterflyExchange) mergePending(sec wire.Section) {
+// mergePending folds a received section into the pending payload for its
+// destination. With a codec active (sets) both sides are sets — staged slots
+// by mergeForRank, decoded ones by construction or by the decoder's check,
+// unions of either by induction — so the relay unions them: the next hop's
+// encode, or this rank's apply, sees each id once, in order, however many
+// ranks sent it. A slot the decoder could not vouch for concatenates and
+// loses its hint, which costs the encoder a sort and nothing else. With the
+// codec off the slots are multisets in no order: they always concatenate,
+// ascending by accident or not, and every repeat rides on.
+func (x *butterflyExchange) mergePending(sec wire.Section, sets bool) {
 	dst := sec.Rank
 	if x.pending[dst] == nil {
-		x.pending[dst], x.pendingSorted[dst] = sec.Slots, sec.Sorted
+		x.pending[dst], x.pendingHints[dst] = sec.Slots, sec.Hints
 		return
 	}
-	cur, curSorted := x.pending[dst], x.pendingSorted[dst]
+	cur, curHints := x.pending[dst], x.pendingHints[dst]
 	for s, inc := range sec.Slots {
 		switch {
 		case len(inc) == 0:
 			// Nothing to merge.
 		case len(cur[s]) == 0:
-			cur[s], curSorted[s] = inc, sec.Sorted[s]
-		case curSorted[s] && sec.Sorted[s]:
+			cur[s], curHints[s] = inc, sec.Hints[s]
+		case sets && curHints[s] == wire.HintSet && sec.Hints[s] == wire.HintSet:
 			x.sc.pair[0], x.sc.pair[1] = cur[s], inc
 			cur[s] = frontier.MergeSortedArena(&x.sc.arena, x.sc.pair[:])
 			x.sc.pair[0], x.sc.pair[1] = nil, nil
 		default:
-			cur[s] = append(cur[s], inc...)
-			curSorted[s] = false
+			out := x.sc.arena.Alloc(len(cur[s]) + len(inc))
+			cur[s] = append(append(out, cur[s]...), inc...)
+			curHints[s] = wire.HintNone
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -99,6 +98,14 @@ func TestExchangeEquivalence(t *testing.T) {
 					if got := int64(rb.Iterations); rb.Exchange.ButterflyIterations != got {
 						t.Fatalf("%s: butterfly iterations %d, want %d", label,
 							rb.Exchange.ButterflyIterations, got)
+					}
+					// What the ranks originate does not depend on who relays it:
+					// multisets with the codec off, sets with it on, a relay's
+					// union absorbing forwarded ids only (exchange_sets_test.go
+					// holds this per rank and superstep).
+					if oa, ob := ra.Wire.RawBytes-ra.Exchange.ForwardedBytes, rb.Wire.RawBytes-rb.Exchange.ForwardedBytes; oa != ob || ra.Exchange.ForwardedBytes != 0 || rb.Exchange.ForwardedBytes < 0 {
+						t.Fatalf("%s: originated %d B under all-pairs (forwarded %d), %d B under butterfly (forwarded %d)", label,
+							oa, ra.Exchange.ForwardedBytes, ob, rb.Exchange.ForwardedBytes)
 					}
 				}
 			}
@@ -335,13 +342,14 @@ func TestEngineRejectsBadExchange(t *testing.T) {
 	}
 }
 
-// TestButterflySortedInvariant: with a codec active a block is sorted once,
-// where it is staged, and only merged afterwards — so at every hop of every
-// iteration, on a power-of-two and a cleanup-hop rank count, every outgoing
-// slot is ascending AND flagged so (the flag is what spares the encoder its
-// sort copy and lets the next relay merge). Forced-raw runs cover the blocks
-// whose flag the decoder has to verify rather than infer from the scheme.
-// Levels and parents stay bit-identical to all-pairs.
+// TestButterflySortedInvariant: with a codec active a block is born a set —
+// sorted and compacted once, where it is staged — and only unioned afterwards,
+// so at every hop of every iteration, on a power-of-two and a cleanup-hop rank
+// count, every outgoing slot is strictly ascending AND hinted so (the hint is
+// what spares the encoder its sort copy and its duplicate scan and lets the
+// next relay union). Forced-raw runs cover the blocks whose hint the decoder
+// has to verify rather than infer from the scheme. Levels and parents stay
+// bit-identical to all-pairs.
 func TestButterflySortedInvariant(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(13))
 	th := partition.SuggestThreshold(el.OutDegrees(), el.N/8)
@@ -381,10 +389,10 @@ func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, 
 					if hop > 0 {
 						relayed.Add(1)
 					}
-					if !sec.Sorted[slot] {
+					if sec.Hints[slot] != wire.HintSet {
 						unflagged.Add(1)
 					}
-					if !slices.IsSorted(ids) {
+					if !isSet(ids) {
 						unsorted.Add(1)
 					}
 				}
@@ -402,7 +410,17 @@ func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, 
 		t.Fatalf("%s: saw %d blocks, %d past the first hop — nothing was checked", label, blocks.Load(), relayed.Load())
 	}
 	if unflagged.Load() != 0 || unsorted.Load() != 0 {
-		t.Fatalf("%s: of %d outgoing blocks %d lacked the sorted flag and %d were not ascending",
+		t.Fatalf("%s: of %d outgoing blocks %d lacked the set hint and %d were not strictly ascending",
 			label, blocks.Load(), unflagged.Load(), unsorted.Load())
 	}
+}
+
+// isSet reports whether ids are strictly ascending.
+func isSet(ids []uint32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -29,7 +29,10 @@ func resultDigest(results ...*metrics.RunResult) string {
 }
 
 // goldenResults were generated on the commit before the sweep moved onto
-// runRank (PR 16) — the filtered run rows on PR 23 — and pin the statistics no
+// runRank (PR 16) — the filtered run rows on PR 23, the adaptive run rows and
+// both repair rows on PR 24, when a codec-active exchange began to carry sets
+// (every off row and every sweep row is older: the uncompressed exchange and the
+// record exchange ship what they always did) — and pin the statistics no
 // other test or BENCH cell reads — Wire.MaskRawBytes/MaskWireBytes, the
 // per-iteration codec/NVLink split, the calibration EWMAs — across every
 // traversal the superstep loop serves.
@@ -43,26 +46,26 @@ var goldenResults = map[string]string{
 	"run/allpairs/off/1/unfiltered":       "a2f7c1a86c8ac785",
 	"run/allpairs/off/2":                  "e5fec2a36c7b5f3c",
 	"run/allpairs/off/2/unfiltered":       "dc772ed545039eea",
-	"run/allpairs/adaptive/1":             "51b2262567d05c1d",
-	"run/allpairs/adaptive/1/unfiltered":  "506b22eacc288ca4",
-	"run/allpairs/adaptive/2":             "8fd9e006904cf027",
-	"run/allpairs/adaptive/2/unfiltered":  "7170c9480782617c",
+	"run/allpairs/adaptive/1":             "22c200a01213f011",
+	"run/allpairs/adaptive/1/unfiltered":  "e6e93c3d8ec79bd2",
+	"run/allpairs/adaptive/2":             "fa4041169ba1720c",
+	"run/allpairs/adaptive/2/unfiltered":  "0b35a2e814afbf16",
 	"run/butterfly/off/1":                 "447a09ba0961267f",
 	"run/butterfly/off/1/unfiltered":      "269dfd6507006cb9",
 	"run/butterfly/off/2":                 "e7736a2d51865ec7",
 	"run/butterfly/off/2/unfiltered":      "6ee5274616b29c73",
-	"run/butterfly/adaptive/1":            "7009de8cd204a6b9",
-	"run/butterfly/adaptive/1/unfiltered": "19f4ea5cab087c26",
-	"run/butterfly/adaptive/2":            "5b823e082b637497",
-	"run/butterfly/adaptive/2/unfiltered": "a50fcbb1ad0c5569",
+	"run/butterfly/adaptive/1":            "e5478a2335423f4a",
+	"run/butterfly/adaptive/1/unfiltered": "c982da59fbe4998c",
+	"run/butterfly/adaptive/2":            "4952ab02a64f8adc",
+	"run/butterfly/adaptive/2/unfiltered": "662d4bf619fbcb82",
 	"run/hybrid/off/1":                    "d81f30d643447e1e",
 	"run/hybrid/off/1/unfiltered":         "2dc5d2452ad3db4b",
 	"run/hybrid/off/2":                    "236f8af86f579aa7",
 	"run/hybrid/off/2/unfiltered":         "d617f5df1482774f",
-	"run/hybrid/adaptive/1":               "32e0064973e2270c",
-	"run/hybrid/adaptive/1/unfiltered":    "8c698e98a605aef8",
-	"run/hybrid/adaptive/2":               "0bdd78b602a9e2d7",
-	"run/hybrid/adaptive/2/unfiltered":    "ce3b7c71636c10d7",
+	"run/hybrid/adaptive/1":               "9f2da1e03e5e1f7c",
+	"run/hybrid/adaptive/1/unfiltered":    "8abcdc5ab487d4fe",
+	"run/hybrid/adaptive/2":               "3f95c82165151f42",
+	"run/hybrid/adaptive/2/unfiltered":    "657b6da375a2b5ca",
 	"sweep/1":                             "5a8569b23a43a711",
 	"sweep/8":                             "0bab67222146fb10",
 	"sweep/65":                            "b64907b3c494721b",
@@ -70,8 +73,42 @@ var goldenResults = map[string]string{
 	// the frozen RunRepair, which resolves it from nothing: the same wave, so
 	// the two rows differ in ParentPairs and Wire.Pair*Bytes only (the test
 	// checks that too).
-	"repair":           "48e97ae24b3d022c",
-	"repair/RunRepair": "dd68fbdd26513bb7",
+	"repair":           "7fbbb88a78b1401a",
+	"repair/RunRepair": "39353980f8ec7218",
+}
+
+// wireBefore is what the codec-active rows read on PR 23, when the exchange
+// carried multisets — Wire.RawBytes, Wire.CompressedBytes,
+// Exchange.ForwardedBytes, Wire.CodecBytes summed over a row's results — for
+// the log beside what they read now. The off rows never moved: their digests
+// are PR 23's.
+var wireBefore = map[string][4]int64{
+	"run/allpairs/adaptive/1":  {1296, 2129, 0, 3096},
+	"run/allpairs/adaptive/2":  {1296, 3924, 0, 3096},
+	"run/butterfly/adaptive/1": {2352, 1633, 1056, 5208},
+	"run/butterfly/adaptive/2": {2352, 2318, 1056, 5208},
+	"run/hybrid/adaptive/1":    {2352, 1633, 1056, 5208},
+	"run/hybrid/adaptive/2":    {2352, 2318, 1056, 5208},
+	"repair":                   {844, 303, 0, 1696},
+}
+
+// logWire prints the byte counters a set-carrying exchange moves, summed over
+// results, beside what the same rows read on PR 23 (wireBefore).
+func logWire(t *testing.T, name string, results ...*metrics.RunResult) {
+	t.Helper()
+	var now [4]int64
+	for _, r := range results {
+		now[0] += r.Wire.RawBytes
+		now[1] += r.Wire.CompressedBytes
+		now[2] += r.Exchange.ForwardedBytes
+		now[3] += r.Wire.CodecBytes
+	}
+	was, moved := wireBefore[name]
+	if !moved {
+		was = now
+	}
+	t.Logf("%s: Wire.RawBytes %d → %d, CompressedBytes %d → %d, Exchange.ForwardedBytes %d → %d, Wire.CodecBytes %d → %d",
+		name, was[0], now[0], was[1], now[1], was[2], now[2], was[3], now[3])
 }
 
 func TestGoldenRunResults(t *testing.T) {
@@ -106,6 +143,7 @@ func TestGoldenRunResults(t *testing.T) {
 					t.Logf("%s src %d: ParentPairs %d (unfiltered %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)", name, src,
 						res.ParentPairs, all.ParentPairs, res.Wire.PairRawBytes, all.Wire.PairRawBytes, res.Wire.PairWireBytes, all.Wire.PairWireBytes)
 				}
+				logWire(t, name, results...)
 				check(name, results...)
 				check(name+"/unfiltered", unfiltered...)
 			}
@@ -161,6 +199,7 @@ func TestGoldenRunResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logWire(t, "repair", rep)
 	check("repair", rep)
 	wrapped, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
 	if err != nil {

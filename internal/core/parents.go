@@ -60,8 +60,13 @@ import (
 //     the last. Who has such a neighbor the traversal has already found out,
 //     for nothing: nn never runs backward (§IV-B), so a vertex v in the
 //     frontier of superstep ℓ+1 pushes every nn neighbor, its level-ℓ
-//     neighbor u included; uniquify, the butterfly's merges and the codecs
-//     drop duplicates but never an id's last copy; so u's id reaches u's GPU
+//     neighbor u included; a duplicate of an id is dropped in four places —
+//     uniquify within a bin, a codec-active stage within a slot
+//     (mergeForRank), a butterfly relay's union against the equal id it
+//     already holds (mergePending, which is also how the destination unions
+//     its hops' sections), and a bitmap block by construction — and each
+//     drops a copy only beside another it keeps, never an id's last; so u's
+//     id reaches u's GPU
 //     claiming depth ℓ+2 while levels[u] = ℓ, which applyIDs and kernelNN's
 //     same-GPU branch — holding levels[u] for the unvisited test anyway —
 //     note in one bit per slot (gpuState.hasChild). The deepest level's

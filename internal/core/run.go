@@ -794,19 +794,23 @@ func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present
 	}
 	// Remote arrivals apply in canonical ascending order so every
 	// exchange strategy yields the identical output-frontier order (and
-	// hence identical parents downstream). On the real GPU the apply is
-	// an order-independent parallel scatter, so no extra time is
-	// charged for the canonicalization.
-	var applied int64
+	// hence identical parents downstream): a slot the exchange delivers as
+	// the union of its hops' sections is in that order already, any other is
+	// sorted here. A repeat changes nothing — the first copy claims the
+	// vertex or sets its child bit, the rest find that done. On the real GPU
+	// the apply is an order-independent parallel scatter, so no extra time
+	// is charged for the canonicalization.
 	for s, ids := range counts.arrivals {
-		applied += int64(len(ids))
-		frontier.SortIDs(ids, &sc.sortBuf)
+		if counts.arrivalHints == nil || counts.arrivalHints[s] != wire.HintSet {
+			frontier.SortIDs(ids, &sc.sortBuf)
+		}
 		l.w.apply(myGPUs[s], ids, iter+1)
 	}
-	// Scatter cost of applying received ids on the destination GPUs.
-	if applied+counts.intra/4 > 0 {
+	// Scatter cost of applying received ids on the destination GPUs: every
+	// id that came in, before any union.
+	if applied := counts.arrived + counts.intra/4; applied > 0 {
 		myGPUs[0].it.normalStream += e.charge(myGPUs[0].dev, simgpu.KernelCost{
-			Vertices: applied + counts.intra/4, Strategy: simgpu.TWBDynamic,
+			Vertices: applied, Strategy: simgpu.TWBDynamic,
 		})
 	}
 	for _, gs := range myGPUs {

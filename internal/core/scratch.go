@@ -29,20 +29,21 @@ type rankScratch struct {
 	arena frontier.Arena
 
 	// arrivals are the reusable per-local-slot remote-arrival bins the
-	// exchange decodes into (zero-copy: the wire header's count pre-sizes
-	// the grow). Backing arrays persist across iterations and queries.
+	// all-pairs exchange and the repair's probe round decode into (zero-copy:
+	// the wire header's count pre-sizes the grow). Backing arrays persist
+	// across iterations and queries.
 	arrivals [][]uint32
 
-	// apSlots/apSorted are the all-pairs merge headers, reused for every
+	// apSlots/apHints are the all-pairs merge headers, reused for every
 	// destination rank in turn (the encode consumes them immediately).
-	apSlots  [][]uint32
-	apSorted []bool
+	apSlots [][]uint32
+	apHints []wire.Hint
 
-	// stageSlots/stageSorted are the butterfly staging headers: one pgpu-row
+	// stageSlots/stageHints are the butterfly staging headers: one pgpu-row
 	// per destination rank, flat, because the butterfly retains all
 	// destinations' merged slots across its hops.
-	stageSlots  [][]uint32
-	stageSorted []bool
+	stageSlots [][]uint32
+	stageHints []wire.Hint
 
 	// lists gathers the contributing bins of one merge; pair is the
 	// two-list header for pending-relay merges.
@@ -71,8 +72,9 @@ type rankScratch struct {
 
 	// sortBuf is the rank's radix-sort scatter buffer (frontier.SortIDs),
 	// shared by every id sort the rank runs in turn: staging's in-place bin
-	// sort, uniquify, and the canonical apply of remote arrivals. It grows
-	// to the largest single block sorted, not to the iteration's traffic.
+	// sort, uniquify, and the canonical apply of remote arrivals that are not
+	// a union already. It grows to the largest single block sorted, not to
+	// the iteration's traffic.
 	sortBuf []uint32
 
 	// seedMask holds the repair traversal's merged delegate seed set (every
@@ -107,7 +109,7 @@ type rankScratch struct {
 	maskExtra []float64
 
 	// wireSecs recycles the butterfly's decoded section headers (Section
-	// structs, slot rows, sorted rows). Bump-reset with the arena at each
+	// structs, slot rows, hint rows). Bump-reset with the arena at each
 	// iteration's exchange — relayed sections live in pending until the
 	// last hop, never longer.
 	wireSecs wire.SectionScratch
@@ -115,12 +117,12 @@ type rankScratch struct {
 
 func newRankScratch(prank, pgpu int, d int64) *rankScratch {
 	return &rankScratch{
-		arrivals:    make([][]uint32, pgpu),
-		apSlots:     make([][]uint32, pgpu),
-		apSorted:    make([]bool, pgpu),
-		stageSlots:  make([][]uint32, prank*pgpu),
-		stageSorted: make([]bool, prank*pgpu),
-		rankMask:    bitmask.New(d),
+		arrivals:   make([][]uint32, pgpu),
+		apSlots:    make([][]uint32, pgpu),
+		apHints:    make([]wire.Hint, pgpu),
+		stageSlots: make([][]uint32, prank*pgpu),
+		stageHints: make([]wire.Hint, prank*pgpu),
+		rankMask:   bitmask.New(d),
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // GPU. Ids stored are already converted to 32-bit local ids at the
 // destination (the paper sends 4 bytes per nn edge — the conversion happens
 // sender-side since local id = v / p is computable anywhere). Each bin also
-// tracks whether it is known sorted (uniquification leaves bins sorted and
-// duplicate-free), a hint the wire codec uses to skip its sort copy.
+// tracks whether it is known sorted — which only uniquification establishes,
+// so a bin of two or more ids known sorted is duplicate-free as well: a set,
+// which the exchange stages without sorting it again.
 type Bins struct {
 	PerGPU [][]uint32
 	sorted []bool
@@ -73,18 +74,21 @@ func (b *Bins) Count() int64 {
 // excluding per-slot headers — the paper's 4·|Enn| volume accounting.
 func (b *Bins) Bytes() int64 { return 4 * b.Count() }
 
-// compactSorted drops repeated ids from a sorted list in place.
+// compactSorted drops repeated ids from a sorted list in place. Like mergeTwo
+// it steers by arithmetic, not by a branch on the data: every id is written at
+// the cursor, and the cursor moves on when the id differs from its
+// predecessor.
 func compactSorted(ids []uint32) []uint32 {
 	if len(ids) < 2 {
 		return ids
 	}
-	out := ids[:1]
+	k, prev := 1, ids[0]
 	for _, v := range ids[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
+		ids[k] = v
+		k += int((uint64(v^prev) + 1<<32 - 1) >> 32) // v != prev
+		prev = v
 	}
-	return out
+	return ids[:k]
 }
 
 // Uniquify removes duplicate ids within gpu's bin (sort + compact, so the
@@ -205,10 +209,12 @@ func (a *Arena) Reset() {
 	a.off, a.need = 0, 0
 }
 
-// MergeSorted merges already-sorted id lists into one freshly allocated
-// sorted slice, preserving duplicates. Merging keeps uniquified per-GPU bins
-// sorted when they combine into one destination slot, so the pre-sorted hint
-// survives aggregation instead of dying at the first concatenation.
+// MergeSorted is the union of ascending id lists in one freshly allocated
+// ascending slice: an id at the head of two lists is emitted once. Lists that
+// are sets — strictly ascending, which is how the exchange stages every slot
+// with a codec active — therefore merge into a set, and a relay that merges
+// what it holds with what arrived forwards each id once however many ranks
+// discovered it. (A repeat inside one list is that list's own and survives.)
 func MergeSorted(lists [][]uint32) []uint32 {
 	return MergeSortedArena(nil, lists)
 }
@@ -239,26 +245,36 @@ func arenaAlloc(a *Arena, n int) []uint32 {
 	return a.Alloc(n)
 }
 
-// mergeTwo merges two sorted lists into a new slice from the arena.
+// mergeTwo is the union of two ascending lists in a new slice from the arena:
+// equal heads are emitted once and both advance. The loop has no branch on the
+// data — which head is smaller is a coin flip on frontier ids, and a
+// mispredicted branch per id costs about as much as the rest of the loop
+// (BenchmarkMergeUnion) — so the two "head ≤ other head" bits come from the
+// sign of a 64-bit difference and do all the steering: the minimum by mask,
+// each cursor by addition.
 func mergeTwo(a *Arena, x, y []uint32) []uint32 {
-	out := arenaAlloc(a, len(x)+len(y))
-	i, j := 0, 0
+	out := arenaAlloc(a, len(x)+len(y))[:len(x)+len(y)]
+	i, j, k := 0, 0, 0
 	for i < len(x) && j < len(y) {
-		if x[i] <= y[j] {
-			out = append(out, x[i])
-			i++
-		} else {
-			out = append(out, y[j])
-			j++
-		}
+		u, v := uint64(x[i]), uint64(y[j])
+		ule, vle := 1-(v-u)>>63, 1-(u-v)>>63 // u ≤ v, v ≤ u
+		out[k] = uint32(v ^ (u^v)&-ule)
+		k++
+		i += int(ule)
+		j += int(vle)
 	}
-	out = append(out, x[i:]...)
-	return append(out, y[j:]...)
+	k += copy(out[k:], x[i:])
+	k += copy(out[k:], y[j:])
+	return out[:k]
 }
 
-// SortUnique sorts ids ascending and removes duplicates in place, returning
-// the compacted slice.
-func SortUnique(ids []uint32) []uint32 {
-	SortIDs(ids, nil)
+// SortSet sorts ids ascending and removes duplicates in place, returning the
+// compacted slice: the one compare per id runs over data the sort just
+// touched. scratch follows SortIDs's contract.
+func SortSet(ids []uint32, scratch *[]uint32) []uint32 {
+	SortIDs(ids, scratch)
 	return compactSorted(ids)
 }
+
+// SortUnique is SortSet without a reusable scratch.
+func SortUnique(ids []uint32) []uint32 { return SortSet(ids, nil) }

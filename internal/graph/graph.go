@@ -68,10 +68,16 @@ func ForChunks(n, workers int, fn func(w, lo, hi int)) {
 func (el *EdgeList) Validate() error {
 	for i, e := range el.Edges {
 		if e.U < 0 || e.U >= el.N || e.V < 0 || e.V >= el.N {
-			return fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, e.U, e.V, el.N)
+			return el.rangeError(i)
 		}
 	}
 	return nil
+}
+
+// rangeError names edge i as having an endpoint outside [0, N).
+func (el *EdgeList) rangeError(i int) error {
+	e := el.Edges[i]
+	return fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, e.U, e.V, el.N)
 }
 
 // ByteSize returns the conventional edge-list storage cost in bytes
@@ -88,6 +94,21 @@ func (el *EdgeList) Symmetrize() *EdgeList {
 		out.Edges = append(out.Edges, e, Edge{e.V, e.U})
 	}
 	return out
+}
+
+// CheckedOutDegrees is Validate and OutDegrees in the one pass over the edges
+// that either needs: a service's set-up runs both, and each is a serial walk
+// of the whole edge list.
+func (el *EdgeList) CheckedOutDegrees() ([]int64, error) {
+	deg := make([]int64, el.N)
+	n := uint64(el.N)
+	for i, e := range el.Edges {
+		if uint64(e.U) >= n || uint64(e.V) >= n {
+			return nil, el.rangeError(i)
+		}
+		deg[e.U]++
+	}
+	return deg, nil
 }
 
 // OutDegrees counts the out-degree of every vertex.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,25 @@ func TestValidateCatchesRangeErrors(t *testing.T) {
 	el2.Add(-1, 0)
 	if el2.Validate() == nil {
 		t.Fatal("Validate accepted negative source")
+	}
+}
+
+// CheckedOutDegrees is Validate and OutDegrees in one pass: the same verdict,
+// word for word, and the same counts.
+func TestCheckedOutDegrees(t *testing.T) {
+	good := smallList()
+	deg, err := good.CheckedOutDegrees()
+	if err != nil || !slices.Equal(deg, good.OutDegrees()) {
+		t.Fatalf("CheckedOutDegrees = %v, %v; OutDegrees = %v", deg, err, good.OutDegrees())
+	}
+	for _, bad := range [][2]int64{{0, 3}, {3, 0}, {-1, 0}, {0, -1}} {
+		el := NewEdgeList(3)
+		el.Add(1, 2)
+		el.Add(bad[0], bad[1])
+		want := el.Validate()
+		if _, err := el.CheckedOutDegrees(); want == nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("edge %v: CheckedOutDegrees says %v, Validate %v", bad, err, want)
+		}
 	}
 }
 

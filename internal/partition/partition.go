@@ -90,9 +90,16 @@ type Separation struct {
 
 // Separate computes out-degrees and splits vertices at threshold th.
 func Separate(el *graph.EdgeList, th int64) *Separation {
-	deg := el.OutDegrees()
-	s := &Separation{Threshold: th, N: el.N, OutDeg: deg, DelegateID: make([]int32, el.N)}
-	for v := int64(0); v < el.N; v++ {
+	return SeparateDegrees(el.OutDegrees(), th)
+}
+
+// SeparateDegrees splits vertices at threshold th given every vertex's
+// out-degree, which the Separation keeps: a caller that counted the degrees
+// already (to pick th from them) does not count them again.
+func SeparateDegrees(deg []int64, th int64) *Separation {
+	n := int64(len(deg))
+	s := &Separation{Threshold: th, N: n, OutDeg: deg, DelegateID: make([]int32, n)}
+	for v := int64(0); v < n; v++ {
 		if deg[v] > th {
 			s.DelegateID[v] = int32(len(s.DelegateGlobal))
 			s.DelegateGlobal = append(s.DelegateGlobal, v)

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,16 @@ func TestSeparateExtremes(t *testing.T) {
 	}
 	if s.D() != nonzero {
 		t.Fatalf("TH=0: D=%d, want %d (all non-isolated)", s.D(), nonzero)
+	}
+}
+
+// Separate is SeparateDegrees over the edge list's own count.
+func TestSeparateDegreesMatchesSeparate(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(8))
+	for _, th := range []int64{0, 3, 16, 1 << 40} {
+		if got, want := SeparateDegrees(el.OutDegrees(), th), Separate(el, th); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TH=%d: SeparateDegrees differs from Separate", th)
+		}
 	}
 }
 

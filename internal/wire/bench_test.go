@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"gcbfs/internal/frontier"
 )
 
 // benchShapes are frontier payloads representative of the exchange: a dense
@@ -84,6 +86,80 @@ func BenchmarkEncodeRank(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkButterflyRelay is one butterfly hop as a relaying rank runs it:
+// decode the partner's message, union every slot with the set the rank holds
+// for the same destination, re-encode the unions for the next hop. Shaped like
+// rmat16-exchange's fat supersteps: 16 destination ranks × 2 slots, each a set
+// over a 1 024-id local space, a quarter to a half of it present, held and
+// received sets drawn independently so about a third of the ids meet their
+// double. ids/s counts the ids read (decoded plus held); out/in what the
+// union kept of them.
+func BenchmarkButterflyRelay(b *testing.B) {
+	const ranks, pgpu, space = 16, 2, 1024
+	rng := rand.New(rand.NewSource(24))
+	draw := func() []Section {
+		secs := make([]Section, ranks)
+		for r := range secs {
+			secs[r] = Section{Rank: r, Slots: make([][]uint32, pgpu), Hints: make([]Hint, pgpu)}
+			for s := range secs[r].Slots {
+				keep := 2 + rng.Intn(3) // one id in 2 to 4
+				for v := uint32(0); v < space; v++ {
+					if rng.Intn(keep) == 0 {
+						secs[r].Slots[s] = append(secs[r].Slots[s], v)
+					}
+				}
+				secs[r].Hints[s] = HintSet
+			}
+		}
+		return secs
+	}
+	held := draw()
+	for _, mode := range []Mode{ModeAdaptive, ModeDelta} {
+		in, st := NewSelector().EncodeSections(draw(), pgpu, mode)
+		read := st.RawBytes / 4
+		for _, sec := range held {
+			for _, ids := range sec.Slots {
+				read += int64(len(ids))
+			}
+		}
+		b.Run(mode.String(), func(b *testing.B) {
+			var arena frontier.Arena
+			var scratch SectionScratch
+			sel := NewSelectorSized(ranks * pgpu)
+			out := make([]Section, ranks)
+			for r := range out {
+				out[r] = Section{Rank: r, Slots: make([][]uint32, pgpu), Hints: make([]Hint, pgpu)}
+			}
+			var msg []byte
+			var kept int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arena.Reset()
+				scratch.Reset()
+				secs, err := DecodeSectionsScratch(in, pgpu, ranks, &arena, &scratch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, sec := range secs {
+					for s, ids := range sec.Slots {
+						if sec.Hints[s] != HintSet {
+							b.Fatal("decoded slot is not a set")
+						}
+						out[sec.Rank].Slots[s] = frontier.MergeSortedArena(&arena, [][]uint32{held[sec.Rank].Slots[s], ids})
+						out[sec.Rank].Hints[s] = HintSet
+					}
+				}
+				var st Stats
+				msg, st = sel.AppendSections(msg[:0], out, pgpu, mode)
+				kept = st.RawBytes / 4
+			}
+			b.ReportMetric(float64(read)*float64(b.N)/b.Elapsed().Seconds(), "ids/s")
+			b.ReportMetric(float64(kept)/float64(read), "out/in")
+			b.ReportMetric(float64(len(msg))/float64(kept), "bytes/id")
 		})
 	}
 }

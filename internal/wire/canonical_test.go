@@ -95,25 +95,77 @@ func TestAppendPairsPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestDecodeSectionsRawSortedFlag checks the decoded Sorted flag of raw
-// blocks is derived from the ids, never from the sender: ascending raw
-// blocks keep it, anything else loses it.
+// TestDecodeSectionsRawSortedFlag checks the decoded hint is derived from the
+// ids, never from the sender: a raw block is a set when it is strictly
+// ascending, sorted when it is ascending with repeats, and nothing otherwise,
+// whatever the sender claimed; a delta block reports its repeats (zero gaps)
+// and a bitmap is a set by construction.
 func TestDecodeSectionsRawSortedFlag(t *testing.T) {
-	secs := []Section{{
-		Rank:   1,
-		Slots:  [][]uint32{{3, 9, 9, 40}, {40, 3, 9}, {5}, nil},
-		Sorted: []bool{true, false, true, true},
-	}}
-	msg, _ := (*Selector)(nil).EncodeSections(secs, 4, ModeRaw)
-	got, err := DecodeSections(msg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
+	slots := [][]uint32{{3, 9, 9, 40}, {40, 3, 9}, {5}, nil, {3, 9, 40}}
+	for _, tc := range []struct {
+		mode Mode
+		sent []Hint
+		want []Hint
+	}{
+		{ModeRaw, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet},
+			[]Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
+		// A sender that vouches for nothing gets the same answer.
+		{ModeRaw, nil, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
+		{ModeOff, nil, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
+		// Delta canonicalizes the order; only the repeat survives as a hint.
+		{ModeDelta, nil, []Hint{HintSorted, HintSet, HintSet, HintSet, HintSet}},
+	} {
+		secs := []Section{{Rank: 1, Slots: slots, Hints: tc.sent}}
+		msg, _ := (*Selector)(nil).EncodeSections(secs, len(slots), tc.mode)
+		got, err := DecodeSections(msg, len(slots), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[0].Hints, tc.want) {
+			t.Fatalf("%v (sent %v): Hints = %v, want %v", tc.mode, tc.sent, got[0].Hints, tc.want)
+		}
+		if tc.mode != ModeDelta && !slices.Equal(got[0].Slots[1], []uint32{40, 3, 9}) {
+			t.Fatalf("%v: raw block reordered: %v", tc.mode, got[0].Slots[1])
+		}
 	}
-	if want := []bool{true, false, true, true}; !slices.Equal(got[0].Sorted, want) {
-		t.Fatalf("Sorted = %v, want %v", got[0].Sorted, want)
+	// A bitmap block holds a set and says so.
+	set := []uint32{1, 2, 3, 5, 8, 13, 21, 34}
+	msg, st := (*Selector)(nil).EncodeSections([]Section{{Rank: 0, Slots: [][]uint32{set}, Hints: []Hint{HintSet}}}, 1, ModeBitmap)
+	if st.Selected[SchemeBitmap] != 1 {
+		t.Fatalf("forced bitmap picked %v", st.Selected)
 	}
-	if !slices.Equal(got[0].Slots[1], []uint32{40, 3, 9}) {
-		t.Fatalf("raw block reordered: %v", got[0].Slots[1])
+	got, err := DecodeSections(msg, 1, 1)
+	if err != nil || got[0].Hints[0] != HintSet || !slices.Equal(got[0].Slots[0], set) {
+		t.Fatalf("bitmap block: %v hints %v ids %v", err, got[0].Hints, got[0].Slots[0])
+	}
+}
+
+// TestHintSetMatchesUnhinted: the set hint spares the encoder its sort and its
+// duplicate scan and must change nothing else — a set encodes to the same
+// bytes under every hint that is true of it, in every mode, through the
+// selector's memory or not.
+func TestHintSetMatchesUnhinted(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 200; trial++ {
+		n, span := rng.Intn(300), 1+rng.Intn(4000)
+		seen := map[uint32]bool{}
+		var set []uint32
+		for i := 0; i < n; i++ {
+			if v := uint32(rng.Intn(span)); !seen[v] {
+				seen[v] = true
+				set = append(set, v)
+			}
+		}
+		slices.Sort(set)
+		for _, mode := range []Mode{ModeOff, ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap} {
+			want, wantScheme := appendSorted(nil, set, mode, HintNone, nil, 7)
+			for _, hint := range []Hint{HintSorted, HintSet} {
+				got, scheme := appendSorted(nil, set, mode, hint, nil, 7)
+				if scheme != wantScheme || !slices.Equal(got, want) {
+					t.Fatalf("trial %d %v: hint %d changed the block (%v vs %v)", trial, mode, hint, scheme, wantScheme)
+				}
+			}
+		}
 	}
 }
 

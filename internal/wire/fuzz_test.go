@@ -233,6 +233,12 @@ func FuzzDecodeSections(f *testing.F) {
 			f.Add(b[:len(b)-2])
 		}
 	}
+	// Every hint a decode can report: a repeat in a delta stream, a raw block
+	// out of order, a bitmap.
+	for _, mode := range []Mode{ModeDelta, ModeRaw, ModeBitmap} {
+		b, _ := (*Selector)(nil).EncodeSections([]Section{{Rank: 2, Slots: [][]uint32{{7, 7, 9}, {9, 7, 8}}}, {Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, nil}}}, 2, mode)
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gpus := range []int{1, 2} {
@@ -243,8 +249,13 @@ func FuzzDecodeSections(f *testing.F) {
 			}
 			total := 0
 			for _, sec := range out {
-				for _, slot := range sec.Slots {
+				for s, slot := range sec.Slots {
 					total += len(slot)
+					// A relay unions on the hint: one stronger than the ids
+					// would drop or misorder them silently.
+					if want := hintOf(slot); sec.Hints[s] != want {
+						t.Fatalf("slot %v decoded with hint %d, its ids say %d", slot, sec.Hints[s], want)
+					}
 				}
 			}
 			if total > idBound(len(data)) {

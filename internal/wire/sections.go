@@ -18,14 +18,14 @@ package wire
 // corrupted destination rank would still parse — and misroute a whole
 // section — which is why the blocks' checksums start from it.
 //
-// Re-encoding happens per hop: a relaying rank decodes, merges with its own
+// Re-encoding happens per hop: a relaying rank decodes, unions with its own
 // pending ids, and encodes afresh, so the adaptive selector always sees the
-// aggregated block — denser id coverage, smaller deltas.
+// aggregated block — denser id coverage, smaller deltas, and each id once
+// however many ranks staged it.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"gcbfs/internal/frontier"
 )
@@ -37,9 +37,9 @@ func sectionSeed(rank int) uint32 { return uint32(rank) }
 
 // Section is one destination rank's share of a butterfly hop message.
 type Section struct {
-	Rank   int
-	Slots  [][]uint32
-	Sorted []bool // per-slot pre-sorted hints (nil = unknown)
+	Rank  int
+	Slots [][]uint32
+	Hints []Hint // per slot, what is known of its order (nil = nothing)
 }
 
 // EncodeSections frames sections into one hop message. The selector may be
@@ -68,7 +68,7 @@ func (sel *Selector) AppendSections(buf []byte, secs []Section, gpusPerRank int,
 		if sel != nil {
 			scratch = sel.secBuf[:0]
 		}
-		payload, pst := sel.appendRank(scratch, sec.Rank, sec.Slots, sec.Sorted, mode, sectionSeed(sec.Rank))
+		payload, pst := sel.appendRank(scratch, sec.Rank, sec.Slots, sec.Hints, mode, sectionSeed(sec.Rank))
 		if sel != nil {
 			sel.secBuf = payload[:0]
 		}
@@ -82,15 +82,16 @@ func (sel *Selector) AppendSections(buf []byte, secs []Section, gpusPerRank int,
 }
 
 // DecodeSections parses an EncodeSections message, whatever mode encoded it;
-// ranks bounds the valid destination-rank space. Decoded Sorted flags report
-// which slots are ascending (delta/bitmap blocks canonicalize; raw blocks
-// preserve sender order and are checked), so relays can keep merge-sorting.
+// ranks bounds the valid destination-rank space. Decoded Hints report which
+// slots are ascending and which of those are sets (a bitmap is one by
+// construction; delta and raw blocks are checked), so relays can keep
+// unioning.
 func DecodeSections(buf []byte, gpusPerRank, ranks int) ([]Section, error) {
 	return DecodeSectionsScratch(buf, gpusPerRank, ranks, nil, nil)
 }
 
 // SectionScratch recycles the per-hop decode headers — Section structs,
-// slot rows, sorted rows, scheme row — that DecodeSectionsScratch would
+// slot rows, hint rows — that DecodeSectionsScratch would
 // otherwise heap-allocate per message. It is a bump allocator: chunks are
 // carved off growing backing arrays and stay valid until Reset, which the
 // caller issues once per exchange iteration (relayed sections live in the
@@ -98,15 +99,14 @@ func DecodeSections(buf []byte, gpusPerRank, ranks int) ([]Section, error) {
 // is ready to use; not safe for concurrent use — the engine keeps one per
 // rank.
 type SectionScratch struct {
-	secs    []Section
-	slots   [][]uint32
-	sorted  []bool
-	schemes []Scheme
+	secs  []Section
+	slots [][]uint32
+	hints []Hint
 }
 
 // Reset reclaims every outstanding chunk (backing storage is kept).
 func (h *SectionScratch) Reset() {
-	h.secs, h.slots, h.sorted = h.secs[:0], h.slots[:0], h.sorted[:0]
+	h.secs, h.slots, h.hints = h.secs[:0], h.slots[:0], h.hints[:0]
 }
 
 // takeSections carves a zero-length Section chunk with capacity n: appends
@@ -133,26 +133,14 @@ func (h *SectionScratch) takeSlotRow(n int) [][]uint32 {
 	return row
 }
 
-// takeSortedRow carves a zeroed length-n bool row.
-func (h *SectionScratch) takeSortedRow(n int) []bool {
-	if cap(h.sorted)-len(h.sorted) < n {
-		h.sorted = make([]bool, 0, 2*(len(h.sorted)+n))
+// takeHintRow carves a length-n hint row; the decode fills every entry.
+func (h *SectionScratch) takeHintRow(n int) []Hint {
+	if cap(h.hints)-len(h.hints) < n {
+		h.hints = make([]Hint, 0, 2*(len(h.hints)+n))
 	}
-	off := len(h.sorted)
-	h.sorted = h.sorted[:off+n]
-	row := h.sorted[off : off+n : off+n]
-	clear(row)
-	return row
-}
-
-// schemeRow returns the reusable length-n scheme buffer — unlike the rows
-// above it is consumed by the caller before the next decode, so a single
-// buffer (not a bump chunk) suffices.
-func (h *SectionScratch) schemeRow(n int) []Scheme {
-	if cap(h.schemes) < n {
-		h.schemes = make([]Scheme, n)
-	}
-	return h.schemes[:n]
+	off := len(h.hints)
+	h.hints = h.hints[:off+n]
+	return h.hints[off : off+n : off+n]
 }
 
 // DecodeSectionsScratch is DecodeSections with every decoded id slice drawn
@@ -197,22 +185,15 @@ func DecodeSectionsScratch(buf []byte, gpusPerRank, ranks int, arena *frontier.A
 		off += int(plen)
 		sec := Section{Rank: int(rank)}
 		if h != nil {
-			sec.Sorted = h.takeSortedRow(gpusPerRank)
+			sec.Hints = h.takeHintRow(gpusPerRank)
 		} else {
-			sec.Sorted = make([]bool, gpusPerRank)
+			sec.Hints = make([]Hint, gpusPerRank)
 		}
-		slots, schemes, err := decodeRankSchemes(payload, gpusPerRank, arena, h, sectionSeed(sec.Rank))
+		slots, err := decodeRankHints(payload, gpusPerRank, arena, h, sec.Hints, sectionSeed(sec.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("wire: section %d: %w", i, err)
 		}
 		sec.Slots = slots
-		// Delta and bitmap blocks decode ascending by construction. A raw
-		// block is ascending when its sender staged it sorted (with a codec
-		// active the engine always does); that is checked here, not trusted,
-		// so a relay can keep merging instead of re-sorting.
-		for s, sch := range schemes {
-			sec.Sorted[s] = sch != SchemeRaw || slices.IsSorted(slots[s])
-		}
 		out = append(out, sec)
 	}
 	if off != len(buf) {

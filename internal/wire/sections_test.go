@@ -57,10 +57,8 @@ func TestSectionsRoundTrip(t *testing.T) {
 					if !reflect.DeepEqual(sortedOf(got[i].Slots[s]), sortedOf(sec.Slots[s])) {
 						t.Fatalf("mode %v: section %d slot %d multiset mismatch", mode, i, s)
 					}
-					if got[i].Sorted[s] && !sort.SliceIsSorted(got[i].Slots[s], func(a, b int) bool {
-						return got[i].Slots[s][a] < got[i].Slots[s][b]
-					}) {
-						t.Fatalf("mode %v: section %d slot %d flagged sorted but is not", mode, i, s)
+					if want := hintOf(got[i].Slots[s]); got[i].Hints[s] != want {
+						t.Fatalf("mode %v: section %d slot %d hinted %d, its ids say %d", mode, i, s, got[i].Hints[s], want)
 					}
 				}
 			}

@@ -31,6 +31,8 @@ type Selector struct {
 	// encodes each section into before framing it (the framing copies the
 	// payload out immediately, so one buffer serves every section in turn).
 	secBuf []byte
+	// hintBuf backs the Hint row AppendRank derives from its presorted row.
+	hintBuf []Hint
 }
 
 // NewSelector returns an empty selector.
@@ -73,28 +75,29 @@ func forcedMode(s Scheme) Mode {
 // stays stable — and bitmap sizing needs the sorted view anyway, so the
 // full probe costs nothing extra for those blocks.
 func (sel *Selector) Append(buf []byte, ids []uint32, mode Mode, dst, slot int, presorted bool) ([]byte, Scheme, bool) {
-	return sel.append(buf, ids, mode, dst, slot, presorted, 0)
+	return sel.append(buf, ids, mode, dst, slot, sortedHint(presorted), 0)
 }
 
-// append is Append with the block's checksum seed (see appendSorted).
-func (sel *Selector) append(buf []byte, ids []uint32, mode Mode, dst, slot int, presorted bool, seed uint32) ([]byte, Scheme, bool) {
+// append is Append under any Hint, with the block's checksum seed (see
+// appendSorted).
+func (sel *Selector) append(buf []byte, ids []uint32, mode Mode, dst, slot int, hint Hint, seed uint32) ([]byte, Scheme, bool) {
 	if sel == nil || sel.memo == nil || mode != ModeAdaptive {
 		var sortBuf *[]uint32
 		if sel != nil {
 			sortBuf = &sel.sortBuf
 		}
-		out, scheme := appendSorted(buf, ids, mode, presorted, sortBuf, seed)
+		out, scheme := appendSorted(buf, ids, mode, hint, sortBuf, seed)
 		return out, scheme, false
 	}
 	key := blockKey{dst: dst, slot: slot}
 	raw := 4 * int64(len(ids))
 	if m, ok := sel.memo[key]; ok && m.scheme != SchemeBitmap && m.rawBytes > 0 && raw > 0 &&
 		raw >= m.rawBytes/2 && raw <= 2*m.rawBytes {
-		out, scheme := appendSorted(buf, ids, forcedMode(m.scheme), presorted, &sel.sortBuf, seed)
+		out, scheme := appendSorted(buf, ids, forcedMode(m.scheme), hint, &sel.sortBuf, seed)
 		sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
 		return out, scheme, true
 	}
-	out, scheme := appendSorted(buf, ids, ModeAdaptive, presorted, &sel.sortBuf, seed)
+	out, scheme := appendSorted(buf, ids, ModeAdaptive, hint, &sel.sortBuf, seed)
 	sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
 	return out, scheme, false
 }
@@ -111,23 +114,45 @@ func (sel *Selector) EncodeRank(dst int, slots [][]uint32, sorted []bool, mode M
 // AppendRank is EncodeRank into a caller-owned buffer: the encoded blocks
 // are appended to buf and Stats count only the bytes this call produced.
 // Callers that reuse buffers across iterations hit zero steady-state
-// allocation; the engine's exchanges own one buffer per in-flight message
-// slot (per hop for the butterfly, per destination for all-pairs), so a
-// buffer is never rewritten before the simulated barrier that guarantees
-// its receipt.
+// allocation. sorted is the per-slot presorted row (nil = nothing known);
+// the engine, which knows more, calls AppendRankHinted.
 func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
-	return sel.appendRank(buf, dst, slots, sorted, mode, 0)
+	var hints []Hint
+	if sorted != nil {
+		if sel != nil {
+			hints = sel.hintBuf[:0]
+		}
+		for _, s := range sorted {
+			hints = append(hints, sortedHint(s))
+		}
+		if sel != nil {
+			sel.hintBuf = hints
+		}
+	}
+	return sel.appendRank(buf, dst, slots, hints, mode, 0)
 }
 
-// appendRank is AppendRank with every block's checksum seed (see
+// AppendRankHinted is AppendRank under a per-slot Hint row (nil = nothing
+// known). The engine's exchanges own one buffer per in-flight message slot
+// (per hop for the butterfly, per destination for all-pairs), so a buffer is
+// never rewritten before the simulated barrier that guarantees its receipt.
+func (sel *Selector) AppendRankHinted(buf []byte, dst int, slots [][]uint32, hints []Hint, mode Mode) ([]byte, Stats) {
+	return sel.appendRank(buf, dst, slots, hints, mode, 0)
+}
+
+// appendRank is AppendRankHinted with every block's checksum seed (see
 // appendSorted).
-func (sel *Selector) appendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode, seed uint32) ([]byte, Stats) {
+func (sel *Selector) appendRank(buf []byte, dst int, slots [][]uint32, hints []Hint, mode Mode, seed uint32) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
 	for s, ids := range slots {
 		var scheme Scheme
 		var hit bool
-		buf, scheme, hit = sel.append(buf, ids, mode, dst, s, sorted != nil && sorted[s], seed)
+		hint := HintNone
+		if hints != nil {
+			hint = hints[s]
+		}
+		buf, scheme, hit = sel.append(buf, ids, mode, dst, s, hint, seed)
 		st.RawBytes += 4 * int64(len(ids))
 		st.Selected[scheme]++
 		if hit {

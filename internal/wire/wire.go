@@ -51,19 +51,24 @@
 // Ascending order is the codec's canonical form: delta and bitmap bytes are
 // a function of the id multiset alone, and a raw block's length is. Whoever
 // owns the ids sorts them, once, where the block is born, with
-// frontier.SortIDs / SortPairs and its own scatter scratch — the engine does
-// so in place in its send bins when it stages them — and passes the presorted
-// hint (AppendSorted, the sorted row of AppendRank and Section,
-// AppendPairsSorted); the encoders then only read. With the codec off
-// (ModeOff) nothing needs the order: senders skip the sort and raw blocks
-// carry the ids as the kernels left them. Decoders hand the order
-// back: delta and bitmap blocks decode ascending by construction, and
-// DecodeSections checks raw blocks rather than trusting the sender, so a
-// relay merges what it forwards and never sorts it again. Without the hint
-// an encoder never touches the caller's slice: it sorts a copy, in the
+// frontier.SortIDs / SortPairs and its own scatter scratch, and says so with a
+// Hint (AppendSorted's presorted, the hint row of AppendRankHinted and
+// Section, AppendPairsSorted); the encoders then only read. The engine goes
+// one step further: with a codec active it stages every slot as a set —
+// sorted in place in its send bins and compacted there (HintSet) — so the
+// encoder's duplicate scan goes too and a dense slot is bitmap-eligible. With
+// the codec off (ModeOff) nothing needs the order: senders skip the sort and
+// raw blocks carry the ids, repeats and all, as the kernels left them.
+// Decoders hand the hint back: bitmap blocks decode to a set by construction,
+// and DecodeSections scans delta blocks (ascending, a zero gap for every
+// repeat) and raw blocks (the sender's order) rather than trusting the sender,
+// so a relay unions what it forwards (frontier.MergeSortedArena) and never sorts it again. Without a
+// hint an encoder never touches the caller's slice: it sorts a copy, in the
 // Selector's reusable scratch when there is one (one buffer per rank, sized
 // by its largest single block) and in a fresh allocation otherwise (Append,
-// AppendPairs — the outside caller's path).
+// AppendPairs — the outside caller's path). The codec itself stays a multiset
+// codec — a hintless or HintSorted block round-trips every repeat; sets are
+// what the engine chooses to feed it.
 package wire
 
 import (
@@ -171,6 +176,46 @@ func ParseMode(s string) (Mode, error) {
 	return ModeOff, fmt.Errorf("wire: unknown compression mode %q", s)
 }
 
+// Hint is what the caller of an encoder vouches for about one slot's ids, and
+// what a decoder reports about the ids it produced. A hint stronger than the
+// data corrupts the block (a delta stream of an unsorted list, a bitmap that
+// swallows a repeat), so it is plumbed from whoever established it — the
+// stage that sorted and compacted the slot, a union of two sets, or a decode
+// that checked — and never guessed.
+type Hint uint8
+
+const (
+	// HintNone: any order, any multiplicity. The encoder sorts a copy.
+	HintNone Hint = iota
+	// HintSorted: ascending, repeats allowed. The encoder only reads, and
+	// scans for repeats before it may pick a bitmap.
+	HintSorted
+	// HintSet: strictly ascending — a set. No sort, no scan.
+	HintSet
+)
+
+// sortedHint is the Hint a presorted bool stands for.
+func sortedHint(presorted bool) Hint {
+	if presorted {
+		return HintSorted
+	}
+	return HintNone
+}
+
+// hintOf inspects decoded ids: a relay may union only what was checked.
+func hintOf(ids []uint32) Hint {
+	h := HintSet
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			if ids[i] < ids[i-1] {
+				return HintNone
+			}
+			h = HintSorted
+		}
+	}
+	return h
+}
+
 // Stats accounts one or more encode calls: the fixed-width byte equivalent
 // (4 bytes per id, the paper's 4·|Enn| convention; 12 bytes per pair for the
 // pairs codec), the bytes actually produced (headers and checksums included),
@@ -248,12 +293,14 @@ func isUnique(sorted []uint32) bool {
 	return true
 }
 
-// sortedView returns a sorted view of ids plus its uniqueness. With the
-// presorted hint (the caller asserts ids are already ascending — the engine
-// sorts every slot where it is staged and only merges afterwards) the input
-// is used directly; only the linear duplicate scan remains.
-func sortedView(ids []uint32, presorted bool, buf *[]uint32) ([]uint32, bool) {
-	if presorted {
+// sortedView returns a sorted view of ids plus its uniqueness. A hinted input
+// is used directly; HintSorted leaves the linear duplicate scan, HintSet (the
+// engine stages every slot as a set and only unions afterwards) nothing.
+func sortedView(ids []uint32, hint Hint, buf *[]uint32) ([]uint32, bool) {
+	switch hint {
+	case HintSet:
+		return ids, true
+	case HintSorted:
 		return ids, isUnique(ids)
 	}
 	return sortedCopy(ids, buf)
@@ -299,17 +346,17 @@ func Append(dst []byte, ids []uint32, mode Mode) ([]byte, Scheme) {
 // the delta/bitmap paths skip their sort copy and encode the input directly.
 // A true hint on unsorted input would corrupt the delta stream — callers
 // plumb the hint from frontier.Bins, which tracks it per bin, or from a
-// decode that verified it (Section.Sorted).
+// decode that verified it (Section.Hints).
 func AppendSorted(dst []byte, ids []uint32, mode Mode, presorted bool) ([]byte, Scheme) {
-	return appendSorted(dst, ids, mode, presorted, nil, 0)
+	return appendSorted(dst, ids, mode, sortedHint(presorted), nil, 0)
 }
 
-// appendSorted is AppendSorted with an optional sort scratch (see
-// sortedCopy) — the Selector threads its per-rank buffer through here so
+// appendSorted is AppendSorted under any Hint, with an optional sort scratch
+// (see sortedCopy) — the Selector threads its per-rank buffer through here so
 // unsorted blocks stop allocating their canonical view — and the running CRC
 // the block's checksum starts from: zero for a block that stands alone, the
 // destination rank for a block inside a butterfly section (sectionSeed).
-func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *[]uint32, seed uint32) ([]byte, Scheme) {
+func appendSorted(dst []byte, ids []uint32, mode Mode, hint Hint, sortBuf *[]uint32, seed uint32) ([]byte, Scheme) {
 	scheme := SchemeRaw
 	var sorted []uint32
 	switch mode {
@@ -318,10 +365,10 @@ func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *
 		dst = slices.Grow(dst, blockLen(len(ids), 4*len(ids)))
 	case ModeDelta:
 		scheme = SchemeDelta
-		sorted, _ = sortedView(ids, presorted, sortBuf)
+		sorted, _ = sortedView(ids, hint, sortBuf)
 	case ModeBitmap:
 		var unique bool
-		sorted, unique = sortedView(ids, presorted, sortBuf)
+		sorted, unique = sortedView(ids, hint, sortBuf)
 		if unique && bitmapPayloadLen(sorted) <= 4*4*len(ids)+16 {
 			scheme = SchemeBitmap
 		} else {
@@ -329,7 +376,7 @@ func appendSorted(dst []byte, ids []uint32, mode Mode, presorted bool, sortBuf *
 		}
 	case ModeAdaptive:
 		var unique bool
-		sorted, unique = sortedView(ids, presorted, sortBuf)
+		sorted, unique = sortedView(ids, hint, sortBuf)
 		rawSize := 4 * len(ids)
 		bestSize := rawSize
 		if d := deltaPayloadLen(sorted); d < bestSize {
@@ -512,8 +559,7 @@ func EncodeRank(slots [][]uint32, mode Mode) ([]byte, Stats) {
 // Trailing bytes after the last block are rejected, as are all per-block
 // corruption forms Decode detects.
 func DecodeRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
-	out, _, err := decodeRankSchemes(buf, gpusPerRank, nil, nil, 0)
-	return out, err
+	return decodeRankHints(buf, gpusPerRank, nil, nil, nil, 0)
 }
 
 // DecodeRankInto parses an EncodeRank message, appending each slot's ids to
@@ -538,23 +584,21 @@ func DecodeRankInto(buf []byte, into [][]uint32) error {
 	return nil
 }
 
-// decodeRankSchemes is DecodeRank plus the per-slot scheme bytes, which tell
-// the butterfly exchange whether a decoded slot is already sorted (delta and
-// bitmap canonicalize to ascending order; raw preserves sender order). A
+// decodeRankHints is DecodeRank plus what each slot's ids are known to be,
+// written into hints when that is non-nil: the butterfly exchange unions the
+// slots it relays, and may only union sets. A bitmap decodes to a set by
+// construction; a delta stream (ascending, a zero gap for every repeat) and a
+// raw block (its sender's order — with a codec active the engine stages sets,
+// with it off whatever the kernels left) are scanned: checked, not trusted. A
 // non-nil arena supplies the id buffers (per-iteration lifetime); a non-nil
-// scratch supplies the slot row (bump, per-iteration) and the scheme row
-// (reused per call — the caller consumes it before the next decode). seed is
-// every block's checksum seed (see appendSorted).
-func decodeRankSchemes(buf []byte, gpusPerRank int, arena *frontier.Arena, h *SectionScratch, seed uint32) ([][]uint32, []Scheme, error) {
+// scratch the slot row (bump, per-iteration). seed is every block's checksum
+// seed (see appendSorted).
+func decodeRankHints(buf []byte, gpusPerRank int, arena *frontier.Arena, h *SectionScratch, hints []Hint, seed uint32) ([][]uint32, error) {
 	var out [][]uint32
-	var schemes []Scheme
 	if h != nil {
 		out = h.takeSlotRow(gpusPerRank)
-		schemes = h.schemeRow(gpusPerRank)
-		clear(schemes)
 	} else {
 		out = make([][]uint32, gpusPerRank)
-		schemes = make([]Scheme, gpusPerRank)
 	}
 	grow := func(n int) []uint32 { return make([]uint32, 0, n) }
 	if arena != nil {
@@ -564,14 +608,19 @@ func decodeRankSchemes(buf []byte, gpusPerRank int, arena *frontier.Arena, h *Se
 	for s := 0; s < gpusPerRank; s++ {
 		ids, n, scheme, err := decodeBlock(buf[off:], grow, seed)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wire: slot %d: %w", s, err)
+			return nil, fmt.Errorf("wire: slot %d: %w", s, err)
 		}
 		out[s] = ids
-		schemes[s] = scheme
+		if hints != nil {
+			hints[s] = HintSet
+			if scheme != SchemeBitmap {
+				hints[s] = hintOf(ids)
+			}
+		}
 		off += n
 	}
 	if off != len(buf) {
-		return nil, nil, corruptf("wire: %d trailing bytes after %d slots", len(buf)-off, gpusPerRank)
+		return nil, corruptf("wire: %d trailing bytes after %d slots", len(buf)-off, gpusPerRank)
 	}
-	return out, schemes, nil
+	return out, nil
 }

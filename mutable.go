@@ -39,6 +39,7 @@ import (
 	"gcbfs/internal/delta"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
+	"gcbfs/internal/partition"
 )
 
 // Edge names one undirected vertex pair {U, V} in a Delta.
@@ -233,15 +234,15 @@ func NewMutableService(g *Graph, cfg Config) (*MutableService, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := g.el.Validate(); err != nil {
-		return nil, err
-	}
-	th := cfg.threshold(g)
-	svc, _, err := newEpochService(g, cfg, th, 1, nil)
+	sep, err := cfg.separate(g)
 	if err != nil {
 		return nil, err
 	}
-	m := &MutableService{cfg: cfg, th: th}
+	svc, _, err := newEpochService(g, cfg, sep, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	m := &MutableService{cfg: cfg, th: sep.Threshold}
 	m.cur.Store(svc)
 	return m, nil
 }
@@ -287,7 +288,7 @@ func (m *MutableService) ApplyDelta(d *Delta) (*EpochUpdate, error) {
 		return nil, err
 	}
 	epoch := cur.plan.Epoch() + 1
-	svc, shared, err := newEpochService(&Graph{el: el2}, m.cfg, m.th, epoch, cur.sub)
+	svc, shared, err := newEpochService(&Graph{el: el2}, m.cfg, partition.Separate(el2, m.th), epoch, cur.sub)
 	if err != nil {
 		return nil, err
 	}
