@@ -15,7 +15,8 @@
 // "butterfly" (hypercube hops with aggregated messages; any rank count —
 // non-powers-of-two add a pre/post cleanup hop pair), or "hybrid" (picks
 // allpairs or butterfly per iteration from the known frontier volume
-// through a cost model over the simulated link parameters). Results are
+// through a cost model over the simulated link parameters). It applies to
+// -sweep as well: the sweep's records ride the same exchange. Results are
 // identical across policies; message counts and simulated times differ.
 //
 // -parallel runs up to K BFS queries concurrently through the core query
@@ -80,7 +81,7 @@ func main() {
 		uniq      = flag.Bool("uniquify", false, "enable send-bin uniquification (U)")
 		ir        = flag.Bool("iallreduce", false, "use non-blocking delegate reduction (IR instead of BR)")
 		compress  = flag.String("compress", "off", "frontier-exchange codec: off, adaptive, raw, delta or bitmap")
-		exchange  = flag.String("exchange", "allpairs", "normal-vertex exchange policy: allpairs, butterfly or hybrid")
+		exchange  = flag.String("exchange", "allpairs", "normal-vertex exchange policy, -sweep included: allpairs, butterfly or hybrid")
 		amp       = flag.Float64("amp", 1, "work amplification for the timing model (2^(paperScale-localScale))")
 		sweep     = flag.Bool("sweep", false, "answer all sources in one shared multi-source sweep (MS-BFS) instead of independent queries")
 		validate  = flag.Bool("validate", false, "validate distances against serial BFS + Graph500 rules")

@@ -125,19 +125,23 @@
 // delegate-mask allreduce is chunked across the hop steps whenever folding
 // it under the butterfly's wire is cheaper than the standalone reduction.
 // The hybrid policy prices the NVLink stages into both strategy estimates,
-// so its crossover tracks the hierarchy. A multi-source sweep's record
-// exchange has the same shape and is charged by the same all-pairs rule.
+// so its crossover tracks the hierarchy. A multi-source sweep's records ride
+// the same two-level exchange under the same rules.
 //
 // # Multi-source sweeps
 //
 // Service.RunSweep answers K BFS queries in ONE shared BSP traversal
 // (MS-BFS): per-vertex visited state widens to a K-bit query mask, frontier
-// records carry (vertex, query-set) payloads through a record codec, and the
-// delegate tier reduces a d×K mask matrix. A vertex expanded for many
-// queries scans its adjacency once, and records bound for the same vertex
-// merge into one wire record with OR-ed masks — so traversal work and wire
-// volume amortize across the batch while every query's levels and parents
-// stay bit-identical to an independent Run. Sources are deduplicated at
+// records carry (vertex, query-set) payloads — every id with its K-bit lane
+// set beside it — and the delegate tier reduces a d×K mask matrix. A vertex
+// expanded for many queries scans its adjacency once, and records bound for
+// the same vertex merge into one wire record with OR-ed masks — where a rank
+// stages them, and again at every butterfly relay — so traversal work and
+// wire volume amortize across the batch while every query's levels and
+// parents stay bit-identical to an independent Run. The records ride the
+// exchange Config.Exchange (or WithExchange) selects, all-pairs, butterfly or
+// hybrid, as a Run's ids do; the butterfly aggregates exactly what many
+// traversals sharing a hop put on the wire (Green 2021). Sources are deduplicated at
 // admission (duplicate requests share one traversal lane and receive their
 // own result copies), batches wider than Config.SweepWidth (default 64,
 // bounded by core's 1024) split into successive sweeps, and the per-query
@@ -403,9 +407,10 @@ type Config struct {
 	// rank per iteration, ExchangeButterfly runs hypercube hops that
 	// aggregate payloads into fewer, larger messages (any rank count —
 	// non-powers-of-two add a cleanup hop pair), and ExchangeHybrid picks
-	// between the two per iteration from the known frontier volume.
-	// Traversal results are identical under every policy. Overridable per
-	// query with WithExchange.
+	// between the two per iteration from the known frontier volume. It
+	// applies to RunSweep and coalesced Run calls as to Run: a sweep's
+	// records ride the same exchange. Traversal results are identical under
+	// every policy. Overridable per query with WithExchange.
 	Exchange Exchange
 	// SweepWidth caps how many queries one multi-source sweep carries
 	// (RunSweep batches and CoalesceQueries admission both split wider
@@ -451,8 +456,8 @@ type RetryPolicy struct {
 	// per-attempt bound.
 	AttemptTimeout time.Duration
 	// DegradeAfter switches retries to the degraded execution profile — the
-	// all-pairs exchange, whatever policy the query asked for — once this
-	// many attempts have failed (0: never degrade). The degraded profile
+	// all-pairs exchange, whatever policy the query or sweep asked for — once
+	// this many attempts have failed (0: never degrade). The degraded profile
 	// trades simulated speed for the simplest communication pattern, one
 	// round with no relays, maximizing the chance a transient exchange fault
 	// does not recur; levels and parents stay bit-identical to the fast path.
@@ -786,8 +791,9 @@ func WithCompression(c Compression) QueryOption {
 	}
 }
 
-// WithExchange selects the exchange policy for this query: fixed all-pairs,
-// fixed butterfly (any rank count), or the per-iteration hybrid.
+// WithExchange selects the exchange policy for this query — a Run, a
+// RunBatch or a RunSweep alike: fixed all-pairs, fixed butterfly (any rank
+// count), or the per-iteration hybrid.
 func WithExchange(x Exchange) QueryOption {
 	return func(q *queryConfig) {
 		if x < ExchangeAllPairs || x > ExchangeHybrid {
@@ -1023,14 +1029,11 @@ func (s *Service) drainSweeps() {
 // deduplicated; duplicates receive their own result copies) and completes
 // every request.
 func (s *Service) serveSweep(batch []*sweepReq) {
-	uniq := make([]int64, 0, len(batch))
-	lane := make(map[int64]int, len(batch))
-	for _, req := range batch {
-		if _, ok := lane[req.source]; !ok {
-			lane[req.source] = len(uniq)
-			uniq = append(uniq, req.source)
-		}
+	sources := make([]int64, len(batch))
+	for i, req := range batch {
+		sources[i] = req.source
 	}
+	uniq, lane := dedupSources(sources)
 	var q queryConfig
 	var rs []*metrics.RunResult
 	attempts, degraded, err := s.withRetry(context.Background(), &q, func(ctx context.Context, ov core.Overrides) error {
@@ -1038,23 +1041,13 @@ func (s *Service) serveSweep(batch []*sweepReq) {
 		rs, err = s.plan.RunSweep(ctx, uniq, ov)
 		return err
 	})
-	if err != nil {
-		for _, req := range batch {
-			req.err = err
-			close(req.done)
-		}
-		return
+	br := &BatchResult{Results: make([]*Result, len(batch))}
+	if err == nil {
+		expandResults(br, rs, lane)
+		stampRetry(br.Results, attempts, degraded)
 	}
-	used := make([]bool, len(uniq))
-	for _, req := range batch {
-		l := lane[req.source]
-		if used[l] {
-			req.res = cloneResult(convert(rs[l]))
-		} else {
-			req.res = convert(rs[l])
-			used[l] = true
-		}
-		req.res.Attempts, req.res.Degraded = attempts, degraded
+	for i, req := range batch {
+		req.res, req.err = br.Results[i], err
 		close(req.done)
 	}
 }

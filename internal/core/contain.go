@@ -45,8 +45,9 @@ func tagSite(tag int) (int, string) {
 	}
 }
 
-// sweepTagSite is tagSite with the exchange-space site renamed — the sweep's
-// record exchange reuses the hop-tag space but is a distinct injection site.
+// sweepTagSite is tagSite with the exchange-space site renamed — a sweep's
+// records ride the same exchangers and hop-tag space as a run's ids but are a
+// distinct injection site.
 func sweepTagSite(tag int) (int, string) {
 	iter, site := tagSite(tag)
 	if site == faults.SiteExchange {

@@ -149,9 +149,10 @@ type Options struct {
 	// a Bruck-style pre/post cleanup hop pair; ExchangeHybrid picks between
 	// the two per BSP iteration from the globally known frontier volume
 	// through a cost model over the simnet link parameters — the way
-	// direction optimization picks push vs pull. Whatever the policy, the
-	// traversal results are bit-identical; only message pattern and timing
-	// change.
+	// direction optimization picks push vs pull. It applies to every
+	// traversal alike — Run, Repair and RunSweep, whose records ride the same
+	// exchangers. Whatever the policy, the traversal results are
+	// bit-identical; only message pattern and timing change.
 	Exchange Exchange
 	// WorkAmplification scales all counted work and communication volume
 	// before the timing model (not the functional run or reported work
@@ -661,7 +662,7 @@ func (gs *gpuState) propose(di int64) {
 
 // bin queues a discovery owned by another GPU for this superstep's exchange.
 // The count is what lets a superstep that binned nothing skip looking at its
-// bins (allPairsExchange.announce), so the superstep's kernels bin only here.
+// bins (sourceLanes.destinations), so the superstep's kernels bin only here.
 func (gs *gpuState) bin(owner int, local uint32) {
 	gs.bins.Add(owner, local)
 	gs.it.binned++

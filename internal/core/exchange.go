@@ -1,9 +1,12 @@
 package core
 
 // This file implements the inter-rank normal-vertex exchange (§V-B) as a
-// strategy behind a small interface, keeping run.go's BSP loop thin. The
-// strategies here carry ids; the sweep's record exchanger (sweep_exchange.go)
-// satisfies the same interface for the one pattern it supports.
+// strategy behind a small interface, keeping run.go's BSP loop thin. There is
+// one exchanger per strategy for every traversal: what a slot carries is the
+// lanes' business (payload) — a single-source query's ids, or a sweep's
+// (id, lane-set) records, whose w-word lane-set column rides each slot beside
+// its ids — and the exchanger owns everything between staging and applying:
+// topology, presence gating, relay unions, accounting and timing.
 //
 // AllPairs is the paper's pattern: every rank sends one message per
 // destination rank per iteration — p−1 sends whose size shrinks as ranks
@@ -19,7 +22,9 @@ package core
 // their destination by having their rank bits corrected lowest-first, so
 // each hop carries up to p/2 destinations' aggregated payload in one
 // message: fewer, larger messages, re-encoded through the wire codec per
-// hop so the adaptive selector sees the denser aggregated blocks.
+// hop so the adaptive selector sees the denser aggregated blocks. Green
+// argues the pattern pays most when many traversals share a hop — a sweep's
+// 64 lanes do, in every record.
 //
 // With a codec active the exchange carries frontier SETS, not multisets: the
 // codec sorts every slot where it is staged, the sort puts the duplicates
@@ -30,12 +35,16 @@ package core
 // one superstep crosses each link once. wire.ModeOff is the paper's
 // fixed-width packing and ships what the kernels binned, repeats and all;
 // there the paper's U option (Options.Uniquify) is the ablation that removes
-// them, per bin, at the price of its own sort.
+// them, per bin, at the price of its own sort. A sweep's records are sets in
+// every mode: its stage sorts them and ORs the lane sets of a vertex binned
+// twice (sweepLanes.stage, the sweep's uniquify), and a relay ORs the lane
+// sets of a vertex it holds twice (frontier.MergeRecords).
 //
 // Every message of either strategy is wire blocks, encoded and decoded by the
 // same calls whatever Options.Compression says; wire.ModeOff, the default, is
-// raw blocks under the paper's charging rule — id bytes only, no codec kernel
-// (codecWork, exchangeCounts.message/received) — not a second format.
+// raw blocks under the paper's charging rule — id bytes only (4+8w per
+// record), no codec kernel (codecWork, exchangeCounts.message/received) — not
+// a second format.
 //
 // When r > 0, two cleanup hops fold the remainder ranks into the hypercube:
 // a pre hop where each remainder rank i (q ≤ i < p) ships everything it
@@ -46,8 +55,8 @@ package core
 // destinations onto one hypercube coordinate never mixes their payloads.
 //
 // Both strategies are two-level when a rank holds more than one GPU: the
-// rank's GPUs aggregate their per-destination bins over NVLink (mergeForRank
-// — the paper's L staging generalized) into ONE merged message per
+// rank's GPUs aggregate their per-destination bins over NVLink (the stage —
+// the paper's L staging generalized) into ONE merged message per
 // destination, and the NVLink copies (aggregation, send/recv staging) ride
 // the exchange schedule as a third pipeline resource next to the wire and
 // the codec (simnet.PipelinedExchange). The NVLink tier never enters
@@ -64,7 +73,8 @@ package core
 //
 // Both strategies deliver the identical per-slot id set each iteration (how
 // often an id repeats depends on the strategy and the codec, and no visit rule
-// cares), and run.go applies remote arrivals in canonical ascending order, so
+// cares), and the lanes' visit rules make the order irrelevant — run.go
+// applies ids in canonical ascending order, a sweep ORs lane bits — so
 // levels, parents and every work counter are bit-identical across strategies
 // — and across any per-iteration mix of them (the hybrid policy, see
 // policy.go) — by construction. Only message pattern, byte volume and the
@@ -126,7 +136,7 @@ func ParseExchange(s string) (Exchange, error) {
 // exchangeCounts is one rank's accounting for one iteration's exchange.
 type exchangeCounts struct {
 	sent    int64 // bytes counted as sent (codec framing included when active)
-	sentRaw int64 // fixed-width 4·id equivalent of every id sent (forwards included)
+	sentRaw int64 // fixed-width 4+8w bytes of every id sent (forwards included)
 	recv    int64 // bytes counted as received (for the staging model)
 	// forwarded is the fixed-width equivalent of what this rank sent beyond
 	// what it originated: sentRaw − forwarded is the originated volume — the
@@ -166,13 +176,14 @@ type exchangeCounts struct {
 	// NVLink after each arrival. Same length and reduction convention as
 	// hopBytes.
 	hopRecvBytes []int64
-	// arrivals collects the remote ids received for each local GPU slot;
-	// run.go applies them in canonical sorted order (a sweep applies its
-	// records as they arrive and leaves this nil). arrivalHints says which
-	// slots already are — the butterfly's, with a codec active, are the union
-	// of its hops' sections — and nil that none is known to be. arrived is how
+	// arrivals collects the remote ids received for each local GPU slot, and
+	// arrivalLanes their lane sets when the payload has any; the lanes apply
+	// them (lanes.exchange). arrivalHints says which slots already are sets in
+	// ascending order — the butterfly's, with a codec active, are the union of
+	// its hops' sections — and nil that none is known to be. arrived is how
 	// many ids came in for them, before any union: what the apply reads.
 	arrivals     [][]uint32
+	arrivalLanes [][]uint64
 	arrivalHints []wire.Hint
 	arrived      int64
 	// intra is the fixed-width volume applied directly between the rank's own
@@ -192,12 +203,12 @@ func codecWork(mode wire.Mode, raw int64) int64 {
 	return raw
 }
 
-// stagedDups accounts the duplicates a codec-active stage dropped from what
-// its GPUs binned (never any with the codec off): the sort-and-compact kernel
-// read them, so the encode they precede is charged for them. It returns the
-// charge.
-func (c *exchangeCounts) stagedDups(mode wire.Mode, ids int64) int64 {
-	work := codecWork(mode, 4*ids)
+// stagedDups accounts the fixed-width bytes a codec-active stage read and
+// dropped from what its GPUs binned (never any with the codec off): the
+// sort-and-compact kernel read them, so the encode they precede is charged
+// for them. It returns the charge.
+func (c *exchangeCounts) stagedDups(mode wire.Mode, dropped int64) int64 {
+	work := codecWork(mode, dropped)
 	c.codecRaw += work
 	return work
 }
@@ -293,13 +304,13 @@ type remoteTiming struct {
 // under the hybrid policy both strategies' instances coexist, each with its
 // own wire.Selector, so scheme memory is effectively keyed by
 // (strategy, dst, slot) and per-iteration switching never poisons the other
-// strategy's memory.
+// strategy's memory. allPairsExchange and butterflyExchange are the only two.
 type exchanger interface {
 	// announce appends this rank's contribution to the presence matrix that
 	// rides the pre-exchange reduce (see presence): all-pairs appends the
 	// whole zeroed matrix with its own row filled in, the butterfly nothing.
 	announce(row []int64) []int64
-	// exchange encodes and sends this iteration's outgoing bins, receives
+	// exchange stages and sends this iteration's outgoing payload, receives
 	// the counterpart payloads, and returns the accounting plus arrivals.
 	// present is the reduced matrix announce contributed to.
 	exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts
@@ -312,66 +323,78 @@ type exchanger interface {
 	remoteTime(in remoteVolumes) remoteTiming
 }
 
+// payload is the lanes' side of the exchange — a single-source query's ids
+// (sourceLanes) or a sweep's (id, lane-set) records (sweepLanes): how wide a
+// slot's lane-set column is, which ranks the superstep's bins hold anything
+// for, and how the bins become one staged slot list per destination GPU.
+// Applying what arrives is the lanes' too (lanes.exchange).
+type payload interface {
+	// width is the lane-set words per id: 0 for plain ids.
+	width() int
+	// destinations sets, in the presence row mine, the bit of every rank the
+	// rank's GPUs binned anything for.
+	destinations(mine []int64)
+	// stage writes dst's slots into row — Slots, Hints and, with a lane-set
+	// column, Masks, one entry per destination GPU, merged storage drawn from
+	// the exchange arenas — and returns the fixed-width bytes it read and
+	// dropped, which the first encode is charged for (stagedDups).
+	stage(dst int, row *wire.Section) (dropped int64)
+}
+
+// exchangeRank is what both strategy instances of one rank share: the
+// query's environment, the rank, its exchange scratch and its payload.
+type exchangeRank struct {
+	e    *runEnv
+	rank int
+	sc   *exchangeScratch
+	pl   payload
+}
+
 // rankExchangers lazily constructs and caches one rank's strategy instances
 // so the per-iteration policy decision can dispatch without rebuilding
 // scratch or losing scheme memory. The instances live in the rank's scratch
 // and persist across pooled queries; bind re-arms them for a fresh query.
 type rankExchangers struct {
-	e    *Session
-	rank int
-	sc   *rankScratch
-	ap   *allPairsExchange
-	bf   *butterflyExchange
+	exchangeRank
+	ap *allPairsExchange
+	bf *butterflyExchange
 }
 
-// bind points the cached strategy instances at this query's session and
-// resets their per-query state — scheme memory and pending relay headers —
-// so a recycled exchanger encodes exactly like a fresh one (per-query wire
-// bytes stay bit-identical to the unpooled behavior).
-func (rx *rankExchangers) bind(e *Session, rank int, sc *rankScratch) *rankExchangers {
-	rx.e, rx.rank, rx.sc = e, rank, sc
+// bind points the cached strategy instances at this query's environment,
+// scratch and payload and resets their per-query state — scheme memory and
+// pending relays — so a recycled exchanger encodes exactly like a fresh one
+// (per-query wire bytes stay bit-identical to the unpooled behavior).
+func (rx *rankExchangers) bind(e *runEnv, rank int, sc *exchangeScratch, pl payload) *rankExchangers {
+	rx.exchangeRank = exchangeRank{e: e, rank: rank, sc: sc, pl: pl}
 	if rx.ap != nil {
-		rx.ap.e = e
 		rx.ap.sel.Reset()
 	}
 	if rx.bf != nil {
-		rx.bf.e = e
 		rx.bf.sel.Reset()
-		for i := range rx.bf.pending {
-			rx.bf.pending[i] = rx.bf.pending[i][:0]
-			rx.bf.pendingHints[i] = rx.bf.pendingHints[i][:0]
-		}
+		clear(rx.bf.pending)
 	}
 	return rx
 }
 
 func (rx *rankExchangers) get(strategy Exchange) exchanger {
+	prank, pgpu := rx.e.shape.Ranks(), rx.e.shape.GPUsPerRank
 	switch strategy {
 	case ExchangeButterfly:
 		if rx.bf == nil {
-			prank := rx.e.shape.Ranks()
 			q, rem, nhops := hypercubeGeometry(prank)
 			rx.bf = &butterflyExchange{
-				e:            rx.e,
-				rank:         rx.rank,
-				sc:           rx.sc,
+				exchangeRank: &rx.exchangeRank,
 				q:            q,
 				rem:          rem,
 				nhops:        nhops,
-				sel:          wire.NewSelectorSized(prank * rx.e.shape.GPUsPerRank),
-				pending:      make([][][]uint32, prank),
-				pendingHints: make([][]wire.Hint, prank),
+				sel:          wire.NewSelectorSized(prank * pgpu),
+				pending:      make([]wire.Section, prank),
 			}
 		}
 		return rx.bf
 	default:
 		if rx.ap == nil {
-			rx.ap = &allPairsExchange{
-				e:    rx.e,
-				rank: rx.rank,
-				sc:   rx.sc,
-				sel:  wire.NewSelectorSized(rx.e.shape.Ranks() * rx.e.shape.GPUsPerRank),
-			}
+			rx.ap = &allPairsExchange{exchangeRank: &rx.exchangeRank, sel: wire.NewSelectorSized(prank * pgpu)}
 		}
 		return rx.ap
 	}
@@ -395,10 +418,11 @@ func hopTag(iter int32, hop int) int {
 	return int(iter)*64 + hop
 }
 
-// mergeForRank gathers all of this rank's bins destined for dst's GPUs into
-// one id list per destination slot (written into the caller's merged/hints
-// headers, len pgpu each), merging every source GPU of this rank, and returns
-// how many ids the bins held.
+// mergeForRank is the id payload's stage (sourceLanes.stage): it gathers all
+// of this rank's bins destined for dst's GPUs into one id list per
+// destination slot (written into the caller's merged/hints headers, len pgpu
+// each), merging every source GPU of this rank, and returns how many of the
+// ids the bins held it dropped as repeats.
 //
 // This is where a block is born, and with a codec active it is born a set:
 // sorted — once, in place: a single contributor's bin where it lies (the rank
@@ -421,7 +445,7 @@ func hopTag(iter int32, hop int) int {
 // drops the contents unread. Multi-contributor slots draw their merged output
 // from the per-iteration arena. Callers may retain the slot slices for the
 // current iteration only.
-func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, merged [][]uint32, hints []wire.Hint) (binned int64) {
+func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, merged [][]uint32, hints []wire.Hint) (dropped int64) {
 	pgpu := e.shape.GPUsPerRank
 	codec := e.opts.Compression != wire.ModeOff
 	lists := sc.lists
@@ -436,7 +460,6 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 				allSets = allSets && gs.bins.IsSorted(dstGPU)
 			}
 		}
-		binned += int64(total)
 		merged[s], hints[s] = nil, wire.HintNone
 		if codec {
 			hints[s] = wire.HintSet
@@ -458,9 +481,10 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 		if codec && !allSets {
 			merged[s] = frontier.SortSet(merged[s], &sc.sortBuf)
 		}
+		dropped += int64(total - len(merged[s]))
 	}
 	sc.lists = lists
-	return binned
+	return dropped
 }
 
 // ---- all-pairs ----
@@ -487,16 +511,18 @@ func (p presence) has(src, dst int) bool {
 	return p.words[src*p.w+dst/64]>>(uint(dst)%64)&1 != 0
 }
 
+// markRank sets rank r's bit in one row of a presence matrix.
+func markRank(row []int64, r int) { row[r/64] |= 1 << (uint(r) % 64) }
+
 type allPairsExchange struct {
-	e    *Session
-	rank int
-	sc   *rankScratch
-	sel  *wire.Selector
+	*exchangeRank
+	sel *wire.Selector
 	// emptyLen is what a message carrying no ids is charged under emptyMode:
 	// what a receiver accounts for a source it does not hear from. An empty
 	// block has no payload to choose a scheme for, so the charge depends on
-	// the mode and the slot count alone. The zero value is already right —
-	// ModeOff charges id bytes only, and there are none.
+	// the mode, the slot count and whether mask sections follow the blocks.
+	// The zero value is already right — ModeOff charges id bytes only, and
+	// there are none.
 	emptyLen  int64
 	emptyMode wire.Mode
 	// sendAll, set by tests only, announces every destination present, so
@@ -513,7 +539,6 @@ type allPairsExchange struct {
 func (x *allPairsExchange) rounds() int { return 1 }
 
 func (x *allPairsExchange) announce(row []int64) []int64 {
-	pgpu := x.e.shape.GPUsPerRank
 	prank := x.e.shape.Ranks()
 	w := presenceWidth(prank)
 	base := len(row)
@@ -521,30 +546,22 @@ func (x *allPairsExchange) announce(row []int64) []int64 {
 	mine := row[base+x.rank*w:][:w]
 	if x.sendAll {
 		for dst := 0; dst < prank; dst++ {
-			mine[dst/64] |= 1 << (uint(dst) % 64)
+			markRank(mine, dst)
 		}
 	}
-	for _, gs := range x.e.rankGPUs(x.rank) {
-		if gs.it.binned == 0 {
-			continue
-		}
-		for g, bin := range gs.bins.PerGPU {
-			if len(bin) > 0 {
-				dst := g / pgpu
-				mine[dst/64] |= 1 << (uint(dst) % 64)
-			}
-		}
-	}
-	// Same-rank bins apply directly (run.go) and never ride the exchange.
+	x.pl.destinations(mine)
+	// Same-rank bins apply directly (lanes.exchange) and never ride the
+	// exchange.
 	mine[x.rank/64] &^= 1 << (uint(x.rank) % 64)
 	return row
 }
 
 // emptyMessageLen returns what one message without ids weighs on the wire in
 // the receiver's accounting.
-func (x *allPairsExchange) emptyMessageLen(mode wire.Mode, pgpu int) int64 {
+func (x *allPairsExchange) emptyMessageLen(mode wire.Mode) int64 {
 	if x.emptyMode != mode {
-		_, st := wire.EncodeRank(make([][]uint32, pgpu), mode)
+		w := x.pl.width()
+		_, st := (*wire.Selector)(nil).AppendRankSection(nil, slotRow(0, x.e.shape.GPUsPerRank, w), w, mode)
 		x.emptyLen, x.emptyMode = st.EncodedBytes, mode
 	}
 	return x.emptyLen
@@ -552,23 +569,24 @@ func (x *allPairsExchange) emptyMessageLen(mode wire.Mode, pgpu int) int64 {
 
 func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
-	myGPUs := e.rankGPUs(rank)
-	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
+	w := x.pl.width()
 	pres := presence{words: present, w: presenceWidth(prank)}
 	sc.arena.Reset()
+	sc.words.Reset()
 	var c exchangeCounts
 	c.arrivals = sc.resetArrivals()
+	c.arrivalLanes = sc.arrivalLanes
 
 	// Remote sends: one message per destination rank carrying every source
-	// GPU's bins for that rank's slots, one wire block per slot.
-	// AppendRankHinted applies the mode's charging rule: with compression
-	// off, id bytes only (the paper's 4·|Enn|; the block framing is not
-	// traffic); with a codec active, the encoded message — framing, checksums
-	// and all — is what crosses the NIC and what the timing model sees. The
-	// merge headers are reused per destination: the encode consumes them
-	// before the next merge overwrites.
+	// GPU's bins for that rank's slots, one wire block per slot (and its lane
+	// sets behind it). The encode applies the mode's charging rule: with
+	// compression off, id bytes only (the paper's 4·|Enn|; the block framing
+	// is not traffic); with a codec active, the encoded message — framing,
+	// checksums and all — is what crosses the NIC and what the timing model
+	// sees. The staging row is reused per destination: the encode consumes it
+	// before the next stage overwrites.
 	//
 	// A destination this rank holds nothing for (its presence bit is clear)
 	// still gets its empty message encoded and accounted — bytes, scheme
@@ -581,22 +599,26 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	if len(x.msgBufs) < prank {
 		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
 	}
-	var binned int64
+	row := &sc.apRow
+	var dropped int64
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
 			continue
 		}
 		if pres.has(rank, dst) {
-			binned += e.mergeForRank(myGPUs, dst, sc, sc.apSlots, sc.apHints)
+			dropped += x.pl.stage(dst, row)
 		} else if mode == wire.ModeOff {
 			c.messages++
 			continue
 		} else {
-			for s := range sc.apSlots {
-				sc.apSlots[s], sc.apHints[s] = nil, wire.HintSet
+			clear(row.Slots)
+			clear(row.Masks)
+			for s := range row.Hints {
+				row.Hints[s] = wire.HintSet
 			}
 		}
-		payload, st := x.sel.AppendRankHinted(x.msgBufs[dst][:0], dst, sc.apSlots, sc.apHints, mode)
+		row.Rank = dst
+		payload, st := x.sel.AppendRankSection(x.msgBufs[dst][:0], *row, w, mode)
 		x.msgBufs[dst] = payload
 		c.message(st, mode)
 		if pres.has(rank, dst) {
@@ -605,7 +627,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	}
 	// Everything sent was originated here, and the encode is charged for the
 	// ids as the GPUs binned them, before the stage's union.
-	c.stagedDups(mode, binned-c.sentRaw/4)
+	c.stagedDups(mode, dropped)
 	// Receives, decoded zero-copy straight into the reusable arrival bins
 	// (each block's count header pre-sizes the grow). A source whose presence
 	// bit for this rank is clear sent nothing: account its empty message and
@@ -615,15 +637,15 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 			continue
 		}
 		if !pres.has(src, rank) {
-			c.recv += x.emptyMessageLen(mode, pgpu)
+			c.recv += x.emptyMessageLen(mode)
 			continue
 		}
 		buf := comm.Recv(src, hopTag(iter, 0))
-		if err := wire.DecodeRankInto(buf, c.arrivals); err != nil {
+		if err := wire.DecodeRankLanesInto(buf, c.arrivals, c.arrivalLanes, w); err != nil {
 			panic(fmt.Errorf("core: corrupt exchange payload: %w", err))
 		}
 		n := countIDs(c.arrivals)
-		c.received(mode, len(buf), 4*(n-c.arrived))
+		c.received(mode, len(buf), int64(4+8*w)*(n-c.arrived))
 		c.arrived = n
 	}
 	c.hopBytes = append(sc.hopBytes[:0], c.sent)
@@ -637,13 +659,9 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	return c
 }
 
+// remoteTime charges one all-pairs round.
 func (x *allPairsExchange) remoteTime(in remoteVolumes) remoteTiming {
-	return x.e.allPairsRemoteTime(in)
-}
-
-// allPairsRemoteTime charges one all-pairs round, whatever its payload (ids
-// here, records in sweep_exchange.go).
-func (e *runEnv) allPairsRemoteTime(in remoteVolumes) remoteTiming {
+	e := x.e
 	b := in.hopBytes[0]
 	msg := e.effMessageBytes(b)
 	codec := e.opts.GPU.CodecTime(in.hopCodecRaw[0] + in.preCodecRaw)
@@ -671,19 +689,16 @@ func (e *runEnv) allPairsRemoteTime(in remoteVolumes) remoteTiming {
 // ---- butterfly ----
 
 type butterflyExchange struct {
-	e     *Session
-	rank  int
-	sc    *rankScratch
+	*exchangeRank
 	q     int // largest power of two ≤ rank count
 	rem   int // remainder ranks folded in by the cleanup hops
 	nhops int // log2(q) hypercube hops
 	sel   *wire.Selector
-	// pending holds, per final destination rank, the per-slot ids this rank
-	// currently carries for it (own bins plus relayed payloads) and what is
-	// known of each slot's order; nil when nothing is pending. The rank's own
-	// entry collects what has arrived for it.
-	pending      [][][]uint32
-	pendingHints [][]wire.Hint
+	// pending holds, per final destination rank, the section this rank
+	// currently carries for it — own bins plus relayed payloads, with what is
+	// known of each slot's order — with nil Slots when nothing is pending.
+	// The rank's own entry collects what has arrived for it.
+	pending []wire.Section
 	// encRaw/decRaw are per-iteration scratch: fixed-width bytes pushed
 	// through the codec's encode (resp. decode) kernels at each hop, from
 	// which exchange() assembles the pipeline's compute stages.
@@ -693,8 +708,8 @@ type butterflyExchange struct {
 	// iteration, before the terminating collective that every rank passes
 	// before the buffer's next rewrite.
 	msgBufs [][]byte
-	// onSend, set by tests only, sees every hop's outgoing sections (slots
-	// and hints) just before they are encoded.
+	// onSend, set by tests only, sees every hop's outgoing sections just
+	// before they are encoded.
 	onSend func(hop int, secs []wire.Section)
 }
 
@@ -721,13 +736,19 @@ func (x *butterflyExchange) fold(dst int) int {
 // presence).
 func (x *butterflyExchange) announce(row []int64) []int64 { return row }
 
+// take moves the pending section for dst into the hop's section list.
+func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
+	secs = append(secs, x.pending[dst])
+	x.pending[dst] = wire.Section{}
+	return secs
+}
+
 func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
-	myGPUs := e.rankGPUs(rank)
-	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
 	sc.arena.Reset()
+	sc.words.Reset()
 	sc.wireSecs.Reset()
 	var c exchangeCounts
 	c.hopBytes = grownInt64(sc.hopBytes, x.rounds())
@@ -743,30 +764,28 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	// Stage this iteration's own bins. ownRaw is the fixed-width equivalent
 	// of originated traffic — the staged slots, sets with a codec active —
 	// and everything sent beyond it was forwarded. Each destination keeps its
-	// own pgpu-row of the staging headers — the butterfly retains every
-	// destination's slots across its hops, so the rows cannot be shared the
-	// way all-pairs reuses one.
-	var ownRaw, binned int64
+	// own staging row — the butterfly retains every destination's slots
+	// across its hops, so the rows cannot be shared the way all-pairs reuses
+	// one.
+	rec := 4 + 8*int64(x.pl.width())
+	var ownRaw, dropped int64
 	for dst := 0; dst < prank; dst++ {
-		x.pending[dst], x.pendingHints[dst] = nil, nil
+		x.pending[dst] = wire.Section{}
 		if dst == rank {
 			continue
 		}
-		slots := sc.stageSlots[dst*pgpu : (dst+1)*pgpu]
-		hints := sc.stageHints[dst*pgpu : (dst+1)*pgpu]
-		binned += e.mergeForRank(myGPUs, dst, sc, slots, hints)
-		n := countIDs(slots)
-		if n == 0 {
-			continue
+		row := &sc.stageRows[dst]
+		dropped += x.pl.stage(dst, row)
+		if n := countIDs(row.Slots); n > 0 {
+			x.pending[dst] = *row
+			ownRaw += rec * n
 		}
-		x.pending[dst], x.pendingHints[dst] = slots, hints
-		ownRaw += 4 * n
 	}
-	// The stage runs before any hop, so the duplicates it read and dropped
-	// are charged to the first hop's encode, whichever hop their slot leaves
-	// on. (No hops, no other ranks, nothing staged.)
+	// The stage runs before any hop, so what it read and dropped is charged
+	// to the first hop's encode, whichever hop its slot leaves on. (No hops,
+	// no other ranks, nothing staged.)
 	if x.rounds() > 0 {
-		x.encRaw[0] = c.stagedDups(mode, binned-ownRaw/4)
+		x.encRaw[0] = c.stagedDups(mode, dropped)
 	}
 
 	hop := 0
@@ -778,15 +797,9 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 		if rank >= x.q {
 			secs := sc.secs[:0]
 			for dst := 0; dst < prank; dst++ {
-				if x.pending[dst] == nil {
-					continue
+				if x.pending[dst].Slots != nil {
+					secs = x.take(secs, dst)
 				}
-				secs = append(secs, wire.Section{
-					Rank:  dst,
-					Slots: x.pending[dst],
-					Hints: x.pendingHints[dst],
-				})
-				x.pending[dst], x.pendingHints[dst] = nil, nil
 			}
 			sc.secs = secs
 			c.hopBytes[hop] = x.send(comm, rank-x.q, iter, hop, secs, mode, &c)
@@ -808,15 +821,9 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 		// having their folded destination-rank bits corrected lowest-first.
 		secs := sc.secs[:0]
 		for dst := 0; dst < prank; dst++ {
-			if (x.fold(dst)^rank)&bit == 0 || x.pending[dst] == nil {
-				continue
+			if (x.fold(dst)^rank)&bit != 0 && x.pending[dst].Slots != nil {
+				secs = x.take(secs, dst)
 			}
-			secs = append(secs, wire.Section{
-				Rank:  dst,
-				Slots: x.pending[dst],
-				Hints: x.pendingHints[dst],
-			})
-			x.pending[dst], x.pendingHints[dst] = nil, nil
 		}
 		sc.secs = secs
 		c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
@@ -830,13 +837,8 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 		if rank < x.rem {
 			partner := rank + x.q
 			secs := sc.secs[:0]
-			if x.pending[partner] != nil {
-				secs = append(secs, wire.Section{
-					Rank:  partner,
-					Slots: x.pending[partner],
-					Hints: x.pendingHints[partner],
-				})
-				x.pending[partner], x.pendingHints[partner] = nil, nil
+			if x.pending[partner].Slots != nil {
+				secs = x.take(secs, partner)
 			}
 			sc.secs = secs
 			c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
@@ -847,12 +849,13 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 
 	// Every relayed id must have reached its destination by the last hop;
 	// what is pending for this rank is what arrived.
-	c.arrivals, c.arrivalHints = x.pending[rank], x.pendingHints[rank]
+	mine := x.pending[rank]
+	c.arrivals, c.arrivalHints, c.arrivalLanes = mine.Slots, mine.Hints, mine.Masks
 	for dst, p := range x.pending {
-		if dst != rank && p != nil && countIDs(p) > 0 {
-			panic(fmt.Sprintf("core: butterfly left %d ids undelivered for rank %d", countIDs(p), dst))
+		if n := countIDs(p.Slots); dst != rank && n > 0 {
+			panic(fmt.Sprintf("core: butterfly left %d ids undelivered for rank %d", n, dst))
 		}
-		x.pending[dst], x.pendingHints[dst] = nil, nil
+		x.pending[dst] = wire.Section{}
 	}
 	c.forwarded = c.sentRaw - ownRaw
 
@@ -882,7 +885,7 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 	if x.onSend != nil {
 		x.onSend(hop, secs)
 	}
-	payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, x.e.shape.GPUsPerRank, mode)
+	payload, st := x.sel.AppendSections(x.msgBufs[hop][:0], secs, x.pl.width(), mode)
 	x.msgBufs[hop] = payload
 	c.message(st, mode)
 	x.encRaw[hop] += codecWork(mode, st.RawBytes)
@@ -894,17 +897,16 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 // pending: the ones addressed to other ranks to be relayed, the one addressed
 // to this rank to be applied.
 func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int, mode wire.Mode, c *exchangeCounts) {
-	pgpu := x.e.shape.GPUsPerRank
-	prank := x.e.shape.Ranks()
+	w := x.pl.width()
 	buf := comm.Recv(src, hopTag(iter, hop))
-	secsIn, err := wire.DecodeSectionsScratch(buf, pgpu, prank, &x.sc.arena, &x.sc.wireSecs)
+	secsIn, err := wire.DecodeSectionsScratch(buf, x.e.shape.GPUsPerRank, w, x.e.shape.Ranks(), &x.sc.arena, &x.sc.words, &x.sc.wireSecs)
 	if err != nil {
 		panic(fmt.Errorf("core: corrupt butterfly payload (hop %d): %w", hop, err))
 	}
 	var raw int64
 	for _, sec := range secsIn {
 		n := countIDs(sec.Slots)
-		raw += 4 * n
+		raw += (4 + 8*int64(w)) * n
 		if sec.Rank == x.rank {
 			c.arrived += n
 		}
@@ -922,28 +924,35 @@ func (x *butterflyExchange) receive(comm *mpi.Comm, src int, iter int32, hop int
 // ranks sent it. A slot the decoder could not vouch for concatenates and
 // loses its hint, which costs the encoder a sort and nothing else. With the
 // codec off the slots are multisets in no order: they always concatenate,
-// ascending by accident or not, and every repeat rides on.
+// ascending by accident or not, and every repeat rides on. Records are sets
+// in every mode — staged by sweepLanes.stage, checked by the decoder — and
+// always union, a vertex held twice keeping the OR of its lane sets.
 func (x *butterflyExchange) mergePending(sec wire.Section, sets bool) {
-	dst := sec.Rank
-	if x.pending[dst] == nil {
-		x.pending[dst], x.pendingHints[dst] = sec.Slots, sec.Hints
+	cur := &x.pending[sec.Rank]
+	if cur.Slots == nil {
+		*cur = sec
 		return
 	}
-	cur, curHints := x.pending[dst], x.pendingHints[dst]
+	w := x.pl.width()
 	for s, inc := range sec.Slots {
 		switch {
 		case len(inc) == 0:
 			// Nothing to merge.
-		case len(cur[s]) == 0:
-			cur[s], curHints[s] = inc, sec.Hints[s]
-		case sets && curHints[s] == wire.HintSet && sec.Hints[s] == wire.HintSet:
-			x.sc.pair[0], x.sc.pair[1] = cur[s], inc
-			cur[s] = frontier.MergeSortedArena(&x.sc.arena, x.sc.pair[:])
+		case len(cur.Slots[s]) == 0:
+			cur.Slots[s], cur.Hints[s] = inc, sec.Hints[s]
+			if w > 0 {
+				cur.Masks[s] = sec.Masks[s]
+			}
+		case w > 0:
+			cur.Slots[s], cur.Masks[s] = frontier.MergeRecords(&x.sc.arena, &x.sc.words, cur.Slots[s], cur.Masks[s], inc, sec.Masks[s], w)
+		case sets && cur.Hints[s] == wire.HintSet && sec.Hints[s] == wire.HintSet:
+			x.sc.pair[0], x.sc.pair[1] = cur.Slots[s], inc
+			cur.Slots[s] = frontier.MergeSortedArena(&x.sc.arena, x.sc.pair[:])
 			x.sc.pair[0], x.sc.pair[1] = nil, nil
 		default:
-			out := x.sc.arena.Alloc(len(cur[s]) + len(inc))
-			cur[s] = append(append(out, cur[s]...), inc...)
-			curHints[s] = wire.HintNone
+			out := x.sc.arena.Alloc(len(cur.Slots[s]) + len(inc))
+			cur.Slots[s] = append(append(out, cur.Slots[s]...), inc...)
+			cur.Hints[s] = wire.HintNone
 		}
 	}
 }

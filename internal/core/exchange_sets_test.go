@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gcbfs/internal/bitmask"
+	"gcbfs/internal/graph"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -106,8 +108,8 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 		go func(rank int) {
 			defer wg.Done()
 			comm, sc := world.Rank(rank), s.scratch[rank]
-			sc.rx.bind(s, rank, sc)
 			l := &sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc, w: wave{waveSteps: &steps}}
+			sc.rx.bind(&s.runEnv, rank, &sc.exchangeScratch, l)
 			for round, f := range fills {
 				for _, gs := range l.gpus {
 					gs.it = iterWork{}
@@ -353,6 +355,235 @@ func TestExchangeCarriesSets(t *testing.T) {
 				}
 				if p > 1 && dups == 0 {
 					t.Fatalf("%s %s: Uniquify removed nothing from bins full of repeats", label, x)
+				}
+			}
+		}
+		checkRecordSets(t, el, shape, fills, mixed(int64(p)))
+	}
+}
+
+// recordFill is one superstep's sweep bins: binFill's ids folded into each
+// destination GPU's local id space — a sweep applies what arrives, so they
+// must be vertices — each with a w-word lane set of one to three lanes.
+type recordFill struct {
+	ids   [][][]uint32
+	lanes [][][]uint64 // flat, w words per id
+}
+
+func randomRecords(rng *rand.Rand, f binFill, e *sweepSession) recordFill {
+	r := recordFill{ids: make([][][]uint32, e.p), lanes: make([][][]uint64, e.p)}
+	for src := range f.ids {
+		r.ids[src], r.lanes[src] = make([][]uint32, e.p), make([][]uint64, e.p)
+		for dst, bin := range f.ids[src] {
+			n := uint32(e.gpus[dst].pg.NumLocal)
+			for _, id := range bin {
+				row := make([]uint64, e.w)
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					q := rng.Intn(e.k)
+					row[q/64] |= 1 << (q % 64)
+				}
+				r.ids[src][dst] = append(r.ids[src][dst], id%n)
+				r.lanes[src][dst] = append(r.lanes[src][dst], row...)
+			}
+		}
+	}
+	return r
+}
+
+// drivenRecords is what one driven sweep superstep left behind.
+type drivenRecords struct {
+	strategy Exchange
+	counts   []exchangeCounts // per rank (arrivals, their lanes and hop vectors cloned)
+	visited  [][]uint64       // per GPU, the visited matrix after the apply
+}
+
+// pgpuRows clones rows into exactly n rows (the butterfly hands over none
+// when nothing arrived).
+func pgpuRows[T any](rows [][]T, n int) [][]T {
+	out := make([][]T, n)
+	for s, r := range rows {
+		out[s] = slices.Clone(r)
+	}
+	return out
+}
+
+// driveSweepExchange is driveExchange for a sweep's lanes: each superstep
+// starts every GPU from an empty visited matrix, fills its record bins and
+// runs one sweepLanes.exchange per rank.
+func driveSweepExchange(e *sweepSession, fills []recordFill, pick func(round int) Exchange, hook mpi.SendHook) []drivenRecords {
+	pgpu, w := e.shape.GPUsPerRank, e.w
+	out := make([]drivenRecords, len(fills))
+	for r := range out {
+		out[r] = drivenRecords{strategy: pick(r), counts: make([]exchangeCounts, e.shape.Ranks()), visited: make([][]uint64, e.p)}
+	}
+	e.world.SetSendHook(hook)
+	defer e.world.SetSendHook(nil)
+	var wg sync.WaitGroup
+	for rank := 0; rank < e.world.Size(); rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			comm, l := e.world.Rank(rank), &e.scratch[rank].lanes
+			for round, f := range fills {
+				for _, gs := range l.gpus {
+					gs.vis.Reset()
+					gs.nxt.Reset()
+					gs.outIDs = gs.outIDs[:0]
+					g := gs.pg.GPU
+					for dst, ids := range f.ids[g] {
+						for i, id := range ids {
+							gs.bins.Add(dst, id, f.lanes[g][dst][i*w:(i+1)*w])
+						}
+					}
+				}
+				ex := l.exchanger(out[round].strategy)
+				present := ex.announce(nil)
+				comm.AllreduceFused(nil, false, nil, present)
+				c := l.exchange(comm, ex, int32(round), present)
+				c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)
+				c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
+				out[round].counts[rank] = c
+				for _, gs := range l.gpus {
+					out[round].visited[gs.pg.GPU] = slices.Clone(gs.vis.Words())
+				}
+			}
+		}(rank)
+	}
+	wg.Wait()
+	return out
+}
+
+// orByID ORs the lane sets of every record in ids/lanes into one row per id.
+func orByID(into map[uint32][]uint64, ids []uint32, lanes []uint64, w int) {
+	for i, id := range ids {
+		row := into[id]
+		if row == nil {
+			row = make([]uint64, w)
+			into[id] = row
+		}
+		bitmask.RowOr(row, lanes[i*w:(i+1)*w])
+	}
+}
+
+// checkRecordSets is TestExchangeCarriesSets for a K = 70 sweep's records (two
+// lane words each) on the same bins, folded into the GPUs' vertex ranges and
+// given lane sets: records are sets in every mode. Every block on the wire
+// decodes as a set; every GPU ends up visited, for every vertex, at exactly
+// the OR of the lane sets binned for it; the butterfly delivers each vertex
+// once with the OR of its remote lane sets — every relay having forwarded it
+// once — and all-pairs one record per vertex per sending rank; the originated
+// volume is the staged sets' 4+8w bytes per record on either strategy, what
+// the stage OR-ed away is its dups, and the codec is charged the messages
+// alone.
+func checkRecordSets(t *testing.T, el *graph.EdgeList, shape ClusterShape, bins []binFill, mixed func(int) Exchange) {
+	t.Helper()
+	p, prank, pgpu := shape.P(), shape.Ranks(), shape.GPUsPerRank
+	fixed := func(x Exchange) func(int) Exchange { return func(int) Exchange { return x } }
+	for _, mode := range []wire.Mode{wire.ModeAdaptive, wire.ModeOff} {
+		opts := DefaultOptions()
+		opts.Compression = mode
+		plan := buildPlan(t, el, shape, 16, opts)
+		sources := pickSources(el.OutDegrees(), 70, 3)
+		rng := rand.New(rand.NewSource(int64(7*p + pgpu)))
+		var fills []recordFill
+		for _, f := range bins {
+			fills = append(fills, randomRecords(rng, f, plan.newSweepSession(opts, sources)))
+		}
+		run := func(pick func(int) Exchange) []drivenRecords {
+			e := plan.newSweepSession(opts, sources)
+			w := e.w
+			var blocks atomic.Int64
+			got := driveSweepExchange(e, fills, pick, func(_, _, tag int, data []byte) []byte {
+				var err error
+				if pick(tag/64) == ExchangeButterfly {
+					var secs []wire.Section
+					secs, err = wire.DecodeSectionsScratch(data, pgpu, w, prank, nil, nil, nil)
+					for _, sec := range secs {
+						blocks.Add(int64(len(sec.Slots)))
+					}
+				} else {
+					err = wire.DecodeRankLanesInto(data, make([][]uint32, pgpu), make([][]uint64, pgpu), w)
+					blocks.Add(int64(pgpu))
+				}
+				if err != nil {
+					t.Errorf("%s/%v records: a message does not decode to sets: %v", shape, mode, err)
+				}
+				return data
+			})
+			if prank > 1 && blocks.Load() == 0 {
+				t.Fatalf("%s/%v records: no block crossed the wire", shape, mode)
+			}
+			return got
+		}
+		const w, rec = 2, 4 + 8*2
+		ap, bf := run(fixed(ExchangeAllPairs)), run(fixed(ExchangeButterfly))
+		for _, got := range [][]drivenRecords{ap, bf, run(mixed)} {
+			for r, d := range got {
+				label := fmt.Sprintf("%s/%v records %s superstep %d", shape, mode, d.strategy, r)
+				f := fills[r]
+				for g := 0; g < p; g++ {
+					all, remote, arrived := map[uint32][]uint64{}, map[uint32][]uint64{}, map[uint32][]uint64{}
+					var perSender int
+					for src := 0; src < p; src++ {
+						orByID(all, f.ids[src][g], f.lanes[src][g], w)
+						if src/pgpu != g/pgpu {
+							orByID(remote, f.ids[src][g], f.lanes[src][g], w)
+						}
+					}
+					for src := 0; src < prank; src++ {
+						if src != g/pgpu {
+							var lists [][]uint32
+							for from := src * pgpu; from < (src+1)*pgpu; from++ {
+								lists = append(lists, f.ids[from][g])
+							}
+							perSender += len(setOf(lists...))
+						}
+					}
+					for v, want := range all {
+						if got := d.visited[g][int(v)*w : (int(v)+1)*w]; !slices.Equal(got, want) {
+							t.Fatalf("%s GPU %d vertex %d: visited lanes %x, binned %x", label, g, v, got, want)
+						}
+					}
+					ids, lanes := d.counts[g/pgpu].arrivals[g%pgpu], d.counts[g/pgpu].arrivalLanes[g%pgpu]
+					orByID(arrived, ids, lanes, w)
+					if len(arrived) != len(remote) {
+						t.Fatalf("%s GPU %d: %d vertices arrived, %d binned remotely", label, g, len(arrived), len(remote))
+					}
+					for v, want := range remote {
+						if !slices.Equal(arrived[v], want) {
+							t.Fatalf("%s GPU %d vertex %d: arrived lanes %x, binned %x", label, g, v, arrived[v], want)
+						}
+					}
+					if want := map[Exchange]int{ExchangeAllPairs: perSender, ExchangeButterfly: len(remote)}[d.strategy]; len(ids) != want || d.strategy == ExchangeButterfly && !isSet(ids) {
+						t.Fatalf("%s GPU %d: %d records arrived (a set: %v), want %d", label, g, len(ids), isSet(ids), want)
+					}
+				}
+			}
+		}
+		for r := range fills {
+			for rank := 0; rank < prank; rank++ {
+				a, b := ap[r].counts[rank], bf[r].counts[rank]
+				var staged, binned int64
+				for g := 0; g < p; g++ {
+					if g/pgpu == rank {
+						continue
+					}
+					var lists [][]uint32
+					for src := rank * pgpu; src < (rank+1)*pgpu; src++ {
+						lists = append(lists, fills[r].ids[src][g])
+						binned += int64(len(fills[r].ids[src][g]))
+					}
+					staged += int64(len(setOf(lists...)))
+				}
+				label := fmt.Sprintf("%s/%v records superstep %d rank %d", shape, mode, r, rank)
+				if a.forwarded != 0 || b.forwarded < 0 || a.sentRaw-a.forwarded != rec*staged || b.sentRaw-b.forwarded != rec*staged {
+					t.Fatalf("%s: originated %d/%d (forwarded %d/%d) under all-pairs/butterfly, staged %d records", label, a.sentRaw-a.forwarded, b.sentRaw-b.forwarded, a.forwarded, b.forwarded, staged)
+				}
+				if a.dups != binned-staged || b.dups != binned-staged {
+					t.Fatalf("%s: dups %d/%d, the stage OR-ed %d records away", label, a.dups, b.dups, binned-staged)
+				}
+				if want := codecWork(mode, a.sentRaw+rec*a.arrived); a.codecRaw != want {
+					t.Fatalf("%s: all-pairs codec charge %d, want the messages' %d", label, a.codecRaw, want)
 				}
 			}
 		}

@@ -377,8 +377,8 @@ func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, 
 	plan := buildPlan(t, el, shape, th, opts)
 	s := plan.acquire(opts)
 	var blocks, relayed, unflagged, unsorted atomic.Int64
-	for rank, sc := range s.scratch {
-		bf := sc.rx.bind(s, rank, sc).get(ExchangeButterfly).(*butterflyExchange)
+	for rank := range s.scratch {
+		bf := s.exchangers(rank).get(ExchangeButterfly).(*butterflyExchange)
 		bf.onSend = func(hop int, secs []wire.Section) {
 			for _, sec := range secs {
 				for slot, ids := range sec.Slots {

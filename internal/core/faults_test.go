@@ -120,20 +120,31 @@ func TestPayloadFaultsSurfaceTypedErrors(t *testing.T) {
 	}
 }
 
+// TestSweepFaultSurfacesTypedError: a sweep's records ride the exchangers a
+// run's ids do, so a corrupted record message surfaces from the same panic
+// sites — under the sweep's own injection site, on either strategy.
 func TestSweepFaultSurfacesTypedError(t *testing.T) {
 	sg := chaosGraph(t)
 	for _, mode := range chaosModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			for seed := uint64(1); seed <= chaosSeeds; seed++ {
-				in := faults.New(seed, faults.KindCorrupt, 1).WithSites(faults.SiteSweep)
-				opts := chaosOptions(in, ExchangeAllPairs)
-				opts.Compression = mode
-				p, err := NewPlan(sg, ClusterShape{2, 2, 2}, opts)
-				if err != nil {
-					t.Fatal(err)
+			for _, tc := range []struct {
+				exchange Exchange
+				wantMsg  string
+			}{
+				{ExchangeAllPairs, "exchange payload"},
+				{ExchangeButterfly, "butterfly payload"},
+			} {
+				for seed := uint64(1); seed <= chaosSeeds; seed++ {
+					in := faults.New(seed, faults.KindCorrupt, 1).WithSites(faults.SiteSweep)
+					opts := chaosOptions(in, tc.exchange)
+					opts.Compression = mode
+					p, err := NewPlan(sg, ClusterShape{2, 2, 2}, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := p.RunSweep(context.Background(), []int64{0, 1, 2}, Overrides{})
+					wantCorrupt(t, rs != nil, err, tc.wantMsg)
 				}
-				rs, err := p.RunSweep(context.Background(), []int64{0, 1, 2}, Overrides{})
-				wantCorrupt(t, rs != nil, err, "sweep payload")
 			}
 		})
 	}

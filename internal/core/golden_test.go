@@ -31,8 +31,10 @@ func resultDigest(results ...*metrics.RunResult) string {
 // goldenResults were generated on the commit before the sweep moved onto
 // runRank (PR 16) — the filtered run rows on PR 23, the adaptive run rows and
 // both repair rows on PR 24, when a codec-active exchange began to carry sets
-// (every off row and every sweep row is older: the uncompressed exchange and the
-// record exchange ship what they always did) — and pin the statistics no
+// (every off row and every all-pairs sweep row is older: the uncompressed
+// exchange and the sweep's records ship what they always did, and PR 25 moved
+// those records onto the run's exchangers without moving a byte), the
+// butterfly and hybrid sweep rows on PR 25 — and pin the statistics no
 // other test or BENCH cell reads — Wire.MaskRawBytes/MaskWireBytes, the
 // per-iteration codec/NVLink split, the calibration EWMAs — across every
 // traversal the superstep loop serves.
@@ -69,6 +71,8 @@ var goldenResults = map[string]string{
 	"sweep/1":                             "5a8569b23a43a711",
 	"sweep/8":                             "0bab67222146fb10",
 	"sweep/65":                            "b64907b3c494721b",
+	"sweep/butterfly/8":                   "36c20297a0d7d635",
+	"sweep/hybrid/8":                      "f1b62aa13783d601",
 	// The repair through Plan.Repair, which patches the prior tree, and through
 	// the frozen RunRepair, which resolves it from nothing: the same wave, so
 	// the two rows differ in ParentPairs and Wire.Pair*Bytes only (the test
@@ -155,19 +159,36 @@ func TestGoldenRunResults(t *testing.T) {
 	sweepOpts := DefaultOptions()
 	sweepOpts.CollectParents = true
 	sweepOpts.Compression = wire.ModeAdaptive
+	// Since PR 25 a sweep rides the exchange the query asks for: the all-pairs
+	// rows are older than that; the butterfly and hybrid rows are its own, on
+	// six ranks of two GPUs (cleanup hops, the NVLink tier) amplified until
+	// the hybrid mixes the two.
 	sp := buildPlan(t, el, ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}, 16, sweepOpts)
-	for _, k := range []int{1, 8, 65} {
-		results, err := sp.RunSweep(ctx, pickSources(el.OutDegrees(), k, 11), Overrides{})
+	sweepOpts.WorkAmplification = 64
+	xp := buildPlan(t, el, ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, 16, sweepOpts)
+	for _, tc := range []struct {
+		name string
+		p    *Plan
+		k    int
+		x    Exchange
+	}{
+		{"sweep/1", sp, 1, ExchangeAllPairs}, {"sweep/8", sp, 8, ExchangeAllPairs}, {"sweep/65", sp, 65, ExchangeAllPairs},
+		{"sweep/butterfly/8", xp, 8, ExchangeButterfly}, {"sweep/hybrid/8", xp, 8, ExchangeHybrid},
+	} {
+		results, err := tc.p.RunSweep(ctx, pickSources(el.OutDegrees(), tc.k, 11), Overrides{Exchange: &tc.x})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range results {
 			if r.Wire.MaskRawBytes != 0 || r.Wire.MaskWireBytes != 0 || r.PerIteration != nil || r.Exchange.Strategy != "sweep" {
-				t.Fatalf("sweep/%d: mask bytes %d/%d, %d per-iteration rows, strategy %q",
-					k, r.Wire.MaskRawBytes, r.Wire.MaskWireBytes, len(r.PerIteration), r.Exchange.Strategy)
+				t.Fatalf("%s: mask bytes %d/%d, %d per-iteration rows, strategy %q",
+					tc.name, r.Wire.MaskRawBytes, r.Wire.MaskWireBytes, len(r.PerIteration), r.Exchange.Strategy)
 			}
 		}
-		check(fmt.Sprintf("sweep/%d", k), results...)
+		if st := results[0].Exchange; tc.x != ExchangeAllPairs && (st.ButterflyIterations == 0 || st.ForwardedBytes == 0 || (tc.x == ExchangeHybrid) != (st.AllPairsIterations > 0)) {
+			t.Fatalf("%s: %d all-pairs and %d butterfly supersteps, %d bytes forwarded", tc.name, st.AllPairsIterations, st.ButterflyIterations, st.ForwardedBytes)
+		}
+		check(tc.name, results...)
 	}
 
 	// One repair, on the epoch a mixed delta produced.

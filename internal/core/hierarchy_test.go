@@ -10,8 +10,9 @@ import (
 )
 
 // The pair count the model sizes messages by is the count the exchange sends:
-// an all-pairs run and a sweep alike put effPairs() messages per rank per
-// superstep on the wire, whatever the GPU count — and the NVLink tier that
+// the all-pairs exchanger puts effPairs() messages per rank per superstep on
+// the wire whatever it carries — a run's ids or, through the same exchanger, a
+// sweep's records — and whatever the GPU count; and the NVLink tier that
 // merges a rank's GPUs into those messages is charged exactly when there is
 // more than one GPU to merge.
 func TestExchangeSendsTheModelledPairs(t *testing.T) {

@@ -671,9 +671,16 @@ func (e *Session) rankGPUs(rank int) []*gpuState {
 // entered with the frontier and any seed schedule for w already in place.
 func (e *Session) runWave(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
 	sc := e.scratch[rank]
-	sc.rx.bind(e, rank, sc)
+	e.exchangers(rank)
 	sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
 	e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, w.schedule)
+}
+
+// exchangers binds rank's strategy instances to this query, with the rank's
+// lanes for their payload.
+func (e *Session) exchangers(rank int) *rankExchangers {
+	sc := e.scratch[rank]
+	return sc.rx.bind(&e.runEnv, rank, &sc.exchangeScratch, &sc.lanes)
 }
 
 // kernels advances a repair's seed schedules with the wave (a cold run's are
@@ -758,6 +765,28 @@ func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
 }
 
 func (l *sourceLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.get(strategy) }
+
+// width, destinations and stage make the lanes the exchange's payload: plain
+// ids, staged by mergeForRank.
+func (l *sourceLanes) width() int { return 0 }
+
+func (l *sourceLanes) destinations(mine []int64) {
+	pgpu := l.e.shape.GPUsPerRank
+	for _, gs := range l.gpus {
+		if gs.it.binned == 0 {
+			continue
+		}
+		for g, bin := range gs.bins.PerGPU {
+			if len(bin) > 0 {
+				markRank(mine, g/pgpu)
+			}
+		}
+	}
+}
+
+func (l *sourceLanes) stage(dst int, row *wire.Section) int64 {
+	return 4 * l.e.mergeForRank(l.gpus, dst, l.sc, row.Slots, row.Hints)
+}
 
 // exchange is the normal-vertex exchange (§V-B): uniquify, the inter-rank
 // strategy, and the apply of everything that arrives.

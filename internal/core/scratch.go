@@ -23,40 +23,12 @@ import (
 // owned by exactly one rank of one in-flight query (Session pooling already
 // guarantees no cross-query sharing), so no locking is needed.
 type rankScratch struct {
-	// arena backs every id slice whose lifetime is one BSP iteration:
-	// merged send slots, butterfly hop decode output, pending relay
-	// payloads. Reset at the start of each iteration's exchange.
-	arena frontier.Arena
+	// exchangeScratch is the rank's exchange: its strategy instances and
+	// their buffers (the repair's probe round borrows the arrival bins).
+	exchangeScratch
 
-	// arrivals are the reusable per-local-slot remote-arrival bins the
-	// all-pairs exchange and the repair's probe round decode into (zero-copy:
-	// the wire header's count pre-sizes the grow). Backing arrays persist
-	// across iterations and queries.
-	arrivals [][]uint32
-
-	// apSlots/apHints are the all-pairs merge headers, reused for every
-	// destination rank in turn (the encode consumes them immediately).
-	apSlots [][]uint32
-	apHints []wire.Hint
-
-	// stageSlots/stageHints are the butterfly staging headers: one pgpu-row
-	// per destination rank, flat, because the butterfly retains all
-	// destinations' merged slots across its hops.
-	stageSlots [][]uint32
-	stageHints []wire.Hint
-
-	// lists gathers the contributing bins of one merge; pair is the
-	// two-list header for pending-relay merges.
+	// lists gathers the contributing bins of one merge (mergeForRank).
 	lists [][]uint32
-	pair  [2][]uint32
-
-	// secs is the butterfly's per-hop section list.
-	secs []wire.Section
-
-	// hopBytes/hopCodecRaw/hopRecvBytes back the exchangeCounts vectors.
-	hopBytes     []int64
-	hopCodecRaw  []int64
-	hopRecvBytes []int64
 
 	// rankMask is the delegate-mask reduction buffer. It is read only after a
 	// reduce that reported a contribution, which overwrote it in full, so
@@ -94,10 +66,53 @@ type rankScratch struct {
 	// parents is the post-BFS canonical parent resolution's reusable state
 	// (candidate directory + replay pair bins, see parents.go).
 	parents parentScratch
+}
+
+func newRankScratch(prank, pgpu int, d int64) *rankScratch {
+	return &rankScratch{
+		exchangeScratch: newExchangeScratch(prank, pgpu, 0),
+		rankMask:        bitmask.New(d),
+	}
+}
+
+// exchangeScratch is one rank's exchange state, whatever its lanes carry: the
+// strategy instances (rx) and the buffers they reuse from superstep to
+// superstep. A Session's rank keeps one across pooled queries, a sweep's rank
+// one for the sweep.
+type exchangeScratch struct {
+	// arena and words back every id slice and lane-set slice whose lifetime
+	// is one BSP iteration: staged slots, butterfly hop decode output,
+	// pending relay unions. Reset at the start of each iteration's exchange.
+	arena frontier.Arena
+	words frontier.Bump[uint64]
+
+	// arrivals are the reusable per-local-slot remote-arrival bins the
+	// all-pairs exchange and the repair's probe round decode into (zero-copy:
+	// the wire header's count pre-sizes the grow), arrivalLanes their lane
+	// sets when the payload has any. Backing arrays persist across iterations
+	// and queries.
+	arrivals     [][]uint32
+	arrivalLanes [][]uint64
+
+	// apRow is the all-pairs staging row, reused for every destination rank
+	// in turn (the encode consumes it immediately); stageRows are the
+	// butterfly's, one per destination rank, because the butterfly retains
+	// every destination's staged slots across its hops.
+	apRow     wire.Section
+	stageRows []wire.Section
+
+	// pair is the two-list header for pending-relay merges; secs the
+	// butterfly's per-hop section list.
+	pair [2][]uint32
+	secs []wire.Section
+
+	// hopBytes/hopCodecRaw/hopRecvBytes back the exchangeCounts vectors.
+	hopBytes     []int64
+	hopCodecRaw  []int64
+	hopRecvBytes []int64
 
 	// rx caches the rank's exchange-strategy instances (and their
-	// wire.Selector scheme memories) across pooled queries; rebound and
-	// reset per query by rankExchangers.bind.
+	// wire.Selector scheme memories); bound per query by rankExchangers.bind.
 	rx rankExchangers
 
 	// rtStages/nvStages are the butterfly remoteTime's per-hop codec and
@@ -109,30 +124,49 @@ type rankScratch struct {
 	maskExtra []float64
 
 	// wireSecs recycles the butterfly's decoded section headers (Section
-	// structs, slot rows, hint rows). Bump-reset with the arena at each
-	// iteration's exchange — relayed sections live in pending until the
-	// last hop, never longer.
+	// structs, slot, mask and hint rows). Bump-reset with the arenas at each
+	// iteration's exchange — relayed sections live in pending until the last
+	// hop, never longer.
 	wireSecs wire.SectionScratch
 }
 
-func newRankScratch(prank, pgpu int, d int64) *rankScratch {
-	return &rankScratch{
-		arrivals:   make([][]uint32, pgpu),
-		apSlots:    make([][]uint32, pgpu),
-		apHints:    make([]wire.Hint, pgpu),
-		stageSlots: make([][]uint32, prank*pgpu),
-		stageHints: make([]wire.Hint, prank*pgpu),
-		rankMask:   bitmask.New(d),
+// newExchangeScratch sizes a rank's exchange state for prank ranks of pgpu
+// GPUs and w lane-set words per id (0: plain ids).
+func newExchangeScratch(prank, pgpu, w int) exchangeScratch {
+	x := exchangeScratch{
+		arrivals:  make([][]uint32, pgpu),
+		apRow:     slotRow(0, pgpu, w),
+		stageRows: make([]wire.Section, prank),
 	}
+	if w > 0 {
+		x.arrivalLanes = make([][]uint64, pgpu)
+	}
+	for r := range x.stageRows {
+		x.stageRows[r] = slotRow(r, pgpu, w)
+	}
+	return x
 }
 
-// resetArrivals empties the arrival bins (capacity retained) and returns
-// them for this iteration's exchangeCounts.
-func (sc *rankScratch) resetArrivals() [][]uint32 {
-	for i := range sc.arrivals {
-		sc.arrivals[i] = sc.arrivals[i][:0]
+// slotRow returns an empty staging row for rank's pgpu slots, with a
+// lane-set column when w > 0.
+func slotRow(rank, pgpu, w int) wire.Section {
+	row := wire.Section{Rank: rank, Slots: make([][]uint32, pgpu), Hints: make([]wire.Hint, pgpu)}
+	if w > 0 {
+		row.Masks = make([][]uint64, pgpu)
 	}
-	return sc.arrivals
+	return row
+}
+
+// resetArrivals empties the arrival bins and their lane sets (capacity
+// retained) and returns the bins for this iteration's exchangeCounts.
+func (x *exchangeScratch) resetArrivals() [][]uint32 {
+	for i := range x.arrivals {
+		x.arrivals[i] = x.arrivals[i][:0]
+	}
+	for i := range x.arrivalLanes {
+		x.arrivalLanes[i] = x.arrivalLanes[i][:0]
+	}
+	return x.arrivals
 }
 
 // grownInt64 returns a zeroed length-n slice, reusing s's capacity.

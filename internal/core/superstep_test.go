@@ -104,16 +104,37 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 	return s.result(source)
 }
 
+// runSweepCounted is sweepSession.run with a send hook installed, as
+// runCounted is for a cold run.
+func runSweepCounted(e *sweepSession, hook mpi.SendHook) []*metrics.RunResult {
+	sch := e.seed()
+	e.begin()
+	e.world.SetSendHook(hook)
+	defer e.world.SetSendHook(nil)
+	var wg sync.WaitGroup
+	for r := 0; r < e.world.Size(); r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			sc := e.scratch[rank]
+			e.runRank(context.Background(), rank, e.world.Rank(rank), &sc.lanes, &sc.loopScratch, sch)
+		}(r)
+	}
+	wg.Wait()
+	return e.results()
+}
+
 // The presence contract on the paper's all-pairs exchange: a message without
 // ids is accounted but never delivered, and the accounting cannot tell — it
-// equals, field for field, a run that delivers every message.
+// equals, field for field, a run that delivers every message. A sweep's
+// records ride the same exchange under the same contract.
 func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
 	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeBitmap} {
 		opts := DefaultOptions()
 		opts.CollectLevels = false
 		opts.Compression = mode
-		_, p := webPlan(t, 10, shape, opts)
+		el, p := webPlan(t, 10, shape, opts)
 		// What a message without ids looks like on the wire.
 		empty, _ := wire.EncodeRank(make([][]uint32, shape.GPUsPerRank), mode)
 		var delivered, emptyDelivered atomic.Int64
@@ -141,8 +162,8 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 
 		// The same query with every destination announced present.
 		delivered.Store(0)
-		for rank, sc := range s.scratch {
-			sc.rx.bind(s, rank, sc).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
+		for rank := range s.scratch {
+			s.exchangers(rank).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
 		}
 		want := runCounted(t, s, src, hook)
 		for _, sc := range s.scratch {
@@ -158,6 +179,36 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.PerIteration, want.PerIteration) {
 			t.Fatalf("%s: per-iteration stats depend on delivery", mode)
+		}
+
+		// An 8-lane sweep, once presence-gated and once delivering everything.
+		sources := pickSources(el.OutDegrees(), 8, 3)
+		empty, _ = (*wire.Selector)(nil).AppendRankSection(nil, slotRow(0, shape.GPUsPerRank, 1), 1, mode)
+		sweep := func(sendAll bool) []*metrics.RunResult {
+			e := p.newSweepSession(p.base, sources)
+			for _, sc := range e.scratch {
+				sc.rx.get(ExchangeAllPairs).(*allPairsExchange).sendAll = sendAll
+			}
+			delivered.Store(0)
+			emptyDelivered.Store(0)
+			return runSweepCounted(e, hook)
+		}
+		gotSweep := sweep(false)
+		gated, emptyGated := delivered.Load(), emptyDelivered.Load()
+		wantSweep := sweep(true)
+		modelled := wantSweep[0].Exchange.AllPairsIterations * prank * (prank - 1)
+		if gated == 0 || gated >= modelled || delivered.Load() != modelled {
+			t.Fatalf("%s sweep: delivered %d gated and %d sending all of %d modelled messages", mode, gated, delivered.Load(), modelled)
+		}
+		if emptyGated != 0 || emptyDelivered.Load() == 0 {
+			t.Fatalf("%s sweep: %d gated and %d sending all of the delivered messages carried no records", mode, emptyGated, emptyDelivered.Load())
+		}
+		for q := range wantSweep {
+			g, w := gotSweep[q], wantSweep[q]
+			if g.Wire != w.Wire || g.Exchange != w.Exchange || g.SimSeconds != w.SimSeconds || g.Parts != w.Parts || g.EdgesScanned != w.EdgesScanned {
+				t.Fatalf("%s sweep lane %d: accounting depends on delivery\n got %+v %+v\nwant %+v %+v",
+					mode, q, g.Wire, g.Exchange, w.Wire, w.Exchange)
+			}
 		}
 	}
 }

@@ -3,8 +3,9 @@ package core
 // Multi-source shared sweep (MS-BFS): one BSP traversal answers K BFS
 // queries at once. Per-vertex visited state widens from a bit to a K-bit
 // query-set mask (bitmask.Matrix, w = ⌈K/64⌉ words per vertex), frontier
-// records carry (vertex, query-set) payloads through the record codec
-// (wire/records.go), and the delegate tier reduces a d×K mask matrix instead
+// records carry (vertex, query-set) payloads — each slot's ids with a w-word
+// lane-set column beside them, mask sections behind the id blocks on the wire
+// (wire/records.go) — and the delegate tier reduces a d×K mask matrix instead
 // of a d-bit mask. The sweep is forward-only: hop distances are
 // direction-invariant, so its levels — and the canonical parents derived
 // from them (parents.go) — are bit-identical to K independent Plan.Run
@@ -16,7 +17,11 @@ package core
 // file is its per-GPU state, its kernels and its lanes implementation
 // (sweepLanes); runEnv.runRank (run.go) runs it, so the sweep's supersteps,
 // fault sites, timing assembly and cancellation are the single-source
-// traversal's, line for line.
+// traversal's, line for line — and so is its exchange: the records ride the
+// same all-pairs and butterfly exchangers (exchange.go) under the same
+// Options.Exchange, the hybrid policy and the retry's degraded profile
+// included; the lanes only stage them (sweepLanes.stage) and apply what
+// arrives.
 //
 // The traversal's frontier is a history, not a pair of buffers: every level's
 // (vertex, query-set) rows are appended to a laneHist and stay there. The
@@ -28,9 +33,9 @@ package core
 // The simulated cost model charges the widened work honestly: kernels pay
 // edges×w word operations, the delegate allreduce moves d×w×8 bytes, and
 // the exchange ships the record payloads under the single-source run's
-// all-pairs charging rule (sweep_exchange.go). Per-query figures are the sweep
-// totals divided by K — GTEPS becomes the amortized per-query rate the cmp5
-// ablation compares against independent RunBatch.
+// charging rules, 4+8w fixed-width bytes per record. Per-query figures are the
+// sweep totals divided by K — GTEPS becomes the amortized per-query rate the
+// cmp5 ablation compares against independent RunBatch.
 
 import (
 	"context"
@@ -130,28 +135,16 @@ type sweepScratch struct {
 	rankD  []uint64        // d×w delegate-mask reduce buffer
 	addRow []uint64        // w-word newly-discovered scratch row
 
-	// Sender-side merge scratch: concatenated records per destination slot,
-	// their (id, record index) sort keys with the radix sort's scatter
-	// buffer, and the merged output handed to the codec.
-	mIDs     []uint32
-	mMasks   []uint64
-	order    []frontier.Pair
-	orderBuf []frontier.Pair
-	outIDs   [][]uint32
-	outMasks [][]uint64
+	// order holds the stage's (id, bin position) sort keys, orderBuf the
+	// radix sort's scatter buffer.
+	order, orderBuf []frontier.Pair
 
-	// Arrival bins (per local slot of this rank).
-	arrIDs   [][]uint32
-	arrMasks [][]uint64
-	// hops backs the exchange's one-entry per-hop vectors (sent, codec, recv).
-	hops [3]int64
-
-	sel  *wire.RecordSelector
 	tree treeScratch
 
-	// lanes is the rank's side of the sweep; loopScratch the superstep
-	// loop's own buffers.
+	// lanes is the rank's side of the sweep; exchangeScratch its exchange
+	// and loopScratch the superstep loop's own buffers.
 	lanes sweepLanes
+	exchangeScratch
 	loopScratch
 }
 
@@ -185,10 +178,6 @@ type sweepSession struct {
 }
 
 func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
-	// The sweep's record exchange is all-pairs, whatever the plan says (a
-	// payload-generic exchanger, and with it butterfly and hybrid sweeps, is a
-	// follow-on; results are identical either way).
-	opts.Exchange = ExchangeAllPairs
 	k := len(sources)
 	w := (k + 63) / 64
 	e := &sweepSession{
@@ -214,18 +203,16 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 	pgpu := p.shape.GPUsPerRank
 	e.scratch = make([]*sweepScratch, prank)
 	for r := range e.scratch {
-		e.scratch[r] = &sweepScratch{
-			visD:     bitmask.NewMatrix(e.d, k),
-			histD:    newLaneHist(w, e.d),
-			rankD:    make([]uint64, e.d*int64(w)),
-			addRow:   make([]uint64, w),
-			outIDs:   make([][]uint32, pgpu),
-			outMasks: make([][]uint64, pgpu),
-			arrIDs:   make([][]uint32, pgpu),
-			arrMasks: make([][]uint64, pgpu),
-			sel:      wire.NewRecordSelectorSized(prank * pgpu),
+		sc := &sweepScratch{
+			visD:            bitmask.NewMatrix(e.d, k),
+			histD:           newLaneHist(w, e.d),
+			rankD:           make([]uint64, e.d*int64(w)),
+			addRow:          make([]uint64, w),
+			exchangeScratch: newExchangeScratch(prank, pgpu, w),
 		}
-		e.scratch[r].lanes = sweepLanes{e: e, rank: r, gpus: e.gpus[r*pgpu : (r+1)*pgpu], sc: e.scratch[r]}
+		sc.lanes = sweepLanes{e: e, rank: r, gpus: e.gpus[r*pgpu : (r+1)*pgpu], sc: sc}
+		sc.rx.bind(&e.runEnv, r, &sc.exchangeScratch, &sc.lanes)
+		e.scratch[r] = sc
 	}
 	if opts.CollectParents {
 		e.pairCount = make([]atomic.Int64, k)
@@ -420,6 +407,9 @@ type sweepLanes struct {
 	rank int
 	gpus []*sweepGPU
 	sc   *sweepScratch
+	// staged and dups count the superstep's stage: records read from the
+	// bins, and those OR-ed into an equal id's record.
+	staged, dups int64
 }
 
 func (l *sweepLanes) kernels(iter int32) {
@@ -455,10 +445,110 @@ func (l *sweepLanes) commit(reduced bool, _ int32) (dc delegateCommit) {
 	return dc
 }
 
-func (l *sweepLanes) exchanger(Exchange) exchanger { return recordExchange{l} }
+func (l *sweepLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.get(strategy) }
 
+// width, destinations and stage make the lanes the exchange's payload:
+// (id, lane-set) records.
+func (l *sweepLanes) width() int { return l.e.w }
+
+func (l *sweepLanes) destinations(mine []int64) {
+	pgpu := l.e.shape.GPUsPerRank
+	for _, gs := range l.gpus {
+		for g, ids := range gs.bins.IDs {
+			if len(ids) > 0 {
+				markRank(mine, g/pgpu)
+			}
+		}
+	}
+}
+
+// stage gathers every local GPU's records bound for dst's GPUs into one
+// record set per slot, sorted by vertex id, a vertex binned more than once —
+// by one GPU or several — collapsed into one record with the OR of its lane
+// sets. It is the sweep's uniquify in every compression mode, the record
+// analogue of the single-query stage (mergeForRank) and the source of the
+// sweep's wire savings beyond amortization; exchange charges it as a kernel,
+// so it drops nothing the codec is charged for.
+func (l *sweepLanes) stage(dst int, row *wire.Section) int64 {
+	sc, w := l.sc, l.e.w
+	pgpu := l.e.shape.GPUsPerRank
+	for s := range row.Slots {
+		dstGPU := dst*pgpu + s
+		order := sc.order[:0]
+		for g, gs := range l.gpus {
+			for i, id := range gs.bins.IDs[dstGPU] {
+				order = append(order, frontier.Pair{ID: id, Val: uint64(g)<<32 | uint64(i)})
+			}
+		}
+		sc.order = order
+		l.staged += int64(len(order))
+		frontier.SortPairs(order, &sc.orderBuf)
+		ids, lanes := sc.arena.Alloc(len(order)), sc.words.Alloc(len(order)*w)
+		for _, rec := range order {
+			lane := l.gpus[rec.Val>>32].bins.Mask(dstGPU, int(uint32(rec.Val)))
+			if n := len(ids); n > 0 && ids[n-1] == rec.ID {
+				bitmask.RowOr(lanes[(n-1)*w:n*w], lane)
+				l.dups++
+				continue
+			}
+			ids, lanes = append(ids, rec.ID), append(lanes, lane...)
+		}
+		row.Slots[s], row.Masks[s], row.Hints[s] = ids, lanes, wire.HintSet
+	}
+	return 0
+}
+
+// exchange moves the superstep's records through ex and applies what arrives
+// — from a sibling GPU or over the wire — in any order: a record only ORs lane
+// bits into its vertex's row, and each lane's level is written once
+// (discover), so the sweep needs no canonical arrival order.
 func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
-	return ex.exchange(comm, iter, present)
+	e, sc, w := l.e, l.sc, l.e.w
+	w64 := int64(w)
+	pgpu := e.shape.GPUsPerRank
+	gpu0 := l.gpus[0]
+	l.staged, l.dups = 0, 0
+	counts := ex.exchange(comm, iter, present)
+	counts.dups = l.dups
+	// The stage's sort and OR is the sweep's uniquify: charge it like the
+	// single-query dedup, widened to the lane words each record moves.
+	if l.staged > 0 {
+		gpu0.it.normalStream += e.charge(gpu0.dev, simgpu.KernelCost{
+			Vertices: 2 * l.staged * w64, Strategy: simgpu.TWBDynamic,
+		})
+	}
+	// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
+	var intra int64
+	for _, src := range l.gpus {
+		for s := 0; s < pgpu; s++ {
+			dstGPU := l.rank*pgpu + s
+			if dstGPU == src.pg.GPU {
+				continue
+			}
+			ids := src.bins.IDs[dstGPU]
+			for i, id := range ids {
+				e.discover(e.gpus[dstGPU], sc, id, src.bins.Mask(dstGPU, i))
+			}
+			intra += int64(len(ids))
+		}
+	}
+	counts.intra = (4 + 8*w64) * intra
+	for s, ids := range counts.arrivals {
+		lanes := counts.arrivalLanes[s]
+		for i, id := range ids {
+			e.discover(l.gpus[s], sc, id, lanes[i*w:(i+1)*w])
+		}
+	}
+	// Scatter cost of applying received records on the destination GPUs.
+	if applied := counts.arrived + intra; applied > 0 {
+		gpu0.it.normalStream += e.charge(gpu0.dev, simgpu.KernelCost{
+			Vertices: applied * w64, Strategy: simgpu.TWBDynamic,
+		})
+	}
+	for _, gs := range l.gpus {
+		gs.bins.Reset()
+	}
+	return counts
 }
 
 // tally reports the per-query logical edges as the sweep's scanned work.
@@ -493,7 +583,7 @@ func (l *sweepLanes) finish(comm *mpi.Comm) {
 }
 
 // run executes the sweep's BSP loop across rank goroutines and assembles the
-// per-query results from the loop's sweep-wide statistics.
+// per-query results.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	sch := e.seed()
 	e.begin()
@@ -507,7 +597,12 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	if err := e.cancelErr(ctx); err != nil {
 		return nil, err
 	}
+	return e.results(), nil
+}
 
+// results assembles the per-query results of a finished sweep from the loop's
+// sweep-wide statistics.
+func (e *sweepSession) results() []*metrics.RunResult {
 	rec := &e.rec
 	k64 := int64(e.k)
 	kf := float64(e.k)
@@ -541,10 +636,14 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 				CodecSeconds:    rec.wire.CodecSeconds / kf,
 			},
 			Exchange: metrics.ExchangeStats{
-				Strategy:           "sweep",
-				AllPairsIterations: rec.exchange.AllPairsIterations,
-				Messages:           rec.exchange.Messages / k64,
-				MaxMessageBytes:    rec.exchange.MaxMessageBytes,
+				Strategy:            "sweep",
+				AllPairsIterations:  rec.exchange.AllPairsIterations,
+				ButterflyIterations: rec.exchange.ButterflyIterations,
+				Messages:            rec.exchange.Messages / k64,
+				ForwardedBytes:      rec.exchange.ForwardedBytes / k64,
+				MaxMessageBytes:     rec.exchange.MaxMessageBytes,
+				HiddenCodecSeconds:  rec.exchange.HiddenCodecSeconds / kf,
+				HiddenNVLinkSeconds: rec.exchange.HiddenNVLinkSeconds / kf,
 			},
 		}
 		if e.outs != nil {
@@ -557,7 +656,7 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 		}
 		results[q] = res
 	}
-	return results, nil
+	return results
 }
 
 // deepestLevels reads each query's deepest level off the histories. A query's

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
@@ -131,36 +133,70 @@ func TestSweepCornerShapes(t *testing.T) {
 	}
 }
 
-// A sweep is all-pairs whatever its plan says: on a plan whose base options
-// ask for the hybrid policy it gives the all-pairs plan's answers and its
-// modelled clock, bit for bit.
-func TestSweepPinsAllPairsFlat(t *testing.T) {
-	el := rmat.Generate(rmat.DefaultParams(9))
-	sources := pickSources(el.OutDegrees(), 8, 41)
-	shape := ClusterShape{2, 2, 2}
+// TestSweepFollowsExchange: a sweep rides whichever exchange the query asks
+// for — all-pairs, the butterfly or the per-superstep hybrid — and on every
+// one each lane gets the levels and parents of an independent Run, bit for
+// bit: one lane, one mask word and two, on every remainder shape and GPU
+// count, codec off and on. A butterfly sweep sends the butterfly's messages —
+// q·log2(q) hypercube sends plus two per remainder rank per superstep — where
+// all-pairs sends p·(p−1).
+func TestSweepFollowsExchange(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(8))
+	sources := pickSources(el.OutDegrees(), 70, 41)
 	ctx := context.Background()
-	base := DefaultOptions()
-	base.CollectParents = true
-	base.Compression = wire.ModeAdaptive
-	want, err := buildTestPlan(t, el, shape, 8, base).RunSweep(ctx, sources, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid := base
-	hybrid.Exchange = ExchangeHybrid
-	hp := buildTestPlan(t, el, shape, 8, hybrid)
-	requireSweepMatchesRuns(t, hp, sources, Overrides{})
-	got, err := hp.RunSweep(ctx, sources, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range want {
-		if !slices.Equal(got[q].Levels, want[q].Levels) || !slices.Equal(got[q].Parents, want[q].Parents) {
-			t.Fatalf("query %d: tree differs from the all-pairs plan's sweep", q)
+	for _, ranks := range []int{1, 3, 5, 6, 8} {
+		q, rem, nhops := hypercubeGeometry(ranks)
+		perStep := map[Exchange]int64{
+			ExchangeAllPairs:  int64(ranks * (ranks - 1)),
+			ExchangeButterfly: int64(q*nhops + 2*rem),
 		}
-		if got[q].SimSeconds != want[q].SimSeconds || got[q].Parts != want[q].Parts {
-			t.Fatalf("query %d: %g s %+v on the hybrid plan, %g s %+v on the all-pairs plan",
-				q, got[q].SimSeconds, got[q].Parts, want[q].SimSeconds, want[q].Parts)
+		for _, pgpu := range []int{1, 2, 4} {
+			shape := ClusterShape{Nodes: ranks, RanksPerNode: 1, GPUsPerRank: pgpu}
+			for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+				opts := DefaultOptions()
+				opts.CollectParents = true
+				opts.Compression = mode
+				p := buildTestPlan(t, el, shape, 8, opts)
+				runs := make([]*metrics.RunResult, len(sources))
+				for i, src := range sources {
+					r, err := p.Run(ctx, src, Overrides{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs[i] = r
+				}
+				for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+					for _, k := range []int{1, 64, 70} {
+						label := fmt.Sprintf("%s/%s/%s/K=%d", shape, mode, x, k)
+						sweep, err := p.RunSweep(ctx, sources[:k], Overrides{Exchange: &x})
+						if err != nil {
+							t.Fatal(err)
+						}
+						supersteps := 0
+						for i, got := range sweep {
+							want := runs[i]
+							if got.Iterations != want.Iterations || !slices.Equal(got.Levels, want.Levels) || !slices.Equal(got.Parents, want.Parents) {
+								t.Fatalf("%s: lane %d (source %d) differs from its Run", label, i, sources[i])
+							}
+							supersteps = max(supersteps, got.Iterations)
+						}
+						st := sweep[0].Exchange
+						if st.Strategy != "sweep" || st.AllPairsIterations+st.ButterflyIterations != int64(supersteps) {
+							t.Fatalf("%s: strategy %q, %d all-pairs + %d butterfly of %d supersteps",
+								label, st.Strategy, st.AllPairsIterations, st.ButterflyIterations, supersteps)
+						}
+						if x == ExchangeHybrid {
+							continue
+						}
+						if ran := map[Exchange]int64{ExchangeAllPairs: st.AllPairsIterations, ExchangeButterfly: st.ButterflyIterations}[x]; ran != int64(supersteps) {
+							t.Fatalf("%s: ran %d of %d supersteps on the asked exchange", label, ran, supersteps)
+						}
+						if want := int64(supersteps) * perStep[x] / int64(k); st.Messages != want {
+							t.Fatalf("%s: %d messages per lane, want supersteps·%d/K = %d", label, st.Messages, perStep[x], want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

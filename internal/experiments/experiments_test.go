@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -492,14 +493,14 @@ func TestCmp3HybridAtLeastBestFixed(t *testing.T) {
 // and that the sweep's advantage grows with K.
 func TestCmp5SweepAmortizes(t *testing.T) {
 	tab := runExp(t, "cmp5")
-	// Quick mode: K ∈ {8, 64} × {batch, sweep}.
-	if len(tab.Rows) != 4 {
-		t.Fatalf("cmp5 has %d rows, want 4", len(tab.Rows))
+	// Quick mode: K ∈ {8, 64} × {batch, sweep on all-pairs, butterfly, hybrid}.
+	if len(tab.Rows) != 8 {
+		t.Fatalf("cmp5 has %d rows, want 8", len(tab.Rows))
 	}
 	speedups := map[string]float64{}
 	for _, row := range tab.Rows {
 		k, mode := row[0], row[1]
-		if mode != "batch" && mode != "sweep" {
+		if !slices.Contains([]string{"batch", "sweep", "sweep/butterfly", "sweep/hybrid"}, mode) {
 			t.Fatalf("unknown mode row %q", mode)
 		}
 		if mode == "sweep" {

@@ -169,7 +169,11 @@ func UnpackRankInto(buf []byte, into [][]uint32) error {
 	return nil
 }
 
-// Arena is a bump allocator for per-iteration id buffers: the decode/merge
+// Arena is the bump allocator of per-iteration id buffers.
+type Arena = Bump[uint32]
+
+// Bump is a bump allocator for per-iteration buffers — ids (Arena), or the
+// lane-set words that ride beside a sweep's record ids: the decode/merge
 // scratch of one exchange lives exactly one BSP iteration, so instead of a
 // fresh make() per decoded block the caller carves slices out of one backing
 // array and Resets it at the iteration boundary. The backing array is sized
@@ -179,20 +183,24 @@ func UnpackRankInto(buf []byte, into [][]uint32) error {
 // (they keep pointing into the old one); they are invalidated only by the
 // next allocation cycle reusing the space, which is exactly the
 // one-iteration lifetime contract.
-type Arena struct {
-	buf  []uint32
+type Bump[T any] struct {
+	buf  []T
 	off  int
 	need int
 }
 
-// Alloc returns a length-0, capacity-n slice backed by the arena. When the
-// current backing array is exhausted mid-cycle the slice falls back to a
-// plain allocation and the arena remembers the shortfall, so the next Reset
-// sizes the backing array to the full observed demand.
-func (a *Arena) Alloc(n int) []uint32 {
+// Alloc returns a length-0, capacity-n slice backed by the arena; a nil
+// arena allocates plainly. When the current backing array is exhausted
+// mid-cycle the slice falls back to a plain allocation and the arena
+// remembers the shortfall, so the next Reset sizes the backing array to the
+// full observed demand.
+func (a *Bump[T]) Alloc(n int) []T {
+	if a == nil {
+		return make([]T, 0, n)
+	}
 	a.need += n
 	if a.off+n > len(a.buf) {
-		return make([]uint32, 0, n)
+		return make([]T, 0, n)
 	}
 	s := a.buf[a.off : a.off : a.off+n]
 	a.off += n
@@ -202,9 +210,9 @@ func (a *Arena) Alloc(n int) []uint32 {
 // Reset starts a new allocation cycle, growing the backing array to the
 // previous cycle's total demand. Slices from the previous cycle must no
 // longer be used.
-func (a *Arena) Reset() {
+func (a *Bump[T]) Reset() {
 	if a.need > len(a.buf) {
-		a.buf = make([]uint32, a.need)
+		a.buf = make([]T, a.need)
 	}
 	a.off, a.need = 0, 0
 }
@@ -228,21 +236,13 @@ func MergeSortedArena(a *Arena, lists [][]uint32) []uint32 {
 	case 0:
 		return nil
 	case 1:
-		return append(arenaAlloc(a, len(lists[0])), lists[0]...)
+		return append(a.Alloc(len(lists[0])), lists[0]...)
 	}
 	acc := mergeTwo(a, lists[0], lists[1])
 	for _, l := range lists[2:] {
 		acc = mergeTwo(a, acc, l)
 	}
 	return acc
-}
-
-// arenaAlloc carves n capacity from the arena, or the heap when a is nil.
-func arenaAlloc(a *Arena, n int) []uint32 {
-	if a == nil {
-		return make([]uint32, 0, n)
-	}
-	return a.Alloc(n)
 }
 
 // mergeTwo is the union of two ascending lists in a new slice from the arena:
@@ -253,7 +253,7 @@ func arenaAlloc(a *Arena, n int) []uint32 {
 // sign of a 64-bit difference and do all the steering: the minimum by mask,
 // each cursor by addition.
 func mergeTwo(a *Arena, x, y []uint32) []uint32 {
-	out := arenaAlloc(a, len(x)+len(y))[:len(x)+len(y)]
+	out := a.Alloc(len(x) + len(y))[:len(x)+len(y)]
 	i, j, k := 0, 0, 0
 	for i < len(x) && j < len(y) {
 		u, v := uint64(x[i]), uint64(y[j])

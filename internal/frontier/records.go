@@ -55,3 +55,32 @@ func (b *RecordBins) Count() int64 {
 // record, excluding per-slot headers — the record extension of the paper's
 // 4·|Enn| convention.
 func (b *RecordBins) Bytes() int64 { return (4 + 8*int64(b.w)) * b.Count() }
+
+// MergeRecords is the union of two record sets — strictly ascending ids x and
+// y, each with its w-word lane set (xl, yl: flat, in id order) — drawn from
+// the arenas (nil allocates): an id at both heads is emitted once with the OR
+// of its two lane sets, so a relay forwards each vertex once with every lane
+// that reached it. The inputs are never mutated.
+func MergeRecords(ids *Arena, lanes *Bump[uint64], x []uint32, xl []uint64, y []uint32, yl []uint64, w int) ([]uint32, []uint64) {
+	out, outL := ids.Alloc(len(x)+len(y)), lanes.Alloc((len(x)+len(y))*w)
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		switch {
+		case j == len(y) || i < len(x) && x[i] < y[j]:
+			out, outL = append(out, x[i]), append(outL, xl[i*w:(i+1)*w]...)
+			i++
+		case i == len(x) || y[j] < x[i]:
+			out, outL = append(out, y[j]), append(outL, yl[j*w:(j+1)*w]...)
+			j++
+		default:
+			out, outL = append(out, x[i]), append(outL, xl[i*w:(i+1)*w]...)
+			row := outL[len(outL)-w:]
+			for k, word := range yl[j*w : (j+1)*w] {
+				row[k] |= word
+			}
+			i++
+			j++
+		}
+	}
+	return out, outL
+}

@@ -119,7 +119,7 @@ func BenchmarkButterflyRelay(b *testing.B) {
 	}
 	held := draw()
 	for _, mode := range []Mode{ModeAdaptive, ModeDelta} {
-		in, st := NewSelector().EncodeSections(draw(), pgpu, mode)
+		in, st := NewSelector().EncodeSections(draw(), 0, mode)
 		read := st.RawBytes / 4
 		for _, sec := range held {
 			for _, ids := range sec.Slots {
@@ -140,7 +140,7 @@ func BenchmarkButterflyRelay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				arena.Reset()
 				scratch.Reset()
-				secs, err := DecodeSectionsScratch(in, pgpu, ranks, &arena, &scratch)
+				secs, err := DecodeSectionsScratch(in, pgpu, 0, ranks, &arena, nil, &scratch)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func BenchmarkButterflyRelay(b *testing.B) {
 					}
 				}
 				var st Stats
-				msg, st = sel.AppendSections(msg[:0], out, pgpu, mode)
+				msg, st = sel.AppendSections(msg[:0], out, 0, mode)
 				kept = st.RawBytes / 4
 			}
 			b.ReportMetric(float64(read)*float64(b.N)/b.Elapsed().Seconds(), "ids/s")

@@ -116,7 +116,7 @@ func TestDecodeSectionsRawSortedFlag(t *testing.T) {
 		{ModeDelta, nil, []Hint{HintSorted, HintSet, HintSet, HintSet, HintSet}},
 	} {
 		secs := []Section{{Rank: 1, Slots: slots, Hints: tc.sent}}
-		msg, _ := (*Selector)(nil).EncodeSections(secs, len(slots), tc.mode)
+		msg, _ := (*Selector)(nil).EncodeSections(secs, 0, tc.mode)
 		got, err := DecodeSections(msg, len(slots), 2)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestDecodeSectionsRawSortedFlag(t *testing.T) {
 	}
 	// A bitmap block holds a set and says so.
 	set := []uint32{1, 2, 3, 5, 8, 13, 21, 34}
-	msg, st := (*Selector)(nil).EncodeSections([]Section{{Rank: 0, Slots: [][]uint32{set}, Hints: []Hint{HintSet}}}, 1, ModeBitmap)
+	msg, st := (*Selector)(nil).EncodeSections([]Section{{Rank: 0, Slots: [][]uint32{set}, Hints: []Hint{HintSet}}}, 0, ModeBitmap)
 	if st.Selected[SchemeBitmap] != 1 {
 		t.Fatalf("forced bitmap picked %v", st.Selected)
 	}

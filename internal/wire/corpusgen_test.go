@@ -119,11 +119,11 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	}
 	var secSeeds [][]byte
 	for _, mode := range []Mode{ModeOff, ModeRaw, ModeAdaptive} {
-		b, _ := (*Selector)(nil).EncodeSections(secs, 2, mode)
+		b, _ := (*Selector)(nil).EncodeSections(secs, 0, mode)
 		secSeeds = append(secSeeds, b)
 		if len(b) > 2 {
 			secSeeds = append(secSeeds, b[:len(b)-2])
 		}
 	}
-	write("FuzzDecodeSections", append(secSeeds, []byte{}))
+	write("FuzzDecodeSections", slices.Concat(secSeeds, [][]byte{{}}, recordSectionSeeds(ModeOff, ModeRaw, ModeAdaptive)))
 }

@@ -215,8 +215,7 @@ func FuzzDecodeRecords(f *testing.F) {
 			}
 			idsInto := make([][]uint32, 2)
 			masksInto := make([][]uint64, 2)
-			err = DecodeRecordsRank(data, w, idsInto, masksInto)
-			checkErr(t, err)
+			checkErr(t, DecodeRankLanesInto(data, idsInto, masksInto, w))
 		}
 	})
 }
@@ -227,7 +226,7 @@ func FuzzDecodeSections(f *testing.F) {
 		{Rank: 1, Slots: [][]uint32{{}, {4, 5, 6}}},
 	}
 	for _, mode := range []Mode{ModeOff, ModeRaw, ModeAdaptive} {
-		b, _ := (*Selector)(nil).EncodeSections(secs, 2, mode)
+		b, _ := (*Selector)(nil).EncodeSections(secs, 0, mode)
 		f.Add(b)
 		if len(b) > 2 {
 			f.Add(b[:len(b)-2])
@@ -236,31 +235,66 @@ func FuzzDecodeSections(f *testing.F) {
 	// Every hint a decode can report: a repeat in a delta stream, a raw block
 	// out of order, a bitmap.
 	for _, mode := range []Mode{ModeDelta, ModeRaw, ModeBitmap} {
-		b, _ := (*Selector)(nil).EncodeSections([]Section{{Rank: 2, Slots: [][]uint32{{7, 7, 9}, {9, 7, 8}}}, {Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, nil}}}, 2, mode)
+		b, _ := (*Selector)(nil).EncodeSections([]Section{{Rank: 2, Slots: [][]uint32{{7, 7, 9}, {9, 7, 8}}}, {Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, nil}}}, 0, mode)
 		f.Add(b)
 	}
 	f.Add([]byte{})
+	for _, b := range recordSectionSeeds(ModeOff, ModeRaw, ModeAdaptive) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gpus := range []int{1, 2} {
-			out, err := DecodeSections(data, gpus, 4)
-			checkErr(t, err)
-			if err != nil {
-				continue
-			}
-			total := 0
-			for _, sec := range out {
-				for s, slot := range sec.Slots {
-					total += len(slot)
-					// A relay unions on the hint: one stronger than the ids
-					// would drop or misorder them silently.
-					if want := hintOf(slot); sec.Hints[s] != want {
-						t.Fatalf("slot %v decoded with hint %d, its ids say %d", slot, sec.Hints[s], want)
+			// w = 0: plain ids; w > 0: records, a mask section behind every
+			// id block.
+			for _, w := range []int{0, 1, 2} {
+				out, err := DecodeSectionsScratch(data, gpus, w, 4, nil, nil, nil)
+				checkErr(t, err)
+				if err != nil {
+					continue
+				}
+				total := 0
+				for _, sec := range out {
+					for s, slot := range sec.Slots {
+						total += len(slot)
+						// A relay unions on the hint: one stronger than the ids
+						// would drop or misorder them silently.
+						if want := hintOf(slot); sec.Hints[s] != want || w > 0 && want != HintSet {
+							t.Fatalf("w=%d: slot %v decoded with hint %d, its ids say %d", w, slot, sec.Hints[s], want)
+						}
+						if w > 0 && len(sec.Masks[s]) != w*len(slot) {
+							t.Fatalf("w=%d: slot of %d ids decoded %d lane words", w, len(slot), len(sec.Masks[s]))
+						}
 					}
 				}
-			}
-			if total > idBound(len(data)) {
-				t.Fatalf("decoded %d ids from %d bytes — over-allocation", total, len(data))
+				if total > idBound(len(data)) {
+					t.Fatalf("decoded %d ids from %d bytes — over-allocation", total, len(data))
+				}
 			}
 		}
 	})
+}
+
+// recordSectionSeeds returns two-section messages of records (w = 1 and 2,
+// two slots each), each whole and truncated.
+func recordSectionSeeds(modes ...Mode) [][]byte {
+	var out [][]byte
+	for _, w := range []int{1, 2} {
+		secs := []Section{
+			{Rank: 1, Slots: [][]uint32{{3, 9, 300}, nil}},
+			{Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, {7}}},
+		}
+		for i := range secs {
+			secs[i].Masks = make([][]uint64, 2)
+			for s, ids := range secs[i].Slots {
+				for j := 0; j < len(ids)*w; j++ {
+					secs[i].Masks[s] = append(secs[i].Masks[s], uint64(j+s+1)<<(5*j))
+				}
+			}
+		}
+		for _, mode := range modes {
+			b, _ := (*Selector)(nil).EncodeSections(secs, w, mode)
+			out = append(out, b, b[:len(b)-2])
+		}
+	}
+	return out
 }

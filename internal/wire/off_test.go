@@ -11,8 +11,8 @@ import (
 
 // TestModeOffMessagesAreChecksummed: the default fixed-width packing is raw
 // blocks under a charging rule, not a second format. For one ModeOff message
-// of each kind — rank slots, butterfly sections, records, pairs, pairs with
-// lane sets — the
+// of each kind — rank slots, butterfly sections, records as a rank message
+// and as butterfly sections, pairs, pairs with lane sets — the
 // accounting is the paper's (fixed-width payload only, no scheme tallied),
 // the decode returns the input in input order, and every single-bit flip and
 // every truncation is an ErrCorrupt-typed error, never ids.
@@ -49,7 +49,7 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 	})
 
 	secs := []Section{{Rank: 2, Slots: slots}, {Rank: 5, Slots: [][]uint32{nil, {8, 1}, nil}}}
-	buf, st = sel.EncodeSections(secs, len(slots), ModeOff)
+	buf, st = sel.EncodeSections(secs, 0, ModeOff)
 	msgs = append(msgs, message{
 		name: "sections", buf: buf, st: st, raw: 4 * 8,
 		decode: func(b []byte) error {
@@ -82,24 +82,60 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 				masks[s] = append(masks[s], uint64(s+1)<<(7*i))
 			}
 		}
-		buf, st := NewRecordSelector().EncodeSlots(1, recordIDs, masks, w, ModeOff)
-		decode := func(b []byte) ([][]uint32, [][]uint64, error) {
-			ids, ms := make([][]uint32, len(recordIDs)), make([][]uint64, len(recordIDs))
-			return ids, ms, DecodeRecordsRank(b, w, ids, ms)
+		same := func(t *testing.T, got []Section, err error, ranks ...int) error {
+			for i, rank := range ranks {
+				if err != nil {
+					break
+				}
+				if got[i].Rank != rank {
+					t.Fatalf("records w=%d section %d: rank %d, want %d", w, i, got[i].Rank, rank)
+				}
+				for s := range recordIDs {
+					if !slices.Equal(got[i].Slots[s], recordIDs[s]) || !slices.Equal(got[i].Masks[s], masks[s]) {
+						t.Fatalf("records w=%d section %d slot %d: got %v %v, want %v %v", w, i, s, got[i].Slots[s], got[i].Masks[s], recordIDs[s], masks[s])
+					}
+				}
+			}
+			return err
+		}
+		rank := Section{Rank: 1, Slots: recordIDs, Masks: masks}
+		buf, st := sel.AppendRankSection(nil, rank, w, ModeOff)
+		decode := func(b []byte) ([]Section, error) {
+			got := Section{Slots: make([][]uint32, len(recordIDs)), Masks: make([][]uint64, len(recordIDs))}
+			return []Section{got}, DecodeRankLanesInto(b, got.Slots, got.Masks, w)
 		}
 		msgs = append(msgs, message{
 			name: fmt.Sprintf("records/w=%d", w), buf: buf, st: st, raw: 4 * int64(4+8*w),
-			decode: func(b []byte) error { _, _, err := decode(b); return err },
+			decode: func(b []byte) error { _, err := decode(b); return err },
 			same: func(t *testing.T, buf []byte) error {
-				ids, ms, err := decode(buf)
-				for s := range recordIDs {
-					if err == nil && (!slices.Equal(ids[s], recordIDs[s]) || !slices.Equal(ms[s], masks[s])) {
-						t.Fatalf("records w=%d slot %d: got %v %v, want %v %v", w, s, ids[s], ms[s], recordIDs[s], masks[s])
-					}
-				}
-				return err
+				got, err := decode(buf)
+				return same(t, got, err, 0)
 			},
 		})
+
+		// The same records as butterfly sections: every checksum — the mask
+		// sections' too — is seeded with the section's destination rank, so
+		// flipping the rank varint re-routes nothing silently.
+		secs := []Section{{Rank: 2, Slots: recordIDs, Masks: masks}, {Rank: 5, Slots: recordIDs, Masks: masks}}
+		buf, st = sel.EncodeSections(secs, w, ModeOff)
+		decodeSecs := func(b []byte) ([]Section, error) {
+			return DecodeSectionsScratch(b, len(recordIDs), w, 8, nil, nil, nil)
+		}
+		msgs = append(msgs, message{
+			name: fmt.Sprintf("sections/w=%d", w), buf: buf, st: st, raw: 8 * int64(4+8*w),
+			decode: func(b []byte) error { _, err := decodeSecs(b); return err },
+			same: func(t *testing.T, buf []byte) error {
+				got, err := decodeSecs(buf)
+				return same(t, got, err, 2, 5)
+			},
+		})
+		mask := appendMaskSection(nil, masks[0], len(recordIDs[0]), w, MaskRaw, sectionSeed(2))
+		if _, _, err := decodeMaskSection(mask, len(recordIDs[0]), w, nil, sectionSeed(2)); err != nil {
+			t.Fatalf("w=%d: mask section rejected under its own rank: %v", w, err)
+		}
+		if _, _, err := decodeMaskSection(mask, len(recordIDs[0]), w, nil, sectionSeed(5)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("w=%d: a mask section for rank 2 verified under rank 5: %v", w, err)
+		}
 	}
 
 	buf, st = AppendPairsRank(nil, pairs, nil, 0, ModeOff, false)

@@ -213,7 +213,7 @@ func AppendPairsRank(buf []byte, slots [][]frontier.Pair, lanes [][]uint64, w in
 		var scheme Scheme
 		buf, scheme = AppendPairsSorted(buf, pairs, mode, presorted)
 		if w > 0 {
-			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode))
+			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode), 0)
 		}
 		st.RawBytes += int64(12+8*w) * int64(len(pairs))
 		st.Selected[scheme]++
@@ -237,7 +237,7 @@ func DecodePairsRankInto(buf []byte, into [][]frontier.Pair, lanesInto [][]uint6
 		if w == 0 {
 			continue
 		}
-		lanes, n, err := decodeMaskSection(buf[off:], len(pairs), w, lanesInto[s][:0])
+		lanes, n, err := decodeMaskSection(buf[off:], len(pairs), w, lanesInto[s][:0], 0)
 		if err != nil {
 			return fmt.Errorf("wire: pairs slot %d lanes: %w", s, err)
 		}

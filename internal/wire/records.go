@@ -11,7 +11,10 @@ import (
 // Record codec for the multi-source shared sweep (MS-BFS): the sweep's
 // frontier records are (vertex id, query-set mask) pairs, where the mask is a
 // w-word bitset saying which of the K concurrent queries reached the vertex.
-// One encoded record block carries the records destined for one GPU slot:
+// One encoded record block carries the records destined for one GPU slot —
+// alone (AppendRecords), or as one slot of a rank message or butterfly
+// section with lane sets (AppendRankSection, AppendSections with w > 0), where
+// the mask section's checksum is seeded like its id block's:
 //
 //	id block        exactly the single-query block format (wire.go): scheme
 //	                byte, uvarint n, payload, CRC32. Ids are sorted ascending
@@ -88,8 +91,9 @@ func chooseMaskScheme(masks []uint64, n, w int, mode Mode) MaskScheme {
 }
 
 // appendMaskSection encodes the mask section (scheme byte, payload, CRC) for
-// n records of w words each, in id order.
-func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme) []byte {
+// n records of w words each, in id order; seed is the checksum's, as for the
+// id block it follows (see appendSorted).
+func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme, seed uint32) []byte {
 	start := len(dst)
 	dst = append(dst, byte(ms))
 	switch ms {
@@ -115,7 +119,7 @@ func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme) []by
 			}
 		}
 	}
-	sum := crc32.Checksum(dst[start:], crcTable)
+	sum := crc32.Update(seed, crcTable, dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
@@ -128,7 +132,7 @@ func AppendRecords(dst []byte, ids []uint32, masks []uint64, w int, mode Mode) (
 	var idScheme Scheme
 	dst, idScheme = AppendSorted(dst, ids, mode, true)
 	ms := chooseMaskScheme(masks, len(ids), w, mode)
-	return appendMaskSection(dst, masks, len(ids), w, ms), idScheme, ms
+	return appendMaskSection(dst, masks, len(ids), w, ms, 0), idScheme, ms
 }
 
 // DecodeRecordsAppend parses one record block at the start of buf, appending
@@ -144,7 +148,7 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	maskDst, n, err := decodeMaskSection(buf[off:], len(ids)-base, w, maskDst)
+	maskDst, n, err := decodeMaskSection(buf[off:], len(ids)-base, w, maskDst, 0)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -153,8 +157,9 @@ func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([
 
 // decodeMaskSection parses the mask section (scheme byte, payload, CRC) of n
 // records of w words each at the start of buf, appending the masks
-// (zero-initialized) to maskDst, and returns the bytes consumed.
-func decodeMaskSection(buf []byte, n, w int, maskDst []uint64) ([]uint64, int, error) {
+// (zero-initialized) to maskDst, and returns the bytes consumed. seed is the
+// running CRC the sender's checksum started from.
+func decodeMaskSection(buf []byte, n, w int, maskDst []uint64, seed uint32) ([]uint64, int, error) {
 	if 1+crcLen > len(buf) {
 		return nil, 0, corruptf("wire: mask section truncated (%d bytes left)", len(buf))
 	}
@@ -206,126 +211,8 @@ func decodeMaskSection(buf []byte, n, w int, maskDst []uint64) ([]uint64, int, e
 		return nil, 0, corruptf("wire: mask section truncated before checksum")
 	}
 	want := binary.LittleEndian.Uint32(buf[off:])
-	if got := crc32.Checksum(buf[:off], crcTable); got != want {
+	if got := crc32.Update(seed, crcTable, buf[:off]); got != want {
 		return nil, 0, corruptf("wire: mask checksum mismatch (got %08x, want %08x)", got, want)
 	}
 	return maskDst, off + crcLen, nil
-}
-
-// DecodeRecordsRank parses a record message of one block per destination GPU
-// slot, appending each slot's ids and masks to the corresponding entries of
-// idsInto and masksInto (len(idsInto) is the slot count). The zero-copy
-// arrival path of the sweep exchange: each block's count header pre-sizes the
-// grows. On error the contents of the destinations are unspecified.
-func DecodeRecordsRank(buf []byte, w int, idsInto [][]uint32, masksInto [][]uint64) error {
-	off := 0
-	for s := range idsInto {
-		ids, masks, n, err := DecodeRecordsAppend(buf[off:], w, idsInto[s], masksInto[s])
-		if err != nil {
-			return fmt.Errorf("wire: slot %d: %w", s, err)
-		}
-		idsInto[s], masksInto[s] = ids, masks
-		off += n
-	}
-	if off != len(buf) {
-		return corruptf("wire: %d trailing bytes after %d record slots", len(buf)-off, len(idsInto))
-	}
-	return nil
-}
-
-// maskMemo remembers one block's winning mask scheme plus the raw mask size
-// it won at, mirroring blockMemo for the id sub-block.
-type maskMemo struct {
-	scheme   MaskScheme
-	rawBytes int64
-}
-
-// RecordSelector adds per-(destination, slot) scheme memory to adaptive
-// record encoding: the id sub-block rides an embedded Selector and the mask
-// section keeps its own memo with the same [half, 2×] size window, so a
-// stable sweep frontier skips both probes. Not safe for concurrent use; the
-// sweep keeps one per rank.
-type RecordSelector struct {
-	ids  *Selector
-	memo map[blockKey]maskMemo
-}
-
-// NewRecordSelector returns an empty record selector.
-func NewRecordSelector() *RecordSelector {
-	return NewRecordSelectorSized(0)
-}
-
-// NewRecordSelectorSized returns an empty record selector with both scheme
-// memories (id and mask) pre-sized for the expected block count —
-// destinations × slots, known from the cluster shape — so the steady state
-// never pays map growth.
-func NewRecordSelectorSized(blocks int) *RecordSelector {
-	return &RecordSelector{ids: NewSelectorSized(blocks), memo: make(map[blockKey]maskMemo, blocks)}
-}
-
-// Reset forgets all scheme memory (id and mask), keeping the map storage, so
-// a pooled selector starts every sweep from the blank state a fresh one
-// would — per-sweep wire bytes stay bit-identical regardless of history.
-func (rs *RecordSelector) Reset() {
-	if rs == nil {
-		return
-	}
-	rs.ids.Reset()
-	if rs.memo != nil {
-		clear(rs.memo)
-	}
-}
-
-// chooseMask picks the mask scheme for one block through the memo. The memo
-// window keys on the raw mask size (8nw): while it stays within 2× of the
-// remembered size the remembered scheme is reused without the sparse-size
-// scan; a ratio change re-probes immediately.
-func (rs *RecordSelector) chooseMask(masks []uint64, n, w int, mode Mode, dst, slot int, raw int64) (MaskScheme, bool) {
-	if rs == nil || rs.memo == nil || mode != ModeAdaptive {
-		return chooseMaskScheme(masks, n, w, mode), false
-	}
-	key := blockKey{dst: dst, slot: slot}
-	if m, ok := rs.memo[key]; ok && m.rawBytes > 0 && raw > 0 &&
-		raw >= m.rawBytes/2 && raw <= 2*m.rawBytes {
-		rs.memo[key] = maskMemo{scheme: m.scheme, rawBytes: raw}
-		return m.scheme, true
-	}
-	ms := chooseMaskScheme(masks, n, w, mode)
-	rs.memo[key] = maskMemo{scheme: ms, rawBytes: raw}
-	return ms, false
-}
-
-// EncodeSlots encodes one destination rank's per-slot record lists as a
-// single message payload: one record block per slot, id schemes and mask
-// schemes both consulting their per-(dst, slot) memories. Stats counts the
-// fixed-width equivalent n·(4+8w) as raw bytes, the id scheme per block, and
-// a memo hit only when both sub-blocks encoded straight from memory — under
-// mode's charging rule, so ModeOff is charged the fixed-width equivalent
-// alone.
-func (rs *RecordSelector) EncodeSlots(dst int, slotIDs [][]uint32, slotMasks [][]uint64, w int, mode Mode) ([]byte, Stats) {
-	var st Stats
-	// Sized for raw id blocks and raw mask sections: exact for those, an
-	// upper bound for whatever the adaptive mode picks instead.
-	size := 0
-	for _, ids := range slotIDs {
-		size += blockLen(len(ids), 4*len(ids)) + 1 + 8*w*len(ids) + crcLen
-	}
-	buf := make([]byte, 0, size)
-	for s := range slotIDs {
-		ids := slotIDs[s]
-		n := len(ids)
-		var idScheme Scheme
-		var idHit bool
-		buf, idScheme, idHit = rs.ids.Append(buf, ids, mode, dst, s, true)
-		raw := 8 * int64(n) * int64(w)
-		ms, maskHit := rs.chooseMask(slotMasks[s], n, w, mode, dst, s, raw)
-		buf = appendMaskSection(buf, slotMasks[s], n, w, ms)
-		st.RawBytes += int64(n) * (4 + 8*int64(w))
-		st.Selected[idScheme]++
-		if idHit && maskHit {
-			st.MemoHits++
-		}
-	}
-	st.EncodedBytes = int64(len(buf))
-	return buf, st.charged(mode)
 }

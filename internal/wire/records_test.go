@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 )
 
@@ -102,62 +104,59 @@ func TestRecordCorruption(t *testing.T) {
 	}
 }
 
-func TestRecordSelectorRankRoundTrip(t *testing.T) {
+// TestRecordRankRoundTrip: a rank message of records is each slot's record
+// block back to back — on a fresh selector byte for byte what AppendRecords
+// writes per slot — and the Selector remembers both halves of a block: a
+// stable frontier hits the memory for its id block and its mask section alike.
+func TestRecordRankRoundTrip(t *testing.T) {
 	const w = 3
-	rs := NewRecordSelector()
-	slotIDs := make([][]uint32, 2)
-	slotMasks := make([][]uint64, 2)
-	slotIDs[0], slotMasks[0] = recordFixture(50, w, true)
-	slotIDs[1], slotMasks[1] = recordFixture(7, w, false)
+	sel := NewSelector()
+	sec := Section{Rank: 1, Slots: make([][]uint32, 2), Masks: make([][]uint64, 2), Hints: []Hint{HintSet, HintSet}}
+	sec.Slots[0], sec.Masks[0] = recordFixture(50, w, true)
+	sec.Slots[1], sec.Masks[1] = recordFixture(7, w, false)
+	var blocks []byte
+	for s := range sec.Slots {
+		blocks, _, _ = AppendRecords(blocks, sec.Slots[s], sec.Masks[s], w, ModeAdaptive)
+	}
 
-	var lastLen int
 	for iter := 0; iter < 3; iter++ {
-		buf, st := rs.EncodeSlots(1, slotIDs, slotMasks, w, ModeAdaptive)
-		if st.RawBytes != (4+8*w)*(50+7) {
-			t.Fatalf("raw bytes = %d", st.RawBytes)
+		buf, st := sel.AppendRankSection(nil, sec, w, ModeAdaptive)
+		if st.RawBytes != (4+8*w)*(50+7) || st.EncodedBytes != int64(len(buf)) {
+			t.Fatalf("iter %d: stats %+v for %d bytes", iter, st, len(buf))
 		}
-		if st.EncodedBytes != int64(len(buf)) {
-			t.Fatalf("encoded bytes = %d, len = %d", st.EncodedBytes, len(buf))
+		if want := int64(2 * min(iter, 1)); st.MemoHits != want {
+			t.Fatalf("iter %d: memo hits = %d, want %d", iter, st.MemoHits, want)
 		}
-		if iter > 0 {
-			if st.MemoHits != 2 {
-				t.Fatalf("iter %d: memo hits = %d, want 2", iter, st.MemoHits)
-			}
-			if len(buf) != lastLen {
-				t.Fatalf("memoized encode changed size: %d vs %d", len(buf), lastLen)
-			}
+		if !bytes.Equal(buf, blocks) {
+			t.Fatalf("iter %d: the rank message is not the slots' record blocks back to back", iter)
 		}
-		lastLen = len(buf)
-		idsInto := make([][]uint32, 2)
-		masksInto := make([][]uint64, 2)
-		if err := DecodeRecordsRank(buf, w, idsInto, masksInto); err != nil {
+		ids, masks := make([][]uint32, 2), make([][]uint64, 2)
+		if err := DecodeRankLanesInto(buf, ids, masks, w); err != nil {
 			t.Fatal(err)
 		}
-		for s := range slotIDs {
-			if len(idsInto[s]) != len(slotIDs[s]) {
-				t.Fatalf("slot %d: %d ids, want %d", s, len(idsInto[s]), len(slotIDs[s]))
-			}
-			for i := range slotIDs[s] {
-				if idsInto[s][i] != slotIDs[s][i] {
-					t.Fatalf("slot %d id %d mismatch", s, i)
-				}
-			}
-			for i := range slotMasks[s] {
-				if masksInto[s][i] != slotMasks[s][i] {
-					t.Fatalf("slot %d mask word %d mismatch", s, i)
-				}
+		for s := range sec.Slots {
+			if !slices.Equal(ids[s], sec.Slots[s]) || !slices.Equal(masks[s], sec.Masks[s]) {
+				t.Fatalf("slot %d does not round-trip", s)
 			}
 		}
 	}
 
 	// Reset forgets the memory: the next encode probes afresh (no hits) but
 	// produces the identical bytes.
-	rs.Reset()
-	buf, st := rs.EncodeSlots(1, slotIDs, slotMasks, w, ModeAdaptive)
-	if st.MemoHits != 0 {
-		t.Fatalf("post-reset memo hits = %d", st.MemoHits)
+	sel.Reset()
+	if buf, st := sel.AppendRankSection(nil, sec, w, ModeAdaptive); st.MemoHits != 0 || !bytes.Equal(buf, blocks) {
+		t.Fatalf("post-reset encode: %d memo hits, identical bytes %v", st.MemoHits, bytes.Equal(buf, blocks))
 	}
-	if len(buf) != lastLen {
-		t.Fatalf("post-reset encode changed size: %d vs %d", len(buf), lastLen)
+
+	// Records are sets: a slot whose ids repeat or descend does not decode.
+	for _, bad := range [][]uint32{{5, 5}, {9, 2}} {
+		buf, _ := (*Selector)(nil).AppendRankSection(nil, Section{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}, w, ModeRaw)
+		if err := DecodeRankLanesInto(buf, make([][]uint32, 1), make([][]uint64, 1), w); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("record slot %v decoded: %v", bad, err)
+		}
+		msg, _ := (*Selector)(nil).EncodeSections([]Section{{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}}, w, ModeRaw)
+		if _, err := DecodeSectionsScratch(msg, 1, w, 1, nil, nil, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("record section %v decoded: %v", bad, err)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			pgpu := 1 + rng.Intn(3)
 			secs := randSections(rng, pgpu)
-			buf, st := (*Selector)(nil).EncodeSections(secs, pgpu, mode)
+			buf, st := (*Selector)(nil).EncodeSections(secs, 0, mode)
 			got, err := DecodeSections(buf, pgpu, 64)
 			if err != nil {
 				t.Fatalf("mode %v trial %d: %v", mode, trial, err)
@@ -78,7 +78,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 // TestSectionsEmptyMessage covers the zero-section hop (a synchronization
 // message a butterfly hop still sends).
 func TestSectionsEmptyMessage(t *testing.T) {
-	buf, st := (*Selector)(nil).EncodeSections(nil, 2, ModeAdaptive)
+	buf, st := (*Selector)(nil).EncodeSections(nil, 0, ModeAdaptive)
 	if st.RawBytes != 0 {
 		t.Fatalf("empty message RawBytes = %d", st.RawBytes)
 	}
@@ -93,7 +93,7 @@ func TestSectionsEmptyMessage(t *testing.T) {
 func TestSectionsRejectCorruption(t *testing.T) {
 	secs := []Section{{Rank: 3, Slots: [][]uint32{{1, 2, 3}, {9}}}}
 	for _, mode := range []Mode{ModeOff, ModeAdaptive} {
-		buf, _ := (*Selector)(nil).EncodeSections(secs, 2, mode)
+		buf, _ := (*Selector)(nil).EncodeSections(secs, 0, mode)
 		if _, err := DecodeSections(append(append([]byte(nil), buf...), 0xff), 2, 8); err == nil {
 			t.Fatalf("mode %v: trailing byte accepted", mode)
 		}

@@ -7,15 +7,26 @@ package wire
 // block's size stays within 2× of the remembered one, encodes with that
 // scheme directly — skipping the full three-way size probe (and its sort
 // copy for raw winners). A size-ratio change falls back to full selection,
-// so phase transitions (frontier growth/collapse) re-probe immediately.
+// so phase transitions (frontier growth/collapse) re-probe immediately. A
+// block that carries lane sets (a sweep's records) remembers its mask
+// section's scheme the same way, in the same entry.
 
 type blockKey struct {
 	dst, slot int
 }
 
+// blockMemo is one block's remembered schemes and the raw sizes they won at:
+// the id block's, and the mask section's when the block carries lane sets.
 type blockMemo struct {
-	scheme   Scheme
-	rawBytes int64
+	scheme            Scheme
+	mask              MaskScheme
+	rawBytes, maskRaw int64
+}
+
+// inWindow reports whether a block of raw bytes may reuse the scheme that won
+// at was: within 2× either way of a non-empty remembered size.
+func inWindow(raw, was int64) bool {
+	return was > 0 && raw > 0 && raw >= was/2 && raw <= 2*was
 }
 
 // Selector adds per-(destination, slot) scheme memory to adaptive encoding.
@@ -91,15 +102,35 @@ func (sel *Selector) append(buf []byte, ids []uint32, mode Mode, dst, slot int, 
 	}
 	key := blockKey{dst: dst, slot: slot}
 	raw := 4 * int64(len(ids))
-	if m, ok := sel.memo[key]; ok && m.scheme != SchemeBitmap && m.rawBytes > 0 && raw > 0 &&
-		raw >= m.rawBytes/2 && raw <= 2*m.rawBytes {
-		out, scheme := appendSorted(buf, ids, forcedMode(m.scheme), hint, &sel.sortBuf, seed)
-		sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
-		return out, scheme, true
+	m := sel.memo[key]
+	hit := m.scheme != SchemeBitmap && inWindow(raw, m.rawBytes)
+	encode := ModeAdaptive
+	if hit {
+		encode = forcedMode(m.scheme)
 	}
-	out, scheme := appendSorted(buf, ids, ModeAdaptive, hint, &sel.sortBuf, seed)
-	sel.memo[key] = blockMemo{scheme: scheme, rawBytes: raw}
-	return out, scheme, false
+	out, scheme := appendSorted(buf, ids, encode, hint, &sel.sortBuf, seed)
+	m.scheme, m.rawBytes = scheme, raw
+	sel.memo[key] = m
+	return out, scheme, hit
+}
+
+// appendMasks appends the mask section of one (dst, slot) block's n records,
+// w words each, choosing its scheme through the same memory the id block
+// uses, and reports whether the memory decided.
+func (sel *Selector) appendMasks(buf []byte, masks []uint64, n, w int, mode Mode, dst, slot int, seed uint32) ([]byte, bool) {
+	if sel == nil || sel.memo == nil || mode != ModeAdaptive {
+		return appendMaskSection(buf, masks, n, w, chooseMaskScheme(masks, n, w, mode), seed), false
+	}
+	key := blockKey{dst: dst, slot: slot}
+	raw := 8 * int64(n) * int64(w)
+	m := sel.memo[key]
+	hit := inWindow(raw, m.maskRaw)
+	if !hit {
+		m.mask = chooseMaskScheme(masks, n, w, mode)
+	}
+	m.maskRaw = raw
+	sel.memo[key] = m
+	return appendMaskSection(buf, masks, n, w, m.mask, seed), hit
 }
 
 // EncodeRank encodes one destination rank's per-slot id lists as a single
@@ -115,7 +146,7 @@ func (sel *Selector) EncodeRank(dst int, slots [][]uint32, sorted []bool, mode M
 // are appended to buf and Stats count only the bytes this call produced.
 // Callers that reuse buffers across iterations hit zero steady-state
 // allocation. sorted is the per-slot presorted row (nil = nothing known);
-// the engine, which knows more, calls AppendRankHinted.
+// the engine, which knows more, calls AppendRankSection.
 func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
 	var hints []Hint
 	if sorted != nil {
@@ -129,31 +160,41 @@ func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []
 			sel.hintBuf = hints
 		}
 	}
-	return sel.appendRank(buf, dst, slots, hints, mode, 0)
+	return sel.appendRank(buf, Section{Rank: dst, Slots: slots, Hints: hints}, 0, mode, 0)
 }
 
-// AppendRankHinted is AppendRank under a per-slot Hint row (nil = nothing
-// known). The engine's exchanges own one buffer per in-flight message slot
-// (per hop for the butterfly, per destination for all-pairs), so a buffer is
-// never rewritten before the simulated barrier that guarantees its receipt.
-func (sel *Selector) AppendRankHinted(buf []byte, dst int, slots [][]uint32, hints []Hint, mode Mode) ([]byte, Stats) {
-	return sel.appendRank(buf, dst, slots, hints, mode, 0)
+// AppendRankSection is AppendRank of one section — sec.Slots for rank
+// sec.Rank under the hint row sec.Hints (nil = nothing known) — with w-word
+// lane sets when w > 0: each slot's id block is then followed by the mask
+// section of sec.Masks[s], its ids' lane sets in id order, and the ids must
+// be a set (a sweep's records). RawBytes counts 4+8w bytes per id. The
+// engine's exchanges own one buffer per in-flight message slot (per hop for
+// the butterfly, per destination for all-pairs), so a buffer is never
+// rewritten before the simulated barrier that guarantees its receipt.
+func (sel *Selector) AppendRankSection(buf []byte, sec Section, w int, mode Mode) ([]byte, Stats) {
+	return sel.appendRank(buf, sec, w, mode, 0)
 }
 
-// appendRank is AppendRankHinted with every block's checksum seed (see
-// appendSorted).
-func (sel *Selector) appendRank(buf []byte, dst int, slots [][]uint32, hints []Hint, mode Mode, seed uint32) ([]byte, Stats) {
+// appendRank is AppendRankSection with every checksum's seed (see
+// appendSorted). A block counts as a memo hit when the memory decided its id
+// block and, with lane sets, its mask section too.
+func (sel *Selector) appendRank(buf []byte, sec Section, w int, mode Mode, seed uint32) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
-	for s, ids := range slots {
+	for s, ids := range sec.Slots {
 		var scheme Scheme
 		var hit bool
 		hint := HintNone
-		if hints != nil {
-			hint = hints[s]
+		if sec.Hints != nil {
+			hint = sec.Hints[s]
 		}
-		buf, scheme, hit = sel.append(buf, ids, mode, dst, s, hint, seed)
-		st.RawBytes += 4 * int64(len(ids))
+		buf, scheme, hit = sel.append(buf, ids, mode, sec.Rank, s, hint, seed)
+		if w > 0 {
+			var maskHit bool
+			buf, maskHit = sel.appendMasks(buf, sec.Masks[s], len(ids), w, mode, sec.Rank, s, seed)
+			hit = hit && maskHit
+		}
+		st.RawBytes += int64(4+8*w) * int64(len(ids))
 		st.Selected[scheme]++
 		if hit {
 			st.MemoHits++

@@ -35,7 +35,10 @@
 //	        input, so adaptive encoding always round-trips the multiset.
 //
 // A rank-to-rank message (EncodeRank/DecodeRank) is gpusPerRank blocks
-// back to back, one per destination GPU slot.
+// back to back, one per destination GPU slot — each followed by its mask
+// section when the ids carry a sweep's w-word lane sets (AppendRankSection,
+// DecodeRankLanesInto; records.go). A butterfly hop message frames several
+// such payloads (sections.go).
 //
 // ModeOff — the paper's §V-B fixed-width packing, the default — is not a
 // second format: it writes raw blocks (input order kept, nothing sorted, no
@@ -52,8 +55,8 @@
 // a function of the id multiset alone, and a raw block's length is. Whoever
 // owns the ids sorts them, once, where the block is born, with
 // frontier.SortIDs / SortPairs and its own scatter scratch, and says so with a
-// Hint (AppendSorted's presorted, the hint row of AppendRankHinted and
-// Section, AppendPairsSorted); the encoders then only read. The engine goes
+// Hint (AppendSorted's presorted, a Section's hint row, AppendPairsSorted);
+// the encoders then only read. The engine goes
 // one step further: with a codec active it stages every slot as a set —
 // sorted in place in its send bins and compacted there (HintSet) — so the
 // encoder's duplicate scan goes too and a dense slot is bitmap-eligible. With
@@ -62,8 +65,9 @@
 // Decoders hand the hint back: bitmap blocks decode to a set by construction,
 // and DecodeSections scans delta blocks (ascending, a zero gap for every
 // repeat) and raw blocks (the sender's order) rather than trusting the sender,
-// so a relay unions what it forwards (frontier.MergeSortedArena) and never sorts it again. Without a
-// hint an encoder never touches the caller's slice: it sorts a copy, in the
+// so a relay unions what it forwards (frontier.MergeSortedArena; a sweep's
+// records, always sets, frontier.MergeRecords) and never sorts it again.
+// Without a hint an encoder never touches the caller's slice: it sorts a copy, in the
 // Selector's reusable scratch when there is one (one buffer per rank, sized
 // by its largest single block) and in a fresh allocation otherwise (Append,
 // AppendPairs — the outside caller's path). The codec itself stays a multiset
@@ -559,23 +563,46 @@ func EncodeRank(slots [][]uint32, mode Mode) ([]byte, Stats) {
 // Trailing bytes after the last block are rejected, as are all per-block
 // corruption forms Decode detects.
 func DecodeRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
-	return decodeRankHints(buf, gpusPerRank, nil, nil, nil, 0)
+	sec := Section{Slots: make([][]uint32, gpusPerRank)}
+	if err := sec.decode(buf, 0, nil, nil, 0); err != nil {
+		return nil, err
+	}
+	return sec.Slots, nil
 }
 
 // DecodeRankInto parses an EncodeRank message, appending each slot's ids to
-// the corresponding entry of into (len(into) is the slot count) and
-// returning the per-slot id counts. The zero-copy counterpart of DecodeRank:
-// each block's count header pre-sizes the grow, so decoding into reusable
-// arrival bins allocates nothing on the steady state. On error the contents
-// of into are unspecified (the caller abandons the exchange).
+// the corresponding entry of into (len(into) is the slot count). The
+// zero-copy counterpart of DecodeRank: each block's count header pre-sizes
+// the grow, so decoding into reusable arrival bins allocates nothing on the
+// steady state. On error the contents of into are unspecified (the caller
+// abandons the exchange).
 func DecodeRankInto(buf []byte, into [][]uint32) error {
+	return DecodeRankLanesInto(buf, into, nil, 0)
+}
+
+// DecodeRankLanesInto is DecodeRankInto for a message whose ids carry w-word
+// lane sets (AppendRankSection; w = 0: plain ids): each slot's lane sets are
+// appended to lanesInto[s] beside its ids. A record slot that is not a set is
+// corrupt.
+func DecodeRankLanesInto(buf []byte, into [][]uint32, lanesInto [][]uint64, w int) error {
 	off := 0
 	for s := range into {
+		base := len(into[s])
 		ids, n, _, err := DecodeAppend(buf[off:], into[s])
 		if err != nil {
 			return fmt.Errorf("wire: slot %d: %w", s, err)
 		}
 		into[s] = ids
+		off += n
+		if w == 0 {
+			continue
+		}
+		if hintOf(ids[base:]) != HintSet {
+			return corruptf("wire: slot %d: record ids are not a set", s)
+		}
+		if lanesInto[s], n, err = decodeMaskSection(buf[off:], len(ids)-base, w, lanesInto[s], 0); err != nil {
+			return fmt.Errorf("wire: slot %d lanes: %w", s, err)
+		}
 		off += n
 	}
 	if off != len(buf) {
@@ -584,43 +611,47 @@ func DecodeRankInto(buf []byte, into [][]uint32) error {
 	return nil
 }
 
-// decodeRankHints is DecodeRank plus what each slot's ids are known to be,
-// written into hints when that is non-nil: the butterfly exchange unions the
-// slots it relays, and may only union sets. A bitmap decodes to a set by
-// construction; a delta stream (ascending, a zero gap for every repeat) and a
-// raw block (its sender's order — with a codec active the engine stages sets,
-// with it off whatever the kernels left) are scanned: checked, not trusted. A
-// non-nil arena supplies the id buffers (per-iteration lifetime); a non-nil
-// scratch the slot row (bump, per-iteration). seed is every block's checksum
-// seed (see appendSorted).
-func decodeRankHints(buf []byte, gpusPerRank int, arena *frontier.Arena, h *SectionScratch, hints []Hint, seed uint32) ([][]uint32, error) {
-	var out [][]uint32
-	if h != nil {
-		out = h.takeSlotRow(gpusPerRank)
-	} else {
-		out = make([][]uint32, gpusPerRank)
-	}
-	grow := func(n int) []uint32 { return make([]uint32, 0, n) }
-	if arena != nil {
-		grow = arena.Alloc
-	}
+// decode parses one section's payload — a block per entry of sec.Slots, each
+// followed by the mask section of its ids' w-word lane sets into sec.Masks
+// when w > 0 — drawing ids from the arena and lane sets from words (nil
+// allocates), and, when sec.Hints is non-nil, writes what each slot's ids are
+// known to be: the butterfly exchange unions the slots it relays, and may
+// only union sets. A bitmap decodes to a set by construction; a delta stream
+// (ascending, a zero gap for every repeat) and a raw block (its sender's
+// order — with a codec active the engine stages sets, with it off whatever
+// the kernels left) are scanned: checked, not trusted. A record slot must be
+// a set. seed is every checksum's seed (see appendSorted).
+func (sec *Section) decode(buf []byte, w int, arena *frontier.Arena, words *frontier.Bump[uint64], seed uint32) error {
 	off := 0
-	for s := 0; s < gpusPerRank; s++ {
-		ids, n, scheme, err := decodeBlock(buf[off:], grow, seed)
+	for s := range sec.Slots {
+		ids, n, scheme, err := decodeBlock(buf[off:], arena.Alloc, seed)
 		if err != nil {
-			return nil, fmt.Errorf("wire: slot %d: %w", s, err)
+			return fmt.Errorf("wire: slot %d: %w", s, err)
 		}
-		out[s] = ids
-		if hints != nil {
-			hints[s] = HintSet
-			if scheme != SchemeBitmap {
-				hints[s] = hintOf(ids)
-			}
-		}
+		sec.Slots[s] = ids
 		off += n
+		if sec.Hints == nil && w == 0 {
+			continue
+		}
+		hint := HintSet
+		if scheme != SchemeBitmap {
+			hint = hintOf(ids)
+		}
+		if sec.Hints != nil {
+			sec.Hints[s] = hint
+		}
+		if w > 0 {
+			if hint != HintSet {
+				return corruptf("wire: slot %d: record ids are not a set", s)
+			}
+			if sec.Masks[s], n, err = decodeMaskSection(buf[off:], len(ids), w, words.Alloc(len(ids)*w), seed); err != nil {
+				return fmt.Errorf("wire: slot %d lanes: %w", s, err)
+			}
+			off += n
+		}
 	}
 	if off != len(buf) {
-		return nil, corruptf("wire: %d trailing bytes after %d slots", len(buf)-off, gpusPerRank)
+		return corruptf("wire: %d trailing bytes after %d slots", len(buf)-off, len(sec.Slots))
 	}
-	return out, nil
+	return nil
 }

@@ -313,6 +313,56 @@ func TestSweepRetry(t *testing.T) {
 	t.Fatal("no sweep recovered after a retry across 24 seeds")
 }
 
+// TestSweepRetryDegradation is TestRetryDegradation's sweep twin: a sweep
+// follows the service's butterfly, and one that recovers with DegradeAfter 1
+// ran the degraded profile — all-pairs on every superstep — and answers with
+// the clean sweep's trees.
+func TestSweepRetryDegradation(t *testing.T) {
+	g := RMAT(10)
+	ctx := context.Background()
+	sources := []int64{0, 1, 2, 3}
+	base := chaosConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2})
+	base.Exchange = ExchangeButterfly
+	clean, err := NewService(g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := clean.RunSweep(ctx, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := ref.Results[0]; r.ButterflyIterations == 0 || r.AllPairsIterations != 0 {
+		t.Fatalf("the clean sweep ran %d butterfly / %d all-pairs supersteps on a butterfly service", r.ButterflyIterations, r.AllPairsIterations)
+	}
+	for seed := uint64(1); seed <= 24; seed++ {
+		cfg := base
+		cfg.Inject = faults.New(seed, faults.KindCorrupt, 0.05).WithSites(faults.SiteSweep)
+		cfg.Retry = RetryPolicy{MaxAttempts: 8, DegradeAfter: 1}
+		svc, err := NewService(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := svc.RunSweep(ctx, sources)
+		if err != nil || br.Results[0].Attempts == 1 {
+			continue
+		}
+		for i, r := range br.Results {
+			if !r.Degraded || r.ButterflyIterations != 0 || r.AllPairsIterations == 0 {
+				t.Fatalf("seed %d: recovery on attempt %d: degraded %v, %d butterfly / %d all-pairs supersteps — the profile is all-pairs",
+					seed, r.Attempts, r.Degraded, r.ButterflyIterations, r.AllPairsIterations)
+			}
+			if !slices.Equal(r.Levels, ref.Results[i].Levels) || !slices.Equal(r.Parents, ref.Results[i].Parents) {
+				t.Fatalf("seed %d: degraded sweep recovery diverged at source %d", seed, sources[i])
+			}
+		}
+		if st := svc.FaultStats(); st.Degraded == 0 {
+			t.Fatalf("seed %d: degraded recovery but stats %+v", seed, st)
+		}
+		return
+	}
+	t.Fatal("no sweep recovered on the degraded profile across 24 seeds")
+}
+
 // TestRepairRetry: a Repair whose patch rounds are corrupted is retried from
 // the same prior — which a repair only reads, and copies afresh per attempt —
 // and every recovery is bit-identical to the fault-free repair, every failure
