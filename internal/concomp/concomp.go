@@ -48,7 +48,6 @@ type gpuState struct {
 	prop    []int64 // incoming proposals (min) for local slots
 	propDel []int64 // incoming proposals for delegates (local share)
 	changed []bool  // local label changed last iteration (frontier)
-	bins    *frontier.PairBins
 }
 
 // Run executes connected components over a partitioned graph.
@@ -65,13 +64,14 @@ func Run(sg *partition.Subgraphs, shape core.ClusterShape, opts Options) (*Resul
 	return &Result{Labels: labels, Converged: converged, Stats: stats}, nil
 }
 
-// rankState is one rank's side of the program (dense.Rank): its GPUs and its
-// replica of the delegate labels, consistent across ranks after every
-// reduction.
+// rankState is one rank's side of the program (dense.Rank): its GPUs, their
+// outgoing proposals and its replica of the delegate labels, consistent across
+// ranks after every reduction.
 type rankState struct {
 	sg         *partition.Subgraphs
 	opts       *Options
 	gpus       []*gpuState
+	bins       *frontier.PairBins
 	delLabels  []int64
 	delChanged []bool
 	delProp    []int64
@@ -91,7 +91,6 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			prop:    make([]int64, pg.NumLocal),
 			propDel: make([]int64, sg.D()),
 			changed: make([]bool, pg.NumLocal),
-			bins:    frontier.NewPairBins(len(sg.GPUs)),
 		}
 		for slot := int64(0); slot < pg.NumLocal; slot++ {
 			gs.labels[slot] = sg.Cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
@@ -106,6 +105,7 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			sg:         sg,
 			opts:       opts,
 			gpus:       gpus[r*pgpu : (r+1)*pgpu],
+			bins:       frontier.NewPairBins(len(sg.GPUs)),
 			delLabels:  append([]int64(nil), sg.Sep.DelegateGlobal...),
 			delChanged: make([]bool, sg.D()),
 			delProp:    make([]int64, sg.D()),
@@ -122,6 +122,7 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 // frontier optimization every practical label-propagation implementation
 // uses).
 func (r *rankState) Push() (comp float64) {
+	r.bins.Reset()
 	for _, gs := range r.gpus {
 		for i := range gs.prop {
 			gs.prop[i] = unset
@@ -129,7 +130,6 @@ func (r *rankState) Push() (comp float64) {
 		for i := range gs.propDel {
 			gs.propDel[i] = unset
 		}
-		gs.bins.Reset()
 		comp = max(comp, r.pushNormals(gs)+r.pushDelegates(gs))
 	}
 	return comp
@@ -153,7 +153,7 @@ func (r *rankState) ReduceDelegates(comm *mpi.Comm) {
 	}
 }
 
-func (r *rankState) Bins(s int) *frontier.PairBins { return r.gpus[s].bins }
+func (r *rankState) Bins() *frontier.PairBins { return r.bins }
 
 func (r *rankState) Apply(s int, prs []frontier.Pair) {
 	gs := r.gpus[s]
@@ -217,7 +217,7 @@ func (r *rankState) pushNormals(gs *gpuState) float64 {
 					gs.prop[local] = lbl
 				}
 			} else {
-				gs.bins.Add(owner, local, uint64(lbl))
+				r.bins.Add(owner, local, uint64(lbl))
 			}
 		}
 		for _, dv := range gs.pg.ND.Neighbors(slot) {

@@ -1,11 +1,15 @@
 package concomp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"gcbfs/internal/core"
+	"gcbfs/internal/dense"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -189,24 +193,57 @@ func TestRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
+// labelsDigest hashes the labels bit for bit.
+func labelsDigest(labels []int64) string {
+	h := sha256.New()
+	for _, l := range labels {
+		binary.Write(h, binary.LittleEndian, l)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
 // TestModelledCostPinned holds the shared dense loop to the statistics the
-// program's own loop reported before the two were merged (RMAT 10, 2×2×2).
+// program's own loop reported before the two were merged (RMAT 10, 2×2×2), and
+// on an odd rank count (3×1×2) to the statistics and labels the loop reported
+// before its pair exchange moved into core's pair round.
 func TestModelledCostPinned(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
-	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
-	res, err := Run(buildSub(t, el, shape, 16), shape, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantParts := metrics.Breakdown{
-		Computation:    4.3290272727272725e-05,
-		LocalComm:      4.079600000000001e-05,
-		RemoteNormal:   1.5223989795863506e-05,
-		RemoteDelegate: 6.616723978058684e-05,
-	}
-	if !res.Converged || res.Iterations != 5 || res.SimSeconds != 0.0001503259068491776 ||
-		res.Parts != wantParts || res.BytesNormal != 8076 || res.BytesDelegate != 13880 {
-		t.Fatalf("converged %v after %d iterations, %v s, parts %+v, %d normal and %d delegate bytes",
-			res.Converged, res.Iterations, res.SimSeconds, res.Parts, res.BytesNormal, res.BytesDelegate)
+	for _, want := range []struct {
+		shape  core.ClusterShape
+		stats  dense.Stats
+		labels string
+	}{
+		{core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}, dense.Stats{
+			Iterations: 5,
+			SimSeconds: 0.0001503259068491776,
+			Parts: metrics.Breakdown{
+				Computation:    4.3290272727272725e-05,
+				LocalComm:      4.079600000000001e-05,
+				RemoteNormal:   1.5223989795863506e-05,
+				RemoteDelegate: 6.616723978058684e-05,
+			},
+			BytesNormal:   8076,
+			BytesDelegate: 13880,
+		}, "88b698ff13804831"},
+		{core.ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}, dense.Stats{
+			Iterations: 5,
+			SimSeconds: 0.0001511203560014582,
+			Parts: metrics.Breakdown{
+				Computation:    4.44876494949495e-05,
+				LocalComm:      4.0800600000000004e-05,
+				RemoteNormal:   1.523554404915418e-05,
+				RemoteDelegate: 6.616723978058684e-05,
+			},
+			BytesNormal:   7764,
+			BytesDelegate: 13880,
+		}, "88b698ff13804831"},
+	} {
+		res, err := Run(buildSub(t, el, want.shape, 16), want.shape, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := labelsDigest(res.Labels); !res.Converged || res.Stats != want.stats || got != want.labels {
+			t.Errorf("%+v: converged %v, stats %#v, labels %s", want.shape, res.Converged, res.Stats, got)
+		}
 	}
 }

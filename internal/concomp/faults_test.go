@@ -2,6 +2,7 @@ package concomp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"gcbfs/internal/core"
@@ -10,9 +11,10 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// TestPayloadFaultSurfacesTypedError drives the decode panic site: a
-// mangled proposal payload must surface as a wire.ErrCorrupt-typed error,
-// never a bare panic or a partial result.
+// TestPayloadFaultSurfacesTypedError drives the decode panic site of core's
+// pair round, which every pair message shares: a mangled proposal payload
+// must surface as a wire.ErrCorrupt-typed error naming the pair payload, never
+// a bare panic or a partial result.
 func TestPayloadFaultSurfacesTypedError(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
@@ -32,6 +34,9 @@ func TestPayloadFaultSurfacesTypedError(t *testing.T) {
 			}
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("%v: error not wire.ErrCorrupt-typed: %v", kind, err)
+			}
+			if !strings.Contains(err.Error(), "pair payload") {
+				t.Fatalf("%v: error %q does not name the pair round's panic site", kind, err)
 			}
 			if in.Injected() == 0 {
 				t.Fatalf("%v: run failed but the injector fired nothing", kind)

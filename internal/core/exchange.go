@@ -46,6 +46,19 @@ package core
 // record), no codec kernel (codecWork, exchangeCounts.message/received) — not
 // a second format.
 //
+// (id, value) pairs have one exchange as well, and it is all-pairs only: the
+// pair round (pairRound), one point-to-point message per destination rank,
+// sent whether or not it is empty. It carries the tree resolution's parent
+// offers after the traversal (§VI-A3: the nn replay, the repair patch's two
+// rounds, the sweep's replay with a lane-set column) and the dense analytics'
+// values every iteration (§VI-D). Pairs get no butterfly, no presence gating
+// and no relay combining, for a measured reason. Profiled on
+// BenchmarkResolveParents/16x2x2-butterfly-adaptive (RMAT 16, 32 ranks, 97 605
+// pairs per query, 2-vCPU Intel Xeon), the pair encode, decode and sort took
+// 15 %, 14 % and 13 % of the CPU, and Isend + Recv 2 %. A butterfly would
+// re-encode each pair on 80/31 ≈ 2.58 hops on average at 32 ranks, and gating
+// would add a rendezvous, both to save part of that 2 %.
+//
 // When r > 0, two cleanup hops fold the remainder ranks into the hypercube:
 // a pre hop where each remainder rank i (q ≤ i < p) ships everything it
 // holds to its proxy rank i−q, then the log2(q) hypercube among ranks
@@ -81,8 +94,10 @@ package core
 // simulated remote-normal time differ.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
@@ -188,7 +203,8 @@ type exchangeCounts struct {
 	arrived      int64
 	// intra is the fixed-width volume applied directly between the rank's own
 	// GPUs (NVLink, not NIC) and dups the duplicates removed before sending —
-	// both filled in by lanes.exchange around the strategy's own accounting.
+	// both filled in by lanes.exchange around the strategy's own accounting
+	// (intra by the pair round itself).
 	intra, dups int64
 }
 
@@ -1087,6 +1103,159 @@ func stagingShare(total float64, part, sum int64) float64 {
 		return 0
 	}
 	return total * float64(part) / float64(sum)
+}
+
+// ---- pairs ----
+
+// pairRound is one rank's all-pairs round of (id, value) pairs — the tree
+// resolution's nn replay and the repair patch's two rounds (parents.go,
+// repair_tree.go), the sweep's lane replay (sweep_tree.go), the dense
+// analytics' iteration (ExchangePairs) — and the scratch it reuses: a bin per
+// destination GPU with a w-word lane-set column beside it when w > 0, a
+// message buffer per destination rank, and the arrival slots. A receiver holds
+// a message only until it has decoded it, and every caller reaches a
+// collective, or the end of the run, before it fills the same round again; a
+// caller with two rounds in flight at once (the repair patch) keeps two.
+type pairRound struct {
+	w       int
+	bins    *frontier.PairBins
+	lanes   [][]uint64 // per destination GPU, w words per pair in bin order
+	msgBufs [][]byte
+
+	arrivals     [][]frontier.Pair
+	arrivalLanes [][]uint64
+
+	// order, sortBuf, perm and permLanes are the stage's sort scratch.
+	order, sortBuf, perm []frontier.Pair
+	permLanes            []uint64
+}
+
+// newPairRound returns the round of one rank of shape over bins, with w
+// lane-set words per pair.
+func newPairRound(shape ClusterShape, bins *frontier.PairBins, w int) pairRound {
+	return pairRound{
+		w:            w,
+		bins:         bins,
+		lanes:        make([][]uint64, shape.P()),
+		msgBufs:      make([][]byte, shape.Ranks()),
+		arrivals:     make([][]frontier.Pair, shape.GPUsPerRank),
+		arrivalLanes: make([][]uint64, shape.GPUsPerRank),
+	}
+}
+
+// presize grows every bin to hold n pairs, and their lane sets, without
+// reallocating.
+func (x *pairRound) presize(n int) {
+	for g := range x.lanes {
+		x.bins.PerGPU[g] = slices.Grow(x.bins.PerGPU[g], n)
+		x.lanes[g] = slices.Grow(x.lanes[g], n*x.w)
+	}
+}
+
+// exchange runs the round at message tag: the bins for this rank's own GPUs go
+// straight to apply, every other rank's as one message of wire pair blocks (a
+// lane-set section behind each at w > 0). apply sees every block that lands on
+// one of this rank's GPUs, by local slot: the rank's own first, in bin order,
+// then each other rank's in rank order — in bin order too with the codec off,
+// and in the codec's canonical (ID, Val) order with one active (stage).
+// Accounting follows the frontier's charging rule (exchangeCounts.message,
+// received), and intra is the fixed-width volume applied within the rank.
+func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func(slot int, prs []frontier.Pair, lanes []uint64)) exchangeCounts {
+	rank, prank := comm.Rank(), comm.Size()
+	pgpu, w := len(x.arrivals), x.w
+	rec := int64(12 + 8*w)
+	codec := mode != wire.ModeOff
+	var c exchangeCounts
+	for dst := 0; dst < prank; dst++ {
+		slots, lanes := x.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], x.lanes[dst*pgpu:(dst+1)*pgpu]
+		if dst == rank {
+			for s, prs := range slots {
+				c.intra += rec * int64(len(prs))
+				apply(s, prs, lanes[s])
+			}
+			continue
+		}
+		var n int
+		for s := range slots {
+			n += len(slots[s])
+			if codec {
+				x.stage(slots[s], lanes[s])
+			}
+		}
+		// Room for the raw encoding, which a codec picks only when nothing
+		// is smaller.
+		buf := slices.Grow(x.msgBufs[dst][:0], n*int(rec)+16*pgpu)
+		payload, st := wire.AppendPairsRank(buf, slots, lanes, w, mode, codec)
+		x.msgBufs[dst] = payload
+		c.message(st, mode)
+		comm.Isend(dst, tag, payload)
+	}
+	for src := 0; src < prank; src++ {
+		if src == rank {
+			continue
+		}
+		buf := comm.Recv(src, tag)
+		if err := wire.DecodePairsRankInto(buf, x.arrivals, x.arrivalLanes, w); err != nil {
+			panic(fmt.Errorf("core: corrupt pair payload: %w", err))
+		}
+		var n int64
+		for s, prs := range x.arrivals {
+			n += int64(len(prs))
+			apply(s, prs, x.arrivalLanes[s])
+		}
+		c.received(mode, len(buf), rec*n)
+	}
+	return c
+}
+
+// stage sorts one slot where it lies into the pairs codec's (ID, Val) order: in
+// place at w = 0; at w > 0 through a key permutation — (ID, bin position) keys
+// radix-sorted, each run of equal IDs then ordered by Val, ties kept in bin
+// order — that carries every lane set with its pair.
+func (x *pairRound) stage(prs []frontier.Pair, lanes []uint64) {
+	w := x.w
+	if w == 0 {
+		frontier.SortPairs(prs, &x.sortBuf)
+		return
+	}
+	order := slices.Grow(x.order[:0], len(prs))
+	for i, pr := range prs {
+		order = append(order, frontier.Pair{ID: pr.ID, Val: uint64(i)})
+	}
+	frontier.SortPairs(order, &x.sortBuf)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].ID == order[lo].ID {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(order[lo:hi], func(a, b frontier.Pair) int {
+				return cmp.Compare(prs[a.Val].Val, prs[b.Val].Val)
+			})
+		}
+		lo = hi
+	}
+	perm, permLanes := slices.Grow(x.perm[:0], len(prs)), slices.Grow(x.permLanes[:0], len(lanes))
+	for _, o := range order {
+		perm = append(perm, prs[o.Val])
+		permLanes = append(permLanes, lanes[int(o.Val)*w:int(o.Val+1)*w]...)
+	}
+	copy(prs, perm)
+	copy(lanes, permLanes)
+	x.order, x.perm, x.permLanes = order, perm, permLanes
+}
+
+// ExchangePairs is the pair round of the dense analytics (internal/dense):
+// rank comm.Rank()'s bins — one per destination GPU of shape, filled GPU by
+// GPU — delivered as raw pair blocks (wire.ModeOff) at message tag, and every
+// block that lands on one of the rank's GPUs handed to apply by local slot,
+// the rank's own first, each in bin order. It returns the bytes sent and
+// received and the volume applied within the rank, all at ModeOff's 12 bytes
+// per pair, and the messages sent: one per other rank.
+func ExchangePairs(comm *mpi.Comm, shape ClusterShape, bins *frontier.PairBins, tag int, apply func(slot int, prs []frontier.Pair)) (sent, recv, intra, messages int64) {
+	x := newPairRound(shape, bins, 0)
+	c := x.exchange(comm, tag, wire.ModeOff, func(s int, prs []frontier.Pair, _ []uint64) { apply(s, prs) })
+	return c.sent, c.recv, c.intra, c.messages
 }
 
 // countIDs totals the ids across a slot list.

@@ -93,7 +93,7 @@ func TestPayloadFaultsSurfaceTypedErrors(t *testing.T) {
 		{"drop/allpairs-exchange", ExchangeAllPairs, faults.KindDrop, faults.SiteExchange, "exchange payload"},
 		{"corrupt/butterfly-hop", ExchangeButterfly, faults.KindCorrupt, faults.SiteExchange, "butterfly payload"},
 		{"truncate/butterfly-hop", ExchangeButterfly, faults.KindTruncate, faults.SiteExchange, "butterfly payload"},
-		{"corrupt/parents", ExchangeAllPairs, faults.KindCorrupt, faults.SiteParents, "parent payload"},
+		{"corrupt/parents", ExchangeAllPairs, faults.KindCorrupt, faults.SiteParents, "pair payload"},
 	}
 	sg := chaosGraph(t)
 	for _, tc := range cases {
@@ -189,7 +189,7 @@ func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 		name, site, wantMsg string
 	}{
 		{"probe", faults.SiteProbe, "probe payload"},
-		{"parents", faults.SiteParents, "parent payload"},
+		{"parents", faults.SiteParents, "pair payload"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= chaosSeeds; seed++ {

@@ -10,7 +10,6 @@ import (
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
-	"gcbfs/internal/wire"
 )
 
 // Canonical BFS-tree construction (paper §VI-A3). The paper outputs hop
@@ -76,11 +75,11 @@ import (
 //     the paper's "low cost" claim toward true. A repair wave preloads its
 //     levels instead of traversing to them, so it has no bits and replays
 //     every visited row (Session.childKnown), as RunRepair always does.
-//     With a codec active the sender radix-sorts each outgoing pair bin in
-//     place into the codec's canonical (ID, Val) order — the bins are its
-//     own and are reset by the next replay — and encodes them presorted;
-//     with the codec off they ship as generated, in raw pair blocks charged
-//     12 bytes per pair — one wire format and one decoder whatever the mode.
+//     The pairs travel in one all-pairs pair round (pairRound, exchange.go):
+//     with a codec active each outgoing bin is radix-sorted in place into the
+//     codec's canonical (ID, Val) order and encoded presorted; with the codec
+//     off it ships as generated, in raw pair blocks charged 12 bytes per pair
+//     — one wire format and one decoder whatever the mode.
 //
 // Past a barrier, every rank then writes one contiguous range of global ids
 // straight into the query's output arrays, reading all p GPUs' rows and, for a
@@ -131,9 +130,9 @@ import (
 // The three resolvers share the contract and what enforces it — the replay
 // pair's packing, the fold that keeps the smallest offer (foldParent), the
 // dd and nd row loops (ddPass, ndPass: the repair runs them over R's rows),
-// the pair exchange (exchangePairs), the delegate stripes, the missing-parent
-// panics — and the replay's wire format, whose pairs carry a lane set in a
-// sweep.
+// the delegate stripes, the missing-parent panics — and the pair round that
+// carries every replay (pairRound, exchange.go), whose pairs carry a lane set
+// in a sweep.
 //
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
@@ -147,7 +146,7 @@ import (
 // iterations).
 const parentLevelBits = 20
 
-// parentTagBase is the message tag of the resolution's first pair exchange,
+// parentTagBase is the message tag of the resolution's first pair round,
 // outside the iteration tag space; round r of a resolution sends at
 // parentTagBase+r. A cold run and a sweep have one round (a sweep's replay
 // carries all K lanes in it), a repair's patch two.
@@ -227,21 +226,11 @@ type parentScratch struct {
 	// (BenchmarkRepairResolve, against the graph's edges).
 	ddEdges, patchReads int64
 
-	// rounds are the resolution's pair exchanges: a full resolution has one
-	// (the nn replay), a repair's patch two (offers out, answers back), each
-	// with bins and message buffers of its own, because a rank fills round
-	// 1's while a peer may still be decoding what it sent in round 0.
-	rounds   []pairRound
-	sortBuf  []frontier.Pair   // radix scatter buffer of the in-place bin sort; grows to the largest bin
-	arrivals [][]frontier.Pair // per local slot, decode target
-}
-
-// pairRound is one pair exchange's outgoing state: a bin per destination GPU
-// and a message buffer per destination rank, which the receiver retains until
-// it has decoded it.
-type pairRound struct {
-	bins     *frontier.PairBins
-	payloads [][]byte
+	// rounds are the resolution's pair rounds: a full resolution has one (the
+	// nn replay), a repair's patch two (offers out, answers back), each with
+	// bins and message buffers of its own, because a rank fills round 1's while
+	// a peer may still be decoding what it sent in round 0.
+	rounds []pairRound
 }
 
 // finishQuery finishes this Session's query on one rank: the canonical parent
@@ -499,79 +488,31 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 			}
 		}
 	}
-	e.exchangePairs(rank, comm, ps, 0, accept)
+	e.resolveRound(comm, ps, 0, accept)
 }
 
 // pairBins returns the emptied pair bins of resolution round r, allocated with
-// the round's message buffers on first use.
+// the round on first use.
 func (ps *parentScratch) pairBins(e *Session, r int) *frontier.PairBins {
 	for len(ps.rounds) <= r {
-		ps.rounds = append(ps.rounds, pairRound{
-			bins:     frontier.NewPairBins(e.p),
-			payloads: make([][]byte, e.shape.Ranks()),
-		})
-	}
-	if ps.arrivals == nil {
-		ps.arrivals = make([][]frontier.Pair, e.shape.GPUsPerRank)
+		ps.rounds = append(ps.rounds, newPairRound(e.shape, frontier.NewPairBins(e.p), 0))
 	}
 	bins := ps.rounds[r].bins
 	bins.Reset()
 	return bins
 }
 
-// exchangePairs delivers round r's pair bins — one bin per destination GPU —
-// and applies every block that lands on one of this rank's GPUs: intra-rank
-// bins directly; inter-rank ones through the same codec policy as the
-// frontier exchange, sorted where they are born when a codec is active, raw
-// blocks in bin order charged 12 bytes per pair when compression is off. The
-// volume is reported in WireStats but, like the rest of the resolution,
-// excluded from simulated BFS time. Payload buffers are reused per round and
-// destination: the receiver holds the slice only until it has decoded it,
-// which is before it finishes the traversal, and the next resolution on this
-// scratch starts after every rank has.
-func (e *Session) exchangePairs(rank int, comm *mpi.Comm, ps *parentScratch, r int, apply func(gs *gpuState, prs []frontier.Pair)) {
-	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
-	mode := e.opts.Compression
-	gpus := e.rankGPUs(rank)
+// resolveRound runs resolution round r over the bins the caller filled and
+// counts its pairs and bytes; apply folds every block that lands on one of
+// this rank's GPUs. The volume is reported in WireStats but, like the rest of
+// the resolution, excluded from simulated BFS time.
+func (e *Session) resolveRound(comm *mpi.Comm, ps *parentScratch, r int, apply func(gs *gpuState, prs []frontier.Pair)) {
 	round := &ps.rounds[r]
 	atomic.AddInt64(&e.parentExchangePairs, round.bins.Count())
-
-	var rawBytes, wireBytes int64
-	codec := mode != wire.ModeOff
-	for dst := 0; dst < prank; dst++ {
-		slots := round.bins.PerGPU[dst*pgpu : (dst+1)*pgpu]
-		if dst == rank {
-			for s, prs := range slots {
-				apply(gpus[s], prs)
-			}
-			continue
-		}
-		if codec {
-			for _, prs := range slots {
-				frontier.SortPairs(prs, &ps.sortBuf)
-			}
-		}
-		payload, st := wire.AppendPairsRank(round.payloads[dst][:0], slots, nil, 0, mode, codec)
-		rawBytes += st.RawBytes
-		wireBytes += st.EncodedBytes
-		round.payloads[dst] = payload
-		comm.Isend(dst, parentTagBase+r, payload)
-	}
-	atomic.AddInt64(&e.parentPairRawBytes, rawBytes)
-	atomic.AddInt64(&e.parentPairWireBytes, wireBytes)
-	for src := 0; src < prank; src++ {
-		if src == rank {
-			continue
-		}
-		buf := comm.Recv(src, parentTagBase+r)
-		if err := wire.DecodePairsRankInto(buf, ps.arrivals, nil, 0); err != nil {
-			panic(fmt.Errorf("core: corrupt parent payload: %w", err))
-		}
-		for s, prs := range ps.arrivals {
-			apply(gpus[s], prs)
-		}
-	}
+	gpus := e.rankGPUs(comm.Rank())
+	c := round.exchange(comm, parentTagBase+r, e.opts.Compression, func(s int, prs []frontier.Pair, _ []uint64) { apply(gpus[s], prs) })
+	atomic.AddInt64(&e.parentPairRawBytes, c.sentRaw)
+	atomic.AddInt64(&e.parentPairWireBytes, c.sent)
 }
 
 // gatherSlots is the number of slots the gather takes from one GPU before it

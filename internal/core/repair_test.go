@@ -511,7 +511,7 @@ func TestRepairPatchFaultsSurfaceTypedErrors(t *testing.T) {
 			requireSameTree(t, fmt.Sprintf("seed %d", seed), r, clean)
 			continue
 		}
-		wantCorrupt(t, r != nil, err, "parent payload")
+		wantCorrupt(t, r != nil, err, "pair payload")
 	}
 	if hits["offers"] == 0 || hits["answers"] == 0 || hits["none"] == 0 {
 		t.Fatalf("seeds by first round hit: %v, want some of each", hits)

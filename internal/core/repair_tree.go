@@ -167,7 +167,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 	// Round 0: fold each offer, and answer the ones that came from one level
 	// below their target. Round 1: fold the answers.
 	answers := ps.pairBins(e, 1)
-	e.exchangePairs(rank, comm, ps, 0, func(gs *gpuState, prs []frontier.Pair) {
+	e.resolveRound(comm, ps, 0, func(gs *gpuState, prs []frontier.Pair) {
 		pg := gs.pg
 		for _, pr := range prs {
 			child := int32(pr.Val & (1<<parentLevelBits - 1))
@@ -182,7 +182,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			}
 		}
 	})
-	e.exchangePairs(rank, comm, ps, 1, accept)
+	e.resolveRound(comm, ps, 1, accept)
 
 	// Copy-and-patch gather: this rank's members, the non-members an offer
 	// reached — who keep their prior parent unless the offer beat it — and the

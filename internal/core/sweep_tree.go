@@ -26,9 +26,10 @@ package core
 //     uint32 (a sweep that collects parents needs vertex ids below 2^32−1: as
 //     int64 they would be the sweep's largest allocation), and meet in one
 //     min-reduce per stripe of the delegate directory, whose owner keeps it.
-//   - nn replay: one exchange whose pairs carry the sender's lane set (wire's
-//     pairs message with a mask section per block); the receiver finds "v's
-//     lanes at level L" in the history regrouped by vertex (laneIndex).
+//   - nn replay: one pair round whose pairs carry the sender's lane set (the
+//     round's lane-set column, a mask section behind each pairs block on the
+//     wire); the receiver finds "v's lanes at level L" in the history
+//     regrouped by vertex (laneIndex).
 //   - Gather: candidates are staged per (slot, lane), K lanes of a vertex side
 //     by side, because the K result arrays are the other way round; they, the
 //     levels and the unvisited -1s are written out last, a block of lanes at a
@@ -37,14 +38,11 @@ package core
 // Like the single tree, none of this is on the modelled clock.
 
 import (
-	"fmt"
 	"math/bits"
-	"slices"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
-	"gcbfs/internal/wire"
 )
 
 // laneHist is the frontier history of one vertex tier: for every level, in
@@ -300,12 +298,12 @@ func (e *sweepSession) resolveDelegateLanes(rank int, comm *mpi.Comm, gpus []*sw
 // replayLanes is the nn replay for all lanes: every visited normal vertex
 // offers itself, once per level it holds, to its nn neighbors one level down —
 // same-GPU neighbors directly, everything else as (destination, level, sender)
-// pairs carrying the lanes the sender holds that level in. On return this
-// rank's normal candidates are final.
+// pairs carrying the lanes the sender holds that level in, a w-word lane-set
+// column of the pair round (pairRound, exchange.go) that delivers them. On
+// return this rank's normal candidates are final.
 func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, ts *treeScratch) {
 	w, k := e.w, e.k
 	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
 	p64 := int64(e.p)
 
 	// The bins are sized for an even spread of the pairs the rank can emit (a
@@ -319,11 +317,9 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, t
 			most += int64(nix.off[slot+1]-nix.off[slot]) * gs.pg.NN.Degree(slot)
 		}
 	}
-	most = (most + most/8) / int64(e.p)
-	bins, binLanes := make([][]frontier.Pair, e.p), make([][]uint64, e.p)
-	for g := range bins {
-		bins[g], binLanes[g] = make([]frontier.Pair, 0, most), make([]uint64, 0, most*int64(w))
-	}
+	round := newPairRound(e.shape, frontier.NewPairBins(e.p), w)
+	round.presize(int((most + most/8) / int64(e.p)))
+	bins, binLanes := round.bins.PerGPU, round.lanes
 
 	pairs := make([]int64, 2*k)
 	remote := pairs[k:]
@@ -371,70 +367,14 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, t
 		e.pairRemote[q].Add(remote[q])
 	}
 
-	accept := func(s int, prs []frontier.Pair, lanes []uint64) {
+	c := round.exchange(comm, parentTagBase, e.opts.Compression, func(s int, prs []frontier.Pair, lanes []uint64) {
 		for i, pr := range prs {
 			if mine := ts.nix[s].lanes(pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), w); mine != nil {
 				offer(ts.ncand[s], int(pr.ID)*k, lanes[i*w:(i+1)*w], mine, uint32(pr.Val>>parentLevelBits))
 			}
 		}
-	}
-
-	// Intra-rank pairs apply directly; inter-rank pairs ship under the frontier
-	// exchange's codec policy, as the single tree's do: in ascending
-	// destination id (ties in generation order — the delta stream needs no
-	// more) when a codec is active, as generated when it is off.
-	mode := e.opts.Compression
-	codec := mode != wire.ModeOff
-	var wireBytes int64
-	var order, orderBuf []frontier.Pair
-	sorted, sortedL := make([][]frontier.Pair, pgpu), make([][]uint64, pgpu)
-	for dst := 0; dst < prank; dst++ {
-		slots, lanes := bins[dst*pgpu:(dst+1)*pgpu], binLanes[dst*pgpu:(dst+1)*pgpu]
-		if dst == rank {
-			for s := range slots {
-				accept(s, slots[s], lanes[s])
-			}
-			continue
-		}
-		var n int
-		for s, prs := range slots {
-			n += len(prs)
-			if !codec {
-				continue
-			}
-			order = order[:0]
-			for i, pr := range prs {
-				order = append(order, frontier.Pair{ID: pr.ID, Val: uint64(i)})
-			}
-			frontier.SortPairs(order, &orderBuf)
-			outP, outL := slices.Grow(sorted[s][:0], len(prs)), slices.Grow(sortedL[s][:0], len(lanes[s]))
-			for _, o := range order {
-				outP = append(outP, prs[o.Val])
-				outL = append(outL, lanes[s][int(o.Val)*w:int(o.Val+1)*w]...)
-			}
-			sorted[s], sortedL[s] = outP, outL
-		}
-		if codec {
-			slots, lanes = sorted, sortedL
-		}
-		// Room for the raw encoding, the largest there is.
-		payload, st := wire.AppendPairsRank(make([]byte, 0, n*(12+8*w)+16*pgpu), slots, lanes, w, mode, codec)
-		wireBytes += st.EncodedBytes
-		comm.Isend(dst, parentTagBase, payload)
-	}
-	e.pairWire.Add(wireBytes)
-	arrivals, arrLanes := make([][]frontier.Pair, pgpu), make([][]uint64, pgpu)
-	for src := 0; src < prank; src++ {
-		if src == rank {
-			continue
-		}
-		if err := wire.DecodePairsRankInto(comm.Recv(src, parentTagBase), arrivals, arrLanes, w); err != nil {
-			panic(fmt.Errorf("core: corrupt parent payload: %w", err))
-		}
-		for s := range arrivals {
-			accept(s, arrivals[s], arrLanes[s])
-		}
-	}
+	})
+	e.pairWire.Add(c.sent)
 }
 
 // gatherBlock is how many lanes the gather writes side by side. The K result

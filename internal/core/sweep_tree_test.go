@@ -203,7 +203,7 @@ func TestSweepCorruptReplaySurfacesTypedError(t *testing.T) {
 					t.Fatal(err)
 				}
 				rs, err := p.RunSweep(context.Background(), []int64{0, 1, 2}, Overrides{})
-				wantCorrupt(t, rs != nil, err, "parent payload")
+				wantCorrupt(t, rs != nil, err, "pair payload")
 				if in.Injected() == 0 {
 					t.Fatal("sweep failed but the injector fired nothing")
 				}

@@ -5,12 +5,13 @@
 // as (id, value) pairs over the nn edges.
 //
 // The loop owns everything the programs share: option defaults, the fault
-// injection sites, the all-pairs pair exchange (raw wire pair blocks, so a
-// corrupted message is a typed wire.ErrCorrupt, never a wrong score or
-// label), the timing model and its cross-rank reduction, and the statistics.
-// A program supplies the rest through Rank: its push kernels, its delegate
-// reduction (a min over labels, a rank-ordered sum over scores), how an
-// arriving pair folds in, and its update/convergence step.
+// injection sites, the timing model and its cross-rank reduction, and the
+// statistics. The pairs themselves cross ranks in core's pair round
+// (core.ExchangePairs), the one the BFS tree resolution uses: raw wire pair
+// blocks, so a corrupted message is a typed wire.ErrCorrupt, never a wrong
+// score or label. A program supplies the rest through Rank: its push kernels,
+// its delegate reduction (a min over labels, a rank-ordered sum over scores),
+// how an arriving pair folds in, and its update/convergence step.
 //
 // This is deliberately not core's superstep loop: a dense program has no
 // frontier, no OR-able delegate proposal and no exchange policy, and its
@@ -30,7 +31,6 @@ import (
 	"gcbfs/internal/partition"
 	"gcbfs/internal/simgpu"
 	"gcbfs/internal/simnet"
-	"gcbfs/internal/wire"
 )
 
 // Options is what every dense program configures the same way; a program's
@@ -102,8 +102,10 @@ type Rank interface {
 	// ReduceDelegates folds the GPUs' delegate contributions locally, then
 	// across ranks (the §V-A reduction with 64-bit payloads).
 	ReduceDelegates(comm *mpi.Comm)
-	// Bins returns the outgoing pair bins of the rank's GPU in local slot s.
-	Bins(s int) *frontier.PairBins
+	// Bins returns the rank's outgoing pair bins, one per destination GPU,
+	// which Push filled GPU by GPU: a destination's bin lists the pairs of the
+	// rank's first GPU, then its second's, and so on.
+	Bins() *frontier.PairBins
 	// Apply folds pairs arriving for local slot s into its accumulator.
 	Apply(s int, prs []frontier.Pair)
 	// Update applies the iteration's contributions to the rank's vertices
@@ -125,17 +127,6 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 	// stats and done are written by rank 0 only and read after the ranks join.
 	err = core.RunRanks(mpi.NewWorld(prank), opts.Inject, iterTag, func(rank int, comm *mpi.Comm) {
 		r := ranks[rank]
-		arrivals := make([][]frontier.Pair, pgpu)
-		// A message is charged as the fixed-width layout the model prices —
-		// 12 bytes per pair plus a 4-byte count per slot — whatever the
-		// blocks' framing weighs on the host.
-		msgBytes := func(slots [][]frontier.Pair) int64 {
-			n := 4 * int64(pgpu)
-			for _, prs := range slots {
-				n += 12 * int64(len(prs))
-			}
-			return n
-		}
 		for iter := 0; iter < opts.MaxIterations; iter++ {
 			// ---- Fault injection (chaos testing): see core's runRank.
 			if in := opts.Inject; in != nil {
@@ -144,38 +135,14 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 			comp := r.Push()
 			r.ReduceDelegates(comm)
 
-			// ---- Normal pair exchange: one message of raw pair blocks per
-			// destination rank.
-			var sentBytes, recvBytes, intraPairs int64
-			for dst := 0; dst < prank; dst++ {
-				if dst == rank {
-					for s := 0; s < pgpu; s++ {
-						for src := 0; src < pgpu; src++ {
-							prs := r.Bins(src).PerGPU[rank*pgpu+s]
-							intraPairs += int64(len(prs))
-							r.Apply(s, prs)
-						}
-					}
-					continue
-				}
-				slots := mergeForRank(r, dst, pgpu)
-				sentBytes += msgBytes(slots)
-				payload, _ := wire.AppendPairsRank(nil, slots, nil, 0, wire.ModeOff, false)
-				comm.Isend(dst, iter, payload)
-			}
-			for src := 0; src < prank; src++ {
-				if src == rank {
-					continue
-				}
-				buf := comm.Recv(src, iter)
-				if err := wire.DecodePairsRankInto(buf, arrivals, nil, 0); err != nil {
-					panic(fmt.Errorf("%s: corrupt payload: %w", program, err))
-				}
-				recvBytes += msgBytes(arrivals)
-				for s, prs := range arrivals {
-					r.Apply(s, prs)
-				}
-			}
+			// ---- Normal pair exchange: core's pair round, one message of raw
+			// pair blocks per destination rank. A message is charged as the
+			// fixed-width layout the model prices — 12 bytes per pair plus a
+			// 4-byte count per slot — whatever the blocks' framing weighs on
+			// the host.
+			sent, recv, intra, msgs := core.ExchangePairs(comm, shape, r.Bins(), iter, r.Apply)
+			slotBytes := 4 * int64(pgpu) * msgs
+			sentBytes, recvBytes := sent+slotBytes, recv+slotBytes
 
 			fin := r.Update(comm)
 
@@ -197,7 +164,7 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 			vec := []int64{int64(math.Float64bits(comp)), int64(math.Float64bits(local)),
 				int64(math.Float64bits(remoteNormal)), int64(math.Float64bits(remoteDelegate))}
 			comm.AllreduceMax(vec)
-			traffic := []int64{sentBytes + 12*intraPairs}
+			traffic := []int64{sentBytes + intra}
 			comm.AllreduceSum(traffic)
 			parts := metrics.Breakdown{
 				Computation:    math.Float64frombits(uint64(vec[0])),
@@ -220,18 +187,6 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 		}
 	})
 	return stats, done, err
-}
-
-// mergeForRank gathers every local GPU's pairs bound for dst's GPUs into one
-// list per destination slot.
-func mergeForRank(r Rank, dst, pgpu int) [][]frontier.Pair {
-	slots := make([][]frontier.Pair, pgpu)
-	for s := range slots {
-		for src := 0; src < pgpu; src++ {
-			slots[s] = append(slots[s], r.Bins(src).PerGPU[dst*pgpu+s]...)
-		}
-	}
-	return slots
 }
 
 // Gather assembles a global per-vertex array from each GPU's local slots

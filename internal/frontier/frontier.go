@@ -70,10 +70,6 @@ func (b *Bins) Count() int64 {
 	return c
 }
 
-// Bytes returns the wire payload size of all bins at 4 bytes per id,
-// excluding per-slot headers — the paper's 4·|Enn| volume accounting.
-func (b *Bins) Bytes() int64 { return 4 * b.Count() }
-
 // compactSorted drops repeated ids from a sorted list in place. Like mergeTwo
 // it steers by arithmetic, not by a branch on the data: every id is written at
 // the cursor, and the cursor moves on when the id differs from its

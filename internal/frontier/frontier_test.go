@@ -14,9 +14,6 @@ func TestBinsBasics(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatalf("Count = %d", b.Count())
 	}
-	if b.Bytes() != 12 {
-		t.Fatalf("Bytes = %d", b.Bytes())
-	}
 	b.Reset()
 	if b.Count() != 0 {
 		t.Fatal("Reset failed")

@@ -41,8 +41,3 @@ func (b *PairBins) Count() int64 {
 	}
 	return c
 }
-
-// Bytes returns the wire size at 12 bytes per pair (4-byte id + 8-byte
-// value), excluding headers — 3× the plain BFS exchange, the §VI-D point
-// about heavier traffic for general algorithms.
-func (b *PairBins) Bytes() int64 { return 12 * b.Count() }

@@ -20,9 +20,6 @@ func NewRecordBins(p, w int) *RecordBins {
 	return &RecordBins{w: w, IDs: make([][]uint32, p), Masks: make([][]uint64, p)}
 }
 
-// W returns the mask width in words.
-func (b *RecordBins) W() int { return b.w }
-
 // Add appends a record to gpu's bin. mask must be w words; it is copied.
 func (b *RecordBins) Add(gpu int, localID uint32, mask []uint64) {
 	b.IDs[gpu] = append(b.IDs[gpu], localID)
@@ -50,11 +47,6 @@ func (b *RecordBins) Count() int64 {
 	}
 	return c
 }
-
-// Bytes returns the fixed-width payload size of all bins at 4+8w bytes per
-// record, excluding per-slot headers — the record extension of the paper's
-// 4·|Enn| convention.
-func (b *RecordBins) Bytes() int64 { return (4 + 8*int64(b.w)) * b.Count() }
 
 // MergeRecords is the union of two record sets — strictly ascending ids x and
 // y, each with its w-word lane set (xl, yl: flat, in id order) — drawn from

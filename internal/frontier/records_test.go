@@ -11,9 +11,6 @@ func TestRecordBinsBasics(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatalf("count = %d", b.Count())
 	}
-	if b.Bytes() != 3*(4+8*w) {
-		t.Fatalf("bytes = %d", b.Bytes())
-	}
 	if m := b.Mask(0, 1); m[1] != 1<<63 {
 		t.Fatalf("mask view = %v", m)
 	}

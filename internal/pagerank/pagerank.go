@@ -60,7 +60,6 @@ type gpuState struct {
 	acc      []float64 // local accumulator
 	accDel   []float64 // delegate accumulator (local share)
 	outDeg   []int64   // global out-degree of local vertices (all local)
-	bins     *frontier.PairBins
 	dangling float64
 }
 
@@ -81,13 +80,14 @@ func Run(sg *partition.Subgraphs, shape core.ClusterShape, opts Options) (*Resul
 	return &Result{Ranks: scores, Stats: stats}, nil
 }
 
-// rankState is one rank's side of the program (dense.Rank): its GPUs and its
-// replica of the delegate scores, consistent across ranks after every
-// reduction.
+// rankState is one rank's side of the program (dense.Rank): its GPUs, their
+// outgoing contributions and its replica of the delegate scores, consistent
+// across ranks after every reduction.
 type rankState struct {
 	sg       *partition.Subgraphs
 	opts     *Options
 	gpus     []*gpuState
+	bins     *frontier.PairBins
 	delRanks []float64
 	delAcc   []float64
 }
@@ -103,7 +103,6 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			acc:    make([]float64, pg.NumLocal),
 			accDel: make([]float64, sg.D()),
 			outDeg: make([]int64, pg.NumLocal),
-			bins:   frontier.NewPairBins(len(sg.GPUs)),
 		}
 		for slot := int64(0); slot < pg.NumLocal; slot++ {
 			v := sg.Cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
@@ -123,6 +122,7 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			sg:       sg,
 			opts:     opts,
 			gpus:     gpus[r*pgpu : (r+1)*pgpu],
+			bins:     frontier.NewPairBins(len(sg.GPUs)),
 			delRanks: make([]float64, sg.D()),
 			delAcc:   make([]float64, sg.D()),
 		}
@@ -136,6 +136,7 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 
 // Push runs the push phase over all local edges.
 func (r *rankState) Push() (comp float64) {
+	r.bins.Reset()
 	for _, gs := range r.gpus {
 		gs.dangling = 0
 		for i := range gs.acc {
@@ -144,7 +145,6 @@ func (r *rankState) Push() (comp float64) {
 		for i := range gs.accDel {
 			gs.accDel[i] = 0
 		}
-		gs.bins.Reset()
 		comp = max(comp, r.pushNormals(gs)+r.pushDelegates(gs))
 	}
 	return comp
@@ -166,7 +166,7 @@ func (r *rankState) ReduceDelegates(comm *mpi.Comm) {
 	}
 }
 
-func (r *rankState) Bins(s int) *frontier.PairBins { return r.gpus[s].bins }
+func (r *rankState) Bins() *frontier.PairBins { return r.bins }
 
 func (r *rankState) Apply(s int, prs []frontier.Pair) {
 	gs := r.gpus[s]
@@ -238,7 +238,7 @@ func (r *rankState) pushNormals(gs *gpuState) float64 {
 			if owner == self {
 				gs.acc[local] += c
 			} else {
-				gs.bins.Add(owner, local, math.Float64bits(c))
+				r.bins.Add(owner, local, math.Float64bits(c))
 			}
 		}
 		for _, dv := range gs.pg.ND.Neighbors(slot) {

@@ -1,10 +1,14 @@
 package pagerank
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
 	"gcbfs/internal/core"
+	"gcbfs/internal/dense"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -184,43 +188,74 @@ func TestRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
+// scoresDigest hashes the scores bit for bit: a float sum's last bits depend on
+// the order its terms arrive in.
+func scoresDigest(scores []float64) string {
+	h := sha256.New()
+	for _, s := range scores {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(s))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
 // TestModelledCostPinned holds the shared dense loop to the statistics the
 // program's own loop reported before the two were merged (RMAT 10, 2×2×2),
-// for a full-budget run and for one a tolerance ends early.
+// for a full-budget run and for one a tolerance ends early, and on an odd rank
+// count (3×1×2) to the statistics the loop reported before its pair exchange
+// moved into core's pair round; every row pins the scores from then too.
 func TestModelledCostPinned(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
-	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
-	sg := buildSub(t, el, shape, 16)
 	for _, want := range []struct {
-		tolerance     float64
-		iterations    int
-		simSeconds    float64
-		parts         metrics.Breakdown
-		normal, deleg int64
+		shape     core.ClusterShape
+		tolerance float64
+		stats     dense.Stats
+		scores    string
 	}{
-		{0, 20, 0.000606626321262175, metrics.Breakdown{
-			Computation:    0.00018079808080808074,
-			LocalComm:      0.000163292,
-			RemoteNormal:   6.114660961457514e-05,
-			RemoteDelegate: 0.00026466895912234743,
-		}, 41280, 55520},
-		{1e-4, 9, 0.00027298184456797875, metrics.Breakdown{
-			Computation:    8.135913636363636e-05,
-			LocalComm:      7.34814e-05,
-			RemoteNormal:   2.751597432655883e-05,
-			RemoteDelegate: 0.0001191010316050563,
-		}, 18576, 24984},
+		{core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}, 0, dense.Stats{
+			Iterations: 20,
+			SimSeconds: 0.000606626321262175,
+			Parts: metrics.Breakdown{
+				Computation:    0.00018079808080808074,
+				LocalComm:      0.000163292,
+				RemoteNormal:   6.114660961457514e-05,
+				RemoteDelegate: 0.00026466895912234743,
+			},
+			BytesNormal:   41280,
+			BytesDelegate: 55520,
+		}, "62fd10d145818a8e"},
+		{core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}, 1e-4, dense.Stats{
+			Iterations: 9,
+			SimSeconds: 0.00027298184456797875,
+			Parts: metrics.Breakdown{
+				Computation:    8.135913636363636e-05,
+				LocalComm:      7.34814e-05,
+				RemoteNormal:   2.751597432655883e-05,
+				RemoteDelegate: 0.0001191010316050563,
+			},
+			BytesNormal:   18576,
+			BytesDelegate: 24984,
+		}, "c5215923b5b926cc"},
+		{core.ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}, 0, dense.Stats{
+			Iterations: 20,
+			SimSeconds: 0.0006113925583378446,
+			Parts: metrics.Breakdown{
+				Computation:    0.00018799195959595956,
+				LocalComm:      0.00016331999999999997,
+				RemoteNormal:   6.120882547812311e-05,
+				RemoteDelegate: 0.00026466895912234743,
+			},
+			BytesNormal:   39840,
+			BytesDelegate: 55520,
+		}, "825418eec9f60ad8"},
 	} {
 		opts := DefaultOptions()
 		opts.Tolerance = want.tolerance
-		res, err := Run(sg, shape, opts)
+		res, err := Run(buildSub(t, el, want.shape, 16), want.shape, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Iterations != want.iterations || res.SimSeconds != want.simSeconds || res.Parts != want.parts ||
-			res.BytesNormal != want.normal || res.BytesDelegate != want.deleg {
-			t.Fatalf("tolerance %g: %d iterations, %v s, parts %+v, %d normal and %d delegate bytes",
-				want.tolerance, res.Iterations, res.SimSeconds, res.Parts, res.BytesNormal, res.BytesDelegate)
+		if got := scoresDigest(res.Ranks); res.Stats != want.stats || got != want.scores {
+			t.Errorf("%+v, tolerance %g: stats %#v, scores %s", want.shape, want.tolerance, res.Stats, got)
 		}
 	}
 }
