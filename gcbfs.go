@@ -370,6 +370,7 @@ type Config struct {
 	// automatically with the paper's d ≤ 4n/p rule.
 	Threshold int64
 	// DirectionOptimized enables DOBFS (per-subgraph direction switching).
+	// A MutableService's repairs run forward whatever it says.
 	DirectionOptimized bool
 	// LocalAll2All enables the intra-rank staging optimization (L).
 	LocalAll2All bool

@@ -89,7 +89,8 @@ type SwitchFactors struct {
 // non-blocking delegate mask reduction).
 type Options struct {
 	// DirectionOptimized enables per-subgraph direction switching for the
-	// dd, dn and nd kernels (nn never uses DO, §IV-B).
+	// dd, dn and nd kernels (nn never uses DO, §IV-B). A repair wave always
+	// runs forward: improving preloaded levels has no backward form.
 	DirectionOptimized bool
 	// LocalAll2All runs the intra-rank aggregation of outgoing normal
 	// vertices peer-to-peer between the rank's GPUs (§V-B); without it the
@@ -471,9 +472,10 @@ type Session struct {
 
 	// childKnown reports that the GPUs' hasChild bits describe this query's
 	// levels: reset sets it for a traversal from nothing, resetTraversal clears
-	// it for a repair wave, whose levels are preloaded, not traversed. While it
-	// is clear the replay offers from every visited vertex (tests clear it on
-	// a cold run to diff the two replays).
+	// it for a repair wave, whose levels are preloaded, not traversed — the
+	// bits its kernels set (on top of the last cold run's) cover only what it
+	// re-levelled. While it is clear the replay offers from every visited
+	// vertex (tests clear it on a cold run to diff the two replays).
 	childKnown bool
 
 	// out is the in-flight query's global result arrays, allocated by the
@@ -583,7 +585,9 @@ type gpuState struct {
 	// cold traversal delivers the bit for nothing: such a neighbor, in its own
 	// superstep's frontier, pushes the vertex back over the symmetric edge, and
 	// the arrival finds it two levels above the depth it claims (applyIDs,
-	// kernelNN). Meaningful only while Session.childKnown.
+	// kernelNN). Meaningful only while Session.childKnown: a repair wave runs
+	// the same kernels and sets bits too, which its replay ignores, and reset
+	// clears them all before the next cold run.
 	hasChild *bitmask.Mask
 
 	// The three delegate masks carry what makes an untouched mask free to

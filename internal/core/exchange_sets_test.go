@@ -95,10 +95,10 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 	for r := range out {
 		out[r] = driven{strategy: pick(r), counts: make([]exchangeCounts, s.shape.Ranks()), applied: make([][]uint32, s.p)}
 	}
-	steps := waveSteps{apply: func(gs *gpuState, ids []uint32, depth int32) {
+	apply := func(gs *gpuState, ids []uint32, depth int32) {
 		a := &out[depth-1].applied[gs.pg.GPU]
 		*a = append(*a, ids...)
-	}}
+	}
 	world := s.acquireWorld()
 	world.SetSendHook(hook)
 	defer world.SetSendHook(nil)
@@ -108,7 +108,7 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 		go func(rank int) {
 			defer wg.Done()
 			comm, sc := world.Rank(rank), s.scratch[rank]
-			l := &sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc, w: wave{waveSteps: &steps}}
+			l := &sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc}
 			sc.rx.bind(&s.runEnv, rank, &sc.exchangeScratch, l)
 			for round, f := range fills {
 				for _, gs := range l.gpus {
@@ -122,7 +122,7 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 				ex := l.exchanger(out[round].strategy)
 				present := ex.announce(nil)
 				comm.AllreduceFused(nil, false, nil, present)
-				c := l.exchange(comm, ex, int32(round), present)
+				c := l.deliver(comm, ex, int32(round), present, apply)
 				arrivals := make([][]uint32, pgpu)
 				for slot, ids := range c.arrivals {
 					arrivals[slot] = slices.Clone(ids)

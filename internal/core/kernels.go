@@ -11,7 +11,15 @@ import (
 // This file implements the local computation of one BFS iteration (§IV,
 // Fig. 3): the previsit kernels that form queues and estimate workloads, the
 // four visit kernels in their forward (push) and backward (pull) variants,
-// and the per-subgraph direction decisions.
+// and the per-subgraph direction decisions. They are the only kernels of a
+// single-source traversal: a cold run and a repair wave (repair.go) both run
+// runKernels, the repair with direction optimization off.
+//
+// The forward kernels and applyIDs share one visit rule, improves: a vertex
+// is visited at iter+1 when its level is unset or deeper. A cold traversal
+// never holds a level deeper than iter+1, so there it is the plain unvisited
+// test; a repair's preloaded levels may be, and the wave lowers them. The
+// backward kernels test the visited mask, which only a cold run pulls from.
 //
 // Work is counted exactly: forward kernels scan every neighbor of every
 // queued source; backward kernels count parent checks until the first
@@ -202,11 +210,16 @@ func (e *Session) decideDirections(gs *gpuState, pv previsitOut) {
 	gs.it.delegateStream += float64(2*(e.d/64)) / e.opts.GPU.VertexRate
 }
 
-// discover marks a local normal vertex visited at the given depth and
-// appends it to the output frontier. Parents are not recorded here: the
-// BFS tree is resolved canonically after the traversal (parents.go), so the
-// tree is a pure function of the hop distances and never depends on which
-// kernel or exchange strategy happened to reach a vertex first.
+// improves is the visit rule: a vertex at level l is (re-)levelled at iter+1
+// when l is unset or deeper. An unset level is -1, the largest uint32, so the
+// test is one compare.
+func improves(l, iter int32) bool { return uint32(l) > uint32(iter+1) }
+
+// discover sets a local normal vertex's level to depth, the visit rule having
+// passed it, and appends it to the output frontier. Parents are not recorded
+// here: the BFS tree is resolved canonically after the traversal (parents.go),
+// so the tree is a pure function of the hop distances and never depends on
+// which kernel or exchange strategy happened to reach a vertex first.
 func (gs *gpuState) discover(local uint32, depth int32) {
 	gs.levels[local] = depth
 	gs.outFront = append(gs.outFront, local)
@@ -216,7 +229,7 @@ func (gs *gpuState) discover(local uint32, depth int32) {
 }
 
 // kernelDD processes delegate→delegate edges into the new-delegate mask.
-func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
+func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 	var edges int64
 	var vertices int64
 	strategy := simgpu.MergePath
@@ -227,9 +240,8 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut) {
 		for _, u := range pv.qDD {
 			for _, dv := range gs.pg.DD.Neighbors(u) {
 				edges++
-				dvi := int64(dv)
-				if !gs.visited.Get(dvi) {
-					gs.propose(dvi)
+				if improves(gs.delegateLevel[dv], iter) {
+					gs.propose(int64(dv))
 				}
 			}
 		}
@@ -272,9 +284,8 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 		for _, u := range gs.inFront {
 			for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
 				edges++
-				dvi := int64(dv)
-				if !gs.visited.Get(dvi) {
-					gs.propose(dvi)
+				if improves(gs.delegateLevel[dv], iter) {
+					gs.propose(int64(dv))
 				}
 			}
 		}
@@ -313,7 +324,7 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 		for _, u := range pv.qDN {
 			for _, lv := range gs.pg.DN.Neighbors(u) {
 				edges++
-				if gs.levels[lv] == -1 {
+				if improves(gs.levels[lv], iter) {
 					gs.discover(lv, iter+1)
 				}
 			}
@@ -375,7 +386,7 @@ func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
 			owner := e.cfg.OwnerGPU(v)
 			local := uint32(v / p64)
 			if owner == self {
-				if lvl := gs.levels[local]; lvl == -1 {
+				if lvl := gs.levels[local]; improves(lvl, iter) {
 					gs.discover(local, iter+1)
 				} else if lvl == iter-1 {
 					gs.hasChild.Set(int64(local))
@@ -407,16 +418,14 @@ func rowSkew(maxRow, total, rows int64) float64 {
 	return float64(maxRow)/avg - 1
 }
 
-// runKernels executes one iteration's local computation on one GPU and
-// returns the previsit info (the run loop needs the workloads for stats).
-func (e *Session) runKernels(gs *gpuState, iter int32) previsitOut {
+// runKernels executes one iteration's local computation on one GPU.
+func (e *Session) runKernels(gs *gpuState, iter int32) {
 	pv := e.previsit(gs)
 	e.decideDirections(gs, pv)
 	// Delegate stream: dd then nd (both write the delegate mask).
-	e.kernelDD(gs, pv)
+	e.kernelDD(gs, pv, iter)
 	e.kernelND(gs, pv, iter)
 	// Normal stream: dn then nn (both write the normal frontier).
 	e.kernelDN(gs, pv, iter)
 	e.kernelNN(gs, pv, iter)
-	return pv
 }

@@ -22,18 +22,20 @@ import (
 // generation-cached kernels (kernels.go) must match to the last counter —
 // same proposals, same discover order, same edges and vertices charged.
 
-// refKernels is coldKernels over the reference backward variants; forward
-// kernels, previsit and nn are the production code (they did not change).
+// refKernels is runKernels on each of the rank's GPUs over the reference
+// backward variants; forward kernels, previsit and nn are the production code
+// (they did not change).
 func refKernels(e *Session, myGPUs []*gpuState, iter int32) {
 	qD := myGPUs[0].dFront.Count()
 	sD := e.d - myGPUs[0].visited.Count()
 	for _, gs := range myGPUs {
+		gs.it = iterWork{}
 		pv := e.previsit(gs)
 		refDecideDirections(e, gs, pv, qD, sD)
 		if gs.dirDD == metrics.Backward {
 			refBackwardDD(e, gs, pv)
 		} else {
-			e.kernelDD(gs, pv)
+			e.kernelDD(gs, pv, iter)
 		}
 		if gs.dirND == metrics.Backward {
 			refBackwardND(e, gs, iter)
@@ -136,18 +138,27 @@ func refBackwardDN(e *Session, gs *gpuState, iter int32) {
 	})
 }
 
-// runColdWith is Plan.Run with the cold wave's kernel set replaced.
+// kernelsSwapped is a cold run's lanes with the kernels replaced.
+type kernelsSwapped struct {
+	*sourceLanes
+	kernelSet func(*Session, []*gpuState, int32)
+}
+
+func (l kernelsSwapped) kernels(iter int32) { l.kernelSet(l.e, l.gpus, iter) }
+
+// runColdWith is Plan.Run with the kernels replaced: runWave, with the rank's
+// lanes wrapped.
 func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*gpuState, int32)) *metrics.RunResult {
 	t.Helper()
 	s := p.acquire(p.base)
 	defer p.release(s)
 	w := s.coldWave(source)
-	steps := *w.waveSteps
-	steps.kernels = kernels
-	w.waveSteps = &steps
 	ctx := context.Background()
 	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {
-		s.runWave(ctx, rank, comm, source, w)
+		sc := s.scratch[rank]
+		s.exchangers(rank)
+		sc.lanes = sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc, source: source, w: w}
+		s.runRank(ctx, rank, comm, kernelsSwapped{&sc.lanes, kernels}, &sc.loopScratch, w.schedule)
 	})
 	if err != nil {
 		t.Fatal(err)

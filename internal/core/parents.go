@@ -73,8 +73,10 @@ import (
 //     (TestReplayFilterOracle), and the pairs sent are the flagged rows'
 //     cross-GPU entries — about half the visited rows' on RMAT, which moves
 //     the paper's "low cost" claim toward true. A repair wave preloads its
-//     levels instead of traversing to them, so it has no bits and replays
-//     every visited row (Session.childKnown), as RunRepair always does.
+//     levels instead of traversing to them: the same kernels write bits, but
+//     only for what the wave re-levelled, so the replay ignores them and
+//     offers from every visited row (Session.childKnown), as RunRepair always
+//     does.
 //     The pairs travel in one all-pairs pair round (pairRound, exchange.go):
 //     with a codec active each outgoing bin is radix-sorted in place into the
 //     codec's canonical (ID, Val) order and encoded presorted; with the codec
@@ -452,8 +454,8 @@ func accept(gs *gpuState, prs []frontier.Pair) {
 // edges directly, everything else through the remote replay exchange. Only a
 // vertex with an nn neighbor one level down replays its row — foldParent
 // accepts an offer nowhere else — which a cold traversal has already worked
-// out (gpuState.hasChild); a repair wave has not, and replays every visited
-// row. On return this rank's parent rows are final.
+// out (gpuState.hasChild); a repair wave's bits cover only what it re-levelled,
+// so it replays every visited row. On return this rank's parent rows are final.
 func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 	p64 := int64(e.p)
 	bins := ps.pairBins(e, 0)

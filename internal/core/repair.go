@@ -20,16 +20,17 @@ package core
 //     the invalidated vertices' adjacency, with one exchange of raw wire
 //     blocks for remote nn probes and one mask allreduce for delegate seeds.
 //
-//   - Wave: the superstep loop itself (runEnv.runRank, run.go) — not a copy
-//     of it — entered through a wave value built from the schedule: it starts
-//     at the minimum seed level, injects each level's seeds when it gets
-//     there, stays alive through the deepest seeded level, runs the four
-//     forward repair kernels below and applies arrivals with repairApplyIDs.
-//     The visit condition everywhere is strict improvement (level == -1 ||
-//     level > iter+1), so inserts can lower still-valid vertices and
-//     invalidated ones re-derive at their exact new level. A vertex set at
-//     iteration ℓ holds its final level: all later offers are ≥ ℓ+2, so the
-//     monotone wave terminates and duplicates are structurally impossible.
+//   - Wave: a cold run's superstep loop, lanes and kernels (run.go,
+//     kernels.go) — not a copy of them — entered through a wave value built
+//     from the schedule: it starts at the minimum seed level, injects each
+//     level's seeds when it gets there and stays alive through the deepest
+//     seeded level. Direction optimization is off, so every kernel runs
+//     forward. The one visit rule of the forward kernels and of applyIDs
+//     (improves: level unset or deeper than iter+1) is strict improvement, so
+//     inserts can lower still-valid vertices and invalidated ones re-derive at
+//     their exact new level. A vertex set at iteration ℓ holds its final
+//     level: all later offers are ≥ ℓ+2, so the monotone wave terminates and
+//     duplicates are structurally impossible.
 //
 //   - Tree: the canonical parent resolution (parents.go) is a pure function
 //     of (levels, adjacency), so rerunning it over the repaired levels would
@@ -185,28 +186,36 @@ func (p *Plan) RunRepair(ctx context.Context, source int64, prior []int32, inval
 	return p.repair(ctx, opts, in)
 }
 
-// repair runs a validated repair on a pooled Session. A repair that may patch
-// starts its result as one contiguous copy of the prior's, made here on the
-// caller goroutine, which every rank then corrects at the entries it owns; the
-// others start from fresh arrays as a cold run does.
+// repair runs a validated repair on a pooled Session. The wave runs forward
+// only, whatever the options say: the improvement wave has no backward form.
 func (p *Plan) repair(ctx context.Context, opts Options, in *repairIn) (*metrics.RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	opts.DirectionOptimized = false
 	s := p.acquire(opts)
 	defer p.release(s)
-	s.resetTraversal()
+	return s.repair(ctx, in)
+}
+
+// repair executes one repair on this (already configured and exclusive)
+// session. A repair that may patch starts its result as one contiguous copy of
+// the prior's, made here on the caller goroutine, which every rank then
+// corrects at the entries it owns; the others start from fresh arrays as a
+// cold run does.
+func (e *Session) repair(ctx context.Context, in *repairIn) (*metrics.RunResult, error) {
+	e.resetTraversal()
 	var out treeOut
-	if in.parents != nil && opts.CollectParents {
+	if in.parents != nil && e.opts.CollectParents {
 		out.parents = slices.Clone(in.parents)
-		if opts.CollectLevels {
+		if e.opts.CollectLevels {
 			out.levels = slices.Clone(in.levels)
 		}
 	} else {
-		out = newTreeOut(&opts, p.sg.N)
+		out = newTreeOut(&e.opts, e.sg.N)
 	}
-	return s.traverse(ctx, in.source, out, func(rank int, comm *mpi.Comm) {
-		s.repairRank(ctx, rank, comm, in)
+	return e.traverse(ctx, in.source, out, func(rank int, comm *mpi.Comm) {
+		e.repairRank(ctx, rank, comm, in)
 	})
 }
 
@@ -499,14 +508,9 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	}
 
 	e.runWave(ctx, rank, comm, in.source, wave{
-		schedule:  schedule{first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts},
-		waveSteps: &repairSteps, repair: in,
+		schedule: schedule{first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts},
+		repair:   in,
 	})
-}
-
-var repairSteps = waveSteps{
-	kernels: (*Session).repairKernels, apply: repairApplyIDs,
-	finish: func(l *sourceLanes, comm *mpi.Comm) { l.e.finishRepair(l.rank, comm, l.w.repair) },
 }
 
 // injectSeeds moves the seeds scheduled at level iter into the frontier. The
@@ -532,137 +536,5 @@ func (e *Session) injectSeeds(myGPUs []*gpuState, sc *rankScratch, iter int32) {
 			}
 			gs.repCursor++
 		}
-	}
-}
-
-// repairDiscover sets a local normal vertex's improved (or re-derived) level,
-// queues it for the next wave front and lists it for the tree's re-pull.
-// Unlike discover it keeps no nd-source bookkeeping — the repair wave never
-// switches direction.
-func (gs *gpuState) repairDiscover(local uint32, depth int32) {
-	gs.levels[local] = depth
-	gs.outFront = append(gs.outFront, local)
-	gs.rep = append(gs.rep, local)
-}
-
-// repairApplyIDs is applyIDs under the strict-improvement condition: a
-// received id claims level depth, and the owner accepts exactly when that
-// strictly beats (or first sets) its current level. Values set by the wave
-// are final — every later offer is deeper — so re-visits are impossible.
-func repairApplyIDs(gs *gpuState, ids []uint32, depth int32) {
-	for _, id := range ids {
-		if l := gs.levels[id]; l == -1 || l > depth {
-			gs.repairDiscover(id, depth)
-		}
-	}
-}
-
-// repairKernels is the repair's kernel set: on each of the rank's GPUs, the
-// shared previsit (queues and workloads from the frontier masks) followed by
-// the four forward repair kernels. No direction decision — the improvement
-// wave has no backward formulation, so the paper's DO machinery stays off.
-func (e *Session) repairKernels(myGPUs []*gpuState, iter int32) {
-	for _, gs := range myGPUs {
-		pv := e.previsit(gs)
-		e.repairKernelDD(gs, pv, iter)
-		e.repairKernelND(gs, pv, iter)
-		e.repairKernelDN(gs, pv, iter)
-		e.repairKernelNN(gs, pv)
-	}
-}
-
-// repairKernelDD: delegate→delegate edges propose improvements into the
-// candidate mask, testing the replicated delegate levels; the post-reduction
-// commit (run.go) takes every proposed bit.
-func (e *Session) repairKernelDD(gs *gpuState, pv previsitOut, iter int32) {
-	var edges int64
-	strategy := simgpu.MergePath
-	if e.opts.ForceTWBForDD {
-		strategy = simgpu.TWBDynamic
-	}
-	for _, u := range pv.qDD {
-		for _, dv := range gs.pg.DD.Neighbors(u) {
-			edges++
-			if l := gs.delegateLevel[dv]; l == -1 || l > iter+1 {
-				gs.propose(int64(dv))
-			}
-		}
-	}
-	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
-		Edges: edges, Vertices: int64(len(pv.qDD)), Strategy: strategy,
-		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
-	})
-}
-
-// repairKernelND: normal→delegate edges propose improvements into the
-// candidate mask.
-func (e *Session) repairKernelND(gs *gpuState, pv previsitOut, iter int32) {
-	var edges int64
-	for _, u := range gs.inFront {
-		for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
-			edges++
-			if l := gs.delegateLevel[dv]; l == -1 || l > iter+1 {
-				gs.propose(int64(dv))
-			}
-		}
-	}
-	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
-		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic,
-		Skew: rowSkew(pv.maxND, pv.fvND, int64(len(gs.inFront))),
-	})
-}
-
-// repairKernelDN: delegate→normal edges improve owned normal vertices
-// directly.
-func (e *Session) repairKernelDN(gs *gpuState, pv previsitOut, iter int32) {
-	var edges int64
-	for _, u := range pv.qDN {
-		for _, lv := range gs.pg.DN.Neighbors(u) {
-			edges++
-			if l := gs.levels[lv]; l == -1 || l > iter+1 {
-				gs.repairDiscover(lv, iter+1)
-			}
-		}
-	}
-	gs.it.edgesScanned += edges
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
-		Edges: edges, Vertices: int64(len(pv.qDN)), Strategy: simgpu.TWBDynamic,
-		Skew: rowSkew(pv.maxDN, pv.fvDN, int64(len(pv.qDN))),
-	})
-}
-
-// repairKernelNN: normal→normal edges improve same-GPU destinations directly
-// and bin every remote destination — like the plain kernel, the sender cannot
-// see remote levels, so the receiver applies the improvement condition
-// (repairApplyIDs).
-func (e *Session) repairKernelNN(gs *gpuState, pv previsitOut) {
-	var edges int64
-	p64 := int64(e.p)
-	self := gs.pg.GPU
-	for _, u := range gs.inFront {
-		for _, v := range gs.pg.NN.Neighbors(int64(u)) {
-			edges++
-			owner := e.cfg.OwnerGPU(v)
-			local := uint32(v / p64)
-			if owner == self {
-				if l := gs.levels[local]; l == -1 || l > gs.levels[u]+1 {
-					gs.repairDiscover(local, gs.levels[u]+1)
-				}
-			} else {
-				gs.bin(owner, local)
-			}
-		}
-	}
-	gs.it.edgesScanned += edges
-	skew := rowSkew(pv.maxNN, pv.fvNN, int64(len(gs.inFront)))
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
-		Edges: edges, Vertices: int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic, Skew: skew,
-	})
-	if binned := gs.it.binned; binned > 0 {
-		gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
-			Vertices: binned, Strategy: simgpu.TWBDynamic,
-		})
 	}
 }

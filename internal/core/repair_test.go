@@ -112,7 +112,9 @@ func requireSameTree(t *testing.T, what string, got, want *metrics.RunResult) {
 // TestWholeGraphRepairIsForwardBFS pins the repair wave to the BFS superstep:
 // a prior that voids every vertex but the root leaves the probe one seed, the
 // root at level 0, so the wave is a forward BFS and must cost, superstep by
-// superstep, exactly what Plan.Run without direction optimization costs.
+// superstep, exactly what Plan.Run without direction optimization costs —
+// on a plan with direction optimization too, since a repair never runs
+// backward.
 func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	source := repairSource(el)
@@ -122,30 +124,43 @@ func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 			t.Run(shape.String()+"/"+ex.String(), func(t *testing.T) {
 				opts := PlainBFSOptions()
 				opts.Exchange = ex
-				p := buildPlan(t, el, shape, 32, opts)
-				full, err := p.Run(ctx, source, Overrides{})
+				plain := buildPlan(t, el, shape, 32, opts)
+				full, err := plain.Run(ctx, source, Overrides{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := p.Graph().N
+				doOpts := DefaultOptions()
+				doOpts.Exchange = ex
+				do, err := NewPlan(plain.Graph(), shape, doOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := plain.Graph().N
 				prior, parents, invalid := make([]int32, n), make([]int64, n), make([]bool, n)
 				for v := range prior {
 					prior[v], parents[v], invalid[v] = -1, -1, true
 				}
 				prior[source], parents[source], invalid[source] = 0, source, false
-				rep, err := p.Repair(ctx, Prior{Source: source, Levels: prior, Parents: parents}, invalid, nil, Overrides{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(rep.Levels, full.Levels) {
-					t.Fatal("whole-graph repair levels differ from the forward BFS")
-				}
-				if rep.Iterations != full.Iterations {
-					t.Fatalf("whole-graph repair ran %d supersteps, forward BFS %d", rep.Iterations, full.Iterations)
-				}
-				for i := range full.PerIteration {
-					if got, want := rep.PerIteration[i].Parts, full.PerIteration[i].Parts; got != want {
-						t.Errorf("superstep %d charged %+v, forward BFS %+v", i, got, want)
+				for name, p := range map[string]*Plan{"plain": plain, "direction-optimized": do} {
+					rep, err := p.Repair(ctx, Prior{Source: source, Levels: prior, Parents: parents}, invalid, nil, Overrides{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(rep.Levels, full.Levels) {
+						t.Fatalf("%s: whole-graph repair levels differ from the forward BFS", name)
+					}
+					if rep.Iterations != full.Iterations {
+						t.Fatalf("%s: whole-graph repair ran %d supersteps, forward BFS %d", name, rep.Iterations, full.Iterations)
+					}
+					for i, want := range full.PerIteration {
+						got := rep.PerIteration[i]
+						if got.Parts != want.Parts || got.EdgesScanned != want.EdgesScanned {
+							t.Errorf("%s: superstep %d scanned %d edges and charged %+v, forward BFS %d and %+v",
+								name, i, got.EdgesScanned, got.Parts, want.EdgesScanned, want.Parts)
+						}
+						if got.DirDD != metrics.Forward || got.DirDN != metrics.Forward || got.DirND != metrics.Forward {
+							t.Errorf("%s: superstep %d ran dd/dn/nd %v/%v/%v, want all forward", name, i, got.DirDD, got.DirDN, got.DirND)
+						}
 					}
 				}
 			})

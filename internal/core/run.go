@@ -24,7 +24,11 @@ import (
 // communication structure of §V. Everything a traversal may vary sits behind
 // the lanes interface below; fault injection sites, the modelled clock's
 // assembly, the statistics and the terminate/cancel protocol are this one
-// loop's and nobody else's.
+// loop's and nobody else's. A cold BFS and a repair share more than the loop:
+// one lanes implementation (sourceLanes), one kernel set and one visit rule
+// (kernels.go). A repair differs only in what it starts from (its seed
+// schedule and preloaded levels), in running forward only, and in its
+// finisher. A sweep has its own lanes.
 //
 // A superstep is exactly two rendezvous (mpi.AllreduceFused; a test counts
 // them), because on the host a rendezvous — parking and waking every rank
@@ -135,34 +139,15 @@ type loopScratch struct {
 }
 
 // wave is what a single-source traversal may vary about its lanes: the part of
-// its frontier known beforehand, its steps, and — a repair — its input, from
-// which its finisher starts and for which the delegate commit lists what it
-// re-levels. (Three words beside the schedule, as before the finisher: Run's
-// rank closure captures a wave, and a query's allocated bytes are pinned.)
+// its frontier known beforehand and — a repair — its input. A cold run and a
+// repair run the same kernels under the same visit rule (kernels.go); a
+// repair's input decides only what the lanes list for its finisher (the
+// vertices the wave re-levels, rotate and commit) and which finisher runs:
+// finishRepair, which patches the prior tree where that is less work, or
+// finishQuery, which resolves the tree from nothing.
 type wave struct {
 	schedule
-	*waveSteps
 	repair *repairIn
-}
-
-// waveSteps are the steps a cold run and a repair take differently.
-type waveSteps struct {
-	// kernels runs one superstep's local computation on a rank's GPUs;
-	// apply is the per-id visit rule for ids that arrive over the exchange.
-	// A cold run has no prior levels: its kernels test the visited bitmask
-	// and may pull backwards, and arrivals claim unvisited vertices only. A
-	// repair's kernels test the preloaded levels for strict improvement.
-	kernels func(e *Session, myGPUs []*gpuState, iter int32)
-	apply   func(gs *gpuState, ids []uint32, depth int32)
-	// finish resolves and gathers one rank's share of the result, when the
-	// query collects one: a cold run from nothing (finishQuery), a repair by
-	// patching the prior tree where that is less work (finishRepair).
-	finish func(l *sourceLanes, comm *mpi.Comm)
-}
-
-var coldSteps = waveSteps{
-	kernels: (*Session).coldKernels, apply: applyIDs,
-	finish: func(l *sourceLanes, comm *mpi.Comm) { l.e.finishQuery(l.rank, comm, l.source) },
 }
 
 // The cold run's seed schedule is its source alone, at level 0 (read-only).
@@ -289,10 +274,10 @@ func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, er
 }
 
 // coldWave resets the session and seeds a cold BFS: the source enters the
-// frontier at depth 0 and the loop runs the direction-optimizing kernels.
+// frontier at depth 0.
 func (e *Session) coldWave(source int64) wave {
 	e.reset()
-	w := wave{schedule: schedule{nSeeds: oneSeed, dSeeds: noSeed}, waveSteps: &coldSteps}
+	w := wave{schedule: schedule{nSeeds: oneSeed, dSeeds: noSeed}}
 	if e.sg.Sep.IsDelegate(source) {
 		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
@@ -684,13 +669,14 @@ func (e *Session) exchangers(rank int) *rankExchangers {
 }
 
 // kernels advances a repair's seed schedules with the wave (a cold run's are
-// empty — its source is already in the frontier) and runs the wave's kernels.
+// empty — its source is already in the frontier) and runs the kernels on each
+// of the rank's GPUs.
 func (l *sourceLanes) kernels(iter int32) {
 	l.e.injectSeeds(l.gpus, l.sc, iter)
 	for _, gs := range l.gpus {
 		gs.it = iterWork{}
+		l.e.runKernels(gs, iter)
 	}
-	l.w.kernels(l.e, l.gpus, iter)
 }
 
 // proposal ORs the GPUs' new-delegate masks into the rank's. Only a rank whose
@@ -712,11 +698,11 @@ func (l *sourceLanes) proposal() ([]uint64, bool) {
 	return rankMask.Words(), proposed
 }
 
-// commit takes every reduced bit at level iter+1 without re-testing it, for
-// a repair too: delegate levels are replicated and change only here, so a
-// bit a repair kernel set because the level it saw was -1 or deeper than
-// iter+1 still passes that test now, on every GPU. (visited is read by the
-// cold kernels only; a repair just carries it.)
+// commit takes every reduced bit at level iter+1 without re-testing it:
+// delegate levels are replicated and change only here, so a bit a kernel
+// proposed because the level it saw was unset or deeper than iter+1 still
+// passes that test now, on every GPU. (visited is read by the backward
+// kernels only; a repair, which never runs backward, just carries it.)
 func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
 	e, sc := l.e, l.sc
 	if !reduced {
@@ -791,6 +777,11 @@ func (l *sourceLanes) stage(dst int, row *wire.Section) int64 {
 // exchange is the normal-vertex exchange (§V-B): uniquify, the inter-rank
 // strategy, and the apply of everything that arrives.
 func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
+	return l.deliver(comm, ex, iter, present, applyIDs)
+}
+
+// deliver is exchange with the per-slot apply of what arrives as a parameter.
+func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, present []int64, apply func(gs *gpuState, ids []uint32, depth int32)) exchangeCounts {
 	e, sc, myGPUs := l.e, l.sc, l.gpus
 	pgpu := e.shape.GPUsPerRank
 	var dups int64
@@ -818,7 +809,7 @@ func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present
 			}
 			ids := src.bins.PerGPU[dstGPU]
 			counts.intra += 4 * int64(len(ids))
-			l.w.apply(e.gpus[dstGPU], ids, iter+1)
+			apply(e.gpus[dstGPU], ids, iter+1)
 		}
 	}
 	// Remote arrivals apply in canonical ascending order so every
@@ -833,7 +824,7 @@ func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present
 		if counts.arrivalHints == nil || counts.arrivalHints[s] != wire.HintSet {
 			frontier.SortIDs(ids, &sc.sortBuf)
 		}
-		l.w.apply(myGPUs[s], ids, iter+1)
+		apply(myGPUs[s], ids, iter+1)
 	}
 	// Scatter cost of applying received ids on the destination GPUs: every
 	// id that came in, before any union.
@@ -859,34 +850,40 @@ func (l *sourceLanes) tally() (w superstepWork) {
 	return w
 }
 
+// rotate makes the output frontier the next superstep's input. A repair lists
+// it for its finisher first: the output frontier is exactly what the superstep
+// re-levelled.
 func (l *sourceLanes) rotate() {
 	for _, gs := range l.gpus {
+		if l.w.repair != nil {
+			gs.rep = append(gs.rep, gs.outFront...)
+		}
 		gs.inFront, gs.outFront = gs.outFront, gs.inFront[:0]
 	}
 }
 
+// finish resolves and gathers the rank's share of the result, when the query
+// collects one: a repair's by patching the prior tree where that is less work
+// (finishRepair), a cold run's from nothing (finishQuery).
 func (l *sourceLanes) finish(comm *mpi.Comm) {
-	if l.e.collects() {
-		l.w.finish(l, comm)
+	switch {
+	case !l.e.collects():
+	case l.w.repair != nil:
+		l.e.finishRepair(l.rank, comm, l.w.repair)
+	default:
+		l.e.finishQuery(l.rank, comm, l.source)
 	}
 }
 
-// coldKernels is the cold run's kernel set: the direction-optimizing kernels
-// (kernels.go) on each of the rank's GPUs.
-func (e *Session) coldKernels(myGPUs []*gpuState, iter int32) {
-	for _, gs := range myGPUs {
-		e.runKernels(gs, iter)
-	}
-}
-
-// applyIDs marks received local ids visited at the given depth (duplicates
-// and already-visited ids are ignored, as on the receiving GPU). Parents are
-// resolved canonically after the traversal (parents.go), which wants one thing
-// of an ignored id: a vertex two levels above depth was pushed by an nn
-// neighbor one level below it (gpuState.hasChild).
+// applyIDs is the visit rule for received local ids claiming the given depth
+// (duplicates, and ids whose level the rule does not improve, are ignored, as
+// on the receiving GPU). Parents are resolved canonically after the traversal
+// (parents.go), which wants one thing of an ignored id: a vertex two levels
+// above depth was pushed by an nn neighbor one level below it
+// (gpuState.hasChild).
 func applyIDs(gs *gpuState, ids []uint32, depth int32) {
 	for _, id := range ids {
-		if lvl := gs.levels[id]; lvl == -1 {
+		if lvl := gs.levels[id]; improves(lvl, depth-1) {
 			gs.discover(id, depth)
 		} else if lvl == depth-2 {
 			gs.hasChild.Set(int64(id))

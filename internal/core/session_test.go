@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"gcbfs/internal/delta"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
@@ -97,6 +100,92 @@ func TestPooledSessionsDeterministic(t *testing.T) {
 			t.Fatalf("batch result %d has source %d, want %d", i, batch[i].Source, sources[i])
 		}
 		sameRun(t, "batch vs serial", serial[i], batch[i])
+	}
+}
+
+// TestPooledSessionSurvivesRepair runs Run → Repair → Run on one pooled
+// Session. The repair runs the cold run's kernels, which write child-level
+// bits (gpuState.hasChild) for the repair's own source; the second Run, from
+// another source, must not see them: it is bit-identical to the first, replay
+// pairs and pair bytes included.
+func TestPooledSessionSurvivesRepair(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(10))
+	shape := ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}
+	opts := DefaultOptions()
+	opts.CollectParents = true
+	opts.Compression = wire.ModeAdaptive
+	cfg := shape.PartitionConfig()
+	sg1, err := partition.Distribute(el, partition.Separate(el, 32), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := NewPlanEpoch(sg1, shape, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := delta.Synthesize(el, 0.01, delta.KindMixed, 3)
+	el2, err := delta.Apply(el, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg2, _, err := partition.DistributeIncremental(el2, partition.Separate(el2, 32), cfg, sg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := NewPlanEpoch(sg2, shape, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	repSrc := repairSource(el)
+	prior, err := p1.Run(ctx, repSrc, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSrc := int64(slices.Index(prior.Levels, 2))
+	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+
+	s := p2.acquire(opts)
+	defer p2.release(s)
+	first, err := s.run(ctx, runSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func() (words [][]uint64) {
+		for _, gs := range s.gpus {
+			words = append(words, slices.Clone(gs.hasChild.Words()))
+		}
+		return words
+	}
+	runBits := bits()
+
+	forward := opts
+	forward.DirectionOptimized = false
+	s.configure(forward)
+	rep, err := s.repair(ctx, &repairIn{source: repSrc, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Iterations == 0 || reflect.DeepEqual(bits(), runBits) {
+		t.Fatalf("the repair (%d supersteps) left the child-level bits as the run did: the test is vacuous", rep.Iterations)
+	}
+
+	s.configure(opts)
+	second, err := s.run(ctx, runSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Iterations < 3 || first.ParentPairs == 0 {
+		t.Fatalf("run from %d: %d supersteps, %d replay pairs: the test is vacuous", runSrc, first.Iterations, first.ParentPairs)
+	}
+	if second.ParentPairs != first.ParentPairs || second.Wire != first.Wire {
+		t.Fatalf("after a repair: %d replay pairs, wire %+v; before: %d, %+v",
+			second.ParentPairs, second.Wire, first.ParentPairs, first.Wire)
+	}
+	if !reflect.DeepEqual(first, second) {
+		sameRun(t, "after a repair", first, second)
+		t.Fatal("after a repair: the run's statistics differ")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -305,6 +307,76 @@ func TestSourcesShortGraph(t *testing.T) {
 		}
 		if deg[a[i]] == 0 {
 			t.Fatalf("Sources picked zero-degree vertex %d", a[i])
+		}
+	}
+}
+
+// TestDegenerateGraphs pins the facade's answers on the smallest inputs, on
+// every query path: an empty graph has no valid source, so Run, RunBatch and
+// RunSweep return the out-of-range error (no panic); a one-vertex graph's
+// source is its own root; an isolated source reaches nothing but itself.
+func TestDegenerateGraphs(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2})
+	cfg.CollectParents = true
+	service := func(n int64) *Service {
+		t.Helper()
+		svc, err := NewService(NewGraph(n), cfg)
+		if err != nil {
+			t.Fatalf("NewService(NewGraph(%d)): %v", n, err)
+		}
+		return svc
+	}
+	// answers runs one source through every path, each answer in a result.
+	answers := func(svc *Service, source int64) (map[string]*Result, error) {
+		out := map[string]*Result{}
+		r, err := svc.Run(ctx, source)
+		if err != nil {
+			return nil, fmt.Errorf("Run: %w", err)
+		}
+		out["Run"] = r
+		br, err := svc.RunBatch(ctx, []int64{source}, BatchOptions{Parallelism: 2})
+		if err != nil {
+			return nil, fmt.Errorf("RunBatch: %w", err)
+		}
+		out["RunBatch"] = br.Results[0]
+		if br, err = svc.RunSweep(ctx, []int64{source}); err != nil {
+			return nil, fmt.Errorf("RunSweep: %w", err)
+		}
+		out["RunSweep"] = br.Results[0]
+		return out, nil
+	}
+
+	empty := service(0)
+	for _, src := range []int64{0, -1} {
+		for name, err := range map[string]error{
+			"Run":      func() error { _, err := empty.Run(ctx, src); return err }(),
+			"RunBatch": func() error { _, err := empty.RunBatch(ctx, []int64{src}, BatchOptions{}); return err }(),
+			"RunSweep": func() error { _, err := empty.RunSweep(ctx, []int64{src}); return err }(),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("empty graph, %s from %d: err = %v, want the out-of-range error", name, src, err)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		n, source int64
+		levels    []int32
+		parents   []int64
+	}{
+		{1, 0, []int32{0}, []int64{0}},
+		{2, 1, []int32{-1, 0}, []int64{-1, 1}},
+	} {
+		got, err := answers(service(c.n), c.source)
+		if err != nil {
+			t.Fatalf("NewGraph(%d) from %d: %v", c.n, c.source, err)
+		}
+		for name, r := range got {
+			if !slices.Equal(r.Levels, c.levels) || !slices.Equal(r.Parents, c.parents) {
+				t.Errorf("NewGraph(%d), %s from %d: levels %v parents %v, want %v %v",
+					c.n, name, c.source, r.Levels, r.Parents, c.levels, c.parents)
+			}
 		}
 	}
 }
