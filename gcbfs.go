@@ -1247,8 +1247,8 @@ func (s *Service) RunSweep(ctx context.Context, sources []int64, opts ...QueryOp
 	if err != nil {
 		return nil, err
 	}
-	if len(sources) == 0 {
-		return &BatchResult{}, ctx.Err()
+	if len(sources) == 0 && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	uniq, lane := dedupSources(sources)
 	width := s.cfg.sweepWidth()

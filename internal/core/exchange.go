@@ -335,8 +335,15 @@ type exchanger interface {
 	rounds() int
 	// remoteTime converts one iteration's globally max-reduced volumes into
 	// the remote-normal timing. Deterministic: every rank computes the
-	// identical result.
+	// identical result. It is a pure function of in and of scratch the
+	// instance owns, and reads nothing the exchange wrote: the policy runs it
+	// on predict's volumes before the iteration's exchange has happened.
 	remoteTime(in remoteVolumes) remoteTiming
+	// predict returns the volumes this strategy would present to remoteTime
+	// for an exchange originating vol fixed-width bytes per rank, whose wire
+	// bytes are wireRatio of the raw (see policyFeedback.wireRatio). The
+	// result lives in the instance's buffers until the next call.
+	predict(vol int64, wireRatio float64) remoteVolumes
 }
 
 // payload is the lanes' side of the exchange — a single-source query's ids
@@ -419,9 +426,9 @@ func (rx *rankExchangers) get(strategy Exchange) exchanger {
 // hypercubeGeometry derives the generalized butterfly's shape for a rank
 // count: the largest power-of-two hypercube q that fits, the remainder
 // ranks folded in by the cleanup hops, and the log2(q) hypercube hop count.
-// The exchange (butterflyExchange) and the policy cost model
-// (exchangePolicy) both build on this single definition, so a predicted
-// hop profile always matches what the exchange executes.
+// The butterfly instance keeps it, and both its exchange and its predict
+// read it there, so a predicted hop profile always matches what the
+// exchange executes.
 func hypercubeGeometry(prank int) (q, rem, nhops int) {
 	q = 1 << (bits.Len(uint(prank)) - 1)
 	return q, prank - q, bits.Len(uint(q)) - 1
@@ -550,6 +557,8 @@ type allPairsExchange struct {
 	// terminating collective, which every rank passes before this buffer's
 	// next rewrite.
 	msgBufs [][]byte
+	// pred backs predict's one-round wire and codec vectors.
+	pred [2]int64
 }
 
 func (x *allPairsExchange) rounds() int { return 1 }
@@ -702,6 +711,42 @@ func (x *allPairsExchange) remoteTime(in remoteVolumes) remoteTiming {
 	return rt
 }
 
+// predict is one all-pairs round: vol on the wire as wireRatio says, floored
+// at pairs² bytes, received ≈ sent (the exchange is globally symmetric), and
+// with a codec active the encode and the decode of vol as one compute stage.
+func (x *allPairsExchange) predict(vol int64, wireRatio float64) remoteVolumes {
+	w := onWire(vol, wireRatio)
+	// Any volume at all still pays one message per destination — the round
+	// is synchronized on the reduced maxima, so even a near-empty predicted
+	// frontier meets every pair's latency floor. Below pairs² bytes the
+	// ceil-split message count collapses under the pair count and the
+	// prediction drops floors the measured side always charges; clamping
+	// there costs only a few bytes of phantom bandwidth.
+	if pairs := x.e.effPairs(); w > 0 && w < pairs*pairs {
+		w = pairs * pairs
+	}
+	x.pred = [2]int64{w, codecWork(x.e.opts.Compression, 2*vol)}
+	return remoteVolumes{
+		hopBytes:    x.pred[:1],
+		hopCodecRaw: x.pred[1:],
+		hopRecv:     x.pred[:1],
+		aggBytes:    x.e.aggregationBytes(vol),
+	}
+}
+
+// onWire converts a fixed-width volume into its predicted wire-byte
+// equivalent using the measured compression ratio.
+func onWire(vol int64, wireRatio float64) int64 {
+	if wireRatio == 1 || vol <= 0 {
+		return vol
+	}
+	w := int64(float64(vol) * wireRatio)
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
 // ---- butterfly ----
 
 type butterflyExchange struct {
@@ -727,6 +772,8 @@ type butterflyExchange struct {
 	// onSend, set by tests only, sees every hop's outgoing sections just
 	// before they are encoded.
 	onSend func(hop int, secs []wire.Section)
+	// predBytes/predCodec back predict's per-hop wire and codec vectors.
+	predBytes, predCodec []int64
 }
 
 // rounds counts the sequential communication rounds per iteration: the
@@ -894,6 +941,48 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exch
 	return c
 }
 
+// predict profiles the hops of an exchange originating vol bytes per rank.
+// With traffic spread uniformly over p−1 destinations, each hypercube hop
+// forwards about half the standing volume — vol·p/(2(p−1)) per hop, the
+// relay factor the strategy pays for its fewer messages — while the cleanup
+// hops move a remainder rank's full origination (pre) and a full rank's
+// worth of arrivals (post). Each hop receives what it sends (the hops are
+// pairwise exchanges), and the codec stages are assembled the way exchange()
+// assembles the measured ones: hop k's decode plus the re-encode feeding
+// hop k+1, the first hop's encode the pre stage.
+func (x *butterflyExchange) predict(vol int64, wireRatio float64) remoteVolumes {
+	prank := x.e.shape.Ranks()
+	mode := x.e.opts.Compression
+	hopVol := int64(float64(vol) * float64(prank) / (2 * float64(prank-1)))
+	n := x.rounds()
+	raw := func(k int) int64 {
+		if x.rem > 0 && (k == 0 || k == n-1) {
+			return vol
+		}
+		return hopVol
+	}
+	x.predBytes = grownInt64(x.predBytes, n)
+	x.predCodec = grownInt64(x.predCodec, n)
+	for k := range n {
+		x.predBytes[k] = onWire(raw(k), wireRatio)
+		stage := raw(k)
+		if k+1 < n {
+			stage += raw(k + 1)
+		}
+		x.predCodec[k] = codecWork(mode, stage)
+	}
+	in := remoteVolumes{
+		hopBytes:    x.predBytes,
+		hopCodecRaw: x.predCodec,
+		hopRecv:     x.predBytes,
+		aggBytes:    x.e.aggregationBytes(vol),
+	}
+	if n > 0 {
+		in.preCodecRaw = codecWork(mode, raw(0))
+	}
+	return in
+}
+
 // send encodes sections into one hop message for dst, accounts it, and
 // returns the hop's sent bytes. Empty hops still send (the partner's Recv is
 // unconditional) and still count as messages — they cross the NIC.
@@ -1035,23 +1124,24 @@ func (x *butterflyExchange) remoteTime(in remoteVolumes) remoteTiming {
 		}
 		nvTotal += preNV
 	}
-	sched := simnet.ExchangeSchedule{
-		HopBytes:  hopBytes,
-		HopCodec:  stages,
-		HopNVLink: nv,
-		PreCodec:  pre,
-		PreNVLink: preNV,
-		MsgCap:    msgCap,
-	}
-	base := net.PipelinedExchange(sched)
 	// Remote-normal is the two-resource (wire+codec) schedule; the NVLink
 	// tier's exposure is the marginal elapsed cost of carrying it — the
 	// difference between the three- and two-resource schedules — which
 	// run.go charges to LocalComm. The remainder of the tier hid under the
-	// schedule's transfers and compute.
-	wcSched := sched
-	wcSched.HopNVLink, wcSched.PreNVLink = nil, 0
-	wc := net.PipelinedExchange(wcSched)
+	// schedule's transfers and compute. Without the tier the two schedules
+	// are one.
+	sched := simnet.ExchangeSchedule{
+		HopBytes: hopBytes,
+		HopCodec: stages,
+		PreCodec: pre,
+		MsgCap:   msgCap,
+	}
+	wc := net.PipelinedExchange(sched)
+	base := wc
+	if x.e.hierExchange() {
+		sched.HopNVLink, sched.PreNVLink = nv, preNV
+		base = net.PipelinedExchange(sched)
+	}
 	exposedNV := base.Total - wc.Total
 	rt := remoteTiming{
 		seconds:       wc.Total,

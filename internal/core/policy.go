@@ -16,11 +16,12 @@ package core
 //	all-pairs:  ≈ pairs·α + V·β(msg) + codec(2V)     (p−1 sends per rank)
 //	butterfly:  ≈ hops·α + relay·V·β(msg') + codec   (log2(q) hops + cleanup)
 //
-// realized by running the predicted per-rank volume V through the exact
-// simnet curves the timing model charges (PointToPoint and
-// PipelinedExchange), with the codec compute each side would pay at simgpu
-// CodecRate. The butterfly's predicted codec stages overlap its predicted
-// transfers exactly as the timing model overlaps the measured ones.
+// realized by the strategy's own price: its exchanger predicts the volumes
+// the exchange would present for a per-rank volume V (exchanger.predict) and
+// its remoteTime — the very function that charges the measured iteration —
+// prices them. A charging-rule edit is therefore one edit, and the
+// butterfly's predicted codec and NVLink stages overlap its predicted
+// transfers exactly as the measured ones do.
 //
 // Two feedback signals, both derived from globally reduced quantities so
 // every rank sees identical values, tighten the estimate per session:
@@ -31,11 +32,6 @@ package core
 //   - calibration: a per-strategy EWMA of actual vs predicted remote-normal
 //     seconds scales subsequent predictions, absorbing systematic model
 //     bias near the crossover.
-
-import (
-	"gcbfs/internal/simnet"
-	"gcbfs/internal/wire"
-)
 
 // policyFeedback carries the measured feedback the BSP loop threads into
 // each iteration's decision. Every rank maintains its own copy, updated
@@ -145,13 +141,10 @@ type exchangePolicy struct {
 	// exists): 4 bytes per id × average out-degree × the nn edge fraction,
 	// since only nn edges generate inter-rank normal traffic.
 	expansion float64
-	// hypercube geometry (mirrors butterflyExchange).
-	q, rem, nhops int
 }
 
 func (e *runEnv) newExchangePolicy() *exchangePolicy {
 	prank := e.shape.Ranks()
-	q, rem, nhops := hypercubeGeometry(prank)
 	var expansion float64
 	if e.sg.N > 0 && e.sg.M > 0 {
 		avgDeg := float64(e.sg.M) / float64(e.sg.N)
@@ -163,9 +156,6 @@ func (e *runEnv) newExchangePolicy() *exchangePolicy {
 		e:          e,
 		prank:      prank,
 		expansion:  expansion,
-		q:          q,
-		rem:        rem,
-		nhops:      nhops,
 	}
 }
 
@@ -208,224 +198,42 @@ func (p *exchangePolicy) predictVolume(inputNormals, inputDelegates, prevNormals
 	return p.e.ampBytes(int64(perRank))
 }
 
-// codecOn reports whether the wire codec (and hence its compute cost) is in
-// play for this run.
-func (p *exchangePolicy) codecOn() bool {
-	return p.e.opts.Compression != wire.ModeOff
-}
-
-// onWire converts a fixed-width volume into its predicted wire-byte
-// equivalent using the measured compression ratio.
-func onWire(vol int64, wireRatio float64) int64 {
-	if wireRatio == 1 || vol <= 0 {
-		return vol
-	}
-	w := int64(float64(vol) * wireRatio)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// allPairsCost predicts an all-pairs exchange originating vol fixed-width
-// bytes per rank — exactly allPairsExchange.remoteTime applied to the
-// predicted volume. sec is the remote-normal prediction: the point-to-point
-// curve over the predicted wire bytes plus, with a codec active, the
-// single-round encode+decode compute over the raw bytes (never overlapped —
-// one round has no earlier transfer to hide under). nv is the hierarchical
-// NVLink tier's predicted exposure — the intra-rank aggregation plus the
-// send and receive staging copies (received volume ≈ sent, the exchange
-// being globally symmetric), all serial in a single round — which the
-// timing model charges to LocalComm, not remote-normal.
-func (p *exchangePolicy) allPairsCost(vol int64, wireRatio float64) (sec, nv float64) {
-	w := onWire(vol, wireRatio)
-	// Any volume at all still pays one message per destination — the round
-	// is synchronized on the reduced maxima, so even a near-empty predicted
-	// frontier meets every pair's latency floor. Below pairs² bytes the
-	// ceil-split message count collapses under the pair count and the
-	// prediction drops floors the measured side always charges; clamping
-	// there costs only a few bytes of phantom bandwidth.
-	if pairs := p.e.effPairs(); w > 0 && w < pairs*pairs {
-		w = pairs * pairs
-	}
-	net := p.e.opts.Net
-	t := net.PointToPoint(w, p.e.effMessageBytes(w))
-	if p.codecOn() {
-		t += p.e.opts.GPU.CodecTime(2 * vol)
-	}
-	if p.e.hierExchange() {
-		agg := p.e.aggregationBytes(vol)
-		nv = net.LocalExchange(agg, p.e.shape.GPUsPerRank) + 2*net.Staging(w)
-	}
-	return t, nv
-}
-
-// policyScratch backs one rank's per-iteration cost evaluation: the
-// butterfly hop profile, its wire-byte equivalent, and the codec and NVLink
-// stages. The shapes are fixed by the hypercube geometry (nhops+2 entries
-// at most), so after the first iteration the evaluation allocates nothing.
-// The policy object itself is shared by every rank goroutine and stays
-// immutable; the scratch is the per-rank mutable part, threaded in by the
-// BSP loop.
-type policyScratch struct {
-	hops, wire []int64
-	stages     []float64
-	nvStages   []float64
-}
-
-// butterflyHops predicts the per-hop volume profile of a butterfly exchange
-// originating vol bytes per rank. With traffic spread uniformly over p−1
-// destinations, each hypercube hop forwards about half the standing volume
-// — vol·p/(2(p−1)) per hop, the relay factor the strategy pays for its
-// fewer messages — while the cleanup hops move a remainder rank's full
-// origination (pre) and a full rank's worth of arrivals (post).
-func (p *exchangePolicy) butterflyHops(vol int64) []int64 {
-	return p.appendButterflyHops(nil, vol)
-}
-
-// appendButterflyHops is butterflyHops into a caller-owned buffer.
-func (p *exchangePolicy) appendButterflyHops(buf []int64, vol int64) []int64 {
-	hopVol := int64(float64(vol) * float64(p.prank) / (2 * float64(p.prank-1)))
-	hops := buf[:0]
-	if cap(hops) < p.nhops+2 {
-		hops = make([]int64, 0, p.nhops+2)
-	}
-	if p.rem > 0 {
-		hops = append(hops, vol)
-	}
-	for h := 0; h < p.nhops; h++ {
-		hops = append(hops, hopVol)
-	}
-	if p.rem > 0 {
-		hops = append(hops, vol)
-	}
-	return hops
-}
-
-// butterflyCodec predicts the per-hop codec compute stages of a butterfly
-// exchange with the given hop profile, mirroring how the exchange assembles
-// its measured stages: hop k's stage is its decode plus the re-encode
-// feeding hop k+1, and the first hop's encode precedes all communication.
-func (p *exchangePolicy) butterflyCodec(hops []int64) (stages []float64, pre float64) {
-	return p.appendButterflyCodec(nil, hops)
-}
-
-// appendButterflyCodec is butterflyCodec into a caller-owned buffer.
-func (p *exchangePolicy) appendButterflyCodec(buf []float64, hops []int64) (stages []float64, pre float64) {
-	stages = grownFloat64(buf, len(hops))
-	if !p.codecOn() || len(hops) == 0 {
-		return stages, 0
-	}
-	gpu := p.e.opts.GPU
-	for k := range hops {
-		raw := hops[k]
-		if k+1 < len(hops) {
-			raw += hops[k+1]
-		}
-		stages[k] = gpu.CodecTime(raw)
-	}
-	return stages, gpu.CodecTime(hops[0])
-}
-
-// butterflyCost predicts a butterfly exchange originating vol fixed-width
-// bytes per rank — butterflyExchange.remoteTime applied to the predicted
-// profiles: codec stages over the raw hop volumes, transfers over their
-// wire-byte equivalents, combined by the pipelined schedule. sec is the
-// remote-normal (wire+codec) prediction; nv the NVLink tier's
-// predicted exposure, charged to LocalComm by the timing model.
-func (p *exchangePolicy) butterflyCost(vol int64, wireRatio float64) (sec, nv float64) {
-	return p.butterflyCostS(vol, wireRatio, &policyScratch{})
-}
-
-// butterflyCostS is butterflyCost evaluated through a per-rank scratch.
-// Under the hierarchical exchange the predicted NVLink stages mirror how
-// butterflyExchange.remoteTime builds the measured ones: one staging charge
-// per direction per iteration spread over the hops in volume proportion
-// (received ≈ sent per hop — the hops are pairwise exchanges), the pre
-// stage the intra-rank aggregation plus the first send's share. The
-// predicted exposure is then the tier's marginal on the pipelined schedule
-// (three- minus two-resource total).
-func (p *exchangePolicy) butterflyCostS(vol int64, wireRatio float64, ps *policyScratch) (sec, nvOut float64) {
-	ps.hops = p.appendButterflyHops(ps.hops, vol)
-	hops := ps.hops
-	var pre float64
-	ps.stages, pre = p.appendButterflyCodec(ps.stages, hops)
-	stages := ps.stages
-	wireHops := hops
-	if wireRatio != 1 {
-		ps.wire = grownInt64(ps.wire, len(hops))
-		wireHops = ps.wire
-		for i, h := range hops {
-			wireHops[i] = onWire(h, wireRatio)
-		}
-	}
-	net := p.e.opts.Net
-	sched := simnet.ExchangeSchedule{
-		HopBytes: wireHops,
-		HopCodec: stages,
-		PreCodec: pre,
-		MsgCap:   p.e.opts.MessageBytes,
-	}
-	wc := net.PipelinedExchange(sched).Total
-	if !p.e.hierExchange() {
-		return wc, 0
-	}
-	var sendTot int64
-	for _, h := range wireHops {
-		sendTot += h
-	}
-	sendSecs := net.Staging(sendTot)
-	nv := grownFloat64(ps.nvStages, len(wireHops))
-	ps.nvStages = nv
-	for k := range wireHops {
-		nv[k] = stagingShare(sendSecs, wireHops[k], sendTot)
-		if k+1 < len(wireHops) {
-			nv[k] += stagingShare(sendSecs, wireHops[k+1], sendTot)
-		}
-	}
-	preNV := net.LocalExchange(p.e.aggregationBytes(vol), p.e.shape.GPUsPerRank)
-	if len(wireHops) > 0 {
-		preNV += stagingShare(sendSecs, wireHops[0], sendTot)
-	}
-	sched.HopNVLink, sched.PreNVLink = nv, preNV
-	return wc, net.PipelinedExchange(sched).Total - wc
-}
-
 // choose returns the strategy for the upcoming iteration plus its predicted
-// remote-normal seconds (calibrated by the session feedback). Fixed
-// configurations keep their strategy (the prediction is still recorded,
-// giving every run a predicted-vs-actual trace); hybrid takes the side
-// whose full price — calibrated remote-normal plus the raw NVLink-tier
-// exposure — is cheaper, preferring the butterfly on ties — equal-cost
-// iterations are latency-bound, where fewer messages also mean fewer
-// software overheads the model does not charge. The NVLink term rides
+// remote-normal seconds (calibrated by the session feedback), pricing each
+// side with the rank's own instance of it, as exchanger (the rank's
+// lanes.exchanger) returns it. Fixed configurations keep their strategy (the prediction
+// is still recorded, giving every run a predicted-vs-actual trace); hybrid
+// takes the side whose full price — calibrated remote-normal plus the raw
+// NVLink-tier exposure — is cheaper, preferring the butterfly on ties —
+// equal-cost iterations are latency-bound, where fewer messages also mean
+// fewer software overheads the model does not charge. The NVLink term rides
 // uncalibrated: its actual lands in LocalComm, outside the remote-normal
-// calibration pair, and its curves are the exact simnet forms anyway.
-func (p *exchangePolicy) choose(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback) (Exchange, float64) {
-	return p.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &policyScratch{})
-}
-
-// chooseS is choose evaluated through a per-rank scratch — the BSP loops
-// call it every iteration, so the cost evaluation must not allocate.
-func (p *exchangePolicy) chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback, ps *policyScratch) (Exchange, float64) {
+// calibration pair, and its curves are the exact simnet forms anyway. The
+// BSP loops call it every iteration, so it must not allocate.
+func (p *exchangePolicy) choose(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback, exchanger func(Exchange) exchanger) (Exchange, float64) {
 	vol := p.predictVolume(inputNormals, inputDelegates, prevNormals, prevOriginated, fb.skew)
-	switch p.configured {
-	case ExchangeAllPairs:
-		s, _ := p.allPairsCost(vol, fb.wireRatio)
-		return ExchangeAllPairs, s * fb.calib[ExchangeAllPairs]
-	case ExchangeButterfly:
-		s, _ := p.butterflyCostS(vol, fb.wireRatio, ps)
-		return ExchangeButterfly, s * fb.calib[ExchangeButterfly]
+	if p.configured != ExchangeHybrid {
+		s, _ := price(exchanger(p.configured), vol, fb.wireRatio)
+		return p.configured, s * fb.calib[p.configured]
 	}
 	if p.prank <= 1 {
 		return ExchangeAllPairs, 0
 	}
-	apS, apNV := p.allPairsCost(vol, fb.wireRatio)
-	bfS, bfNV := p.butterflyCostS(vol, fb.wireRatio, ps)
+	apS, apNV := price(exchanger(ExchangeAllPairs), vol, fb.wireRatio)
+	bfS, bfNV := price(exchanger(ExchangeButterfly), vol, fb.wireRatio)
 	ap := apS*fb.calib[ExchangeAllPairs] + apNV
 	bf := bfS*fb.calib[ExchangeButterfly] + bfNV
 	if bf <= ap {
 		return ExchangeButterfly, bfS * fb.calib[ExchangeButterfly]
 	}
 	return ExchangeAllPairs, apS * fb.calib[ExchangeAllPairs]
+}
+
+// price is one strategy's predicted remote-normal seconds and NVLink-tier
+// exposure (charged to LocalComm by the timing model) for an exchange
+// originating vol fixed-width bytes per rank: ex's remoteTime over what ex
+// predicts it would present.
+func price(ex exchanger, vol int64, wireRatio float64) (sec, nv float64) {
+	rt := ex.remoteTime(ex.predict(vol, wireRatio))
+	return rt.seconds, rt.nvlinkExposed
 }

@@ -9,28 +9,121 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// buildPolicy constructs a session (without running it) and returns its
-// exchange policy for direct cost-model inspection.
-func buildPolicy(t *testing.T, shape ClusterShape, opts Options) *exchangePolicy {
+// policyRig is a session's exchange policy (built without running it) beside
+// rank 0's strategy instances, which price its predictions.
+type policyRig struct {
+	*exchangePolicy
+	ex func(Exchange) exchanger
+}
+
+func buildPolicy(t *testing.T, shape ClusterShape, opts Options) policyRig {
 	t.Helper()
 	el := rmat.Generate(rmat.DefaultParams(10))
 	e := buildPlan(t, el, shape, 16, opts)
 	s := e.acquire(e.base)
 	defer e.release(s)
-	return s.newExchangePolicy()
+	pol := s.newExchangePolicy()
+	sc := newExchangeScratch(shape.Ranks(), shape.GPUsPerRank, 0)
+	return policyRig{pol, sc.rx.bind(pol.e, 0, &sc, nil).get}
+}
+
+// choose is the policy's decision priced on the rig's instances.
+func (r policyRig) choose(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback) (Exchange, float64) {
+	return r.exchangePolicy.choose(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, r.ex)
+}
+
+// cost is strategy s's predicted remote-normal seconds and NVLink-tier
+// exposure for vol bytes per rank at wire ratio 1.
+func (r policyRig) cost(s Exchange, vol int64) (sec, nv float64) {
+	return price(r.ex(s), vol, 1)
 }
 
 // apCost/bfCost unwrap the remote-normal component for the single-value
-// comparisons below — every shape here has one GPU per rank, so the
+// comparisons below — every shape they see has one GPU per rank, so the
 // hierarchical NVLink component is zero and this is the full cost.
-func apCost(pol *exchangePolicy, vol int64) float64 {
-	s, _ := pol.allPairsCost(vol, 1)
+func apCost(pol policyRig, vol int64) float64 {
+	s, _ := pol.cost(ExchangeAllPairs, vol)
 	return s
 }
 
-func bfCost(pol *exchangePolicy, vol int64) float64 {
-	s, _ := pol.butterflyCost(vol, 1)
+func bfCost(pol policyRig, vol int64) float64 {
+	s, _ := pol.cost(ExchangeButterfly, vol)
 	return s
+}
+
+// refHops is the butterfly's predicted hop profile written from the
+// hypercube geometry alone: each of the log2(q) hops relays vol·p/(2(p−1)),
+// and on a non-power-of-two rank count a pre and a post cleanup hop move vol.
+func refHops(prank int, vol int64) []int64 {
+	_, rem, nhops := hypercubeGeometry(prank)
+	hopVol := int64(float64(vol) * float64(prank) / (2 * float64(prank-1)))
+	var hops []int64
+	if rem > 0 {
+		hops = append(hops, vol)
+	}
+	for range nhops {
+		hops = append(hops, hopVol)
+	}
+	if rem > 0 {
+		hops = append(hops, vol)
+	}
+	return hops
+}
+
+// refCodec is the codec schedule the reference charges for a hop profile:
+// hop k's stage codes hops k and k+1, the pre stage hop 0 — zero with the
+// codec off.
+func refCodec(gpuCodec func(int64) float64, on bool, hops []int64) (stages []float64, pre float64) {
+	stages = make([]float64, len(hops))
+	if !on || len(hops) == 0 {
+		return stages, 0
+	}
+	for k := range hops {
+		raw := hops[k]
+		if k+1 < len(hops) {
+			raw += hops[k+1]
+		}
+		stages[k] = gpuCodec(raw)
+	}
+	return stages, gpuCodec(hops[0])
+}
+
+// refNVLink is the NVLink-tier exposure the hierarchical exchange adds to
+// each side, written from simnet alone. All-pairs is one round, so its whole
+// tier is exposed: the intra-rank aggregation plus a send and a receive
+// staging copy of the w wire bytes. The butterfly's is the three-resource
+// pipelined total minus the two-resource one, its NVLink stages one staging
+// charge per direction spread over the hops by volume (received = sent per
+// hop), the pre stage the aggregation plus the first send's share.
+func refNVLink(spec simnet.Spec, pol policyRig, vol, w int64, sched simnet.ExchangeSchedule) (ap, bf float64) {
+	pgpu := pol.e.shape.GPUsPerRank
+	agg := spec.LocalExchange(pol.e.aggregationBytes(vol), pgpu)
+	ap = agg + 2*spec.Staging(w)
+	hops := sched.HopBytes
+	var tot int64
+	for _, h := range hops {
+		tot += h
+	}
+	share := func(h int64) float64 {
+		if tot <= 0 || h <= 0 {
+			return 0
+		}
+		return spec.Staging(tot) * float64(h) / float64(tot)
+	}
+	nv := make([]float64, len(hops))
+	for k := range hops {
+		nv[k] = share(hops[k])
+		if k+1 < len(hops) {
+			nv[k] += share(hops[k+1])
+		}
+	}
+	pre := agg
+	if len(hops) > 0 {
+		pre += share(hops[0])
+	}
+	wc := spec.PipelinedExchange(sched).Total
+	sched.HopNVLink, sched.PreNVLink = nv, pre
+	return ap, spec.PipelinedExchange(sched).Total - wc
 }
 
 // hopSum is the sequential-hop reference: every hop charged end to end.
@@ -42,34 +135,114 @@ func hopSum(spec simnet.Spec, hops []int64, msgCap int64) float64 {
 	return t
 }
 
-// TestPolicyCostMatchesSimnet: the cost model must be the α/β form realized
-// by the exact simnet curves the timing model charges — all-pairs cost is
-// PointToPoint over the effective message size, butterfly cost is the sum of
-// ButterflyHop over the predicted hop profile (cleanup hops included on
-// non-power-of-two rank counts) — with the codec off and one GPU per rank the
-// pipeline has nothing to overlap.
+// near reports whether got is within a relative 1e-12 of want (an absolute
+// 1e-12 near zero).
+func near(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-12*math.Max(1, math.Abs(want))
+}
+
+// policyShapes are the shapes the cost references are checked at: a power of
+// two and a non-power-of-two rank count (cleanup hops), each at one GPU per
+// rank and at two (the hierarchical exchange and its NVLink tier).
+var policyShapes = []ClusterShape{
+	{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, // p=8
+	{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, // p=6: pre + 2 + post
+	{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, // p=8, hierarchical
+	{Nodes: 5, RanksPerNode: 1, GPUsPerRank: 2}, // p=5: pre + 2 + post, hierarchical
+}
+
+// checkPolicyCosts holds both strategies' prices at shape to the simnet
+// references: all-pairs is PointToPoint over the effective message size plus,
+// with a codec active, the encode+decode of the volume; the butterfly is the
+// simnet pipeline over the predicted hop and codec-stage profiles — with the
+// codec off, the plain sum of ButterflyHop, the pipeline having nothing to
+// overlap. The NVLink exposure is refNVLink's at two GPUs per rank and zero at
+// one.
+func checkPolicyCosts(t *testing.T, spec simnet.Spec, shape ClusterShape, mode wire.Mode, vols []int64) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Compression = mode
+	pol := buildPolicy(t, shape, opts)
+	gpu := pol.e.opts.GPU
+	msgCap := pol.e.opts.MessageBytes
+	on := mode != wire.ModeOff
+	for _, vol := range vols {
+		hops := refHops(shape.Ranks(), vol)
+		if got := len(pol.ex(ExchangeButterfly).predict(vol, 1).hopBytes); got != len(hops) {
+			t.Fatalf("shape %s: %d predicted hops, want %d", shape, got, len(hops))
+		}
+		stages, pre := refCodec(gpu.CodecTime, on, hops)
+		sched := simnet.ExchangeSchedule{HopBytes: hops, HopCodec: stages, PreCodec: pre, MsgCap: msgCap}
+		wantBF := spec.PipelinedExchange(sched).Total
+		if !on {
+			wantBF = hopSum(spec, hops, msgCap)
+		}
+		w := vol
+		if pairs := pol.e.effPairs(); w > 0 && w < pairs*pairs {
+			w = pairs * pairs
+		}
+		wantAP := spec.PointToPoint(w, pol.e.effMessageBytes(w))
+		if on {
+			wantAP += gpu.CodecTime(2 * vol)
+		}
+		var wantAPNV, wantBFNV float64
+		if shape.GPUsPerRank > 1 {
+			wantAPNV, wantBFNV = refNVLink(spec, pol, vol, w, sched)
+		}
+		apS, apNV := pol.cost(ExchangeAllPairs, vol)
+		bfS, bfNV := pol.cost(ExchangeButterfly, vol)
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"butterfly cost", bfS, wantBF},
+			{"butterfly NVLink exposure", bfNV, wantBFNV},
+			{"all-pairs cost", apS, wantAP},
+			{"all-pairs NVLink exposure", apNV, wantAPNV},
+		} {
+			if !near(c.got, c.want) {
+				t.Fatalf("shape %s codec %v vol %d: %s %g, want simnet %g", shape, mode, vol, c.what, c.got, c.want)
+			}
+		}
+		if shape.GPUsPerRank > 1 && vol > 0 && (apNV <= 0 || bfNV <= 0) {
+			t.Fatalf("shape %s vol %d: hierarchical exposure all-pairs %g butterfly %g, want both positive", shape, vol, apNV, bfNV)
+		}
+	}
+}
+
+// TestPolicyCostMatchesSimnet: with the codec off, the prices are the α/β
+// form realized by the exact simnet curves the timing model charges.
 func TestPolicyCostMatchesSimnet(t *testing.T) {
-	spec := simnet.Ray()
-	for _, tc := range []struct {
-		shape ClusterShape
-		hops  int // hypercube hops + cleanup pair
-	}{
-		{ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, 3}, // p=8
-		{ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, 4}, // p=6: pre + 2 + post
-	} {
-		pol := buildPolicy(t, tc.shape, DefaultOptions())
-		for _, vol := range []int64{0, 512, 64 << 10, 8 << 20} {
-			hops := pol.butterflyHops(vol)
-			if len(hops) != tc.hops {
-				t.Fatalf("shape %s: %d predicted hops, want %d", tc.shape, len(hops), tc.hops)
-			}
-			wantBF := hopSum(spec, hops, pol.e.opts.MessageBytes)
-			if got := bfCost(pol, vol); math.Abs(got-wantBF) > 1e-12 {
-				t.Fatalf("shape %s vol %d: butterfly cost %g, want simnet %g", tc.shape, vol, got, wantBF)
-			}
-			wantAP := spec.PointToPoint(vol, pol.e.effMessageBytes(vol))
-			if got := apCost(pol, vol); math.Abs(got-wantAP) > 1e-12 {
-				t.Fatalf("shape %s vol %d: all-pairs cost %g, want simnet %g", tc.shape, vol, got, wantAP)
+	for _, shape := range policyShapes {
+		checkPolicyCosts(t, simnet.Ray(), shape, wire.ModeOff, []int64{0, 512, 64 << 10, 8 << 20})
+	}
+}
+
+// TestPolicyOverlapCostMatchesSimnet: with a codec active, the butterfly
+// price is exactly the simnet pipeline model applied to the predicted hop and
+// codec-stage profiles, and the all-pairs price adds the single-round
+// encode+decode compute to the point-to-point curve.
+func TestPolicyOverlapCostMatchesSimnet(t *testing.T) {
+	for _, shape := range policyShapes {
+		checkPolicyCosts(t, simnet.Ray(), shape, wire.ModeAdaptive, []int64{512, 64 << 10, 8 << 20})
+	}
+}
+
+// TestPolicyChooseDoesNotAllocate: the BSP loops price every superstep, so
+// after one warm-up call the pricing allocates nothing, whatever the
+// configured strategy and codec.
+func TestPolicyChooseDoesNotAllocate(t *testing.T) {
+	shape := ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}
+	for _, cfg := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+		for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+			opts := DefaultOptions()
+			opts.Exchange, opts.Compression = cfg, mode
+			pol := buildPolicy(t, shape, opts)
+			fb := newPolicyFeedback()
+			fb.wireRatio = 0.5
+			pol.choose(1000, 10, 800, 1<<20, fb)
+			if n := testing.AllocsPerRun(20, func() { pol.choose(1000, 10, 800, 1<<20, fb) }); n != 0 {
+				t.Fatalf("%v codec %v: choose allocates %g times per call", cfg, mode, n)
 			}
 		}
 	}
@@ -131,38 +304,6 @@ func TestPolicyFixedConfigurations(t *testing.T) {
 	}
 }
 
-// TestPolicyOverlapCostMatchesSimnet: with a codec active, the butterfly
-// cost must be exactly the simnet pipeline model applied to the predicted
-// hop and codec-stage profiles; the all-pairs cost adds the single-round
-// encode+decode compute to the point-to-point curve. This mirrors
-// TestPolicyCostMatchesSimnet for the overlap-aware model.
-func TestPolicyOverlapCostMatchesSimnet(t *testing.T) {
-	spec := simnet.Ray()
-	for _, shape := range []ClusterShape{
-		{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, // p=8
-		{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, // p=6: cleanup hops
-	} {
-		opts := DefaultOptions()
-		opts.Compression = wire.ModeAdaptive
-		pol := buildPolicy(t, shape, opts)
-		gpu := pol.e.opts.GPU
-		for _, vol := range []int64{512, 64 << 10, 8 << 20} {
-			hops := pol.butterflyHops(vol)
-			stages, pre := pol.butterflyCodec(hops)
-			want := spec.PipelinedExchange(simnet.ExchangeSchedule{
-				HopBytes: hops, HopCodec: stages, PreCodec: pre, MsgCap: pol.e.opts.MessageBytes,
-			}).Total
-			if got := bfCost(pol, vol); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("shape %s vol %d: butterfly cost %g, want %g", shape, vol, got, want)
-			}
-			wantAP := spec.PointToPoint(vol, pol.e.effMessageBytes(vol)) + gpu.CodecTime(2*vol)
-			if got := apCost(pol, vol); math.Abs(got-wantAP) > 1e-12 {
-				t.Fatalf("shape %s vol %d: all-pairs cost %g, want %g", shape, vol, got, wantAP)
-			}
-		}
-	}
-}
-
 // TestPolicyPipelineMovesCrossover: against the sequential reference — every
 // hop and every codec stage charged end to end — the pipelined butterfly cost
 // is cheaper wherever codec stages exist, never dearer, so the
@@ -175,8 +316,8 @@ func TestPolicyPipelineMovesCrossover(t *testing.T) {
 	opts.Exchange = ExchangeHybrid
 	pol := buildPolicy(t, shape, opts)
 	seqCost := func(vol int64) float64 {
-		hops := pol.butterflyHops(vol)
-		stages, pre := pol.butterflyCodec(hops)
+		hops := refHops(pol.prank, vol)
+		stages, pre := refCodec(pol.e.opts.GPU.CodecTime, true, hops)
 		c := hopSum(pol.e.opts.Net, hops, pol.e.opts.MessageBytes) + pre
 		for _, st := range stages {
 			c += st

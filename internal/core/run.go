@@ -131,11 +131,6 @@ type loopScratch struct {
 	// per-hop vectors read back out of it.
 	vec              []float64
 	sums, fbits, red []int64
-	// pol backs the exchange policy's per-iteration butterfly cost
-	// evaluation (hop profile, wire-byte equivalent, codec stages). The
-	// policy object is shared read-only across rank goroutines; this is
-	// its per-rank mutable half.
-	pol policyScratch
 }
 
 // wave is what a single-source traversal may vary about its lanes: the part of
@@ -374,7 +369,7 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		// ---- Exchange policy: every rank derives the identical strategy
 		// decision for this iteration from globally known inputs, the way
 		// direction optimization derives push vs pull (policy.go).
-		strategy, predicted := pol.chooseS(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, &ls.pol)
+		strategy, predicted := pol.choose(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, l.exchanger)
 		ex := l.exchanger(strategy)
 		// ---- Local computation (all GPUs of this rank).
 		l.kernels(iter)

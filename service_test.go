@@ -194,6 +194,45 @@ func TestServiceRunContext(t *testing.T) {
 	}
 }
 
+// TestEmptySourcesContract: with no sources, RunBatch and RunSweep answer
+// alike — an empty, non-nil Results on a live context, and nil with the
+// context's error on a cancelled one.
+func TestEmptySourcesContract(t *testing.T) {
+	svc, err := NewService(RMAT(8), DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, m := range []struct {
+		name string
+		run  func(context.Context) (*BatchResult, error)
+	}{
+		{"RunBatch", func(ctx context.Context) (*BatchResult, error) { return svc.RunBatch(ctx, nil, BatchOptions{}) }},
+		{"RunSweep", func(ctx context.Context) (*BatchResult, error) { return svc.RunSweep(ctx, nil) }},
+	} {
+		for _, c := range []struct {
+			name    string
+			ctx     context.Context
+			wantErr error
+		}{
+			{"live", context.Background(), nil},
+			{"cancelled", cancelled, context.Canceled},
+		} {
+			br, err := m.run(c.ctx)
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("%s/%s: err = %v, want %v", m.name, c.name, err, c.wantErr)
+			}
+			switch {
+			case c.wantErr != nil && br != nil:
+				t.Fatalf("%s/%s: non-nil result %+v beside the error", m.name, c.name, br)
+			case c.wantErr == nil && (br == nil || br.Results == nil || len(br.Results) != 0):
+				t.Fatalf("%s/%s: result %+v, want an empty non-nil Results", m.name, c.name, br)
+			}
+		}
+	}
+}
+
 // TestQueryOptionValidation rejects out-of-range per-query overrides.
 func TestQueryOptionValidation(t *testing.T) {
 	g := RMAT(10)
