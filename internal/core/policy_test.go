@@ -10,10 +10,10 @@ import (
 )
 
 // policyRig is a session's exchange policy (built without running it) beside
-// rank 0's strategy instances, which price its predictions.
+// rank 0's lanes, whose strategy instances price its predictions.
 type policyRig struct {
 	*exchangePolicy
-	ex func(Exchange) exchanger
+	l lanes
 }
 
 func buildPolicy(t *testing.T, shape ClusterShape, opts Options) policyRig {
@@ -23,13 +23,18 @@ func buildPolicy(t *testing.T, shape ClusterShape, opts Options) policyRig {
 	s := e.acquire(e.base)
 	defer e.release(s)
 	pol := s.newExchangePolicy()
-	sc := newExchangeScratch(shape.Ranks(), shape.GPUsPerRank, 0)
-	return policyRig{pol, sc.rx.bind(pol.e, 0, &sc, nil).get}
+	sc := &rankScratch{exchangeScratch: newExchangeScratch(shape.Ranks(), shape.GPUsPerRank, 0)}
+	sc.rx.bind(pol.e, 0, &sc.exchangeScratch, nil)
+	return policyRig{pol, &sourceLanes{sc: sc}}
 }
 
-// choose is the policy's decision priced on the rig's instances.
+// ex is the rig's instance of strategy s.
+func (r policyRig) ex(s Exchange) exchanger { return r.l.exchanger(s) }
+
+// choose is the policy's decision priced on the rig's instances, handed the
+// lanes' method value the way the superstep loop hands it.
 func (r policyRig) choose(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback) (Exchange, float64) {
-	return r.exchangePolicy.choose(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, r.ex)
+	return r.exchangePolicy.choose(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, r.l.exchanger)
 }
 
 // cost is strategy s's predicted remote-normal seconds and NVLink-tier
@@ -143,12 +148,16 @@ func near(got, want float64) bool {
 
 // policyShapes are the shapes the cost references are checked at: a power of
 // two and a non-power-of-two rank count (cleanup hops), each at one GPU per
-// rank and at two (the hierarchical exchange and its NVLink tier).
-var policyShapes = []ClusterShape{
-	{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, // p=8
-	{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, // p=6: pre + 2 + post
-	{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, // p=8, hierarchical
-	{Nodes: 5, RanksPerNode: 1, GPUsPerRank: 2}, // p=5: pre + 2 + post, hierarchical
+// rank and at two (the hierarchical exchange and its NVLink tier), with the
+// butterfly's hop count at each.
+var policyShapes = []struct {
+	shape ClusterShape
+	hops  int
+}{
+	{ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, 3}, // p=8
+	{ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 1}, 4}, // p=6: pre + 2 + post
+	{ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, 3}, // p=8, hierarchical
+	{ClusterShape{Nodes: 5, RanksPerNode: 1, GPUsPerRank: 2}, 4}, // p=5: pre + 2 + post, hierarchical
 }
 
 // checkPolicyCosts holds both strategies' prices at shape to the simnet
@@ -158,7 +167,7 @@ var policyShapes = []ClusterShape{
 // codec off, the plain sum of ButterflyHop, the pipeline having nothing to
 // overlap. The NVLink exposure is refNVLink's at two GPUs per rank and zero at
 // one.
-func checkPolicyCosts(t *testing.T, spec simnet.Spec, shape ClusterShape, mode wire.Mode, vols []int64) {
+func checkPolicyCosts(t *testing.T, spec simnet.Spec, shape ClusterShape, nhops int, mode wire.Mode, vols []int64) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Compression = mode
@@ -168,8 +177,11 @@ func checkPolicyCosts(t *testing.T, spec simnet.Spec, shape ClusterShape, mode w
 	on := mode != wire.ModeOff
 	for _, vol := range vols {
 		hops := refHops(shape.Ranks(), vol)
-		if got := len(pol.ex(ExchangeButterfly).predict(vol, 1).hopBytes); got != len(hops) {
-			t.Fatalf("shape %s: %d predicted hops, want %d", shape, got, len(hops))
+		if len(hops) != nhops {
+			t.Fatalf("shape %s: reference has %d hops, want %d", shape, len(hops), nhops)
+		}
+		if got := len(pol.ex(ExchangeButterfly).predict(vol, 1).hopBytes); got != nhops {
+			t.Fatalf("shape %s: %d predicted hops, want %d", shape, got, nhops)
 		}
 		stages, pre := refCodec(gpu.CodecTime, on, hops)
 		sched := simnet.ExchangeSchedule{HopBytes: hops, HopCodec: stages, PreCodec: pre, MsgCap: msgCap}
@@ -213,8 +225,8 @@ func checkPolicyCosts(t *testing.T, spec simnet.Spec, shape ClusterShape, mode w
 // TestPolicyCostMatchesSimnet: with the codec off, the prices are the α/β
 // form realized by the exact simnet curves the timing model charges.
 func TestPolicyCostMatchesSimnet(t *testing.T) {
-	for _, shape := range policyShapes {
-		checkPolicyCosts(t, simnet.Ray(), shape, wire.ModeOff, []int64{0, 512, 64 << 10, 8 << 20})
+	for _, ps := range policyShapes {
+		checkPolicyCosts(t, simnet.Ray(), ps.shape, ps.hops, wire.ModeOff, []int64{0, 512, 64 << 10, 8 << 20})
 	}
 }
 
@@ -223,14 +235,15 @@ func TestPolicyCostMatchesSimnet(t *testing.T) {
 // codec-stage profiles, and the all-pairs price adds the single-round
 // encode+decode compute to the point-to-point curve.
 func TestPolicyOverlapCostMatchesSimnet(t *testing.T) {
-	for _, shape := range policyShapes {
-		checkPolicyCosts(t, simnet.Ray(), shape, wire.ModeAdaptive, []int64{512, 64 << 10, 8 << 20})
+	for _, ps := range policyShapes {
+		checkPolicyCosts(t, simnet.Ray(), ps.shape, ps.hops, wire.ModeAdaptive, []int64{512, 64 << 10, 8 << 20})
 	}
 }
 
 // TestPolicyChooseDoesNotAllocate: the BSP loops price every superstep, so
 // after one warm-up call the pricing allocates nothing, whatever the
-// configured strategy and codec.
+// configured strategy and codec. Each measured call takes a fresh
+// l.exchanger method value, as the superstep loop does.
 func TestPolicyChooseDoesNotAllocate(t *testing.T) {
 	shape := ClusterShape{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}
 	for _, cfg := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
