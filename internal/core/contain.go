@@ -32,8 +32,9 @@ import (
 // tagSite recovers the (iteration, injection site) a message tag encodes, so
 // payload faults key on the same coordinates as boundary faults. The tag
 // spaces are disjoint by construction: parent resolution at parentTagBase
-// (1<<30) and above, repair probes at probeTag (1<<29), and everything below
-// is the iteration-keyed hop space (hopTag).
+// (1<<30) and above, a repair's probe round at probeTag (1<<29, the all-pairs
+// hop tag of superstep probeIter, so its faults key on iteration 0 of the
+// probe site), and everything below is the iteration-keyed hop space (hopTag).
 func tagSite(tag int) (int, string) {
 	switch {
 	case tag >= parentTagBase:

@@ -46,6 +46,12 @@ package core
 // record), no codec kernel (codecWork, exchangeCounts.message/received) — not
 // a second format.
 //
+// A repair's probe (repair.go) is no message of its own: it is one all-pairs
+// round of ids, run as superstep probeIter ahead of the wave, its targets
+// staged, encoded, presence-gated, accounted and priced (remoteTime) like any
+// superstep's. Outside internal/mpi this file is the only one that sends or
+// receives a point-to-point message.
+//
 // (id, value) pairs have one exchange as well, and it is all-pairs only: the
 // pair round (pairRound), one point-to-point message per destination rank,
 // sent whether or not it is empty. It carries the tree resolution's parent

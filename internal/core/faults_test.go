@@ -151,11 +151,13 @@ func TestSweepFaultSurfacesTypedError(t *testing.T) {
 }
 
 // TestRepairFaultsSurfaceTypedErrors targets the two repair-only payload
-// sites — invalidation probes and the repair's parent resolution — on a real
-// incremental plan with a synthesized delta, in the default configuration.
-// The probe ships fixed-width ids whatever the compression, so every flip of
-// a probe id that used to decode cleanly (and silently drop a corrective
-// seed) must now be caught: the cases sweep the injector seed.
+// sites — the invalidation probe's round and the repair's parent resolution —
+// on a real incremental plan with a synthesized delta, in the default
+// configuration. The probe's ids ride the all-pairs exchange, so a flipped
+// probe message panics as the exchange's does; its hop tag keys the fault on
+// the probe site, so an injector armed there alone must fire. Every flip of a
+// probe id must be caught (a clean decode would silently drop a corrective
+// seed): the cases sweep the injector seed.
 func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	shape := ClusterShape{2, 2, 2}
@@ -188,7 +190,7 @@ func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name, site, wantMsg string
 	}{
-		{"probe", faults.SiteProbe, "probe payload"},
+		{"probe", faults.SiteProbe, "exchange payload"},
 		{"parents", faults.SiteParents, "pair payload"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +202,9 @@ func TestRepairFaultsSurfaceTypedErrors(t *testing.T) {
 				}
 				r, err := p2.RunRepair(context.Background(), 0, prior.Levels, invalid, seeds, Overrides{})
 				wantCorrupt(t, r != nil, err, tc.wantMsg)
+				if in.Injected() == 0 {
+					t.Fatalf("seed %d: the run failed but the %s-only injector fired nothing", seed, tc.site)
+				}
 			}
 		})
 	}

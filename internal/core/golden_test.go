@@ -8,7 +8,6 @@ import (
 
 	"gcbfs/internal/delta"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
 )
@@ -76,12 +75,44 @@ var goldenResults = map[string]string{
 	"sweep/65":                            "3e2ec74f9d4b1740",
 	"sweep/butterfly/8":                   "c55b92be7be21bcd",
 	"sweep/hybrid/8":                      "ff96f43ae02f422c",
-	// The repair through Plan.Repair, which patches the prior tree, and through
-	// the frozen RunRepair, which resolves it from nothing: the same wave, so
-	// the two rows differ in ParentPairs and Wire.Pair*Bytes only (the test
-	// checks that too).
-	"repair":           "82cb337e54924696",
-	"repair/RunRepair": "d045d2def1ba0934",
+	// The repairs through Plan.Repair, which patches the prior tree, and
+	// through the frozen RunRepair, which resolves it from nothing: the same
+	// wave, so each pair of rows differs in ParentPairs and Wire.Pair*Bytes
+	// only (the test checks that too). The codec-active rows were re-hashed
+	// when the probe began to ride the all-pairs id round, which encodes and
+	// frames it like any id message: only their SimSeconds and Parts moved
+	// (goldenCut). The off rows were hashed before that change and hold.
+	"repair":               "53620393a371a0dc",
+	"repair/RunRepair":     "ff726a8711d57d57",
+	"repair/off":           "b0a279d2359d1192",
+	"repair/off/RunRepair": "a10be0013623c03d",
+}
+
+// goldenCut is what the codec-active repair rows hashed with SimSeconds and
+// Parts cut out (cutDigest) before their probe rode the all-pairs id round,
+// and remoteNormalBefore what their Parts.RemoteNormal read then, for the log
+// beside what it reads now.
+var (
+	goldenCut = map[string]string{
+		"repair":           "f6a1aa4e8344d2f5",
+		"repair/RunRepair": "bd10dcd96d226825",
+	}
+	remoteNormalBefore = map[string]float64{
+		"repair":           1.2024244344534086e-05,
+		"repair/RunRepair": 1.2024244344534086e-05,
+	}
+)
+
+// cutDigest is resultDigest with the modelled clock's totals, SimSeconds and
+// Parts, cut out of every result.
+func cutDigest(results ...*metrics.RunResult) string {
+	cut := make([]*metrics.RunResult, len(results))
+	for i, r := range results {
+		c := *r
+		c.SimSeconds, c.Parts = 0, metrics.Breakdown{}
+		cut[i] = &c
+	}
+	return resultDigest(cut...)
 }
 
 // wireBefore is what a row's byte counters — Wire.RawBytes,
@@ -200,46 +231,51 @@ func TestGoldenRunResults(t *testing.T) {
 		check(tc.name, results...)
 	}
 
-	// One repair, on the epoch a mixed delta produced.
-	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}
-	opts := repairOptions()
-	opts.Exchange = ExchangeHybrid
-	opts.Compression = wire.ModeAdaptive
+	// The repairs, on the epoch a mixed delta produced: hybrid with the adaptive
+	// codec on 1×2×2, and what the rmat16-mutable host workload repairs with
+	// (all-pairs, codec and U off) on its 4×2×2 shape.
 	source := repairSource(el)
-	p1 := buildPlan(t, el, shape, 32, opts)
-	prior, err := p1.Run(ctx, source, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := delta.Synthesize(el, 0.02, delta.KindMixed, 42)
-	el2, err := delta.Apply(el, b)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		shape ClusterShape
+		x     Exchange
+		mode  wire.Mode
+	}{
+		{"repair", ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}, ExchangeHybrid, wire.ModeAdaptive},
+		{"repair/off", ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, ExchangeAllPairs, wire.ModeOff},
+	} {
+		opts := repairOptions()
+		opts.Exchange = tc.x
+		opts.Compression = tc.mode
+		prior, p2 := nextEpoch(t, el, tc.shape, 32, opts, source, b)
+		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+		rep, err := p2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logWire(t, tc.name, rep)
+		for _, row := range []struct {
+			name string
+			r    *metrics.RunResult
+		}{{tc.name, rep}, {tc.name + "/RunRepair", wrapped}} {
+			check(row.name, row.r)
+			if want, moved := goldenCut[row.name]; moved {
+				if got := cutDigest(row.r); got != want {
+					t.Errorf("%s: digest %s with SimSeconds and Parts cut, golden %s", row.name, got, want)
+				}
+				t.Logf("%s: Parts.RemoteNormal %v → %v", row.name, remoteNormalBefore[row.name], row.r.Parts.RemoteNormal)
+			}
+		}
+		if rep.ParentPairs >= wrapped.ParentPairs {
+			t.Errorf("%s: the patch sent %d pairs, the full resolution %d: nothing was patched", tc.name, rep.ParentPairs, wrapped.ParentPairs)
+		}
+		requireSameButPairs(t, tc.name+": Repair and RunRepair", rep, wrapped)
+		t.Logf("%s: ParentPairs %d (RunRepair %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)", tc.name,
+			rep.ParentPairs, wrapped.ParentPairs, rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
 	}
-	sg2, _, err := partition.DistributeIncremental(el2, partition.Separate(el2, 32), shape.PartitionConfig(), p1.sg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := NewPlanEpoch(sg2, shape, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
-	rep, err := p2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logWire(t, "repair", rep)
-	check("repair", rep)
-	wrapped, err := p2.RunRepair(ctx, source, prior.Levels, invalid, seeds, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("repair/RunRepair", wrapped)
-	if rep.ParentPairs >= wrapped.ParentPairs {
-		t.Errorf("the patch sent %d pairs, the full resolution %d: nothing was patched", rep.ParentPairs, wrapped.ParentPairs)
-	}
-	requireSameButPairs(t, "Repair and RunRepair", rep, wrapped)
-	t.Logf("repair: ParentPairs %d (RunRepair %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)",
-		rep.ParentPairs, wrapped.ParentPairs, rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
 }

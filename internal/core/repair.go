@@ -17,8 +17,9 @@ package core
 //     still-valid neighbors of invalidated vertices, which re-derive the
 //     invalidated region at its correct new levels. (a) is read off the
 //     caller's inserts; (b) is discovered here by a distributed probe over
-//     the invalidated vertices' adjacency, with one exchange of raw wire
-//     blocks for remote nn probes and one mask allreduce for delegate seeds.
+//     the invalidated vertices' adjacency, whose finds travel in one round of
+//     the superstep's own machinery: the delegate seeds as the proposal of an
+//     all-pairs pre-exchange reduce, the remote nn probes as its ids.
 //
 //   - Wave: a cold run's superstep loop, lanes and kernels (run.go,
 //     kernels.go) — not a copy of them — entered through a wave value built
@@ -48,8 +49,9 @@ package core
 // strategies and insert/delete/mixed deltas, and FuzzRepairChain over chains
 // of epochs in which every repaired tree is the next repair's prior.
 //
-// Timing: the probe charges its scan compute and one point-to-point round;
-// a wave superstep is a BFS superstep, charged by the same code, so
+// Timing: the probe charges its scan compute and, for its round, what the
+// all-pairs exchanger charges a superstep's round of the same volumes; a wave
+// superstep is a BFS superstep, charged by the same code, so
 // repair-vs-recompute simulated seconds are directly comparable. The
 // post-wave tree work, patched or resolved, stays excluded from simulated
 // time, matching the paper's distance-only reporting; what it sent is reported
@@ -66,7 +68,6 @@ import (
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/simgpu"
-	"gcbfs/internal/wire"
 )
 
 // A corrective-seed schedule entry is one uint64: the level a still-valid
@@ -77,10 +78,14 @@ func seedKey(level int32, id uint32) uint64 { return uint64(level)<<32 | uint64(
 
 func seedLevel(key uint64) int32 { return int32(key >> 32) }
 
-// probeTag is the probe exchange's message tag: above every hopTag (repair
-// levels stay far below 2^23 iterations) and below the parent resolution's
-// parentTagBase; the per-source-GPU offset stays under GPUsPerRank.
-const probeTag = 1 << 29
+// The probe round runs as superstep probeIter, so its message tag is
+// hopTag(probeIter, 0) = probeTag: above every wave superstep's (repair levels
+// stay far below 2^23 iterations) and below the parent resolution's
+// parentTagBase, where tagSite keys its payload faults on the probe site.
+const (
+	probeTag  = 1 << 29
+	probeIter = probeTag / 64
+)
 
 // Prior is a single-source query's exact outcome on the graph epoch a delta
 // departed from: its hop distances and its canonical tree (parents.go).
@@ -274,17 +279,17 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 // repairProbe discovers the still-valid neighbors of invalidated vertices —
 // the seeds that re-derive the invalidated region — and routes the caller's
 // insert seeds to their owners. Owned invalid normal rows scan on the owner
-// GPU; invalid delegate rows scan sliced across every GPU; remote nn probe
-// targets resolve through one packed exchange (the receiver checks its
-// preloaded levels); delegate seeds merge through one mask allreduce, so
-// every rank holds the identical replicated seed set. Returns the probe's
-// local compute seconds (max over this rank's GPUs) and this rank's sent
-// probe bytes (fixed-width id bytes, the accounting all-pairs uses with the
-// codec off).
-func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64, bytes int64) {
+// GPU; invalid delegate rows scan sliced across every GPU. What the scan finds
+// beyond its own GPU travels in one superstep's round, run as superstep
+// probeIter through the cold run's lanes and the all-pairs exchanger: the
+// delegate seeds are the pre-exchange reduce's proposal, so every rank holds
+// the identical replicated seed set, and the remote nn probe targets are the
+// exchange's ids, which their owner keeps as seeds where its preloaded levels
+// hold one (probeSeeds). Returns the scan's compute seconds (max over this
+// rank's GPUs) and the round's accounting.
+func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64, round exchangeCounts) {
 	invalid := in.invalid
 	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
 	p64 := int64(e.p)
 	sep := e.sg.Sep
 	sc.rankMask.Reset()
@@ -309,7 +314,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 						gs.repSeeds = append(gs.repSeeds, seedKey(lvl, local))
 					}
 				} else {
-					gs.bins.Add(owner, local)
+					gs.bin(owner, local)
 				}
 			}
 			for _, dv := range pg.ND.Neighbors(slot) {
@@ -332,12 +337,9 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 					sc.rankMask.Set(int64(dv))
 				}
 			}
-			for _, lv := range pg.DN.Neighbors(di64) {
-				edges++
-				if lvl := gs.levels[lv]; lvl >= 0 {
-					gs.repSeeds = append(gs.repSeeds, seedKey(lvl, lv))
-				}
-			}
+			dn := pg.DN.Neighbors(di64)
+			edges += int64(len(dn))
+			probeSeeds(gs, dn, 0)
 		}
 		if edges+rows > 0 {
 			if c := e.charge(gs.dev, simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
@@ -366,73 +368,45 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 		}
 	}
 
-	// One exchange resolves the remote nn probes: the owner checks its
-	// preloaded levels and keeps the still-valid targets as seeds. The probe
-	// ids go fixed-width whatever the query's compression — raw wire blocks
-	// charged 4 bytes per id — so they are checksummed like every other
-	// message.
-	arrivals := sc.resetArrivals()
-	for dst := 0; dst < prank; dst++ {
-		if dst == rank {
-			continue
-		}
-		for k, gs := range myGPUs {
-			payload, st := wire.EncodeRank(gs.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], wire.ModeOff)
-			bytes += st.EncodedBytes
-			comm.Isend(dst, probeTag+k, payload)
-		}
-	}
-	// Intra-rank probe targets check directly (NVLink, not NIC).
-	for _, src := range myGPUs {
-		for s, gs := range myGPUs {
-			for _, id := range src.bins.PerGPU[rank*pgpu+s] {
-				if lvl := gs.levels[id]; lvl >= 0 {
-					gs.repSeeds = append(gs.repSeeds, seedKey(lvl, id))
-				}
-			}
-		}
-	}
-	for src := 0; src < prank; src++ {
-		if src == rank {
-			continue
-		}
-		for k := 0; k < pgpu; k++ {
-			buf := comm.Recv(src, probeTag+k)
-			if err := wire.DecodeRankInto(buf, arrivals); err != nil {
-				panic(fmt.Errorf("core: corrupt probe payload: %w", err))
-			}
-		}
-	}
-	for s, ids := range arrivals {
-		gs := myGPUs[s]
-		for _, id := range ids {
-			if lvl := gs.levels[id]; lvl >= 0 {
-				gs.repSeeds = append(gs.repSeeds, seedKey(lvl, id))
-			}
-		}
-	}
-	for _, gs := range myGPUs {
-		gs.bins.Reset()
-	}
-	// Merge the delegate seed contributions; every rank keeps an identical
-	// copy of the reduced set.
-	comm.AllreduceOr(sc.rankMask.Words())
+	// The round. Its pre-exchange reduce carries the delegate seeds, as the
+	// proposal of the ranks that found one, and the all-pairs presence rows;
+	// then the binned probe targets move as any superstep's ids, a sibling
+	// GPU's applied directly. What deliver charges to the GPUs' iteration work
+	// is never read: the wave's first kernels reset it.
+	l := &sc.lanes
+	*l = sourceLanes{e: e, rank: rank, gpus: myGPUs, sc: sc, source: in.source}
+	ex := e.exchangers(rank).get(ExchangeAllPairs)
+	sc.present = ex.announce(sc.present[:0])
+	comm.AllreduceFused(sc.rankMask.Words(), sc.rankMask.Any(), nil, sc.present)
+	round = l.deliver(comm, ex, probeIter, sc.present, probeSeeds)
 	if sc.seedMask == nil {
 		sc.seedMask = bitmask.New(e.d)
 	}
 	sc.seedMask.CopyFrom(sc.rankMask)
-	return comp, bytes
+	return comp, round
+}
+
+// probeSeeds is the probe's visit rule for the targets it found on a GPU: a
+// target that holds a level after the preload is a seed at that level.
+func probeSeeds(gs *gpuState, ids []uint32, _ int32) {
+	for _, id := range ids {
+		if lvl := gs.levels[id]; lvl >= 0 {
+			gs.repSeeds = append(gs.repSeeds, seedKey(lvl, id))
+		}
+	}
 }
 
 // repairRank is one rank's corrective traversal: the repair-specific
 // prologue — preload, probe, seed schedules and their global level bounds
-// and counts, the probe's charge — and then the shared superstep loop.
+// and counts, the probe's charge — and then the shared superstep loop. The
+// prologue is three rendezvous: the probe round's pre-exchange reduce, one
+// max-reduce and one sum.
 func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *repairIn) {
 	myGPUs := e.rankGPUs(rank)
 	sc := e.scratch[rank]
 
 	e.repairPreload(myGPUs, sc, in)
-	probeComp, probeBytes := e.repairProbe(rank, comm, myGPUs, sc, in)
+	probeComp, probe := e.repairProbe(rank, comm, myGPUs, sc, in)
 
 	// Sorted, deduplicated injection schedules. The delegate schedule is
 	// built from the replicated seed mask and levels, so it is identical on
@@ -447,10 +421,11 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	})
 	slices.Sort(sc.dSeeds)
 
-	// Global seed-level bounds (one min-allreduce carries both via negation)
-	// and per-level global seed counts — the wave's iteration range and the
-	// policy's frontier-size inputs. Sorted schedules hold both bounds at
-	// their ends.
+	// Global seed-level bounds — the wave's iteration range — and the probe
+	// round's charge inputs in one max-reduce: the bounds (the lower one
+	// negated), the scan's compute as a bit pattern (non-negative doubles
+	// order as their bits) and the round's amplified sent, codec and received
+	// volumes. Sorted schedules hold both bounds at their ends.
 	lo, hi := int64(math.MaxInt64), int64(-1)
 	note := func(keys []uint64) {
 		if len(keys) > 0 {
@@ -462,10 +437,13 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 		note(gs.repSeeds)
 	}
 	note(sc.dSeeds)
-	mm := append(sc.sums[:0], lo, -hi)
-	sc.sums = mm
-	comm.AllreduceMin(mm)
-	lo, hi = mm[0], -mm[1]
+	mx := append(sc.fbits[:0], hi, -lo, int64(math.Float64bits(probeComp)),
+		e.ampBytes(probe.sent), e.ampBytes(probe.codecRaw), e.ampBytes(probe.recv))
+	sc.fbits = mx
+	comm.AllreduceFused(nil, false, mx, nil)
+	hi, lo = mx[0], -mx[1]
+
+	// Per-level global seed counts: the policy's frontier-size inputs.
 	var nCounts, dCounts []int64
 	if lo <= hi {
 		nCounts = make([]int64, hi+1)
@@ -481,18 +459,12 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 		}
 	}
 
-	// Charge the probe round: scan compute plus one point-to-point exchange
-	// over the max-reduced per-rank probe volume, through the same overlap
-	// model as a BSP iteration.
-	vec := append(sc.vec[:0], probeComp, float64(probeBytes))
-	sc.vec = vec
-	sc.fbits = maxFloatsAllreduce(comm, vec, sc.fbits)
+	// Charge the probe: its scan compute plus what the all-pairs exchanger
+	// charges a round of the reduced volumes, through the same overlap model
+	// as a BSP iteration. Its NVLink tier is not charged.
 	if rank == 0 {
-		var probeNet float64
-		if b := e.ampBytes(int64(vec[1])); b > 0 {
-			probeNet = e.opts.Net.PointToPoint(b, e.effMessageBytes(b))
-		}
-		parts := metrics.Breakdown{Computation: vec[0], RemoteNormal: probeNet}
+		rt := sc.rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
+		parts := metrics.Breakdown{Computation: math.Float64frombits(uint64(mx[2])), RemoteNormal: rt.seconds}
 		e.rec.simSeconds += e.iterElapsed(parts)
 		e.rec.parts.Add(parts)
 	}

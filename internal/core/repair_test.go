@@ -187,6 +187,30 @@ func repairOptions() Options {
 	return o
 }
 
+// nextEpoch runs the prior query of source on el's plan and builds the epoch b
+// makes of el incrementally beside it, both under opts.
+func nextEpoch(t testing.TB, el *graph.EdgeList, shape ClusterShape, th int64, opts Options, source int64, b *delta.Batch) (*metrics.RunResult, *Plan) {
+	t.Helper()
+	p1 := buildPlan(t, el, shape, th, opts)
+	prior, err := p1.Run(context.Background(), source, Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	el2, err := delta.Apply(el, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg2, _, err := partition.DistributeIncremental(el2, partition.Separate(el2, th), shape.PartitionConfig(), p1.sg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := NewPlanEpoch(sg2, shape, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prior, p2
+}
+
 func TestRepairMatchesRecompute(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}

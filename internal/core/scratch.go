@@ -24,7 +24,7 @@ import (
 // guarantees no cross-query sharing), so no locking is needed.
 type rankScratch struct {
 	// exchangeScratch is the rank's exchange: its strategy instances and
-	// their buffers (the repair's probe round borrows the arrival bins).
+	// their buffers, which a repair's probe round uses as a superstep does.
 	exchangeScratch
 
 	// lists gathers the contributing bins of one merge (mergeForRank).
@@ -37,8 +37,9 @@ type rankScratch struct {
 	maskIDs  []uint32
 
 	// lanes is the rank's side of the in-flight traversal, rebuilt per query
-	// by Session.runWave; loopScratch the superstep loop's own buffers (the
-	// repair prologue borrows vec, sums and fbits for its collectives).
+	// by Session.runWave (and, for its round, by a repair's probe before it);
+	// loopScratch the superstep loop's own buffers (a repair's prologue
+	// borrows present and fbits for its collectives, its finisher sums).
 	lanes sourceLanes
 	loopScratch
 
@@ -50,10 +51,10 @@ type rankScratch struct {
 	sortBuf []uint32
 
 	// seedMask holds the repair traversal's merged delegate seed set (every
-	// rank keeps an identical copy of the AllreduceOr result); dSeeds/dCursor
-	// are its injection schedule, (level, delegate id) keys in ascending
-	// order, emptied by Session.reset. Allocated by the first repair on this
-	// rank and reused across pooled queries.
+	// rank keeps an identical copy of the probe round's reduced proposal);
+	// dSeeds/dCursor are its injection schedule, (level, delegate id) keys in
+	// ascending order, emptied by Session.reset. Allocated by the first repair
+	// on this rank and reused across pooled queries.
 	seedMask *bitmask.Mask
 	dSeeds   []uint64
 	dCursor  int
@@ -87,10 +88,9 @@ type exchangeScratch struct {
 	words frontier.Bump[uint64]
 
 	// arrivals are the reusable per-local-slot remote-arrival bins the
-	// all-pairs exchange and the repair's probe round decode into (zero-copy:
-	// the wire header's count pre-sizes the grow), arrivalLanes their lane
-	// sets when the payload has any. Backing arrays persist across iterations
-	// and queries.
+	// all-pairs exchange decodes into (zero-copy: the wire header's count
+	// pre-sizes the grow), arrivalLanes their lane sets when the payload has
+	// any. Backing arrays persist across iterations and queries.
 	arrivals     [][]uint32
 	arrivalLanes [][]uint64
 

@@ -7,11 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gcbfs/internal/delta"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
+	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
 )
 
@@ -76,6 +78,42 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		}
 		if got, want := e.world.Rendezvous(), uint64(2*supersteps); got != want {
 			t.Errorf("sweep/%s: %d rendezvous over %d supersteps, want %d", mode, got, supersteps, want)
+		}
+	}
+
+	// A repair runs the same loop behind a prologue of three rendezvous (four
+	// while its probe had a round of its own): the probe round's pre-exchange
+	// reduce, one max-reduce of the seed-level bounds and the probe's charge,
+	// and one sum of the per-level seed counts. Levels and parents are not
+	// collected, so no finisher adds any.
+	ctx := context.Background()
+	rel := rmat.Generate(rmat.DefaultParams(10))
+	source := repairSource(rel)
+	shape := ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+		for _, frac := range []float64{0.0005, 0.002, 0.02} {
+			ropts := repairOptions()
+			ropts.Compression = mode
+			b := delta.Synthesize(rel, frac, delta.KindMixed, 42)
+			prior, p2 := nextEpoch(t, rel, shape, 32, ropts, source, b)
+			invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+			ropts.CollectLevels, ropts.CollectParents, ropts.DirectionOptimized = false, false, false
+			s := p2.acquire(ropts)
+			var before uint64
+			if s.world != nil {
+				before = s.world.Rendezvous()
+			}
+			res, err := s.repair(ctx, &repairIn{source: source, levels: prior.Levels, invalid: invalid, seeds: seeds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations == 0 {
+				t.Fatalf("repair/%s at %g: no wave ran", mode, frac)
+			}
+			if got, want := s.world.Rendezvous()-before, uint64(3+2*res.Iterations); got != want {
+				t.Errorf("repair/%s at %g: %d rendezvous over %d supersteps, want %d", mode, frac, got, res.Iterations, want)
+			}
+			p2.release(s)
 		}
 	}
 }

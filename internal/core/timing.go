@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 )
 
 // This file converts counted work and bytes into simulated iteration times:
@@ -128,14 +127,4 @@ func bitsToFloats(bits []int64, vals []float64) {
 	for i := range vals {
 		vals[i] = math.Float64frombits(uint64(bits[i]))
 	}
-}
-
-// maxFloatsAllreduce reduces a non-negative float vector to its element-wise
-// maximum across ranks in a rendezvous of its own (the superstep loop folds
-// the same reduction into its post-exchange rendezvous instead).
-func maxFloatsAllreduce(comm *mpi.Comm, vals []float64, scratch []int64) []int64 {
-	bits := floatBits(vals, scratch)
-	comm.AllreduceMax(bits)
-	bitsToFloats(bits, vals)
-	return bits
 }
