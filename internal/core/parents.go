@@ -92,10 +92,12 @@ import (
 // its frontier history — per level, which lanes first reached which vertex —
 // and resolves its K trees from that at once (sweep_tree.go), the tree edges
 // between two levels being word operations on lane sets, not per-lane
-// compares, and its dd pass needing neither a direction nor a comparison: it
-// walks a level's delegates in ascending id, and since dense ids ascend with
-// global ids (2 above) the FIRST delegate to reach a (neighbor, lane) is the
-// smallest.
+// compares, and its dd and nd passes needing neither a direction nor a
+// comparison: they walk a level's delegates in ascending id through their dd
+// and DN rows, and since dense ids ascend with global ids (2 above) the FIRST
+// delegate to reach a (neighbor, lane) — delegate or normal — is the smallest.
+// Its delegate candidates meet in one reduce-scatter, whose stripes are the
+// delegates of each rank's share of the same contiguous gather.
 //
 // A repair (Repair) has a third shape, because it starts with more than
 // levels: the prior epoch's tree π, exact under this same contract, of which a
@@ -164,6 +166,14 @@ func parentPairVal(uGlobal int64, childLevel int32) uint64 {
 		panic(fmt.Sprintf("core: vertex id %d exceeds the pairs-codec ceiling", uGlobal))
 	}
 	return uint64(uGlobal)<<parentLevelBits | uint64(childLevel)
+}
+
+// gatherShare is the range of local slots whose global ids — every GPU's,
+// ids [lo·p, hi·p) — rank writes in a full gather.
+func (pe *planEnv) gatherShare(rank int) (lo, hi int64) {
+	p64, prank := int64(pe.p), int64(pe.shape.Ranks())
+	rows := (pe.sg.N + p64 - 1) / p64
+	return rows * int64(rank) / prank, rows * int64(rank+1) / prank
 }
 
 // delegateStripe is the range of the replicated delegate directory whose
@@ -539,9 +549,8 @@ func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 	comm.Barrier()
 	out, sep := e.out, e.sg.Sep
 	dLevel := e.rankGPUs(rank)[0].delegateLevel
-	p64, prank := int64(e.p), int64(e.shape.Ranks())
-	rows := (e.sg.N + p64 - 1) / p64
-	lo, hi := rows*int64(rank)/prank, rows*int64(rank+1)/prank
+	p64 := int64(e.p)
+	lo, hi := e.gatherShare(rank)
 	for s0 := lo; s0 < hi; s0 += gatherSlots {
 		for res := int64(0); res < p64; res++ {
 			gs := e.gpus[e.cfg.OwnerGPU(res)]

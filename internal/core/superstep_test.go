@@ -81,6 +81,28 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		}
 	}
 
+	// A sweep that collects its trees adds its finisher's: the delegate
+	// candidates' reduce-scatter, two rendezvous on any rank count (one
+	// min-allreduce per rank while they were reduced stripe by stripe), which
+	// is also the gather's barrier.
+	popts := DefaultOptions()
+	popts.CollectParents = true
+	for _, shape := range []ClusterShape{{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, {Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}} {
+		el, p := webPlan(t, 9, shape, popts)
+		if p.d == 0 {
+			t.Fatalf("sweep %v: no delegates to reduce", shape)
+		}
+		e := p.newSweepSession(popts, pickSources(el.OutDegrees(), 8, 3))
+		res, err := e.run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		supersteps := uint64(res[0].Exchange.AllPairsIterations)
+		if got, want := e.world.Rendezvous()-2*supersteps, uint64(2); got != want {
+			t.Errorf("sweep with parents on %d ranks: the finisher took %d rendezvous, want %d", shape.Ranks(), got, want)
+		}
+	}
+
 	// A repair runs the same loop behind a prologue of three rendezvous (four
 	// while its probe had a round of its own): the probe round's pre-exchange
 	// reduce, one max-reduce of the seed-level bounds and the probe's charge,

@@ -113,6 +113,11 @@ type sweepGPU struct {
 	newD     *bitmask.Matrix // d × K delegate proposal
 	hist     laneHist        // normal frontier history, one level per iteration
 
+	// The tree resolution's (sweep_tree.go): the history regrouped by slot,
+	// and the candidates, slot·K + lane.
+	ix   laneIndex
+	cand []uint32
+
 	outIDs []uint32 // slots discovered this iteration (set rows of nxt)
 	bins   *frontier.RecordBins
 
@@ -155,9 +160,12 @@ type sweepScratch struct {
 // everything here, and everything the resolution adds, is valid as zeroed —
 // no array is filled before use, where the K×n and K×d level arrays this
 // design replaced were 76 MB of -1. A K = 64 sweep of RMAT 16 on 16 GPUs
-// allocates ~130 MB (147 MB before; BenchmarkSweepResolve reports it): 50 MB
-// are the K results, 46 MB the resolution's (vertex, lane) candidates on all
-// ranks, and the traversal itself — matrices and histories — about 15 MB.
+// allocates 120.5 MB (BenchmarkSweepResolve reports it; 130.2 MB while the
+// delegate candidates were widened to int64 stripe by stripe for their
+// reduction, 147 MB with the level arrays): 50 MB are the K results, 46 MB
+// the resolution's (vertex, lane) candidates on all ranks — 17 MB the
+// normals', 29 MB the delegates', d·K on every rank — and the traversal
+// itself — matrices and histories — about 15 MB.
 type sweepSession struct {
 	runEnv
 	k, w    int

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"gcbfs/internal/bitmask"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -394,7 +395,9 @@ func TestSweepAmortizesWork(t *testing.T) {
 // history in the session, then every iteration re-resolves all 64 trees on the
 // rank goroutines. It reports the host cost per (visited vertex, lane), the
 // share of dd row entries the pass read (a lane-at-a-time resolver reads ~15
-// |Edd|), and what one whole RunSweep allocates.
+// |Edd|), the candidates the nd pass stored per visited (normal, lane) pair
+// (an offer per nd edge stored 2.84; the first-hit rule stores at most one,
+// and the benchmark fails above that), and what one whole RunSweep allocates.
 func BenchmarkSweepResolve(b *testing.B) {
 	el := rmat.Generate(rmat.DefaultParams(16))
 	shape := ClusterShape{4, 2, 2}
@@ -430,9 +433,15 @@ func BenchmarkSweepResolve(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	var read, visited int64
+	var read, stores, visited, normalLanes int64
 	for _, sc := range e.scratch {
 		read += sc.tree.ddEdges
+		stores += sc.tree.ndStores
+	}
+	for _, gs := range e.gpus {
+		_, rows := gs.hist.level(0)
+		normalLanes -= bitmask.RowCount(rows) // the sources have no parent
+		normalLanes += bitmask.RowCount(gs.hist.rows)
 	}
 	for _, out := range e.outs {
 		for _, l := range out.levels {
@@ -443,5 +452,10 @@ func BenchmarkSweepResolve(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(visited), "ns/vertex-lane")
 	b.ReportMetric(float64(read)/float64(plan.Graph().CountDD), "dd-read/|Edd|")
+	ndPerPair := float64(stores) / float64(normalLanes)
+	b.ReportMetric(ndPerPair, "nd-stores/normal-lane")
+	if ndPerPair > 1 {
+		b.Fatalf("the nd pass stored %.2f candidates per visited (normal, lane), want at most 1", ndPerPair)
+	}
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc), "B/sweep")
 }

@@ -14,31 +14,38 @@ package core
 // lanes in which u is a legal parent of v are from & lanes(v, L+1).
 //
 //   - Delegate tier, level by level, level L's lane sets scattered into a d×K
-//     matrix. dd pass: level L−1's delegates in ascending id against their dd
-//     rows; from & todo(dv) are the lanes dv still wants a parent in, and
-//     because dense delegate ids ascend with global ids (partition.Separate)
-//     the FIRST hit per (delegate, lane) is the minimum — written once, struck
-//     off todo, never compared. A dd row is read once per distinct level its
-//     delegate holds across all lanes, not once per lane. nd pass: level L−1's
-//     normals offer themselves to their level-L delegate neighbors, level L's
-//     normals take their smallest level-(L−1) delegate neighbor.
-//   - Reduction: a rank's candidates for the d·K (delegate, lane) pairs are
-//     uint32 (a sweep that collects parents needs vertex ids below 2^32−1: as
-//     int64 they would be the sweep's largest allocation), and meet in one
-//     min-reduce per stripe of the delegate directory, whose owner keeps it.
+//     matrix and level L's normals' into each GPU's NumLocal×K todo matrix.
+//     dd and nd passes: level L−1's delegates in ascending id against their dd
+//     rows and their DN rows (each GPU's DN is the co-located transpose of its
+//     ND); from & todo(v) are the lanes v still wants a delegate parent in,
+//     and because dense delegate ids ascend with global ids
+//     (partition.Separate) the FIRST hit per (vertex, lane) is its smallest
+//     delegate parent — written once, struck off todo, never compared. A row
+//     is read once per distinct level its delegate holds across all lanes,
+//     not once per lane. Then level L−1's normals offer themselves to their
+//     level-L delegate neighbors over ND; an offer, like the nn replay's, is
+//     compared with the candidate it meets.
 //   - nn replay: one pair round whose pairs carry the sender's lane set (the
 //     round's lane-set column, a mask section behind each pairs block on the
 //     wire); the receiver finds "v's lanes at level L" in the history
 //     regrouped by vertex (laneIndex).
-//   - Gather: candidates are staged per (slot, lane), K lanes of a vertex side
-//     by side, because the K result arrays are the other way round; they, the
-//     levels and the unvisited -1s are written out last, a block of lanes at a
-//     time in slot order, every entry once.
+//   - Reduction: a rank's candidates for the d·K (delegate, lane) pairs are
+//     uint32 as stored (a sweep that collects parents needs vertex ids below
+//     2^32−1: as int64 they would be the sweep's largest allocation), and meet
+//     in one reduce-scatter (mpi.ReduceScatterMin, two rendezvous whatever the
+//     rank count), which leaves each rank the global candidates of the
+//     delegates it gathers.
+//   - Gather: past the reduction every rank writes one contiguous range of
+//     global ids of all K result arrays — every GPU's slots in it, read from
+//     their visited rows, lane indexes and candidates, and the delegates in
+//     it, from the replicated delegate tier and the reduced stripe — a block
+//     of lanes at a time in id order, every entry once.
 //
 // Like the single tree, none of this is on the modelled clock.
 
 import (
 	"math/bits"
+	"slices"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
@@ -93,32 +100,42 @@ func (h *laneHist) deepest(deepest []int32) {
 	}
 }
 
-// laneIndex is a laneHist regrouped by vertex: vertex v's entries, in
-// ascending level, are [off[v], off[v+1]) — usually two or three, because the
-// lanes of a sweep reach a vertex within a level or two of one another.
+// laneIndex is a laneHist regrouped by vertex: the entries of the i-th vertex
+// of its range, in ascending level, are [off[i], off[i+1]) — usually two or
+// three, because the lanes of a sweep reach a vertex within a level or two of
+// one another.
 type laneIndex struct {
 	off  []int32
 	lev  []int32
 	rows []uint64
 }
 
-// index regroups the history of n vertices (a stable counting sort by vertex).
-func (h *laneHist) index(n int64) laneIndex {
-	ix := laneIndex{off: make([]int32, n+2), lev: make([]int32, len(h.ids)), rows: make([]uint64, len(h.rows))}
+// index regroups the entries of the vertices in [lo, hi) (a stable counting
+// sort by vertex): vertex v's are [off[v−lo], off[v−lo+1]).
+func (h *laneHist) index(lo, hi int64) laneIndex {
+	n := hi - lo
+	ix := laneIndex{off: make([]int32, n+2)}
 	// Counted two slots up, so that the prefix sum leaves v's start in off[v+1]
 	// and the fill, advancing it to v's end, leaves off[v] holding v's start.
 	next := ix.off[1:]
 	for _, id := range h.ids {
-		next[id+1]++
+		if v := int64(id) - lo; uint64(v) < uint64(n) {
+			next[v+1]++
+		}
 	}
 	for v := int64(1); v <= n; v++ {
 		next[v] += next[v-1]
 	}
 	w := h.w
+	ix.lev, ix.rows = make([]int32, next[n]), make([]uint64, int(next[n])*w)
 	for l := int32(0); l < h.levels(); l++ {
 		for e := int(h.off[l]); e < int(h.off[l+1]); e++ {
-			t := int(next[h.ids[e]])
-			next[h.ids[e]]++
+			v := int64(h.ids[e]) - lo
+			if uint64(v) >= uint64(n) {
+				continue
+			}
+			t := int(next[v])
+			next[v]++
 			ix.lev[t] = l
 			copy(ix.rows[t*w:(t+1)*w], h.rows[e*w:(e+1)*w])
 		}
@@ -141,38 +158,50 @@ func (ix *laneIndex) lanes(v uint32, l int32, w int) []uint64 {
 // smallest-parent-so-far ids stored id+1, so a zeroed array is "none" and
 // c−1 wraps "none" to the largest id, which loses every comparison.
 type treeScratch struct {
-	nix   []laneIndex // per local GPU, its normal history by slot
-	ncand [][]uint32  // per local GPU: slot·K + lane → candidate
 	// cand[delegate·K + lane] is this rank's candidate; after the reduction,
 	// within the rank's stripe, the global one.
 	cand []uint32
-	// ddEdges counts the dd row entries the resolution read on this rank
-	// (BenchmarkSweepResolve reports it against |Edd|).
-	ddEdges int64
+	// ddEdges counts the dd row entries the resolution read on this rank and
+	// ndStores the candidates its nd pass wrote (BenchmarkSweepResolve reports
+	// them against |Edd| and the visited (normal, lane) pairs).
+	ddEdges, ndStores int64
 }
 
 // finishSweep resolves and gathers all K queries on this rank. All ranks
-// participate (collectives inside).
+// participate: the replay's pair round and the reduce-scatter when parents
+// are collected, a barrier when only levels are.
 func (e *sweepSession) finishSweep(rank int, comm *mpi.Comm, gpus []*sweepGPU, sc *sweepScratch) {
-	ts := &sc.tree
-	ts.nix = make([]laneIndex, len(gpus))
-	if e.opts.CollectParents {
-		ts.ncand = make([][]uint32, len(gpus))
-		ts.cand = make([]uint32, int(e.d)*e.k)
-	}
-	for s, gs := range gpus {
-		ts.nix[s] = gs.hist.index(gs.pg.NumLocal)
-		if ts.ncand != nil {
-			ts.ncand[s] = make([]uint32, int(gs.pg.NumLocal)*e.k)
+	k := e.k
+	for _, gs := range gpus {
+		gs.ix = gs.hist.index(0, gs.pg.NumLocal)
+		if e.opts.CollectParents {
+			gs.cand = make([]uint32, int(gs.pg.NumLocal)*k)
 		}
 	}
+	lo, hi := e.gatherShare(rank)
+	dlo, dhi := e.delegatesIn(lo, hi)
 	if e.opts.CollectParents {
-		if e.d > 0 {
-			e.resolveDelegateLanes(rank, comm, gpus, sc)
-		}
-		e.replayLanes(rank, comm, gpus, ts)
+		ts := &sc.tree
+		ts.cand = make([]uint32, int(e.d)*k)
+		e.resolveDelegateLanes(gpus, sc)
+		e.replayLanes(rank, comm, gpus)
+		comm.ReduceScatterMin(ts.cand, int(dlo)*k, int(dhi)*k)
+	} else {
+		comm.Barrier()
 	}
-	e.gatherLanes(rank, gpus, sc)
+	e.gatherLanes(lo, hi, dlo, dhi, sc)
+}
+
+// delegatesIn returns the range of delegate ids whose global ids lie in the
+// gather share [lo, hi) of local slots (global ids [lo·p, hi·p)): dense ids
+// ascend with global ids, so it is contiguous.
+func (e *sweepSession) delegatesIn(lo, hi int64) (dlo, dhi int64) {
+	p64 := int64(e.p)
+	at := func(v int64) int64 {
+		i, _ := slices.BinarySearch(e.sg.Sep.DelegateGlobal, v)
+		return int64(i)
+	}
+	return at(lo * p64), at(hi * p64)
 }
 
 // offer folds id into the candidates of the lanes a & b of the vertex whose
@@ -189,108 +218,105 @@ func offer(cands []uint32, base int, a, b []uint64, id uint32) {
 	}
 }
 
+// firstHits writes self as the candidate of every (neighbor, lane) in row ×
+// from — from being the lanes of one delegate — that todo still holds, strikes
+// them off todo and returns how many it wrote. Walked in ascending self, the
+// first hit per (neighbor, lane) is the smallest delegate that reaches it, so
+// nothing is compared; the neighbor's candidate must be "none" beforehand.
+func firstHits(row []uint32, from, todo []uint64, cands []uint32, k int, self uint32) (stores int64) {
+	w := len(from)
+	for j, f := range from {
+		if f == 0 {
+			continue
+		}
+		for _, v := range row {
+			hit := f & todo[int(v)*w+j]
+			if hit == 0 {
+				continue
+			}
+			todo[int(v)*w+j] &^= hit
+			stores += int64(bits.OnesCount64(hit))
+			for at := int(v)*k + j*64; hit != 0; hit &= hit - 1 {
+				cands[at+bits.TrailingZeros64(hit)] = self
+			}
+		}
+	}
+	return stores
+}
+
 // resolveDelegateLanes resolves the delegate tier level by level on this
-// rank's GPUs — the dd pass, and the nd pass, which also offers the local
-// normal vertices their delegate parents — then reduces the delegates'
-// candidates stripe by stripe, keeping its own stripe's in ts.cand.
+// rank's GPUs: the dd pass, which gives the delegates their delegate parents,
+// the nd pass, which gives the local normals theirs, and the normals' offers
+// to their delegate children. It leaves the rank's delegate candidates in
+// ts.cand, unreduced.
 //
 // (The tiers' histories have one level per superstep each, so they are equally
-// deep.) Level L's delegates are scattered into d×K matrices (cur: their
-// lanes; todo: the lanes still without a dd parent here) so an edge costs one
-// independent load; prev is level L−1's.
-func (e *sweepSession) resolveDelegateLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, sc *sweepScratch) {
+// deep.) Level L's delegates are scattered into two d×K matrices (cur: their
+// lanes; todo: the lanes still without a dd parent here) and level L's normals
+// into each GPU's nxt matrix — empty once the traversal rotated its last
+// level — as their todo, so an edge costs one independent load.
+func (e *sweepSession) resolveDelegateLanes(gpus []*sweepGPU, sc *sweepScratch) {
 	w, k := e.w, e.k
 	sep := e.sg.Sep
 	ts, hist := &sc.tree, &sc.histD
 	cand := ts.cand
-	prev, cur, todo := make([]uint64, len(sc.rankD)), make([]uint64, len(sc.rankD)), sc.rankD
+	cur, todo := make([]uint64, len(sc.rankD)), sc.rankD
 	clear(todo)
-	scatter := func(dst []uint64, l int32) {
-		ids, rows := hist.level(l)
-		for i, di := range ids {
-			copy(dst[int(di)*w:int(di+1)*w], rows[i*w:(i+1)*w])
+	scatter := func(dst []uint64, ids []uint32, rows []uint64) {
+		for i, id := range ids {
+			copy(dst[int(id)*w:int(id+1)*w], rows[i*w:(i+1)*w])
 		}
 	}
-	unscatter := func(dst []uint64, l int32) {
-		ids, _ := hist.level(l)
-		for _, di := range ids {
-			clear(dst[int(di)*w : int(di+1)*w])
+	unscatter := func(dst []uint64, ids []uint32) {
+		for _, id := range ids {
+			clear(dst[int(id)*w : int(id+1)*w])
 		}
 	}
-	ts.ddEdges = 0
-	scatter(prev, 0)
+	ts.ddEdges, ts.ndStores = 0, 0
 	for l := int32(1); l < hist.levels(); l++ {
-		scatter(cur, l)
-		scatter(todo, l)
+		ids, rows := hist.level(l)
+		scatter(cur, ids, rows)
+		scatter(todo, ids, rows)
+		for _, gs := range gpus {
+			nids, nrows := gs.hist.level(l)
+			scatter(gs.nxt.Words(), nids, nrows)
+		}
 
-		// dd: level L−1's delegates in ascending id against their dd rows, so
-		// every hit is the first for its (delegate, lane), hence the smallest.
-		if ids, _ := hist.level(l); len(ids) > 0 {
-			from, fromRows := hist.level(l - 1)
-			for i, di := range from {
-				self := uint32(sep.DelegateGlobal[di]) + 1
-				for _, gs := range gpus {
+		// dd and nd: level L−1's delegates in ascending id push into the
+		// delegates and the normals one level down, so a (vertex, lane)'s
+		// first hit is its smallest delegate parent.
+		from, fromRows := hist.level(l - 1)
+		for i, di := range from {
+			self := uint32(sep.DelegateGlobal[di]) + 1
+			lanes := fromRows[i*w : (i+1)*w]
+			for _, gs := range gpus {
+				if len(ids) > 0 {
 					row := gs.pg.DD.Neighbors(int64(di))
 					ts.ddEdges += int64(len(row))
-					for j, f := range fromRows[i*w : (i+1)*w] {
-						if f == 0 {
-							continue
-						}
-						for _, dv := range row {
-							hit := f & todo[int(dv)*w+j]
-							if hit == 0 {
-								continue
-							}
-							todo[int(dv)*w+j] &^= hit
-							for at := int(dv)*k + j*64; hit != 0; hit &= hit - 1 {
-								cand[at+bits.TrailingZeros64(hit)] = self
-							}
-						}
-					}
+					firstHits(row, lanes, todo, cand, k, self)
 				}
+				ts.ndStores += firstHits(gs.pg.DN.Neighbors(int64(di)), lanes, gs.nxt.Words(), gs.cand, k, self)
 			}
 		}
 
-		// nd: a level-(L−1) normal is a candidate of its level-L delegate
-		// neighbors; a level-L normal takes its smallest level-(L−1) delegate
-		// neighbor.
-		for s, gs := range gpus {
-			pg, ncand := gs.pg, ts.ncand[s]
-			ids, rows := gs.hist.level(l - 1)
-			for i, u := range ids {
+		// A level-(L−1) normal is a candidate of its level-L delegate
+		// neighbors.
+		for _, gs := range gpus {
+			pg := gs.pg
+			nids, nrows := gs.hist.level(l - 1)
+			for i, u := range nids {
 				self := uint32(e.cfg.GlobalID(u, pg.Rank, pg.Slot))
 				for _, dv := range pg.ND.Neighbors(int64(u)) {
-					offer(cand, int(dv)*k, rows[i*w:(i+1)*w], cur[int(dv)*w:], self)
-				}
-			}
-			ids, rows = gs.hist.level(l)
-			for i, u := range ids {
-				for _, dv := range pg.ND.Neighbors(int64(u)) {
-					offer(ncand, int(u)*k, rows[i*w:(i+1)*w], prev[int(dv)*w:], uint32(sep.DelegateGlobal[dv]))
+					offer(cand, int(dv)*k, nrows[i*w:(i+1)*w], cur[int(dv)*w:], self)
 				}
 			}
 		}
 
-		unscatter(prev, l-1)
-		unscatter(todo, l)
-		prev, cur = cur, prev
-	}
-
-	// One min-reduce per stripe of the directory; the owner keeps the result.
-	prank := e.shape.Ranks()
-	win := make([]int64, (e.d/int64(prank)+1)*int64(k))
-	for r := 0; r < prank; r++ {
-		lo, hi := e.delegateStripe(r)
-		stripe := cand[int(lo)*k : int(hi)*k]
-		buf := win[:len(stripe)]
-		for i, c := range stripe {
-			buf[i] = int64(c - 1)
-		}
-		comm.AllreduceMin(buf)
-		if r == rank {
-			for i, c := range buf {
-				stripe[i] = uint32(c) + 1
-			}
+		unscatter(cur, ids)
+		unscatter(todo, ids)
+		for _, gs := range gpus {
+			nids, _ := gs.hist.level(l)
+			unscatter(gs.nxt.Words(), nids)
 		}
 	}
 }
@@ -301,7 +327,7 @@ func (e *sweepSession) resolveDelegateLanes(rank int, comm *mpi.Comm, gpus []*sw
 // pairs carrying the lanes the sender holds that level in, a w-word lane-set
 // column of the pair round (pairRound, exchange.go) that delivers them. On
 // return this rank's normal candidates are final.
-func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, ts *treeScratch) {
+func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU) {
 	w, k := e.w, e.k
 	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
@@ -311,8 +337,8 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, t
 	// without delegates leaves five times its replay behind in discarded
 	// backing arrays.
 	var most int64
-	for s, gs := range gpus {
-		nix := &ts.nix[s]
+	for _, gs := range gpus {
+		nix := &gs.ix
 		for slot := int64(0); slot < gs.pg.NumLocal; slot++ {
 			most += int64(nix.off[slot+1]-nix.off[slot]) * gs.pg.NN.Degree(slot)
 		}
@@ -323,8 +349,8 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, t
 
 	pairs := make([]int64, 2*k)
 	remote := pairs[k:]
-	for s, gs := range gpus {
-		pg, nix, ncand := gs.pg, &ts.nix[s], ts.ncand[s]
+	for _, gs := range gpus {
+		pg, nix, ncand := gs.pg, &gs.ix, gs.cand
 		for slot := int64(0); slot < pg.NumLocal; slot++ {
 			lo, hi := int(nix.off[slot]), int(nix.off[slot+1])
 			if lo == hi || pg.NN.Degree(slot) == 0 {
@@ -369,84 +395,91 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU, t
 
 	c := round.exchange(comm, parentTagBase, e.opts.Compression, func(s int, prs []frontier.Pair, lanes []uint64) {
 		for i, pr := range prs {
-			if mine := ts.nix[s].lanes(pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), w); mine != nil {
-				offer(ts.ncand[s], int(pr.ID)*k, lanes[i*w:(i+1)*w], mine, uint32(pr.Val>>parentLevelBits))
+			gs := gpus[s]
+			if mine := gs.ix.lanes(pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), w); mine != nil {
+				offer(gs.cand, int(pr.ID)*k, lanes[i*w:(i+1)*w], mine, uint32(pr.Val>>parentLevelBits))
 			}
 		}
 	})
 	e.pairWire.Add(c.sent)
 }
 
-// gatherBlock is how many lanes the gather writes side by side. The K result
-// arrays are indexed by global id, so one GPU's slots sit p entries apart in
-// each: writing a vertex's K entries at once is K scattered stores, while a
-// block of lanes at a time, walking the slots in order, is a few strided
-// streams the hardware prefetches (and a rank's GPUs, walked together, share
-// lines). Measured on RMAT 16, 16 GPUs, K = 64: 16 lanes beat 4, 8, 32 and 64.
+// gatherBlock is how many lanes the gather writes side by side: a vertex's K
+// entries go to K result arrays, so a block of lanes at a time, walking the
+// ids in order, writes two sequential streams per lane (levels and parents).
+// Measured on RMAT 16, 16 GPUs, K = 64: 16 and 64 lanes time alike.
 const gatherBlock = 16
 
 // gatherLanes writes this rank's share of the K result arrays, every entry
-// exactly once (they come zeroed, not pre-filled): its GPUs' normal slots from
-// the visited matrix and the index, and its stripe of the replicated delegate
-// directory, whose home slots the normal pass skips.
-func (e *sweepSession) gatherLanes(rank int, gpus []*sweepGPU, sc *sweepScratch) {
-	w, k := e.w, e.k
+// exactly once (they come zeroed, not pre-filled): global ids [lo·p, hi·p),
+// that is local slots [lo, hi) of every GPU, from the GPU's visited rows, lane
+// index and candidates — or, at a delegate, from the rank's replicated
+// delegate tier and its reduced stripe of candidates, the delegates [dlo,
+// dhi). Past the reduction's last rendezvous (or the barrier) every GPU's
+// resolution is final; RunRanks joins all ranks before the session is
+// released, so nothing orders the reads behind the gather.
+func (e *sweepSession) gatherLanes(lo, hi, dlo, dhi int64, sc *sweepScratch) {
+	k := e.k
 	ts, sep := &sc.tree, e.sg.Sep
-	var slots int64
-	for _, gs := range gpus {
-		slots = max(slots, gs.pg.NumLocal)
+	p64 := int64(e.p)
+	byRes := make([]*sweepGPU, e.p)
+	for res := range byRes {
+		byRes[res] = e.gpus[e.cfg.OwnerGPU(int64(res))]
 	}
-	lo, hi := e.delegateStripe(rank)
+	dix := sc.histD.index(dlo, dhi)
 	for q := 0; q < k; q += gatherBlock {
-		j, base := q/64, q/64*64
-		block := (uint64(1)<<min(gatherBlock, k-q) - 1) << (q % 64)
-
-		for slot := int64(0); slot < slots; slot++ {
-			for s, gs := range gpus {
-				pg := gs.pg
-				if slot >= pg.NumLocal {
+		lanes := laneBlock{j: q / 64, base: q / 64 * 64, mask: (uint64(1)<<min(gatherBlock, k-q) - 1) << (q % 64)}
+		for slot := lo; slot < hi; slot++ {
+			for res, gs := range byRes {
+				if slot >= gs.pg.NumLocal {
 					continue
 				}
-				v := e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
-				if sep.DelegateID[v] >= 0 {
-					continue
-				}
-				e.put(v, -1, ^gs.vis.Row(slot)[j]&block, base, nil)
-				var cands []uint32
-				if ts.ncand != nil {
-					cands = ts.ncand[s][int(slot)*k:]
-				}
-				nix := &ts.nix[s]
-				for t := int(nix.off[slot]); t < int(nix.off[slot+1]); t++ {
-					// Whatever edge discovered a vertex was covered by the nd
-					// pass, the same-GPU nn fold or the remote nn replay.
-					if !e.put(v, nix.lev[t], nix.rows[t*w+j]&block, base, cands) {
-						panicMissingParent(v, pg.GPU)
+				v := slot*p64 + int64(res)
+				if di := int64(sep.DelegateID[v]); di >= 0 {
+					if !e.putVertex(v, lanes, sc.visD.Row(di), &dix, di-dlo, candsOf(ts.cand, di, k)) {
+						panicNoCandidate(di)
 					}
-				}
-			}
-		}
-
-		for l := int32(0); l < sc.histD.levels(); l++ {
-			ids, rows := sc.histD.level(l)
-			for i, id := range ids {
-				di := int64(id)
-				if di < lo || di >= hi {
 					continue
 				}
-				var cands []uint32
-				if ts.cand != nil {
-					cands = ts.cand[int(di)*k:]
-				}
-				if !e.put(sep.DelegateGlobal[di], l, rows[i*w+j]&block, base, cands) {
-					panicNoCandidate(di)
+				// Whatever edge discovered a vertex was covered by the nd
+				// pass, the same-GPU nn fold or the remote nn replay.
+				if !e.putVertex(v, lanes, gs.vis.Row(slot), &gs.ix, slot, candsOf(gs.cand, slot, k)) {
+					panicMissingParent(v, gs.pg.GPU)
 				}
 			}
-		}
-		for di := lo; di < hi; di++ {
-			e.put(sep.DelegateGlobal[di], -1, ^sc.visD.Row(di)[j]&block, base, nil)
 		}
 	}
+}
+
+// laneBlock is the lanes a gather pass writes: mask, a set within word j of a
+// lane set, whose bit 0 is lane base.
+type laneBlock struct {
+	j, base int
+	mask    uint64
+}
+
+// candsOf returns the candidates of vertex at, lane 0 first, of cands (nil
+// when parents are not collected).
+func candsOf(cands []uint32, at int64, k int) []uint32 {
+	if cands == nil {
+		return nil
+	}
+	return cands[at*int64(k):]
+}
+
+// putVertex writes vertex v's results in the lanes of b: unvisited where vis,
+// its visited row, lacks the lane, and each level its index entries at at
+// hold, with cands, its candidates. It reports false if a lane holds no
+// candidate.
+func (e *sweepSession) putVertex(v int64, b laneBlock, vis []uint64, ix *laneIndex, at int64, cands []uint32) bool {
+	w := e.w
+	e.put(v, -1, ^vis[b.j]&b.mask, b.base, nil)
+	for t := int(ix.off[at]); t < int(ix.off[at+1]); t++ {
+		if !e.put(v, ix.lev[t], ix.rows[t*w+b.j]&b.mask, b.base, cands) {
+			return false
+		}
+	}
+	return true
 }
 
 // put writes vertex v's level l — -1: unvisited — and its parent into the

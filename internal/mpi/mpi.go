@@ -1,8 +1,9 @@
 // Package mpi provides an in-process message-passing runtime with MPI-like
 // semantics for the simulated cluster: a World of ranks (one goroutine
 // each), non-blocking point-to-point sends with unbounded buffering
-// (MPI_Isend/Irecv as used for the normal-vertex exchange, §V-B), and
-// OR/SUM/MAX allreduce collectives (the delegate-mask reduction, §V-A).
+// (MPI_Isend/Irecv as used for the normal-vertex exchange, §V-B),
+// OR/SUM/MAX/MIN allreduce collectives (the delegate-mask reduction, §V-A)
+// and a min reduce-scatter (the delegate-state reduction of a sweep's trees).
 //
 // The package is purely functional — data really moves between rank heaps
 // and collectives really fold — while *timing* is modeled separately by
@@ -17,9 +18,17 @@
 // AllreduceFused carries three independently typed sections (an optional OR
 // section, a max section, a sum section) through a single rendezvous; the
 // one-section collectives (AllreduceOr/Sum/Max/Min) are wrappers over
-// the same reduce (Min folds the max section the other way). The BFS superstep (core/run.go) is two fused rendezvous: one before the
-// exchange carrying the delegate-mask words and the destination-presence
-// rows, one after it carrying the timing maxima and the work sums.
+// the same reduce (Min folds the max section the other way). The BFS
+// superstep (core/run.go) is two fused rendezvous: one before the exchange
+// carrying the delegate-mask words and the destination-presence rows, one
+// after it carrying the timing maxima and the work sums.
+//
+// ReduceScatterMin is two rendezvous whatever the rank count, and its fold is
+// not under the lock: every rank posts its buffer, folds its own stripe out
+// of every other rank's, in parallel with the others, and waits at the second
+// rendezvous until nobody reads its buffer any more. An allreduce per stripe
+// would be one rendezvous per rank, each folding and copying out a whole
+// stripe on every rank under the collective's one lock.
 //
 // # Presence contract
 //
@@ -219,6 +228,7 @@ func (w *World) Reset() {
 	cl.mu.Lock()
 	cl.arrived = 0
 	cl.acc = nil
+	clear(cl.posted)
 	cl.mu.Unlock()
 	w.abortMu.Lock()
 	w.abortErr = nil
@@ -316,10 +326,12 @@ type collective struct {
 	// cannot start until every rank finished g, because each rank copies
 	// the result out under the lock before it can arrive for g+1.
 	acc3 [2]fusedAcc
+	// posted[r] is rank r's buffer between a reduce-scatter's two rendezvous.
+	posted [][]uint32
 }
 
 func newCollective(size int) *collective {
-	cl := &collective{size: size}
+	cl := &collective{size: size, posted: make([][]uint32, size)}
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
@@ -332,26 +344,36 @@ func (cl *collective) run(contrib any, init func(any) any, combine func(acc, in 
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
-	gen := cl.gen
 	if cl.arrived == 0 {
 		cl.acc = init(contrib)
 	} else {
 		combine(cl.acc, contrib)
 	}
-	cl.arrived++
-	if cl.arrived == cl.size {
+	if cl.arrived == cl.size-1 {
 		cl.result = cl.acc
 		cl.acc = nil
+	}
+	cl.arrive()
+	return cl.result
+}
+
+// arrive counts the caller into the current generation and parks it until the
+// last rank arrives, which ends the generation; it reports whether the caller
+// was that last rank. Called with cl.mu held.
+func (cl *collective) arrive() bool {
+	gen := cl.gen
+	cl.arrived++
+	if cl.arrived == cl.size {
 		cl.arrived = 0
 		cl.gen++
 		cl.cond.Broadcast()
-		return cl.result
+		return true
 	}
 	for cl.gen == gen {
 		cl.cond.Wait()
 		cl.w.checkAbort()
 	}
-	return cl.result
+	return false
 }
 
 // fusedAcc is one generation's accumulator of the typed fused reduce.
@@ -382,8 +404,7 @@ func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which ext
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
-	gen := cl.gen
-	acc := &cl.acc3[gen%2]
+	acc := &cl.acc3[cl.gen%2]
 	if cl.arrived == 0 {
 		acc.hasOr = false
 		acc.ext = append(acc.ext[:0], ext...)
@@ -423,17 +444,7 @@ func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which ext
 			}
 		}
 	}
-	cl.arrived++
-	if cl.arrived == cl.size {
-		cl.arrived = 0
-		cl.gen++
-		cl.cond.Broadcast()
-	} else {
-		for cl.gen == gen {
-			cl.cond.Wait()
-			cl.w.checkAbort()
-		}
-	}
+	cl.arrive()
 	copy(ext, acc.ext)
 	copy(sum, acc.sum)
 	if acc.hasOr {
@@ -530,5 +541,61 @@ func (c *Comm) AllreduceSumFloat64(vals []float64) {
 		for i, w := range row {
 			vals[i] += w
 		}
+	}
+}
+
+// ReduceScatterMin reduces the uint32 buffers of all ranks element-wise and
+// leaves each rank the result on its own stripe, buf[lo:hi]: the smallest
+// value any rank holds there, where 0 means "none" and loses every comparison
+// (0 only if every rank holds 0). The rest of buf is left as it was. All ranks
+// pass buffers of equal length and disjoint stripes, which may be uneven or
+// empty; a rank that owns none passes lo == hi.
+//
+// It is two rendezvous, with no copy through the collective: in the first
+// every rank posts its buffer; between them each rank folds its stripe out of
+// every other rank's buffer, all ranks in parallel; the second keeps every
+// buffer untouched until no rank reads it any more.
+func (c *Comm) ReduceScatterMin(buf []uint32, lo, hi int) {
+	if lo < 0 || lo > hi || hi > len(buf) {
+		panic(fmt.Sprintf("mpi: reduce-scatter stripe [%d,%d) of a %d-element buffer", lo, hi, len(buf)))
+	}
+	posted := c.post(buf)
+	mine := buf[lo:hi]
+	for r, theirs := range posted {
+		if r == c.rank {
+			continue
+		}
+		if len(theirs) != len(buf) {
+			panic(fmt.Sprintf("mpi: reduce-scatter length mismatch %d vs %d", len(theirs), len(buf)))
+		}
+		for i, v := range theirs[lo:hi] {
+			// v−1 wraps "none" to the largest value.
+			mine[i] = min(mine[i]-1, v-1) + 1
+		}
+	}
+	c.unpost()
+}
+
+// post is a reduce-scatter's first rendezvous: it posts buf as this rank's
+// and returns every rank's once all have posted.
+func (c *Comm) post(buf []uint32) [][]uint32 {
+	cl := c.w.coll
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	cl.w.checkAbort()
+	cl.posted[c.rank] = buf
+	cl.arrive()
+	return cl.posted
+}
+
+// unpost is a reduce-scatter's second rendezvous: once every rank has folded
+// its stripe, the last to arrive drops the posted buffers.
+func (c *Comm) unpost() {
+	cl := c.w.coll
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	cl.w.checkAbort()
+	if cl.arrive() {
+		clear(cl.posted)
 	}
 }

@@ -192,6 +192,70 @@ func TestAllreduceMin(t *testing.T) {
 	})
 }
 
+// A reduce-scatter leaves each rank the element-wise min of its stripe, 0
+// ("none") losing every comparison, and every other element as it was; uneven
+// and empty stripes included, in two rendezvous per call.
+func TestReduceScatterMin(t *testing.T) {
+	const n, rounds = 37, 3
+	for _, size := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		// Stripe r is [bounds[r], bounds[r+1]); every third one is empty.
+		bounds := make([]int, size+1)
+		bounds[size] = n
+		for r := 1; r < size; r++ {
+			bounds[r] = bounds[r-1]
+			if r%3 != 0 {
+				bounds[r] += 1 + rng.Intn(2*n/size)
+			}
+			bounds[r] = min(bounds[r], n)
+		}
+		contribs := make([][][]uint32, rounds)
+		for k := range contribs {
+			contribs[k] = make([][]uint32, size)
+			for r := range contribs[k] {
+				contribs[k][r] = make([]uint32, n)
+				for i := range contribs[k][r] {
+					if rng.Intn(3) > 0 {
+						contribs[k][r][i] = uint32(rng.Intn(1 << 20))
+					}
+				}
+				if size > 1 {
+					contribs[k][r][n-1] = 0 // the last element stays "none"
+				}
+			}
+		}
+		w := spawn(t, size, func(c *Comm) {
+			lo, hi := bounds[c.Rank()], bounds[c.Rank()+1]
+			for k := 0; k < rounds; k++ {
+				buf := append([]uint32(nil), contribs[k][c.Rank()]...)
+				c.ReduceScatterMin(buf, lo, hi)
+				for i, got := range buf {
+					want := contribs[k][c.Rank()][i]
+					if i >= lo && i < hi {
+						want = 0
+						for _, in := range contribs[k] {
+							if in[i] != 0 && (want == 0 || in[i] < want) {
+								want = in[i]
+							}
+						}
+					}
+					if got != want {
+						t.Errorf("p=%d round %d rank %d stripe [%d,%d): buf[%d] = %d, want %d", size, k, c.Rank(), lo, hi, i, got, want)
+					}
+				}
+			}
+		})
+		if got := w.Rendezvous(); got != 2*rounds {
+			t.Errorf("p=%d: %d rendezvous for %d reduce-scatters, want %d", size, got, rounds, 2*rounds)
+		}
+		for r, buf := range w.coll.posted {
+			if buf != nil {
+				t.Errorf("p=%d: the World still holds rank %d's buffer", size, r)
+			}
+		}
+	}
+}
+
 func TestAllreduceSumFloat64(t *testing.T) {
 	const size = 3
 	spawn(t, size, func(c *Comm) {
@@ -426,6 +490,24 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	}
 	if w.Aborted() == nil {
 		t.Fatal("World not marked aborted")
+	}
+	w.Reset()
+
+	// The same between a reduce-scatter's two rendezvous: rank 5 posts its
+	// buffer and aborts instead of folding, and the others unwind before the
+	// second completes.
+	got = run(func(c *Comm) {
+		buf := make([]uint32, size)
+		if c.Rank() == 5 {
+			c.post(buf)
+			w.Abort(cause)
+			return
+		}
+		c.ReduceScatterMin(buf, c.Rank(), c.Rank()+1)
+		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
+	})
+	if got != size-1 {
+		t.Fatalf("reduce-scatter: %d ranks unwound with the abort, want %d", got, size-1)
 	}
 	w.Reset()
 	if got := run(func(c *Comm) {
