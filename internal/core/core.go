@@ -615,6 +615,13 @@ type gpuState struct {
 	// writes parents of local normal vertices here (parents.go).
 	trackParents bool
 	parents      []int64
+	// tree is the rank's resolution scratch while a cold query that collects
+	// parents traverses, nil otherwise: the dd kernels fold each delegate's
+	// smallest dd parent into its dd array as they scan (parents.go), which
+	// runWave empties on the rank. reset sets it; resetTraversal clears it,
+	// because a repair wave's kernels see only what the wave re-levels
+	// (Session.childKnown, for the same reason).
+	tree *parentScratch
 
 	isNDSource         []bool // local slot has nd edges (member of NDSources)
 	unvisitedNDSources int64
@@ -701,6 +708,13 @@ func (e *Session) reset() {
 			}
 		}
 	}
+	if e.opts.CollectParents && e.d > 0 {
+		for rank, sc := range e.scratch {
+			for _, gs := range e.rankGPUs(rank) {
+				gs.tree = &sc.parents
+			}
+		}
+	}
 }
 
 // resetTraversal is reset without the O(n) part: everything but the level and
@@ -722,6 +736,7 @@ func (e *Session) resetTraversal() {
 		gs.repSeeds, gs.repCursor, gs.rep = gs.repSeeds[:0], 0, gs.rep[:0]
 		gs.unvisitedNDSources = int64(len(gs.pg.NDSources))
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
+		gs.tree = nil
 		gs.dev.ResetCounters()
 		gs.it = iterWork{}
 	}

@@ -24,7 +24,11 @@ import (
 // Work is counted exactly: forward kernels scan every neighbor of every
 // queued source; backward kernels count parent checks until the first
 // visited parent. The counts drive both the direction decisions (FV vs BV)
-// and the simulated kernel times.
+// and the simulated kernel times. While a cold query collects parents, the dd
+// kernel also folds each delegate's smallest dd parent into the rank's
+// candidates (parents.go, step 0); the backward scan reads the rest of a
+// row past its first hit to do so, and those reads are not counted, so the
+// tree stays unpriced (§VI-A3) and the modelled clock is a levels-only run's.
 
 // previsitOut carries queue and workload info from the previsit kernels.
 type previsitOut struct {
@@ -216,10 +220,11 @@ func (e *Session) decideDirections(gs *gpuState, pv previsitOut) {
 func improves(l, iter int32) bool { return uint32(l) > uint32(iter+1) }
 
 // discover sets a local normal vertex's level to depth, the visit rule having
-// passed it, and appends it to the output frontier. Parents are not recorded
-// here: the BFS tree is resolved canonically after the traversal (parents.go),
-// so the tree is a pure function of the hop distances and never depends on
-// which kernel or exchange strategy happened to reach a vertex first.
+// passed it, and appends it to the output frontier. A normal vertex's parent is
+// not recorded here: it is resolved canonically after the traversal
+// (parents.go), so it never depends on which kernel or exchange strategy
+// happened to reach the vertex first. Only the dd kernel records, and it folds
+// every candidate it sees, not the first.
 func (gs *gpuState) discover(local uint32, depth int32) {
 	gs.levels[local] = depth
 	gs.outFront = append(gs.outFront, local)
@@ -236,12 +241,23 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 	if e.opts.ForceTWBForDD {
 		strategy = simgpu.TWBDynamic
 	}
+	var rec []uint32 // the rank's dd candidates, while the kernels record them
+	if gs.tree != nil {
+		rec = gs.tree.dd
+	}
 	if gs.dirDD == metrics.Forward {
+		// Every level-iter delegate with a dd row here is queued, so a
+		// delegate's proposers are all its dd parents here. The fold is a min,
+		// not a first write, because the rank's GPUs fold into one array in
+		// turn.
 		for _, u := range pv.qDD {
 			for _, dv := range gs.pg.DD.Neighbors(u) {
 				edges++
 				if improves(gs.delegateLevel[dv], iter) {
 					gs.propose(int64(dv))
+					if rec != nil {
+						rec[dv] = min(rec[dv], uint32(u))
+					}
 				}
 			}
 		}
@@ -251,14 +267,21 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		edges, vertices = bc.ddEdges, bc.ddVertices
 	} else {
 		// Backward pull: unvisited delegates with local dd edges check
-		// their local parents against the visited mask (depth ≤ iter).
+		// their local parents against the visited mask (depth ≤ iter). A
+		// visited neighbor of an unvisited delegate sits at depth iter
+		// exactly, so the first hit and every visited id past it are the
+		// delegate's dd parents here; the tail's reads are not counted.
 		found := false
 		for _, u := range bc.candDD.at(gs.visGen, gs.pg.DDSourceMask, gs.visited) {
 			vertices++
-			for _, dv := range gs.pg.DD.Neighbors(int64(u)) {
+			row := gs.pg.DD.Neighbors(int64(u))
+			for i, dv := range row {
 				edges++
 				if gs.visited.Get(int64(dv)) {
 					gs.propose(int64(u))
+					if rec != nil {
+						rec[u] = min(rec[u], dv, minVisited(row[i+1:], gs.visited.Words()))
+					}
 					found = true
 					break
 				}
@@ -274,6 +297,18 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		Edges: edges, Vertices: vertices, Strategy: strategy,
 		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
 	})
+}
+
+// minVisited is the smallest delegate id of row set in the visited words,
+// noDelegate if none. It is branch-free: whether a neighbor is visited is a
+// coin flip to the branch predictor.
+func minVisited(row []uint32, visited []uint64) uint32 {
+	best := noDelegate
+	for _, dv := range row {
+		hit := uint32(visited[dv>>6]>>(dv&63)) & 1
+		best = min(best, dv|(hit-1))
+	}
+	return best
 }
 
 // kernelND processes normal→delegate edges into the new-delegate mask.

@@ -147,12 +147,17 @@ type kernelsSwapped struct {
 func (l kernelsSwapped) kernels(iter int32) { l.kernelSet(l.e, l.gpus, iter) }
 
 // runColdWith is Plan.Run with the kernels replaced: runWave, with the rank's
-// lanes wrapped.
+// lanes wrapped. The replacement kernels record no tree candidates, so the
+// run's tree comes from the dd and nd passes alone (the repair's full
+// resolution), which the production kernels' recorded tree must match.
 func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*gpuState, int32)) *metrics.RunResult {
 	t.Helper()
 	s := p.acquire(p.base)
 	defer p.release(s)
 	w := s.coldWave(source)
+	for _, gs := range s.gpus {
+		gs.tree = nil
+	}
 	ctx := context.Background()
 	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {
 		sc := s.scratch[rank]
@@ -200,7 +205,7 @@ func TestCachedBackwardKernelsMatchScanReference(t *testing.T) {
 	optSets := []struct {
 		name string
 		opts Options
-	}{{"paper", DefaultOptions()}, {"switchback", switchBack}}
+	}{{"paper", DefaultOptions()}, {"switchback", switchBack}, {"plain", PlainBFSOptions()}}
 	for _, g := range graphs {
 		// all-delegate, a mixed separation, zero-delegate
 		for _, th := range []int64{0, 8, 1 << 40} {

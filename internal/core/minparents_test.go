@@ -50,7 +50,8 @@ func requireMinParents(t *testing.T, label string, csr *graph.CSR, source int64,
 // TestParentsEqualMinIDOracle pins the tree itself, not just its validity:
 // Run, RunSweep and Repair must each return exactly the min-id tree of
 // their levels on every shape and threshold, including a graph deeper than
-// one sweep word.
+// one sweep word — Repair also when it resolves in full on a session a cold
+// run has just left its recorded candidates in.
 func TestParentsEqualMinIDOracle(t *testing.T) {
 	ctx := context.Background()
 	graphs := []struct {
@@ -131,6 +132,25 @@ func TestParentsEqualMinIDOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireMinParents(t, label+"/repair", csr2, sources[0], rep.Levels, rep.Parents)
+
+				// The same repair resolved in full, on a session a cold run from
+				// another source has just used: the run's kernels recorded its dd
+				// candidates, the wave's record none, and neither may reach the
+				// repair's tree.
+				s := plan2.acquire(opts)
+				if _, err := s.run(ctx, sources[1]); err != nil {
+					t.Fatal(err)
+				}
+				forward := opts
+				forward.DirectionOptimized = false // as Plan.repair runs every repair
+				s.configure(forward)
+				_, seeds := delta.Affected(prior, priorParents, b)
+				full, err := s.repair(ctx, &repairIn{source: sources[0], levels: prior, parents: priorParents, invalid: invalid, seeds: seeds, full: true})
+				plan2.release(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMinParents(t, label+"/repair-after-run", csr2, sources[0], full.Levels, full.Parents)
 			}
 		}
 	}

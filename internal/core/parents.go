@@ -17,17 +17,35 @@ import (
 // vertices of nn edges, without possible delegate parents, would need to
 // communicate their parent information at the end of BFS". This file goes one
 // step further than recording discovery-order parents: EVERY parent —
-// delegate or normal, local or remote — is resolved after the traversal as
-// the minimum global id among the vertex's neighbors exactly one level
-// closer. The tree is therefore a pure function of the hop distances: any
-// traversal that produces the same levels (any exchange strategy, any kernel
-// direction schedule, and crucially the multi-source shared sweep) yields a
+// delegate or normal, local or remote — is the minimum global id among the
+// vertex's neighbors exactly one level closer, resolved after the traversal
+// or, for a delegate's dd parents in a cold run, folded as the kernels scan.
+// The tree is therefore a pure function of the hop distances: any traversal
+// that produces the same levels (any exchange strategy, any kernel direction
+// schedule, and crucially the multi-source shared sweep) yields a
 // bit-identical tree.
 //
 // A direction-optimised traversal skips most edges (§IV-B), so the resolution
-// must not scan them all afterwards either. It applies the same idea to the
-// tree:
+// must not scan them all afterwards either. A cold traversal that collects
+// parents does not read its dd rows again at all (step 0). A repair's wave
+// records nothing, so its full resolution applies the traversal's own idea to
+// the tree instead (steps 1–3); steps 4 and 5 serve both:
 //
+//  0. Recorded dd candidates: while a cold query that collects parents runs,
+//     each GPU's dd kernel folds every delegate it visits into the rank's dd
+//     candidate array (gpuState.tree, the rank's parentScratch.dd). A forward
+//     kernel queues every delegate one level up with a dd row on the GPU, in
+//     ascending id, and folds each proposer into the delegate it proposes. A
+//     backward kernel stops at the first visited neighbor of an unvisited
+//     delegate, which can only be one level up — one more and the delegate
+//     would be visited already — so that hit and every visited id past it are
+//     the delegate's dd parents on the GPU; the rest of the row is folded
+//     branch-free. A rank's GPUs fold into its one array in turn, so each
+//     fold is a min, not a first write. The tail a backward scan reads past
+//     its first hit is not counted: the kernels' edges, and with them the
+//     modelled clock, are a levels-only run's (TestTreeIsUncharged). A
+//     repair wave's kernels see only what the wave re-levels, so
+//     resetTraversal clears the array's alias and they record nothing.
 //  1. Level volumes: from the replicated delegate directory every rank sums
 //     DelegateOutDeg per BFS level, O(d + depth), no communication.
 //  2. Per-level direction: the tree edges between levels L−1 and L are found
@@ -87,13 +105,14 @@ import (
 // straight into the query's output arrays, reading all p GPUs' rows and, for a
 // delegate, the replicated levels and reduced candidates (gatherRank).
 //
-// Steps 1–5 are one tree's, from the level arrays a single-source traversal
-// leaves behind (Run, RunRepair). A K-source sweep keeps no level arrays, only
-// its frontier history — per level, which lanes first reached which vertex —
-// and resolves its K trees from that at once (sweep_tree.go), the tree edges
-// between two levels being word operations on lane sets, not per-lane
-// compares, and its dd and nd passes needing neither a direction nor a
-// comparison: they walk a level's delegates in ascending id through their dd
+// Steps 0–5 are one tree's, from the level arrays and dd candidates a
+// single-source traversal leaves behind (Run records step 0; Repair's full
+// resolution and RunRepair run steps 1–3 in its place). A K-source sweep
+// keeps no level arrays, only its frontier history — per level, which lanes
+// first reached which vertex — and resolves its K trees from that at once
+// (sweep_tree.go), the tree edges between two levels being word operations on
+// lane sets, not per-lane compares, and its dd and nd passes needing neither
+// a direction nor a comparison: they walk a level's delegates in ascending id through their dd
 // and DN rows, and since dense ids ascend with global ids (2 above) the FIRST
 // delegate to reach a (neighbor, lane) — delegate or normal — is the smallest.
 // Its delegate candidates meet in one reduce-scatter, whose stripes are the
@@ -232,11 +251,9 @@ type parentScratch struct {
 	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
 	dd   []uint32 // delegate id → smallest dd parent (delegate id)
 	cand []int64  // delegate id → smallest parent global id; reduced
-	// ddEdges counts the dd row entries the last full resolution read on this
-	// rank (BenchmarkResolveParents reports it against |Edd|), patchReads the
-	// row entries of all four subgraphs the last repair patch read
-	// (BenchmarkRepairResolve, against the graph's edges).
-	ddEdges, patchReads int64
+	// patchReads counts the row entries of all four subgraphs the last repair
+	// patch read (BenchmarkRepairResolve, against the graph's edges).
+	patchReads int64
 
 	// rounds are the resolution's pair rounds: a full resolution has one (the
 	// nn replay), a repair's patch two (offers out, answers back), each with
@@ -360,20 +377,22 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, on
 }
 
 // resolveDelegateTier fills ps.cand with this rank's smallest parent
-// candidate per delegate (noParent where it has none): the direction-
-// optimised dd pass, then the nd pass, which also seeds the local normal
-// vertices' delegate parents.
+// candidate per delegate (noParent where it has none): the dd candidates the
+// cold traversal's kernels recorded or, where they recorded none (a repair's
+// full resolution), the direction-optimised dd pass's; then the nd pass, which
+// also seeds the local normal vertices' delegate parents.
 func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch) {
 	sep := e.sg.Sep
 	gpus := e.rankGPUs(rank)
 	dLevel := gpus[0].delegateLevel // one replica serves the rank: they are identical
-	push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
-
-	dd, cand := ps.candidates(e.d)
-	ps.ddEdges = 0
-	for _, gs := range gpus {
-		ps.ddEdges += ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
+	if gpus[0].tree == nil {
+		push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
+		dd, _ := ps.candidates(e.d)
+		for _, gs := range gpus {
+			ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
+		}
 	}
+	dd, cand := ps.dd[:e.d], ps.cand[:e.d]
 	for di, c := range dd {
 		cand[di] = noParent
 		if c != noDelegate {

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
+	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
@@ -91,6 +95,66 @@ func TestParentPairsReported(t *testing.T) {
 	}
 }
 
+// TestTreeIsUncharged: collecting the tree changes no modelled figure of the
+// traversal. The kernels record the delegate tier's candidates as they scan,
+// and a backward dd scan reads on past its first hit to do so, but the tree is
+// unpriced (§VI-A3): the run's time, edges, supersteps and wire bytes are a
+// levels-only run's, the resolution's own pair bytes aside.
+func TestTreeIsUncharged(t *testing.T) {
+	graphs := []struct {
+		name string
+		el   *graph.EdgeList
+	}{
+		{"rmat10", rmat.Generate(rmat.DefaultParams(10))},
+		{"web8", gen.WebGraph(gen.WebParams{Scale: 8, EdgeFactor: 8, NumChains: 3, ChainLength: 40, Seed: 9})},
+	}
+	on, off := true, false
+	backwardDD := 0
+	for _, g := range graphs {
+		src := pickSources(g.el.OutDegrees(), 1, 3)[0]
+		for _, shape := range []ClusterShape{{1, 1, 1}, {2, 2, 2}, {3, 1, 2}} {
+			th := partition.SuggestThreshold(g.el.OutDegrees(), 4*g.el.N/int64(shape.P()))
+			for _, do := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%s/do=%v", g.name, shape, do)
+				opts := DefaultOptions()
+				opts.DirectionOptimized = do
+				p := buildPlan(t, g.el, shape, th, opts)
+				tree, err := p.Run(context.Background(), src, Overrides{CollectParents: &on})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bare, err := p.Run(context.Background(), src, Overrides{CollectParents: &off})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tree.Parents == nil || bare.Parents != nil {
+					t.Fatalf("%s: CollectParents did not switch the tree", name)
+				}
+				if tree.SimSeconds != bare.SimSeconds || tree.EdgesScanned != bare.EdgesScanned {
+					t.Fatalf("%s: the tree moved the run: %g s, %d edges; levels only %g s, %d edges",
+						name, tree.SimSeconds, tree.EdgesScanned, bare.SimSeconds, bare.EdgesScanned)
+				}
+				if !reflect.DeepEqual(tree.PerIteration, bare.PerIteration) {
+					t.Fatalf("%s: the tree moved a superstep", name)
+				}
+				tw, bw := tree.Wire, bare.Wire
+				tw.PairRawBytes, tw.PairWireBytes, bw.PairRawBytes, bw.PairWireBytes = 0, 0, 0, 0
+				if tw != bw {
+					t.Fatalf("%s: the tree moved the wire\n got %+v\nwant %+v", name, tw, bw)
+				}
+				for _, it := range tree.PerIteration {
+					if it.DirDD == metrics.Backward {
+						backwardDD++
+					}
+				}
+			}
+		}
+	}
+	if backwardDD == 0 {
+		t.Fatal("no superstep ran dd backward: the uncounted tail reads went untested")
+	}
+}
+
 func TestParentsOffByDefault(t *testing.T) {
 	el := gen.Path(8)
 	e := buildPlan(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
@@ -138,13 +202,16 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 // (scale 16, the default 4n/p threshold) on the shapes of the two host
 // workloads that run it — rmat18-compute's 2×2×2 with the default options and
 // rmat16-exchange's 16×2×2 with butterfly and the adaptive codec: one
-// traversal leaves its levels and child-level bits in the session, then every
-// iteration re-resolves the whole tree on the rank goroutines. Beside the cost
-// per dd edge of the graph and the share of dd row entries the
-// direction-optimised pass actually read, it reports what the nn replay sent:
-// the pairs, the share of them whose target sits at the claimed level (all a
-// fold can accept), the share of the visited vertices with nn rows that
-// replayed theirs — and the gather's cost per vertex, timed on its own.
+// traversal leaves its levels, child-level bits and the tree candidates its
+// kernels recorded in the session, then every iteration restores those
+// candidates and re-resolves the whole tree on the rank goroutines. Part of
+// the tree is found inside the kernels, so it also reports the tree's whole
+// price, tree-share: 1 − t(levels-only Run) / t(Run with parents), the
+// two runs alternating over the same source. Beside the cost per dd edge of
+// the graph, it reports what the nn replay sent: the pairs, the share of them
+// whose target sits at the claimed level (all a fold can accept), the share of
+// the visited vertices with nn rows that replayed theirs — and the gather's
+// cost per vertex, timed on its own.
 func BenchmarkResolveParents(b *testing.B) {
 	el := rmat.Generate(rmat.DefaultParams(16))
 	src := pickSources(el.OutDegrees(), 1, 5)[0]
@@ -164,10 +231,21 @@ func BenchmarkResolveParents(b *testing.B) {
 			opts := tc.opts
 			opts.CollectParents = true
 			plan := buildPlan(b, el, tc.shape, th, opts)
+			ctx := context.Background()
 			s := plan.acquire(opts)
 			defer plan.release(s)
-			if _, err := s.run(context.Background(), src); err != nil {
+			// A traversal that collects parents but, handed no parent array,
+			// resolves none: the dd candidates are left as the kernels recorded
+			// them, to be restored before every resolution.
+			w := s.coldWave(src)
+			if _, err := s.traverse(ctx, src, treeOut{levels: make([]int32, s.sg.N)}, func(rank int, comm *mpi.Comm) {
+				s.runWave(ctx, rank, comm, src, w)
+			}); err != nil {
 				b.Fatal(err)
+			}
+			recorded := make([][]uint32, len(s.scratch))
+			for r, sc := range s.scratch {
+				recorded[r] = slices.Clone(sc.parents.dd)
 			}
 			finish := func(body func(rank int, comm *mpi.Comm)) {
 				if err := RunRanks(s.acquireWorld(), nil, tagSite, body); err != nil {
@@ -176,6 +254,10 @@ func BenchmarkResolveParents(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for r, sc := range s.scratch {
+					copy(sc.parents.dd, recorded[r])
+				}
 				for _, gs := range s.gpus {
 					for slot := range gs.parents {
 						gs.parents[slot] = -1
@@ -183,17 +265,13 @@ func BenchmarkResolveParents(b *testing.B) {
 				}
 				s.parentExchangePairs = 0
 				s.out = newTreeOut(&s.opts, s.sg.N)
+				b.StartTimer()
 				finish(func(rank int, comm *mpi.Comm) { s.finishQuery(rank, comm, src) })
 			}
 			b.StopTimer()
 			resolve := b.Elapsed()
-			var read int64
-			for _, sc := range s.scratch {
-				read += sc.parents.ddEdges
-			}
 			edd := float64(plan.Graph().CountDD)
 			b.ReportMetric(float64(resolve.Nanoseconds())/float64(b.N)/edd, "ns/dd-edge")
-			b.ReportMetric(float64(read)/edd, "dd-read/|Edd|")
 
 			var senders, flagged, sent, accepted int64
 			for _, gs := range s.gpus {
@@ -230,6 +308,23 @@ func BenchmarkResolveParents(b *testing.B) {
 				finish(func(rank int, comm *mpi.Comm) { s.gatherRank(rank, comm, &s.scratch[rank].parents) })
 			}
 			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(s.sg.N), "gather-ns/vertex")
+
+			var levelsOnly, withTree time.Duration
+			noTree, tree := false, true
+			for i := 0; i < b.N; i++ {
+				for _, collect := range []*bool{&noTree, &tree} {
+					t0 := time.Now()
+					if _, err := plan.Run(ctx, src, Overrides{CollectParents: collect}); err != nil {
+						b.Fatal(err)
+					}
+					if *collect {
+						withTree += time.Since(t0)
+					} else {
+						levelsOnly += time.Since(t0)
+					}
+				}
+			}
+			b.ReportMetric(1-levelsOnly.Seconds()/withTree.Seconds(), "tree-share")
 		})
 	}
 }

@@ -605,7 +605,9 @@ func BenchmarkRepairResolve(b *testing.B) {
 	for _, mode := range []string{"patch", "full"} {
 		b.Run(mode, func(b *testing.B) {
 			in := &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds, full: mode == "full"}
-			s := p2.acquire(opts)
+			forward := opts
+			forward.DirectionOptimized = false // as Plan.repair runs every repair
+			s := p2.acquire(forward)
 			defer p2.release(s)
 			s.resetTraversal()
 			out := treeOut{levels: slices.Clone(in.levels), parents: slices.Clone(in.parents)}
@@ -646,16 +648,13 @@ func BenchmarkRepairResolve(b *testing.B) {
 			if !slices.Equal(s.out.parents, res.Parents) || !slices.Equal(s.out.levels, res.Levels) {
 				b.Fatal("finishing the same wave again gave another tree")
 			}
-			reads := sg2.CountND + sg2.CountNN
+			reads := int64(0)
 			if mode == "patch" {
-				reads = 0
-			}
-			for _, sc := range s.scratch {
-				if mode == "patch" {
+				for _, sc := range s.scratch {
 					reads += sc.parents.patchReads
-				} else {
-					reads += sc.parents.ddEdges
 				}
+			} else {
+				reads = sg2.CountND + sg2.CountNN + ddPassReads(s)
 			}
 			b.ReportMetric(float64(changed), "|C|")
 			b.ReportMetric(float64(members), "|R|")
@@ -663,6 +662,19 @@ func BenchmarkRepairResolve(b *testing.B) {
 			b.ReportMetric(float64(s.parentExchangePairs), "pairs")
 		})
 	}
+}
+
+// ddPassReads is the dd row entries the full resolution's direction-optimised
+// dd pass reads over the session's delegate levels, on every GPU.
+func ddPassReads(s *Session) (reads int64) {
+	var ps parentScratch
+	dLevel := s.gpus[0].delegateLevel
+	push := ps.treeDirections(dLevel, s.sg.DelegateOutDeg)
+	dd, _ := ps.candidates(s.d)
+	for _, gs := range s.gpus {
+		reads += ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
+	}
+	return reads
 }
 
 // TestRepairCollectOverrides: a repair collects what its query asks for — the

@@ -650,8 +650,12 @@ func (e *Session) rankGPUs(rank int) []*gpuState {
 // entered with the frontier and any seed schedule for w already in place.
 func (e *Session) runWave(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
 	sc := e.scratch[rank]
+	gpus := e.rankGPUs(rank)
+	if gpus[0].tree != nil {
+		sc.parents.candidates(e.d) // the kernels fold into it from empty
+	}
 	e.exchangers(rank)
-	sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
+	sc.lanes = sourceLanes{e: e, rank: rank, gpus: gpus, sc: sc, source: source, w: w}
 	e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, w.schedule)
 }
 
