@@ -186,8 +186,7 @@
 // 64 sources, levels and parents) an answer cost 1.2–1.4 serial BFSs while
 // the sweep ran the single-tree pass 64 times — two thirds of the call — and
 // costs 0.4–0.45 now, so a sweep is, on the host clock too, the cheapest way
-// to ask many questions of one graph. A sweep that collects parents needs
-// vertex ids below 2^32−1 and is refused otherwise.
+// to ask many questions of one graph.
 //
 // A Repair does not resolve its tree again at all where it can help it: the
 // result starts as a copy of the prior result's arrays, and only the vertices
@@ -397,7 +396,9 @@ type Config struct {
 	// query with WithLevels.
 	CollectLevels bool
 	// CollectParents additionally gathers the Graph500 BFS tree into
-	// results. Overridable per query with WithParents.
+	// results. Overridable per query with WithParents. A query that collects
+	// the tree needs a graph of fewer than 2^32 vertices and is refused
+	// otherwise.
 	CollectParents bool
 	// Compression selects the frontier-exchange codec for inter-rank
 	// normal-vertex payloads (see the package comment). The zero value is

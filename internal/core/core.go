@@ -30,6 +30,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -119,12 +120,14 @@ type Options struct {
 	// CollectLevels gathers the global hop-distance array into the
 	// result (disable for large weak-scaling sweeps).
 	CollectLevels bool
-	// CollectParents additionally produces the Graph500 BFS tree, resolved
-	// after the traversal as the canonical min-id tree of the hop distances
-	// (parents.go): a direction-optimised local pass over the delegate tier
-	// plus one exchange for remote nn destinations, the low-cost step the
-	// paper describes (§VI-A3). Parent resolution is excluded from
-	// simulated BFS time, matching the paper's reporting.
+	// CollectParents additionally produces the Graph500 BFS tree, the
+	// canonical min-id tree of the hop distances (parents.go): the delegate
+	// tier's dd parents recorded by the traversal's own kernels, an nd pass,
+	// one pair round for remote nn destinations — the low-cost step the paper
+	// describes (§VI-A3) — and one reduce-scatter that brings each delegate's
+	// candidates to the rank that writes it. It needs fewer than 2^32
+	// vertices. Parent resolution is excluded from simulated BFS time,
+	// matching the paper's reporting.
 	CollectParents bool
 	// ForceTWBForDD replaces the dd kernel's merge-path load balancing
 	// with thread-warp-block dynamic mapping — an ablation knob for the
@@ -364,6 +367,11 @@ func (p *Plan) effectiveOptions(ov Overrides) (Options, error) {
 	}
 	if ov.CollectParents != nil {
 		o.CollectParents = *ov.CollectParents
+	}
+	if o.CollectParents && p.sg.N > math.MaxUint32 {
+		// Every tree's delegate candidates are uint32 global ids + 1
+		// (reduceDelegates).
+		return o, fmt.Errorf("core: collecting parents needs fewer than 2^32 vertices, graph has %d", p.sg.N)
 	}
 	return o, nil
 }

@@ -81,17 +81,24 @@ var goldenResults = map[string]string{
 	// only (the test checks that too). The codec-active rows were re-hashed
 	// when the probe began to ride the all-pairs id round, which encodes and
 	// frames it like any id message: only their SimSeconds and Parts moved
-	// (goldenCut). The off rows were hashed before that change and hold.
-	"repair":               "53620393a371a0dc",
+	// (goldenCut). The patching rows were re-hashed again when the patch's
+	// delegate candidates left its first pair round for the reduce-scatter
+	// every tree's candidates meet in: only their ParentPairs and
+	// Wire.Pair*Bytes moved (goldenPairCut).
+	"repair":               "a4d50f732ae72bbe",
 	"repair/RunRepair":     "ff726a8711d57d57",
-	"repair/off":           "b0a279d2359d1192",
+	"repair/off":           "7ffa5053149c14a1",
 	"repair/off/RunRepair": "a10be0013623c03d",
 }
 
 // goldenCut is what the codec-active repair rows hashed with SimSeconds and
-// Parts cut out (cutDigest) before their probe rode the all-pairs id round,
-// and remoteNormalBefore what their Parts.RemoteNormal read then, for the log
-// beside what it reads now.
+// Parts cut out (cutDigest) before their probe rode the all-pairs id round —
+// with the pair counters they read then (pairsBefore) — and
+// remoteNormalBefore what their Parts.RemoteNormal read then, for the log
+// beside what it reads now. goldenPairCut is what the patching rows hash with
+// ParentPairs and Wire.Pair*Bytes cut out (pairCutDigest), the same before
+// and after the patch's delegate candidates moved from its first pair round
+// to the reduce-scatter, and pairsBefore what those three read before it.
 var (
 	goldenCut = map[string]string{
 		"repair":           "f6a1aa4e8344d2f5",
@@ -101,7 +108,26 @@ var (
 		"repair":           1.2024244344534086e-05,
 		"repair/RunRepair": 1.2024244344534086e-05,
 	}
+	goldenPairCut = map[string]string{
+		"repair":     "b38c712dda077acf",
+		"repair/off": "1b1af6d3c819b90c",
+	}
+	pairsBefore = map[string][3]int64{
+		"repair":     {499, 3096, 1545},
+		"repair/off": {512, 5172, 5172},
+	}
 )
+
+// withPairs returns a copy of r whose ParentPairs, Wire.PairRawBytes and
+// Wire.PairWireBytes read pairs.
+func withPairs(r *metrics.RunResult, pairs [3]int64) *metrics.RunResult {
+	c := *r
+	c.ParentPairs, c.Wire.PairRawBytes, c.Wire.PairWireBytes = pairs[0], pairs[1], pairs[2]
+	return &c
+}
+
+// pairCutDigest is resultDigest with the resolution's pair counters cut out.
+func pairCutDigest(r *metrics.RunResult) string { return resultDigest(withPairs(r, [3]int64{})) }
 
 // cutDigest is resultDigest with the modelled clock's totals, SimSeconds and
 // Parts, cut out of every result.
@@ -264,8 +290,17 @@ func TestGoldenRunResults(t *testing.T) {
 			r    *metrics.RunResult
 		}{{tc.name, rep}, {tc.name + "/RunRepair", wrapped}} {
 			check(row.name, row.r)
+			if want, moved := goldenPairCut[row.name]; moved {
+				if got := pairCutDigest(row.r); got != want {
+					t.Errorf("%s: digest %s with ParentPairs and Wire.Pair*Bytes cut, golden %s", row.name, got, want)
+				}
+			}
 			if want, moved := goldenCut[row.name]; moved {
-				if got := cutDigest(row.r); got != want {
+				r := row.r
+				if was, ok := pairsBefore[row.name]; ok {
+					r = withPairs(r, was)
+				}
+				if got := cutDigest(r); got != want {
 					t.Errorf("%s: digest %s with SimSeconds and Parts cut, golden %s", row.name, got, want)
 				}
 				t.Logf("%s: Parts.RemoteNormal %v → %v", row.name, remoteNormalBefore[row.name], row.r.Parts.RemoteNormal)
@@ -275,7 +310,8 @@ func TestGoldenRunResults(t *testing.T) {
 			t.Errorf("%s: the patch sent %d pairs, the full resolution %d: nothing was patched", tc.name, rep.ParentPairs, wrapped.ParentPairs)
 		}
 		requireSameButPairs(t, tc.name+": Repair and RunRepair", rep, wrapped)
-		t.Logf("%s: ParentPairs %d (RunRepair %d), Wire.PairRawBytes %d (%d), Wire.PairWireBytes %d (%d)", tc.name,
-			rep.ParentPairs, wrapped.ParentPairs, rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
+		was := pairsBefore[tc.name]
+		t.Logf("%s: ParentPairs %d → %d (RunRepair %d), Wire.PairRawBytes %d → %d (%d), Wire.PairWireBytes %d → %d (%d)", tc.name,
+			was[0], rep.ParentPairs, wrapped.ParentPairs, was[1], rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, was[2], rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
-	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
 	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
@@ -66,9 +66,11 @@ import (
 //  4. nd pass: each GPU's ND is the co-located transpose of its DN (Route
 //     sends both directions of a delegate–normal edge to the normal's
 //     owner), so one scan over NDSources yields both a normal's smallest
-//     delegate parent and a delegate's smallest local normal parent. The
-//     delegate candidates then meet in an int64 min-allreduce, so all ranks
-//     agree deterministically.
+//     delegate parent and a delegate's smallest local normal parent. A
+//     rank's delegate candidates are uint32 global ids + 1 (0: none), and
+//     they meet in one reduce-scatter (reduceDelegates) on the rank whose
+//     gather share holds the delegate — the fold of Buluč & Madduri: each
+//     candidate reaches the one rank that writes the vertex, not every rank.
 //  5. nn replay: each GPU replays outgoing nn edges once, sending
 //     (destLocal, senderLevel+1, senderGlobal) pairs; receivers fold the
 //     smallest valid candidate. Only a vertex with an nn neighbor exactly
@@ -101,9 +103,10 @@ import (
 //     off it ships as generated, in raw pair blocks charged 12 bytes per pair
 //     — one wire format and one decoder whatever the mode.
 //
-// Past a barrier, every rank then writes one contiguous range of global ids
-// straight into the query's output arrays, reading all p GPUs' rows and, for a
-// delegate, the replicated levels and reduced candidates (gatherRank).
+// Past the reduction (a barrier when only levels are collected), every rank
+// then writes one contiguous range of global ids straight into the query's
+// output arrays, reading all p GPUs' rows and, for a delegate, the replicated
+// levels and its own stripe of the reduced candidates (gatherRank).
 //
 // Steps 0–5 are one tree's, from the level arrays and dd candidates a
 // single-source traversal leaves behind (Run records step 0; Repair's full
@@ -115,8 +118,7 @@ import (
 // a direction nor a comparison: they walk a level's delegates in ascending id through their dd
 // and DN rows, and since dense ids ascend with global ids (2 above) the FIRST
 // delegate to reach a (neighbor, lane) — delegate or normal — is the smallest.
-// Its delegate candidates meet in one reduce-scatter, whose stripes are the
-// delegates of each rank's share of the same contiguous gather.
+// Its delegate candidates, K per delegate, meet in the same reduce-scatter.
 //
 // A repair (Repair) has a third shape, because it starts with more than
 // levels: the prior epoch's tree π, exact under this same contract, of which a
@@ -153,9 +155,9 @@ import (
 // The three resolvers share the contract and what enforces it — the replay
 // pair's packing, the fold that keeps the smallest offer (foldParent), the
 // dd and nd row loops (ddPass, ndPass: the repair runs them over R's rows),
-// the delegate stripes, the missing-parent panics — and the pair round that
-// carries every replay (pairRound, exchange.go), whose pairs carry a lane set
-// in a sweep.
+// the candidates' form and their one reduction (reduceDelegates), the
+// missing-parent panics — and the pair round that carries every replay
+// (pairRound, exchange.go), whose pairs carry a lane set in a sweep.
 //
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
@@ -195,11 +197,27 @@ func (pe *planEnv) gatherShare(rank int) (lo, hi int64) {
 	return rows * int64(rank) / prank, rows * int64(rank+1) / prank
 }
 
-// delegateStripe is the range of the replicated delegate directory whose
-// results rank writes.
-func (pe *planEnv) delegateStripe(rank int) (lo, hi int64) {
-	prank := int64(pe.shape.Ranks())
-	return pe.d * int64(rank) / prank, pe.d * int64(rank+1) / prank
+// delegateShare is rank's stripe of the delegate directory: the delegates
+// whose global ids lie in its gather share. Dense ids ascend with global ids
+// (partition.Separate), so it is contiguous.
+func (pe *planEnv) delegateShare(rank int) (dlo, dhi int64) {
+	lo, hi := pe.gatherShare(rank)
+	p64 := int64(pe.p)
+	at := func(v int64) int64 {
+		i, _ := slices.BinarySearch(pe.sg.Sep.DelegateGlobal, v)
+		return int64(i)
+	}
+	return at(lo * p64), at(hi * p64)
+}
+
+// reduceDelegates is where every tree's delegate candidates meet: cand holds k
+// of them per delegate, global id + 1 (0: none), and each rank is left the
+// smallest any rank holds for the delegates of its share (delegateShare).
+// Two rendezvous, whatever the rank count; past the second every rank's
+// resolution is final, so it is also the gather's barrier.
+func (pe *planEnv) reduceDelegates(comm *mpi.Comm, rank int, cand []uint32, k int) {
+	dlo, dhi := pe.delegateShare(rank)
+	comm.ReduceScatterMin(cand, int(dlo)*k, int(dhi)*k)
 }
 
 // The resolution's invariants: every visited normal vertex below the root
@@ -214,12 +232,11 @@ func panicNoCandidate(di int64) {
 	panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
 }
 
-// noLevel is a level no vertex holds (unvisited is -1); noDelegate and
-// noParent are the empty dd and reduced candidates.
+// noLevel is a level no vertex holds (unvisited is -1); noDelegate is the
+// empty dd candidate.
 const (
 	noLevel    int32  = -2
 	noDelegate uint32 = math.MaxUint32
-	noParent   int64  = math.MaxInt64
 )
 
 // treeOut is a query's gathered result: global-id-indexed arrays shared by
@@ -250,7 +267,7 @@ type parentScratch struct {
 	push []bool   // level L → pair (L−1, L) is resolved by push
 	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
 	dd   []uint32 // delegate id → smallest dd parent (delegate id)
-	cand []int64  // delegate id → smallest parent global id; reduced
+	cand []uint32 // delegate id → smallest parent global id + 1, 0: none
 	// patchReads counts the row entries of all four subgraphs the last repair
 	// patch read (BenchmarkRepairResolve, against the graph's edges).
 	patchReads int64
@@ -264,18 +281,19 @@ type parentScratch struct {
 
 // finishQuery finishes this Session's query on one rank: the canonical parent
 // resolution when parents are collected, then the gather of this rank's share
-// of the result. All ranks participate: one min-allreduce when there are
-// delegates, the replay's exchange, the gather's barrier.
+// of the result. All ranks participate: the replay's exchange and the delegate
+// candidates' reduce-scatter when parents are collected, a barrier when only
+// levels are.
 func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
 	ps := &e.scratch[rank].parents
 	if e.out.parents != nil {
-		if e.d > 0 {
-			e.resolveDelegateTier(rank, source, ps)
-			comm.AllreduceMin(ps.cand)
-		}
+		e.resolveDelegateTier(rank, source, ps)
 		e.replayNN(rank, comm, ps)
+		e.reduceDelegates(comm, rank, ps.cand, 1)
+	} else {
+		comm.Barrier()
 	}
-	e.gatherRank(rank, comm, ps)
+	e.gatherRank(rank, ps)
 }
 
 // treeDirections computes the level volumes (and level tags) of one
@@ -377,56 +395,64 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, on
 }
 
 // resolveDelegateTier fills ps.cand with this rank's smallest parent
-// candidate per delegate (noParent where it has none): the dd candidates the
-// cold traversal's kernels recorded or, where they recorded none (a repair's
-// full resolution), the direction-optimised dd pass's; then the nd pass, which
-// also seeds the local normal vertices' delegate parents.
+// candidate per delegate: the dd candidates the cold traversal's kernels
+// recorded or, where they recorded none (a repair's full resolution), the
+// direction-optimised dd pass's; then the nd pass, which also seeds the local
+// normal vertices' delegate parents.
 func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch) {
 	sep := e.sg.Sep
 	gpus := e.rankGPUs(rank)
 	dLevel := gpus[0].delegateLevel // one replica serves the rank: they are identical
 	if gpus[0].tree == nil {
 		push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
-		dd, _ := ps.candidates(e.d)
+		dd := ps.candidates(e.d)
 		for _, gs := range gpus {
 			ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
 		}
 	}
-	dd, cand := ps.dd[:e.d], ps.cand[:e.d]
-	for di, c := range dd {
-		cand[di] = noParent
-		if c != noDelegate {
-			cand[di] = sep.DelegateGlobal[c]
-		}
-	}
+	cand := ps.ddCandidates(sep.DelegateGlobal)
 	if di := sep.DelegateID[source]; di >= 0 {
 		// Only the source sits at level 0: it is its own parent.
-		cand[di] = source
+		cand[di] = uint32(source) + 1
 	}
 	for _, gs := range gpus {
 		e.ndPass(gs, gs.pg.NDSources, dLevel, cand)
 	}
 }
 
-// candidates returns the dd and reduced candidate arrays of a d-delegate
-// resolution, dd emptied.
-func (ps *parentScratch) candidates(d int64) (dd []uint32, cand []int64) {
+// candidates allocates the candidate arrays of a d-delegate resolution on
+// first use and returns the dd one, emptied.
+func (ps *parentScratch) candidates(d int64) []uint32 {
 	if cap(ps.dd) < int(d) {
 		ps.dd = make([]uint32, d)
-		ps.cand = make([]int64, d)
+		ps.cand = make([]uint32, d)
 	}
-	dd, cand = ps.dd[:d], ps.cand[:d]
+	dd := ps.dd[:d]
 	for i := range dd {
 		dd[i] = noDelegate
 	}
-	return dd, cand
+	return dd
+}
+
+// ddCandidates writes the dd candidates into cand, as global ids + 1, and
+// returns it.
+func (ps *parentScratch) ddCandidates(delegateGlobal []int64) []uint32 {
+	d := len(delegateGlobal)
+	cand := ps.cand[:d]
+	for di, c := range ps.dd[:d] {
+		cand[di] = 0
+		if c != noDelegate {
+			cand[di] = uint32(delegateGlobal[c]) + 1
+		}
+	}
+	return cand
 }
 
 // ndPass resolves the nd edges of the listed local rows in both directions —
 // a row's smallest delegate one level up becomes its parent (the first
 // candidate a normal vertex gets, hence an assignment), and the row offers
 // itself to its delegates one level down — and returns the entries read.
-func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []int64) (scanned int64) {
+func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []uint32) (scanned int64) {
 	sep := e.sg.Sep
 	pg, levels, parents := gs.pg, gs.levels, gs.parents
 	for _, u := range rows {
@@ -447,8 +473,8 @@ func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []int
 			if ld == up {
 				best = min(best, dv)
 			}
-			if ld == lu+1 && uGlobal < cand[dv] {
-				cand[dv] = uGlobal
+			if ld == lu+1 {
+				cand[dv] = min(cand[dv]-1, uint32(uGlobal)) + 1
 			}
 		}
 		if best != noDelegate {
@@ -552,20 +578,19 @@ func (e *Session) resolveRound(comm *mpi.Comm, ps *parentScratch, r int, apply f
 // between 8 and 512 measures differently on RMAT 16 and 18 (8 and 64 GPUs).
 const gatherSlots = 64
 
-// gatherRank writes this rank's share of the query's global arrays: after a
-// barrier — past it every rank's parent rows are final and every replay payload
-// has been decoded — the contiguous range of global ids that is its share of
-// the local slots, every GPU's. Consecutive ids belong to consecutive residue
+// gatherRank writes this rank's share of the query's global arrays — past the
+// reduction or the levels-only barrier, where every rank's parent rows are
+// final and every replay payload has been decoded — the contiguous range of
+// global ids that is its share of the local slots, every GPU's. Consecutive ids belong to consecutive residue
 // classes, so the p owners' arrays are read as p sequential streams, a few
 // slots of each at a time, and each result entry is written once, into a
 // window that stays in cache; only the line at either end of a range is
 // shared with another rank. A delegate's home slot holds -1; its entry comes
-// from the replicated delegate levels and the reduced candidates, which every
-// rank holds. Unvisited vertices write their -1, so no prefill is needed. The
+// from the replicated delegate levels and this rank's stripe of the reduced
+// candidates, which holds every delegate of its share. Unvisited vertices write their -1, so no prefill is needed. The
 // ranks read each other's rows here and nothing orders those reads behind the
 // gather: RunRanks joins all ranks before the session is reset or released.
-func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
-	comm.Barrier()
+func (e *Session) gatherRank(rank int, ps *parentScratch) {
 	out, sep := e.out, e.sg.Sep
 	dLevel := e.rankGPUs(rank)[0].delegateLevel
 	p64 := int64(e.p)
@@ -588,7 +613,7 @@ func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 					}
 				} else if di := sep.DelegateID[v]; di >= 0 {
 					if lvl = dLevel[di]; lvl >= 0 && out.parents != nil {
-						if par = ps.cand[di]; par == noParent {
+						if par = int64(ps.cand[di]) - 1; par == -1 {
 							panicNoCandidate(int64(di))
 						}
 					}
@@ -602,33 +627,5 @@ func (e *Session) gatherRank(rank int, comm *mpi.Comm, ps *parentScratch) {
 				v += p64
 			}
 		}
-	}
-}
-
-// gatherStripe writes the delegates only marks in this rank's stripe of the
-// replicated delegate directory, from the delegate levels and the candidates
-// this rank has reduced — a repair's patch, the rest of whose result is right
-// already.
-func (e *Session) gatherStripe(rank int, ps *parentScratch, only *bitmask.Mask) {
-	out := e.out
-	lo, hi := e.delegateStripe(rank)
-	dLevel := e.rankGPUs(rank)[0].delegateLevel
-	for di := lo; di < hi; di++ {
-		if !only.Get(di) {
-			continue
-		}
-		v := e.sg.Sep.DelegateGlobal[di]
-		lvl := dLevel[di]
-		if out.levels != nil {
-			out.levels[v] = lvl
-		}
-		par := ps.cand[di]
-		if par == noParent {
-			if lvl >= 0 {
-				panicNoCandidate(di)
-			}
-			par = -1
-		}
-		out.parents[v] = par
 	}
 }

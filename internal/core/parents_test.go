@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,6 +169,35 @@ func TestParentsOffByDefault(t *testing.T) {
 	}
 }
 
+// TestParentsNeedUint32IDs: every entry point that collects a tree refuses a
+// graph of 2^32 vertices or more, whose delegate candidates would not fit
+// their uint32 form (reduceDelegates), before it touches the graph — the plan
+// here has nothing else. A graph one vertex smaller, and a query that does not
+// collect the tree, pass.
+func TestParentsNeedUint32IDs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CollectParents = true
+	p := &Plan{sg: &partition.Subgraphs{N: math.MaxUint32 + 1}, base: opts}
+	ctx := context.Background()
+	_, errRun := p.Run(ctx, 0, Overrides{})
+	_, errRepair := p.Repair(ctx, Prior{}, nil, nil, Overrides{})
+	_, errRunRepair := p.RunRepair(ctx, 0, nil, nil, nil, Overrides{})
+	_, errSweep := p.RunSweep(ctx, []int64{0}, Overrides{})
+	for name, err := range map[string]error{"Run": errRun, "Repair": errRepair, "RunRepair": errRunRepair, "RunSweep": errSweep} {
+		if err == nil || !strings.Contains(err.Error(), "fewer than 2^32 vertices") {
+			t.Errorf("%s on %d vertices with parents: error %v", name, p.sg.N, err)
+		}
+	}
+	off := false
+	if _, err := p.effectiveOptions(Overrides{CollectParents: &off}); err != nil {
+		t.Errorf("levels only on %d vertices: %v", p.sg.N, err)
+	}
+	p.sg.N = math.MaxUint32
+	if _, err := p.effectiveOptions(Overrides{}); err != nil {
+		t.Errorf("parents on %d vertices: %v", p.sg.N, err)
+	}
+}
+
 func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 	// RMAT's dd subgraph has wide degree spread; forcing TWB must cost
 	// computation time versus merge-path (the §IV-A rationale), while
@@ -305,7 +336,7 @@ func BenchmarkResolveParents(b *testing.B) {
 			// The gather alone, over the rows the last resolution left final.
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				finish(func(rank int, comm *mpi.Comm) { s.gatherRank(rank, comm, &s.scratch[rank].parents) })
+				finish(func(rank int, comm *mpi.Comm) { s.gatherRank(rank, &s.scratch[rank].parents) })
 			}
 			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(s.sg.N), "gather-ns/vertex")
 

@@ -670,7 +670,7 @@ func ddPassReads(s *Session) (reads int64) {
 	var ps parentScratch
 	dLevel := s.gpus[0].delegateLevel
 	push := ps.treeDirections(dLevel, s.sg.DelegateOutDeg)
-	dd, _ := ps.candidates(s.d)
+	dd := ps.candidates(s.d)
 	for _, gs := range s.gpus {
 		reads += ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
 	}

@@ -16,8 +16,9 @@ import (
 //   - nd, dd and dn rows resolve locally, both ways at once: an R-normal's ND
 //     row on its owner, an R-delegate's DD and DN slices on every GPU that
 //     holds one. What a rank's rows offer a delegate meets the other ranks'
-//     offers not in a d-wide allreduce but on the rank that writes the
-//     delegate's stripe, where a non-member's prior parent is the one to beat.
+//     offers in the reduce-scatter every tree's delegate candidates meet in
+//     (reduceDelegates), on the rank whose gather share holds the delegate,
+//     where a non-member's prior parent is the one to beat.
 //   - nn rows take two pair rounds, because a vertex sees its remote
 //     neighbors' ids but not their levels. Round 0 carries R's offers, the
 //     replay's own pair (neighbor, member claiming level+1): the owner folds
@@ -59,7 +60,6 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 	sep := e.sg.Sep
 	gpus := e.rankGPUs(rank)
 	dLevel := gpus[0].delegateLevel
-	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
 
 	// The re-pull set was listed as the repair went (preload, probe, wave):
@@ -91,18 +91,18 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 
 	// Local rows. Every candidate starts empty — the prior parents are folded
 	// in where the result is written — so what the members' rows offer is all
-	// the arrays hold. Normal members' nd rows resolve here and their nn rows
-	// go out as offers; delegate members' dd and dn slices resolve both ways.
+	// the arrays hold. Delegate members' dd and dn slices resolve both ways,
+	// normal members' nd rows resolve here and their nn rows go out as offers.
 	// Past each GPU's members, rep grows by the non-members an offer reached.
-	dd, cand := ps.candidates(e.d)
-	for i := range cand {
-		cand[i] = noParent
-	}
-	offers := ps.pairBins(e, 0)
+	dd := ps.candidates(e.d)
 	ps.patchReads = 0
 	for _, gs := range gpus {
+		ps.patchReads += ddPass(gs.pg, dLevel, ps.tag, nil, dMembers.Words(), dd)
+	}
+	cand := ps.ddCandidates(sep.DelegateGlobal)
+	offers := ps.pairBins(e, 0)
+	for _, gs := range gpus {
 		pg := gs.pg
-		ps.patchReads += ddPass(pg, dLevel, ps.tag, nil, dMembers.Words(), dd)
 		members := gs.rep[:gs.repMembers]
 		ps.patchReads += e.ndPass(gs, members, dLevel, cand)
 		for _, slot := range members {
@@ -131,7 +131,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			for _, lv := range row {
 				switch gs.levels[lv] {
 				case l - 1:
-					cand[di] = min(cand[di], e.cfg.GlobalID(lv, pg.Rank, pg.Slot))
+					cand[di] = min(cand[di]-1, uint32(e.cfg.GlobalID(lv, pg.Rank, pg.Slot))) + 1
 				case l + 1:
 					if foldParent(gs.levels, gs.parents, lv, l+1, dGlobal) {
 						gs.rep = append(gs.rep, lv)
@@ -141,29 +141,6 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		}
 	})
 
-	// A delegate's candidates meet on the rank that writes its stripe: this
-	// rank's own stay in cand, the others travel with round 0 as pairs of
-	// child level 0, which no vertex is a child at.
-	touched := sc.rankMask // free between the wave's last commit and the next query
-	touched.CopyFrom(dMembers)
-	for r := 0; r < e.shape.Ranks(); r++ {
-		lo, hi := e.delegateStripe(r)
-		for di := lo; di < hi; di++ {
-			c := cand[di]
-			if x := dd[di]; x != noDelegate {
-				c = min(c, sep.DelegateGlobal[x])
-			}
-			switch {
-			case c == noParent:
-			case r == rank:
-				cand[di] = c
-				touched.Set(di)
-			default:
-				offers.Add(r*pgpu, uint32(di), parentPairVal(c, 0))
-			}
-		}
-	}
-
 	// Round 0: fold each offer, and answer the ones that came from one level
 	// below their target. Round 1: fold the answers.
 	answers := ps.pairBins(e, 1)
@@ -172,10 +149,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		for _, pr := range prs {
 			child := int32(pr.Val & (1<<parentLevelBits - 1))
 			v := int64(pr.Val >> parentLevelBits)
-			if child == 0 {
-				cand[pr.ID] = min(cand[pr.ID], v)
-				touched.Set(int64(pr.ID))
-			} else if foldParent(gs.levels, gs.parents, pr.ID, child, v) {
+			if foldParent(gs.levels, gs.parents, pr.ID, child, v) {
 				gs.rep = append(gs.rep, pr.ID)
 			} else if l := gs.levels[pr.ID]; l >= 0 && l == child-2 {
 				answers.Add(e.cfg.OwnerGPU(v), uint32(v/p64), parentPairVal(e.cfg.GlobalID(pr.ID, pg.Rank, pg.Slot), l+1))
@@ -183,12 +157,13 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		}
 	})
 	e.resolveRound(comm, ps, 1, accept)
+	e.reduceDelegates(comm, rank, cand, 1)
 
 	// Copy-and-patch gather: this rank's members, the non-members an offer
 	// reached — who keep their prior parent unless the offer beat it — and the
 	// same two kinds among the delegates of its stripe. No two ranks write the
-	// same entry (a delegate has no local row to be listed by), so no barrier
-	// orders them.
+	// same entry (a delegate has no local row to be listed by, and its stripe
+	// is one rank's), so no barrier orders them.
 	out := e.out
 	for _, gs := range gpus {
 		v0 := int(e.cfg.Residue(gs.pg.Rank, gs.pg.Slot))
@@ -211,14 +186,23 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			out.parents[v] = par
 		}
 	}
-	lo, hi := e.delegateStripe(rank)
-	touched.ForEach(func(di int64) {
-		if di < lo || di >= hi || dMembers.Get(di) {
-			return
+	dlo, dhi := e.delegateShare(rank)
+	for di := dlo; di < dhi; di++ {
+		c, member := cand[di], dMembers.Get(di)
+		if c == 0 && !member {
+			continue
 		}
-		if prior := in.parents[sep.DelegateGlobal[di]]; prior >= 0 {
-			cand[di] = min(cand[di], prior)
+		v := sep.DelegateGlobal[di]
+		if prior := in.parents[v]; !member && prior >= 0 {
+			c = min(c-1, uint32(prior)) + 1
 		}
-	})
-	e.gatherStripe(rank, ps, touched)
+		lvl := dLevel[di]
+		if c == 0 && lvl >= 0 {
+			panicNoCandidate(di)
+		}
+		if out.levels != nil {
+			out.levels[v] = lvl
+		}
+		out.parents[v] = int64(c) - 1
+	}
 }

@@ -101,6 +101,34 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		if got, want := e.world.Rendezvous()-2*supersteps, uint64(2); got != want {
 			t.Errorf("sweep with parents on %d ranks: the finisher took %d rendezvous, want %d", shape.Ranks(), got, want)
 		}
+
+		// A Run's finisher is the same reduce-scatter when it collects the
+		// tree (a min-allreduce and the gather's barrier while every rank
+		// received every delegate's candidates), and the gather's barrier
+		// alone when it collects levels only.
+		for _, parents := range []bool{true, false} {
+			o := popts
+			o.CollectParents = parents
+			s := p.acquire(o)
+			for _, src := range delegateAndNormalSources(p.sg.Sep) {
+				var before uint64
+				if s.world != nil {
+					before = s.world.Rendezvous()
+				}
+				res, err := s.run(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := uint64(1)
+				if parents {
+					want = 2
+				}
+				if got := s.world.Rendezvous() - before - 2*uint64(res.Iterations); got != want {
+					t.Errorf("run (parents %v) on %d ranks, source %d: the finisher took %d rendezvous, want %d", parents, shape.Ranks(), src, got, want)
+				}
+			}
+			p.release(s)
+		}
 	}
 
 	// A repair runs the same loop behind a prologue of three rendezvous (four
@@ -137,6 +165,36 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 			}
 			p2.release(s)
 		}
+	}
+
+	// A repair that collects the tree adds three: the sum of the rows its
+	// patch would read, and the delegate candidates' reduce-scatter — the
+	// patch's (one sum while they rode its first pair round) or, forced, the
+	// full resolution's.
+	b := delta.Synthesize(rel, 0.002, delta.KindMixed, 42)
+	prior, p2 := nextEpoch(t, rel, shape, 32, repairOptions(), source, b)
+	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+	ropts := p2.base
+	ropts.DirectionOptimized = false // as Plan.repair runs it
+	var pairs [2]int64
+	for i, full := range []bool{false, true} {
+		s := p2.acquire(ropts)
+		var before uint64
+		if s.world != nil {
+			before = s.world.Rendezvous()
+		}
+		res, err := s.repair(ctx, &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds, full: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.world.Rendezvous()-before, uint64(3+2*res.Iterations+3); got != want {
+			t.Errorf("repair with parents (full %v): %d rendezvous over %d supersteps, want %d", full, got, res.Iterations, want)
+		}
+		pairs[i] = res.ParentPairs
+		p2.release(s)
+	}
+	if pairs[0] >= pairs[1] {
+		t.Errorf("repair with parents: the patch sent %d pairs, the full resolution %d: nothing was patched", pairs[0], pairs[1])
 	}
 }
 

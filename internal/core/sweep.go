@@ -40,7 +40,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"gcbfs/internal/bitmask"
@@ -86,11 +85,6 @@ func (p *Plan) RunSweep(ctx context.Context, sources []int64, ov Overrides) ([]*
 		if src < 0 || src >= p.sg.N {
 			return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, p.sg.N)
 		}
-	}
-	if opts.CollectParents && p.sg.N > math.MaxUint32 {
-		// The resolution holds its d·K delegate candidates as uint32 ids
-		// (sweep_tree.go); MaxUint32 itself is its "none".
-		return nil, fmt.Errorf("core: a sweep with parents needs vertex ids below 2^32-1, graph has %d vertices", p.sg.N)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

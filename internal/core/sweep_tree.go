@@ -30,11 +30,9 @@ package core
 //     wire); the receiver finds "v's lanes at level L" in the history
 //     regrouped by vertex (laneIndex).
 //   - Reduction: a rank's candidates for the d·K (delegate, lane) pairs are
-//     uint32 as stored (a sweep that collects parents needs vertex ids below
-//     2^32−1: as int64 they would be the sweep's largest allocation), and meet
-//     in one reduce-scatter (mpi.ReduceScatterMin, two rendezvous whatever the
-//     rank count), which leaves each rank the global candidates of the
-//     delegates it gathers.
+//     the single tree's form, uint32 global id + 1, and meet where the single
+//     tree's do (reduceDelegates, parents.go), K per delegate, which leaves
+//     each rank the global candidates of the delegates it gathers.
 //   - Gather: past the reduction every rank writes one contiguous range of
 //     global ids of all K result arrays — every GPU's slots in it, read from
 //     their visited rows, lane indexes and candidates, and the delegates in
@@ -45,7 +43,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
@@ -178,30 +175,18 @@ func (e *sweepSession) finishSweep(rank int, comm *mpi.Comm, gpus []*sweepGPU, s
 			gs.cand = make([]uint32, int(gs.pg.NumLocal)*k)
 		}
 	}
-	lo, hi := e.gatherShare(rank)
-	dlo, dhi := e.delegatesIn(lo, hi)
 	if e.opts.CollectParents {
 		ts := &sc.tree
 		ts.cand = make([]uint32, int(e.d)*k)
 		e.resolveDelegateLanes(gpus, sc)
 		e.replayLanes(rank, comm, gpus)
-		comm.ReduceScatterMin(ts.cand, int(dlo)*k, int(dhi)*k)
+		e.reduceDelegates(comm, rank, ts.cand, k)
 	} else {
 		comm.Barrier()
 	}
+	lo, hi := e.gatherShare(rank)
+	dlo, dhi := e.delegateShare(rank)
 	e.gatherLanes(lo, hi, dlo, dhi, sc)
-}
-
-// delegatesIn returns the range of delegate ids whose global ids lie in the
-// gather share [lo, hi) of local slots (global ids [lo·p, hi·p)): dense ids
-// ascend with global ids, so it is contiguous.
-func (e *sweepSession) delegatesIn(lo, hi int64) (dlo, dhi int64) {
-	p64 := int64(e.p)
-	at := func(v int64) int64 {
-		i, _ := slices.BinarySearch(e.sg.Sep.DelegateGlobal, v)
-		return int64(i)
-	}
-	return at(lo * p64), at(hi * p64)
 }
 
 // offer folds id into the candidates of the lanes a & b of the vertex whose

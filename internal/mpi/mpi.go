@@ -3,7 +3,8 @@
 // each), non-blocking point-to-point sends with unbounded buffering
 // (MPI_Isend/Irecv as used for the normal-vertex exchange, §V-B),
 // OR/SUM/MAX/MIN allreduce collectives (the delegate-mask reduction, §V-A)
-// and a min reduce-scatter (the delegate-state reduction of a sweep's trees).
+// and a min reduce-scatter (where every BFS tree's delegate parent candidates
+// meet, each on the rank that writes the delegate).
 //
 // The package is purely functional — data really moves between rank heaps
 // and collectives really fold — while *timing* is modeled separately by
@@ -496,9 +497,10 @@ func (c *Comm) AllreduceMax(vals []int64) {
 }
 
 // AllreduceMin takes the element-wise min of int64 slices across ranks —
-// the label-propagation primitive of connected components and the parent
-// resolution of the BFS-tree output (smallest candidate parent wins,
-// deterministically).
+// the label-propagation primitive of connected components (internal/concomp),
+// where every rank needs every delegate's label. The BFS trees' delegate
+// candidates, which only the rank that writes a delegate needs, meet in
+// ReduceScatterMin instead.
 func (c *Comm) AllreduceMin(vals []int64) {
 	c.w.coll.fused(nil, false, vals, extMin, nil)
 }
