@@ -524,29 +524,27 @@ func (e *Session) acquireWorld() *mpi.World {
 // newSession allocates the per-GPU state for one concurrent query.
 func (p *Plan) newSession() *Session {
 	s := &Session{runEnv: p.runOn(p.base)}
+	prank := p.shape.Ranks()
+	s.scratch = make([]*rankScratch, prank)
+	for r := range s.scratch {
+		s.scratch[r] = newRankScratch(prank, p.shape.GPUsPerRank, s.d)
+	}
 	s.gpus = make([]*gpuState, s.p)
 	for i, pg := range p.sg.GPUs {
 		gs := &gpuState{
-			pg:            pg,
-			dev:           simgpu.NewDevice(p.base.GPU, i),
-			levels:        make([]int32, pg.NumLocal),
-			hasChild:      bitmask.New(pg.NumLocal),
-			delegateLevel: make([]int32, s.d),
-			visited:       bitmask.New(s.d),
-			dFront:        bitmask.New(s.d),
-			newMask:       bitmask.New(s.d),
-			bins:          frontier.NewBins(s.p),
-			isNDSource:    make([]bool, pg.NumLocal),
+			pg:         pg,
+			dev:        simgpu.NewDevice(p.base.GPU, i),
+			dt:         &s.scratch[pg.Rank].dt,
+			levels:     make([]int32, pg.NumLocal),
+			hasChild:   bitmask.New(pg.NumLocal),
+			newMask:    bitmask.New(s.d),
+			bins:       frontier.NewBins(s.p),
+			isNDSource: make([]bool, pg.NumLocal),
 		}
 		for _, src := range pg.NDSources {
 			gs.isNDSource[src] = true
 		}
 		s.gpus[i] = gs
-	}
-	prank := p.shape.Ranks()
-	s.scratch = make([]*rankScratch, prank)
-	for r := range s.scratch {
-		s.scratch[r] = newRankScratch(prank, p.shape.GPUsPerRank, s.d)
 	}
 	return s
 }
@@ -559,9 +557,8 @@ func (s *Session) configure(opts Options) {
 	s.amp = opts.WorkAmplification
 	s.poisoned = false
 	for _, gs := range s.gpus {
-		gs.trackParents = opts.CollectParents
 		if opts.CollectParents && gs.parents == nil {
-			gs.parents = make([]int64, gs.pg.NumLocal)
+			gs.parents = make([]uint32, gs.pg.NumLocal)
 		}
 	}
 }
@@ -580,14 +577,16 @@ func (e *runEnv) ampBytes(b int64) int64 {
 }
 
 // gpuState is the per-GPU mutable run state. Each GPU's state is touched
-// only by its owning rank goroutine; consistency across GPUs is established
-// exclusively through the MPI collectives, as on the real machine.
+// only by its owning rank goroutine. Its normal vertices are its own; the
+// delegate tier is the rank's (dt), one replica its GPUs share, as a sweep's
+// share sweepScratch's, and the replicas of the ranks agree because they
+// change only by the reduced proposal (§V-A).
 type gpuState struct {
 	pg  *partition.GPUGraph
 	dev *simgpu.Device
+	dt  *delegateTier // the rank's, shared by its GPUs
 
-	levels        []int32 // local slot → hop distance, -1 unvisited
-	delegateLevel []int32 // delegate id → hop distance, -1 unvisited
+	levels []int32 // local slot → hop distance, -1 unvisited
 	// hasChild marks the local slots with an nn neighbor exactly one level
 	// down, the only ones whose replay offers can be accepted (parents.go). A
 	// cold traversal delivers the bit for nothing: such a neighbor, in its own
@@ -598,17 +597,11 @@ type gpuState struct {
 	// clears them all before the next cold run.
 	hasChild *bitmask.Mask
 
-	// The three delegate masks carry what makes an untouched mask free to
-	// skip: visited a generation (bumped by visitedForWrite, its only write
-	// path), dFront its bit count, newMask a dirty flag. A superstep that
-	// changed no delegate never copies, ORs, counts, iterates or clears them.
-	visited  *bitmask.Mask // delegates visited as of iteration start
-	visGen   uint64        // generation of visited; never repeats on a gpuState
-	dFront   *bitmask.Mask // delegate frontier (newly visited last iteration)
-	dFrontN  int64         // set bits in dFront (frontDelegate, the mask commit)
+	// The GPU's own proposal, not the rank's: its backward nd kernel skips
+	// what its dd kernel proposed this superstep, and no other GPU's.
 	newMask  *bitmask.Mask // local delegate discoveries this iteration
 	newDirty bool          // newMask has a bit set (propose)
-	back     backwardCache // what the backward kernels derive from visited
+	back     backwardCache // what the backward kernels derive from dt.visited
 	inFront  []uint32      // local normal frontier
 	outFront []uint32
 	bins     *frontier.Bins
@@ -618,18 +611,10 @@ type gpuState struct {
 	// capacity is reused, never the contents.
 	qDDBuf, qDNBuf []int64
 
-	// BFS-tree state (allocated on first parent-collecting query, active
-	// only while trackParents is set): the canonical post-BFS resolution
-	// writes parents of local normal vertices here (parents.go).
-	trackParents bool
-	parents      []int64
-	// tree is the rank's resolution scratch while a cold query that collects
-	// parents traverses, nil otherwise: the dd kernels fold each delegate's
-	// smallest dd parent into its dd array as they scan (parents.go), which
-	// runWave empties on the rank. reset sets it; resetTraversal clears it,
-	// because a repair wave's kernels see only what the wave re-levels
-	// (Session.childKnown, for the same reason).
-	tree *parentScratch
+	// parents holds the local normal vertices' parent candidates, global id +
+	// 1 (0: none), allocated on the first parent-collecting query and read
+	// only by one (parents.go).
+	parents []uint32
 
 	isNDSource         []bool // local slot has nd edges (member of NDSources)
 	unvisitedNDSources int64
@@ -656,20 +641,37 @@ type gpuState struct {
 	it iterWork
 }
 
+// delegateTier is a rank's replica of the delegate state. visited carries a
+// generation (bumped by visitedForWrite, its only write path) and front its
+// bit count, so a superstep that changed no delegate never copies, ORs,
+// counts or iterates them.
+type delegateTier struct {
+	level   []int32       // delegate id → hop distance, -1 unvisited
+	visited *bitmask.Mask // delegates visited as of iteration start
+	visGen  uint64        // generation of visited; never repeats on a tier
+	front   *bitmask.Mask // delegate frontier (newly visited last iteration)
+	frontN  int64         // set bits in front (frontDelegate, the commit)
+	// rec is parentScratch.cand while a cold query that collects parents
+	// traverses, nil otherwise (parents.go, step 0): reset sets it,
+	// resetTraversal clears it, since a repair wave's kernels see only what
+	// the wave re-levels.
+	rec []uint32
+}
+
 // visitedForWrite returns the visited mask for mutation and starts a new
 // generation of it. Every write to visited goes through here (the per-query
 // reset, a delegate source's seed, the superstep's mask commit), so whatever
 // is cached against visGen (backwardCache) can never describe a stale mask.
-func (gs *gpuState) visitedForWrite() *bitmask.Mask {
-	gs.visGen++
-	return gs.visited
+func (dt *delegateTier) visitedForWrite() *bitmask.Mask {
+	dt.visGen++
+	return dt.visited
 }
 
 // frontDelegate puts a delegate into the delegate frontier, keeping its count.
-func (gs *gpuState) frontDelegate(di int64) {
-	if !gs.dFront.Get(di) {
-		gs.dFront.Set(di)
-		gs.dFrontN++
+func (dt *delegateTier) frontDelegate(di int64) {
+	if !dt.front.Get(di) {
+		dt.front.Set(di)
+		dt.frontN++
 	}
 }
 
@@ -704,23 +706,22 @@ func (e *Session) reset() {
 		for i := range gs.levels {
 			gs.levels[i] = -1
 		}
-		for i := range gs.delegateLevel {
-			gs.delegateLevel[i] = -1
-		}
 		// The BFS-tree buffers stay allocated across pooled reuses but are
-		// only read by parent-tracking queries, so skip the O(NumLocal)
-		// clears when this query does not track them.
-		if gs.trackParents {
-			for i := range gs.parents {
-				gs.parents[i] = -1
-			}
+		// only read by parent-collecting queries, so skip the O(NumLocal)
+		// clears when this query does not collect them.
+		if e.opts.CollectParents {
+			clear(gs.parents)
 		}
 	}
-	if e.opts.CollectParents && e.d > 0 {
-		for rank, sc := range e.scratch {
-			for _, gs := range e.rankGPUs(rank) {
-				gs.tree = &sc.parents
+	for _, sc := range e.scratch {
+		for i := range sc.dt.level {
+			sc.dt.level[i] = -1
+		}
+		if e.opts.CollectParents && e.d > 0 {
+			if sc.parents.cand == nil {
+				sc.parents.cand = make([]uint32, e.d)
 			}
+			sc.dt.rec = sc.parents.cand // runWave empties it, on the rank
 		}
 	}
 }
@@ -732,9 +733,6 @@ func (e *Session) reset() {
 func (e *Session) resetTraversal() {
 	e.childKnown = false
 	for _, gs := range e.gpus {
-		gs.visitedForWrite().Reset()
-		gs.dFront.Reset()
-		gs.dFrontN = 0
 		gs.newMask.Reset()
 		gs.newDirty = false
 		gs.back.liveOK = false
@@ -744,11 +742,15 @@ func (e *Session) resetTraversal() {
 		gs.repSeeds, gs.repCursor, gs.rep = gs.repSeeds[:0], 0, gs.rep[:0]
 		gs.unvisitedNDSources = int64(len(gs.pg.NDSources))
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
-		gs.tree = nil
 		gs.dev.ResetCounters()
 		gs.it = iterWork{}
 	}
 	for _, sc := range e.scratch {
+		dt := &sc.dt
+		dt.visitedForWrite().Reset()
+		dt.front.Reset()
+		dt.frontN = 0
+		dt.rec = nil
 		sc.dSeeds, sc.dCursor = sc.dSeeds[:0], 0
 	}
 	e.parentExchangePairs = 0

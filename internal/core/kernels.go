@@ -20,15 +20,19 @@ import (
 // never holds a level deeper than iter+1, so there it is the plain unvisited
 // test; a repair's preloaded levels may be, and the wave lowers them. The
 // backward kernels test the visited mask, which only a cold run pulls from.
+// The delegate state the kernels read — levels, the visited mask, the
+// frontier — is the rank's (delegateTier), one replica its GPUs share; what a
+// GPU proposes is its own (gpuState.newMask).
 //
 // Work is counted exactly: forward kernels scan every neighbor of every
 // queued source; backward kernels count parent checks until the first
 // visited parent. The counts drive both the direction decisions (FV vs BV)
 // and the simulated kernel times. While a cold query collects parents, the dd
-// kernel also folds each delegate's smallest dd parent into the rank's
-// candidates (parents.go, step 0); the backward scan reads the rest of a
-// row past its first hit to do so, and those reads are not counted, so the
-// tree stays unpriced (§VI-A3) and the modelled clock is a levels-only run's.
+// kernel also folds each delegate's smallest dd parent, global id + 1, into
+// the rank's candidates through the tier (delegateTier.rec; parents.go, step
+// 0); the backward scan reads the rest of a row past its first hit to do so,
+// and those reads are not counted, so the tree stays unpriced (§VI-A3) and
+// the modelled clock is a levels-only run's.
 
 // previsitOut carries queue and workload info from the previsit kernels.
 type previsitOut struct {
@@ -52,11 +56,11 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 	// for a delegate that has the row. The queues are rebuilt every
 	// super-step, so they draw on the GPU state's persistent buffers.
 	out.qDD, out.qDN = gs.qDDBuf[:0], gs.qDNBuf[:0]
-	frontierBits := gs.dFrontN
+	frontierBits := gs.dt.frontN
 	if frontierBits > 0 {
 		pg := gs.pg
 		ddSrc, dnSrc := pg.DDSourceMask.Words(), pg.DNSourceMask.Words()
-		for wi, front := range gs.dFront.Words() {
+		for wi, front := range gs.dt.front.Words() {
 			if front == 0 {
 				continue
 			}
@@ -179,11 +183,11 @@ func (c *candList) at(gen uint64, sources, visited *bitmask.Mask) []uint32 {
 // to the current visited generation.
 func (gs *gpuState) backward() *backwardCache {
 	bc := &gs.back
-	if bc.gen != gs.visGen {
-		bc.uDD = gs.pg.DDSourceMask.CountExcluding(gs.visited)
-		bc.uND = gs.pg.DNSourceMask.CountExcluding(gs.visited)
-		bc.unvisited = gs.visited.Len() - gs.visited.Count()
-		bc.gen = gs.visGen
+	if bc.gen != gs.dt.visGen {
+		bc.uDD = gs.pg.DDSourceMask.CountExcluding(gs.dt.visited)
+		bc.uND = gs.pg.DNSourceMask.CountExcluding(gs.dt.visited)
+		bc.unvisited = gs.dt.visited.Len() - gs.dt.visited.Count()
+		bc.gen = gs.dt.visGen
 	}
 	return bc
 }
@@ -198,7 +202,7 @@ func (e *Session) decideDirections(gs *gpuState, pv previsitOut) {
 	}
 	// Candidate-set sizes for the backward variants.
 	bc := gs.backward()
-	qD, sD := gs.dFrontN, bc.unvisited
+	qD, sD := gs.dt.frontN, bc.unvisited
 	uDD, uND := bc.uDD, bc.uND
 	uDN := gs.unvisitedNDSources
 	qN := int64(len(gs.inFront))
@@ -241,28 +245,26 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 	if e.opts.ForceTWBForDD {
 		strategy = simgpu.TWBDynamic
 	}
-	var rec []uint32 // the rank's dd candidates, while the kernels record them
-	if gs.tree != nil {
-		rec = gs.tree.dd
-	}
+	dt := gs.dt
+	rec, global := dt.rec, e.sg.Sep.DelegateGlobal
 	if gs.dirDD == metrics.Forward {
 		// Every level-iter delegate with a dd row here is queued, so a
-		// delegate's proposers are all its dd parents here. The fold is a min,
-		// not a first write, because the rank's GPUs fold into one array in
-		// turn.
+		// delegate's proposers are all its dd parents here. The record is a
+		// fold, not a first write, because the rank's GPUs record into one
+		// array in turn.
 		for _, u := range pv.qDD {
 			for _, dv := range gs.pg.DD.Neighbors(u) {
 				edges++
-				if improves(gs.delegateLevel[dv], iter) {
+				if improves(dt.level[dv], iter) {
 					gs.propose(int64(dv))
 					if rec != nil {
-						rec[dv] = min(rec[dv], uint32(u))
+						rec[dv] = fold(rec[dv], uint32(global[u]))
 					}
 				}
 			}
 		}
 		vertices = int64(len(pv.qDD))
-	} else if bc := &gs.back; bc.ddGen == gs.visGen {
+	} else if bc := &gs.back; bc.ddGen == dt.visGen {
 		// Nothing was visited since the last scan found nothing: replay it.
 		edges, vertices = bc.ddEdges, bc.ddVertices
 	} else {
@@ -272,15 +274,15 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		// exactly, so the first hit and every visited id past it are the
 		// delegate's dd parents here; the tail's reads are not counted.
 		found := false
-		for _, u := range bc.candDD.at(gs.visGen, gs.pg.DDSourceMask, gs.visited) {
+		for _, u := range bc.candDD.at(dt.visGen, gs.pg.DDSourceMask, dt.visited) {
 			vertices++
 			row := gs.pg.DD.Neighbors(int64(u))
 			for i, dv := range row {
 				edges++
-				if gs.visited.Get(int64(dv)) {
+				if dt.visited.Get(int64(dv)) {
 					gs.propose(int64(u))
 					if rec != nil {
-						rec[u] = min(rec[u], dv, minVisited(row[i+1:], gs.visited.Words()))
+						rec[u] = fold(rec[u], uint32(global[minVisited(dv, row[i+1:], dt.visited.Words())]))
 					}
 					found = true
 					break
@@ -289,7 +291,7 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 		}
 		vertices += e.d / 64
 		if !found {
-			bc.ddGen, bc.ddEdges, bc.ddVertices = gs.visGen, edges, vertices
+			bc.ddGen, bc.ddEdges, bc.ddVertices = dt.visGen, edges, vertices
 		}
 	}
 	gs.it.edgesScanned += edges
@@ -299,16 +301,15 @@ func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
 	})
 }
 
-// minVisited is the smallest delegate id of row set in the visited words,
-// noDelegate if none. It is branch-free: whether a neighbor is visited is a
-// coin flip to the branch predictor.
-func minVisited(row []uint32, visited []uint64) uint32 {
-	best := noDelegate
+// minVisited is the smallest of first and the delegate ids of row set in the
+// visited words. It is branch-free: whether a neighbor is visited is a coin
+// flip to the branch predictor.
+func minVisited(first uint32, row []uint32, visited []uint64) uint32 {
 	for _, dv := range row {
 		hit := uint32(visited[dv>>6]>>(dv&63)) & 1
-		best = min(best, dv|(hit-1))
+		first = min(first, dv|(hit-1))
 	}
-	return best
+	return first
 }
 
 // kernelND processes normal→delegate edges into the new-delegate mask.
@@ -319,7 +320,7 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 		for _, u := range gs.inFront {
 			for _, dv := range gs.pg.ND.Neighbors(int64(u)) {
 				edges++
-				if improves(gs.delegateLevel[dv], iter) {
+				if improves(gs.dt.level[dv], iter) {
 					gs.propose(int64(dv))
 				}
 			}
@@ -330,7 +331,7 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 		// Backward: unvisited delegates with local dn edges look for a
 		// visited local normal parent (depth ≤ iter; this iteration's
 		// discoveries are iter+1 and must not count).
-		for _, u := range gs.back.candDN.at(gs.visGen, gs.pg.DNSourceMask, gs.visited) {
+		for _, u := range gs.back.candDN.at(gs.dt.visGen, gs.pg.DNSourceMask, gs.dt.visited) {
 			if gs.newDirty && gs.newMask.Get(int64(u)) {
 				continue // already found by dd this iteration
 			}
@@ -387,7 +388,7 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 			found := false
 			for _, dv := range gs.pg.ND.Neighbors(int64(v)) {
 				edges++
-				if gs.visited.Get(int64(dv)) {
+				if gs.dt.visited.Get(int64(dv)) {
 					gs.discover(v, iter+1)
 					found = true
 					break

@@ -26,8 +26,9 @@ import (
 // backward variants; forward kernels, previsit and nn are the production code
 // (they did not change).
 func refKernels(e *Session, myGPUs []*gpuState, iter int32) {
-	qD := myGPUs[0].dFront.Count()
-	sD := e.d - myGPUs[0].visited.Count()
+	dt := myGPUs[0].dt
+	qD := dt.front.Count()
+	sD := e.d - dt.visited.Count()
 	for _, gs := range myGPUs {
 		gs.it = iterWork{}
 		pv := e.previsit(gs)
@@ -56,8 +57,8 @@ func refDecideDirections(e *Session, gs *gpuState, pv previsitOut, qD, sD int64)
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		return
 	}
-	uDD := gs.pg.DDSourceMask.CountExcluding(gs.visited)
-	uND := gs.pg.DNSourceMask.CountExcluding(gs.visited)
+	uDD := gs.pg.DDSourceMask.CountExcluding(gs.dt.visited)
+	uND := gs.pg.DNSourceMask.CountExcluding(gs.dt.visited)
 	uDN := gs.unvisitedNDSources
 	qN := int64(len(gs.inFront))
 	sN := gs.unvisitedNDSources
@@ -75,12 +76,12 @@ func refBackwardDD(e *Session, gs *gpuState, pv previsitOut) {
 	}
 	scratch := bitmask.New(e.d)
 	scratch.CopyFrom(gs.pg.DDSourceMask)
-	scratch.AndNot(gs.visited)
+	scratch.AndNot(gs.dt.visited)
 	scratch.ForEach(func(u int64) {
 		vertices++
 		for _, dv := range gs.pg.DD.Neighbors(u) {
 			edges++
-			if gs.visited.Get(int64(dv)) {
+			if gs.dt.visited.Get(int64(dv)) {
 				gs.propose(u)
 				break
 			}
@@ -98,7 +99,7 @@ func refBackwardND(e *Session, gs *gpuState, iter int32) {
 	var edges, vertices int64
 	scratch := bitmask.New(e.d)
 	scratch.CopyFrom(gs.pg.DNSourceMask)
-	scratch.AndNot(gs.visited)
+	scratch.AndNot(gs.dt.visited)
 	scratch.AndNot(gs.newMask)
 	scratch.ForEach(func(u int64) {
 		vertices++
@@ -126,7 +127,7 @@ func refBackwardDN(e *Session, gs *gpuState, iter int32) {
 		vertices++
 		for _, dv := range gs.pg.ND.Neighbors(int64(v)) {
 			edges++
-			if gs.visited.Get(int64(dv)) {
+			if gs.dt.visited.Get(int64(dv)) {
 				gs.discover(v, iter+1)
 				break
 			}
@@ -155,8 +156,8 @@ func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*
 	s := p.acquire(p.base)
 	defer p.release(s)
 	w := s.coldWave(source)
-	for _, gs := range s.gpus {
-		gs.tree = nil
+	for _, sc := range s.scratch {
+		sc.dt.rec = nil
 	}
 	ctx := context.Background()
 	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {

@@ -32,20 +32,20 @@ import (
 // the tree instead (steps 1–3); steps 4 and 5 serve both:
 //
 //  0. Recorded dd candidates: while a cold query that collects parents runs,
-//     each GPU's dd kernel folds every delegate it visits into the rank's dd
-//     candidate array (gpuState.tree, the rank's parentScratch.dd). A forward
-//     kernel queues every delegate one level up with a dd row on the GPU, in
+//     each GPU's dd kernel folds every delegate it visits into the rank's
+//     candidates (parentScratch.cand, the tier's rec). A forward kernel
+//     queues every delegate one level up with a dd row on the GPU, in
 //     ascending id, and folds each proposer into the delegate it proposes. A
 //     backward kernel stops at the first visited neighbor of an unvisited
 //     delegate, which can only be one level up — one more and the delegate
 //     would be visited already — so that hit and every visited id past it are
-//     the delegate's dd parents on the GPU; the rest of the row is folded
-//     branch-free. A rank's GPUs fold into its one array in turn, so each
-//     fold is a min, not a first write. The tail a backward scan reads past
-//     its first hit is not counted: the kernels' edges, and with them the
-//     modelled clock, are a levels-only run's (TestTreeIsUncharged). A
-//     repair wave's kernels see only what the wave re-levels, so
-//     resetTraversal clears the array's alias and they record nothing.
+//     the delegate's dd parents on the GPU; the rest of the row is scanned
+//     branch-free (minVisited). A rank's GPUs fold into its one array in turn.
+//     The tail a backward scan reads past its first hit is not counted: the
+//     kernels' edges, and with them the modelled clock, are a levels-only
+//     run's (TestTreeIsUncharged). A repair wave's kernels see only what the
+//     wave re-levels, so resetTraversal clears the tier's rec and they record
+//     nothing.
 //  1. Level volumes: from the replicated delegate directory every rank sums
 //     DelegateOutDeg per BFS level, O(d + depth), no communication.
 //  2. Per-level direction: the tree edges between levels L−1 and L are found
@@ -56,7 +56,8 @@ import (
 //     sends u→v and v→u to the same GPU (the lower-out-degree endpoint's
 //     owner) — and because dense delegate ids ascend with global ids
 //     (partition.Separate), so the smallest delegate id IS the smallest
-//     global id and dd candidates stay uint32 until the reduction.
+//     global id: a row's minimum is kept dense and converted once
+//     (delegateOffer) before it is folded.
 //  3. Fused dd pass: one visit per selected dd row serves its pull (up) and
 //     its push (down); rows neither pair needs are never read. Neighbor
 //     levels are looked up as one-byte tags (level mod 255): the hop
@@ -69,8 +70,9 @@ import (
 //     delegate parent and a delegate's smallest local normal parent. A
 //     rank's delegate candidates are uint32 global ids + 1 (0: none), and
 //     they meet in one reduce-scatter (reduceDelegates) on the rank whose
-//     gather share holds the delegate — the fold of Buluč & Madduri: each
-//     candidate reaches the one rank that writes the vertex, not every rank.
+//     gather share holds the delegate — the reduction of Buluč & Madduri:
+//     each candidate reaches the one rank that writes the vertex, not every
+//     rank.
 //  5. nn replay: each GPU replays outgoing nn edges once, sending
 //     (destLocal, senderLevel+1, senderGlobal) pairs; receivers fold the
 //     smallest valid candidate. Only a vertex with an nn neighbor exactly
@@ -105,20 +107,28 @@ import (
 //
 // Past the reduction (a barrier when only levels are collected), every rank
 // then writes one contiguous range of global ids straight into the query's
-// output arrays, reading all p GPUs' rows and, for a delegate, the replicated
-// levels and its own stripe of the reduced candidates (gatherRank).
+// output arrays, reading all p GPUs' rows and, for a delegate, its delegate
+// tier's levels and its own stripe of the reduced candidates (gatherRank).
 //
-// Steps 0–5 are one tree's, from the level arrays and dd candidates a
+// Every parent candidate of every tree — a delegate's or a normal vertex's,
+// recorded by a kernel or folded by a pass, the replay or a repair's patch —
+// is one form from its first write: a uint32 global id + 1, 0 for none, which
+// takes an offer through fold (a sweep's first-hit passes write it once
+// instead). Only the three gathers (gatherRank, finishRepair's, gatherLanes)
+// convert it, to the int64 parents of the result.
+//
+// Steps 0–5 are one tree's, from the level arrays and the delegate tier a
 // single-source traversal leaves behind (Run records step 0; Repair's full
 // resolution and RunRepair run steps 1–3 in its place). A K-source sweep
 // keeps no level arrays, only its frontier history — per level, which lanes
 // first reached which vertex — and resolves its K trees from that at once
 // (sweep_tree.go), the tree edges between two levels being word operations on
 // lane sets, not per-lane compares, and its dd and nd passes needing neither
-// a direction nor a comparison: they walk a level's delegates in ascending id through their dd
-// and DN rows, and since dense ids ascend with global ids (2 above) the FIRST
-// delegate to reach a (neighbor, lane) — delegate or normal — is the smallest.
-// Its delegate candidates, K per delegate, meet in the same reduce-scatter.
+// a direction nor a comparison: they walk a level's delegates in ascending id
+// through their dd and DN rows, and since dense ids ascend with global ids (2
+// above) the FIRST delegate to reach a (neighbor, lane) — delegate or normal —
+// is the smallest. Its delegate candidates, K per delegate, meet in the same
+// reduce-scatter.
 //
 // A repair (Repair) has a third shape, because it starts with more than
 // levels: the prior epoch's tree π, exact under this same contract, of which a
@@ -153,7 +163,7 @@ import (
 // less work depends on |R| (finishRepair decides, from row counts).
 //
 // The three resolvers share the contract and what enforces it — the replay
-// pair's packing, the fold that keeps the smallest offer (foldParent), the
+// pair's packing, the fold that keeps the smallest offer (fold), the
 // dd and nd row loops (ddPass, ndPass: the repair runs them over R's rows),
 // the candidates' form and their one reduction (reduceDelegates), the
 // missing-parent panics — and the pair round that carries every replay
@@ -232,12 +242,27 @@ func panicNoCandidate(di int64) {
 	panic(fmt.Sprintf("core: visited delegate %d has no parent candidate", di))
 }
 
-// noLevel is a level no vertex holds (unvisited is -1); noDelegate is the
-// empty dd candidate.
-const (
-	noLevel    int32  = -2
-	noDelegate uint32 = math.MaxUint32
-)
+// noLevel is a level no vertex holds (unvisited is -1).
+const noLevel int32 = -2
+
+// fold is how every parent candidate takes an offer: c is the smallest
+// parent offered so far, global id + 1 (0: none), and c−1 wraps "none" to the
+// largest id, which loses every comparison. The all-ones id is never an
+// offer: a missed compare ORs it in (ddPass), a prior parent of -1 becomes it.
+func fold(c, id uint32) uint32 { return min(c-1, id) + 1 }
+
+// parentOf is candidate c as a result's parent: its global id, -1 for none.
+func parentOf(c uint32) int64 { return int64(c) - 1 }
+
+// delegateOffer is dense delegate id di's global id as an offer to fold: a
+// pass keeps a row's minimum dense (dense ids ascend with global ids) and
+// converts it once, the all-ones id of a row without a hit to no offer.
+func delegateOffer(global []int64, di uint32) uint32 {
+	if di == math.MaxUint32 {
+		return di
+	}
+	return uint32(global[di])
+}
 
 // treeOut is a query's gathered result: global-id-indexed arrays shared by
 // all rank goroutines, each of which writes a disjoint set of elements — a
@@ -266,7 +291,6 @@ type parentScratch struct {
 	vol  []int64  // level → Σ DelegateOutDeg of the delegates on it
 	push []bool   // level L → pair (L−1, L) is resolved by push
 	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
-	dd   []uint32 // delegate id → smallest dd parent (delegate id)
 	cand []uint32 // delegate id → smallest parent global id + 1, 0: none
 	// patchReads counts the row entries of all four subgraphs the last repair
 	// patch read (BenchmarkRepairResolve, against the graph's edges).
@@ -345,14 +369,15 @@ func levelTag(l int32) uint8 {
 func missMask(a, b uint8) uint32 { return uint32(int32(-uint32(a^b)) >> 31) }
 
 // ddPass folds one GPU's non-empty dd rows into cand (delegate id → smallest
-// delegate id one level up) and returns the row entries read. A row at level
-// l pulls for itself when pair (l−1, l) is a pull and offers itself to its
-// level-l+1 neighbors when pair (l, l+1) is a push. The pull's compare is
-// arithmetic: a neighbor's level is a coin flip to the branch predictor. With
-// only set (a d-bit mask's words) the pass reads just those rows and resolves
-// each both ways whatever push says — the repair's patch, whose rows' neighbors
-// will not be visited themselves.
-func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, only []uint64, cand []uint32) int64 {
+// parent one level up, global id + 1; global is the delegate directory) and
+// returns the row entries read. A row at level l pulls for itself when pair
+// (l−1, l) is a pull and offers itself to its level-l+1 neighbors when pair
+// (l, l+1) is a push. The pull's compare is arithmetic: a neighbor's level is
+// a coin flip to the branch predictor. With only set (a d-bit mask's words)
+// the pass reads just those rows and resolves each both ways whatever push
+// says — the repair's patch, whose rows' neighbors will not be visited
+// themselves.
+func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, only []uint64, global []int64, cand []uint32) int64 {
 	var scanned int64
 	offs, cols := pg.DD.RowOffsets, pg.DD.Cols
 	for wi, word := range pg.DDSourceMask.Words() {
@@ -375,18 +400,18 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, on
 			row := cols[offs[di]:offs[di+1]]
 			scanned += int64(len(row))
 			if pull {
-				best := cand[di]
+				best := uint32(math.MaxUint32)
 				up := levelTag(l - 1)
 				for _, dv := range row {
 					best = min(best, dv|missMask(tag[dv], up))
 				}
-				cand[di] = best
+				cand[di] = fold(cand[di], delegateOffer(global, best))
 			}
 			if pushDown {
-				self := uint32(di)
+				self := uint32(global[di])
 				down := levelTag(l + 1)
 				for _, dv := range row {
-					cand[dv] = min(cand[dv], self|missMask(tag[dv], down))
+					cand[dv] = fold(cand[dv], self|missMask(tag[dv], down))
 				}
 			}
 		}
@@ -400,58 +425,38 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, on
 // direction-optimised dd pass's; then the nd pass, which also seeds the local
 // normal vertices' delegate parents.
 func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch) {
-	sep := e.sg.Sep
+	sep, dt := e.sg.Sep, &e.scratch[rank].dt
 	gpus := e.rankGPUs(rank)
-	dLevel := gpus[0].delegateLevel // one replica serves the rank: they are identical
-	if gpus[0].tree == nil {
-		push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
-		dd := ps.candidates(e.d)
+	if dt.rec == nil {
+		push := ps.treeDirections(dt.level, e.sg.DelegateOutDeg)
+		cand := ps.candidates(e.d)
 		for _, gs := range gpus {
-			ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
+			ddPass(gs.pg, dt.level, ps.tag, push, nil, sep.DelegateGlobal, cand)
 		}
 	}
-	cand := ps.ddCandidates(sep.DelegateGlobal)
 	if di := sep.DelegateID[source]; di >= 0 {
 		// Only the source sits at level 0: it is its own parent.
-		cand[di] = uint32(source) + 1
+		ps.cand[di] = uint32(source) + 1
 	}
 	for _, gs := range gpus {
-		e.ndPass(gs, gs.pg.NDSources, dLevel, cand)
+		e.ndPass(gs, gs.pg.NDSources, dt.level, ps.cand)
 	}
 }
 
-// candidates allocates the candidate arrays of a d-delegate resolution on
-// first use and returns the dd one, emptied.
+// candidates returns the rank's delegate candidates emptied, allocated on
+// first use.
 func (ps *parentScratch) candidates(d int64) []uint32 {
-	if cap(ps.dd) < int(d) {
-		ps.dd = make([]uint32, d)
+	if ps.cand == nil {
 		ps.cand = make([]uint32, d)
 	}
-	dd := ps.dd[:d]
-	for i := range dd {
-		dd[i] = noDelegate
-	}
-	return dd
-}
-
-// ddCandidates writes the dd candidates into cand, as global ids + 1, and
-// returns it.
-func (ps *parentScratch) ddCandidates(delegateGlobal []int64) []uint32 {
-	d := len(delegateGlobal)
-	cand := ps.cand[:d]
-	for di, c := range ps.dd[:d] {
-		cand[di] = 0
-		if c != noDelegate {
-			cand[di] = uint32(delegateGlobal[c]) + 1
-		}
-	}
-	return cand
+	clear(ps.cand)
+	return ps.cand
 }
 
 // ndPass resolves the nd edges of the listed local rows in both directions —
-// a row's smallest delegate one level up becomes its parent (the first
-// candidate a normal vertex gets, hence an assignment), and the row offers
-// itself to its delegates one level down — and returns the entries read.
+// a row's smallest delegate one level up is its first parent candidate, and
+// the row offers itself to its delegates one level down — and returns the
+// entries read.
 func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []uint32) (scanned int64) {
 	sep := e.sg.Sep
 	pg, levels, parents := gs.pg, gs.levels, gs.parents
@@ -464,8 +469,8 @@ func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []uin
 		if lu == 0 {
 			up = noLevel // -1 is "unvisited", not a level
 		}
-		uGlobal := e.cfg.GlobalID(u, pg.Rank, pg.Slot)
-		best := noDelegate
+		uGlobal := uint32(e.cfg.GlobalID(u, pg.Rank, pg.Slot))
+		best := uint32(math.MaxUint32)
 		row := pg.ND.Neighbors(int64(u))
 		scanned += int64(len(row))
 		for _, dv := range row {
@@ -474,26 +479,26 @@ func (e *Session) ndPass(gs *gpuState, rows []uint32, dLevel []int32, cand []uin
 				best = min(best, dv)
 			}
 			if ld == lu+1 {
-				cand[dv] = min(cand[dv]-1, uint32(uGlobal)) + 1
+				cand[dv] = fold(cand[dv], uGlobal)
 			}
 		}
-		if best != noDelegate {
-			parents[u] = sep.DelegateGlobal[best]
-		}
+		parents[u] = fold(parents[u], delegateOffer(sep.DelegateGlobal, best))
 	}
 	return scanned
 }
 
-// foldParent offers parent to local vertex id as a neighbor claiming it as a
-// child at childLevel, and reports whether it is the smallest offer so far.
-func foldParent(levels []int32, parents []int64, id uint32, childLevel int32, parent int64) bool {
+// foldParent offers parent, a global id, to local vertex id as a neighbor
+// claiming it as a child at childLevel, and reports whether it is the smallest
+// offer so far.
+func foldParent(levels []int32, parents []uint32, id uint32, childLevel int32, parent uint32) bool {
 	if levels[id] != childLevel {
 		return false
 	}
-	if cur := parents[id]; cur != -1 && cur <= parent {
+	c := fold(parents[id], parent)
+	if c == parents[id] {
 		return false
 	}
-	parents[id] = parent
+	parents[id] = c
 	return true
 }
 
@@ -501,7 +506,7 @@ func foldParent(levels []int32, parents []int64, id uint32, childLevel int32, pa
 func accept(gs *gpuState, prs []frontier.Pair) {
 	levels, parents := gs.levels, gs.parents
 	for _, pr := range prs {
-		foldParent(levels, parents, pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), int64(pr.Val>>parentLevelBits))
+		foldParent(levels, parents, pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), uint32(pr.Val>>parentLevelBits))
 	}
 }
 
@@ -524,7 +529,7 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 			lvl := levels[slot]
 			if lvl == 0 {
 				// The root: a normal source is its own parent.
-				parents[slot] = e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
+				parents[slot] = uint32(e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)) + 1
 			}
 			if lvl < 0 || pg.NN.Degree(slot) == 0 {
 				continue
@@ -538,7 +543,7 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 			for _, v := range pg.NN.Neighbors(slot) {
 				owner := e.cfg.OwnerGPU(v)
 				if owner == pg.GPU {
-					foldParent(levels, parents, uint32(v/p64), childLevel, uGlobal)
+					foldParent(levels, parents, uint32(v/p64), childLevel, uint32(uGlobal))
 					continue
 				}
 				bins.Add(owner, uint32(v/p64), val)
@@ -581,18 +586,20 @@ const gatherSlots = 64
 // gatherRank writes this rank's share of the query's global arrays — past the
 // reduction or the levels-only barrier, where every rank's parent rows are
 // final and every replay payload has been decoded — the contiguous range of
-// global ids that is its share of the local slots, every GPU's. Consecutive ids belong to consecutive residue
-// classes, so the p owners' arrays are read as p sequential streams, a few
-// slots of each at a time, and each result entry is written once, into a
-// window that stays in cache; only the line at either end of a range is
-// shared with another rank. A delegate's home slot holds -1; its entry comes
-// from the replicated delegate levels and this rank's stripe of the reduced
-// candidates, which holds every delegate of its share. Unvisited vertices write their -1, so no prefill is needed. The
-// ranks read each other's rows here and nothing orders those reads behind the
-// gather: RunRanks joins all ranks before the session is reset or released.
+// global ids that is its share of the local slots, every GPU's. Consecutive
+// ids belong to consecutive residue classes, so the p owners' arrays are read
+// as p sequential streams, a few slots of each at a time, and each result
+// entry is written once, into a window that stays in cache; only the line at
+// either end of a range is shared with another rank. A delegate's home slot
+// holds -1; its entry comes from the rank's delegate tier and its stripe of
+// the reduced candidates, which holds every delegate of its share. A
+// candidate, global id + 1, becomes the result's parent here. Unvisited
+// vertices write their -1, so no prefill is needed. The ranks read each
+// other's rows here and nothing orders those reads behind the gather:
+// RunRanks joins all ranks before the session is reset or released.
 func (e *Session) gatherRank(rank int, ps *parentScratch) {
 	out, sep := e.out, e.sg.Sep
-	dLevel := e.rankGPUs(rank)[0].delegateLevel
+	dLevel := e.scratch[rank].dt.level
 	p64 := int64(e.p)
 	lo, hi := e.gatherShare(rank)
 	for s0 := lo; s0 < hi; s0 += gatherSlots {
@@ -607,13 +614,13 @@ func (e *Session) gatherRank(rank int, ps *parentScratch) {
 				par := int64(-1)
 				if lvl >= 0 {
 					if out.parents != nil {
-						if par = gs.parents[s0+int64(slot)]; par == -1 && lvl >= 1 {
+						if par = parentOf(gs.parents[s0+int64(slot)]); par == -1 && lvl >= 1 {
 							panicMissingParent(v, gs.pg.GPU)
 						}
 					}
 				} else if di := sep.DelegateID[v]; di >= 0 {
 					if lvl = dLevel[di]; lvl >= 0 && out.parents != nil {
-						if par = int64(ps.cand[di]) - 1; par == -1 {
+						if par = parentOf(ps.cand[di]); par == -1 {
 							panicNoCandidate(int64(di))
 						}
 					}

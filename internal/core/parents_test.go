@@ -157,6 +157,49 @@ func TestTreeIsUncharged(t *testing.T) {
 	}
 }
 
+// TestCandidateFormAtUint32Edge holds the one parent-candidate form, a uint32
+// global id + 1 with 0 for none, where it wraps: the largest id a plan that
+// collects parents admits (it refuses 2^32 vertices or more) is stored as all
+// ones, and the all-ones id, which a missed compare or a prior parent of -1
+// turns into, is no offer at all.
+func TestCandidateFormAtUint32Edge(t *testing.T) {
+	const allOnes = math.MaxUint32
+	const largest = allOnes - 1
+	for _, id := range []uint32{0, 1, 1 << 31, largest} {
+		if got := fold(0, id); got != id+1 {
+			t.Errorf("none took offer %d as %d, want %d", id, got, id+1)
+		}
+	}
+	for _, c := range []uint32{0, 1, allOnes} {
+		if got := fold(c, allOnes); got != c {
+			t.Errorf("the all-ones id moved candidate %d to %d", c, got)
+		}
+	}
+	c := fold(0, largest)
+	if c != allOnes || parentOf(c) != largest {
+		t.Fatalf("global id %d stored as %d, read back as %d", int64(largest), c, parentOf(c))
+	}
+	if got := fold(c, 7); got != 8 || fold(got, largest) != 8 || parentOf(0) != -1 {
+		t.Fatalf("a smaller offer must win against the largest candidate and a larger one lose: %d", got)
+	}
+	global := []int64{4, largest}
+	if delegateOffer(global, 1) != largest || delegateOffer(global, allOnes) != allOnes {
+		t.Fatal("delegateOffer: a delegate offers its global id, a row without a hit none")
+	}
+
+	visited := make([]uint64, 2)
+	visited[0] = 1<<5 | 1<<9
+	row := []uint32{70, 3, 64, 63}
+	if got := minVisited(5, row, visited); got != 5 {
+		t.Fatalf("minVisited with nothing past the first hit visited = %d, want 5", got)
+	}
+	visited[1] = 1 << 0 // 64: visited, but larger than the first hit
+	visited[0] |= 1 << 3
+	if got := minVisited(9, row, visited); got != 3 {
+		t.Fatalf("minVisited = %d, want the smallest visited id 3", got)
+	}
+}
+
 func TestParentsOffByDefault(t *testing.T) {
 	el := gen.Path(8)
 	e := buildPlan(t, el, ClusterShape{1, 1, 2}, 10, DefaultOptions())
@@ -266,8 +309,9 @@ func BenchmarkResolveParents(b *testing.B) {
 			s := plan.acquire(opts)
 			defer plan.release(s)
 			// A traversal that collects parents but, handed no parent array,
-			// resolves none: the dd candidates are left as the kernels recorded
-			// them, to be restored before every resolution.
+			// resolves none: the delegate candidates are left as the kernels
+			// recorded them, to be restored before every resolution, since the
+			// nd pass and the reduce-scatter write them.
 			w := s.coldWave(src)
 			if _, err := s.traverse(ctx, src, treeOut{levels: make([]int32, s.sg.N)}, func(rank int, comm *mpi.Comm) {
 				s.runWave(ctx, rank, comm, src, w)
@@ -276,7 +320,7 @@ func BenchmarkResolveParents(b *testing.B) {
 			}
 			recorded := make([][]uint32, len(s.scratch))
 			for r, sc := range s.scratch {
-				recorded[r] = slices.Clone(sc.parents.dd)
+				recorded[r] = slices.Clone(sc.parents.cand)
 			}
 			finish := func(body func(rank int, comm *mpi.Comm)) {
 				if err := RunRanks(s.acquireWorld(), nil, tagSite, body); err != nil {
@@ -287,12 +331,10 @@ func BenchmarkResolveParents(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				for r, sc := range s.scratch {
-					copy(sc.parents.dd, recorded[r])
+					copy(sc.parents.cand, recorded[r])
 				}
 				for _, gs := range s.gpus {
-					for slot := range gs.parents {
-						gs.parents[slot] = -1
-					}
+					clear(gs.parents)
 				}
 				s.parentExchangePairs = 0
 				s.out = newTreeOut(&s.opts, s.sg.N)

@@ -230,11 +230,11 @@ func (e *Session) repair(ctx context.Context, in *repairIn) (*metrics.RunResult,
 // delegate-set shift between epochs lands every level in the right array;
 // invalidated ones start at -1 and join the re-pull set (the GPU's list, the
 // rank's delegate mask). Delegates' normal home slots hold -1 exactly as the
-// plain BFS leaves them — a delegate's level lives only in the replicated
-// delegateLevel array (its adjacency is dd/dn, so a level in the normal slot
-// would claim a vertex the nn/nd machinery can never explain); the rank walks
-// the delegate directory once and copies the replica. No vertex has a parent
-// yet: the prior's are read where the tree is patched (repair_tree.go).
+// plain BFS leaves them — a delegate's level lives only in the rank's delegate
+// tier (its adjacency is dd/dn, so a level in the normal slot would claim a
+// vertex the nn/nd machinery can never explain); the rank walks the delegate
+// directory once into its tier. No vertex has a parent yet: the prior's are
+// read where the tree is patched (repair_tree.go).
 func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairIn) {
 	sep := e.sg.Sep
 	p64 := int64(e.p)
@@ -252,17 +252,15 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 			gs.levels[slot] = lvl
 			v += p64
 		}
-		if gs.trackParents {
-			for slot := range gs.parents {
-				gs.parents[slot] = -1
-			}
+		if e.opts.CollectParents {
+			clear(gs.parents)
 		}
 	}
 	if sc.members == nil {
 		sc.members = bitmask.New(e.d)
 	}
 	sc.members.Reset()
-	dl := myGPUs[0].delegateLevel
+	dl := sc.dt.level
 	for di, v := range sep.DelegateGlobal {
 		if in.invalid[v] {
 			dl[di] = -1
@@ -270,9 +268,6 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 		} else {
 			dl[di] = in.levels[v]
 		}
-	}
-	for _, gs := range myGPUs[1:] {
-		copy(gs.delegateLevel, dl)
 	}
 }
 
@@ -319,7 +314,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 			for _, dv := range pg.ND.Neighbors(slot) {
 				edges++
-				if gs.delegateLevel[dv] >= 0 {
+				if sc.dt.level[dv] >= 0 {
 					sc.rankMask.Set(int64(dv))
 				}
 			}
@@ -333,7 +328,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			di64 := int64(di)
 			for _, dv := range pg.DD.Neighbors(di64) {
 				edges++
-				if gs.delegateLevel[dv] >= 0 {
+				if sc.dt.level[dv] >= 0 {
 					sc.rankMask.Set(int64(dv))
 				}
 			}
@@ -415,7 +410,7 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 		slices.Sort(gs.repSeeds)
 		gs.repSeeds = slices.Compact(gs.repSeeds)
 	}
-	dl := myGPUs[0].delegateLevel
+	dl := sc.dt.level
 	sc.seedMask.ForEach(func(di int64) {
 		sc.dSeeds = append(sc.dSeeds, seedKey(dl[di], uint32(di)))
 	})
@@ -488,15 +483,12 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 // injectSeeds moves the seeds scheduled at level iter into the frontier. The
 // guard (level still equals the stored level) drops seeds the wave already
 // improved past — those entered the frontier at their better level. Delegate
-// levels are replicated, so the guard decides identically on every GPU and
+// levels are replicated, so the guard decides identically on every rank and
 // the frontier masks stay globally consistent.
 func (e *Session) injectSeeds(myGPUs []*gpuState, sc *rankScratch, iter int32) {
 	for sc.dCursor < len(sc.dSeeds) && seedLevel(sc.dSeeds[sc.dCursor]) == iter {
-		di := int64(uint32(sc.dSeeds[sc.dCursor]))
-		for _, gs := range myGPUs {
-			if gs.delegateLevel[di] == iter {
-				gs.frontDelegate(di)
-			}
+		if di := int64(uint32(sc.dSeeds[sc.dCursor])); sc.dt.level[di] == iter {
+			sc.dt.frontDelegate(di)
 		}
 		sc.dCursor++
 	}

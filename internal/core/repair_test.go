@@ -631,9 +631,7 @@ func BenchmarkRepairResolve(b *testing.B) {
 				b.StopTimer()
 				for _, gs := range s.gpus {
 					gs.rep = gs.rep[:gs.repMembers]
-					for slot := range gs.parents {
-						gs.parents[slot] = -1
-					}
+					clear(gs.parents)
 				}
 				s.parentExchangePairs = 0
 				s.out = treeOut{levels: slices.Clone(in.levels), parents: slices.Clone(in.parents)}
@@ -668,11 +666,11 @@ func BenchmarkRepairResolve(b *testing.B) {
 // dd pass reads over the session's delegate levels, on every GPU.
 func ddPassReads(s *Session) (reads int64) {
 	var ps parentScratch
-	dLevel := s.gpus[0].delegateLevel
+	dLevel := s.scratch[0].dt.level
 	push := ps.treeDirections(dLevel, s.sg.DelegateOutDeg)
-	dd := ps.candidates(s.d)
+	cand := ps.candidates(s.d)
 	for _, gs := range s.gpus {
-		reads += ddPass(gs.pg, dLevel, ps.tag, push, nil, dd)
+		reads += ddPass(gs.pg, dLevel, ps.tag, push, nil, s.sg.Sep.DelegateGlobal, cand)
 	}
 	return reads
 }

@@ -59,7 +59,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 	ps := &sc.parents
 	sep := e.sg.Sep
 	gpus := e.rankGPUs(rank)
-	dLevel := gpus[0].delegateLevel
+	dLevel := sc.dt.level
 	p64 := int64(e.p)
 
 	// The re-pull set was listed as the repair went (preload, probe, wave):
@@ -94,12 +94,11 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 	// the arrays hold. Delegate members' dd and dn slices resolve both ways,
 	// normal members' nd rows resolve here and their nn rows go out as offers.
 	// Past each GPU's members, rep grows by the non-members an offer reached.
-	dd := ps.candidates(e.d)
+	cand := ps.candidates(e.d)
 	ps.patchReads = 0
 	for _, gs := range gpus {
-		ps.patchReads += ddPass(gs.pg, dLevel, ps.tag, nil, dMembers.Words(), dd)
+		ps.patchReads += ddPass(gs.pg, dLevel, ps.tag, nil, dMembers.Words(), sep.DelegateGlobal, cand)
 	}
-	cand := ps.ddCandidates(sep.DelegateGlobal)
 	offers := ps.pairBins(e, 0)
 	for _, gs := range gpus {
 		pg := gs.pg
@@ -123,7 +122,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		if l < 0 {
 			return
 		}
-		dGlobal := sep.DelegateGlobal[di]
+		dGlobal := uint32(sep.DelegateGlobal[di])
 		for _, gs := range gpus {
 			pg := gs.pg
 			row := pg.DN.Neighbors(di)
@@ -131,7 +130,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			for _, lv := range row {
 				switch gs.levels[lv] {
 				case l - 1:
-					cand[di] = min(cand[di]-1, uint32(e.cfg.GlobalID(lv, pg.Rank, pg.Slot))) + 1
+					cand[di] = fold(cand[di], uint32(e.cfg.GlobalID(lv, pg.Rank, pg.Slot)))
 				case l + 1:
 					if foldParent(gs.levels, gs.parents, lv, l+1, dGlobal) {
 						gs.rep = append(gs.rep, lv)
@@ -149,7 +148,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		for _, pr := range prs {
 			child := int32(pr.Val & (1<<parentLevelBits - 1))
 			v := int64(pr.Val >> parentLevelBits)
-			if foldParent(gs.levels, gs.parents, pr.ID, child, v) {
+			if foldParent(gs.levels, gs.parents, pr.ID, child, uint32(v)) {
 				gs.rep = append(gs.rep, pr.ID)
 			} else if l := gs.levels[pr.ID]; l >= 0 && l == child-2 {
 				answers.Add(e.cfg.OwnerGPU(v), uint32(v/p64), parentPairVal(e.cfg.GlobalID(pr.ID, pg.Rank, pg.Slot), l+1))
@@ -170,20 +169,20 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		members := gs.rep[:gs.repMembers]
 		for i, slot := range gs.rep {
 			v := v0 + int(slot)*e.p
-			par := gs.parents[slot]
-			if par == -1 && gs.levels[slot] >= 1 {
+			c := gs.parents[slot]
+			if c == 0 && gs.levels[slot] >= 1 {
 				panicMissingParent(int64(v), gs.pg.GPU)
 			}
 			if i >= len(members) {
 				if _, member := slices.BinarySearch(members, slot); member {
 					continue
 				}
-				par = min(par, in.parents[v])
+				c = fold(c, uint32(in.parents[v]))
 			}
 			if out.levels != nil {
 				out.levels[v] = gs.levels[slot]
 			}
-			out.parents[v] = par
+			out.parents[v] = parentOf(c)
 		}
 	}
 	dlo, dhi := e.delegateShare(rank)
@@ -193,8 +192,8 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			continue
 		}
 		v := sep.DelegateGlobal[di]
-		if prior := in.parents[v]; !member && prior >= 0 {
-			c = min(c-1, uint32(prior)) + 1
+		if !member {
+			c = fold(c, uint32(in.parents[v]))
 		}
 		lvl := dLevel[di]
 		if c == 0 && lvl >= 0 {
@@ -203,6 +202,6 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 		if out.levels != nil {
 			out.levels[v] = lvl
 		}
-		out.parents[v] = int64(c) - 1
+		out.parents[v] = parentOf(c)
 	}
 }

@@ -276,10 +276,10 @@ func (e *Session) coldWave(source int64) wave {
 	if e.sg.Sep.IsDelegate(source) {
 		w.nSeeds, w.dSeeds = noSeed, oneSeed
 		di := int64(e.sg.Sep.DelegateID[source])
-		for _, gs := range e.gpus {
-			gs.visitedForWrite().Set(di)
-			gs.frontDelegate(di)
-			gs.delegateLevel[di] = 0
+		for _, sc := range e.scratch {
+			sc.dt.visitedForWrite().Set(di)
+			sc.dt.frontDelegate(di)
+			sc.dt.level[di] = 0
 		}
 	} else {
 		gs := e.gpus[e.cfg.OwnerGPU(source)]
@@ -650,12 +650,9 @@ func (e *Session) rankGPUs(rank int) []*gpuState {
 // entered with the frontier and any seed schedule for w already in place.
 func (e *Session) runWave(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
 	sc := e.scratch[rank]
-	gpus := e.rankGPUs(rank)
-	if gpus[0].tree != nil {
-		sc.parents.candidates(e.d) // the kernels fold into it from empty
-	}
+	clear(sc.dt.rec) // the kernels fold into it from empty
 	e.exchangers(rank)
-	sc.lanes = sourceLanes{e: e, rank: rank, gpus: gpus, sc: sc, source: source, w: w}
+	sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
 	e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, w.schedule)
 }
 
@@ -697,18 +694,16 @@ func (l *sourceLanes) proposal() ([]uint64, bool) {
 }
 
 // commit takes every reduced bit at level iter+1 without re-testing it:
-// delegate levels are replicated and change only here, so a bit a kernel
-// proposed because the level it saw was unset or deeper than iter+1 still
-// passes that test now, on every GPU. (visited is read by the backward
-// kernels only; a repair, which never runs backward, just carries it.)
+// delegate levels are the rank's replica and change only here, so a bit a
+// kernel proposed because the level it saw was unset or deeper than iter+1
+// still passes that test now. (visited is read by the backward kernels only;
+// a repair, which never runs backward, just carries it.)
 func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
-	e, sc := l.e, l.sc
+	e, sc, dt := l.e, l.sc, &l.sc.dt
 	if !reduced {
-		for _, gs := range l.gpus {
-			if gs.dFrontN > 0 {
-				gs.dFront.Reset()
-				gs.dFrontN = 0
-			}
+		if dt.frontN > 0 {
+			dt.front.Reset()
+			dt.frontN = 0
 		}
 		return dc
 	}
@@ -717,11 +712,11 @@ func (l *sourceLanes) commit(reduced bool, iter int32) (dc delegateCommit) {
 	if l.w.repair != nil {
 		sc.members.Or(rankMask)
 	}
+	rankMask.ForEach(func(di int64) { dt.level[di] = iter + 1 })
+	dt.visitedForWrite().Or(rankMask)
+	dt.front.CopyFrom(rankMask)
+	dt.frontN = dc.visits
 	for _, gs := range l.gpus {
-		rankMask.ForEach(func(di int64) { gs.delegateLevel[di] = iter + 1 })
-		gs.visitedForWrite().Or(rankMask)
-		gs.dFront.CopyFrom(rankMask)
-		gs.dFrontN = dc.visits
 		if gs.newDirty {
 			gs.newMask.Reset()
 			gs.newDirty = false

@@ -27,6 +27,9 @@ type rankScratch struct {
 	// their buffers, which a repair's probe round uses as a superstep does.
 	exchangeScratch
 
+	// dt is the rank's delegate tier, which its GPUs share (gpuState.dt).
+	dt delegateTier
+
 	// lists gathers the contributing bins of one merge (mergeForRank).
 	lists [][]uint32
 
@@ -65,13 +68,14 @@ type rankScratch struct {
 	members *bitmask.Mask
 
 	// parents is the post-BFS canonical parent resolution's reusable state
-	// (candidate directory + replay pair bins, see parents.go).
+	// (delegate candidates + replay pair bins, see parents.go).
 	parents parentScratch
 }
 
 func newRankScratch(prank, pgpu int, d int64) *rankScratch {
 	return &rankScratch{
 		exchangeScratch: newExchangeScratch(prank, pgpu, 0),
+		dt:              delegateTier{level: make([]int32, d), visited: bitmask.New(d), front: bitmask.New(d)},
 		rankMask:        bitmask.New(d),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -383,5 +384,39 @@ func TestPlanExposesItsState(t *testing.T) {
 	}
 	if p.Shape() != shape || p.Graph() != sg || !p.MemoryOK() {
 		t.Fatal("plan does not expose the state it was built from")
+	}
+}
+
+// TestSessionHoldsOneDelegateTierPerRank pins what a pooled Session allocates
+// for a query that collects parents: one delegate tier per rank, which every
+// GPU of the rank reads, and parent candidates in their uint32 form. The
+// ceilings sit just above the measured footprint, well below the 523 088 and
+// 517 040 bytes a tier per GPU and int64 parents took.
+func TestSessionHoldsOneDelegateTierPerRank(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CollectParents = true
+	for _, tc := range []struct {
+		shape   ClusterShape
+		ceiling uint64 // bytes newSession + configure allocate (318 032, 241 968)
+	}{
+		{ClusterShape{2, 2, 2}, 330_000},
+		{ClusterShape{2, 1, 4}, 255_000},
+	} {
+		p := buildPlanT(t, 14, tc.shape, opts, false)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := p.newSession()
+		s.configure(opts)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.ceiling {
+			t.Errorf("%s: a session allocates %d bytes, ceiling %d", tc.shape, got, tc.ceiling)
+		}
+		for rank, sc := range s.scratch {
+			for _, gs := range s.rankGPUs(rank) {
+				if gs.dt != &sc.dt {
+					t.Errorf("%s: GPU %d does not read rank %d's delegate tier", tc.shape, gs.pg.GPU, rank)
+				}
+			}
+		}
 	}
 }

@@ -125,9 +125,9 @@ type sweepIterWork struct {
 	logical        int64 // per-query logical edges: Σ popcount(row)·degree
 }
 
-// sweepScratch is one rank goroutine's sweep state: the delegate tier, which
-// is replicated per rank (its GPUs read one copy), and the rank's reusable
-// buffers.
+// sweepScratch is one rank goroutine's sweep state: the delegate tier, one
+// replica per rank that its GPUs share — as a single-source traversal's GPUs
+// share rankScratch.dt — and the rank's reusable buffers.
 type sweepScratch struct {
 	visD   *bitmask.Matrix // d × K visited delegates
 	histD  laneHist        // delegate frontier history, identical on every rank

@@ -152,8 +152,8 @@ func (ix *laneIndex) lanes(v uint32, l int32, w int) []uint64 {
 }
 
 // treeScratch is one rank's state of the sweep's resolution. Candidates are
-// smallest-parent-so-far ids stored id+1, so a zeroed array is "none" and
-// c−1 wraps "none" to the largest id, which loses every comparison.
+// the single tree's form, smallest-parent-so-far global ids + 1 (0: none),
+// which only fold or a first hit writes.
 type treeScratch struct {
 	// cand[delegate·K + lane] is this rank's candidate; after the reduction,
 	// within the rank's stripe, the global one.
@@ -198,7 +198,7 @@ func offer(cands []uint32, base int, a, b []uint64, id uint32) {
 			// Always stored: which neighbor is smaller is a coin flip to the
 			// branch predictor.
 			c := &cands[at+bits.TrailingZeros64(word)]
-			*c = min(*c-1, id) + 1
+			*c = fold(*c, id)
 		}
 	}
 }
@@ -489,7 +489,7 @@ func (e *sweepSession) put(v int64, l int32, lanes uint64, base int, cands []uin
 			if cands[q] == 0 {
 				return false
 			}
-			par = int64(cands[q] - 1)
+			par = parentOf(cands[q])
 		}
 		out.parents[v] = par
 	}
