@@ -215,9 +215,10 @@
 // coalesced sweep draining its queue) finishes entirely on its admission
 // epoch, every later call lands on the new one, and Result.Epoch records
 // which. MutableService.Repair then advances a held result across the delta
-// without re-traversing the unchanged bulk: the affected set (orphaned
-// subtrees of deleted tree edges, still-valid endpoints of inserts) seeds a
-// corrective traversal through the same exchange stack, and the repaired
+// without re-traversing the unchanged bulk: a corrective traversal through
+// the same exchange stack starts where a level can change (the orphaned
+// subtrees of deleted tree edges, each vertex at a tentative level its valid
+// neighbors give it, and the inserts that shorten a path), and the repaired
 // levels and parents are bit-identical to a full recompute on the new epoch
 // — typically in a fraction of the simulated time when the delta is small
 // (the cmp6 ablation quantifies the crossover). See examples/streaming.

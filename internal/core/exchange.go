@@ -47,8 +47,9 @@ package core
 // a second format.
 //
 // A repair's probe (repair.go) is no message of its own: it is one all-pairs
-// round of ids, run as superstep probeIter ahead of the wave, its targets
-// staged, encoded, presence-gated, accounted and priced (remoteTime) like any
+// round of ids — the valid nn neighbors of invalidated vertices on other
+// GPUs — run as superstep probeIter ahead of the wave, its targets staged,
+// encoded, presence-gated, accounted and priced (remoteTime) like any
 // superstep's. Outside internal/mpi this file is the only one that sends or
 // receives a point-to-point message.
 //

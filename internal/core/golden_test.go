@@ -78,75 +78,63 @@ var goldenResults = map[string]string{
 	// The repairs through Plan.Repair, which patches the prior tree, and
 	// through the frozen RunRepair, which resolves it from nothing: the same
 	// wave, so each pair of rows differs in ParentPairs and Wire.Pair*Bytes
-	// only (the test checks that too). The codec-active rows were re-hashed
-	// when the probe began to ride the all-pairs id round, which encodes and
-	// frames it like any id message: only their SimSeconds and Parts moved
-	// (goldenCut). The patching rows were re-hashed again when the patch's
-	// delegate candidates left its first pair round for the reduce-scatter
-	// every tree's candidates meet in: only their ParentPairs and
-	// Wire.Pair*Bytes moved (goldenPairCut).
-	"repair":               "a4d50f732ae72bbe",
-	"repair/RunRepair":     "ff726a8711d57d57",
-	"repair/off":           "7ffa5053149c14a1",
-	"repair/off/RunRepair": "a10be0013623c03d",
+	// only (the test checks that too). Re-hashed when the wave began at the
+	// invalidated vertices, each at its tentative level, and at the inserts
+	// that shorten a path, instead of at every valid neighbor of an
+	// invalidated vertex and every insert endpoint: only traversal-side fields
+	// moved (repairBefore).
+	"repair":               "ab79b5353424edec",
+	"repair/RunRepair":     "1df45aba107d2e84",
+	"repair/off":           "d1826b242f37816e",
+	"repair/off/RunRepair": "dee684b9e6ae3efc",
 }
 
-// goldenCut is what the codec-active repair rows hashed with SimSeconds and
-// Parts cut out (cutDigest) before their probe rode the all-pairs id round —
-// with the pair counters they read then (pairsBefore) — and
-// remoteNormalBefore what their Parts.RemoteNormal read then, for the log
-// beside what it reads now. goldenPairCut is what the patching rows hash with
-// ParentPairs and Wire.Pair*Bytes cut out (pairCutDigest), the same before
-// and after the patch's delegate candidates moved from its first pair round
-// to the reduce-scatter, and pairsBefore what those three read before it.
-var (
-	goldenCut = map[string]string{
-		"repair":           "f6a1aa4e8344d2f5",
-		"repair/RunRepair": "bd10dcd96d226825",
-	}
-	remoteNormalBefore = map[string]float64{
-		"repair":           1.2024244344534086e-05,
-		"repair/RunRepair": 1.2024244344534086e-05,
-	}
-	goldenPairCut = map[string]string{
-		"repair":     "b38c712dda077acf",
-		"repair/off": "1b1af6d3c819b90c",
-	}
-	pairsBefore = map[string][3]int64{
-		"repair":     {499, 3096, 1545},
-		"repair/off": {512, 5172, 5172},
-	}
-)
+// treeSide is what a repair row reads outside its traversal: its tree
+// (treeDigest of Levels and Parents), its resolution's pair counters
+// (ParentPairs, Wire.PairRawBytes, Wire.PairWireBytes) and the digest of the
+// whole result with every traversal-side field cut out (untraversedDigest).
+type treeSide struct {
+	tree  string
+	pairs [3]int64
+	rest  string
+}
 
-// withPairs returns a copy of r whose ParentPairs, Wire.PairRawBytes and
-// Wire.PairWireBytes read pairs.
-func withPairs(r *metrics.RunResult, pairs [3]int64) *metrics.RunResult {
+// repairBefore is what the repair rows read on the tree side before their
+// wave began where a level can change; the test holds them to it field by
+// field, so the re-hash moved traversal-side fields only.
+var repairBefore = map[string]treeSide{
+	"repair":               {"16d45564c55ce2d5", [3]int64{486, 2940, 1468}, "8939dad59548914e"},
+	"repair/RunRepair":     {"16d45564c55ce2d5", [3]int64{958, 8112, 3920}, "189a9d51772f5751"},
+	"repair/off":           {"16d45564c55ce2d5", [3]int64{486, 4860, 4860}, "7d055b1bca7d81d0"},
+	"repair/off/RunRepair": {"16d45564c55ce2d5", [3]int64{1186, 13344, 13344}, "5307706900e03fdc"},
+}
+
+// treeDigest hashes a result's levels and parents.
+func treeDigest(r *metrics.RunResult) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%v\n%v\n", r.Levels, r.Parents)
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// untraversedDigest is resultDigest with every field the traversal writes
+// cut out: the superstep count and rows, the modelled clock, the edges
+// scanned, the duplicates removed, the delegate rounds, the exchange's
+// statistics and every wire counter but the resolution's pair bytes.
+func untraversedDigest(r *metrics.RunResult) string {
 	c := *r
-	c.ParentPairs, c.Wire.PairRawBytes, c.Wire.PairWireBytes = pairs[0], pairs[1], pairs[2]
-	return &c
-}
-
-// pairCutDigest is resultDigest with the resolution's pair counters cut out.
-func pairCutDigest(r *metrics.RunResult) string { return resultDigest(withPairs(r, [3]int64{})) }
-
-// cutDigest is resultDigest with the modelled clock's totals, SimSeconds and
-// Parts, cut out of every result.
-func cutDigest(results ...*metrics.RunResult) string {
-	cut := make([]*metrics.RunResult, len(results))
-	for i, r := range results {
-		c := *r
-		c.SimSeconds, c.Parts = 0, metrics.Breakdown{}
-		cut[i] = &c
-	}
-	return resultDigest(cut...)
+	c.Iterations, c.SimSeconds, c.EdgesScanned, c.DupsRemoved = 0, 0, 0, 0
+	c.Parts, c.PerIteration, c.DelegateComms, c.Exchange = metrics.Breakdown{}, nil, 0, metrics.ExchangeStats{}
+	c.Wire = metrics.WireStats{Enabled: r.Wire.Enabled, PairRawBytes: r.Wire.PairRawBytes, PairWireBytes: r.Wire.PairWireBytes}
+	return resultDigest(&c)
 }
 
 // wireBefore is what a row's byte counters — Wire.RawBytes,
 // Wire.CompressedBytes, Exchange.ForwardedBytes, Wire.CodecBytes summed over
 // its results — read before they last moved, for the log beside what they
-// read now: the codec-active run and repair rows while the exchange carried
-// multisets, and the K > 1 sweep rows while the selector pinned a remembered
-// scheme onto a block of a similar size. The off rows never moved.
+// read now: the codec-active run rows while the exchange carried multisets,
+// the K > 1 sweep rows while the selector pinned a remembered scheme onto a
+// block of a similar size, and the repair rows before their wave began where
+// a level can change. The other off rows never moved.
 var wireBefore = map[string][4]int64{
 	"run/allpairs/adaptive/1":  {1296, 2129, 0, 3096},
 	"run/allpairs/adaptive/2":  {1296, 3924, 0, 3096},
@@ -154,7 +142,8 @@ var wireBefore = map[string][4]int64{
 	"run/butterfly/adaptive/2": {2352, 2318, 1056, 5208},
 	"run/hybrid/adaptive/1":    {2352, 1633, 1056, 5208},
 	"run/hybrid/adaptive/2":    {2352, 2318, 1056, 5208},
-	"repair":                   {844, 303, 0, 1696},
+	"repair":                   {772, 283, 0, 1624},
+	"repair/off":               {1364, 1364, 0, 0},
 	"sweep/8":                  {2792, 2120, 0, 5592},
 	"sweep/65":                 {6630, 8580, 0, 13260},
 	"sweep/butterfly/8":        {6336, 5272, 2624, 12672},
@@ -290,28 +279,21 @@ func TestGoldenRunResults(t *testing.T) {
 			r    *metrics.RunResult
 		}{{tc.name, rep}, {tc.name + "/RunRepair", wrapped}} {
 			check(row.name, row.r)
-			if want, moved := goldenPairCut[row.name]; moved {
-				if got := pairCutDigest(row.r); got != want {
-					t.Errorf("%s: digest %s with ParentPairs and Wire.Pair*Bytes cut, golden %s", row.name, got, want)
-				}
+			was, r := repairBefore[row.name], row.r
+			if got := treeDigest(r); got != was.tree {
+				t.Errorf("%s: tree digest %s, before %s", row.name, got, was.tree)
 			}
-			if want, moved := goldenCut[row.name]; moved {
-				r := row.r
-				if was, ok := pairsBefore[row.name]; ok {
-					r = withPairs(r, was)
-				}
-				if got := cutDigest(r); got != want {
-					t.Errorf("%s: digest %s with SimSeconds and Parts cut, golden %s", row.name, got, want)
-				}
-				t.Logf("%s: Parts.RemoteNormal %v → %v", row.name, remoteNormalBefore[row.name], row.r.Parts.RemoteNormal)
+			if got := [3]int64{r.ParentPairs, r.Wire.PairRawBytes, r.Wire.PairWireBytes}; got != was.pairs {
+				t.Errorf("%s: ParentPairs, Wire.PairRawBytes, Wire.PairWireBytes %v, before %v", row.name, got, was.pairs)
+			}
+			if got := untraversedDigest(r); got != was.rest {
+				t.Errorf("%s: digest %s with the traversal-side fields cut, before %s", row.name, got, was.rest)
 			}
 		}
 		if rep.ParentPairs >= wrapped.ParentPairs {
 			t.Errorf("%s: the patch sent %d pairs, the full resolution %d: nothing was patched", tc.name, rep.ParentPairs, wrapped.ParentPairs)
 		}
 		requireSameButPairs(t, tc.name+": Repair and RunRepair", rep, wrapped)
-		was := pairsBefore[tc.name]
-		t.Logf("%s: ParentPairs %d → %d (RunRepair %d), Wire.PairRawBytes %d → %d (%d), Wire.PairWireBytes %d → %d (%d)", tc.name,
-			was[0], rep.ParentPairs, wrapped.ParentPairs, was[1], rep.Wire.PairRawBytes, wrapped.Wire.PairRawBytes, was[2], rep.Wire.PairWireBytes, wrapped.Wire.PairWireBytes)
+		t.Logf("%s: EdgesScanned %d (RunRepair %d), SimSeconds %v, Iterations %d", tc.name, rep.EdgesScanned, wrapped.EdgesScanned, rep.SimSeconds, rep.Iterations)
 	}
 }

@@ -11,15 +11,27 @@ package core
 //     cannot raise it: its whole canonical parent chain survived, so a path
 //     of the old length still exists); invalidated vertices reset to -1.
 //
-//   - Seeds: the only places the new tree can differ start at (a) still-valid
-//     endpoints of inserted edges — the only valid vertices whose adjacency
-//     gained an edge, hence the only origins of a level decrease — and (b)
-//     still-valid neighbors of invalidated vertices, which re-derive the
-//     invalidated region at its correct new levels. (a) is read off the
-//     caller's inserts; (b) is discovered here by a distributed probe over
-//     the invalidated vertices' adjacency, whose finds travel in one round of
-//     the superstep's own machinery: the delegate seeds as the proposal of an
-//     all-pairs pre-exchange reduce, the remote nn probes as its ids.
+//   - Seeds: a level can only change where an edge now breaks the BFS
+//     condition (one end more than one level below the other): at (a) an
+//     inserted edge that shortens a path — both ends valid, one reached and
+//     the other unreached or more than a level deeper (delta.InsertSeeds),
+//     which seeds its near end — and (b) the invalidated vertices, whose
+//     preloaded -1 every valid neighbor beats. (a) is read off the caller's
+//     inserts. For (b) a distributed probe scans the invalidated vertices'
+//     rows in the NEW epoch and gives each a tentative level, 1 + the
+//     smallest preloaded level among the valid neighbors it can read: an
+//     invalid normal reads its same-GPU nn neighbors and, through the
+//     replicated delegate tier, its nd delegates; an invalid delegate reads
+//     its dd slice and its dn normals on every GPU, and the ranks' partial
+//     minima meet in the prologue's max-reduce. The vertex itself is the
+//     seed, at that level — not the neighbors, mostly delegate hubs whose
+//     rows the wave would otherwise scan. Only valid nn neighbors on other
+//     GPUs cannot be read; they travel in one round of the superstep's own
+//     machinery, an all-pairs id round, and their owner seeds them.
+//     A tentative level reads valid vertices' preloaded levels only, never
+//     another tentative one, so it does not depend on scan order; every
+//     tentative level is a real path's length, and the wave lowers it where
+//     a shorter one exists.
 //
 //   - Wave: a cold run's superstep loop, lanes and kernels (run.go,
 //     kernels.go) — not a copy of them — entered through a wave value built
@@ -64,6 +76,7 @@ import (
 	"slices"
 
 	"gcbfs/internal/bitmask"
+	"gcbfs/internal/delta"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
 	"gcbfs/internal/mpi"
@@ -103,10 +116,29 @@ type repairIn struct {
 	levels  []int32 // prior hop distances
 	parents []int64 // prior tree; nil when the caller has none to start from
 	invalid []bool
-	seeds   []int64 // still-valid insert endpoints
+	// seeds are the insert endpoints the wave starts from (delta.InsertSeeds);
+	// touched every still-valid insert endpoint but the root, whose row gained
+	// an edge and which the patch therefore re-resolves (the re-pull set R),
+	// seed or not: an insert that shortens nothing can still offer an endpoint
+	// a smaller-id parent. touched is nil when the tree is resolved from
+	// nothing.
+	seeds, touched []int64
 	// full resolves the tree from nothing even where patching the prior's
 	// would be less work; only tests set it.
 	full bool
+}
+
+// addInserts derives seeds and touched from the delta's inserted edges, whose
+// endpoints must be in range.
+func (in *repairIn) addInserts(inserts []graph.Edge) {
+	in.seeds = delta.InsertSeeds(in.levels, in.invalid, inserts)
+	for _, e := range inserts {
+		for _, v := range [2]int64{e.U, e.V} {
+			if !in.invalid[v] && in.levels[v] >= 0 && v != in.source {
+				in.touched = append(in.touched, v)
+			}
+		}
+	}
 }
 
 // check validates what both entry points take of a prior outcome.
@@ -132,11 +164,13 @@ func (in *repairIn) check(n int64) error {
 // Repair executes a corrective traversal on a pooled Session: prior is the
 // exact outcome of an earlier query on the graph epoch this plan's delta
 // departed from, invalid marks the vertices whose prior level the delta voided
-// (delta.Invalidated) and inserts are the delta's inserted edges, whose
-// still-valid endpoints seed the wave. The result is bit-identical (levels,
-// and parents when collected) to Plan.Run on this plan, at a fraction of the
-// simulated cost for small deltas — and of the host's: the tree is the
-// prior's, patched where the delta could have changed it (repair_tree.go).
+// (delta.Invalidated) and inserts are the delta's inserted edges. The wave
+// starts at the invalidated vertices, each at its tentative level, and at the
+// inserts that shorten a path (delta.InsertSeeds). The result is
+// bit-identical (levels, and parents when collected) to Plan.Run on this
+// plan, at a fraction of the simulated cost for small deltas — and of the
+// host's: the tree is the prior's, patched where the delta could have changed
+// it (repair_tree.go).
 func (p *Plan) Repair(ctx context.Context, prior Prior, invalid []bool, inserts []graph.Edge, ov Overrides) (*metrics.RunResult, error) {
 	opts, err := p.effectiveOptions(ov)
 	if err != nil {
@@ -154,22 +188,19 @@ func (p *Plan) Repair(ctx context.Context, prior Prior, invalid []bool, inserts 
 		return nil, fmt.Errorf("core: prior tree is not rooted at source %d", in.source)
 	}
 	for _, e := range inserts {
-		for _, v := range [2]int64{e.U, e.V} {
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("core: inserted edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
-			}
-			if !invalid[v] && in.levels[v] >= 0 {
-				in.seeds = append(in.seeds, v)
-			}
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("core: inserted edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
 		}
 	}
+	in.addInserts(inserts)
 	return p.repair(ctx, opts, in)
 }
 
 // RunRepair is Repair for a caller that holds no prior tree: the same wave
-// from the same inputs — seeds are the still-valid insert endpoints, as
-// delta.Affected derives them — and then the tree resolved from nothing, as
-// after a cold run.
+// from the same inputs — seeds are the endpoints of the inserts that shorten
+// a path, as delta.Affected derives them; any other still-valid vertex may be
+// passed too, and only makes the wave longer — and then the tree resolved
+// from nothing, as after a cold run.
 func (p *Plan) RunRepair(ctx context.Context, source int64, prior []int32, invalid []bool, seeds []int64, ov Overrides) (*metrics.RunResult, error) {
 	opts, err := p.effectiveOptions(ov)
 	if err != nil {
@@ -229,7 +260,8 @@ func (e *Session) repair(ctx context.Context, in *repairIn) (*metrics.RunResult,
 // layout: still-valid vertices keep their prior level, by global id, so a
 // delegate-set shift between epochs lands every level in the right array;
 // invalidated ones start at -1 and join the re-pull set (the GPU's list, the
-// rank's delegate mask). Delegates' normal home slots hold -1 exactly as the
+// rank's delegate mask), the delegates also the rank's list of them in
+// ascending order (sc.voided). Delegates' normal home slots hold -1 exactly as the
 // plain BFS leaves them — a delegate's level lives only in the rank's delegate
 // tier (its adjacency is dd/dn, so a level in the normal slot would claim a
 // vertex the nn/nd machinery can never explain); the rank walks the delegate
@@ -260,34 +292,44 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 		sc.members = bitmask.New(e.d)
 	}
 	sc.members.Reset()
+	sc.voided = sc.voided[:0]
 	dl := sc.dt.level
 	for di, v := range sep.DelegateGlobal {
 		if in.invalid[v] {
 			dl[di] = -1
 			sc.members.Set(int64(di))
+			sc.voided = append(sc.voided, uint32(di))
 		} else {
 			dl[di] = in.levels[v]
 		}
 	}
 }
 
-// repairProbe discovers the still-valid neighbors of invalidated vertices —
-// the seeds that re-derive the invalidated region — and routes the caller's
-// insert seeds to their owners. Owned invalid normal rows scan on the owner
-// GPU; invalid delegate rows scan sliced across every GPU. What the scan finds
-// beyond its own GPU travels in one superstep's round, run as superstep
-// probeIter through the cold run's lanes and the all-pairs exchanger: the
-// delegate seeds are the pre-exchange reduce's proposal, so every rank holds
-// the identical replicated seed set, and the remote nn probe targets are the
-// exchange's ids, which their owner keeps as seeds where its preloaded levels
-// hold one (probeSeeds). Returns the scan's compute seconds (max over this
-// rank's GPUs) and the round's accounting.
+// repairProbe seeds the wave: each invalid vertex at its tentative level, 1 +
+// the smallest preloaded level among the valid neighbors its row reaches
+// here, and the caller's insert seeds at their owners, which also list the
+// touched insert endpoints in the re-pull set. Owned invalid normal
+// rows scan on the owner GPU, whose tentative level it schedules; invalid
+// delegate rows scan sliced across every GPU, and the rank's partial minima
+// go to sc.dTent, negated, one entry per invalid delegate in DelegateGlobal
+// order (noTentative where none), for repairRank's max-reduce. Every scan
+// reads only valid vertices' levels: invalid ones hold -1 until repairRank
+// writes the tentative levels. The nn neighbors on other GPUs travel in one
+// superstep's round, run as superstep probeIter through the cold run's lanes
+// and the all-pairs exchanger, and their owner keeps them as seeds where its
+// preloaded levels hold one (probeSeeds). Returns the scan's compute seconds
+// (max over this rank's GPUs) and the round's accounting.
 func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64, round exchangeCounts) {
 	invalid := in.invalid
 	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
 	sep := e.sg.Sep
-	sc.rankMask.Reset()
+	dl := sc.dt.level
+	tent := sc.dTent[:0]
+	for range sc.voided {
+		tent = append(tent, noTentative)
+	}
+	sc.dTent = tent
 	for _, gs := range myGPUs {
 		var edges, rows int64
 		pg := gs.pg
@@ -300,13 +342,14 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 				continue
 			}
 			rows++
+			best := int32(math.MaxInt32)
 			for _, nb := range pg.NN.Neighbors(slot) {
 				edges++
 				owner := e.cfg.OwnerGPU(nb)
 				local := uint32(nb / p64)
 				if owner == pg.GPU {
 					if lvl := gs.levels[local]; lvl >= 0 {
-						gs.repSeeds = append(gs.repSeeds, seedKey(lvl, local))
+						best = min(best, lvl)
 					}
 				} else {
 					gs.bin(owner, local)
@@ -314,27 +357,35 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 			for _, dv := range pg.ND.Neighbors(slot) {
 				edges++
-				if sc.dt.level[dv] >= 0 {
-					sc.rankMask.Set(int64(dv))
+				if lvl := dl[dv]; lvl >= 0 {
+					best = min(best, lvl)
 				}
+			}
+			if best != math.MaxInt32 {
+				gs.repSeeds = append(gs.repSeeds, seedKey(best+1, uint32(slot)))
 			}
 		}
 		// Invalid delegates: every GPU scans its slice of their dd/dn rows.
-		for di, v := range sep.DelegateGlobal {
-			if !invalid[v] {
-				continue
-			}
+		for k, di := range sc.voided {
 			rows++
 			di64 := int64(di)
-			for _, dv := range pg.DD.Neighbors(di64) {
-				edges++
-				if sc.dt.level[dv] >= 0 {
-					sc.rankMask.Set(int64(dv))
+			best := int32(math.MaxInt32)
+			dd := pg.DD.Neighbors(di64)
+			for _, dv := range dd {
+				if lvl := dl[dv]; lvl >= 0 {
+					best = min(best, lvl)
 				}
 			}
 			dn := pg.DN.Neighbors(di64)
-			edges += int64(len(dn))
-			probeSeeds(gs, dn, 0)
+			for _, lv := range dn {
+				if lvl := gs.levels[lv]; lvl >= 0 {
+					best = min(best, lvl)
+				}
+			}
+			edges += int64(len(dd) + len(dn))
+			if best != math.MaxInt32 {
+				tent[k] = max(tent[k], -int64(best+1))
+			}
 		}
 		if edges+rows > 0 {
 			if c := e.charge(gs.dev, simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
@@ -342,44 +393,40 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 		}
 	}
-	// The caller's insert seeds: delegates fold into the replicated mask
-	// (every rank sets the identical bits), normals route to their owner GPU.
-	// Either way they join the re-pull set — an endpoint's row gained an edge —
-	// unless it is the root, whose parent is itself whatever its row holds.
+	// The caller's insert seeds and the re-pull set's insert endpoints:
+	// delegates from replicated data (every rank lists the same ones), normals
+	// on their owner GPU.
 	for _, v := range in.seeds {
-		if di := int64(sep.DelegateID[v]); di >= 0 {
-			sc.rankMask.Set(di)
-			if v != in.source {
-				sc.members.Set(di)
-			}
-			continue
+		if di := sep.DelegateID[v]; di >= 0 {
+			sc.dSeeds = append(sc.dSeeds, seedKey(in.levels[v], uint32(di)))
+		} else if g := e.cfg.OwnerGPU(v); g >= rank*pgpu && g < (rank+1)*pgpu {
+			e.gpus[g].repSeeds = append(e.gpus[g].repSeeds, seedKey(in.levels[v], e.cfg.LocalID(v)))
 		}
-		if g := e.cfg.OwnerGPU(v); g >= rank*pgpu && g < (rank+1)*pgpu {
-			gs, local := e.gpus[g], e.cfg.LocalID(v)
-			gs.repSeeds = append(gs.repSeeds, seedKey(in.levels[v], local))
-			if v != in.source {
-				gs.rep = append(gs.rep, local)
-			}
+	}
+	for _, v := range in.touched {
+		if di := int64(sep.DelegateID[v]); di >= 0 {
+			sc.members.Set(di)
+		} else if g := e.cfg.OwnerGPU(v); g >= rank*pgpu && g < (rank+1)*pgpu {
+			e.gpus[g].rep = append(e.gpus[g].rep, e.cfg.LocalID(v))
 		}
 	}
 
-	// The round. Its pre-exchange reduce carries the delegate seeds, as the
-	// proposal of the ranks that found one, and the all-pairs presence rows;
-	// then the binned probe targets move as any superstep's ids, a sibling
-	// GPU's applied directly. What deliver charges to the GPUs' iteration work
-	// is never read: the wave's first kernels reset it.
+	// The round: the binned probe targets move as any superstep's ids behind
+	// the all-pairs presence rows, a sibling GPU's applied directly. What
+	// deliver charges to the GPUs' iteration work is never read: the wave's
+	// first kernels reset it.
 	l := &sc.lanes
 	*l = sourceLanes{e: e, rank: rank, gpus: myGPUs, sc: sc, source: in.source}
 	ex := e.exchangers(rank).get(ExchangeAllPairs)
 	sc.present = ex.announce(sc.present[:0])
-	comm.AllreduceFused(sc.rankMask.Words(), sc.rankMask.Any(), nil, sc.present)
+	comm.AllreduceFused(nil, false, nil, sc.present)
 	round = l.deliver(comm, ex, probeIter, sc.present, probeSeeds)
-	if sc.seedMask == nil {
-		sc.seedMask = bitmask.New(e.d)
-	}
-	sc.seedMask.CopyFrom(sc.rankMask)
 	return comp, round
 }
+
+// noTentative is a dTent entry for an invalid delegate none of whose valid
+// neighbors a rank's slices reach.
+const noTentative = math.MinInt64
 
 // probeSeeds is the probe's visit rule for the targets it found on a GPU: a
 // target that holds a level after the preload is a seed at that level.
@@ -403,24 +450,25 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	e.repairPreload(myGPUs, sc, in)
 	probeComp, probe := e.repairProbe(rank, comm, myGPUs, sc, in)
 
-	// Sorted, deduplicated injection schedules. The delegate schedule is
-	// built from the replicated seed mask and levels, so it is identical on
-	// every rank without further communication.
+	// Sorted, deduplicated normal injection schedules. An invalid vertex is
+	// scheduled once, at its tentative level, and takes it now: the probe's
+	// reads are over.
 	for _, gs := range myGPUs {
 		slices.Sort(gs.repSeeds)
 		gs.repSeeds = slices.Compact(gs.repSeeds)
+		for _, k := range gs.repSeeds {
+			if id := uint32(k); gs.levels[id] < 0 {
+				gs.levels[id] = seedLevel(k)
+			}
+		}
 	}
-	dl := sc.dt.level
-	sc.seedMask.ForEach(func(di int64) {
-		sc.dSeeds = append(sc.dSeeds, seedKey(dl[di], uint32(di)))
-	})
-	slices.Sort(sc.dSeeds)
 
-	// Global seed-level bounds — the wave's iteration range — and the probe
-	// round's charge inputs in one max-reduce: the bounds (the lower one
-	// negated), the scan's compute as a bit pattern (non-negative doubles
-	// order as their bits) and the round's amplified sent, codec and received
-	// volumes. Sorted schedules hold both bounds at their ends.
+	// Global seed-level bounds — the wave's iteration range — the probe
+	// round's charge inputs and the invalid delegates' tentative levels in
+	// one max-reduce: the bounds (the lower one negated), the scan's compute
+	// as a bit pattern (non-negative doubles order as their bits), the
+	// round's amplified sent, codec and received volumes, and the negated
+	// partial minima. Sorted schedules hold both bounds at their ends.
 	lo, hi := int64(math.MaxInt64), int64(-1)
 	note := func(keys []uint64) {
 		if len(keys) > 0 {
@@ -431,12 +479,26 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	for _, gs := range myGPUs {
 		note(gs.repSeeds)
 	}
-	note(sc.dSeeds)
 	mx := append(sc.fbits[:0], hi, -lo, int64(math.Float64bits(probeComp)),
 		e.ampBytes(probe.sent), e.ampBytes(probe.codecRaw), e.ampBytes(probe.recv))
+	mx = append(mx, sc.dTent...)
 	sc.fbits = mx
 	comm.AllreduceFused(nil, false, mx, nil)
 	hi, lo = mx[0], -mx[1]
+
+	// The delegate schedule — the insert seeds the probe listed and every
+	// invalid delegate a rank reached, at its tentative level — is built from
+	// replicated data, so it is identical on every rank.
+	dl := sc.dt.level
+	for k, di := range sc.voided {
+		if t := mx[6+k]; t != noTentative {
+			dl[di] = int32(-t)
+			sc.dSeeds = append(sc.dSeeds, seedKey(int32(-t), di))
+		}
+	}
+	slices.Sort(sc.dSeeds)
+	sc.dSeeds = slices.Compact(sc.dSeeds)
+	note(sc.dSeeds)
 
 	// Per-level global seed counts: the policy's frontier-size inputs.
 	var nCounts, dCounts []int64

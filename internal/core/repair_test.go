@@ -110,11 +110,14 @@ func requireSameTree(t *testing.T, what string, got, want *metrics.RunResult) {
 }
 
 // TestWholeGraphRepairIsForwardBFS pins the repair wave to the BFS superstep:
-// a prior that voids every vertex but the root leaves the probe one seed, the
-// root at level 0, so the wave is a forward BFS and must cost, superstep by
-// superstep, exactly what Plan.Run without direction optimization costs —
-// on a plan with direction optimization too, since a repair never runs
-// backward.
+// a prior that voids every vertex but the root leaves the probe to give the
+// root's neighbors level 1 from the root's preloaded 0 — the root is a
+// delegate, which every neighbor reads through the replicated tier — and that
+// is what the forward BFS's first superstep does. The wave then replaces the
+// BFS's remaining supersteps one for one and must cost, superstep by
+// superstep, exactly what the Plan.Run superstep of the same level without
+// direction optimization costs — on a plan with direction optimization too,
+// since a repair never runs backward.
 func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	source := repairSource(el)
@@ -135,6 +138,9 @@ func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !plain.Graph().Sep.IsDelegate(source) {
+					t.Fatal("test setup: the root is not a delegate")
+				}
 				n := plain.Graph().N
 				prior, parents, invalid := make([]int32, n), make([]int64, n), make([]bool, n)
 				for v := range prior {
@@ -149,14 +155,19 @@ func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 					if !slices.Equal(rep.Levels, full.Levels) {
 						t.Fatalf("%s: whole-graph repair levels differ from the forward BFS", name)
 					}
-					if rep.Iterations != full.Iterations {
-						t.Fatalf("%s: whole-graph repair ran %d supersteps, forward BFS %d", name, rep.Iterations, full.Iterations)
+					if rep.Iterations == 0 {
+						t.Fatalf("%s: whole-graph repair ran no superstep", name)
 					}
-					for i, want := range full.PerIteration {
-						got := rep.PerIteration[i]
-						if got.Parts != want.Parts || got.EdgesScanned != want.EdgesScanned {
-							t.Errorf("%s: superstep %d scanned %d edges and charged %+v, forward BFS %d and %+v",
-								name, i, got.EdgesScanned, got.Parts, want.EdgesScanned, want.Parts)
+					first := rep.PerIteration[0].Iteration
+					if first != 1 || rep.Iterations != full.Iterations-first {
+						t.Fatalf("%s: whole-graph repair ran %d supersteps from level %d, forward BFS %d from level 0: the probe did not pull level 1",
+							name, rep.Iterations, first, full.Iterations)
+					}
+					for i, got := range rep.PerIteration {
+						want := full.PerIteration[first+i]
+						if got.Iteration != want.Iteration || got.Parts != want.Parts || got.EdgesScanned != want.EdgesScanned {
+							t.Errorf("%s: wave superstep %d (level %d) scanned %d edges and charged %+v, forward BFS superstep %d %d and %+v",
+								name, i, got.Iteration, got.EdgesScanned, got.Parts, want.Iteration, want.EdgesScanned, want.Parts)
 						}
 						if got.DirDD != metrics.Forward || got.DirDN != metrics.Forward || got.DirND != metrics.Forward {
 							t.Errorf("%s: superstep %d ran dd/dn/nd %v/%v/%v, want all forward", name, i, got.DirDD, got.DirDN, got.DirND)
@@ -164,6 +175,65 @@ func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRepairWaveIsProportional bounds what the wave scans by what it must: a
+// forward superstep reads the whole row of each vertex in its frontier, and
+// the frontier holds only vertices that are invalidated, re-levelled, or a
+// seed — an insert endpoint whose edge shortens a path (delta.InsertSeeds) or
+// a valid normal the probe reached across GPUs from an invalidated normal.
+// The wave's EdgesScanned is therefore at most the out-degree sum over that
+// set. Seeding the valid neighbors of invalidated vertices — delegate hubs
+// most of them — instead breaks the bound.
+func TestRepairWaveIsProportional(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(12))
+	source := repairSource(el)
+	ctx := context.Background()
+	for _, shape := range []ClusterShape{{2, 2, 2}, {3, 1, 2}} {
+		for _, frac := range []float64{0.001, 0.01} {
+			for _, kind := range []delta.Kind{delta.KindInsert, delta.KindDelete, delta.KindMixed} {
+				b := delta.Synthesize(el, frac, kind, 11)
+				th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+				prior, p2 := nextEpoch(t, el, shape, th, repairOptions(), source, b)
+				el2, err := delta.Apply(el, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+				rep, err := p2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, Overrides{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				must := make([]bool, el.N)
+				for _, v := range delta.InsertSeeds(prior.Levels, invalid, b.Inserts) {
+					must[v] = true
+				}
+				cfg, sep, csr := shape.PartitionConfig(), p2.Graph().Sep, graph.BuildCSR(el2)
+				for v := range must {
+					if rep.Levels[v] != prior.Levels[v] || invalid[v] {
+						must[v] = true
+					}
+					if !invalid[v] || sep.IsDelegate(int64(v)) {
+						continue
+					}
+					for _, u := range csr.Neighbors(int64(v)) {
+						if !invalid[u] && prior.Levels[u] >= 0 && !sep.IsDelegate(u) && cfg.OwnerGPU(u) != cfg.OwnerGPU(int64(v)) {
+							must[u] = true
+						}
+					}
+				}
+				var bound int64
+				for v, m := range must {
+					if m {
+						bound += int64(len(csr.Neighbors(int64(v))))
+					}
+				}
+				if rep.EdgesScanned > bound {
+					t.Errorf("%s, %s %g: the wave scanned %d edges, the rows it must read hold %d", shape, kind, frac, rep.EdgesScanned, bound)
+				}
+			}
 		}
 	}
 }
@@ -566,7 +636,10 @@ func TestRepairPatchFaultsSurfaceTypedErrors(t *testing.T) {
 // level the delta changed), |R| (the re-pull set), the row entries the
 // resolution read as a share of the graph's directed edges — for "full", the
 // dd entries its direction-optimised pass read plus every nd and nn row — and
-// the pairs it sent.
+// the pairs it sent — and what the wave before it scanned as a share of the
+// graph's directed edges, from how many seeds. The benchmark fails when the
+// wave scans more than maxWaveEdges of m: it starts where a level can change,
+// so it reads little more than the rows it re-levels.
 func BenchmarkRepairResolve(b *testing.B) {
 	el := rmat.Generate(rmat.DefaultParams(16))
 	shape := ClusterShape{4, 2, 2}
@@ -600,11 +673,12 @@ func BenchmarkRepairResolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, batch)
+	invalid := delta.Invalidated(prior.Levels, prior.Parents, batch)
 
 	for _, mode := range []string{"patch", "full"} {
 		b.Run(mode, func(b *testing.B) {
-			in := &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds, full: mode == "full"}
+			in := &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, full: mode == "full"}
+			in.addInserts(batch.Inserts)
 			forward := opts
 			forward.DirectionOptimized = false // as Plan.repair runs every repair
 			s := p2.acquire(forward)
@@ -615,7 +689,15 @@ func BenchmarkRepairResolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var changed, members int64
+			var changed, members, seeds int64
+			for _, gs := range s.gpus {
+				seeds += int64(len(gs.repSeeds))
+			}
+			seeds += int64(len(s.scratch[0].dSeeds))
+			waveEdges := float64(res.EdgesScanned) / float64(sg2.M)
+			if waveEdges > maxWaveEdges {
+				b.Fatalf("the wave scanned %.4f of m from %d seeds, want at most %.4f", waveEdges, seeds, maxWaveEdges)
+			}
 			for v, l := range res.Levels {
 				if l != prior.Levels[v] {
 					changed++
@@ -658,9 +740,15 @@ func BenchmarkRepairResolve(b *testing.B) {
 			b.ReportMetric(float64(members), "|R|")
 			b.ReportMetric(float64(reads)/float64(sg2.M), "reads/m")
 			b.ReportMetric(float64(s.parentExchangePairs), "pairs")
+			b.ReportMetric(waveEdges, "wave-edges/m")
+			b.ReportMetric(float64(seeds), "seeds")
 		})
 	}
 }
+
+// maxWaveEdges is BenchmarkRepairResolve's ceiling on the wave's scanned
+// edges over m.
+const maxWaveEdges = 0.01
 
 // ddPassReads is the dd row entries the full resolution's direction-optimised
 // dd pass reads over the session's delegate levels, on every GPU.

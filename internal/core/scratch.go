@@ -53,14 +53,16 @@ type rankScratch struct {
 	// the iteration's traffic.
 	sortBuf []uint32
 
-	// seedMask holds the repair traversal's merged delegate seed set (every
-	// rank keeps an identical copy of the probe round's reduced proposal);
-	// dSeeds/dCursor are its injection schedule, (level, delegate id) keys in
-	// ascending order, emptied by Session.reset. Allocated by the first repair
-	// on this rank and reused across pooled queries.
-	seedMask *bitmask.Mask
-	dSeeds   []uint64
-	dCursor  int
+	// dSeeds/dCursor are the repair traversal's delegate injection schedule,
+	// (level, delegate id) keys in ascending order, emptied by Session.reset;
+	// every rank builds the identical one from replicated data. voided lists
+	// the delegates the repair invalidated, in ascending order, and dTent this
+	// rank's partial tentative levels for them, negated (repairProbe). All
+	// three are reused across pooled queries.
+	dSeeds  []uint64
+	dCursor int
+	voided  []uint32
+	dTent   []int64
 	// members marks the delegates of a repair's re-pull set (repair_tree.go):
 	// the invalidated, the inserted edges' still-valid endpoints, and every
 	// one the wave commits a new level to. Derived from replicated data, so

@@ -108,7 +108,9 @@ func TestPooledSessionsDeterministic(t *testing.T) {
 // Session. The repair runs the cold run's kernels, which write child-level
 // bits (gpuState.hasChild) for the repair's own source; the second Run, from
 // another source, must not see them: it is bit-identical to the first, replay
-// pairs and pair bytes included.
+// pairs and pair bytes included. The delta is large enough (2 %) that the
+// repair's wave, which starts where levels can change, pushes nn edges into
+// a level above and so writes child-level bits the run did not.
 func TestPooledSessionSurvivesRepair(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	shape := ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}
@@ -124,7 +126,7 @@ func TestPooledSessionSurvivesRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := delta.Synthesize(el, 0.01, delta.KindMixed, 3)
+	b := delta.Synthesize(el, 0.02, delta.KindMixed, 3)
 	el2, err := delta.Apply(el, b)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,8 @@ func TestPooledSessionSurvivesRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSrc := int64(slices.Index(prior.Levels, 2))
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+	in := &repairIn{source: repSrc, levels: prior.Levels, parents: prior.Parents, invalid: delta.Invalidated(prior.Levels, prior.Parents, b)}
+	in.addInserts(b.Inserts)
 
 	s := p2.acquire(opts)
 	defer p2.release(s)
@@ -164,7 +167,7 @@ func TestPooledSessionSurvivesRepair(t *testing.T) {
 	forward := opts
 	forward.DirectionOptimized = false
 	s.configure(forward)
-	rep, err := s.repair(ctx, &repairIn{source: repSrc, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds})
+	rep, err := s.repair(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 	// full resolution's.
 	b := delta.Synthesize(rel, 0.002, delta.KindMixed, 42)
 	prior, p2 := nextEpoch(t, rel, shape, 32, repairOptions(), source, b)
-	invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+	invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
 	ropts := p2.base
 	ropts.DirectionOptimized = false // as Plan.repair runs it
 	var pairs [2]int64
@@ -183,7 +183,9 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		if s.world != nil {
 			before = s.world.Rendezvous()
 		}
-		res, err := s.repair(ctx, &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, seeds: seeds, full: full})
+		in := &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, full: full}
+		in.addInserts(b.Inserts)
+		res, err := s.repair(ctx, in)
 		if err != nil {
 			t.Fatal(err)
 		}

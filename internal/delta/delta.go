@@ -13,7 +13,7 @@ package delta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gcbfs/internal/graph"
 )
@@ -173,10 +173,15 @@ func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
 // neighbor); the corrective traversal re-derives those at their unchanged
 // level.
 //
-// The rest of a repair's seed set — the still-valid endpoints of inserted
-// edges, which core.Plan.Repair reads off the batch itself, and the valid
-// in-neighbors of invalidated vertices, which depend on the NEW epoch's
-// adjacency and are discovered by its distributed probe — is not derived here.
+// A vertex is invalid exactly when its parent chain meets an orphan, so each
+// reached vertex walks its chain up to the first vertex already decided — an
+// orphan, the root, or one an earlier walk passed — and every vertex on the
+// walk takes that vertex's verdict. Each vertex is walked once, and no child
+// index is built.
+//
+// The wave's seeds are not derived here: InsertSeeds picks the inserts that
+// shorten a path, and core.Plan.Repair's probe gives each invalidated vertex
+// a tentative level from the valid neighbors it reads in the NEW epoch.
 func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 	n := len(levels)
 	invalid = make([]bool, n)
@@ -197,59 +202,71 @@ func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 		return invalid
 	}
 
-	// Child index over the canonical tree: two-pass counting sort keyed
-	// by parent, covering reachable non-root vertices only.
-	count := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		if p := parents[v]; p >= 0 && p != int64(v) {
-			count[p+1]++
-		}
+	// verdict is the walks' memo, one byte per vertex so that their random
+	// reads stay in a cache-sized array: undecided until a walk passes the
+	// vertex, the orphans void from the start. A walk also stops at the root
+	// (level 0) and at unreached vertices, which are valid.
+	const (
+		undecided = iota
+		valid
+		void
+	)
+	verdict := make([]uint8, n)
+	for _, v := range roots {
+		verdict[v] = void
 	}
-	for i := 1; i <= n; i++ {
-		count[i] += count[i-1]
-	}
-	children := make([]int64, count[n])
-	cursor := make([]int32, n)
-	copy(cursor, count[:n])
-	for v := 0; v < n; v++ {
-		if p := parents[v]; p >= 0 && p != int64(v) {
-			children[cursor[p]] = int64(v)
-			cursor[p]++
+	var path []int64
+	for v := range verdict {
+		if verdict[v] != undecided {
+			continue
 		}
-	}
-	// Subtree propagation.
-	for len(roots) > 0 {
-		v := roots[len(roots)-1]
-		roots = roots[:len(roots)-1]
-		for _, w := range children[count[v]:count[v+1]] {
-			if !invalid[w] {
-				invalid[w] = true
-				roots = append(roots, w)
-			}
+		u := int64(v)
+		for verdict[u] == undecided && levels[u] >= 1 {
+			path = append(path, u)
+			u = parents[u]
 		}
+		x := verdict[u]
+		if x == undecided {
+			x, verdict[u] = valid, valid
+		}
+		for _, w := range path {
+			verdict[w], invalid[w] = x, x == void
+		}
+		path = path[:0]
 	}
 	return invalid
 }
 
-// Affected derives the inputs of core.Plan.RunRepair: Invalidated's mask, and
-// insertSeeds, the still-valid endpoints of inserted edges in ascending order —
-// the only valid vertices whose adjacency gained an edge, hence the only
-// places a level decrease can originate. Invalid endpoints need no seed — the
-// corrective wave re-reaches them through the seeded valid boundary.
-func Affected(levels []int32, parents []int64, b *Batch) (invalid []bool, insertSeeds []int64) {
-	invalid = Invalidated(levels, parents, b)
-	seedSet := make(map[int64]struct{}, 2*len(b.Inserts))
-	for _, e := range b.Inserts {
-		for _, v := range [2]int64{e.U, e.V} {
-			if levels[v] >= 0 && !invalid[v] {
-				seedSet[v] = struct{}{}
-			}
+// InsertSeeds returns, in ascending order, the inserted edges' endpoints that
+// start a repair's corrective wave: an insert {u,v} seeds u exactly when it
+// shortens v's path — both endpoints still valid, u reached, and v unreached
+// or more than one level below u (levels[u]+1 < levels[v]) — and v likewise.
+// Any other insert lowers nothing by itself: an invalidated endpoint is
+// re-levelled from its own row by the repair's probe, and an endpoint the wave
+// lowers re-offers every edge of its row then. levels and invalid are the
+// prior outcome's and Invalidated's; every endpoint must be in range.
+func InsertSeeds(levels []int32, invalid []bool, inserts []graph.Edge) []int64 {
+	var seeds []int64
+	shortens := func(u, v int64) bool {
+		lu, lv := levels[u], levels[v]
+		return !invalid[u] && !invalid[v] && lu >= 0 && (lv < 0 || lu+1 < lv)
+	}
+	for _, e := range inserts {
+		if shortens(e.U, e.V) {
+			seeds = append(seeds, e.U)
+		}
+		if shortens(e.V, e.U) {
+			seeds = append(seeds, e.V)
 		}
 	}
-	insertSeeds = make([]int64, 0, len(seedSet))
-	for v := range seedSet {
-		insertSeeds = append(insertSeeds, v)
-	}
-	sort.Slice(insertSeeds, func(i, j int) bool { return insertSeeds[i] < insertSeeds[j] })
-	return invalid, insertSeeds
+	slices.Sort(seeds)
+	return slices.Compact(seeds)
+}
+
+// Affected derives the inputs of core.Plan.RunRepair: Invalidated's mask, and
+// InsertSeeds, the endpoints of the inserts that shorten a path. Plan.Repair
+// derives the same seeds from the inserts it is given.
+func Affected(levels []int32, parents []int64, b *Batch) (invalid []bool, insertSeeds []int64) {
+	invalid = Invalidated(levels, parents, b)
+	return invalid, InsertSeeds(levels, invalid, b.Inserts)
 }

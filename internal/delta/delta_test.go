@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"slices"
 	"testing"
 
 	"gcbfs/internal/graph"
@@ -86,26 +87,51 @@ func TestApplyRemovesParallelCopies(t *testing.T) {
 }
 
 func TestAffected(t *testing.T) {
-	// Canonical tree over a path 0-1-2-3-4 with an extra edge 1-3 (non-tree:
-	// canonical parent of 3 is 2 since 2 < ... wait levels: 0:0 1:1 2:2 3:2
-	// (via chord 1-3), 4:3. Tree: parent(3)=1, parent(2)=1, parent(4)=3.
-	levels := []int32{0, 1, 2, 2, 3}
-	parents := []int64{0, 0, 1, 1, 3}
+	// Path 0-1-2-3-4 with a chord 1-3, vertex 5 hanging off 4 and vertex 6
+	// unreached. Levels 0:0 1:1 2:2 3:2 4:3 5:4; tree parent(2)=parent(3)=1,
+	// parent(4)=3, parent(5)=4.
+	levels := []int32{0, 1, 2, 2, 3, 4, -1}
+	parents := []int64{0, 0, 1, 1, 3, 4, -1}
 
-	// Deleting tree edge {1,3} orphans 3 and its subtree {4}; 0,1,2 stay
-	// valid. Insert {0,4}: endpoint 4 is invalid, endpoint 0 valid → seed.
+	// Deleting tree edge {1,3} orphans 3 and its subtree {4, 5}; 0, 1, 2 and
+	// the unreached 6 stay valid. Of the inserts, {0,2} shortens 2's path
+	// (0+1 < 2) and seeds 0; {1,2} shortens nothing (1+1 = 2) and seeds
+	// neither end; {2,6} reaches the unreached 6 and seeds 2; {0,4} has an
+	// invalidated far end, which the probe re-levels from its own row, and
+	// seeds nothing.
 	invalid, seeds := Affected(levels, parents, &Batch{
 		Deletes: []graph.Edge{{U: 1, V: 3}},
-		Inserts: []graph.Edge{{U: 0, V: 4}},
+		Inserts: []graph.Edge{{U: 0, V: 2}, {U: 2, V: 1}, {U: 6, V: 2}, {U: 0, V: 4}},
 	})
-	wantInvalid := []bool{false, false, false, true, true}
+	wantInvalid := []bool{false, false, false, true, true, true, false}
 	for v, w := range wantInvalid {
 		if invalid[v] != w {
 			t.Errorf("invalid[%d] = %v, want %v", v, invalid[v], w)
 		}
 	}
-	if len(seeds) != 1 || seeds[0] != 0 {
-		t.Fatalf("seeds = %v, want [0]", seeds)
+	if !slices.Equal(seeds, []int64{0, 2}) {
+		t.Fatalf("seeds = %v, want [0 2]", seeds)
+	}
+
+	// One case at a time: each insert seeds exactly its near end or nothing.
+	for _, tc := range []struct {
+		name string
+		e    graph.Edge
+		want []int64
+	}{
+		{"improving insert", graph.Edge{U: 4, V: 0}, []int64{0}},
+		{"non-improving insert", graph.Edge{U: 2, V: 3}, nil},
+		{"unreached far endpoint", graph.Edge{U: 6, V: 5}, []int64{5}},
+		{"invalid far endpoint", graph.Edge{U: 0, V: 5}, nil},
+	} {
+		b := &Batch{Inserts: []graph.Edge{tc.e}}
+		if tc.name == "invalid far endpoint" {
+			b.Deletes = []graph.Edge{{U: 4, V: 5}}
+		}
+		invalid, seeds := Affected(levels, parents, b)
+		if !slices.Equal(seeds, tc.want) {
+			t.Errorf("%s %v: seeds %v, want %v (invalid %v)", tc.name, tc.e, seeds, tc.want, invalid)
+		}
 	}
 
 	// Deleting a non-tree edge invalidates nothing.

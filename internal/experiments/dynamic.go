@@ -39,7 +39,7 @@ func Cmp6Dynamic(p Params) (*Table, error) {
 		Notes: []string{
 			"levels and parents asserted bit-identical between repair and full recompute in every cell",
 			"epoch 2 is built incrementally: per-GPU subgraphs whose routed edge sequence is unchanged are shared with epoch 1",
-			"invalid% counts vertices whose prior level the delta voids (orphaned tree subtrees); seeds are still-valid insert endpoints",
+			"invalid% counts vertices whose prior level the delta voids (orphaned tree subtrees); seeds are the inserts' endpoints whose edge shortens a path (delta.InsertSeeds)",
 			"repair asserted ≥ 1× recompute in simulated seconds at the smallest delta",
 		},
 	}

@@ -339,10 +339,11 @@ func (m *MutableService) RunSweep(ctx context.Context, sources []int64, opts ...
 // the current one, and d must be the exact Delta the intervening ApplyDelta
 // published — both are enforced (the delta by fingerprint), because a
 // mismatched delta would silently seed the wrong corrective set. The
-// corrective traversal seeds from the vertices the delta can
-// move (orphaned subtrees of deleted tree edges, still-valid endpoints of
-// inserts, and the probed valid boundary) and runs through the same tuned
-// exchange stack as a full query. The tree is then not resolved again from
+// corrective traversal starts where a level can change — the orphaned
+// subtrees of deleted tree edges, each vertex at the tentative level a probe
+// of its row gives it (one more than its best valid neighbor's), and the
+// inserts that shorten a path — and runs through the same tuned exchange
+// stack as a full query. The tree is then not resolved again from
 // nothing: the result starts as a copy of prior's arrays (prior itself is only
 // read, so a retried Repair sees the same input), and only the vertices the
 // wave re-levelled, the delta invalidated or an inserted edge touches look
