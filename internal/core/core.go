@@ -683,7 +683,8 @@ func (gs *gpuState) propose(di int64) {
 
 // bin queues a discovery owned by another GPU for this superstep's exchange.
 // The count is what lets a superstep that binned nothing skip looking at its
-// bins (sourceLanes.destinations), so the superstep's kernels bin only here.
+// bins (sourceLanes.destinations, post and deliver), so the superstep's
+// kernels bin only here.
 func (gs *gpuState) bin(owner int, local uint32) {
 	gs.bins.Add(owner, local)
 	gs.it.binned++

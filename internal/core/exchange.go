@@ -6,12 +6,19 @@ package core
 // lanes' business (payload) — a single-source query's ids, or a sweep's
 // (id, lane-set) records, whose w-word lane-set column rides each slot beside
 // its ids — and the exchanger owns everything between staging and applying:
-// topology, presence gating, relay unions, accounting and timing.
+// topology, delivery, relay unions, accounting and timing.
 //
 // AllPairs is the paper's pattern: every rank sends one message per
 // destination rank per iteration — p−1 sends whose size shrinks as ranks
 // grow, exactly the sub-2 MB plateau regime §VI-A1 identifies as the
-// scalability ceiling.
+// scalability ceiling. On the host the round rides the superstep's
+// pre-exchange rendezvous, as Buluč & Madduri's 1D BFS moves a level's
+// frontier in one collective all-to-all: each rank stages and encodes its
+// messages before the rendezvous and posts them (mpi.Comm.Post, see
+// exchanger.post), and after it each reads what its sources posted for it
+// (mpi.Comm.Posted). No message touches a mailbox, no receiver waits for
+// one, and a source with nothing for a destination posts it nothing, so the
+// receiver learns from the post itself that the message was empty.
 //
 // Butterfly is the ButterFly BFS pattern (Green 2021) generalized to
 // arbitrary rank counts Bruck-style. Let q be the largest power of two ≤ p
@@ -49,22 +56,23 @@ package core
 // A repair's probe (repair.go) is no message of its own: it is one all-pairs
 // round of ids — the valid nn neighbors of invalidated vertices on other
 // GPUs — run as superstep probeIter ahead of the wave, its targets staged,
-// encoded, presence-gated, accounted and priced (remoteTime) like any
-// superstep's. Outside internal/mpi this file is the only one that sends or
-// receives a point-to-point message.
+// encoded, posted, accounted and priced (remoteTime) like any superstep's.
+// Outside internal/mpi this file is the only one that sends, receives, posts
+// or reads a message.
 //
 // (id, value) pairs have one exchange as well, and it is all-pairs only: the
 // pair round (pairRound), one point-to-point message per destination rank,
 // sent whether or not it is empty. It carries the tree resolution's parent
 // offers after the traversal (§VI-A3: the nn replay, the repair patch's two
 // rounds, the sweep's replay with a lane-set column) and the dense analytics'
-// values every iteration (§VI-D). Pairs get no butterfly, no presence gating
-// and no relay combining, for a measured reason. Profiled on
+// values every iteration (§VI-D). Pairs get no butterfly, no posting and no
+// relay combining, for a measured reason. Profiled on
 // BenchmarkResolveParents/16x2x2-butterfly-adaptive (RMAT 16, 32 ranks, 97 605
 // pairs per query, 2-vCPU Intel Xeon), the pair encode, decode and sort took
 // 15 %, 14 % and 13 % of the CPU, and Isend + Recv 2 %. A butterfly would
-// re-encode each pair on 80/31 ≈ 2.58 hops on average at 32 ranks, and gating
-// would add a rendezvous, both to save part of that 2 %.
+// re-encode each pair on 80/31 ≈ 2.58 hops on average at 32 ranks, and a
+// posted round needs a rendezvous to ride, which a pair round outside the
+// superstep loop would have to add, both to save part of that 2 %.
 //
 // When r > 0, two cleanup hops fold the remainder ranks into the hypercube:
 // a pre hop where each remainder rank i (q ≤ i < p) ships everything it
@@ -235,8 +243,9 @@ func (c *exchangeCounts) stagedDups(mode wire.Mode, dropped int64) int64 {
 	return work
 }
 
-// message accounts one encoded message this rank sends (or, presence-gated,
-// would send): its bytes, the codec's work on it and the schemes it picked.
+// message accounts one encoded message this rank sends (or, empty and
+// unposted, would send): its bytes, the codec's work on it and the schemes it
+// picked.
 func (c *exchangeCounts) message(st wire.Stats, mode wire.Mode) {
 	c.sent += st.EncodedBytes
 	c.sentRaw += st.RawBytes
@@ -327,14 +336,14 @@ type remoteTiming struct {
 // strategies between iterations changes no block's bytes. allPairsExchange
 // and butterflyExchange are the only two.
 type exchanger interface {
-	// announce appends this rank's contribution to the presence matrix that
-	// rides the pre-exchange reduce (see presence): all-pairs appends the
-	// whole zeroed matrix with its own row filled in, the butterfly nothing.
-	announce(row []int64) []int64
-	// exchange stages and sends this iteration's outgoing payload, receives
-	// the counterpart payloads, and returns the accounting plus arrivals.
-	// present is the reduced matrix announce contributed to.
-	exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts
+	// post runs before the pre-exchange rendezvous: all-pairs stages,
+	// encodes, accounts and posts every message of the round; the butterfly,
+	// whose hops depend on what earlier hops delivered, does nothing.
+	post(comm *mpi.Comm, iter int32)
+	// exchange runs after that rendezvous: it completes this iteration's
+	// exchange — all-pairs reads its sources' posts, the butterfly stages and
+	// runs its hops — and returns the accounting plus arrivals.
+	exchange(comm *mpi.Comm, iter int32) exchangeCounts
 	// rounds is the number of sequential communication rounds per
 	// iteration — the length of every exchangeCounts.hopBytes.
 	rounds() int
@@ -359,9 +368,9 @@ type exchanger interface {
 type payload interface {
 	// width is the lane-set words per id: 0 for plain ids.
 	width() int
-	// destinations sets, in the presence row mine, the bit of every rank the
-	// rank's GPUs binned anything for.
-	destinations(mine []int64)
+	// destinations sets has[r] for every rank r the rank's GPUs binned
+	// anything for, leaving the other entries as they are.
+	destinations(has []bool)
 	// stage writes dst's slots into row — Slots, Hints and, with a lane-set
 	// column, Masks, one entry per destination GPU, merged storage drawn from
 	// the exchange arenas — and returns the fixed-width bytes it read and
@@ -512,73 +521,37 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 
 // ---- all-pairs ----
 
-// presence is the all-pairs exchange's delivery contract for one superstep:
-// a prank × prank bit matrix, row src's bit dst set when src holds at least
-// one id for dst's GPUs. Each rank fills its own row before the pre-exchange
-// reduce; the rows sit in disjoint words of the reduce's sum section, so the
-// sum is the whole matrix and every rank reads the same one. A pair whose bit
-// is clear exchanges nothing on the host — the sender skips the Isend, the
-// receiver the Recv and decode — while both still account the empty message
-// the modelled machine sends (see allPairsExchange.exchange). The butterfly
-// has no such contract: what a hop carries depends on earlier hops, and its
-// hops are synchronized pairwise exchanges that cannot be skipped
-// (simnet.ButterflyHop).
-type presence struct {
-	words []int64
-	w     int // words per row
-}
-
-func presenceWidth(prank int) int { return (prank + 63) / 64 }
-
-func (p presence) has(src, dst int) bool {
-	return p.words[src*p.w+dst/64]>>(uint(dst)%64)&1 != 0
-}
-
-// markRank sets rank r's bit in one row of a presence matrix.
-func markRank(row []int64, r int) { row[r/64] |= 1 << (uint(r) % 64) }
-
 type allPairsExchange struct {
 	*exchangeRank
 	// emptyLen is what a message carrying no ids is charged under emptyMode:
-	// what a receiver accounts for a source it does not hear from. An empty
+	// what a receiver accounts for a source that posted it nothing. An empty
 	// block has no payload to choose a scheme for, so the charge depends on
 	// the mode, the slot count and whether mask sections follow the blocks.
 	// The zero value is already right — ModeOff charges id bytes only, and
 	// there are none.
 	emptyLen  int64
 	emptyMode wire.Mode
-	// sendAll, set by tests only, announces every destination present, so
-	// every message — empty or not — is really delivered: the exchange
-	// without the presence contract, to hold its accounting against.
+	// sendAll, set by tests only, posts every message, empty ones included,
+	// so every message is really delivered: the exchange without empty
+	// posts, to hold its accounting against.
 	sendAll bool
-	// msgBufs is the per-destination reusable encode buffer: a message is
-	// always received (and its ids copied out) before the iteration's
-	// terminating collective, which every rank passes before this buffer's
-	// next rewrite.
+	// has marks the destination ranks this rank's GPUs binned anything for
+	// (payload.destinations).
+	has []bool
+	// msgBufs is the per-destination reusable encode buffer and the slice
+	// post hands to mpi.Comm.Post: entry dst is the message for rank dst,
+	// empty when there is none to deliver. Every reader has decoded it before
+	// the iteration's post-exchange rendezvous, and this rank rewrites it
+	// only after that rendezvous has returned (the posting contract).
 	msgBufs [][]byte
+	// out is the send side's accounting, from post until exchange completes
+	// it with the receives.
+	out exchangeCounts
 	// pred backs predict's one-round wire and codec vectors.
 	pred [2]int64
 }
 
 func (x *allPairsExchange) rounds() int { return 1 }
-
-func (x *allPairsExchange) announce(row []int64) []int64 {
-	prank := x.e.shape.Ranks()
-	w := presenceWidth(prank)
-	base := len(row)
-	row = append(row, make([]int64, prank*w)...)
-	mine := row[base+x.rank*w:][:w]
-	if x.sendAll {
-		for dst := 0; dst < prank; dst++ {
-			markRank(mine, dst)
-		}
-	}
-	x.pl.destinations(mine)
-	// Same-rank bins apply directly (lanes.exchange) and never ride the
-	// exchange.
-	mine[x.rank/64] &^= 1 << (uint(x.rank) % 64)
-	return row
-}
 
 // emptyMessageLen returns what one message without ids weighs on the wire in
 // the receiver's accounting.
@@ -591,47 +564,50 @@ func (x *allPairsExchange) emptyMessageLen(mode wire.Mode) int64 {
 	return x.emptyLen
 }
 
-func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64) exchangeCounts {
+// post stages, encodes and accounts this rank's message for every other
+// rank and posts them all at the round's tag. A message with no ids is posted
+// empty — nothing to deliver — unless sendAll is set, but it is still
+// encoded and accounted: bytes, scheme counters and the message count advance
+// exactly as if it were sent, which is what the modelled machine does. With
+// the codec off an empty message is charged no bytes and tallies no scheme,
+// so the count is all of its accounting and it is not built at all.
+func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
 	w := x.pl.width()
-	pres := presence{words: present, w: presenceWidth(prank)}
 	sc.arena.Reset()
 	sc.words.Reset()
-	var c exchangeCounts
-	c.arrivals = sc.resetArrivals()
-	c.arrivalLanes = sc.arrivalLanes
-
-	// Remote sends: one message per destination rank carrying every source
-	// GPU's bins for that rank's slots, one wire block per slot (and its lane
-	// sets behind it). The encode applies the mode's charging rule: with
-	// compression off, id bytes only (the paper's 4·|Enn|; the block framing
-	// is not traffic); with a codec active, the encoded message — framing,
-	// checksums and all — is what crosses the NIC and what the timing model
-	// sees. The staging row is reused per destination: the encode consumes it
-	// before the next stage overwrites.
-	//
-	// A destination this rank holds nothing for (its presence bit is clear)
-	// still gets its empty message encoded and accounted — bytes, scheme
-	// counters and the message count advance exactly as if it were sent,
-	// which is what the modelled machine does — but the Isend itself is
-	// skipped: the receiver reads the same matrix and does not wait. With the
-	// codec off an empty message is charged no bytes and tallies no scheme,
-	// so the count is all of its accounting and it is not built at all.
+	c := &x.out
+	*c = exchangeCounts{}
 	if len(x.msgBufs) < prank {
 		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
+		x.has = make([]bool, prank)
 	}
+	clear(x.has)
+	x.pl.destinations(x.has)
+
+	// One message per destination rank carrying every source GPU's bins for
+	// that rank's slots, one wire block per slot (and its lane sets behind
+	// it). The encode applies the mode's charging rule: with compression off,
+	// id bytes only (the paper's 4·|Enn|; the block framing is not traffic);
+	// with a codec active, the encoded message — framing, checksums and all —
+	// is what crosses the NIC and what the timing model sees. The staging row
+	// is reused per destination: the encode consumes it before the next stage
+	// overwrites. Same-rank bins apply directly (lanes.exchange) and never
+	// ride the exchange.
 	row := &sc.apRow
 	var dropped int64
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
 			continue
 		}
-		if pres.has(rank, dst) {
+		deliver := x.has[dst] || x.sendAll
+		if deliver {
 			dropped += x.pl.stage(dst, row)
 		} else if mode == wire.ModeOff {
 			c.messages++
+			x.msgBufs[dst] = x.msgBufs[dst][:0]
 			continue
 		} else {
 			clear(row.Slots)
@@ -642,28 +618,39 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 		}
 		row.Rank = dst
 		payload, st := sc.sel.AppendRankSection(x.msgBufs[dst][:0], *row, w, mode)
-		x.msgBufs[dst] = payload
 		c.message(st, mode)
-		if pres.has(rank, dst) {
-			comm.Isend(dst, hopTag(iter, 0), payload)
+		if !deliver {
+			payload = payload[:0]
 		}
+		x.msgBufs[dst] = payload
 	}
 	// Everything sent was originated here, and the encode is charged for the
 	// ids as the GPUs binned them, before the stage's union.
 	c.stagedDups(mode, dropped)
-	// Receives, decoded zero-copy straight into the reusable arrival bins
-	// (each block's count header pre-sizes the grow). A source whose presence
-	// bit for this rank is clear sent nothing: account its empty message and
-	// move on.
+	comm.Post(hopTag(iter, 0), x.msgBufs[:prank])
+}
+
+// exchange reads the round's posts, decoded zero-copy straight into the
+// reusable arrival bins (each block's count header pre-sizes the grow). A
+// source that posted this rank nothing had no ids for it: its empty message
+// is accounted, and there is nothing to decode.
+func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts {
+	e, rank, sc := x.e, x.rank, x.sc
+	prank := e.shape.Ranks()
+	mode := e.opts.Compression
+	w := x.pl.width()
+	c := &x.out
+	c.arrivals = sc.resetArrivals()
+	c.arrivalLanes = sc.arrivalLanes
 	for src := 0; src < prank; src++ {
 		if src == rank {
 			continue
 		}
-		if !pres.has(src, rank) {
+		buf, ok := comm.Posted(src, hopTag(iter, 0))
+		if !ok {
 			c.recv += x.emptyMessageLen(mode)
 			continue
 		}
-		buf := comm.Recv(src, hopTag(iter, 0))
 		if err := wire.DecodeRankLanesInto(buf, c.arrivals, c.arrivalLanes, w); err != nil {
 			panic(fmt.Errorf("core: corrupt exchange payload: %w", err))
 		}
@@ -679,7 +666,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32, present []int64)
 	sc.hopCodecRaw = c.hopCodecRaw
 	c.hopRecvBytes = append(sc.hopRecvBytes[:0], c.recv)
 	sc.hopRecvBytes = c.hopRecvBytes
-	return c
+	return *c
 }
 
 // remoteTime charges one all-pairs round.
@@ -792,9 +779,10 @@ func (x *butterflyExchange) fold(dst int) int {
 	return dst
 }
 
-// announce contributes nothing: the butterfly has no presence contract (see
-// presence).
-func (x *butterflyExchange) announce(row []int64) []int64 { return row }
+// post does nothing: what a hop carries depends on what earlier hops
+// delivered, and its hops are synchronized pairwise exchanges
+// (simnet.ButterflyHop), so the butterfly stages and sends in exchange.
+func (x *butterflyExchange) post(*mpi.Comm, int32) {}
 
 // take moves the pending section for dst into the hop's section list.
 func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
@@ -803,7 +791,7 @@ func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
 	return secs
 }
 
-func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32, _ []int64) exchangeCounts {
+func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression

@@ -31,7 +31,7 @@ type binFill struct {
 // randomFill draws a superstep's bins. Each destination GPU has a small hot
 // set most of its senders draw from, so an id repeats within a bin, between
 // sibling GPUs and between ranks; a few bins add ids from a wide range, a few
-// stay empty, and some supersteps are nearly silent (the presence-gated and
+// stay empty, and some supersteps are nearly silent (the empty-post and
 // empty-hop paths).
 func randomFill(rng *rand.Rand, p int) binFill {
 	f := binFill{ids: make([][][]uint32, p)}
@@ -119,10 +119,13 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 						}
 					}
 				}
+				// The superstep's two rendezvous: the one the posts ride, and
+				// the one after which a poster may rewrite its buffers.
 				ex := l.exchanger(out[round].strategy)
-				present := ex.announce(nil)
-				comm.AllreduceFused(nil, false, nil, present)
-				c := l.deliver(comm, ex, int32(round), present, apply)
+				l.post(comm, ex, int32(round))
+				comm.Barrier()
+				c := l.deliver(comm, ex, int32(round), apply)
+				comm.Barrier()
 				arrivals := make([][]uint32, pgpu)
 				for slot, ids := range c.arrivals {
 					arrivals[slot] = slices.Clone(ids)
@@ -437,9 +440,10 @@ func driveSweepExchange(e *sweepSession, fills []recordFill, pick func(round int
 					}
 				}
 				ex := l.exchanger(out[round].strategy)
-				present := ex.announce(nil)
-				comm.AllreduceFused(nil, false, nil, present)
-				c := l.exchange(comm, ex, int32(round), present)
+				l.post(comm, ex, int32(round))
+				comm.Barrier()
+				c := l.exchange(comm, ex, int32(round))
+				comm.Barrier()
 				c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)
 				c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
 				out[round].counts[rank] = c

@@ -46,10 +46,10 @@ type previsitOut struct {
 }
 
 // previsit runs both previsit kernels (§IV: level marking, duplicate and
-// zero-degree filtering, queue formation, workload calculation) and charges
-// their cost to the respective streams.
-func (e *Session) previsit(gs *gpuState) previsitOut {
-	var out previsitOut
+// zero-degree filtering, queue formation, workload calculation) into out and
+// charges their cost to the respective streams.
+func (e *Session) previsit(gs *gpuState, out *previsitOut) {
+	*out = previsitOut{}
 	// Delegate previsit: scan the (globally consistent) delegate frontier
 	// and keep delegates with local dd or dn edges — the frontier's words
 	// ANDed with the subgraphs' source masks, so a row offset is read only
@@ -94,7 +94,6 @@ func (e *Session) previsit(gs *gpuState) previsitOut {
 	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
 		Vertices: 2 * int64(len(gs.inFront)), Strategy: simgpu.TWBDynamic,
 	})
-	return out
 }
 
 // queueRows appends the delegates of word wi's set bits to q, ascending, and
@@ -195,7 +194,7 @@ func (gs *gpuState) backward() *backwardCache {
 // decideDirections updates the per-subgraph directions for this iteration.
 // qD and sD are the global newly-visited and unvisited delegate counts (the
 // delegate masks are globally consistent, so no communication is needed).
-func (e *Session) decideDirections(gs *gpuState, pv previsitOut) {
+func (e *Session) decideDirections(gs *gpuState, pv *previsitOut) {
 	if !e.opts.DirectionOptimized {
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		return
@@ -238,7 +237,7 @@ func (gs *gpuState) discover(local uint32, depth int32) {
 }
 
 // kernelDD processes delegate→delegate edges into the new-delegate mask.
-func (e *Session) kernelDD(gs *gpuState, pv previsitOut, iter int32) {
+func (e *Session) kernelDD(gs *gpuState, pv *previsitOut, iter int32) {
 	var edges int64
 	var vertices int64
 	strategy := simgpu.MergePath
@@ -313,7 +312,7 @@ func minVisited(first uint32, row []uint32, visited []uint64) uint32 {
 }
 
 // kernelND processes normal→delegate edges into the new-delegate mask.
-func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
+func (e *Session) kernelND(gs *gpuState, pv *previsitOut, iter int32) {
 	var edges, vertices int64
 	var skew float64
 	if gs.dirND == metrics.Forward {
@@ -353,7 +352,7 @@ func (e *Session) kernelND(gs *gpuState, pv previsitOut, iter int32) {
 }
 
 // kernelDN processes delegate→normal edges into the output normal frontier.
-func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
+func (e *Session) kernelDN(gs *gpuState, pv *previsitOut, iter int32) {
 	var edges, vertices int64
 	var skew float64
 	if gs.dirDN == metrics.Forward {
@@ -412,7 +411,7 @@ func (e *Session) kernelDN(gs *gpuState, pv previsitOut, iter int32) {
 // every frontier vertex pushes every nn neighbor, its parents' level included:
 // a same-GPU destination one level up is thereby known to have a child level
 // (gpuState.hasChild); applyIDs marks the remote ones.
-func (e *Session) kernelNN(gs *gpuState, pv previsitOut, iter int32) {
+func (e *Session) kernelNN(gs *gpuState, pv *previsitOut, iter int32) {
 	var edges int64
 	p64 := int64(e.p)
 	self := gs.pg.GPU
@@ -456,12 +455,13 @@ func rowSkew(maxRow, total, rows int64) float64 {
 
 // runKernels executes one iteration's local computation on one GPU.
 func (e *Session) runKernels(gs *gpuState, iter int32) {
-	pv := e.previsit(gs)
-	e.decideDirections(gs, pv)
+	var pv previsitOut
+	e.previsit(gs, &pv)
+	e.decideDirections(gs, &pv)
 	// Delegate stream: dd then nd (both write the delegate mask).
-	e.kernelDD(gs, pv, iter)
-	e.kernelND(gs, pv, iter)
+	e.kernelDD(gs, &pv, iter)
+	e.kernelND(gs, &pv, iter)
 	// Normal stream: dn then nn (both write the normal frontier).
-	e.kernelDN(gs, pv, iter)
-	e.kernelNN(gs, pv, iter)
+	e.kernelDN(gs, &pv, iter)
+	e.kernelNN(gs, &pv, iter)
 }

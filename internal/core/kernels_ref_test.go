@@ -31,28 +31,29 @@ func refKernels(e *Session, myGPUs []*gpuState, iter int32) {
 	sD := e.d - dt.visited.Count()
 	for _, gs := range myGPUs {
 		gs.it = iterWork{}
-		pv := e.previsit(gs)
-		refDecideDirections(e, gs, pv, qD, sD)
+		var pv previsitOut
+		e.previsit(gs, &pv)
+		refDecideDirections(e, gs, &pv, qD, sD)
 		if gs.dirDD == metrics.Backward {
-			refBackwardDD(e, gs, pv)
+			refBackwardDD(e, gs, &pv)
 		} else {
-			e.kernelDD(gs, pv, iter)
+			e.kernelDD(gs, &pv, iter)
 		}
 		if gs.dirND == metrics.Backward {
 			refBackwardND(e, gs, iter)
 		} else {
-			e.kernelND(gs, pv, iter)
+			e.kernelND(gs, &pv, iter)
 		}
 		if gs.dirDN == metrics.Backward {
 			refBackwardDN(e, gs, iter)
 		} else {
-			e.kernelDN(gs, pv, iter)
+			e.kernelDN(gs, &pv, iter)
 		}
-		e.kernelNN(gs, pv, iter)
+		e.kernelNN(gs, &pv, iter)
 	}
 }
 
-func refDecideDirections(e *Session, gs *gpuState, pv previsitOut, qD, sD int64) {
+func refDecideDirections(e *Session, gs *gpuState, pv *previsitOut, qD, sD int64) {
 	if !e.opts.DirectionOptimized {
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
 		return
@@ -68,7 +69,7 @@ func refDecideDirections(e *Session, gs *gpuState, pv previsitOut, qD, sD int64)
 	gs.it.delegateStream += float64(2*(e.d/64)) / e.opts.GPU.VertexRate
 }
 
-func refBackwardDD(e *Session, gs *gpuState, pv previsitOut) {
+func refBackwardDD(e *Session, gs *gpuState, pv *previsitOut) {
 	var edges, vertices int64
 	strategy := simgpu.MergePath
 	if e.opts.ForceTWBForDD {

@@ -411,16 +411,16 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 		}
 	}
 
-	// The round: the binned probe targets move as any superstep's ids behind
-	// the all-pairs presence rows, a sibling GPU's applied directly. What
-	// deliver charges to the GPUs' iteration work is never read: the wave's
-	// first kernels reset it.
+	// The round: the binned probe targets move as any superstep's ids,
+	// posted ahead of a rendezvous of their own, a sibling GPU's applied
+	// directly. What post and deliver charge to the GPUs' iteration work is
+	// never read: the wave's first kernels reset it.
 	l := &sc.lanes
 	*l = sourceLanes{e: e, rank: rank, gpus: myGPUs, sc: sc, source: in.source}
 	ex := e.exchangers(rank).get(ExchangeAllPairs)
-	sc.present = ex.announce(sc.present[:0])
-	comm.AllreduceFused(nil, false, nil, sc.present)
-	round = l.deliver(comm, ex, probeIter, sc.present, probeSeeds)
+	l.post(comm, ex, probeIter)
+	comm.Barrier()
+	round = l.deliver(comm, ex, probeIter, probeSeeds)
 	return comp, round
 }
 
@@ -441,7 +441,7 @@ func probeSeeds(gs *gpuState, ids []uint32, _ int32) {
 // repairRank is one rank's corrective traversal: the repair-specific
 // prologue — preload, probe, seed schedules and their global level bounds
 // and counts, the probe's charge — and then the shared superstep loop. The
-// prologue is three rendezvous: the probe round's pre-exchange reduce, one
+// prologue is three rendezvous: the one the probe round's posts ride, one
 // max-reduce and one sum.
 func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *repairIn) {
 	myGPUs := e.rankGPUs(rank)
@@ -522,7 +522,7 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	if rank == 0 {
 		rt := sc.rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
 		parts := metrics.Breakdown{Computation: math.Float64frombits(uint64(mx[2])), RemoteNormal: rt.seconds}
-		e.rec.simSeconds += e.iterElapsed(parts)
+		e.rec.simSeconds += e.iterElapsed(parts, e.syncOverhead())
 		e.rec.parts.Add(parts)
 	}
 

@@ -19,16 +19,16 @@ import (
 // traversal: a cold BFS, a delta repair and a K-source sweep all run
 // runEnv.runRank, one goroutine per rank. Its superstep is, in order:
 // exchange-policy decision → local kernels on the rank's GPUs (scheduled seeds
-// first) → the pre-exchange rendezvous → delegate commit → frontier exchange
-// and apply → timing assembly → the post-exchange rendezvous — the
-// communication structure of §V. Everything a traversal may vary sits behind
-// the lanes interface below; fault injection sites, the modelled clock's
-// assembly, the statistics and the terminate/cancel protocol are this one
-// loop's and nobody else's. A cold BFS and a repair share more than the loop:
-// one lanes implementation (sourceLanes), one kernel set and one visit rule
-// (kernels.go). A repair differs only in what it starts from (its seed
-// schedule and preloaded levels), in running forward only, and in its
-// finisher. A sweep has its own lanes.
+// first) → the all-pairs posts → the pre-exchange rendezvous → delegate commit
+// → frontier exchange and apply → timing assembly → the post-exchange
+// rendezvous — the communication structure of §V. Everything a traversal may
+// vary sits behind the lanes interface below; fault injection sites, the
+// modelled clock's assembly, the statistics and the terminate/cancel protocol
+// are this one loop's and nobody else's. A cold BFS and a repair share more
+// than the loop: one lanes implementation (sourceLanes), one kernel set and
+// one visit rule (kernels.go). A repair differs only in what it starts from
+// (its seed schedule and preloaded levels), in running forward only, and in
+// its finisher. A sweep has its own lanes.
 //
 // A superstep is exactly two rendezvous (mpi.AllreduceFused; a test counts
 // them), because on the host a rendezvous — parking and waking every rank
@@ -36,10 +36,11 @@ import (
 //
 //   - pre-exchange: the delegate proposal's OR, contributed only by ranks
 //     whose GPUs proposed a delegate — "did anyone?" is the reduce's own
-//     result, no separate vote — plus, on an all-pairs iteration, every rank's
-//     row of the destination-presence matrix (sum section; each word has one
-//     writer), from which both ends of a (src, dst) pair agree whether that
-//     message is really delivered (exchange.go).
+//     result, no separate vote — and, on an all-pairs iteration, the posts:
+//     every rank posts its messages before it arrives (mpi.Comm.Post), and
+//     reads its sources' once the rendezvous returns, so the exchange itself
+//     parks no rank (exchange.go). An empty post tells a receiver its
+//     source had nothing for it.
 //   - post-exchange: the timing vector's element-wise maxima (non-negative
 //     doubles as bit patterns, max section) and the sums — work counters,
 //     the terminate vote and the context observation.
@@ -74,10 +75,13 @@ type lanes interface {
 	commit(reduced bool, iter int32) delegateCommit
 	// exchanger returns the rank's instance of the strategy the policy chose.
 	exchanger(strategy Exchange) exchanger
-	// exchange moves the superstep's frontier payload through ex and applies
-	// everything that arrives — over the wire or from a sibling GPU — at
-	// level iter+1; present is the reduced matrix ex.announce contributed to.
-	exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts
+	// post runs the superstep's local pre-exchange work on the bins and then
+	// ex.post, ahead of the pre-exchange rendezvous.
+	post(comm *mpi.Comm, ex exchanger, iter int32)
+	// exchange completes the superstep's frontier exchange through ex after
+	// that rendezvous and applies everything that arrives — over the wire or
+	// from a sibling GPU — at level iter+1.
+	exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts
 	// tally reads the finished superstep's work off the GPUs.
 	tally() superstepWork
 	// rotate makes the output frontier the next superstep's input.
@@ -122,10 +126,6 @@ type superstepWork struct {
 // loopScratch is the loop's own per-rank reusable state, embedded in each
 // traversal's rank scratch.
 type loopScratch struct {
-	// present is the all-pairs exchange's destination-presence matrix: this
-	// rank's row going into the pre-exchange reduce, every rank's coming out
-	// (see presence in exchange.go). Empty on butterfly iterations.
-	present []int64
 	// vec and sums are the post-exchange reduce's payloads; fbits is the
 	// float-max section's bit-pattern view of vec, and red the reduced
 	// per-hop vectors read back out of it.
@@ -347,6 +347,7 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 	rec, pol := &e.rec, e.pol
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
+	syncSecs := e.syncOverhead()
 	cancelled := false
 
 	// Input frontier sizes of the upcoming iteration (globally known), plus
@@ -378,16 +379,16 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		// carries the delegate reduction — local OR to "GPU0", then the
 		// global OR across ranks, skipped entirely on iterations without
 		// updates anywhere (the S' < S saving of §V-A) — and the all-pairs
-		// exchange's destination-presence rows (exchange.go). Whether any rank
-		// proposed is the reduce's own result, so a superstep without delegate
-		// updates touches no proposal at all.
+		// messages, posted before it (exchange.go). Whether any rank proposed
+		// is the reduce's own result, so a superstep without delegate updates
+		// touches no proposal at all.
 		words, proposed := l.proposal()
-		ls.present = ex.announce(ls.present[:0])
-		reduced := comm.AllreduceFused(words, proposed, nil, ls.present)
+		l.post(comm, ex, iter)
+		reduced := comm.AllreduceFused(words, proposed, nil, nil)
 		dc := l.commit(reduced, iter)
 
 		// ---- Frontier exchange (§V-B) and apply.
-		counts := l.exchange(comm, ex, iter, ls.present)
+		counts := l.exchange(comm, ex, iter)
 		work := l.tally()
 
 		// ---- Timing assembly (model time, reduced across ranks).
@@ -509,7 +510,7 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 			RemoteNormal:   rt.seconds + vec[3],
 			RemoteDelegate: rt.maskSecs,
 		}
-		elapsed := e.iterElapsed(parts)
+		elapsed := e.iterElapsed(parts, syncSecs)
 
 		if rank == 0 {
 			rec.iterations = append(rec.iterations, metrics.IterationStats{
@@ -638,6 +639,8 @@ type sourceLanes struct {
 	sc     *rankScratch
 	source int64
 	w      wave
+	// dups is what the superstep's Uniquify removed from the bins (post).
+	dups int64
 }
 
 // rankGPUs returns the per-GPU states rank owns.
@@ -749,7 +752,7 @@ func (l *sourceLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.ge
 // ids, staged by mergeForRank.
 func (l *sourceLanes) width() int { return 0 }
 
-func (l *sourceLanes) destinations(mine []int64) {
+func (l *sourceLanes) destinations(has []bool) {
 	pgpu := l.e.shape.GPUsPerRank
 	for _, gs := range l.gpus {
 		if gs.it.binned == 0 {
@@ -757,7 +760,7 @@ func (l *sourceLanes) destinations(mine []int64) {
 		}
 		for g, bin := range gs.bins.PerGPU {
 			if len(bin) > 0 {
-				markRank(mine, g/pgpu)
+				has[g/pgpu] = true
 			}
 		}
 	}
@@ -767,20 +770,17 @@ func (l *sourceLanes) stage(dst int, row *wire.Section) int64 {
 	return 4 * l.e.mergeForRank(l.gpus, dst, l.sc, row.Slots, row.Hints)
 }
 
-// exchange is the normal-vertex exchange (§V-B): uniquify, the inter-rank
-// strategy, and the apply of everything that arrives.
-func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
-	return l.deliver(comm, ex, iter, present, applyIDs)
-}
-
-// deliver is exchange with the per-slot apply of what arrives as a parameter.
-func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, present []int64, apply func(gs *gpuState, ids []uint32, depth int32)) exchangeCounts {
-	e, sc, myGPUs := l.e, l.sc, l.gpus
-	pgpu := e.shape.GPUsPerRank
-	var dups int64
+// post runs the paper's U option, when it is on, before the strategy stages
+// anything: each GPU that binned ids sorts and compacts its bins.
+func (l *sourceLanes) post(comm *mpi.Comm, ex exchanger, iter int32) {
+	e, sc := l.e, l.sc
+	l.dups = 0
 	if e.opts.Uniquify {
-		for _, gs := range myGPUs {
-			dups += gs.bins.UniquifyAll(&sc.sortBuf)
+		for _, gs := range l.gpus {
+			if gs.it.binned == 0 {
+				continue
+			}
+			l.dups += gs.bins.UniquifyAll(&sc.sortBuf)
 			// Uniquify is extra local work (sort + compact).
 			if c := gs.bins.Count(); c > 0 {
 				gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
@@ -789,10 +789,23 @@ func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, present 
 			}
 		}
 	}
+	ex.post(comm, iter)
+}
+
+// exchange is the normal-vertex exchange (§V-B): the inter-rank strategy and
+// the apply of everything that arrives.
+func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts {
+	return l.deliver(comm, ex, iter, applyIDs)
+}
+
+// deliver is exchange with the per-slot apply of what arrives as a parameter.
+func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply func(gs *gpuState, ids []uint32, depth int32)) exchangeCounts {
+	e, sc, myGPUs := l.e, l.sc, l.gpus
+	pgpu := e.shape.GPUsPerRank
 	// Inter-rank exchange through this iteration's strategy (all-pairs
-	// sends, or the butterfly's log(p) hops — see exchange.go).
-	counts := ex.exchange(comm, iter, present)
-	counts.dups = dups
+	// posts, or the butterfly's log(p) hops — see exchange.go).
+	counts := ex.exchange(comm, iter)
+	counts.dups = l.dups
 	// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
 	for _, src := range myGPUs {
 		for s := 0; s < pgpu; s++ {
@@ -826,8 +839,11 @@ func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, present 
 			Vertices: applied, Strategy: simgpu.TWBDynamic,
 		})
 	}
+	// Only a GPU that binned something has bins to empty.
 	for _, gs := range myGPUs {
-		gs.bins.Reset()
+		if gs.it.binned > 0 {
+			gs.bins.Reset()
+		}
 	}
 	return counts
 }

@@ -132,8 +132,8 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 	}
 
 	// A repair runs the same loop behind a prologue of three rendezvous (four
-	// while its probe had a round of its own): the probe round's pre-exchange
-	// reduce, one max-reduce of the seed-level bounds and the probe's charge,
+	// while its probe had a round of its own): the one the probe round's posts
+	// ride, one max-reduce of the seed-level bounds and the probe's charge,
 	// and one sum of the per-level seed counts. Levels and parents are not
 	// collected, so no finisher adds any.
 	ctx := context.Background()
@@ -200,27 +200,33 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 	}
 }
 
-// runCounted is Session.traverse for a cold run with a send hook installed
-// (RunRanks owns the hook slot for fault injection, so the ranks are launched
-// here). The hook sees every payload the communicator really delivers.
-func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metrics.RunResult {
-	t.Helper()
-	w := s.coldWave(source)
-	s.out = newTreeOut(&s.opts, s.sg.N)
-	s.begin()
-	world := s.acquireWorld()
+// runHooked runs body on every rank of world with hook installed as its send
+// hook (RunRanks owns the hook slot for fault injection, so the ranks are
+// launched here). The hook sees every payload the communicator really
+// delivers.
+func runHooked(world *mpi.World, hook mpi.SendHook, body func(rank int, comm *mpi.Comm)) {
 	world.SetSendHook(hook)
 	defer world.SetSendHook(nil)
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	for r := 0; r < world.Size(); r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			s.runWave(ctx, rank, world.Rank(rank), source, w)
+			body(rank, world.Rank(rank))
 		}(r)
 	}
 	wg.Wait()
+}
+
+// runCounted is Session.traverse for a cold run with a send hook installed.
+func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metrics.RunResult {
+	t.Helper()
+	w := s.coldWave(source)
+	s.out = newTreeOut(&s.opts, s.sg.N)
+	s.begin()
+	runHooked(s.acquireWorld(), hook, func(rank int, comm *mpi.Comm) {
+		s.runWave(context.Background(), rank, comm, source, w)
+	})
 	return s.result(source)
 }
 
@@ -229,25 +235,29 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 func runSweepCounted(e *sweepSession, hook mpi.SendHook) []*metrics.RunResult {
 	sch := e.seed()
 	e.begin()
-	e.world.SetSendHook(hook)
-	defer e.world.SetSendHook(nil)
-	var wg sync.WaitGroup
-	for r := 0; r < e.world.Size(); r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			sc := e.scratch[rank]
-			e.runRank(context.Background(), rank, e.world.Rank(rank), &sc.lanes, &sc.loopScratch, sch)
-		}(r)
-	}
-	wg.Wait()
+	runHooked(e.world, hook, func(rank int, comm *mpi.Comm) {
+		sc := e.scratch[rank]
+		e.runRank(context.Background(), rank, comm, &sc.lanes, &sc.loopScratch, sch)
+	})
 	return e.results()
 }
 
-// The presence contract on the paper's all-pairs exchange: a message without
-// ids is accounted but never delivered, and the accounting cannot tell — it
-// equals, field for field, a run that delivers every message. A sweep's
-// records ride the same exchange under the same contract.
+// repairCounted is Session.repair for a repair that collects no tree from its
+// prior, with a send hook installed.
+func repairCounted(s *Session, in *repairIn, hook mpi.SendHook) *metrics.RunResult {
+	s.resetTraversal()
+	s.out = newTreeOut(&s.opts, s.sg.N)
+	s.begin()
+	runHooked(s.acquireWorld(), hook, func(rank int, comm *mpi.Comm) {
+		s.repairRank(context.Background(), rank, comm, in)
+	})
+	return s.result(in.source)
+}
+
+// Empty posts on the paper's all-pairs exchange: a message without ids is
+// accounted but posted empty, never delivered, and the accounting cannot tell
+// — it equals, field for field, a run that posts every message. A sweep's
+// records ride the same exchange under the same rule.
 func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
 	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeBitmap} {
@@ -280,7 +290,7 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 			t.Fatalf("%s: %d delivered messages carried no ids", mode, e)
 		}
 
-		// The same query with every destination announced present.
+		// The same query posting every message, empty ones included.
 		delivered.Store(0)
 		for rank := range s.scratch {
 			s.exchangers(rank).get(ExchangeAllPairs).(*allPairsExchange).sendAll = true
@@ -301,7 +311,8 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 			t.Fatalf("%s: per-iteration stats depend on delivery", mode)
 		}
 
-		// An 8-lane sweep, once presence-gated and once delivering everything.
+		// An 8-lane sweep, once posting empty messages empty and once
+		// delivering everything.
 		sources := pickSources(el.OutDegrees(), 8, 3)
 		empty, _ = (*wire.Selector)(nil).AppendRankSection(nil, slotRow(0, shape.GPUsPerRank, 1), 1, mode)
 		sweep := func(sendAll bool) []*metrics.RunResult {
@@ -330,6 +341,67 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 					mode, q, g.Wire, g.Exchange, w.Wire, w.Exchange)
 			}
 		}
+	}
+}
+
+// Every all-pairs round rides a rendezvous as posts: a levels-only Run, an
+// 8-lane sweep and a repair's probe round send nothing through a mailbox
+// (mpi.Comm.Isend), and every payload the send hook sees arrived through a
+// post — all of them, in every compression mode.
+func TestAllPairsRoundsTouchNoMailbox(t *testing.T) {
+	shape := ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}
+	var hooked, probes atomic.Int64
+	hook := func(_, _, tag int, data []byte) []byte {
+		hooked.Add(1)
+		if tag == probeTag {
+			probes.Add(1)
+		}
+		return data
+	}
+	check := func(label string, world *mpi.World) {
+		t.Helper()
+		if got := world.MailboxSends(); got != 0 {
+			t.Errorf("%s: %d mailbox sends", label, got)
+		}
+		if h, m := hooked.Load(), world.MessagesSent(); h == 0 || h != m {
+			t.Errorf("%s: the hook saw %d payloads of %d messages sent", label, h, m)
+		}
+		hooked.Store(0)
+	}
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
+		opts := DefaultOptions()
+		opts.Compression = mode
+		el, p := webPlan(t, 9, shape, opts)
+		s := p.acquire(p.base)
+		src := delegateAndNormalSources(p.sg.Sep)[0]
+		if res := runCounted(t, s, src, hook); res.Levels == nil || res.Parents != nil {
+			t.Fatalf("%s: not a levels-only run", mode)
+		}
+		check(mode.String()+" run", s.world)
+		p.release(s)
+
+		sweepOpts := opts
+		sweepOpts.CollectLevels = false
+		e := p.newSweepSession(sweepOpts, pickSources(el.OutDegrees(), 8, 3))
+		runSweepCounted(e, hook)
+		check(mode.String()+" sweep", e.world)
+
+		rel := rmat.Generate(rmat.DefaultParams(10))
+		source := repairSource(rel)
+		ropts := repairOptions()
+		ropts.Compression = mode
+		b := delta.Synthesize(rel, 0.02, delta.KindMixed, 42)
+		prior, p2 := nextEpoch(t, rel, shape, 32, ropts, source, b)
+		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+		ropts.CollectParents, ropts.DirectionOptimized = false, false
+		s = p2.acquire(ropts)
+		probes.Store(0)
+		repairCounted(s, &repairIn{source: source, levels: prior.Levels, invalid: invalid, seeds: seeds}, hook)
+		if probes.Load() == 0 {
+			t.Fatalf("%s repair: the probe round delivered nothing", mode)
+		}
+		check(mode.String()+" repair", s.world)
+		p2.release(s)
 	}
 }
 

@@ -453,12 +453,12 @@ func (l *sweepLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.get
 // (id, lane-set) records.
 func (l *sweepLanes) width() int { return l.e.w }
 
-func (l *sweepLanes) destinations(mine []int64) {
+func (l *sweepLanes) destinations(has []bool) {
 	pgpu := l.e.shape.GPUsPerRank
 	for _, gs := range l.gpus {
 		for g, ids := range gs.bins.IDs {
 			if len(ids) > 0 {
-				markRank(mine, g/pgpu)
+				has[g/pgpu] = true
 			}
 		}
 	}
@@ -500,17 +500,23 @@ func (l *sweepLanes) stage(dst int, row *wire.Section) int64 {
 	return 0
 }
 
+// post zeroes the stage's counters, which whichever strategy stages — the
+// all-pairs post or the butterfly's exchange — fills, and posts.
+func (l *sweepLanes) post(comm *mpi.Comm, ex exchanger, iter int32) {
+	l.staged, l.dups = 0, 0
+	ex.post(comm, iter)
+}
+
 // exchange moves the superstep's records through ex and applies what arrives
 // — from a sibling GPU or over the wire — in any order: a record only ORs lane
 // bits into its vertex's row, and each lane's level is written once
 // (discover), so the sweep needs no canonical arrival order.
-func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32, present []int64) exchangeCounts {
+func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts {
 	e, sc, w := l.e, l.sc, l.e.w
 	w64 := int64(w)
 	pgpu := e.shape.GPUsPerRank
 	gpu0 := l.gpus[0]
-	l.staged, l.dups = 0, 0
-	counts := ex.exchange(comm, iter, present)
+	counts := ex.exchange(comm, iter)
 	counts.dups = l.dups
 	// The stage's sort and OR is the sweep's uniquify: charge it like the
 	// single-query dedup, widened to the lane words each record moves.

@@ -22,12 +22,12 @@ func streamCombine(a, b float64) float64 {
 	return a + 0.25*b
 }
 
-// iterElapsed applies the overlap model to one iteration's reduced parts.
-// Normal-exchange and delegate-reduce time can hide under computation; the
-// non-blocking reduction (IR) hides much more of the delegate phase, which
-// is its entire point (§VI-B) — it pays for that with the Iallreduce
-// bandwidth penalty charged in simnet.
-func (e *runEnv) iterElapsed(parts metrics.Breakdown) float64 {
+// iterElapsed applies the overlap model to one iteration's reduced parts and
+// adds syncSecs, the query's syncOverhead. Normal-exchange and delegate-reduce
+// time can hide under computation; the non-blocking reduction (IR) hides much
+// more of the delegate phase, which is its entire point (§VI-B) — it pays for
+// that with the Iallreduce bandwidth penalty charged in simnet.
+func (e *runEnv) iterElapsed(parts metrics.Breakdown, syncSecs float64) float64 {
 	f := e.opts.OverlapFactor
 	hidN := f * math.Min(parts.Computation, parts.RemoteNormal)
 	remaining := parts.Computation - hidN
@@ -36,13 +36,14 @@ func (e *runEnv) iterElapsed(parts metrics.Breakdown) float64 {
 		fD = 0.85
 	}
 	hidD := fD * math.Min(remaining, parts.RemoteDelegate)
-	return parts.Sum() - hidN - hidD + e.syncOverhead()
+	return parts.Sum() - hidN - hidD + syncSecs
 }
 
 // syncOverhead charges the per-iteration control collectives (termination
 // flag, workload sums) as small tree-latency messages. This fixed cost is
 // what dominates long-tail graphs (§VI-D: per-iteration time "not much more
-// than the per-iteration overhead").
+// than the per-iteration overhead"). It is a per-query constant: the loop
+// computes it once.
 func (e *runEnv) syncOverhead() float64 {
 	ranks := e.shape.Ranks()
 	if ranks <= 1 {

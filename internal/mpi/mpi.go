@@ -1,8 +1,10 @@
 // Package mpi provides an in-process message-passing runtime with MPI-like
 // semantics for the simulated cluster: a World of ranks (one goroutine
 // each), non-blocking point-to-point sends with unbounded buffering
-// (MPI_Isend/Irecv as used for the normal-vertex exchange, §V-B),
-// OR/SUM/MAX/MIN allreduce collectives (the delegate-mask reduction, §V-A)
+// (MPI_Isend/Irecv, as the butterfly's hops of the normal-vertex exchange
+// use them, §V-B), posted payloads that ride a rendezvous (the all-pairs
+// exchange's one message per destination), OR/SUM/MAX/MIN allreduce
+// collectives (the delegate-mask reduction, §V-A)
 // and a min reduce-scatter (where every BFS tree's delegate parent candidates
 // meet, each on the rank that writes the delegate).
 //
@@ -21,26 +23,43 @@
 // one-section collectives (AllreduceOr/Sum/Max/Min) are wrappers over
 // the same reduce (Min folds the max section the other way). The BFS
 // superstep (core/run.go) is two fused rendezvous: one before the exchange
-// carrying the delegate-mask words and the destination-presence rows, one
-// after it carrying the timing maxima and the work sums.
+// carrying the delegate-mask words — and, posted just ahead of it, every
+// rank's all-pairs payloads — and one after it carrying the timing maxima and
+// the work sums.
 //
 // ReduceScatterMin is two rendezvous whatever the rank count, and its fold is
-// not under the lock: every rank posts its buffer, folds its own stripe out
+// not under the lock: every rank shares its buffer, folds its own stripe out
 // of every other rank's, in parallel with the others, and waits at the second
 // rendezvous until nobody reads its buffer any more. An allreduce per stripe
 // would be one rendezvous per rank, each folding and copying out a whole
 // stripe on every rank under the collective's one lock.
 //
-// # Presence contract
+// # Posting contract
 //
-// Point-to-point delivery has no discovery: Recv blocks until a matching
-// message arrives. A sender may therefore skip an Isend only when the
-// receiver knows not to wait for it. The engine establishes that through the
-// pre-exchange rendezvous — each rank contributes which destinations it has
-// payload for, every rank reads the reduced matrix, and exactly the (src,
-// dst) pairs marked present are sent and received. The modelled message count
-// and bytes are accounted by the caller and do not change with elision;
-// BytesSent/MessagesSent count what was really delivered.
+// A round in which every rank sends every other rank one message need not
+// touch a mailbox: each rank posts its per-destination payloads (Post), the
+// ranks meet at a rendezvous they hold anyway, and each reads what its
+// sources posted for it (Posted). No lock is taken per message, no receiver
+// parks waiting for one, and a source with nothing for a destination says so
+// by posting it nothing. The rules:
+//
+//   - A posted payload stays valid until the poster's next rendezvous
+//     completes: the rendezvous after the one it posted ahead of. The poster
+//     may rewrite its buffers only once that one has returned.
+//   - A reader must finish reading before it arrives at its own next
+//     rendezvous, which is what lets the poster's complete.
+//   - Posted with a tag other than the one posted panics, as does reading a
+//     rank that has posted nothing since the World was created or Reset, so a
+//     stale post from an earlier round can never be decoded.
+//   - The send hook is applied on read, with the post's tag, to every
+//     non-empty payload; an empty one is reported absent, unhooked.
+//   - BytesSent and MessagesSent count every non-empty post, when it is made.
+//   - World.Reset clears the posts.
+//   - Posted on an aborted World panics with the typed abort, as Post does.
+//
+// Point-to-point Isend/Recv remain for rounds whose partners or payloads
+// depend on what earlier rounds delivered (a butterfly's hops) and for
+// callers outside a superstep.
 package mpi
 
 import (
@@ -63,6 +82,8 @@ type World struct {
 	boxes []mailbox
 	comms []Comm
 	coll  *collective
+	// posts[r] is rank r's latest Post (see the posting contract).
+	posts []posting
 
 	// hook, when set, intercepts every Isend payload (fault injection).
 	hook SendHook
@@ -75,14 +96,16 @@ type World struct {
 	abortErr error
 }
 
-// SendHook intercepts every point-to-point payload before delivery — the
-// fault-injection seam. It receives the sender, destination, tag and encoded
-// payload and returns the payload to deliver; implementations must mutate
-// only copies (senders may reuse their buffers).
+// SendHook intercepts every payload before delivery — the fault-injection
+// seam: an Isend's when it is sent, a non-empty post's when it is read. It
+// receives the sender, destination, tag and encoded payload and returns the
+// payload to deliver; implementations must mutate only copies (senders may
+// reuse their buffers).
 type SendHook func(src, dst, tag int, data []byte) []byte
 
 // SetSendHook installs (nil clears) the send hook. Install before launching
-// rank goroutines; the hook is read without synchronization on the send path.
+// rank goroutines; the hook is read without synchronization on the send and
+// read paths.
 func (w *World) SetSendHook(h SendHook) { w.hook = h }
 
 // abortPanic is the typed panic value MPI calls throw on an aborted World.
@@ -151,7 +174,7 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{size: size, boxes: make([]mailbox, size), comms: make([]Comm, size)}
+	w := &World{size: size, boxes: make([]mailbox, size), comms: make([]Comm, size), posts: make([]posting, size)}
 	for i := range w.boxes {
 		w.boxes[i].cond.L = &w.boxes[i].mu
 	}
@@ -166,10 +189,10 @@ func NewWorld(size int) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// BytesSent returns the total point-to-point payload bytes sent so far. The
-// counters are plain per-rank fields (an Isend touches no shared cache line
-// for them), so read them only while no rank goroutine is sending — after the
-// ranks joined, as the tests do.
+// BytesSent returns the total payload bytes sent so far, by Isend or by a
+// non-empty post. The counters are plain per-rank fields (a send touches no
+// shared cache line for them), so read them only while no rank goroutine is
+// sending — after the ranks joined, as the tests do.
 func (w *World) BytesSent() int64 {
 	var n int64
 	for i := range w.comms {
@@ -178,12 +201,22 @@ func (w *World) BytesSent() int64 {
 	return n
 }
 
-// MessagesSent returns the total point-to-point message count so far; the
-// same quiescence rule as BytesSent applies.
+// MessagesSent returns the total message count so far, Isends and non-empty
+// posts; the same quiescence rule as BytesSent applies.
 func (w *World) MessagesSent() int64 {
 	var n int64
 	for i := range w.comms {
 		n += w.comms[i].msgsSent
+	}
+	return n
+}
+
+// MailboxSends returns how many of MessagesSent went through a mailbox
+// (Isend) rather than a post; the same quiescence rule applies.
+func (w *World) MailboxSends() int64 {
+	var n int64
+	for i := range w.comms {
+		n += w.comms[i].mailed
 	}
 	return n
 }
@@ -206,7 +239,7 @@ func (w *World) Rank(r int) *Comm {
 	return &w.comms[r]
 }
 
-// Reset drops any queued messages and zeroes the traffic counters,
+// Reset drops any queued messages and posts and zeroes the traffic counters,
 // returning the World to its freshly constructed state (mailbox and
 // accumulator capacity retained). Callers pooling Worlds across queries
 // call it before reuse; after a query that ran to completion it is a no-op
@@ -221,15 +254,16 @@ func (w *World) Reset() {
 		mb.mu.Unlock()
 	}
 	for i := range w.comms {
-		w.comms[i].bytesSent, w.comms[i].msgsSent = 0, 0
+		w.comms[i].bytesSent, w.comms[i].msgsSent, w.comms[i].mailed = 0, 0, 0
 	}
+	clear(w.posts)
 	// Clear abort poison and any half-folded collective state an aborted
 	// query left behind (ranks that unwound never arrived).
 	cl := w.coll
 	cl.mu.Lock()
 	cl.arrived = 0
 	cl.acc = nil
-	clear(cl.posted)
+	clear(cl.shared)
 	cl.mu.Unlock()
 	w.abortMu.Lock()
 	w.abortErr = nil
@@ -245,7 +279,8 @@ type Comm struct {
 
 	bytesSent int64
 	msgsSent  int64
-	_         [32]byte // pad to a cache line: Comms sit side by side in World.comms
+	mailed    int64    // the Isends among msgsSent
+	_         [24]byte // pad to a cache line: Comms sit side by side in World.comms
 }
 
 // Rank returns this endpoint's rank.
@@ -279,6 +314,7 @@ func (c *Comm) Isend(dst, tag int, data []byte) {
 	}
 	c.bytesSent += int64(len(data))
 	c.msgsSent++
+	c.mailed++
 	mb := &c.w.boxes[dst]
 	mb.mu.Lock()
 	mb.queue = append(mb.queue, message{src: c.rank, tag: tag, data: data})
@@ -311,6 +347,60 @@ func (c *Comm) Recv(src, tag int) []byte {
 	}
 }
 
+// posting is one rank's latest Post: its tag and per-destination payloads,
+// nil when it has posted nothing since the World was created or Reset.
+type posting struct {
+	tag  int
+	bufs [][]byte
+}
+
+// Post publishes this rank's payloads for one round under tag: bufs[dst] is
+// what rank dst reads with Posted, nil or empty when this rank has nothing
+// for it (this rank's own entry is ignored). Post neither blocks nor copies:
+// the ranks meet at their next rendezvous, and every rank reads its sources'
+// posts between that one and the next (see the posting contract in the
+// package comment). bufs must hold one entry per rank; it replaces this rank's
+// previous post.
+func (c *Comm) Post(tag int, bufs [][]byte) {
+	if len(bufs) != c.w.size {
+		panic(fmt.Sprintf("mpi: Post of %d payloads on a world of %d ranks", len(bufs), c.w.size))
+	}
+	c.w.checkAbort()
+	for dst, data := range bufs {
+		if dst != c.rank && len(data) > 0 {
+			c.bytesSent += int64(len(data))
+			c.msgsSent++
+		}
+	}
+	c.w.posts[c.rank] = posting{tag: tag, bufs: bufs}
+}
+
+// Posted returns what rank src posted for this rank under tag, passed through
+// the send hook, and true; or nil and false when src posted nothing for it.
+// It panics if src's latest post carries another tag or src has posted
+// nothing at all, and with the typed abort on an aborted World.
+func (c *Comm) Posted(src, tag int) ([]byte, bool) {
+	if src < 0 || src >= c.w.size || src == c.rank {
+		panic(fmt.Sprintf("mpi: rank %d reads a post of rank %d", c.rank, src))
+	}
+	c.w.checkAbort()
+	p := &c.w.posts[src]
+	if p.bufs == nil {
+		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, which has posted nothing", c.rank, tag, src))
+	}
+	if p.tag != tag {
+		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, whose post is tag %d", c.rank, tag, src, p.tag))
+	}
+	data := p.bufs[c.rank]
+	if len(data) == 0 {
+		return nil, false
+	}
+	if c.w.hook != nil {
+		data = c.w.hook(src, c.rank, tag, data)
+	}
+	return data, true
+}
+
 // collective implements generation-counted fold-and-broadcast, reused for
 // every allreduce flavor and for barriers.
 type collective struct {
@@ -327,12 +417,12 @@ type collective struct {
 	// cannot start until every rank finished g, because each rank copies
 	// the result out under the lock before it can arrive for g+1.
 	acc3 [2]fusedAcc
-	// posted[r] is rank r's buffer between a reduce-scatter's two rendezvous.
-	posted [][]uint32
+	// shared[r] is rank r's buffer between a reduce-scatter's two rendezvous.
+	shared [][]uint32
 }
 
 func newCollective(size int) *collective {
-	cl := &collective{size: size, posted: make([][]uint32, size)}
+	cl := &collective{size: size, shared: make([][]uint32, size)}
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
@@ -554,16 +644,16 @@ func (c *Comm) AllreduceSumFloat64(vals []float64) {
 // empty; a rank that owns none passes lo == hi.
 //
 // It is two rendezvous, with no copy through the collective: in the first
-// every rank posts its buffer; between them each rank folds its stripe out of
+// every rank shares its buffer; between them each rank folds its stripe out of
 // every other rank's buffer, all ranks in parallel; the second keeps every
 // buffer untouched until no rank reads it any more.
 func (c *Comm) ReduceScatterMin(buf []uint32, lo, hi int) {
 	if lo < 0 || lo > hi || hi > len(buf) {
 		panic(fmt.Sprintf("mpi: reduce-scatter stripe [%d,%d) of a %d-element buffer", lo, hi, len(buf)))
 	}
-	posted := c.post(buf)
+	shared := c.shareBuffer(buf)
 	mine := buf[lo:hi]
-	for r, theirs := range posted {
+	for r, theirs := range shared {
 		if r == c.rank {
 			continue
 		}
@@ -575,29 +665,29 @@ func (c *Comm) ReduceScatterMin(buf []uint32, lo, hi int) {
 			mine[i] = min(mine[i]-1, v-1) + 1
 		}
 	}
-	c.unpost()
+	c.releaseBuffers()
 }
 
-// post is a reduce-scatter's first rendezvous: it posts buf as this rank's
-// and returns every rank's once all have posted.
-func (c *Comm) post(buf []uint32) [][]uint32 {
+// shareBuffer is a reduce-scatter's first rendezvous: it shares buf as this
+// rank's and returns every rank's once all have shared theirs.
+func (c *Comm) shareBuffer(buf []uint32) [][]uint32 {
 	cl := c.w.coll
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
-	cl.posted[c.rank] = buf
+	cl.shared[c.rank] = buf
 	cl.arrive()
-	return cl.posted
+	return cl.shared
 }
 
-// unpost is a reduce-scatter's second rendezvous: once every rank has folded
-// its stripe, the last to arrive drops the posted buffers.
-func (c *Comm) unpost() {
+// releaseBuffers is a reduce-scatter's second rendezvous: once every rank has
+// folded its stripe, the last to arrive drops the shared buffers.
+func (c *Comm) releaseBuffers() {
 	cl := c.w.coll
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
 	if cl.arrive() {
-		clear(cl.posted)
+		clear(cl.shared)
 	}
 }

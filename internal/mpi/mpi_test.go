@@ -248,7 +248,7 @@ func TestReduceScatterMin(t *testing.T) {
 		if got := w.Rendezvous(); got != 2*rounds {
 			t.Errorf("p=%d: %d rendezvous for %d reduce-scatters, want %d", size, got, rounds, 2*rounds)
 		}
-		for r, buf := range w.coll.posted {
+		for r, buf := range w.coll.shared {
 			if buf != nil {
 				t.Errorf("p=%d: the World still holds rank %d's buffer", size, r)
 			}
@@ -499,7 +499,7 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	got = run(func(c *Comm) {
 		buf := make([]uint32, size)
 		if c.Rank() == 5 {
-			c.post(buf)
+			c.shareBuffer(buf)
 			w.Abort(cause)
 			return
 		}
@@ -508,6 +508,28 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	})
 	if got != size-1 {
 		t.Fatalf("reduce-scatter: %d ranks unwound with the abort, want %d", got, size-1)
+	}
+	w.Reset()
+
+	// The same between a post and the rendezvous it rides: rank 5 posts its
+	// payloads and aborts instead of arriving, and the others unwind in the
+	// rendezvous (or at their own Post, if the abort came first) without
+	// reading a post.
+	got = run(func(c *Comm) {
+		bufs := make([][]byte, size)
+		for dst := range bufs {
+			bufs[dst] = []byte{byte(c.Rank()), byte(dst)}
+		}
+		c.Post(3, bufs)
+		if c.Rank() == 5 {
+			w.Abort(cause)
+			return
+		}
+		c.AllreduceFused(nil, false, nil, []int64{1})
+		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
+	})
+	if got != size-1 {
+		t.Fatalf("post: %d ranks unwound with the abort, want %d", got, size-1)
 	}
 	w.Reset()
 	if got := run(func(c *Comm) {
@@ -559,4 +581,142 @@ func TestTrafficCountersPerRankAndReset(t *testing.T) {
 	if w.BytesSent() != 0 || w.MessagesSent() != 0 {
 		t.Fatalf("after Reset: BytesSent = %d, MessagesSent = %d", w.BytesSent(), w.MessagesSent())
 	}
+}
+
+// panicValue runs fn and returns what it panicked with, nil if it returned.
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// The posting contract (see the package comment), rule by rule.
+func TestPostedPayloads(t *testing.T) {
+	const size = 4
+	// payload is what src posts for dst in round k: nothing when src+dst+k is
+	// odd.
+	payload := func(src, dst, k int) []byte {
+		if (src+dst+k)%2 == 1 {
+			return nil
+		}
+		return []byte{byte(src), byte(dst), byte(k)}
+	}
+
+	t.Run("valid-until-the-next-rendezvous", func(t *testing.T) {
+		// Each rank rewrites the same buffers every round, between the
+		// rendezvous that ends one round's reads and the one its next post
+		// rides; every reader finishes reading before that first one. Under
+		// -race this is the contract's whole synchronization.
+		const rounds = 50
+		w := spawn(t, size, func(c *Comm) {
+			me := c.Rank()
+			bufs, store := make([][]byte, size), make([][]byte, size)
+			for k := 0; k < rounds; k++ {
+				for dst := range bufs {
+					store[dst] = append(store[dst][:0], payload(me, dst, k)...)
+					bufs[dst] = store[dst]
+				}
+				tag := 100 + k
+				c.Post(tag, bufs)
+				c.Barrier()
+				for src := 0; src < size; src++ {
+					if src == me {
+						continue
+					}
+					got, ok := c.Posted(src, tag)
+					want := payload(src, me, k)
+					if ok != (want != nil) || string(got) != string(want) {
+						t.Errorf("round %d: rank %d read %v (%v) from rank %d, want %v", k, me, got, ok, src, want)
+					}
+				}
+				c.Barrier()
+			}
+		})
+		if got := w.MailboxSends(); got != 0 {
+			t.Errorf("posted rounds sent %d mailbox messages", got)
+		}
+	})
+
+	t.Run("tag-mismatch-panics", func(t *testing.T) {
+		w := NewWorld(2)
+		c0, c1 := w.Rank(0), w.Rank(1)
+		if panicValue(func() { c1.Posted(0, 7) }) == nil {
+			t.Error("reading a rank that never posted did not panic")
+		}
+		c0.Post(7, [][]byte{nil, []byte("round 7")})
+		if got, ok := c1.Posted(0, 7); !ok || string(got) != "round 7" {
+			t.Errorf("Posted(0, 7) = %q, %v", got, ok)
+		}
+		c0.Post(8, [][]byte{nil, []byte("round 8")})
+		if panicValue(func() { c1.Posted(0, 7) }) == nil {
+			t.Error("a stale tag read the next round's post")
+		}
+		if panicValue(func() { c1.Posted(1, 8) }) == nil {
+			t.Error("a rank read its own post")
+		}
+	})
+
+	t.Run("hook-applied-on-read-with-the-tag", func(t *testing.T) {
+		w := NewWorld(3)
+		type call struct{ src, dst, tag, n int }
+		var calls []call
+		w.SetSendHook(func(src, dst, tag int, data []byte) []byte {
+			calls = append(calls, call{src, dst, tag, len(data)})
+			return []byte{} // what a dropped payload looks like
+		})
+		w.Rank(0).Post(42, [][]byte{nil, []byte("abc"), nil})
+		if len(calls) != 0 {
+			t.Fatalf("the hook ran on Post: %v", calls)
+		}
+		if got, ok := w.Rank(1).Posted(0, 42); !ok || got == nil || len(got) != 0 {
+			t.Errorf("Posted returned %v, %v; want the hook's empty payload, present", got, ok)
+		}
+		if got, ok := w.Rank(2).Posted(0, 42); ok || got != nil {
+			t.Errorf("an empty post read as %v, %v", got, ok)
+		}
+		if want := []call{{0, 1, 42, 3}}; len(calls) != 1 || calls[0] != want[0] {
+			t.Errorf("hook calls %v, want %v", calls, want)
+		}
+	})
+
+	t.Run("counters-count-non-empty-posts", func(t *testing.T) {
+		w := NewWorld(3)
+		// The poster's own entry is ignored; empty entries are not messages.
+		w.Rank(1).Post(1, [][]byte{make([]byte, 10), make([]byte, 99), {}})
+		w.Rank(2).Post(1, [][]byte{nil, make([]byte, 5), nil})
+		if w.BytesSent() != 15 || w.MessagesSent() != 2 || w.MailboxSends() != 0 {
+			t.Fatalf("BytesSent %d, MessagesSent %d, MailboxSends %d; want 15, 2, 0", w.BytesSent(), w.MessagesSent(), w.MailboxSends())
+		}
+		w.Rank(0).Isend(1, 0, make([]byte, 4))
+		if w.BytesSent() != 19 || w.MessagesSent() != 3 || w.MailboxSends() != 1 {
+			t.Fatalf("after an Isend: BytesSent %d, MessagesSent %d, MailboxSends %d; want 19, 3, 1", w.BytesSent(), w.MessagesSent(), w.MailboxSends())
+		}
+	})
+
+	t.Run("reset-clears-the-posts", func(t *testing.T) {
+		w := NewWorld(2)
+		w.Rank(0).Post(1, [][]byte{nil, []byte("x")})
+		w.Reset()
+		if w.BytesSent() != 0 || w.MessagesSent() != 0 {
+			t.Errorf("after Reset: BytesSent %d, MessagesSent %d", w.BytesSent(), w.MessagesSent())
+		}
+		if panicValue(func() { w.Rank(1).Posted(0, 1) }) == nil {
+			t.Error("a post survived Reset")
+		}
+	})
+
+	t.Run("aborted-world-panics-with-the-abort", func(t *testing.T) {
+		w := NewWorld(2)
+		cause := errors.New("poster failed")
+		w.Rank(0).Post(1, [][]byte{nil, []byte("x")})
+		w.Abort(cause)
+		for name, fn := range map[string]func(){
+			"Posted": func() { w.Rank(1).Posted(0, 1) },
+			"Post":   func() { w.Rank(1).Post(1, [][]byte{[]byte("y"), nil}) },
+		} {
+			if err, ok := AbortError(panicValue(fn)); !ok || !errors.Is(err, cause) {
+				t.Errorf("%s on an aborted World: %v, %v; want the typed abort", name, err, ok)
+			}
+		}
+	})
 }
