@@ -146,7 +146,8 @@ func TestCompressionUniquifyInteraction(t *testing.T) {
 
 // TestParentPairsCompression checks the post-BFS parent-resolution exchange
 // routes through the pairs codec: identical parents, coherent byte
-// accounting, and a real reduction versus the fixed-width 12-byte pairs.
+// accounting, and a reduction versus the fixed-width 12-byte pairs above what
+// the varint delta scheme saved.
 func TestParentPairsCompression(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(13))
 	shape := ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1}
@@ -186,13 +187,13 @@ func TestParentPairsCompression(t *testing.T) {
 		t.Fatalf("pair raw accounting differs: %d off vs %d adaptive",
 			off.Wire.PairRawBytes, adaptive.Wire.PairRawBytes)
 	}
-	if adaptive.Wire.PairWireBytes >= adaptive.Wire.PairRawBytes {
-		t.Fatalf("pairs codec did not shrink the exchange: %d wire vs %d raw",
-			adaptive.Wire.PairWireBytes, adaptive.Wire.PairRawBytes)
-	}
+	// The varint delta scheme the bit-packed one replaced saved 50.2 % here.
+	saved := 1 - float64(adaptive.Wire.PairWireBytes)/float64(adaptive.Wire.PairRawBytes)
 	t.Logf("parent pairs: %d pairs, %d B raw -> %d B wire (%.1f%% saved)",
-		off.ParentPairs, adaptive.Wire.PairRawBytes, adaptive.Wire.PairWireBytes,
-		100*(1-float64(adaptive.Wire.PairWireBytes)/float64(adaptive.Wire.PairRawBytes)))
+		off.ParentPairs, adaptive.Wire.PairRawBytes, adaptive.Wire.PairWireBytes, 100*saved)
+	if saved <= 0.502 {
+		t.Fatalf("pairs codec saved %.1f%% of the fixed-width pairs, not above the varint delta scheme's 50.2%%", 100*saved)
+	}
 }
 
 // TestDelegateMaskEncoding: with a codec active, the delegate-mask

@@ -68,8 +68,9 @@ package core
 // values every iteration (§VI-D). Pairs get no butterfly, no posting and no
 // relay combining, for a measured reason. Profiled on
 // BenchmarkResolveParents/16x2x2-butterfly-adaptive (RMAT 16, 32 ranks, 97 605
-// pairs per query, 2-vCPU Intel Xeon), the pair encode, decode and sort took
-// 15 %, 14 % and 13 % of the CPU, and Isend + Recv 2 %. A butterfly would
+// pairs per query, 2-vCPU Intel Xeon), the varint pair encode, decode and the
+// sort that fed it took 15 %, 14 % and 13 % of the CPU, and Isend + Recv 2 %;
+// the bit-packed scheme that replaced them sorts nothing. A butterfly would
 // re-encode each pair on 80/31 ≈ 2.58 hops on average at 32 ranks, and a
 // posted round needs a rendezvous to ride, which a pair round outside the
 // superstep loop would have to add, both to save part of that 2 %.
@@ -109,7 +110,6 @@ package core
 // simulated remote-normal time differ.
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -1187,8 +1187,10 @@ func stagingShare(total float64, part, sum int64) float64 {
 // repair_tree.go), the sweep's lane replay (sweep_tree.go), the dense
 // analytics' iteration (ExchangePairs) — and the scratch it reuses: a bin per
 // destination GPU with a w-word lane-set column beside it when w > 0, a
-// message buffer per destination rank, and the arrival slots. A receiver holds
-// a message only until it has decoded it, and every caller reaches a
+// message buffer per destination rank, and the arrival slots. Nothing sorts a
+// bin: every pairs scheme keeps its pairs in bin order, so a lane set stays
+// beside its pair and every consumer folds by minimum. A receiver holds a
+// message only until it has decoded it, and every caller reaches a
 // collective, or the end of the run, before it fills the same round again; a
 // caller with two rounds in flight at once (the repair patch) keeps two.
 type pairRound struct {
@@ -1199,10 +1201,6 @@ type pairRound struct {
 
 	arrivals     [][]frontier.Pair
 	arrivalLanes [][]uint64
-
-	// order, sortBuf, perm and permLanes are the stage's sort scratch.
-	order, sortBuf, perm []frontier.Pair
-	permLanes            []uint64
 }
 
 // newPairRound returns the round of one rank of shape over bins, with w
@@ -1230,16 +1228,14 @@ func (x *pairRound) presize(n int) {
 // exchange runs the round at message tag: the bins for this rank's own GPUs go
 // straight to apply, every other rank's as one message of wire pair blocks (a
 // lane-set section behind each at w > 0). apply sees every block that lands on
-// one of this rank's GPUs, by local slot: the rank's own first, in bin order,
-// then each other rank's in rank order — in bin order too with the codec off,
-// and in the codec's canonical (ID, Val) order with one active (stage).
-// Accounting follows the frontier's charging rule (exchangeCounts.message,
-// received), and intra is the fixed-width volume applied within the rank.
+// one of this rank's GPUs, by local slot, in bin order in every mode: the
+// rank's own first, then each other rank's in rank order. Accounting follows
+// the frontier's charging rule (exchangeCounts.message, received), and intra
+// is the fixed-width volume applied within the rank.
 func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func(slot int, prs []frontier.Pair, lanes []uint64)) exchangeCounts {
 	rank, prank := comm.Rank(), comm.Size()
 	pgpu, w := len(x.arrivals), x.w
 	rec := int64(12 + 8*w)
-	codec := mode != wire.ModeOff
 	var c exchangeCounts
 	for dst := 0; dst < prank; dst++ {
 		slots, lanes := x.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], x.lanes[dst*pgpu:(dst+1)*pgpu]
@@ -1253,14 +1249,11 @@ func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func
 		var n int
 		for s := range slots {
 			n += len(slots[s])
-			if codec {
-				x.stage(slots[s], lanes[s])
-			}
 		}
 		// Room for the raw encoding, which a codec picks only when nothing
 		// is smaller.
 		buf := slices.Grow(x.msgBufs[dst][:0], n*int(rec)+16*pgpu)
-		payload, st := wire.AppendPairsRank(buf, slots, lanes, w, mode, codec)
+		payload, st := wire.AppendPairsRank(buf, slots, lanes, w, mode)
 		x.msgBufs[dst] = payload
 		c.message(st, mode)
 		comm.Isend(dst, tag, payload)
@@ -1281,43 +1274,6 @@ func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func
 		c.received(mode, len(buf), rec*n)
 	}
 	return c
-}
-
-// stage sorts one slot where it lies into the pairs codec's (ID, Val) order: in
-// place at w = 0; at w > 0 through a key permutation — (ID, bin position) keys
-// radix-sorted, each run of equal IDs then ordered by Val, ties kept in bin
-// order — that carries every lane set with its pair.
-func (x *pairRound) stage(prs []frontier.Pair, lanes []uint64) {
-	w := x.w
-	if w == 0 {
-		frontier.SortPairs(prs, &x.sortBuf)
-		return
-	}
-	order := slices.Grow(x.order[:0], len(prs))
-	for i, pr := range prs {
-		order = append(order, frontier.Pair{ID: pr.ID, Val: uint64(i)})
-	}
-	frontier.SortPairs(order, &x.sortBuf)
-	for lo := 0; lo < len(order); {
-		hi := lo + 1
-		for hi < len(order) && order[hi].ID == order[lo].ID {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortStableFunc(order[lo:hi], func(a, b frontier.Pair) int {
-				return cmp.Compare(prs[a.Val].Val, prs[b.Val].Val)
-			})
-		}
-		lo = hi
-	}
-	perm, permLanes := slices.Grow(x.perm[:0], len(prs)), slices.Grow(x.permLanes[:0], len(lanes))
-	for _, o := range order {
-		perm = append(perm, prs[o.Val])
-		permLanes = append(permLanes, lanes[int(o.Val)*w:int(o.Val+1)*w]...)
-	}
-	copy(prs, perm)
-	copy(lanes, permLanes)
-	x.order, x.perm, x.permLanes = order, perm, permLanes
 }
 
 // ExchangePairs is the pair round of the dense analytics (internal/dense):

@@ -39,7 +39,11 @@ func resultDigest(results ...*metrics.RunResult) string {
 // traversal the superstep loop serves. Every row was re-hashed when the
 // selector's scheme memory and WireStats' count of its hits were deleted: that
 // moved the bytes of the K > 1 sweep rows alone, and every other row hashes as
-// before with the hit count cut out of its text.
+// before with the hit count cut out of its text. Every row that collects
+// parents with a codec active — the adaptive run rows, every sweep row and the
+// two codec-active repair rows — was re-hashed when the pairs codec's varint
+// delta scheme gave way to the bit-packed one: Wire.PairWireBytes moved, and
+// only down, and nothing else did (pairBefore).
 var goldenResults = map[string]string{
 	// A run's replay offers only from vertices the traversal proved have a
 	// child level (PR 23): against the rows pinned before it, which the same
@@ -50,31 +54,31 @@ var goldenResults = map[string]string{
 	"run/allpairs/off/1/unfiltered":       "3db030dce7fe4d61",
 	"run/allpairs/off/2":                  "90d218c376ed0782",
 	"run/allpairs/off/2/unfiltered":       "265c9345c3746782",
-	"run/allpairs/adaptive/1":             "c6c7f85781951720",
-	"run/allpairs/adaptive/1/unfiltered":  "fd707848329285b4",
-	"run/allpairs/adaptive/2":             "52aefc121a618c9f",
-	"run/allpairs/adaptive/2/unfiltered":  "a6280a8644f04edb",
+	"run/allpairs/adaptive/1":             "0a24093500d5ab7d",
+	"run/allpairs/adaptive/1/unfiltered":  "7822a34eb38b7c8d",
+	"run/allpairs/adaptive/2":             "e1a8b682aaf918a4",
+	"run/allpairs/adaptive/2/unfiltered":  "55af4d0e69bb0f8e",
 	"run/butterfly/off/1":                 "c7bf7f25e809c165",
 	"run/butterfly/off/1/unfiltered":      "3068d495e3e603fa",
 	"run/butterfly/off/2":                 "62a2a98869e36b38",
 	"run/butterfly/off/2/unfiltered":      "acf5a3e48c5c9620",
-	"run/butterfly/adaptive/1":            "5515e21585b526df",
-	"run/butterfly/adaptive/1/unfiltered": "49241322a116161c",
-	"run/butterfly/adaptive/2":            "1b3f046053a89284",
-	"run/butterfly/adaptive/2/unfiltered": "56d54f183f3edcb4",
+	"run/butterfly/adaptive/1":            "5d296546e830c66f",
+	"run/butterfly/adaptive/1/unfiltered": "4804dcc2ee669eb0",
+	"run/butterfly/adaptive/2":            "d8d7732ad6725cdf",
+	"run/butterfly/adaptive/2/unfiltered": "3bce1f02729100a1",
 	"run/hybrid/off/1":                    "5a7c9ef1ab81252b",
 	"run/hybrid/off/1/unfiltered":         "4f19ffa6d8ac9777",
 	"run/hybrid/off/2":                    "2b4ecd3779458e27",
 	"run/hybrid/off/2/unfiltered":         "8381b1570953bea0",
-	"run/hybrid/adaptive/1":               "0f60acd439c6057e",
-	"run/hybrid/adaptive/1/unfiltered":    "2f3abc8e35e933a3",
-	"run/hybrid/adaptive/2":               "00f8ba415ec0ce22",
-	"run/hybrid/adaptive/2/unfiltered":    "76c87d21cc0f45ae",
-	"sweep/1":                             "7f471106613c4117",
-	"sweep/8":                             "3cf388b221070b27",
-	"sweep/65":                            "3e2ec74f9d4b1740",
-	"sweep/butterfly/8":                   "c55b92be7be21bcd",
-	"sweep/hybrid/8":                      "ff96f43ae02f422c",
+	"run/hybrid/adaptive/1":               "a6d57f4d294bd801",
+	"run/hybrid/adaptive/1/unfiltered":    "de912a070464a8ea",
+	"run/hybrid/adaptive/2":               "4c3d1c575533f060",
+	"run/hybrid/adaptive/2/unfiltered":    "84b39b2ba2b12ae8",
+	"sweep/1":                             "f45368dc8c0b0c3f",
+	"sweep/8":                             "cb5dd7d87505ae09",
+	"sweep/65":                            "59abf9abc00fcf09",
+	"sweep/butterfly/8":                   "e5edec8832fa7c4b",
+	"sweep/hybrid/8":                      "95d33ba4899df2b1",
 	// The repairs through Plan.Repair, which patches the prior tree, and
 	// through the frozen RunRepair, which resolves it from nothing: the same
 	// wave, so each pair of rows differs in ParentPairs and Wire.Pair*Bytes
@@ -83,10 +87,56 @@ var goldenResults = map[string]string{
 	// that shorten a path, instead of at every valid neighbor of an
 	// invalidated vertex and every insert endpoint: only traversal-side fields
 	// moved (repairBefore).
-	"repair":               "ab79b5353424edec",
-	"repair/RunRepair":     "1df45aba107d2e84",
+	"repair":               "1b58a284b7f1e92f",
+	"repair/RunRepair":     "7d70e9f0e37b7a3a",
 	"repair/off":           "d1826b242f37816e",
 	"repair/off/RunRepair": "dee684b9e6ae3efc",
+}
+
+// pairBefore is what every row that collects parents with a codec active read
+// before the pairs codec's varint delta scheme gave way to the bit-packed one:
+// its Wire.PairWireBytes summed over its results, and the digest of its
+// results with that field cut (pairCutDigest). Only the pair bytes may move,
+// and only down: the test holds each row's cut digest to this one and its
+// pair bytes to at most these. The off rows and the repair/off rows send raw
+// pair blocks and never moved.
+var pairBefore = map[string]struct {
+	wire int64
+	cut  string
+}{
+	"run/allpairs/adaptive/1":             {725, "5ce4906eb1c3b141"},
+	"run/allpairs/adaptive/1/unfiltered":  {2230, "49c6434f6e96d2a9"},
+	"run/allpairs/adaptive/2":             {1081, "fa6c120ea952c069"},
+	"run/allpairs/adaptive/2/unfiltered":  {2590, "69f182b242469d32"},
+	"run/butterfly/adaptive/1":            {725, "b619b62c5e6bf867"},
+	"run/butterfly/adaptive/1/unfiltered": {2230, "a92117b867318744"},
+	"run/butterfly/adaptive/2":            {1081, "ead288bc1067e362"},
+	"run/butterfly/adaptive/2/unfiltered": {2590, "7469474b0bdf592d"},
+	"run/hybrid/adaptive/1":               {725, "4ae0dfe1afab2fdd"},
+	"run/hybrid/adaptive/1/unfiltered":    {2230, "08dc3591a5364470"},
+	"run/hybrid/adaptive/2":               {1081, "1b96f7b070a9cc4b"},
+	"run/hybrid/adaptive/2/unfiltered":    {2590, "b7db282328f82e0b"},
+	"sweep/1":                             {1128, "f4262e56548e93f1"},
+	"sweep/8":                             {2864, "01e8b22763b74503"},
+	"sweep/65":                            {7865, "28c09d0a30155bca"},
+	"sweep/butterfly/8":                   {4112, "6c1302536761f0b5"},
+	"sweep/hybrid/8":                      {4112, "7651ed97a4c1a812"},
+	"repair":                              {1468, "6b9002368e85ce04"},
+	"repair/RunRepair":                    {3920, "c93f1719f818c827"},
+}
+
+// pairCutDigest is resultDigest with every result's Wire.PairWireBytes cut
+// out, and the cut bytes' sum.
+func pairCutDigest(results ...*metrics.RunResult) (string, int64) {
+	var sum int64
+	cut := make([]*metrics.RunResult, len(results))
+	for i, r := range results {
+		c := *r
+		sum += c.Wire.PairWireBytes
+		c.Wire.PairWireBytes = 0
+		cut[i] = &c
+	}
+	return resultDigest(cut...), sum
 }
 
 // treeSide is what a repair row reads outside its traversal: its tree
@@ -176,6 +226,16 @@ func TestGoldenRunResults(t *testing.T) {
 		t.Helper()
 		if got, want := resultDigest(results...), goldenResults[name]; got != want {
 			t.Errorf("%s: digest %s, golden %s", name, got, want)
+		}
+		if was, moved := pairBefore[name]; moved {
+			cut, wire := pairCutDigest(results...)
+			if cut != was.cut {
+				t.Errorf("%s: digest %s with Wire.PairWireBytes cut, before %s", name, cut, was.cut)
+			}
+			if wire > was.wire {
+				t.Errorf("%s: Wire.PairWireBytes %d, above the %d before", name, wire, was.wire)
+			}
+			t.Logf("%s: Wire.PairWireBytes %d → %d", name, was.wire, wire)
 		}
 	}
 
@@ -279,7 +339,14 @@ func TestGoldenRunResults(t *testing.T) {
 			r    *metrics.RunResult
 		}{{tc.name, rep}, {tc.name + "/RunRepair", wrapped}} {
 			check(row.name, row.r)
+			// The tree side as it read before the pair bytes moved: the
+			// pairBefore check above holds everything but those bytes.
 			was, r := repairBefore[row.name], row.r
+			if pb, moved := pairBefore[row.name]; moved {
+				c := *r
+				c.Wire.PairWireBytes = pb.wire
+				r = &c
+			}
 			if got := treeDigest(r); got != was.tree {
 				t.Errorf("%s: tree digest %s, before %s", row.name, got, was.tree)
 			}

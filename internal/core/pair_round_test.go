@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,14 +12,10 @@ import (
 )
 
 // pairRec is one binned pair with its lane set (at most two words here), as
-// the oracle compares them: a comparable value, so a block is a multiset.
+// the oracle compares them.
 type pairRec struct {
 	frontier.Pair
 	lanes [2]uint64
-}
-
-func comparePairRecs(a, b pairRec) int {
-	return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Val, b.Val), cmp.Compare(a.lanes[0], b.lanes[0]), cmp.Compare(a.lanes[1], b.lanes[1]))
 }
 
 // pairCols splits records into the pair round's two columns.
@@ -37,11 +32,10 @@ func pairCols(recs []pairRec, w int) ([]frontier.Pair, []uint64) {
 // GPUs per rank × compression mode × lane-set width, on seeded bins full of
 // repeated ids and of (ID, Val) ties whose lane sets differ:
 //
-//   - every GPU is handed exactly the (pair, lane set) multiset binned for
-//     it, each lane set still beside its pair after a codec-active sort;
-//   - the rank's own blocks come first, in bin order, then each other rank's
-//     in rank order, in bin order with the codec off and in (ID, Val) order
-//     with it on;
+//   - every GPU is handed exactly the (pair, lane set) sequence binned for
+//     it, in bin order in every mode, each lane set beside its pair;
+//   - the rank's own blocks come first, then each other rank's in rank
+//     order;
 //   - the round's raw and wire bytes, sent and received, are what
 //     wire.AppendPairsRank charges for the same slots, and the volume applied
 //     within the rank is its fixed-width size;
@@ -62,7 +56,6 @@ func TestPairRoundDeliversEveryPair(t *testing.T) {
 
 func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 	prank, pgpu, p := shape.Ranks(), shape.GPUsPerRank, shape.P()
-	codec := mode != wire.ModeOff
 	rng := rand.New(rand.NewSource(int64(1000*prank + 100*pgpu + 10*int(mode) + w)))
 
 	// binned[r][g] is what rank r bins for GPU g, in bin order.
@@ -77,7 +70,7 @@ func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 			}
 			n := 1 + rng.Intn(60)
 			if rng.Intn(8) == 0 {
-				n = 200 + rng.Intn(200) // past the radix sort's insertion cutoff
+				n = 200 + rng.Intn(200)
 			}
 			for i := 0; i < n; i++ {
 				rec := pairRec{Pair: frontier.Pair{ID: uint32(rng.Intn(24)), Val: uint64(rng.Intn(3))}}
@@ -97,18 +90,13 @@ func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 		}
 	}
 
-	// What wire.AppendPairsRank charges for the message from src to dst: its
-	// slots as they leave, sorted by (ID, Val) with a codec active.
+	// What wire.AppendPairsRank charges for the message from src to dst.
 	charge := func(src, dst int) wire.Stats {
 		slots, lanes := make([][]frontier.Pair, pgpu), make([][]uint64, pgpu)
 		for s := range slots {
-			recs := slices.Clone(binned[src][dst*pgpu+s])
-			if codec {
-				slices.SortStableFunc(recs, comparePairRecs)
-			}
-			slots[s], lanes[s] = pairCols(recs, w)
+			slots[s], lanes[s] = pairCols(binned[src][dst*pgpu+s], w)
 		}
-		_, st := wire.AppendPairsRank(nil, slots, lanes, w, mode, codec)
+		_, st := wire.AppendPairsRank(nil, slots, lanes, w, mode)
 		return st
 	}
 
@@ -165,20 +153,8 @@ func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 			if src == rank {
 				intra += int64(12+8*w) * int64(len(want))
 			}
-			if src == rank || !codec {
-				if !slices.Equal(got, want) {
-					t.Fatalf("rank %d slot %d from rank %d: block differs from the bin (%d pairs, %d binned)", rank, s, src, len(got), len(want))
-				}
-				continue
-			}
-			if !slices.IsSortedFunc(got, func(a, b pairRec) int { return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Val, b.Val)) }) {
-				t.Fatalf("rank %d slot %d from rank %d: block not in (ID, Val) order", rank, s, src)
-			}
-			sortedGot, sortedWant := slices.Clone(got), slices.Clone(want)
-			slices.SortFunc(sortedGot, comparePairRecs)
-			slices.SortFunc(sortedWant, comparePairRecs)
-			if !slices.Equal(sortedGot, sortedWant) {
-				t.Fatalf("rank %d slot %d from rank %d: delivered (pair, lane set) multiset differs from the one binned", rank, s, src)
+			if !slices.Equal(got, want) {
+				t.Fatalf("rank %d slot %d from rank %d: block differs from the bin (%d pairs, %d binned)", rank, s, src, len(got), len(want))
 			}
 		}
 		if c.sent != sent || c.sentRaw != sentRaw || c.recv != recv || c.intra != intra {

@@ -99,11 +99,12 @@ import (
 //     only for what the wave re-levelled, so the replay ignores them and
 //     offers from every visited row (Session.childKnown), as RunRepair always
 //     does.
-//     The pairs travel in one all-pairs pair round (pairRound, exchange.go):
-//     with a codec active each outgoing bin is radix-sorted in place into the
-//     codec's canonical (ID, Val) order and encoded presorted; with the codec
-//     off it ships as generated, in raw pair blocks charged 12 bytes per pair
-//     — one wire format and one decoder whatever the mode.
+//     The pairs travel in one all-pairs pair round (pairRound, exchange.go),
+//     each bin as generated, in bin order: with a codec active in the
+//     smaller of a raw and a bit-packed pairs block, with the codec off in a
+//     raw block charged 12 bytes per pair — one wire format and one decoder
+//     whatever the mode, and no sort, since the fold keeps the smallest offer
+//     in whatever order the offers arrive.
 //
 // Past the reduction (a barrier when only levels are collected), every rank
 // then writes one contiguous range of global ids straight into the query's
@@ -172,14 +173,14 @@ import (
 // Resolution traffic is reported (ParentPairs) but excluded from simulated
 // BFS time, matching the paper's reporting of distance-only timings.
 
-// parentLevelBits packs the sender's claimed child level into the LOW bits
-// of a pair value with the parent global id above it. Low-bits level keeps
-// the value small as an integer, so the pairs codec's uvarint values shrink
-// with graph size instead of always paying for the high level bits. Vertex
-// ids must stay below 2^44 (far above the paper's scale 40 ceiling) and BFS
-// depth below 2^20 (far above the §VI-D long-tail graphs' hundreds of
-// iterations).
-const parentLevelBits = 20
+// parentLevelBits packs the sender's claimed child level into the low word of
+// a pair value and the parent global id into the high word, so the pairs
+// codec's bit-packed block gives each its own column: about 16 bits of
+// parent ids and 3 of levels in a replay block on RMAT 16, against one
+// 36-bit varint per value with the level in the low 20 bits. A parent's
+// global id is below 2^32 wherever parents are collected (effectiveOptions)
+// and a level is an int32, so both always fit.
+const parentLevelBits = 32
 
 // parentTagBase is the message tag of the resolution's first pair round,
 // outside the iteration tag space; round r of a resolution sends at
@@ -190,9 +191,6 @@ const parentTagBase = 1 << 30
 // parentPairVal packs a replay pair's value: sender uGlobal claiming the
 // child level childLevel.
 func parentPairVal(uGlobal int64, childLevel int32) uint64 {
-	if childLevel >= 1<<parentLevelBits {
-		panic(fmt.Sprintf("core: BFS level %d exceeds the pairs-codec ceiling", childLevel-1))
-	}
 	if uGlobal >= 1<<(64-parentLevelBits) {
 		panic(fmt.Sprintf("core: vertex id %d exceeds the pairs-codec ceiling", uGlobal))
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gcbfs/internal/frontier"
 	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
@@ -161,7 +162,8 @@ func TestTreeIsUncharged(t *testing.T) {
 // global id + 1 with 0 for none, where it wraps: the largest id a plan that
 // collects parents admits (it refuses 2^32 vertices or more) is stored as all
 // ones, and the all-ones id, which a missed compare or a prior parent of -1
-// turns into, is no offer at all.
+// turns into, is no offer at all. A replay pair carries that largest id, and a
+// level as deep as an int32 allows, through a packed pairs block intact.
 func TestCandidateFormAtUint32Edge(t *testing.T) {
 	const allOnes = math.MaxUint32
 	const largest = allOnes - 1
@@ -186,6 +188,29 @@ func TestCandidateFormAtUint32Edge(t *testing.T) {
 	if delegateOffer(global, 1) != largest || delegateOffer(global, allOnes) != allOnes {
 		t.Fatal("delegateOffer: a delegate offers its global id, a row without a hit none")
 	}
+
+	// A replay pair from the largest id, claiming a child at level 1, through
+	// its value, a packed pairs block and the fold that accepts it — beside a
+	// claim at the deepest level an int32 holds, which a level-1 child refuses.
+	gs := &gpuState{levels: []int32{0, 1, math.MaxInt32}, parents: make([]uint32, 3)}
+	sent := []frontier.Pair{{ID: 1, Val: parentPairVal(largest, 1)}, {ID: 1, Val: parentPairVal(5, math.MaxInt32)}, {ID: 2, Val: parentPairVal(largest, math.MaxInt32)}}
+	block, scheme := wire.AppendPairs(nil, sent, wire.ModeDelta)
+	got, _, _, err := wire.DecodePairs(block)
+	if err != nil || scheme != wire.SchemePacked || !slices.Equal(got, sent) {
+		t.Fatalf("%v block of the edge pairs decoded to %v (err %v), want %v", scheme, got, err, sent)
+	}
+	accept(gs, got)
+	if gs.parents[1] != allOnes || parentOf(gs.parents[1]) != largest || parentOf(gs.parents[2]) != largest || gs.parents[0] != 0 {
+		t.Fatalf("accepted candidates %v, want id %d at slots 1 and 2", gs.parents, int64(largest))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("parentPairVal packed a sender id of 2^32")
+			}
+		}()
+		parentPairVal(1<<32, 1)
+	}()
 
 	visited := make([]uint64, 2)
 	visited[0] = 1<<5 | 1<<9
@@ -282,7 +307,8 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 // the tree is found inside the kernels, so it also reports the tree's whole
 // price, tree-share: 1 − t(levels-only Run) / t(Run with parents), the
 // two runs alternating over the same source. Beside the cost per dd edge of
-// the graph, it reports what the nn replay sent: the pairs, the share of them
+// the graph, it reports what the nn replay sent: the pairs, their wire bytes
+// per pair (pair-B/pair, Wire.PairWireBytes / ParentPairs), the share of them
 // whose target sits at the claimed level (all a fold can accept), the share of
 // the visited vertices with nn rows that replayed theirs — and the gather's
 // cost per vertex, timed on its own.
@@ -336,7 +362,7 @@ func BenchmarkResolveParents(b *testing.B) {
 				for _, gs := range s.gpus {
 					clear(gs.parents)
 				}
-				s.parentExchangePairs = 0
+				s.parentExchangePairs, s.parentPairWireBytes = 0, 0
 				s.out = newTreeOut(&s.opts, s.sg.N)
 				b.StartTimer()
 				finish(func(rank int, comm *mpi.Comm) { s.finishQuery(rank, comm, src) })
@@ -372,6 +398,7 @@ func BenchmarkResolveParents(b *testing.B) {
 				b.Fatalf("the replay sent %d pairs, the flagged rows hold %d", s.parentExchangePairs, sent)
 			}
 			b.ReportMetric(float64(sent), "pairs")
+			b.ReportMetric(float64(s.parentPairWireBytes)/float64(max(sent, 1)), "pair-B/pair")
 			b.ReportMetric(float64(accepted)/float64(max(sent, 1)), "accepted/pair")
 			b.ReportMetric(float64(flagged)/float64(max(senders, 1)), "flagged/sender")
 

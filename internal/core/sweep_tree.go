@@ -27,8 +27,11 @@ package core
 //     compared with the candidate it meets.
 //   - nn replay: one pair round whose pairs carry the sender's lane set (the
 //     round's lane-set column, a mask section behind each pairs block on the
-//     wire); the receiver finds "v's lanes at level L" in the history
-//     regrouped by vertex (laneIndex).
+//     wire). No pairs scheme reorders a block — with a codec active the
+//     smaller of raw and bit-packed, each in bin order — so the column needs
+//     no permutation to stay beside its pairs, and every offer folds by
+//     minimum whatever order it arrives in; the receiver finds "v's lanes at
+//     level L" in the history regrouped by vertex (laneIndex).
 //   - Reduction: a rank's candidates for the d·K (delegate, lane) pairs are
 //     the single tree's form, uint32 global id + 1, and meet where the single
 //     tree's do (reduceDelegates, parents.go), K per delegate, which leaves

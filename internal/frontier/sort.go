@@ -3,8 +3,9 @@ package frontier
 import "math/bits"
 
 // This file is the one sort the query path uses. The exchange needs ids in
-// ascending order (delta/bitmap codec, canonical apply) and parent pairs in
-// (ID, Val) order (the pairs codec's canonical form); both keys are small
+// ascending order (delta/bitmap codec, canonical apply) and the sweep's stage
+// its (vertex, bin position) keys in (ID, Val) order, to OR the lane sets of a
+// vertex binned twice (sweepLanes.stage); both keys are small
 // integers whose range is known from the data — destination-local ids run
 // to n/p — so an LSD radix sort over just the bits the keys occupy beats a
 // comparison sort by a wide margin and has no comparator to call.
@@ -113,9 +114,9 @@ func SortIDs(ids []uint32, scratch *[]uint32) {
 
 // SortPairs sorts pairs by (ID, Val) in place: a stable radix sort by ID,
 // then each run of equal IDs ordered by Val. Runs are short on the traffic
-// this serves — the candidates of one destination vertex — and arrive nearly
-// ordered (each sending GPU replays its vertices in ascending id order), so
-// an insertion sort finishes them; a run too long for that recurses into the
+// this serves — the bin positions of one destination vertex — and arrive
+// ordered (positions are keyed in the order they were binned), so an
+// insertion sort finishes them; a run too long for that recurses into the
 // same counting passes keyed by Val. scratch follows SortIDs's contract.
 func SortPairs(pairs []Pair, scratch *[]Pair) {
 	sortPairsBy(pairs, scratch, false)

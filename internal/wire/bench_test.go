@@ -163,3 +163,62 @@ func BenchmarkButterflyRelay(b *testing.B) {
 		})
 	}
 }
+
+// replayBlocks returns the blocks of a tree replay's pair round as one RMAT 16
+// query on 32 ranks sends them: about 50 pairs a block, a 10-bit local slot as
+// the ID and parent<<32 | level as the value, a parent among 2^16 ids at
+// levels 1 to 6, in the order the replay bins them.
+func replayBlocks() (blocks [][]frontier.Pair, pairs int) {
+	rng := rand.New(rand.NewSource(39))
+	blocks = make([][]frontier.Pair, 2000)
+	for b := range blocks {
+		blk := make([]frontier.Pair, 40+rng.Intn(21))
+		for i := range blk {
+			blk[i] = frontier.Pair{ID: uint32(rng.Intn(1 << 10)), Val: uint64(rng.Intn(1<<16))<<32 | uint64(1+rng.Intn(6))}
+		}
+		blocks[b] = blk
+		pairs += len(blk)
+	}
+	return blocks, pairs
+}
+
+// BenchmarkPairsCodec encodes and decodes replay-shaped pair blocks
+// (replayBlocks) in raw and adaptive mode, reporting ns and encoded bytes per
+// pair.
+func BenchmarkPairsCodec(b *testing.B) {
+	blocks, pairs := replayBlocks()
+	for _, mode := range []Mode{ModeRaw, ModeAdaptive} {
+		var msg []byte
+		for _, blk := range blocks {
+			msg, _ = AppendPairs(msg, blk, mode)
+		}
+		perPair := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+			b.ReportMetric(float64(len(msg))/float64(pairs), "B/pair")
+		}
+		b.Run(mode.String()+"/encode", func(b *testing.B) {
+			buf := make([]byte, 0, len(msg))
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, blk := range blocks {
+					buf, _ = AppendPairs(buf, blk, mode)
+				}
+			}
+			perPair(b)
+		})
+		b.Run(mode.String()+"/decode", func(b *testing.B) {
+			var into []frontier.Pair
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < len(msg); {
+					var n int
+					var err error
+					if into, n, _, err = decodePairsInto(msg[off:], into); err != nil {
+						b.Fatal(err)
+					}
+					off += n
+				}
+			}
+			perPair(b)
+		})
+	}
+}

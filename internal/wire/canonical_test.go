@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -61,35 +60,39 @@ func TestAppendPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestAppendPairsPermutationInvariant is the pairs counterpart: (ID, Val)
-// order is the canonical form, equal IDs with descending Val included.
+// TestAppendPairsPermutationInvariant is the pairs counterpart, where no
+// order is canonical: a block's length is a function of the pair multiset
+// (a packed frame is its columns' minima and maxima), so every permutation of
+// the pairs encodes to the same length under every mode, each block decodes to
+// its own input order, and the encoder leaves its input as it was.
 func TestAppendPairsPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 200; trial++ {
 		pairs := make([]frontier.Pair, rng.Intn(300))
 		idRange := 1 << (2 + rng.Intn(12))
 		for i := range pairs {
-			pairs[i] = frontier.Pair{ID: uint32(rng.Intn(idRange)), Val: uint64(len(pairs)-i)<<20 | uint64(rng.Intn(4))}
+			pairs[i] = frontier.Pair{ID: uint32(rng.Intn(idRange)), Val: uint64(len(pairs)-i)<<32 | uint64(rng.Intn(4))}
 		}
-		sorted := canonPairs(pairs)
-		before := slices.Clone(pairs)
+		shuffled := slices.Clone(pairs)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		before, shuffledBefore := slices.Clone(pairs), slices.Clone(shuffled)
 		for _, mode := range codecModes {
-			shuffled, scheme := AppendPairs(nil, pairs, mode)
-			hinted, hintedScheme := AppendPairsSorted(nil, sorted, mode, true)
-			if scheme != hintedScheme {
-				t.Fatalf("trial %d %v: scheme %v shuffled, %v presorted", trial, mode, scheme, hintedScheme)
+			a, scheme := AppendPairs(nil, pairs, mode)
+			b, bScheme := AppendPairs(nil, shuffled, mode)
+			if scheme != bScheme || len(a) != len(b) {
+				t.Fatalf("trial %d %v: %v block of %d bytes, a permutation's %v block of %d", trial, mode, scheme, len(a), bScheme, len(b))
 			}
-			if scheme == SchemeRaw {
-				if len(shuffled) != len(hinted) {
-					t.Fatalf("trial %d %v: raw length %d shuffled, %d sorted", trial, mode, len(shuffled), len(hinted))
+			for _, tc := range []struct {
+				buf  []byte
+				want []frontier.Pair
+			}{{a, pairs}, {b, shuffled}} {
+				got, _, _, err := DecodePairs(tc.buf)
+				if err != nil || !slices.Equal(got, tc.want) {
+					t.Fatalf("trial %d %v/%v: decoded %d pairs out of input order (err %v)", trial, mode, scheme, len(got), err)
 				}
-				continue
-			}
-			if !bytes.Equal(shuffled, hinted) {
-				t.Fatalf("trial %d %v/%v: shuffled and sorted pairs encode differently", trial, mode, scheme)
 			}
 		}
-		if !slices.Equal(pairs, before) {
+		if !slices.Equal(pairs, before) || !slices.Equal(shuffled, shuffledBefore) {
 			t.Fatalf("trial %d: AppendPairs mutated its input", trial)
 		}
 	}
@@ -165,25 +168,5 @@ func TestHintSetMatchesUnhinted(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkAppendPairsUnsorted measures the non-mutating pairs encode — the
-// sorted copy plus the block itself — on replay-shaped input.
-func BenchmarkAppendPairsUnsorted(b *testing.B) {
-	for _, n := range []int{64, 1 << 10, 16 << 10} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		pairs := make([]frontier.Pair, n)
-		for i := range pairs {
-			pairs[i] = frontier.Pair{ID: uint32(rng.Intn(1 << 10)), Val: uint64(rng.Intn(1<<16))<<20 | uint64(1+rng.Intn(6))}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(12 * int64(n))
-			b.ReportAllocs()
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				buf, _ = AppendPairs(buf[:0], pairs, ModeAdaptive)
-			}
-		})
 	}
 }

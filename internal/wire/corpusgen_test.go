@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-
-	"gcbfs/internal/frontier"
 )
 
 // TestGenerateSeedCorpus writes the committed seed corpus under
@@ -17,19 +15,21 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	if os.Getenv("WIRE_GEN_CORPUS") != "1" {
 		t.Skip("set WIRE_GEN_CORPUS=1 to regenerate the fuzz seed corpus")
 	}
-	write := func(target string, inputs [][]byte) {
+	// writeAs writes inputs as testdata/fuzz/<target>/<prefix>-NNN.
+	writeAs := func(target, prefix string, inputs [][]byte) {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for i, in := range inputs {
 			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(in)) + ")\n"
-			name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+			name := filepath.Join(dir, fmt.Sprintf("%s-%03d", prefix, i))
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	write := func(target string, inputs [][]byte) { writeAs(target, "seed", inputs) }
 
 	// ModeOff messages come last in every corpus, after the entries that
 	// predate them, so those keep their file names.
@@ -63,23 +63,19 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		return out
 	}
 
-	write("FuzzDecode", blockSeeds(func(ids []uint32, mode Mode) []byte {
+	// A packed pairs block comes last: its scheme byte is no id block's.
+	write("FuzzDecode", append(blockSeeds(func(ids []uint32, mode Mode) []byte {
 		b, _ := Append(nil, ids, mode)
 		return b
-	}))
+	}), packedPairSeed()))
 	write("FuzzDecodeRank", blockSeeds(func(ids []uint32, mode Mode) []byte {
 		b, _ := EncodeRank([][]uint32{ids, ids}, mode)
 		return b
 	}))
 
-	pairSets := [][]frontier.Pair{
-		{},
-		{{ID: 1, Val: 10}, {ID: 2, Val: 20}},
-		{{ID: 1 << 30, Val: 1 << 60}, {ID: 1<<32 - 1, Val: 0}},
-	}
 	pairSeeds := func(modes ...Mode) [][]byte {
 		var out [][]byte
-		for _, pairs := range pairSets {
+		for _, pairs := range fuzzPairSets {
 			for _, mode := range modes {
 				b, _ := AppendPairs(nil, pairs, mode)
 				out = append(out, b)
@@ -90,7 +86,10 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		}
 		return out
 	}
-	write("FuzzDecodePairs", slices.Concat(pairSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}}, pairSeeds(ModeOff),
+	// The seed-NNN pairs files predate the packed scheme and are no longer
+	// written: their varint delta blocks (scheme byte 1) stay in the corpus as
+	// corrupt inputs, beside the packed-NNN files written here.
+	writeAs("FuzzDecodePairs", "packed", slices.Concat(pairSeeds(ModeRaw, ModeDelta, ModeAdaptive), [][]byte{{}}, pairSeeds(ModeOff),
 		lanePairSeeds(ModeOff, ModeRaw, ModeDelta, ModeAdaptive)))
 
 	recSeeds := func(modes ...Mode) [][]byte {

@@ -53,11 +53,19 @@ func seedBlocks(f *testing.F, encode func(ids []uint32, mode Mode) []byte) {
 	f.Add([]byte{0xff})
 }
 
+// packedPairSeed is a valid packed pairs block: a scheme byte no id or record
+// decoder may accept.
+func packedPairSeed() []byte {
+	b, _ := AppendPairs(nil, []frontier.Pair{{ID: 1, Val: 2}, {ID: 3, Val: 4<<32 | 1}}, ModeDelta)
+	return b
+}
+
 func FuzzDecode(f *testing.F) {
 	seedBlocks(f, func(ids []uint32, mode Mode) []byte {
 		b, _ := Append(nil, ids, mode)
 		return b
 	})
+	f.Add(packedPairSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids, n, _, err := Decode(data)
 		checkErr(t, err)
@@ -101,13 +109,20 @@ func FuzzDecodeRank(f *testing.F) {
 	})
 }
 
+// fuzzPairSets are the pairs every FuzzDecodePairs seed encodes: empty, small,
+// extreme values, one pair, all-equal pairs (zero-width columns) and a
+// replay-shaped block (parent<<32 | level) in bin order.
+var fuzzPairSets = [][]frontier.Pair{
+	{},
+	{{ID: 1, Val: 10}, {ID: 2, Val: 20}},
+	{{ID: 1 << 30, Val: 1 << 60}, {ID: 1<<32 - 1, Val: 0}},
+	{{ID: 1<<32 - 1, Val: 1<<64 - 1}},
+	{{ID: 77, Val: 9<<32 | 4}, {ID: 77, Val: 9<<32 | 4}, {ID: 77, Val: 9<<32 | 4}},
+	{{ID: 700, Val: 4093<<32 | 3}, {ID: 12, Val: 60000<<32 | 2}, {ID: 513, Val: 4093<<32 | 3}, {ID: 12, Val: 17<<32 | 2}},
+}
+
 func FuzzDecodePairs(f *testing.F) {
-	pairSets := [][]frontier.Pair{
-		{},
-		{{ID: 1, Val: 10}, {ID: 2, Val: 20}},
-		{{ID: 1 << 30, Val: 1 << 60}, {ID: 1<<32 - 1, Val: 0}},
-	}
-	for _, pairs := range pairSets {
+	for _, pairs := range fuzzPairSets {
 		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeAdaptive} {
 			b, _ := AppendPairs(nil, pairs, mode)
 			f.Add(b)
@@ -162,10 +177,9 @@ func FuzzDecodePairs(f *testing.F) {
 }
 
 // lanePairSeeds returns two-slot lane-carrying pairs messages (w = 1 and 2),
-// each whole and truncated. The pairs are in ascending id, as a sorting codec
-// needs them.
+// each whole and truncated, the pairs in no particular order.
 func lanePairSeeds(modes ...Mode) [][]byte {
-	slots := [][]frontier.Pair{{{ID: 3, Val: 7<<20 | 2}, {ID: 3, Val: 5<<20 | 2}, {ID: 900, Val: 1 << 40}}, {{ID: 1<<32 - 1, Val: 0}}}
+	slots := [][]frontier.Pair{{{ID: 900, Val: 7<<32 | 2}, {ID: 3, Val: 5<<32 | 2}, {ID: 3, Val: 1 << 40}}, {{ID: 1<<32 - 1, Val: 0}}}
 	var out [][]byte
 	for _, w := range []int{1, 2} {
 		lanes := make([][]uint64, len(slots))
@@ -175,7 +189,7 @@ func lanePairSeeds(modes ...Mode) [][]byte {
 			}
 		}
 		for _, mode := range modes {
-			b, _ := AppendPairsRank(nil, slots, lanes, w, mode, true)
+			b, _ := AppendPairsRank(nil, slots, lanes, w, mode)
 			out = append(out, b, b[:len(b)-2])
 		}
 	}
@@ -199,6 +213,7 @@ func FuzzDecodeRecords(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00})
+	f.Add(packedPairSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, w := range []int{1, 2} {
 			ids, masks, n, err := DecodeRecordsAppend(data, w, nil, nil)

@@ -138,7 +138,7 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 		}
 	}
 
-	buf, st = AppendPairsRank(nil, pairs, nil, 0, ModeOff, false)
+	buf, st = AppendPairsRank(nil, pairs, nil, 0, ModeOff)
 	msgs = append(msgs, message{
 		name: "pairs", buf: buf, st: st, raw: 12 * 3,
 		decode: func(b []byte) error { return DecodePairsRankInto(b, make([][]frontier.Pair, len(pairs)), nil, 0) },
@@ -163,7 +163,7 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 				lanes[s] = append(lanes[s], uint64(s+5)<<(11*i))
 			}
 		}
-		buf, st := AppendPairsRank(nil, pairs, lanes, w, ModeOff, false)
+		buf, st := AppendPairsRank(nil, pairs, lanes, w, ModeOff)
 		decode := func(b []byte) ([][]frontier.Pair, [][]uint64, error) {
 			prs, ls := make([][]frontier.Pair, len(pairs)), make([][]uint64, len(pairs))
 			return prs, ls, DecodePairsRankInto(b, prs, ls, w)

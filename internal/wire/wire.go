@@ -16,6 +16,7 @@
 //
 //	offset  size      field
 //	0       1         scheme byte: 0 = raw, 1 = delta, 2 = bitmap
+//	                  (3 = packed is the pairs codec's, pairs.go)
 //	1       uvarint   n, the number of ids the block decodes to
 //	…       payload   scheme-specific body (below)
 //	end-4   4         CRC32 (IEEE, little-endian) of every preceding
@@ -53,9 +54,10 @@
 // Ascending order is the codec's canonical form: delta and bitmap bytes are
 // a function of the id multiset alone, and a raw block's length is. Whoever
 // owns the ids sorts them, once, where the block is born, with
-// frontier.SortIDs / SortPairs and its own scatter scratch, and says so with a
-// Hint (AppendSorted's presorted, a Section's hint row, AppendPairsSorted);
-// the encoders then only read. The engine goes
+// frontier.SortIDs and its own scatter scratch, and says so with a Hint
+// (AppendSorted's presorted, a Section's hint row); the encoders then only
+// read. Pairs have no canonical order: both pairs schemes keep the input
+// order, so nobody sorts a pairs block (pairs.go). The engine goes
 // one step further: with a codec active it stages every slot as a set —
 // sorted in place in its send bins and compacted there (HintSet) — so the
 // encoder's duplicate scan goes too and a dense slot is bitmap-eligible. With
@@ -68,8 +70,8 @@
 // records, always sets, frontier.MergeRecords) and never sorts it again.
 // Without a hint an encoder never touches the caller's slice: it sorts a copy, in the
 // Selector's reusable scratch when there is one (one buffer per rank, sized
-// by its largest single block) and in a fresh allocation otherwise (Append,
-// AppendPairs — the outside caller's path). The codec itself stays a multiset
+// by its largest single block) and in a fresh allocation otherwise (Append —
+// the outside caller's path). The codec itself stays a multiset
 // codec — a hintless or HintSorted block round-trips every repeat; sets are
 // what the engine chooses to feed it.
 package wire
@@ -104,9 +106,12 @@ const (
 	SchemeRaw Scheme = iota
 	SchemeDelta
 	SchemeBitmap
+	// SchemePacked is the pairs codec's bit-packed block (pairs.go); no id or
+	// record block carries it.
+	SchemePacked
 
 	// NumSchemes bounds per-scheme counters.
-	NumSchemes = 3
+	NumSchemes = 4
 )
 
 func (s Scheme) String() string {
@@ -117,6 +122,8 @@ func (s Scheme) String() string {
 		return "delta"
 	case SchemeBitmap:
 		return "bitmap"
+	case SchemePacked:
+		return "packed"
 	}
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
@@ -454,7 +461,7 @@ func decodeBlock(buf []byte, grow func(n int) []uint32, seed uint32) ([]uint32, 
 		return nil, 0, 0, corruptf("wire: block truncated (%d bytes)", len(buf))
 	}
 	scheme := Scheme(buf[0])
-	if scheme >= NumSchemes {
+	if scheme > SchemeBitmap {
 		return nil, 0, 0, corruptf("wire: unknown scheme byte %d", buf[0])
 	}
 	off := 1
