@@ -10,6 +10,12 @@
 //	bfsrun -rmat 15 -nodes 4 -ranks 2 -gpus 2 -sources 16 -parallel 8
 //	bfsrun -rmat 15 -nodes 3 -ranks 2 -gpus 2 -sources 64 -sweep -validate
 //
+// -compress selects the frontier-exchange codec: "off" (default, the paper's
+// fixed-width packing: raw blocks charged 4 bytes per id) or "adaptive" (each
+// block in its smallest scheme by exact size — raw, delta or bitmap ids, raw
+// or sparse lane sets, raw or bit-packed parent pairs — with a "wire:"
+// summary line). Any other spelling exits 1 before a graph is built.
+//
 // -exchange selects the inter-rank normal-vertex exchange policy:
 // "allpairs" (default, one message per destination rank per iteration),
 // "butterfly" (hypercube hops with aggregated messages; any rank count —
@@ -80,7 +86,7 @@ func main() {
 		l2a       = flag.Bool("local-all2all", false, "enable the Local-All2All optimization (L)")
 		uniq      = flag.Bool("uniquify", false, "enable send-bin uniquification (U)")
 		ir        = flag.Bool("iallreduce", false, "use non-blocking delegate reduction (IR instead of BR)")
-		compress  = flag.String("compress", "off", "frontier-exchange codec: off, adaptive, raw, delta or bitmap")
+		compress  = flag.String("compress", "off", "frontier-exchange codec: off (the paper's fixed-width packing) or adaptive (the smallest scheme per block)")
 		exchange  = flag.String("exchange", "allpairs", "normal-vertex exchange policy, -sweep included: allpairs, butterfly or hybrid")
 		amp       = flag.Float64("amp", 1, "work amplification for the timing model (2^(paperScale-localScale))")
 		sweep     = flag.Bool("sweep", false, "answer all sources in one shared multi-source sweep (MS-BFS) instead of independent queries")
@@ -100,6 +106,15 @@ func main() {
 			os.Exit(3)
 		}
 		os.Exit(1)
+	}
+	// The codec and exchange spellings are checked before any graph is built.
+	mode, err := wire.ParseMode(*compress)
+	if err != nil {
+		exitErr(err)
+	}
+	strat, err := core.ParseExchange(*exchange)
+	if err != nil {
+		exitErr(err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -121,16 +136,6 @@ func main() {
 	}
 	sep := partition.Separate(el, threshold)
 	sg, err := partition.Distribute(el, sep, shape.PartitionConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bfsrun: %v\n", err)
-		os.Exit(1)
-	}
-	mode, err := wire.ParseMode(*compress)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bfsrun: %v\n", err)
-		os.Exit(1)
-	}
-	strat, err := core.ParseExchange(*exchange)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bfsrun: %v\n", err)
 		os.Exit(1)

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gcbfs/internal/gen"
@@ -54,5 +57,30 @@ func TestLoadGraphErrors(t *testing.T) {
 func TestMB(t *testing.T) {
 	if mb(1<<20) != 1.0 {
 		t.Fatalf("mb(1MB) = %f", mb(1<<20))
+	}
+}
+
+// TestCompressRefusesRetiredModes runs bfsrun (this test binary re-executed
+// as main) with each retired forced codec spelling: it must exit 1, before it
+// reads the graph (a missing file, which would fail with another message),
+// with a message naming the two modes there are.
+func TestCompressRefusesRetiredModes(t *testing.T) {
+	if args := os.Getenv("BFSRUN_ARGS"); args != "" {
+		os.Args = append([]string{"bfsrun"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, mode := range []string{"raw", "delta", "bitmap"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCompressRefusesRetiredModes$")
+		missing := filepath.Join(t.TempDir(), "missing.gcbf")
+		cmd.Env = append(os.Environ(), "BFSRUN_ARGS=-graph "+missing+" -compress "+mode)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-compress %s: err %v, want exit status 1 (output %q)", mode, err, out)
+		}
+		if msg := string(out); !strings.Contains(msg, mode) || !strings.Contains(msg, "off") || !strings.Contains(msg, "adaptive") {
+			t.Fatalf("-compress %s: message %q does not name the mode and both of off and adaptive", mode, msg)
+		}
 	}
 }

@@ -53,14 +53,16 @@
 //
 // # Frontier-exchange compression
 //
-// The Config.Compression knob routes the inter-rank normal-vertex payloads
-// through the internal/wire codec. CompressionAdaptive encodes every
-// message as the smallest of a raw uint32 list, a sorted varint delta
-// stream, or a dense bitmap (checksummed, with a 1-byte scheme header);
-// CompressionRaw/Delta/Bitmap force one scheme for ablations, and
-// CompressionOff (the default) is the paper's fixed-width packing: the same
-// checksummed raw blocks, charged as the paper charges them — 4 bytes per
-// id, no framing, no codec kernel.
+// The Config.Compression knob routes the inter-rank payloads through the
+// internal/wire codec. It has two modes. CompressionOff (the default) is the
+// paper's fixed-width packing: checksummed raw blocks, charged as the paper
+// charges them — 4 bytes per id, no framing, no codec kernel.
+// CompressionAdaptive writes every block in its smallest scheme by exact
+// size, from that block alone (checksummed, with a 1-byte scheme header):
+// each slot's ids as a raw uint32 list, a sorted varint delta stream or a
+// dense bitmap; each sweep record's lane sets raw or as sparse bit
+// positions; each parent-resolution (id, value) pairs block raw or
+// bit-packed.
 // Compression never changes levels or parents — only bytes on the wire, the
 // simulated remote-normal communication time, and the codec pack/unpack
 // compute now charged through the device model (Result.CodecSeconds).
@@ -500,11 +502,6 @@ const (
 	// CompressionAdaptive picks the smallest of the raw, delta and bitmap
 	// schemes for every block, from that block alone.
 	CompressionAdaptive
-	// CompressionRaw, CompressionDelta and CompressionBitmap force one
-	// scheme for every message — ablation knobs.
-	CompressionRaw
-	CompressionDelta
-	CompressionBitmap
 )
 
 // Exchange selects the inter-rank normal-vertex exchange topology.
@@ -536,15 +533,8 @@ func (x Exchange) strategy() core.Exchange {
 }
 
 func (c Compression) mode() wire.Mode {
-	switch c {
-	case CompressionAdaptive:
+	if c == CompressionAdaptive {
 		return wire.ModeAdaptive
-	case CompressionRaw:
-		return wire.ModeRaw
-	case CompressionDelta:
-		return wire.ModeDelta
-	case CompressionBitmap:
-		return wire.ModeBitmap
 	}
 	return wire.ModeOff
 }
@@ -691,7 +681,7 @@ func (cfg Config) validate() error {
 	if err := cfg.Cluster.shape().Validate(); err != nil {
 		return err
 	}
-	if cfg.Compression < CompressionOff || cfg.Compression > CompressionBitmap {
+	if cfg.Compression < CompressionOff || cfg.Compression > CompressionAdaptive {
 		return fmt.Errorf("gcbfs: invalid compression mode %d", cfg.Compression)
 	}
 	if cfg.Exchange < ExchangeAllPairs || cfg.Exchange > ExchangeHybrid {
@@ -783,7 +773,7 @@ func (q *queryConfig) deadline(def time.Duration) time.Duration {
 // WithCompression selects the frontier-exchange codec for this query.
 func WithCompression(c Compression) QueryOption {
 	return func(q *queryConfig) {
-		if c < CompressionOff || c > CompressionBitmap {
+		if c < CompressionOff || c > CompressionAdaptive {
 			q.err = fmt.Errorf("gcbfs: invalid compression mode %d", c)
 			return
 		}

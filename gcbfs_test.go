@@ -202,14 +202,15 @@ func TestSourcesDeterministic(t *testing.T) {
 }
 
 // TestCompressionConfig exercises the public Compression knob end to end:
-// every mode validates against the serial reference, and adaptive reports a
-// wire volume below the raw equivalent in a normal-exchange-heavy setup.
+// both modes validate against the serial reference, adaptive reports a wire
+// volume below the raw equivalent in a normal-exchange-heavy setup, and every
+// other value — the retired forced modes' 2–4 included — is refused by both
+// constructors.
 func TestCompressionConfig(t *testing.T) {
 	g := RMAT(12)
 	src := Sources(g, 1, 3)[0]
 	var refLevels []int32
-	for _, comp := range []Compression{CompressionOff, CompressionAdaptive,
-		CompressionRaw, CompressionDelta, CompressionBitmap} {
+	for _, comp := range []Compression{CompressionOff, CompressionAdaptive} {
 		cfg := DefaultConfig(Cluster{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 1})
 		cfg.Threshold = 1 << 20 // all-normal graph: everything rides the exchange
 		cfg.Compression = comp
@@ -241,10 +242,15 @@ func TestCompressionConfig(t *testing.T) {
 		}
 	}
 
-	cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1})
-	cfg.Compression = Compression(7)
-	if _, err := NewService(g, cfg); err == nil {
-		t.Fatal("NewService accepted an out-of-range compression mode")
+	for _, comp := range []Compression{2, 3, 4, 7, -1} {
+		cfg := DefaultConfig(Cluster{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1})
+		cfg.Compression = comp
+		if _, err := NewService(g, cfg); err == nil {
+			t.Fatalf("NewService accepted compression mode %d", comp)
+		}
+		if _, err := NewMutableService(g, cfg); err == nil {
+			t.Fatalf("NewMutableService accepted compression mode %d", comp)
+		}
 	}
 }
 

@@ -90,15 +90,15 @@ func TestCompressionAdaptiveScale16(t *testing.T) {
 		w.SchemeRaw, w.SchemeDelta, w.SchemeBitmap)
 }
 
-// TestCompressionModesAgree checks every forced scheme (and off) produces
-// identical traversal results and the run's wire accounting is coherent.
+// TestCompressionModesAgree checks both modes produce identical traversal
+// results and the run's wire accounting is coherent.
 func TestCompressionModesAgree(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(12))
 	shape := ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}
 	th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
 
 	var ref []int32
-	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeRaw, wire.ModeDelta, wire.ModeBitmap} {
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
 		opts := DefaultOptions()
 		opts.Compression = mode
 		e := buildPlan(t, el, shape, th, opts)
@@ -250,7 +250,9 @@ func TestDelegateMaskEncoding(t *testing.T) {
 		w.MaskRawBytes, w.MaskWireBytes, 100*(1-float64(w.MaskWireBytes)/float64(w.MaskRawBytes)))
 }
 
-// TestCompressionRejectsBadMode covers the NewPlan validation.
+// TestCompressionRejectsBadMode covers the NewPlan validation: the two modes
+// are all there is, and the values the retired forced modes had (2–4) are
+// refused like any other.
 func TestCompressionRejectsBadMode(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(10))
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}
@@ -259,9 +261,11 @@ func TestCompressionRejectsBadMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.Compression = wire.Mode(99)
-	if _, err := NewPlan(sg, shape, opts); err == nil {
-		t.Fatal("engine accepted an invalid compression mode")
+	for _, mode := range []wire.Mode{2, 3, 4, 99, -1} {
+		opts := DefaultOptions()
+		opts.Compression = mode
+		if _, err := NewPlan(sg, shape, opts); err == nil {
+			t.Fatalf("engine accepted compression mode %d", mode)
+		}
 	}
 }

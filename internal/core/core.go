@@ -135,12 +135,12 @@ type Options struct {
 	// exactly where TWB pays its skew penalty).
 	ForceTWBForDD bool
 	// Compression selects the frontier-exchange codec (internal/wire) for
-	// the inter-rank normal-vertex payloads: wire.ModeOff is the paper's
-	// fixed-width packing (raw blocks charged 4 bytes per id and no codec
-	// compute — a charging rule, not a second format), wire.ModeAdaptive picks the smallest of raw /
-	// varint-delta / bitmap per block (and of raw / sparse per mask
-	// section), a pure function of the block, and the forced modes pin one
-	// scheme for ablations.
+	// the inter-rank normal-vertex payloads, one of two modes: wire.ModeOff
+	// is the paper's fixed-width packing (raw blocks charged 4 bytes per id
+	// and no codec compute — a charging rule, not a second format);
+	// wire.ModeAdaptive picks the smallest of raw / varint-delta / bitmap
+	// per id block, of raw / sparse per mask section and of raw / packed per
+	// pairs block, a pure function of the block.
 	// The codec changes bytes on the wire (and hence the simulated
 	// remote-normal time) but never the traversal results. Its pack/unpack
 	// compute is charged through simgpu.Spec.CodecRate.
@@ -253,7 +253,7 @@ func NewPlan(sg *partition.Subgraphs, shape ClusterShape, opts Options) (*Plan, 
 	if opts.WorkAmplification <= 0 {
 		opts.WorkAmplification = 1
 	}
-	if opts.Compression < wire.ModeOff || opts.Compression > wire.ModeBitmap {
+	if opts.Compression < wire.ModeOff || opts.Compression > wire.ModeAdaptive {
 		return nil, fmt.Errorf("core: invalid compression mode %d", opts.Compression)
 	}
 	if opts.Exchange < ExchangeAllPairs || opts.Exchange > ExchangeHybrid {
@@ -351,7 +351,7 @@ type Overrides struct {
 func (p *Plan) effectiveOptions(ov Overrides) (Options, error) {
 	o := p.base
 	if ov.Compression != nil {
-		if *ov.Compression < wire.ModeOff || *ov.Compression > wire.ModeBitmap {
+		if *ov.Compression < wire.ModeOff || *ov.Compression > wire.ModeAdaptive {
 			return o, fmt.Errorf("core: invalid compression override %d", *ov.Compression)
 		}
 		o.Compression = *ov.Compression

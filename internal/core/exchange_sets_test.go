@@ -159,7 +159,7 @@ func noRepeatsOnTheWire(t *testing.T, s *Session, pick func(round int) Exchange,
 	}
 	return func(_, _, tag int, data []byte) []byte {
 		if pick(tag/64) == ExchangeButterfly {
-			secs, err := wire.DecodeSections(data, pgpu, prank)
+			secs, err := wire.DecodeSectionsScratch(data, pgpu, 0, prank, nil, nil, nil)
 			if err != nil {
 				t.Errorf("hop message does not decode: %v", err)
 			}
@@ -167,7 +167,8 @@ func noRepeatsOnTheWire(t *testing.T, s *Session, pick func(round int) Exchange,
 				check(sec.Slots)
 			}
 		} else {
-			slots, err := wire.DecodeRank(data, pgpu)
+			slots := make([][]uint32, pgpu)
+			err := wire.DecodeRankInto(data, slots)
 			if err != nil {
 				t.Errorf("rank message does not decode: %v", err)
 			}
@@ -229,7 +230,7 @@ func TestExchangeCarriesSets(t *testing.T) {
 			}
 			return lists
 		}
-		for _, mode := range []wire.Mode{wire.ModeAdaptive, wire.ModeDelta, wire.ModeBitmap, wire.ModeOff} {
+		for _, mode := range []wire.Mode{wire.ModeAdaptive, wire.ModeOff} {
 			label := fmt.Sprintf("%s/%v", shape, mode)
 			run := func(pick func(int) Exchange, uniq bool) []driven {
 				opts := DefaultOptions()

@@ -62,7 +62,7 @@ func TestExchangeEquivalence(t *testing.T) {
 		{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 1}, // 8 ranks
 		{Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}, // 3 ranks → cleanup hops
 	}
-	modes := []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeDelta}
+	modes := []wire.Mode{wire.ModeOff, wire.ModeAdaptive}
 
 	for _, scale := range scales {
 		el := rmat.Generate(rmat.DefaultParams(scale))
@@ -347,9 +347,10 @@ func TestEngineRejectsBadExchange(t *testing.T) {
 // so at every hop of every iteration, on a power-of-two and a cleanup-hop rank
 // count, every outgoing slot is strictly ascending AND hinted so (the hint is
 // what spares the encoder its sort copy and its duplicate scan and lets the
-// next relay union). Forced-raw runs cover the blocks whose hint the decoder
-// has to verify rather than infer from the scheme. Levels and parents stay
-// bit-identical to all-pairs.
+// next relay union). The raw blocks whose hint the decoder has to verify
+// rather than infer from the scheme are internal/wire's
+// TestDecodeSectionsRawSortedFlag. Levels and parents stay bit-identical to
+// all-pairs.
 func TestButterflySortedInvariant(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(13))
 	th := partition.SuggestThreshold(el.OutDegrees(), el.N/8)
@@ -358,16 +359,14 @@ func TestButterflySortedInvariant(t *testing.T) {
 		{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, // 6 ranks: cleanup hops
 		{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, // 8 ranks: plain hypercube
 	} {
-		for _, mode := range []wire.Mode{wire.ModeAdaptive, wire.ModeRaw} {
-			checkSortedInvariant(t, el, shape, th, src, mode)
-		}
+		checkSortedInvariant(t, el, shape, th, src)
 	}
 }
 
-func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int64, src int64, mode wire.Mode) {
+func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int64, src int64) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Compression = mode
+	opts.Compression = wire.ModeAdaptive
 	opts.CollectParents = true
 	ap := opts
 	ap.Exchange = ExchangeAllPairs
@@ -404,7 +403,7 @@ func checkSortedInvariant(t *testing.T, el *graph.EdgeList, shape ClusterShape, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	label := fmt.Sprintf("shape=%s mode=%v", shape, mode)
+	label := fmt.Sprintf("shape=%s", shape)
 	requireIdentical(t, label, want, got)
 	if blocks.Load() == 0 || relayed.Load() == 0 {
 		t.Fatalf("%s: saw %d blocks, %d past the first hop — nothing was checked", label, blocks.Load(), relayed.Load())

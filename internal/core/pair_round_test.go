@@ -28,8 +28,42 @@ func pairCols(recs []pairRec, w int) ([]frontier.Pair, []uint64) {
 	return prs, lanes
 }
 
+// pairRoundCases are the pair round oracle's codec cases: both modes on bins
+// of mixed pairs, and the adaptive mode on bins shaped so that every
+// non-empty block it writes takes one scheme — scattered 32-bit ids with
+// 64-bit values (raw) and small clustered ones (packed). The shaped cases
+// carry the names of the forced modes that once wrote those schemes ("delta"
+// wrote packed pairs blocks). seed keeps each case's draw.
+var pairRoundCases = []struct {
+	name   string
+	mode   wire.Mode
+	seed   int64
+	draw   func(rng *rand.Rand) frontier.Pair
+	shaped bool
+	scheme wire.Scheme // shaped: the scheme of every non-empty block
+}{
+	{"off", wire.ModeOff, 0, mixedPair, false, 0},
+	{"adaptive", wire.ModeAdaptive, 1, mixedPair, false, 0},
+	{"raw", wire.ModeAdaptive, 2, func(rng *rand.Rand) frontier.Pair {
+		return frontier.Pair{ID: rng.Uint32(), Val: rng.Uint64()}
+	}, true, wire.SchemeRaw},
+	{"delta", wire.ModeAdaptive, 3, func(rng *rand.Rand) frontier.Pair {
+		return frontier.Pair{ID: uint32(rng.Intn(24)), Val: uint64(rng.Intn(3))}
+	}, true, wire.SchemePacked},
+}
+
+// mixedPair draws a pair that mostly repeats a few small (ID, Val) values,
+// and one time in six is a 20-bit id with a 64-bit value.
+func mixedPair(rng *rand.Rand) frontier.Pair {
+	pr := frontier.Pair{ID: uint32(rng.Intn(24)), Val: uint64(rng.Intn(3))}
+	if rng.Intn(6) == 0 {
+		pr.ID, pr.Val = uint32(rng.Intn(1<<20)), rng.Uint64()
+	}
+	return pr
+}
+
 // TestPairRoundDeliversEveryPair is the pair round's oracle, over ranks ×
-// GPUs per rank × compression mode × lane-set width, on seeded bins full of
+// GPUs per rank × codec case × lane-set width, on seeded bins full of
 // repeated ids and of (ID, Val) ties whose lane sets differ:
 //
 //   - every GPU is handed exactly the (pair, lane set) sequence binned for
@@ -39,14 +73,15 @@ func pairCols(recs []pairRec, w int) ([]frontier.Pair, []uint64) {
 //   - the round's raw and wire bytes, sent and received, are what
 //     wire.AppendPairsRank charges for the same slots, and the volume applied
 //     within the rank is its fixed-width size;
-//   - every rank sends p−1 messages, empty or not.
+//   - every rank sends p−1 messages, empty or not;
+//   - in a shaped case every non-empty block takes the case's scheme.
 func TestPairRoundDeliversEveryPair(t *testing.T) {
 	for _, prank := range []int{1, 3, 5, 8} {
 		for _, pgpu := range []int{1, 2, 4} {
-			for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeRaw, wire.ModeDelta, wire.ModeAdaptive} {
+			for c := range pairRoundCases {
 				for w := 0; w <= 2; w++ {
-					t.Run(fmt.Sprintf("%dx%d/%s/w%d", prank, pgpu, mode, w), func(t *testing.T) {
-						checkPairRound(t, ClusterShape{Nodes: prank, RanksPerNode: 1, GPUsPerRank: pgpu}, mode, w)
+					t.Run(fmt.Sprintf("%dx%d/%s/w%d", prank, pgpu, pairRoundCases[c].name, w), func(t *testing.T) {
+						checkPairRound(t, ClusterShape{Nodes: prank, RanksPerNode: 1, GPUsPerRank: pgpu}, c, w)
 					})
 				}
 			}
@@ -54,9 +89,11 @@ func TestPairRoundDeliversEveryPair(t *testing.T) {
 	}
 }
 
-func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
+func checkPairRound(t *testing.T, shape ClusterShape, c, w int) {
 	prank, pgpu, p := shape.Ranks(), shape.GPUsPerRank, shape.P()
-	rng := rand.New(rand.NewSource(int64(1000*prank + 100*pgpu + 10*int(mode) + w)))
+	tc := pairRoundCases[c]
+	mode := tc.mode
+	rng := rand.New(rand.NewSource(1000*int64(prank) + 100*int64(pgpu) + 10*tc.seed + int64(w)))
 
 	// binned[r][g] is what rank r bins for GPU g, in bin order.
 	binned := make([][][]pairRec, prank)
@@ -73,10 +110,7 @@ func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 				n = 200 + rng.Intn(200)
 			}
 			for i := 0; i < n; i++ {
-				rec := pairRec{Pair: frontier.Pair{ID: uint32(rng.Intn(24)), Val: uint64(rng.Intn(3))}}
-				if rng.Intn(6) == 0 {
-					rec.ID, rec.Val = uint32(rng.Intn(1<<20)), rng.Uint64()
-				}
+				rec := pairRec{Pair: tc.draw(rng)}
 				for j := 0; j < w; j++ {
 					if rng.Intn(2) == 0 {
 						rec.lanes[j] = 1 << rng.Intn(64) // a straggler: mask-sparse territory
@@ -97,6 +131,20 @@ func checkPairRound(t *testing.T, shape ClusterShape, mode wire.Mode, w int) {
 			slots[s], lanes[s] = pairCols(binned[src][dst*pgpu+s], w)
 		}
 		_, st := wire.AppendPairsRank(nil, slots, lanes, w, mode)
+		if tc.shaped {
+			want := int64(len(slots)) // an empty block is raw
+			if tc.scheme != wire.SchemeRaw {
+				want = 0
+				for _, prs := range slots {
+					if len(prs) > 0 {
+						want++
+					}
+				}
+			}
+			if st.Selected[tc.scheme] != want {
+				t.Fatalf("%s: rank %d to %d wrote %v, want %d %v blocks", tc.name, src, dst, st.Selected, want, tc.scheme)
+			}
+		}
 		return st
 	}
 

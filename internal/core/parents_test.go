@@ -194,12 +194,13 @@ func TestCandidateFormAtUint32Edge(t *testing.T) {
 	// claim at the deepest level an int32 holds, which a level-1 child refuses.
 	gs := &gpuState{levels: []int32{0, 1, math.MaxInt32}, parents: make([]uint32, 3)}
 	sent := []frontier.Pair{{ID: 1, Val: parentPairVal(largest, 1)}, {ID: 1, Val: parentPairVal(5, math.MaxInt32)}, {ID: 2, Val: parentPairVal(largest, math.MaxInt32)}}
-	block, scheme := wire.AppendPairs(nil, sent, wire.ModeDelta)
-	got, _, _, err := wire.DecodePairs(block)
-	if err != nil || scheme != wire.SchemePacked || !slices.Equal(got, sent) {
-		t.Fatalf("%v block of the edge pairs decoded to %v (err %v), want %v", scheme, got, err, sent)
+	block, st := wire.AppendPairsRank(nil, [][]frontier.Pair{sent}, nil, 0, wire.ModeAdaptive)
+	into := make([][]frontier.Pair, 1)
+	err := wire.DecodePairsRankInto(block, into, nil, 0)
+	if got := into[0]; err != nil || st.Selected[wire.SchemePacked] != 1 || !slices.Equal(got, sent) {
+		t.Fatalf("block of the edge pairs (schemes %v) decoded to %v (err %v), want %v", st.Selected, got, err, sent)
 	}
-	accept(gs, got)
+	accept(gs, into[0])
 	if gs.parents[1] != allOnes || parentOf(gs.parents[1]) != largest || parentOf(gs.parents[2]) != largest || gs.parents[0] != 0 {
 		t.Fatalf("accepted candidates %v, want id %d at slots 1 and 2", gs.parents, int64(largest))
 	}

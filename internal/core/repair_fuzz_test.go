@@ -27,7 +27,7 @@ var (
 		{1, 1, 1}, {1, 1, 2}, {1, 1, 4}, {2, 1, 1}, {3, 1, 2}, {1, 2, 2}, {5, 1, 1}, {2, 2, 2}, {3, 1, 4},
 	}
 	chainExchanges = []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid}
-	chainModes     = []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeRaw, wire.ModeDelta, wire.ModeBitmap}
+	chainModes     = []wire.Mode{wire.ModeOff, wire.ModeAdaptive}
 	// Thresholds: every vertex with an edge a delegate, the 4n/p rule (-1),
 	// two fixed ones that straddle an RMAT graph's median degree, and none.
 	chainThresholds = []int64{0, -1, 8, 32, 1 << 40}

@@ -199,9 +199,10 @@ func TestOverridesValidated(t *testing.T) {
 	p := buildPlanT(t, 11, ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 1}, DefaultOptions(), false)
 	ctx := context.Background()
 
-	bad := wire.Mode(99)
-	if _, err := p.Run(ctx, 1, Overrides{Compression: &bad}); err == nil {
-		t.Fatal("plan accepted an invalid compression override")
+	for _, bad := range []wire.Mode{2, 3, 4, 99} {
+		if _, err := p.Run(ctx, 1, Overrides{Compression: &bad}); err == nil {
+			t.Fatalf("plan accepted compression override %d", bad)
+		}
 	}
 	badX := Exchange(7)
 	if _, err := p.Run(ctx, 1, Overrides{Exchange: &badX}); err == nil {

@@ -260,13 +260,13 @@ func repairCounted(s *Session, in *repairIn, hook mpi.SendHook) *metrics.RunResu
 // records ride the same exchange under the same rule.
 func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
-	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive, wire.ModeBitmap} {
+	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
 		opts := DefaultOptions()
 		opts.CollectLevels = false
 		opts.Compression = mode
 		el, p := webPlan(t, 10, shape, opts)
 		// What a message without ids looks like on the wire.
-		empty, _ := wire.EncodeRank(make([][]uint32, shape.GPUsPerRank), mode)
+		empty, _ := (*wire.Selector)(nil).AppendRankSection(nil, wire.Section{Slots: make([][]uint32, shape.GPUsPerRank)}, 0, mode)
 		var delivered, emptyDelivered atomic.Int64
 		hook := func(_, _, _ int, data []byte) []byte {
 			delivered.Add(1)

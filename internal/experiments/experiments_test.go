@@ -401,11 +401,12 @@ func TestFig1IncludesSimPoint(t *testing.T) {
 
 func TestCmp1Shape(t *testing.T) {
 	tab := runExp(t, "cmp1")
-	if len(tab.Rows) != 12 {
-		t.Fatalf("cmp1 has %d rows, want 12 (2 graphs × 6 variants)", len(tab.Rows))
+	if len(tab.Rows) != 6 {
+		t.Fatalf("cmp1 has %d rows, want 6 (2 graphs × 3 variants)", len(tab.Rows))
 	}
-	// Per graph: adaptive must save bytes (positive %), never lose to any
-	// forced scheme, and cut end-to-end time versus off.
+	// Per graph: adaptive must save bytes (positive %) and cut end-to-end
+	// time versus off. That it is never larger than any single scheme is
+	// internal/wire's TestAdaptiveSelectsSmallest.
 	byKey := map[string][]string{}
 	for _, row := range tab.Rows {
 		byKey[row[0]+"/"+row[1]] = row
@@ -420,12 +421,6 @@ func TestCmp1Shape(t *testing.T) {
 		}
 		if cellFloat(t, off[4]) != 0 {
 			t.Errorf("%s: off row reports nonzero savings", g)
-		}
-		adaptiveWire := cellFloat(t, adaptive[3])
-		for _, forced := range []string{"raw", "delta", "bitmap"} {
-			if fw := cellFloat(t, byKey[g+"/"+forced][3]); adaptiveWire > fw+0.05 {
-				t.Errorf("%s: adaptive wire %.1f kB exceeds forced %s %.1f kB", g, adaptiveWire, forced, fw)
-			}
 		}
 		// Codec compute is charged to the model now: zero with the codec
 		// off, nonzero for adaptive — and compression still wins end to

@@ -195,14 +195,6 @@ func (in *Injector) Injected() int64 {
 	return in.injected.Load()
 }
 
-// Kind returns the armed fault kind (KindNone for a nil injector).
-func (in *Injector) ArmedKind() Kind {
-	if in == nil {
-		return KindNone
-	}
-	return in.kind
-}
-
 // splitmix64 is the avalanche of the SplitMix64 generator — a cheap, strong
 // bit mixer for decision hashing.
 func splitmix64(x uint64) uint64 {

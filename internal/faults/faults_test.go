@@ -150,7 +150,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if out := in.Payload(0, 0, SiteExchange, data); &out[0] != &data[0] {
 		t.Fatal("nil injector copied the payload")
 	}
-	if in.Stall(0, 0, SiteIter) != 0 || in.Injected() != 0 || in.ArmedKind() != KindNone {
+	if in.Stall(0, 0, SiteIter) != 0 || in.Injected() != 0 {
 		t.Fatal("nil injector not inert")
 	}
 	in.Crash(0, 0, SiteIter)

@@ -116,7 +116,7 @@ func (b *Bins) UniquifyAll(scratch *[]uint32) int64 {
 // PackRank serializes the bins destined for the GPUs of one rank in the
 // unframed fixed-width layout: for each slot s in [0, gpusPerRank), a uint32
 // count followed by count uint32 ids. The library's messages are wire blocks
-// (wire.EncodeRank); see the package comment.
+// (wire.Selector.AppendRankSection); see the package comment.
 func (b *Bins) PackRank(rank, gpusPerRank int) []byte {
 	return AppendRank(nil, b.PerGPU[rank*gpusPerRank:(rank+1)*gpusPerRank])
 }

@@ -34,16 +34,31 @@ func benchShapes() map[string][]uint32 {
 	}
 }
 
-// BenchmarkEncode measures every codec scheme (plus adaptive selection) on
-// each payload shape, reporting output bytes per input id.
+// BenchmarkEncode measures every scheme's writer (delta and bitmap on the
+// presorted ids, bitmap where the shape is a set) and the adaptive mode,
+// selection and sort included, on each payload shape, reporting output bytes
+// per input id.
 func BenchmarkEncode(b *testing.B) {
 	for name, ids := range benchShapes() {
-		for _, mode := range []Mode{ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap} {
-			b.Run(fmt.Sprintf("%s/%v", name, mode), func(b *testing.B) {
+		type writer struct {
+			name  string
+			write func(dst []byte) []byte
+		}
+		sorted := sortedOf(ids)
+		writers := []writer{
+			{"raw", func(dst []byte) []byte { return appendRaw(dst, ids, 0) }},
+			{"delta", func(dst []byte) []byte { return appendDelta(dst, sorted, 0) }},
+			{"adaptive", func(dst []byte) []byte { dst, _ = appendIDs(dst, ids, ModeAdaptive, HintNone, nil, 0); return dst }},
+		}
+		if bitmapFits(ids) {
+			writers = append(writers, writer{"bitmap", func(dst []byte) []byte { return appendBitmap(dst, sorted, 0) }})
+		}
+		for _, w := range writers {
+			b.Run(fmt.Sprintf("%s/%s", name, w.name), func(b *testing.B) {
 				b.SetBytes(4 * int64(len(ids)))
 				var buf []byte
 				for i := 0; i < b.N; i++ {
-					buf, _ = Append(buf[:0], ids, mode)
+					buf = w.write(buf[:0])
 				}
 				b.ReportMetric(float64(len(buf))/float64(len(ids)), "bytes/id")
 			})
@@ -51,15 +66,17 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode measures decoding each scheme's output per payload shape.
+// BenchmarkDecode measures decoding each scheme's block per payload shape.
 func BenchmarkDecode(b *testing.B) {
 	for name, ids := range benchShapes() {
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeBitmap} {
-			buf, scheme := Append(nil, ids, mode)
-			b.Run(fmt.Sprintf("%s/%v", name, scheme), func(b *testing.B) {
+		for _, e := range encodings(ids) {
+			if e.by == "adaptive" {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%v", name, e.scheme), func(b *testing.B) {
 				b.SetBytes(4 * int64(len(ids)))
 				for i := 0; i < b.N; i++ {
-					if _, _, _, err := Decode(buf); err != nil {
+					if _, _, _, err := decodeOne(e.buf); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -69,20 +86,26 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkEncodeRank measures the whole-message path used by the engine's
-// exchange (four slots of mixed shape).
+// exchange (four slots of mixed shape), encode and decode.
 func BenchmarkEncodeRank(b *testing.B) {
 	shapes := benchShapes()
 	slots := [][]uint32{shapes["dense"], shapes["clustered"], shapes["scattered"], nil}
-	for _, mode := range []Mode{ModeAdaptive, ModeRaw} {
+	for _, mode := range modes {
 		b.Run(mode.String(), func(b *testing.B) {
 			var raw int64
 			for _, s := range slots {
 				raw += 4 * int64(len(s))
 			}
 			b.SetBytes(raw)
+			sel := new(Selector)
+			var buf []byte
+			into := make([][]uint32, len(slots))
 			for i := 0; i < b.N; i++ {
-				buf, _ := EncodeRank(slots, mode)
-				if _, err := DecodeRank(buf, len(slots)); err != nil {
+				buf, _ = sel.AppendRank(buf[:0], 0, slots, nil, mode)
+				for s := range into {
+					into[s] = into[s][:0]
+				}
+				if err := DecodeRankInto(buf, into); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,8 +141,8 @@ func BenchmarkButterflyRelay(b *testing.B) {
 		return secs
 	}
 	held := draw()
-	for _, mode := range []Mode{ModeAdaptive, ModeDelta} {
-		in, st := NewSelector().EncodeSections(draw(), 0, mode)
+	for _, mode := range []Mode{ModeAdaptive, ModeOff} {
+		in, st := new(Selector).AppendSections(nil, draw(), 0, mode)
 		read := st.RawBytes / 4
 		for _, sec := range held {
 			for _, ids := range sec.Slots {
@@ -129,7 +152,7 @@ func BenchmarkButterflyRelay(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var arena frontier.Arena
 			var scratch SectionScratch
-			sel := NewSelector()
+			sel := new(Selector)
 			out := make([]Section, ranks)
 			for r := range out {
 				out[r] = Section{Rank: r, Slots: make([][]uint32, pgpu), Hints: make([]Hint, pgpu)}
@@ -183,14 +206,14 @@ func replayBlocks() (blocks [][]frontier.Pair, pairs int) {
 }
 
 // BenchmarkPairsCodec encodes and decodes replay-shaped pair blocks
-// (replayBlocks) in raw and adaptive mode, reporting ns and encoded bytes per
-// pair.
+// (replayBlocks) in both modes (off writes raw blocks), reporting ns and
+// encoded bytes per pair.
 func BenchmarkPairsCodec(b *testing.B) {
 	blocks, pairs := replayBlocks()
-	for _, mode := range []Mode{ModeRaw, ModeAdaptive} {
+	for _, mode := range modes {
 		var msg []byte
 		for _, blk := range blocks {
-			msg, _ = AppendPairs(msg, blk, mode)
+			msg, _ = appendPairs(msg, blk, mode)
 		}
 		perPair := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
@@ -201,7 +224,7 @@ func BenchmarkPairsCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf = buf[:0]
 				for _, blk := range blocks {
-					buf, _ = AppendPairs(buf, blk, mode)
+					buf, _ = appendPairs(buf, blk, mode)
 				}
 			}
 			perPair(b)

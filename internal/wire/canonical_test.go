@@ -9,15 +9,15 @@ import (
 	"gcbfs/internal/frontier"
 )
 
-// codecModes are the modes an encoder accepts.
-var codecModes = []Mode{ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap}
+// modes are the modes an encoder accepts.
+var modes = []Mode{ModeOff, ModeAdaptive}
 
 // TestAppendPermutationInvariant pins what lets the engine sort a block once
 // where it is staged and encode it presorted ever after: the bytes of a block
 // depend on the id multiset only. A shuffled input, the sorted input and the
-// sorted input with the presorted hint all encode identically under every
-// scheme that canonicalizes; a raw block keeps sender order, so there only
-// the length is equal.
+// sorted input with the presorted hint all encode identically in every mode
+// whenever the scheme written canonicalizes; a raw block keeps sender order,
+// so there only the length is equal.
 func TestAppendPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 200; trial++ {
@@ -30,11 +30,11 @@ func TestAppendPermutationInvariant(t *testing.T) {
 		slices.Sort(sorted)
 		before := slices.Clone(ids)
 		var sortBuf []uint32
-		for _, mode := range codecModes {
-			shuffled, scheme := Append(nil, ids, mode)
-			plain, _ := Append(nil, sorted, mode)
-			hinted, hintedScheme := AppendSorted(nil, sorted, mode, true)
-			viaScratch, _ := appendSorted(nil, ids, mode, HintNone, &sortBuf, 0)
+		for _, mode := range modes {
+			shuffled, scheme := appendIDs(nil, ids, mode, HintNone, nil, 0)
+			plain, _ := appendIDs(nil, sorted, mode, HintNone, nil, 0)
+			hinted, hintedScheme := appendIDs(nil, sorted, mode, HintSorted, nil, 0)
+			viaScratch, _ := appendIDs(nil, ids, mode, HintNone, &sortBuf, 0)
 			if scheme != hintedScheme {
 				t.Fatalf("trial %d %v: scheme %v shuffled, %v presorted", trial, mode, scheme, hintedScheme)
 			}
@@ -55,7 +55,7 @@ func TestAppendPermutationInvariant(t *testing.T) {
 			}
 		}
 		if !slices.Equal(ids, before) {
-			t.Fatalf("trial %d: Append mutated its input", trial)
+			t.Fatalf("trial %d: an encoder mutated its input", trial)
 		}
 	}
 }
@@ -63,8 +63,9 @@ func TestAppendPermutationInvariant(t *testing.T) {
 // TestAppendPairsPermutationInvariant is the pairs counterpart, where no
 // order is canonical: a block's length is a function of the pair multiset
 // (a packed frame is its columns' minima and maxima), so every permutation of
-// the pairs encodes to the same length under every mode, each block decodes to
-// its own input order, and the encoder leaves its input as it was.
+// the pairs encodes to the same length through every writer and in every
+// mode, each block decodes to its own input order, and the encoder leaves its
+// input as it was.
 func TestAppendPairsPermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 200; trial++ {
@@ -76,26 +77,31 @@ func TestAppendPairsPermutationInvariant(t *testing.T) {
 		shuffled := slices.Clone(pairs)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		before, shuffledBefore := slices.Clone(pairs), slices.Clone(shuffled)
-		for _, mode := range codecModes {
-			a, scheme := AppendPairs(nil, pairs, mode)
-			b, bScheme := AppendPairs(nil, shuffled, mode)
+		for _, enc := range pairEncoders {
+			a, scheme := enc.encode(pairs)
+			b, bScheme := enc.encode(shuffled)
 			if scheme != bScheme || len(a) != len(b) {
-				t.Fatalf("trial %d %v: %v block of %d bytes, a permutation's %v block of %d", trial, mode, scheme, len(a), bScheme, len(b))
+				t.Fatalf("trial %d %s: %v block of %d bytes, a permutation's %v block of %d", trial, enc.name, scheme, len(a), bScheme, len(b))
 			}
 			for _, tc := range []struct {
 				buf  []byte
 				want []frontier.Pair
 			}{{a, pairs}, {b, shuffled}} {
-				got, _, _, err := DecodePairs(tc.buf)
+				got, _, _, err := decodePairsInto(tc.buf, nil)
 				if err != nil || !slices.Equal(got, tc.want) {
-					t.Fatalf("trial %d %v/%v: decoded %d pairs out of input order (err %v)", trial, mode, scheme, len(got), err)
+					t.Fatalf("trial %d %s/%v: decoded %d pairs out of input order (err %v)", trial, enc.name, scheme, len(got), err)
 				}
 			}
 		}
 		if !slices.Equal(pairs, before) || !slices.Equal(shuffled, shuffledBefore) {
-			t.Fatalf("trial %d: AppendPairs mutated its input", trial)
+			t.Fatalf("trial %d: a pairs encoder mutated its input", trial)
 		}
 	}
+}
+
+// decodeSections parses a hop message of plain ids with plain allocation.
+func decodeSections(buf []byte, gpusPerRank, ranks int) ([]Section, error) {
+	return DecodeSectionsScratch(buf, gpusPerRank, 0, ranks, nil, nil, nil)
 }
 
 // TestDecodeSectionsRawSortedFlag checks the decoded hint is derived from the
@@ -110,34 +116,37 @@ func TestDecodeSectionsRawSortedFlag(t *testing.T) {
 		sent []Hint
 		want []Hint
 	}{
-		{ModeRaw, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet},
+		{ModeOff, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet},
 			[]Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
 		// A sender that vouches for nothing gets the same answer.
-		{ModeRaw, nil, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
 		{ModeOff, nil, []Hint{HintSorted, HintNone, HintSet, HintSet, HintSet}},
-		// Delta canonicalizes the order; only the repeat survives as a hint.
-		{ModeDelta, nil, []Hint{HintSorted, HintSet, HintSet, HintSet, HintSet}},
+		// Adaptive writes every non-empty slot here as delta, which
+		// canonicalizes the order; only the repeat survives as a hint.
+		{ModeAdaptive, nil, []Hint{HintSorted, HintSet, HintSet, HintSet, HintSet}},
 	} {
 		secs := []Section{{Rank: 1, Slots: slots, Hints: tc.sent}}
-		msg, _ := (*Selector)(nil).EncodeSections(secs, 0, tc.mode)
-		got, err := DecodeSections(msg, len(slots), 2)
+		msg, st := (*Selector)(nil).AppendSections(nil, secs, 0, tc.mode)
+		if tc.mode == ModeAdaptive && st.Selected[SchemeDelta] != 4 {
+			t.Fatalf("adaptive wrote %v, want a delta block for every non-empty slot", st.Selected)
+		}
+		got, err := decodeSections(msg, len(slots), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got[0].Hints, tc.want) {
 			t.Fatalf("%v (sent %v): Hints = %v, want %v", tc.mode, tc.sent, got[0].Hints, tc.want)
 		}
-		if tc.mode != ModeDelta && !slices.Equal(got[0].Slots[1], []uint32{40, 3, 9}) {
+		if tc.mode == ModeOff && !slices.Equal(got[0].Slots[1], []uint32{40, 3, 9}) {
 			t.Fatalf("%v: raw block reordered: %v", tc.mode, got[0].Slots[1])
 		}
 	}
 	// A bitmap block holds a set and says so.
-	set := []uint32{1, 2, 3, 5, 8, 13, 21, 34}
-	msg, st := (*Selector)(nil).EncodeSections([]Section{{Rank: 0, Slots: [][]uint32{set}, Hints: []Hint{HintSet}}}, 0, ModeBitmap)
+	set := seq(1, 60)
+	msg, st := (*Selector)(nil).AppendSections(nil, []Section{{Rank: 0, Slots: [][]uint32{set}, Hints: []Hint{HintSet}}}, 0, ModeAdaptive)
 	if st.Selected[SchemeBitmap] != 1 {
-		t.Fatalf("forced bitmap picked %v", st.Selected)
+		t.Fatalf("adaptive wrote %v for a dense set, want bitmap", st.Selected)
 	}
-	got, err := DecodeSections(msg, 1, 1)
+	got, err := decodeSections(msg, 1, 1)
 	if err != nil || got[0].Hints[0] != HintSet || !slices.Equal(got[0].Slots[0], set) {
 		t.Fatalf("bitmap block: %v hints %v ids %v", err, got[0].Hints, got[0].Slots[0])
 	}
@@ -145,7 +154,7 @@ func TestDecodeSectionsRawSortedFlag(t *testing.T) {
 
 // TestHintSetMatchesUnhinted: the set hint spares the encoder its sort and its
 // duplicate scan and must change nothing else — a set encodes to the same
-// bytes under every hint that is true of it, in every mode.
+// bytes under every hint that is true of it, in both modes.
 func TestHintSetMatchesUnhinted(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 200; trial++ {
@@ -159,10 +168,10 @@ func TestHintSetMatchesUnhinted(t *testing.T) {
 			}
 		}
 		slices.Sort(set)
-		for _, mode := range []Mode{ModeOff, ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap} {
-			want, wantScheme := appendSorted(nil, set, mode, HintNone, nil, 7)
+		for _, mode := range modes {
+			want, wantScheme := appendIDs(nil, set, mode, HintNone, nil, 7)
 			for _, hint := range []Hint{HintSorted, HintSet} {
-				got, scheme := appendSorted(nil, set, mode, hint, nil, 7)
+				got, scheme := appendIDs(nil, set, mode, hint, nil, 7)
 				if scheme != wantScheme || !slices.Equal(got, want) {
 					t.Fatalf("trial %d %v: hint %d changed the block (%v vs %v)", trial, mode, hint, scheme, wantScheme)
 				}

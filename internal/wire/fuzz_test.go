@@ -6,12 +6,14 @@ package wire
 // allocation (the bitmap scheme's 64 ids per 8-byte word bounds any honest
 // decode to at most 8 ids per input byte, plus small framing slack).
 //
-// Seed corpora live in testdata/fuzz/<target>/ (valid one-block encodings of
-// every scheme plus truncations); `go test` replays them on every run, and
-// `go test -fuzz=FuzzDecode...` explores from there.
+// Seed corpora live in testdata/fuzz/<target>/ (valid encodings of every
+// scheme, from its writer or from the adaptive mode on shaped inputs, plus
+// truncations; corpusgen_test.go writes them); `go test` replays them on every
+// run, and `go test -fuzz=FuzzDecode...` explores from there.
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"gcbfs/internal/frontier"
@@ -28,46 +30,79 @@ func checkErr(t *testing.T, err error) {
 	}
 }
 
-// seedBlocks yields valid single-block encodings across schemes, plus
-// truncated and bit-flipped variants — the corpus floor every target shares.
-func seedBlocks(f *testing.F, encode func(ids []uint32, mode Mode) []byte) {
-	idSets := [][]uint32{
-		{},
-		{1, 2, 3},
-		{0, 7, 63, 64, 65, 1 << 20, 1<<32 - 1},
-		{5, 5, 5, 9},
+// seedIDSets are the id lists every id target's seeds encode.
+var seedIDSets = [][]uint32{
+	{},
+	{1, 2, 3},
+	{0, 7, 63, 64, 65, 1 << 20, 1<<32 - 1},
+	{5, 5, 5, 9},
+}
+
+// seedEncodings returns ids as the four blocks the id targets' seeds take of
+// them, each through its writer: raw, delta, bitmap — delta again where a
+// bitmap cannot carry the ids (a repeat, or an id near 2^32; see bitmapFits)
+// — and the block the adaptive mode picks.
+func seedEncodings(ids []uint32) [][]byte {
+	sorted := sortedOf(ids)
+	bitmap := appendDelta(nil, sorted, 0)
+	if bitmapFits(ids) {
+		bitmap = appendBitmap(nil, sorted, 0)
 	}
-	for _, ids := range idSets {
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeBitmap, ModeAdaptive} {
-			b := encode(ids, mode)
-			f.Add(b)
-			if len(b) > 2 {
-				f.Add(b[:len(b)/2])
-				flipped := append([]byte(nil), b...)
-				flipped[len(flipped)/2] ^= 0x10
-				f.Add(flipped)
-			}
+	adaptive, _ := encodeAdaptive(ids)
+	return [][]byte{appendRaw(nil, ids, 0), appendDelta(nil, sorted, 0), bitmap, adaptive}
+}
+
+// blockVariants returns b and, when it is longer than two bytes, its first
+// half and a copy with one bit flipped.
+func blockVariants(b []byte) [][]byte {
+	if len(b) <= 2 {
+		return [][]byte{b}
+	}
+	flipped := append([]byte(nil), b...)
+	flipped[len(flipped)/2] ^= 0x10
+	return [][]byte{b, b[:len(b)/2], flipped}
+}
+
+// blockSeeds returns the corpus floor every id target shares: each
+// seedEncodings block of each seedIDSets list, wrapped into the target's
+// message, with its variants; then an empty and a one-byte input.
+func blockSeeds(wrap func(block []byte) []byte) [][]byte {
+	var out [][]byte
+	for _, ids := range seedIDSets {
+		for _, block := range seedEncodings(ids) {
+			out = append(out, blockVariants(wrap(block))...)
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0xff})
+	return append(out, []byte{}, []byte{0xff})
 }
+
+// twoSlots wraps a block as a two-slot rank message holding it twice.
+func twoSlots(block []byte) []byte { return slices.Concat(block, block) }
+
+// The message seeds' modes, in corpus order. The committed files were
+// written when raw and packed could still be forced; on these seed inputs
+// those modes wrote the bytes ModeOff and ModeAdaptive write, so those two
+// stand in their places and every file keeps its name and its bytes.
+var (
+	sectionSeedModes = []Mode{ModeOff, ModeOff, ModeAdaptive}               // off, raw, adaptive
+	laneSeedModes    = []Mode{ModeOff, ModeOff, ModeAdaptive, ModeAdaptive} // off, raw, packed, adaptive
+	recordSeedModes  = []Mode{ModeOff, ModeAdaptive, ModeAdaptive}          // raw, delta, adaptive
+)
 
 // packedPairSeed is a valid packed pairs block: a scheme byte no id or record
 // decoder may accept.
 func packedPairSeed() []byte {
-	b, _ := AppendPairs(nil, []frontier.Pair{{ID: 1, Val: 2}, {ID: 3, Val: 4<<32 | 1}}, ModeDelta)
+	b, _ := packedEncoder.encode([]frontier.Pair{{ID: 1, Val: 2}, {ID: 3, Val: 4<<32 | 1}})
 	return b
 }
 
 func FuzzDecode(f *testing.F) {
-	seedBlocks(f, func(ids []uint32, mode Mode) []byte {
-		b, _ := Append(nil, ids, mode)
-		return b
-	})
+	for _, b := range blockSeeds(func(block []byte) []byte { return block }) {
+		f.Add(b)
+	}
 	f.Add(packedPairSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ids, n, _, err := Decode(data)
+		ids, n, _, err := decodeOne(data)
 		checkErr(t, err)
 		if err != nil {
 			return
@@ -82,13 +117,13 @@ func FuzzDecode(f *testing.F) {
 }
 
 func FuzzDecodeRank(f *testing.F) {
-	seedBlocks(f, func(ids []uint32, mode Mode) []byte {
-		b, _ := EncodeRank([][]uint32{ids, ids}, mode)
-		return b
-	})
+	for _, b := range blockSeeds(twoSlots) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gpus := range []int{1, 2, 4} {
-			slots, err := DecodeRank(data, gpus)
+			slots := make([][]uint32, gpus)
+			err := DecodeRankInto(data, slots)
 			checkErr(t, err)
 			if err != nil {
 				continue
@@ -99,11 +134,6 @@ func FuzzDecodeRank(f *testing.F) {
 			}
 			if total > idBound(len(data)) {
 				t.Fatalf("decoded %d ids from %d bytes (%d slots) — over-allocation", total, len(data), gpus)
-			}
-			// The zero-copy path must agree with the allocating one.
-			into := make([][]uint32, gpus)
-			if err := DecodeRankInto(data, into); err != nil {
-				t.Fatalf("DecodeRank accepted but DecodeRankInto rejected: %v", err)
 			}
 		}
 	})
@@ -121,22 +151,25 @@ var fuzzPairSets = [][]frontier.Pair{
 	{{ID: 700, Val: 4093<<32 | 3}, {ID: 12, Val: 60000<<32 | 2}, {ID: 513, Val: 4093<<32 | 3}, {ID: 12, Val: 17<<32 | 2}},
 }
 
-func FuzzDecodePairs(f *testing.F) {
+// pairBlockSeeds returns each fuzzPairSets list through each encoder, whole
+// and truncated.
+func pairBlockSeeds(encoders ...pairEncoder) [][]byte {
+	var out [][]byte
 	for _, pairs := range fuzzPairSets {
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeAdaptive} {
-			b, _ := AppendPairs(nil, pairs, mode)
-			f.Add(b)
-			if len(b) > 2 {
-				f.Add(b[:len(b)-2])
-			}
+		for _, enc := range encoders {
+			b, _ := enc.encode(pairs)
+			out = append(out, b, b[:len(b)-2])
 		}
 	}
-	f.Add([]byte{})
-	for _, b := range lanePairSeeds(ModeOff, ModeRaw, ModeDelta, ModeAdaptive) {
+	return out
+}
+
+func FuzzDecodePairs(f *testing.F) {
+	for _, b := range slices.Concat(pairBlockSeeds(pairEncoders...), [][]byte{{}}, lanePairSeeds(laneSeedModes...)) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pairs, n, _, err := DecodePairs(data)
+		pairs, n, _, err := decodePairsInto(data, nil)
 		checkErr(t, err)
 		if err == nil {
 			if n > len(data) {
@@ -196,24 +229,29 @@ func lanePairSeeds(modes ...Mode) [][]byte {
 	return out
 }
 
-func FuzzDecodeRecords(f *testing.F) {
+// recordBlockSeeds returns one record block of ids {3, 9, 300} per mode, at
+// w = 1 and 2, each whole and truncated: raw ids and raw masks under ModeOff,
+// delta ids and sparse masks under ModeAdaptive.
+func recordBlockSeeds(modes ...Mode) [][]byte {
+	var out [][]byte
 	for _, w := range []int{1, 2} {
 		ids := []uint32{3, 9, 300}
 		masks := make([]uint64, len(ids)*w)
 		for i := range masks {
 			masks[i] = uint64(i + 1)
 		}
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeAdaptive} {
+		for _, mode := range modes {
 			b, _, _ := AppendRecords(nil, ids, masks, w, mode)
-			f.Add(b)
-			if len(b) > 2 {
-				f.Add(b[:len(b)-2])
-			}
+			out = append(out, b, b[:len(b)-2])
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x00})
-	f.Add(packedPairSeed())
+	return out
+}
+
+func FuzzDecodeRecords(f *testing.F) {
+	for _, b := range slices.Concat(recordBlockSeeds(recordSeedModes...), [][]byte{{}, {0x01, 0x00}, packedPairSeed()}) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, w := range []int{1, 2} {
 			ids, masks, n, err := DecodeRecordsAppend(data, w, nil, nil)
@@ -235,26 +273,39 @@ func FuzzDecodeRecords(f *testing.F) {
 	})
 }
 
-func FuzzDecodeSections(f *testing.F) {
+// sectionSeeds returns a two-section hop message of plain ids per mode, each
+// whole and truncated.
+func sectionSeeds(modes ...Mode) [][]byte {
 	secs := []Section{
 		{Rank: 0, Slots: [][]uint32{{1, 2}, {3}}},
 		{Rank: 1, Slots: [][]uint32{{}, {4, 5, 6}}},
 	}
-	for _, mode := range []Mode{ModeOff, ModeRaw, ModeAdaptive} {
-		b, _ := (*Selector)(nil).EncodeSections(secs, 0, mode)
-		f.Add(b)
-		if len(b) > 2 {
-			f.Add(b[:len(b)-2])
-		}
+	var out [][]byte
+	for _, mode := range modes {
+		b, _ := (*Selector)(nil).AppendSections(nil, secs, 0, mode)
+		out = append(out, b, b[:len(b)-2])
 	}
-	// Every hint a decode can report: a repeat in a delta stream, a raw block
-	// out of order, a bitmap.
-	for _, mode := range []Mode{ModeDelta, ModeRaw, ModeBitmap} {
-		b, _ := (*Selector)(nil).EncodeSections([]Section{{Rank: 2, Slots: [][]uint32{{7, 7, 9}, {9, 7, 8}}}, {Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, nil}}}, 0, mode)
+	return out
+}
+
+func FuzzDecodeSections(f *testing.F) {
+	for _, b := range sectionSeeds(sectionSeedModes...) {
+		f.Add(b)
+	}
+	// Every hint a decode can report: ModeOff's raw blocks ascending with a
+	// repeat, out of order and a set; adaptive's delta blocks with a repeat
+	// and without, a bitmap and a raw block out of order.
+	shaped := []Section{{Rank: 2, Slots: [][]uint32{{7, 7, 9}, {9, 7, 8}}}, {Rank: 3, Slots: [][]uint32{{0, 1, 2, 3, 5}, nil}}}
+	dense := []Section{{Rank: 1, Slots: [][]uint32{seq(0, 64), {4000000000, 1000000000}}}}
+	for _, tc := range []struct {
+		secs []Section
+		mode Mode
+	}{{shaped, ModeOff}, {shaped, ModeAdaptive}, {dense, ModeAdaptive}} {
+		b, _ := (*Selector)(nil).AppendSections(nil, tc.secs, 0, tc.mode)
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	for _, b := range recordSectionSeeds(ModeOff, ModeRaw, ModeAdaptive) {
+	for _, b := range recordSectionSeeds(sectionSeedModes...) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -307,7 +358,7 @@ func recordSectionSeeds(modes ...Mode) [][]byte {
 			}
 		}
 		for _, mode := range modes {
-			b, _ := (*Selector)(nil).EncodeSections(secs, w, mode)
+			b, _ := (*Selector)(nil).AppendSections(nil, secs, w, mode)
 			out = append(out, b, b[:len(b)-2])
 		}
 	}

@@ -10,14 +10,15 @@ package wire
 
 // EncodedMaskBytes returns the wire size of one block encoding the set-bit
 // ids of a delegate mask under mode (ids must be sorted ascending, as a
-// mask's bit order guarantees). Callers compare the result against the
-// mask's native bitmap size and ship the smaller form; a dense mask encodes
-// as a bitmap block a few framing bytes over its native size, so the native
-// form wins exactly when the codec has nothing to offer.
+// mask's bit order guarantees), from the schemes' exact sizes — nothing is
+// encoded. Callers compare the result against the mask's native bitmap size
+// and ship the smaller form; a dense mask encodes as a bitmap block a few
+// framing bytes over its native size, so the native form wins exactly when
+// the codec has nothing to offer.
 func EncodedMaskBytes(ids []uint32, mode Mode) int64 {
 	if mode == ModeOff {
 		return 4 * int64(len(ids))
 	}
-	buf, _ := AppendSorted(nil, ids, mode, true)
-	return int64(len(buf))
+	_, size := smallestScheme(ids, isUnique(ids))
+	return int64(blockLen(len(ids), size))
 }

@@ -22,18 +22,15 @@ func TestEncodedMaskBytes(t *testing.T) {
 		t.Fatalf("dense mask encoded to %d B, want within framing of native %d B", got, native)
 	}
 
-	// Round trip through the underlying block.
-	buf, scheme := AppendSorted(nil, sparse, ModeAdaptive, true)
-	ids, n, gotScheme, err := Decode(buf)
-	if err != nil || n != len(buf) || gotScheme != scheme {
-		t.Fatalf("decode: ids=%v n=%d scheme=%v err=%v", ids, n, gotScheme, err)
-	}
-	if len(ids) != len(sparse) {
-		t.Fatalf("round trip lost ids: %v", ids)
-	}
-	for i := range sparse {
-		if ids[i] != sparse[i] {
-			t.Fatalf("round trip id %d: %d, want %d", i, ids[i], sparse[i])
+	// The size is the block's, which round-trips to the identical id set.
+	for _, ids := range [][]uint32{sparse, dense, nil} {
+		buf, _ := appendIDs(nil, ids, ModeAdaptive, HintSorted, nil, 0)
+		if got := EncodedMaskBytes(ids, ModeAdaptive); got != int64(len(buf)) {
+			t.Fatalf("%d ids: EncodedMaskBytes %d, the block is %d bytes", len(ids), got, len(buf))
+		}
+		got, n, _, err := decodeOne(buf)
+		if err != nil || n != len(buf) || !equalIDs(got, ids) {
+			t.Fatalf("decode: ids=%v n=%d err=%v", got, n, err)
 		}
 	}
 

@@ -21,7 +21,7 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 	slots := [][]uint32{{40, 3, 9, 9, 1 << 31}, nil, {7}}
 	pairs := [][]frontier.Pair{{{ID: 9, Val: 1 << 40}, {ID: 2, Val: 0}, {ID: 9, Val: 5}}, nil}
 	recordIDs := [][]uint32{{3, 9, 300}, {12}}
-	sel := NewSelector()
+	sel := new(Selector)
 
 	type message struct {
 		name   string
@@ -33,12 +33,13 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 	}
 	var msgs []message
 
-	buf, st := sel.EncodeRank(1, slots, nil, ModeOff)
+	buf, st := sel.AppendRank(nil, 1, slots, nil, ModeOff)
 	msgs = append(msgs, message{
 		name: "rank", buf: buf, st: st, raw: 4 * 6,
 		decode: func(b []byte) error { return DecodeRankInto(b, make([][]uint32, len(slots))) },
 		same: func(t *testing.T, buf []byte) error {
-			got, err := DecodeRank(buf, len(slots))
+			got := make([][]uint32, len(slots))
+			err := DecodeRankInto(buf, got)
 			for s := range slots {
 				if err == nil && !slices.Equal(got[s], slots[s]) {
 					t.Fatalf("rank slot %d: got %v, want %v", s, got[s], slots[s])
@@ -49,15 +50,15 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 	})
 
 	secs := []Section{{Rank: 2, Slots: slots}, {Rank: 5, Slots: [][]uint32{nil, {8, 1}, nil}}}
-	buf, st = sel.EncodeSections(secs, 0, ModeOff)
+	buf, st = sel.AppendSections(nil, secs, 0, ModeOff)
 	msgs = append(msgs, message{
 		name: "sections", buf: buf, st: st, raw: 4 * 8,
 		decode: func(b []byte) error {
-			_, err := DecodeSections(b, len(slots), 8)
+			_, err := decodeSections(b, len(slots), 8)
 			return err
 		},
 		same: func(t *testing.T, buf []byte) error {
-			got, err := DecodeSections(buf, len(slots), 8)
+			got, err := decodeSections(buf, len(slots), 8)
 			for i := range secs {
 				if err != nil {
 					break
@@ -117,7 +118,7 @@ func TestModeOffMessagesAreChecksummed(t *testing.T) {
 		// sections' too — is seeded with the section's destination rank, so
 		// flipping the rank varint re-routes nothing silently.
 		secs := []Section{{Rank: 2, Slots: recordIDs, Masks: masks}, {Rank: 5, Slots: recordIDs, Masks: masks}}
-		buf, st = sel.EncodeSections(secs, w, ModeOff)
+		buf, st = sel.AppendSections(nil, secs, w, ModeOff)
 		decodeSecs := func(b []byte) ([]Section, error) {
 			return DecodeSectionsScratch(b, len(recordIDs), w, 8, nil, nil, nil)
 		}

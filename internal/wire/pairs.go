@@ -25,12 +25,12 @@ package wire
 //	        replaced.
 //
 // The packed size is exact from one min/max pass, so the adaptive mode picks
-// the smaller of the two per block at O(1) cost; the forced delta and bitmap
-// modes take packed, ModeRaw raw. ModeOff writes raw blocks and charges 12
-// bytes per pair (see wire.go). Callers that keep a payload's varying part in
-// few bits — parents.go packs parent<<32 | level, so a replay block's columns
-// are the destination's local slot, the sender's global id and the level —
-// get narrow columns.
+// the smaller of the two per block at O(1) cost, raw on a tie; each scheme has
+// one writer (appendRawPairs, appendPackedPairs). ModeOff writes raw blocks
+// and charges 12 bytes per pair (see wire.go). Callers that keep a payload's
+// varying part in few bits — parents.go packs parent<<32 | level, so a replay
+// block's columns are the destination's local slot, the sender's global id
+// and the level — get narrow columns.
 
 import (
 	"encoding/binary"
@@ -106,55 +106,45 @@ func (f *packedFrames) widths() uint64 {
 	return uint64(f[0].width) | uint64(f[1].width)<<6 | uint64(f[2].width)<<12
 }
 
-// pairsScheme maps a forced mode to the scheme a pairs block uses for it; the
-// adaptive mode starts from raw and takes packed when it is smaller.
-func pairsScheme(mode Mode) Scheme {
-	switch mode {
-	case ModeOff, ModeRaw, ModeAdaptive:
-		return SchemeRaw
-	case ModeDelta, ModeBitmap:
-		return SchemePacked
+// appendPairs encodes pairs as one block under mode and appends it to dst,
+// returning the extended buffer and the scheme written: raw under ModeOff;
+// under ModeAdaptive packed when its exact size is below raw's. The block
+// decodes to the pairs in their input order; the input is never mutated.
+func appendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
+	if mode != ModeOff {
+		if f := framePairs(pairs); f.payloadLen(len(pairs)) < 12*len(pairs) {
+			return appendPackedPairs(dst, pairs, &f), SchemePacked
+		}
 	}
-	panic(fmt.Sprintf("wire: AppendPairs called with mode %v", mode))
+	return appendRawPairs(dst, pairs), SchemeRaw
 }
 
-// AppendPairs encodes pairs as one block according to mode and appends it to
-// dst, returning the extended buffer and the scheme used (raw under ModeOff).
-// The block decodes to the pairs in their input order; the input is never
-// mutated.
-func AppendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
-	n := len(pairs)
-	scheme := pairsScheme(mode)
-	var f packedFrames
-	size := 12 * n
-	if scheme == SchemePacked || mode == ModeAdaptive {
-		f = framePairs(pairs)
-		if p := f.payloadLen(n); scheme == SchemePacked || p < size {
-			scheme, size = SchemePacked, p
-		}
-	}
-
+// appendRawPairs writes pairs as a raw block.
+func appendRawPairs(dst []byte, pairs []frontier.Pair) []byte {
 	start := len(dst)
-	dst = slices.Grow(dst, blockLen(n, size))
-	dst = append(dst, byte(scheme))
-	dst = binary.AppendUvarint(dst, uint64(n))
-	switch scheme {
-	case SchemeRaw:
-		for _, pr := range pairs {
-			dst = binary.LittleEndian.AppendUint32(dst, pr.ID)
-			dst = binary.LittleEndian.AppendUint64(dst, pr.Val)
-		}
-	case SchemePacked:
-		if n > 0 {
-			dst = binary.AppendUvarint(dst, f.widths())
-			for c := range f {
-				dst = appendColumn(dst, pairs, c, f[c])
-			}
+	dst = slices.Grow(dst, blockLen(len(pairs), 12*len(pairs)))
+	dst = appendHeader(dst, SchemeRaw, len(pairs))
+	for _, pr := range pairs {
+		dst = binary.LittleEndian.AppendUint32(dst, pr.ID)
+		dst = binary.LittleEndian.AppendUint64(dst, pr.Val)
+	}
+	return appendCRC(dst, start, 0)
+}
+
+// appendPackedPairs writes pairs as a packed block under frames f, which
+// must be framePairs(pairs).
+func appendPackedPairs(dst []byte, pairs []frontier.Pair, f *packedFrames) []byte {
+	n := len(pairs)
+	start := len(dst)
+	dst = slices.Grow(dst, blockLen(n, f.payloadLen(n)))
+	dst = appendHeader(dst, SchemePacked, n)
+	if n > 0 {
+		dst = binary.AppendUvarint(dst, f.widths())
+		for c := range f {
+			dst = appendColumn(dst, pairs, c, f[c])
 		}
 	}
-	sum := crc32.Checksum(dst[start:], crcTable)
-	dst = binary.LittleEndian.AppendUint32(dst, sum)
-	return dst, scheme
+	return appendCRC(dst, start, 0)
 }
 
 // bitWriter packs values LSB-first into whole bytes through a 64-bit
@@ -300,16 +290,11 @@ func unpackRange(out []frontier.Pair, src []byte, bit, w uint, c int, base uint3
 	}
 }
 
-// DecodePairs parses one pairs block at the start of buf, returning the
-// decoded pairs, the bytes consumed, and the scheme. Corruption in any form
-// yields an error, never silently wrong pairs.
-func DecodePairs(buf []byte) ([]frontier.Pair, int, Scheme, error) {
-	return decodePairsInto(buf, nil)
-}
-
-// decodePairsInto is DecodePairs writing over dst's backing array. Every
-// check — scheme, count against the bytes left, frames, length, checksum —
-// runs before dst is grown, so a hostile header allocates nothing.
+// decodePairsInto parses one pairs block at the start of buf, writing the
+// pairs over dst's backing array, and returns them, the bytes consumed and
+// the scheme. Corruption in any form yields an error, never silently wrong
+// pairs. Every check — scheme, count against the bytes left, frames, length,
+// checksum — runs before dst is grown, so a hostile header allocates nothing.
 func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Scheme, error) {
 	if len(buf) < 1+1+crcLen {
 		return nil, 0, 0, corruptf("wire: pairs block truncated (%d bytes)", len(buf))
@@ -382,7 +367,7 @@ func AppendPairsRank(buf []byte, slots [][]frontier.Pair, lanes [][]uint64, w in
 	start := len(buf)
 	for s, pairs := range slots {
 		var scheme Scheme
-		buf, scheme = AppendPairs(buf, pairs, mode)
+		buf, scheme = appendPairs(buf, pairs, mode)
 		if w > 0 {
 			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode), 0)
 		}

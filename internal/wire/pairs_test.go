@@ -24,43 +24,70 @@ func randPairs(rng *rand.Rand, n int) []frontier.Pair {
 	return pairs
 }
 
-// pairModes are the modes a pairs encoder accepts.
-var pairModes = []Mode{ModeOff, ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap}
+// pairEncoder is one way a test writes a pairs block.
+type pairEncoder struct {
+	name   string
+	encode func(pairs []frontier.Pair) ([]byte, Scheme)
+}
 
-// roundTripPairs encodes pairs under mode, decodes the block and fails unless
-// it consumed the whole block and gave back the pairs in their input order.
-func roundTripPairs(t *testing.T, what string, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
+// packedEncoder writes a packed block through its writer.
+var packedEncoder = pairEncoder{"packed", func(pairs []frontier.Pair) ([]byte, Scheme) {
+	f := framePairs(pairs)
+	return appendPackedPairs(nil, pairs, &f), SchemePacked
+}}
+
+// pairEncoders are the pairs writers and the adaptive mode (ModeOff writes
+// through the raw writer).
+var pairEncoders = []pairEncoder{
+	{"raw", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendRawPairs(nil, pairs), SchemeRaw }},
+	packedEncoder,
+	{"adaptive", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendPairs(nil, pairs, ModeAdaptive) }},
+}
+
+// roundTripPairs encodes pairs, decodes the block and fails unless it
+// consumed the whole block and gave back the pairs in their input order.
+func roundTripPairs(t *testing.T, what string, pairs []frontier.Pair, enc pairEncoder) ([]byte, Scheme) {
 	t.Helper()
 	before := slices.Clone(pairs)
-	buf, scheme := AppendPairs(nil, pairs, mode)
-	got, n, gotScheme, err := DecodePairs(buf)
+	buf, scheme := enc.encode(pairs)
+	got, n, gotScheme, err := decodePairsInto(buf, nil)
 	if err != nil {
-		t.Fatalf("%s %v: %v", what, mode, err)
+		t.Fatalf("%s %s: %v", what, enc.name, err)
 	}
 	if n != len(buf) || gotScheme != scheme {
-		t.Fatalf("%s %v: consumed %d of %d, scheme %v vs %v", what, mode, n, len(buf), gotScheme, scheme)
+		t.Fatalf("%s %s: consumed %d of %d, scheme %v vs %v", what, enc.name, n, len(buf), gotScheme, scheme)
 	}
 	if !slices.Equal(got, pairs) {
-		t.Fatalf("%s %v/%v: decoded %v, want %v", what, mode, scheme, got, pairs)
+		t.Fatalf("%s %s/%v: decoded %v, want %v", what, enc.name, scheme, got, pairs)
 	}
 	if !slices.Equal(pairs, before) {
-		t.Fatalf("%s %v: the encoder mutated its input", what, mode)
+		t.Fatalf("%s %s: the encoder mutated its input", what, enc.name)
 	}
 	return buf, scheme
 }
 
-// TestPairsRoundTrip checks every pairs mode round-trips the pairs in their
-// input order, with the scheme the mode forces.
+// TestPairsRoundTrip checks every pairs writer and the adaptive mode
+// round-trip the pairs in their input order; the adaptive block is the
+// smaller of the two writers' (raw on a tie), and the packed writer's size is
+// packedFrames.payloadLen.
 func TestPairsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	want := map[Mode]Scheme{ModeOff: SchemeRaw, ModeRaw: SchemeRaw, ModeDelta: SchemePacked, ModeBitmap: SchemePacked}
-	for _, mode := range pairModes {
-		for trial := 0; trial < 80; trial++ {
-			pairs := randPairs(rng, rng.Intn(50))
-			_, scheme := roundTripPairs(t, fmt.Sprintf("trial %d", trial), pairs, mode)
-			if w, forced := want[mode]; forced && scheme != w {
-				t.Fatalf("mode %v picked %v, want %v", mode, scheme, w)
-			}
+	for trial := 0; trial < 80; trial++ {
+		pairs := randPairs(rng, rng.Intn(50))
+		var bufs [3][]byte
+		for i, enc := range pairEncoders {
+			bufs[i], _ = roundTripPairs(t, fmt.Sprintf("trial %d", trial), pairs, enc)
+		}
+		f := framePairs(pairs)
+		if want := blockLen(len(pairs), f.payloadLen(len(pairs))); len(bufs[1]) != want {
+			t.Fatalf("trial %d: packed block of %d bytes, payloadLen says %d", trial, len(bufs[1]), want)
+		}
+		want := bufs[0]
+		if len(bufs[1]) < len(want) {
+			want = bufs[1]
+		}
+		if !slices.Equal(bufs[2], want) {
+			t.Fatalf("trial %d: adaptive block of %d bytes, raw %d, packed %d", trial, len(bufs[2]), len(bufs[0]), len(bufs[1]))
 		}
 	}
 }
@@ -72,7 +99,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 	for i := range clustered {
 		clustered[i] = frontier.Pair{ID: uint32(1000 + i), Val: uint64(i % 7)}
 	}
-	buf, scheme := AppendPairs(nil, clustered, ModeAdaptive)
+	buf, scheme := appendPairs(nil, clustered, ModeAdaptive)
 	if scheme != SchemePacked {
 		t.Fatalf("clustered pairs picked %v, want packed", scheme)
 	}
@@ -85,7 +112,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 	for i := range scattered {
 		scattered[i] = frontier.Pair{ID: rng.Uint32(), Val: rng.Uint64() | 1<<63}
 	}
-	_, scheme = AppendPairs(nil, scattered, ModeAdaptive)
+	_, scheme = appendPairs(nil, scattered, ModeAdaptive)
 	if scheme != SchemeRaw {
 		t.Fatalf("scattered huge-value pairs picked %v, want raw", scheme)
 	}
@@ -98,7 +125,7 @@ func TestPackedSizeIsExact(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		pairs := randPairs(rng, rng.Intn(70))
 		f := framePairs(pairs)
-		buf, _ := AppendPairs(nil, pairs, ModeDelta)
+		buf := appendPackedPairs(nil, pairs, &f)
 		if want := blockLen(len(pairs), f.payloadLen(len(pairs))); len(buf) != want {
 			t.Fatalf("trial %d: %d pairs encode to %d bytes, size function says %d", trial, len(pairs), len(buf), want)
 		}
@@ -145,7 +172,7 @@ func TestPackedEveryWidth(t *testing.T) {
 							t.Fatalf("%s: framed at width %d", what, got)
 						}
 					}
-					roundTripPairs(t, what, pairs, ModeDelta)
+					roundTripPairs(t, what, pairs, packedEncoder)
 				}
 			}
 		}
@@ -154,7 +181,7 @@ func TestPackedEveryWidth(t *testing.T) {
 
 // TestPackedEdgeCases: one pair, all-equal pairs (whose columns have zero
 // width, so the ID column is widened to spend a byte per pair) and the
-// largest ID and Val, each forced packed and adaptive.
+// largest ID and Val, each through the packed writer and adaptive.
 func TestPackedEdgeCases(t *testing.T) {
 	equal := make([]frontier.Pair, 40)
 	for i := range equal {
@@ -171,8 +198,8 @@ func TestPackedEdgeCases(t *testing.T) {
 		{"top-and-zero", []frontier.Pair{top, {}, top}},
 		{"top-column-ends", []frontier.Pair{{ID: math.MaxUint32 - 1, Val: math.MaxUint64 - 1<<32}, top}},
 	} {
-		for _, mode := range []Mode{ModeDelta, ModeAdaptive} {
-			buf, scheme := roundTripPairs(t, tc.name, tc.pairs, mode)
+		for _, enc := range pairEncoders[1:] {
+			buf, scheme := roundTripPairs(t, tc.name, tc.pairs, enc)
 			if scheme != SchemePacked {
 				continue
 			}
@@ -198,14 +225,11 @@ func TestPackedRejectsEveryBitFlip(t *testing.T) {
 		{{ID: 9, Val: 1<<32 | 2}, {ID: 9, Val: 1<<32 | 2}},
 		{{ID: math.MaxUint32, Val: math.MaxUint64}, {ID: 3, Val: 0}},
 	} {
-		buf, scheme := AppendPairs(nil, pairs, ModeDelta)
-		if scheme != SchemePacked {
-			t.Fatalf("forced delta wrote %v", scheme)
-		}
+		buf, _ := packedEncoder.encode(pairs)
 		for bit := 0; bit < 8*len(buf); bit++ {
 			bad := slices.Clone(buf)
 			bad[bit/8] ^= 1 << (bit % 8)
-			if _, _, _, err := DecodePairs(bad); !errors.Is(err, ErrCorrupt) {
+			if _, _, _, err := decodePairsInto(bad, nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%d pairs: flipping bit %d of %d: err %v", len(pairs), bit, 8*len(buf), err)
 			}
 		}
@@ -238,7 +262,7 @@ func packedBlock(count, widths uint64, cols ...col) []byte {
 // the decoder grows its output.
 func TestPackedDecoderRejects(t *testing.T) {
 	ok := packedBlock(2, 8, col{5, []byte{1, 2}}, col{}, col{})
-	if got, _, _, err := DecodePairs(ok); err != nil || !slices.Equal(got, []frontier.Pair{{ID: 6}, {ID: 7}}) {
+	if got, _, _, err := decodePairsInto(ok, nil); err != nil || !slices.Equal(got, []frontier.Pair{{ID: 6}, {ID: 7}}) {
 		t.Fatalf("the hand-made block decodes to %v, %v", got, err)
 	}
 	longBody := append([]byte(nil), ok[:len(ok)-crcLen]...)
@@ -261,7 +285,7 @@ func TestPackedDecoderRejects(t *testing.T) {
 		{"long payload", binary.LittleEndian.AppendUint32(longBody, crc32.Checksum(longBody, crcTable))},
 		{"checksum", badCRC},
 	} {
-		if got, _, _, err := DecodePairs(tc.buf); !errors.Is(err, ErrCorrupt) {
+		if got, _, _, err := decodePairsInto(tc.buf, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decoded %v, err %v", tc.name, got, err)
 		}
 	}
@@ -275,7 +299,7 @@ func TestPairsRejectHostileCount(t *testing.T) {
 		packedBlock(1<<40, 8, col{0, make([]byte, 16)}, col{}, col{}),
 		packedBlock(1<<62, 32|32<<6|32<<12, col{0, make([]byte, 8)}, col{0, make([]byte, 8)}, col{0, make([]byte, 8)}),
 	} {
-		if _, _, _, err := DecodePairs(buf); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := decodePairsInto(buf, nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("hostile packed count: err %v", err)
 		}
 		into := [][]frontier.Pair{nil}
@@ -287,7 +311,7 @@ func TestPairsRejectHostileCount(t *testing.T) {
 	raw = binary.AppendUvarint(raw, 1<<40)
 	raw = append(raw, make([]byte, 12)...)
 	raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(raw, crcTable))
-	if _, _, _, err := DecodePairs(raw); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodePairsInto(raw, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile raw count: err %v", err)
 	}
 }
@@ -295,13 +319,13 @@ func TestPairsRejectHostileCount(t *testing.T) {
 // TestIDDecodersRejectPacked: the packed scheme byte is the pairs codec's
 // alone; an id block or a record block carrying it is corrupt.
 func TestIDDecodersRejectPacked(t *testing.T) {
-	buf, _ := AppendPairs(nil, []frontier.Pair{{ID: 1, Val: 2}, {ID: 3, Val: 4}}, ModeDelta)
-	if _, _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+	buf, _ := packedEncoder.encode([]frontier.Pair{{ID: 1, Val: 2}, {ID: 3, Val: 4}})
+	if _, _, _, err := decodeOne(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("id decoder: err %v", err)
 	}
 	ids := []byte{byte(SchemePacked), 1, 0, 0, 0, 0}
 	ids = binary.LittleEndian.AppendUint32(ids, crc32.Checksum(ids, crcTable))
-	if _, _, _, err := Decode(ids); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodeOne(ids); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("id decoder on a packed-scheme id block: err %v", err)
 	}
 	if _, _, _, err := DecodeRecordsAppend(ids, 1, nil, nil); !errors.Is(err, ErrCorrupt) {
@@ -341,7 +365,7 @@ func TestPairsRankRoundTrip(t *testing.T) {
 }
 
 // TestPairsRankCarriesLanes: with w > 0 every pair travels with its lane set,
-// in the caller's order, under every mode — the adaptive mode's packed blocks
+// in the caller's order, in both modes — the adaptive mode's packed blocks
 // included, with nothing sorted beforehand.
 func TestPairsRankCarriesLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -357,7 +381,7 @@ func TestPairsRankCarriesLanes(t *testing.T) {
 				lanes[s] = append(lanes[s], word)
 			}
 		}
-		for _, mode := range pairModes {
+		for _, mode := range modes {
 			buf, st := AppendPairsRank(nil, slots, lanes, w, mode)
 			if want := int64(45 * (12 + 8*w)); st.RawBytes != want {
 				t.Fatalf("w=%d %v: RawBytes %d, want %d", w, mode, st.RawBytes, want)
@@ -386,14 +410,14 @@ func TestPairsRankCarriesLanes(t *testing.T) {
 // value and still fail the CRC — it must never silently change the pairs).
 func TestPairsRejectCorruption(t *testing.T) {
 	pairs := []frontier.Pair{{ID: 4, Val: 99}, {ID: 7, Val: 2}, {ID: 7, Val: 3}}
-	for _, mode := range []Mode{ModeRaw, ModeDelta} {
-		buf, _ := AppendPairs(nil, pairs, mode)
+	for _, enc := range pairEncoders[:2] {
+		buf, _ := enc.encode(pairs)
 		for i := range buf {
 			bad := append([]byte(nil), buf...)
 			bad[i] ^= 0x40
-			got, _, _, err := DecodePairs(bad)
+			got, _, _, err := decodePairsInto(bad, nil)
 			if err == nil && !slices.Equal(pairs, got) {
-				t.Fatalf("%v: flipping byte %d silently changed the pairs", mode, i)
+				t.Fatalf("%s: flipping byte %d silently changed the pairs", enc.name, i)
 			}
 		}
 	}

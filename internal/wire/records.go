@@ -79,11 +79,11 @@ func maskSparsePayloadLen(masks []uint64, n, w, limit int) int {
 	return size
 }
 
-// chooseMaskScheme picks the smaller mask encoding (ModeRaw and ModeOff force
-// MaskRaw, matching their raw id blocks). Sparse is counted only up to the
-// raw size, where raw has won.
+// chooseMaskScheme picks the mask encoding: MaskRaw under ModeOff, matching
+// its raw id blocks; the smaller of the two under ModeAdaptive. Sparse is
+// counted only up to the raw size, where raw has won.
 func chooseMaskScheme(masks []uint64, n, w int, mode Mode) MaskScheme {
-	if mode == ModeRaw || mode == ModeOff {
+	if mode == ModeOff {
 		return MaskRaw
 	}
 	if raw := 8 * n * w; maskSparsePayloadLen(masks, n, w, raw) < raw {
@@ -94,7 +94,7 @@ func chooseMaskScheme(masks []uint64, n, w int, mode Mode) MaskScheme {
 
 // appendMaskSection encodes the mask section (scheme byte, payload, CRC) for
 // n records of w words each, in id order; seed is the checksum's, as for the
-// id block it follows (see appendSorted).
+// id block it follows (see appendIDs). It is the writer of both mask schemes.
 func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme, seed uint32) []byte {
 	start := len(dst)
 	dst = append(dst, byte(ms))
@@ -132,7 +132,7 @@ func appendMaskSection(dst []byte, masks []uint64, n, w int, ms MaskScheme, seed
 // order.
 func AppendRecords(dst []byte, ids []uint32, masks []uint64, w int, mode Mode) ([]byte, Scheme, MaskScheme) {
 	var idScheme Scheme
-	dst, idScheme = AppendSorted(dst, ids, mode, true)
+	dst, idScheme = appendIDs(dst, ids, mode, HintSorted, nil, 0)
 	ms := chooseMaskScheme(masks, len(ids), w, mode)
 	return appendMaskSection(dst, masks, len(ids), w, ms, 0), idScheme, ms
 }
@@ -146,7 +146,7 @@ func AppendRecords(dst []byte, ids []uint32, masks []uint64, w int, mode Mode) (
 // destination slices are unspecified.
 func DecodeRecordsAppend(buf []byte, w int, idDst []uint32, maskDst []uint64) ([]uint32, []uint64, int, error) {
 	base := len(idDst)
-	ids, off, _, err := DecodeAppend(buf, idDst)
+	ids, off, _, err := decodeBlock(buf, func(n int) []uint32 { return slices.Grow(idDst, n) }, 0)
 	if err != nil {
 		return nil, nil, 0, err
 	}

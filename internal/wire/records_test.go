@@ -30,19 +30,21 @@ func TestRecordRoundTrip(t *testing.T) {
 		n, w   int
 		sparse bool
 		mode   Mode
+		ids    Scheme
 		want   MaskScheme
 	}{
-		{"sparse-adaptive", 40, 4, true, ModeAdaptive, MaskSparse},
-		{"dense-adaptive", 40, 1, false, ModeAdaptive, MaskRaw},
-		{"forced-raw", 40, 2, true, ModeRaw, MaskRaw},
-		{"empty", 0, 3, true, ModeAdaptive, MaskRaw},
-		{"delta-ids", 100, 8, true, ModeDelta, MaskSparse},
+		{"sparse-adaptive", 40, 4, true, ModeAdaptive, SchemeDelta, MaskSparse},
+		{"dense-adaptive", 40, 1, false, ModeAdaptive, SchemeDelta, MaskRaw},
+		// ModeOff forces raw ids and raw masks, sparse or not.
+		{"forced-raw", 40, 2, true, ModeOff, SchemeRaw, MaskRaw},
+		{"empty", 0, 3, true, ModeAdaptive, SchemeRaw, MaskRaw},
+		{"delta-ids", 100, 8, true, ModeAdaptive, SchemeDelta, MaskSparse},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ids, masks := recordFixture(tc.n, tc.w, tc.sparse)
-			buf, _, ms := AppendRecords(nil, ids, masks, tc.w, tc.mode)
-			if ms != tc.want {
-				t.Fatalf("mask scheme = %v, want %v", ms, tc.want)
+			buf, idScheme, ms := AppendRecords(nil, ids, masks, tc.w, tc.mode)
+			if idScheme != tc.ids || ms != tc.want {
+				t.Fatalf("schemes = %v/%v, want %v/%v", idScheme, ms, tc.ids, tc.want)
 			}
 			gotIDs, gotMasks, consumed, err := DecodeRecordsAppend(buf, tc.w, nil, nil)
 			if err != nil {
@@ -68,39 +70,24 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordCorruption flips every bit of record blocks — delta ids with a
+// sparse mask section, raw ids with a raw one — and truncates them at every
+// length: each is an ErrCorrupt-typed error, never records.
 func TestRecordCorruption(t *testing.T) {
 	ids, masks := recordFixture(30, 2, true)
-	buf, _, _ := AppendRecords(nil, ids, masks, 2, ModeAdaptive)
-	// Flip one byte anywhere: the decode must error, never return wrong data.
-	for i := range buf {
-		bad := bytes.Clone(buf)
-		bad[i] ^= 0x40
-		gotIDs, gotMasks, _, err := DecodeRecordsAppend(bad, 2, nil, nil)
-		if err != nil {
-			continue
-		}
-		if len(gotIDs) != len(ids) {
-			t.Fatalf("byte %d: silent length change", i)
-		}
-		same := true
-		for j := range ids {
-			if gotIDs[j] != ids[j] {
-				same = false
+	for _, mode := range modes {
+		buf, idScheme, ms := AppendRecords(nil, ids, masks, 2, mode)
+		for bit := 0; bit < 8*len(buf); bit++ {
+			bad := bytes.Clone(buf)
+			bad[bit/8] ^= 1 << (bit % 8)
+			if _, _, _, err := DecodeRecordsAppend(bad, 2, nil, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v/%v: flipping bit %d of %d: err %v", idScheme, ms, bit, 8*len(buf), err)
 			}
 		}
-		for j := range masks {
-			if gotMasks[j] != masks[j] {
-				same = false
+		for n := 0; n < len(buf); n++ {
+			if _, _, _, err := DecodeRecordsAppend(buf[:n], 2, nil, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v/%v: truncation to %d bytes: err %v", idScheme, ms, n, err)
 			}
-		}
-		if !same {
-			t.Fatalf("byte %d: corruption decoded to different records without error", i)
-		}
-	}
-	// Truncations at every length.
-	for n := 0; n < len(buf); n++ {
-		if _, _, _, err := DecodeRecordsAppend(buf[:n], 2, nil, nil); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
 	}
 }
@@ -110,7 +97,7 @@ func TestRecordCorruption(t *testing.T) {
 // every encode through the same selector.
 func TestRecordRankRoundTrip(t *testing.T) {
 	const w = 3
-	sel := NewSelector()
+	sel := new(Selector)
 	sec := Section{Rank: 1, Slots: make([][]uint32, 2), Masks: make([][]uint64, 2), Hints: []Hint{HintSet, HintSet}}
 	sec.Slots[0], sec.Masks[0] = recordFixture(50, w, true)
 	sec.Slots[1], sec.Masks[1] = recordFixture(7, w, false)
@@ -140,11 +127,11 @@ func TestRecordRankRoundTrip(t *testing.T) {
 
 	// Records are sets: a slot whose ids repeat or descend does not decode.
 	for _, bad := range [][]uint32{{5, 5}, {9, 2}} {
-		buf, _ := (*Selector)(nil).AppendRankSection(nil, Section{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}, w, ModeRaw)
+		buf, _ := (*Selector)(nil).AppendRankSection(nil, Section{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}, w, ModeOff)
 		if err := DecodeRankLanesInto(buf, make([][]uint32, 1), make([][]uint64, 1), w); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("record slot %v decoded: %v", bad, err)
 		}
-		msg, _ := (*Selector)(nil).EncodeSections([]Section{{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}}, w, ModeRaw)
+		msg, _ := (*Selector)(nil).AppendSections(nil, []Section{{Slots: [][]uint32{bad}, Masks: [][]uint64{make([]uint64, 2*w)}}}, w, ModeOff)
 		if _, err := DecodeSectionsScratch(msg, 1, w, 1, nil, nil, nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("record section %v decoded: %v", bad, err)
 		}
@@ -176,8 +163,19 @@ func TestMaskPricingBounded(t *testing.T) {
 		if (bounded < raw) != (full < raw) || (full < raw && bounded != full) {
 			t.Fatalf("%s: bounded count %d, full count %d, raw %d", tc.name, bounded, full, raw)
 		}
-		if got := chooseMaskScheme(masks, tc.n, tc.w, ModeAdaptive); got != tc.want {
+		got := chooseMaskScheme(masks, tc.n, tc.w, ModeAdaptive)
+		if got != tc.want {
 			t.Fatalf("%s: %v, want %v (full sparse count %d, raw %d)", tc.name, got, tc.want, full, raw)
+		}
+		// Each writer's section is its size function's payload plus the
+		// scheme byte and checksum; the adaptive section is the smaller.
+		rawSec := appendMaskSection(nil, masks, tc.n, tc.w, MaskRaw, 0)
+		sparseSec := appendMaskSection(nil, masks, tc.n, tc.w, MaskSparse, 0)
+		if len(rawSec) != 1+raw+crcLen || len(sparseSec) != 1+full+crcLen {
+			t.Fatalf("%s: sections of %d (raw) and %d (sparse) bytes, size functions say %d and %d", tc.name, len(rawSec), len(sparseSec), raw, full)
+		}
+		if adaptive := appendMaskSection(nil, masks, tc.n, tc.w, got, 0); len(adaptive) != min(len(rawSec), len(sparseSec)) {
+			t.Fatalf("%s: adaptive section of %d bytes, raw %d, sparse %d", tc.name, len(adaptive), len(rawSec), len(sparseSec))
 		}
 	}
 }

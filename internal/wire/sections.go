@@ -11,7 +11,7 @@ package wire
 //	per section:
 //	  uvarint destination rank
 //	  uvarint payload length
-//	  payload: EncodeRank blocks — each followed by its mask section when
+//	  payload: a rank message's blocks — each followed by its mask section when
 //	           the ids carry w-word lane sets (a sweep's records) — every
 //	           checksum seeded with the destination rank (sectionSeed)
 //
@@ -49,24 +49,19 @@ type Section struct {
 	Masks [][]uint64
 }
 
-// EncodeSections frames sections into one hop message, each slot's ids
-// followed by their w-word lane sets when w > 0 (see AppendRankSection). The
-// selector may be nil (no reusable scratch). Stats follow mode's charging rule:
-// with a codec active, EncodedBytes is the full message (framing included);
-// with ModeOff it is the fixed-width equivalent (4+8w bytes per id), matching
-// the paper's 4·|Enn| convention for uncompressed traffic.
-func (sel *Selector) EncodeSections(secs []Section, w int, mode Mode) ([]byte, Stats) {
-	return sel.AppendSections(nil, secs, w, mode)
-}
-
-// AppendSections is EncodeSections into a caller-owned buffer: the framed
-// message is appended to buf and Stats count only this call's bytes. The
-// butterfly exchange keeps one buffer per hop slot, reused across
-// iterations — safe because every hop message is received (and its ids
-// arena-copied) before the iteration's terminating collective, which every
-// rank passes before the buffer's next rewrite. Each section's payload is
-// staged in the selector's scratch and copied into the frame immediately,
-// so one scratch serves all sections.
+// AppendSections frames sections into one hop message appended to buf, each
+// slot's ids followed by their w-word lane sets when w > 0 (see
+// AppendRankSection). The selector may be nil (no reusable scratch). Stats
+// count only this call's bytes and follow mode's charging rule: with the
+// codec active, EncodedBytes is the full message (framing included); with
+// ModeOff it is the fixed-width equivalent (4+8w bytes per id), matching the
+// paper's 4·|Enn| convention for uncompressed traffic. The butterfly exchange
+// keeps one buffer per hop slot, reused across iterations — safe because
+// every hop message is received (and its ids arena-copied) before the
+// iteration's terminating collective, which every rank passes before the
+// buffer's next rewrite. Each section's payload is staged in the selector's
+// scratch and copied into the frame immediately, so one scratch serves all
+// sections.
 func (sel *Selector) AppendSections(buf []byte, secs []Section, w int, mode Mode) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
@@ -87,15 +82,6 @@ func (sel *Selector) AppendSections(buf []byte, secs []Section, w int, mode Mode
 	}
 	st.EncodedBytes = int64(len(buf) - start)
 	return buf, st.charged(mode)
-}
-
-// DecodeSections parses an EncodeSections message of plain ids, whatever
-// mode encoded it; ranks bounds the valid destination-rank space. Decoded
-// Hints report which slots are ascending and which of those are sets (a
-// bitmap is one by construction; delta and raw blocks are checked), so
-// relays can keep unioning.
-func DecodeSections(buf []byte, gpusPerRank, ranks int) ([]Section, error) {
-	return DecodeSectionsScratch(buf, gpusPerRank, 0, ranks, nil, nil, nil)
 }
 
 // SectionScratch recycles the per-hop decode headers — Section structs and
@@ -120,13 +106,16 @@ func (h *SectionScratch) Reset() {
 	h.hints.Reset()
 }
 
-// DecodeSectionsScratch is DecodeSections for sections of w-word lane sets
-// (w = 0: plain ids), with every decoded id slice drawn from the arena, every
-// lane set from words (both per-iteration lifetime) and the section headers
-// from the scratch; nil for any of them falls back to plain allocation. With
-// all three, the steady-state decode of a hop message is allocation-free. A
-// record slot (w > 0) whose ids are not a set is corrupt: the sweep stages
-// sets and its relays union them.
+// DecodeSectionsScratch parses an AppendSections message of sections of w-word
+// lane sets (w = 0: plain ids), whatever mode encoded it; ranks bounds the
+// valid destination-rank space. Every decoded id slice is drawn from the
+// arena, every lane set from words (both per-iteration lifetime) and the
+// section headers from the scratch; nil for any of them falls back to plain
+// allocation. With all three, the steady-state decode of a hop message is
+// allocation-free. Decoded Hints report which slots are ascending and which
+// of those are sets (a bitmap is one by construction; delta and raw blocks
+// are checked), so relays can keep unioning. A record slot (w > 0) whose ids
+// are not a set is corrupt: the sweep stages sets and its relays union them.
 func DecodeSectionsScratch(buf []byte, gpusPerRank, w, ranks int, arena *frontier.Arena, words *frontier.Bump[uint64], h *SectionScratch) ([]Section, error) {
 	if h == nil {
 		h = new(SectionScratch)

@@ -31,16 +31,16 @@ func randSections(rng *rand.Rand, gpusPerRank int) []Section {
 	return secs
 }
 
-// TestSectionsRoundTrip checks every mode round-trips the per-slot id
+// TestSectionsRoundTrip checks both modes round-trip the per-slot id
 // multiset of a multi-destination hop message.
 func TestSectionsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, mode := range []Mode{ModeOff, ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap} {
+	for _, mode := range modes {
 		for trial := 0; trial < 50; trial++ {
 			pgpu := 1 + rng.Intn(3)
 			secs := randSections(rng, pgpu)
-			buf, st := (*Selector)(nil).EncodeSections(secs, 0, mode)
-			got, err := DecodeSections(buf, pgpu, 64)
+			buf, st := (*Selector)(nil).AppendSections(nil, secs, 0, mode)
+			got, err := decodeSections(buf, pgpu, 64)
 			if err != nil {
 				t.Fatalf("mode %v trial %d: %v", mode, trial, err)
 			}
@@ -78,11 +78,11 @@ func TestSectionsRoundTrip(t *testing.T) {
 // TestSectionsEmptyMessage covers the zero-section hop (a synchronization
 // message a butterfly hop still sends).
 func TestSectionsEmptyMessage(t *testing.T) {
-	buf, st := (*Selector)(nil).EncodeSections(nil, 0, ModeAdaptive)
+	buf, st := (*Selector)(nil).AppendSections(nil, nil, 0, ModeAdaptive)
 	if st.RawBytes != 0 {
 		t.Fatalf("empty message RawBytes = %d", st.RawBytes)
 	}
-	got, err := DecodeSections(buf, 2, 8)
+	got, err := decodeSections(buf, 2, 8)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v, %d sections", err, len(got))
 	}
@@ -92,47 +92,50 @@ func TestSectionsEmptyMessage(t *testing.T) {
 // detected, never silently decoded.
 func TestSectionsRejectCorruption(t *testing.T) {
 	secs := []Section{{Rank: 3, Slots: [][]uint32{{1, 2, 3}, {9}}}}
-	for _, mode := range []Mode{ModeOff, ModeAdaptive} {
-		buf, _ := (*Selector)(nil).EncodeSections(secs, 0, mode)
-		if _, err := DecodeSections(append(append([]byte(nil), buf...), 0xff), 2, 8); err == nil {
+	for _, mode := range modes {
+		buf, _ := (*Selector)(nil).AppendSections(nil, secs, 0, mode)
+		if _, err := decodeSections(append(append([]byte(nil), buf...), 0xff), 2, 8); err == nil {
 			t.Fatalf("mode %v: trailing byte accepted", mode)
 		}
-		if _, err := DecodeSections(buf[:len(buf)-2], 2, 8); err == nil {
+		if _, err := decodeSections(buf[:len(buf)-2], 2, 8); err == nil {
 			t.Fatalf("mode %v: truncation accepted", mode)
 		}
 		if len(buf) > 1 {
 			// Corrupt the section count.
 			bad := append([]byte(nil), buf...)
 			bad[0] = 0xde
-			if _, err := DecodeSections(bad, 2, 8); err == nil {
+			if _, err := decodeSections(bad, 2, 8); err == nil {
 				t.Fatalf("mode %v: corrupt section count accepted", mode)
 			}
 		}
 		// A destination rank outside the world (the framing varints sit
 		// outside any CRC) must be an error, not a caller panic.
-		if _, err := DecodeSections(buf, 2, 3); err == nil {
+		if _, err := decodeSections(buf, 2, 3); err == nil {
 			t.Fatalf("mode %v: out-of-range section rank accepted", mode)
 		}
 	}
 }
 
 // TestAppendSortedMatchesUnsorted: encoding already-sorted input with the
-// presorted hint must produce byte-identical output to the hintless path.
+// presorted hint must produce byte-identical output to the hintless path, a
+// Selector's AppendRank with a sorted row included.
 func TestAppendSortedMatchesUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, mode := range []Mode{ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap} {
-		for trial := 0; trial < 100; trial++ {
-			n := rng.Intn(60)
-			ids := make([]uint32, n)
-			for i := range ids {
-				ids[i] = uint32(rng.Intn(500))
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			plain, s1 := Append(nil, ids, mode)
-			hinted, s2 := AppendSorted(nil, ids, mode, true)
-			if s1 != s2 || !reflect.DeepEqual(plain, hinted) {
-				t.Fatalf("mode %v: presorted hint changed the encoding (%v vs %v)", mode, s1, s2)
-			}
+	sel := new(Selector)
+	for trial := 0; trial < 100; trial++ {
+		n := rng.Intn(60)
+		ids := make([]uint32, n)
+		for i := range ids {
+			ids[i] = uint32(rng.Intn(500))
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		plain, s1 := appendIDs(nil, ids, ModeAdaptive, HintNone, nil, 0)
+		hinted, s2 := appendIDs(nil, ids, ModeAdaptive, HintSorted, nil, 0)
+		if s1 != s2 || !reflect.DeepEqual(plain, hinted) {
+			t.Fatalf("presorted hint changed the encoding (%v vs %v)", s1, s2)
+		}
+		if msg, _ := sel.AppendRank(nil, 0, [][]uint32{ids}, []bool{true}, ModeAdaptive); !reflect.DeepEqual(msg, plain) {
+			t.Fatalf("AppendRank's sorted row changed the encoding")
 		}
 	}
 }

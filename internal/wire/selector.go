@@ -6,9 +6,9 @@ package wire
 // safe for concurrent use; the engine keeps one per rank.
 type Selector struct {
 	// sortBuf is the reusable sort scratch for blocks that arrive without
-	// the presorted hint (the sorted copy plus the radix sort's scatter
-	// space): the sorted view lives only for the duration of one Append, so
-	// one buffer per selector serves every block in turn.
+	// a hint (the sorted copy plus the radix sort's scatter space): the
+	// sorted view lives only for the duration of one block's encode, so one
+	// buffer per selector serves every block in turn.
 	sortBuf []uint32
 	// secBuf is the reusable per-section payload buffer AppendSections
 	// encodes each section into before framing it (the framing copies the
@@ -18,29 +18,19 @@ type Selector struct {
 	hintBuf []Hint
 }
 
-// NewSelector returns an empty selector.
-func NewSelector() *Selector {
+// NewSelectorSized returns an empty selector; blocks is unused.
+func NewSelectorSized(blocks int) *Selector {
 	return &Selector{}
 }
 
-// NewSelectorSized is NewSelector; blocks is unused.
-func NewSelectorSized(blocks int) *Selector {
-	return NewSelector()
-}
-
-// EncodeRank encodes one destination rank's per-slot id lists as a single
-// message — one block per destination GPU slot — under mode's charging rule:
-// with a codec active Stats count the encoded message, framing, checksums and
-// all; with ModeOff the id bytes only (the paper's 4·|Enn| convention).
-func (sel *Selector) EncodeRank(dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
-	return sel.AppendRank(nil, dst, slots, sorted, mode)
-}
-
-// AppendRank is EncodeRank into a caller-owned buffer: the encoded blocks
-// are appended to buf and Stats count only the bytes this call produced.
-// Callers that reuse buffers across iterations hit zero steady-state
-// allocation. sorted is the per-slot presorted row (nil = nothing known);
-// the engine, which knows more, calls AppendRankSection. dst is unused.
+// AppendRank encodes one destination rank's per-slot id lists as a single
+// message — one block per destination GPU slot — appended to buf, under
+// mode's charging rule: with the codec active Stats count the bytes this call
+// produced, framing, checksums and all; with ModeOff the id bytes only (the
+// paper's 4·|Enn| convention). sorted is the per-slot presorted row (nil =
+// nothing known); the engine, which knows more, calls AppendRankSection. dst
+// is unused. Callers that reuse buffers across iterations hit zero
+// steady-state allocation.
 func (sel *Selector) AppendRank(buf []byte, dst int, slots [][]uint32, sorted []bool, mode Mode) ([]byte, Stats) {
 	var hints []Hint
 	if sorted != nil {
@@ -70,7 +60,7 @@ func (sel *Selector) AppendRankSection(buf []byte, sec Section, w int, mode Mode
 }
 
 // appendRank is AppendRankSection with every checksum's seed (see
-// appendSorted).
+// appendIDs).
 func (sel *Selector) appendRank(buf []byte, sec Section, w int, mode Mode, seed uint32) ([]byte, Stats) {
 	var sortBuf *[]uint32
 	if sel != nil {
@@ -84,7 +74,7 @@ func (sel *Selector) appendRank(buf []byte, sec Section, w int, mode Mode, seed 
 		if sec.Hints != nil {
 			hint = sec.Hints[s]
 		}
-		buf, scheme = appendSorted(buf, ids, mode, hint, sortBuf, seed)
+		buf, scheme = appendIDs(buf, ids, mode, hint, sortBuf, seed)
 		if w > 0 {
 			masks := sec.Masks[s]
 			buf = appendMaskSection(buf, masks, len(ids), w, chooseMaskScheme(masks, len(ids), w, mode), seed)

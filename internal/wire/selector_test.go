@@ -5,38 +5,36 @@ import (
 	"testing"
 )
 
-// TestSelectorForcedModesBypass: a forced mode encodes every block in its
-// scheme through a Selector exactly as without one, whatever the selector
-// encoded before.
+// TestSelectorForcedModesBypass: ModeOff, the mode that forces a scheme
+// (raw), encodes every block through a Selector exactly as without one,
+// whatever the selector encoded before.
 func TestSelectorForcedModesBypass(t *testing.T) {
 	slots := [][]uint32{{5, 1, 9, 1}, {3, 4, 5, 6}}
-	sel := NewSelector()
-	sel.EncodeRank(0, slots, nil, ModeAdaptive)
-	for _, mode := range []Mode{ModeRaw, ModeDelta, ModeBitmap} {
-		want, wantSt := (*Selector)(nil).EncodeRank(0, slots, nil, mode)
-		for i := 0; i < 2; i++ {
-			if buf, st := sel.EncodeRank(0, slots, nil, mode); !bytes.Equal(buf, want) || st != wantSt {
-				t.Fatalf("mode %v, encode %d: %+v through a selector, %+v without", mode, i, st, wantSt)
-			}
+	sel := new(Selector)
+	sel.AppendRank(nil, 0, slots, nil, ModeAdaptive)
+	want, wantSt := (*Selector)(nil).AppendRank(nil, 0, slots, nil, ModeOff)
+	for i := 0; i < 2; i++ {
+		if buf, st := sel.AppendRank(nil, 0, slots, nil, ModeOff); !bytes.Equal(buf, want) || st != wantSt {
+			t.Fatalf("encode %d: %+v through a selector, %+v without", i, st, wantSt)
 		}
 	}
 }
 
-// TestSelectorEncodeRankStats: EncodeRank counts the message it produced,
+// TestSelectorEncodeRankStats: AppendRank counts the message it produced,
 // gives the same message for the same slots every time, and produces output
-// DecodeRank accepts.
+// DecodeRankInto accepts.
 func TestSelectorEncodeRankStats(t *testing.T) {
 	slots := [][]uint32{{1, 2, 3, 4, 5, 6, 7, 8}, {100, 200}}
-	sel := NewSelector()
-	buf1, st1 := sel.EncodeRank(4, slots, nil, ModeAdaptive)
+	sel := new(Selector)
+	buf1, st1 := sel.AppendRank(nil, 4, slots, nil, ModeAdaptive)
 	if st1.RawBytes != 4*10 || st1.EncodedBytes != int64(len(buf1)) || st1.Selected[SchemeRaw]+st1.Selected[SchemeDelta]+st1.Selected[SchemeBitmap] != 2 {
 		t.Fatalf("stats %+v for %d bytes", st1, len(buf1))
 	}
-	buf, st2 := sel.EncodeRank(4, slots, nil, ModeAdaptive)
+	buf, st2 := sel.AppendRank(nil, 4, slots, nil, ModeAdaptive)
 	if st2 != st1 || !bytes.Equal(buf, buf1) {
 		t.Fatalf("second message %+v, first %+v", st2, st1)
 	}
-	if _, err := DecodeRank(buf, 2); err != nil {
+	if err := DecodeRankInto(buf, make([][]uint32, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,10 +77,10 @@ func TestSelectorHasNoHistory(t *testing.T) {
 		{"bitmap", 0, section(ids, nil), section(wide, nil)},
 		{"masks", 1, section(ids, oneBit), section(ids, fortyBits)},
 	} {
-		sel := NewSelector()
+		sel := new(Selector)
 		sel.AppendRankSection(nil, tc.before, tc.w, ModeAdaptive)
 		got, gotSt := sel.AppendRankSection(nil, tc.after, tc.w, ModeAdaptive)
-		want, wantSt := NewSelector().AppendRankSection(nil, tc.after, tc.w, ModeAdaptive)
+		want, wantSt := new(Selector).AppendRankSection(nil, tc.after, tc.w, ModeAdaptive)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: %d bytes after a differently shaped block, %d from a fresh selector (%+v vs %+v)",
 				tc.name, len(got), len(want), gotSt, wantSt)

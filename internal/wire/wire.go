@@ -1,16 +1,17 @@
-// Package wire implements the adaptive frontier-exchange codec used by the
-// inter-rank normal-vertex exchange (§V-B). The exchanged payloads are lists
-// of 32-bit destination-local vertex ids; depending on frontier shape, the
-// same list is smallest as a raw array (scattered, unordered), a sorted
-// varint delta stream (clustered ids), or a dense bitmap (a large fraction
-// of the destination's id space). The encoder picks the smallest
-// representation per message, which is the communication-volume reduction
-// that Romera-style frontier compression and ButterFly BFS both exploit.
+// Package wire implements the frontier-exchange codec used by the inter-rank
+// normal-vertex exchange (§V-B). The exchanged payloads are lists of 32-bit
+// destination-local vertex ids. The codec has two modes. ModeOff is the
+// paper's fixed-width packing. ModeAdaptive writes each block in the smallest
+// of three schemes by exact size: a raw array (scattered, unordered ids), a
+// sorted varint delta stream (clustered ids) or a dense bitmap (a large
+// fraction of the destination's id space) — the communication-volume
+// reduction that Romera-style frontier compression and ButterFly BFS both
+// exploit.
 //
 // # Wire format
 //
 // Every rank message — ids, (id, query-set) records, (id, value) pairs, in
-// every Mode — is made of these blocks and nothing else, so every byte a rank
+// both modes — is made of these blocks and nothing else, so every byte a rank
 // receives sits under a checksum and every decode error is born wrapping
 // ErrCorrupt. One encoded block carries the ids destined for one GPU slot:
 //
@@ -32,22 +33,26 @@
 //	        multiplicity preserved, order canonicalized.
 //	bitmap  uvarint word count w, then w × uint64 little-endian forming a
 //	        bitset over ids [0, 64·w). Set semantics: duplicates collapse.
-//	        The adaptive selector only picks bitmap for duplicate-free
-//	        input, so adaptive encoding always round-trips the multiset.
+//	        The adaptive mode only picks bitmap for duplicate-free input,
+//	        so adaptive encoding always round-trips the multiset.
 //
-// A rank-to-rank message (EncodeRank/DecodeRank) is gpusPerRank blocks
-// back to back, one per destination GPU slot — each followed by its mask
-// section when the ids carry a sweep's w-word lane sets (AppendRankSection,
-// DecodeRankLanesInto; records.go). A butterfly hop message frames several
-// such payloads (sections.go).
+// Each scheme has one unexported writer (appendRaw, appendDelta,
+// appendBitmap); an encoder makes one choice — ModeOff raw, ModeAdaptive the
+// smallest by exact size (smallestScheme) — and calls it.
 //
-// ModeOff — the paper's §V-B fixed-width packing, the default — is not a
-// second format: it writes raw blocks (input order kept, nothing sorted) and
-// differs from ModeRaw only in what Stats charge for them. The paper counts
-// 4·|Enn| bytes and no codec kernel, so under ModeOff RawBytes ==
-// EncodedBytes == the fixed-width payload (4 B per id, 4+8w B per record,
-// 12 B per pair), the block framing uncharged, and Selected stays zero. Receivers call the one decoder whatever
-// the mode and account a ModeOff arrival as the ids it decoded to.
+// A rank-to-rank message (Selector.AppendRankSection, DecodeRankLanesInto) is
+// gpusPerRank blocks back to back, one per destination GPU slot — each
+// followed by its mask section when the ids carry a sweep's w-word lane sets
+// (records.go). A butterfly hop message frames several such payloads
+// (sections.go).
+//
+// ModeOff is not a second format: it writes raw blocks (input order kept,
+// nothing sorted) and differs from an adaptive raw block only in what Stats
+// charge for it. The paper counts 4·|Enn| bytes and no codec kernel, so under
+// ModeOff RawBytes == EncodedBytes == the fixed-width payload (4 B per id,
+// 4+8w B per record, 12 B per pair), the block framing uncharged, and
+// Selected stays zero. Receivers call the one decoder whatever the mode and
+// account a ModeOff arrival as the ids it decoded to.
 //
 // # Sort contract
 //
@@ -55,7 +60,7 @@
 // a function of the id multiset alone, and a raw block's length is. Whoever
 // owns the ids sorts them, once, where the block is born, with
 // frontier.SortIDs and its own scatter scratch, and says so with a Hint
-// (AppendSorted's presorted, a Section's hint row); the encoders then only
+// (AppendRank's sorted row, a Section's hint row); the encoders then only
 // read. Pairs have no canonical order: both pairs schemes keep the input
 // order, so nobody sorts a pairs block (pairs.go). The engine goes
 // one step further: with a codec active it stages every slot as a set —
@@ -64,16 +69,16 @@
 // the codec off (ModeOff) nothing needs the order: senders skip the sort and
 // raw blocks carry the ids, repeats and all, as the kernels left them.
 // Decoders hand the hint back: bitmap blocks decode to a set by construction,
-// and DecodeSections scans delta blocks (ascending, a zero gap for every
-// repeat) and raw blocks (the sender's order) rather than trusting the sender,
-// so a relay unions what it forwards (frontier.MergeSortedArena; a sweep's
-// records, always sets, frontier.MergeRecords) and never sorts it again.
-// Without a hint an encoder never touches the caller's slice: it sorts a copy, in the
-// Selector's reusable scratch when there is one (one buffer per rank, sized
-// by its largest single block) and in a fresh allocation otherwise (Append —
-// the outside caller's path). The codec itself stays a multiset
-// codec — a hintless or HintSorted block round-trips every repeat; sets are
-// what the engine chooses to feed it.
+// and DecodeSectionsScratch scans delta blocks (ascending, a zero gap for
+// every repeat) and raw blocks (the sender's order) rather than trusting the
+// sender, so a relay unions what it forwards (frontier.MergeSortedArena; a
+// sweep's records, always sets, frontier.MergeRecords) and never sorts it
+// again. Without a hint an encoder never touches the caller's slice: it sorts
+// a copy, in the Selector's reusable scratch when there is one (one buffer
+// per rank, sized by its largest single block) and in a fresh allocation
+// otherwise. The codec itself stays a multiset codec — a hintless or
+// HintSorted block round-trips every repeat; sets are what the engine chooses
+// to feed it.
 package wire
 
 import (
@@ -128,8 +133,8 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
 
-// Mode is the codec policy a caller selects: disabled, adaptive (smallest
-// per block), or one scheme forced for ablations.
+// Mode is the codec policy a caller selects: the paper's fixed-width packing
+// or adaptive, the smallest scheme per block.
 type Mode int
 
 const (
@@ -140,15 +145,6 @@ const (
 	// the smaller of raw and sparse per mask section: a pure function of
 	// the block, whatever was encoded before it.
 	ModeAdaptive
-	// ModeRaw, ModeDelta and ModeBitmap force one scheme for every block
-	// (ablation knobs). ModeBitmap falls back to delta for blocks a bitmap
-	// cannot sensibly carry: duplicated ids, or an id range so sparse the
-	// bitmap would exceed four times the raw encoding (that guard keeps a
-	// forced-bitmap ablation from allocating gigabyte bitsets for a
-	// handful of huge ids).
-	ModeRaw
-	ModeDelta
-	ModeBitmap
 )
 
 func (m Mode) String() string {
@@ -157,12 +153,6 @@ func (m Mode) String() string {
 		return "off"
 	case ModeAdaptive:
 		return "adaptive"
-	case ModeRaw:
-		return "raw"
-	case ModeDelta:
-		return "delta"
-	case ModeBitmap:
-		return "bitmap"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
@@ -174,14 +164,8 @@ func ParseMode(s string) (Mode, error) {
 		return ModeOff, nil
 	case "adaptive":
 		return ModeAdaptive, nil
-	case "raw":
-		return ModeRaw, nil
-	case "delta":
-		return ModeDelta, nil
-	case "bitmap":
-		return ModeBitmap, nil
 	}
-	return ModeOff, fmt.Errorf("wire: unknown compression mode %q", s)
+	return ModeOff, fmt.Errorf("wire: unknown compression mode %q (want off or adaptive)", s)
 }
 
 // Hint is what the caller of an encoder vouches for about one slot's ids, and
@@ -339,114 +323,101 @@ func blockLen(n int, payload int) int {
 	return 1 + uvarintLen(uint64(n)) + payload + crcLen
 }
 
-// Append encodes ids as one block according to mode and appends it to dst,
-// returning the extended buffer and the scheme actually used (raw under
-// ModeOff). See the package comment for per-scheme round-trip semantics.
-func Append(dst []byte, ids []uint32, mode Mode) ([]byte, Scheme) {
-	return AppendSorted(dst, ids, mode, false)
-}
-
-// AppendSorted is Append with a pre-sorted hint: when presorted is true the
-// caller asserts ids are already sorted ascending (duplicates allowed), so
-// the delta/bitmap paths skip their sort copy and encode the input directly.
-// A true hint on unsorted input would corrupt the delta stream — callers
-// plumb the hint from frontier.Bins, which tracks it per bin, or from a
-// decode that verified it (Section.Hints).
-func AppendSorted(dst []byte, ids []uint32, mode Mode, presorted bool) ([]byte, Scheme) {
-	return appendSorted(dst, ids, mode, sortedHint(presorted), nil, 0)
-}
-
-// appendSorted is AppendSorted under any Hint, with an optional sort scratch
-// (see sortedCopy) — the Selector threads its per-rank buffer through here so
-// unsorted blocks stop allocating their canonical view — and the running CRC
-// the block's checksum starts from: zero for a block that stands alone, the
-// destination rank for a block inside a butterfly section (sectionSeed).
-func appendSorted(dst []byte, ids []uint32, mode Mode, hint Hint, sortBuf *[]uint32, seed uint32) ([]byte, Scheme) {
-	scheme := SchemeRaw
-	var sorted []uint32
-	switch mode {
-	case ModeOff, ModeRaw:
-		// No canonicalization needed; the size is known up front.
-		dst = slices.Grow(dst, blockLen(len(ids), 4*len(ids)))
-	case ModeDelta:
-		scheme = SchemeDelta
-		sorted, _ = sortedView(ids, hint, sortBuf)
-	case ModeBitmap:
-		var unique bool
-		sorted, unique = sortedView(ids, hint, sortBuf)
-		if unique && bitmapPayloadLen(sorted) <= 4*4*len(ids)+16 {
-			scheme = SchemeBitmap
-		} else {
-			scheme = SchemeDelta
-		}
-	case ModeAdaptive:
-		var unique bool
-		sorted, unique = sortedView(ids, hint, sortBuf)
-		rawSize := 4 * len(ids)
-		bestSize := rawSize
-		if d := deltaPayloadLen(sorted); d < bestSize {
-			bestSize, scheme = d, SchemeDelta
-		}
-		if unique {
-			if b := bitmapPayloadLen(sorted); b < bestSize {
-				scheme = SchemeBitmap
-			}
-		}
-	default:
-		panic(fmt.Sprintf("wire: Append called with mode %v", mode))
+// smallestScheme returns the scheme the adaptive mode writes a sorted id list
+// in and that scheme's payload size: the smallest of raw, delta and — for a
+// set — bitmap, the earlier on a tie.
+func smallestScheme(sorted []uint32, unique bool) (Scheme, int) {
+	scheme, size := SchemeRaw, 4*len(sorted)
+	if d := deltaPayloadLen(sorted); d < size {
+		scheme, size = SchemeDelta, d
 	}
+	if unique {
+		if b := bitmapPayloadLen(sorted); b < size {
+			scheme, size = SchemeBitmap, b
+		}
+	}
+	return scheme, size
+}
 
-	start := len(dst)
-	dst = append(dst, byte(scheme))
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+// appendIDs encodes ids as one block under mode and appends it to dst,
+// returning the extended buffer and the scheme written: raw under ModeOff,
+// the smallest scheme under ModeAdaptive. hint is what the caller vouches for
+// about ids; sortBuf is an optional sort scratch (see sortedCopy) — the
+// Selector threads its per-rank buffer through here so unsorted blocks stop
+// allocating their canonical view; seed is the running CRC the block's
+// checksum starts from: zero for a block that stands alone, the destination
+// rank for a block inside a butterfly section (sectionSeed).
+func appendIDs(dst []byte, ids []uint32, mode Mode, hint Hint, sortBuf *[]uint32, seed uint32) ([]byte, Scheme) {
+	if mode == ModeOff {
+		return appendRaw(dst, ids, seed), SchemeRaw
+	}
+	sorted, unique := sortedView(ids, hint, sortBuf)
+	scheme, _ := smallestScheme(sorted, unique)
 	switch scheme {
-	case SchemeRaw:
-		for _, v := range ids {
-			dst = binary.LittleEndian.AppendUint32(dst, v)
-		}
 	case SchemeDelta:
-		if len(sorted) > 0 {
-			dst = binary.AppendUvarint(dst, uint64(sorted[0]))
-			for i := 1; i < len(sorted); i++ {
-				dst = binary.AppendUvarint(dst, uint64(sorted[i]-sorted[i-1]))
-			}
-		}
+		return appendDelta(dst, sorted, seed), scheme
 	case SchemeBitmap:
-		words := 0
-		if len(sorted) > 0 {
-			words = int(sorted[len(sorted)-1])/64 + 1
-		}
-		dst = binary.AppendUvarint(dst, uint64(words))
-		wordsStart := len(dst)
-		dst = slices.Grow(dst, 8*words)[:wordsStart+8*words]
-		clear(dst[wordsStart:])
-		for _, v := range sorted {
-			off := wordsStart + int(v/64)*8
-			w := binary.LittleEndian.Uint64(dst[off:])
-			binary.LittleEndian.PutUint64(dst[off:], w|1<<(v%64))
+		return appendBitmap(dst, sorted, seed), scheme
+	}
+	return appendRaw(dst, ids, seed), scheme
+}
+
+// appendHeader starts a block: its scheme byte and count.
+func appendHeader(dst []byte, scheme Scheme, n int) []byte {
+	dst = append(dst, byte(scheme))
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// appendCRC closes the block that starts at dst[start]: the checksum of its
+// bytes, begun from seed.
+func appendCRC(dst []byte, start int, seed uint32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(seed, crcTable, dst[start:]))
+}
+
+// appendRaw writes ids as a raw block, in their order, repeats and all.
+func appendRaw(dst []byte, ids []uint32, seed uint32) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, blockLen(len(ids), 4*len(ids)))
+	dst = appendHeader(dst, SchemeRaw, len(ids))
+	for _, v := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, v)
+	}
+	return appendCRC(dst, start, seed)
+}
+
+// appendDelta writes an ascending id list as a delta block: its first id,
+// then the gaps, a zero gap for every repeat.
+func appendDelta(dst []byte, sorted []uint32, seed uint32) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, SchemeDelta, len(sorted))
+	if len(sorted) > 0 {
+		dst = binary.AppendUvarint(dst, uint64(sorted[0]))
+		for i := 1; i < len(sorted); i++ {
+			dst = binary.AppendUvarint(dst, uint64(sorted[i]-sorted[i-1]))
 		}
 	}
-	sum := crc32.Update(seed, crcTable, dst[start:])
-	dst = binary.LittleEndian.AppendUint32(dst, sum)
-	return dst, scheme
+	return appendCRC(dst, start, seed)
 }
 
-// Decode parses one block at the start of buf. It returns the decoded ids,
-// the number of bytes consumed, and the scheme. Any truncation, trailing
-// garbage inside the block, unknown scheme byte or checksum mismatch yields
-// an error — a block never decodes to wrong ids silently.
-func Decode(buf []byte) ([]uint32, int, Scheme, error) {
-	return DecodeAppend(buf, nil)
-}
-
-// DecodeAppend is Decode writing into a caller-provided buffer: the decoded
-// ids are appended to dst (grown once, pre-sized by the block's id-count
-// header) and the extended slice is returned. This is the zero-copy arrival
-// path — a receiver hands its reusable per-slot arrival bin and a
-// steady-state exchange decodes without allocating. On error the contents of
-// dst are unspecified and the returned slice must be discarded.
-func DecodeAppend(buf []byte, dst []uint32) ([]uint32, int, Scheme, error) {
-	return decodeBlock(buf, func(n int) []uint32 { return slices.Grow(dst, n) }, 0)
+// appendBitmap writes a set — strictly ascending ids — as a bitmap block of
+// ⌊max/64⌋ + 1 words.
+func appendBitmap(dst []byte, set []uint32, seed uint32) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, SchemeBitmap, len(set))
+	words := 0
+	if len(set) > 0 {
+		words = int(set[len(set)-1])/64 + 1
+	}
+	dst = binary.AppendUvarint(dst, uint64(words))
+	wordsStart := len(dst)
+	dst = slices.Grow(dst, 8*words)[:wordsStart+8*words]
+	clear(dst[wordsStart:])
+	for _, v := range set {
+		off := wordsStart + int(v/64)*8
+		w := binary.LittleEndian.Uint64(dst[off:])
+		binary.LittleEndian.PutUint64(dst[off:], w|1<<(v%64))
+	}
+	return appendCRC(dst, start, seed)
 }
 
 // decodeBlock parses one block, drawing the id buffer from grow(n) — a
@@ -455,7 +426,9 @@ func DecodeAppend(buf []byte, dst []uint32) ([]uint32, int, Scheme, error) {
 // corrupt count field can never trigger a huge allocation: raw ids take 4
 // bytes each, delta ids at least 1 byte each, bitmap ids at most 64 per
 // 8-byte word. seed is the running CRC the sender's checksum started from
-// (see appendSorted).
+// (see appendIDs). Any truncation, trailing garbage inside the block, unknown
+// scheme byte or checksum mismatch yields an error — a block never decodes to
+// wrong ids silently.
 func decodeBlock(buf []byte, grow func(n int) []uint32, seed uint32) ([]uint32, int, Scheme, error) {
 	if len(buf) < 1+1+crcLen {
 		return nil, 0, 0, corruptf("wire: block truncated (%d bytes)", len(buf))
@@ -552,31 +525,12 @@ func decodeBlock(buf []byte, grow func(n int) []uint32, seed uint32) ([]uint32, 
 	return ids, off + crcLen, scheme, nil
 }
 
-// EncodeRank encodes one block per destination GPU slot into a single
-// rank-to-rank message and reports the accounting for the whole message.
-// Pre-sorted hints and reusable scratch are the Selector method's job; this
-// entry point encodes without either.
-func EncodeRank(slots [][]uint32, mode Mode) ([]byte, Stats) {
-	return (*Selector)(nil).EncodeRank(0, slots, nil, mode)
-}
-
-// DecodeRank parses an EncodeRank message back into per-slot id lists.
-// Trailing bytes after the last block are rejected, as are all per-block
-// corruption forms Decode detects.
-func DecodeRank(buf []byte, gpusPerRank int) ([][]uint32, error) {
-	sec := Section{Slots: make([][]uint32, gpusPerRank)}
-	if err := sec.decode(buf, 0, nil, nil, 0); err != nil {
-		return nil, err
-	}
-	return sec.Slots, nil
-}
-
-// DecodeRankInto parses an EncodeRank message, appending each slot's ids to
-// the corresponding entry of into (len(into) is the slot count). The
-// zero-copy counterpart of DecodeRank: each block's count header pre-sizes
-// the grow, so decoding into reusable arrival bins allocates nothing on the
-// steady state. On error the contents of into are unspecified (the caller
-// abandons the exchange).
+// DecodeRankInto parses a rank message of plain ids (Selector.AppendRank),
+// appending each slot's ids to the corresponding entry of into (len(into) is
+// the slot count). Each block's count header pre-sizes the grow, so decoding
+// into reusable arrival bins allocates nothing on the steady state. Trailing
+// bytes after the last block are rejected. On error the contents of into are
+// unspecified (the caller abandons the exchange).
 func DecodeRankInto(buf []byte, into [][]uint32) error {
 	return DecodeRankLanesInto(buf, into, nil, 0)
 }
@@ -589,7 +543,7 @@ func DecodeRankLanesInto(buf []byte, into [][]uint32, lanesInto [][]uint64, w in
 	off := 0
 	for s := range into {
 		base := len(into[s])
-		ids, n, _, err := DecodeAppend(buf[off:], into[s])
+		ids, n, _, err := decodeBlock(buf[off:], func(k int) []uint32 { return slices.Grow(into[s], k) }, 0)
 		if err != nil {
 			return fmt.Errorf("wire: slot %d: %w", s, err)
 		}
@@ -621,7 +575,7 @@ func DecodeRankLanesInto(buf []byte, into [][]uint32, lanesInto [][]uint64, w in
 // (ascending, a zero gap for every repeat) and a raw block (its sender's
 // order — with a codec active the engine stages sets, with it off whatever
 // the kernels left) are scanned: checked, not trusted. A record slot must be
-// a set. seed is every checksum's seed (see appendSorted).
+// a set. seed is every checksum's seed (see appendIDs).
 func (sec *Section) decode(buf []byte, w int, arena *frontier.Arena, words *frontier.Bump[uint64], seed uint32) error {
 	off := 0
 	for s := range sec.Slots {

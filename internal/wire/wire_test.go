@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -45,49 +46,70 @@ func equalIDs(a, b []uint32) bool {
 	return true
 }
 
-// roundTrip encodes ids under mode and decodes the block back.
-func roundTrip(t *testing.T, ids []uint32, mode Mode) ([]uint32, Scheme) {
-	t.Helper()
-	buf, scheme := Append(nil, ids, mode)
-	got, n, decScheme, err := Decode(buf)
-	if err != nil {
-		t.Fatalf("mode %v: decode failed: %v", mode, err)
-	}
-	if n != len(buf) {
-		t.Fatalf("mode %v: decode consumed %d of %d bytes", mode, n, len(buf))
-	}
-	if decScheme != scheme {
-		t.Fatalf("mode %v: scheme mismatch: encoded %v, decoded %v", mode, scheme, decScheme)
-	}
-	return got, scheme
+// decodeOne parses one block that stands alone (checksum seed 0).
+func decodeOne(buf []byte) ([]uint32, int, Scheme, error) {
+	return decodeBlock(buf, func(n int) []uint32 { return make([]uint32, 0, n) }, 0)
 }
 
-// checkRoundTrip asserts the per-mode round-trip contract: raw is exact,
-// delta is the sorted permutation, bitmap/adaptive preserve at least the
-// set (and the multiset whenever the encoding is lossless).
-func checkRoundTrip(t *testing.T, ids []uint32, mode Mode) {
+// encodeAdaptive is ids as the one block the adaptive mode writes for them.
+func encodeAdaptive(ids []uint32) ([]byte, Scheme) {
+	return appendIDs(nil, ids, ModeAdaptive, HintNone, nil, 0)
+}
+
+// bitmapFits reports whether the ids are a set a bitmap block carries in at
+// most 64 KiB of words — the bound a test keeps its bitmap writes to.
+func bitmapFits(ids []uint32) bool {
+	set := uniqueOf(ids)
+	return len(set) == len(ids) && bitmapPayloadLen(set) <= 1<<16
+}
+
+// encoded is one block of a test input and what wrote it.
+type encoded struct {
+	by     string
+	buf    []byte
+	scheme Scheme
+}
+
+// encodings returns ids as a block of every scheme that carries them, each
+// through its writer — raw; delta; bitmap when bitmapFits — and as the block
+// the adaptive mode picks.
+func encodings(ids []uint32) []encoded {
+	out := []encoded{
+		{"raw", appendRaw(nil, ids, 0), SchemeRaw},
+		{"delta", appendDelta(nil, sortedOf(ids), 0), SchemeDelta},
+	}
+	if bitmapFits(ids) {
+		out = append(out, encoded{"bitmap", appendBitmap(nil, sortedOf(ids), 0), SchemeBitmap})
+	}
+	buf, scheme := encodeAdaptive(ids)
+	return append(out, encoded{"adaptive", buf, scheme})
+}
+
+// checkRoundTrip asserts each encoding's round-trip contract: raw is exact,
+// delta is the sorted permutation, bitmap the set — and adaptive, which picks
+// a bitmap only for a set, keeps the multiset.
+func checkRoundTrip(t *testing.T, ids []uint32) {
 	t.Helper()
-	got, scheme := roundTrip(t, ids, mode)
-	switch scheme {
-	case SchemeRaw:
-		if !equalIDs(got, ids) {
-			t.Fatalf("mode %v/raw: got %v, want %v", mode, got, ids)
+	for _, e := range encodings(ids) {
+		got, n, scheme, err := decodeOne(e.buf)
+		if err != nil || n != len(e.buf) || scheme != e.scheme {
+			t.Fatalf("%s: decode consumed %d of %d bytes, scheme %v (wrote %v), err %v", e.by, n, len(e.buf), scheme, e.scheme, err)
 		}
-	case SchemeDelta:
-		if want := sortedOf(ids); !equalIDs(got, want) {
-			t.Fatalf("mode %v/delta: got %v, want sorted %v", mode, got, want)
+		want := ids
+		switch scheme {
+		case SchemeDelta:
+			want = sortedOf(ids)
+		case SchemeBitmap:
+			want = uniqueOf(ids)
 		}
-	case SchemeBitmap:
-		if want := uniqueOf(ids); !equalIDs(got, want) {
-			t.Fatalf("mode %v/bitmap: got %v, want unique %v", mode, got, want)
+		if !equalIDs(got, want) {
+			t.Fatalf("%s/%v: got %v, want %v", e.by, scheme, got, want)
 		}
-		if mode == ModeAdaptive && len(got) != len(ids) {
-			t.Fatalf("adaptive picked bitmap for input with duplicates (%d ids → %d)", len(ids), len(got))
+		if len(got) != len(ids) {
+			t.Fatalf("%s/%v: %d ids decoded from %d (a repeat collapsed)", e.by, scheme, len(got), len(ids))
 		}
 	}
 }
-
-var encodeModes = []Mode{ModeAdaptive, ModeRaw, ModeDelta, ModeBitmap}
 
 func TestRoundTripFixedCases(t *testing.T) {
 	cases := map[string][]uint32{
@@ -103,12 +125,10 @@ func TestRoundTripFixedCases(t *testing.T) {
 		"word-boundary":    {63, 64, 127, 128, 191, 192},
 	}
 	for name, ids := range cases {
-		for _, mode := range encodeModes {
-			in := append([]uint32(nil), ids...)
-			checkRoundTrip(t, in, mode)
-			if !equalIDs(in, ids) {
-				t.Fatalf("%s/%v: Append mutated its input", name, mode)
-			}
+		in := append([]uint32(nil), ids...)
+		checkRoundTrip(t, in)
+		if !equalIDs(in, ids) {
+			t.Fatalf("%s: an encoder mutated its input", name)
 		}
 	}
 }
@@ -122,7 +142,7 @@ func seq(start uint32, n int) []uint32 {
 }
 
 // TestRoundTripProperty fuzzes random id sets of varying density and size
-// through every mode.
+// through every writer and the adaptive mode.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -132,14 +152,13 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := range ids {
 			ids[i] = rng.Uint32() % max
 		}
-		for _, mode := range encodeModes {
-			checkRoundTrip(t, ids, mode)
-		}
+		checkRoundTrip(t, ids)
 	}
 }
 
-// TestAdaptiveSelectsSmallest verifies the adaptive block is never larger
-// than any forced scheme's block for the same input.
+// TestAdaptiveSelectsSmallest holds every writer to its exact size function —
+// 4n for raw, deltaPayloadLen, bitmapPayloadLen for a set — and the adaptive
+// block to the smallest of them.
 func TestAdaptiveSelectsSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -149,13 +168,24 @@ func TestAdaptiveSelectsSmallest(t *testing.T) {
 		for i := range ids {
 			ids[i] = rng.Uint32() % max
 		}
-		adaptive, _ := Append(nil, ids, ModeAdaptive)
-		for _, mode := range []Mode{ModeRaw, ModeDelta, ModeBitmap} {
-			forced, _ := Append(nil, ids, mode)
-			if len(adaptive) > len(forced) {
-				t.Fatalf("adaptive block (%d bytes) larger than %v block (%d bytes) for %d ids",
-					len(adaptive), mode, len(forced), n)
+		sorted := sortedOf(ids)
+		sizes := map[Scheme]int{SchemeRaw: 4 * n, SchemeDelta: deltaPayloadLen(sorted)}
+		if bitmapFits(ids) {
+			sizes[SchemeBitmap] = bitmapPayloadLen(sorted)
+		}
+		smallest := math.MaxInt
+		for _, e := range encodings(ids) {
+			if e.by == "adaptive" {
+				continue
 			}
+			if want := blockLen(n, sizes[e.scheme]); len(e.buf) != want {
+				t.Fatalf("%d ids: %v block of %d bytes, its size function says %d", n, e.scheme, len(e.buf), want)
+			}
+			smallest = min(smallest, len(e.buf))
+		}
+		adaptive, scheme := encodeAdaptive(ids)
+		if len(adaptive) != smallest {
+			t.Fatalf("%d ids: adaptive %v block of %d bytes, the smallest writer's %d", n, scheme, len(adaptive), smallest)
 		}
 	}
 }
@@ -177,7 +207,7 @@ func TestSchemeSelectionBoundaries(t *testing.T) {
 			append(seq(0, 4096), 0), SchemeDelta},
 	}
 	for _, tc := range cases {
-		_, scheme := Append(nil, tc.ids, ModeAdaptive)
+		_, scheme := encodeAdaptive(tc.ids)
 		if scheme != tc.want {
 			t.Errorf("%s: adaptive chose %v, want %v", tc.name, scheme, tc.want)
 		}
@@ -192,40 +222,36 @@ func seqStride(start uint32, n int, stride uint32) []uint32 {
 	return out
 }
 
-// TestDecodeRejectsTruncation truncates valid blocks at every possible
-// length; none may decode successfully.
+// TestDecodeRejectsTruncation truncates valid blocks of every scheme at every
+// possible length; none may decode successfully.
 func TestDecodeRejectsTruncation(t *testing.T) {
 	inputs := [][]uint32{{}, {1}, seq(0, 200), {4, 9, 1 << 30, 77, 77}}
 	for _, ids := range inputs {
-		for _, mode := range encodeModes {
-			buf, scheme := Append(nil, ids, mode)
-			for cut := 0; cut < len(buf); cut++ {
-				if _, _, _, err := Decode(buf[:cut]); err == nil {
-					t.Fatalf("scheme %v: truncation to %d/%d bytes decoded successfully",
-						scheme, cut, len(buf))
+		for _, e := range encodings(ids) {
+			for cut := 0; cut < len(e.buf); cut++ {
+				if _, _, _, err := decodeOne(e.buf[:cut]); err == nil {
+					t.Fatalf("%s/%v: truncation to %d/%d bytes decoded successfully",
+						e.by, e.scheme, cut, len(e.buf))
 				}
 			}
 		}
 	}
 }
 
-// TestDecodeRejectsCorruption flips every bit of valid blocks; decode must
-// either error or (never) silently return the original ids from a mutated
-// buffer whose checksum still matched.
-// Every decode error on a block is born wrapping ErrCorrupt — no boundary
-// re-types it — whatever mode encoded the block, ModeOff's raw blocks
-// included.
+// TestDecodeRejectsCorruption flips every bit of valid blocks of every scheme;
+// decode must error. Every decode error on a block is born wrapping
+// ErrCorrupt — no boundary re-types it — whatever wrote the block, the raw
+// writer ModeOff's blocks come from included.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	inputs := [][]uint32{{3}, seq(50, 100), {1, 1000, 1 << 25}}
 	for _, ids := range inputs {
-		for _, mode := range append([]Mode{ModeOff}, encodeModes...) {
-			buf, scheme := Append(nil, ids, mode)
-			for i := 0; i < len(buf); i++ {
+		for _, e := range encodings(ids) {
+			for i := 0; i < len(e.buf); i++ {
 				for bit := 0; bit < 8; bit++ {
-					corrupt := append([]byte(nil), buf...)
+					corrupt := append([]byte(nil), e.buf...)
 					corrupt[i] ^= 1 << bit
-					if _, _, _, err := Decode(corrupt); !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("mode %v scheme %v: flipping byte %d bit %d: err = %v, want ErrCorrupt", mode, scheme, i, bit, err)
+					if _, _, _, err := decodeOne(corrupt); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s/%v: flipping byte %d bit %d: err = %v, want ErrCorrupt", e.by, e.scheme, i, bit, err)
 					}
 				}
 			}
@@ -236,21 +262,21 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestDecodeRejectsHugeCount(t *testing.T) {
 	// A handcrafted raw block claiming 2^40 ids must be rejected by the
 	// pre-allocation bound, not by an attempted 4 TB allocation.
-	buf, _ := Append(nil, []uint32{1, 2, 3}, ModeRaw)
+	buf := appendRaw(nil, []uint32{1, 2, 3}, 0)
 	corrupt := append([]byte{buf[0]}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)
 	corrupt = append(corrupt, buf[2:]...)
-	if _, _, _, err := Decode(corrupt); err == nil {
+	if _, _, _, err := decodeOne(corrupt); err == nil {
 		t.Fatal("absurd id count decoded successfully")
 	}
 }
 
+// TestEncodeDecodeRank: a rank message is one block per slot; Stats count it
+// under each mode's charging rule, and DecodeRankInto gives back each slot —
+// in its order under ModeOff, as its multiset under ModeAdaptive.
 func TestEncodeDecodeRank(t *testing.T) {
 	slots := [][]uint32{seq(0, 300), nil, {9, 2, 9}, {1 << 31}}
-	for _, mode := range encodeModes {
-		buf, st := EncodeRank(slots, mode)
-		if st.EncodedBytes != int64(len(buf)) {
-			t.Fatalf("mode %v: stats say %d bytes, buffer has %d", mode, st.EncodedBytes, len(buf))
-		}
+	for _, mode := range []Mode{ModeOff, ModeAdaptive} {
+		buf, st := (*Selector)(nil).AppendRank(nil, 0, slots, nil, mode)
 		if want := int64(4 * (300 + 0 + 3 + 1)); st.RawBytes != want {
 			t.Fatalf("mode %v: raw bytes %d, want %d", mode, st.RawBytes, want)
 		}
@@ -258,36 +284,38 @@ func TestEncodeDecodeRank(t *testing.T) {
 		for _, c := range st.Selected {
 			blocks += c
 		}
-		if blocks != int64(len(slots)) {
-			t.Fatalf("mode %v: %d scheme selections for %d slots", mode, blocks, len(slots))
+		if mode == ModeOff {
+			if st.EncodedBytes != st.RawBytes || blocks != 0 {
+				t.Fatalf("off: stats %+v, want the fixed-width payload and no scheme", st)
+			}
+		} else if st.EncodedBytes != int64(len(buf)) || blocks != int64(len(slots)) {
+			t.Fatalf("adaptive: stats %+v for %d bytes and %d slots", st, len(buf), len(slots))
 		}
-		got, err := DecodeRank(buf, len(slots))
-		if err != nil {
-			t.Fatalf("mode %v: DecodeRank: %v", mode, err)
+		got := make([][]uint32, len(slots))
+		if err := DecodeRankInto(buf, got); err != nil {
+			t.Fatalf("mode %v: DecodeRankInto: %v", mode, err)
 		}
 		for s := range slots {
-			want := uniqueOf(slots[s])
-			if mode == ModeRaw {
-				want = slots[s]
-			} else if got2 := sortedOf(slots[s]); len(got[s]) == len(got2) {
-				want = got2
+			want, have := slots[s], got[s]
+			if mode == ModeAdaptive {
+				want, have = sortedOf(want), sortedOf(have)
 			}
-			if !equalIDs(got[s], want) {
-				t.Fatalf("mode %v slot %d: got %v, want %v", mode, s, got[s], want)
+			if !equalIDs(have, want) {
+				t.Fatalf("mode %v slot %d: got %v, want %v", mode, s, got[s], slots[s])
 			}
 		}
 	}
 }
 
 func TestDecodeRankRejectsTrailing(t *testing.T) {
-	buf, _ := EncodeRank([][]uint32{{1}, {2}}, ModeAdaptive)
-	if _, err := DecodeRank(append(buf, 0), 2); err == nil {
+	buf, _ := (*Selector)(nil).AppendRank(nil, 0, [][]uint32{{1}, {2}}, nil, ModeAdaptive)
+	if err := DecodeRankInto(append(buf, 0), make([][]uint32, 2)); err == nil {
 		t.Fatal("trailing byte went undetected")
 	}
-	if _, err := DecodeRank(buf, 3); err == nil {
+	if err := DecodeRankInto(buf, make([][]uint32, 3)); err == nil {
 		t.Fatal("missing slot went undetected")
 	}
-	if _, err := DecodeRank(buf[:len(buf)-1], 2); err == nil {
+	if err := DecodeRankInto(buf[:len(buf)-1], make([][]uint32, 2)); err == nil {
 		t.Fatal("truncated final slot went undetected")
 	}
 }
@@ -301,18 +329,20 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// TestParseMode: the two modes parse; the retired forced spellings are
+// errors naming both.
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{
-		"": ModeOff, "off": ModeOff, "adaptive": ModeAdaptive,
-		"raw": ModeRaw, "delta": ModeDelta, "bitmap": ModeBitmap,
-	} {
+	for s, want := range map[string]Mode{"": ModeOff, "off": ModeOff, "adaptive": ModeAdaptive} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseMode("zstd"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
+	for _, s := range []string{"raw", "delta", "bitmap", "zstd"} {
+		_, err := ParseMode(s)
+		if err == nil || !strings.Contains(err.Error(), "off") || !strings.Contains(err.Error(), "adaptive") {
+			t.Errorf("ParseMode(%q): err %v, want one naming off and adaptive", s, err)
+		}
 	}
 }
 
@@ -325,7 +355,7 @@ func TestDecodeRejectsDeltaGapWrap(t *testing.T) {
 	block = binary.AppendUvarint(block, 4)              // first id = 4
 	block = binary.AppendUvarint(block, math.MaxUint64) // gap wraps 4 → 3
 	block = binary.LittleEndian.AppendUint32(block, crc32.Checksum(block, crcTable))
-	if ids, _, _, err := Decode(block); err == nil {
+	if ids, _, _, err := decodeOne(block); err == nil {
 		t.Fatalf("wrapping delta gap decoded successfully to %v", ids)
 	}
 }

@@ -65,7 +65,7 @@ func TestServiceConcurrentMixedQueries(t *testing.T) {
 		src  int64
 		opts []QueryOption
 	}
-	compressions := []Compression{CompressionOff, CompressionAdaptive, CompressionDelta}
+	compressions := []Compression{CompressionOff, CompressionAdaptive}
 	exchanges := []Exchange{ExchangeAllPairs, ExchangeButterfly}
 	queries := make([]query, 0, len(sources))
 	for i, src := range sources {
@@ -241,8 +241,11 @@ func TestQueryOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := svc.Run(ctx, 1, WithCompression(Compression(99))); err == nil {
-		t.Fatal("service accepted an invalid compression override")
+	// The retired forced modes' values (2–4) are refused like any other.
+	for _, c := range []Compression{2, 3, 4, 99} {
+		if _, err := svc.Run(ctx, 1, WithCompression(c)); err == nil {
+			t.Fatalf("service accepted compression override %d", c)
+		}
 	}
 	if _, err := svc.Run(ctx, 1, WithExchange(Exchange(-1))); err == nil {
 		t.Fatal("service accepted an invalid exchange override")
