@@ -194,27 +194,32 @@ func BenchmarkSweepAllocBytes(b *testing.B) {
 }
 
 // BenchmarkEpochBuild is what a MutableService pays to publish an epoch, on
-// the shape of the rmat16-mutable host workload (RMAT scale 16, 4×2×2, a
-// 0.1 % mixed delta): "service" is one ApplyDelta per iteration, each on the
-// graph the previous one left (synthesizing the delta is off the clock);
-// "apply" and "distribute" time its two expensive layers alone —
-// delta.Apply and partition.DistributeIncremental against the previous
-// epoch's subgraphs. Run with -benchmem: the build's transient buckets show
-// up as B/op, not in any live-heap figure.
+// the shape of the rmat16-mutable host workload (RMAT scale 16, 4×2×2, 0.1 %
+// mixed deltas): "service" is one ApplyDelta per iteration, each on the
+// graph the previous one left, over a chain drawn before the timer starts
+// (epochChain); "apply", "separate" and "distribute" time its layers alone —
+// delta.ApplyDegrees, partition.SeparateDegrees on the degrees it carries,
+// and partition.DistributeIncremental against the previous epoch's
+// subgraphs. Run with -benchmem: the build's transient buckets show up as
+// B/op, not in any live-heap figure. internal/partition's
+// BenchmarkDistributeLevels splits the distributor's share into its route
+// and build levels.
 func BenchmarkEpochBuild(b *testing.B) {
 	g := RMAT(16)
 	cfg := DefaultConfig(Cluster{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2})
 	pcfg := cfg.Cluster.shape().PartitionConfig()
-	d, err := SynthesizeDelta(g, 0.001, "mixed", 1)
+	chain, err := epochChain(g, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	th := cfg.threshold(g.el.OutDegrees())
-	prev, err := partition.Distribute(g.el, partition.Separate(g.el, th), pcfg)
+	deg := g.el.OutDegrees()
+	th := cfg.threshold(deg)
+	prev, err := partition.Distribute(g.el, partition.SeparateDegrees(deg, th), pcfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	next, err := delta.Apply(g.el, d.batch())
+	batch := chain[0].batch()
+	next, nextDeg, err := delta.ApplyDegrees(g.el, batch, deg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,29 +232,29 @@ func BenchmarkEpochBuild(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			d, err := SynthesizeDelta(m.Graph(), 0.001, "mixed", uint64(i)+1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := m.ApplyDelta(d); err != nil {
+			if _, err := m.ApplyDelta(chain[i%len(chain)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("apply", func(b *testing.B) {
-		batch := d.batch()
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := delta.Apply(g.el, batch); err != nil {
+			if _, _, err := delta.ApplyDegrees(g.el, batch, deg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	b.Run("separate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if partition.SeparateDegrees(nextDeg, th).D() == 0 {
+				b.Fatal("no delegates")
+			}
+		}
+	})
 	b.Run("distribute", func(b *testing.B) {
-		sep := partition.Separate(next, th)
+		sep := partition.SeparateDegrees(nextDeg, th)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -258,4 +263,30 @@ func BenchmarkEpochBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// epochChain draws k 0.1 % mixed deltas, each on the graph the one before it
+// leaves, and appends their inverses in reverse order (each insert deleted,
+// each delete inserted again). Every delta of the chain applies to the graph
+// its predecessors leave, and after the last one the graph holds the pairs it
+// began with, so the chain replays from its start for as long as a benchmark
+// runs: drawing a delta costs about ten epoch builds (SynthesizeDelta indexes
+// every pair of the graph), and only k of them are drawn.
+func epochChain(g *Graph, k int) ([]*Delta, error) {
+	chain := make([]*Delta, 0, 2*k)
+	el := g.el
+	for i := 0; i < k; i++ {
+		d, err := SynthesizeDelta(&Graph{el: el}, 0.001, "mixed", uint64(i)+1)
+		if err != nil {
+			return nil, err
+		}
+		if el, err = delta.Apply(el, d.batch()); err != nil {
+			return nil, err
+		}
+		chain = append(chain, d)
+	}
+	for i := k - 1; i >= 0; i-- {
+		chain = append(chain, &Delta{Inserts: chain[i].Deletes, Deletes: chain[i].Inserts})
+	}
+	return chain, nil
 }

@@ -110,15 +110,19 @@ func Run(p Params) (*Report, error) {
 // repair should beat recomputing, large enough to exercise the probe.
 const dynamicFrac = 0.01
 
+// epochBuildReps is how many times the dynamic cells build the next epoch;
+// epoch_build_ms is the fastest.
+const epochBuildReps = 5
+
 // dynamicCells pins the incremental-graph trajectory: one mixed delta
 // advances the scale-12 graph an epoch (incremental distribution beside the
-// live partition, wall-clock build time recorded as informational), and the
-// prior query is repaired on the new epoch. Recorded: the repaired query's
-// GTEPS (simulated, deterministic — −5% tolerance), its exact wire bytes,
-// and the repair:recompute simulated-seconds speedup (informational — it
-// tracks delta structure, not code quality). The repair is asserted
-// bit-identical to the recompute here too, so a broken repair can never
-// post a benchmark number.
+// live partition; the fastest of epochBuildReps wall-clock builds recorded as
+// informational), and the prior query is repaired on the new epoch.
+// Recorded: the repaired query's GTEPS (simulated, deterministic — −5%
+// tolerance), its exact wire bytes, and the repair:recompute
+// simulated-seconds speedup (informational — it tracks delta structure, not
+// code quality). The repair is asserted bit-identical to the recompute here
+// too, so a broken repair can never post a benchmark number.
 func dynamicCells(rep *Report) error {
 	el := experiments.BenchGraph(12)
 	shape := core.ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
@@ -145,21 +149,27 @@ func dynamicCells(rep *Report) error {
 	}
 
 	b := delta.Synthesize(el, dynamicFrac, delta.KindMixed, uint64(rep.Seed))
-	el2, err := delta.Apply(el, b)
-	if err != nil {
-		return fmt.Errorf("bench: dynamic cells: %w", err)
+	// The build is timed the way MutableService.ApplyDelta runs it, from the
+	// delta through NewPlanEpoch, and the fastest of epochBuildReps is kept:
+	// one build takes a few ms here, and a single shot of it spread 5× from
+	// run to run on unchanged code.
+	buildMS := math.Inf(1)
+	var p2 *core.Plan
+	for range epochBuildReps {
+		buildStart := time.Now()
+		el2, deg2, err := delta.ApplyDegrees(el, b, sep.OutDeg)
+		if err != nil {
+			return fmt.Errorf("bench: dynamic cells: %w", err)
+		}
+		sg2, _, err := partition.DistributeIncremental(el2, partition.SeparateDegrees(deg2, th), cfg, sg)
+		if err != nil {
+			return fmt.Errorf("bench: dynamic cells: %w", err)
+		}
+		if p2, err = core.NewPlanEpoch(sg2, shape, opts, 2); err != nil {
+			return fmt.Errorf("bench: dynamic cells: %w", err)
+		}
+		buildMS = min(buildMS, time.Since(buildStart).Seconds()*1e3)
 	}
-	buildStart := time.Now()
-	sep2 := partition.Separate(el2, th)
-	sg2, _, err := partition.DistributeIncremental(el2, sep2, cfg, sg)
-	if err != nil {
-		return fmt.Errorf("bench: dynamic cells: %w", err)
-	}
-	p2, err := core.NewPlanEpoch(sg2, shape, opts, 2)
-	if err != nil {
-		return fmt.Errorf("bench: dynamic cells: %w", err)
-	}
-	buildMS := time.Since(buildStart).Seconds() * 1e3
 
 	full, err := p2.Run(ctx, source, core.Overrides{})
 	if err != nil {

@@ -3,9 +3,11 @@
 // undirected edge inserts and deletes; Apply produces the next epoch's edge
 // list by stable compaction (surviving directed edges keep their relative
 // order, so per-GPU CSRs of untouched partitions rebuild byte-identically —
-// see partition.DistributeIncremental); Invalidated derives, from a prior
-// canonical BFS result, which vertices a delta's deletes void — the input of
-// core.Plan.Repair's corrective traversal.
+// see partition.DistributeIncremental), and ApplyDegrees also carries the
+// out-degrees across, so the next epoch's degree separation needs no pass
+// over its edges; Invalidated derives, from a prior canonical BFS result,
+// which vertices a delta's deletes void — the input of core.Plan.Repair's
+// corrective traversal.
 //
 // The package sits below core: it knows edge lists and BFS trees, nothing
 // about partitions, sessions or epochs.
@@ -87,38 +89,58 @@ func (b *Batch) Validate(n int64) error {
 // not change. The input edge list is never modified. Deleting a pair the
 // graph does not contain is an error.
 //
-// A surviving edge costs two byte loads, not a map probe: the delete map is
-// consulted only for an edge whose endpoints are both endpoints of some
-// delete. The scan and the copy each run on graph.BuildWorkers() chunks of
-// the list; the output does not depend on how it is cut.
+// A surviving edge costs one hash and one load from a bitset of a few KiB
+// (deleteFilter); the delete map is consulted only on a filter hit, so the
+// result is exact. The scan and the copy each run on graph.BuildWorkers()
+// chunks of the list; the output does not depend on how it is cut.
 func Apply(el *graph.EdgeList, b *Batch) (*graph.EdgeList, error) {
-	return apply(el, b, graph.BuildWorkers())
+	out, _, err := apply(el, b, nil, graph.BuildWorkers())
+	return out, err
 }
 
-func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
+// ApplyDegrees is Apply for a caller that holds el's out-degrees (deg, one
+// per vertex, as graph.EdgeList.OutDegrees counts them): it also returns the
+// new list's, derived from deg rather than counted — minus one at the source
+// of every dropped directed edge, plus one at each endpoint of every insert.
+// deg is not modified.
+func ApplyDegrees(el *graph.EdgeList, b *Batch, deg []int64) (*graph.EdgeList, []int64, error) {
+	if int64(len(deg)) != el.N {
+		return nil, nil, fmt.Errorf("delta: %d out-degrees for a graph of %d vertices", len(deg), el.N)
+	}
+	return apply(el, b, deg, graph.BuildWorkers())
+}
+
+// apply implements Apply and ApplyDegrees on the given number of workers; a
+// nil deg derives no degrees.
+func apply(el *graph.EdgeList, b *Batch, deg []int64, workers int) (*graph.EdgeList, []int64, error) {
 	if err := b.Validate(el.N); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if deg != nil {
+		deg = slices.Clone(deg)
 	}
 	if b.Empty() {
-		return &graph.EdgeList{N: el.N, Edges: append([]graph.Edge(nil), el.Edges...)}, nil
+		return &graph.EdgeList{N: el.N, Edges: append([]graph.Edge(nil), el.Edges...)}, deg, nil
 	}
 	// del maps both directed copies of a deleted pair to its index in
-	// b.Deletes; marked holds the endpoints.
+	// b.Deletes; filter holds the same copies.
 	del := make(map[graph.Edge]int, 2*len(b.Deletes))
-	marked := make([]bool, el.N)
+	filter := newDeleteFilter(2 * len(b.Deletes))
 	for i, e := range b.Deletes {
-		del[e] = i
-		del[graph.Edge{U: e.V, V: e.U}] = i
-		marked[e.U], marked[e.V] = true, true
+		r := graph.Edge{U: e.V, V: e.U}
+		del[e], del[r] = i, i
+		filter.add(e)
+		filter.add(r)
 	}
 
-	// Scan: each worker lists the edges of its chunk that go.
+	// Scan: each worker lists the edges of its chunk that go. The filter
+	// hashes any endpoints, in range or not, and no out-of-range edge is in
+	// del (Validate saw every delete).
 	drops := make([][]int, workers)
-	n := uint64(el.N)
 	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := el.Edges[i]
-			if uint64(e.U) < n && uint64(e.V) < n && marked[e.U] && marked[e.V] {
+			if filter.has(e) {
 				if _, drop := del[e]; drop {
 					drops[w] = append(drops[w], i)
 				}
@@ -130,12 +152,16 @@ func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
 	for _, ds := range drops {
 		dropped += len(ds)
 		for _, i := range ds {
-			found[del[el.Edges[i]]] = true
+			e := el.Edges[i]
+			found[del[e]] = true
+			if deg != nil {
+				deg[e.U]--
+			}
 		}
 	}
 	for i, ok := range found {
 		if !ok {
-			return nil, fmt.Errorf("delta: delete {%d,%d} not present in graph", b.Deletes[i].U, b.Deletes[i].V)
+			return nil, nil, fmt.Errorf("delta: delete {%d,%d} not present in graph", b.Deletes[i].U, b.Deletes[i].V)
 		}
 	}
 
@@ -158,7 +184,52 @@ func apply(el *graph.EdgeList, b *Batch, workers int) (*graph.EdgeList, error) {
 		out.Edges[kept+2*i] = e
 		out.Edges[kept+2*i+1] = graph.Edge{U: e.V, V: e.U}
 	}
-	return out, nil
+	if deg != nil {
+		for _, e := range b.Inserts {
+			deg[e.U]++
+			deg[e.V]++
+		}
+	}
+	return out, deg, nil
+}
+
+// deleteFilter is a bitset with one hashed bit per directed edge added to
+// it: a clear bit proves that an edge was not added, a set bit only that it
+// may have been. Sized at 64 bits per edge (at most maxFilterBits), a kept
+// edge hits by chance about once in 64 — and is then cleared by the delete
+// map — while the whole filter of a 0.1 % mixed delta at RMAT 16 (454
+// deletes, 908 directed copies) is 8 KiB and stays in the L1 cache. The
+// per-edge test is a multiply, a shift and a load, with no data-dependent
+// branch before it.
+type deleteFilter struct {
+	words []uint64
+	shift uint // 64 − log2(bits): a slot is the top bits of the hash
+}
+
+const maxFilterBits = 1 << 24
+
+func newDeleteFilter(edges int) deleteFilter {
+	bits, shift := 64, uint(58)
+	for bits < 64*edges && bits < maxFilterBits {
+		bits, shift = 2*bits, shift-1
+	}
+	return deleteFilter{words: make([]uint64, bits/64), shift: shift}
+}
+
+// slot hashes a directed edge to one bit of the filter (multiplicative
+// hashing: the top bits of a product mix every bit of both endpoints).
+func (f deleteFilter) slot(e graph.Edge) uint64 {
+	return ((uint64(e.U)*0x9e3779b97f4a7c15 ^ uint64(e.V)) * 0xbf58476d1ce4e5b9) >> f.shift
+}
+
+func (f deleteFilter) add(e graph.Edge) {
+	s := f.slot(e)
+	f.words[s>>6] |= 1 << (s & 63)
+}
+
+func (f deleteFilter) has(e graph.Edge) bool {
+	s := f.slot(e)
+	return f.words[s>>6]&(1<<(s&63)) != 0
 }
 
 // Invalidated marks, from a prior canonical BFS outcome (levels and the

@@ -172,3 +172,62 @@ func TestSynthesizeDeterministicAndApplies(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyFilterCollisions builds a batch whose two deletes share a filter
+// bit, and a graph whose kept edges hash to the bits the deletes set: the
+// filter passes all of them to the delete map, which must keep every kept
+// edge and drop every copy of each deleted one.
+func TestApplyFilterCollisions(t *testing.T) {
+	const n = 64
+	f := newDeleteFilter(4) // two deletes, four directed copies: what apply sizes
+	d1 := graph.Edge{U: 1, V: 2}
+	var d2 graph.Edge
+	for u := int64(3); u < n && d2 == (graph.Edge{}); u++ {
+		for v := u + 1; v < n; v++ {
+			if e := (graph.Edge{U: u, V: v}); f.slot(e) == f.slot(d1) {
+				d2 = e
+				break
+			}
+		}
+	}
+	if d2 == (graph.Edge{}) {
+		t.Fatal("test setup: no delete shares a filter bit with {1,2}")
+	}
+	deleted := []graph.Edge{d1, {U: d1.V, V: d1.U}, d2, {U: d2.V, V: d2.U}}
+	hit := make(map[uint64]bool)
+	for _, e := range deleted {
+		f.add(e)
+		hit[f.slot(e)] = true
+	}
+
+	// Every other pair of the 64 vertices on a deleted edge's bit, interleaved
+	// with copies of the deleted directed edges (each one at least twice).
+	var kept []graph.Edge
+	for u := int64(0); u < n; u++ {
+		for v := int64(0); v < n; v++ {
+			e := graph.Edge{U: u, V: v}
+			if u != v && hit[f.slot(e)] && !slices.Contains(deleted, e) {
+				kept = append(kept, e)
+			}
+		}
+	}
+	if len(kept) < 8 {
+		t.Fatalf("test setup: only %d kept edges collide with the deletes", len(kept))
+	}
+	el := &graph.EdgeList{N: n}
+	for i, e := range kept {
+		el.Edges = append(el.Edges, e, deleted[i%len(deleted)])
+	}
+	el.Edges = append(el.Edges, deleted...)
+
+	b := &Batch{Deletes: []graph.Edge{d1, d2}}
+	for _, workers := range []int{1, 3} {
+		got, _, err := apply(el, b, nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Edges, kept) {
+			t.Fatalf("%d workers: kept %d edges, want the %d colliding kept edges in order", workers, len(got.Edges), len(kept))
+		}
+	}
+}

@@ -47,10 +47,15 @@ func referenceApply(el *graph.EdgeList, b *Batch) (*graph.EdgeList, error) {
 }
 
 // TestApplyMatchesReference: the same edge list whatever the worker count,
-// on a graph large enough that every chunk drops edges.
+// on a graph large enough that every chunk drops edges, and out-degrees equal
+// to a count over the result. Three deleted pairs are in the graph three
+// times over, so their drops take several copies from one vertex's degree.
 func TestApplyMatchesReference(t *testing.T) {
 	el := rmat.Generate(rmat.Params{Scale: 11, EdgeFactor: 8, Seed: 4, Permute: true, Symmetric: true})
 	b := Synthesize(el, 0.02, KindMixed, 9)
+	for _, e := range b.Deletes[:3] {
+		el.Edges = append(el.Edges, e, graph.Edge{U: e.V, V: e.U}, e, graph.Edge{U: e.V, V: e.U})
+	}
 	want, err := referenceApply(el, b)
 	if err != nil {
 		t.Fatal(err)
@@ -58,21 +63,33 @@ func TestApplyMatchesReference(t *testing.T) {
 	if len(want.Edges) == len(el.Edges) || len(b.Deletes) == 0 {
 		t.Fatal("test setup: the batch deletes nothing")
 	}
+	deg := el.OutDegrees()
+	wantDeg := want.OutDegrees()
 	for _, workers := range []int{1, 2, 3, 7} {
-		got, err := apply(el, b, workers)
+		got, gotDeg, err := apply(el, b, deg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got.Edges, want.Edges) {
 			t.Fatalf("%d workers: edge list differs from the reference", workers)
 		}
+		if !slices.Equal(gotDeg, wantDeg) {
+			t.Fatalf("%d workers: derived out-degrees differ from a count over the result", workers)
+		}
+	}
+	if !slices.Equal(deg, el.OutDegrees()) {
+		t.Fatal("apply modified the out-degrees it was given")
+	}
+	if _, _, err := ApplyDegrees(el, b, deg[1:]); err == nil {
+		t.Fatal("ApplyDegrees accepted out-degrees of the wrong length")
 	}
 }
 
 // FuzzApply holds Apply to referenceApply on arbitrary directed multigraphs
 // and batches: the same verdict (out of range, self loop, repeated pair,
 // delete not present, or none), the same edges in the same order, and the
-// input edge list untouched. Endpoints are raw bytes over n ≤ 256 vertices,
+// input edge list untouched; where every endpoint of the graph is in range,
+// ApplyDegrees returns the same list and its out-degrees. Endpoints are raw bytes over n ≤ 256 vertices,
 // so out-of-range ones occur on both sides, in the graph as well as in the
 // batch; the graph is directed, so a delete can find one orientation only.
 func FuzzApply(f *testing.F) {
@@ -105,6 +122,25 @@ func FuzzApply(f *testing.F) {
 		}
 		if got.N != want.N || !slices.Equal(got.Edges, want.Edges) {
 			t.Fatalf("Apply kept %d edges, reference %d, or in another order", len(got.Edges), len(want.Edges))
+		}
+
+		// Out-degrees exist only for a graph whose endpoints are all in range.
+		deg, err := el.CheckedOutDegrees()
+		if err != nil {
+			return
+		}
+		got, gotDeg, err := ApplyDegrees(el, b, deg)
+		if err != nil {
+			t.Fatalf("ApplyDegrees: %v, Apply: nil", err)
+		}
+		if !slices.Equal(got.Edges, want.Edges) {
+			t.Fatal("ApplyDegrees and Apply return different edge lists")
+		}
+		if wantDeg := want.OutDegrees(); !slices.Equal(gotDeg, wantDeg) {
+			t.Fatalf("derived out-degrees %v, counted %v", gotDeg, wantDeg)
+		}
+		if !slices.Equal(deg, el.OutDegrees()) {
+			t.Fatal("ApplyDegrees modified the out-degrees it was given")
 		}
 	})
 }

@@ -460,3 +460,38 @@ func BenchmarkDistributeScale14(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDistributeLevels times the distributor's two levels apart on the
+// rmat16-mutable shape (RMAT scale 16, 8 ranks × 2 GPUs, the suggested
+// threshold): "route" is Algorithm 1 into per-GPU buckets, "build" the
+// per-GPU CSRs from them, with no previous epoch to share.
+func BenchmarkDistributeLevels(b *testing.B) {
+	el := rmat.Generate(rmat.DefaultParams(16))
+	cfg := Config{Ranks: 8, GPUsPerRank: 2}
+	deg := el.OutDegrees()
+	sep := SeparateDegrees(deg, SuggestThreshold(deg, 4*el.N/int64(cfg.P())))
+	sg, err := Distribute(el, sep, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workers := graph.BuildWorkers()
+	b.Run("route", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := route(el, sep, cfg, sg.DelegateOutDeg, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		buckets, err := route(el, sep, cfg, sg.DelegateOutDeg, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			build(sg, buckets, nil, workers)
+		}
+	})
+}

@@ -160,6 +160,22 @@ func TestDistributeMatchesReference(t *testing.T) {
 	for _, d := range rm.OutDegrees() {
 		maxDeg = max(maxDeg, d)
 	}
+	// Two circulants, 0..59 of degree 10 and 60..99 of degree 6: at
+	// threshold 4 every vertex is a delegate, and every dd edge but those at
+	// 3 and 70 ties on out-degree, so the id decides its owner; the
+	// reference routes through Route, on 3×2 GPUs among the shapes.
+	tied := &graph.EdgeList{N: 100}
+	for _, c := range []struct{ lo, n, k int64 }{{0, 60, 5}, {60, 40, 3}} {
+		for i := int64(0); i < c.n; i++ {
+			for j := int64(1); j <= c.k; j++ {
+				u, v := c.lo+i, c.lo+(i+j)%c.n
+				tied.Add(u, v)
+				tied.Add(v, u)
+			}
+		}
+	}
+	tied.Add(3, 70) // one pair of unequal degree between the two
+	tied.Add(70, 3)
 	loops := &graph.EdgeList{N: 9}
 	for _, e := range [][2]int64{{0, 0}, {1, 2}, {2, 1}, {1, 2}, {2, 1}, {3, 3}, {3, 3}, {3, 4}, {4, 3}, {8, 1}, {1, 8}, {1, 1}} {
 		loops.Add(e[0], e[1])
@@ -176,6 +192,7 @@ func TestDistributeMatchesReference(t *testing.T) {
 		{"n<p", gen.Path(5), 1},
 		{"loops-and-parallel", loops, 2},
 		{"loops-and-parallel-all-delegates", loops, 0},
+		{"tied-delegates", tied, 4},
 	}
 	shapes := []Config{{1, 1}, {3, 2}, {8, 2}, {32, 1}}
 	for _, in := range inputs {

@@ -180,18 +180,30 @@ type routed[C uint32 | int64] struct {
 }
 
 // stream is the edges one route worker sent to one GPU in one category, in
-// edge-list order: a list of blocks of fixed capacity, the last one open. It
-// grows by whole blocks, so no record is ever copied and a build allocates
-// what it buckets exactly once.
-type stream[C uint32 | int64] [][]routed[C]
+// edge-list order: a list of blocks of fixed capacity, and the open block
+// the next record goes to. It grows by whole blocks, so no record is ever
+// copied and a build allocates what it buckets exactly once.
+type stream[C uint32 | int64] struct {
+	blocks [][]routed[C] // the closed blocks, in order
+	open   []routed[C]   // full length; its first n records are filled
+	n      int
+}
 
 func (s *stream[C]) add(r routed[C], blockLen int) {
-	last := len(*s) - 1
-	if last < 0 || len((*s)[last]) == blockLen {
-		*s = append(*s, make([]routed[C], 0, blockLen))
-		last++
+	if s.n == len(s.open) {
+		s.close()
+		s.open = make([]routed[C], blockLen)
 	}
-	(*s)[last] = append((*s)[last], r)
+	s.open[s.n] = r
+	s.n++
+}
+
+// close moves the open block's filled records to blocks.
+func (s *stream[C]) close() {
+	if s.n > 0 {
+		s.blocks = append(s.blocks, s.open[:s.n])
+	}
+	s.open, s.n = nil, 0
 }
 
 // bucket is what one route worker sent to one GPU, a stream per category.
@@ -255,12 +267,26 @@ func routeChunk(edges []graph.Edge, base int, ends []endpoint, delegateOutDeg []
 		default:
 			// Lower out-degree endpoint's owner; ties to the lower vertex,
 			// which is the lower delegate id (ids ascend with the vertex).
-			own := u
-			if du, dv := delegateOutDeg[u.id], delegateOutDeg[v.id]; dv < du || (dv == du && v.id < u.id) {
-				own = v
-			}
-			out[^own.gpu].dd.add(routed[uint32]{u.id, v.id}, blockLen)
+			// Most edges of a power-law graph are dd, and which end is
+			// lower is a coin toss that a branch predictor loses, so the
+			// owner is selected with masks: lt is all ones when dv < du,
+			// eq when dv == du (degrees are non-negative, so du − dv cannot
+			// overflow), id when v.id < u.id.
+			du, dv := delegateOutDeg[u.id], delegateOutDeg[v.id]
+			lt := (dv - du) >> 63
+			eq := ^((dv - du) | (du - dv)) >> 63
+			id := (int64(v.id) - int64(u.id)) >> 63
+			m := int32(lt | eq&id)
+			own := u.gpu ^ ((u.gpu ^ v.gpu) & m)
+			out[^own].dd.add(routed[uint32]{u.id, v.id}, blockLen)
 		}
+	}
+	for i := range out { // the build reads closed blocks only
+		b := &out[i]
+		b.nn.close()
+		b.nd.close()
+		b.dn.close()
+		b.dd.close()
 	}
 	return out, nil
 }
@@ -332,7 +358,7 @@ func buildGPU(i int, cfg Config, n, d int64, buckets [][]bucket, prev *GPUGraph,
 	var nd, dn, dd [][]routed[uint32]
 	for w := range buckets {
 		b := &buckets[w][i]
-		nn, nd, dn, dd = append(nn, b.nn...), append(nd, b.nd...), append(dn, b.dn...), append(dd, b.dd...)
+		nn, nd, dn, dd = append(nn, b.nn.blocks...), append(nd, b.nd.blocks...), append(dn, b.dn.blocks...), append(dd, b.dd.blocks...)
 	}
 	rank, slot := i/cfg.GPUsPerRank, i%cfg.GPUsPerRank
 	nLocal := cfg.LocalCount(n, rank, slot)
@@ -364,6 +390,41 @@ func buildGPU(i int, cfg Config, n, d int64, buckets [][]bucket, prev *GPUGraph,
 	return g
 }
 
+// route is the first level: worker w buckets the w-th contiguous chunk of the
+// edge list. delegateOutDeg is the delegate directory of sep.
+func route(el *graph.EdgeList, sep *Separation, cfg Config, delegateOutDeg []int64, workers int) ([][]bucket, error) {
+	ends := endpoints(cfg, sep)
+	buckets := make([][]bucket, workers)
+	errs := make([]error, workers)
+	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
+		buckets[w], errs[w] = routeChunk(el.Edges[lo:hi], lo, ends, delegateOutDeg, cfg.P())
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buckets, nil
+}
+
+// build is the second level: the GPUs are dealt out to the workers the way
+// the edge list was, and each fills sg.GPUs for its share from the buckets,
+// sharing prev's GPUGraph where it would come out the same.
+func build(sg *Subgraphs, buckets [][]bucket, prev *Subgraphs, workers int) {
+	cfg, d := sg.Cfg, sg.D()
+	maxLocal := cfg.LocalCount(sg.N, 0, 0) // residue 0 owns the most vertices
+	graph.ForChunks(cfg.P(), workers, func(_, lo, hi int) {
+		cursor := make([]uint32, max(maxLocal, d))
+		for i := lo; i < hi; i++ {
+			var prevGPU *GPUGraph
+			if prev != nil {
+				prevGPU = prev.GPUs[i]
+			}
+			sg.GPUs[i] = buildGPU(i, cfg, sg.N, d, buckets, prevGPU, cursor)
+		}
+	})
+}
+
 // distribute implements Distribute and DistributeIncremental — the two
 // levels described above routed — on the given number of workers; the
 // result does not depend on it. A non-nil prev must have el's vertex count,
@@ -388,32 +449,11 @@ func distribute(el *graph.EdgeList, sep *Separation, cfg Config, prev *Subgraphs
 	for di, v := range sep.DelegateGlobal {
 		sg.DelegateOutDeg[di] = sep.OutDeg[v]
 	}
-	ends := endpoints(cfg, sep)
-
-	// Route: worker w buckets the w-th contiguous chunk of the edge list.
-	buckets := make([][]bucket, workers)
-	errs := make([]error, workers)
-	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
-		buckets[w], errs[w] = routeChunk(el.Edges[lo:hi], lo, ends, sg.DelegateOutDeg, p)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
+	buckets, err := route(el, sep, cfg, sg.DelegateOutDeg, workers)
+	if err != nil {
+		return nil, 0, err
 	}
-
-	// Build: the GPUs are dealt out to the workers the same way.
-	maxLocal := cfg.LocalCount(el.N, 0, 0) // residue 0 owns the most vertices
-	graph.ForChunks(p, workers, func(_, lo, hi int) {
-		cursor := make([]uint32, max(maxLocal, d))
-		for i := lo; i < hi; i++ {
-			var prevGPU *GPUGraph
-			if prev != nil {
-				prevGPU = prev.GPUs[i]
-			}
-			sg.GPUs[i] = buildGPU(i, cfg, el.N, d, buckets, prevGPU, cursor)
-		}
-	})
+	build(sg, buckets, prev, workers)
 
 	shared := 0
 	for i, g := range sg.GPUs {

@@ -11,12 +11,14 @@ package gcbfs
 // it is not what makes an epoch cheap. A delta spread over the graph (the
 // 0.1 % random deltas of the host benchmark touch every GPU, and move a
 // vertex across the threshold every time) shares nothing, so the build is
-// made fast outright: delta.Apply and the distributor are parallel,
-// cache-sized passes, and an epoch costs about what a cold NewService does. Queries admit themselves with a single
-// atomic load, so a query in flight across a swap finishes entirely on its
-// admission epoch (the old plan, subgraphs and pooled sessions stay valid
-// and untouched), while every call after the swap lands on the new epoch.
-// Result.Epoch carries the admission proof.
+// made fast outright: delta.ApplyDegrees and the distributor are parallel,
+// cache-sized passes, the out-degrees are carried from the epoch before
+// rather than counted, and an epoch costs about what a cold NewService does.
+// Queries admit themselves with a single atomic load, so a query in flight
+// across a swap finishes entirely on its admission epoch (the old plan,
+// subgraphs and pooled sessions stay valid and untouched), while every call
+// after the swap lands on the new epoch. Result.Epoch carries the admission
+// proof.
 //
 // Repair is the dynamic-BFS half: given a prior result (levels AND parents)
 // from the immediately preceding epoch and the Delta that advanced it, the
@@ -274,7 +276,11 @@ type EpochUpdate struct {
 // ApplyDelta advances the graph by one atomic batch of edge mutations: the
 // next epoch's edge list, partition and plan are built beside the live ones
 // (sharing unchanged per-GPU subgraphs with the previous epoch), then
-// published with one atomic swap. Queries already admitted — including
+// published with one atomic swap. delta.ApplyDegrees compacts the list (a
+// filtered scan and a parallel copy) and derives its out-degrees from the
+// live epoch's, so the degree separation reads no edge; the distributor then
+// routes every edge once (Algorithm 1) and builds each GPU's CSRs from what
+// it was sent. Queries already admitted — including
 // coalesced sweeps draining their queue — finish on their admission epoch;
 // every later call sees the new one. Concurrent ApplyDelta calls are
 // serialized in arrival order.
@@ -283,12 +289,12 @@ func (m *MutableService) ApplyDelta(d *Delta) (*EpochUpdate, error) {
 	defer m.applyMu.Unlock()
 	cur := m.cur.Load()
 	start := time.Now()
-	el2, err := delta.Apply(cur.g.el, d.batch())
+	el2, deg2, err := delta.ApplyDegrees(cur.g.el, d.batch(), cur.sub.Sep.OutDeg)
 	if err != nil {
 		return nil, err
 	}
 	epoch := cur.plan.Epoch() + 1
-	svc, shared, err := newEpochService(&Graph{el: el2}, m.cfg, partition.Separate(el2, m.th), epoch, cur.sub)
+	svc, shared, err := newEpochService(&Graph{el: el2}, m.cfg, partition.SeparateDegrees(deg2, m.th), epoch, cur.sub)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gcbfs/internal/partition"
 )
 
 func mutableConfig() Config {
@@ -62,6 +64,41 @@ func TestMutableEpochChain(t *testing.T) {
 	// Stale-epoch results are rejected by Validate with a clear error.
 	if err := m.Validate(r1); err == nil {
 		t.Fatal("epoch-1 result validated against epoch-2 graph")
+	}
+}
+
+// TestMutableCarriedDegrees chains 12 ApplyDeltas: every epoch's separation
+// is built from out-degrees carried from the epoch before, never counted, and
+// must equal the one a count over the epoch's edge list gives. RMAT keeps
+// parallel edges, so some deletes drop several copies of a pair.
+func TestMutableCarriedDegrees(t *testing.T) {
+	g := RMAT(10)
+	m, err := NewMutableService(g, mutableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := 0 // directed copies dropped beyond one per orientation
+	for i := 0; i < 12; i++ {
+		d, err := SynthesizeDelta(m.Graph(), 0.02, []string{"mixed", "insert", "delete"}[i%3], uint64(i)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.Graph().el.M()
+		if _, err := m.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		el := m.Graph().el
+		parallel += int(before+2*int64(len(d.Inserts))-el.M()) - 2*len(d.Deletes)
+		sep := m.Snapshot().sub.Sep
+		if !slices.Equal(sep.OutDeg, el.OutDegrees()) {
+			t.Fatalf("epoch %d: carried out-degrees differ from a count over the edge list", m.Epoch())
+		}
+		if want := partition.Separate(el, m.Threshold()); !slices.Equal(sep.DelegateGlobal, want.DelegateGlobal) {
+			t.Fatalf("epoch %d: %d delegates, a fresh separation has %d", m.Epoch(), sep.D(), want.D())
+		}
+	}
+	if parallel == 0 {
+		t.Fatal("test setup: no delete dropped a parallel copy")
 	}
 }
 
