@@ -433,11 +433,13 @@ type runEnv struct {
 	planEnv
 	opts Options
 	amp  float64 // work/volume amplification for the timing model
-	// rec is the in-flight query's statistics, written by rank 0 only; pol
-	// is its exchange policy, shared read-only by the rank goroutines. Both
-	// are set by begin before the ranks start.
-	rec recorder
-	pol *exchangePolicy
+	// rec is the in-flight query's statistics and loop its superstep state
+	// past each post-exchange rendezvous, both written by rendezvous closers
+	// only; pol is its exchange policy, shared read-only by the rank
+	// goroutines. All three are set by begin before the ranks start.
+	rec  recorder
+	loop loopState
+	pol  *exchangePolicy
 }
 
 // runOn binds a plan's environment to one query's effective options.
@@ -445,10 +447,12 @@ func (p *Plan) runOn(opts Options) runEnv {
 	return runEnv{planEnv: p.env(), opts: opts, amp: opts.WorkAmplification}
 }
 
-// begin clears the statistics and builds the policy of a new query.
-func (e *runEnv) begin() {
+// begin clears the statistics and the loop state and builds the policy of a
+// new query whose rank 0 keeps its loop's buffers in lead.
+func (e *runEnv) begin(lead *loopScratch) {
 	e.rec = recorder{}
-	e.rec.exchange.Strategy = e.opts.Exchange.String()
+	e.rec.Exchange.Strategy = e.opts.Exchange.String()
+	e.loop = loopState{fb: newPolicyFeedback(), lead: lead, sync: e.syncOverhead()}
 	e.pol = e.newExchangePolicy()
 }
 

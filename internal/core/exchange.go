@@ -273,8 +273,7 @@ func (c *exchangeCounts) received(mode wire.Mode, encoded int, raw int64) int64 
 
 // remoteVolumes carries one iteration's globally max-reduced, amplified
 // inputs to the remote-normal timing model. Every field is identical on all
-// ranks (max-reduced vectors or values derived from globally known state),
-// so every rank computes the identical remoteTiming.
+// ranks (max-reduced vectors or values derived from globally known state).
 type remoteVolumes struct {
 	hopBytes    []int64 // per-hop sent wire volume
 	hopCodecRaw []int64 // per-hop codec compute stages (fixed-width bytes)
@@ -286,7 +285,7 @@ type remoteVolumes struct {
 	aggBytes int64
 	// maskWire/maskSecs describe the delegate-mask allreduce of the same
 	// iteration: its wire bytes (zero when no mask was exchanged) and its
-	// serial seconds (vec[2]). The hierarchical butterfly may fold the
+	// serial seconds (the reduced remoteDelegate). The hierarchical butterfly may fold the
 	// chunked reduction into its hop schedule for less.
 	maskWire int64
 	maskSecs float64
@@ -342,16 +341,18 @@ type exchanger interface {
 	post(comm *mpi.Comm, iter int32)
 	// exchange runs after that rendezvous: it completes this iteration's
 	// exchange — all-pairs reads its sources' posts, the butterfly stages and
-	// runs its hops — and returns the accounting plus arrivals.
-	exchange(comm *mpi.Comm, iter int32) exchangeCounts
+	// runs its hops — and returns the accounting plus arrivals, held in the
+	// instance's scratch until its next post.
+	exchange(comm *mpi.Comm, iter int32) *exchangeCounts
 	// rounds is the number of sequential communication rounds per
 	// iteration — the length of every exchangeCounts.hopBytes.
 	rounds() int
 	// remoteTime converts one iteration's globally max-reduced volumes into
-	// the remote-normal timing. Deterministic: every rank computes the
-	// identical result. It is a pure function of in and of scratch the
-	// instance owns, and reads nothing the exchange wrote: the policy runs it
-	// on predict's volumes before the iteration's exchange has happened.
+	// the remote-normal timing. Deterministic: every rank's instance computes
+	// the identical result, so a superstep's closer prices it on whichever
+	// rank it runs. It is a pure function of in and of scratch the instance
+	// owns, and reads nothing the exchange wrote: the policy runs it on
+	// predict's volumes before the iteration's exchange has happened.
 	remoteTime(in remoteVolumes) remoteTiming
 	// predict returns the volumes this strategy would present to remoteTime
 	// for an exchange originating vol fixed-width bytes per rank, whose wire
@@ -634,7 +635,7 @@ func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 // reusable arrival bins (each block's count header pre-sizes the grow). A
 // source that posted this rank nothing had no ids for it: its empty message
 // is accounted, and there is nothing to decode.
-func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts {
+func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
@@ -666,7 +667,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts {
 	sc.hopCodecRaw = c.hopCodecRaw
 	c.hopRecvBytes = append(sc.hopRecvBytes[:0], c.recv)
 	sc.hopRecvBytes = c.hopRecvBytes
-	return *c
+	return c
 }
 
 // remoteTime charges one all-pairs round.
@@ -758,6 +759,8 @@ type butterflyExchange struct {
 	onSend func(hop int, secs []wire.Section)
 	// predBytes/predCodec back predict's per-hop wire and codec vectors.
 	predBytes, predCodec []int64
+	// out is the iteration's accounting, which exchange returns.
+	out exchangeCounts
 }
 
 // rounds counts the sequential communication rounds per iteration: the
@@ -791,14 +794,15 @@ func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
 	return secs
 }
 
-func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts {
+func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
 	sc.arena.Reset()
 	sc.words.Reset()
 	sc.wireSecs.Reset()
-	var c exchangeCounts
+	c := &x.out
+	*c = exchangeCounts{}
 	c.hopBytes = grownInt64(sc.hopBytes, x.rounds())
 	sc.hopBytes = c.hopBytes
 	c.hopRecvBytes = grownInt64(sc.hopRecvBytes, x.rounds())
@@ -850,9 +854,9 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts 
 				}
 			}
 			sc.secs = secs
-			c.hopBytes[hop] = x.send(comm, rank-x.q, iter, hop, secs, mode, &c)
+			c.hopBytes[hop] = x.send(comm, rank-x.q, iter, hop, secs, mode, c)
 		} else if rank < x.rem {
-			x.receive(comm, rank+x.q, iter, hop, mode, &c)
+			x.receive(comm, rank+x.q, iter, hop, mode, c)
 		}
 		hop++
 	}
@@ -874,8 +878,8 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts 
 			}
 		}
 		sc.secs = secs
-		c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
-		x.receive(comm, partner, iter, hop, mode, &c)
+		c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, c)
+		x.receive(comm, partner, iter, hop, mode, c)
 		hop++
 	}
 
@@ -889,9 +893,9 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) exchangeCounts 
 				secs = x.take(secs, partner)
 			}
 			sc.secs = secs
-			c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, &c)
+			c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, c)
 		} else if rank >= x.q {
-			x.receive(comm, rank-x.q, iter, hop, mode, &c)
+			x.receive(comm, rank-x.q, iter, hop, mode, c)
 		}
 	}
 

@@ -124,7 +124,7 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 				ex := l.exchanger(out[round].strategy)
 				l.post(comm, ex, int32(round))
 				comm.Barrier()
-				c := l.deliver(comm, ex, int32(round), apply)
+				c := *l.deliver(comm, ex, int32(round), apply)
 				comm.Barrier()
 				arrivals := make([][]uint32, pgpu)
 				for slot, ids := range c.arrivals {
@@ -443,7 +443,7 @@ func driveSweepExchange(e *sweepSession, fills []recordFill, pick func(round int
 				ex := l.exchanger(out[round].strategy)
 				l.post(comm, ex, int32(round))
 				comm.Barrier()
-				c := l.exchange(comm, ex, int32(round))
+				c := *l.exchange(comm, ex, int32(round))
 				comm.Barrier()
 				c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)
 				c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)

@@ -5,11 +5,10 @@ package core
 // hybrid exchange policy applies the same idea to the exchange topology:
 // all-pairs wins bandwidth-bound iterations (the butterfly relays roughly
 // log2(p)/2× the volume) while the butterfly wins message-count-bound ones
-// (p−1 latencies vs log2(p) plus cleanup). Every rank evaluates the same
-// cost model over the same globally known inputs — the frontier sizes and
-// byte volumes reduced by the previous iteration's termination allreduce —
-// so the per-iteration decision is identical on all ranks without any
-// extra collective.
+// (p−1 latencies vs log2(p) plus cleanup). The closer of the previous
+// iteration's post-exchange rendezvous evaluates the cost model once, over
+// the frontier sizes and byte volumes that rendezvous reduced, and hands the
+// decision to every rank without any extra collective.
 //
 // The cost model is the α/β form unit-tested against simnet's timing:
 //
@@ -23,8 +22,8 @@ package core
 // butterfly's predicted codec and NVLink stages overlap its predicted
 // transfers exactly as the measured ones do.
 //
-// Two feedback signals, both derived from globally reduced quantities so
-// every rank sees identical values, tighten the estimate per session:
+// Two feedback signals, both derived from globally reduced quantities,
+// tighten the estimate per query:
 //
 //   - skew: the timing model charges the max-reduced rank while the volume
 //     estimate is a mean; the previous iteration's reduced per-hop maxima
@@ -34,10 +33,9 @@ package core
 //     bias near the crossover.
 
 // policyFeedback carries the measured feedback the BSP loop threads into
-// each iteration's decision. Every rank maintains its own copy, updated
-// from globally reduced values only, so the copies are bit-identical and
-// the decision needs no extra collective. The zero feedback is invalid;
-// use newPolicyFeedback.
+// each iteration's decision: one per query (loopState.fb), updated by the
+// superstep closers from globally reduced values only. The zero feedback is
+// invalid; use newPolicyFeedback.
 type policyFeedback struct {
 	// skew is the previous iteration's reduced-maximum per-rank exchange
 	// volume over the mean per-rank volume, ≥ 1 (1 = perfectly balanced).
@@ -131,7 +129,7 @@ func (fb *policyFeedback) observe(strategy Exchange, rawPredicted, actual float6
 
 // exchangePolicy evaluates the per-iteration strategy decision for one run.
 // It is immutable after construction and shared by all rank goroutines;
-// mutable feedback lives in each rank's policyFeedback copy.
+// mutable feedback lives in the query's one policyFeedback.
 type exchangePolicy struct {
 	configured Exchange // the run's configured strategy (hybrid ⇒ decide per iteration)
 	e          *runEnv
@@ -166,8 +164,7 @@ func (e *runEnv) newExchangePolicy() *exchangePolicy {
 // so a butterfly iteration's relayed volume never pollutes the estimate)
 // scaled by the frontier growth ratio. The mean per-rank estimate is then
 // scaled by the measured skew ratio, since the timing model charges the
-// max-reduced rank, not the mean. Every rank computes the identical
-// estimate.
+// max-reduced rank, not the mean.
 func (p *exchangePolicy) predictVolume(inputNormals, inputDelegates, prevNormals, prevOriginated int64, skew float64) int64 {
 	if p.prank <= 1 || (inputNormals <= 0 && inputDelegates <= 0) {
 		return 0
@@ -208,8 +205,8 @@ func (p *exchangePolicy) predictVolume(inputNormals, inputDelegates, prevNormals
 // equal-cost iterations are latency-bound, where fewer messages also mean
 // fewer software overheads the model does not charge. The NVLink term rides
 // uncalibrated: its actual lands in LocalComm, outside the remote-normal
-// calibration pair, and its curves are the exact simnet forms anyway. The
-// BSP loops call it every iteration, so it must not allocate.
+// calibration pair, and its curves are the exact simnet forms anyway. Each
+// superstep's closer calls it, so it must not allocate.
 func (p *exchangePolicy) choose(inputNormals, inputDelegates, prevNormals, prevOriginated int64, fb policyFeedback, exchanger func(Exchange) exchanger) (Exchange, float64) {
 	vol := p.predictVolume(inputNormals, inputDelegates, prevNormals, prevOriginated, fb.skew)
 	if p.configured != ExchangeHybrid {

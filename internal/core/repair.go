@@ -420,8 +420,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 	ex := e.exchangers(rank).get(ExchangeAllPairs)
 	l.post(comm, ex, probeIter)
 	comm.Barrier()
-	round = l.deliver(comm, ex, probeIter, probeSeeds)
-	return comp, round
+	return comp, *l.deliver(comm, ex, probeIter, probeSeeds)
 }
 
 // noTentative is a dTent entry for an invalid delegate none of whose valid
@@ -479,11 +478,19 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	for _, gs := range myGPUs {
 		note(gs.repSeeds)
 	}
-	mx := append(sc.fbits[:0], hi, -lo, int64(math.Float64bits(probeComp)),
+	mx := append(sc.mx[:0], hi, -lo, fbits(probeComp),
 		e.ampBytes(probe.sent), e.ampBytes(probe.codecRaw), e.ampBytes(probe.recv))
 	mx = append(mx, sc.dTent...)
-	sc.fbits = mx
-	comm.AllreduceFused(nil, false, mx, nil)
+	sc.mx = mx
+	// Its closer charges the probe: the scan's compute plus what the
+	// all-pairs exchanger charges a round of the reduced volumes, through the
+	// same overlap model as a BSP iteration. Its NVLink tier is not charged.
+	comm.AllreduceFusedClose(nil, false, mx, nil, func(mx, _ []int64) {
+		rt := sc.rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
+		parts := metrics.Breakdown{Computation: floatOf(mx[2]), RemoteNormal: rt.seconds}
+		e.rec.SimSeconds += e.iterElapsed(parts, e.loop.sync)
+		e.rec.Parts.Add(parts)
+	})
 	hi, lo = mx[0], -mx[1]
 
 	// The delegate schedule — the insert seeds the probe listed and every
@@ -514,16 +521,6 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 		for _, s := range sc.dSeeds {
 			dCounts[seedLevel(s)]++
 		}
-	}
-
-	// Charge the probe: its scan compute plus what the all-pairs exchanger
-	// charges a round of the reduced volumes, through the same overlap model
-	// as a BSP iteration. Its NVLink tier is not charged.
-	if rank == 0 {
-		rt := sc.rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
-		parts := metrics.Breakdown{Computation: math.Float64frombits(uint64(mx[2])), RemoteNormal: rt.seconds}
-		e.rec.simSeconds += e.iterElapsed(parts, e.syncOverhead())
-		e.rec.parts.Add(parts)
 	}
 
 	if lo > hi {

@@ -45,6 +45,17 @@ import (
 //     doubles as bit patterns, max section) and the sums — work counters,
 //     the terminate vote and the context observation.
 //
+// What follows from the reduced values alike on every rank is derived once:
+// the last rank to reach the post-exchange rendezvous runs its closer
+// (closeSuperstep, mpi.Comm.AllreduceFusedClose) before any rank is
+// released. It prices the superstep through the executed strategy's
+// remoteTime, appends the iteration record, feeds the query's one
+// policyFeedback, and decides the next superstep's strategy, or that the loop
+// stops or was cancelled, into loopState, which every rank reads past the
+// rendezvous. GPU 0's kernel directions, which rank 0 alone holds, it reads
+// off rank 0's scratch, parked in the same rendezvous. A repair's probe
+// charge is its max-reduce's closer the same way. No rank is special.
+//
 // The modelled clock sees none of this: every charge, wire byte and message
 // count is computed as if each collective and each empty message were its
 // own, which is what the paper's machine would do.
@@ -81,7 +92,7 @@ type lanes interface {
 	// exchange completes the superstep's frontier exchange through ex after
 	// that rendezvous and applies everything that arrives — over the wire or
 	// from a sibling GPU — at level iter+1.
-	exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts
+	exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchangeCounts
 	// tally reads the finished superstep's work off the GPUs.
 	tally() superstepWork
 	// rotate makes the output frontier the next superstep's input.
@@ -126,11 +137,43 @@ type superstepWork struct {
 // loopScratch is the loop's own per-rank reusable state, embedded in each
 // traversal's rank scratch.
 type loopScratch struct {
-	// vec and sums are the post-exchange reduce's payloads; fbits is the
-	// float-max section's bit-pattern view of vec, and red the reduced
-	// per-hop vectors read back out of it.
-	vec              []float64
-	sums, fbits, red []int64
+	// mx and sums are the post-exchange reduce's max and sum sections.
+	mx, sums []int64
+	// The rank's side of the superstep in flight, which is what its closer
+	// reads besides the reduced sections: identical on every rank, but for
+	// work, whose GPU 0 kernel directions the closer reads off rank 0's
+	// (loopState.lead).
+	decision
+	iter    int32
+	ex      exchanger
+	reduced bool
+	dc      delegateCommit
+	work    superstepWork
+}
+
+// decision is one superstep's exchange strategy, its predicted remote-normal
+// seconds, and the globally known inputs it was decided from: the input
+// frontier's sizes and the previous superstep's input normals and originated
+// volume — the policy's feedback.
+type decision struct {
+	strategy                     Exchange
+	predicted                    float64
+	inputNormals, inputDelegates int64
+	prevNormals, prevOriginated  int64
+}
+
+// loopState is one query's state past a post-exchange rendezvous: written by
+// that rendezvous' closer alone (closeSuperstep) and read by every rank
+// before its next — the policy's one feedback, the next superstep's decision
+// and whether there is one.
+type loopState struct {
+	fb   policyFeedback
+	next decision
+	stop bool
+	// lead is rank 0's scratch, parked in every rendezvous its closer runs
+	// in; sync is the query's syncOverhead.
+	lead *loopScratch
+	sync float64
 }
 
 // wave is what a single-source traversal may vary about its lanes: the part of
@@ -148,20 +191,14 @@ type wave struct {
 // The cold run's seed schedule is its source alone, at level 0 (read-only).
 var oneSeed, noSeed = []int64{1}, []int64{0}
 
-// recorder collects per-iteration statistics (runEnv.rec); only rank 0
-// writes to it, and the main goroutine reads it after all ranks join.
+// recorder collects a query's statistics (runEnv.rec) in the fields of the
+// result they become; only the closers of the query's rendezvous write to it,
+// and the main goroutine reads it after all ranks join.
 type recorder struct {
-	iterations    []metrics.IterationStats
-	delegateComms int
-	edgesScanned  int64
-	dupsRemoved   int64
-	simSeconds    float64
-	parts         metrics.Breakdown
-	wire          metrics.WireStats
-	exchange      metrics.ExchangeStats
-	// cancelled is set by rank 0 when the query aborted on its context; all
-	// ranks observe the same reduced cancellation flag, so they break the
-	// BSP loop on the same iteration and no collective is left half-entered.
+	metrics.RunResult
+	// cancelled is set by a superstep's closer when the query aborted on its
+	// context; every rank reads it past that rendezvous, so all break the BSP
+	// loop on the same iteration and no collective is left half-entered.
 	cancelled bool
 }
 
@@ -298,7 +335,7 @@ func (e *Session) coldWave(source int64) wave {
 // poisons the session; a cancelled query returns the context's error.
 func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
 	e.out = out
-	e.begin()
+	e.begin(&e.scratch[0].loopScratch)
 	if err := RunRanks(e.acquireWorld(), e.opts.Inject, tagSite, body); err != nil {
 		e.poisoned = true
 		return nil, err
@@ -315,51 +352,31 @@ func (e *Session) collects() bool { return e.opts.CollectLevels || e.opts.Collec
 // result assembles a completed query's RunResult from rank 0's recorder and
 // the arrays the ranks gathered, which leave the pooled session with it.
 func (e *Session) result(source int64) *metrics.RunResult {
-	rec := &e.rec
-	res := &metrics.RunResult{
-		Source:        source,
-		Epoch:         e.epoch,
-		Iterations:    len(rec.iterations),
-		SimSeconds:    rec.simSeconds,
-		TEPSEdges:     e.sg.M / 2,
-		EdgesScanned:  rec.edgesScanned,
-		DupsRemoved:   rec.dupsRemoved,
-		Parts:         rec.parts,
-		PerIteration:  rec.iterations,
-		DelegateComms: rec.delegateComms,
-		Wire:          rec.wire,
-		Exchange:      rec.exchange,
-		Levels:        e.out.levels,
-		Parents:       e.out.parents,
-		ParentPairs:   e.parentExchangePairs,
-	}
+	res := e.rec.RunResult
+	res.Source, res.Epoch, res.TEPSEdges = source, e.epoch, e.sg.M/2
+	res.Iterations = len(res.PerIteration)
+	res.Levels, res.Parents, res.ParentPairs = e.out.levels, e.out.parents, e.parentExchangePairs
 	res.Wire.Enabled = e.opts.Compression != wire.ModeOff
 	res.Wire.PairRawBytes = e.parentPairRawBytes
 	res.Wire.PairWireBytes = e.parentPairWireBytes
 	e.out, e.rec = treeOut{}, recorder{}
-	return res
+	return &res
 }
 
-// runRank is the per-rank BSP loop ("the CPU thread that controls GPU0"
-// performs the global phases, §V-A), entered with l's frontier and any seeds
-// sch schedules already in place.
+// runRank is the per-rank BSP loop, entered with l's frontier and any seeds
+// sch schedules already in place. The paper's "CPU thread that controls GPU0"
+// performs the global phases (§V-A); here the rank that completes a
+// superstep's post-exchange rendezvous does, once, in its closer.
 func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes, ls *loopScratch, sch schedule) {
-	rec, pol := &e.rec, e.pol
+	lp := &e.loop
 	pgpu := e.shape.GPUsPerRank
 	prank := e.shape.Ranks()
-	syncSecs := e.syncOverhead()
-	cancelled := false
+	closer := func(mx, sums []int64) { e.closeSuperstep(ls, l, &sch, mx, sums) }
 
-	// Input frontier sizes of the upcoming iteration (globally known), plus
-	// the previous iteration's measured volume — the policy's feedback.
-	inputNormals, inputDelegates := sch.nSeeds[sch.first], sch.dSeeds[sch.first]
-	prevNormals, prevOriginated := int64(0), int64(0)
-	// Measured-feedback state (skew ratio + per-strategy calibration):
-	// every rank keeps its own copy, updated from globally reduced values
-	// only, so the copies stay bit-identical and decisions need no extra
-	// collective.
-	fb := newPolicyFeedback()
-
+	// No rendezvous has closed yet: every rank decides the first superstep
+	// itself, from the schedule and the query's initial feedback.
+	ls.decision = decision{inputNormals: sch.nSeeds[sch.first], inputDelegates: sch.dSeeds[sch.first]}
+	ls.strategy, ls.predicted = e.pol.choose(ls.inputNormals, ls.inputDelegates, 0, 0, lp.fb, l.exchanger)
 	for iter := sch.first; ; iter++ {
 		// ---- Fault injection (chaos testing): an armed injector may crash
 		// this rank at the iteration boundary — a real panic the containment
@@ -367,11 +384,11 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		if in := e.opts.Inject; in != nil {
 			in.Crash(rank, int(iter), faults.SiteIter)
 		}
-		// ---- Exchange policy: every rank derives the identical strategy
-		// decision for this iteration from globally known inputs, the way
-		// direction optimization derives push vs pull (policy.go).
-		strategy, predicted := pol.choose(inputNormals, inputDelegates, prevNormals, prevOriginated, fb, l.exchanger)
-		ex := l.exchanger(strategy)
+		// ---- Exchange policy: the strategy decided for this iteration from
+		// globally known inputs, the way direction optimization derives push
+		// vs pull (policy.go).
+		ex := l.exchanger(ls.strategy)
+		ls.iter, ls.ex = iter, ex
 		// ---- Local computation (all GPUs of this rank).
 		l.kernels(iter)
 
@@ -384,12 +401,14 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		// touches no proposal at all.
 		words, proposed := l.proposal()
 		l.post(comm, ex, iter)
-		reduced := comm.AllreduceFused(words, proposed, nil, nil)
-		dc := l.commit(reduced, iter)
+		ls.reduced = comm.AllreduceFused(words, proposed, nil, nil)
+		ls.dc = l.commit(ls.reduced, iter)
+		dc := &ls.dc
 
 		// ---- Frontier exchange (§V-B) and apply.
 		counts := l.exchange(comm, ex, iter)
-		work := l.tally()
+		ls.work = l.tally()
+		work := &ls.work
 
 		// ---- Timing assembly (model time, reduced across ranks).
 		comp := work.comp
@@ -404,10 +423,9 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 		// Local NVLink moves the proposal in its native form; only the
 		// inter-rank allreduce ships the codec-encoded size.
 		aMask := e.ampBytes(dc.native)
-		aMaskWire := e.ampBytes(dc.wire)
 		hier := e.hierExchange()
 		var localComm float64
-		if reduced {
+		if ls.reduced {
 			localComm += e.opts.Net.LocalReduce(aMask, pgpu)
 			localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
 		}
@@ -416,8 +434,8 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 			// ride the exchange schedule (remoteTime) as NVLink stages; only
 			// the intra-rank direct applies stay here. The tier's exposed
 			// remainder — whatever the hop pipeline could not hide — is
-			// folded back into LocalComm after the reduce (rt.nvlinkExposed
-			// below), so remote-normal stays a pure wire+codec quantity.
+			// folded back into LocalComm by the closer (rt.nvlinkExposed), so
+			// remote-normal stays a pure wire+codec quantity.
 			localComm += e.opts.Net.Staging(aIntra)
 		} else {
 			// One GPU per rank: no sibling to aggregate with or apply to, and
@@ -425,52 +443,46 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv)
 		}
 		var remoteDelegate float64
-		if reduced {
-			remoteDelegate = e.opts.Net.Allreduce(aMaskWire, prank, e.opts.BlockingReduce)
+		if ls.reduced {
+			remoteDelegate = e.opts.Net.Allreduce(e.ampBytes(dc.wire), prank, e.opts.BlockingReduce)
 		}
 		// Delegate-mask codec compute is charged exposed (the mask allreduce
 		// serializes with its encode); the exchange's own codec work rides
 		// the per-hop vectors below, so the butterfly can hide it under hop
 		// transfers.
 		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(dc.codecRaw))
-		// The per-hop wire volumes and codec stages ride along the reduced
-		// vector (amplified) so every rank derives the identical
-		// remote-normal time from the global per-hop maxima — the hops are
-		// synchronized pairwise exchanges, so the slowest rank paces each
-		// transfer and each codec stage.
-		nh := len(counts.hopBytes)
-		vec := ls.vec[:0]
-		vec = append(vec, comp, localComm, remoteDelegate, maskCodecSecs)
-		for _, hb := range counts.hopBytes {
-			vec = append(vec, float64(e.ampBytes(hb)))
+		// The max section: the four scalars as bit patterns (non-negative
+		// doubles order as their bits), then the per-hop wire volumes and
+		// codec stages (amplified), so the closer derives the remote-normal
+		// time from the global per-hop maxima — the hops are synchronized
+		// pairwise exchanges, so the slowest rank paces each transfer and
+		// each codec stage.
+		mx := append(ls.mx[:0], fbits(comp), fbits(localComm), fbits(remoteDelegate), fbits(maskCodecSecs))
+		for _, hop := range [...][]int64{counts.hopBytes, counts.hopCodecRaw, counts.hopRecvBytes} {
+			for _, b := range hop {
+				mx = append(mx, e.ampBytes(b))
+			}
 		}
-		for _, cr := range counts.hopCodecRaw {
-			vec = append(vec, float64(e.ampBytes(cr)))
-		}
-		for _, rb := range counts.hopRecvBytes {
-			vec = append(vec, float64(e.ampBytes(rb)))
-		}
-		vec = append(vec, float64(e.ampBytes(counts.preCodecRaw)))
 		// The hierarchical aggregation's NVLink volume rides the reduce so
 		// the slowest rank paces the pre stage like everything else.
 		var aggBytes int64
 		if hier {
 			aggBytes = e.ampBytes(e.aggregationBytes(counts.sentRaw - counts.forwarded))
 		}
-		vec = append(vec, float64(aggBytes))
 		// The last entry is this rank's originated fixed-width volume
 		// (forwards excluded) — its maximum over the mean per-rank volume is
 		// the strategy-independent partition-skew signal the policy feeds
 		// back (relays would inflate a wire-byte measure on butterfly
 		// iterations).
-		vec = append(vec, float64(e.ampBytes(counts.sentRaw-counts.forwarded)))
-		ls.vec = vec
+		mx = append(mx, e.ampBytes(counts.preCodecRaw), aggBytes, e.ampBytes(counts.sentRaw-counts.forwarded))
+		ls.mx = mx
 
 		// ---- Post-exchange rendezvous, the second and last: the timing
-		// vector's maxima (model time, as bit patterns) and the global sums —
+		// vector's maxima (model time) and the global sums —
 		// work stats, the termination flag (kept alive through pending seed
 		// levels) and the context observation (any rank seeing a dead context
-		// aborts all ranks on the same iteration).
+		// aborts all ranks on the same iteration). Its closer prices, records
+		// and decides for every rank.
 		flag := int64(0)
 		if work.nextNormals > 0 || dc.visits > 0 || iter < sch.lastSeed {
 			flag = 1
@@ -483,150 +495,145 @@ func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes,
 			counts.sentRaw, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
 			counts.messages, counts.forwarded, counts.codecRaw+dc.codecRaw, ctxDead)
 		ls.sums = sums
-		ls.fbits = floatBits(vec, ls.fbits)
-		comm.AllreduceFused(nil, false, ls.fbits, sums)
-		bitsToFloats(ls.fbits, vec)
-
-		// The three reduced per-hop vectors sit back to back behind the four
-		// scalars, in the order they were appended.
-		red := grownInt64(ls.red, 3*nh)
-		ls.red = red
-		for i := range red {
-			red[i] = int64(vec[4+i])
-		}
-		redMaxOriginated := vec[6+3*nh]
-		rt := ex.remoteTime(remoteVolumes{
-			hopBytes:    red[:nh],
-			hopCodecRaw: red[nh : 2*nh],
-			hopRecv:     red[2*nh:],
-			preCodecRaw: int64(vec[4+3*nh]),
-			aggBytes:    int64(vec[5+3*nh]),
-			maskWire:    aMaskWire,
-			maskSecs:    vec[2],
-		})
-		parts := metrics.Breakdown{
-			Computation:    vec[0],
-			LocalComm:      vec[1] + rt.nvlinkExposed,
-			RemoteNormal:   rt.seconds + vec[3],
-			RemoteDelegate: rt.maskSecs,
-		}
-		elapsed := e.iterElapsed(parts, syncSecs)
-
-		if rank == 0 {
-			rec.iterations = append(rec.iterations, metrics.IterationStats{
-				Iteration:         int(iter),
-				FrontierNormals:   inputNormals,
-				FrontierDelegates: inputDelegates,
-				DirDD:             work.dirDD,
-				DirDN:             work.dirDN,
-				DirND:             work.dirND,
-				Exchange:          strategy.String(),
-				EdgesScanned:      sums[0],
-				BytesNormal:       sums[1],
-				BytesNormalRaw:    sums[5],
-				BytesDelegate:     dc.wire,
-				Elapsed:           elapsed,
-				PredictedRemote:   predicted,
-				CodecHidden:       rt.hiddenCodec,
-				CodecExposed:      rt.codecSeconds - rt.hiddenCodec + vec[3],
-				NVLinkHidden:      rt.hiddenNVLink,
-				NVLinkExposed:     rt.nvlinkSeconds - rt.hiddenNVLink,
-				Parts:             parts,
-			})
-			rec.edgesScanned += sums[0]
-			rec.dupsRemoved += sums[3]
-			rec.simSeconds += elapsed
-			rec.parts.Add(parts)
-			rec.wire.CompressedBytes += sums[1]
-			rec.wire.RawBytes += sums[5]
-			rec.wire.SchemeRaw += sums[6]
-			rec.wire.SchemeDelta += sums[7]
-			rec.wire.SchemeBitmap += sums[8]
-			rec.exchange.Messages += sums[9]
-			rec.exchange.ForwardedBytes += sums[10]
-			rec.wire.CodecBytes += sums[11]
-			rec.wire.CodecSeconds += rt.codecSeconds + vec[3]
-			rec.exchange.HiddenCodecSeconds += rt.hiddenCodec
-			rec.exchange.PipelineStalls += rt.stalls
-			rec.exchange.NVLinkSeconds += rt.nvlinkSeconds
-			rec.exchange.HiddenNVLinkSeconds += rt.hiddenNVLink
-			rec.exchange.MaskFoldSavedSeconds += vec[2] - rt.maskSecs
-			if reduced && e.opts.Compression != wire.ModeOff {
-				rec.wire.MaskRawBytes += dc.native
-				rec.wire.MaskWireBytes += dc.wire
-			}
-			rec.exchange.PredictedSeconds += predicted
-			if strategy == ExchangeButterfly {
-				rec.exchange.ButterflyIterations++
-			} else {
-				rec.exchange.AllPairsIterations++
-			}
-			if hr := ex.rounds(); hr > rec.exchange.HopsPerIteration {
-				rec.exchange.HopsPerIteration = hr
-			}
-			if rt.maxMsg > rec.exchange.MaxMessageBytes {
-				rec.exchange.MaxMessageBytes = rt.maxMsg
-			}
-			if reduced {
-				rec.delegateComms++
-			}
-		}
-		// The policy's volume feedback is the fixed-width originated bytes
-		// (raw sent minus forwarded) — a strategy-independent measure, so a
-		// butterfly iteration's relayed volume never inflates the next
-		// prediction.
-		prevNormals, prevOriginated = inputNormals, sums[5]-sums[10]
-		inputNormals, inputDelegates = sums[2], dc.visits
-		// Seeds injecting at the next level are part of its known input
-		// frontier — fold their globally reduced counts into the policy's
-		// volume signal.
-		if iter < sch.lastSeed {
-			inputNormals += sch.nSeeds[iter+1]
-			inputDelegates += sch.dSeeds[iter+1]
-		}
-		// Measured feedback for the next decision: the reduced maximum
-		// per-rank originated volume over the mean (skew, gated on
-		// iterations that carried real payload — framing-dominated rounds
-		// would measure noise), and the executed strategy's actual vs
-		// raw-predicted exchange time (calibration). All inputs are
-		// globally reduced, so every rank's feedback copy stays identical.
-		skewMax, skewMean, wireRatio := 0.0, 0.0, 0.0
-		if originated := sums[5] - sums[10]; originated >= int64(prank)*skewGateRawBytes {
-			skewMax = redMaxOriginated
-			skewMean = float64(e.ampBytes(originated)) / float64(prank)
-			wireRatio = float64(sums[1]) / float64(sums[5])
-		}
-		fb.observe(strategy, predicted/fb.calib[strategy], rt.seconds, skewMax, skewMean, wireRatio)
+		comm.AllreduceFusedClose(nil, false, mx, sums, closer)
 
 		l.rotate()
-		if sums[12] > 0 {
-			cancelled = true
-			if rank == 0 {
-				rec.cancelled = true
-			}
+		if lp.stop {
 			break
 		}
-		if sums[4] == 0 {
-			break
-		}
+		ls.decision = lp.next
 	}
-
-	// Final calibration factors: recorded only for strategies that actually
-	// executed (0 means no feedback accumulated — see ExchangeStats).
-	if rank == 0 {
-		if rec.exchange.AllPairsIterations > 0 {
-			rec.exchange.CalibrationAllPairs = fb.calib[ExchangeAllPairs]
-		}
-		if rec.exchange.ButterflyIterations > 0 {
-			rec.exchange.CalibrationButterfly = fb.calib[ExchangeButterfly]
-		}
-		rec.exchange.SkewEWMA = fb.skew
-		rec.exchange.WireRatioEWMA = fb.wireRatio
-	}
-
-	if !cancelled {
+	if !e.rec.cancelled {
 		l.finish(comm)
 	}
+}
+
+// closeSuperstep is the closer of a superstep's post-exchange rendezvous, run
+// by the last rank to reach it — ls, l and sch that rank's — on the reduced
+// timing maxima mx and sums. It prices the superstep, records
+// it, feeds the policy back and decides the next superstep, or that there is
+// none, for every rank.
+func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sums []int64) {
+	lp, rec := &e.loop, &e.rec
+	// Behind the four scalars' bit patterns sit the three per-hop vectors,
+	// the pre stage, the aggregation and the originated volume, in the order
+	// they were appended.
+	nh := ls.ex.rounds()
+	maskSecs, maskCodecSecs := floatOf(mx[2]), floatOf(mx[3])
+	rt := ls.ex.remoteTime(remoteVolumes{
+		hopBytes:    mx[4 : 4+nh],
+		hopCodecRaw: mx[4+nh : 4+2*nh],
+		hopRecv:     mx[4+2*nh : 4+3*nh],
+		preCodecRaw: mx[4+3*nh],
+		aggBytes:    mx[5+3*nh],
+		maskWire:    e.ampBytes(ls.dc.wire),
+		maskSecs:    maskSecs,
+	})
+	parts := metrics.Breakdown{
+		Computation:    floatOf(mx[0]),
+		LocalComm:      floatOf(mx[1]) + rt.nvlinkExposed,
+		RemoteNormal:   rt.seconds + maskCodecSecs,
+		RemoteDelegate: rt.maskSecs,
+	}
+	elapsed := e.iterElapsed(parts, lp.sync)
+
+	d, dir := &ls.decision, &lp.lead.work
+	rec.PerIteration = append(rec.PerIteration, metrics.IterationStats{
+		Iteration:         int(ls.iter),
+		FrontierNormals:   d.inputNormals,
+		FrontierDelegates: d.inputDelegates,
+		DirDD:             dir.dirDD,
+		DirDN:             dir.dirDN,
+		DirND:             dir.dirND,
+		Exchange:          d.strategy.String(),
+		EdgesScanned:      sums[0],
+		BytesNormal:       sums[1],
+		BytesNormalRaw:    sums[5],
+		BytesDelegate:     ls.dc.wire,
+		Elapsed:           elapsed,
+		PredictedRemote:   d.predicted,
+		CodecHidden:       rt.hiddenCodec,
+		CodecExposed:      rt.codecSeconds - rt.hiddenCodec + maskCodecSecs,
+		NVLinkHidden:      rt.hiddenNVLink,
+		NVLinkExposed:     rt.nvlinkSeconds - rt.hiddenNVLink,
+		Parts:             parts,
+	})
+	rec.EdgesScanned += sums[0]
+	rec.DupsRemoved += sums[3]
+	rec.SimSeconds += elapsed
+	rec.Parts.Add(parts)
+	rec.Wire.CompressedBytes += sums[1]
+	rec.Wire.RawBytes += sums[5]
+	rec.Wire.SchemeRaw += sums[6]
+	rec.Wire.SchemeDelta += sums[7]
+	rec.Wire.SchemeBitmap += sums[8]
+	rec.Exchange.Messages += sums[9]
+	rec.Exchange.ForwardedBytes += sums[10]
+	rec.Wire.CodecBytes += sums[11]
+	rec.Wire.CodecSeconds += rt.codecSeconds + maskCodecSecs
+	rec.Exchange.HiddenCodecSeconds += rt.hiddenCodec
+	rec.Exchange.PipelineStalls += rt.stalls
+	rec.Exchange.NVLinkSeconds += rt.nvlinkSeconds
+	rec.Exchange.HiddenNVLinkSeconds += rt.hiddenNVLink
+	rec.Exchange.MaskFoldSavedSeconds += maskSecs - rt.maskSecs
+	if ls.reduced && e.opts.Compression != wire.ModeOff {
+		rec.Wire.MaskRawBytes += ls.dc.native
+		rec.Wire.MaskWireBytes += ls.dc.wire
+	}
+	rec.Exchange.PredictedSeconds += d.predicted
+	if d.strategy == ExchangeButterfly {
+		rec.Exchange.ButterflyIterations++
+	} else {
+		rec.Exchange.AllPairsIterations++
+	}
+	rec.Exchange.HopsPerIteration = max(rec.Exchange.HopsPerIteration, nh)
+	rec.Exchange.MaxMessageBytes = max(rec.Exchange.MaxMessageBytes, rt.maxMsg)
+	if ls.reduced {
+		rec.DelegateComms++
+	}
+
+	// Measured feedback for the next decision: the reduced maximum per-rank
+	// originated volume over the mean (skew, gated on iterations that carried
+	// real payload — framing-dominated rounds would measure noise), and the
+	// executed strategy's actual vs raw-predicted exchange time
+	// (calibration).
+	originated := sums[5] - sums[10]
+	skewMax, skewMean, wireRatio := 0.0, 0.0, 0.0
+	if originated >= int64(e.shape.Ranks())*skewGateRawBytes {
+		skewMax = float64(mx[6+3*nh])
+		skewMean = float64(e.ampBytes(originated)) / float64(e.shape.Ranks())
+		wireRatio = float64(sums[1]) / float64(sums[5])
+	}
+	fb := &lp.fb
+	fb.observe(d.strategy, d.predicted/fb.calib[d.strategy], rt.seconds, skewMax, skewMean, wireRatio)
+
+	rec.cancelled = sums[12] > 0
+	lp.stop = rec.cancelled || sums[4] == 0
+	if lp.stop {
+		// Final calibration factors: recorded only for strategies that
+		// actually executed (0 means no feedback accumulated — see
+		// ExchangeStats).
+		if rec.Exchange.AllPairsIterations > 0 {
+			rec.Exchange.CalibrationAllPairs = fb.calib[ExchangeAllPairs]
+		}
+		if rec.Exchange.ButterflyIterations > 0 {
+			rec.Exchange.CalibrationButterfly = fb.calib[ExchangeButterfly]
+		}
+		rec.Exchange.SkewEWMA = fb.skew
+		rec.Exchange.WireRatioEWMA = fb.wireRatio
+		return
+	}
+	// The policy's volume feedback is the fixed-width originated bytes (raw
+	// sent minus forwarded) — a strategy-independent measure, so a butterfly
+	// iteration's relayed volume never inflates the next prediction. Seeds
+	// injecting at the next level are part of its known input frontier.
+	next := decision{inputNormals: sums[2], inputDelegates: ls.dc.visits, prevNormals: d.inputNormals, prevOriginated: originated}
+	if ls.iter < sch.lastSeed {
+		next.inputNormals += sch.nSeeds[ls.iter+1]
+		next.inputDelegates += sch.dSeeds[ls.iter+1]
+	}
+	next.strategy, next.predicted = e.pol.choose(next.inputNormals, next.inputDelegates, next.prevNormals, next.prevOriginated, *fb, l.exchanger)
+	lp.next = next
 }
 
 // sourceLanes is the single-source traversal's side of the loop: a rank's
@@ -794,12 +801,12 @@ func (l *sourceLanes) post(comm *mpi.Comm, ex exchanger, iter int32) {
 
 // exchange is the normal-vertex exchange (§V-B): the inter-rank strategy and
 // the apply of everything that arrives.
-func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts {
+func (l *sourceLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchangeCounts {
 	return l.deliver(comm, ex, iter, applyIDs)
 }
 
 // deliver is exchange with the per-slot apply of what arrives as a parameter.
-func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply func(gs *gpuState, ids []uint32, depth int32)) exchangeCounts {
+func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply func(gs *gpuState, ids []uint32, depth int32)) *exchangeCounts {
 	e, sc, myGPUs := l.e, l.sc, l.gpus
 	pgpu := e.shape.GPUsPerRank
 	// Inter-rank exchange through this iteration's strategy (all-pairs

@@ -42,7 +42,7 @@ type rankScratch struct {
 	// lanes is the rank's side of the in-flight traversal, rebuilt per query
 	// by Session.runWave (and, for its round, by a repair's probe before it);
 	// loopScratch the superstep loop's own buffers (a repair's prologue
-	// borrows fbits for its max-reduce, its finisher sums).
+	// borrows mx for its max-reduce, its finisher sums).
 	lanes sourceLanes
 	loopScratch
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,7 +225,7 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 	t.Helper()
 	w := s.coldWave(source)
 	s.out = newTreeOut(&s.opts, s.sg.N)
-	s.begin()
+	s.begin(&s.scratch[0].loopScratch)
 	runHooked(s.acquireWorld(), hook, func(rank int, comm *mpi.Comm) {
 		s.runWave(context.Background(), rank, comm, source, w)
 	})
@@ -234,7 +236,7 @@ func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metr
 // runCounted is for a cold run.
 func runSweepCounted(e *sweepSession, hook mpi.SendHook) []*metrics.RunResult {
 	sch := e.seed()
-	e.begin()
+	e.begin(&e.scratch[0].loopScratch)
 	runHooked(e.world, hook, func(rank int, comm *mpi.Comm) {
 		sc := e.scratch[rank]
 		e.runRank(context.Background(), rank, comm, &sc.lanes, &sc.loopScratch, sch)
@@ -247,7 +249,7 @@ func runSweepCounted(e *sweepSession, hook mpi.SendHook) []*metrics.RunResult {
 func repairCounted(s *Session, in *repairIn, hook mpi.SendHook) *metrics.RunResult {
 	s.resetTraversal()
 	s.out = newTreeOut(&s.opts, s.sg.N)
-	s.begin()
+	s.begin(&s.scratch[0].loopScratch)
 	runHooked(s.acquireWorld(), hook, func(rank int, comm *mpi.Comm) {
 		s.repairRank(context.Background(), rank, comm, in)
 	})
@@ -405,6 +407,94 @@ func TestAllPairsRoundsTouchNoMailbox(t *testing.T) {
 	}
 }
 
+// Every superstep is closed once: the closer of its post-exchange rendezvous
+// runs on one rank and appends exactly one iteration record, so a traversal's
+// records, in superstep order, number its supersteps as the communicator
+// counts them (two rendezvous each), and the query's modelled seconds are
+// their elapsed times summed once. Held for a cold run, a repair wave and a
+// 64-lane sweep under every exchange, on six ranks and on one.
+func TestSuperstepClosesOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, shape := range []ClusterShape{{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, {Nodes: 1, RanksPerNode: 1, GPUsPerRank: 2}} {
+		for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+			label := fmt.Sprintf("%d ranks/%s", shape.Ranks(), x)
+			closed := func(what string, recs []metrics.IterationStats, loopRendezvous uint64) {
+				t.Helper()
+				if len(recs) < 2 || uint64(2*len(recs)) != loopRendezvous {
+					t.Errorf("%s %s: %d iteration records over %d loop rendezvous", label, what, len(recs), loopRendezvous)
+				}
+				for i, it := range recs {
+					if it.Iteration != recs[0].Iteration+i {
+						t.Fatalf("%s %s: record %d is superstep %d, after superstep %d", label, what, i, it.Iteration, recs[0].Iteration)
+					}
+				}
+			}
+			opts := DefaultOptions()
+			opts.CollectLevels = false
+			opts.Exchange = x
+			el, p := webPlan(t, 9, shape, opts)
+			s := p.acquire(p.base)
+			for _, src := range delegateAndNormalSources(p.sg.Sep) {
+				var before uint64
+				if s.world != nil {
+					before = s.world.Rendezvous()
+				}
+				res, err := s.run(ctx, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closed("run", res.PerIteration, s.world.Rendezvous()-before)
+				var sum float64
+				for _, it := range res.PerIteration {
+					sum += it.Elapsed
+				}
+				if res.Iterations != len(res.PerIteration) || sum != res.SimSeconds {
+					t.Errorf("%s run: %d iterations, %d records, Σ elapsed %g of %g s", label, res.Iterations, len(res.PerIteration), sum, res.SimSeconds)
+				}
+			}
+			p.release(s)
+
+			e := p.newSweepSession(opts, pickSources(el.OutDegrees(), 64, 3))
+			lanes, err := e.run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed("sweep", e.rec.PerIteration, e.world.Rendezvous())
+			deepest := 0
+			for _, r := range lanes {
+				deepest = max(deepest, r.Iterations)
+			}
+			if xs := lanes[0].Exchange; deepest != len(e.rec.PerIteration) || xs.AllPairsIterations+xs.ButterflyIterations != int64(deepest) {
+				t.Errorf("%s sweep: deepest lane %d supersteps, %d records, %d + %d strategy counts", label, deepest,
+					len(e.rec.PerIteration), xs.AllPairsIterations, xs.ButterflyIterations)
+			}
+
+			// A repair's prologue is three rendezvous, its finisher none
+			// when it collects nothing, and its wave's supersteps start
+			// where a level can change.
+			rel := rmat.Generate(rmat.DefaultParams(10))
+			source := repairSource(rel)
+			ropts := repairOptions()
+			ropts.Exchange = x
+			b := delta.Synthesize(rel, 0.02, delta.KindMixed, 42)
+			prior, p2 := nextEpoch(t, rel, shape, 32, ropts, source, b)
+			invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+			ropts.CollectLevels, ropts.CollectParents, ropts.DirectionOptimized = false, false, false
+			s = p2.acquire(ropts)
+			var before uint64
+			if s.world != nil {
+				before = s.world.Rendezvous()
+			}
+			res := repairCounted(s, &repairIn{source: source, levels: prior.Levels, invalid: invalid, seeds: seeds}, nil)
+			closed("repair", res.PerIteration, s.world.Rendezvous()-before-3)
+			if res.Iterations != len(res.PerIteration) {
+				t.Errorf("%s repair: %d iterations, %d records", label, res.Iterations, len(res.PerIteration))
+			}
+			p2.release(s)
+		}
+	}
+}
+
 // BenchmarkTailSuperstep is the host cost of a superstep in the regime where
 // that is the whole bill: a web graph's long chains give a query hundreds of
 // supersteps that each scan a handful of edges (§VI-D), so ns/superstep here
@@ -420,6 +510,9 @@ func BenchmarkTailSuperstep(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	b.ResetTimer()
 	var supersteps int
 	for i := 0; i < b.N; i++ {
@@ -429,6 +522,18 @@ func BenchmarkTailSuperstep(b *testing.B) {
 		}
 		supersteps += res.Iterations
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(supersteps), "ns/superstep")
 	b.ReportMetric(float64(warm.Iterations), "supersteps/query")
+	// A query's allocations are its result's, none per superstep: the closer
+	// and the exchange's accounting allocate nothing. Held, as allocs/op
+	// reads, over enough queries that a pooled session the GC dropped (a
+	// fresh one allocates about 40 times more) cannot decide it.
+	runtime.ReadMemStats(&ms)
+	if per := (ms.Mallocs - mallocs) / uint64(b.N); b.N >= 50 && per > maxTailAllocs && !raceDetector {
+		b.Fatalf("%d allocs per query, want at most %d", per, maxTailAllocs)
+	}
 }
+
+// maxTailAllocs bounds BenchmarkTailSuperstep's allocs/op.
+const maxTailAllocs = 29

@@ -511,7 +511,7 @@ func (l *sweepLanes) post(comm *mpi.Comm, ex exchanger, iter int32) {
 // — from a sibling GPU or over the wire — in any order: a record only ORs lane
 // bits into its vertex's row, and each lane's level is written once
 // (discover), so the sweep needs no canonical arrival order.
-func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) exchangeCounts {
+func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchangeCounts {
 	e, sc, w := l.e, l.sc, l.e.w
 	w64 := int64(w)
 	pgpu := e.shape.GPUsPerRank
@@ -594,7 +594,7 @@ func (l *sweepLanes) finish(comm *mpi.Comm) {
 // per-query results.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	sch := e.seed()
-	e.begin()
+	e.begin(&e.scratch[0].loopScratch)
 	err := RunRanks(e.world, e.opts.Inject, sweepTagSite, func(rank int, comm *mpi.Comm) {
 		sc := e.scratch[rank]
 		e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, sch)
@@ -621,36 +621,36 @@ func (e *sweepSession) results() []*metrics.RunResult {
 			Source:        e.sources[q],
 			Epoch:         e.epoch,
 			Iterations:    int(deepest[q]) + 1,
-			SimSeconds:    rec.simSeconds / kf,
+			SimSeconds:    rec.SimSeconds / kf,
 			TEPSEdges:     e.sg.M / 2,
-			EdgesScanned:  rec.edgesScanned / k64,
-			DupsRemoved:   rec.dupsRemoved / k64,
-			DelegateComms: rec.delegateComms,
+			EdgesScanned:  rec.EdgesScanned / k64,
+			DupsRemoved:   rec.DupsRemoved / k64,
+			DelegateComms: rec.DelegateComms,
 			Parts: metrics.Breakdown{
-				Computation:    rec.parts.Computation / kf,
-				LocalComm:      rec.parts.LocalComm / kf,
-				RemoteNormal:   rec.parts.RemoteNormal / kf,
-				RemoteDelegate: rec.parts.RemoteDelegate / kf,
+				Computation:    rec.Parts.Computation / kf,
+				LocalComm:      rec.Parts.LocalComm / kf,
+				RemoteNormal:   rec.Parts.RemoteNormal / kf,
+				RemoteDelegate: rec.Parts.RemoteDelegate / kf,
 			},
 			Wire: metrics.WireStats{
 				Enabled:         e.opts.Compression != wire.ModeOff,
-				RawBytes:        rec.wire.RawBytes / k64,
-				CompressedBytes: rec.wire.CompressedBytes / k64,
-				SchemeRaw:       rec.wire.SchemeRaw / k64,
-				SchemeDelta:     rec.wire.SchemeDelta / k64,
-				SchemeBitmap:    rec.wire.SchemeBitmap / k64,
-				CodecBytes:      rec.wire.CodecBytes / k64,
-				CodecSeconds:    rec.wire.CodecSeconds / kf,
+				RawBytes:        rec.Wire.RawBytes / k64,
+				CompressedBytes: rec.Wire.CompressedBytes / k64,
+				SchemeRaw:       rec.Wire.SchemeRaw / k64,
+				SchemeDelta:     rec.Wire.SchemeDelta / k64,
+				SchemeBitmap:    rec.Wire.SchemeBitmap / k64,
+				CodecBytes:      rec.Wire.CodecBytes / k64,
+				CodecSeconds:    rec.Wire.CodecSeconds / kf,
 			},
 			Exchange: metrics.ExchangeStats{
 				Strategy:            "sweep",
-				AllPairsIterations:  rec.exchange.AllPairsIterations,
-				ButterflyIterations: rec.exchange.ButterflyIterations,
-				Messages:            rec.exchange.Messages / k64,
-				ForwardedBytes:      rec.exchange.ForwardedBytes / k64,
-				MaxMessageBytes:     rec.exchange.MaxMessageBytes,
-				HiddenCodecSeconds:  rec.exchange.HiddenCodecSeconds / kf,
-				HiddenNVLinkSeconds: rec.exchange.HiddenNVLinkSeconds / kf,
+				AllPairsIterations:  rec.Exchange.AllPairsIterations,
+				ButterflyIterations: rec.Exchange.ButterflyIterations,
+				Messages:            rec.Exchange.Messages / k64,
+				ForwardedBytes:      rec.Exchange.ForwardedBytes / k64,
+				MaxMessageBytes:     rec.Exchange.MaxMessageBytes,
+				HiddenCodecSeconds:  rec.Exchange.HiddenCodecSeconds / kf,
+				HiddenNVLinkSeconds: rec.Exchange.HiddenNVLinkSeconds / kf,
 			},
 		}
 		if e.outs != nil {

@@ -112,20 +112,9 @@ func (e *runEnv) effPairs() int64 {
 	return max(int64(e.shape.Ranks())-1, 1)
 }
 
-// floatBits returns the bit patterns of a non-negative float vector in the
-// caller-owned scratch (grown and returned for reuse). Non-negative IEEE-754
-// doubles order identically to their bit patterns, so an int64 max-reduce of
-// the result is the element-wise float maximum; bitsToFloats converts back.
-func floatBits(vals []float64, scratch []int64) []int64 {
-	bits := grownInt64(scratch, len(vals))
-	for i, v := range vals {
-		bits[i] = int64(math.Float64bits(v))
-	}
-	return bits
-}
+// fbits is a non-negative float's bit pattern: non-negative IEEE-754 doubles
+// order identically to their bit patterns, so an int64 max-reduce of them is
+// the float maximum, which floatOf reads back.
+func fbits(v float64) int64 { return int64(math.Float64bits(v)) }
 
-func bitsToFloats(bits []int64, vals []float64) {
-	for i := range vals {
-		vals[i] = math.Float64frombits(uint64(bits[i]))
-	}
-}
+func floatOf(bits int64) float64 { return math.Float64frombits(uint64(bits)) }

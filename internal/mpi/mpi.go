@@ -25,7 +25,26 @@
 // superstep (core/run.go) is two fused rendezvous: one before the exchange
 // carrying the delegate-mask words — and, posted just ahead of it, every
 // rank's all-pairs payloads — and one after it carrying the timing maxima and
-// the work sums.
+// the work sums, whose closer prices and records the superstep.
+//
+// # Closing a generation
+//
+// AllreduceFusedClose hands the fused reduce a closer: whatever every rank
+// would derive from the reduced sections alike is derived once. The rules:
+//
+//   - The last rank to arrive runs its closer, once per generation, under the
+//     collective's lock, on the folded max and sum sections, before any rank
+//     is released; every rank passes a closer that does the same. The other
+//     ranks are parked anyway, and the lock orders the closer's writes
+//     before every rank's return.
+//   - What the closer writes, every rank may read once its call returns, until
+//     it arrives at its own next rendezvous; the closer may read any state a
+//     rank wrote before it arrived, since that rank is parked in the same
+//     generation. It must not keep or modify the sections it is handed.
+//   - On an aborted World no closer runs; every parked rank still unwinds
+//     with the typed abort.
+//   - A closer that panics unwinds the last rank alone; the others stay
+//     parked until the World is aborted.
 //
 // ReduceScatterMin is two rendezvous whatever the rank count, and its fold is
 // not under the lock: every rank shares its buffer, folds its own stripe out
@@ -491,7 +510,7 @@ const (
 // output buffer only. Each rank copies the result into its own slices under
 // the lock before returning; or is overwritten only when the returned flag
 // says some rank contributed.
-func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which extremum, sum []int64) bool {
+func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which extremum, sum []int64, closer func(max, sum []int64)) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
@@ -535,6 +554,9 @@ func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which ext
 			}
 		}
 	}
+	if closer != nil && cl.arrived == cl.size-1 {
+		closer(acc.ext, acc.sum)
+	}
 	cl.arrive()
 	copy(ext, acc.ext)
 	copy(sum, acc.sum)
@@ -566,24 +588,31 @@ func (c *Comm) Barrier() {
 //
 // max and sum fold element-wise as AllreduceMax and AllreduceSum do.
 func (c *Comm) AllreduceFused(or []uint64, contribute bool, max, sum []int64) bool {
-	return c.w.coll.fused(or, contribute, max, extMax, sum)
+	return c.w.coll.fused(or, contribute, max, extMax, sum, nil)
+}
+
+// AllreduceFusedClose is AllreduceFused whose generation closer runs once,
+// on the last rank to arrive, over the folded max and sum sections before any
+// rank returns (see "Closing a generation" in the package comment).
+func (c *Comm) AllreduceFusedClose(or []uint64, contribute bool, max, sum []int64, closer func(max, sum []int64)) bool {
+	return c.w.coll.fused(or, contribute, max, extMax, sum, closer)
 }
 
 // AllreduceOr ORs the word slices of all ranks element-wise and stores the
 // result in-place in every rank's slice. All ranks must pass equal lengths.
 // This is the delegate-mask reduction primitive (§V-A).
 func (c *Comm) AllreduceOr(words []uint64) {
-	c.w.coll.fused(words, true, nil, extMax, nil)
+	c.w.coll.fused(words, true, nil, extMax, nil, nil)
 }
 
 // AllreduceSum sums int64 slices element-wise across ranks, in-place.
 func (c *Comm) AllreduceSum(vals []int64) {
-	c.w.coll.fused(nil, false, nil, extMax, vals)
+	c.w.coll.fused(nil, false, nil, extMax, vals, nil)
 }
 
 // AllreduceMax takes the element-wise max of int64 slices across ranks.
 func (c *Comm) AllreduceMax(vals []int64) {
-	c.w.coll.fused(nil, false, vals, extMax, nil)
+	c.w.coll.fused(nil, false, vals, extMax, nil, nil)
 }
 
 // AllreduceMin takes the element-wise min of int64 slices across ranks —
@@ -592,7 +621,7 @@ func (c *Comm) AllreduceMax(vals []int64) {
 // candidates, which only the rank that writes a delegate needs, meet in
 // ReduceScatterMin instead.
 func (c *Comm) AllreduceMin(vals []int64) {
-	c.w.coll.fused(nil, false, vals, extMin, nil)
+	c.w.coll.fused(nil, false, vals, extMin, nil, nil)
 }
 
 // AllreduceSumFloat64 sums float64 slices element-wise across ranks — the

@@ -3,7 +3,9 @@ package mpi
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -540,6 +542,117 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("%d ranks aborted after Reset", got)
+	}
+}
+
+// A fused reduce's closer runs once per generation, on one rank, after every
+// rank has arrived and before any returns, over the folded sections; what it
+// writes, every rank reads once its call returns. p = 1 closes every
+// generation on its one rank.
+func TestAllreduceFusedCloser(t *testing.T) {
+	const gens = 40
+	for _, size := range []int{1, 2, 5, 8} {
+		var (
+			arrived, returned [gens]atomic.Int32
+			calls, closedBy   [gens]int // written by closers only
+			closed            [gens]int64
+		)
+		spawn(t, size, func(c *Comm) {
+			for g := range gens {
+				max, sum := []int64{int64(c.Rank() + g)}, []int64{int64(c.Rank())}
+				arrived[g].Add(1)
+				c.AllreduceFusedClose(nil, false, max, sum, func(mx, sm []int64) {
+					calls[g]++
+					closedBy[g] = c.Rank()
+					if n := arrived[g].Load(); n != int32(size) {
+						t.Errorf("p=%d gen %d: closed with %d of %d ranks arrived", size, g, n, size)
+					}
+					if n := returned[g].Load(); n != 0 {
+						t.Errorf("p=%d gen %d: %d ranks returned before the closer ran", size, g, n)
+					}
+					if mx[0] != int64(size-1+g) || sm[0] != int64(size*(size-1)/2) {
+						t.Errorf("p=%d gen %d: closer saw max %d sum %d, not the folded sections", size, g, mx[0], sm[0])
+					}
+					closed[g] = mx[0] + sm[0]
+				})
+				returned[g].Add(1)
+				if closed[g] != max[0]+sum[0] {
+					t.Errorf("p=%d gen %d rank %d: read %d from the closer, want %d", size, g, c.Rank(), closed[g], max[0]+sum[0])
+				}
+			}
+		})
+		for g := range gens {
+			if calls[g] != 1 {
+				t.Errorf("p=%d gen %d: closer ran %d times", size, g, calls[g])
+			}
+			if closedBy[g] < 0 || closedBy[g] >= size {
+				t.Errorf("p=%d gen %d: closed by rank %d", size, g, closedBy[g])
+			}
+		}
+	}
+}
+
+// An aborted World runs no closer: the rank that would have closed the
+// generation unwinds with the abort at its arrival, and so does every rank
+// parked before the abort. A closer that panics unwinds its own rank, whose
+// abort releases the parked others.
+func TestAllreduceFusedCloserOnAbort(t *testing.T) {
+	const size = 4
+	cause := errors.New("rank failed")
+	var closes atomic.Int32
+	closer := func(_, _ []int64) { closes.Add(1) }
+	// parked launches ranks 0..size-2 into a closing rendezvous and returns
+	// once all of them are parked in it, and a wait for all to have unwound.
+	parked := func(w *World) (wait func()) {
+		var wg sync.WaitGroup
+		for r := 0; r < size-1; r++ {
+			wg.Add(1)
+			go func(c *Comm) {
+				defer wg.Done()
+				defer func() {
+					if err, ok := AbortError(recover()); !ok || !errors.Is(err, cause) {
+						t.Errorf("rank %d did not unwind with the abort: %v", c.Rank(), err)
+					}
+				}()
+				c.AllreduceFusedClose(nil, false, []int64{1}, []int64{1}, closer)
+			}(w.Rank(r))
+		}
+		for {
+			w.coll.mu.Lock()
+			n := w.coll.arrived
+			w.coll.mu.Unlock()
+			if n == size-1 {
+				return wg.Wait
+			}
+			runtime.Gosched()
+		}
+	}
+	last := func(w *World, close func(_, _ []int64)) (v any) {
+		defer func() { v = recover() }()
+		w.Rank(size-1).AllreduceFusedClose(nil, false, []int64{1}, []int64{1}, close)
+		return nil
+	}
+
+	w := NewWorld(size)
+	wait := parked(w)
+	w.Abort(cause)
+	if err, ok := AbortError(last(w, closer)); !ok || !errors.Is(err, cause) {
+		t.Fatalf("the last rank arrived on an aborted World and did not unwind with the abort: %v", err)
+	}
+	wait()
+	if n := closes.Load(); n != 0 {
+		t.Fatalf("%d closers ran on an aborted World", n)
+	}
+
+	w.Reset()
+	wait = parked(w)
+	if v := last(w, func(_, _ []int64) { panic("closer failed") }); v != "closer failed" {
+		t.Fatalf("the closing rank recovered %v, want the closer's panic", v)
+	}
+	w.Abort(cause)
+	wait()
+	if n := closes.Load(); n != 0 {
+		t.Fatalf("%d other closers ran", n)
 	}
 }
 
