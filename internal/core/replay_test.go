@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"gcbfs/internal/baseline"
@@ -41,14 +42,20 @@ func runUnfiltered(t testing.TB, p *Plan, src int64, ov Overrides) *metrics.RunR
 }
 
 // requireSameButPairs asserts that two results of one query report the same
-// statistics except for what the replay sent.
+// statistics and tree except for what the replay sent, naming every field
+// that differs beyond those.
 func requireSameButPairs(t testing.TB, label string, got, want *metrics.RunResult) {
 	t.Helper()
-	a, b := *got, *want
-	a.ParentPairs, a.Wire.PairRawBytes, a.Wire.PairWireBytes = b.ParentPairs, b.Wire.PairRawBytes, b.Wire.PairWireBytes
-	if resultDigest(&a) != resultDigest(&b) {
-		a.Levels, a.Parents, b.Levels, b.Parents = nil, nil, nil, nil
-		t.Fatalf("%s: results differ beyond ParentPairs and Wire.Pair*Bytes:\n%+v\n%+v", label, a, b)
+	var moved []string
+	for _, m := range fieldMoves(resultLines(want), resultLines(got)) {
+		switch m.field {
+		case "ParentPairs", "Wire.PairRawBytes", "Wire.PairWireBytes":
+		default:
+			moved = append(moved, m.String())
+		}
+	}
+	if len(moved) > 0 {
+		t.Fatalf("%s: results differ beyond ParentPairs and Wire.Pair*Bytes: %s", label, strings.Join(moved, "; "))
 	}
 }
 

@@ -124,7 +124,8 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 	net, amp := opts.Net, opts.WorkAmplification
 	// Message tags are plain iteration numbers here.
 	iterTag := func(tag int) (int, string) { return tag, faults.SiteExchange }
-	// stats and done are written by rank 0 only and read after the ranks join.
+	// stats and done are written by each iteration's closer, on the last rank
+	// to reach its timing reduce, and read after the ranks join.
 	err = core.RunRanks(mpi.NewWorld(prank), opts.Inject, iterTag, func(rank int, comm *mpi.Comm) {
 		r := ranks[rank]
 		for iter := 0; iter < opts.MaxIterations; iter++ {
@@ -147,7 +148,8 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 			fin := r.Update(comm)
 
 			// ---- Timing (model): this rank's components, then their maxima
-			// across ranks, and the global traffic sum.
+			// across ranks and the global traffic sum in one reduce, whose
+			// closer accumulates the iteration. Every rank's fin is the same.
 			// Injected stall: timing skew only, results stay bit-identical.
 			if in := opts.Inject; in != nil {
 				comp += in.Stall(rank, iter, faults.SiteIter)
@@ -163,16 +165,13 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 			remoteNormal := net.PointToPoint(aSent, 4<<20)
 			vec := []int64{int64(math.Float64bits(comp)), int64(math.Float64bits(local)),
 				int64(math.Float64bits(remoteNormal)), int64(math.Float64bits(remoteDelegate))}
-			comm.AllreduceMax(vec)
-			traffic := []int64{sentBytes + intra}
-			comm.AllreduceSum(traffic)
-			parts := metrics.Breakdown{
-				Computation:    math.Float64frombits(uint64(vec[0])),
-				LocalComm:      math.Float64frombits(uint64(vec[1])),
-				RemoteNormal:   math.Float64frombits(uint64(vec[2])),
-				RemoteDelegate: math.Float64frombits(uint64(vec[3])),
-			}
-			if rank == 0 {
+			comm.AllreduceFusedClose(nil, false, vec, []int64{sentBytes + intra}, func(maxima, traffic []int64) {
+				parts := metrics.Breakdown{
+					Computation:    math.Float64frombits(uint64(maxima[0])),
+					LocalComm:      math.Float64frombits(uint64(maxima[1])),
+					RemoteNormal:   math.Float64frombits(uint64(maxima[2])),
+					RemoteDelegate: math.Float64frombits(uint64(maxima[3])),
+				}
 				stats.SimSeconds += parts.Sum() - 0.35*math.Min(parts.Computation,
 					parts.RemoteNormal+parts.RemoteDelegate)
 				stats.Parts.Add(parts)
@@ -180,7 +179,7 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 				stats.BytesNormal += traffic[0]
 				stats.BytesDelegate += d * 8
 				done = fin
-			}
+			})
 			if fin {
 				break
 			}
