@@ -1,18 +1,20 @@
 package core
 
-// Fault containment: the launcher every engine starts its per-rank
-// goroutines through, the boundary they run under, and the helpers that
-// classify what it recovers.
+// Fault containment: the launcher the finishers and the dense analytics start
+// their per-rank goroutines through, the boundary they run under, and the
+// helpers that classify what it recovers. The superstep loop itself runs
+// phase by phase on its driver (driver.go), whose boundary is per rank and
+// phase and classifies with the same faultError.
 //
-// A corrupt payload (organic or injected) surfaces as a panic deep in a rank
-// goroutine — the decode sits under several layers of exchange machinery with
-// no error return path, exactly like a CUDA kernel fault on the real machine.
+// A corrupt payload (organic or injected) surfaces as a panic deep in a rank's
+// work — the decode sits under several layers of exchange machinery with no
+// error return path, exactly like a CUDA kernel fault on the real machine.
 // The containment boundary recovers the panic, classifies it, and poisons the
 // session's World (mpi.World.Abort) so every sibling rank blocked in a
-// collective or receive unwinds within the same BSP iteration. The main
-// goroutine then observes World.Aborted, marks the Session poisoned (release
-// drops it instead of recycling it) and returns the typed error — never a
-// partial result.
+// collective or receive unwinds within the same BSP iteration, and the driver
+// stops before its next phase. The caller then observes World.Aborted, marks
+// the Session poisoned (release drops it instead of recycling it) and returns
+// the typed error — never a partial result.
 //
 // Classification is deliberately narrow: only errors wrapping wire.ErrCorrupt
 // (payload corruption the codecs detected) or faults.ErrInjected (manufactured
@@ -71,15 +73,21 @@ func armWorld(w *mpi.World, in *faults.Injector, site func(tag int) (int, string
 	})
 }
 
-// RunRanks is the one rank launcher: every engine (BFS and repair, the
-// sweep, connected components, PageRank) starts its per-rank goroutines
-// here. It arms world with the injector — site maps a message tag to the
-// (iteration, injection site) its payload faults key on — runs body once per
-// rank under the containment boundary, waits for all of them, and returns
-// the typed fault that aborted the world, nil when every rank ran to the
-// end. After an error the state the ranks were mutating is undefined.
+// RunRanks is the rank launcher of everything that still parks a goroutine
+// per rank in collectives — the tree finishers (parents.go, repair_tree.go,
+// sweep_tree.go) and the dense analytics (internal/dense). It arms world with
+// the injector — site maps a message tag to the (iteration, injection site)
+// its payload faults key on — runs body once per rank under the containment
+// boundary, waits for all of them, and returns the typed fault that aborted
+// the world, nil when every rank ran to the end. After an error the state the
+// ranks were mutating is undefined.
 func RunRanks(world *mpi.World, in *faults.Injector, site func(tag int) (int, string), body func(rank int, comm *mpi.Comm)) error {
 	armWorld(world, in, site)
+	return launchRanks(world, body)
+}
+
+// launchRanks is RunRanks on a World its traversal has armed already.
+func launchRanks(world *mpi.World, body func(rank int, comm *mpi.Comm)) error {
 	var wg sync.WaitGroup
 	for r := 0; r < world.Size(); r++ {
 		wg.Add(1)

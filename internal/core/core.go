@@ -434,12 +434,16 @@ type runEnv struct {
 	opts Options
 	amp  float64 // work/volume amplification for the timing model
 	// rec is the in-flight query's statistics and loop its superstep state
-	// past each post-exchange rendezvous, both written by rendezvous closers
-	// only; pol is its exchange policy, shared read-only by the rank
-	// goroutines. All three are set by begin before the ranks start.
+	// between phases, both written by the driver's folds and closers only;
+	// pol is its exchange policy, read-only during the traversal. All three
+	// are set by begin before the ranks start.
 	rec  recorder
 	loop loopState
 	pol  *exchangePolicy
+	// drv runs the traversal's phases over its ranks and bsp is the
+	// superstep loop's stepper; both keep their buffers across queries.
+	drv driver
+	bsp bspLoop
 }
 
 // runOn binds a plan's environment to one query's effective options.
@@ -448,11 +452,11 @@ func (p *Plan) runOn(opts Options) runEnv {
 }
 
 // begin clears the statistics and the loop state and builds the policy of a
-// new query whose rank 0 keeps its loop's buffers in lead.
-func (e *runEnv) begin(lead *loopScratch) {
+// new query.
+func (e *runEnv) begin() {
 	e.rec = recorder{}
 	e.rec.Exchange.Strategy = e.opts.Exchange.String()
-	e.loop = loopState{fb: newPolicyFeedback(), lead: lead, sync: e.syncOverhead()}
+	e.loop = loopState{fb: newPolicyFeedback(), sync: e.syncOverhead()}
 	e.pol = e.newExchangePolicy()
 }
 
@@ -473,13 +477,13 @@ func (e *runEnv) cancelErr(ctx context.Context) error {
 // effective (base + overrides) options. Sessions are created and recycled by
 // their Plan's pool; they are never shared between concurrent queries, so a
 // Session needs no locking of its own — its per-GPU state is touched only by
-// the owning rank goroutine, exactly as on the real machine.
+// the owning rank's share of a phase, exactly as on the real machine.
 type Session struct {
 	runEnv
 	gpus []*gpuState
-	// scratch holds each rank goroutine's reusable per-iteration state
-	// (merge headers, arrival bins, decode arena, radix buffers — see
-	// scratch.go). Indexed by rank; touched only by the owning goroutine.
+	// scratch holds each rank's reusable per-iteration state (merge
+	// headers, arrival bins, decode arena, radix buffers — see scratch.go).
+	// Indexed by rank; touched only by the owning rank's work.
 	scratch []*rankScratch
 
 	// childKnown reports that the GPUs' hasChild bits describe this query's
@@ -503,6 +507,11 @@ type Session struct {
 	parentPairRawBytes  int64
 	parentPairWireBytes int64
 
+	// loops are the ranks' sides of the superstep loop (bindWave), and probe
+	// a repair prologue's stepper.
+	loops []rankLoop
+	probe repairPrologue
+
 	// world is the session's pooled communicator, reset per query — a
 	// completed query leaves it empty (every message received, every
 	// collective folded), so reuse replaces per-query construction.
@@ -515,7 +524,7 @@ type Session struct {
 
 // acquireWorld returns the session's communicator, reset for a new query
 // (allocated on first use, recycled with the pooled session afterwards).
-// RunRanks arms it with the query's injector.
+// traverse arms it with the query's injector.
 func (e *Session) acquireWorld() *mpi.World {
 	if e.world == nil {
 		e.world = mpi.NewWorld(e.shape.Ranks())
@@ -581,7 +590,7 @@ func (e *runEnv) ampBytes(b int64) int64 {
 }
 
 // gpuState is the per-GPU mutable run state. Each GPU's state is touched
-// only by its owning rank goroutine. Its normal vertices are its own; the
+// only by its owning rank's work. Its normal vertices are its own; the
 // delegate tier is the rank's (dt), one replica its GPUs share, as a sweep's
 // share sweepScratch's, and the replicas of the ranks agree because they
 // change only by the reduced proposal (§V-A).

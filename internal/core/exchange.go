@@ -31,7 +31,10 @@ package core
 // message: fewer, larger messages, re-encoded through the wire codec per
 // hop so the adaptive selector sees the denser aggregated blocks. Green
 // argues the pattern pays most when many traversals share a hop — a sweep's
-// 64 lanes do, in every record.
+// 64 lanes do, in every record. The hop schedule is static, so each hop is a
+// phase of the superstep of its own (run.go): every rank sends hop k in one
+// relay step and receives and merges it in the next, past the hop's
+// rendezvous, and no receive ever waits for its message.
 //
 // With a codec active the exchange carries frontier SETS, not multisets: the
 // codec sorts every slot where it is staged, the sort puts the duplicates
@@ -339,10 +342,18 @@ type exchanger interface {
 	// encodes, accounts and posts every message of the round; the butterfly,
 	// whose hops depend on what earlier hops delivered, does nothing.
 	post(comm *mpi.Comm, iter int32)
-	// exchange runs after that rendezvous: it completes this iteration's
-	// exchange — all-pairs reads its sources' posts, the butterfly stages and
-	// runs its hops — and returns the accounting plus arrivals, held in the
-	// instance's scratch until its next post.
+	// relays is how many rendezvous the exchange holds between the pre- and
+	// the post-exchange one: none for all-pairs, one per hop for the
+	// butterfly.
+	relays() int
+	// relay is step k < relays() of the exchange, after the pre-exchange
+	// rendezvous (k = 0) or the relay rendezvous k−1: the butterfly stages
+	// (k = 0) or takes in hop k−1's arrival, and sends hop k.
+	relay(comm *mpi.Comm, iter int32, k int)
+	// exchange runs after the last of those rendezvous: it completes this
+	// iteration's exchange — all-pairs reads its sources' posts, the
+	// butterfly takes in its last hop — and returns the accounting plus
+	// arrivals, held in the instance's scratch until its next post.
 	exchange(comm *mpi.Comm, iter int32) *exchangeCounts
 	// rounds is the number of sequential communication rounds per
 	// iteration — the length of every exchangeCounts.hopBytes.
@@ -524,14 +535,16 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 
 type allPairsExchange struct {
 	*exchangeRank
-	// emptyLen is what a message carrying no ids is charged under emptyMode:
-	// what a receiver accounts for a source that posted it nothing. An empty
-	// block has no payload to choose a scheme for, so the charge depends on
-	// the mode, the slot count and whether mask sections follow the blocks.
-	// The zero value is already right — ModeOff charges id bytes only, and
-	// there are none.
-	emptyLen  int64
-	emptyMode wire.Mode
+	// empty is how a message carrying no ids is accounted under emptyMode
+	// with emptyWidth lane-set words per id: the sender's Stats for it, whose
+	// EncodedBytes is also what a receiver accounts for a source that posted
+	// it nothing. An empty block has no payload to choose a scheme for, so
+	// the charge depends on the mode, the slot count and the width alone. The
+	// zero value is already right for plain ids under ModeOff, which charges
+	// id bytes only, and there are none.
+	empty      wire.Stats
+	emptyMode  wire.Mode
+	emptyWidth int
 	// sendAll, set by tests only, posts every message, empty ones included,
 	// so every message is really delivered: the exchange without empty
 	// posts, to hold its accounting against.
@@ -554,24 +567,29 @@ type allPairsExchange struct {
 
 func (x *allPairsExchange) rounds() int { return 1 }
 
-// emptyMessageLen returns what one message without ids weighs on the wire in
-// the receiver's accounting.
-func (x *allPairsExchange) emptyMessageLen(mode wire.Mode) int64 {
-	if x.emptyMode != mode {
-		w := x.pl.width()
-		_, st := (*wire.Selector)(nil).AppendRankSection(nil, slotRow(0, x.e.shape.GPUsPerRank, w), w, mode)
-		x.emptyLen, x.emptyMode = st.EncodedBytes, mode
+// relays is none: the round rides the pre-exchange rendezvous.
+func (x *allPairsExchange) relays() int { return 0 }
+
+func (x *allPairsExchange) relay(*mpi.Comm, int32, int) {}
+
+// emptyMessage returns how one message without ids is accounted under mode:
+// its Stats, encoded once per (mode, width) and cached.
+func (x *allPairsExchange) emptyMessage(mode wire.Mode) wire.Stats {
+	if w := x.pl.width(); x.emptyMode != mode || x.emptyWidth != w {
+		_, x.empty = (*wire.Selector)(nil).AppendRankSection(nil, slotRow(0, x.e.shape.GPUsPerRank, w), w, mode)
+		x.emptyMode, x.emptyWidth = mode, w
 	}
-	return x.emptyLen
+	return x.empty
 }
 
 // post stages, encodes and accounts this rank's message for every other
 // rank and posts them all at the round's tag. A message with no ids is posted
 // empty — nothing to deliver — unless sendAll is set, but it is still
-// encoded and accounted: bytes, scheme counters and the message count advance
-// exactly as if it were sent, which is what the modelled machine does. With
-// the codec off an empty message is charged no bytes and tallies no scheme,
-// so the count is all of its accounting and it is not built at all.
+// accounted: bytes, scheme counters and the message count advance exactly as
+// if it were sent, which is what the modelled machine does, from the cached
+// Stats of an empty message (emptyMessage), so it is not encoded. With the
+// codec off an empty message is charged no bytes and tallies no scheme, so
+// the count is all of its accounting.
 func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
@@ -603,26 +621,19 @@ func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 		if dst == rank {
 			continue
 		}
-		deliver := x.has[dst] || x.sendAll
-		if deliver {
-			dropped += x.pl.stage(dst, row)
-		} else if mode == wire.ModeOff {
-			c.messages++
+		if !x.has[dst] && !x.sendAll {
+			if mode == wire.ModeOff {
+				c.messages++
+			} else {
+				c.message(x.emptyMessage(mode), mode)
+			}
 			x.msgBufs[dst] = x.msgBufs[dst][:0]
 			continue
-		} else {
-			clear(row.Slots)
-			clear(row.Masks)
-			for s := range row.Hints {
-				row.Hints[s] = wire.HintSet
-			}
 		}
+		dropped += x.pl.stage(dst, row)
 		row.Rank = dst
 		payload, st := sc.sel.AppendRankSection(x.msgBufs[dst][:0], *row, w, mode)
 		c.message(st, mode)
-		if !deliver {
-			payload = payload[:0]
-		}
 		x.msgBufs[dst] = payload
 	}
 	// Everything sent was originated here, and the encode is charged for the
@@ -649,7 +660,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts 
 		}
 		buf, ok := comm.Posted(src, hopTag(iter, 0))
 		if !ok {
-			c.recv += x.emptyMessageLen(mode)
+			c.recv += x.emptyMessage(mode).EncodedBytes
 			continue
 		}
 		if err := wire.DecodeRankLanesInto(buf, c.arrivals, c.arrivalLanes, w); err != nil {
@@ -751,7 +762,7 @@ type butterflyExchange struct {
 	encRaw, decRaw []int64
 	// msgBufs is the per-hop reusable encode buffer: a hop message is
 	// always received (and its ids arena-copied) within the same
-	// iteration, before the terminating collective that every rank passes
+	// iteration, before the post-exchange rendezvous that every rank passes
 	// before the buffer's next rewrite.
 	msgBufs [][]byte
 	// onSend, set by tests only, sees every hop's outgoing sections just
@@ -759,8 +770,10 @@ type butterflyExchange struct {
 	onSend func(hop int, secs []wire.Section)
 	// predBytes/predCodec back predict's per-hop wire and codec vectors.
 	predBytes, predCodec []int64
-	// out is the iteration's accounting, which exchange returns.
-	out exchangeCounts
+	// out is the iteration's accounting, which exchange returns, and ownRaw
+	// the fixed-width volume the stage originated.
+	out    exchangeCounts
+	ownRaw int64
 }
 
 // rounds counts the sequential communication rounds per iteration: the
@@ -784,8 +797,23 @@ func (x *butterflyExchange) fold(dst int) int {
 
 // post does nothing: what a hop carries depends on what earlier hops
 // delivered, and its hops are synchronized pairwise exchanges
-// (simnet.ButterflyHop), so the butterfly stages and sends in exchange.
+// (simnet.ButterflyHop), so the butterfly stages and sends in its relays.
 func (x *butterflyExchange) post(*mpi.Comm, int32) {}
+
+// relays is one rendezvous per hop: a hop's message is sent in one relay step
+// and taken in by the next (or by exchange), past the hop's rendezvous.
+func (x *butterflyExchange) relays() int { return x.rounds() }
+
+// relay stages the iteration's bins (k = 0) or takes in hop k−1's arrival,
+// then sends hop k.
+func (x *butterflyExchange) relay(comm *mpi.Comm, iter int32, k int) {
+	if k == 0 {
+		x.stage()
+	} else {
+		x.receiveHop(comm, iter, k-1)
+	}
+	x.sendHop(comm, iter, k)
+}
 
 // take moves the pending section for dst into the hop's section list.
 func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
@@ -794,10 +822,59 @@ func (x *butterflyExchange) take(secs []wire.Section, dst int) []wire.Section {
 	return secs
 }
 
-func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts {
+// peers returns the rank this rank sends hop k to and the one it receives hop
+// k from, −1 for none. The pre cleanup hop (when there is a remainder) is a
+// one-directional send from each remainder rank i (q ≤ i < p) to its proxy
+// i−q, the hypercube hops are pairwise exchanges with partner rank XOR 2^h
+// among ranks < q (the remainder ranks idle inside the hypercube), and the post
+// cleanup hop is each proxy's delivery to its remainder partner. A rank
+// without a partner sits the hop out with a zero hopBytes entry, so the
+// vectors still max-reduce element-wise.
+func (x *butterflyExchange) peers(k int) (to, from int) {
+	rank := x.rank
+	if x.rem > 0 {
+		switch {
+		case k == 0 && rank >= x.q:
+			return rank - x.q, -1
+		case k == 0 && rank < x.rem:
+			return -1, rank + x.q
+		case k == x.nhops+1 && rank < x.rem:
+			return rank + x.q, -1
+		case k == x.nhops+1 && rank >= x.q:
+			return -1, rank - x.q
+		case k == 0 || k == x.nhops+1:
+			return -1, -1
+		}
+		k--
+	}
+	if rank >= x.q {
+		return -1, -1
+	}
+	partner := rank ^ 1<<k
+	return partner, partner
+}
+
+// carries reports whether hop k forwards what is pending for dst: everything a
+// remainder rank holds on the pre hop, what is destined for the partner's half
+// on a hypercube hop — ids travel by having their folded destination-rank
+// bits corrected lowest-first — and the partner's own on the post hop.
+func (x *butterflyExchange) carries(k, dst int) bool {
+	if x.rem > 0 {
+		switch k {
+		case 0:
+			return true
+		case x.nhops + 1:
+			return dst == x.rank+x.q
+		}
+		k--
+	}
+	return (x.fold(dst)^x.rank)&(1<<k) != 0
+}
+
+// stage resets the iteration's scratch and stages its own bins.
+func (x *butterflyExchange) stage() {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
-	mode := e.opts.Compression
 	sc.arena.Reset()
 	sc.words.Reset()
 	sc.wireSecs.Reset()
@@ -813,14 +890,14 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts
 		x.msgBufs = append(x.msgBufs, make([][]byte, n-len(x.msgBufs))...)
 	}
 
-	// Stage this iteration's own bins. ownRaw is the fixed-width equivalent
-	// of originated traffic — the staged slots, sets with a codec active —
-	// and everything sent beyond it was forwarded. Each destination keeps its
-	// own staging row — the butterfly retains every destination's slots
-	// across its hops, so the rows cannot be shared the way all-pairs reuses
-	// one.
+	// ownRaw is the fixed-width equivalent of originated traffic — the
+	// staged slots, sets with a codec active — and everything sent beyond
+	// it was forwarded. Each destination keeps its own staging row — the
+	// butterfly retains every destination's slots across its hops, so the
+	// rows cannot be shared the way all-pairs reuses one.
 	rec := 4 + 8*int64(x.pl.width())
-	var ownRaw, dropped int64
+	var dropped int64
+	x.ownRaw = 0
 	for dst := 0; dst < prank; dst++ {
 		x.pending[dst] = wire.Section{}
 		if dst == rank {
@@ -830,77 +907,54 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts
 		dropped += x.pl.stage(dst, row)
 		if n := countIDs(row.Slots); n > 0 {
 			x.pending[dst] = *row
-			ownRaw += rec * n
+			x.ownRaw += rec * n
 		}
 	}
 	// The stage runs before any hop, so what it read and dropped is charged
 	// to the first hop's encode, whichever hop its slot leaves on. (No hops,
 	// no other ranks, nothing staged.)
 	if x.rounds() > 0 {
-		x.encRaw[0] = c.stagedDups(mode, dropped)
+		x.encRaw[0] = c.stagedDups(e.opts.Compression, dropped)
 	}
+}
 
-	hop := 0
-	// Pre cleanup hop: each remainder rank ships everything it holds to its
-	// proxy (a one-directional send, unlike the pairwise hypercube hops);
-	// ranks without a remainder partner sit the round out with a zero
-	// hopBytes entry so the vectors still max-reduce element-wise.
-	if x.rem > 0 {
-		if rank >= x.q {
-			secs := sc.secs[:0]
-			for dst := 0; dst < prank; dst++ {
-				if x.pending[dst].Slots != nil {
-					secs = x.take(secs, dst)
-				}
-			}
-			sc.secs = secs
-			c.hopBytes[hop] = x.send(comm, rank-x.q, iter, hop, secs, mode, c)
-		} else if rank < x.rem {
-			x.receive(comm, rank+x.q, iter, hop, mode, c)
-		}
-		hop++
+// sendHop sends hop k's sections to the hop's partner, if this rank has one
+// on it: everything pending that the hop carries.
+func (x *butterflyExchange) sendHop(comm *mpi.Comm, iter int32, k int) {
+	to, _ := x.peers(k)
+	if to < 0 {
+		return
 	}
-
-	// Hypercube hops among ranks < q, routing by folded destination.
-	for h := 0; h < x.nhops; h++ {
-		if rank >= x.q {
-			hop++
-			continue // remainder ranks idle inside the hypercube
-		}
-		bit := 1 << h
-		partner := rank ^ bit
-		// Forward everything destined for the partner's half: ids travel by
-		// having their folded destination-rank bits corrected lowest-first.
-		secs := sc.secs[:0]
-		for dst := 0; dst < prank; dst++ {
-			if (x.fold(dst)^rank)&bit != 0 && x.pending[dst].Slots != nil {
-				secs = x.take(secs, dst)
-			}
-		}
-		sc.secs = secs
-		c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, c)
-		x.receive(comm, partner, iter, hop, mode, c)
-		hop++
-	}
-
-	// Post cleanup hop: each proxy delivers what accumulated for its
-	// remainder partner.
-	if x.rem > 0 {
-		if rank < x.rem {
-			partner := rank + x.q
-			secs := sc.secs[:0]
-			if x.pending[partner].Slots != nil {
-				secs = x.take(secs, partner)
-			}
-			sc.secs = secs
-			c.hopBytes[hop] = x.send(comm, partner, iter, hop, secs, mode, c)
-		} else if rank >= x.q {
-			x.receive(comm, rank-x.q, iter, hop, mode, c)
+	sc := x.sc
+	secs := sc.secs[:0]
+	for dst := range x.pending {
+		if x.pending[dst].Slots != nil && x.carries(k, dst) {
+			secs = x.take(secs, dst)
 		}
 	}
+	sc.secs = secs
+	x.out.hopBytes[k] = x.send(comm, to, iter, k, secs, x.e.opts.Compression, &x.out)
+}
 
-	// Every relayed id must have reached its destination by the last hop;
-	// what is pending for this rank is what arrived.
+// receiveHop takes in hop k's message, if this rank has a partner on it.
+func (x *butterflyExchange) receiveHop(comm *mpi.Comm, iter int32, k int) {
+	if _, from := x.peers(k); from >= 0 {
+		x.receive(comm, from, iter, k, x.e.opts.Compression, &x.out)
+	}
+}
+
+// exchange takes in the last hop and completes the iteration: what is pending
+// for this rank is what arrived.
+func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts {
+	rank, sc := x.rank, x.sc
+	rounds := x.rounds()
+	if rounds == 0 {
+		x.stage()
+	} else {
+		x.receiveHop(comm, iter, rounds-1)
+	}
+	c := &x.out
+	// Every relayed id must have reached its destination by the last hop.
 	mine := x.pending[rank]
 	c.arrivals, c.arrivalHints, c.arrivalLanes = mine.Slots, mine.Hints, mine.Masks
 	for dst, p := range x.pending {
@@ -909,13 +963,12 @@ func (x *butterflyExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts
 		}
 		x.pending[dst] = wire.Section{}
 	}
-	c.forwarded = c.sentRaw - ownRaw
+	c.forwarded = c.sentRaw - x.ownRaw
 
 	// Assemble the pipeline's compute stages from the per-hop codec scratch:
 	// hop k's stage is its decode plus the re-encode feeding hop k+1, and
 	// the first hop's encode precedes all communication. The stages sum to
 	// codecRaw exactly.
-	rounds := x.rounds()
 	c.hopCodecRaw = grownInt64(sc.hopCodecRaw, rounds)
 	sc.hopCodecRaw = c.hopCodecRaw
 	if rounds > 0 {
@@ -973,8 +1026,8 @@ func (x *butterflyExchange) predict(vol int64, wireRatio float64) remoteVolumes 
 }
 
 // send encodes sections into one hop message for dst, accounts it, and
-// returns the hop's sent bytes. Empty hops still send (the partner's Recv is
-// unconditional) and still count as messages — they cross the NIC.
+// returns the hop's sent bytes. Empty hops still send (the partner's receive
+// is unconditional) and still count as messages — they cross the NIC.
 func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, secs []wire.Section, mode wire.Mode, c *exchangeCounts) int64 {
 	if x.onSend != nil {
 		x.onSend(hop, secs)

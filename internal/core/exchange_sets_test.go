@@ -87,6 +87,15 @@ type driven struct {
 	applied  [][]uint32       // per GPU, every id any apply call handed it, in call order
 }
 
+// relayAll takes one rank through the relay steps of ex's exchange, each
+// followed by its rendezvous, as the driver does.
+func relayAll(comm *mpi.Comm, ex exchanger, iter int32) {
+	for k := range ex.relays() {
+		ex.relay(comm, iter, k)
+		comm.Barrier()
+	}
+}
+
 // driveExchange runs one exchange per fill on every rank of s, under the
 // strategy pick names for that superstep, with hook on the wire.
 func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, hook mpi.SendHook) []driven {
@@ -124,6 +133,7 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 				ex := l.exchanger(out[round].strategy)
 				l.post(comm, ex, int32(round))
 				comm.Barrier()
+				relayAll(comm, ex, int32(round))
 				c := *l.deliver(comm, ex, int32(round), apply)
 				comm.Barrier()
 				arrivals := make([][]uint32, pgpu)
@@ -443,6 +453,7 @@ func driveSweepExchange(e *sweepSession, fills []recordFill, pick func(round int
 				ex := l.exchanger(out[round].strategy)
 				l.post(comm, ex, int32(round))
 				comm.Barrier()
+				relayAll(comm, ex, int32(round))
 				c := *l.exchange(comm, ex, int32(round))
 				comm.Barrier()
 				c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -222,6 +224,90 @@ func TestCrashSurfacesInjectedError(t *testing.T) {
 	}
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("crash error not faults.ErrInjected-typed: %v", err)
+	}
+}
+
+// crashAt is a cold run's lanes that crash, as the injector's iteration site
+// does, when their rank is one of ranks at superstep iter.
+type crashAt struct {
+	*sourceLanes
+	iter  int32
+	ranks []int
+}
+
+func (l crashAt) kernels(iter int32) {
+	if iter == l.iter && slices.Contains(l.ranks, l.rank) {
+		panic(faults.Crash{Rank: l.rank, Iter: int(iter), Site: faults.SiteIter})
+	}
+	l.sourceLanes.kernels(iter)
+}
+
+// A crash at (rank r, superstep i) returns the same typed error, naming rank
+// r, on every run, under every exchange: the driver reports the lowest
+// faulting rank of a phase, whichever worker reached it first, so a second
+// crash at a higher rank in the same superstep never wins. The superstep is
+// the query's largest, whose phases fan out where there is a second core.
+// An injector firing everywhere crashes every rank at the first superstep,
+// and names rank 0 the same way.
+func TestCrashNamesItsRank(t *testing.T) {
+	ctx := context.Background()
+	shape := ClusterShape{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}
+	const rank = 3
+	for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+		opts := DefaultOptions()
+		opts.Exchange = x
+		opts.CollectParents = true
+		p := buildPlanT(t, 13, shape, opts, false)
+		src := delegateAndNormalSources(p.sg.Sep)[1]
+		ref, err := p.Run(ctx, src, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		big, work := int32(0), int64(-1)
+		for i, it := range ref.PerIteration {
+			if w := it.FrontierNormals + fanDelegate*it.FrontierDelegates; w > work {
+				big, work = int32(it.Iteration), w
+			}
+			if i > 0 && it.FrontierNormals+ref.PerIteration[i-1].EdgesScanned > work {
+				big, work = int32(it.Iteration), it.FrontierNormals+ref.PerIteration[i-1].EdgesScanned
+			}
+		}
+		if work < fanWork {
+			t.Fatalf("%s: the largest superstep weighs %d, below the fan-out threshold %d", x, work, fanWork)
+		}
+		for run := 0; run < 50; run++ {
+			s := p.acquire(p.base)
+			w := s.coldWave(src)
+			res, err := s.traverse(ctx, src, newTreeOut(&s.opts, s.sg.N), func() error {
+				s.bindWave(src, w)
+				for r, sc := range s.scratch {
+					s.loops[r].l = crashAt{&sc.lanes, big, []int{rank + 2, rank}}
+				}
+				return s.runWave(ctx, w.schedule)
+			})
+			poisoned := s.poisoned
+			p.release(s)
+			var crash faults.Crash
+			if res != nil || !errors.As(err, &crash) || !errors.Is(err, faults.ErrInjected) || !poisoned {
+				t.Fatalf("%s run %d: result %v, err %v, poisoned %v", x, run, res != nil, err, poisoned)
+			}
+			if crash.Rank != rank || crash.Iter != int(big) || !strings.HasPrefix(err.Error(), fmt.Sprintf("core: rank %d: ", rank)) {
+				t.Fatalf("%s run %d: %v, want rank %d's crash at superstep %d", x, run, err, rank, big)
+			}
+		}
+
+		everywhere := chaosOptions(faults.New(4, faults.KindCrash, 1).WithSites(faults.SiteIter), x)
+		q, err := NewPlan(p.sg, shape, everywhere)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 50; run++ {
+			_, err := q.Run(ctx, src, Overrides{})
+			var crash faults.Crash
+			if !errors.As(err, &crash) || crash.Rank != 0 || crash.Iter != 0 || !strings.HasPrefix(err.Error(), "core: rank 0: ") {
+				t.Fatalf("%s run %d, crash everywhere: %v, want rank 0's at superstep 0", x, run, err)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/simgpu"
@@ -148,8 +147,8 @@ type kernelsSwapped struct {
 
 func (l kernelsSwapped) kernels(iter int32) { l.kernelSet(l.e, l.gpus, iter) }
 
-// runColdWith is Plan.Run with the kernels replaced: runWave, with the rank's
-// lanes wrapped. The replacement kernels record no tree candidates, so the
+// runColdWith is Plan.Run with the kernels replaced: runWave, with every
+// rank's lanes wrapped. The replacement kernels record no tree candidates, so the
 // run's tree comes from the dd and nd passes alone (the repair's full
 // resolution), which the production kernels' recorded tree must match.
 func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*gpuState, int32)) *metrics.RunResult {
@@ -161,11 +160,12 @@ func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*
 		sc.dt.rec = nil
 	}
 	ctx := context.Background()
-	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {
-		sc := s.scratch[rank]
-		s.exchangers(rank)
-		sc.lanes = sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc, source: source, w: w}
-		s.runRank(ctx, rank, comm, kernelsSwapped{&sc.lanes, kernels}, &sc.loopScratch, w.schedule)
+	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func() error {
+		s.bindWave(source, w)
+		for rank, sc := range s.scratch {
+			s.loops[rank].l = kernelsSwapped{&sc.lanes, kernels}
+		}
+		return s.runWave(ctx, w.schedule)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -132,13 +132,11 @@ func checkPairRound(t *testing.T, shape ClusterShape, c, w int) {
 		}
 		_, st := wire.AppendPairsRank(nil, slots, lanes, w, mode)
 		if tc.shaped {
-			want := int64(len(slots)) // an empty block is raw
-			if tc.scheme != wire.SchemeRaw {
-				want = 0
-				for _, prs := range slots {
-					if len(prs) > 0 {
-						want++
-					}
+			// An empty slot writes no block, only its presence bit.
+			var want int64
+			for _, prs := range slots {
+				if len(prs) > 0 {
+					want++
 				}
 			}
 			if st.Selected[tc.scheme] != want {

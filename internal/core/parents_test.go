@@ -340,8 +340,9 @@ func BenchmarkResolveParents(b *testing.B) {
 			// recorded them, to be restored before every resolution, since the
 			// nd pass and the reduce-scatter write them.
 			w := s.coldWave(src)
-			if _, err := s.traverse(ctx, src, treeOut{levels: make([]int32, s.sg.N)}, func(rank int, comm *mpi.Comm) {
-				s.runWave(ctx, rank, comm, src, w)
+			if _, err := s.traverse(ctx, src, treeOut{levels: make([]int32, s.sg.N)}, func() error {
+				s.bindWave(src, w)
+				return s.runWave(ctx, w.schedule)
 			}); err != nil {
 				b.Fatal(err)
 			}

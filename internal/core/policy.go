@@ -128,7 +128,7 @@ func (fb *policyFeedback) observe(strategy Exchange, rawPredicted, actual float6
 }
 
 // exchangePolicy evaluates the per-iteration strategy decision for one run.
-// It is immutable after construction and shared by all rank goroutines;
+// It is immutable after construction and shared by all ranks;
 // mutable feedback lives in the query's one policyFeedback.
 type exchangePolicy struct {
 	configured Exchange // the run's configured strategy (hybrid ⇒ decide per iteration)

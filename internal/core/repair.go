@@ -250,9 +250,7 @@ func (e *Session) repair(ctx context.Context, in *repairIn) (*metrics.RunResult,
 	} else {
 		out = newTreeOut(&e.opts, e.sg.N)
 	}
-	return e.traverse(ctx, in.source, out, func(rank int, comm *mpi.Comm) {
-		e.repairRank(ctx, rank, comm, in)
-	})
+	return e.traverse(ctx, in.source, out, func() error { return e.repairWave(ctx, in) })
 }
 
 // repairPreload fills this rank's level and parent arrays — the repair's
@@ -312,14 +310,15 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 // rows scan on the owner GPU, whose tentative level it schedules; invalid
 // delegate rows scan sliced across every GPU, and the rank's partial minima
 // go to sc.dTent, negated, one entry per invalid delegate in DelegateGlobal
-// order (noTentative where none), for repairRank's max-reduce. Every scan
-// reads only valid vertices' levels: invalid ones hold -1 until repairRank
-// writes the tentative levels. The nn neighbors on other GPUs travel in one
-// superstep's round, run as superstep probeIter through the cold run's lanes
-// and the all-pairs exchanger, and their owner keeps them as seeds where its
-// preloaded levels hold one (probeSeeds). Returns the scan's compute seconds
-// (max over this rank's GPUs) and the round's accounting.
-func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64, round exchangeCounts) {
+// order (noTentative where none), for the prologue's max-fold. Every scan
+// reads only valid vertices' levels: invalid ones hold -1 until readProbe
+// and scheduleSeeds write the tentative levels. The nn neighbors on other
+// GPUs travel in one superstep's round, run as superstep probeIter through
+// the cold run's lanes and the all-pairs exchanger, whose posts repairProbe
+// makes, and their owner keeps them as seeds where its preloaded levels hold
+// one (probeSeeds, readProbe). Returns the scan's compute seconds (max over
+// this rank's GPUs).
+func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64) {
 	invalid := in.invalid
 	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
@@ -413,14 +412,12 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 
 	// The round: the binned probe targets move as any superstep's ids,
 	// posted ahead of a rendezvous of their own, a sibling GPU's applied
-	// directly. What post and deliver charge to the GPUs' iteration work is
-	// never read: the wave's first kernels reset it.
+	// directly (readProbe). What post and deliver charge to the GPUs'
+	// iteration work is never read: the wave's first kernels reset it.
 	l := &sc.lanes
 	*l = sourceLanes{e: e, rank: rank, gpus: myGPUs, sc: sc, source: in.source}
-	ex := e.exchangers(rank).get(ExchangeAllPairs)
-	l.post(comm, ex, probeIter)
-	comm.Barrier()
-	return comp, *l.deliver(comm, ex, probeIter, probeSeeds)
+	l.post(comm, e.exchangers(rank).get(ExchangeAllPairs), probeIter)
+	return comp
 }
 
 // noTentative is a dTent entry for an invalid delegate none of whose valid
@@ -437,21 +434,100 @@ func probeSeeds(gs *gpuState, ids []uint32, _ int32) {
 	}
 }
 
-// repairRank is one rank's corrective traversal: the repair-specific
-// prologue — preload, probe, seed schedules and their global level bounds
-// and counts, the probe's charge — and then the shared superstep loop. The
-// prologue is three rendezvous: the one the probe round's posts ride, one
-// max-reduce and one sum.
-func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *repairIn) {
-	myGPUs := e.rankGPUs(rank)
-	sc := e.scratch[rank]
+// repairPrologue is a repair's stepper (driver.go) for the three phases ahead
+// of its wave, each ending in one of the prologue's three rendezvous: the
+// preload, the probe's scan and its round's posts; the round's reads and the
+// normal seed schedules, ending in a max-fold; the delegate seed schedule and
+// the per-level normal seed counts, ending in a sum.
+type repairPrologue struct {
+	e  *Session
+	in *repairIn
+	// mx is the max-fold's result, which every rank reads in phaseSeeds.
+	mx []int64
+}
 
-	e.repairPreload(myGPUs, sc, in)
-	probeComp, probe := e.repairProbe(rank, comm, myGPUs, sc, in)
+func (pr *repairPrologue) step(ph phase, rank int) {
+	e, sc := pr.e, pr.e.scratch[rank]
+	myGPUs, comm := e.rankGPUs(rank), e.world.Rank(rank)
+	switch ph {
+	case phaseProbe:
+		e.repairPreload(myGPUs, sc, pr.in)
+		sc.probeComp = e.repairProbe(rank, comm, myGPUs, sc, pr.in)
+	case phaseProbeRead:
+		e.readProbe(comm, myGPUs, sc)
+	case phaseSeeds:
+		e.scheduleSeeds(myGPUs, sc, pr.mx)
+	}
+}
 
-	// Sorted, deduplicated normal injection schedules. An invalid vertex is
-	// scheduled once, at its tentative level, and takes it now: the probe's
-	// reads are over.
+// repairWave is a repair's corrective traversal: the prologue — preload,
+// probe, seed schedules and their global level bounds and counts, the probe's
+// charge — and then the shared superstep loop and the finisher, or the
+// finisher alone when nothing is seeded. The prologue is three rendezvous: the
+// one the probe round's posts ride, one max-fold and one sum.
+func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
+	pr, d := &e.probe, &e.drv
+	*pr = repairPrologue{e: e, in: in, mx: pr.mx}
+	// The preload walks every vertex.
+	d.fan = e.sg.N >= fanWork
+	defer d.stop()
+	if err := d.run(pr, phaseProbe); err != nil {
+		return err
+	}
+	d.world.Meet()
+	if err := d.run(pr, phaseProbeRead); err != nil {
+		return err
+	}
+	d.world.Meet()
+	pr.chargeProbe()
+	if err := d.run(pr, phaseSeeds); err != nil {
+		return err
+	}
+
+	// Every rank derived the same wave span from replicated data; rank 0's
+	// stands for all.
+	lead := e.scratch[0]
+	lo, hi := lead.seedLo, lead.seedHi
+	if lo > hi {
+		// No seeds anywhere: the prior levels already are the new epoch's
+		// exact outcome (invalidated vertices, if any, are unreachable now),
+		// and the tree differs from the prior's at those vertices only.
+		if !e.collects() {
+			return nil
+		}
+		return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.finishRepair(rank, comm, in) })
+	}
+	// Per-level global seed counts, the sum: the policy's frontier-size
+	// inputs.
+	d.world.Meet()
+	nCounts, dCounts := make([]int64, hi+1), make([]int64, hi+1)
+	for _, sc := range e.scratch {
+		for lvl, n := range sc.seedCounts {
+			nCounts[lvl] += n
+		}
+	}
+	for _, s := range lead.dSeeds {
+		dCounts[seedLevel(s)]++
+	}
+	w := wave{
+		schedule: schedule{first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts},
+		repair:   in,
+	}
+	e.bindWave(in.source, w)
+	return e.runWave(ctx, w.schedule)
+}
+
+// readProbe reads the probe round's posts (the targets other GPUs found here
+// become seeds, probeSeeds), sorts and deduplicates the rank's normal
+// injection schedules, and writes the rank's side of the max-fold into sc.mx:
+// the seed-level bounds (the lower one negated), the scan's compute as a bit
+// pattern (non-negative doubles order as their bits), the round's amplified
+// sent, codec and received volumes, and the negated partial minima of the
+// invalid delegates' tentative levels. An invalid vertex is scheduled once, at
+// its tentative level, and takes it now: the probe's reads are over.
+func (e *Session) readProbe(comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch) {
+	probe := sc.lanes.deliver(comm, sc.rx.get(ExchangeAllPairs), probeIter, probeSeeds)
+	lo, hi := int64(math.MaxInt64), int64(-1)
 	for _, gs := range myGPUs {
 		slices.Sort(gs.repSeeds)
 		gs.repSeeds = slices.Compact(gs.repSeeds)
@@ -460,42 +536,48 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 				gs.levels[id] = seedLevel(k)
 			}
 		}
+		lo, hi = seedSpan(gs.repSeeds, lo, hi)
 	}
+	mx := append(sc.mx[:0], hi, -lo, fbits(sc.probeComp),
+		e.ampBytes(probe.sent), e.ampBytes(probe.codecRaw), e.ampBytes(probe.recv))
+	sc.mx = append(mx, sc.dTent...)
+}
 
-	// Global seed-level bounds — the wave's iteration range — the probe
-	// round's charge inputs and the invalid delegates' tentative levels in
-	// one max-reduce: the bounds (the lower one negated), the scan's compute
-	// as a bit pattern (non-negative doubles order as their bits), the
-	// round's amplified sent, codec and received volumes, and the negated
-	// partial minima. Sorted schedules hold both bounds at their ends.
-	lo, hi := int64(math.MaxInt64), int64(-1)
-	note := func(keys []uint64) {
-		if len(keys) > 0 {
-			lo = min(lo, int64(seedLevel(keys[0])))
-			hi = max(hi, int64(seedLevel(keys[len(keys)-1])))
+// seedSpan widens [lo, hi] by a sorted schedule's levels, which it holds at
+// its ends.
+func seedSpan(keys []uint64, lo, hi int64) (int64, int64) {
+	if len(keys) == 0 {
+		return lo, hi
+	}
+	return min(lo, int64(seedLevel(keys[0]))), max(hi, int64(seedLevel(keys[len(keys)-1])))
+}
+
+// chargeProbe is the max-fold of the ranks' readProbe sections and its closer,
+// which charges the probe: the scan's compute plus what the all-pairs
+// exchanger charges a round of the reduced volumes, through the same overlap
+// model as a BSP iteration. Its NVLink tier is not charged.
+func (pr *repairPrologue) chargeProbe() {
+	e := pr.e
+	mx := append(pr.mx[:0], e.scratch[0].mx...)
+	for _, sc := range e.scratch[1:] {
+		for j, v := range sc.mx {
+			mx[j] = max(mx[j], v)
 		}
 	}
-	for _, gs := range myGPUs {
-		note(gs.repSeeds)
-	}
-	mx := append(sc.mx[:0], hi, -lo, fbits(probeComp),
-		e.ampBytes(probe.sent), e.ampBytes(probe.codecRaw), e.ampBytes(probe.recv))
-	mx = append(mx, sc.dTent...)
-	sc.mx = mx
-	// Its closer charges the probe: the scan's compute plus what the
-	// all-pairs exchanger charges a round of the reduced volumes, through the
-	// same overlap model as a BSP iteration. Its NVLink tier is not charged.
-	comm.AllreduceFusedClose(nil, false, mx, nil, func(mx, _ []int64) {
-		rt := sc.rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
-		parts := metrics.Breakdown{Computation: floatOf(mx[2]), RemoteNormal: rt.seconds}
-		e.rec.SimSeconds += e.iterElapsed(parts, e.loop.sync)
-		e.rec.Parts.Add(parts)
-	})
-	hi, lo = mx[0], -mx[1]
+	pr.mx = mx
+	rt := e.scratch[0].rx.get(ExchangeAllPairs).remoteTime(remoteVolumes{hopBytes: mx[3:4], hopCodecRaw: mx[4:5], hopRecv: mx[5:6]})
+	parts := metrics.Breakdown{Computation: floatOf(mx[2]), RemoteNormal: rt.seconds}
+	e.rec.SimSeconds += e.iterElapsed(parts, e.loop.sync)
+	e.rec.Parts.Add(parts)
+}
 
-	// The delegate schedule — the insert seeds the probe listed and every
-	// invalid delegate a rank reached, at its tentative level — is built from
-	// replicated data, so it is identical on every rank.
+// scheduleSeeds builds the rank's delegate schedule from the max-fold mx —
+// the insert seeds the probe listed and every invalid delegate a rank reached,
+// at its tentative level, from replicated data, so identical on every rank —
+// and the wave's span, the global seed-level bounds, and counts the rank's
+// normal seeds per level for the sum.
+func (e *Session) scheduleSeeds(myGPUs []*gpuState, sc *rankScratch, mx []int64) {
+	hi, lo := mx[0], -mx[1]
 	dl := sc.dt.level
 	for k, di := range sc.voided {
 		if t := mx[6+k]; t != noTentative {
@@ -505,38 +587,18 @@ func (e *Session) repairRank(ctx context.Context, rank int, comm *mpi.Comm, in *
 	}
 	slices.Sort(sc.dSeeds)
 	sc.dSeeds = slices.Compact(sc.dSeeds)
-	note(sc.dSeeds)
-
-	// Per-level global seed counts: the policy's frontier-size inputs.
-	var nCounts, dCounts []int64
-	if lo <= hi {
-		nCounts = make([]int64, hi+1)
-		dCounts = make([]int64, hi+1)
-		for _, gs := range myGPUs {
-			for _, s := range gs.repSeeds {
-				nCounts[seedLevel(s)]++
-			}
-		}
-		comm.AllreduceSum(nCounts)
-		for _, s := range sc.dSeeds {
-			dCounts[seedLevel(s)]++
-		}
-	}
-
+	lo, hi = seedSpan(sc.dSeeds, lo, hi)
+	sc.seedLo, sc.seedHi = lo, hi
+	sc.seedCounts = sc.seedCounts[:0]
 	if lo > hi {
-		// No seeds anywhere: the prior levels already are the new epoch's
-		// exact outcome (invalidated vertices, if any, are unreachable now),
-		// and the tree differs from the prior's at those vertices only.
-		if e.collects() {
-			e.finishRepair(rank, comm, in)
-		}
 		return
 	}
-
-	e.runWave(ctx, rank, comm, in.source, wave{
-		schedule: schedule{first: int32(lo), lastSeed: int32(hi), nSeeds: nCounts, dSeeds: dCounts},
-		repair:   in,
-	})
+	sc.seedCounts = grownInt64(sc.seedCounts, int(hi+1))
+	for _, gs := range myGPUs {
+		for _, s := range gs.repSeeds {
+			sc.seedCounts[seedLevel(s)]++
+		}
+	}
 }
 
 // injectSeeds moves the seeds scheduled at level iter into the frontier. The

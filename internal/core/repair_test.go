@@ -685,7 +685,7 @@ func BenchmarkRepairResolve(b *testing.B) {
 			defer p2.release(s)
 			s.resetTraversal()
 			out := treeOut{levels: slices.Clone(in.levels), parents: slices.Clone(in.parents)}
-			res, err := s.traverse(ctx, source, out, func(rank int, comm *mpi.Comm) { s.repairRank(ctx, rank, comm, in) })
+			res, err := s.traverse(ctx, source, out, func() error { return s.repairWave(ctx, in) })
 			if err != nil {
 				b.Fatal(err)
 			}

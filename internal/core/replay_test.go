@@ -11,7 +11,6 @@ import (
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -32,8 +31,9 @@ func runUnfiltered(t testing.TB, p *Plan, src int64, ov Overrides) *metrics.RunR
 	ctx := context.Background()
 	w := s.coldWave(src)
 	s.childKnown = false
-	res, err := s.traverse(ctx, src, newTreeOut(&s.opts, s.sg.N), func(rank int, comm *mpi.Comm) {
-		s.runWave(ctx, rank, comm, src, w)
+	res, err := s.traverse(ctx, src, newTreeOut(&s.opts, s.sg.N), func() error {
+		s.bindWave(src, w)
+		return s.runWave(ctx, w.schedule)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +209,9 @@ func TestGatherWritesEveryEntryOnce(t *testing.T) {
 				for v := range out.parents {
 					out.parents[v] = poison
 				}
-				res, err := s.traverse(ctx, src, out, func(rank int, comm *mpi.Comm) {
-					s.runWave(ctx, rank, comm, src, w)
+				res, err := s.traverse(ctx, src, out, func() error {
+					s.bindWave(src, w)
+					return s.runWave(ctx, w.schedule)
 				})
 				plan.release(s)
 				if err != nil {

@@ -17,10 +17,12 @@ import (
 
 // This file is the BSP superstep loop (Figs. 3 and 4) of every BFS-family
 // traversal: a cold BFS, a delta repair and a K-source sweep all run
-// runEnv.runRank, one goroutine per rank. Its superstep is, in order:
-// exchange-policy decision → local kernels on the rank's GPUs (scheduled seeds
-// first) → the all-pairs posts → the pre-exchange rendezvous → delegate commit
-// → frontier exchange and apply → timing assembly → the post-exchange
+// runEnv.drive, which takes the traversal's ranks through each superstep phase
+// by phase (driver.go). Its superstep is, in order: exchange-policy decision →
+// local kernels on each rank's GPUs (scheduled seeds first), the delegate
+// proposal and the all-pairs posts (phaseLocal) → the pre-exchange rendezvous
+// → delegate commit, then the frontier exchange, apply and timing assembly
+// (phaseCommit, and a phaseRelay per butterfly hop) → the post-exchange
 // rendezvous — the communication structure of §V. Everything a traversal may
 // vary sits behind the lanes interface below; fault injection sites, the
 // modelled clock's assembly, the statistics and the terminate/cancel protocol
@@ -30,46 +32,50 @@ import (
 // (its seed schedule and preloaded levels), in running forward only, and in
 // its finisher. A sweep has its own lanes.
 //
-// A superstep is exactly two rendezvous (mpi.AllreduceFused; a test counts
-// them), because on the host a rendezvous — parking and waking every rank
-// goroutine — costs more than anything a near-empty superstep computes:
+// A superstep is two rendezvous on all-pairs and 2 + rounds() on the
+// butterfly (a test counts them on the World, mpi.World.Meet). Each is a
+// phase boundary, where the driver folds what the ranks contributed; no rank
+// goroutine parks at any of them:
 //
-//   - pre-exchange: the delegate proposal's OR, contributed only by ranks
-//     whose GPUs proposed a delegate — "did anyone?" is the reduce's own
-//     result, no separate vote — and, on an all-pairs iteration, the posts:
-//     every rank posts its messages before it arrives (mpi.Comm.Post), and
-//     reads its sources' once the rendezvous returns, so the exchange itself
-//     parks no rank (exchange.go). An empty post tells a receiver its
-//     source had nothing for it.
+//   - pre-exchange: the delegate proposals' OR, folded over the ranks whose
+//     GPUs proposed a delegate — "did anyone?" is the fold's own result, no
+//     separate vote — and, on an all-pairs iteration, the posts: every rank
+//     posts its messages in phaseLocal (mpi.Comm.Post) and reads its sources'
+//     in phaseCommit, so the exchange itself waits for nothing (exchange.go).
+//     An empty post tells a receiver its source had nothing for it.
+//   - butterfly hops: a relay step sends hop k through the mailbox and the
+//     next one, past the hop's rendezvous, receives and merges it, so no Recv
+//     ever waits for a message.
 //   - post-exchange: the timing vector's element-wise maxima (non-negative
-//     doubles as bit patterns, max section) and the sums — work counters,
-//     the terminate vote and the context observation.
+//     doubles as bit patterns, max section) and the sums — work counters and
+//     the terminate vote — and the one observation of the query's context.
 //
-// What follows from the reduced values alike on every rank is derived once:
-// the last rank to reach the post-exchange rendezvous runs its closer
-// (closeSuperstep, mpi.Comm.AllreduceFusedClose) before any rank is
-// released. It prices the superstep through the executed strategy's
-// remoteTime, appends the iteration record, feeds the query's one
+// What follows from the folded values alike for every rank is derived once,
+// by the driver: closeSuperstep prices the superstep through the executed
+// strategy's remoteTime, appends the iteration record, feeds the query's one
 // policyFeedback, and decides the next superstep's strategy, or that the loop
-// stops or was cancelled, into loopState, which every rank reads past the
-// rendezvous. GPU 0's kernel directions, which rank 0 alone holds, it reads
-// off rank 0's scratch, parked in the same rendezvous. A repair's probe
-// charge is its max-reduce's closer the same way. No rank is special.
+// stops or was cancelled, into loopState, which every rank reads in the next
+// phase. GPU 0's kernel directions, which rank 0 alone holds, it reads off
+// rank 0's scratch (loopState.lead). A repair's probe charge is its
+// max-fold's closer the same way. No rank is special.
 //
 // The modelled clock sees none of this: every charge, wire byte and message
 // count is computed as if each collective and each empty message were its
 // own, which is what the paper's machine would do.
 //
-// The dense analytics (internal/concomp, internal/pagerank) are not lanes:
+// The finishers that resolve and gather a tree (parents.go, repair_tree.go,
+// sweep_tree.go) still run on one goroutine per rank (RunRanks), as do the
+// dense analytics (internal/concomp, internal/pagerank), which are not lanes:
 // they have no frontier, their delegate reduction is a min or a float sum the
-// OR section cannot carry, and they have no exchange policy; their one loop
-// is internal/dense.
+// OR fold cannot carry, and they have no exchange policy; their one loop is
+// internal/dense.
 
 // lanes is one rank's side of a traversal: its GPUs' state and what a
 // superstep does to it. An implementation may vary what a delegate proposal
 // and a frontier payload are (a d-bit mask and ids for one source; a d×K
 // matrix and (id, query-set) records for a sweep), which kernels run, the
-// visit rule for arrivals, and how the finished traversal becomes a result.
+// visit rule for arrivals, and how the finished traversal becomes a result
+// (each implementation's finish, which its traversal runs after the loop).
 // It may not vary the order of the steps, how they are charged, or when the
 // traversal ends. The value lives in the rank's scratch, so a query allocates
 // none.
@@ -78,8 +84,8 @@ type lanes interface {
 	// seeds scheduled at level iter injected first.
 	kernels(iter int32)
 	// proposal returns the words this rank offers the delegate reduction and
-	// whether any bit of them is set; the reduce overwrites them with the
-	// global OR when some rank contributed.
+	// whether any bit of them is set; the pre-exchange fold overwrites them
+	// with the global OR when some rank contributed.
 	proposal() (words []uint64, proposed bool)
 	// commit folds the reduced proposal into the replicated delegate state
 	// at level iter+1, or — nothing reduced — retires the delegate frontier.
@@ -90,15 +96,14 @@ type lanes interface {
 	// ex.post, ahead of the pre-exchange rendezvous.
 	post(comm *mpi.Comm, ex exchanger, iter int32)
 	// exchange completes the superstep's frontier exchange through ex after
-	// that rendezvous and applies everything that arrives — over the wire or
-	// from a sibling GPU — at level iter+1.
+	// that rendezvous and ex's relays, and applies everything that arrives —
+	// over the wire or from a sibling GPU — at level iter+1.
 	exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchangeCounts
 	// tally reads the finished superstep's work off the GPUs.
 	tally() superstepWork
-	// rotate makes the output frontier the next superstep's input.
+	// rotate makes the output frontier, which tally has read, the next
+	// superstep's input.
 	rotate()
-	// finish resolves and gathers what the traversal collects.
-	finish(comm *mpi.Comm)
 }
 
 // schedule is the part of a traversal's frontier known before its loop
@@ -135,20 +140,21 @@ type superstepWork struct {
 }
 
 // loopScratch is the loop's own per-rank reusable state, embedded in each
-// traversal's rank scratch.
+// traversal's rank scratch: what the rank contributes to the driver's folds
+// and what the closer reads of the superstep in flight.
 type loopScratch struct {
-	// mx and sums are the post-exchange reduce's max and sum sections.
+	// offer and offered are the rank's delegate proposal; the pre-exchange
+	// fold overwrites offer with the global OR when some rank proposed.
+	offer   []uint64
+	offered bool
+	// mx and sums are the rank's post-exchange max and sum sections.
 	mx, sums []int64
-	// The rank's side of the superstep in flight, which is what its closer
-	// reads besides the reduced sections: identical on every rank, but for
-	// work, whose GPU 0 kernel directions the closer reads off rank 0's
+	// The rank's side of the superstep in flight: identical on every rank but
+	// for work, whose GPU 0 kernel directions the closer reads off rank 0's
 	// (loopState.lead).
-	decision
-	iter    int32
-	ex      exchanger
-	reduced bool
-	dc      delegateCommit
-	work    superstepWork
+	ex   exchanger
+	dc   delegateCommit
+	work superstepWork
 }
 
 // decision is one superstep's exchange strategy, its predicted remote-normal
@@ -162,18 +168,47 @@ type decision struct {
 	prevNormals, prevOriginated  int64
 }
 
-// loopState is one query's state past a post-exchange rendezvous: written by
-// that rendezvous' closer alone (closeSuperstep) and read by every rank
-// before its next — the policy's one feedback, the next superstep's decision
-// and whether there is one.
+// loopState is one query's state between phases, the same for every rank:
+// the superstep in flight, the policy's one feedback, and what the driver's
+// folds and the closer (closeSuperstep) derived from the ranks' sides.
 type loopState struct {
-	fb   policyFeedback
-	next decision
-	stop bool
-	// lead is rank 0's scratch, parked in every rendezvous its closer runs
-	// in; sync is the query's syncOverhead.
+	fb policyFeedback
+	// iter and cur are the superstep in flight and its decision; the closer
+	// replaces cur with the next superstep's, or sets stop. reduced is
+	// whether the pre-exchange fold reduced any proposal; edges is what the
+	// last closed superstep scanned.
+	iter    int32
+	cur     decision
+	reduced bool
+	stop    bool
+	edges   int64
+	// lead is rank 0's scratch; sync is the query's syncOverhead.
 	lead *loopScratch
 	sync float64
+}
+
+// rankLoop is one rank's side of the loop as the driver takes it: its lanes,
+// its loop scratch and its endpoint.
+type rankLoop struct {
+	l    lanes
+	ls   *loopScratch
+	comm *mpi.Comm
+}
+
+// bspLoop is the superstep loop's stepper (driver.go): the ranks' sides, the
+// traversal's schedule, the relay step in flight and the folds' buffers,
+// which persist across the queries of a pooled session. The proposals' OR is
+// folded by each rank as its phaseLocal share ends, under orMu, so a
+// fanned-out phase folds while other ranks still run their kernels.
+type bspLoop struct {
+	e     *runEnv
+	ranks []rankLoop
+	sch   schedule
+	relay int
+	orMu  sync.Mutex
+	or    []uint64
+	mx    []int64
+	sums  []int64
 }
 
 // wave is what a single-source traversal may vary about its lanes: the part of
@@ -192,13 +227,11 @@ type wave struct {
 var oneSeed, noSeed = []int64{1}, []int64{0}
 
 // recorder collects a query's statistics (runEnv.rec) in the fields of the
-// result they become; only the closers of the query's rendezvous write to it,
-// and the main goroutine reads it after all ranks join.
+// result they become; only the closers of the query's rendezvous write to it.
 type recorder struct {
 	metrics.RunResult
 	// cancelled is set by a superstep's closer when the query aborted on its
-	// context; every rank reads it past that rendezvous, so all break the BSP
-	// loop on the same iteration and no collective is left half-entered.
+	// context: the loop ends with that superstep, and no finisher runs.
 	cancelled bool
 }
 
@@ -300,8 +333,9 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 // session.
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
 	w := e.coldWave(source)
-	return e.traverse(ctx, source, newTreeOut(&e.opts, e.sg.N), func(rank int, comm *mpi.Comm) {
-		e.runWave(ctx, rank, comm, source, w)
+	return e.traverse(ctx, source, newTreeOut(&e.opts, e.sg.N), func() error {
+		e.bindWave(source, w)
+		return e.runWave(ctx, w.schedule)
 	})
 }
 
@@ -330,13 +364,16 @@ func (e *Session) coldWave(source int64) wave {
 	return w
 }
 
-// traverse launches one single-source traversal's rank goroutines on the
-// freshly reset session, to fill out, and assembles the result. A fault
+// traverse runs one single-source traversal, body, on the freshly reset
+// session's armed World, to fill out, and assembles the result. A fault
 // poisons the session; a cancelled query returns the context's error.
-func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body func(rank int, comm *mpi.Comm)) (*metrics.RunResult, error) {
+func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body func() error) (*metrics.RunResult, error) {
 	e.out = out
-	e.begin(&e.scratch[0].loopScratch)
-	if err := RunRanks(e.acquireWorld(), e.opts.Inject, tagSite, body); err != nil {
+	e.begin()
+	world := e.acquireWorld()
+	armWorld(world, e.opts.Inject, tagSite)
+	e.drv.reset(world)
+	if err := body(); err != nil {
 		e.poisoned = true
 		return nil, err
 	}
@@ -363,158 +400,229 @@ func (e *Session) result(source int64) *metrics.RunResult {
 	return &res
 }
 
-// runRank is the per-rank BSP loop, entered with l's frontier and any seeds
-// sch schedules already in place. The paper's "CPU thread that controls GPU0"
-// performs the global phases (§V-A); here the rank that completes a
-// superstep's post-exchange rendezvous does, once, in its closer.
-func (e *runEnv) runRank(ctx context.Context, rank int, comm *mpi.Comm, l lanes, ls *loopScratch, sch schedule) {
-	lp := &e.loop
-	pgpu := e.shape.GPUsPerRank
-	prank := e.shape.Ranks()
-	closer := func(mx, sums []int64) { e.closeSuperstep(ls, l, &sch, mx, sums) }
-
-	// No rendezvous has closed yet: every rank decides the first superstep
-	// itself, from the schedule and the query's initial feedback.
-	ls.decision = decision{inputNormals: sch.nSeeds[sch.first], inputDelegates: sch.dSeeds[sch.first]}
-	ls.strategy, ls.predicted = e.pol.choose(ls.inputNormals, ls.inputDelegates, 0, 0, lp.fb, l.exchanger)
-	for iter := sch.first; ; iter++ {
-		// ---- Fault injection (chaos testing): an armed injector may crash
-		// this rank at the iteration boundary — a real panic the containment
-		// boundary must recover and turn into an all-rank abort.
-		if in := e.opts.Inject; in != nil {
-			in.Crash(rank, int(iter), faults.SiteIter)
+// drive runs the superstep loop over ranks on the driver's World, each rank
+// entered with its lanes' frontier and any seeds sch schedules already in
+// place, until the traversal stops, is cancelled, or a rank faults, whose
+// error it returns. The paper's "CPU thread that controls GPU0" performs the
+// global phases (§V-A); here the driver does, between the ranks' phases. A
+// phase fans out over worker goroutines when the superstep's known size — its
+// input frontier and what the previous superstep scanned — reaches fanWork.
+func (e *runEnv) drive(ctx context.Context, ranks []rankLoop, sch schedule) error {
+	t, d, lp := &e.bsp, &e.drv, &e.loop
+	defer d.stop()
+	t.e, t.ranks, t.sch = e, ranks, sch
+	lead := &ranks[0]
+	lp.lead, lp.iter = lead.ls, sch.first
+	lp.cur = decision{inputNormals: sch.nSeeds[sch.first], inputDelegates: sch.dSeeds[sch.first]}
+	lp.cur.strategy, lp.cur.predicted = e.pol.choose(lp.cur.inputNormals, lp.cur.inputDelegates, 0, 0, lp.fb, lead.l.exchanger)
+	for {
+		d.fan = lp.cur.inputNormals+fanDelegate*lp.cur.inputDelegates+lp.edges >= fanWork
+		lp.reduced = false
+		if err := d.run(t, phaseLocal); err != nil {
+			return err
 		}
-		// ---- Exchange policy: the strategy decided for this iteration from
-		// globally known inputs, the way direction optimization derives push
-		// vs pull (policy.go).
-		ex := l.exchanger(ls.strategy)
-		ls.iter, ls.ex = iter, ex
-		// ---- Local computation (all GPUs of this rank).
-		l.kernels(iter)
-
-		// ---- Pre-exchange rendezvous, the first of the superstep's two. It
-		// carries the delegate reduction — local OR to "GPU0", then the
-		// global OR across ranks, skipped entirely on iterations without
-		// updates anywhere (the S' < S saving of §V-A) — and the all-pairs
-		// messages, posted before it (exchange.go). Whether any rank proposed
-		// is the reduce's own result, so a superstep without delegate updates
-		// touches no proposal at all.
-		words, proposed := l.proposal()
-		l.post(comm, ex, iter)
-		ls.reduced = comm.AllreduceFused(words, proposed, nil, nil)
-		ls.dc = l.commit(ls.reduced, iter)
-		dc := &ls.dc
-
-		// ---- Frontier exchange (§V-B) and apply.
-		counts := l.exchange(comm, ex, iter)
-		ls.work = l.tally()
-		work := &ls.work
-
-		// ---- Timing assembly (model time, reduced across ranks).
-		comp := work.comp
-		// An injected stall charges this rank extra simulated seconds; the
-		// max-reduce below propagates the skew exactly like a slow kernel.
-		// Timing only — levels and parents stay bit-identical.
-		if in := e.opts.Inject; in != nil {
-			comp += in.Stall(rank, int(iter), faults.SiteIter)
+		// ---- Pre-exchange rendezvous: the delegate reduction — local OR to
+		// "GPU0", then the global OR across ranks, skipped entirely on
+		// iterations without updates anywhere (the S' < S saving of §V-A) —
+		// and the all-pairs messages, posted before it (exchange.go).
+		d.world.Meet()
+		if err := d.run(t, phaseCommit); err != nil {
+			return err
 		}
-		// Timing uses amplified volumes (scale-model, see Options).
-		aSent, aRecv, aIntra := e.ampBytes(counts.sent), e.ampBytes(counts.recv), e.ampBytes(counts.intra)
-		// Local NVLink moves the proposal in its native form; only the
-		// inter-rank allreduce ships the codec-encoded size.
-		aMask := e.ampBytes(dc.native)
-		hier := e.hierExchange()
-		var localComm float64
-		if ls.reduced {
-			localComm += e.opts.Net.LocalReduce(aMask, pgpu)
-			localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
-		}
-		if hier {
-			// The intra-rank aggregation and the send/recv staging copies
-			// ride the exchange schedule (remoteTime) as NVLink stages; only
-			// the intra-rank direct applies stay here. The tier's exposed
-			// remainder — whatever the hop pipeline could not hide — is
-			// folded back into LocalComm by the closer (rt.nvlinkExposed), so
-			// remote-normal stays a pure wire+codec quantity.
-			localComm += e.opts.Net.Staging(aIntra)
-		} else {
-			// One GPU per rank: no sibling to aggregate with or apply to, and
-			// the staging copies are charged serially.
-			localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv)
-		}
-		var remoteDelegate float64
-		if ls.reduced {
-			remoteDelegate = e.opts.Net.Allreduce(e.ampBytes(dc.wire), prank, e.opts.BlockingReduce)
-		}
-		// Delegate-mask codec compute is charged exposed (the mask allreduce
-		// serializes with its encode); the exchange's own codec work rides
-		// the per-hop vectors below, so the butterfly can hide it under hop
-		// transfers.
-		maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(dc.codecRaw))
-		// The max section: the four scalars as bit patterns (non-negative
-		// doubles order as their bits), then the per-hop wire volumes and
-		// codec stages (amplified), so the closer derives the remote-normal
-		// time from the global per-hop maxima — the hops are synchronized
-		// pairwise exchanges, so the slowest rank paces each transfer and
-		// each codec stage.
-		mx := append(ls.mx[:0], fbits(comp), fbits(localComm), fbits(remoteDelegate), fbits(maskCodecSecs))
-		for _, hop := range [...][]int64{counts.hopBytes, counts.hopCodecRaw, counts.hopRecvBytes} {
-			for _, b := range hop {
-				mx = append(mx, e.ampBytes(b))
+		// ---- The butterfly's hops, one rendezvous each.
+		for t.relay = 1; t.relay <= lead.ls.ex.relays(); t.relay++ {
+			d.world.Meet()
+			if err := d.run(t, phaseRelay); err != nil {
+				return err
 			}
 		}
-		// The hierarchical aggregation's NVLink volume rides the reduce so
-		// the slowest rank paces the pre stage like everything else.
-		var aggBytes int64
-		if hier {
-			aggBytes = e.ampBytes(e.aggregationBytes(counts.sentRaw - counts.forwarded))
-		}
-		// The last entry is this rank's originated fixed-width volume
-		// (forwards excluded) — its maximum over the mean per-rank volume is
-		// the strategy-independent partition-skew signal the policy feeds
-		// back (relays would inflate a wire-byte measure on butterfly
-		// iterations).
-		mx = append(mx, e.ampBytes(counts.preCodecRaw), aggBytes, e.ampBytes(counts.sentRaw-counts.forwarded))
-		ls.mx = mx
-
-		// ---- Post-exchange rendezvous, the second and last: the timing
-		// vector's maxima (model time) and the global sums —
-		// work stats, the termination flag (kept alive through pending seed
-		// levels) and the context observation (any rank seeing a dead context
-		// aborts all ranks on the same iteration). Its closer prices, records
-		// and decides for every rank.
-		flag := int64(0)
-		if work.nextNormals > 0 || dc.visits > 0 || iter < sch.lastSeed {
-			flag = 1
-		}
-		ctxDead := int64(0)
-		if ctx.Err() != nil {
-			ctxDead = 1
-		}
-		sums := append(ls.sums[:0], work.edges, counts.sent, work.nextNormals, counts.dups, flag,
-			counts.sentRaw, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
-			counts.messages, counts.forwarded, counts.codecRaw+dc.codecRaw, ctxDead)
-		ls.sums = sums
-		comm.AllreduceFusedClose(nil, false, mx, sums, closer)
-
-		l.rotate()
+		// ---- Post-exchange rendezvous: the timing vector's maxima (model
+		// time) and the global sums — work stats and the termination flag
+		// (kept alive through pending seed levels) — and the context
+		// observation. Its closer prices, records and decides.
+		d.world.Meet()
+		t.close(ctx)
 		if lp.stop {
-			break
+			return nil
 		}
-		ls.decision = lp.next
-	}
-	if !e.rec.cancelled {
-		l.finish(comm)
+		lp.iter++
 	}
 }
 
+// step is rank's share of one superstep phase.
+func (t *bspLoop) step(ph phase, rank int) {
+	e, lp := t.e, &t.e.loop
+	r := &t.ranks[rank]
+	l, ls := r.l, r.ls
+	switch ph {
+	case phaseLocal:
+		// Fault injection (chaos testing): an armed injector may crash this
+		// rank at the iteration boundary — a real panic the driver's
+		// containment must recover and turn into an abort.
+		if in := e.opts.Inject; in != nil {
+			in.Crash(rank, int(lp.iter), faults.SiteIter)
+		}
+		// Exchange policy: the strategy decided for this iteration from
+		// globally known inputs, the way direction optimization derives push
+		// vs pull (policy.go).
+		ls.ex = l.exchanger(lp.cur.strategy)
+		l.kernels(lp.iter)
+		if ls.offer, ls.offered = l.proposal(); ls.offered {
+			t.fold(ls.offer)
+		}
+		l.post(r.comm, ls.ex, lp.iter)
+	case phaseCommit:
+		if lp.reduced {
+			copy(ls.offer, t.or)
+		}
+		ls.dc = l.commit(lp.reduced, lp.iter)
+		if ls.ex.relays() > 0 {
+			ls.ex.relay(r.comm, lp.iter, 0)
+		} else {
+			t.exchange(rank)
+		}
+	case phaseRelay:
+		if t.relay < ls.ex.relays() {
+			ls.ex.relay(r.comm, lp.iter, t.relay)
+		} else {
+			t.exchange(rank)
+		}
+	}
+}
+
+// exchange completes rank's frontier exchange (§V-B) and apply, tallies the
+// superstep, assembles its side of the timing vector and the sums, and makes
+// the output frontier the next superstep's input.
+func (t *bspLoop) exchange(rank int) {
+	e, iter := t.e, t.e.loop.iter
+	r := &t.ranks[rank]
+	l, ls := r.l, r.ls
+	pgpu := e.shape.GPUsPerRank
+	prank := e.shape.Ranks()
+	counts := l.exchange(r.comm, ls.ex, iter)
+	ls.work = l.tally()
+	work, dc := &ls.work, &ls.dc
+
+	// ---- Timing assembly (model time, reduced across ranks).
+	comp := work.comp
+	// An injected stall charges this rank extra simulated seconds; the
+	// max-fold propagates the skew exactly like a slow kernel. Timing only —
+	// levels and parents stay bit-identical.
+	if in := e.opts.Inject; in != nil {
+		comp += in.Stall(rank, int(iter), faults.SiteIter)
+	}
+	// Timing uses amplified volumes (scale-model, see Options).
+	aSent, aRecv, aIntra := e.ampBytes(counts.sent), e.ampBytes(counts.recv), e.ampBytes(counts.intra)
+	// Local NVLink moves the proposal in its native form; only the
+	// inter-rank allreduce ships the codec-encoded size.
+	aMask := e.ampBytes(dc.native)
+	hier := e.hierExchange()
+	reduced := e.loop.reduced
+	var localComm float64
+	if reduced {
+		localComm += e.opts.Net.LocalReduce(aMask, pgpu)
+		localComm += e.opts.Net.LocalBroadcast(aMask, pgpu)
+	}
+	if hier {
+		// The intra-rank aggregation and the send/recv staging copies
+		// ride the exchange schedule (remoteTime) as NVLink stages; only
+		// the intra-rank direct applies stay here. The tier's exposed
+		// remainder — whatever the hop pipeline could not hide — is
+		// folded back into LocalComm by the closer (rt.nvlinkExposed), so
+		// remote-normal stays a pure wire+codec quantity.
+		localComm += e.opts.Net.Staging(aIntra)
+	} else {
+		// One GPU per rank: no sibling to aggregate with or apply to, and
+		// the staging copies are charged serially.
+		localComm += e.opts.Net.Staging(aSent) + e.opts.Net.Staging(aRecv)
+	}
+	var remoteDelegate float64
+	if reduced {
+		remoteDelegate = e.opts.Net.Allreduce(e.ampBytes(dc.wire), prank, e.opts.BlockingReduce)
+	}
+	// Delegate-mask codec compute is charged exposed (the mask allreduce
+	// serializes with its encode); the exchange's own codec work rides
+	// the per-hop vectors below, so the butterfly can hide it under hop
+	// transfers.
+	maskCodecSecs := e.opts.GPU.CodecTime(e.ampBytes(dc.codecRaw))
+	// The max section: the four scalars as bit patterns (non-negative
+	// doubles order as their bits), then the per-hop wire volumes and
+	// codec stages (amplified), so the closer derives the remote-normal
+	// time from the global per-hop maxima — the hops are synchronized
+	// pairwise exchanges, so the slowest rank paces each transfer and
+	// each codec stage.
+	mx := append(ls.mx[:0], fbits(comp), fbits(localComm), fbits(remoteDelegate), fbits(maskCodecSecs))
+	for _, hop := range [...][]int64{counts.hopBytes, counts.hopCodecRaw, counts.hopRecvBytes} {
+		for _, b := range hop {
+			mx = append(mx, e.ampBytes(b))
+		}
+	}
+	// The hierarchical aggregation's NVLink volume rides the reduce so
+	// the slowest rank paces the pre stage like everything else.
+	var aggBytes int64
+	if hier {
+		aggBytes = e.ampBytes(e.aggregationBytes(counts.sentRaw - counts.forwarded))
+	}
+	// The last entry is this rank's originated fixed-width volume
+	// (forwards excluded) — its maximum over the mean per-rank volume is
+	// the strategy-independent partition-skew signal the policy feeds
+	// back (relays would inflate a wire-byte measure on butterfly
+	// iterations).
+	mx = append(mx, e.ampBytes(counts.preCodecRaw), aggBytes, e.ampBytes(counts.sentRaw-counts.forwarded))
+	ls.mx = mx
+
+	flag := int64(0)
+	if work.nextNormals > 0 || dc.visits > 0 || iter < t.sch.lastSeed {
+		flag = 1
+	}
+	ls.sums = append(ls.sums[:0], work.edges, counts.sent, work.nextNormals, counts.dups, flag,
+		counts.sentRaw, counts.scheme[wire.SchemeRaw], counts.scheme[wire.SchemeDelta], counts.scheme[wire.SchemeBitmap],
+		counts.messages, counts.forwarded, counts.codecRaw+dc.codecRaw)
+	l.rotate()
+}
+
+// fold is the pre-exchange rendezvous' OR section: it ORs one rank's
+// proposal into the superstep's, the first copied, and notes that there is
+// one. Every rank copies the result over its offer in phaseCommit.
+func (t *bspLoop) fold(offer []uint64) {
+	lp := &t.e.loop
+	t.orMu.Lock()
+	defer t.orMu.Unlock()
+	if !lp.reduced {
+		t.or, lp.reduced = append(t.or[:0], offer...), true
+		return
+	}
+	for j, w := range offer {
+		t.or[j] |= w
+	}
+}
+
+// close is the post-exchange rendezvous: the element-wise maxima and sums of
+// the ranks' sections, and the context observed once, handed to the closer.
+func (t *bspLoop) close(ctx context.Context) {
+	first := t.ranks[0].ls
+	mx, sums := append(t.mx[:0], first.mx...), append(t.sums[:0], first.sums...)
+	for i := 1; i < len(t.ranks); i++ {
+		ls := t.ranks[i].ls
+		for j, v := range ls.mx {
+			mx[j] = max(mx[j], v)
+		}
+		for j, v := range ls.sums {
+			sums[j] += v
+		}
+	}
+	t.mx, t.sums = mx, sums
+	t.e.closeSuperstep(t.ranks[0].l, &t.sch, mx, sums, ctx.Err() != nil)
+}
+
 // closeSuperstep is the closer of a superstep's post-exchange rendezvous, run
-// by the last rank to reach it — ls, l and sch that rank's — on the reduced
-// timing maxima mx and sums. It prices the superstep, records
-// it, feeds the policy back and decides the next superstep, or that there is
-// none, for every rank.
-func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sums []int64) {
+// by the driver on the folded timing maxima mx and sums, with rank 0's lanes
+// and scratch as every rank's (loopState.lead) and cancelled the context's
+// observation. It prices the superstep, records it, feeds the policy back and
+// decides the next superstep, or that there is none, for every rank.
+func (e *runEnv) closeSuperstep(l lanes, sch *schedule, mx, sums []int64, cancelled bool) {
 	lp, rec := &e.loop, &e.rec
+	ls := lp.lead
 	// Behind the four scalars' bit patterns sit the three per-hop vectors,
 	// the pre stage, the aggregation and the originated volume, in the order
 	// they were appended.
@@ -537,9 +645,9 @@ func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sum
 	}
 	elapsed := e.iterElapsed(parts, lp.sync)
 
-	d, dir := &ls.decision, &lp.lead.work
+	d, dir := &lp.cur, &ls.work
 	rec.PerIteration = append(rec.PerIteration, metrics.IterationStats{
-		Iteration:         int(ls.iter),
+		Iteration:         int(lp.iter),
 		FrontierNormals:   d.inputNormals,
 		FrontierDelegates: d.inputDelegates,
 		DirDD:             dir.dirDD,
@@ -576,7 +684,7 @@ func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sum
 	rec.Exchange.NVLinkSeconds += rt.nvlinkSeconds
 	rec.Exchange.HiddenNVLinkSeconds += rt.hiddenNVLink
 	rec.Exchange.MaskFoldSavedSeconds += maskSecs - rt.maskSecs
-	if ls.reduced && e.opts.Compression != wire.ModeOff {
+	if lp.reduced && e.opts.Compression != wire.ModeOff {
 		rec.Wire.MaskRawBytes += ls.dc.native
 		rec.Wire.MaskWireBytes += ls.dc.wire
 	}
@@ -588,9 +696,10 @@ func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sum
 	}
 	rec.Exchange.HopsPerIteration = max(rec.Exchange.HopsPerIteration, nh)
 	rec.Exchange.MaxMessageBytes = max(rec.Exchange.MaxMessageBytes, rt.maxMsg)
-	if ls.reduced {
+	if lp.reduced {
 		rec.DelegateComms++
 	}
+	lp.edges = sums[0]
 
 	// Measured feedback for the next decision: the reduced maximum per-rank
 	// originated volume over the mean (skew, gated on iterations that carried
@@ -607,8 +716,8 @@ func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sum
 	fb := &lp.fb
 	fb.observe(d.strategy, d.predicted/fb.calib[d.strategy], rt.seconds, skewMax, skewMean, wireRatio)
 
-	rec.cancelled = sums[12] > 0
-	lp.stop = rec.cancelled || sums[4] == 0
+	rec.cancelled = cancelled
+	lp.stop = cancelled || sums[4] == 0
 	if lp.stop {
 		// Final calibration factors: recorded only for strategies that
 		// actually executed (0 means no feedback accumulated — see
@@ -628,12 +737,12 @@ func (e *runEnv) closeSuperstep(ls *loopScratch, l lanes, sch *schedule, mx, sum
 	// iteration's relayed volume never inflates the next prediction. Seeds
 	// injecting at the next level are part of its known input frontier.
 	next := decision{inputNormals: sums[2], inputDelegates: ls.dc.visits, prevNormals: d.inputNormals, prevOriginated: originated}
-	if ls.iter < sch.lastSeed {
-		next.inputNormals += sch.nSeeds[ls.iter+1]
-		next.inputDelegates += sch.dSeeds[ls.iter+1]
+	if lp.iter < sch.lastSeed {
+		next.inputNormals += sch.nSeeds[lp.iter+1]
+		next.inputDelegates += sch.dSeeds[lp.iter+1]
 	}
 	next.strategy, next.predicted = e.pol.choose(next.inputNormals, next.inputDelegates, next.prevNormals, next.prevOriginated, *fb, l.exchanger)
-	lp.next = next
+	lp.cur = next
 }
 
 // sourceLanes is the single-source traversal's side of the loop: a rank's
@@ -656,14 +765,31 @@ func (e *Session) rankGPUs(rank int) []*gpuState {
 	return e.gpus[rank*pgpu : (rank+1)*pgpu]
 }
 
-// runWave runs the superstep loop for one rank of a single-source traversal,
-// entered with the frontier and any seed schedule for w already in place.
-func (e *Session) runWave(ctx context.Context, rank int, comm *mpi.Comm, source int64, w wave) {
-	sc := e.scratch[rank]
-	clear(sc.dt.rec) // the kernels fold into it from empty
-	e.exchangers(rank)
-	sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
-	e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, w.schedule)
+// bindWave sets every rank's lanes up for one single-source traversal of w
+// from source, whose frontier and seeds are already in place.
+func (e *Session) bindWave(source int64, w wave) {
+	if len(e.loops) != len(e.scratch) {
+		e.loops = make([]rankLoop, len(e.scratch))
+	}
+	for rank, sc := range e.scratch {
+		clear(sc.dt.rec) // the kernels fold into it from empty
+		e.exchangers(rank)
+		sc.lanes = sourceLanes{e: e, rank: rank, gpus: e.rankGPUs(rank), sc: sc, source: source, w: w}
+		e.loops[rank] = rankLoop{l: &sc.lanes, ls: &sc.loopScratch, comm: e.world.Rank(rank)}
+	}
+}
+
+// runWave runs a bound single-source traversal's superstep loop from sch and
+// then, unless it was cancelled, its finisher, when the query collects a
+// result, on one goroutine per rank.
+func (e *Session) runWave(ctx context.Context, sch schedule) error {
+	if err := e.drive(ctx, e.loops, sch); err != nil {
+		return err
+	}
+	if e.rec.cancelled || !e.collects() {
+		return nil
+	}
+	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.scratch[rank].lanes.finish(comm) })
 }
 
 // exchangers binds rank's strategy instances to this query, with the rank's

@@ -19,9 +19,10 @@ import (
 	"gcbfs/internal/wire"
 )
 
-// rankScratch is one rank goroutine's reusable per-iteration state. It is
-// owned by exactly one rank of one in-flight query (Session pooling already
-// guarantees no cross-query sharing), so no locking is needed.
+// rankScratch is one rank's reusable per-iteration state. It is owned by
+// exactly one rank of one in-flight query (Session pooling already guarantees
+// no cross-query sharing), and a phase touches it from that rank's share
+// alone, so no locking is needed.
 type rankScratch struct {
 	// exchangeScratch is the rank's exchange: its strategy instances and
 	// their buffers, which a repair's probe round uses as a superstep does.
@@ -40,9 +41,9 @@ type rankScratch struct {
 	maskIDs  []uint32
 
 	// lanes is the rank's side of the in-flight traversal, rebuilt per query
-	// by Session.runWave (and, for its round, by a repair's probe before it);
+	// by Session.bindWave (and, for its round, by a repair's probe before it);
 	// loopScratch the superstep loop's own buffers (a repair's prologue
-	// borrows mx for its max-reduce, its finisher sums).
+	// borrows mx for its max-fold, its finisher sums).
 	lanes sourceLanes
 	loopScratch
 
@@ -63,6 +64,12 @@ type rankScratch struct {
 	dCursor int
 	voided  []uint32
 	dTent   []int64
+	// probeComp, seedLo/seedHi and seedCounts carry a repair's prologue from
+	// phase to phase (repairPrologue): the probe scan's compute seconds, the
+	// wave's global seed-level span, and the rank's normal seeds per level.
+	probeComp      float64
+	seedLo, seedHi int64
+	seedCounts     []int64
 	// members marks the delegates of a repair's re-pull set (repair_tree.go):
 	// the invalidated, the inserted edges' still-valid endpoints, and every
 	// one the wave commits a new level to. Derived from replicated data, so

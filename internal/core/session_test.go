@@ -279,37 +279,46 @@ func (c *errAfterCtx) Err() error {
 }
 
 // TestRunCancelsAtIterationBoundary drives a run with a context that dies
-// after the first iteration's polls; the query must abort (within one
-// iteration — the loop would otherwise run many more) and return ctx.Err().
+// after the first iteration's polls; the query must abort within one
+// superstep — the loop would otherwise run many more — and return ctx.Err(),
+// under every exchange.
 func TestRunCancelsAtIterationBoundary(t *testing.T) {
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 1}
-	p := buildPlanT(t, 12, shape, DefaultOptions(), false)
-	ctx := context.Background()
+	for _, x := range []Exchange{ExchangeAllPairs, ExchangeButterfly, ExchangeHybrid} {
+		opts := DefaultOptions()
+		opts.Exchange = x
+		p := buildPlanT(t, 12, shape, opts, false)
+		ctx := context.Background()
 
-	full, err := p.Run(ctx, 1, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Iterations < 3 {
-		t.Fatalf("reference run too short (%d iterations) to observe mid-run cancellation", full.Iterations)
-	}
+		full, err := p.Run(ctx, 1, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Iterations < 4 {
+			t.Fatalf("reference run too short (%d iterations) to observe mid-run cancellation", full.Iterations)
+		}
 
-	// Plan.Run polls once up front, then each of the 2 ranks polls once per
-	// iteration: after=3 survives iteration 1 and dies during iteration 2.
-	cc := &errAfterCtx{Context: ctx, after: 3}
-	res, err := p.Run(cc, 1, Overrides{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		// Plan.Run polls once up front, then the driver once per superstep, at
+		// its post-exchange rendezvous: after=3 survives supersteps 0 and 1 and
+		// dies in superstep 2, the last; the error is the fifth poll.
+		cc := &errAfterCtx{Context: ctx, after: 3}
+		res, err := p.Run(cc, 1, Overrides{})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", x, err)
+		}
+		if res != nil {
+			t.Fatalf("%s: cancelled run returned a result", x)
+		}
+		if polls := cc.calls.Load(); polls != 5 {
+			t.Fatalf("%s: the context was polled %d times, want 5: the loop ran past the superstep it died in", x, polls)
+		}
+		// The next query on the recycled session must be unaffected.
+		again, err := p.Run(ctx, 1, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "after cancellation", full, again)
 	}
-	if res != nil {
-		t.Fatal("cancelled run returned a result")
-	}
-	// The next query on the recycled session must be unaffected.
-	again, err := p.Run(ctx, 1, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRun(t, "after cancellation", full, again)
 }
 
 // TestCodecCostCharged: the codec's pack/unpack compute appears in simulated

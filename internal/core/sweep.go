@@ -15,7 +15,7 @@ package core
 //
 // A sweep is a payload of the superstep loop, not a loop of its own: this
 // file is its per-GPU state, its kernels and its lanes implementation
-// (sweepLanes); runEnv.runRank (run.go) runs it, so the sweep's supersteps,
+// (sweepLanes); runEnv.drive (run.go) runs it, so the sweep's supersteps,
 // fault sites, timing assembly and cancellation are the single-source
 // traversal's, line for line — and so is its exchange: the records ride the
 // same all-pairs and butterfly exchangers (exchange.go) under the same
@@ -125,7 +125,7 @@ type sweepIterWork struct {
 	logical        int64 // per-query logical edges: Σ popcount(row)·degree
 }
 
-// sweepScratch is one rank goroutine's sweep state: the delegate tier, one
+// sweepScratch is one rank's sweep state: the delegate tier, one
 // replica per rank that its GPUs share — as a single-source traversal's GPUs
 // share rankScratch.dt — and the rank's reusable buffers.
 type sweepScratch struct {
@@ -584,28 +584,39 @@ func (l *sweepLanes) rotate() {
 	}
 }
 
-func (l *sweepLanes) finish(comm *mpi.Comm) {
-	if l.e.outs != nil {
-		l.e.finishSweep(l.rank, comm, l.gpus, l.sc)
-	}
-}
+// finish resolves and gathers the rank's share of the sweep's trees.
+func (l *sweepLanes) finish(comm *mpi.Comm) { l.e.finishSweep(l.rank, comm, l.gpus, l.sc) }
 
-// run executes the sweep's BSP loop across rank goroutines and assembles the
-// per-query results.
+// run executes the sweep's BSP loop on the phase driver, then its finisher on
+// the rank goroutines when it collects trees, and assembles the per-query
+// results.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
-	sch := e.seed()
-	e.begin(&e.scratch[0].loopScratch)
-	err := RunRanks(e.world, e.opts.Inject, sweepTagSite, func(rank int, comm *mpi.Comm) {
-		sc := e.scratch[rank]
-		e.runRank(ctx, rank, comm, &sc.lanes, &sc.loopScratch, sch)
-	})
-	if err != nil {
+	armWorld(e.world, e.opts.Inject, sweepTagSite)
+	if err := e.traverse(ctx, e.seed()); err != nil {
 		return nil, err
 	}
 	if err := e.cancelErr(ctx); err != nil {
 		return nil, err
 	}
 	return e.results(), nil
+}
+
+// traverse runs the sweep from sch on its armed World: the superstep loop and,
+// unless it was cancelled, the finisher.
+func (e *sweepSession) traverse(ctx context.Context, sch schedule) error {
+	e.begin()
+	e.drv.reset(e.world)
+	loops := make([]rankLoop, len(e.scratch))
+	for r, sc := range e.scratch {
+		loops[r] = rankLoop{l: &sc.lanes, ls: &sc.loopScratch, comm: e.world.Rank(r)}
+	}
+	if err := e.drive(ctx, loops, sch); err != nil {
+		return err
+	}
+	if e.rec.cancelled || e.outs == nil {
+		return nil
+	}
+	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.scratch[rank].lanes.finish(comm) })
 }
 
 // results assembles the per-query results of a finished sweep from the loop's

@@ -129,7 +129,7 @@ func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts 
 	err = core.RunRanks(mpi.NewWorld(prank), opts.Inject, iterTag, func(rank int, comm *mpi.Comm) {
 		r := ranks[rank]
 		for iter := 0; iter < opts.MaxIterations; iter++ {
-			// ---- Fault injection (chaos testing): see core's runRank.
+			// ---- Fault injection (chaos testing): see core's bspLoop.step.
 			if in := opts.Inject; in != nil {
 				in.Crash(rank, iter, faults.SiteIter)
 			}

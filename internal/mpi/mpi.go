@@ -1,12 +1,11 @@
 // Package mpi provides an in-process message-passing runtime with MPI-like
-// semantics for the simulated cluster: a World of ranks (one goroutine
-// each), non-blocking point-to-point sends with unbounded buffering
-// (MPI_Isend/Irecv, as the butterfly's hops of the normal-vertex exchange
-// use them, §V-B), posted payloads that ride a rendezvous (the all-pairs
-// exchange's one message per destination), OR/SUM/MAX/MIN allreduce
-// collectives (the delegate-mask reduction, §V-A)
-// and a min reduce-scatter (where every BFS tree's delegate parent candidates
-// meet, each on the rank that writes the delegate).
+// semantics for the simulated cluster: a World of ranks, non-blocking
+// point-to-point sends with unbounded buffering (MPI_Isend/Irecv, as the
+// butterfly's hops of the normal-vertex exchange use them, §V-B), posted
+// payloads that ride a rendezvous (the all-pairs exchange's one message per
+// destination), OR/SUM/MAX/MIN allreduce collectives and a min reduce-scatter
+// (where every BFS tree's delegate parent candidates meet, each on the rank
+// that writes the delegate).
 //
 // The package is purely functional — data really moves between rank heaps
 // and collectives really fold — while *timing* is modeled separately by
@@ -14,18 +13,25 @@
 //
 // # Rendezvous
 //
-// A collective is one rendezvous: every rank takes the collective's lock,
-// folds its contribution, and all but the last park until the last one
+// A collective is one rendezvous: every rank goroutine takes the collective's
+// lock, folds its contribution, and all but the last park until the last one
 // broadcasts. On the host that hand-off — not the fold — is what a collective
 // costs, so the unit of cost is the rendezvous, not the reduced value.
 // AllreduceFused carries three independently typed sections (an optional OR
 // section, a max section, a sum section) through a single rendezvous; the
 // one-section collectives (AllreduceOr/Sum/Max/Min) are wrappers over
-// the same reduce (Min folds the max section the other way). The BFS
-// superstep (core/run.go) is two fused rendezvous: one before the exchange
-// carrying the delegate-mask words — and, posted just ahead of it, every
-// rank's all-pairs payloads — and one after it carrying the timing maxima and
-// the work sums, whose closer prices and records the superstep.
+// the same reduce (Min folds the max section the other way).
+//
+// The BFS superstep parks nobody: core's phase driver runs every rank's side
+// of it on one goroutine (or a few workers) up to each rendezvous, folds the
+// ranks' sections itself, and completes the rendezvous with World.Meet, which
+// counts a generation like any collective and holds the posting contract the
+// same way. What still parks a goroutine per rank are the calls made outside
+// the superstep loop: the tree finishers' Barrier, AllreduceSum and
+// ReduceScatterMin (core's parents.go, repair_tree.go, sweep_tree.go) and the
+// dense analytics' collectives and their Isend/Recv pair rounds
+// (internal/dense). Isend never parks; a Recv parks only until its message
+// is sent, which in a driven phase it already is.
 //
 // # Closing a generation
 //
@@ -77,8 +83,9 @@
 //   - Posted on an aborted World panics with the typed abort, as Post does.
 //
 // Point-to-point Isend/Recv remain for rounds whose partners or payloads
-// depend on what earlier rounds delivered (a butterfly's hops) and for
-// callers outside a superstep.
+// depend on what earlier rounds delivered (a butterfly's hops, each sent in
+// one driven phase and received in the next, past a Meet) and for callers
+// outside a superstep (the pair rounds).
 package mpi
 
 import (
@@ -248,6 +255,19 @@ func (w *World) Rendezvous() uint64 {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.gen
+}
+
+// Meet completes a rendezvous in which no rank goroutine parks: its caller is
+// a driver that has run every rank's side of the round up to it, so every rank
+// has arrived. It counts one generation (Rendezvous), and the posting contract
+// holds across it as across any collective's. It panics with the typed abort
+// on an aborted World. Call it only while no rank is inside a collective.
+func (w *World) Meet() {
+	w.checkAbort()
+	cl := w.coll
+	cl.mu.Lock()
+	cl.gen++
+	cl.mu.Unlock()
 }
 
 // Rank returns the communicator handle for rank r.

@@ -833,3 +833,37 @@ func TestPostedPayloads(t *testing.T) {
 		}
 	})
 }
+
+// A driver's rendezvous: Meet counts one generation among the collectives',
+// holds the posting contract between the rounds it separates with no rank
+// goroutine running, and panics with the typed abort once the World is
+// aborted.
+func TestMeet(t *testing.T) {
+	const size, rounds = 3, 20
+	w := NewWorld(size)
+	bufs := make([][][]byte, size)
+	for k := 0; k < rounds; k++ {
+		for r := range size {
+			bufs[r] = append(bufs[r][:0], make([][]byte, size)...)
+			bufs[r][(r+1)%size] = []byte{byte(r), byte(k)}
+			w.Rank(r).Post(k, bufs[r])
+		}
+		w.Meet()
+		for r := range size {
+			src := (r + size - 1) % size
+			if got, ok := w.Rank(r).Posted(src, k); !ok || got[0] != byte(src) || got[1] != byte(k) {
+				t.Fatalf("round %d: rank %d read %v (%v) from rank %d", k, r, got, ok, src)
+			}
+		}
+		w.Meet()
+	}
+	if got := w.Rendezvous(); got != 2*rounds {
+		t.Fatalf("%d rendezvous for %d meets", got, 2*rounds)
+	}
+	cause := errors.New("rank 1 failed")
+	w.Abort(cause)
+	v := panicValue(w.Meet)
+	if err, ok := AbortError(v); !ok || !errors.Is(err, cause) {
+		t.Fatalf("Meet on an aborted World panicked with %v", v)
+	}
+}

@@ -213,7 +213,7 @@ func BenchmarkPairsCodec(b *testing.B) {
 	for _, mode := range modes {
 		var msg []byte
 		for _, blk := range blocks {
-			msg, _ = appendPairs(msg, blk, mode)
+			msg, _ = appendPairs(msg, blk, mode, 0)
 		}
 		perPair := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
@@ -224,7 +224,7 @@ func BenchmarkPairsCodec(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf = buf[:0]
 				for _, blk := range blocks {
-					buf, _ = appendPairs(buf, blk, mode)
+					buf, _ = appendPairs(buf, blk, mode, 0)
 				}
 			}
 			perPair(b)
@@ -235,7 +235,7 @@ func BenchmarkPairsCodec(b *testing.B) {
 				for off := 0; off < len(msg); {
 					var n int
 					var err error
-					if into, n, _, err = decodePairsInto(msg[off:], into); err != nil {
+					if into, n, _, err = decodePairsInto(msg[off:], into, 0); err != nil {
 						b.Fatal(err)
 					}
 					off += n

@@ -87,7 +87,7 @@ func TestAppendPairsPermutationInvariant(t *testing.T) {
 				buf  []byte
 				want []frontier.Pair
 			}{{a, pairs}, {b, shuffled}} {
-				got, _, _, err := decodePairsInto(tc.buf, nil)
+				got, _, _, err := decodePairsInto(tc.buf, nil, 0)
 				if err != nil || !slices.Equal(got, tc.want) {
 					t.Fatalf("trial %d %s/%v: decoded %d pairs out of input order (err %v)", trial, enc.name, scheme, len(got), err)
 				}

@@ -169,7 +169,7 @@ func FuzzDecodePairs(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pairs, n, _, err := decodePairsInto(data, nil)
+		pairs, n, _, err := decodePairsInto(data, nil, 0)
 		checkErr(t, err)
 		if err == nil {
 			if n > len(data) {

@@ -2,7 +2,7 @@ package wire
 
 // This file extends the codec to (id, value) pairs — the parent-resolution
 // exchange and the §VI-D "associative values" traffic. A pairs block mirrors
-// the id-block layout (scheme byte, uvarint count, payload, CRC32), and both
+// the id-block layout (scheme byte, uvarint count, payload, CRC-32C), and both
 // schemes keep the pairs in their input order, so nothing sorts them and a
 // lane-set column beside them stays aligned:
 //
@@ -109,18 +109,20 @@ func (f *packedFrames) widths() uint64 {
 // appendPairs encodes pairs as one block under mode and appends it to dst,
 // returning the extended buffer and the scheme written: raw under ModeOff;
 // under ModeAdaptive packed when its exact size is below raw's. The block
-// decodes to the pairs in their input order; the input is never mutated.
-func appendPairs(dst []byte, pairs []frontier.Pair, mode Mode) ([]byte, Scheme) {
+// decodes to the pairs in their input order; the input is never mutated. seed
+// is the running CRC the block's checksum starts from (see appendIDs): zero
+// for a block that stands alone, the presence word's inside a rank message.
+func appendPairs(dst []byte, pairs []frontier.Pair, mode Mode, seed uint32) ([]byte, Scheme) {
 	if mode != ModeOff {
 		if f := framePairs(pairs); f.payloadLen(len(pairs)) < 12*len(pairs) {
-			return appendPackedPairs(dst, pairs, &f), SchemePacked
+			return appendPackedPairs(dst, pairs, &f, seed), SchemePacked
 		}
 	}
-	return appendRawPairs(dst, pairs), SchemeRaw
+	return appendRawPairs(dst, pairs, seed), SchemeRaw
 }
 
 // appendRawPairs writes pairs as a raw block.
-func appendRawPairs(dst []byte, pairs []frontier.Pair) []byte {
+func appendRawPairs(dst []byte, pairs []frontier.Pair, seed uint32) []byte {
 	start := len(dst)
 	dst = slices.Grow(dst, blockLen(len(pairs), 12*len(pairs)))
 	dst = appendHeader(dst, SchemeRaw, len(pairs))
@@ -128,12 +130,12 @@ func appendRawPairs(dst []byte, pairs []frontier.Pair) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, pr.ID)
 		dst = binary.LittleEndian.AppendUint64(dst, pr.Val)
 	}
-	return appendCRC(dst, start, 0)
+	return appendCRC(dst, start, seed)
 }
 
 // appendPackedPairs writes pairs as a packed block under frames f, which
 // must be framePairs(pairs).
-func appendPackedPairs(dst []byte, pairs []frontier.Pair, f *packedFrames) []byte {
+func appendPackedPairs(dst []byte, pairs []frontier.Pair, f *packedFrames, seed uint32) []byte {
 	n := len(pairs)
 	start := len(dst)
 	dst = slices.Grow(dst, blockLen(n, f.payloadLen(n)))
@@ -144,7 +146,7 @@ func appendPackedPairs(dst []byte, pairs []frontier.Pair, f *packedFrames) []byt
 			dst = appendColumn(dst, pairs, c, f[c])
 		}
 	}
-	return appendCRC(dst, start, 0)
+	return appendCRC(dst, start, seed)
 }
 
 // bitWriter packs values LSB-first into whole bytes through a 64-bit
@@ -290,12 +292,13 @@ func unpackRange(out []frontier.Pair, src []byte, bit, w uint, c int, base uint3
 	}
 }
 
-// decodePairsInto parses one pairs block at the start of buf, writing the
-// pairs over dst's backing array, and returns them, the bytes consumed and
-// the scheme. Corruption in any form yields an error, never silently wrong
-// pairs. Every check — scheme, count against the bytes left, frames, length,
-// checksum — runs before dst is grown, so a hostile header allocates nothing.
-func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Scheme, error) {
+// decodePairsInto parses one pairs block at the start of buf, whose checksum
+// started from seed, writing the pairs over dst's backing array, and returns
+// them, the bytes consumed and the scheme. Corruption in any form yields an
+// error, never silently wrong pairs. Every check — scheme, count against the
+// bytes left, frames, length, checksum — runs before dst is grown, so a
+// hostile header allocates nothing.
+func decodePairsInto(buf []byte, dst []frontier.Pair, seed uint32) ([]frontier.Pair, int, Scheme, error) {
 	if len(buf) < 1+1+crcLen {
 		return nil, 0, 0, corruptf("wire: pairs block truncated (%d bytes)", len(buf))
 	}
@@ -331,7 +334,7 @@ func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Sch
 		return nil, 0, 0, corruptf("wire: %v pairs block truncated (%d pairs, %d payload bytes)", scheme, n, body)
 	}
 	want := binary.LittleEndian.Uint32(buf[end:])
-	if got := crc32.Checksum(buf[:end], crcTable); got != want {
+	if got := crc32.Update(seed, crcTable, buf[:end]); got != want {
 		return nil, 0, 0, corruptf("wire: pairs checksum mismatch (got %08x, want %08x)", got, want)
 	}
 
@@ -353,23 +356,46 @@ func decodePairsInto(buf []byte, dst []frontier.Pair) ([]frontier.Pair, int, Sch
 	return pairs, end + crcLen, scheme, nil
 }
 
-// AppendPairsRank encodes one pairs block per destination GPU slot into a
+// AppendPairsRank encodes the pairs bound for one rank's GPU slots into a
 // single rank-to-rank message appended to buf, so a caller can reuse its
-// message buffer across queries. With w > 0 each pair carries a w-word lane
-// set — the sweep's "in which of my K trees": lanes[s] holds slot s's sets in
-// pair order, and every pairs block is followed by the record codec's mask
-// section over them; no scheme reorders the pairs, so the sets stay aligned.
-// w = 0 is the single-tree message and takes no lanes. Stats cover the
-// appended message under mode's charging rule; RawBytes counts the
-// fixed-width 12+8w bytes per pair.
+// message buffer across queries: one pairs block per slot that has any, in
+// slot order, behind a presence word when some slot has none — the byte
+// pairsPresence, then ⌈len(slots)/8⌉ bytes with bit s (byte s/8, bit s%8) set
+// when slot s has pairs. An empty slot thus costs a bit, not a 6-byte empty
+// block, and a message whose every slot has pairs carries no presence word at
+// all. Behind a presence word every checksum begins from the word's CRC-32C,
+// so a flipped presence bit fails the next block's check. With w > 0 each pair
+// carries a w-word lane set — the sweep's "in which of my K trees": lanes[s]
+// holds slot s's sets in pair order, and every pairs block is followed by the
+// record codec's mask section over them, under the same seed; no scheme
+// reorders the pairs, so the sets stay aligned. w = 0 is the single-tree
+// message and takes no lanes. Stats cover the appended message under mode's
+// charging rule; RawBytes counts the fixed-width 12+8w bytes per pair.
 func AppendPairsRank(buf []byte, slots [][]frontier.Pair, lanes [][]uint64, w int, mode Mode) ([]byte, Stats) {
 	var st Stats
 	start := len(buf)
+	var seed uint32
+	if slices.ContainsFunc(slots, func(prs []frontier.Pair) bool { return len(prs) == 0 }) {
+		buf = append(buf, pairsPresence)
+		for s0 := 0; s0 < len(slots); s0 += 8 {
+			var b byte
+			for s := s0; s < min(s0+8, len(slots)); s++ {
+				if len(slots[s]) > 0 {
+					b |= 1 << (s - s0)
+				}
+			}
+			buf = append(buf, b)
+		}
+		seed = crc32.Checksum(buf[start:], crcTable)
+	}
 	for s, pairs := range slots {
+		if len(pairs) == 0 {
+			continue
+		}
 		var scheme Scheme
-		buf, scheme = appendPairs(buf, pairs, mode)
+		buf, scheme = appendPairs(buf, pairs, mode, seed)
 		if w > 0 {
-			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode), 0)
+			buf = appendMaskSection(buf, lanes[s], len(pairs), w, chooseMaskScheme(lanes[s], len(pairs), w, mode), seed)
 		}
 		st.RawBytes += int64(12+8*w) * int64(len(pairs))
 		st.Selected[scheme]++
@@ -378,22 +404,56 @@ func AppendPairsRank(buf []byte, slots [][]frontier.Pair, lanes [][]uint64, w in
 	return buf, st.charged(mode)
 }
 
+// pairsPresence opens a pairs message's presence word. No scheme byte takes
+// the value, so a message that starts with anything else starts with a block.
+const pairsPresence = 0xff
+
+// presenceLen is the size of a presence word's bitmap over slots slots.
+func presenceLen(slots int) int { return (slots + 7) / 8 }
+
 // DecodePairsRankInto parses an AppendPairsRank message of len(into) slots of
 // w-word lane sets, overwriting each into[s] — and lanesInto[s], when w > 0 —
-// in place (capacity reused).
+// in place (capacity reused); a slot the presence word marks absent decodes
+// empty.
 func DecodePairsRankInto(buf []byte, into [][]frontier.Pair, lanesInto [][]uint64, w int) error {
-	off := 0
+	off, seed := 0, uint32(0)
+	var presence []byte
+	if len(buf) > 0 && buf[0] == pairsPresence {
+		off = 1 + presenceLen(len(into))
+		if len(buf) < off {
+			return corruptf("wire: pairs message truncated in its presence word (%d bytes)", len(buf))
+		}
+		presence = buf[1:off]
+		full := true
+		for s := range into {
+			full = full && presence[s/8]&(1<<(s%8)) != 0
+		}
+		if extra := len(into) % 8; full || (extra != 0 && presence[len(presence)-1]>>extra != 0) {
+			return corruptf("wire: pairs presence word %x names no empty slot of %d", presence, len(into))
+		}
+		seed = crc32.Checksum(buf[:off], crcTable)
+	}
 	for s := range into {
-		pairs, n, _, err := decodePairsInto(buf[off:], into[s])
+		into[s] = into[s][:0]
+		if w > 0 {
+			lanesInto[s] = lanesInto[s][:0]
+		}
+		if presence != nil && presence[s/8]&(1<<(s%8)) == 0 {
+			continue
+		}
+		pairs, n, _, err := decodePairsInto(buf[off:], into[s], seed)
 		if err != nil {
 			return fmt.Errorf("wire: pairs slot %d: %w", s, err)
+		}
+		if len(pairs) == 0 {
+			return corruptf("wire: pairs slot %d is present and empty", s)
 		}
 		into[s] = pairs
 		off += n
 		if w == 0 {
 			continue
 		}
-		lanes, n, err := decodeMaskSection(buf[off:], len(pairs), w, lanesInto[s][:0], 0)
+		lanes, n, err := decodeMaskSection(buf[off:], len(pairs), w, lanesInto[s], seed)
 		if err != nil {
 			return fmt.Errorf("wire: pairs slot %d lanes: %w", s, err)
 		}

@@ -33,15 +33,15 @@ type pairEncoder struct {
 // packedEncoder writes a packed block through its writer.
 var packedEncoder = pairEncoder{"packed", func(pairs []frontier.Pair) ([]byte, Scheme) {
 	f := framePairs(pairs)
-	return appendPackedPairs(nil, pairs, &f), SchemePacked
+	return appendPackedPairs(nil, pairs, &f, 0), SchemePacked
 }}
 
 // pairEncoders are the pairs writers and the adaptive mode (ModeOff writes
 // through the raw writer).
 var pairEncoders = []pairEncoder{
-	{"raw", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendRawPairs(nil, pairs), SchemeRaw }},
+	{"raw", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendRawPairs(nil, pairs, 0), SchemeRaw }},
 	packedEncoder,
-	{"adaptive", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendPairs(nil, pairs, ModeAdaptive) }},
+	{"adaptive", func(pairs []frontier.Pair) ([]byte, Scheme) { return appendPairs(nil, pairs, ModeAdaptive, 0) }},
 }
 
 // roundTripPairs encodes pairs, decodes the block and fails unless it
@@ -50,7 +50,7 @@ func roundTripPairs(t *testing.T, what string, pairs []frontier.Pair, enc pairEn
 	t.Helper()
 	before := slices.Clone(pairs)
 	buf, scheme := enc.encode(pairs)
-	got, n, gotScheme, err := decodePairsInto(buf, nil)
+	got, n, gotScheme, err := decodePairsInto(buf, nil, 0)
 	if err != nil {
 		t.Fatalf("%s %s: %v", what, enc.name, err)
 	}
@@ -99,7 +99,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 	for i := range clustered {
 		clustered[i] = frontier.Pair{ID: uint32(1000 + i), Val: uint64(i % 7)}
 	}
-	buf, scheme := appendPairs(nil, clustered, ModeAdaptive)
+	buf, scheme := appendPairs(nil, clustered, ModeAdaptive, 0)
 	if scheme != SchemePacked {
 		t.Fatalf("clustered pairs picked %v, want packed", scheme)
 	}
@@ -112,7 +112,7 @@ func TestPairsAdaptivePicksSmaller(t *testing.T) {
 	for i := range scattered {
 		scattered[i] = frontier.Pair{ID: rng.Uint32(), Val: rng.Uint64() | 1<<63}
 	}
-	_, scheme = appendPairs(nil, scattered, ModeAdaptive)
+	_, scheme = appendPairs(nil, scattered, ModeAdaptive, 0)
 	if scheme != SchemeRaw {
 		t.Fatalf("scattered huge-value pairs picked %v, want raw", scheme)
 	}
@@ -125,7 +125,7 @@ func TestPackedSizeIsExact(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		pairs := randPairs(rng, rng.Intn(70))
 		f := framePairs(pairs)
-		buf := appendPackedPairs(nil, pairs, &f)
+		buf := appendPackedPairs(nil, pairs, &f, 0)
 		if want := blockLen(len(pairs), f.payloadLen(len(pairs))); len(buf) != want {
 			t.Fatalf("trial %d: %d pairs encode to %d bytes, size function says %d", trial, len(pairs), len(buf), want)
 		}
@@ -229,7 +229,7 @@ func TestPackedRejectsEveryBitFlip(t *testing.T) {
 		for bit := 0; bit < 8*len(buf); bit++ {
 			bad := slices.Clone(buf)
 			bad[bit/8] ^= 1 << (bit % 8)
-			if _, _, _, err := decodePairsInto(bad, nil); !errors.Is(err, ErrCorrupt) {
+			if _, _, _, err := decodePairsInto(bad, nil, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%d pairs: flipping bit %d of %d: err %v", len(pairs), bit, 8*len(buf), err)
 			}
 		}
@@ -262,7 +262,7 @@ func packedBlock(count, widths uint64, cols ...col) []byte {
 // the decoder grows its output.
 func TestPackedDecoderRejects(t *testing.T) {
 	ok := packedBlock(2, 8, col{5, []byte{1, 2}}, col{}, col{})
-	if got, _, _, err := decodePairsInto(ok, nil); err != nil || !slices.Equal(got, []frontier.Pair{{ID: 6}, {ID: 7}}) {
+	if got, _, _, err := decodePairsInto(ok, nil, 0); err != nil || !slices.Equal(got, []frontier.Pair{{ID: 6}, {ID: 7}}) {
 		t.Fatalf("the hand-made block decodes to %v, %v", got, err)
 	}
 	longBody := append([]byte(nil), ok[:len(ok)-crcLen]...)
@@ -285,7 +285,7 @@ func TestPackedDecoderRejects(t *testing.T) {
 		{"long payload", binary.LittleEndian.AppendUint32(longBody, crc32.Checksum(longBody, crcTable))},
 		{"checksum", badCRC},
 	} {
-		if got, _, _, err := decodePairsInto(tc.buf, nil); !errors.Is(err, ErrCorrupt) {
+		if got, _, _, err := decodePairsInto(tc.buf, nil, 0); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decoded %v, err %v", tc.name, got, err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestPairsRejectHostileCount(t *testing.T) {
 		packedBlock(1<<40, 8, col{0, make([]byte, 16)}, col{}, col{}),
 		packedBlock(1<<62, 32|32<<6|32<<12, col{0, make([]byte, 8)}, col{0, make([]byte, 8)}, col{0, make([]byte, 8)}),
 	} {
-		if _, _, _, err := decodePairsInto(buf, nil); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := decodePairsInto(buf, nil, 0); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("hostile packed count: err %v", err)
 		}
 		into := [][]frontier.Pair{nil}
@@ -311,7 +311,7 @@ func TestPairsRejectHostileCount(t *testing.T) {
 	raw = binary.AppendUvarint(raw, 1<<40)
 	raw = append(raw, make([]byte, 12)...)
 	raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(raw, crcTable))
-	if _, _, _, err := decodePairsInto(raw, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodePairsInto(raw, nil, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile raw count: err %v", err)
 	}
 }
@@ -361,6 +361,56 @@ func TestPairsRankRoundTrip(t *testing.T) {
 	}
 	if err := DecodePairsRankInto(buf[:len(buf)-1], got, nil, 0); err == nil {
 		t.Fatal("truncation accepted")
+	}
+}
+
+// An empty slot of a pairs message costs one presence bit and no block, a
+// message without one carries no presence word, and a presence bit flipped
+// either way fails the message: a block claimed by the wrong slot fails its
+// checksum, which began from the presence word's.
+func TestPairsRankPresenceWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, nslots := range []int{1, 3, 8, 9} {
+		slots := make([][]frontier.Pair, nslots)
+		for s := 0; s < nslots; s += 2 {
+			slots[s] = randPairs(rng, 1+s)
+		}
+		for _, mode := range []Mode{ModeOff, ModeAdaptive} {
+			empty, _ := AppendPairsRank(nil, make([][]frontier.Pair, nslots), nil, 0, mode)
+			if len(empty) != 1+presenceLen(nslots) {
+				t.Fatalf("%d slots, %s: an empty message is %d bytes, want its presence word's %d", nslots, mode, len(empty), 1+presenceLen(nslots))
+			}
+			full := make([][]frontier.Pair, nslots)
+			for s := range full {
+				full[s] = []frontier.Pair{{ID: uint32(s)}}
+			}
+			if msg, _ := AppendPairsRank(nil, full, nil, 0, mode); msg[0] == pairsPresence {
+				t.Fatalf("%d slots, %s: a message without an empty slot carries a presence word", nslots, mode)
+			}
+			buf, _ := AppendPairsRank(nil, slots, nil, 0, mode)
+			got := make([][]frontier.Pair, nslots)
+			for s := range got {
+				got[s] = []frontier.Pair{{ID: 99}}
+			}
+			if err := DecodePairsRankInto(buf, got, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			for s := range slots {
+				if !slices.Equal(slots[s], got[s]) || (len(slots[s]) == 0) != (len(got[s]) == 0) {
+					t.Fatalf("%d slots, %s: slot %d decoded %v, want %v", nslots, mode, s, got[s], slots[s])
+				}
+			}
+			if nslots == 1 {
+				continue // every slot has pairs: no presence word
+			}
+			for bit := 0; bit < 8*(1+presenceLen(nslots)); bit++ {
+				bad := slices.Clone(buf)
+				bad[bit/8] ^= 1 << (bit % 8)
+				if err := DecodePairsRankInto(bad, got, nil, 0); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%d slots, %s: presence bit %d flipped: err %v", nslots, mode, bit, err)
+				}
+			}
+		}
 	}
 }
 
@@ -415,7 +465,7 @@ func TestPairsRejectCorruption(t *testing.T) {
 		for i := range buf {
 			bad := append([]byte(nil), buf...)
 			bad[i] ^= 0x40
-			got, _, _, err := decodePairsInto(bad, nil)
+			got, _, _, err := decodePairsInto(bad, nil, 0)
 			if err == nil && !slices.Equal(pairs, got) {
 				t.Fatalf("%s: flipping byte %d silently changed the pairs", enc.name, i)
 			}

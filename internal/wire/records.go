@@ -17,12 +17,12 @@ import (
 // the mask section's checksum is seeded like its id block's:
 //
 //	id block        exactly the single-query block format (wire.go): scheme
-//	                byte, uvarint n, payload, CRC32. Ids are sorted ascending
+//	                byte, uvarint n, payload, CRC-32C. Ids are sorted ascending
 //	                and duplicate-free (the sweep merges same-id records
 //	                sender-side by OR-ing their masks), so the delta and
 //	                bitmap schemes apply unchanged.
 //	mask section    1 byte mask scheme, then the per-record masks in id
-//	                order, then CRC32 (IEEE, little-endian) of the section.
+//	                order, then CRC-32C (Castagnoli, little-endian) of the section.
 //
 // Mask scheme payloads (w = words per record, fixed per sweep):
 //
