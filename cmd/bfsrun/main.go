@@ -319,7 +319,7 @@ func runUpdates(ctx context.Context, el *graph.EdgeList, sg *partition.Subgraphs
 		if err != nil {
 			return err
 		}
-		invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+		invalid := delta.InvalidatedRows(prior.Levels, prior.Parents, b, sg2.Neighbors)
 		nInvalid := 0
 		for _, iv := range invalid {
 			if iv {

@@ -220,6 +220,8 @@ type Plan struct {
 	// the live one and swaps atomically; every query result carries the
 	// epoch of the plan it ran on (NewPlan leaves it 0).
 	epoch uint64
+	// homes is the plan's delegate home slots, built on its first repair.
+	homes delegateHomes
 
 	pool sync.Pool // of *Session
 	// Pool observability (PoolStats): how often a query reused a recycled
@@ -417,11 +419,35 @@ type planEnv struct {
 	p     int
 	d     int64
 	epoch uint64
+	homes *delegateHomes
 }
 
 // env snapshots the plan's immutable execution environment.
 func (p *Plan) env() planEnv {
-	return planEnv{sg: p.sg, shape: p.shape, cfg: p.cfg, p: p.p, d: p.d, epoch: p.epoch}
+	return planEnv{sg: p.sg, shape: p.shape, cfg: p.cfg, p: p.p, d: p.d, epoch: p.epoch, homes: &p.homes}
+}
+
+// delegateHomes lists, per GPU, the local slots whose vertex is a delegate:
+// the normal slots a repair's preload fills from the prior's levels and must
+// then clear (repairPreload). Only repairs read it, so a plan builds it on its
+// first one.
+type delegateHomes struct {
+	once  sync.Once
+	slots [][]uint32
+}
+
+// get returns the home slots of sg's delegates, GPU by GPU in ascending
+// order, building them on the first call.
+func (h *delegateHomes) get(sg *partition.Subgraphs) [][]uint32 {
+	h.once.Do(func() {
+		cfg := sg.Cfg
+		h.slots = make([][]uint32, cfg.P())
+		for _, v := range sg.Sep.DelegateGlobal {
+			g := cfg.OwnerGPU(v)
+			h.slots[g] = append(h.slots[g], cfg.LocalID(v))
+		}
+	})
+	return h.slots
 }
 
 // runEnv is what the superstep loop (run.go) and the modelled clock

@@ -318,16 +318,10 @@ func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
 	e.gatherRank(rank, ps)
 }
 
-// treeDirections computes the level volumes (and level tags) of one
-// delegate-level replica and from the volumes each level pair's direction:
-// push[L] reports that the tree edges into level L are found from the rows
-// of level L−1. Ties go to push
-// (equal edge volume, and the earlier level of a BFS is the one with fewer
-// rows). push has one entry past the deepest level, false, so the deepest
-// rows never push; push[0] is true so the root never pulls. Every rank
-// derives the identical answer from the replicated directory.
+// treeDirections computes the level tags and volumes of one delegate-level
+// replica and from the volumes each level pair's direction (levelDirections).
+// Every rank derives the identical answer from the replicated directory.
 func (ps *parentScratch) treeDirections(dLevel []int32, outDeg []int64) []bool {
-	vol := ps.vol[:0]
 	if cap(ps.tag) < len(dLevel) {
 		ps.tag = make([]uint8, len(dLevel))
 	}
@@ -335,22 +329,43 @@ func (ps *parentScratch) treeDirections(dLevel []int32, outDeg []int64) []bool {
 	for di, l := range dLevel {
 		if l < 0 {
 			tag[di] = noTag
+		} else {
+			tag[di] = levelTag(l)
+		}
+	}
+	ps.vol = levelVolumes(ps.vol, dLevel, outDeg)
+	ps.push = levelDirections(ps.push, ps.vol)
+	return ps.push
+}
+
+// levelVolumes returns, in vol's storage, Σ outDeg of the delegates on each
+// level of dLevel.
+func levelVolumes(vol []int64, dLevel []int32, outDeg []int64) []int64 {
+	vol = vol[:0]
+	for di, l := range dLevel {
+		if l < 0 {
 			continue
 		}
-		tag[di] = levelTag(l)
 		for int(l) >= len(vol) {
 			vol = append(vol, 0)
 		}
 		vol[l] += outDeg[di]
 	}
-	ps.vol = vol
-	push := append(ps.push[:0], true)
+	return vol
+}
+
+// levelDirections returns, in push's storage, each level pair's direction
+// from the level volumes: push[L] reports that the tree edges into level L
+// are found from the rows of level L−1. Ties go to push (equal edge volume,
+// and the earlier level of a BFS is the one with fewer rows). push has one
+// entry past the deepest level, false, so the deepest rows never push;
+// push[0] is true so the root never pulls.
+func levelDirections(push []bool, vol []int64) []bool {
+	push = append(push[:0], true)
 	for l := 1; l < len(vol); l++ {
 		push = append(push, vol[l-1] <= vol[l])
 	}
-	push = append(push, false)
-	ps.push = push
-	return push
+	return append(push, false)
 }
 
 // levelTag is a level's one-byte stand-in; noTag marks an unvisited delegate.
@@ -370,28 +385,19 @@ func missMask(a, b uint8) uint32 { return uint32(int32(-uint32(a^b)) >> 31) }
 // parent one level up, global id + 1; global is the delegate directory) and
 // returns the row entries read. A row at level l pulls for itself when pair
 // (l−1, l) is a pull and offers itself to its level-l+1 neighbors when pair
-// (l, l+1) is a push. The pull's compare is arithmetic: a neighbor's level is
-// a coin flip to the branch predictor. With only set (a d-bit mask's words)
-// the pass reads just those rows and resolves each both ways whatever push
-// says — the repair's patch, whose rows' neighbors will not be visited
-// themselves.
-func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, only []uint64, global []int64, cand []uint32) int64 {
+// (l, l+1) is a push. The pull's compare is arithmetic on the one-byte level
+// tags: a neighbor's level is a coin flip to the branch predictor.
+func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, global []int64, cand []uint32) int64 {
 	var scanned int64
 	offs, cols := pg.DD.RowOffsets, pg.DD.Cols
 	for wi, word := range pg.DDSourceMask.Words() {
-		if only != nil {
-			word &= only[wi]
-		}
 		for ; word != 0; word &= word - 1 {
 			di := wi*64 + bits.TrailingZeros64(word)
 			l := dLevel[di]
 			if l < 0 {
 				continue
 			}
-			pull, pushDown := true, true
-			if only == nil {
-				pull, pushDown = !push[l], push[l+1]
-			}
+			pull, pushDown := !push[l], push[l+1]
 			if !pull && !pushDown {
 				continue
 			}
@@ -417,6 +423,38 @@ func ddPass(pg *partition.GPUGraph, dLevel []int32, tag []uint8, push []bool, on
 	return scanned
 }
 
+// ddPatch is the repair patch's dd pass: it reads just the rows of the
+// delegates set in only (a d-bit mask's words) and resolves each both ways —
+// its smallest neighbor one level up, its offer to those one level down —
+// because its rows' neighbors will not be visited themselves. A patch reads
+// few rows, so it compares the levels themselves and needs no tags.
+func ddPatch(pg *partition.GPUGraph, dLevel []int32, only []uint64, global []int64, cand []uint32) int64 {
+	var scanned int64
+	offs, cols := pg.DD.RowOffsets, pg.DD.Cols
+	for wi, word := range pg.DDSourceMask.Words() {
+		for word &= only[wi]; word != 0; word &= word - 1 {
+			di := wi*64 + bits.TrailingZeros64(word)
+			l := dLevel[di]
+			if l < 0 {
+				continue
+			}
+			row := cols[offs[di]:offs[di+1]]
+			scanned += int64(len(row))
+			best, self := uint32(math.MaxUint32), uint32(global[di])
+			for _, dv := range row {
+				switch dLevel[dv] {
+				case l - 1:
+					best = min(best, dv)
+				case l + 1:
+					cand[dv] = fold(cand[dv], self)
+				}
+			}
+			cand[di] = fold(cand[di], delegateOffer(global, best))
+		}
+	}
+	return scanned
+}
+
 // resolveDelegateTier fills ps.cand with this rank's smallest parent
 // candidate per delegate: the dd candidates the cold traversal's kernels
 // recorded or, where they recorded none (a repair's full resolution), the
@@ -429,7 +467,7 @@ func (e *Session) resolveDelegateTier(rank int, source int64, ps *parentScratch)
 		push := ps.treeDirections(dt.level, e.sg.DelegateOutDeg)
 		cand := ps.candidates(e.d)
 		for _, gs := range gpus {
-			ddPass(gs.pg, dt.level, ps.tag, push, nil, sep.DelegateGlobal, cand)
+			ddPass(gs.pg, dt.level, ps.tag, push, sep.DelegateGlobal, cand)
 		}
 	}
 	if di := sep.DelegateID[source]; di >= 0 {

@@ -2,7 +2,9 @@ package core
 
 // Delta BFS repair: given a prior query's exact outcome (levels and canonical
 // tree over the OLD graph epoch), the set of vertices an edge delta
-// invalidated (delta.Invalidated) and the edges it inserted, Repair derives
+// invalidated (delta.Invalidated; MutableService.Repair derives the same set
+// from the new epoch's rows, delta.InvalidatedRows) and the edges it
+// inserted, Repair derives
 // the NEW epoch's BFS tree without a full recompute. The plan it runs on is
 // the new epoch's — kernels see the mutated adjacency — while the prior levels
 // seed a corrective wave:
@@ -10,6 +12,9 @@ package core
 //   - Preload: every still-valid vertex keeps its prior level (deletions
 //     cannot raise it: its whole canonical parent chain survived, so a path
 //     of the old length still exists); invalidated vertices reset to -1.
+//     What every rank needs alike of the prior outcome — the delegates'
+//     levels, which of them and which normals the delta voided — is read
+//     once per repair, not once per rank (repairPrologue.gather).
 //
 //   - Seeds: a level can only change where an edge now breaks the BFS
 //     condition (one end more than one level below the other): at (a) an
@@ -164,7 +169,9 @@ func (in *repairIn) check(n int64) error {
 // Repair executes a corrective traversal on a pooled Session: prior is the
 // exact outcome of an earlier query on the graph epoch this plan's delta
 // departed from, invalid marks the vertices whose prior level the delta voided
-// (delta.Invalidated) and inserts are the delta's inserted edges. The wave
+// (delta.Invalidated, or delta.InvalidatedRows over this plan's subgraphs,
+// which gives the same mask) and inserts are the delta's inserted edges. The
+// wave
 // starts at the invalidated vertices, each at its tentative level, and at the
 // inserts that shorten a path (delta.InsertSeeds). The result is
 // bit-identical (levels, and parents when collected) to Plan.Run on this
@@ -253,53 +260,82 @@ func (e *Session) repair(ctx context.Context, in *repairIn) (*metrics.RunResult,
 	return e.traverse(ctx, in.source, out, func() error { return e.repairWave(ctx, in) })
 }
 
-// repairPreload fills this rank's level and parent arrays — the repair's
-// session was reset without them — mapping the prior outcome onto this epoch's
-// layout: still-valid vertices keep their prior level, by global id, so a
-// delegate-set shift between epochs lands every level in the right array;
-// invalidated ones start at -1 and join the re-pull set (the GPU's list, the
-// rank's delegate mask), the delegates also the rank's list of them in
-// ascending order (sc.voided). Delegates' normal home slots hold -1 exactly as the
-// plain BFS leaves them — a delegate's level lives only in the rank's delegate
-// tier (its adjacency is dd/dn, so a level in the normal slot would claim a
-// vertex the nn/nd machinery can never explain); the rank walks the delegate
-// directory once into its tier. No vertex has a parent yet: the prior's are
-// read where the tree is patched (repair_tree.go).
-func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairIn) {
+// gather reads, once per repair on the phase driver's goroutine, what every
+// rank's preload takes of the prior outcome and the invalid mask: the
+// delegates' prior levels by global id, -1 where invalidated, so a
+// delegate-set shift between epochs lands every level in the right place; the
+// invalidated delegates in ascending order (voided); and each GPU's
+// invalidated normal vertices as ascending local slots.
+func (pr *repairPrologue) gather() {
+	e, in := pr.e, pr.in
 	sep := e.sg.Sep
+	if int64(len(pr.dLevel)) != e.d {
+		pr.dLevel = make([]int32, e.d)
+	}
+	for di, v := range sep.DelegateGlobal {
+		pr.dLevel[di] = in.levels[v]
+	}
+	if len(pr.slots) != e.p {
+		pr.slots = make([][]uint32, e.p)
+	}
+	for g := range pr.slots {
+		pr.slots[g] = pr.slots[g][:0]
+	}
+	pr.voided = pr.voided[:0]
+	for v, bad := range in.invalid {
+		if !bad {
+			continue
+		}
+		if di := sep.DelegateID[v]; di >= 0 {
+			pr.dLevel[di] = -1
+			pr.voided = append(pr.voided, uint32(di))
+		} else {
+			g := e.cfg.OwnerGPU(int64(v))
+			pr.slots[g] = append(pr.slots[g], e.cfg.LocalID(int64(v)))
+		}
+	}
+}
+
+// repairPreload fills this rank's level and parent arrays — the repair's
+// session was reset without them — from what gather read: every slot takes the
+// prior level of its vertex, and then the delegates' home slots (the plan's
+// delegateHomes) and the invalidated normals' go back to -1, the latter
+// joining the GPU's re-pull list. Delegates' normal home slots hold -1 exactly
+// as the plain BFS leaves them — a delegate's level lives only in the rank's
+// delegate tier (its adjacency is dd/dn, so a level in the normal slot would
+// claim a vertex the nn/nd machinery can never explain); the rank copies
+// gather's delegate levels into its tier and marks the invalidated delegates
+// in its re-pull mask. No vertex has a parent yet: the prior's are read where
+// the tree is patched (repair_tree.go).
+func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, pr *repairPrologue) {
+	prior := pr.in.levels
+	homes := e.homes.get(e.sg)
 	p64 := int64(e.p)
 	for _, gs := range myGPUs {
+		g := gs.pg.GPU
 		v := e.cfg.Residue(gs.pg.Rank, gs.pg.Slot)
 		for slot := range gs.levels {
-			lvl := int32(-1)
-			switch {
-			case sep.DelegateID[v] >= 0:
-			case in.invalid[v]:
-				gs.rep = append(gs.rep, uint32(slot))
-			default:
-				lvl = in.levels[v]
-			}
-			gs.levels[slot] = lvl
+			gs.levels[slot] = prior[v]
 			v += p64
 		}
+		for _, slot := range homes[g] {
+			gs.levels[slot] = -1
+		}
+		for _, slot := range pr.slots[g] {
+			gs.levels[slot] = -1
+		}
+		gs.rep = append(gs.rep, pr.slots[g]...)
 		if e.opts.CollectParents {
 			clear(gs.parents)
 		}
 	}
+	copy(sc.dt.level, pr.dLevel)
 	if sc.members == nil {
 		sc.members = bitmask.New(e.d)
 	}
 	sc.members.Reset()
-	sc.voided = sc.voided[:0]
-	dl := sc.dt.level
-	for di, v := range sep.DelegateGlobal {
-		if in.invalid[v] {
-			dl[di] = -1
-			sc.members.Set(int64(di))
-			sc.voided = append(sc.voided, uint32(di))
-		} else {
-			dl[di] = in.levels[v]
-		}
+	for _, di := range pr.voided {
+		sc.members.Set(int64(di))
 	}
 }
 
@@ -309,7 +345,7 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 // touched insert endpoints in the re-pull set. Owned invalid normal
 // rows scan on the owner GPU, whose tentative level it schedules; invalid
 // delegate rows scan sliced across every GPU, and the rank's partial minima
-// go to sc.dTent, negated, one entry per invalid delegate in DelegateGlobal
+// go to sc.dTent, negated, one entry per invalid delegate in pr.voided
 // order (noTentative where none), for the prologue's max-fold. Every scan
 // reads only valid vertices' levels: invalid ones hold -1 until readProbe
 // and scheduleSeeds write the tentative levels. The nn neighbors on other
@@ -318,14 +354,14 @@ func (e *Session) repairPreload(myGPUs []*gpuState, sc *rankScratch, in *repairI
 // makes, and their owner keeps them as seeds where its preloaded levels hold
 // one (probeSeeds, readProbe). Returns the scan's compute seconds (max over
 // this rank's GPUs).
-func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, in *repairIn) (comp float64) {
-	invalid := in.invalid
+func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *rankScratch, pr *repairPrologue) (comp float64) {
+	in := pr.in
 	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
 	sep := e.sg.Sep
 	dl := sc.dt.level
 	tent := sc.dTent[:0]
-	for range sc.voided {
+	for range pr.voided {
 		tent = append(tent, noTentative)
 	}
 	sc.dTent = tent
@@ -335,11 +371,8 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 		// Owned invalid normal vertices: their nn/nd rows name every neighbor
 		// that might re-derive them. Invalid delegates are handled below
 		// (their home slots have no nn/nd rows).
-		for slot := int64(0); slot < pg.NumLocal; slot++ {
-			v := e.cfg.GlobalID(uint32(slot), pg.Rank, pg.Slot)
-			if !invalid[v] || sep.IsDelegate(v) {
-				continue
-			}
+		for _, local := range pr.slots[pg.GPU] {
+			slot := int64(local)
 			rows++
 			best := int32(math.MaxInt32)
 			for _, nb := range pg.NN.Neighbors(slot) {
@@ -365,7 +398,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 		}
 		// Invalid delegates: every GPU scans its slice of their dd/dn rows.
-		for k, di := range sc.voided {
+		for k, di := range pr.voided {
 			rows++
 			di64 := int64(di)
 			best := int32(math.MaxInt32)
@@ -444,6 +477,19 @@ type repairPrologue struct {
 	in *repairIn
 	// mx is the max-fold's result, which every rank reads in phaseSeeds.
 	mx []int64
+	// What gather read of the prior outcome for every rank, read-only in the
+	// phases: the delegates' levels (-1 invalidated), the invalidated
+	// delegates in ascending order, and per GPU the invalidated normals'
+	// ascending local slots. Reused across pooled repairs.
+	dLevel []int32
+	voided []uint32
+	slots  [][]uint32
+	// full is the row entries a full resolution of the wave's levels reads
+	// (fullReads), priced once before the finishers start.
+	full int64
+	// vol and push are fullReads' buffers.
+	vol  []int64
+	push []bool
 }
 
 func (pr *repairPrologue) step(ph phase, rank int) {
@@ -451,12 +497,12 @@ func (pr *repairPrologue) step(ph phase, rank int) {
 	myGPUs, comm := e.rankGPUs(rank), e.world.Rank(rank)
 	switch ph {
 	case phaseProbe:
-		e.repairPreload(myGPUs, sc, pr.in)
-		sc.probeComp = e.repairProbe(rank, comm, myGPUs, sc, pr.in)
+		e.repairPreload(myGPUs, sc, pr)
+		sc.probeComp = e.repairProbe(rank, comm, myGPUs, sc, pr)
 	case phaseProbeRead:
 		e.readProbe(comm, myGPUs, sc)
 	case phaseSeeds:
-		e.scheduleSeeds(myGPUs, sc, pr.mx)
+		e.scheduleSeeds(myGPUs, sc, pr)
 	}
 }
 
@@ -467,8 +513,9 @@ func (pr *repairPrologue) step(ph phase, rank int) {
 // one the probe round's posts ride, one max-fold and one sum.
 func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
 	pr, d := &e.probe, &e.drv
-	*pr = repairPrologue{e: e, in: in, mx: pr.mx}
-	// The preload walks every vertex.
+	pr.e, pr.in = e, in
+	pr.gather()
+	// The preload writes every vertex's level.
 	d.fan = e.sg.N >= fanWork
 	defer d.stop()
 	if err := d.run(pr, phaseProbe); err != nil {
@@ -492,10 +539,7 @@ func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
 		// No seeds anywhere: the prior levels already are the new epoch's
 		// exact outcome (invalidated vertices, if any, are unreachable now),
 		// and the tree differs from the prior's at those vertices only.
-		if !e.collects() {
-			return nil
-		}
-		return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.finishRepair(rank, comm, in) })
+		return e.finishRepairs(in)
 	}
 	// Per-level global seed counts, the sum: the policy's frontier-size
 	// inputs.
@@ -514,7 +558,22 @@ func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
 		repair:   in,
 	}
 	e.bindWave(in.source, w)
-	return e.runWave(ctx, w.schedule)
+	if err := e.drive(ctx, e.loops, w.schedule); err != nil || e.rec.cancelled {
+		return err
+	}
+	return e.finishRepairs(in)
+}
+
+// finishRepairs resolves and gathers every rank's share of a repair's result,
+// when the query collects one. Whether the prior tree is patched or resolved
+// in full is decided from the delegate levels, which every rank holds alike,
+// so the full resolution's reads are priced once, here, from rank 0's tier.
+func (e *Session) finishRepairs(in *repairIn) error {
+	if !e.collects() {
+		return nil
+	}
+	e.probe.full = e.fullReads(e.scratch[0].dt.level)
+	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.finishRepair(rank, comm, in) })
 }
 
 // readProbe reads the probe round's posts (the targets other GPUs found here
@@ -576,10 +635,11 @@ func (pr *repairPrologue) chargeProbe() {
 // at its tentative level, from replicated data, so identical on every rank —
 // and the wave's span, the global seed-level bounds, and counts the rank's
 // normal seeds per level for the sum.
-func (e *Session) scheduleSeeds(myGPUs []*gpuState, sc *rankScratch, mx []int64) {
+func (e *Session) scheduleSeeds(myGPUs []*gpuState, sc *rankScratch, pr *repairPrologue) {
+	mx := pr.mx
 	hi, lo := mx[0], -mx[1]
 	dl := sc.dt.level
-	for k, di := range sc.voided {
+	for k, di := range pr.voided {
 		if t := mx[6+k]; t != noTentative {
 			dl[di] = int32(-t)
 			sc.dSeeds = append(sc.dSeeds, seedKey(int32(-t), di))

@@ -218,11 +218,23 @@ const chainEpochs = 4
 // tree's error could compound where a resolved one's cannot. Every link must
 // equal, entry for entry in levels and parents, Plan.Run on that epoch and the
 // serial min-id oracle, on the patching path and with the full resolution
-// forced over the same copied arrays.
+// forced over the same copied arrays. Before each repair, the invalidated set
+// MutableService.Repair derives — delta.InvalidatedRows over the new epoch's
+// subgraphs — must equal delta.Invalidated's, which the repair then takes.
 func FuzzRepairChain(f *testing.F) {
 	f.Fuzz(func(t *testing.T, scale, shape, exchange, mode, threshold, kind, frac uint8, seed uint64) {
 		runChain(t, chainCase{scale, shape, exchange, mode, threshold, kind, frac, seed}, nil)
 	})
+}
+
+// countTrue counts a mask's set entries.
+func countTrue(mask []bool) (n int) {
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 // chainCase is one FuzzRepairChain input.
@@ -300,6 +312,10 @@ func runChain(t *testing.T, cc chainCase, check func(*chainEpoch)) {
 		requireMinParents(t, label, graph.BuildCSR(el2), source, full.Levels, full.Parents)
 
 		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+		if rows := delta.InvalidatedRows(prior.Levels, prior.Parents, b, sg2.Neighbors); !slices.Equal(rows, invalid) {
+			t.Fatalf("%s, epoch %d: the row walk over the new epoch marks %d vertices, delta.Invalidated %d (or others)",
+				label, epoch, countTrue(rows), countTrue(invalid))
+		}
 		patched, err := plan2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents},
 			invalid, b.Inserts, Overrides{})
 		if err != nil {

@@ -327,6 +327,41 @@ func TestRepairLargeDelta(t *testing.T) {
 	checkRepair(t, el, ClusterShape{Nodes: 2, RanksPerNode: 1, GPUsPerRank: 2}, 32, opts, repairSource(el), b)
 }
 
+// TestRepairPatchesWhileItReadsLess holds the patch-or-full rule to its row
+// counts: a repair whose re-pull set reads less than the full resolution
+// patches the prior tree and sends fewer pairs than the same repair with the
+// full resolution forced, and one that would read more resolves in full and
+// sends exactly what the forced one sends.
+func TestRepairPatchesWhileItReadsLess(t *testing.T) {
+	el := rmat.Generate(rmat.DefaultParams(12))
+	shape := ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
+	opts := repairOptions()
+	source := repairSource(el)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		frac  float64
+		patch bool
+	}{{0.001, true}, {0.3, false}} {
+		b := delta.Synthesize(el, tc.frac, delta.KindMixed, 5)
+		prior, p2 := nextEpoch(t, el, shape, 32, opts, source, b)
+		invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+		rep, err := p2.Repair(ctx, Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &repairIn{source: source, levels: prior.Levels, parents: prior.Parents, invalid: invalid, full: true}
+		in.addInserts(b.Inserts)
+		forced, err := p2.repair(ctx, opts, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTree(t, fmt.Sprintf("%g delta", tc.frac), rep, forced)
+		if patched := rep.ParentPairs < forced.ParentPairs; patched != tc.patch || (!tc.patch && rep.ParentPairs != forced.ParentPairs) {
+			t.Fatalf("%g delta: the repair sent %d pairs, the forced full resolution %d; want the patch %v", tc.frac, rep.ParentPairs, forced.ParentPairs, tc.patch)
+		}
+	}
+}
+
 func TestRepairEmptyDelta(t *testing.T) {
 	el := rmat.Generate(rmat.DefaultParams(9))
 	shape := ClusterShape{Nodes: 1, RanksPerNode: 2, GPUsPerRank: 2}
@@ -758,7 +793,7 @@ func ddPassReads(s *Session) (reads int64) {
 	push := ps.treeDirections(dLevel, s.sg.DelegateOutDeg)
 	cand := ps.candidates(s.d)
 	for _, gs := range s.gpus {
-		reads += ddPass(gs.pg, dLevel, ps.tag, push, nil, s.sg.Sep.DelegateGlobal, cand)
+		reads += ddPass(gs.pg, dLevel, ps.tag, push, s.sg.Sep.DelegateGlobal, cand)
 	}
 	return reads
 }

@@ -29,18 +29,21 @@ import (
 // Each rank then rewrites only the result entries it touched; the arrays began
 // as a copy of the prior's (Plan.repair). That is less work only while R is
 // small: the ranks sum the row entries the patch would read and, once that
-// exceeds what the full resolution reads (fullReads), run that instead — over
-// the same levels, to the same tree, as whole-graph repairs always ended.
+// exceeds what the full resolution reads (fullReads, priced once per repair by
+// finishRepairs), run that instead — over the same levels, to the same tree,
+// as whole-graph repairs always ended.
 
 // fullReads estimates the row entries a full resolution of the delegate
 // levels in dLevel reads, from replicated data alone: the delegate volume of
 // the levels its direction-optimised dd pass selects, every nd row and every
-// nn row. It leaves ps.tag describing dLevel.
-func (e *Session) fullReads(ps *parentScratch, dLevel []int32) int64 {
-	push := ps.treeDirections(dLevel, e.sg.DelegateOutDeg)
+// nn row.
+func (e *Session) fullReads(dLevel []int32) int64 {
+	pr := &e.probe
+	pr.vol = levelVolumes(pr.vol, dLevel, e.sg.DelegateOutDeg)
+	pr.push = levelDirections(pr.push, pr.vol)
 	reads := e.sg.CountND + e.sg.CountNN
-	for l, vol := range ps.vol {
-		if !push[l] || push[l+1] {
+	for l, vol := range pr.vol {
+		if !pr.push[l] || pr.push[l+1] {
 			reads += vol
 		}
 	}
@@ -84,7 +87,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			reads[0] += e.sg.DelegateOutDeg[di]
 		}
 	})
-	if in.full || reads[0] > e.fullReads(ps, dLevel) {
+	if in.full || reads[0] > e.probe.full {
 		e.finishQuery(rank, comm, in.source)
 		return
 	}
@@ -97,7 +100,7 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 	cand := ps.candidates(e.d)
 	ps.patchReads = 0
 	for _, gs := range gpus {
-		ps.patchReads += ddPass(gs.pg, dLevel, ps.tag, nil, dMembers.Words(), sep.DelegateGlobal, cand)
+		ps.patchReads += ddPatch(gs.pg, dLevel, dMembers.Words(), sep.DelegateGlobal, cand)
 	}
 	offers := ps.pairBins(e, 0)
 	for _, gs := range gpus {

@@ -215,9 +215,9 @@ type bspLoop struct {
 // its frontier known beforehand and — a repair — its input. A cold run and a
 // repair run the same kernels under the same visit rule (kernels.go); a
 // repair's input decides only what the lanes list for its finisher (the
-// vertices the wave re-levels, rotate and commit) and which finisher runs:
-// finishRepair, which patches the prior tree where that is less work, or
-// finishQuery, which resolves the tree from nothing.
+// vertices the wave re-levels, rotate and commit), finishRepairs, which
+// patches the prior tree where that is less work; a cold run's is
+// finishQuery, which resolves the tree from nothing (runWave).
 type wave struct {
 	schedule
 	repair *repairIn
@@ -1004,18 +1004,10 @@ func (l *sourceLanes) rotate() {
 	}
 }
 
-// finish resolves and gathers the rank's share of the result, when the query
-// collects one: a repair's by patching the prior tree where that is less work
-// (finishRepair), a cold run's from nothing (finishQuery).
-func (l *sourceLanes) finish(comm *mpi.Comm) {
-	switch {
-	case !l.e.collects():
-	case l.w.repair != nil:
-		l.e.finishRepair(l.rank, comm, l.w.repair)
-	default:
-		l.e.finishQuery(l.rank, comm, l.source)
-	}
-}
+// finish resolves and gathers the rank's share of a cold run's result from
+// nothing (finishQuery). A repair's wave ends in finishRepairs instead, which
+// patches the prior tree where that is less work.
+func (l *sourceLanes) finish(comm *mpi.Comm) { l.e.finishQuery(l.rank, comm, l.source) }
 
 // applyIDs is the visit rule for received local ids claiming the given depth
 // (duplicates, and ids whose level the rule does not improve, are ignored, as

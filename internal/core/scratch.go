@@ -56,13 +56,12 @@ type rankScratch struct {
 
 	// dSeeds/dCursor are the repair traversal's delegate injection schedule,
 	// (level, delegate id) keys in ascending order, emptied by Session.reset;
-	// every rank builds the identical one from replicated data. voided lists
-	// the delegates the repair invalidated, in ascending order, and dTent this
-	// rank's partial tentative levels for them, negated (repairProbe). All
-	// three are reused across pooled queries.
+	// every rank builds the identical one from replicated data. dTent is this
+	// rank's partial tentative levels for the delegates the repair
+	// invalidated (repairPrologue.voided), negated (repairProbe). Both are
+	// reused across pooled queries.
 	dSeeds  []uint64
 	dCursor int
-	voided  []uint32
 	dTent   []int64
 	// probeComp, seedLo/seedHi and seedCounts carry a repair's prologue from
 	// phase to phase (repairPrologue): the probe scan's compute seconds, the

@@ -5,16 +5,25 @@
 // order, so per-GPU CSRs of untouched partitions rebuild byte-identically —
 // see partition.DistributeIncremental), and ApplyDegrees also carries the
 // out-degrees across, so the next epoch's degree separation needs no pass
-// over its edges; Invalidated derives, from a prior canonical BFS result,
-// which vertices a delta's deletes void — the input of core.Plan.Repair's
-// corrective traversal.
+// over its edges.
+//
+// From a prior canonical BFS result, InvalidatedRows derives which vertices a
+// delta's deletes void — the input of core.Plan.Repair's corrective traversal
+// — by walking the orphaned subtrees down the NEW epoch's rows, at a cost in
+// proportion to them. Invalidated derives the same mask from the parent
+// chains alone, in O(n): it is InvalidatedRows' fallback once a subtree's
+// rows outnumber the vertices, and its oracle. Affected (Invalidated plus
+// InsertSeeds) serves the callers that hold no rows: the benchmark's traced
+// pass and the cmp6 experiment, which feed core.Plan.RunRepair.
 //
 // The package sits below core: it knows edge lists and BFS trees, nothing
-// about partitions, sessions or epochs.
+// about partitions, sessions or epochs — a new epoch's rows reach it as a
+// neighbor iterator.
 package delta
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"gcbfs/internal/graph"
@@ -92,7 +101,8 @@ func (b *Batch) Validate(n int64) error {
 // A surviving edge costs one hash and one load from a bitset of a few KiB
 // (deleteFilter); the delete map is consulted only on a filter hit, so the
 // result is exact. The scan and the copy each run on graph.BuildWorkers()
-// chunks of the list; the output does not depend on how it is cut.
+// chunks of the list, and the output list is allocated on a goroutine of its
+// own while the scan runs; the output does not depend on how the list is cut.
 func Apply(el *graph.EdgeList, b *Batch) (*graph.EdgeList, error) {
 	out, _, err := apply(el, b, nil, graph.BuildWorkers())
 	return out, err
@@ -133,6 +143,14 @@ func apply(el *graph.EdgeList, b *Batch, deg []int64, workers int) (*graph.EdgeL
 		filter.add(r)
 	}
 
+	// The output is allocated beside the scan, at the size it has if nothing
+	// drops: make zeroes all of it, for about as long as the scan takes, and
+	// on the caller's goroutine the two would run one after the other. The
+	// channel holds the one send, so the goroutine ends on its own when an
+	// invalid delete returns before the copy receives it.
+	alloc := make(chan []graph.Edge, 1)
+	go func() { alloc <- make([]graph.Edge, len(el.Edges)+2*len(b.Inserts)) }()
+
 	// Scan: each worker lists the edges of its chunk that go. The filter
 	// hashes any endpoints, in range or not, and no out-of-range edge is in
 	// del (Validate saw every delete).
@@ -168,7 +186,7 @@ func apply(el *graph.EdgeList, b *Batch, deg []int64, workers int) (*graph.EdgeL
 	// Copy: the runs between dropped edges, each chunk to where the drops
 	// of the chunks before it put it.
 	kept := len(el.Edges) - dropped
-	out := &graph.EdgeList{N: el.N, Edges: make([]graph.Edge, kept+2*len(b.Inserts))}
+	out := &graph.EdgeList{N: el.N, Edges: (<-alloc)[:kept+2*len(b.Inserts)]}
 	graph.ForChunks(len(el.Edges), workers, func(w, lo, hi int) {
 		dst := lo
 		for _, ds := range drops[:w] {
@@ -248,19 +266,62 @@ func (f deleteFilter) has(e graph.Edge) bool {
 // reached vertex walks its chain up to the first vertex already decided — an
 // orphan, the root, or one an earlier walk passed — and every vertex on the
 // walk takes that vertex's verdict. Each vertex is walked once, and no child
-// index is built.
+// index is built; the walk costs O(n) whatever the delta. InvalidatedRows
+// gives the same mask at the cost of the subtrees' rows, and falls back to
+// this walk.
 //
 // The wave's seeds are not derived here: InsertSeeds picks the inserts that
 // shorten a path, and core.Plan.Repair's probe gives each invalidated vertex
 // a tentative level from the valid neighbors it reads in the NEW epoch.
 func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
+	invalid = make([]bool, len(levels))
+	chainWalk(levels, parents, orphans(levels, parents, b, invalid), invalid)
+	return invalid
+}
+
+// InvalidatedRows is Invalidated derived downward through the NEW epoch's
+// rows: neighbors yields a vertex's out-neighbors after the batch (a
+// partition.Subgraphs' Neighbors). From the orphans it walks the prior tree,
+// a child of x being a neighbor w with parents[w] == x, so it reads the rows
+// of the invalidated vertices and nothing else. A tree edge the batch deleted
+// is missing from the rows, but its child is an orphan already, and every
+// other tree edge survived; the mask is exactly Invalidated's. Once the walk
+// has read more row entries than there are vertices, the chain walk is the
+// cheaper one, and it returns that instead.
+func InvalidatedRows(levels []int32, parents []int64, b *Batch, neighbors func(v int64) iter.Seq[int64]) []bool {
+	invalid, _ := invalidatedRows(levels, parents, b, neighbors)
+	return invalid
+}
+
+// invalidatedRows implements InvalidatedRows and reports whether it fell back
+// to the chain walk.
+func invalidatedRows(levels []int32, parents []int64, b *Batch, neighbors func(v int64) iter.Seq[int64]) (invalid []bool, chain bool) {
 	n := len(levels)
 	invalid = make([]bool, n)
+	stack := orphans(levels, parents, b, invalid)
+	for budget := n; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for w := range neighbors(x) {
+			if budget--; budget < 0 {
+				clear(invalid)
+				chainWalk(levels, parents, orphans(levels, parents, b, invalid), invalid)
+				return invalid, true
+			}
+			if parents[w] == x && !invalid[w] && levels[w] >= 1 {
+				invalid[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return invalid, false
+}
 
-	// Orphan roots: deleted tree edges.
-	var roots []int64
+// orphans marks and returns the children of the batch's deleted tree edges.
+func orphans(levels []int32, parents []int64, b *Batch, invalid []bool) (roots []int64) {
+	n := int64(len(levels))
 	orphan := func(child, lost int64) {
-		if child < int64(n) && levels[child] >= 1 && parents[child] == lost && !invalid[child] {
+		if child < n && levels[child] >= 1 && parents[child] == lost && !invalid[child] {
 			invalid[child] = true
 			roots = append(roots, child)
 		}
@@ -269,10 +330,15 @@ func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 		orphan(e.V, e.U)
 		orphan(e.U, e.V)
 	}
-	if len(roots) == 0 {
-		return invalid
-	}
+	return roots
+}
 
+// chainWalk marks, past the orphans in roots (marked already), every vertex
+// whose parent chain meets one.
+func chainWalk(levels []int32, parents []int64, roots []int64, invalid []bool) {
+	if len(roots) == 0 {
+		return
+	}
 	// verdict is the walks' memo, one byte per vertex so that their random
 	// reads stay in a cache-sized array: undecided until a walk passes the
 	// vertex, the orphans void from the start. A walk also stops at the root
@@ -282,7 +348,7 @@ func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 		valid
 		void
 	)
-	verdict := make([]uint8, n)
+	verdict := make([]uint8, len(levels))
 	for _, v := range roots {
 		verdict[v] = void
 	}
@@ -305,7 +371,6 @@ func Invalidated(levels []int32, parents []int64, b *Batch) (invalid []bool) {
 		}
 		path = path[:0]
 	}
-	return invalid
 }
 
 // InsertSeeds returns, in ascending order, the inserted edges' endpoints that

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"gcbfs/internal/bitmask"
@@ -114,6 +115,41 @@ type Subgraphs struct {
 
 // D returns the delegate count.
 func (sg *Subgraphs) D() int64 { return sg.Sep.D() }
+
+// Neighbors yields v's out-neighbors as global ids, each directed edge v→w
+// once (parallel copies repeat): a normal vertex's NN and ND rows on its owner
+// GPU, a delegate's DN and DD slices on every GPU, in GPU order.
+func (sg *Subgraphs) Neighbors(v int64) iter.Seq[int64] {
+	return func(yield func(int64) bool) {
+		cfg, global := sg.Cfg, sg.Sep.DelegateGlobal
+		if di := int64(sg.Sep.DelegateID[v]); di >= 0 {
+			for _, g := range sg.GPUs {
+				for _, lv := range g.DN.Neighbors(di) {
+					if !yield(cfg.GlobalID(lv, g.Rank, g.Slot)) {
+						return
+					}
+				}
+				for _, dv := range g.DD.Neighbors(di) {
+					if !yield(global[dv]) {
+						return
+					}
+				}
+			}
+			return
+		}
+		g, slot := sg.GPUs[cfg.OwnerGPU(v)], int64(cfg.LocalID(v))
+		for _, w := range g.NN.Neighbors(slot) {
+			if !yield(w) {
+				return
+			}
+		}
+		for _, dv := range g.ND.Neighbors(slot) {
+			if !yield(global[dv]) {
+				return
+			}
+		}
+	}
+}
 
 // SameDelegates reports whether two separations induce the same delegate set
 // (and therefore the same dense delegate-id mapping). Out-degrees may still

@@ -22,12 +22,15 @@ package gcbfs
 //
 // Repair is the dynamic-BFS half: given a prior result (levels AND parents)
 // from the immediately preceding epoch and the Delta that advanced it, the
-// service derives the invalidated set (delta.Invalidated) and runs the
-// corrective traversal (core.Plan.Repair) on the new epoch — bit-identical in
-// levels and parents to a full recompute, usually in far fewer simulated
-// seconds when the delta is small, and in far fewer of the host's: the
-// returned tree is a copy of the prior's, re-resolved only where the delta
-// could have changed it.
+// service derives the invalidated set by walking the orphaned subtrees down
+// the new epoch's partitioned rows (delta.InvalidatedRows over
+// partition.Subgraphs.Neighbors: a normal vertex's nn and nd rows on its
+// owner GPU, a delegate's dn and dd slices on every GPU), at the cost of those
+// subtrees' rows rather than of n, and runs the corrective traversal
+// (core.Plan.Repair) on the new epoch — bit-identical in levels and parents to
+// a full recompute, usually in far fewer simulated seconds when the delta is
+// small, and in far fewer of the host's: the returned tree is a copy of the
+// prior's, re-resolved only where the delta could have changed it.
 
 import (
 	"context"
@@ -345,11 +348,14 @@ func (m *MutableService) RunSweep(ctx context.Context, sources []int64, opts ...
 // the current one, and d must be the exact Delta the intervening ApplyDelta
 // published — both are enforced (the delta by fingerprint), because a
 // mismatched delta would silently seed the wrong corrective set. The
-// corrective traversal starts where a level can change — the orphaned
-// subtrees of deleted tree edges, each vertex at the tentative level a probe
-// of its row gives it (one more than its best valid neighbor's), and the
-// inserts that shorten a path — and runs through the same tuned exchange
-// stack as a full query. The tree is then not resolved again from
+// orphaned subtrees of deleted tree edges are found from the new epoch's rows
+// (delta.InvalidatedRows: a child is a neighbor whose prior parent is the
+// vertex read), which costs what those subtrees' rows hold, never more than
+// one parent-chain pass over every vertex. The corrective traversal starts
+// where a level can change — the orphaned subtrees, each vertex at the
+// tentative level a probe of its row gives it (one more than its best valid
+// neighbor's), and the inserts that shorten a path — and runs through the same
+// tuned exchange stack as a full query. The tree is then not resolved again from
 // nothing: the result starts as a copy of prior's arrays (prior itself is only
 // read, so a retried Repair sees the same input), and only the vertices the
 // wave re-levelled, the delta invalidated or an inserted edge touches look
@@ -366,6 +372,9 @@ func (m *MutableService) Repair(ctx context.Context, prior *Result, d *Delta, op
 		return nil, fmt.Errorf("gcbfs: prior result is from epoch %d, repair onto epoch %d needs epoch %d (re-run or repair step by step)",
 			prior.Epoch, want, want-1)
 	}
+	if n := cur.sub.N; int64(len(prior.Levels)) != n || int64(len(prior.Parents)) != n {
+		return nil, fmt.Errorf("gcbfs: prior result covers %d levels and %d parents, the graph has %d vertices", len(prior.Levels), len(prior.Parents), n)
+	}
 	if d.fingerprint() != cur.deltaFP {
 		return nil, fmt.Errorf("gcbfs: delta does not match the one ApplyDelta published for epoch %d (pass the exact Delta value)", cur.plan.Epoch())
 	}
@@ -374,7 +383,7 @@ func (m *MutableService) Repair(ctx context.Context, prior *Result, d *Delta, op
 		return nil, err
 	}
 	b := d.batch()
-	invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
+	invalid := delta.InvalidatedRows(prior.Levels, prior.Parents, b, cur.sub.Neighbors)
 	pt := core.Prior{Source: prior.Source, Levels: prior.Levels, Parents: prior.Parents}
 	var r *metrics.RunResult
 	attempts, degraded, err := cur.withRetry(ctx, &q, func(ctx context.Context, ov core.Overrides) error {

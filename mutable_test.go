@@ -184,6 +184,13 @@ func TestMutableRepairValidation(t *testing.T) {
 	if _, err := m.Repair(ctx, noParents, d); err == nil {
 		t.Fatal("repair accepted a prior without parents")
 	}
+	// A prior whose arrays do not cover the graph → rejected before its
+	// subtrees are walked.
+	short := *prior
+	short.Parents = short.Parents[:1]
+	if _, err := m.Repair(ctx, &short, d); err == nil {
+		t.Fatal("repair accepted a prior with parents missing")
+	}
 	// Correct prior works.
 	if _, err := m.Repair(ctx, prior, d); err != nil {
 		t.Fatal(err)
