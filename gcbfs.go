@@ -231,10 +231,10 @@
 // checksummed (wire.ErrCorrupt typed errors, never panics and never silently
 // wrong ids, on any decode failure) — in DefaultConfig as much as with a
 // codec on, for Repair's probes and for the PageRank and Components pair
-// exchanges as for a BFS — every per-rank goroutine runs behind a recover
-// boundary, and a fault on any rank
-// poisons the whole communicator so all ranks unwind within one BSP
-// iteration — the caller always sees an error or a complete, validated
+// exchanges as for a BFS — every rank's share of every phase runs behind a
+// recover boundary, and a fault on any rank ends the run once that phase has
+// run on every rank, within one BSP iteration — the caller always sees an
+// error or a complete, validated
 // result, never a partial one. Sessions that absorbed a fault are discarded,
 // not recycled through the query pool.
 //
@@ -1309,6 +1309,9 @@ func convert(r *metrics.RunResult) *Result {
 // Validate checks a result's hop distances against the Graph500-style rules
 // and against a serial reference BFS. The result must carry levels.
 func (s *Service) Validate(r *Result) error {
+	if r == nil {
+		return fmt.Errorf("gcbfs: no result to validate")
+	}
 	if r.Levels == nil {
 		return fmt.Errorf("gcbfs: result has no levels (levels not collected)")
 	}

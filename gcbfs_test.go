@@ -176,6 +176,9 @@ func TestValidateRequiresLevels(t *testing.T) {
 	if err := svc.Validate(res); err == nil {
 		t.Fatal("Validate accepted result without levels")
 	}
+	if err := svc.Validate(nil); err == nil {
+		t.Fatal("Validate accepted a nil result")
+	}
 }
 
 func TestBadClusterRejected(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"gcbfs/internal/core"
 	"gcbfs/internal/dense"
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/simgpu"
 	"gcbfs/internal/simnet"
@@ -74,7 +73,13 @@ type rankState struct {
 	bins       *frontier.PairBins
 	delLabels  []int64
 	delChanged []bool
+	// delProp is the rank's delegate section, its GPUs' smallest proposal
+	// per delegate; changed its convergence section, the normal labels it
+	// lowered; delChanges the delegate labels lowered, the same on every
+	// rank.
 	delProp    []int64
+	changed    []int64
+	delChanges int64
 }
 
 const unset = math.MaxInt64
@@ -109,6 +114,7 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			delLabels:  append([]int64(nil), sg.Sep.DelegateGlobal...),
 			delChanged: make([]bool, sg.D()),
 			delProp:    make([]int64, sg.D()),
+			changed:    make([]int64, 1),
 		}
 		for di := range rs.delChanged {
 			rs.delChanged[di] = true
@@ -120,8 +126,9 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 
 // Push: changed vertices propose their label along all local edges (the
 // frontier optimization every practical label-propagation implementation
-// uses).
-func (r *rankState) Push() (comp float64) {
+// uses). The delegate section is the GPUs' proposals folded locally, for the
+// global min-reduction of §V-A with 64-bit payloads.
+func (r *rankState) Push() (comp float64, delegates dense.Sections) {
 	r.bins.Reset()
 	for _, gs := range r.gpus {
 		for i := range gs.prop {
@@ -132,25 +139,15 @@ func (r *rankState) Push() (comp float64) {
 		}
 		comp = max(comp, r.pushNormals(gs)+r.pushDelegates(gs))
 	}
-	return comp
-}
-
-// ReduceDelegates is the delegate proposal min-reduction (local fold, then
-// the global tree reduction of §V-A with 64-bit payloads).
-func (r *rankState) ReduceDelegates(comm *mpi.Comm) {
 	for i := range r.delProp {
 		r.delProp[i] = unset
 	}
 	for _, gs := range r.gpus {
 		for i, v := range gs.propDel {
-			if v < r.delProp[i] {
-				r.delProp[i] = v
-			}
+			r.delProp[i] = min(r.delProp[i], v)
 		}
 	}
-	if len(r.delProp) > 0 {
-		comm.AllreduceMin(r.delProp)
-	}
+	return comp, dense.Sections{Min: r.delProp}
 }
 
 func (r *rankState) Bins() *frontier.PairBins { return r.bins }
@@ -164,31 +161,37 @@ func (r *rankState) Apply(s int, prs []frontier.Pair) {
 	}
 }
 
-// Update lowers every label a smaller proposal reached; the run is done when
-// no label changed anywhere.
-func (r *rankState) Update(comm *mpi.Comm) bool {
-	changed := []int64{0}
+// Update lowers every label a smaller proposal reached, the delegates' from
+// the reduced proposals; its convergence section counts the normal labels it
+// lowered.
+func (r *rankState) Update(delegates dense.Sections) dense.Sections {
+	r.changed[0] = 0
 	for _, gs := range r.gpus {
 		for slot := range gs.labels {
 			gs.changed[slot] = false
 			if p := gs.prop[slot]; p < gs.labels[slot] {
 				gs.labels[slot] = p
 				gs.changed[slot] = true
-				changed[0]++
+				r.changed[0]++
 			}
 		}
 	}
-	comm.AllreduceSum(changed)
 	// Delegate update: identical on every rank from the reduced proposals.
+	r.delChanges = 0
 	for di := range r.delLabels {
 		r.delChanged[di] = false
-		if p := r.delProp[di]; p < r.delLabels[di] {
+		if p := delegates.Min[di]; p < r.delLabels[di] {
 			r.delLabels[di] = p
 			r.delChanged[di] = true
-			changed[0]++
+			r.delChanges++
 		}
 	}
-	return changed[0] == 0
+	return dense.Sections{Count: r.changed}
+}
+
+// Done: the run is done when no label changed anywhere.
+func (r *rankState) Done(converge dense.Sections) bool {
+	return converge.Count[0]+r.delChanges == 0
 }
 
 // pushNormals proposes changed local labels along nn and nd edges and returns

@@ -124,8 +124,8 @@ type Options struct {
 	// canonical min-id tree of the hop distances (parents.go): the delegate
 	// tier's dd parents recorded by the traversal's own kernels, an nd pass,
 	// one pair round for remote nn destinations — the low-cost step the paper
-	// describes (§VI-A3) — and one reduce-scatter that brings each delegate's
-	// candidates to the rank that writes it. It needs fewer than 2^32
+	// describes (§VI-A3) — and one stripe min-fold that brings each
+	// delegate's candidates to the rank that writes it. It needs fewer than 2^32
 	// vertices. Parent resolution is excluded from simulated BFS time,
 	// matching the paper's reporting.
 	CollectParents bool
@@ -397,7 +397,7 @@ func (p *Plan) acquire(opts Options) *Session {
 
 // release returns a Session to the pool once its query (and any result
 // gathering) is complete. A poisoned Session — one whose query aborted on a
-// fault, leaving frontiers, collectives or mailboxes in an undefined state —
+// fault, leaving frontiers, posts or mailboxes in an undefined state —
 // is dropped instead of recycled, so the next acquire allocates fresh (an
 // observable pool miss) and no later query can inherit corrupt state.
 func (p *Plan) release(s *Session) {
@@ -522,13 +522,15 @@ type Session struct {
 
 	// out is the in-flight query's global result arrays, allocated by the
 	// caller goroutine before the ranks start and filled by them
-	// (parents.go).
-	out treeOut
+	// (parents.go); source is its source, which its finisher roots the tree
+	// at.
+	out    treeOut
+	source int64
 	// parentExchangePairs counts the post-BFS resolution traffic (pairs),
 	// reported but excluded from simulated BFS time. The byte counters
 	// account that exchange's fixed-width equivalent and what the codec
 	// actually put on the wire. All three are updated atomically by the
-	// rank goroutines.
+	// ranks' shares of a fanned-out phase.
 	parentExchangePairs int64
 	parentPairRawBytes  int64
 	parentPairWireBytes int64
@@ -539,8 +541,8 @@ type Session struct {
 	probe repairPrologue
 
 	// world is the session's pooled communicator, reset per query — a
-	// completed query leaves it empty (every message received, every
-	// collective folded), so reuse replaces per-query construction.
+	// completed query leaves it empty (every message received), so reuse
+	// replaces per-query construction.
 	world *mpi.World
 
 	// poisoned marks a session whose query aborted on a fault: its state is
@@ -737,32 +739,44 @@ type iterWork struct {
 	binned         int64 // ids queued for other GPUs (gpuState.bin)
 }
 
-// reset prepares all per-GPU state for a fresh run.
+// reset prepares all per-GPU state for a fresh run: resetTraversal on the
+// driver's goroutine, then the O(n) arrays as a driven phase (phaseReset), one
+// rank's GPUs per step, fanned out from fanWork vertices. The driver is bound
+// to the query's World (traverse).
 func (e *Session) reset() {
 	e.resetTraversal()
 	e.childKnown = true
-	for _, gs := range e.gpus {
+	d := &e.drv
+	d.fan = e.sg.N >= fanWork
+	if err := d.run(e, phaseReset); err != nil {
+		panic(err) // nothing in a reset decodes or injects
+	}
+}
+
+// resetRank is rank's share of reset: its GPUs' levels and hasChild bits, their
+// parents when the query collects them, and its delegate tier's levels. The
+// BFS-tree buffers stay allocated across pooled reuses but are only read by
+// parent-collecting queries, so a query that does not collect them skips their
+// O(NumLocal) clears.
+func (e *Session) resetRank(rank int) {
+	for _, gs := range e.rankGPUs(rank) {
 		gs.hasChild.Reset()
 		for i := range gs.levels {
 			gs.levels[i] = -1
 		}
-		// The BFS-tree buffers stay allocated across pooled reuses but are
-		// only read by parent-collecting queries, so skip the O(NumLocal)
-		// clears when this query does not collect them.
 		if e.opts.CollectParents {
 			clear(gs.parents)
 		}
 	}
-	for _, sc := range e.scratch {
-		for i := range sc.dt.level {
-			sc.dt.level[i] = -1
+	sc := e.scratch[rank]
+	for i := range sc.dt.level {
+		sc.dt.level[i] = -1
+	}
+	if e.opts.CollectParents && e.d > 0 {
+		if sc.parents.cand == nil {
+			sc.parents.cand = make([]uint32, e.d)
 		}
-		if e.opts.CollectParents && e.d > 0 {
-			if sc.parents.cand == nil {
-				sc.parents.cand = make([]uint32, e.d)
-			}
-			sc.dt.rec = sc.parents.cand // runWave empties it, on the rank
-		}
+		sc.dt.rec = sc.parents.cand // runWave empties it, on the rank
 	}
 }
 

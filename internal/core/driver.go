@@ -1,23 +1,25 @@
 package core
 
-// The phase driver: how a traversal's ranks take their supersteps on the host.
+// The phase driver: how every rank-parallel step runs on the host — a
+// traversal's supersteps, a repair's prologue, a cold run's reset, the tree
+// finishers and the dense analytics (Drive).
 //
 // The paper drives each GPU from one CPU thread and meets the other ranks in
 // two collectives per BSP iteration (§V-A). Parking and waking one goroutine
 // per rank at each of those meetings cost more than a near-empty superstep
-// computes, so a traversal is run as a fixed list of phases instead, split at
-// the superstep's blocking points: one driver takes every rank through a phase
-// before any rank starts the next, and the boundary between two phases is the
-// rendezvous the ranks would have met at (mpi.World.Meet counts it). Nothing
-// parks inside a phase: a rank's share of one reads only what other ranks
-// wrote before the boundary — posts, mailbox messages sent in the previous
-// phase, the driver's folds.
+// computes, so each step is a fixed list of phases instead, split at its
+// blocking points: one driver takes every rank through a phase before any
+// rank starts the next, and the boundary between two phases is the rendezvous
+// the ranks would have met at (mpi.World.Meet counts it). Nothing parks
+// inside a phase: a rank's share of one reads only what other ranks wrote
+// before the boundary — posts, mailbox messages sent in the previous phase,
+// the driver's folds, the buffers a stripe min-fold reads (reduceDelegates).
 //
-// A phase runs on the driver's goroutine, rank after rank, when the superstep
-// is small, and is fanned out over graph.BuildWorkers() goroutines that pull
-// ranks one at a time when it is large (driver.fan, decided from what every
-// rank knows after the previous fold). Either way a phase computes the same
-// bytes: ranks share nothing within one.
+// A phase runs on the driver's goroutine, rank after rank, when it is small,
+// and is fanned out over graph.BuildWorkers() goroutines that pull ranks one
+// at a time when it is large (driver.fan, decided from what every rank knows
+// after the previous fold). Either way a phase computes the same bytes: ranks
+// share nothing within one.
 //
 // Containment is per rank and phase: a contained fault (faultError) a rank
 // raises ends its share of the phase, the phase still runs to its end on
@@ -30,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gcbfs/internal/faults"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/mpi"
 )
@@ -47,9 +50,22 @@ const (
 	phaseProbe     // preload, probe scan, the probe round's posts
 	phaseProbeRead // the probe round's reads, the normal seed schedules
 	phaseSeeds     // the delegate seed schedule, the per-level seed counts
+	// A cold run's (core.go).
+	phaseReset // the rank's GPUs' level, parent and child arrays
+	// A tree finisher's: a full resolution (parents.go) or a sweep's
+	// (sweep_tree.go).
+	phaseResolve // the delegate tier, the nn replay's bins and posts
+	phaseReplay  // the replay's reads, the delegate candidates' stripe min-fold
+	phaseGather  // the rank's share of the result arrays
+	// A repair patch's (repair_tree.go).
+	phasePatchReads // the rows the patch would read, for the sum-fold
+	phasePatch      // the members' rows, the offers' posts
+	phaseOffers     // the offers' reads and folds, the answers' bins
+	phaseAnswers    // the answers' posts
+	phaseAnswered   // the answers' reads, the stripe min-fold, the gather
 )
 
-// stepper is a traversal's side of the driver: rank's share of phase ph.
+// stepper is a program's side of the driver: rank's share of phase ph.
 type stepper interface {
 	step(ph phase, rank int)
 }
@@ -59,8 +75,10 @@ type stepper interface {
 // edges the previous superstep scanned reach fanWork — all of it known alike
 // to every rank after the previous fold. Below that, waking the worker
 // goroutines costs more than the ranks' shares of a phase take together;
-// measured per superstep on all five host workloads (CHANGES.md). A repair's
-// prologue, whose preload reads every vertex, fans out from fanWork vertices.
+// measured per superstep on all five host workloads (CHANGES.md). A phase
+// that reads every vertex — a repair's preload, a cold run's reset, a full
+// gather, a dense iteration — fans out from fanWork vertices, and a repair
+// patch from fanWork listed vertices or row entries.
 const (
 	fanWork     = 8192
 	fanDelegate = 1024
@@ -137,6 +155,20 @@ func (d *driver) run(s stepper, ph phase) error {
 	return d.world.Aborted()
 }
 
+// runPhases takes every rank through each of phs in turn, with a rendezvous
+// (mpi.World.Meet) between two of them, and returns the first fault.
+func (d *driver) runPhases(s stepper, phs ...phase) error {
+	for i, ph := range phs {
+		if i > 0 {
+			d.world.Meet()
+		}
+		if err := d.run(s, ph); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // stop ends the traversal's worker goroutines.
 func (d *driver) stop() {
 	for ; d.live > 0; d.live-- {
@@ -184,3 +216,32 @@ func (d *driver) contain(rank int) {
 	d.errs[rank] = err
 	d.faulted.Store(true)
 }
+
+// Drive runs a program outside this package — the dense analytics
+// (internal/dense) — over the ranks of world on the phase driver: step(ph,
+// rank) is rank's share of phase ph, and every phase ends in a rendezvous
+// (mpi.World.Meet) at which next(ph) folds on the driver's goroutine and
+// returns the next phase, -1 when done (next(-1) returns the first). Phases
+// fan out from work ≥ fanWork vertices, and a contained fault ends the program
+// with the lowest faulting rank's typed error. in arms world's payload hook;
+// site maps a message tag to the (iteration, injection site) it keys on.
+func Drive(world *mpi.World, in *faults.Injector, site func(tag int) (int, string), work int64, step func(ph, rank int), next func(ph int) int) error {
+	armWorld(world, in, site)
+	var d driver
+	d.reset(world)
+	d.fan = work >= fanWork
+	defer d.stop()
+	st := stepFunc(func(ph phase, rank int) { step(int(ph), rank) })
+	for ph := next(-1); ph >= 0; ph = next(ph) {
+		if err := d.run(st, phase(ph)); err != nil {
+			return err
+		}
+		world.Meet()
+	}
+	return nil
+}
+
+// stepFunc is a function as a stepper.
+type stepFunc func(ph phase, rank int)
+
+func (f stepFunc) step(ph phase, rank int) { f(ph, rank) }

@@ -64,19 +64,20 @@ package core
 // or reads a message.
 //
 // (id, value) pairs have one exchange as well, and it is all-pairs only: the
-// pair round (pairRound), one point-to-point message per destination rank,
-// sent whether or not it is empty. It carries the tree resolution's parent
-// offers after the traversal (§VI-A3: the nn replay, the repair patch's two
-// rounds, the sweep's replay with a lane-set column) and the dense analytics'
-// values every iteration (§VI-D). Pairs get no butterfly, no posting and no
-// relay combining, for a measured reason. Profiled on
+// pair round (pairRound), one message per destination rank, posted whether or
+// not it is empty. It carries the tree resolution's parent offers after the
+// traversal (§VI-A3: the nn replay, the repair patch's two rounds, the sweep's
+// replay with a lane-set column) and the dense analytics' values every
+// iteration (§VI-D). A round is two driven phases: every rank encodes and
+// posts its messages in one, and reads and applies its sources' in the next,
+// past the rendezvous between them. Pairs get no butterfly and no relay
+// combining, for a measured reason. Profiled on
 // BenchmarkResolveParents/16x2x2-butterfly-adaptive (RMAT 16, 32 ranks, 97 605
 // pairs per query, 2-vCPU Intel Xeon), the varint pair encode, decode and the
-// sort that fed it took 15 %, 14 % and 13 % of the CPU, and Isend + Recv 2 %;
-// the bit-packed scheme that replaced them sorts nothing. A butterfly would
-// re-encode each pair on 80/31 ≈ 2.58 hops on average at 32 ranks, and a
-// posted round needs a rendezvous to ride, which a pair round outside the
-// superstep loop would have to add, both to save part of that 2 %.
+// sort that fed it took 15 %, 14 % and 13 % of the CPU, and the point-to-point
+// sends and receives 2 %; the bit-packed scheme that replaced them sorts
+// nothing. A butterfly would re-encode each pair on 80/31 ≈ 2.58 hops on
+// average at 32 ranks, to save part of that 2 %.
 //
 // When r > 0, two cleanup hops fold the remainder ranks into the hypercube:
 // a pre hop where each remainder rank i (q ≤ i < p) ships everything it
@@ -1242,19 +1243,20 @@ func stagingShare(total float64, part, sum int64) float64 {
 // pairRound is one rank's all-pairs round of (id, value) pairs — the tree
 // resolution's nn replay and the repair patch's two rounds (parents.go,
 // repair_tree.go), the sweep's lane replay (sweep_tree.go), the dense
-// analytics' iteration (ExchangePairs) — and the scratch it reuses: a bin per
+// analytics' iteration (PairRound) — and the scratch it reuses: a bin per
 // destination GPU with a w-word lane-set column beside it when w > 0, a
 // message buffer per destination rank, and the arrival slots. Nothing sorts a
 // bin: every pairs scheme keeps its pairs in bin order, so a lane set stays
-// beside its pair and every consumer folds by minimum. A receiver holds a
-// message only until it has decoded it, and every caller reaches a
-// collective, or the end of the run, before it fills the same round again; a
-// caller with two rounds in flight at once (the repair patch) keeps two.
+// beside its pair and every consumer folds by minimum. It is posted in one
+// phase and read in the next, and its messages stay posted until the
+// rendezvous after the reads, so the repair patch keeps one per round.
 type pairRound struct {
 	w       int
 	bins    *frontier.PairBins
 	lanes   [][]uint64 // per destination GPU, w words per pair in bin order
 	msgBufs [][]byte
+	// out is the round's accounting, from post until read completes it.
+	out exchangeCounts
 
 	arrivals     [][]frontier.Pair
 	arrivalLanes [][]uint64
@@ -1282,44 +1284,54 @@ func (x *pairRound) presize(n int) {
 	}
 }
 
-// exchange runs the round at message tag: the bins for this rank's own GPUs go
-// straight to apply, every other rank's as one message of wire pair blocks (a
-// lane-set section behind each at w > 0). apply sees every block that lands on
-// one of this rank's GPUs, by local slot, in bin order in every mode: the
-// rank's own first, then each other rank's in rank order. Accounting follows
-// the frontier's charging rule (exchangeCounts.message, received), and intra
-// is the fixed-width volume applied within the rank.
-func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func(slot int, prs []frontier.Pair, lanes []uint64)) exchangeCounts {
+// post encodes the bins for every other rank as one message of wire pair
+// blocks (a lane-set section behind each at w > 0) and posts them all at tag,
+// accounted by the frontier's charging rule (exchangeCounts.message).
+func (x *pairRound) post(comm *mpi.Comm, tag int, mode wire.Mode) {
 	rank, prank := comm.Rank(), comm.Size()
 	pgpu, w := len(x.arrivals), x.w
-	rec := int64(12 + 8*w)
-	var c exchangeCounts
+	rec := 12 + 8*w
+	x.out = exchangeCounts{}
 	for dst := 0; dst < prank; dst++ {
-		slots, lanes := x.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], x.lanes[dst*pgpu:(dst+1)*pgpu]
 		if dst == rank {
-			for s, prs := range slots {
-				c.intra += rec * int64(len(prs))
-				apply(s, prs, lanes[s])
-			}
 			continue
 		}
+		slots, lanes := x.bins.PerGPU[dst*pgpu:(dst+1)*pgpu], x.lanes[dst*pgpu:(dst+1)*pgpu]
 		var n int
 		for s := range slots {
 			n += len(slots[s])
 		}
 		// Room for the raw encoding, which a codec picks only when nothing
 		// is smaller.
-		buf := slices.Grow(x.msgBufs[dst][:0], n*int(rec)+16*pgpu)
+		buf := slices.Grow(x.msgBufs[dst][:0], n*rec+16*pgpu)
 		payload, st := wire.AppendPairsRank(buf, slots, lanes, w, mode)
 		x.msgBufs[dst] = payload
-		c.message(st, mode)
-		comm.Isend(dst, tag, payload)
+		x.out.message(st, mode)
+	}
+	comm.Post(tag, x.msgBufs)
+}
+
+// read completes the round past the rendezvous its posts rode: apply sees
+// every block that lands on one of this rank's GPUs, by local slot, in bin
+// order in every mode, the rank's own bins first, then each other rank's
+// message in rank order. Its accounting (exchangeCounts.received) completes
+// post's, and intra is the fixed-width volume applied within the rank.
+func (x *pairRound) read(comm *mpi.Comm, tag int, mode wire.Mode, apply func(slot int, prs []frontier.Pair, lanes []uint64)) *exchangeCounts {
+	rank, prank := comm.Rank(), comm.Size()
+	pgpu, w := len(x.arrivals), x.w
+	rec := int64(12 + 8*w)
+	c := &x.out
+	slots, lanes := x.bins.PerGPU[rank*pgpu:(rank+1)*pgpu], x.lanes[rank*pgpu:(rank+1)*pgpu]
+	for s, prs := range slots {
+		c.intra += rec * int64(len(prs))
+		apply(s, prs, lanes[s])
 	}
 	for src := 0; src < prank; src++ {
 		if src == rank {
 			continue
 		}
-		buf := comm.Recv(src, tag)
+		// Every message is posted, so an absent one is as corrupt as any.
+		buf, _ := comm.Posted(src, tag)
 		if err := wire.DecodePairsRankInto(buf, x.arrivals, x.arrivalLanes, w); err != nil {
 			panic(fmt.Errorf("core: corrupt pair payload: %w", err))
 		}
@@ -1333,16 +1345,25 @@ func (x *pairRound) exchange(comm *mpi.Comm, tag int, mode wire.Mode, apply func
 	return c
 }
 
-// ExchangePairs is the pair round of the dense analytics (internal/dense):
-// rank comm.Rank()'s bins — one per destination GPU of shape, filled GPU by
-// GPU — delivered as raw pair blocks (wire.ModeOff) at message tag, and every
-// block that lands on one of the rank's GPUs handed to apply by local slot,
-// the rank's own first, each in bin order. It returns the bytes sent and
+// PairRound is one rank's pair round in the dense analytics (internal/dense):
+// its bins, one per destination GPU of shape filled GPU by GPU, as raw pair
+// blocks (wire.ModeOff), posted in one driven phase (Drive) and read in the
+// next.
+type PairRound struct{ x pairRound }
+
+// NewPairRound returns the pair round of one rank of shape over bins.
+func NewPairRound(shape ClusterShape, bins *frontier.PairBins) *PairRound {
+	return &PairRound{newPairRound(shape, bins, 0)}
+}
+
+// Post posts the rank's bins at message tag, one message per other rank.
+func (r *PairRound) Post(comm *mpi.Comm, tag int) { r.x.post(comm, tag, wire.ModeOff) }
+
+// Read hands apply what pairRound.read does and returns the bytes sent and
 // received and the volume applied within the rank, all at ModeOff's 12 bytes
 // per pair, and the messages sent: one per other rank.
-func ExchangePairs(comm *mpi.Comm, shape ClusterShape, bins *frontier.PairBins, tag int, apply func(slot int, prs []frontier.Pair)) (sent, recv, intra, messages int64) {
-	x := newPairRound(shape, bins, 0)
-	c := x.exchange(comm, tag, wire.ModeOff, func(s int, prs []frontier.Pair, _ []uint64) { apply(s, prs) })
+func (r *PairRound) Read(comm *mpi.Comm, tag int, apply func(slot int, prs []frontier.Pair)) (sent, recv, intra, messages int64) {
+	c := r.x.read(comm, tag, wire.ModeOff, func(s int, prs []frontier.Pair, _ []uint64) { apply(s, prs) })
 	return c.sent, c.recv, c.intra, c.messages
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -87,12 +86,32 @@ type driven struct {
 	applied  [][]uint32       // per GPU, every id any apply call handed it, in call order
 }
 
-// relayAll takes one rank through the relay steps of ex's exchange, each
-// followed by its rendezvous, as the driver does.
-func relayAll(comm *mpi.Comm, ex exchanger, iter int32) {
-	for k := range ex.relays() {
-		ex.relay(comm, iter, k)
-		comm.Barrier()
+// driveRounds takes every rank of world through one exchange per round as the
+// driver takes a superstep (run.go): post(rank, round) fills the rank's bins,
+// stages and posts, and returns its exchanger, ahead of the pre-exchange
+// rendezvous; then the exchanger's relays, a phase and a rendezvous each; then
+// done(rank, round, ex) completes the exchange and applies it, ahead of the
+// post-exchange rendezvous. Every phase fans out over the driver's workers, as
+// a large superstep's does.
+func driveRounds(world *mpi.World, rounds int, post func(rank, round int) exchanger, done func(rank, round int, ex exchanger)) {
+	var d driver
+	d.reset(world)
+	d.fan = true
+	defer d.stop()
+	exs := make([]exchanger, world.Size())
+	run := func(fn func(rank int)) {
+		if err := d.run(stepFunc(func(_ phase, rank int) { fn(rank) }), phaseLocal); err != nil {
+			panic(err)
+		}
+		world.Meet()
+	}
+	for round := range rounds {
+		iter := int32(round)
+		run(func(rank int) { exs[rank] = post(rank, round) })
+		for k := range exs[0].relays() {
+			run(func(rank int) { exs[rank].relay(world.Rank(rank), iter, k) })
+		}
+		run(func(rank int) { done(rank, round, exs[rank]) })
 	}
 }
 
@@ -111,43 +130,36 @@ func driveExchange(s *Session, fills []binFill, pick func(round int) Exchange, h
 	world := s.acquireWorld()
 	world.SetSendHook(hook)
 	defer world.SetSendHook(nil)
-	var wg sync.WaitGroup
-	for rank := 0; rank < world.Size(); rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			comm, sc := world.Rank(rank), s.scratch[rank]
-			l := &sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc}
-			sc.rx.bind(&s.runEnv, rank, &sc.exchangeScratch, l)
-			for round, f := range fills {
-				for _, gs := range l.gpus {
-					gs.it = iterWork{}
-					for dst, ids := range f.ids[gs.pg.GPU] {
-						for _, id := range ids {
-							gs.bin(dst, id)
-						}
-					}
-				}
-				// The superstep's two rendezvous: the one the posts ride, and
-				// the one after which a poster may rewrite its buffers.
-				ex := l.exchanger(out[round].strategy)
-				l.post(comm, ex, int32(round))
-				comm.Barrier()
-				relayAll(comm, ex, int32(round))
-				c := *l.deliver(comm, ex, int32(round), apply)
-				comm.Barrier()
-				arrivals := make([][]uint32, pgpu)
-				for slot, ids := range c.arrivals {
-					arrivals[slot] = slices.Clone(ids)
-				}
-				c.arrivals = arrivals
-				// The hop vectors live in the rank's scratch too.
-				c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
-				out[round].counts[rank] = c
-			}
-		}(rank)
+	lanes := make([]*sourceLanes, world.Size())
+	for rank := range lanes {
+		sc := s.scratch[rank]
+		lanes[rank] = &sourceLanes{e: s, rank: rank, gpus: s.rankGPUs(rank), sc: sc}
+		sc.rx.bind(&s.runEnv, rank, &sc.exchangeScratch, lanes[rank])
 	}
-	wg.Wait()
+	driveRounds(world, len(fills), func(rank, round int) exchanger {
+		l := lanes[rank]
+		for _, gs := range l.gpus {
+			gs.it = iterWork{}
+			for dst, ids := range fills[round].ids[gs.pg.GPU] {
+				for _, id := range ids {
+					gs.bin(dst, id)
+				}
+			}
+		}
+		ex := l.exchanger(out[round].strategy)
+		l.post(world.Rank(rank), ex, int32(round))
+		return ex
+	}, func(rank, round int, ex exchanger) {
+		c := *lanes[rank].deliver(world.Rank(rank), ex, int32(round), apply)
+		arrivals := make([][]uint32, pgpu)
+		for slot, ids := range c.arrivals {
+			arrivals[slot] = slices.Clone(ids)
+		}
+		c.arrivals = arrivals
+		// The hop vectors live in the rank's scratch too.
+		c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
+		out[round].counts[rank] = c
+	})
 	return out
 }
 
@@ -432,40 +444,33 @@ func driveSweepExchange(e *sweepSession, fills []recordFill, pick func(round int
 	}
 	e.world.SetSendHook(hook)
 	defer e.world.SetSendHook(nil)
-	var wg sync.WaitGroup
-	for rank := 0; rank < e.world.Size(); rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			comm, l := e.world.Rank(rank), &e.scratch[rank].lanes
-			for round, f := range fills {
-				for _, gs := range l.gpus {
-					gs.vis.Reset()
-					gs.nxt.Reset()
-					gs.outIDs = gs.outIDs[:0]
-					g := gs.pg.GPU
-					for dst, ids := range f.ids[g] {
-						for i, id := range ids {
-							gs.bins.Add(dst, id, f.lanes[g][dst][i*w:(i+1)*w])
-						}
-					}
-				}
-				ex := l.exchanger(out[round].strategy)
-				l.post(comm, ex, int32(round))
-				comm.Barrier()
-				relayAll(comm, ex, int32(round))
-				c := *l.exchange(comm, ex, int32(round))
-				comm.Barrier()
-				c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)
-				c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
-				out[round].counts[rank] = c
-				for _, gs := range l.gpus {
-					out[round].visited[gs.pg.GPU] = slices.Clone(gs.vis.Words())
+	driveRounds(e.world, len(fills), func(rank, round int) exchanger {
+		l := &e.scratch[rank].lanes
+		f := fills[round]
+		for _, gs := range l.gpus {
+			gs.vis.Reset()
+			gs.nxt.Reset()
+			gs.outIDs = gs.outIDs[:0]
+			g := gs.pg.GPU
+			for dst, ids := range f.ids[g] {
+				for i, id := range ids {
+					gs.bins.Add(dst, id, f.lanes[g][dst][i*w:(i+1)*w])
 				}
 			}
-		}(rank)
-	}
-	wg.Wait()
+		}
+		ex := l.exchanger(out[round].strategy)
+		l.post(e.world.Rank(rank), ex, int32(round))
+		return ex
+	}, func(rank, round int, ex exchanger) {
+		l := &e.scratch[rank].lanes
+		c := *l.exchange(e.world.Rank(rank), ex, int32(round))
+		c.arrivals, c.arrivalLanes = pgpuRows(c.arrivals, pgpu), pgpuRows(c.arrivalLanes, pgpu)
+		c.hopBytes, c.hopCodecRaw, c.hopRecvBytes = slices.Clone(c.hopBytes), slices.Clone(c.hopCodecRaw), slices.Clone(c.hopRecvBytes)
+		out[round].counts[rank] = c
+		for _, gs := range l.gpus {
+			out[round].visited[gs.pg.GPU] = slices.Clone(gs.vis.Words())
+		}
+	})
 	return out
 }
 

@@ -277,8 +277,8 @@ func TestCrashNamesItsRank(t *testing.T) {
 		}
 		for run := 0; run < 50; run++ {
 			s := p.acquire(p.base)
-			w := s.coldWave(src)
 			res, err := s.traverse(ctx, src, newTreeOut(&s.opts, s.sg.N), func() error {
+				w := s.coldWave(src)
 				s.bindWave(src, w)
 				for r, sc := range s.scratch {
 					s.loops[r].l = crashAt{&sc.lanes, big, []int{rank + 2, rank}}

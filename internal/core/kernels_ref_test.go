@@ -155,12 +155,12 @@ func runColdWith(t *testing.T, p *Plan, source int64, kernels func(*Session, []*
 	t.Helper()
 	s := p.acquire(p.base)
 	defer p.release(s)
-	w := s.coldWave(source)
-	for _, sc := range s.scratch {
-		sc.dt.rec = nil
-	}
 	ctx := context.Background()
 	res, err := s.traverse(ctx, source, newTreeOut(&s.opts, s.sg.N), func() error {
+		w := s.coldWave(source)
+		for _, sc := range s.scratch {
+			sc.dt.rec = nil
+		}
 		s.bindWave(source, w)
 		for rank, sc := range s.scratch {
 			s.loops[rank].l = kernelsSwapped{&sc.lanes, kernels}

@@ -149,8 +149,18 @@ func checkPairRound(t *testing.T, shape ClusterShape, c, w int) {
 	world := mpi.NewWorld(prank)
 	counts := make([]exchangeCounts, prank)
 	blocks := make([][][]pairRec, prank) // per rank, per apply call
-	err := RunRanks(world, nil, tagSite, func(rank int, comm *mpi.Comm) {
-		counts[rank] = rounds[rank].exchange(comm, parentTagBase, mode, func(s int, prs []frontier.Pair, lanes []uint64) {
+	// The round's two phases, posts and reads, fanned out as a finisher's.
+	var d driver
+	d.reset(world)
+	d.fan = true
+	defer d.stop()
+	err := d.runPhases(stepFunc(func(ph phase, rank int) {
+		comm := world.Rank(rank)
+		if ph == phaseResolve {
+			rounds[rank].post(comm, parentTagBase, mode)
+			return
+		}
+		counts[rank] = *rounds[rank].read(comm, parentTagBase, mode, func(s int, prs []frontier.Pair, lanes []uint64) {
 			if len(lanes) != w*len(prs) {
 				t.Errorf("rank %d slot %d: %d pairs with %d lane words", rank, s, len(prs), len(lanes))
 				return
@@ -162,7 +172,7 @@ func checkPairRound(t *testing.T, shape ClusterShape, c, w int) {
 			}
 			blocks[rank] = append(blocks[rank], blk)
 		})
-	})
+	}), phaseResolve, phaseReplay)
 	if err != nil {
 		t.Fatal(err)
 	}

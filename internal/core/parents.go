@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 )
 
@@ -69,7 +68,7 @@ import (
 //     owner), so one scan over NDSources yields both a normal's smallest
 //     delegate parent and a delegate's smallest local normal parent. A
 //     rank's delegate candidates are uint32 global ids + 1 (0: none), and
-//     they meet in one reduce-scatter (reduceDelegates) on the rank whose
+//     they meet in one stripe min-fold (reduceDelegates) on the rank whose
 //     gather share holds the delegate — the reduction of Buluč & Madduri:
 //     each candidate reaches the one rank that writes the vertex, not every
 //     rank.
@@ -100,16 +99,19 @@ import (
 //     offers from every visited row (Session.childKnown), as RunRepair always
 //     does.
 //     The pairs travel in one all-pairs pair round (pairRound, exchange.go),
-//     each bin as generated, in bin order: with a codec active in the
-//     smaller of a raw and a bit-packed pairs block, with the codec off in a
-//     raw block charged 12 bytes per pair — one wire format and one decoder
-//     whatever the mode, and no sort, since the fold keeps the smallest offer
-//     in whatever order the offers arrive.
+//     posted in the phase that bins them and read in the next, each bin as
+//     generated, in bin order: with a codec active in the smaller of a raw
+//     and a bit-packed pairs block, with the codec off in a raw block charged
+//     12 bytes per pair — one wire format and one decoder whatever the mode,
+//     and no sort, since the fold keeps the smallest offer in whatever order
+//     the offers arrive.
 //
-// Past the reduction (a barrier when only levels are collected), every rank
-// then writes one contiguous range of global ids straight into the query's
-// output arrays, reading all p GPUs' rows and, for a delegate, its delegate
-// tier's levels and its own stripe of the reduced candidates (gatherRank).
+// The resolution is three driven phases (finishQuery): steps 0–4 and the
+// replay's posts; the replay's reads and the candidates' stripe min-fold; and
+// the gather, in which every rank writes one contiguous range of global ids
+// straight into the query's output arrays, reading all p GPUs' rows and, for a
+// delegate, its tier's levels and its own stripe of the reduced candidates
+// (gatherRank). A query that collects levels only is the gather alone.
 //
 // Every parent candidate of every tree — a delegate's or a normal vertex's,
 // recorded by a kernel or folded by a pass, the replay or a repair's patch —
@@ -129,7 +131,7 @@ import (
 // through their dd and DN rows, and since dense ids ascend with global ids (2
 // above) the FIRST delegate to reach a (neighbor, lane) — delegate or normal —
 // is the smallest. Its delegate candidates, K per delegate, meet in the same
-// reduce-scatter.
+// stripe min-fold.
 //
 // A repair (Repair) has a third shape, because it starts with more than
 // levels: the prior epoch's tree π, exact under this same contract, of which a
@@ -218,14 +220,25 @@ func (pe *planEnv) delegateShare(rank int) (dlo, dhi int64) {
 	return at(lo * p64), at(hi * p64)
 }
 
-// reduceDelegates is where every tree's delegate candidates meet: cand holds k
-// of them per delegate, global id + 1 (0: none), and each rank is left the
-// smallest any rank holds for the delegates of its share (delegateShare).
-// Two rendezvous, whatever the rank count; past the second every rank's
-// resolution is final, so it is also the gather's barrier.
-func (pe *planEnv) reduceDelegates(comm *mpi.Comm, rank int, cand []uint32, k int) {
+// reduceDelegates is where every tree's delegate candidates meet, the stripe
+// min-fold: cands(r) is rank r's buffer, k candidates per delegate, global id
+// + 1 (0: none), and rank folds into its own the smallest any rank holds for
+// the delegates of its share (delegateShare). It runs in a phase after every
+// buffer is final; a rank writes only its own stripe, which no other reads.
+func (pe *planEnv) reduceDelegates(rank, k int, cands func(r int) []uint32) {
 	dlo, dhi := pe.delegateShare(rank)
-	comm.ReduceScatterMin(cand, int(dlo)*k, int(dhi)*k)
+	lo, hi := int(dlo)*k, int(dhi)*k
+	mine := cands(rank)[lo:hi]
+	for r := range pe.shape.Ranks() {
+		if r == rank {
+			continue
+		}
+		for i, c := range cands(r)[lo:hi] {
+			// c−1 is the offer's id, and "none" wraps to the all-ones id,
+			// which loses every comparison.
+			mine[i] = fold(mine[i], c-1)
+		}
+	}
 }
 
 // The resolution's invariants: every visited normal vertex below the root
@@ -263,8 +276,8 @@ func delegateOffer(global []int64, di uint32) uint32 {
 }
 
 // treeOut is a query's gathered result: global-id-indexed arrays shared by
-// all rank goroutines, each of which writes a disjoint set of elements — a
-// contiguous range of them in the full gather. A nil array is not collected.
+// all ranks, each of which writes a disjoint set of elements — a contiguous
+// range of them in the full gather. A nil array is not collected.
 type treeOut struct {
 	levels  []int32
 	parents []int64
@@ -290,33 +303,68 @@ type parentScratch struct {
 	push []bool   // level L → pair (L−1, L) is resolved by push
 	tag  []uint8  // delegate id → levelTag of its level, noTag unvisited
 	cand []uint32 // delegate id → smallest parent global id + 1, 0: none
+	// memberReads is the nd and nn row entries of the rank's normal members
+	// of a repair's re-pull set, which the patch-or-full decision sums;
 	// patchReads counts the row entries of all four subgraphs the last repair
 	// patch read (BenchmarkRepairResolve, against the graph's edges).
-	patchReads int64
+	memberReads, patchReads int64
 
 	// rounds are the resolution's pair rounds: a full resolution has one (the
 	// nn replay), a repair's patch two (offers out, answers back), each with
-	// bins and message buffers of its own, because a rank fills round 1's while
-	// a peer may still be decoding what it sent in round 0.
+	// bins and message buffers of its own, because a rank fills round 1's
+	// while its peers may still be decoding what it posted in round 0.
 	rounds []pairRound
 }
 
-// finishQuery finishes this Session's query on one rank: the canonical parent
-// resolution when parents are collected, then the gather of this rank's share
-// of the result. All ranks participate: the replay's exchange and the delegate
-// candidates' reduce-scatter when parents are collected, a barrier when only
-// levels are.
-func (e *Session) finishQuery(rank int, comm *mpi.Comm, source int64) {
-	ps := &e.scratch[rank].parents
-	if e.out.parents != nil {
-		e.resolveDelegateTier(rank, source, ps)
-		e.replayNN(rank, comm, ps)
-		e.reduceDelegates(comm, rank, ps.cand, 1)
-	} else {
-		comm.Barrier()
+// finishQuery finishes a single-source query on every rank: the canonical
+// parent resolution, when parents are collected, and the gather of each
+// rank's share of the result — phaseResolve | phaseReplay | phaseGather, two
+// rendezvous. A levels-only query is the gather alone: the loop's last
+// rendezvous already made every level final.
+func (e *Session) finishQuery(source int64) error {
+	d := &e.drv
+	e.source = source
+	d.fan = e.sg.N >= fanWork
+	if e.out.parents == nil {
+		return d.run(e, phaseGather)
 	}
-	e.gatherRank(rank, ps)
+	return d.runPhases(e, phaseResolve, phaseReplay, phaseGather)
 }
+
+// step is rank's share of one of the session's own phases: a cold run's reset
+// and the tree finishers' (finishQuery, finishRepairs).
+func (e *Session) step(ph phase, rank int) {
+	ps := &e.scratch[rank].parents
+	switch ph {
+	case phaseReset:
+		e.resetRank(rank)
+	case phaseResolve:
+		e.resolveDelegateTier(rank, e.source, ps)
+		e.replayNN(rank, ps)
+	case phaseReplay:
+		e.readRound(rank, ps, 0, accept)
+		e.reduceDelegates(rank, 1, e.candidatesOf)
+	case phaseGather:
+		e.gatherRank(rank, ps)
+	// A repair patch's (repair_tree.go).
+	case phasePatchReads:
+		e.countMembers(rank, ps)
+	case phasePatch:
+		e.patchRows(rank, ps)
+		e.postRound(rank, ps, 0)
+	case phaseOffers:
+		e.readOffers(rank, ps)
+	case phaseAnswers:
+		e.postRound(rank, ps, 1)
+	case phaseAnswered:
+		e.readRound(rank, ps, 1, accept)
+		e.reduceDelegates(rank, 1, e.candidatesOf)
+		e.patchGather(rank, ps)
+	}
+}
+
+// candidatesOf is rank r's delegate candidates.
+func (e *Session) candidatesOf(r int) []uint32 { return e.scratch[r].parents.cand }
 
 // treeDirections computes the level tags and volumes of one delegate-level
 // replica and from the volumes each level pair's direction (levelDirections).
@@ -547,12 +595,13 @@ func accept(gs *gpuState, prs []frontier.Pair) {
 }
 
 // replayNN folds the nn candidates into the local parent arrays: same-GPU
-// edges directly, everything else through the remote replay exchange. Only a
-// vertex with an nn neighbor one level down replays its row — foldParent
-// accepts an offer nowhere else — which a cold traversal has already worked
-// out (gpuState.hasChild); a repair wave's bits cover only what it re-levelled,
-// so it replays every visited row. On return this rank's parent rows are final.
-func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
+// edges directly, everything else through the remote replay round, whose bins
+// it fills and posts. Only a vertex with an nn neighbor one level down replays
+// its row — foldParent accepts an offer nowhere else — which a cold traversal
+// has already worked out (gpuState.hasChild); a repair wave's bits cover only
+// what it re-levelled, so it replays every visited row. Once every rank has
+// read its round (phaseReplay), this rank's parent rows are final.
+func (e *Session) replayNN(rank int, ps *parentScratch) {
 	p64 := int64(e.p)
 	bins := ps.pairBins(e, 0)
 	for _, gs := range e.rankGPUs(rank) {
@@ -586,7 +635,7 @@ func (e *Session) replayNN(rank int, comm *mpi.Comm, ps *parentScratch) {
 			}
 		}
 	}
-	e.resolveRound(comm, ps, 0, accept)
+	e.postRound(rank, ps, 0)
 }
 
 // pairBins returns the emptied pair bins of resolution round r, allocated with
@@ -600,17 +649,22 @@ func (ps *parentScratch) pairBins(e *Session, r int) *frontier.PairBins {
 	return bins
 }
 
-// resolveRound runs resolution round r over the bins the caller filled and
-// counts its pairs and bytes; apply folds every block that lands on one of
-// this rank's GPUs. The volume is reported in WireStats but, like the rest of
-// the resolution, excluded from simulated BFS time.
-func (e *Session) resolveRound(comm *mpi.Comm, ps *parentScratch, r int, apply func(gs *gpuState, prs []frontier.Pair)) {
+// postRound posts resolution round r over the bins the caller filled and
+// counts its pairs and bytes. The volume is reported in WireStats but, like
+// the rest of the resolution, excluded from simulated BFS time.
+func (e *Session) postRound(rank int, ps *parentScratch, r int) {
 	round := &ps.rounds[r]
+	round.post(e.world.Rank(rank), parentTagBase+r, e.opts.Compression)
 	atomic.AddInt64(&e.parentExchangePairs, round.bins.Count())
-	gpus := e.rankGPUs(comm.Rank())
-	c := round.exchange(comm, parentTagBase+r, e.opts.Compression, func(s int, prs []frontier.Pair, _ []uint64) { apply(gpus[s], prs) })
-	atomic.AddInt64(&e.parentPairRawBytes, c.sentRaw)
-	atomic.AddInt64(&e.parentPairWireBytes, c.sent)
+	atomic.AddInt64(&e.parentPairRawBytes, round.out.sentRaw)
+	atomic.AddInt64(&e.parentPairWireBytes, round.out.sent)
+}
+
+// readRound reads resolution round r in the phase after its posts; apply
+// folds every block that lands on one of this rank's GPUs.
+func (e *Session) readRound(rank int, ps *parentScratch, r int, apply func(gs *gpuState, prs []frontier.Pair)) {
+	gpus := e.rankGPUs(rank)
+	ps.rounds[r].read(e.world.Rank(rank), parentTagBase+r, e.opts.Compression, func(s int, prs []frontier.Pair, _ []uint64) { apply(gpus[s], prs) })
 }
 
 // gatherSlots is the number of slots the gather takes from one GPU before it
@@ -619,20 +673,19 @@ func (e *Session) resolveRound(comm *mpi.Comm, ps *parentScratch, r int, apply f
 // between 8 and 512 measures differently on RMAT 16 and 18 (8 and 64 GPUs).
 const gatherSlots = 64
 
-// gatherRank writes this rank's share of the query's global arrays — past the
-// reduction or the levels-only barrier, where every rank's parent rows are
-// final and every replay payload has been decoded — the contiguous range of
-// global ids that is its share of the local slots, every GPU's. Consecutive
-// ids belong to consecutive residue classes, so the p owners' arrays are read
-// as p sequential streams, a few slots of each at a time, and each result
-// entry is written once, into a window that stays in cache; only the line at
-// either end of a range is shared with another rank. A delegate's home slot
-// holds -1; its entry comes from the rank's delegate tier and its stripe of
-// the reduced candidates, which holds every delegate of its share. A
-// candidate, global id + 1, becomes the result's parent here. Unvisited
-// vertices write their -1, so no prefill is needed. The ranks read each
-// other's rows here and nothing orders those reads behind the gather:
-// RunRanks joins all ranks before the session is reset or released.
+// gatherRank writes this rank's share of the query's global arrays — the
+// contiguous range of global ids that is its share of the local slots, every
+// GPU's — in the phase after the replay's reads and the stripe min-fold, or
+// after the loop's last rendezvous when only levels are collected, so every
+// rank's rows it reads are final. Consecutive ids belong to consecutive
+// residue classes, so the p owners' arrays are read as p sequential streams,
+// a few slots of each at a time, and each result entry is written once, into
+// a window that stays in cache; only the line at either end of a range is
+// shared with another rank. A delegate's home slot holds -1; its entry comes
+// from the rank's delegate tier and its stripe of the reduced candidates,
+// which holds every delegate of its share. A candidate, global id + 1,
+// becomes the result's parent here. Unvisited vertices write their -1, so no
+// prefill is needed.
 func (e *Session) gatherRank(rank int, ps *parentScratch) {
 	out, sep := e.out, e.sg.Sep
 	dLevel := e.scratch[rank].dt.level

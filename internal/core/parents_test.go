@@ -15,7 +15,6 @@ import (
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -304,7 +303,7 @@ func TestForceTWBForDDSlowsSkewedGraphs(t *testing.T) {
 // rmat16-exchange's 16×2×2 with butterfly and the adaptive codec: one
 // traversal leaves its levels, child-level bits and the tree candidates its
 // kernels recorded in the session, then every iteration restores those
-// candidates and re-resolves the whole tree on the rank goroutines. Part of
+// candidates and re-resolves the whole tree on the phase driver. Part of
 // the tree is found inside the kernels, so it also reports the tree's whole
 // price, tree-share: 1 − t(levels-only Run) / t(Run with parents), the
 // two runs alternating over the same source. Beside the cost per dd edge of
@@ -338,9 +337,9 @@ func BenchmarkResolveParents(b *testing.B) {
 			// A traversal that collects parents but, handed no parent array,
 			// resolves none: the delegate candidates are left as the kernels
 			// recorded them, to be restored before every resolution, since the
-			// nd pass and the reduce-scatter write them.
-			w := s.coldWave(src)
+			// nd pass and the stripe min-fold write them.
 			if _, err := s.traverse(ctx, src, treeOut{levels: make([]int32, s.sg.N)}, func() error {
+				w := s.coldWave(src)
 				s.bindWave(src, w)
 				return s.runWave(ctx, w.schedule)
 			}); err != nil {
@@ -350,8 +349,13 @@ func BenchmarkResolveParents(b *testing.B) {
 			for r, sc := range s.scratch {
 				recorded[r] = slices.Clone(sc.parents.cand)
 			}
-			finish := func(body func(rank int, comm *mpi.Comm)) {
-				if err := RunRanks(s.acquireWorld(), nil, tagSite, body); err != nil {
+			// finish runs driven phases on the session's World, as a
+			// traversal's finisher does.
+			finish := func(phases func() error) {
+				s.drv.reset(s.acquireWorld())
+				defer s.drv.stop()
+				s.drv.fan = s.sg.N >= fanWork
+				if err := phases(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -367,7 +371,7 @@ func BenchmarkResolveParents(b *testing.B) {
 				s.parentExchangePairs, s.parentPairWireBytes = 0, 0
 				s.out = newTreeOut(&s.opts, s.sg.N)
 				b.StartTimer()
-				finish(func(rank int, comm *mpi.Comm) { s.finishQuery(rank, comm, src) })
+				finish(func() error { return s.finishQuery(src) })
 			}
 			b.StopTimer()
 			resolve := b.Elapsed()
@@ -407,7 +411,7 @@ func BenchmarkResolveParents(b *testing.B) {
 			// The gather alone, over the rows the last resolution left final.
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				finish(func(rank int, comm *mpi.Comm) { s.gatherRank(rank, &s.scratch[rank].parents) })
+				finish(func() error { return s.drv.run(s, phaseGather) })
 			}
 			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/float64(s.sg.N), "gather-ns/vertex")
 

@@ -485,7 +485,7 @@ type repairPrologue struct {
 	voided []uint32
 	slots  [][]uint32
 	// full is the row entries a full resolution of the wave's levels reads
-	// (fullReads), priced once before the finishers start.
+	// (fullReads), priced once before the finisher starts.
 	full int64
 	// vol and push are fullReads' buffers.
 	vol  []int64
@@ -517,7 +517,6 @@ func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
 	pr.gather()
 	// The preload writes every vertex's level.
 	d.fan = e.sg.N >= fanWork
-	defer d.stop()
 	if err := d.run(pr, phaseProbe); err != nil {
 		return err
 	}
@@ -562,18 +561,6 @@ func (e *Session) repairWave(ctx context.Context, in *repairIn) error {
 		return err
 	}
 	return e.finishRepairs(in)
-}
-
-// finishRepairs resolves and gathers every rank's share of a repair's result,
-// when the query collects one. Whether the prior tree is patched or resolved
-// in full is decided from the delegate levels, which every rank holds alike,
-// so the full resolution's reads are priced once, here, from rank 0's tier.
-func (e *Session) finishRepairs(in *repairIn) error {
-	if !e.collects() {
-		return nil
-	}
-	e.probe.full = e.fullReads(e.scratch[0].dt.level)
-	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.finishRepair(rank, comm, in) })
 }
 
 // readProbe reads the probe round's posts (the targets other GPUs found here

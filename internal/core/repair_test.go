@@ -13,7 +13,6 @@ import (
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -665,7 +664,7 @@ func TestRepairPatchFaultsSurfaceTypedErrors(t *testing.T) {
 // BenchmarkRepairResolve times a repair's finisher alone, on the shape of the
 // rmat16-mutable host workload (RMAT scale 16, 4×2×2, the default 4n/p
 // threshold, a 0.1 % mixed delta): one repair leaves its wave's outcome in the
-// session, then every iteration finishes it again on the rank goroutines — by
+// session, then every iteration finishes it again on the phase driver — by
 // patching the prior tree ("patch"), and with the full resolution forced over
 // the same state ("full"). Beside ns/op, which is per repair, it reports |C| (vertices whose
 // level the delta changed), |R| (the re-pull set), the row entries the
@@ -752,9 +751,10 @@ func BenchmarkRepairResolve(b *testing.B) {
 				}
 				s.parentExchangePairs = 0
 				s.out = treeOut{levels: slices.Clone(in.levels), parents: slices.Clone(in.parents)}
-				world := s.acquireWorld()
+				s.drv.reset(s.acquireWorld())
 				b.StartTimer()
-				err := RunRanks(world, nil, tagSite, func(rank int, comm *mpi.Comm) { s.finishRepair(rank, comm, in) })
+				err := s.finishRepairs(in)
+				s.drv.stop()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/mpi"
 )
 
 // The repair wave's finisher: the new epoch's canonical tree as the prior
@@ -16,7 +15,7 @@ import (
 //   - nd, dd and dn rows resolve locally, both ways at once: an R-normal's ND
 //     row on its owner, an R-delegate's DD and DN slices on every GPU that
 //     holds one. What a rank's rows offer a delegate meets the other ranks'
-//     offers in the reduce-scatter every tree's delegate candidates meet in
+//     offers in the stripe min-fold every tree's delegate candidates meet in
 //     (reduceDelegates), on the rank whose gather share holds the delegate,
 //     where a non-member's prior parent is the one to beat.
 //   - nn rows take two pair rounds, because a vertex sees its remote
@@ -28,10 +27,16 @@ import (
 //
 // Each rank then rewrites only the result entries it touched; the arrays began
 // as a copy of the prior's (Plan.repair). That is less work only while R is
-// small: the ranks sum the row entries the patch would read and, once that
+// small: the driver sums the row entries the patch would read and, once that
 // exceeds what the full resolution reads (fullReads, priced once per repair by
-// finishRepairs), run that instead — over the same levels, to the same tree,
+// finishRepairs), runs that instead — over the same levels, to the same tree,
 // as whole-graph repairs always ended.
+//
+// The patch is five driven phases, four rendezvous: the members' row count,
+// which the driver sums; their rows and round 0's posts; round 0's reads and
+// answers; round 1's posts, apart because a rank has one post in flight; and
+// round 1's reads, the stripe min-fold and the gather, which reads nothing
+// another rank writes in that phase.
 
 // fullReads estimates the row entries a full resolution of the delegate
 // levels in dLevel reads, from replicated data alone: the delegate volume of
@@ -50,59 +55,84 @@ func (e *Session) fullReads(dLevel []int32) int64 {
 	return reads
 }
 
-// finishRepair resolves and gathers one rank's share of a repair's result: by
-// patching, when the repair started from the prior tree (Plan.repair copied it
-// into the result) and the patch reads less than the full resolution would.
-func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
-	if in.parents == nil || e.out.parents == nil {
-		e.finishQuery(rank, comm, in.source)
-		return
+// finishRepairs resolves and gathers a repair's result, when the query
+// collects one: by patching the prior tree when the repair started from it and
+// the driver's sum of the row entries the patch would read stays within what
+// the full resolution (finishQuery) reads, priced once, here, from the
+// delegate levels every rank holds alike.
+func (e *Session) finishRepairs(in *repairIn) error {
+	if !e.collects() {
+		return nil
 	}
-	sc := e.scratch[rank]
-	ps := &sc.parents
-	sep := e.sg.Sep
-	gpus := e.rankGPUs(rank)
-	dLevel := sc.dt.level
-	p64 := int64(e.p)
+	if in.parents == nil || e.out.parents == nil {
+		return e.finishQuery(in.source)
+	}
+	d, lead := &e.drv, e.scratch[0]
+	e.probe.in, e.probe.full = in, e.fullReads(lead.dt.level)
+	var listed int64
+	for _, gs := range e.gpus {
+		listed += int64(len(gs.rep))
+	}
+	d.fan = listed >= fanWork
+	if err := d.run(e, phasePatchReads); err != nil {
+		return err
+	}
+	d.world.Meet()
+	// The sum-fold: the normal members' rows, rank by rank, and the delegate
+	// members', which every rank marked alike from replicated data.
+	var reads int64
+	for _, sc := range e.scratch {
+		reads += sc.parents.memberReads
+	}
+	lead.members.ForEach(func(di int64) {
+		if lead.dt.level[di] >= 0 {
+			reads += e.sg.DelegateOutDeg[di]
+		}
+	})
+	if in.full || reads > e.probe.full {
+		return e.finishQuery(in.source)
+	}
+	d.fan = reads >= fanWork
+	return d.runPhases(e, phasePatch, phaseOffers, phaseAnswers, phaseAnswered)
+}
 
-	// The re-pull set was listed as the repair went (preload, probe, wave):
-	// normal members per GPU, delegate members from replicated data, so every
-	// rank marked the same ones. Sum the row entries they would read.
-	dMembers := sc.members
-	reads := append(sc.sums[:0], 0)
-	sc.sums = reads
-	for _, gs := range gpus {
+// countMembers lists the rank's normal members of the re-pull set once — they
+// were listed as the repair went (preload, probe, wave), per GPU, with repeats
+// — and counts the nd and nn row entries they would read.
+func (e *Session) countMembers(rank int, ps *parentScratch) {
+	sc := e.scratch[rank]
+	ps.memberReads = 0
+	for _, gs := range e.rankGPUs(rank) {
 		frontier.SortIDs(gs.rep, &sc.sortBuf)
 		gs.rep = slices.Compact(gs.rep)
 		gs.repMembers = len(gs.rep)
 		for _, slot := range gs.rep {
 			if gs.levels[slot] >= 0 {
-				reads[0] += gs.pg.ND.Degree(int64(slot)) + gs.pg.NN.Degree(int64(slot))
+				ps.memberReads += gs.pg.ND.Degree(int64(slot)) + gs.pg.NN.Degree(int64(slot))
 			}
 		}
 	}
-	comm.AllreduceSum(reads)
-	dMembers.ForEach(func(di int64) {
-		if dLevel[di] >= 0 {
-			reads[0] += e.sg.DelegateOutDeg[di]
-		}
-	})
-	if in.full || reads[0] > e.probe.full {
-		e.finishQuery(rank, comm, in.source)
-		return
-	}
+}
 
-	// Local rows. Every candidate starts empty — the prior parents are folded
-	// in where the result is written — so what the members' rows offer is all
-	// the arrays hold. Delegate members' dd and dn slices resolve both ways,
-	// normal members' nd rows resolve here and their nn rows go out as offers.
-	// Past each GPU's members, rep grows by the non-members an offer reached.
+// patchRows resolves the members' local rows. Every candidate starts empty —
+// the prior parents are folded in where the result is written — so what the
+// members' rows offer is all the arrays hold. Delegate members' dd and dn
+// slices resolve both ways, normal members' nd rows resolve here and their nn
+// rows go out as offers in round 0's bins. Past each GPU's members, rep grows
+// by the non-members an offer reached.
+func (e *Session) patchRows(rank int, ps *parentScratch) {
+	sc := e.scratch[rank]
+	sep := e.sg.Sep
+	gpus := e.rankGPUs(rank)
+	dLevel, dMembers := sc.dt.level, sc.members
+	p64 := int64(e.p)
 	cand := ps.candidates(e.d)
 	ps.patchReads = 0
 	for _, gs := range gpus {
 		ps.patchReads += ddPatch(gs.pg, dLevel, dMembers.Words(), sep.DelegateGlobal, cand)
 	}
 	offers := ps.pairBins(e, 0)
+	ps.pairBins(e, 1) // the answers, which round 0's reads fill
 	for _, gs := range gpus {
 		pg := gs.pg
 		members := gs.rep[:gs.repMembers]
@@ -142,11 +172,14 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			}
 		}
 	})
+}
 
-	// Round 0: fold each offer, and answer the ones that came from one level
-	// below their target. Round 1: fold the answers.
-	answers := ps.pairBins(e, 1)
-	e.resolveRound(comm, ps, 0, func(gs *gpuState, prs []frontier.Pair) {
+// readOffers folds round 0's offers, and answers the ones that came from one
+// level below their target into round 1's bins.
+func (e *Session) readOffers(rank int, ps *parentScratch) {
+	p64 := int64(e.p)
+	answers := ps.rounds[1].bins
+	e.readRound(rank, ps, 0, func(gs *gpuState, prs []frontier.Pair) {
 		pg := gs.pg
 		for _, pr := range prs {
 			child := int32(pr.Val & (1<<parentLevelBits - 1))
@@ -158,16 +191,20 @@ func (e *Session) finishRepair(rank int, comm *mpi.Comm, in *repairIn) {
 			}
 		}
 	})
-	e.resolveRound(comm, ps, 1, accept)
-	e.reduceDelegates(comm, rank, cand, 1)
+}
 
-	// Copy-and-patch gather: this rank's members, the non-members an offer
-	// reached — who keep their prior parent unless the offer beat it — and the
-	// same two kinds among the delegates of its stripe. No two ranks write the
-	// same entry (a delegate has no local row to be listed by, and its stripe
-	// is one rank's), so no barrier orders them.
-	out := e.out
-	for _, gs := range gpus {
+// patchGather is the copy-and-patch gather: this rank's members, the
+// non-members an offer reached — who keep their prior parent unless the offer
+// beat it — and the same two kinds among the delegates of its stripe. No two
+// ranks write the same entry (a delegate has no local row to be listed by, and
+// its stripe is one rank's), and a rank reads only its own GPUs' rows and its
+// own stripe, so it runs in the phase that makes them final.
+func (e *Session) patchGather(rank int, ps *parentScratch) {
+	in, out := e.probe.in, e.out
+	sc := e.scratch[rank]
+	sep := e.sg.Sep
+	dLevel, dMembers, cand := sc.dt.level, sc.members, ps.cand
+	for _, gs := range e.rankGPUs(rank) {
 		v0 := int(e.cfg.Residue(gs.pg.Rank, gs.pg.Slot))
 		members := gs.rep[:gs.repMembers]
 		for i, slot := range gs.rep {

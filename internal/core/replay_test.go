@@ -29,9 +29,9 @@ func runUnfiltered(t testing.TB, p *Plan, src int64, ov Overrides) *metrics.RunR
 	s := p.acquire(opts)
 	defer p.release(s)
 	ctx := context.Background()
-	w := s.coldWave(src)
-	s.childKnown = false
 	res, err := s.traverse(ctx, src, newTreeOut(&s.opts, s.sg.N), func() error {
+		w := s.coldWave(src)
+		s.childKnown = false
 		s.bindWave(src, w)
 		return s.runWave(ctx, w.schedule)
 	})
@@ -201,7 +201,6 @@ func TestGatherWritesEveryEntryOnce(t *testing.T) {
 			sources = append(sources, tc.el.N-1)
 			for _, src := range sources {
 				s := plan.acquire(plan.base)
-				w := s.coldWave(src)
 				out := newTreeOut(&s.opts, tc.el.N)
 				for v := range out.levels {
 					out.levels[v] = poison
@@ -210,6 +209,7 @@ func TestGatherWritesEveryEntryOnce(t *testing.T) {
 					out.parents[v] = poison
 				}
 				res, err := s.traverse(ctx, src, out, func() error {
+					w := s.coldWave(src)
 					s.bindWave(src, w)
 					return s.runWave(ctx, w.schedule)
 				})

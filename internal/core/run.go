@@ -64,18 +64,22 @@ import (
 // own, which is what the paper's machine would do.
 //
 // The finishers that resolve and gather a tree (parents.go, repair_tree.go,
-// sweep_tree.go) still run on one goroutine per rank (RunRanks), as do the
-// dense analytics (internal/concomp, internal/pagerank), which are not lanes:
-// they have no frontier, their delegate reduction is a min or a float sum the
-// OR fold cannot carry, and they have no exchange policy; their one loop is
-// internal/dense.
+// sweep_tree.go) run on the same driver after the loop, as a few phases of
+// their own: a pair round is posted in one phase and read in the next, the
+// delegate candidates meet in a phase in which each rank folds its stripe out
+// of the others' buffers, and a repair patch's row count is a sum the driver
+// folds. So do the dense analytics (internal/dense, through Drive), which are
+// not lanes — they have no frontier, their delegate reduction is a min or a
+// float sum the OR fold cannot carry, and they have no exchange policy — but
+// are phases like any other: no rank-parallel step of the library runs
+// anywhere else.
 
 // lanes is one rank's side of a traversal: its GPUs' state and what a
 // superstep does to it. An implementation may vary what a delegate proposal
 // and a frontier payload are (a d-bit mask and ids for one source; a d×K
 // matrix and (id, query-set) records for a sweep), which kernels run, the
 // visit rule for arrivals, and how the finished traversal becomes a result
-// (each implementation's finish, which its traversal runs after the loop).
+// (the finisher its traversal runs after the loop).
 // It may not vary the order of the steps, how they are charged, or when the
 // traversal ends. The value lives in the rank's scratch, so a query allocates
 // none.
@@ -332,15 +336,15 @@ func (p *Plan) RunBatch(ctx context.Context, sources []int64, parallelism int, o
 // run executes one cold BFS on this (already configured and exclusive)
 // session.
 func (e *Session) run(ctx context.Context, source int64) (*metrics.RunResult, error) {
-	w := e.coldWave(source)
 	return e.traverse(ctx, source, newTreeOut(&e.opts, e.sg.N), func() error {
+		w := e.coldWave(source)
 		e.bindWave(source, w)
 		return e.runWave(ctx, w.schedule)
 	})
 }
 
-// coldWave resets the session and seeds a cold BFS: the source enters the
-// frontier at depth 0.
+// coldWave resets the session on its bound driver and seeds a cold BFS: the
+// source enters the frontier at depth 0.
 func (e *Session) coldWave(source int64) wave {
 	e.reset()
 	w := wave{schedule: schedule{nSeeds: oneSeed, dSeeds: noSeed}}
@@ -364,8 +368,8 @@ func (e *Session) coldWave(source int64) wave {
 	return w
 }
 
-// traverse runs one single-source traversal, body, on the freshly reset
-// session's armed World, to fill out, and assembles the result. A fault
+// traverse runs one single-source traversal, body, on the session's armed
+// World and its driver, to fill out, and assembles the result. A fault
 // poisons the session; a cancelled query returns the context's error.
 func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body func() error) (*metrics.RunResult, error) {
 	e.out = out
@@ -373,6 +377,7 @@ func (e *Session) traverse(ctx context.Context, source int64, out treeOut, body 
 	world := e.acquireWorld()
 	armWorld(world, e.opts.Inject, tagSite)
 	e.drv.reset(world)
+	defer e.drv.stop()
 	if err := body(); err != nil {
 		e.poisoned = true
 		return nil, err
@@ -409,7 +414,6 @@ func (e *Session) result(source int64) *metrics.RunResult {
 // input frontier and what the previous superstep scanned — reaches fanWork.
 func (e *runEnv) drive(ctx context.Context, ranks []rankLoop, sch schedule) error {
 	t, d, lp := &e.bsp, &e.drv, &e.loop
-	defer d.stop()
 	t.e, t.ranks, t.sch = e, ranks, sch
 	lead := &ranks[0]
 	lp.lead, lp.iter = lead.ls, sch.first
@@ -779,9 +783,10 @@ func (e *Session) bindWave(source int64, w wave) {
 	}
 }
 
-// runWave runs a bound single-source traversal's superstep loop from sch and
-// then, unless it was cancelled, its finisher, when the query collects a
-// result, on one goroutine per rank.
+// runWave runs a bound cold traversal's superstep loop from sch and then,
+// unless it was cancelled, its finisher, when the query collects a result:
+// the tree resolved from nothing (finishQuery). A repair's wave ends in
+// finishRepairs instead, which patches the prior tree where that is less work.
 func (e *Session) runWave(ctx context.Context, sch schedule) error {
 	if err := e.drive(ctx, e.loops, sch); err != nil {
 		return err
@@ -789,7 +794,7 @@ func (e *Session) runWave(ctx context.Context, sch schedule) error {
 	if e.rec.cancelled || !e.collects() {
 		return nil
 	}
-	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.scratch[rank].lanes.finish(comm) })
+	return e.finishQuery(e.scratch[0].lanes.source)
 }
 
 // exchangers binds rank's strategy instances to this query, with the rank's
@@ -1003,11 +1008,6 @@ func (l *sourceLanes) rotate() {
 		gs.inFront, gs.outFront = gs.outFront, gs.inFront[:0]
 	}
 }
-
-// finish resolves and gathers the rank's share of a cold run's result from
-// nothing (finishQuery). A repair's wave ends in finishRepairs instead, which
-// patches the prior tree where that is less work.
-func (l *sourceLanes) finish(comm *mpi.Comm) { l.e.finishQuery(l.rank, comm, l.source) }
 
 // applyIDs is the visit rule for received local ids claiming the given depth
 // (duplicates, and ids whose level the rule does not improve, are ignored, as

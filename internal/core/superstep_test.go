@@ -111,10 +111,11 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		}
 	}
 
-	// A sweep that collects its trees adds its finisher's: the delegate
-	// candidates' reduce-scatter, two rendezvous on any rank count (one
-	// min-allreduce per rank while they were reduced stripe by stripe), which
-	// is also the gather's barrier.
+	// A sweep that collects its trees adds its finisher's two, on any rank
+	// count: the one its lane replay's posts ride, and the one after the
+	// replay's reads and the delegate candidates' stripe min-fold, past which
+	// the gather reads every rank's rows (one min-allreduce per rank while
+	// the candidates were reduced stripe by stripe).
 	popts := DefaultOptions()
 	popts.CollectParents = true
 	for _, shape := range []ClusterShape{{Nodes: 3, RanksPerNode: 2, GPUsPerRank: 2}, {Nodes: 3, RanksPerNode: 1, GPUsPerRank: 2}} {
@@ -132,10 +133,12 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 			t.Errorf("sweep with parents on %d ranks: the finisher took %d rendezvous, want %d", shape.Ranks(), got, want)
 		}
 
-		// A Run's finisher is the same reduce-scatter when it collects the
-		// tree (a min-allreduce and the gather's barrier while every rank
-		// received every delegate's candidates), and the gather's barrier
-		// alone when it collects levels only.
+		// A Run's finisher is the same two when it collects the tree (a
+		// min-allreduce and the gather's barrier while every rank received
+		// every delegate's candidates), and none when it collects levels
+		// only: the loop's last rendezvous already made every level final,
+		// so the gather is a phase after it (one barrier while the finisher
+		// ran on a goroutine per rank).
 		for _, parents := range []bool{true, false} {
 			o := popts
 			o.CollectParents = parents
@@ -149,7 +152,7 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := uint64(1)
+				want := uint64(0)
 				if parents {
 					want = 2
 				}
@@ -196,10 +199,12 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		}
 	}
 
-	// A repair that collects the tree adds three: the sum of the rows its
-	// patch would read, and the delegate candidates' reduce-scatter — the
-	// patch's (one sum while they rode its first pair round) or, forced, the
-	// full resolution's.
+	// A repair that collects the tree adds the sum of the rows its patch
+	// would read, then the patch's three — the rendezvous each of its two
+	// pair rounds' posts ride, and the one between the first round's reads
+	// and the second's posts — or, forced, the full resolution's two. (Three
+	// in both while the candidates met in a reduce-scatter and the pair
+	// rounds rode the mailboxes.)
 	b := delta.Synthesize(rel, 0.002, delta.KindMixed, 42)
 	prior, p2 := nextEpoch(t, rel, shape, 32, repairOptions(), source, b)
 	invalid := delta.Invalidated(prior.Levels, prior.Parents, b)
@@ -218,7 +223,11 @@ func TestSuperstepIsTwoRendezvous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.world.Rendezvous()-before, uint64(3+2*res.Iterations+3); got != want {
+		finisher := 4
+		if full {
+			finisher = 3
+		}
+		if got, want := s.world.Rendezvous()-before, uint64(3+2*res.Iterations+finisher); got != want {
 			t.Errorf("repair with parents (full %v): %d rendezvous over %d supersteps, want %d", full, got, res.Iterations, want)
 		}
 		pairs[i] = res.ParentPairs
@@ -243,11 +252,12 @@ func hooked(world *mpi.World, hook mpi.SendHook, body func() error) {
 // runCounted is Session.traverse for a cold run with a send hook installed.
 func runCounted(t *testing.T, s *Session, source int64, hook mpi.SendHook) *metrics.RunResult {
 	t.Helper()
-	w := s.coldWave(source)
 	s.out = newTreeOut(&s.opts, s.sg.N)
 	s.begin()
 	s.drv.reset(s.acquireWorld())
+	defer s.drv.stop()
 	hooked(s.world, hook, func() error {
+		w := s.coldWave(source)
 		s.bindWave(source, w)
 		return s.runWave(context.Background(), w.schedule)
 	})
@@ -269,6 +279,7 @@ func repairCounted(s *Session, in *repairIn, hook mpi.SendHook) *metrics.RunResu
 	s.out = newTreeOut(&s.opts, s.sg.N)
 	s.begin()
 	s.drv.reset(s.acquireWorld())
+	defer s.drv.stop()
 	hooked(s.world, hook, func() error { return s.repairWave(context.Background(), in) })
 	return s.result(in.source)
 }
@@ -363,8 +374,9 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 	}
 }
 
-// Every all-pairs round rides a rendezvous as posts: a levels-only Run, an
-// 8-lane sweep and a repair's probe round send nothing through a mailbox
+// Every all-pairs round rides a rendezvous as posts: a Run with and without
+// its tree (the replay's pair round), an 8-lane sweep with and without its
+// trees and a repair's probe round send nothing through a mailbox
 // (mpi.Comm.Isend), and every payload the send hook sees arrived through a
 // post — all of them, in every compression mode.
 func TestAllPairsRoundsTouchNoMailbox(t *testing.T) {
@@ -391,19 +403,23 @@ func TestAllPairsRoundsTouchNoMailbox(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Compression = mode
 		el, p := webPlan(t, 9, shape, opts)
-		s := p.acquire(p.base)
 		src := delegateAndNormalSources(p.sg.Sep)[0]
-		if res := runCounted(t, s, src, hook); res.Levels == nil || res.Parents != nil {
-			t.Fatalf("%s: not a levels-only run", mode)
-		}
-		check(mode.String()+" run", s.world)
-		p.release(s)
+		for _, parents := range []bool{false, true} {
+			o := opts
+			o.CollectParents = parents
+			s := p.acquire(o)
+			if res := runCounted(t, s, src, hook); res.Levels == nil || (res.Parents != nil) != parents {
+				t.Fatalf("%s: not a run with levels and parents %v", mode, parents)
+			}
+			check(fmt.Sprintf("%s run (parents %v)", mode, parents), s.world)
+			p.release(s)
 
-		sweepOpts := opts
-		sweepOpts.CollectLevels = false
-		e := p.newSweepSession(sweepOpts, pickSources(el.OutDegrees(), 8, 3))
-		runSweepCounted(e, hook)
-		check(mode.String()+" sweep", e.world)
+			sweepOpts := o
+			sweepOpts.CollectLevels = parents
+			e := p.newSweepSession(sweepOpts, pickSources(el.OutDegrees(), 8, 3))
+			runSweepCounted(e, hook)
+			check(fmt.Sprintf("%s sweep (trees %v)", mode, parents), e.world)
+		}
 
 		rel := rmat.Generate(rmat.DefaultParams(10))
 		source := repairSource(rel)
@@ -413,7 +429,7 @@ func TestAllPairsRoundsTouchNoMailbox(t *testing.T) {
 		prior, p2 := nextEpoch(t, rel, shape, 32, ropts, source, b)
 		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
 		ropts.CollectParents, ropts.DirectionOptimized = false, false
-		s = p2.acquire(ropts)
+		s := p2.acquire(ropts)
 		probes.Store(0)
 		repairCounted(s, &repairIn{source: source, levels: prior.Levels, invalid: invalid, seeds: seeds}, hook)
 		if probes.Load() == 0 {

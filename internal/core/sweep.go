@@ -584,12 +584,8 @@ func (l *sweepLanes) rotate() {
 	}
 }
 
-// finish resolves and gathers the rank's share of the sweep's trees.
-func (l *sweepLanes) finish(comm *mpi.Comm) { l.e.finishSweep(l.rank, comm, l.gpus, l.sc) }
-
-// run executes the sweep's BSP loop on the phase driver, then its finisher on
-// the rank goroutines when it collects trees, and assembles the per-query
-// results.
+// run executes the sweep's BSP loop and then, when it collects trees, its
+// finisher on the phase driver, and assembles the per-query results.
 func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 	armWorld(e.world, e.opts.Inject, sweepTagSite)
 	if err := e.traverse(ctx, e.seed()); err != nil {
@@ -606,6 +602,7 @@ func (e *sweepSession) run(ctx context.Context) ([]*metrics.RunResult, error) {
 func (e *sweepSession) traverse(ctx context.Context, sch schedule) error {
 	e.begin()
 	e.drv.reset(e.world)
+	defer e.drv.stop()
 	loops := make([]rankLoop, len(e.scratch))
 	for r, sc := range e.scratch {
 		loops[r] = rankLoop{l: &sc.lanes, ls: &sc.loopScratch, comm: e.world.Rank(r)}
@@ -616,7 +613,7 @@ func (e *sweepSession) traverse(ctx context.Context, sch schedule) error {
 	if e.rec.cancelled || e.outs == nil {
 		return nil
 	}
-	return launchRanks(e.world, func(rank int, comm *mpi.Comm) { e.scratch[rank].lanes.finish(comm) })
+	return e.finishSweep()
 }
 
 // results assembles the per-query results of a finished sweep from the loop's

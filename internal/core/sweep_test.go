@@ -11,7 +11,6 @@ import (
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/rmat"
 	"gcbfs/internal/wire"
@@ -393,7 +392,7 @@ func TestSweepAmortizesWork(t *testing.T) {
 // the rmat16-sweep workload's shape (RMAT 16, 4×2×2, the default 4n/p
 // threshold, adaptive codec, K = 64): one traversal leaves its frontier
 // history in the session, then every iteration re-resolves all 64 trees on the
-// rank goroutines. It reports the host cost per (visited vertex, lane), the
+// phase driver. It reports the host cost per (visited vertex, lane), the
 // share of dd row entries the pass read (a lane-at-a-time resolver reads ~15
 // |Edd|), the candidates the nd pass stored per visited (normal, lane) pair
 // (an offer per nd edge stored 2.84; the first-hit rule stores at most one,
@@ -424,10 +423,9 @@ func BenchmarkSweepResolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.outs = e.newOuts()
-		err := RunRanks(mpi.NewWorld(shape.Ranks()), nil, sweepTagSite, func(rank int, comm *mpi.Comm) {
-			sc := e.scratch[rank]
-			e.finishSweep(rank, comm, sc.lanes.gpus, sc)
-		})
+		e.drv.reset(e.world)
+		err := e.finishSweep()
+		e.drv.stop()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,8 +34,9 @@ package core
 //     level L" in the history regrouped by vertex (laneIndex).
 //   - Reduction: a rank's candidates for the d·K (delegate, lane) pairs are
 //     the single tree's form, uint32 global id + 1, and meet where the single
-//     tree's do (reduceDelegates, parents.go), K per delegate, which leaves
-//     each rank the global candidates of the delegates it gathers.
+//     tree's do (reduceDelegates, parents.go), K per delegate, in the phase
+//     that reads the replay, which leaves each rank the global candidates of
+//     the delegates it gathers.
 //   - Gather: past the reduction every rank writes one contiguous range of
 //     global ids of all K result arrays — every GPU's slots in it, read from
 //     their visited rows, lane indexes and candidates, and the delegates in
@@ -49,7 +50,6 @@ import (
 
 	"gcbfs/internal/bitmask"
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/mpi"
 )
 
 // laneHist is the frontier history of one vertex tier: for every level, in
@@ -158,38 +158,58 @@ func (ix *laneIndex) lanes(v uint32, l int32, w int) []uint64 {
 // the single tree's form, smallest-parent-so-far global ids + 1 (0: none),
 // which only fold or a first hit writes.
 type treeScratch struct {
-	// cand[delegate·K + lane] is this rank's candidate; after the reduction,
-	// within the rank's stripe, the global one.
+	// cand[delegate·K + lane] is this rank's candidate; after the stripe
+	// min-fold, within the rank's stripe, the global one.
 	cand []uint32
+	// round is the lane replay's pair round, posted in one phase and read in
+	// the next.
+	round pairRound
 	// ddEdges counts the dd row entries the resolution read on this rank and
 	// ndStores the candidates its nd pass wrote (BenchmarkSweepResolve reports
 	// them against |Edd| and the visited (normal, lane) pairs).
 	ddEdges, ndStores int64
 }
 
-// finishSweep resolves and gathers all K queries on this rank. All ranks
-// participate: the replay's pair round and the reduce-scatter when parents
-// are collected, a barrier when only levels are.
-func (e *sweepSession) finishSweep(rank int, comm *mpi.Comm, gpus []*sweepGPU, sc *sweepScratch) {
-	k := e.k
-	for _, gs := range gpus {
-		gs.ix = gs.hist.index(0, gs.pg.NumLocal)
-		if e.opts.CollectParents {
-			gs.cand = make([]uint32, int(gs.pg.NumLocal)*k)
+// finishSweep resolves and gathers all K queries on every rank, as driven
+// phases: phaseResolve (the lane indexes and, when parents are collected, the
+// delegate tier and the replay's bins and posts) | phaseReplay (the replay's
+// reads and the delegate candidates' stripe min-fold) | phaseGather, which
+// reads every GPU's lane index. A sweep that collects levels only skips
+// phaseReplay.
+func (e *sweepSession) finishSweep() error {
+	d := &e.drv
+	d.fan = e.sg.N >= fanWork
+	if !e.opts.CollectParents {
+		return d.runPhases(e, phaseResolve, phaseGather)
+	}
+	return d.runPhases(e, phaseResolve, phaseReplay, phaseGather)
+}
+
+// step is rank's share of one phase of the sweep's finisher.
+func (e *sweepSession) step(ph phase, rank int) {
+	sc := e.scratch[rank]
+	gpus := sc.lanes.gpus
+	switch ph {
+	case phaseResolve:
+		for _, gs := range gpus {
+			gs.ix = gs.hist.index(0, gs.pg.NumLocal)
+			if e.opts.CollectParents {
+				gs.cand = make([]uint32, int(gs.pg.NumLocal)*e.k)
+			}
 		}
+		if e.opts.CollectParents {
+			sc.tree.cand = make([]uint32, int(e.d)*e.k)
+			e.resolveDelegateLanes(gpus, sc)
+			e.replayLanes(rank, gpus, sc)
+		}
+	case phaseReplay:
+		e.readLanes(rank, gpus, sc)
+		e.reduceDelegates(rank, e.k, func(r int) []uint32 { return e.scratch[r].tree.cand })
+	case phaseGather:
+		lo, hi := e.gatherShare(rank)
+		dlo, dhi := e.delegateShare(rank)
+		e.gatherLanes(lo, hi, dlo, dhi, sc)
 	}
-	if e.opts.CollectParents {
-		ts := &sc.tree
-		ts.cand = make([]uint32, int(e.d)*k)
-		e.resolveDelegateLanes(gpus, sc)
-		e.replayLanes(rank, comm, gpus)
-		e.reduceDelegates(comm, rank, ts.cand, k)
-	} else {
-		comm.Barrier()
-	}
-	lo, hi := e.gatherShare(rank)
-	dlo, dhi := e.delegateShare(rank)
-	e.gatherLanes(lo, hi, dlo, dhi, sc)
 }
 
 // offer folds id into the candidates of the lanes a & b of the vertex whose
@@ -313,9 +333,10 @@ func (e *sweepSession) resolveDelegateLanes(gpus []*sweepGPU, sc *sweepScratch) 
 // offers itself, once per level it holds, to its nn neighbors one level down —
 // same-GPU neighbors directly, everything else as (destination, level, sender)
 // pairs carrying the lanes the sender holds that level in, a w-word lane-set
-// column of the pair round (pairRound, exchange.go) that delivers them. On
-// return this rank's normal candidates are final.
-func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU) {
+// column of the pair round (pairRound, exchange.go) that delivers them, which
+// it posts. Once every rank has read its round (readLanes), this rank's normal
+// candidates are final.
+func (e *sweepSession) replayLanes(rank int, gpus []*sweepGPU, sc *sweepScratch) {
 	w, k := e.w, e.k
 	pgpu := e.shape.GPUsPerRank
 	p64 := int64(e.p)
@@ -331,7 +352,8 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU) {
 			most += int64(nix.off[slot+1]-nix.off[slot]) * gs.pg.NN.Degree(slot)
 		}
 	}
-	round := newPairRound(e.shape, frontier.NewPairBins(e.p), w)
+	sc.tree.round = newPairRound(e.shape, frontier.NewPairBins(e.p), w)
+	round := &sc.tree.round
 	round.presize(int((most + most/8) / int64(e.p)))
 	bins, binLanes := round.bins.PerGPU, round.lanes
 
@@ -381,15 +403,22 @@ func (e *sweepSession) replayLanes(rank int, comm *mpi.Comm, gpus []*sweepGPU) {
 		e.pairRemote[q].Add(remote[q])
 	}
 
-	c := round.exchange(comm, parentTagBase, e.opts.Compression, func(s int, prs []frontier.Pair, lanes []uint64) {
+	round.post(e.world.Rank(rank), parentTagBase, e.opts.Compression)
+	e.pairWire.Add(round.out.sent)
+}
+
+// readLanes reads the lane replay's round in the phase after its posts and
+// offers every pair's lanes to the candidates of the vertex it names.
+func (e *sweepSession) readLanes(rank int, gpus []*sweepGPU, sc *sweepScratch) {
+	w, k := e.w, e.k
+	sc.tree.round.read(e.world.Rank(rank), parentTagBase, e.opts.Compression, func(s int, prs []frontier.Pair, lanes []uint64) {
+		gs := gpus[s]
 		for i, pr := range prs {
-			gs := gpus[s]
 			if mine := gs.ix.lanes(pr.ID, int32(pr.Val&(1<<parentLevelBits-1)), w); mine != nil {
 				offer(gs.cand, int(pr.ID)*k, lanes[i*w:(i+1)*w], mine, uint32(pr.Val>>parentLevelBits))
 			}
 		}
 	})
-	e.pairWire.Add(c.sent)
 }
 
 // gatherBlock is how many lanes the gather writes side by side: a vertex's K
@@ -403,9 +432,9 @@ const gatherBlock = 16
 // that is local slots [lo, hi) of every GPU, from the GPU's visited rows, lane
 // index and candidates — or, at a delegate, from the rank's replicated
 // delegate tier and its reduced stripe of candidates, the delegates [dlo,
-// dhi). Past the reduction's last rendezvous (or the barrier) every GPU's
-// resolution is final; RunRanks joins all ranks before the session is
-// released, so nothing orders the reads behind the gather.
+// dhi). It runs in the phase after the replay's reads and the stripe
+// min-fold (after the lane indexes' phase when only levels are collected), so
+// every GPU's resolution it reads is final.
 func (e *sweepSession) gatherLanes(lo, hi, dlo, dhi int64, sc *sweepScratch) {
 	k := e.k
 	ts, sep := &sc.tree, e.sg.Sep

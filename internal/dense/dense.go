@@ -6,17 +6,18 @@
 //
 // The loop owns everything the programs share: option defaults, the fault
 // injection sites, the timing model and its cross-rank reduction, and the
-// statistics. The pairs themselves cross ranks in core's pair round
-// (core.ExchangePairs), the one the BFS tree resolution uses: raw wire pair
-// blocks, so a corrupted message is a typed wire.ErrCorrupt, never a wrong
-// score or label. A program supplies the rest through Rank: its push kernels,
-// its delegate reduction (a min over labels, a rank-ordered sum over scores),
-// how an arriving pair folds in, and its update/convergence step.
+// statistics. It runs on core's phase driver (core.Drive), which runs every
+// BFS superstep, so there is one superstep loop. An iteration is two phases,
+// each ending in a rendezvous at which the driver folds what the ranks left:
 //
-// This is deliberately not core's superstep loop: a dense program has no
-// frontier, no OR-able delegate proposal and no exchange policy, and its
-// reductions (min, float sum) do not fit the fused reduce a BFS superstep
-// rides.
+//	Push, pair posts | delegate fold | pair reads (Apply), Update | timing and convergence fold, Done
+//
+// The pairs cross ranks in core's pair round (core.PairRound), the one the BFS
+// tree resolution uses: raw wire pair blocks, so a corrupted message is a
+// typed wire.ErrCorrupt, never a wrong score or label. A program supplies the
+// rest through Rank: its push kernels, its sections (a min over labels and a
+// count of changes, a rank-ordered sum over scores), how an arriving pair
+// folds in, and its update and convergence test.
 package dense
 
 import (
@@ -93,99 +94,182 @@ type Stats struct {
 	BytesDelegate int64
 }
 
-// Rank is one rank's side of a dense program. Its methods are called by the
-// rank's own goroutine, once per iteration, in the order listed.
+// Sections is what a rank hands the driver to fold across ranks, element by
+// element, and what every rank reads back folded; every rank passes each kind
+// at the same length. Sum adds in rank order — floating-point addition is not
+// associative, so a fixed order keeps every score bit-identical run to run —
+// Min takes the minimum and Count adds.
+type Sections struct {
+	Sum   []float64
+	Min   []int64
+	Count []int64
+}
+
+// fold folds the sections of every rank's side, of(side), into f's storage.
+func (f *Sections) fold(sides []side, of func(*side) Sections) {
+	first := of(&sides[0])
+	f.Sum = append(f.Sum[:0], make([]float64, len(first.Sum))...)
+	f.Min = append(f.Min[:0], first.Min...)
+	f.Count = append(f.Count[:0], make([]int64, len(first.Count))...)
+	for i := range sides {
+		s := of(&sides[i])
+		for j, v := range s.Sum {
+			f.Sum[j] += v
+		}
+		for j, v := range s.Min {
+			f.Min[j] = min(f.Min[j], v)
+		}
+		for j, v := range s.Count {
+			f.Count[j] += v
+		}
+	}
+}
+
+// Rank is one rank's side of a dense program. Its methods are called once per
+// iteration, in the order listed, each in the phase the package comment
+// places it.
 type Rank interface {
 	// Push clears the rank's accumulators and pair bins and runs its GPUs'
-	// push kernels, returning the slowest GPU's modelled seconds.
-	Push() float64
-	// ReduceDelegates folds the GPUs' delegate contributions locally, then
+	// push kernels. It returns the slowest GPU's modelled seconds and its
+	// GPUs' delegate contributions folded locally, for the driver's fold
 	// across ranks (the §V-A reduction with 64-bit payloads).
-	ReduceDelegates(comm *mpi.Comm)
+	Push() (comp float64, delegates Sections)
 	// Bins returns the rank's outgoing pair bins, one per destination GPU,
 	// which Push filled GPU by GPU: a destination's bin lists the pairs of the
 	// rank's first GPU, then its second's, and so on.
 	Bins() *frontier.PairBins
 	// Apply folds pairs arriving for local slot s into its accumulator.
 	Apply(s int, prs []frontier.Pair)
-	// Update applies the iteration's contributions to the rank's vertices
-	// and its delegate replica, and reports whether the program is done —
-	// the same answer on every rank.
-	Update(comm *mpi.Comm) (done bool)
+	// Update applies the iteration's contributions — the pairs applied, and
+	// delegates, the ranks' Push sections folded — to the rank's vertices and
+	// delegate replica, and returns its convergence sections.
+	Update(delegates Sections) (converge Sections)
+	// Done reports from the ranks' convergence sections folded whether the
+	// program is done; every rank answers alike, so the driver asks one.
+	Done(converge Sections) bool
 }
 
 // Run iterates the program whose per-rank sides are ranks until it reports
 // done or the iteration budget runs out. Besides the statistics it returns
 // whether the program finished by its own account.
 func Run(program string, sg *partition.Subgraphs, shape core.ClusterShape, opts Options, ranks []Rank) (stats Stats, done bool, err error) {
-	d := sg.D()
-	pgpu := shape.GPUsPerRank
-	prank := shape.Ranks()
-	net, amp := opts.Net, opts.WorkAmplification
+	l := &loop{shape: shape, opts: &opts, d: sg.D(), world: mpi.NewWorld(shape.Ranks()), ranks: ranks, sides: make([]side, len(ranks))}
+	for r, rs := range ranks {
+		l.sides[r].round = core.NewPairRound(shape, rs.Bins())
+	}
 	// Message tags are plain iteration numbers here.
 	iterTag := func(tag int) (int, string) { return tag, faults.SiteExchange }
-	// stats and done are written by each iteration's closer, on the last rank
-	// to reach its timing reduce, and read after the ranks join.
-	err = core.RunRanks(mpi.NewWorld(prank), opts.Inject, iterTag, func(rank int, comm *mpi.Comm) {
-		r := ranks[rank]
-		for iter := 0; iter < opts.MaxIterations; iter++ {
-			// ---- Fault injection (chaos testing): see core's bspLoop.step.
-			if in := opts.Inject; in != nil {
-				in.Crash(rank, iter, faults.SiteIter)
-			}
-			comp := r.Push()
-			r.ReduceDelegates(comm)
+	if err := core.Drive(l.world, opts.Inject, iterTag, sg.N, l.step, l.next); err != nil {
+		return Stats{}, false, err
+	}
+	return l.stats, l.done, nil
+}
 
-			// ---- Normal pair exchange: core's pair round, one message of raw
-			// pair blocks per destination rank. A message is charged as the
-			// fixed-width layout the model prices — 12 bytes per pair plus a
-			// 4-byte count per slot — whatever the blocks' framing weighs on
-			// the host.
-			sent, recv, intra, msgs := core.ExchangePairs(comm, shape, r.Bins(), iter, r.Apply)
-			slotBytes := 4 * int64(pgpu) * msgs
-			sentBytes, recvBytes := sent+slotBytes, recv+slotBytes
+// The two phases of an iteration.
+const (
+	phasePush   = iota // Push and the pair posts
+	phaseUpdate        // the pair reads, Update and the timing
+)
 
-			fin := r.Update(comm)
+// loop is Run's state between phases: the ranks' sides of the iteration in
+// flight, what the driver folded of them, and the statistics.
+type loop struct {
+	shape               core.ClusterShape
+	opts                *Options
+	d                   int64
+	world               *mpi.World
+	ranks               []Rank
+	sides               []side
+	delegates, converge Sections
+	iter                int
+	stats               Stats
+	done                bool
+}
 
-			// ---- Timing (model): this rank's components, then their maxima
-			// across ranks and the global traffic sum in one reduce, whose
-			// closer accumulates the iteration. Every rank's fin is the same.
-			// Injected stall: timing skew only, results stay bit-identical.
-			if in := opts.Inject; in != nil {
-				comp += in.Stall(rank, iter, faults.SiteIter)
-			}
-			aSent := int64(float64(sentBytes) * amp)
-			aState := int64(float64(d*8) * amp)
-			local := net.Staging(aSent) + net.Staging(int64(float64(recvBytes)*amp))
-			var remoteDelegate float64
-			if d > 0 {
-				local += net.LocalReduce(aState, pgpu) + net.LocalBroadcast(aState, pgpu)
-				remoteDelegate = net.Allreduce(aState, prank, true)
-			}
-			remoteNormal := net.PointToPoint(aSent, 4<<20)
-			vec := []int64{int64(math.Float64bits(comp)), int64(math.Float64bits(local)),
-				int64(math.Float64bits(remoteNormal)), int64(math.Float64bits(remoteDelegate))}
-			comm.AllreduceFusedClose(nil, false, vec, []int64{sentBytes + intra}, func(maxima, traffic []int64) {
-				parts := metrics.Breakdown{
-					Computation:    math.Float64frombits(uint64(maxima[0])),
-					LocalComm:      math.Float64frombits(uint64(maxima[1])),
-					RemoteNormal:   math.Float64frombits(uint64(maxima[2])),
-					RemoteDelegate: math.Float64frombits(uint64(maxima[3])),
-				}
-				stats.SimSeconds += parts.Sum() - 0.35*math.Min(parts.Computation,
-					parts.RemoteNormal+parts.RemoteDelegate)
-				stats.Parts.Add(parts)
-				stats.Iterations++
-				stats.BytesNormal += traffic[0]
-				stats.BytesDelegate += d * 8
-				done = fin
-			})
-			if fin {
-				break
-			}
+// side is one rank's pair round and what it hands the driver in an
+// iteration: its delegate and convergence sections, and its timing components
+// (model time) and traffic, whose maxima and sum the driver takes.
+type side struct {
+	round      *core.PairRound
+	dels, conv Sections
+	parts      metrics.Breakdown
+	traffic    int64
+}
+
+// step is rank's share of phase ph of iteration l.iter.
+func (l *loop) step(ph, rank int) {
+	r, sd, comm := l.ranks[rank], &l.sides[rank], l.world.Rank(rank)
+	o, d, iter := l.opts, l.d, l.iter
+	if ph == phasePush {
+		// ---- Fault injection (chaos testing): see core's bspLoop.step.
+		if in := o.Inject; in != nil {
+			in.Crash(rank, iter, faults.SiteIter)
 		}
-	})
-	return stats, done, err
+		sd.parts.Computation, sd.dels = r.Push()
+		sd.round.Post(comm, iter)
+		return
+	}
+	// ---- Normal pair exchange: core's pair round, one message of raw pair
+	// blocks per destination rank. A message is charged as the fixed-width
+	// layout the model prices — 12 bytes per pair plus a 4-byte count per
+	// slot — whatever the blocks' framing weighs on the host.
+	sent, recv, intra, msgs := sd.round.Read(comm, iter, r.Apply)
+	sd.conv = r.Update(l.delegates)
+
+	// ---- Timing (model): an injected stall is timing skew only, results
+	// stay bit-identical.
+	net, amp := o.Net, o.WorkAmplification
+	pgpu := l.shape.GPUsPerRank
+	slotBytes := 4 * int64(pgpu) * msgs
+	sentBytes, recvBytes := sent+slotBytes, recv+slotBytes
+	if in := o.Inject; in != nil {
+		sd.parts.Computation += in.Stall(rank, iter, faults.SiteIter)
+	}
+	aSent := int64(float64(sentBytes) * amp)
+	aState := int64(float64(d*8) * amp)
+	sd.parts.LocalComm = net.Staging(aSent) + net.Staging(int64(float64(recvBytes)*amp))
+	sd.parts.RemoteDelegate = 0
+	if d > 0 {
+		sd.parts.LocalComm += net.LocalReduce(aState, pgpu) + net.LocalBroadcast(aState, pgpu)
+		sd.parts.RemoteDelegate = net.Allreduce(aState, l.shape.Ranks(), true)
+	}
+	sd.parts.RemoteNormal = net.PointToPoint(aSent, 4<<20)
+	sd.traffic = sentBytes + intra
+}
+
+// next folds at the rendezvous that ended phase ph (-1: none yet) and returns
+// the next phase: after the push the delegate sections; after the update the
+// timing maxima and traffic into the statistics, and the convergence sections.
+func (l *loop) next(ph int) int {
+	switch ph {
+	case phasePush:
+		l.delegates.fold(l.sides, func(sd *side) Sections { return sd.dels })
+		return phaseUpdate
+	case phaseUpdate:
+		var parts metrics.Breakdown
+		var traffic int64
+		for _, sd := range l.sides {
+			p := sd.parts
+			parts.Computation = max(parts.Computation, p.Computation)
+			parts.LocalComm = max(parts.LocalComm, p.LocalComm)
+			parts.RemoteNormal = max(parts.RemoteNormal, p.RemoteNormal)
+			parts.RemoteDelegate = max(parts.RemoteDelegate, p.RemoteDelegate)
+			traffic += sd.traffic
+		}
+		st := &l.stats
+		st.SimSeconds += parts.Sum() - 0.35*math.Min(parts.Computation, parts.RemoteNormal+parts.RemoteDelegate)
+		st.Parts.Add(parts)
+		st.Iterations++
+		st.BytesNormal += traffic
+		st.BytesDelegate += l.d * 8
+		l.converge.fold(l.sides, func(sd *side) Sections { return sd.conv })
+		l.done = l.ranks[0].Done(l.converge)
+		l.iter++
+	}
+	if l.done || l.iter >= l.opts.MaxIterations {
+		return -1
+	}
+	return phasePush
 }
 
 // Gather assembles a global per-vertex array from each GPU's local slots

@@ -20,11 +20,11 @@
 //	              way a real receive timeout would surface).
 //	KindStall     charge a rank extra simulated seconds at an iteration
 //	              boundary — no error, only timing skew.
-//	KindCrash     panic the rank goroutine mid-iteration with a typed Crash
+//	KindCrash     panic the rank's share of a phase with a typed Crash
 //	              value, exercising the containment and abort machinery.
 //
 // The injector mutates only copies of payloads — sender-owned buffers are
-// never touched — and is safe for concurrent use by every rank goroutine.
+// never touched — and is safe for concurrent use by every rank.
 package faults
 
 import (
@@ -96,7 +96,7 @@ func Kinds() []Kind {
 // wire.ErrCorrupt only).
 var ErrInjected = errors.New("injected fault")
 
-// Crash is the typed panic value KindCrash throws inside a rank goroutine.
+// Crash is the typed panic value KindCrash throws inside a rank's work.
 // It is an error wrapping ErrInjected, so the containment boundary that
 // recovers it can propagate it like any other typed fault.
 type Crash struct {

@@ -1,72 +1,39 @@
 // Package mpi provides an in-process message-passing runtime with MPI-like
-// semantics for the simulated cluster: a World of ranks, non-blocking
-// point-to-point sends with unbounded buffering (MPI_Isend/Irecv, as the
-// butterfly's hops of the normal-vertex exchange use them, §V-B), posted
-// payloads that ride a rendezvous (the all-pairs exchange's one message per
-// destination), OR/SUM/MAX/MIN allreduce collectives and a min reduce-scatter
-// (where every BFS tree's delegate parent candidates meet, each on the rank
-// that writes the delegate).
+// semantics for the simulated cluster: a World of ranks, posted payloads that
+// ride a rendezvous (an all-pairs round's one message per destination), and
+// non-blocking point-to-point sends with unbounded buffering (MPI_Isend, as
+// the butterfly's hops of the normal-vertex exchange use them, §V-B).
 //
-// The package is purely functional — data really moves between rank heaps
-// and collectives really fold — while *timing* is modeled separately by
-// internal/simnet from the byte volumes this package counts.
+// The package is purely functional — data really moves between rank heaps —
+// while *timing* is modeled separately by internal/simnet from the byte
+// volumes this package counts.
 //
 // # Rendezvous
 //
-// A collective is one rendezvous: every rank goroutine takes the collective's
-// lock, folds its contribution, and all but the last park until the last one
-// broadcasts. On the host that hand-off — not the fold — is what a collective
-// costs, so the unit of cost is the rendezvous, not the reduced value.
-// AllreduceFused carries three independently typed sections (an optional OR
-// section, a max section, a sum section) through a single rendezvous; the
-// one-section collectives (AllreduceOr/Sum/Max/Min) are wrappers over
-// the same reduce (Min folds the max section the other way).
+// Nothing in the library parks a goroutine per rank. Core's phase driver runs
+// every rank's side of a round on one goroutine (or a few workers) up to each
+// rendezvous, folds what the ranks contributed itself — a superstep's OR and
+// max/sum sections, the tree finishers' sums and delegate-candidate min-fold,
+// the dense analytics' float sums and minima — and completes the rendezvous
+// with World.Meet, which counts a generation (Rendezvous) and holds the
+// posting contract. What remains besides Meet and the posts, and why:
 //
-// The BFS superstep parks nobody: core's phase driver runs every rank's side
-// of it on one goroutine (or a few workers) up to each rendezvous, folds the
-// ranks' sections itself, and completes the rendezvous with World.Meet, which
-// counts a generation like any collective and holds the posting contract the
-// same way. What still parks a goroutine per rank are the calls made outside
-// the superstep loop: the tree finishers' Barrier, AllreduceSum and
-// ReduceScatterMin (core's parents.go, repair_tree.go, sweep_tree.go) and the
-// dense analytics' collectives and their Isend/Recv pair rounds
-// (internal/dense). Isend never parks; a Recv parks only until its message
-// is sent, which in a driven phase it already is.
-//
-// # Closing a generation
-//
-// AllreduceFusedClose hands the fused reduce a closer: whatever every rank
-// would derive from the reduced sections alike is derived once. The rules:
-//
-//   - The last rank to arrive runs its closer, once per generation, under the
-//     collective's lock, on the folded max and sum sections, before any rank
-//     is released; every rank passes a closer that does the same. The other
-//     ranks are parked anyway, and the lock orders the closer's writes
-//     before every rank's return.
-//   - What the closer writes, every rank may read once its call returns, until
-//     it arrives at its own next rendezvous; the closer may read any state a
-//     rank wrote before it arrived, since that rank is parked in the same
-//     generation. It must not keep or modify the sections it is handed.
-//   - On an aborted World no closer runs; every parked rank still unwinds
-//     with the typed abort.
-//   - A closer that panics unwinds the last rank alone; the others stay
-//     parked until the World is aborted.
-//
-// ReduceScatterMin is two rendezvous whatever the rank count, and its fold is
-// not under the lock: every rank shares its buffer, folds its own stripe out
-// of every other rank's, in parallel with the others, and waits at the second
-// rendezvous until nobody reads its buffer any more. An allreduce per stripe
-// would be one rendezvous per rank, each folding and copying out a whole
-// stripe on every rank under the collective's one lock.
+//   - Isend/Recv and the mailboxes, for rounds whose partners depend on what
+//     earlier rounds delivered: a butterfly hop is sent in one driven phase
+//     and received in the next, past a Meet, so a Recv never waits.
+//   - AllreduceOr and AllreduceSum, blocking collectives in which every rank
+//     goroutine parks until the last arrives. No library code calls them;
+//     the host benchmark's probes do (benchmark-only until ROADMAP item
+//     10(ii)).
 //
 // # Posting contract
 //
 // A round in which every rank sends every other rank one message need not
 // touch a mailbox: each rank posts its per-destination payloads (Post), the
-// ranks meet at a rendezvous they hold anyway, and each reads what its
-// sources posted for it (Posted). No lock is taken per message, no receiver
-// parks waiting for one, and a source with nothing for a destination says so
-// by posting it nothing. The rules:
+// ranks meet at a rendezvous, and each reads what its sources posted for it
+// (Posted). No lock is taken per message, no receiver parks waiting for one,
+// and a source with nothing for a destination says so by posting it nothing.
+// The rules:
 //
 //   - A posted payload stays valid until the poster's next rendezvous
 //     completes: the rendezvous after the one it posted ahead of. The poster
@@ -81,11 +48,6 @@
 //   - BytesSent and MessagesSent count every non-empty post, when it is made.
 //   - World.Reset clears the posts.
 //   - Posted on an aborted World panics with the typed abort, as Post does.
-//
-// Point-to-point Isend/Recv remain for rounds whose partners or payloads
-// depend on what earlier rounds delivered (a butterfly's hops, each sent in
-// one driven phase and received in the next, past a Meet) and for callers
-// outside a superstep (the pair rounds).
 package mpi
 
 import (
@@ -111,7 +73,7 @@ type World struct {
 	// posts[r] is rank r's latest Post (see the posting contract).
 	posts []posting
 
-	// hook, when set, intercepts every Isend payload (fault injection).
+	// hook, when set, intercepts every payload (fault injection, SendHook).
 	hook SendHook
 
 	// Abort poison: once aborted is set every blocked or future MPI call on
@@ -138,8 +100,8 @@ func (w *World) SetSendHook(h SendHook) { w.hook = h }
 type abortPanic struct{ err error }
 
 // AbortError reports whether a recovered panic value came from an aborted
-// World, returning the abort cause. Rank containment boundaries use it to
-// tell a secondary unwind (a peer woken by Abort) from a genuine bug.
+// World, returning the abort cause, so a rank goroutine woken by Abort in a
+// Recv or a blocking collective can tell that unwind from a genuine bug.
 func AbortError(v any) (error, bool) {
 	if ap, ok := v.(abortPanic); ok {
 		return ap.err, true
@@ -148,11 +110,11 @@ func AbortError(v any) (error, bool) {
 }
 
 // Abort poisons the World: the first call records err as the cause, and every
-// rank currently blocked in Recv or a collective — plus every later MPI call
-// — panics with a typed abort value. A rank goroutine that hit a fault calls
-// Abort before unwinding so its peers never deadlock on messages or
-// collective arrivals that will not come. An aborted World must be discarded
-// (or Reset) before reuse.
+// rank goroutine currently blocked in Recv or a collective — plus every later
+// MPI call — panics with a typed abort value, so nobody waits for a message or
+// an arrival that will not come. Core's phase driver aborts the World with
+// the lowest faulting rank's error once a faulted phase has ended. An aborted
+// World must be discarded (or Reset) before reuse.
 func (w *World) Abort(err error) {
 	if err == nil {
 		err = errors.New("mpi: world aborted")
@@ -301,8 +263,6 @@ func (w *World) Reset() {
 	cl := w.coll
 	cl.mu.Lock()
 	cl.arrived = 0
-	cl.acc = nil
-	clear(cl.shared)
 	cl.mu.Unlock()
 	w.abortMu.Lock()
 	w.abortErr = nil
@@ -440,8 +400,8 @@ func (c *Comm) Posted(src, tag int) ([]byte, bool) {
 	return data, true
 }
 
-// collective implements generation-counted fold-and-broadcast, reused for
-// every allreduce flavor and for barriers.
+// collective is the rendezvous of the two blocking collectives (AllreduceOr,
+// AllreduceSum) and the generation counter World.Meet advances.
 type collective struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -449,294 +409,77 @@ type collective struct {
 	size    int
 	gen     uint64
 	arrived int
-	acc     any
-	result  any
-	// Reusable accumulators for the typed fused reduce, double-buffered by
-	// generation parity: generation g+2 (the first reuse of g's buffer)
-	// cannot start until every rank finished g, because each rank copies
-	// the result out under the lock before it can arrive for g+1.
-	acc3 [2]fusedAcc
-	// shared[r] is rank r's buffer between a reduce-scatter's two rendezvous.
-	shared [][]uint32
+	// Reusable accumulators, double-buffered by generation parity:
+	// generation g+2 (the first reuse of g's buffer) cannot start until every
+	// rank finished g, because each rank copies the result out under the lock
+	// before it can arrive for g+1.
+	acc [2]foldAcc
 }
 
 func newCollective(size int) *collective {
-	cl := &collective{size: size, shared: make([][]uint32, size)}
+	cl := &collective{size: size}
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
 
-// run folds contribution into the shared accumulator with combine (called
-// under the lock) and returns the final accumulator once all ranks arrive.
-// init clones the first contribution. The returned value is shared — callers
-// copy out of it.
-func (cl *collective) run(contrib any, init func(any) any, combine func(acc, in any)) any {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.w.checkAbort()
-	if cl.arrived == 0 {
-		cl.acc = init(contrib)
-	} else {
-		combine(cl.acc, contrib)
-	}
-	if cl.arrived == cl.size-1 {
-		cl.result = cl.acc
-		cl.acc = nil
-	}
-	cl.arrive()
-	return cl.result
-}
-
 // arrive counts the caller into the current generation and parks it until the
-// last rank arrives, which ends the generation; it reports whether the caller
-// was that last rank. Called with cl.mu held.
-func (cl *collective) arrive() bool {
+// last rank arrives, which ends the generation. Called with cl.mu held.
+func (cl *collective) arrive() {
 	gen := cl.gen
 	cl.arrived++
 	if cl.arrived == cl.size {
 		cl.arrived = 0
 		cl.gen++
 		cl.cond.Broadcast()
-		return true
+		return
 	}
 	for cl.gen == gen {
 		cl.cond.Wait()
 		cl.w.checkAbort()
 	}
-	return false
 }
 
-// fusedAcc is one generation's accumulator of the typed fused reduce.
-type fusedAcc struct {
-	or    []uint64
-	hasOr bool // some rank contributed OR words this generation
-	ext   []int64
-	sum   []int64
+// foldAcc is one generation's accumulator.
+type foldAcc struct {
+	or  []uint64
+	sum []int64
 }
 
-// extremum selects how the fused reduce's ext section folds.
-type extremum bool
-
-const (
-	extMax extremum = false
-	extMin extremum = true
-)
-
-// fused is the typed reduce behind every per-iteration collective: an
-// optional OR section, an extremum section (element-wise max, or min when
-// every rank says so) and a sum section folded in one rendezvous. No interface boxing, and the accumulator is a reusable
-// generation-parity buffer, so the steady state allocates nothing. Every rank
-// passes equal section lengths; a rank with contribute unset passes or as an
-// output buffer only. Each rank copies the result into its own slices under
-// the lock before returning; or is overwritten only when the returned flag
-// says some rank contributed.
-func (cl *collective) fused(or []uint64, contribute bool, ext []int64, which extremum, sum []int64, closer func(max, sum []int64)) bool {
+// fold ORs or and sums sum element-wise across the ranks in one rendezvous and
+// copies the results into every rank's slices before it returns. Every rank
+// passes equal lengths; the steady state allocates nothing.
+func (cl *collective) fold(or []uint64, sum []int64) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
-	acc := &cl.acc3[cl.gen%2]
+	acc := &cl.acc[cl.gen%2]
 	if cl.arrived == 0 {
-		acc.hasOr = false
-		acc.ext = append(acc.ext[:0], ext...)
+		acc.or = append(acc.or[:0], or...)
 		acc.sum = append(acc.sum[:0], sum...)
 	} else {
-		if len(acc.ext) != len(ext) || len(acc.sum) != len(sum) {
-			panic(fmt.Sprintf("mpi: collective length mismatch ext %d vs %d, sum %d vs %d",
-				len(acc.ext), len(ext), len(acc.sum), len(sum)))
+		if len(acc.or) != len(or) || len(acc.sum) != len(sum) {
+			panic(fmt.Sprintf("mpi: collective length mismatch or %d vs %d, sum %d vs %d",
+				len(acc.or), len(or), len(acc.sum), len(sum)))
 		}
-		if which == extMin {
-			for i, v := range ext {
-				if v < acc.ext[i] {
-					acc.ext[i] = v
-				}
-			}
-		} else {
-			for i, v := range ext {
-				if v > acc.ext[i] {
-					acc.ext[i] = v
-				}
-			}
+		for i, w := range or {
+			acc.or[i] |= w
 		}
 		for i, v := range sum {
 			acc.sum[i] += v
 		}
 	}
-	if contribute {
-		if !acc.hasOr {
-			acc.or = append(acc.or[:0], or...)
-			acc.hasOr = true
-		} else {
-			if len(acc.or) != len(or) {
-				panic(fmt.Sprintf("mpi: collective length mismatch or %d vs %d", len(acc.or), len(or)))
-			}
-			for i, w := range or {
-				acc.or[i] |= w
-			}
-		}
-	}
-	if closer != nil && cl.arrived == cl.size-1 {
-		closer(acc.ext, acc.sum)
-	}
 	cl.arrive()
-	copy(ext, acc.ext)
+	copy(or, acc.or)
 	copy(sum, acc.sum)
-	if acc.hasOr {
-		if len(acc.or) != len(or) {
-			panic(fmt.Sprintf("mpi: collective length mismatch or %d vs %d", len(acc.or), len(or)))
-		}
-		copy(or, acc.or)
-	}
-	return acc.hasOr
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	c.w.coll.run(nil,
-		func(any) any { return nil },
-		func(any, any) {})
-}
-
-// AllreduceFused folds three independently typed sections in one rendezvous
-// (see the package comment) and stores each result in place in every rank's
-// slices. All ranks must pass equal lengths per section; nil sections are
-// empty.
-//
-// The OR section is optional per rank: a rank with contribute unset passes or
-// as an output buffer whose contents are ignored, so a rank with nothing to
-// add never has to zero or build its words. The result reports whether any
-// rank contributed; when none did, or is left untouched on every rank.
-//
-// max and sum fold element-wise as AllreduceMax and AllreduceSum do.
-func (c *Comm) AllreduceFused(or []uint64, contribute bool, max, sum []int64) bool {
-	return c.w.coll.fused(or, contribute, max, extMax, sum, nil)
-}
-
-// AllreduceFusedClose is AllreduceFused whose generation closer runs once,
-// on the last rank to arrive, over the folded max and sum sections before any
-// rank returns (see "Closing a generation" in the package comment).
-func (c *Comm) AllreduceFusedClose(or []uint64, contribute bool, max, sum []int64, closer func(max, sum []int64)) bool {
-	return c.w.coll.fused(or, contribute, max, extMax, sum, closer)
 }
 
 // AllreduceOr ORs the word slices of all ranks element-wise and stores the
-// result in-place in every rank's slice. All ranks must pass equal lengths.
-// This is the delegate-mask reduction primitive (§V-A).
-func (c *Comm) AllreduceOr(words []uint64) {
-	c.w.coll.fused(words, true, nil, extMax, nil, nil)
-}
+// result in place in every rank's slice; it parks the calling goroutine until
+// every rank has arrived. All ranks must pass equal lengths. Benchmark-only
+// until ROADMAP item 10(ii): the engine folds its delegate proposals in core's
+// phase driver.
+func (c *Comm) AllreduceOr(words []uint64) { c.w.coll.fold(words, nil) }
 
-// AllreduceSum sums int64 slices element-wise across ranks, in-place.
-func (c *Comm) AllreduceSum(vals []int64) {
-	c.w.coll.fused(nil, false, nil, extMax, vals, nil)
-}
-
-// AllreduceMax takes the element-wise max of int64 slices across ranks.
-func (c *Comm) AllreduceMax(vals []int64) {
-	c.w.coll.fused(nil, false, vals, extMax, nil, nil)
-}
-
-// AllreduceMin takes the element-wise min of int64 slices across ranks —
-// the label-propagation primitive of connected components (internal/concomp),
-// where every rank needs every delegate's label. The BFS trees' delegate
-// candidates, which only the rank that writes a delegate needs, meet in
-// ReduceScatterMin instead.
-func (c *Comm) AllreduceMin(vals []int64) {
-	c.w.coll.fused(nil, false, vals, extMin, nil, nil)
-}
-
-// AllreduceSumFloat64 sums float64 slices element-wise across ranks — the
-// delegate-state reduction for rank-valued algorithms like PageRank, where
-// delegates carry scores instead of one visited bit (§VI-D's
-// generalization). Floating-point addition is not associative, so the fold
-// happens in rank order regardless of arrival order — results are
-// bit-reproducible across runs.
-func (c *Comm) AllreduceSumFloat64(vals []float64) {
-	type contrib struct {
-		rank int
-		vals []float64
-	}
-	mine := contrib{rank: c.rank, vals: append([]float64(nil), vals...)}
-	res := c.w.coll.run(mine,
-		func(in any) any {
-			all := make([][]float64, c.w.size)
-			first := in.(contrib)
-			all[first.rank] = first.vals
-			return all
-		},
-		func(acc, in any) {
-			all := acc.([][]float64)
-			cb := in.(contrib)
-			if all[cb.rank] != nil {
-				panic(fmt.Sprintf("mpi: duplicate contribution from rank %d", cb.rank))
-			}
-			all[cb.rank] = cb.vals
-		}).([][]float64)
-	for i := range vals {
-		vals[i] = 0
-	}
-	for r := 0; r < c.w.size; r++ {
-		row := res[r]
-		if len(row) != len(vals) {
-			panic(fmt.Sprintf("mpi: AllreduceSumFloat64 length mismatch %d vs %d", len(row), len(vals)))
-		}
-		for i, w := range row {
-			vals[i] += w
-		}
-	}
-}
-
-// ReduceScatterMin reduces the uint32 buffers of all ranks element-wise and
-// leaves each rank the result on its own stripe, buf[lo:hi]: the smallest
-// value any rank holds there, where 0 means "none" and loses every comparison
-// (0 only if every rank holds 0). The rest of buf is left as it was. All ranks
-// pass buffers of equal length and disjoint stripes, which may be uneven or
-// empty; a rank that owns none passes lo == hi.
-//
-// It is two rendezvous, with no copy through the collective: in the first
-// every rank shares its buffer; between them each rank folds its stripe out of
-// every other rank's buffer, all ranks in parallel; the second keeps every
-// buffer untouched until no rank reads it any more.
-func (c *Comm) ReduceScatterMin(buf []uint32, lo, hi int) {
-	if lo < 0 || lo > hi || hi > len(buf) {
-		panic(fmt.Sprintf("mpi: reduce-scatter stripe [%d,%d) of a %d-element buffer", lo, hi, len(buf)))
-	}
-	shared := c.shareBuffer(buf)
-	mine := buf[lo:hi]
-	for r, theirs := range shared {
-		if r == c.rank {
-			continue
-		}
-		if len(theirs) != len(buf) {
-			panic(fmt.Sprintf("mpi: reduce-scatter length mismatch %d vs %d", len(theirs), len(buf)))
-		}
-		for i, v := range theirs[lo:hi] {
-			// v−1 wraps "none" to the largest value.
-			mine[i] = min(mine[i]-1, v-1) + 1
-		}
-	}
-	c.releaseBuffers()
-}
-
-// shareBuffer is a reduce-scatter's first rendezvous: it shares buf as this
-// rank's and returns every rank's once all have shared theirs.
-func (c *Comm) shareBuffer(buf []uint32) [][]uint32 {
-	cl := c.w.coll
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.w.checkAbort()
-	cl.shared[c.rank] = buf
-	cl.arrive()
-	return cl.shared
-}
-
-// releaseBuffers is a reduce-scatter's second rendezvous: once every rank has
-// folded its stripe, the last to arrive drops the shared buffers.
-func (c *Comm) releaseBuffers() {
-	cl := c.w.coll
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.w.checkAbort()
-	if cl.arrive() {
-		clear(cl.shared)
-	}
-}
+// AllreduceSum sums int64 slices element-wise across ranks, in place, parking
+// like AllreduceOr. Benchmark-only until ROADMAP item 10(ii).
+func (c *Comm) AllreduceSum(vals []int64) { c.w.coll.fold(nil, vals) }

@@ -3,9 +3,7 @@ package mpi
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -126,31 +124,6 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	const size = 8
-	var before, after atomic64
-	spawn(t, size, func(c *Comm) {
-		before.add(1)
-		c.Barrier()
-		// Every rank must have passed `before` by now.
-		if before.load() != size {
-			t.Errorf("rank %d passed barrier with before=%d", c.Rank(), before.load())
-		}
-		after.add(1)
-	})
-	if after.load() != size {
-		t.Fatalf("after = %d", after.load())
-	}
-}
-
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
-func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
-
 func TestAllreduceOr(t *testing.T) {
 	const size = 4
 	spawn(t, size, func(c *Comm) {
@@ -167,7 +140,7 @@ func TestAllreduceOr(t *testing.T) {
 	})
 }
 
-func TestAllreduceSumAndMax(t *testing.T) {
+func TestAllreduceSum(t *testing.T) {
 	const size = 5
 	spawn(t, size, func(c *Comm) {
 		sums := []int64{int64(c.Rank()), 1}
@@ -175,112 +148,27 @@ func TestAllreduceSumAndMax(t *testing.T) {
 		if sums[0] != 0+1+2+3+4 || sums[1] != size {
 			t.Errorf("rank %d: sums = %v", c.Rank(), sums)
 		}
-		maxs := []int64{int64(c.Rank() * 10)}
-		c.AllreduceMax(maxs)
-		if maxs[0] != 40 {
-			t.Errorf("rank %d: max = %d", c.Rank(), maxs[0])
-		}
-	})
-}
-
-func TestAllreduceMin(t *testing.T) {
-	const size = 4
-	spawn(t, size, func(c *Comm) {
-		vals := []int64{int64(10 + c.Rank()), int64(-c.Rank())}
-		c.AllreduceMin(vals)
-		if vals[0] != 10 || vals[1] != -3 {
-			t.Errorf("rank %d: min = %v", c.Rank(), vals)
-		}
-	})
-}
-
-// A reduce-scatter leaves each rank the element-wise min of its stripe, 0
-// ("none") losing every comparison, and every other element as it was; uneven
-// and empty stripes included, in two rendezvous per call.
-func TestReduceScatterMin(t *testing.T) {
-	const n, rounds = 37, 3
-	for _, size := range []int{1, 3, 8} {
-		rng := rand.New(rand.NewSource(int64(size)))
-		// Stripe r is [bounds[r], bounds[r+1]); every third one is empty.
-		bounds := make([]int, size+1)
-		bounds[size] = n
-		for r := 1; r < size; r++ {
-			bounds[r] = bounds[r-1]
-			if r%3 != 0 {
-				bounds[r] += 1 + rng.Intn(2*n/size)
-			}
-			bounds[r] = min(bounds[r], n)
-		}
-		contribs := make([][][]uint32, rounds)
-		for k := range contribs {
-			contribs[k] = make([][]uint32, size)
-			for r := range contribs[k] {
-				contribs[k][r] = make([]uint32, n)
-				for i := range contribs[k][r] {
-					if rng.Intn(3) > 0 {
-						contribs[k][r][i] = uint32(rng.Intn(1 << 20))
-					}
-				}
-				if size > 1 {
-					contribs[k][r][n-1] = 0 // the last element stays "none"
-				}
-			}
-		}
-		w := spawn(t, size, func(c *Comm) {
-			lo, hi := bounds[c.Rank()], bounds[c.Rank()+1]
-			for k := 0; k < rounds; k++ {
-				buf := append([]uint32(nil), contribs[k][c.Rank()]...)
-				c.ReduceScatterMin(buf, lo, hi)
-				for i, got := range buf {
-					want := contribs[k][c.Rank()][i]
-					if i >= lo && i < hi {
-						want = 0
-						for _, in := range contribs[k] {
-							if in[i] != 0 && (want == 0 || in[i] < want) {
-								want = in[i]
-							}
-						}
-					}
-					if got != want {
-						t.Errorf("p=%d round %d rank %d stripe [%d,%d): buf[%d] = %d, want %d", size, k, c.Rank(), lo, hi, i, got, want)
-					}
-				}
-			}
-		})
-		if got := w.Rendezvous(); got != 2*rounds {
-			t.Errorf("p=%d: %d rendezvous for %d reduce-scatters, want %d", size, got, rounds, 2*rounds)
-		}
-		for r, buf := range w.coll.shared {
-			if buf != nil {
-				t.Errorf("p=%d: the World still holds rank %d's buffer", size, r)
-			}
-		}
-	}
-}
-
-func TestAllreduceSumFloat64(t *testing.T) {
-	const size = 3
-	spawn(t, size, func(c *Comm) {
-		vals := []float64{float64(c.Rank()) + 0.5, 1.0}
-		c.AllreduceSumFloat64(vals)
-		if vals[0] != 0.5+1.5+2.5 || vals[1] != 3.0 {
-			t.Errorf("rank %d: sum = %v", c.Rank(), vals)
-		}
 	})
 }
 
 func TestRepeatedCollectives(t *testing.T) {
-	// Generations must not bleed into each other across iterations.
+	// Generations must not bleed into each other across iterations, the
+	// accumulators' parity reuse included.
 	const size, iters = 4, 50
 	spawn(t, size, func(c *Comm) {
 		for i := 0; i < iters; i++ {
 			v := []int64{int64(i)}
-			c.AllreduceMax(v)
-			if v[0] != int64(i) {
-				t.Errorf("iter %d: max = %d", i, v[0])
+			c.AllreduceSum(v)
+			if v[0] != int64(size*i) {
+				t.Errorf("iter %d: sum = %d", i, v[0])
 				return
 			}
-			c.Barrier()
+			w := []uint64{1 << uint(i%64)}
+			c.AllreduceOr(w)
+			if w[0] != 1<<uint(i%64) {
+				t.Errorf("iter %d: or = %x", i, w[0])
+				return
+			}
 		}
 	})
 }
@@ -351,100 +239,6 @@ func TestAllToAllPattern(t *testing.T) {
 	})
 }
 
-// The fused reduce equals its three one-section reduces, on random vectors,
-// whether or not a rank contributes OR words, and with no contributor at all.
-func TestAllreduceFusedEqualsSeparateReduces(t *testing.T) {
-	const nOr, nMax, nSum, rounds = 5, 7, 9, 20
-	for _, size := range []int{1, 3, 8, 32} {
-		rng := rand.New(rand.NewSource(int64(size)))
-		type contrib struct {
-			or       []uint64
-			has      bool
-			max, sum []int64
-		}
-		all := make([][]contrib, rounds)
-		for k := range all {
-			all[k] = make([]contrib, size)
-			for r := range all[k] {
-				c := contrib{or: make([]uint64, nOr), max: make([]int64, nMax), sum: make([]int64, nSum)}
-				// Round 0 has no OR contributor; later rounds a random subset.
-				c.has = k > 0 && rng.Intn(3) == 0
-				for i := range c.or {
-					c.or[i] = rng.Uint64() // garbage when !has: must be ignored
-				}
-				for i := range c.max {
-					c.max[i] = rng.Int63() - rng.Int63()
-				}
-				for i := range c.sum {
-					c.sum[i] = int64(rng.Uint64()) // wraps like the fold does
-				}
-				all[k][r] = c
-			}
-		}
-		spawn(t, size, func(c *Comm) {
-			for k := range all {
-				mine := all[k][c.Rank()]
-				or := append([]uint64(nil), mine.or...)
-				max := append([]int64(nil), mine.max...)
-				sum := append([]int64(nil), mine.sum...)
-				gotAny := c.AllreduceFused(or, mine.has, max, sum)
-
-				anyWord := []uint64{0}
-				if mine.has {
-					anyWord[0] = 1
-				}
-				c.AllreduceOr(anyWord)
-				wantAny := anyWord[0] != 0
-				wantOr := make([]uint64, nOr)
-				if mine.has {
-					copy(wantOr, mine.or)
-				}
-				c.AllreduceOr(wantOr)
-				wantMax := append([]int64(nil), mine.max...)
-				c.AllreduceMax(wantMax)
-				wantSum := append([]int64(nil), mine.sum...)
-				c.AllreduceSum(wantSum)
-
-				if gotAny != wantAny {
-					t.Errorf("p=%d round %d rank %d: any = %v, want %v", size, k, c.Rank(), gotAny, wantAny)
-				}
-				if !gotAny {
-					wantOr = mine.or // no contributor: the buffer is left alone
-				}
-				for i := range or {
-					if or[i] != wantOr[i] {
-						t.Errorf("p=%d round %d rank %d: or[%d] = %x, want %x", size, k, c.Rank(), i, or[i], wantOr[i])
-					}
-				}
-				for i := range max {
-					if max[i] != wantMax[i] {
-						t.Errorf("p=%d round %d rank %d: max[%d] = %d, want %d", size, k, c.Rank(), i, max[i], wantMax[i])
-					}
-				}
-				for i := range sum {
-					if sum[i] != wantSum[i] {
-						t.Errorf("p=%d round %d rank %d: sum[%d] = %d, want %d", size, k, c.Rank(), i, sum[i], wantSum[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestAllreduceMinExtremes(t *testing.T) {
-	const lo, hi = -1 << 63, 1<<63 - 1
-	spawn(t, 3, func(c *Comm) {
-		vals := []int64{hi, hi, int64(c.Rank())}
-		if c.Rank() == 1 {
-			vals[0] = lo
-		}
-		c.AllreduceMin(vals)
-		if vals[0] != lo || vals[1] != hi || vals[2] != 0 {
-			t.Errorf("rank %d: min = %v", c.Rank(), vals)
-		}
-	})
-}
-
 // A rank that aborts the World instead of arriving strands nobody: every rank
 // parked in the rendezvous unwinds with the typed abort, and after Reset the
 // World folds again from a clean accumulator.
@@ -478,13 +272,12 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	}
 	got := run(func(c *Comm) {
 		sum := []int64{1}
-		c.AllreduceFused(nil, false, nil, sum) // a full rendezvous first
+		c.AllreduceSum(sum) // a full rendezvous first
 		if c.Rank() == 5 {
 			w.Abort(cause)
 			return
 		}
-		or := []uint64{1 << uint(c.Rank())}
-		c.AllreduceFused(or, true, []int64{int64(c.Rank())}, sum)
+		c.AllreduceOr([]uint64{1 << uint(c.Rank())})
 		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
 	})
 	if got != size-1 {
@@ -492,24 +285,6 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	}
 	if w.Aborted() == nil {
 		t.Fatal("World not marked aborted")
-	}
-	w.Reset()
-
-	// The same between a reduce-scatter's two rendezvous: rank 5 posts its
-	// buffer and aborts instead of folding, and the others unwind before the
-	// second completes.
-	got = run(func(c *Comm) {
-		buf := make([]uint32, size)
-		if c.Rank() == 5 {
-			c.shareBuffer(buf)
-			w.Abort(cause)
-			return
-		}
-		c.ReduceScatterMin(buf, c.Rank(), c.Rank()+1)
-		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
-	})
-	if got != size-1 {
-		t.Fatalf("reduce-scatter: %d ranks unwound with the abort, want %d", got, size-1)
 	}
 	w.Reset()
 
@@ -527,7 +302,7 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 			w.Abort(cause)
 			return
 		}
-		c.AllreduceFused(nil, false, nil, []int64{1})
+		c.AllreduceSum([]int64{1})
 		t.Errorf("rank %d passed a rendezvous rank 5 never entered", c.Rank())
 	})
 	if got != size-1 {
@@ -535,124 +310,14 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 	}
 	w.Reset()
 	if got := run(func(c *Comm) {
-		or := []uint64{0}
-		max, sum := []int64{int64(c.Rank())}, []int64{1}
-		if any := c.AllreduceFused(or, c.Rank() == 2, max, sum); !any || max[0] != size-1 || sum[0] != size {
-			t.Errorf("rank %d after Reset: any=%v max=%v sum=%v", c.Rank(), any, max, sum)
+		or, sum := []uint64{uint64(c.Rank() & 2)}, []int64{1}
+		c.AllreduceOr(or)
+		c.AllreduceSum(sum)
+		if or[0] != 2 || sum[0] != size {
+			t.Errorf("rank %d after Reset: or=%v sum=%v", c.Rank(), or, sum)
 		}
 	}); got != 0 {
 		t.Fatalf("%d ranks aborted after Reset", got)
-	}
-}
-
-// A fused reduce's closer runs once per generation, on one rank, after every
-// rank has arrived and before any returns, over the folded sections; what it
-// writes, every rank reads once its call returns. p = 1 closes every
-// generation on its one rank.
-func TestAllreduceFusedCloser(t *testing.T) {
-	const gens = 40
-	for _, size := range []int{1, 2, 5, 8} {
-		var (
-			arrived, returned [gens]atomic.Int32
-			calls, closedBy   [gens]int // written by closers only
-			closed            [gens]int64
-		)
-		spawn(t, size, func(c *Comm) {
-			for g := range gens {
-				max, sum := []int64{int64(c.Rank() + g)}, []int64{int64(c.Rank())}
-				arrived[g].Add(1)
-				c.AllreduceFusedClose(nil, false, max, sum, func(mx, sm []int64) {
-					calls[g]++
-					closedBy[g] = c.Rank()
-					if n := arrived[g].Load(); n != int32(size) {
-						t.Errorf("p=%d gen %d: closed with %d of %d ranks arrived", size, g, n, size)
-					}
-					if n := returned[g].Load(); n != 0 {
-						t.Errorf("p=%d gen %d: %d ranks returned before the closer ran", size, g, n)
-					}
-					if mx[0] != int64(size-1+g) || sm[0] != int64(size*(size-1)/2) {
-						t.Errorf("p=%d gen %d: closer saw max %d sum %d, not the folded sections", size, g, mx[0], sm[0])
-					}
-					closed[g] = mx[0] + sm[0]
-				})
-				returned[g].Add(1)
-				if closed[g] != max[0]+sum[0] {
-					t.Errorf("p=%d gen %d rank %d: read %d from the closer, want %d", size, g, c.Rank(), closed[g], max[0]+sum[0])
-				}
-			}
-		})
-		for g := range gens {
-			if calls[g] != 1 {
-				t.Errorf("p=%d gen %d: closer ran %d times", size, g, calls[g])
-			}
-			if closedBy[g] < 0 || closedBy[g] >= size {
-				t.Errorf("p=%d gen %d: closed by rank %d", size, g, closedBy[g])
-			}
-		}
-	}
-}
-
-// An aborted World runs no closer: the rank that would have closed the
-// generation unwinds with the abort at its arrival, and so does every rank
-// parked before the abort. A closer that panics unwinds its own rank, whose
-// abort releases the parked others.
-func TestAllreduceFusedCloserOnAbort(t *testing.T) {
-	const size = 4
-	cause := errors.New("rank failed")
-	var closes atomic.Int32
-	closer := func(_, _ []int64) { closes.Add(1) }
-	// parked launches ranks 0..size-2 into a closing rendezvous and returns
-	// once all of them are parked in it, and a wait for all to have unwound.
-	parked := func(w *World) (wait func()) {
-		var wg sync.WaitGroup
-		for r := 0; r < size-1; r++ {
-			wg.Add(1)
-			go func(c *Comm) {
-				defer wg.Done()
-				defer func() {
-					if err, ok := AbortError(recover()); !ok || !errors.Is(err, cause) {
-						t.Errorf("rank %d did not unwind with the abort: %v", c.Rank(), err)
-					}
-				}()
-				c.AllreduceFusedClose(nil, false, []int64{1}, []int64{1}, closer)
-			}(w.Rank(r))
-		}
-		for {
-			w.coll.mu.Lock()
-			n := w.coll.arrived
-			w.coll.mu.Unlock()
-			if n == size-1 {
-				return wg.Wait
-			}
-			runtime.Gosched()
-		}
-	}
-	last := func(w *World, close func(_, _ []int64)) (v any) {
-		defer func() { v = recover() }()
-		w.Rank(size-1).AllreduceFusedClose(nil, false, []int64{1}, []int64{1}, close)
-		return nil
-	}
-
-	w := NewWorld(size)
-	wait := parked(w)
-	w.Abort(cause)
-	if err, ok := AbortError(last(w, closer)); !ok || !errors.Is(err, cause) {
-		t.Fatalf("the last rank arrived on an aborted World and did not unwind with the abort: %v", err)
-	}
-	wait()
-	if n := closes.Load(); n != 0 {
-		t.Fatalf("%d closers ran on an aborted World", n)
-	}
-
-	w.Reset()
-	wait = parked(w)
-	if v := last(w, func(_, _ []int64) { panic("closer failed") }); v != "closer failed" {
-		t.Fatalf("the closing rank recovered %v, want the closer's panic", v)
-	}
-	w.Abort(cause)
-	wait()
-	if n := closes.Load(); n != 0 {
-		t.Fatalf("%d other closers ran", n)
 	}
 }
 
@@ -718,20 +383,41 @@ func TestPostedPayloads(t *testing.T) {
 	t.Run("valid-until-the-next-rendezvous", func(t *testing.T) {
 		// Each rank rewrites the same buffers every round, between the
 		// rendezvous that ends one round's reads and the one its next post
-		// rides; every reader finishes reading before that first one. Under
-		// -race this is the contract's whole synchronization.
+		// rides; every reader finishes reading before that first one. The
+		// ranks of a phase run at once, so under -race this is the
+		// contract's whole synchronization.
 		const rounds = 50
-		w := spawn(t, size, func(c *Comm) {
-			me := c.Rank()
-			bufs, store := make([][]byte, size), make([][]byte, size)
-			for k := 0; k < rounds; k++ {
-				for dst := range bufs {
-					store[dst] = append(store[dst][:0], payload(me, dst, k)...)
-					bufs[dst] = store[dst]
+		w := NewWorld(size)
+		// phase runs fn on every rank at once, as a driver fans a phase
+		// out, and completes the rendezvous that ends it.
+		phase := func(fn func(c *Comm)) {
+			var wg sync.WaitGroup
+			for r := range size {
+				wg.Add(1)
+				go func(c *Comm) {
+					defer wg.Done()
+					fn(c)
+				}(w.Rank(r))
+			}
+			wg.Wait()
+			w.Meet()
+		}
+		bufs, store := make([][][]byte, size), make([][][]byte, size)
+		for r := range size {
+			bufs[r], store[r] = make([][]byte, size), make([][]byte, size)
+		}
+		for k := 0; k < rounds; k++ {
+			tag := 100 + k
+			phase(func(c *Comm) {
+				me := c.Rank()
+				for dst := range bufs[me] {
+					store[me][dst] = append(store[me][dst][:0], payload(me, dst, k)...)
+					bufs[me][dst] = store[me][dst]
 				}
-				tag := 100 + k
-				c.Post(tag, bufs)
-				c.Barrier()
+				c.Post(tag, bufs[me])
+			})
+			phase(func(c *Comm) {
+				me := c.Rank()
 				for src := 0; src < size; src++ {
 					if src == me {
 						continue
@@ -742,9 +428,8 @@ func TestPostedPayloads(t *testing.T) {
 						t.Errorf("round %d: rank %d read %v (%v) from rank %d, want %v", k, me, got, ok, src, want)
 					}
 				}
-				c.Barrier()
-			}
-		})
+			})
+		}
 		if got := w.MailboxSends(); got != 0 {
 			t.Errorf("posted rounds sent %d mailbox messages", got)
 		}

@@ -19,7 +19,6 @@ import (
 	"gcbfs/internal/core"
 	"gcbfs/internal/dense"
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/mpi"
 	"gcbfs/internal/partition"
 	"gcbfs/internal/simgpu"
 	"gcbfs/internal/simnet"
@@ -89,7 +88,11 @@ type rankState struct {
 	gpus     []*gpuState
 	bins     *frontier.PairBins
 	delRanks []float64
-	delAcc   []float64
+	// sum is the rank's delegate section, the delegates' contributions and
+	// then the dangling mass; delta its convergence section, the normal
+	// vertices' L1 change; delDelta the delegates', the same on every rank.
+	sum, delta []float64
+	delDelta   float64
 }
 
 func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*gpuState, []dense.Rank) {
@@ -124,7 +127,8 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 			gpus:     gpus[r*pgpu : (r+1)*pgpu],
 			bins:     frontier.NewPairBins(len(sg.GPUs)),
 			delRanks: make([]float64, sg.D()),
-			delAcc:   make([]float64, sg.D()),
+			sum:      make([]float64, sg.D()+1),
+			delta:    make([]float64, 1),
 		}
 		for di := range rs.delRanks {
 			rs.delRanks[di] = init
@@ -134,8 +138,10 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 	return gpus, ranks
 }
 
-// Push runs the push phase over all local edges.
-func (r *rankState) Push() (comp float64) {
+// Push runs the push phase over all local edges and returns the delegate
+// section for the rank-ordered sum (the §V-A reduction with float payloads):
+// the GPUs' delegate contributions, then their dangling mass.
+func (r *rankState) Push() (comp float64, delegates dense.Sections) {
 	r.bins.Reset()
 	for _, gs := range r.gpus {
 		gs.dangling = 0
@@ -147,23 +153,15 @@ func (r *rankState) Push() (comp float64) {
 		}
 		comp = max(comp, r.pushNormals(gs)+r.pushDelegates(gs))
 	}
-	return comp
-}
-
-// ReduceDelegates is the delegate contribution sum: local fold then global
-// rank-ordered sum (the §V-A reduction with float payloads).
-func (r *rankState) ReduceDelegates(comm *mpi.Comm) {
-	for i := range r.delAcc {
-		r.delAcc[i] = 0
-	}
+	d := len(r.delRanks)
+	clear(r.sum)
 	for _, gs := range r.gpus {
 		for i, v := range gs.accDel {
-			r.delAcc[i] += v
+			r.sum[i] += v
 		}
+		r.sum[d] += gs.dangling
 	}
-	if len(r.delAcc) > 0 {
-		comm.AllreduceSumFloat64(r.delAcc)
-	}
+	return comp, dense.Sections{Sum: r.sum}
 }
 
 func (r *rankState) Bins() *frontier.PairBins { return r.bins }
@@ -176,18 +174,15 @@ func (r *rankState) Apply(s int, prs []frontier.Pair) {
 }
 
 // Update redistributes the dangling mass and moves every score to its next
-// value; with a tolerance set, the run is done once the global L1 delta
-// falls below it.
-func (r *rankState) Update(comm *mpi.Comm) bool {
+// value, from the summed delegate section; its convergence section is the
+// rank's L1 delta over its normal vertices.
+func (r *rankState) Update(delegates dense.Sections) dense.Sections {
 	n := float64(r.sg.N)
 	damp := r.opts.Damping
-	dangling := []float64{0}
-	for _, gs := range r.gpus {
-		dangling[0] += gs.dangling
-	}
-	comm.AllreduceSumFloat64(dangling)
-	base := (1-damp)/n + damp*dangling[0]/n
-	delta := []float64{0}
+	d := len(r.delRanks)
+	delAcc, dangling := delegates.Sum[:d], delegates.Sum[d]
+	base := (1-damp)/n + damp*dangling/n
+	r.delta[0] = 0
 	for _, gs := range r.gpus {
 		var gpuDelta float64
 		for slot := range gs.ranks {
@@ -199,17 +194,22 @@ func (r *rankState) Update(comm *mpi.Comm) bool {
 			gpuDelta += math.Abs(next - gs.ranks[slot])
 			gs.ranks[slot] = next
 		}
-		delta[0] += gpuDelta
+		r.delta[0] += gpuDelta
 	}
 	// Delegate update: identical on every rank from the reduced sums.
-	var delDelta float64
+	r.delDelta = 0
 	for di := range r.delRanks {
-		next := base + damp*r.delAcc[di]
-		delDelta += math.Abs(next - r.delRanks[di])
+		next := base + damp*delAcc[di]
+		r.delDelta += math.Abs(next - r.delRanks[di])
 		r.delRanks[di] = next
 	}
-	comm.AllreduceSumFloat64(delta)
-	return r.opts.Tolerance > 0 && delta[0]+delDelta < r.opts.Tolerance
+	return dense.Sections{Sum: r.delta}
+}
+
+// Done: with a tolerance set, the run is done once the global L1 delta falls
+// below it.
+func (r *rankState) Done(converge dense.Sections) bool {
+	return r.opts.Tolerance > 0 && converge.Sum[0]+r.delDelta < r.opts.Tolerance
 }
 
 // pushNormals distributes each local normal vertex's rank along its nn and

@@ -404,7 +404,7 @@ func (m *MutableService) Repair(ctx context.Context, prior *Result, d *Delta, op
 // from earlier epochs are rejected — their reference graph is gone.
 func (m *MutableService) Validate(r *Result) error {
 	cur := m.cur.Load()
-	if r.Epoch != cur.plan.Epoch() {
+	if r != nil && r.Epoch != cur.plan.Epoch() {
 		return fmt.Errorf("gcbfs: result from epoch %d cannot be validated against live epoch %d", r.Epoch, cur.plan.Epoch())
 	}
 	return cur.Validate(r)

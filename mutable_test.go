@@ -65,6 +65,9 @@ func TestMutableEpochChain(t *testing.T) {
 	if err := m.Validate(r1); err == nil {
 		t.Fatal("epoch-1 result validated against epoch-2 graph")
 	}
+	if err := m.Validate(nil); err == nil {
+		t.Fatal("Validate accepted a nil result")
+	}
 }
 
 // TestMutableCarriedDegrees chains 12 ApplyDeltas: every epoch's separation
