@@ -65,24 +65,6 @@ func LevelSizes(levels []int32) []int64 {
 	return sizes
 }
 
-// FrontierEdges returns, per depth, the number of edges incident to that
-// depth's frontier (the forward workload of iteration t).
-func FrontierEdges(c *graph.CSR, levels []int32) []int64 {
-	var max int32 = -1
-	for _, l := range levels {
-		if l > max {
-			max = l
-		}
-	}
-	edges := make([]int64, max+1)
-	for u := int64(0); u < c.N; u++ {
-		if l := levels[u]; l >= 0 {
-			edges[l] += c.OutDegree(u)
-		}
-	}
-	return edges
-}
-
 // OneDResult reports a 1D-partitioned BFS run.
 type OneDResult struct {
 	Levels     []int32
@@ -183,11 +165,4 @@ func TwoDModel(n int64, levelSizes []int64, switchIter, p int) (*TwoDModelResult
 	}
 	res.BackwardBytes = int64(2 * float64(n) * float64(res.BackwardIters) * root * logRoot / 8)
 	return res, nil
-}
-
-// DelegateModelBytes evaluates the paper's own communication volume bound
-// (§V): d·p_rank/4·S′ for delegate masks plus 4·|Enn| for the normal
-// exchange — the quantity abl1 compares against OneD and TwoDModel.
-func DelegateModelBytes(d int64, pRank int, maskIters int, enn int64) int64 {
-	return d*int64(pRank)/4*int64(maskIters) + 4*enn
 }

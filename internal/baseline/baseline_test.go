@@ -3,6 +3,7 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,7 +80,7 @@ func TestQuickSerialBFSInvariants(t *testing.T) {
 					hasParent = true
 				}
 			}
-			if !hasParent && c.OutDegree(u) > 0 {
+			if !hasParent && len(c.Neighbors(u)) > 0 {
 				return false
 			}
 			if !hasParent && levels[u] > 0 {
@@ -245,4 +246,17 @@ func BenchmarkSerialBFSScale14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SerialBFS(c, 1)
 	}
+}
+
+// FrontierEdges returns, per depth, the number of edges incident to that
+// depth's frontier (the forward workload of iteration t). No library path
+// uses it; it stays as the subject of TestLevelSizesAndFrontierEdges.
+func FrontierEdges(c *graph.CSR, levels []int32) []int64 {
+	edges := make([]int64, slices.Max(levels)+1)
+	for u := int64(0); u < c.N; u++ {
+		if l := levels[u]; l >= 0 {
+			edges[l] += int64(len(c.Neighbors(u)))
+		}
+	}
+	return edges
 }

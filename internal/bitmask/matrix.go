@@ -28,15 +28,6 @@ func NewMatrix(rows int64, k int) *Matrix {
 	return &Matrix{rows: rows, k: k, w: w, words: make([]uint64, rows*int64(w))}
 }
 
-// Rows returns the row count.
-func (m *Matrix) Rows() int64 { return m.rows }
-
-// K returns the query-set width in bits.
-func (m *Matrix) K() int { return m.k }
-
-// W returns the number of words per row.
-func (m *Matrix) W() int { return m.w }
-
 // Row returns row r's word slice. Mutating it mutates the matrix.
 func (m *Matrix) Row(r int64) []uint64 {
 	off := r * int64(m.w)
@@ -56,21 +47,6 @@ func (m *Matrix) Set(r int64, q int) {
 	m.words[r*int64(m.w)+int64(q/wordBits)] |= 1 << uint(q%wordBits)
 }
 
-// Get reports bit q of row r.
-func (m *Matrix) Get(r int64, q int) bool {
-	return m.words[r*int64(m.w)+int64(q/wordBits)]&(1<<uint(q%wordBits)) != 0
-}
-
-// Any reports whether any bit of the whole matrix is set.
-func (m *Matrix) Any() bool {
-	for _, w := range m.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Row-level word folds. All operands must have equal length (the sweep's
 // rows all share one width); length mismatches panic via the bounds check.
 // Empty rows (a graph without delegates has a 0-word delegate matrix) fold
@@ -84,17 +60,6 @@ func RowOr(dst, src []uint64) {
 	_ = dst[len(src)-1]
 	for i, w := range src {
 		dst[i] |= w
-	}
-}
-
-// RowAndNot sets dst &^= src.
-func RowAndNot(dst, src []uint64) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[len(src)-1]
-	for i, w := range src {
-		dst[i] &^= w
 	}
 }
 

@@ -42,7 +42,6 @@ type Result struct {
 
 type gpuState struct {
 	pg      *partition.GPUGraph
-	dev     *simgpu.Device
 	labels  []int64
 	prop    []int64 // incoming proposals (min) for local slots
 	propDel []int64 // incoming proposals for delegates (local share)
@@ -91,7 +90,6 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 	for i, pg := range sg.GPUs {
 		gs := &gpuState{
 			pg:      pg,
-			dev:     simgpu.NewDevice(opts.GPU, i),
 			labels:  make([]int64, pg.NumLocal),
 			prop:    make([]int64, pg.NumLocal),
 			propDel: make([]int64, sg.D()),
@@ -230,7 +228,7 @@ func (r *rankState) pushNormals(gs *gpuState) float64 {
 			}
 		}
 	}
-	return r.opts.Charge(gs.dev, simgpu.KernelCost{
+	return r.opts.Charge(simgpu.KernelCost{
 		Edges: edges, Vertices: vertices + gs.pg.NumLocal/64, Strategy: simgpu.TWBDynamic,
 	})
 }
@@ -257,42 +255,7 @@ func (r *rankState) pushDelegates(gs *gpuState) float64 {
 			}
 		}
 	}
-	return r.opts.Charge(gs.dev, simgpu.KernelCost{
+	return r.opts.Charge(simgpu.KernelCost{
 		Edges: edges, Vertices: r.sg.D() / 64, Strategy: simgpu.MergePath,
 	})
-}
-
-// SerialLabels computes reference min-id component labels with union-find.
-func SerialLabels(n int64, edges [][2]int64) []int64 {
-	parent := make([]int64, n)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int64) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra < rb { // union by min id keeps roots canonical
-			parent[rb] = ra
-		} else {
-			parent[ra] = rb
-		}
-	}
-	for _, e := range edges {
-		union(e[0], e[1])
-	}
-	labels := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		labels[v] = find(v)
-	}
-	return labels
 }

@@ -247,3 +247,38 @@ func TestModelledCostPinned(t *testing.T) {
 		}
 	}
 }
+
+// SerialLabels computes reference min-id component labels with union-find.
+func SerialLabels(n int64, edges [][2]int64) []int64 {
+	parent := make([]int64, n)
+	for i := range parent {
+		parent[i] = int64(i)
+	}
+	var find func(int64) int64
+	find = func(x int64) int64 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int64) {
+		ra, rb := find(a), find(b)
+		if ra == rb {
+			return
+		}
+		if ra < rb { // union by min id keeps roots canonical
+			parent[rb] = ra
+		} else {
+			parent[ra] = rb
+		}
+	}
+	for _, e := range edges {
+		union(e[0], e[1])
+	}
+	labels := make([]int64, n)
+	for v := int64(0); v < n; v++ {
+		labels[v] = find(v)
+	}
+	return labels
+}

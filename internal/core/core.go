@@ -196,14 +196,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// PlainBFSOptions returns DefaultOptions with direction optimization off —
-// the paper's "BFS" configuration.
-func PlainBFSOptions() Options {
-	o := DefaultOptions()
-	o.DirectionOptimized = false
-	return o
-}
-
 // Plan is the immutable, shareable half of a BFS deployment: the partitioned
 // graph, the cluster shape and the normalized base Options. A Plan is built
 // once per partition and is safe for concurrent use — every mutable byte of
@@ -315,26 +307,6 @@ func (p *Plan) PoolStats() PoolStats {
 		Misses:       misses,
 		PeakInFlight: p.peakInFlight.Load(),
 	}
-}
-
-// Shape returns the plan's cluster shape.
-func (p *Plan) Shape() ClusterShape { return p.shape }
-
-// Graph returns the distributed graph the plan runs on.
-func (p *Plan) Graph() *partition.Subgraphs { return p.sg }
-
-// Options returns the plan's normalized base option set.
-func (p *Plan) Options() Options { return p.base }
-
-// MemoryOK reports whether every simulated GPU's subgraph storage fits the
-// device memory model (§III-C's processing-scale bound).
-func (p *Plan) MemoryOK() bool {
-	for _, pg := range p.sg.GPUs {
-		if !p.base.GPU.FitsMemory(pg.MemoryBytes()) {
-			return false
-		}
-	}
-	return true
 }
 
 // Overrides are per-query deltas layered over a Plan's base Options. Only
@@ -574,7 +546,6 @@ func (p *Plan) newSession() *Session {
 	for i, pg := range p.sg.GPUs {
 		gs := &gpuState{
 			pg:         pg,
-			dev:        simgpu.NewDevice(p.base.GPU, i),
 			dt:         &s.scratch[pg.Rank].dt,
 			levels:     make([]int32, pg.NumLocal),
 			hasChild:   bitmask.New(pg.NumLocal),
@@ -604,12 +575,12 @@ func (s *Session) configure(opts Options) {
 	}
 }
 
-// charge runs the kernel cost through the device model with work
-// amplification applied (timing only; functional counters stay raw).
-func (e *runEnv) charge(dev *simgpu.Device, c simgpu.KernelCost) float64 {
+// charge prices a kernel on the GPU model with work amplification applied
+// (timing only; functional counters stay raw).
+func (e *runEnv) charge(c simgpu.KernelCost) float64 {
 	c.Edges = int64(float64(c.Edges) * e.amp)
 	c.Vertices = int64(float64(c.Vertices) * e.amp)
-	return dev.Charge(c)
+	return e.opts.GPU.Time(c)
 }
 
 // ampBytes scales a communication volume for the timing model.
@@ -623,9 +594,8 @@ func (e *runEnv) ampBytes(b int64) int64 {
 // share sweepScratch's, and the replicas of the ranks agree because they
 // change only by the reduced proposal (§V-A).
 type gpuState struct {
-	pg  *partition.GPUGraph
-	dev *simgpu.Device
-	dt  *delegateTier // the rank's, shared by its GPUs
+	pg *partition.GPUGraph
+	dt *delegateTier // the rank's, shared by its GPUs
 
 	levels []int32 // local slot → hop distance, -1 unvisited
 	// hasChild marks the local slots with an nn neighbor exactly one level
@@ -741,13 +711,13 @@ type iterWork struct {
 
 // reset prepares all per-GPU state for a fresh run: resetTraversal on the
 // driver's goroutine, then the O(n) arrays as a driven phase (phaseReset), one
-// rank's GPUs per step, fanned out from fanWork vertices. The driver is bound
+// rank's GPUs per step, fanned out from fanReset vertices. The driver is bound
 // to the query's World (traverse).
 func (e *Session) reset() {
 	e.resetTraversal()
 	e.childKnown = true
 	d := &e.drv
-	d.fan = e.sg.N >= fanWork
+	d.fan = e.sg.N >= fanReset
 	if err := d.run(e, phaseReset); err != nil {
 		panic(err) // nothing in a reset decodes or injects
 	}
@@ -796,7 +766,6 @@ func (e *Session) resetTraversal() {
 		gs.repSeeds, gs.repCursor, gs.rep = gs.repSeeds[:0], 0, gs.rep[:0]
 		gs.unvisitedNDSources = int64(len(gs.pg.NDSources))
 		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
-		gs.dev.ResetCounters()
 		gs.it = iterWork{}
 	}
 	for _, sc := range e.scratch {

@@ -43,7 +43,7 @@ func checkAgainstSerial(t *testing.T, el *graph.EdgeList, e *Plan, source int64)
 	for v := range want {
 		if res.Levels[v] != want[v] {
 			t.Fatalf("source %d: vertex %d level %d, want %d (shape %s)",
-				source, v, res.Levels[v], want[v], e.Shape())
+				source, v, res.Levels[v], want[v], e.shape)
 		}
 	}
 	return res
@@ -406,4 +406,12 @@ func pickSources(deg []int64, count int, seed int64) []int64 {
 		}
 	}
 	return out
+}
+
+// PlainBFSOptions returns DefaultOptions with direction optimization off —
+// the paper's "BFS" configuration.
+func PlainBFSOptions() Options {
+	o := DefaultOptions()
+	o.DirectionOptimized = false
+	return o
 }

@@ -76,12 +76,19 @@ type stepper interface {
 // to every rank after the previous fold. Below that, waking the worker
 // goroutines costs more than the ranks' shares of a phase take together;
 // measured per superstep on all five host workloads (CHANGES.md). A phase
-// that reads every vertex — a repair's preload, a cold run's reset, a full
-// gather, a dense iteration — fans out from fanWork vertices, and a repair
-// patch from fanWork listed vertices or row entries.
+// that reads every vertex — a repair's preload, a full gather, a dense
+// iteration — fans out from fanWork vertices, and a repair patch from fanWork
+// listed vertices or row entries.
+//
+// A cold run's reset fans out from fanReset vertices. It writes about 1.8 ns
+// a vertex, and on the latency workloads it is the query's only large phase,
+// so fanning it starts the workers for it alone. BenchmarkReset (2 vCPUs,
+// 4×2×2, inline → fanned per reset): 32 768 vertices 62 → 69 µs, 65 536
+// vertices 123 → 121 µs, 131 072 vertices 237 → 187 µs.
 const (
 	fanWork     = 8192
 	fanDelegate = 1024
+	fanReset    = 1 << 16
 )
 
 // driver runs one traversal's phases over the ranks of its World.

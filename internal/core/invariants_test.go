@@ -59,7 +59,7 @@ func TestQuickEngineInvariants(t *testing.T) {
 		if g500.Validate(el, src, res.Levels) != nil {
 			return false
 		}
-		if g500.ValidateTree(el, src, res.Parents, res.Levels) != nil {
+		if validateTree(el, src, res.Parents, res.Levels) != nil {
 			return false
 		}
 		// Eccentricity check: max level + 1 iterations performed, plus

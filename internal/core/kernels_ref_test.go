@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"gcbfs/internal/bitmask"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -74,10 +73,7 @@ func refBackwardDD(e *Session, gs *gpuState, pv *previsitOut) {
 	if e.opts.ForceTWBForDD {
 		strategy = simgpu.TWBDynamic
 	}
-	scratch := bitmask.New(e.d)
-	scratch.CopyFrom(gs.pg.DDSourceMask)
-	scratch.AndNot(gs.dt.visited)
-	scratch.ForEach(func(u int64) {
+	gs.pg.DDSourceMask.ForEachExcluding(func(u int64) {
 		vertices++
 		for _, dv := range gs.pg.DD.Neighbors(u) {
 			edges++
@@ -86,10 +82,10 @@ func refBackwardDD(e *Session, gs *gpuState, pv *previsitOut) {
 				break
 			}
 		}
-	})
+	}, gs.dt.visited)
 	vertices += e.d / 64
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: strategy,
 		Skew: rowSkew(pv.maxDD, pv.fvDD, int64(len(pv.qDD))),
 	})
@@ -97,11 +93,7 @@ func refBackwardDD(e *Session, gs *gpuState, pv *previsitOut) {
 
 func refBackwardND(e *Session, gs *gpuState, iter int32) {
 	var edges, vertices int64
-	scratch := bitmask.New(e.d)
-	scratch.CopyFrom(gs.pg.DNSourceMask)
-	scratch.AndNot(gs.dt.visited)
-	scratch.AndNot(gs.newMask)
-	scratch.ForEach(func(u int64) {
+	gs.pg.DNSourceMask.ForEachExcluding(func(u int64) {
 		vertices++
 		for _, lv := range gs.pg.DN.Neighbors(u) {
 			edges++
@@ -110,10 +102,10 @@ func refBackwardND(e *Session, gs *gpuState, iter int32) {
 				break
 			}
 		}
-	})
+	}, gs.dt.visited, gs.newMask)
 	vertices += e.d / 64
 	gs.it.edgesScanned += edges
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic,
 	})
 }
@@ -134,7 +126,7 @@ func refBackwardDN(e *Session, gs *gpuState, iter int32) {
 		}
 	}
 	gs.it.edgesScanned += edges
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(simgpu.KernelCost{
 		Edges: edges, Vertices: vertices, Strategy: simgpu.TWBDynamic,
 	})
 }

@@ -51,7 +51,7 @@ import (
 //     either by PULL (rows of level L look up for their smallest neighbor)
 //     or by PUSH (rows of level L−1 offer themselves to their neighbors one
 //     level down), whichever side has the smaller volume. Both give the same
-//     minimum because each GPU's dd subgraph is symmetric — partition.Route
+//     minimum because each GPU's dd subgraph is symmetric — the distributor
 //     sends u→v and v→u to the same GPU (the lower-out-degree endpoint's
 //     owner) — and because dense delegate ids ascend with global ids
 //     (partition.Separate), so the smallest delegate id IS the smallest

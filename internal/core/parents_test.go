@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gcbfs/internal/frontier"
-	"gcbfs/internal/g500"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -34,7 +33,7 @@ func runWithParents(t *testing.T, el *graph.EdgeList, shape ClusterShape, th int
 	if res.Parents == nil {
 		t.Fatal("no parents collected")
 	}
-	if err := g500.ValidateTree(el, src, res.Parents, res.Levels); err != nil {
+	if err := validateTree(el, src, res.Parents, res.Levels); err != nil {
 		t.Fatalf("tree validation (shape %s, th %d, src %d): %v", shape, th, src, err)
 	}
 }
@@ -92,8 +91,8 @@ func TestParentPairsReported(t *testing.T) {
 		t.Fatal("no parent-resolution pairs counted despite nn-only graph")
 	}
 	// Pairs are bounded by |Enn| (every remote nn edge replayed once).
-	if res.ParentPairs > e.Graph().CountNN {
-		t.Fatalf("parent pairs %d exceed |Enn| %d", res.ParentPairs, e.Graph().CountNN)
+	if res.ParentPairs > e.sg.CountNN {
+		t.Fatalf("parent pairs %d exceed |Enn| %d", res.ParentPairs, e.sg.CountNN)
 	}
 }
 
@@ -375,7 +374,7 @@ func BenchmarkResolveParents(b *testing.B) {
 			}
 			b.StopTimer()
 			resolve := b.Elapsed()
-			edd := float64(plan.Graph().CountDD)
+			edd := float64(plan.sg.CountDD)
 			b.ReportMetric(float64(resolve.Nanoseconds())/float64(b.N)/edd, "ns/dd-edge")
 
 			var senders, flagged, sent, accepted int64
@@ -433,4 +432,48 @@ func BenchmarkResolveParents(b *testing.B) {
 			b.ReportMetric(1-levelsOnly.Seconds()/withTree.Seconds(), "tree-share")
 		})
 	}
+}
+
+// validateTree checks a BFS tree (the Graph500 deliverable) against the
+// graph and the hop distances: the source is its own parent; every other
+// visited vertex's parent is a real neighbor exactly one level closer; and
+// unvisited vertices carry no parent.
+func validateTree(el *graph.EdgeList, source int64, parents []int64, levels []int32) error {
+	if int64(len(parents)) != el.N || int64(len(levels)) != el.N {
+		return fmt.Errorf("tree arrays sized %d/%d, graph has %d vertices",
+			len(parents), len(levels), el.N)
+	}
+	if parents[source] != source {
+		return fmt.Errorf("parent[source] = %d, want %d", parents[source], source)
+	}
+	if levels[source] != 0 {
+		return fmt.Errorf("source level = %d", levels[source])
+	}
+	edges := make(map[graph.Edge]bool, len(el.Edges))
+	for _, e := range el.Edges {
+		edges[e] = true
+	}
+	for v := int64(0); v < el.N; v++ {
+		p := parents[v]
+		if levels[v] < 0 {
+			if p != -1 {
+				return fmt.Errorf("unvisited vertex %d has parent %d", v, p)
+			}
+			continue
+		}
+		if v == source {
+			continue
+		}
+		if p < 0 || p >= el.N {
+			return fmt.Errorf("vertex %d has invalid parent %d", v, p)
+		}
+		if levels[p] != levels[v]-1 {
+			return fmt.Errorf("vertex %d (level %d) has parent %d at level %d",
+				v, levels[v], p, levels[p])
+		}
+		if !edges[graph.Edge{U: p, V: v}] {
+			return fmt.Errorf("tree edge %d→%d not in graph", p, v)
+		}
+	}
+	return nil
 }

@@ -420,7 +420,7 @@ func (e *Session) repairProbe(rank int, comm *mpi.Comm, myGPUs []*gpuState, sc *
 			}
 		}
 		if edges+rows > 0 {
-			if c := e.charge(gs.dev, simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
+			if c := e.charge(simgpu.KernelCost{Edges: edges, Vertices: rows, Strategy: simgpu.TWBDynamic}); c > comp {
 				comp = c
 			}
 		}

@@ -133,14 +133,14 @@ func TestWholeGraphRepairIsForwardBFS(t *testing.T) {
 				}
 				doOpts := DefaultOptions()
 				doOpts.Exchange = ex
-				do, err := NewPlan(plain.Graph(), shape, doOpts)
+				do, err := NewPlan(plain.sg, shape, doOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !plain.Graph().Sep.IsDelegate(source) {
+				if !plain.sg.Sep.IsDelegate(source) {
 					t.Fatal("test setup: the root is not a delegate")
 				}
-				n := plain.Graph().N
+				n := plain.sg.N
 				prior, parents, invalid := make([]int32, n), make([]int64, n), make([]bool, n)
 				for v := range prior {
 					prior[v], parents[v], invalid[v] = -1, -1, true
@@ -209,7 +209,7 @@ func TestRepairWaveIsProportional(t *testing.T) {
 				for _, v := range delta.InsertSeeds(prior.Levels, invalid, b.Inserts) {
 					must[v] = true
 				}
-				cfg, sep, csr := shape.PartitionConfig(), p2.Graph().Sep, graph.BuildCSR(el2)
+				cfg, sep, csr := shape.PartitionConfig(), p2.sg.Sep, graph.BuildCSR(el2)
 				for v := range must {
 					if rep.Levels[v] != prior.Levels[v] || invalid[v] {
 						must[v] = true

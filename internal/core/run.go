@@ -921,7 +921,7 @@ func (l *sourceLanes) post(comm *mpi.Comm, ex exchanger, iter int32) {
 			l.dups += gs.bins.UniquifyAll(&sc.sortBuf)
 			// Uniquify is extra local work (sort + compact).
 			if c := gs.bins.Count(); c > 0 {
-				gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+				gs.it.normalStream += e.charge(simgpu.KernelCost{
 					Vertices: 2 * c, Strategy: simgpu.TWBDynamic,
 				})
 			}
@@ -973,7 +973,7 @@ func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply fu
 	// Scatter cost of applying received ids on the destination GPUs: every
 	// id that came in, before any union.
 	if applied := counts.arrived + counts.intra/4; applied > 0 {
-		myGPUs[0].it.normalStream += e.charge(myGPUs[0].dev, simgpu.KernelCost{
+		myGPUs[0].it.normalStream += e.charge(simgpu.KernelCost{
 			Vertices: applied, Strategy: simgpu.TWBDynamic,
 		})
 	}

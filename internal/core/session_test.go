@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -221,7 +222,7 @@ func TestOverridesValidated(t *testing.T) {
 	if res.Levels != nil {
 		t.Fatal("CollectLevels override did not reach the run")
 	}
-	if p.Options().Compression != wire.ModeOff || !p.Options().CollectLevels {
+	if p.base.Compression != wire.ModeOff || !p.base.CollectLevels {
 		t.Fatal("override leaked into the plan's base options")
 	}
 	// The next query must see the base options again (pooled session
@@ -395,7 +396,7 @@ func TestPlanExposesItsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Shape() != shape || p.Graph() != sg || !p.MemoryOK() {
+	if p.shape != shape || p.sg != sg {
 		t.Fatal("plan does not expose the state it was built from")
 	}
 }
@@ -430,6 +431,32 @@ func TestSessionHoldsOneDelegateTierPerRank(t *testing.T) {
 					t.Errorf("%s: GPU %d does not read rank %d's delegate tier", tc.shape, gs.pg.GPU, rank)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkReset is what a cold run's reset (levels, hasChild bits, delegate
+// levels) costs per call inline and fanned out over the driver's workers,
+// their start and stop included, on RMAT graphs around fanReset: the
+// measurement behind that constant.
+func BenchmarkReset(b *testing.B) {
+	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
+	for _, scale := range []int{15, 16, 17} {
+		p := buildPlan(b, rmat.Generate(rmat.DefaultParams(scale)), shape, 0, DefaultOptions())
+		s := p.acquire(p.base)
+		world := s.acquireWorld()
+		for _, fan := range []bool{false, true} {
+			b.Run(fmt.Sprintf("n=%d/fan=%v", p.sg.N, fan), func(b *testing.B) {
+				for range b.N {
+					s.drv.reset(world)
+					s.resetTraversal()
+					s.drv.fan = fan
+					if err := s.drv.run(s, phaseReset); err != nil {
+						b.Fatal(err)
+					}
+					s.drv.stop()
+				}
+			})
 		}
 	}
 }

@@ -100,8 +100,7 @@ func (p *Plan) RunSweep(ctx context.Context, sources []int64, ov Overrides) ([]*
 // down during the traversal at all: "lane q holds vertex v at level L" is the
 // bit the history already keeps (sweep_tree.go turns it into results).
 type sweepGPU struct {
-	pg  *partition.GPUGraph
-	dev *simgpu.Device
+	pg *partition.GPUGraph
 
 	vis, nxt *bitmask.Matrix // NumLocal × K: visited, and this iteration's discoveries
 	newD     *bitmask.Matrix // d × K delegate proposal
@@ -193,7 +192,6 @@ func (p *Plan) newSweepSession(opts Options, sources []int64) *sweepSession {
 	for i, pg := range p.sg.GPUs {
 		e.gpus[i] = &sweepGPU{
 			pg:   pg,
-			dev:  simgpu.NewDevice(opts.GPU, i),
 			vis:  bitmask.NewMatrix(pg.NumLocal, k),
 			nxt:  bitmask.NewMatrix(pg.NumLocal, k),
 			newD: bitmask.NewMatrix(e.d, k),
@@ -324,13 +322,13 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 			gs.it.logical += deg * pop
 		}
 	}
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(simgpu.KernelCost{
 		Vertices: dVerts + e.d/64*w64, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(simgpu.KernelCost{
 		Edges: ddEdges * w64, Vertices: dVerts, Strategy: simgpu.MergePath,
 	})
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(simgpu.KernelCost{
 		Edges: dnEdges * w64, Vertices: dVerts, Strategy: simgpu.TWBDynamic,
 	})
 
@@ -364,18 +362,18 @@ func (e *sweepSession) runKernels(gs *sweepGPU, sc *sweepScratch, iter int32) {
 			gs.it.logical += deg * pop
 		}
 	}
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(simgpu.KernelCost{
 		Vertices: 2 * nVerts, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.delegateStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.delegateStream += e.charge(simgpu.KernelCost{
 		Edges: ndEdges * w64, Vertices: nVerts, Strategy: simgpu.TWBDynamic,
 	})
-	gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+	gs.it.normalStream += e.charge(simgpu.KernelCost{
 		Edges: nnEdges * w64, Vertices: nVerts, Strategy: simgpu.TWBDynamic,
 	})
 	if binned > 0 {
 		// Binning + id conversion + the w-word mask copy per record.
-		gs.it.normalStream += e.charge(gs.dev, simgpu.KernelCost{
+		gs.it.normalStream += e.charge(simgpu.KernelCost{
 			Vertices: binned * w64, Strategy: simgpu.TWBDynamic,
 		})
 	}
@@ -521,7 +519,7 @@ func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchang
 	// The stage's sort and OR is the sweep's uniquify: charge it like the
 	// single-query dedup, widened to the lane words each record moves.
 	if l.staged > 0 {
-		gpu0.it.normalStream += e.charge(gpu0.dev, simgpu.KernelCost{
+		gpu0.it.normalStream += e.charge(simgpu.KernelCost{
 			Vertices: 2 * l.staged * w64, Strategy: simgpu.TWBDynamic,
 		})
 	}
@@ -549,7 +547,7 @@ func (l *sweepLanes) exchange(comm *mpi.Comm, ex exchanger, iter int32) *exchang
 	}
 	// Scatter cost of applying received records on the destination GPUs.
 	if applied := counts.arrived + intra; applied > 0 {
-		gpu0.it.normalStream += e.charge(gpu0.dev, simgpu.KernelCost{
+		gpu0.it.normalStream += e.charge(simgpu.KernelCost{
 			Vertices: applied * w64, Strategy: simgpu.TWBDynamic,
 		})
 	}

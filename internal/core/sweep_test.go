@@ -449,7 +449,7 @@ func BenchmarkSweepResolve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(visited), "ns/vertex-lane")
-	b.ReportMetric(float64(read)/float64(plan.Graph().CountDD), "dd-read/|Edd|")
+	b.ReportMetric(float64(read)/float64(plan.sg.CountDD), "dd-read/|Edd|")
 	ndPerPair := float64(stores) / float64(normalLanes)
 	b.ReportMetric(ndPerPair, "nd-stores/normal-lane")
 	if ndPerPair > 1 {

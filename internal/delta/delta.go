@@ -13,8 +13,10 @@
 // proportion to them. Invalidated derives the same mask from the parent
 // chains alone, in O(n): it is InvalidatedRows' fallback once a subtree's
 // rows outnumber the vertices, and its oracle. Affected (Invalidated plus
-// InsertSeeds) serves the callers that hold no rows: the benchmark's traced
-// pass and the cmp6 experiment, which feed core.Plan.RunRepair.
+// InsertSeeds) serves the one caller that holds no rows, the host benchmark's
+// traced pass, which feeds core.Plan.RunRepair; the library and the cmp6
+// experiment call InvalidatedRows and InsertSeeds, as MutableService.Repair
+// does.
 //
 // The package sits below core: it knows edge lists and BFS trees, nothing
 // about partitions, sessions or epochs — a new epoch's rows reach it as a

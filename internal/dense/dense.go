@@ -74,12 +74,11 @@ func (o *Options) Check(program string, sg *partition.Subgraphs, shape core.Clus
 	return nil
 }
 
-// Charge runs a kernel cost through the device model with work amplification
-// applied.
-func (o *Options) Charge(dev *simgpu.Device, c simgpu.KernelCost) float64 {
+// Charge prices a kernel on the GPU model with work amplification applied.
+func (o *Options) Charge(c simgpu.KernelCost) float64 {
 	c.Edges = int64(float64(c.Edges) * o.WorkAmplification)
 	c.Vertices = int64(float64(c.Vertices) * o.WorkAmplification)
-	return dev.Charge(c)
+	return o.GPU.Time(c)
 }
 
 // Stats is the modelled cost of a run; a program's Result embeds it.

@@ -100,7 +100,8 @@ func Cmp6Dynamic(p Params) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+			invalid := delta.InvalidatedRows(prior.Levels, prior.Parents, b, sg2.Neighbors)
+			seeds := delta.InsertSeeds(prior.Levels, invalid, b.Inserts)
 			rep, err := p2.Repair(ctx, core.Prior{Source: source, Levels: prior.Levels, Parents: prior.Parents}, invalid, b.Inserts, core.Overrides{})
 			if err != nil {
 				return nil, err

@@ -43,9 +43,6 @@ const (
 	KindDrop
 	KindStall
 	KindCrash
-
-	// NumKinds bounds per-kind counters.
-	NumKinds
 )
 
 func (k Kind) String() string {
@@ -64,25 +61,6 @@ func (k Kind) String() string {
 		return "crash"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// ParseKind converts a CLI spelling into a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "none":
-		return KindNone, nil
-	case "corrupt":
-		return KindCorrupt, nil
-	case "truncate":
-		return KindTruncate, nil
-	case "drop":
-		return KindDrop, nil
-	case "stall":
-		return KindStall, nil
-	case "crash":
-		return KindCrash, nil
-	}
-	return KindNone, fmt.Errorf("faults: unknown fault kind %q", s)
 }
 
 // Kinds lists every injectable kind, in ablation sweep order.
@@ -154,13 +132,6 @@ func New(seed uint64, kind Kind, rate float64) *Injector {
 		rate = 1
 	}
 	return &Injector{seed: seed, kind: kind, rate: rate, stallSeconds: 1e-3}
-}
-
-// WithStall sets the simulated seconds one stall hit charges and returns the
-// injector (builder style).
-func (in *Injector) WithStall(seconds float64) *Injector {
-	in.stallSeconds = seconds
-	return in
 }
 
 // WithSites restricts the injector to the named decision sites (builder

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -167,4 +168,31 @@ func TestParseKindRoundTrip(t *testing.T) {
 	if _, err := ParseKind("meteor"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+}
+
+// ParseKind converts a CLI spelling into a Kind. No library path parses a
+// kind; it stays as the subject of TestParseKindRoundTrip.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "", "none":
+		return KindNone, nil
+	case "corrupt":
+		return KindCorrupt, nil
+	case "truncate":
+		return KindTruncate, nil
+	case "drop":
+		return KindDrop, nil
+	case "stall":
+		return KindStall, nil
+	case "crash":
+		return KindCrash, nil
+	}
+	return KindNone, fmt.Errorf("faults: unknown fault kind %q", s)
+}
+
+// WithStall sets the simulated seconds one stall hit charges and returns the
+// injector (builder style). The library keeps the default.
+func (in *Injector) WithStall(seconds float64) *Injector {
+	in.stallSeconds = seconds
+	return in
 }

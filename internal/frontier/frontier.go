@@ -213,20 +213,15 @@ func (a *Bump[T]) Reset() {
 	a.off, a.need = 0, 0
 }
 
-// MergeSorted is the union of ascending id lists in one freshly allocated
-// ascending slice: an id at the head of two lists is emitted once. Lists that
-// are sets — strictly ascending, which is how the exchange stages every slot
-// with a codec active — therefore merge into a set, and a relay that merges
-// what it holds with what arrived forwards each id once however many ranks
+// MergeSortedArena is the union of ascending id lists in one ascending slice:
+// an id at the head of two lists is emitted once. Lists that are sets —
+// strictly ascending, which is how the exchange stages every slot with a
+// codec active — therefore merge into a set, and a relay that merges what it
+// holds with what arrived forwards each id once however many ranks
 // discovered it. (A repeat inside one list is that list's own and survives.)
-func MergeSorted(lists [][]uint32) []uint32 {
-	return MergeSortedArena(nil, lists)
-}
-
-// MergeSortedArena is MergeSorted with the output (and any intermediate
-// accumulators) drawn from the arena; a nil arena falls back to plain
-// allocation. Inputs are never mutated, so the output may be retained for
-// the arena's cycle while the inputs live on.
+// The output (and any intermediate accumulators) is drawn from the arena; a
+// nil arena falls back to plain allocation. Inputs are never mutated, so the
+// output may be retained for the arena's cycle while the inputs live on.
 func MergeSortedArena(a *Arena, lists [][]uint32) []uint32 {
 	switch len(lists) {
 	case 0:

@@ -53,7 +53,7 @@ func TestMergeSorted(t *testing.T) {
 			before[i] = slices.Clone(l)
 		}
 		want := unionOf(lists)
-		for _, got := range [][]uint32{MergeSorted(lists), MergeSortedArena(&arena, lists)} {
+		for _, got := range [][]uint32{MergeSortedArena(nil, lists), MergeSortedArena(&arena, lists)} {
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d: merged %v, want the union %v of %v", trial, got, want, lists)
 			}
@@ -64,17 +64,17 @@ func TestMergeSorted(t *testing.T) {
 	}
 	// A repeat inside one list is that list's own: the merge drops an id only
 	// against another list's head.
-	if got := MergeSorted([][]uint32{{1, 1, 4}, {1, 2}}); !slices.Equal(got, []uint32{1, 1, 2, 4}) {
+	if got := MergeSortedArena(nil, [][]uint32{{1, 1, 4}, {1, 2}}); !slices.Equal(got, []uint32{1, 1, 2, 4}) {
 		t.Fatalf("merge of {1 1 4} and {1 2} = %v", got)
 	}
 }
 
 func TestMergeSortedCopies(t *testing.T) {
 	src := []uint32{1, 2, 3}
-	got := MergeSorted([][]uint32{src})
+	got := MergeSortedArena(nil, [][]uint32{src})
 	got[0] = 99
 	if src[0] != 1 {
-		t.Fatal("MergeSorted aliased its input")
+		t.Fatal("MergeSortedArena aliased its input")
 	}
 }
 

@@ -39,15 +39,6 @@ func (b *RecordBins) Reset() {
 	}
 }
 
-// Count returns the total number of queued records.
-func (b *RecordBins) Count() int64 {
-	var c int64
-	for _, bin := range b.IDs {
-		c += int64(len(bin))
-	}
-	return c
-}
-
 // MergeRecords is the union of two record sets — strictly ascending ids x and
 // y, each with its w-word lane set (xl, yl: flat, in id order) — drawn from
 // the arenas (nil allocates): an id at both heads is emitted once with the OR

@@ -74,50 +74,6 @@ func Validate(el *graph.EdgeList, source int64, levels []int32) error {
 	return nil
 }
 
-// ValidateTree checks a BFS tree (the Graph500 deliverable) against the
-// graph and the hop distances: the source is its own parent; every other
-// visited vertex's parent is a real neighbor exactly one level closer; and
-// unvisited vertices carry no parent.
-func ValidateTree(el *graph.EdgeList, source int64, parents []int64, levels []int32) error {
-	if int64(len(parents)) != el.N || int64(len(levels)) != el.N {
-		return fmt.Errorf("g500: tree arrays sized %d/%d, graph has %d vertices",
-			len(parents), len(levels), el.N)
-	}
-	if parents[source] != source {
-		return fmt.Errorf("g500: parent[source] = %d, want %d", parents[source], source)
-	}
-	if levels[source] != 0 {
-		return fmt.Errorf("g500: source level = %d", levels[source])
-	}
-	edges := make(map[graph.Edge]bool, len(el.Edges))
-	for _, e := range el.Edges {
-		edges[e] = true
-	}
-	for v := int64(0); v < el.N; v++ {
-		p := parents[v]
-		if levels[v] < 0 {
-			if p != -1 {
-				return fmt.Errorf("g500: unvisited vertex %d has parent %d", v, p)
-			}
-			continue
-		}
-		if v == source {
-			continue
-		}
-		if p < 0 || p >= el.N {
-			return fmt.Errorf("g500: vertex %d has invalid parent %d", v, p)
-		}
-		if levels[p] != levels[v]-1 {
-			return fmt.Errorf("g500: vertex %d (level %d) has parent %d at level %d",
-				v, levels[v], p, levels[p])
-		}
-		if !edges[graph.Edge{U: p, V: v}] {
-			return fmt.Errorf("g500: tree edge %d→%d not in graph", p, v)
-		}
-	}
-	return nil
-}
-
 // CompareLevels checks two distance arrays for exact equality and returns
 // the first mismatch.
 func CompareLevels(got, want []int32) error {

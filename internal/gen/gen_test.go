@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"gcbfs/internal/graph"
@@ -82,15 +83,21 @@ func TestSocialNetworkShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := el.OutDegrees()
-	s := graph.Stats(deg)
-	isolatedShare := float64(s.Zero) / float64(el.N)
+	var isolated int64
+	for _, d := range deg {
+		if d == 0 {
+			isolated++
+		}
+	}
+	isolatedShare := float64(isolated) / float64(el.N)
 	// Target is 50% isolated; RMAT cores have isolated ids of their own so
 	// the share lands above the embedding target.
 	if isolatedShare < 0.4 {
 		t.Fatalf("isolated share = %.2f, want >= 0.4", isolatedShare)
 	}
-	if s.Max < 20*int64(s.Mean+1) {
-		t.Fatalf("expected scale-free skew, max=%d mean=%.2f", s.Max, s.Mean)
+	mean := float64(el.M()) / float64(el.N)
+	if max := slices.Max(deg); max < 20*int64(mean+1) {
+		t.Fatalf("expected scale-free skew, max=%d mean=%.2f", max, mean)
 	}
 }
 

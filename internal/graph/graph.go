@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -80,10 +79,6 @@ func (el *EdgeList) rangeError(i int) error {
 	return fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, e.U, e.V, el.N)
 }
 
-// ByteSize returns the conventional edge-list storage cost in bytes
-// (two 8-byte endpoints per directed edge), the 16m baseline of Table I.
-func (el *EdgeList) ByteSize() int64 { return el.M() * 16 }
-
 // Symmetrize returns a new edge list with every edge doubled (u→v and v→u),
 // the paper's preparation step for undirected inputs ("we make an edge pair
 // of opposite directions for an undirected edge"). Self-loops are doubled
@@ -149,61 +144,7 @@ func BuildCSR(el *EdgeList) *CSR {
 	return &CSR{N: n, RowOffsets: offsets, Cols: cols}
 }
 
-// M returns the number of directed edges.
-func (c *CSR) M() int64 { return int64(len(c.Cols)) }
-
 // Neighbors returns the (shared, read-only) adjacency slice of u.
 func (c *CSR) Neighbors(u int64) []int64 {
 	return c.Cols[c.RowOffsets[u]:c.RowOffsets[u+1]]
-}
-
-// OutDegree returns the out-degree of u.
-func (c *CSR) OutDegree(u int64) int64 {
-	return c.RowOffsets[u+1] - c.RowOffsets[u]
-}
-
-// ByteSize returns the storage cost of plain CSR without degree separation:
-// 8 bytes per row offset and 8 per column index — the 8n+8m baseline of
-// Table I.
-func (c *CSR) ByteSize() int64 {
-	return int64(len(c.RowOffsets))*8 + int64(len(c.Cols))*8
-}
-
-// SortRows orders every adjacency list ascending; useful for deterministic
-// comparisons in tests.
-func (c *CSR) SortRows() {
-	for u := int64(0); u < c.N; u++ {
-		row := c.Cols[c.RowOffsets[u]:c.RowOffsets[u+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
-}
-
-// DegreeStats summarizes an out-degree distribution.
-type DegreeStats struct {
-	Min, Max int64
-	Mean     float64
-	Zero     int64 // number of zero-out-degree vertices
-}
-
-// Stats computes degree statistics from a degree array.
-func Stats(deg []int64) DegreeStats {
-	if len(deg) == 0 {
-		return DegreeStats{}
-	}
-	s := DegreeStats{Min: deg[0], Max: deg[0]}
-	var sum int64
-	for _, d := range deg {
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
-		if d == 0 {
-			s.Zero++
-		}
-		sum += d
-	}
-	s.Mean = float64(sum) / float64(len(deg))
-	return s
 }

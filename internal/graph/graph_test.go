@@ -26,9 +26,6 @@ func TestEdgeListBasics(t *testing.T) {
 	if err := el.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if el.ByteSize() != 6*16 {
-		t.Fatalf("ByteSize = %d", el.ByteSize())
-	}
 }
 
 func TestValidateCatchesRangeErrors(t *testing.T) {
@@ -94,14 +91,10 @@ func TestOutDegrees(t *testing.T) {
 
 func TestBuildCSR(t *testing.T) {
 	c := BuildCSR(smallList())
-	if c.M() != 6 {
-		t.Fatalf("CSR M = %d", c.M())
+	if len(c.Cols) != 6 {
+		t.Fatalf("CSR M = %d", len(c.Cols))
 	}
-	if got := c.OutDegree(3); got != 3 {
-		t.Fatalf("OutDegree(3) = %d", got)
-	}
-	c.SortRows()
-	nbr := c.Neighbors(3)
+	nbr := slices.Sorted(slices.Values(c.Neighbors(3)))
 	want := []int64{0, 4, 4}
 	for i, w := range want {
 		if nbr[i] != w {
@@ -110,9 +103,6 @@ func TestBuildCSR(t *testing.T) {
 	}
 	if len(c.Neighbors(2)) != 0 {
 		t.Fatal("Neighbors(2) should be empty")
-	}
-	if c.ByteSize() != int64(6*8)+int64(6*8) {
-		t.Fatalf("CSR ByteSize = %d", c.ByteSize())
 	}
 }
 
@@ -126,7 +116,7 @@ func TestQuickCSRRoundTrip(t *testing.T) {
 			el.Add(rng.Int63n(n), rng.Int63n(n))
 		}
 		c := BuildCSR(el)
-		if c.M() != el.M() {
+		if int64(len(c.Cols)) != el.M() {
 			return false
 		}
 		want := map[Edge]int{}
@@ -252,4 +242,35 @@ func BenchmarkBuildCSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		BuildCSR(el)
 	}
+}
+
+// DegreeStats summarizes an out-degree distribution.
+type DegreeStats struct {
+	Min, Max int64
+	Mean     float64
+	Zero     int64 // number of zero-out-degree vertices
+}
+
+// Stats computes degree statistics from a degree array. No library path
+// uses it; it stays as the subject of TestStats.
+func Stats(deg []int64) DegreeStats {
+	if len(deg) == 0 {
+		return DegreeStats{}
+	}
+	s := DegreeStats{Min: deg[0], Max: deg[0]}
+	var sum int64
+	for _, d := range deg {
+		if d < s.Min {
+			s.Min = d
+		}
+		if d > s.Max {
+			s.Max = d
+		}
+		if d == 0 {
+			s.Zero++
+		}
+		sum += d
+	}
+	s.Mean = float64(sum) / float64(len(deg))
+	return s
 }

@@ -273,15 +273,6 @@ type FaultStats struct {
 	Timeouts int64
 }
 
-// Accumulate folds other into f.
-func (f *FaultStats) Accumulate(other FaultStats) {
-	f.Injected += other.Injected
-	f.Retries += other.Retries
-	f.Degraded += other.Degraded
-	f.Exhausted += other.Exhausted
-	f.Timeouts += other.Timeouts
-}
-
 // RunResult is the outcome of one BFS execution.
 type RunResult struct {
 	Source int64
@@ -317,27 +308,6 @@ func (r *RunResult) GTEPS() float64 {
 // iteration — the paper's filter for reported data points ("only the ones
 // that executed for more than 1 iteration are considered").
 func (r *RunResult) MultipleIterations() bool { return r.Iterations > 1 }
-
-// HiddenCodecRatio returns the fraction of the run's codec compute the
-// pipelined exchange hid under concurrent hop transfers — 1 means every
-// codec second overlapped a transfer, 0 means it all sat on the critical
-// path (or no codec work ran).
-func (r *RunResult) HiddenCodecRatio() float64 {
-	if r.Wire.CodecSeconds <= 0 {
-		return 0
-	}
-	return r.Exchange.HiddenCodecSeconds / r.Wire.CodecSeconds
-}
-
-// PolicyError returns the exchange cost model's relative prediction error
-// over the run: |Σpredicted − actual| / actual against the remote-normal
-// time. 0 when the run had no remote-normal time.
-func (r *RunResult) PolicyError() float64 {
-	if r.Parts.RemoteNormal <= 0 {
-		return 0
-	}
-	return math.Abs(r.Exchange.PredictedSeconds-r.Parts.RemoteNormal) / r.Parts.RemoteNormal
-}
 
 // GeoMean returns the geometric mean of positive values; zero for empty
 // input. The paper reports geometric means of traversal rates.

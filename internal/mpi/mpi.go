@@ -23,8 +23,12 @@
 //     and received in the next, past a Meet, so a Recv never waits.
 //   - AllreduceOr and AllreduceSum, blocking collectives in which every rank
 //     goroutine parks until the last arrives. No library code calls them;
-//     the host benchmark's probes do (benchmark-only until ROADMAP item
-//     10(ii)).
+//     the host benchmark's probes do. They and the collective's arrive and
+//     fold are in the benchmark-only set that the module's reachability
+//     gate pins (reachBenchmarkOnly in reach_test.go at the module root),
+//     beside core.Plan.RunRepair, delta.Affected, g500.VisitedCount and
+//     the frontier and wire entry points the probes call. The set may shrink
+//     but not grow; ROADMAP item 10(ii) empties it.
 //
 // # Posting contract
 //
@@ -45,7 +49,7 @@
 //     stale post from an earlier round can never be decoded.
 //   - The send hook is applied on read, with the post's tag, to every
 //     non-empty payload; an empty one is reported absent, unhooked.
-//   - BytesSent and MessagesSent count every non-empty post, when it is made.
+//   - MessagesSent counts every non-empty post, when it is made.
 //   - World.Reset clears the posts.
 //   - Posted on an aborted World panics with the typed abort, as Post does.
 package mpi
@@ -98,16 +102,6 @@ func (w *World) SetSendHook(h SendHook) { w.hook = h }
 
 // abortPanic is the typed panic value MPI calls throw on an aborted World.
 type abortPanic struct{ err error }
-
-// AbortError reports whether a recovered panic value came from an aborted
-// World, returning the abort cause, so a rank goroutine woken by Abort in a
-// Recv or a blocking collective can tell that unwind from a genuine bug.
-func AbortError(v any) (error, bool) {
-	if ap, ok := v.(abortPanic); ok {
-		return ap.err, true
-	}
-	return nil, false
-}
 
 // Abort poisons the World: the first call records err as the cause, and every
 // rank goroutine currently blocked in Recv or a collective — plus every later
@@ -177,20 +171,10 @@ func NewWorld(size int) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// BytesSent returns the total payload bytes sent so far, by Isend or by a
-// non-empty post. The counters are plain per-rank fields (a send touches no
-// shared cache line for them), so read them only while no rank goroutine is
-// sending — after the ranks joined, as the tests do.
-func (w *World) BytesSent() int64 {
-	var n int64
-	for i := range w.comms {
-		n += w.comms[i].bytesSent
-	}
-	return n
-}
-
 // MessagesSent returns the total message count so far, Isends and non-empty
-// posts; the same quiescence rule as BytesSent applies.
+// posts. The counters are plain per-rank fields (a send touches no shared
+// cache line for them), so read them only while no rank is sending — after
+// the ranks joined, as the tests do.
 func (w *World) MessagesSent() int64 {
 	var n int64
 	for i := range w.comms {
@@ -255,7 +239,7 @@ func (w *World) Reset() {
 		mb.mu.Unlock()
 	}
 	for i := range w.comms {
-		w.comms[i].bytesSent, w.comms[i].msgsSent, w.comms[i].mailed = 0, 0, 0
+		w.comms[i].msgsSent, w.comms[i].mailed = 0, 0
 	}
 	clear(w.posts)
 	// Clear abort poison and any half-folded collective state an aborted
@@ -276,10 +260,9 @@ type Comm struct {
 	w    *World
 	rank int
 
-	bytesSent int64
-	msgsSent  int64
-	mailed    int64    // the Isends among msgsSent
-	_         [24]byte // pad to a cache line: Comms sit side by side in World.comms
+	msgsSent int64
+	mailed   int64    // the Isends among msgsSent
+	_        [32]byte // pad to a cache line: Comms sit side by side in World.comms
 }
 
 // Rank returns this endpoint's rank.
@@ -311,7 +294,6 @@ func (c *Comm) Isend(dst, tag int, data []byte) {
 	if c.w.hook != nil {
 		data = c.w.hook(c.rank, dst, tag, data)
 	}
-	c.bytesSent += int64(len(data))
 	c.msgsSent++
 	c.mailed++
 	mb := &c.w.boxes[dst]
@@ -367,7 +349,6 @@ func (c *Comm) Post(tag int, bufs [][]byte) {
 	c.w.checkAbort()
 	for dst, data := range bufs {
 		if dst != c.rank && len(data) > 0 {
-			c.bytesSent += int64(len(data))
 			c.msgsSent++
 		}
 	}

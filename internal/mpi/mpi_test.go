@@ -116,9 +116,6 @@ func TestByteAccounting(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-	if w.BytesSent() != 200 {
-		t.Fatalf("BytesSent = %d, want 200", w.BytesSent())
-	}
 	if w.MessagesSent() != 2 {
 		t.Fatalf("MessagesSent = %d", w.MessagesSent())
 	}
@@ -352,12 +349,12 @@ func TestTrafficCountersPerRankAndReset(t *testing.T) {
 		c.Isend(next, 0, make([]byte, 10*(c.Rank()+1)))
 		c.Recv((c.Rank()+c.Size()-1)%c.Size(), 0)
 	})
-	if w.BytesSent() != 100 || w.MessagesSent() != 4 {
-		t.Fatalf("BytesSent = %d, MessagesSent = %d, want 100 and 4", w.BytesSent(), w.MessagesSent())
+	if w.MessagesSent() != 4 || w.MailboxSends() != 4 {
+		t.Fatalf("MessagesSent = %d, MailboxSends = %d, want 4 and 4", w.MessagesSent(), w.MailboxSends())
 	}
 	w.Reset()
-	if w.BytesSent() != 0 || w.MessagesSent() != 0 {
-		t.Fatalf("after Reset: BytesSent = %d, MessagesSent = %d", w.BytesSent(), w.MessagesSent())
+	if w.MessagesSent() != 0 || w.MailboxSends() != 0 {
+		t.Fatalf("after Reset: MessagesSent = %d, MailboxSends = %d", w.MessagesSent(), w.MailboxSends())
 	}
 }
 
@@ -482,12 +479,12 @@ func TestPostedPayloads(t *testing.T) {
 		// The poster's own entry is ignored; empty entries are not messages.
 		w.Rank(1).Post(1, [][]byte{make([]byte, 10), make([]byte, 99), {}})
 		w.Rank(2).Post(1, [][]byte{nil, make([]byte, 5), nil})
-		if w.BytesSent() != 15 || w.MessagesSent() != 2 || w.MailboxSends() != 0 {
-			t.Fatalf("BytesSent %d, MessagesSent %d, MailboxSends %d; want 15, 2, 0", w.BytesSent(), w.MessagesSent(), w.MailboxSends())
+		if w.MessagesSent() != 2 || w.MailboxSends() != 0 {
+			t.Fatalf("MessagesSent %d, MailboxSends %d; want 2, 0", w.MessagesSent(), w.MailboxSends())
 		}
 		w.Rank(0).Isend(1, 0, make([]byte, 4))
-		if w.BytesSent() != 19 || w.MessagesSent() != 3 || w.MailboxSends() != 1 {
-			t.Fatalf("after an Isend: BytesSent %d, MessagesSent %d, MailboxSends %d; want 19, 3, 1", w.BytesSent(), w.MessagesSent(), w.MailboxSends())
+		if w.MessagesSent() != 3 || w.MailboxSends() != 1 {
+			t.Fatalf("after an Isend: MessagesSent %d, MailboxSends %d; want 3, 1", w.MessagesSent(), w.MailboxSends())
 		}
 	})
 
@@ -495,8 +492,8 @@ func TestPostedPayloads(t *testing.T) {
 		w := NewWorld(2)
 		w.Rank(0).Post(1, [][]byte{nil, []byte("x")})
 		w.Reset()
-		if w.BytesSent() != 0 || w.MessagesSent() != 0 {
-			t.Errorf("after Reset: BytesSent %d, MessagesSent %d", w.BytesSent(), w.MessagesSent())
+		if w.MessagesSent() != 0 {
+			t.Errorf("after Reset: MessagesSent %d", w.MessagesSent())
 		}
 		if panicValue(func() { w.Rank(1).Posted(0, 1) }) == nil {
 			t.Error("a post survived Reset")
@@ -551,4 +548,13 @@ func TestMeet(t *testing.T) {
 	if err, ok := AbortError(v); !ok || !errors.Is(err, cause) {
 		t.Fatalf("Meet on an aborted World panicked with %v", v)
 	}
+}
+
+// AbortError reports whether a recovered panic value came from an aborted
+// World, returning the abort cause.
+func AbortError(v any) (error, bool) {
+	if ap, ok := v.(abortPanic); ok {
+		return ap.err, true
+	}
+	return nil, false
 }

@@ -54,7 +54,6 @@ type Result struct {
 
 type gpuState struct {
 	pg       *partition.GPUGraph
-	dev      *simgpu.Device
 	ranks    []float64 // local slots
 	acc      []float64 // local accumulator
 	accDel   []float64 // delegate accumulator (local share)
@@ -101,7 +100,6 @@ func build(sg *partition.Subgraphs, shape core.ClusterShape, opts *Options) ([]*
 	for i, pg := range sg.GPUs {
 		gs := &gpuState{
 			pg:     pg,
-			dev:    simgpu.NewDevice(opts.GPU, i),
 			ranks:  make([]float64, pg.NumLocal),
 			acc:    make([]float64, pg.NumLocal),
 			accDel: make([]float64, sg.D()),
@@ -246,7 +244,7 @@ func (r *rankState) pushNormals(gs *gpuState) float64 {
 			gs.accDel[dv] += c
 		}
 	}
-	return r.opts.Charge(gs.dev, simgpu.KernelCost{
+	return r.opts.Charge(simgpu.KernelCost{
 		Edges: edges, Vertices: gs.pg.NumLocal, Strategy: simgpu.TWBDynamic,
 	})
 }
@@ -271,37 +269,7 @@ func (r *rankState) pushDelegates(gs *gpuState) float64 {
 			gs.acc[lv] += c
 		}
 	}
-	return r.opts.Charge(gs.dev, simgpu.KernelCost{
+	return r.opts.Charge(simgpu.KernelCost{
 		Edges: edges, Vertices: r.sg.D(), Strategy: simgpu.MergePath,
 	})
-}
-
-// Serial computes the reference PageRank on a full edge list with identical
-// semantics (push-style, uniform dangling redistribution) for validation.
-func Serial(n int64, edges func(yield func(u, v int64)), outDeg []int64, damping float64, iterations int) []float64 {
-	ranks := make([]float64, n)
-	acc := make([]float64, n)
-	init := 1 / float64(n)
-	for i := range ranks {
-		ranks[i] = init
-	}
-	for it := 0; it < iterations; it++ {
-		for i := range acc {
-			acc[i] = 0
-		}
-		var dangling float64
-		for v := int64(0); v < n; v++ {
-			if outDeg[v] == 0 {
-				dangling += ranks[v]
-			}
-		}
-		edges(func(u, v int64) {
-			acc[v] += ranks[u] / float64(outDeg[u])
-		})
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		for v := int64(0); v < n; v++ {
-			ranks[v] = base + damping*acc[v]
-		}
-	}
-	return ranks
 }

@@ -259,3 +259,33 @@ func TestModelledCostPinned(t *testing.T) {
 		}
 	}
 }
+
+// Serial computes the reference PageRank on a full edge list with identical
+// semantics (push-style, uniform dangling redistribution) for validation.
+func Serial(n int64, edges func(yield func(u, v int64)), outDeg []int64, damping float64, iterations int) []float64 {
+	ranks := make([]float64, n)
+	acc := make([]float64, n)
+	init := 1 / float64(n)
+	for i := range ranks {
+		ranks[i] = init
+	}
+	for it := 0; it < iterations; it++ {
+		for i := range acc {
+			acc[i] = 0
+		}
+		var dangling float64
+		for v := int64(0); v < n; v++ {
+			if outDeg[v] == 0 {
+				dangling += ranks[v]
+			}
+		}
+		edges(func(u, v int64) {
+			acc[v] += ranks[u] / float64(outDeg[u])
+		})
+		base := (1-damping)/float64(n) + damping*dangling/float64(n)
+		for v := int64(0); v < n; v++ {
+			ranks[v] = base + damping*acc[v]
+		}
+	}
+	return ranks
+}

@@ -32,9 +32,9 @@ func diffGPUGraph(a, b *GPUGraph) string {
 		return "dd cols"
 	case !slices.Equal(a.NDSources, b.NDSources):
 		return "nd sources"
-	case !a.DDSourceMask.Equal(b.DDSourceMask):
+	case a.DDSourceMask.Len() != b.DDSourceMask.Len() || !slices.Equal(a.DDSourceMask.Words(), b.DDSourceMask.Words()):
 		return "dd source mask"
-	case !a.DNSourceMask.Equal(b.DNSourceMask):
+	case a.DNSourceMask.Len() != b.DNSourceMask.Len() || !slices.Equal(a.DNSourceMask.Words(), b.DNSourceMask.Words()):
 		return "dn source mask"
 	}
 	return ""

@@ -152,58 +152,3 @@ func SuggestThreshold(outDeg []int64, maxDelegates int64) int64 {
 	}
 	return th
 }
-
-// EdgeCategory classifies a directed edge by its endpoint kinds (§III-B).
-type EdgeCategory uint8
-
-const (
-	NN EdgeCategory = iota // normal → normal
-	ND                     // normal → delegate
-	DN                     // delegate → normal
-	DD                     // delegate → delegate
-)
-
-func (c EdgeCategory) String() string {
-	switch c {
-	case NN:
-		return "nn"
-	case ND:
-		return "nd"
-	case DN:
-		return "dn"
-	case DD:
-		return "dd"
-	}
-	return "??"
-}
-
-// Route implements Algorithm 1: it returns the destination GPU and the edge
-// category for directed edge u→v.
-//
-//	if u is normal:            to owner(u)   (nn or nd)
-//	else if v is normal:       to owner(v)   (dn)
-//	else lower-out-degree endpoint's owner, ties to owner(min(u,v))  (dd)
-func Route(cfg Config, s *Separation, u, v int64) (gpu int, cat EdgeCategory) {
-	uDel, vDel := s.IsDelegate(u), s.IsDelegate(v)
-	switch {
-	case !uDel && !vDel:
-		return cfg.OwnerGPU(u), NN
-	case !uDel: // u normal, v delegate
-		return cfg.OwnerGPU(u), ND
-	case !vDel: // u delegate, v normal
-		return cfg.OwnerGPU(v), DN
-	default:
-		du, dv := s.OutDeg[u], s.OutDeg[v]
-		switch {
-		case du < dv:
-			return cfg.OwnerGPU(u), DD
-		case du > dv:
-			return cfg.OwnerGPU(v), DD
-		default:
-			if u <= v {
-				return cfg.OwnerGPU(u), DD
-			}
-			return cfg.OwnerGPU(v), DD
-		}
-	}
-}

@@ -280,8 +280,8 @@ func endpoints(cfg Config, sep *Separation) []endpoint {
 }
 
 // routeChunk is the first level for one chunk of the edge list (base is the
-// chunk's offset in it): Algorithm 1 per edge, exactly as Route decides it,
-// appended to the destination GPU's bucket.
+// chunk's offset in it): Algorithm 1 per edge, exactly as the reference build
+// (reference_test.go) decides it, appended to the destination GPU's bucket.
 func routeChunk(edges []graph.Edge, base int, ends []endpoint, delegateOutDeg []int64, p int) ([]bucket, error) {
 	out := make([]bucket, p)
 	// A stream holds about len(edges)/4p records; blocks a quarter of that

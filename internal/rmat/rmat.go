@@ -146,10 +146,3 @@ func normalize(p Params) Params {
 	}
 	return p
 }
-
-// TEPSEdgeCount returns the edge count the Graph500 rules use in the
-// traversed-edges-per-second metric for a given scale: m/2 = 2^scale * 16
-// (paper §VI-A3 — the undirected edge count, not the doubled one).
-func TEPSEdgeCount(scale int) int64 {
-	return (int64(1) << uint(scale)) * 16
-}

@@ -130,48 +130,3 @@ func (s Spec) CodecTime(bytes int64) float64 {
 	}
 	return float64(bytes) / s.CodecRate
 }
-
-// FitsMemory reports whether bytes of graph storage fit in device memory,
-// leaving headroom for frontiers, masks and staging buffers.
-func (s Spec) FitsMemory(bytes int64) bool {
-	const headroom = 1 << 30 // 1 GB working set
-	return bytes+headroom <= s.MemoryBytes
-}
-
-// Device is one simulated GPU: a spec plus accumulated compute time and
-// work counters. The engine owns one Device per simulated GPU and calls
-// Charge for every kernel it runs.
-type Device struct {
-	Spec Spec
-	ID   int
-
-	ComputeSeconds float64
-	KernelLaunches int64
-	EdgesProcessed int64
-	VertexOps      int64
-}
-
-// NewDevice creates a device with zeroed counters.
-func NewDevice(spec Spec, id int) *Device {
-	return &Device{Spec: spec, ID: id}
-}
-
-// Charge records the kernel's work and returns the time charged.
-func (d *Device) Charge(c KernelCost) float64 {
-	t := d.Spec.Time(c)
-	if t > 0 {
-		d.KernelLaunches++
-	}
-	d.ComputeSeconds += t
-	d.EdgesProcessed += c.Edges
-	d.VertexOps += c.Vertices
-	return t
-}
-
-// ResetCounters zeroes the accumulators (between BFS runs).
-func (d *Device) ResetCounters() {
-	d.ComputeSeconds = 0
-	d.KernelLaunches = 0
-	d.EdgesProcessed = 0
-	d.VertexOps = 0
-}
