@@ -613,6 +613,7 @@ type gpuState struct {
 	newMask  *bitmask.Mask // local delegate discoveries this iteration
 	newDirty bool          // newMask has a bit set (propose)
 	back     backwardCache // what the backward kernels derive from dt.visited
+	quiet    quietKernels  // the last quiescent kernels, for replay
 	inFront  []uint32      // local normal frontier
 	outFront []uint32
 	bins     *frontier.Bins
@@ -760,6 +761,7 @@ func (e *Session) resetTraversal() {
 		gs.newMask.Reset()
 		gs.newDirty = false
 		gs.back.liveOK = false
+		gs.quiet.kept = false
 		gs.inFront = gs.inFront[:0]
 		gs.outFront = gs.outFront[:0]
 		gs.bins.Reset()

@@ -17,8 +17,10 @@ package core
 // messages before the rendezvous and posts them (mpi.Comm.Post, see
 // exchanger.post), and after it each reads what its sources posted for it
 // (mpi.Comm.Posted). No message touches a mailbox, no receiver waits for
-// one, and a source with nothing for a destination posts it nothing, so the
-// receiver learns from the post itself that the message was empty.
+// one, and a source with nothing for a destination posts it nothing: the
+// round's source set (mpi.Comm.PostedSources) tells the receiver which
+// sources had something, so it visits those alone and accounts the others'
+// empty messages at once.
 //
 // Butterfly is the ButterFly BFS pattern (Green 2021) generalized to
 // arbitrary rank counts Bruck-style. Let q be the largest power of two ≤ p
@@ -247,17 +249,17 @@ func (c *exchangeCounts) stagedDups(mode wire.Mode, dropped int64) int64 {
 	return work
 }
 
-// message accounts one encoded message this rank sends (or, empty and
-// unposted, would send): its bytes, the codec's work on it and the schemes it
-// picked.
-func (c *exchangeCounts) message(st wire.Stats, mode wire.Mode) {
-	c.sent += st.EncodedBytes
-	c.sentRaw += st.RawBytes
-	c.codecRaw += codecWork(mode, st.RawBytes)
-	for i, n := range st.Selected {
-		c.scheme[i] += n
+// message accounts n encoded messages of stats st that this rank sends (or,
+// empty and not posted, would send): their bytes, the codec's work on them
+// and the schemes they picked.
+func (c *exchangeCounts) message(st wire.Stats, mode wire.Mode, n int64) {
+	c.sent += n * st.EncodedBytes
+	c.sentRaw += n * st.RawBytes
+	c.codecRaw += n * codecWork(mode, st.RawBytes)
+	for i, k := range st.Selected {
+		c.scheme[i] += n * k
 	}
-	c.messages++
+	c.messages += n
 }
 
 // received accounts one decoded message of encoded bytes on the wire that
@@ -339,9 +341,10 @@ type remoteTiming struct {
 // strategies between iterations changes no block's bytes. allPairsExchange
 // and butterflyExchange are the only two.
 type exchanger interface {
-	// post runs before the pre-exchange rendezvous: all-pairs stages,
-	// encodes, accounts and posts every message of the round; the butterfly,
-	// whose hops depend on what earlier hops delivered, does nothing.
+	// post runs before the pre-exchange rendezvous: all-pairs accounts every
+	// message of the round and stages, encodes and posts the ones with ids;
+	// the butterfly, whose hops depend on what earlier hops delivered, does
+	// nothing.
 	post(comm *mpi.Comm, iter int32)
 	// relays is how many rendezvous the exchange holds between the pre- and
 	// the post-exchange one: none for all-pairs, one per hop for the
@@ -381,9 +384,9 @@ type exchanger interface {
 type payload interface {
 	// width is the lane-set words per id: 0 for plain ids.
 	width() int
-	// destinations sets has[r] for every rank r the rank's GPUs binned
-	// anything for, leaving the other entries as they are.
-	destinations(has []bool)
+	// destinations adds to to every rank the rank's GPUs binned anything
+	// for, its own included.
+	destinations(to rankBits)
 	// stage writes dst's slots into row — Slots, Hints and, with a lane-set
 	// column, Masks, one entry per destination GPU, merged storage drawn from
 	// the exchange arenas — and returns the fixed-width bytes it read and
@@ -532,6 +535,13 @@ func (e *Session) mergeForRank(myGPUs []*gpuState, dst int, sc *rankScratch, mer
 	return dropped
 }
 
+// rankBits is a set of ranks, bit r%64 of word r/64 for rank r: adding a
+// member is one OR, and the members come out ascending, a word at a time.
+type rankBits []uint64
+
+// add puts rank r into the set.
+func (s rankBits) add(r int) { s[r/64] |= 1 << (r % 64) }
+
 // ---- all-pairs ----
 
 type allPairsExchange struct {
@@ -550,15 +560,19 @@ type allPairsExchange struct {
 	// so every message is really delivered: the exchange without empty
 	// posts, to hold its accounting against.
 	sendAll bool
-	// has marks the destination ranks this rank's GPUs binned anything for
+	// to is the destination ranks this rank's GPUs binned anything for
 	// (payload.destinations).
-	has []bool
+	to rankBits
 	// msgBufs is the per-destination reusable encode buffer and the slice
-	// post hands to mpi.Comm.Post: entry dst is the message for rank dst,
-	// empty when there is none to deliver. Every reader has decoded it before
-	// the iteration's post-exchange rendezvous, and this rank rewrites it
-	// only after that rendezvous has returned (the posting contract).
+	// post hands to mpi.Comm.Post: entry dst is the message for rank dst, a
+	// stale one unless posted names dst, the ranks this superstep delivers
+	// to. Every reader has decoded it before the iteration's post-exchange
+	// rendezvous, and this rank rewrites it only after that rendezvous has
+	// returned (the posting contract).
 	msgBufs [][]byte
+	posted  []int
+	// srcs is the round's non-empty sources (mpi.Comm.PostedSources).
+	srcs []int
 	// out is the send side's accounting, from post until exchange completes
 	// it with the receives.
 	out exchangeCounts
@@ -584,13 +598,15 @@ func (x *allPairsExchange) emptyMessage(mode wire.Mode) wire.Stats {
 }
 
 // post stages, encodes and accounts this rank's message for every other
-// rank and posts them all at the round's tag. A message with no ids is posted
-// empty — nothing to deliver — unless sendAll is set, but it is still
-// accounted: bytes, scheme counters and the message count advance exactly as
-// if it were sent, which is what the modelled machine does, from the cached
-// Stats of an empty message (emptyMessage), so it is not encoded. With the
-// codec off an empty message is charged no bytes and tallies no scheme, so
-// the count is all of its accounting.
+// rank and posts them all at the round's tag. Only the destinations the
+// rank's GPUs binned anything for are staged, encoded and posted; every other
+// rank's message has no ids and is not posted — nothing to deliver — unless
+// sendAll is set. It is still accounted: bytes, scheme counters and the
+// message count advance exactly as if it were sent, which is what the
+// modelled machine does, all p−1−k of them at once from the cached Stats of
+// an empty message (emptyMessage). With the codec off an empty message is
+// charged no bytes and tallies no scheme, so the count is all of its
+// accounting.
 func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 	e, rank, sc := x.e, x.rank, x.sc
 	prank := e.shape.Ranks()
@@ -602,10 +618,20 @@ func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 	*c = exchangeCounts{}
 	if len(x.msgBufs) < prank {
 		x.msgBufs = append(x.msgBufs, make([][]byte, prank-len(x.msgBufs))...)
-		x.has = make([]bool, prank)
 	}
-	clear(x.has)
-	x.pl.destinations(x.has)
+	x.posted = x.posted[:0]
+	if words := (prank + 63) / 64; len(x.to) != words {
+		x.to = make(rankBits, words)
+	}
+	clear(x.to)
+	if x.sendAll {
+		for dst := range prank {
+			x.to.add(dst)
+		}
+	} else {
+		x.pl.destinations(x.to)
+	}
+	x.to[rank/64] &^= 1 << (rank % 64)
 
 	// One message per destination rank carrying every source GPU's bins for
 	// that rank's slots, one wire block per slot (and its lane sets behind
@@ -618,50 +644,46 @@ func (x *allPairsExchange) post(comm *mpi.Comm, iter int32) {
 	// ride the exchange.
 	row := &sc.apRow
 	var dropped int64
-	for dst := 0; dst < prank; dst++ {
-		if dst == rank {
-			continue
+	for i, word := range x.to {
+		for ; word != 0; word &= word - 1 {
+			dst := i*64 + bits.TrailingZeros64(word)
+			dropped += x.pl.stage(dst, row)
+			row.Rank = dst
+			payload, st := sc.sel.AppendRankSection(x.msgBufs[dst][:0], *row, w, mode)
+			c.message(st, mode, 1)
+			x.msgBufs[dst] = payload
+			x.posted = append(x.posted, dst)
 		}
-		if !x.has[dst] && !x.sendAll {
-			if mode == wire.ModeOff {
-				c.messages++
-			} else {
-				c.message(x.emptyMessage(mode), mode)
-			}
-			x.msgBufs[dst] = x.msgBufs[dst][:0]
-			continue
-		}
-		dropped += x.pl.stage(dst, row)
-		row.Rank = dst
-		payload, st := sc.sel.AppendRankSection(x.msgBufs[dst][:0], *row, w, mode)
-		c.message(st, mode)
-		x.msgBufs[dst] = payload
+	}
+	if empty := prank - 1 - len(x.posted); empty > 0 {
+		c.message(x.emptyMessage(mode), mode, int64(empty))
 	}
 	// Everything sent was originated here, and the encode is charged for the
 	// ids as the GPUs binned them, before the stage's union.
 	c.stagedDups(mode, dropped)
-	comm.Post(hopTag(iter, 0), x.msgBufs[:prank])
+	comm.Post(hopTag(iter, 0), x.msgBufs[:prank], x.posted)
 }
 
-// exchange reads the round's posts, decoded zero-copy straight into the
-// reusable arrival bins (each block's count header pre-sizes the grow). A
-// source that posted this rank nothing had no ids for it: its empty message
-// is accounted, and there is nothing to decode.
+// exchange reads the round's non-empty posts, in ascending source order,
+// decoded zero-copy straight into the reusable arrival bins (each block's
+// count header pre-sizes the grow). Every other source posted this rank
+// nothing: it had no ids for it, and its empty message is accounted, all of
+// them at once, with nothing to decode.
 func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts {
-	e, rank, sc := x.e, x.rank, x.sc
+	e, sc := x.e, x.sc
 	prank := e.shape.Ranks()
 	mode := e.opts.Compression
 	w := x.pl.width()
 	c := &x.out
 	c.arrivals = sc.resetArrivals()
 	c.arrivalLanes = sc.arrivalLanes
-	for src := 0; src < prank; src++ {
-		if src == rank {
-			continue
-		}
-		buf, ok := comm.Posted(src, hopTag(iter, 0))
+	tag := hopTag(iter, 0)
+	x.srcs = comm.PostedSources(tag, x.srcs[:0])
+	absent := prank - 1 - len(x.srcs)
+	for _, src := range x.srcs {
+		buf, ok := comm.Posted(src, tag)
 		if !ok {
-			c.recv += x.emptyMessage(mode).EncodedBytes
+			absent++
 			continue
 		}
 		if err := wire.DecodeRankLanesInto(buf, c.arrivals, c.arrivalLanes, w); err != nil {
@@ -671,6 +693,7 @@ func (x *allPairsExchange) exchange(comm *mpi.Comm, iter int32) *exchangeCounts 
 		c.received(mode, len(buf), int64(4+8*w)*(n-c.arrived))
 		c.arrived = n
 	}
+	c.recv += int64(absent) * x.emptyMessage(mode).EncodedBytes
 	c.hopBytes = append(sc.hopBytes[:0], c.sent)
 	sc.hopBytes = c.hopBytes
 	// One communication round: all codec work (encode and decode) is a
@@ -1035,7 +1058,7 @@ func (x *butterflyExchange) send(comm *mpi.Comm, dst int, iter int32, hop int, s
 	}
 	payload, st := x.sc.sel.AppendSections(x.msgBufs[hop][:0], secs, x.pl.width(), mode)
 	x.msgBufs[hop] = payload
-	c.message(st, mode)
+	c.message(st, mode, 1)
 	x.encRaw[hop] += codecWork(mode, st.RawBytes)
 	comm.Isend(dst, hopTag(iter, hop), payload)
 	return st.EncodedBytes
@@ -1255,6 +1278,7 @@ type pairRound struct {
 	bins    *frontier.PairBins
 	lanes   [][]uint64 // per destination GPU, w words per pair in bin order
 	msgBufs [][]byte
+	to      []int // every other rank: the destinations of each post
 	// out is the round's accounting, from post until read completes it.
 	out exchangeCounts
 
@@ -1292,6 +1316,7 @@ func (x *pairRound) post(comm *mpi.Comm, tag int, mode wire.Mode) {
 	pgpu, w := len(x.arrivals), x.w
 	rec := 12 + 8*w
 	x.out = exchangeCounts{}
+	x.to = x.to[:0]
 	for dst := 0; dst < prank; dst++ {
 		if dst == rank {
 			continue
@@ -1306,9 +1331,10 @@ func (x *pairRound) post(comm *mpi.Comm, tag int, mode wire.Mode) {
 		buf := slices.Grow(x.msgBufs[dst][:0], n*rec+16*pgpu)
 		payload, st := wire.AppendPairsRank(buf, slots, lanes, w, mode)
 		x.msgBufs[dst] = payload
-		x.out.message(st, mode)
+		x.out.message(st, mode, 1)
+		x.to = append(x.to, dst)
 	}
-	comm.Post(tag, x.msgBufs)
+	comm.Post(tag, x.msgBufs, x.to)
 }
 
 // read completes the round past the rendezvous its posts rode: apply sees

@@ -191,13 +191,13 @@ func (gs *gpuState) backward() *backwardCache {
 	return bc
 }
 
-// decideDirections updates the per-subgraph directions for this iteration.
-// qD and sD are the global newly-visited and unvisited delegate counts (the
-// delegate masks are globally consistent, so no communication is needed).
-func (e *Session) decideDirections(gs *gpuState, pv *previsitOut) {
+// directions returns the per-subgraph directions for this iteration, decided
+// from the current ones. qD and sD are the global newly-visited and unvisited
+// delegate counts (the delegate masks are globally consistent, so no
+// communication is needed).
+func (e *Session) directions(gs *gpuState, pv *previsitOut) (dd, dn, nd metrics.Direction) {
 	if !e.opts.DirectionOptimized {
-		gs.dirDD, gs.dirDN, gs.dirND = metrics.Forward, metrics.Forward, metrics.Forward
-		return
+		return metrics.Forward, metrics.Forward, metrics.Forward
 	}
 	// Candidate-set sizes for the backward variants.
 	bc := gs.backward()
@@ -206,15 +206,20 @@ func (e *Session) decideDirections(gs *gpuState, pv *previsitOut) {
 	uDN := gs.unvisitedNDSources
 	qN := int64(len(gs.inFront))
 	sN := gs.unvisitedNDSources
+	return decide(gs.dirDD, e.opts.FactorsDD, pv.fvDD, backwardWorkload(uDD, qD, sD)),
+		decide(gs.dirDN, e.opts.FactorsDN, pv.fvDN, backwardWorkload(uDN, qD, sD)),
+		decide(gs.dirND, e.opts.FactorsND, pv.fvND, backwardWorkload(uND, qN, sN))
+}
 
-	gs.dirDD = decide(gs.dirDD, e.opts.FactorsDD, pv.fvDD, backwardWorkload(uDD, qD, sD))
-	gs.dirDN = decide(gs.dirDN, e.opts.FactorsDN, pv.fvDN, backwardWorkload(uDN, qD, sD))
-	gs.dirND = decide(gs.dirND, e.opts.FactorsND, pv.fvND, backwardWorkload(uND, qN, sN))
-
-	// The decision scans (mask sweeps) are extra DO work the paper calls
-	// out on long-tail graphs (§VI-D). They fuse into the previsit
-	// kernels, so charge compute time without a separate launch.
-	gs.it.delegateStream += float64(2*(e.d/64)) / e.opts.GPU.VertexRate
+// decideDirections updates the per-subgraph directions for this iteration.
+func (e *Session) decideDirections(gs *gpuState, pv *previsitOut) {
+	gs.dirDD, gs.dirDN, gs.dirND = e.directions(gs, pv)
+	if e.opts.DirectionOptimized {
+		// The decision scans (mask sweeps) are extra DO work the paper calls
+		// out on long-tail graphs (§VI-D). They fuse into the previsit
+		// kernels, so charge compute time without a separate launch.
+		gs.it.delegateStream += float64(2*(e.d/64)) / e.opts.GPU.VertexRate
+	}
 }
 
 // improves is the visit rule: a vertex at level l is (re-)levelled at iter+1
@@ -453,8 +458,50 @@ func rowSkew(maxRow, total, rows int64) float64 {
 	return float64(maxRow)/avg - 1
 }
 
-// runKernels executes one iteration's local computation on one GPU.
+// quietKernels is what a quiescent GPU's kernels did, kept for replay. A GPU
+// is quiescent when its input frontier and its rank's delegate frontier are
+// empty (seeds scheduled at the level are in them by then, injectSeeds). Its
+// forward kernels then queue nothing, so all forward they scan nothing and
+// charge the cost of empty queues, whatever the state. Its backward ones read
+// the visited mask, which changes only with a new generation, and the levels
+// of its nd sources — exactly the destinations of its dn edges (§IV-B), so
+// the only levels a backward scan can hit — which change only as
+// unvisitedNDSources falls. So while the directions are a kept run's, and, if
+// any of them ran backward, the generation and that count are too, the same
+// kernels would count the same edges again, charge the same seconds and, as
+// the kept run did, find nothing: runKernels replays them in O(1), however
+// many full runs came between. resetTraversal drops the record, since options
+// and levels change between queries.
+type quietKernels struct {
+	kept                bool
+	gen                 uint64 // visited generation they ran at
+	unvisitedND         int64  // the GPU's unvisited nd sources then
+	dirDD, dirDN, dirND metrics.Direction
+	it                  iterWork
+}
+
+// holds reports whether the kept kernels are what the GPU's quiescent
+// kernels would do now in the same directions.
+func (q *quietKernels) holds(gs *gpuState) bool {
+	forward := q.dirDD == metrics.Forward && q.dirDN == metrics.Forward && q.dirND == metrics.Forward
+	return q.kept && (forward || q.gen == gs.dt.visGen && q.unvisitedND == gs.unvisitedNDSources)
+}
+
+// runKernels executes one iteration's local computation on one GPU, whose
+// work (gs.it) its caller has zeroed: a quiescent GPU's kernels replayed
+// (quietKernels), or run in full.
 func (e *Session) runKernels(gs *gpuState, iter int32) {
+	quiet := len(gs.inFront) == 0 && gs.dt.frontN == 0
+	if q := &gs.quiet; quiet && q.holds(gs) {
+		// The direction decision still runs, as a full run's would: a
+		// Bwd2Fwd factor above zero can turn an idle GPU forward. Over empty
+		// queues the previsit's output is the zero previsitOut.
+		if dd, dn, nd := e.directions(gs, &previsitOut{}); dd == q.dirDD && dn == q.dirDN && nd == q.dirND {
+			gs.dirDD, gs.dirDN, gs.dirND = dd, dn, nd
+			gs.it = q.it
+			return
+		}
+	}
 	var pv previsitOut
 	e.previsit(gs, &pv)
 	e.decideDirections(gs, &pv)
@@ -464,4 +511,8 @@ func (e *Session) runKernels(gs *gpuState, iter int32) {
 	// Normal stream: dn then nn (both write the normal frontier).
 	e.kernelDN(gs, &pv, iter)
 	e.kernelNN(gs, &pv, iter)
+	if quiet && !gs.newDirty && len(gs.outFront) == 0 {
+		gs.quiet = quietKernels{kept: true, gen: gs.dt.visGen, unvisitedND: gs.unvisitedNDSources,
+			dirDD: gs.dirDD, dirDN: gs.dirDN, dirND: gs.dirND, it: gs.it}
+	}
 }

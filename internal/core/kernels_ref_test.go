@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"gcbfs/internal/baseline"
 	"gcbfs/internal/gen"
 	"gcbfs/internal/graph"
 	"gcbfs/internal/metrics"
@@ -245,6 +247,120 @@ func TestCachedBackwardKernelsMatchScanReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// A quiescent GPU's replayed kernels (quietKernels) are its full kernels: at
+// every superstep of a web graph's long tail where a GPU with a kept record
+// has no input frontier and no delegate frontier, what runKernels does — a
+// replay where the record still holds — equals the full kernels run again on
+// the same state, directions included, unless it found something, which a
+// replay never does. The tail visits a delegate deep down and goes on past
+// it, so a record kept from before that visit would be stale. Direction
+// optimization is on, with the paper's factors (a backward GPU stays
+// backward) and with a Bwd2Fwd factor above zero, which turns an idle GPU
+// forward.
+func TestQuiescentReplayMatchesFullKernels(t *testing.T) {
+	el := gen.WebGraph(gen.WebParams{Scale: 10, EdgeFactor: 8, NumChains: 4, ChainLength: 120, Seed: 3})
+	sources := pickSources(el.OutDegrees(), 3, 1)
+	// From the vertex farthest from the first source, a hub of 40 leaves —
+	// a delegate at threshold 16 — and a chain of 30 past its last leaf.
+	levels := baseline.SerialBFS(graph.BuildCSR(el), sources[0])
+	far := int64(slices.Index(levels, slices.Max(levels)))
+	const leaves, chain = 40, 30
+	hub := el.N
+	el = &graph.EdgeList{N: el.N + 1 + leaves + chain, Edges: slices.Clone(el.Edges)}
+	link := func(u, v int64) { el.Add(u, v); el.Add(v, u) }
+	link(far, hub)
+	for i := range int64(leaves) {
+		link(hub, hub+1+i)
+	}
+	for v := hub + 1 + leaves; v < el.N; v++ {
+		link(max(v-1, hub+1), v)
+	}
+	shape := ClusterShape{Nodes: 2, RanksPerNode: 2, GPUsPerRank: 2}
+	switchBack := DefaultOptions()
+	both := SwitchFactors{Fwd2Bwd: 0.5, Bwd2Fwd: 0.4}
+	switchBack.FactorsDD, switchBack.FactorsDN, switchBack.FactorsND = both, both, both
+	for name, opts := range map[string]Options{"paper": DefaultOptions(), "switchback": switchBack} {
+		p := buildPlan(t, el, shape, 16, opts)
+		checked, replays, backward := 0, 0, 0
+		check := func(e *Session, myGPUs []*gpuState, iter int32) {
+			for _, gs := range myGPUs {
+				q := gs.quiet
+				gs.it = iterWork{}
+				if len(gs.inFront) > 0 || gs.dt.frontN > 0 || !q.kept {
+					e.runKernels(gs, iter)
+					continue
+				}
+				dd, dn, nd := gs.dirDD, gs.dirDN, gs.dirND
+				if q.holds(gs) {
+					if d1, d2, d3 := e.directions(gs, &previsitOut{}); d1 == q.dirDD && d2 == q.dirDN && d3 == q.dirND {
+						replays++
+						if q.dirDD == metrics.Backward || q.dirDN == metrics.Backward || q.dirND == metrics.Backward {
+							backward++
+						}
+					}
+				}
+				e.runKernels(gs, iter)
+				if gs.newDirty || len(gs.outFront) > 0 {
+					continue // the full kernels ran, and found something
+				}
+				checked++
+				got, dirs := gs.it, [3]metrics.Direction{gs.dirDD, gs.dirDN, gs.dirND}
+				gs.dirDD, gs.dirDN, gs.dirND = dd, dn, nd
+				gs.quiet.kept = false
+				gs.it = iterWork{}
+				e.runKernels(gs, iter)
+				if gs.newDirty || len(gs.outFront) > 0 {
+					t.Fatalf("%s: superstep %d, GPU %d: the full kernels found what runKernels did not", name, iter, gs.pg.GPU)
+				}
+				if full := [3]metrics.Direction{gs.dirDD, gs.dirDN, gs.dirND}; gs.it != got || full != dirs {
+					t.Fatalf("%s: superstep %d, GPU %d: runKernels %+v %v, full kernels %+v %v", name, iter, gs.pg.GPU, got, dirs, gs.it, full)
+				}
+			}
+		}
+		for _, src := range sources {
+			got := runColdWith(t, p, src, check)
+			want, err := p.Run(context.Background(), src, Overrides{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.PerIteration, want.PerIteration) || got.SimSeconds != want.SimSeconds || !reflect.DeepEqual(got.Levels, want.Levels) {
+				t.Fatalf("%s: source %d: the checked run differs from Plan.Run", name, src)
+			}
+		}
+		if replays == 0 || name == "paper" && backward == 0 {
+			t.Fatalf("%s: %d replays, %d of them backward: the test exercised nothing", name, replays, backward)
+		}
+		t.Logf("%s: %d quiescent supersteps checked, %d replays, %d backward", name, checked, replays, backward)
+	}
+}
+
+// A kept record holds while nothing a backward kernel reads has changed: a
+// backward record until the visited generation moves or an nd source is
+// discovered, an all-forward one whatever the state.
+func TestQuietRecordHolds(t *testing.T) {
+	gs := &gpuState{dt: &delegateTier{visGen: 5}, unvisitedNDSources: 9}
+	backward := quietKernels{kept: true, gen: 5, unvisitedND: 9, dirDD: metrics.Forward, dirDN: metrics.Backward, dirND: metrics.Forward}
+	forward := quietKernels{kept: true, gen: 1, unvisitedND: 40}
+	for _, c := range []struct {
+		name        string
+		q           quietKernels
+		gen         uint64
+		unvisitedND int64
+		holds       bool
+	}{
+		{"backward, nothing changed", backward, 5, 9, true},
+		{"backward, a delegate visited", backward, 6, 9, false},
+		{"backward, an nd source discovered", backward, 5, 8, false},
+		{"forward, everything changed", forward, 6, 8, true},
+		{"nothing kept", quietKernels{}, 5, 9, false},
+	} {
+		gs.dt.visGen, gs.unvisitedNDSources = c.gen, c.unvisitedND
+		if got := c.q.holds(gs); got != c.holds {
+			t.Errorf("%s: holds = %v, want %v", c.name, got, c.holds)
 		}
 	}
 }

@@ -63,6 +63,15 @@ import (
 // count is computed as if each collective and each empty message were its
 // own, which is what the paper's machine would do.
 //
+// The host's share of a superstep grows with the ranks and GPUs that have
+// work, not with the world. A rank stages and encodes only the destinations
+// its GPUs' bins touched (frontier.Bins.Touched) and reads only the sources
+// that posted it something (mpi.Comm.PostedSources); the other empty
+// messages, sent and received, are accounted together from one cached empty
+// message. A quiescent GPU — no input frontier, no delegate frontier, its
+// last kernels found nothing — replays those kernels' charges and counts
+// (quietKernels, kernels.go) once its direction decision has run.
+//
 // The finishers that resolve and gather a tree (parents.go, repair_tree.go,
 // sweep_tree.go) run on the same driver after the loop, as a few phases of
 // their own: a pair round is posted in one phase and read in the next, the
@@ -890,16 +899,11 @@ func (l *sourceLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.ge
 // ids, staged by mergeForRank.
 func (l *sourceLanes) width() int { return 0 }
 
-func (l *sourceLanes) destinations(has []bool) {
+func (l *sourceLanes) destinations(to rankBits) {
 	pgpu := l.e.shape.GPUsPerRank
 	for _, gs := range l.gpus {
-		if gs.it.binned == 0 {
-			continue
-		}
-		for g, bin := range gs.bins.PerGPU {
-			if len(bin) > 0 {
-				has[g/pgpu] = true
-			}
+		for _, g := range gs.bins.Touched() {
+			to.add(g / pgpu)
 		}
 	}
 }
@@ -946,6 +950,9 @@ func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply fu
 	counts.dups = l.dups
 	// Intra-rank cross-GPU bins apply directly (NVLink, not NIC).
 	for _, src := range myGPUs {
+		if src.it.binned == 0 {
+			continue
+		}
 		for s := 0; s < pgpu; s++ {
 			dstGPU := l.rank*pgpu + s
 			if dstGPU == src.pg.GPU {
@@ -977,7 +984,8 @@ func (l *sourceLanes) deliver(comm *mpi.Comm, ex exchanger, iter int32, apply fu
 			Vertices: applied, Strategy: simgpu.TWBDynamic,
 		})
 	}
-	// Only a GPU that binned something has bins to empty.
+	// Only a GPU that binned something has bins to empty, and only those it
+	// binned for.
 	for _, gs := range myGPUs {
 		if gs.it.binned > 0 {
 			gs.bins.Reset()

@@ -285,11 +285,19 @@ func repairCounted(s *Session, in *repairIn, hook mpi.SendHook) *metrics.RunResu
 }
 
 // Empty posts on the paper's all-pairs exchange: a message without ids is
-// accounted but posted empty, never delivered, and the accounting cannot tell
-// — it equals, field for field, a run that posts every message. A sweep's
-// records ride the same exchange under the same rule.
+// accounted but posted empty, never delivered — a reader visits only the
+// sources that posted it something (mpi.Comm.PostedSources) — and the
+// accounting cannot tell: it equals, field for field, a run that posts every
+// message. A sweep's records and a repair's probe round and waves ride the
+// same exchange under the same rule. The second shape has more than 64
+// ranks, so a source set spans two words.
 func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
-	shape := ClusterShape{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}
+	for _, shape := range []ClusterShape{{Nodes: 4, RanksPerNode: 2, GPUsPerRank: 2}, {Nodes: 33, RanksPerNode: 2, GPUsPerRank: 1}} {
+		t.Run(fmt.Sprintf("%dranks", shape.Ranks()), func(t *testing.T) { checkAbsentMessages(t, shape) })
+	}
+}
+
+func checkAbsentMessages(t *testing.T, shape ClusterShape) {
 	for _, mode := range []wire.Mode{wire.ModeOff, wire.ModeAdaptive} {
 		opts := DefaultOptions()
 		opts.CollectLevels = false
@@ -370,6 +378,49 @@ func TestAbsentMessagesAreAccountedNotDelivered(t *testing.T) {
 				t.Fatalf("%s sweep lane %d: accounting depends on delivery\n got %+v %+v\nwant %+v %+v",
 					mode, q, g.Wire, g.Exchange, w.Wire, w.Exchange)
 			}
+		}
+
+		// A repair: its probe round and its waves ride the same exchange.
+		rel := rmat.Generate(rmat.DefaultParams(10))
+		source := repairSource(rel)
+		ropts := repairOptions()
+		ropts.Compression = mode
+		b := delta.Synthesize(rel, 0.02, delta.KindMixed, 42)
+		prior, p2 := nextEpoch(t, rel, shape, 32, ropts, source, b)
+		invalid, seeds := delta.Affected(prior.Levels, prior.Parents, b)
+		ropts.CollectParents, ropts.DirectionOptimized = false, false
+		var probes atomic.Int64
+		repair := func(sendAll bool) *metrics.RunResult {
+			s := p2.acquire(ropts)
+			defer p2.release(s)
+			for rank := range s.scratch {
+				s.exchangers(rank).get(ExchangeAllPairs).(*allPairsExchange).sendAll = sendAll
+			}
+			delivered.Store(0)
+			probes.Store(0)
+			res := repairCounted(s, &repairIn{source: source, levels: prior.Levels, invalid: invalid, seeds: seeds}, func(src, dst, tag int, data []byte) []byte {
+				if tag == probeTag {
+					probes.Add(1)
+				}
+				return hook(src, dst, tag, data)
+			})
+			for _, sc := range s.scratch {
+				sc.rx.ap.sendAll = false
+			}
+			return res
+		}
+		gotRepair := repair(false)
+		gated, gatedProbes := delivered.Load(), probes.Load()
+		wantRepair := repair(true)
+		if gated == 0 || gated >= delivered.Load() || gatedProbes == 0 || gatedProbes >= probes.Load() {
+			t.Fatalf("%s repair: delivered %d (%d probes) gated and %d (%d probes) sending all", mode, gated, gatedProbes, delivered.Load(), probes.Load())
+		}
+		if delivered.Load() != wantRepair.Exchange.Messages+int64(shape.Ranks()*(shape.Ranks()-1)) {
+			t.Fatalf("%s repair: sending all delivered %d, modelled %d and a probe round", mode, delivered.Load(), wantRepair.Exchange.Messages)
+		}
+		if gotRepair.Wire != wantRepair.Wire || gotRepair.Exchange != wantRepair.Exchange || gotRepair.SimSeconds != wantRepair.SimSeconds ||
+			!reflect.DeepEqual(gotRepair.PerIteration, wantRepair.PerIteration) || !reflect.DeepEqual(gotRepair.Levels, wantRepair.Levels) {
+			t.Fatalf("%s repair: accounting depends on delivery\n got %+v %+v\nwant %+v %+v", mode, gotRepair.Wire, gotRepair.Exchange, wantRepair.Wire, wantRepair.Exchange)
 		}
 	}
 }
@@ -575,3 +626,33 @@ func BenchmarkTailSuperstep(b *testing.B) {
 // goroutine its driver starts adds its start closure and, when the runtime
 // has no finished goroutine to recycle, the goroutine itself.
 const maxTailAllocs = 11
+
+// BenchmarkTailSuperstepRanks is BenchmarkTailSuperstep's fixed cost against
+// the rank count: the same scale-14 web graph and the same four sources on 4,
+// 8 and 16 ranks of two GPUs. A superstep whose host cost grows with the
+// ranks and GPUs that have work, not with all of them, keeps the 16-rank
+// ns/superstep near the 4-rank one.
+func BenchmarkTailSuperstepRanks(b *testing.B) {
+	opts := DefaultOptions()
+	opts.CollectLevels = false
+	el := gen.WebGraph(gen.DefaultWebParams(14))
+	sources := pickSources(el.OutDegrees(), 4, 1)
+	for _, nodes := range []int{2, 4, 8} {
+		shape := ClusterShape{Nodes: nodes, RanksPerNode: 2, GPUsPerRank: 2}
+		th := partition.SuggestThreshold(el.OutDegrees(), 4*el.N/int64(shape.P()))
+		p := buildPlan(b, el, shape, th, opts)
+		b.Run(fmt.Sprintf("ranks=%d", shape.Ranks()), func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			var supersteps int
+			for i := 0; i < b.N; i++ {
+				res, err := p.Run(ctx, sources[i%len(sources)], Overrides{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				supersteps += res.Iterations
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(supersteps), "ns/superstep")
+		})
+	}
+}

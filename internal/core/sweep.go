@@ -451,12 +451,12 @@ func (l *sweepLanes) exchanger(strategy Exchange) exchanger { return l.sc.rx.get
 // (id, lane-set) records.
 func (l *sweepLanes) width() int { return l.e.w }
 
-func (l *sweepLanes) destinations(has []bool) {
+func (l *sweepLanes) destinations(to rankBits) {
 	pgpu := l.e.shape.GPUsPerRank
 	for _, gs := range l.gpus {
 		for g, ids := range gs.bins.IDs {
 			if len(ids) > 0 {
-				has[g/pgpu] = true
+				to.add(g / pgpu)
 			}
 		}
 	}

@@ -68,8 +68,9 @@ func Cmp6Dynamic(p Params) (*Table, error) {
 	ctx := context.Background()
 	// A well-connected root, so deltas actually intersect the BFS tree.
 	source := int64(0)
-	for v, d := range el.OutDegrees() {
-		if d > el.OutDegrees()[source] {
+	deg := el.OutDegrees()
+	for v, d := range deg {
+		if d > deg[source] {
 			source = int64(v)
 		}
 	}

@@ -22,10 +22,13 @@ import (
 // sender-side since local id = v / p is computable anywhere). Each bin also
 // tracks whether it is known sorted — which only uniquification establishes,
 // so a bin of two or more ids known sorted is duplicate-free as well: a set,
-// which the exchange stages without sorting it again.
+// which the exchange stages without sorting it again. The bins Add made
+// non-empty since the last Reset are listed (Touched), so a superstep that
+// binned for a few GPUs finds, stages and empties just those.
 type Bins struct {
-	PerGPU [][]uint32
-	sorted []bool
+	PerGPU  [][]uint32
+	sorted  []bool
+	touched []int
 }
 
 // NewBins creates empty bins for p destination GPUs.
@@ -35,6 +38,9 @@ func NewBins(p int) *Bins {
 
 // Add appends a destination-local vertex id to gpu's bin.
 func (b *Bins) Add(gpu int, localID uint32) {
+	if len(b.PerGPU[gpu]) == 0 {
+		b.touched = append(b.touched, gpu)
+	}
 	b.PerGPU[gpu] = append(b.PerGPU[gpu], localID)
 	if b.sorted != nil {
 		b.sorted[gpu] = false
@@ -51,21 +57,27 @@ func (b *Bins) IsSorted(gpu int) bool {
 	return b.sorted != nil && b.sorted[gpu]
 }
 
-// Reset empties all bins, retaining capacity.
+// Touched lists the GPUs whose bins Add made non-empty since the last
+// Reset, in the order it did; every other bin is empty. The list is the
+// bins' own: read it before the next Add or Reset.
+func (b *Bins) Touched() []int { return b.touched }
+
+// Reset empties the bins Add filled, retaining capacity.
 func (b *Bins) Reset() {
-	for i := range b.PerGPU {
+	for _, i := range b.touched {
 		b.PerGPU[i] = b.PerGPU[i][:0]
 		if b.sorted != nil {
 			b.sorted[i] = true
 		}
 	}
+	b.touched = b.touched[:0]
 }
 
 // Count returns the total number of queued ids.
 func (b *Bins) Count() int64 {
 	var c int64
-	for _, bin := range b.PerGPU {
-		c += int64(len(bin))
+	for _, i := range b.touched {
+		c += int64(len(b.PerGPU[i]))
 	}
 	return c
 }
@@ -104,10 +116,11 @@ func (b *Bins) Uniquify(gpu int, scratch *[]uint32) int64 {
 	return int64(len(bin) - len(out))
 }
 
-// UniquifyAll runs Uniquify on every bin and returns the total removed.
+// UniquifyAll runs Uniquify on every non-empty bin and returns the total
+// removed.
 func (b *Bins) UniquifyAll(scratch *[]uint32) int64 {
 	var removed int64
-	for gpu := range b.PerGPU {
+	for _, gpu := range b.touched {
 		removed += b.Uniquify(gpu, scratch)
 	}
 	return removed

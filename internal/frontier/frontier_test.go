@@ -2,6 +2,7 @@ package frontier
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,35 @@ func TestBinsBasics(t *testing.T) {
 	b.Reset()
 	if b.Count() != 0 {
 		t.Fatal("Reset failed")
+	}
+}
+
+// Touched lists the bins Add made non-empty since the last Reset, each once,
+// in the order they were first filled; Reset empties exactly those and
+// starts the list again.
+func TestBinsTouched(t *testing.T) {
+	b := NewBins(5)
+	for _, g := range []int{3, 0, 3, 3, 4, 0} {
+		b.Add(g, uint32(g))
+	}
+	if got := b.Touched(); !slices.Equal(got, []int{3, 0, 4}) {
+		t.Fatalf("Touched = %v, want [3 0 4]", got)
+	}
+	if b.UniquifyAll(nil) != 3 || b.Count() != 3 {
+		t.Fatalf("after UniquifyAll: Count = %d, want 3", b.Count())
+	}
+	b.Reset()
+	for g, bin := range b.PerGPU {
+		if len(bin) != 0 || !b.IsSorted(g) {
+			t.Fatalf("after Reset: bin %d = %v, sorted %v", g, bin, b.IsSorted(g))
+		}
+	}
+	if got := b.Touched(); len(got) != 0 {
+		t.Fatalf("after Reset: Touched = %v", got)
+	}
+	b.Add(1, 7)
+	if got := b.Touched(); !slices.Equal(got, []int{1}) || b.Count() != 1 {
+		t.Fatalf("after one Add: Touched = %v, Count = %d", got, b.Count())
 	}
 }
 

@@ -47,16 +47,43 @@
 //   - Posted with a tag other than the one posted panics, as does reading a
 //     rank that has posted nothing since the World was created or Reset, so a
 //     stale post from an earlier round can never be decoded.
+//   - A post delivers only the entries it names (Post's to) that are not
+//     empty; every other rank is posted nothing, whatever its entry holds.
 //   - The send hook is applied on read, with the post's tag, to every
-//     non-empty payload; an empty one is reported absent, unhooked.
-//   - MessagesSent counts every non-empty post, when it is made.
+//     delivered payload; one that is not delivered is reported absent,
+//     unhooked.
+//   - MessagesSent counts every delivered entry, when it is posted.
 //   - World.Reset clears the posts.
 //   - Posted on an aborted World panics with the typed abort, as Post does.
+//
+// # Source sets
+//
+// A post also records, as it is made, which sources posted each destination
+// a payload: the round's source set, which PostedSources hands a reader in
+// ascending rank order, so a reader visits the k sources that have something
+// for it and knows the other p−1−k posted it nothing without asking each. A
+// poster's work grows with the destinations it names, and a reader's with
+// its sources, not with the world.
+//
+//   - The set is one bit per (destination, source), ⌈p/64⌉ words per
+//     destination whatever p is, set with an atomic OR: the ranks of a
+//     fanned-out phase post without a lock.
+//   - It is scoped to its round. Posts made while g rendezvous have completed
+//     fill set g mod 2, which readers read after rendezvous g+1; rendezvous
+//     g+2 clears it for the posts it will take, so a round nobody read leaks
+//     no source into a later one. A rank's second post in a round replaces
+//     its first in the set as well.
+//   - It replaces no tag check. The round's first PostedSources checks every
+//     rank's post — each made in this round, under the reader's tag, the rule
+//     Posted applies to one source — once for all readers, and panics naming
+//     the first rank that breaks it. A source it returns is read with Posted,
+//     which checks that post again and applies the hook.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -74,8 +101,11 @@ type World struct {
 	boxes []mailbox
 	comms []Comm
 	coll  *collective
-	// posts[r] is rank r's latest Post (see the posting contract).
-	posts []posting
+	// posts[r] is rank r's latest Post (see the posting contract), and
+	// rounds the source sets of the rounds posted ahead of an even and an odd
+	// rendezvous generation.
+	posts  []posting
+	rounds [2]round
 
 	// hook, when set, intercepts every payload (fault injection, SendHook).
 	hook SendHook
@@ -157,6 +187,9 @@ func NewWorld(size int) *World {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
 	w := &World{size: size, boxes: make([]mailbox, size), comms: make([]Comm, size), posts: make([]posting, size)}
+	for i := range w.rounds {
+		w.rounds[i].from = make([]uint64, size*sourceWords(size))
+	}
 	for i := range w.boxes {
 		w.boxes[i].cond.L = &w.boxes[i].mu
 	}
@@ -196,12 +229,7 @@ func (w *World) MailboxSends() int64 {
 // Rendezvous returns how many collectives have completed on this World since
 // it was created — the host-side cost unit of a superstep (see the package
 // comment). Reset does not rewind it; callers diff two readings.
-func (w *World) Rendezvous() uint64 {
-	cl := w.coll
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.gen
-}
+func (w *World) Rendezvous() uint64 { return w.coll.gen.Load() }
 
 // Meet completes a rendezvous in which no rank goroutine parks: its caller is
 // a driver that has run every rank's side of the round up to it, so every rank
@@ -212,7 +240,7 @@ func (w *World) Meet() {
 	w.checkAbort()
 	cl := w.coll
 	cl.mu.Lock()
-	cl.gen++
+	cl.advance()
 	cl.mu.Unlock()
 }
 
@@ -242,6 +270,9 @@ func (w *World) Reset() {
 		w.comms[i].msgsSent, w.comms[i].mailed = 0, 0
 	}
 	clear(w.posts)
+	for i := range w.rounds {
+		w.rounds[i].clear()
+	}
 	// Clear abort poison and any half-folded collective state an aborted
 	// query left behind (ranks that unwound never arrived).
 	cl := w.coll
@@ -328,35 +359,61 @@ func (c *Comm) Recv(src, tag int) []byte {
 	}
 }
 
-// posting is one rank's latest Post: its tag and per-destination payloads,
-// nil when it has posted nothing since the World was created or Reset.
+// posting is one rank's latest Post: its tag, the rendezvous generation it
+// was made in, its per-destination payloads, nil when it has posted nothing
+// since the World was created or Reset, and the ranks it named.
 type posting struct {
 	tag  int
+	gen  uint64
 	bufs [][]byte
+	to   []int
 }
 
-// Post publishes this rank's payloads for one round under tag: bufs[dst] is
-// what rank dst reads with Posted, nil or empty when this rank has nothing
-// for it (this rank's own entry is ignored). Post neither blocks nor copies:
-// the ranks meet at their next rendezvous, and every rank reads its sources'
-// posts between that one and the next (see the posting contract in the
-// package comment). bufs must hold one entry per rank; it replaces this rank's
-// previous post.
-func (c *Comm) Post(tag int, bufs [][]byte) {
+// Post publishes this rank's payloads for one round under tag, which must not
+// be negative: bufs[dst] is what rank dst reads with Posted, for each rank dst
+// that to names; every rank to does not name is posted nothing, whatever its
+// entry holds, and so is one whose entry is empty. to names distinct ranks
+// other than this one, in any order. Post neither blocks nor copies bufs or
+// to: the ranks meet at their next rendezvous, and every rank reads its
+// sources' posts between that one and the next (see the posting contract in
+// the package comment). bufs must hold one entry per rank; it replaces this
+// rank's previous post. Each non-empty entry to names puts this rank into its
+// destination's source set of the round (PostedSources), in O(1): Post's work
+// grows with to, not with the world.
+func (c *Comm) Post(tag int, bufs [][]byte, to []int) {
 	if len(bufs) != c.w.size {
 		panic(fmt.Sprintf("mpi: Post of %d payloads on a world of %d ranks", len(bufs), c.w.size))
 	}
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: Post under negative tag %d", tag))
+	}
 	c.w.checkAbort()
-	for dst, data := range bufs {
-		if dst != c.rank && len(data) > 0 {
-			c.msgsSent++
+	gen := c.w.coll.gen.Load()
+	rd := &c.w.rounds[gen&1]
+	words := sourceWords(c.w.size)
+	at, bit := c.rank/64, uint64(1)<<(c.rank%64)
+	if prev := &c.w.posts[c.rank]; prev.bufs != nil && prev.gen == gen {
+		// A second post in one round replaces the first in the source set
+		// too.
+		for _, dst := range prev.to {
+			atomic.AndUint64(&rd.from[dst*words+at], ^bit)
 		}
 	}
-	c.w.posts[c.rank] = posting{tag: tag, bufs: bufs}
+	for _, dst := range to {
+		if dst == c.rank {
+			panic(fmt.Sprintf("mpi: rank %d posts to itself", c.rank))
+		}
+		if len(bufs[dst]) > 0 {
+			c.msgsSent++
+			atomic.OrUint64(&rd.from[dst*words+at], bit)
+		}
+	}
+	c.w.posts[c.rank] = posting{tag: tag, gen: gen, bufs: bufs, to: to}
 }
 
 // Posted returns what rank src posted for this rank under tag, passed through
-// the send hook, and true; or nil and false when src posted nothing for it.
+// the send hook, and true; or nil and false when src posted nothing for it:
+// when src's Post did not name this rank, or named it with an empty entry.
 // It panics if src's latest post carries another tag or src has posted
 // nothing at all, and with the typed abort on an aborted World.
 func (c *Comm) Posted(src, tag int) ([]byte, bool) {
@@ -364,15 +421,10 @@ func (c *Comm) Posted(src, tag int) ([]byte, bool) {
 		panic(fmt.Sprintf("mpi: rank %d reads a post of rank %d", c.rank, src))
 	}
 	c.w.checkAbort()
-	p := &c.w.posts[src]
-	if p.bufs == nil {
-		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, which has posted nothing", c.rank, tag, src))
-	}
-	if p.tag != tag {
-		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, whose post is tag %d", c.rank, tag, src, p.tag))
-	}
+	p := c.w.checkPost(c.rank, src, tag)
+	words := sourceWords(c.w.size)
 	data := p.bufs[c.rank]
-	if len(data) == 0 {
+	if len(data) == 0 || atomic.LoadUint64(&c.w.rounds[p.gen&1].from[c.rank*words+src/64])&(1<<(src%64)) == 0 {
 		return nil, false
 	}
 	if c.w.hook != nil {
@@ -381,14 +433,79 @@ func (c *Comm) Posted(src, tag int) ([]byte, bool) {
 	return data, true
 }
 
+// checkPost returns src's latest post after checking that rank may read it
+// under tag: it panics if src has posted nothing or under another tag.
+func (w *World) checkPost(rank, src, tag int) *posting {
+	p := &w.posts[src]
+	if p.bufs == nil {
+		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, which has posted nothing", rank, tag, src))
+	}
+	if p.tag != tag {
+		panic(fmt.Sprintf("mpi: rank %d reads tag %d from rank %d, whose post is tag %d", rank, tag, src, p.tag))
+	}
+	return p
+}
+
+// PostedSources appends to into, in ascending order, the ranks that posted
+// this rank a non-empty payload in the round the last rendezvous completed,
+// and returns it: the sources Posted would return a payload for, found
+// without asking each (see the package comment). Every other rank posted this
+// one nothing. It panics unless every rank posted in that round under tag —
+// naming a source that has not posted in the round or posted under another
+// tag — and with the typed abort on an aborted World.
+func (c *Comm) PostedSources(tag int, into []int) []int {
+	w := c.w
+	w.checkAbort()
+	gen := w.coll.gen.Load() - 1
+	rd := &w.rounds[gen&1]
+	if rd.checked.Load() != uint64(tag)+1 {
+		// The round's first reader checks every source's post, once.
+		for src := range w.size {
+			if p := w.checkPost(c.rank, src, tag); p.gen != gen {
+				panic(fmt.Sprintf("mpi: rank %d reads tag %d of a round rank %d has not posted in", c.rank, tag, src))
+			}
+		}
+		rd.checked.Store(uint64(tag) + 1)
+	}
+	words := sourceWords(w.size)
+	for i := range words {
+		for word := atomic.LoadUint64(&rd.from[c.rank*words+i]); word != 0; word &= word - 1 {
+			into = append(into, i*64+bits.TrailingZeros64(word))
+		}
+	}
+	return into
+}
+
+// round is one round's record beside the posts themselves: its source set,
+// from[dst·sourceWords + src/64] bit src%64 set when src posted dst a
+// non-empty payload, which posts set with an atomic OR, so the ranks of a
+// fanned-out phase post without a lock; and checked, the tag + 1 under which
+// PostedSources has found every rank's post to be the round's (0: not yet).
+type round struct {
+	from    []uint64
+	checked atomic.Uint64
+}
+
+// sourceWords is how many words one destination's row of a source set takes.
+func sourceWords(size int) int { return (size + 63) / 64 }
+
+// clear empties the round for the posts of a later generation. Call it only
+// while no rank posts or reads it.
+func (rd *round) clear() {
+	clear(rd.from)
+	rd.checked.Store(0)
+}
+
 // collective is the rendezvous of the two blocking collectives (AllreduceOr,
 // AllreduceSum) and the generation counter World.Meet advances.
 type collective struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	w       *World
-	size    int
-	gen     uint64
+	mu   sync.Mutex
+	cond *sync.Cond
+	w    *World
+	size int
+	// gen counts completed rendezvous. It changes only under mu, and is
+	// atomic because posts read it to find their round.
+	gen     atomic.Uint64
 	arrived int
 	// Reusable accumulators, double-buffered by generation parity:
 	// generation g+2 (the first reuse of g's buffer) cannot start until every
@@ -406,18 +523,26 @@ func newCollective(size int) *collective {
 // arrive counts the caller into the current generation and parks it until the
 // last rank arrives, which ends the generation. Called with cl.mu held.
 func (cl *collective) arrive() {
-	gen := cl.gen
+	gen := cl.gen.Load()
 	cl.arrived++
 	if cl.arrived == cl.size {
 		cl.arrived = 0
-		cl.gen++
+		cl.advance()
 		cl.cond.Broadcast()
 		return
 	}
-	for cl.gen == gen {
+	for cl.gen.Load() == gen {
 		cl.cond.Wait()
 		cl.w.checkAbort()
 	}
+}
+
+// advance completes a rendezvous: it counts the generation and clears the
+// round the next generation's posts fill, whose posts of two generations ago
+// were read before this rendezvous. Called with cl.mu held, when every rank
+// has arrived and none posts.
+func (cl *collective) advance() {
+	cl.w.rounds[cl.gen.Add(1)&1].clear()
 }
 
 // foldAcc is one generation's accumulator.
@@ -433,7 +558,7 @@ func (cl *collective) fold(or []uint64, sum []int64) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.w.checkAbort()
-	acc := &cl.acc[cl.gen%2]
+	acc := &cl.acc[cl.gen.Load()%2]
 	if cl.arrived == 0 {
 		acc.or = append(acc.or[:0], or...)
 		acc.sum = append(acc.sum[:0], sum...)

@@ -2,11 +2,24 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// others is every rank but c's own: a Post to all of them.
+func others(c *Comm) []int {
+	var to []int
+	for r := range c.Size() {
+		if r != c.Rank() {
+			to = append(to, r)
+		}
+	}
+	return to
+}
 
 // spawn runs fn on every rank of a fresh world and waits for completion.
 func spawn(t *testing.T, size int, fn func(c *Comm)) *World {
@@ -294,7 +307,7 @@ func TestAbortMidRendezvousStrandsNoRank(t *testing.T) {
 		for dst := range bufs {
 			bufs[dst] = []byte{byte(c.Rank()), byte(dst)}
 		}
-		c.Post(3, bufs)
+		c.Post(3, bufs, others(c))
 		if c.Rank() == 5 {
 			w.Abort(cause)
 			return
@@ -411,7 +424,7 @@ func TestPostedPayloads(t *testing.T) {
 					store[me][dst] = append(store[me][dst][:0], payload(me, dst, k)...)
 					bufs[me][dst] = store[me][dst]
 				}
-				c.Post(tag, bufs[me])
+				c.Post(tag, bufs[me], others(c))
 			})
 			phase(func(c *Comm) {
 				me := c.Rank()
@@ -438,11 +451,11 @@ func TestPostedPayloads(t *testing.T) {
 		if panicValue(func() { c1.Posted(0, 7) }) == nil {
 			t.Error("reading a rank that never posted did not panic")
 		}
-		c0.Post(7, [][]byte{nil, []byte("round 7")})
+		c0.Post(7, [][]byte{nil, []byte("round 7")}, []int{1})
 		if got, ok := c1.Posted(0, 7); !ok || string(got) != "round 7" {
 			t.Errorf("Posted(0, 7) = %q, %v", got, ok)
 		}
-		c0.Post(8, [][]byte{nil, []byte("round 8")})
+		c0.Post(8, [][]byte{nil, []byte("round 8")}, []int{1})
 		if panicValue(func() { c1.Posted(0, 7) }) == nil {
 			t.Error("a stale tag read the next round's post")
 		}
@@ -459,7 +472,7 @@ func TestPostedPayloads(t *testing.T) {
 			calls = append(calls, call{src, dst, tag, len(data)})
 			return []byte{} // what a dropped payload looks like
 		})
-		w.Rank(0).Post(42, [][]byte{nil, []byte("abc"), nil})
+		w.Rank(0).Post(42, [][]byte{nil, []byte("abc"), nil}, []int{1, 2})
 		if len(calls) != 0 {
 			t.Fatalf("the hook ran on Post: %v", calls)
 		}
@@ -477,8 +490,8 @@ func TestPostedPayloads(t *testing.T) {
 	t.Run("counters-count-non-empty-posts", func(t *testing.T) {
 		w := NewWorld(3)
 		// The poster's own entry is ignored; empty entries are not messages.
-		w.Rank(1).Post(1, [][]byte{make([]byte, 10), make([]byte, 99), {}})
-		w.Rank(2).Post(1, [][]byte{nil, make([]byte, 5), nil})
+		w.Rank(1).Post(1, [][]byte{make([]byte, 10), make([]byte, 99), {}}, []int{0, 2})
+		w.Rank(2).Post(1, [][]byte{nil, make([]byte, 5), nil}, []int{0, 1})
 		if w.MessagesSent() != 2 || w.MailboxSends() != 0 {
 			t.Fatalf("MessagesSent %d, MailboxSends %d; want 2, 0", w.MessagesSent(), w.MailboxSends())
 		}
@@ -488,9 +501,35 @@ func TestPostedPayloads(t *testing.T) {
 		}
 	})
 
+	t.Run("to-names-what-is-delivered", func(t *testing.T) {
+		w := NewWorld(3)
+		// Rank 0's entry for rank 2 holds bytes, but the post does not name
+		// rank 2: it is posted nothing.
+		w.Rank(0).Post(1, [][]byte{nil, []byte("a"), []byte("stale")}, []int{1})
+		for r := 1; r < 3; r++ {
+			w.Rank(r).Post(1, make([][]byte, 3), nil)
+		}
+		w.Meet()
+		if got, ok := w.Rank(2).Posted(0, 1); ok || got != nil {
+			t.Errorf("an unnamed entry read as %q, %v", got, ok)
+		}
+		if got := w.Rank(2).PostedSources(1, nil); len(got) != 0 {
+			t.Errorf("an unnamed entry made sources %v", got)
+		}
+		if got, ok := w.Rank(1).Posted(0, 1); !ok || string(got) != "a" {
+			t.Errorf("Posted(0, 1) = %q, %v", got, ok)
+		}
+		if got := w.MessagesSent(); got != 1 {
+			t.Errorf("MessagesSent %d, want 1", got)
+		}
+		if panicValue(func() { w.Rank(1).Post(2, make([][]byte, 3), []int{1}) }) == nil {
+			t.Error("a rank posted to itself")
+		}
+	})
+
 	t.Run("reset-clears-the-posts", func(t *testing.T) {
 		w := NewWorld(2)
-		w.Rank(0).Post(1, [][]byte{nil, []byte("x")})
+		w.Rank(0).Post(1, [][]byte{nil, []byte("x")}, []int{1})
 		w.Reset()
 		if w.MessagesSent() != 0 {
 			t.Errorf("after Reset: MessagesSent %d", w.MessagesSent())
@@ -503,15 +542,175 @@ func TestPostedPayloads(t *testing.T) {
 	t.Run("aborted-world-panics-with-the-abort", func(t *testing.T) {
 		w := NewWorld(2)
 		cause := errors.New("poster failed")
-		w.Rank(0).Post(1, [][]byte{nil, []byte("x")})
+		w.Rank(0).Post(1, [][]byte{nil, []byte("x")}, []int{1})
 		w.Abort(cause)
 		for name, fn := range map[string]func(){
 			"Posted": func() { w.Rank(1).Posted(0, 1) },
-			"Post":   func() { w.Rank(1).Post(1, [][]byte{[]byte("y"), nil}) },
+			"Post":   func() { w.Rank(1).Post(1, [][]byte{[]byte("y"), nil}, []int{0}) },
 		} {
 			if err, ok := AbortError(panicValue(fn)); !ok || !errors.Is(err, cause) {
 				t.Errorf("%s on an aborted World: %v, %v; want the typed abort", name, err, ok)
 			}
+		}
+	})
+}
+
+// The round's source set (PostedSources): built by concurrent posters, one
+// layout past the first word of sources, scoped to its round, replaced with
+// a rank's post, and held to the tag checks of every source.
+func TestPostedSources(t *testing.T) {
+	// carries reports whether src posts dst a payload in round k.
+	carries := func(src, dst, k int) bool { return src != dst && (7*src+3*dst+k)%5 < 2 }
+	// post makes every rank's post of round k at once, as a driver's
+	// fanned-out phase does.
+	post := func(w *World, k, tag int) {
+		var wg sync.WaitGroup
+		for r := range w.Size() {
+			wg.Add(1)
+			go func(c *Comm) {
+				defer wg.Done()
+				bufs := make([][]byte, w.Size())
+				for dst := range bufs {
+					if carries(c.Rank(), dst, k) {
+						bufs[dst] = []byte{byte(k)}
+					}
+				}
+				c.Post(tag, bufs, others(c))
+			}(w.Rank(r))
+		}
+		wg.Wait()
+	}
+	// read checks every rank's sources of round k at once: the ascending
+	// ranks that carry it a payload, each of which Posted returns.
+	read := func(t *testing.T, w *World, k, tag int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for r := range w.Size() {
+			wg.Add(1)
+			go func(c *Comm) {
+				defer wg.Done()
+				var want []int
+				for src := range w.Size() {
+					if carries(src, c.Rank(), k) {
+						want = append(want, src)
+					}
+				}
+				got := c.PostedSources(tag, nil)
+				if !slices.Equal(got, want) {
+					t.Errorf("round %d: rank %d has sources %v, want %v", k, c.Rank(), got, want)
+				}
+				for _, src := range got {
+					if b, ok := c.Posted(src, tag); !ok || b[0] != byte(k) {
+						t.Errorf("round %d: rank %d read %v, %v from source %d", k, c.Rank(), b, ok, src)
+					}
+				}
+			}(w.Rank(r))
+		}
+		wg.Wait()
+	}
+
+	for _, size := range []int{1, 3, 64, 65, 130} {
+		t.Run(fmt.Sprintf("p=%d", size), func(t *testing.T) {
+			w := NewWorld(size)
+			// Every third round is read by nobody; the next one must not
+			// see its sources.
+			for k := range 7 {
+				tag := 10 + k
+				post(w, k, tag)
+				w.Meet()
+				if k%3 != 1 {
+					read(t, w, k, tag)
+				}
+				w.Meet()
+			}
+			// A Reset mid-round leaves no source behind either.
+			post(w, 0, 1)
+			w.Reset()
+			post(w, 1, 2)
+			w.Meet()
+			read(t, w, 1, 2)
+		})
+	}
+
+	t.Run("tag-checks-cover-every-source", func(t *testing.T) {
+		const size = 3
+		bufs := func(r int) [][]byte {
+			b := make([][]byte, size)
+			b[(r+1)%size] = []byte{byte(r)}
+			return b
+		}
+		to := func(r int) []int { return []int{(r + 1) % size} }
+		for name, round := range map[string]func(w *World){
+			"nothing posted": func(*World) {},
+			"another tag": func(w *World) {
+				for r := range size {
+					w.Rank(r).Post(6, bufs(r), to(r))
+				}
+			},
+			"mixed tags": func(w *World) {
+				for r := range size {
+					w.Rank(r).Post(5+r%2, bufs(r), to(r))
+				}
+			},
+			// Rank 2's post is the earlier round's, under the same tag:
+			// Posted alone would read it.
+			// The same, after a read of the earlier round: its check does
+			// not carry over.
+			"a stale post after a read round": func(w *World) {
+				for r := range size {
+					w.Rank(r).Post(5, bufs(r), to(r))
+				}
+				w.Meet()
+				w.Rank(0).PostedSources(5, nil)
+				w.Meet()
+				for r := range 2 {
+					w.Rank(r).Post(5, bufs(r), to(r))
+				}
+			},
+			"a stale post": func(w *World) {
+				for r := range size {
+					w.Rank(r).Post(5, bufs(r), to(r))
+				}
+				w.Meet()
+				w.Meet()
+				for r := range 2 {
+					w.Rank(r).Post(5, bufs(r), to(r))
+				}
+			},
+		} {
+			w := NewWorld(size)
+			round(w)
+			w.Meet()
+			if panicValue(func() { w.Rank(0).PostedSources(5, nil) }) == nil {
+				t.Errorf("%s: PostedSources read the round", name)
+			}
+		}
+		// A second post in a round replaces the first in the source set as
+		// well: rank 1 posts rank 2, then rank 0 instead.
+		w := NewWorld(size)
+		for r := range size {
+			w.Rank(r).Post(5, bufs(r), to(r))
+		}
+		w.Rank(1).Post(5, [][]byte{{1}, nil, nil}, []int{0})
+		w.Meet()
+		if got := w.Rank(2).PostedSources(5, nil); len(got) != 0 {
+			t.Errorf("rank 2's sources %v after rank 1 reposted, want none", got)
+		}
+		if got := w.Rank(0).PostedSources(5, nil); !slices.Equal(got, []int{1, 2}) {
+			t.Errorf("rank 0's sources %v after rank 1 reposted, want [1 2]", got)
+		}
+		w = NewWorld(size)
+		if panicValue(func() { w.Rank(0).Post(-1, bufs(0), to(0)) }) == nil {
+			t.Error("a post under a negative tag was taken")
+		}
+		cause := errors.New("rank 2 failed")
+		for r := range size {
+			w.Rank(r).Post(5, bufs(r), to(r))
+		}
+		w.Meet()
+		w.Abort(cause)
+		if err, ok := AbortError(panicValue(func() { w.Rank(0).PostedSources(5, nil) })); !ok || !errors.Is(err, cause) {
+			t.Errorf("PostedSources on an aborted World: %v, %v; want the typed abort", err, ok)
 		}
 	})
 }
@@ -528,7 +727,7 @@ func TestMeet(t *testing.T) {
 		for r := range size {
 			bufs[r] = append(bufs[r][:0], make([][]byte, size)...)
 			bufs[r][(r+1)%size] = []byte{byte(r), byte(k)}
-			w.Rank(r).Post(k, bufs[r])
+			w.Rank(r).Post(k, bufs[r], []int{(r + 1) % size})
 		}
 		w.Meet()
 		for r := range size {

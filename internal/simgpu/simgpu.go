@@ -97,7 +97,7 @@ type KernelCost struct {
 }
 
 // Time converts a kernel's counted work into seconds.
-func (s Spec) Time(c KernelCost) float64 {
+func (s *Spec) Time(c KernelCost) float64 {
 	if c.Edges == 0 && c.Vertices == 0 {
 		return 0 // kernel elided: no launch for empty input
 	}

@@ -86,17 +86,18 @@ func (d *Delta) batch() *delta.Batch {
 	return b
 }
 
-// fingerprint folds the delta's edge sequences into one word (FNV-1a over
-// kind-tagged endpoints). Order-sensitive on purpose: Repair demands the
-// same Delta value ApplyDelta consumed, not merely an equivalent set.
+// fingerprint folds the delta's edge sequences into one word, one 64-bit
+// word per step — a kind tag, then the two endpoints of each edge — each step
+// a multiply and an xor-shift of the running hash with the word folded in.
+// Order-sensitive on purpose: Repair demands the same Delta value ApplyDelta
+// consumed, not merely an equivalent set. It is not cached on the Delta,
+// since what it checks is that the Delta was not changed after ApplyDelta.
 func (d *Delta) fingerprint() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
+	const offset, mul = 14695981039346656037, 0xbf58476d1ce4e5b9
 	h := uint64(offset)
 	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (x & 0xff)) * prime
-			x >>= 8
-		}
+		h = (h ^ x) * mul
+		h ^= h >> 31
 	}
 	if d == nil {
 		return h

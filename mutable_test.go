@@ -211,6 +211,24 @@ func TestMutableRepairValidation(t *testing.T) {
 	if _, err := m.Repair(ctx, prior, &Delta{Inserts: d.Inserts}); err == nil {
 		t.Fatal("repair accepted a truncated delta")
 	}
+	// Copies of the published delta changed after ApplyDelta: reordered,
+	// one endpoint moved, and the last insert moved to the front of the
+	// deletes, which leaves the endpoint sequence as it was and changes
+	// only a kind.
+	if len(d.Inserts) < 2 {
+		t.Fatal("test setup: the delta has fewer than two inserts")
+	}
+	reordered := &Delta{Inserts: slices.Clone(d.Inserts), Deletes: d.Deletes}
+	reordered.Inserts[0], reordered.Inserts[1] = reordered.Inserts[1], reordered.Inserts[0]
+	moved := &Delta{Inserts: slices.Clone(d.Inserts), Deletes: d.Deletes}
+	moved.Inserts[0].V = (moved.Inserts[0].V + 1) % g.NumVertices()
+	last := len(d.Inserts) - 1
+	switched := &Delta{Inserts: d.Inserts[:last], Deletes: append([]Edge{d.Inserts[last]}, d.Deletes...)}
+	for name, changed := range map[string]*Delta{"reordered": reordered, "endpoint changed": moved, "insert moved to the deletes": switched} {
+		if _, err := m.Repair(ctx, prior, changed); err == nil {
+			t.Fatalf("repair accepted the published delta %s", name)
+		}
+	}
 	// Epoch gap → rejected.
 	d2, err := SynthesizeDelta(m.Graph(), 0.01, "insert", 4)
 	if err != nil {
